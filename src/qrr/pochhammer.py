@@ -14,6 +14,7 @@ structured form keeps exponent bookkeeping exact, so a factor such as
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -39,12 +40,21 @@ def _as_qpow(a) -> QPow:
     return a if isinstance(a, QPow) else QPow(a, 0)
 
 
-def _factor(a: QPow, q, j):
-    """1 - coeff * q**(exponent + j), exact when the joint exponent is 0."""
-    e = a.exponent + j
-    if e == 0:
-        return 1 - a.coeff
-    return 1 - a.coeff * powq(q, e)
+def _factors(a: QPow, q, j=0, step=1):
+    """Yield 1 - coeff * q**(exponent + i) for i = j, j + step, j + 2*step, ...
+
+    ``step`` is a nonzero integer.  The power coeff * q**(exponent + i) is
+    carried from one factor to the next, so each factor costs one
+    multiplication.  A factor whose exact joint exponent is 0 is
+    ``1 - coeff`` exactly, never a rounded value.
+    """
+    c, e = a.coeff, a.exponent + j
+    p = c * powq(q, e)
+    shift = powq(q, step)
+    while True:
+        yield 1 - c if e == 0 else 1 - p
+        e += step
+        p = p * shift
 
 
 def pochhammer_finite(a, q, n: int):
@@ -57,12 +67,11 @@ def pochhammer_finite(a, q, n: int):
     a = _as_qpow(a)
     if n >= 0:
         prod = _one_like(q)
-        for k in range(n):
-            prod = prod * _factor(a, q, k)
+        for f in islice(_factors(a, q), n):
+            prod = prod * f
         return prod
     denom = _one_like(q)
-    for j in range(1, -n + 1):
-        f = _factor(a, q, -j)
+    for j, f in enumerate(islice(_factors(a, q, -1, -1), -n), 1):
         if f == 0:
             raise PoleError(f"(a;q)_{n} hits zero factor at q^(-{j})")
         denom = denom * f
@@ -78,8 +87,7 @@ def inv_pochhammer(a, q, n: int):
     a = _as_qpow(a)
     if n < 0:
         prod = _one_like(q)
-        for j in range(1, -n + 1):
-            f = _factor(a, q, -j)
+        for f in islice(_factors(a, q, -1, -1), -n):
             if f == 0:
                 return 0 * _one_like(q)
             prod = prod * f
@@ -107,15 +115,13 @@ def pochhammer_ratio(a, b, q, n: int):
     k = -n
     num = _one_like(q)
     num_zero = False
-    for j in range(1, k + 1):
-        f = _factor(b, q, -j)
+    for f in islice(_factors(b, q, -1, -1), k):
         if f == 0:
             num_zero = True
             break
         num = num * f
     den = _one_like(q)
-    for j in range(1, k + 1):
-        f = _factor(a, q, -j)
+    for f in islice(_factors(a, q, -1, -1), k):
         if f == 0:
             if num_zero:
                 raise PoleError(f"indeterminate (a;q)_{n}/(b;q)_{n}: both tails vanish")
@@ -133,23 +139,21 @@ def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
         qv = to_mp(q)
         if abs(qv) >= 1:
             raise PoleError(f"infinite product needs |q| < 1, got {qv}")
-        aq = abs(to_mp(a.coeff)) * abs(qv) ** _as_float(a.exponent)
+        absq = abs(qv)
+        mag = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^k|
         prod = mp.mpf(1)
         tol = ctx.stop_tol
-        k = 0
-        while k < ctx.max_terms:
-            f = _factor(a, qv, k)
+        for k, f in zip(range(ctx.max_terms), _factors(a, qv)):
             if f == 0:
                 return SumOutcome(mp.mpf(0), k + 1, mp.mpf(0), True)
             prod = prod * f
-            mag = aq * abs(qv) ** k
             if mag < tol:
                 # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
-                tail_log = mag * abs(qv) / ((1 - abs(qv)) * (1 - mag))
+                tail_log = mag * absq / ((1 - absq) * (1 - mag))
                 tail = abs(prod) * (mp.e ** tail_log - 1)
                 return SumOutcome(prod, k + 1, tail,
                                   bool(tail < mp.mpf(10) ** (-ctx.precision)))
-            k += 1
+            mag = mag * absq
         raise NonConvergenceError(f"(a;q)_inf did not settle in {ctx.max_terms} factors")
 
 
@@ -195,9 +199,3 @@ def _one_like(q):
     if isinstance(q, (int, Fraction)):
         return Fraction(1)
     return mp.mpf(1)
-
-
-def _as_float(e):
-    if isinstance(e, Fraction):
-        return float(e)
-    return float(e)

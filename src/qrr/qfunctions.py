@@ -5,11 +5,19 @@ identities built from them.
 Numeric evaluators run on mpmath numbers inside the context's working
 precision; the handful of series that admit coefficient-exact verification
 have formal counterparts returning :class:`~qrr.formal.FormalSeries`.
+
+Every numeric series is defined by its term ratio (Gasper & Rahman, *Basic
+Hypergeometric Series*, ch. 1): each term comes from the previous one by
+multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
+running products that live for one sum.  Slice convolutions work on tables
+built once per call and evaluate each inner sum with ``mp.fdot``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
+from operator import mul
 
 import mpmath as mp
 
@@ -17,20 +25,75 @@ from .context import QContext, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .formal import FormalSeries, fs_div_finite_pochhammer, qexp_to_u
-from .pochhammer import (QPow, inv_pochhammer, multi_pochhammer_infinite,
-                         pochhammer_finite, pochhammer_ratio)
+from .pochhammer import (QPow, _as_qpow, _factors, multi_pochhammer_infinite,
+                         pochhammer_finite)
 from .summation import SumOutcome, sum_bilateral, sum_series
 
-
-def _qp(a) -> QPow:
-    return a if isinstance(a, QPow) else QPow(a, 0)
+_Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
 
-def _factor(a: QPow, q, j):
-    e = a.exponent + j
-    if e == 0:
-        return 1 - a.coeff
-    return 1 - a.coeff * powq(q, e)
+def _unilateral(terms):
+    """Term function for :func:`sum_series` over a stream of terms 0, 1, ..."""
+    return lambda n: next(terms)
+
+
+def _bilateral(pos, neg):
+    """Term function for :func:`sum_bilateral` over the streams of terms
+    n = 0, 1, ... and n = -1, -2, ..."""
+    return lambda n: next(pos) if n >= 0 else next(neg)
+
+
+def _geometric(x0, ratio):
+    """Yield x0, x0 * ratio, x0 * ratio**2, ..."""
+    while True:
+        yield x0
+        x0 = x0 * ratio
+
+
+def _gaussian(q, alpha, x, n=0):
+    """Yield q^(alpha m^2) x^m for m = n, n + 1, ..., two multiplications each.
+
+    The step q^(alpha (2m+1)) x is itself carried, growing by q^(2 alpha).
+    """
+    g = powq(q, alpha * n * n) * x ** n
+    step = powq(q, alpha * (2 * n + 1)) * x
+    q2a = powq(q, 2 * alpha)
+    while True:
+        yield g
+        g = g * step
+        step = step * q2a
+
+
+def _ratios_up(a: QPow, b: QPow, q):
+    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ...
+
+    Term n checks the factor of b that term n + 1 divides by.
+    """
+    r = mp.mpf(1)
+    for n, fa, fb in zip(count(), _factors(a, q), _factors(b, q)):
+        if fb == 0:
+            raise PoleError(f"(b;q)_{n + 1} vanished")
+        yield r
+        r = r * fa / fb
+
+
+def _ratios_down(a: QPow, b: QPow, q, what="term"):
+    """Yield (a;q)_n / (b;q)_n for n = -1, -2, ...
+
+    A vanishing factor of b kills this and every later term exactly (a dead
+    tail); a vanishing factor of a is a pole, reported as one of the
+    bilateral ``what`` ("term" or "ratio").
+    """
+    r = mp.mpf(1)
+    for k, fa, fb in zip(count(1), _factors(a, q, -1, -1), _factors(b, q, -1, -1)):
+        if fb == 0:
+            break
+        if fa == 0:
+            raise PoleError(f"(a;q)_{-k} infinite: bilateral {what} has a pole")
+        r = r * fb / fa
+        yield r
+    while True:
+        yield mp.mpf(0)
 
 
 def _value(x, q):
@@ -52,26 +115,23 @@ def rho_root(ctx: QContext):
 
 def phi_2_1(a, b, c, z, ctx: QContext) -> SumOutcome:
     """2phi1(a, b; c; q, z) for |z| < 1."""
-    a, b, c = _qp(a), _qp(b), _qp(c)
+    a, b, c = _as_qpow(a), _as_qpow(b), _as_qpow(c)
     with ctx.workdps():
         q = ctx.q
         zv = _value(z, q)
         if abs(zv) >= 1:
             raise DomainError(f"2phi1 requires |z| < 1, got |z|={abs(zv)}")
-        state = {"k": 0, "t": mp.mpf(1)}
 
-        def term(k):
-            assert k == state["k"]
-            t = state["t"]
-            fc = _factor(c, q, k)
-            fq = 1 - q ** (k + 1)
-            if fc == 0:
-                raise PoleError(f"2phi1 denominator parameter hits q^(-{k})")
-            state["t"] = t * _factor(a, q, k) * _factor(b, q, k) * zv / (fc * fq)
-            state["k"] += 1
-            return t
+        def terms():
+            t = mp.mpf(1)
+            for k, fa, fb, fc, fq in zip(count(), _factors(a, q), _factors(b, q),
+                                         _factors(c, q), _factors(_Q1, q)):
+                if fc == 0:
+                    raise PoleError(f"2phi1 denominator parameter hits q^(-{k})")
+                yield t
+                t = t * fa * fb * zv / (fc * fq)
 
-        return sum_series(term, ctx)
+        return sum_series(_unilateral(terms()), ctx)
 
 
 def phi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
@@ -80,25 +140,22 @@ def phi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
     The extra factor makes the series entire in z, with terms carrying
     q^{k(k-1)/2}-type decay.
     """
-    a, b = _qp(a), _qp(b)
+    a, b = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
         zv = _value(z, q)
-        state = {"k": 0, "t": mp.mpf(1)}
 
-        def term(k):
-            assert k == state["k"]
-            t = state["t"]
-            fb = _factor(b, q, k)
-            fq = 1 - q ** (k + 1)
-            if fb == 0:
-                raise PoleError(f"1phi1 denominator parameter hits q^(-{k})")
-            # ratio carries (-1) * q^k from the convention factor
-            state["t"] = t * _factor(a, q, k) * (-(q ** k)) * zv / (fb * fq)
-            state["k"] += 1
-            return t
+        def terms():
+            t = mp.mpf(1)
+            for k, fa, fb, fq, qk in zip(count(), _factors(a, q), _factors(b, q),
+                                         _factors(_Q1, q), _geometric(-zv, q)):
+                if fb == 0:
+                    raise PoleError(f"1phi1 denominator parameter hits q^(-{k})")
+                yield t
+                # ratio carries (-1) * q^k from the convention factor
+                t = t * fa * qk / (fb * fq)
 
-        return sum_series(term, ctx)
+        return sum_series(_unilateral(terms()), ctx)
 
 
 def phi21_terminating_exact(m: int, n: int, q: Fraction) -> Fraction:
@@ -136,7 +193,7 @@ def heine_sides(a, b, c, z, ctx: QContext):
 
 def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
     """Bilateral sum over n of (a;q)_n / (b;q)_n * z^n inside its annulus."""
-    aq, bq = _qp(a), _qp(b)
+    aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
         zv = to_mp(z)
@@ -149,34 +206,14 @@ def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
         if not abs(zv) < 1 or (not terminating and not ratio < abs(zv)):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
-        pos = {"r": mp.mpf(1), "n": 0}
-        neg = {"r": mp.mpf(1), "k": 0, "dead": False}
+        return _ratio_series(aq, bq, 0, zv, q, ctx)
 
-        def term(n):
-            if n >= 0:
-                assert n == pos["n"]
-                r = pos["r"]
-                fb = _factor(bq, q, n)
-                if fb == 0:
-                    raise PoleError(f"(b;q)_{n + 1} vanished")
-                pos["r"] = r * _factor(aq, q, n) / fb
-                pos["n"] += 1
-                return r * zv ** n
-            k = -n
-            assert k == neg["k"] + 1
-            neg["k"] = k
-            if neg["dead"]:
-                return mp.mpf(0)
-            fa, fb = _factor(aq, q, -k), _factor(bq, q, -k)
-            if fb == 0:
-                neg["dead"] = True
-                return mp.mpf(0)
-            if fa == 0:
-                raise PoleError(f"(a;q)_{n} infinite: bilateral term has a pole")
-            neg["r"] = neg["r"] * fb / fa
-            return neg["r"] * zv ** n
 
-        return sum_bilateral(term, ctx)
+def _ratio_series(aq: QPow, bq: QPow, alpha, xv, q, ctx: QContext) -> SumOutcome:
+    """Bilateral sum over n of (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
+    pos = map(mul, _ratios_up(aq, bq, q), _gaussian(q, alpha, xv))
+    neg = map(mul, _ratios_down(aq, bq, q), _gaussian(q, alpha, 1 / xv, 1))
+    return sum_bilateral(_bilateral(pos, neg), ctx)
 
 
 def psi_1_1_product(a, b, z, ctx: QContext):
@@ -200,42 +237,31 @@ def ramanujan_A(z, ctx: QContext) -> SumOutcome:
     with ctx.workdps():
         q = ctx.q
         zv = to_mp(z)
-        state = {"t": mp.mpf(1), "k": 0}
 
-        def term(k):
-            t = state["t"]
+        def terms():
+            t = mp.mpf(1)
             # ratio q^{2k+1} from the square, -z, and the new (q;q) factor
-            state["t"] = t * (-zv) * q ** (2 * k + 1) / (1 - q ** (k + 1))
-            state["k"] += 1
-            return t
+            for step, fq in zip(_geometric(-zv * q, q * q), _factors(_Q1, q)):
+                yield t
+                t = t * step / fq
 
-        return sum_series(term, ctx)
+        return sum_series(_unilateral(terms()), ctx)
 
 
 def omega(v, ctx: QContext) -> SumOutcome:
     """omega(v; q) = sum_{n>=0} q^{n^2} v^n."""
     with ctx.workdps():
-        q = ctx.q
-        vv = to_mp(v)
-        return sum_series(lambda n: q ** (n * n) * vv ** n, ctx)
+        return sum_series(_unilateral(_gaussian(ctx.q, 1, to_mp(v))), ctx)
 
 
 def a_alpha(alpha, a, t, ctx: QContext) -> SumOutcome:
     """sum_{n>=0} (a;q)_n q^{alpha n^2} t^n / (q;q)_n  (alpha >= 0)."""
-    aq = _qp(a)
+    aq = _as_qpow(a)
     alpha = Fraction(alpha)
     with ctx.workdps():
         q = ctx.q
-        tv = to_mp(t)
-        state = {"r": mp.mpf(1), "k": 0}
-
-        def term(n):
-            r = state["r"]
-            state["r"] = r * _factor(aq, q, n) / (1 - q ** (n + 1))
-            state["k"] += 1
-            return r * powq(q, alpha * n * n) * tv ** n
-
-        return sum_series(term, ctx)
+        terms = map(mul, _ratios_up(aq, _Q1, q), _gaussian(q, alpha, to_mp(t)))
+        return sum_series(_unilateral(terms), ctx)
 
 
 def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
@@ -247,40 +273,11 @@ def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    aq, bq = _qp(a), _qp(b)
+    aq, bq = _as_qpow(a), _as_qpow(b)
     if alpha == 0:
         return psi_1_1(aq, bq, x, ctx)
     with ctx.workdps():
-        q = ctx.q
-        xv = to_mp(x)
-        pos = {"r": mp.mpf(1), "n": 0}
-        neg = {"r": mp.mpf(1), "k": 0, "dead": False}
-
-        def term(n):
-            if n >= 0:
-                assert n == pos["n"]
-                r = pos["r"]
-                fb = _factor(bq, q, n)
-                if fb == 0:
-                    raise PoleError(f"(b;q)_{n + 1} vanished")
-                pos["r"] = r * _factor(aq, q, n) / fb
-                pos["n"] += 1
-                return r * powq(q, alpha * n * n) * xv ** n
-            k = -n
-            assert k == neg["k"] + 1
-            neg["k"] = k
-            if neg["dead"]:
-                return mp.mpf(0)
-            fa, fb = _factor(aq, q, -k), _factor(bq, q, -k)
-            if fb == 0:
-                neg["dead"] = True
-                return mp.mpf(0)
-            if fa == 0:
-                raise PoleError(f"(a;q)_{n} infinite: bilateral term has a pole")
-            neg["r"] = neg["r"] * fb / fa
-            return neg["r"] * powq(q, alpha * n * n) * xv ** n
-
-        return sum_bilateral(term, ctx)
+        return _ratio_series(aq, bq, alpha, to_mp(x), ctx.q, ctx)
 
 
 def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
@@ -289,18 +286,24 @@ def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
     At a = 1 the negative half vanishes identically (each reciprocal factor
     contains 1 - q^0), collapsing the sum to its unilateral gap-series half.
     """
-    aq = _qp(a)
+    aq = _as_qpow(a)
     aq1 = QPow(aq.coeff, aq.exponent + 1)  # a*q
     with ctx.workdps():
         q = ctx.q
 
-        def term(n):
-            inv = inv_pochhammer(aq1, q, n)
-            if inv == 0:
-                return mp.mpf(0)
-            return powq(q, n * n + m * n) * inv
+        def reciprocals():  # 1/(aq;q)_n for n = 0, 1, ...
+            r = mp.mpf(1)
+            for n, f in enumerate(_factors(aq1, q), 1):
+                yield r
+                if f == 0:
+                    raise PoleError(f"(a;q)_{n} vanished; reciprocal undefined")
+                r = r / f
 
-        return sum_bilateral(term, ctx)
+        # 1/(aq;q)_{-k} = (aq q^{-k};q)_k: the ratio (0;q)_n / (aq;q)_n
+        weight = powq(q, m)
+        pos = map(mul, reciprocals(), _gaussian(q, 1, weight))
+        neg = map(mul, _ratios_down(QPow(0, 0), aq1, q), _gaussian(q, 1, 1 / weight, 1))
+        return sum_bilateral(_bilateral(pos, neg), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -449,32 +452,56 @@ def _ratio_table(a, q, n_max: int):
 # bilateral slice convolutions (numeric)
 # ---------------------------------------------------------------------------
 
-def _bilateral_ratio_array(a: QPow, b: QPow, q, K: int):
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] as a dict, built incrementally."""
-    r = {0: mp.mpf(1)}
-    cur = mp.mpf(1)
-    for n in range(K):
-        fa, fb = _factor(a, q, n), _factor(b, q, n)
+class _Table:
+    """Values v_j for lo <= j <= hi, kept forward and reversed so that a
+    convolution sum_j f_j g_{n-j} is the dot product of two plain slices."""
+
+    def __init__(self, lo: int, values):
+        self.lo = lo
+        self.values = list(values)
+        self.hi = lo + len(self.values) - 1
+        self.reversed = self.values[::-1]
+
+    def weighted(self, weight) -> "_Table":
+        """The table of weight(j) * v_j."""
+        return _Table(self.lo, [weight(j) * v for j, v in enumerate(self.values, self.lo)])
+
+
+def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1):
+    """sum of f_j g_{n-j} over j = lo, lo + step, ... <= hi, rounded once.
+
+    The caller keeps j inside f and n - j inside g.
+    """
+    return mp.fdot(f.values[lo - f.lo:hi - f.lo + 1:step],
+                   g.reversed[g.hi - n + lo:g.hi - n + hi + 1:step])
+
+
+def _conv_w(f: _Table, g: _Table, n: int, lo: int, hi: int, wpow):
+    """sum over lo <= j <= hi of f_j g_{n-j} w^((n-j) mod 3).
+
+    ``wpow`` is the table (1, w, w^2); each residue class of n - j is one
+    dot product, so real tables stay real until the final three terms.
+    """
+    total = mp.mpf(0)
+    for t in range(3):
+        total += wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3)
+    return total
+
+
+def _powers(x, lo: int, hi: int):
+    """[x^lo, x^(lo+1), ..., x^hi] by one multiplication each."""
+    return list(islice(_geometric(x ** lo, x), hi - lo + 1))
+
+
+def _bilateral_ratio_array(a: QPow, b: QPow, q, K: int) -> _Table:
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K], built incrementally."""
+    up = [mp.mpf(1)]
+    for n, fa, fb in zip(range(K), _factors(a, q), _factors(b, q)):
         if fb == 0:
             raise PoleError(f"(b;q)_{n + 1} vanished")
-        cur = cur * fa / fb
-        r[n + 1] = cur
-    cur = mp.mpf(1)
-    dead = False
-    for j in range(1, K + 1):
-        if dead:
-            r[-j] = mp.mpf(0)
-            continue
-        fa, fb = _factor(a, q, -j), _factor(b, q, -j)
-        if fb == 0:
-            dead = True  # (b;q)_{-j} infinite from here on: terms die
-            r[-j] = mp.mpf(0)
-            continue
-        if fa == 0:
-            raise PoleError(f"(a;q)_{-j} infinite: bilateral ratio has a pole")
-        cur = cur * fb / fa
-        r[-j] = cur
-    return r
+        up.append(up[-1] * fa / fb)
+    down = list(islice(_ratios_down(a, b, q, "ratio"), K))
+    return _Table(-K, down[::-1] + up)
 
 
 def slice_truncation(rate, digits: int) -> int:
@@ -488,19 +515,15 @@ def slice_truncation(rate, digits: int) -> int:
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
     """Bilateral alternating pair convolution at fixed total n, with its
     closed product evaluation (zero for odd n)."""
-    aq, bq = _qp(a), _qp(b)
+    aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
         K = slice_truncation(q, digits) + abs(n)
         r = _bilateral_ratio_array(aq, bq, q, K)
-        lhs = mp.mpf(0)
-        for j in range(-K, K + 1):
-            k = n - j
-            if abs(k) > K:
-                continue
-            lhs += (-1) ** (k % 2) * r[j] * r[k]
+        signed = r.weighted(lambda k: (-1) ** (k % 2))
+        lhs = _conv(r, signed, n, max(-K, n - K), min(K, n + K))
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
@@ -517,29 +540,20 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
     RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
     the base-q^3 factors read as infinite products.
     """
-    aq, bq = _qp(a), _qp(b)
+    aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
         w = rho_root(ctx)
+        wpow = (mp.mpf(1), w, w * w)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
         K = slice_truncation(q, digits) + abs(n)
         r = _bilateral_ratio_array(aq, bq, q, K)
-        f1 = {j: r[j] for j in r}
-        f2 = {j: (w ** (j % 3)) * r[j] for j in r}
-        f3 = {j: (w ** ((2 * j) % 3)) * r[j] for j in r}
-        conv12 = {}
-        for m1 in range(-K, K + 1):
-            v1 = f1[m1]
-            if v1 == 0:
-                continue
-            for m2 in range(max(-K, n - m1 - K), min(K, n - m1 + K) + 1):
-                conv12[m1 + m2] = conv12.get(m1 + m2, mp.mpf(0)) + v1 * f2[m2]
-        lhs = mp.mpf(0)
-        for m12, v in conv12.items():
-            l = n - m12
-            if abs(l) <= K:
-                lhs += v * f3[l]
+        # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
+        lo, hi = max(-2 * K, n - K), min(2 * K, n + K)
+        conv12 = _Table(lo, [_conv_w(r, r, m, max(-K, m - K), min(K, m + K), wpow)
+                             for m in range(lo, hi + 1)])
+        lhs = _conv(conv12, r.weighted(lambda l: wpow[(2 * l) % 3]), n, lo, hi)
         if n % 3 != 0:
             return lhs, mp.mpf(0)
         m = n // 3
@@ -557,6 +571,13 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
+def _outer_terms(ratios, weights, args, inner):
+    """Yield r_j g_j inner(y_j) from the streams r, g and y; inner is not
+    evaluated where r_j is an exact zero."""
+    for r, g, y in zip(ratios, weights, args):
+        yield r * g * inner(y) if r != 0 else mp.mpf(0)
+
+
 def square_master_sides(alpha, a, t, ctx: QContext):
     """Square-argument expansion of the generalized entire function.
 
@@ -569,15 +590,13 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         av, tv = to_mp(a), to_mp(t)
         ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2).value
-        state = {"r": mp.mpf(1)}
 
-        def term(j):
-            r = state["r"]
-            state["r"] = r * (1 - av * q ** j) / (1 - q ** (j + 1))
-            inner = a_alpha(alpha, av, tv * powq(q, 2 * alpha * j), ctx).value
-            return r * powq(q, alpha * j * j) * (-tv) ** j * inner
+        def inner(y):
+            return a_alpha(alpha, av, y, ctx).value
 
-        rhs = sum_series(term, ctx).value
+        terms = _outer_terms(_ratios_up(_as_qpow(av), _Q1, q), _gaussian(q, alpha, -tv),
+                             _geometric(tv, powq(q, 2 * alpha)), inner)
+        rhs = sum_series(_unilateral(terms), ctx).value
         return lhs, rhs
 
 
@@ -588,6 +607,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         w = rho_root(ctx)
+        wpow = (mp.mpf(1), w, w * w)
         av, tv = to_mp(a), to_mp(t)
         ctx3 = QContext.numeric(q ** 3, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3).value
@@ -596,16 +616,13 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         s_max = 2
         while float(alpha) * s_max * s_max * float(-mp.log10(abs(q))) < tol_digits:
             s_max += 1
-        r = [mp.mpf(1)]
-        for j in range(s_max):
-            r.append(r[-1] * (1 - av * q ** j) / (1 - q ** (j + 1)))
+        r = _Table(0, islice(_ratios_up(_as_qpow(av), _Q1, q), s_max + 1))
+        weights = _gaussian(q, alpha, tv)
+        args = _geometric(wpow[2] * tv, powq(q, 2 * alpha))
         rhs = mp.mpf(0)
-        for s in range(s_max + 1):
-            c = mp.mpf(0)
-            for j in range(s + 1):
-                c += r[j] * r[s - j] * w ** ((s - j) % 3)
-            inner = a_alpha(alpha, av, (w ** 2) * tv * powq(q, 2 * alpha * s), ctx).value
-            rhs += c * powq(q, alpha * s * s) * tv ** s * inner
+        for s, g, y in zip(range(s_max + 1), weights, args):
+            c = _conv_w(r, r, s, 0, s, wpow)
+            rhs += c * g * a_alpha(alpha, av, y, ctx).value
         return lhs, rhs
 
 
@@ -628,14 +645,17 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
                 / multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx))
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2).value
 
-        def term(j):
-            r = pochhammer_ratio(av, bv, q, j)
-            if r == 0:
-                return mp.mpf(0)
-            inner = b_alpha(alpha, av, bv, xv * powq(q, 2 * alpha * j), ctx).value
-            return r * powq(q, alpha * j * j) * (-xv) ** j * inner
+        def inner(y):
+            return b_alpha(alpha, av, bv, y, ctx).value
 
-        rhs = sum_bilateral(term, ctx).value
+        # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
+        aq, bq = _as_qpow(av), _as_qpow(bv)
+        q2a = powq(q, 2 * alpha)
+        pos = _outer_terms(_ratios_up(aq, bq, q), _gaussian(q, alpha, -xv),
+                           _geometric(xv, q2a), inner)
+        neg = _outer_terms(_ratios_down(aq, bq, q), _gaussian(q, alpha, -1 / xv, 1),
+                           _geometric(xv / q2a, 1 / q2a), inner)
+        rhs = sum_bilateral(_bilateral(pos, neg), ctx).value
         return lhs, rhs
 
 
@@ -654,6 +674,7 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
     with ctx.workdps():
         q = ctx.q
         w = rho_root(ctx)
+        wpow = (mp.mpf(1), w, w * w)
         av, bv, xv = to_mp(a), to_mp(b), to_mp(x)
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
@@ -670,19 +691,14 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # the slice terms only decay like (b/a)^|s| in each direction.
         digits = ctx.precision + 8
         K = slice_truncation(bv / av, digits)
-        r = _bilateral_ratio_array(_qp(a), _qp(b), q, 3 * K)
+        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), q, 3 * K)
         twist = w ** 2 if corrected else mp.mpf(1)
+        weights = _gaussian(q, alpha, xv, -K)  # q^{alpha s^2} x^s
+        args = _geometric(twist * xv * powq(q, -2 * alpha * K), powq(q, 2 * alpha))
         rhs_sum = mp.mpf(0)
-        for s in range(-K, K + 1):
-            c = mp.mpf(0)
-            for j in range(-K - abs(s), K + abs(s) + 1):
-                k = s - j
-                if abs(k) > 3 * K:
-                    continue
-                c += r[j] * r[k] * w ** (k % 3)
-            inner = b_alpha(alpha, av, bv,
-                            twist * xv * powq(q, 2 * alpha * s), ctx).value
-            rhs_sum += c * powq(q, alpha * s * s) * xv ** s * inner
+        for s, g, y in zip(range(-K, K + 1), weights, args):
+            c = _conv_w(r, r, s, -K - abs(s), K + abs(s), wpow)
+            rhs_sum += c * g * b_alpha(alpha, av, bv, y, ctx).value
         return lhs, pref * rhs_sum
 
 
@@ -690,15 +706,50 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
 # theta-quotient corollaries (simple-pole denominators)
 # ---------------------------------------------------------------------------
 
-def _pole_array(numer_sign, a: QPow, q, lo: int, hi: int):
-    """v_j = x^j-free factor 1/(1 - a q^j) on [lo, hi] (sign folds a -> -a)."""
-    out = {}
-    for j in range(lo, hi + 1):
-        f = _factor(QPow(numer_sign * a.coeff, a.exponent), q, j)
+def _pole_table(a: QPow, q, lo: int, hi: int) -> _Table:
+    """v_j = 1/(1 - a q^j) for lo <= j <= hi (x^j-free factor)."""
+    out = []
+    for j, f in zip(range(lo, hi + 1), _factors(a, q, lo)):
         if f == 0:
             raise PoleError(f"denominator 1 - a q^{j} vanished")
-        out[j] = 1 / f
-    return out
+        out.append(1 / f)
+    return _Table(lo, out)
+
+
+def _pole_series(a: QPow, step: int, alpha, x, q, ctx: QContext) -> SumOutcome:
+    """Bilateral sum over n of q^{alpha n^2} x^n / (1 - a q^{step n})."""
+
+    def terms(factors, weights):
+        for f, g in zip(factors, weights):
+            if f == 0:
+                raise PoleError("pole in the single sum")
+            yield g / f
+
+    pos = terms(_factors(a, q, 0, step), _gaussian(q, alpha, x))
+    neg = terms(_factors(a, q, -step, -step), _gaussian(q, alpha, 1 / x, 1))
+    return sum_bilateral(_bilateral(pos, neg), ctx)
+
+
+def _theta_truncation(q, x, digits: int):
+    """(K, s_max): the |j| <= K cutoff of the pole sums, tails below
+    10^-digits at rate max(|x|, |q/x|), and the |s| <= s_max cutoff of the
+    q^{s^2} slice weights."""
+    K = slice_truncation(max(abs(x), abs(q / x)), digits)
+    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+    return K, s_max
+
+
+def _pair_slices(inv: _Table, x, q, K: int, s_max: int):
+    """sum over |s| <= s_max of q^{s^2} sum_{|j| <= K} (-x)^j inv_j x^{s-j} inv_{s-j}.
+
+    ``inv`` covers [-(K + s_max), K + s_max].
+    """
+    g = _Table(inv.lo, map(mul, _powers(x, inv.lo, inv.hi), inv.values))
+    f = _Table(-K, g.values[-K - g.lo:K - g.lo + 1]).weighted(lambda j: (-1) ** (j % 2))
+    total = mp.mpf(0)
+    for s in range(-s_max, s_max + 1):
+        total += q ** (s * s) * _conv(f, g, s, -K, K)
+    return total
 
 
 def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
@@ -708,7 +759,7 @@ def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
     RHS: sum over j, k of q^{(j+k)^2} (-1)^j x^{j+k} / ((1-a q^j)(1-a q^k)).
     Needs q < |x| < 1.  Returns (lhs, rhs).
     """
-    aq = _qp(a)
+    aq = _as_qpow(a)
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
@@ -719,26 +770,9 @@ def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
         pref = (multi_pochhammer_infinite([-av, -q / av, q, q], q, ctx)
                 / multi_pochhammer_infinite([av, q / av, -q, -q], q, ctx))
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
-
-        def lhs_term(n):
-            f = _factor(QPow(a2.coeff, a2.exponent), q, 2 * n)
-            if f == 0:
-                raise PoleError("pole in the single sum")
-            return q ** (4 * n * n) * xv ** (2 * n) / f
-
-        lhs = pref * sum_bilateral(lhs_term, ctx).value
-        rate = max(abs(xv), abs(q / xv))
-        K = slice_truncation(rate, digits)
-        s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
-        inv = _pole_array(1, aq, q, -(K + s_max), K + s_max)
-        f = {j: (-xv) ** j * inv[j] for j in range(-K, K + 1)}
-        g = {k: xv ** k * inv[k] for k in inv}
-        rhs = mp.mpf(0)
-        for s in range(-s_max, s_max + 1):
-            c = mp.mpf(0)
-            for j in range(-K, K + 1):
-                c += f[j] * g[s - j]
-            rhs += q ** (s * s) * c
+        lhs = pref * _pole_series(a2, 2, 4, xv * xv, q, ctx).value
+        K, s_max = _theta_truncation(q, xv, digits)
+        rhs = _pair_slices(_pole_table(aq, q, -(K + s_max), K + s_max), xv, q, K, s_max)
         return lhs, rhs
 
 
@@ -756,24 +790,10 @@ def theta_pair_imag_sides(x, ctx: QContext, digits: int | None = None):
             raise AnnulusError("needs |q| < |x| < 1")
         pref = (multi_pochhammer_infinite([q, q], q, ctx)
                 / multi_pochhammer_infinite([-q, -q], q, ctx))
-
-        def lhs_term(n):
-            return q ** (4 * n * n) * xv ** (2 * n) / (1 + q ** (2 * n + 1))
-
-        lhs = pref * sum_bilateral(lhs_term, ctx).value
-        rate = max(abs(xv), abs(q / xv))
-        K = slice_truncation(rate, digits)
-        s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
-        sq = mp.sqrt(q)
-        inv = {j: 1 / (1 + mp.mpc(0, 1) * sq * q ** j)
-               for j in range(-(K + s_max), K + s_max + 1)}
-        f = {j: (-xv) ** j * inv[j] for j in range(-K, K + 1)}
-        rhs = mp.mpf(0)
-        for s in range(-s_max, s_max + 1):
-            c = mp.mpf(0)
-            for j in range(-K, K + 1):
-                c += f[j] * xv ** (s - j) * inv[s - j]
-            rhs += q ** (s * s) * c
+        lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, q, ctx).value
+        K, s_max = _theta_truncation(q, xv, digits)
+        ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
+        rhs = _pair_slices(_pole_table(ia, q, -(K + s_max), K + s_max), xv, q, K, s_max)
         return lhs, rhs
 
 
@@ -788,10 +808,11 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
     ``a`` may be a QPow so that a = +-q^{1/3} keeps exact exponents.
     Returns (lhs, rhs) for the chosen arrangement.
     """
-    aq = _qp(a)
+    aq = _as_qpow(a)
     with ctx.workdps():
         q = ctx.q
         w = rho_root(ctx)
+        wpow = (mp.mpf(1), w, w * w)
         xv = to_mp(x)
         digits = digits or (ctx.precision + 6)
         if not abs(q) < abs(xv) < 1:
@@ -799,38 +820,23 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
-
-        def single_term(n):
-            f = _factor(QPow(a3.coeff, a3.exponent), q, 3 * n)
-            if f == 0:
-                raise PoleError("pole in the single sum")
-            return q ** (9 * n * n) * xv ** (3 * n) / f
-
-        single = sum_bilateral(single_term, ctx).value
+        single = _pole_series(a3, 3, 9, xv ** 3, q, ctx).value
         pref = (multi_pochhammer_infinite([q3], q3, ctx) ** 2
                 / multi_pochhammer_infinite([q], q, ctx) ** 6
                 * multi_pochhammer_infinite([av, q / av], q, ctx) ** 3
                 / multi_pochhammer_infinite(
                     [av ** 3, q3 / av ** 3], q3, ctx))
-        rate = max(abs(xv), abs(q / xv))
-        K = slice_truncation(rate, digits)
-        s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
-        inv = _pole_array(1, aq, q, -(2 * K + s_max), 2 * K + s_max)
-        f1 = {j: xv ** j * inv[j] for j in range(-K, K + 1)}
-        f2 = {j: (w ** (j % 3)) * xv ** j * inv[j] for j in range(-K, K + 1)}
-        conv12 = {}
-        for m1 in range(-K, K + 1):
-            v1 = f1[m1]
-            for m2 in range(-K, K + 1):
-                conv12[m1 + m2] = conv12.get(m1 + m2, mp.mpf(0)) + v1 * f2[m2]
+        K, s_max = _theta_truncation(q, xv, digits)
+        inv = _pole_table(aq, q, -(2 * K + s_max), 2 * K + s_max)
+        h = _Table(inv.lo, map(mul, _powers(xv, inv.lo, inv.hi), inv.values))
+        # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),
+        # |m1|, |m2| <= K
+        conv12 = _Table(-2 * K, [_conv_w(h, h, m, max(-K, m - K), min(K, m + K), wpow)
+                                 for m in range(-2 * K, 2 * K + 1)])
+        h3 = h.weighted(lambda l: wpow[(2 * l) % 3])
         triple = mp.mpf(0)
         for s in range(-s_max, s_max + 1):
-            c = mp.mpf(0)
-            for m12, v in conv12.items():
-                l = s - m12
-                if abs(l) <= 2 * K + s_max:
-                    c += v * (w ** ((2 * l) % 3)) * xv ** l * inv[l]
-            triple += q ** (s * s) * c
+            triple += q ** (s * s) * _conv(conv12, h3, s, -2 * K, 2 * K)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

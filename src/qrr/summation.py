@@ -9,6 +9,7 @@ and the certificate data is reported in the outcome so failures are auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import mpmath as mp
 
@@ -37,12 +38,15 @@ class SumOutcome:
 def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
-    ``term`` is called with n = 0, 1, 2, ... in order (implementations may
-    keep incremental state keyed to that order).  Stops once ``group``
-    consecutive terms fall below the context stop tolerance and the recent
-    term magnitudes certify decay; raises NonConvergenceError when the term
-    budget runs out and RatioTestError when terms are small but no decay
-    pattern is visible.
+    ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
+    rely on that order: a series is defined by its term ratio, and its term
+    function advances running products (q-powers, x-powers, Pochhammer
+    ratios) by multiplication instead of recomputing term n from scratch.
+
+    Stops once ``group`` consecutive terms fall below the context stop
+    tolerance and the recent term magnitudes certify decay; raises
+    NonConvergenceError when the term budget runs out and RatioTestError
+    when terms are small but no decay pattern is visible.
     """
     with ctx.workdps():
         tol = ctx.stop_tol
@@ -77,7 +81,11 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
 
 
 def sum_bilateral(term, ctx: QContext, group: int = 5) -> SumOutcome:
-    """Sum ``term(n)`` over all integers n with per-tail certificates."""
+    """Sum ``term(n)`` over all integers n with per-tail certificates.
+
+    ``term`` is called with n = 0, 1, 2, ... and then with n = -1, -2, ...,
+    each tail in order, so a kernel may keep one running state per tail.
+    """
     pos = sum_series(term, ctx, group=group)
     neg = sum_series(lambda k: term(-1 - k), ctx, group=group)
     with ctx.workdps():
@@ -95,19 +103,24 @@ def _decay_rate(mags, tol):
     roundoff, where ratios mean nothing).  A series that never rose above
     the tolerance is judged on its raw ratios instead, so a flat plateau of
     tiny terms still fails the certificate.  Gaps from interleaved zero
-    terms are normalized away.
+    terms are normalized away.  Only the trailing ``RATIO_WINDOW`` pairs
+    are ever inspected, so only their ratios are computed.
     """
-    informative = []
-    raw = []
-    for (n0, m0), (n1, m1) in zip(mags, mags[1:]):
-        r = (m1 / m0) ** (mp.mpf(1) / (n1 - n0))
-        raw.append(r)
-        if m0 >= tol:
-            informative.append(r)
-    ratios = informative or raw
-    if not ratios:
+    last = len(mags) - 1
+    if last < 1:
         return mp.mpf("0.5")  # single nonzero term: a terminated sum
-    worst = max(ratios[-RATIO_WINDOW:])
+    pairs = list(islice((i for i in range(last, 0, -1) if mags[i - 1][1] >= tol),
+                        RATIO_WINDOW))
+    if not pairs:
+        pairs = range(last, max(last - RATIO_WINDOW, 0), -1)
+    worst = max(_pair_ratio(mags[i - 1], mags[i]) for i in pairs)
     if worst >= RATIO_CAP:
         return None
     return worst
+
+
+def _pair_ratio(first, second):
+    """(m1/m0)^(1/(n1 - n0)): the per-index ratio across a gap of zeros."""
+    (n0, m0), (n1, m1) = first, second
+    r = m1 / m0
+    return r if n1 - n0 == 1 else r ** (mp.mpf(1) / (n1 - n0))

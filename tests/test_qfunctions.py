@@ -5,8 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qrr import AnnulusError, DomainError, EisensteinRational, QContext, QPow
-from qrr.pochhammer import pochhammer_infinite_value
+from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
+                 QContext, QPow)
+from qrr.context import powq
+from qrr.harness.registry import COMPLEX_Q
+from qrr.pochhammer import (inv_pochhammer, pochhammer_finite,
+                            pochhammer_infinite_value, pochhammer_ratio)
 from qrr.qfunctions import (a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
@@ -14,11 +18,13 @@ from qrr.qfunctions import (a_alpha, a_alpha_formal, b_alpha,
                             heine_sides, omega, omega_formal,
                             pair_convolution_sides, phi21_terminating_exact,
                             phi_1_1, phi_2_1, psi_1_1, psi_1_1_product,
-                            ramanujan_A, ramanujan_A_formal, rr_product_formal,
-                            rr_sum_formal, square_bilateral_master_sides,
+                            ramanujan_A, ramanujan_A_formal, rho_root,
+                            rr_product_formal, rr_sum_formal,
+                            slice_truncation, square_bilateral_master_sides,
                             square_master_sides, theta_pair_imag_sides,
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
+from qrr.summation import sum_bilateral, sum_series
 
 CTX = QContext.numeric("0.3", precision=50)
 TOL = mp.mpf(10) ** -40
@@ -329,3 +335,233 @@ def test_gap_identity_at_complex_base():
         lhs = u_m_bilateral(QPow(1, 0), 0, ctx).value
         rhs = 1 / multi_pochhammer_infinite([q, q ** 4], q ** 5, ctx)
         assert abs(lhs - rhs) < TOL
+
+
+# ---------------------------------------------------------------------------
+# term-ratio kernels against their per-term formulas
+# ---------------------------------------------------------------------------
+#
+# Each oracle below recomputes term n from scratch with powq, the Pochhammer
+# functions and x ** n, the way the kernels did before they carried running
+# products.  Both go through the same summation engine, so they stop at the
+# same term and must agree to the working precision.
+
+ORACLE_TOL = mp.mpf(10) ** -60
+Q1 = QPow(1, 1)
+ORACLE_QS = pytest.mark.parametrize("q", ["0.3", COMPLEX_Q], ids=["real-q", "complex-q"])
+ALPHAS = (F(1, 2), F(1, 3), F(1))
+
+
+def old_phi_2_1(a, b, c, z, ctx):
+    q = ctx.q
+    return sum_series(lambda k: pochhammer_ratio(a, c, q, k)
+                      * pochhammer_ratio(b, Q1, q, k) * z ** k, ctx)
+
+
+def old_phi_1_1(a, b, z, ctx):
+    q = ctx.q
+    return sum_series(lambda k: pochhammer_ratio(a, b, q, k) / pochhammer_finite(q, q, k)
+                      * (-1) ** k * powq(q, k * (k - 1) // 2) * z ** k, ctx)
+
+
+def old_b_alpha(alpha, a, b, x, ctx):
+    q = ctx.q
+    return sum_bilateral(lambda n: pochhammer_ratio(a, b, q, n)
+                         * powq(q, alpha * n * n) * x ** n, ctx)
+
+
+def old_a_alpha(alpha, a, t, ctx):
+    q = ctx.q
+    return sum_series(lambda n: pochhammer_ratio(a, Q1, q, n)
+                      * powq(q, alpha * n * n) * t ** n, ctx)
+
+
+def old_u_m(a, m, ctx):
+    q = ctx.q
+    aq = a if isinstance(a, QPow) else QPow(a, 0)
+    aq1 = QPow(aq.coeff, aq.exponent + 1)
+    return sum_bilateral(lambda n: powq(q, n * n + m * n) * inv_pochhammer(aq1, q, n), ctx)
+
+
+def old_ramanujan_A(z, ctx):
+    q = ctx.q
+    return sum_series(lambda n: (-z) ** n * powq(q, n * n) / pochhammer_finite(q, q, n), ctx)
+
+
+def _kernel_cases():
+    a, b, c = mp.mpf("0.6"), mp.mpf("0.06"), mp.mpf("0.45")
+    z, x, xc = mp.mpf("0.3"), mp.mpf("0.5"), mp.mpc("0.3", "0.4")
+    cases = {
+        "phi_2_1": lambda ctx: (phi_2_1(a, b, c, z, ctx), old_phi_2_1(a, b, c, z, ctx)),
+        "phi_1_1": lambda ctx: (phi_1_1(a, b, z, ctx), old_phi_1_1(a, b, z, ctx)),
+        "phi_1_1-qpow-b": lambda ctx: (phi_1_1(a, QPow(1, F(3, 2)), z, ctx),
+                                       old_phi_1_1(a, QPow(1, F(3, 2)), z, ctx)),
+        "psi_1_1": lambda ctx: (psi_1_1(a, b, z, ctx), old_b_alpha(0, a, b, z, ctx)),
+        "psi_1_1-terminating-b=q^2": lambda ctx: (psi_1_1(a, QPow(1, 2), z, ctx),
+                                                  old_b_alpha(0, a, QPow(1, 2), z, ctx)),
+        "omega": lambda ctx: (omega(x, ctx), old_a_alpha(1, Q1, x, ctx)),
+        "ramanujan_A": lambda ctx: (ramanujan_A(xc, ctx), old_ramanujan_A(xc, ctx)),
+        "u_m": lambda ctx: (u_m_bilateral(a, 2, ctx), old_u_m(a, 2, ctx)),
+        "u_m-dead-tail-a=1": lambda ctx: (u_m_bilateral(QPow(1, 0), 1, ctx),
+                                          old_u_m(QPow(1, 0), 1, ctx)),
+    }
+    for alpha in ALPHAS:
+        cases[f"b_alpha-{alpha}"] = (lambda al: lambda ctx: (
+            b_alpha(al, a, b, xc, ctx), old_b_alpha(al, a, b, xc, ctx)))(alpha)
+        cases[f"b_alpha-{alpha}-terminating-b=q^2"] = (lambda al: lambda ctx: (
+            b_alpha(al, a, QPow(1, 2), x, ctx), old_b_alpha(al, a, QPow(1, 2), x, ctx)))(alpha)
+        cases[f"a_alpha-{alpha}"] = (lambda al: lambda ctx: (
+            a_alpha(al, QPow(c, F(1, 3)), xc, ctx),
+            old_a_alpha(al, QPow(c, F(1, 3)), xc, ctx)))(alpha)
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@ORACLE_QS
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_per_term_oracle(case, q):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        new, old = KERNEL_CASES[case](ctx)
+        assert new.terms_used == old.terms_used
+        assert abs(new.value - old.value) <= ORACLE_TOL * abs(old.value)
+
+
+POLE_CASES = {
+    "phi_2_1-c=q^-2": lambda ctx: phi_2_1(mp.mpf("0.6"), mp.mpf("0.15"), QPow(1, -2),
+                                          mp.mpf("0.5"), ctx),
+    "psi_1_1-a=q^2": lambda ctx: psi_1_1(QPow(1, 2), QPow(1, 3), mp.mpf("0.3"), ctx),
+    "b_alpha-a=q^2": lambda ctx: b_alpha(1, QPow(1, 2), mp.mpf("0.15"), mp.mpf("0.5"), ctx),
+    "u_m-a=q^-2": lambda ctx: u_m_bilateral(QPow(1, -2), 0, ctx),
+}
+OLD_POLE_CASES = {
+    "phi_2_1-c=q^-2": lambda ctx: old_phi_2_1(mp.mpf("0.6"), mp.mpf("0.15"), QPow(1, -2),
+                                              mp.mpf("0.5"), ctx),
+    "psi_1_1-a=q^2": lambda ctx: old_b_alpha(0, QPow(1, 2), QPow(1, 3), mp.mpf("0.3"), ctx),
+    "b_alpha-a=q^2": lambda ctx: old_b_alpha(1, QPow(1, 2), mp.mpf("0.15"),
+                                             mp.mpf("0.5"), ctx),
+    "u_m-a=q^-2": lambda ctx: old_u_m(QPow(1, -2), 0, ctx),
+}
+
+
+@ORACLE_QS
+@pytest.mark.parametrize("case", sorted(POLE_CASES))
+def test_kernel_pole_raises_like_per_term_oracle(case, q):
+    # the factor vanishes through its exact exponent, not through roundoff
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        with pytest.raises(PoleError):
+            OLD_POLE_CASES[case](ctx)
+        with pytest.raises(PoleError):
+            POLE_CASES[case](ctx)
+
+
+def old_square_bilateral_rhs(alpha, a, b, x, ctx):
+    q = ctx.q
+
+    def term(j):
+        r = pochhammer_ratio(a, b, q, j)
+        if r == 0:
+            return mp.mpf(0)
+        inner = b_alpha(alpha, a, b, x * powq(q, 2 * alpha * j), ctx).value
+        return r * powq(q, alpha * j * j) * (-x) ** j * inner
+
+    return sum_bilateral(term, ctx).value
+
+
+def test_square_bilateral_outer_sum_matches_per_term_oracle():
+    ctx = QContext.numeric("0.3", precision=50)
+    a, b, x = mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5")
+    with ctx.workdps():
+        _, rhs = square_bilateral_master_sides(F(1, 2), a, b, x, ctx)
+        old = old_square_bilateral_rhs(F(1, 2), a, b, x, ctx)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+
+
+def old_ratio_dict(a, b, q, K):
+    return {n: pochhammer_ratio(a, b, q, n) for n in range(-K, K + 1)}
+
+
+def old_cube_slice_lhs(n, a, b, ctx, digits):
+    q, w = ctx.q, rho_root(ctx)
+    K = slice_truncation(q, digits) + abs(n)
+    r = old_ratio_dict(a, b, q, K)
+    lhs = mp.mpf(0)
+    for m1 in range(-K, K + 1):
+        for m2 in range(max(-K, n - m1 - K), min(K, n - m1 + K) + 1):
+            l = n - m1 - m2
+            lhs += r[m1] * w ** (m2 % 3) * r[m2] * w ** ((2 * l) % 3) * r[l]
+    return lhs
+
+
+def old_pair_slice_lhs(n, a, b, ctx, digits):
+    K = slice_truncation(ctx.q, digits) + abs(n)
+    r = old_ratio_dict(a, b, ctx.q, K)
+    return sum((-1) ** ((n - j) % 2) * r[j] * r[n - j]
+               for j in range(-K, K + 1) if abs(n - j) <= K)
+
+
+def old_theta_pair_rhs(a, x, ctx, digits, imaginary=False):
+    q = ctx.q
+    K = slice_truncation(max(abs(x), abs(q / x)), digits)
+    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+    if imaginary:
+        def inv(j):
+            return 1 / (1 + mp.mpc(0, 1) * mp.sqrt(q) * q ** j)
+    else:
+        def inv(j):
+            return 1 / (1 - a * q ** j)
+    return sum(q ** (s * s) * sum((-x) ** j * inv(j) * x ** (s - j) * inv(s - j)
+                                  for j in range(-K, K + 1))
+               for s in range(-s_max, s_max + 1))
+
+
+def old_theta_triple_rhs(a, x, ctx, digits):
+    q, w = ctx.q, rho_root(ctx)
+    K = slice_truncation(max(abs(x), abs(q / x)), digits)
+    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+
+    def h(j):
+        return x ** j / (1 - a * q ** j)
+
+    conv12 = {}
+    for m1 in range(-K, K + 1):
+        for m2 in range(-K, K + 1):
+            conv12[m1 + m2] = conv12.get(m1 + m2, 0) + h(m1) * w ** (m2 % 3) * h(m2)
+    return sum(q ** (s * s) * sum(v * w ** ((2 * (s - m)) % 3) * h(s - m)
+                                  for m, v in conv12.items())
+               for s in range(-s_max, s_max + 1))
+
+
+SLICE_DIGITS = 8
+
+
+@pytest.mark.parametrize("n", [0, 2, 3, 4])
+def test_bilateral_slice_convolutions_match_per_term_oracle(n):
+    ctx = QContext.numeric("0.3", precision=50)
+    a, b = mp.mpf("0.5"), mp.mpf("0.1")
+    with ctx.workdps():
+        lhs, _ = bilateral_cube_slice_sides(n, a, b, ctx, digits=SLICE_DIGITS)
+        old = old_cube_slice_lhs(n, a, b, ctx, SLICE_DIGITS)
+        assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
+        lhs, _ = bilateral_pair_slice_sides(n, a, b, ctx, digits=SLICE_DIGITS)
+        old = old_pair_slice_lhs(n, a, b, ctx, SLICE_DIGITS)
+        assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
+
+
+@ORACLE_QS
+def test_theta_slice_sums_match_per_term_oracle(q):
+    ctx = QContext.numeric(q, precision=50)
+    a, x = mp.mpf("0.5"), mp.mpf("0.55")
+    with ctx.workdps():
+        _, rhs = theta_pair_sides(a, x, ctx, digits=SLICE_DIGITS)
+        old = old_theta_pair_rhs(a, x, ctx, SLICE_DIGITS)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+        _, rhs = theta_pair_imag_sides(x, ctx, digits=SLICE_DIGITS)
+        old = old_theta_pair_rhs(None, x, ctx, SLICE_DIGITS, imaginary=True)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+        _, rhs = theta_triple_sides(a, x, ctx, digits=SLICE_DIGITS, arrangement="split-left")
+        old = old_theta_triple_rhs(a, x, ctx, SLICE_DIGITS)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)

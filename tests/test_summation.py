@@ -1,10 +1,13 @@
 """Summation engine behavior: stopping, certificates, failure modes."""
 
+import random
+
 import mpmath as mp
 import pytest
 
 from qrr import (NonConvergenceError, QContext, RatioTestError, sum_bilateral,
                  sum_series)
+from qrr.summation import RATIO_CAP, RATIO_WINDOW, _decay_rate
 
 
 def theta_half_oracle(dps=40, terms=25):
@@ -97,3 +100,66 @@ def test_converged_flag_implies_tail_below_target():
         out = sum_series(lambda n: q ** n, ctx)
     assert out.converged
     assert out.tail_bound < mp.mpf(10) ** -30
+
+
+def decay_rate_reference(mags, tol):
+    """The decay certificate computed over the whole magnitude history."""
+    informative = []
+    raw = []
+    for (n0, m0), (n1, m1) in zip(mags, mags[1:]):
+        r = (m1 / m0) ** (mp.mpf(1) / (n1 - n0))
+        raw.append(r)
+        if m0 >= tol:
+            informative.append(r)
+    ratios = informative or raw
+    if not ratios:
+        return mp.mpf("0.5")
+    worst = max(ratios[-RATIO_WINDOW:])
+    if worst >= RATIO_CAP:
+        return None
+    return worst
+
+
+def _random_history(rnd, length):
+    """Mostly decaying magnitudes with occasional rises and zero-term gaps."""
+    mags, n, m = [], 0, mp.mpf(rnd.randint(1, 99))
+    for _ in range(length):
+        mags.append((n, m))
+        n += rnd.choice((1, 1, 1, 2, 3))  # gaps from interleaved zero terms
+        m = m * rnd.randint(1, 12) / 10 * mp.mpf(10) ** -rnd.randint(0, 6)
+    return mags
+
+
+def _decay_cases():
+    tol = mp.mpf(10) ** -60
+    tiny = mp.mpf(10) ** -70
+    cases = {
+        "single-term": [(4, mp.mpf("0.3"))],
+        "plateau-below-tol": [(n, tiny) for n in range(12)],
+        "plateau-above-tol": [(n, mp.mpf("0.5")) for n in range(12)],
+        "geometric-then-roundoff": [(n, mp.mpf(2) ** -n) for n in range(40)]
+                                   + [(40 + n, tiny * (1 + n % 2)) for n in range(10)],
+        "mixed-gaps": [(0, mp.mpf(1)), (2, mp.mpf("0.25")), (3, mp.mpf("0.1")),
+                       (6, mp.mpf("1e-4")), (7, mp.mpf("1e-61")), (9, mp.mpf("1e-63")),
+                       (10, mp.mpf("1e-62"))],
+        "two-terms": [(0, mp.mpf(1)), (3, mp.mpf("0.125"))],
+    }
+    rnd = random.Random(20261017)
+    for k in range(40):
+        cases[f"random-{k}"] = _random_history(rnd, rnd.randint(1, 40))
+    return tol, cases
+
+
+_TOL, _CASES = _decay_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_decay_rate_is_bit_identical_to_full_history(name):
+    mags = _CASES[name]
+    with mp.workdps(65):
+        got = _decay_rate(mags, _TOL)
+        want = decay_rate_reference(mags, _TOL)
+    if want is None:
+        assert got is None
+    else:
+        assert got._mpf_ == want._mpf_
