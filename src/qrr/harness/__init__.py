@@ -1,7 +1,8 @@
 """Identity registry, check runner, and report output."""
 
-from .registry import (CENSUS, ENTRIES, CheckOutcome, IdentityEntry,
-                       RunSettings, get_entry, list_identities, sample_params)
+from .driver import CheckOutcome, IdentityEntry, RunSettings
+from .registry import (CENSUS, ENTRIES, get_entry, list_identities,
+                       sample_params)
 from .report import IdentityReport, emit_report, parse_report
 from .runner import SuiteConfig, planned_checks, run_check, run_info, run_suite
 

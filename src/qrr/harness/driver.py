@@ -1,0 +1,266 @@
+"""The one check driver: entries declare their checks as data.
+
+An entry gives, per mode, a :class:`Check`: the callable that evaluates the
+two sides, the points to evaluate it at (a fixed grid, a sampler's draws, or
+the draws crossed with a grid), the parameters to report, and optionally a
+second reading of the identity as printed.  :func:`run_entry` does the rest
+in the same way for every entry:
+
+* ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
+  once and evaluates every point inside ``workdps()``; the worst scale-aware
+  residual is compared with ``rc.tol(entry.tol_shift)``;
+* ``exact`` — the two sides are compared with ``==``; the first unequal
+  point fails the check and is reported;
+* ``formal`` — the sides callable returns a difference series; the first
+  nonzero one fails the check and its first differing coefficient is
+  reported.
+
+Statuses come from :func:`status` alone: a literal reading that holds gives
+PASS; one that fails while the corrected reading holds gives
+DISCREPANCY_DOCUMENTED.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
+
+import mpmath as mp
+
+from ..context import QContext, scaled_deviation, to_mp
+from .sampling import entry_rng
+
+MODES = ("formal", "exact", "numeric")
+COMPLEX_Q = complex(0.2, 0.1)
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Knobs shared by every check in one run."""
+
+    precision: int = 50
+    order: int = 100
+    q_values: tuple = ("0.2", "0.3")
+    seed: int = 20240809
+    max_terms: int = 8000
+    tolerance_exponent: int | None = None  # force pass tol 10^-E when set
+
+    def numeric_ctx(self, q) -> QContext:
+        return QContext.numeric(q, precision=self.precision,
+                                max_terms=self.max_terms)
+
+    def formal_ctx(self, base_exponent: int = 1,
+                   order: int | None = None) -> QContext:
+        return QContext.formal(order or self.order, base_exponent)
+
+    def tol(self, shift: int = 10):
+        if self.tolerance_exponent is not None:
+            return mp.mpf(10) ** -self.tolerance_exponent
+        return mp.mpf(10) ** -(self.precision - shift)
+
+
+@dataclass
+class CheckOutcome:
+    status: str
+    deviation: object = None          # worst scale-aware residual (numeric/exact)
+    first_diff: int | None = None     # formal mode
+    params: dict = field(default_factory=dict)
+    note: str = ""
+
+
+class Verdict(NamedTuple):
+    """A residual that carries its own pass rule (a trend, not a tolerance)."""
+
+    deviation: object
+    ok: bool
+
+
+# A ``params`` value filled in from the run: the q values (key "q"), the
+# formal order (key "order"), or the values drawn under that key.
+EVALUATED = object()
+
+# A literal note quotes the literal reading's worst residual here.
+LITERAL = "{literal}"
+
+
+def grid(**axes) -> tuple:
+    """Every combination of the axis values as a point, first axis outermost.
+
+    Numeric checks receive string values as ``mpf``, made inside the working
+    precision; every other value is passed as it is.
+    """
+    return tuple(dict(zip(axes, values))
+                 for values in itertools.product(*axes.values()))
+
+
+@dataclass(frozen=True)
+class Reading:
+    """The identity as printed, evaluated beside the corrected reading."""
+
+    sides: Callable
+    points: tuple = ({},)
+    first_q_only: bool = False    # numeric: one evaluation shows the defect
+    decides: bool = True          # False: only quoted in the note
+
+
+@dataclass(frozen=True)
+class Check:
+    """How one mode of an entry is checked.
+
+    ``sides(ctx, **point)`` (numeric, formal) or ``sides(**point)`` (exact)
+    returns ``(lhs, rhs)``, or: numeric, a residual or a :class:`Verdict`;
+    exact, a bool; formal, the difference series.
+    """
+
+    sides: Callable
+    points: tuple = ({},)
+    sampler: Callable | None = None   # rng -> draws, each crossed with points
+    params: dict = field(default_factory=dict)
+    note: str = ""
+    literal: Reading | None = None
+    prepare: Callable | None = None   # numeric: ctx -> per-q keyword values
+    order: int | None = None          # formal: cap on the configured order
+    D: int = 1                        # formal: q = u^D
+
+
+@dataclass(frozen=True)
+class IdentityEntry:
+    """One registered identity: metadata, q policy and a check per mode."""
+
+    id: str
+    title: str
+    statement: str
+    domains: tuple = ()
+    tol_shift: int = 10
+    fixed_q: tuple | None = None   # override the configured q list
+    q_cap: float | None = None     # drop configured q above this value
+    complex_ok: bool = False       # additionally run at q = 0.2 + 0.1i
+    formal: Check | None = None
+    exact: Check | None = None
+    numeric: Check | None = None
+
+    @property
+    def modes(self) -> tuple:
+        return tuple(m for m in MODES if getattr(self, m) is not None)
+
+    def q_list(self, rc: RunSettings):
+        qs = list(self.fixed_q) if self.fixed_q else list(rc.q_values)
+        if self.q_cap is not None:
+            kept = [q for q in qs if abs(to_mp(q)) <= self.q_cap + 1e-12]
+            qs = kept or [str(self.q_cap)]
+        if self.complex_ok:
+            qs.append(COMPLEX_Q)
+        return qs
+
+    def check(self, mode: str, rc: RunSettings) -> CheckOutcome:
+        return run_entry(self, mode, rc)
+
+
+def status(ok: bool, literal_ok: bool | None = None) -> str:
+    """Status from the corrected reading and, if one decides, the literal."""
+    if literal_ok:
+        return "PASS"
+    if ok:
+        return "PASS" if literal_ok is None else "DISCREPANCY_DOCUMENTED"
+    return "FAIL"
+
+
+def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
+    """Evaluate ``entry`` in ``mode`` and derive its outcome."""
+    chk = getattr(entry, mode)
+    rng = entry_rng(rc.seed, entry.id, mode)
+    run = {"draws": []}
+    note, fail_point, first_diff, literal_ok = chk.note, None, None, None
+    if mode == "numeric":
+        dev, ok, literal = _numeric(entry, chk, rc, rng, run)
+        if literal is not None:
+            note = note.replace(LITERAL, mp.nstr(literal, 3))
+            literal_ok = literal < rc.tol(entry.tol_shift)
+    else:
+        draws = run["draws"] = chk.sampler(rng) if chk.sampler else [{}]
+        if mode == "exact":
+            fail_point = _first_unequal(chk.sides, _cross(draws, chk.points))
+            if chk.literal is not None:
+                literal_ok = _first_unequal(
+                    chk.literal.sides,
+                    _cross(draws, chk.literal.points)) is None
+        else:
+            ctx = rc.formal_ctx(chk.D, chk.order and min(rc.order, chk.order))
+            run["order"] = ctx.order
+            fail_point, first_diff = _first_nonzero(
+                chk.sides, ctx, _cross(draws, chk.points))
+        ok = fail_point is None
+        dev = mp.mpf(0) if ok and mode == "exact" else None
+    params = {k: _evaluated(k, run) if v is EVALUATED else v
+              for k, v in chk.params.items()}
+    if fail_point is not None:
+        params.update(fail_point)
+    if chk.literal is None or not chk.literal.decides:
+        literal_ok = None
+    return CheckOutcome(status(ok, literal_ok), deviation=dev,
+                        first_diff=first_diff, params=params, note=note)
+
+
+def _evaluated(key, run):
+    if key in ("q", "order"):
+        return run[key]
+    return [str(d[key]) for d in run["draws"]]
+
+
+def _cross(draws, points):
+    return [{**d, **p} for d in draws for p in points]
+
+
+def _numeric(entry, chk, rc, rng, run):
+    """(worst residual, all passed, worst literal residual or None)."""
+    tol = rc.tol(entry.tol_shift)
+    reading = chk.literal
+    worst, ok = mp.mpf(0), True
+    literal = None if reading is None else mp.mpf(0)
+    qs = entry.q_list(rc)
+    for i, q in enumerate(qs):
+        ctx = rc.numeric_ctx(q)
+        with ctx.workdps():
+            draws = chk.sampler(rng) if chk.sampler else [{}]
+            extra = chk.prepare(ctx) if chk.prepare else {}
+            for point in _cross(draws, chk.points):
+                dev, passed = _residual(chk.sides(ctx, **extra,
+                                                  **_as_mp(point)), tol)
+                worst, ok = max(worst, dev), ok and passed
+            if reading is not None and not (reading.first_q_only and i):
+                for point in _cross(draws, reading.points):
+                    dev, _ = _residual(reading.sides(ctx, **extra,
+                                                     **_as_mp(point)), tol)
+                    literal = max(literal, dev)
+    run["q"] = [str(q) for q in qs]
+    return worst, ok, literal
+
+
+def _as_mp(point):
+    return {k: mp.mpf(v) if isinstance(v, str) else v
+            for k, v in point.items()}
+
+
+def _residual(value, tol) -> Verdict:
+    if isinstance(value, Verdict):
+        return value
+    if isinstance(value, tuple):
+        value = scaled_deviation(*value)
+    return Verdict(value, value < tol)
+
+
+def _first_unequal(sides, points):
+    for point in points:
+        value = sides(**point)
+        if not (value if isinstance(value, bool) else value[0] == value[1]):
+            return point
+    return None
+
+
+def _first_nonzero(sides, ctx, points):
+    for point in points:
+        diff = sides(ctx, **point)
+        if not diff.is_zero():
+            return point, diff.first_difference(type(diff)(diff.D, diff.N))
+    return None, None

@@ -1,22 +1,20 @@
-"""Registry of every checked identity, with per-entry evaluators.
+"""Registry of every checked identity, declared as data.
 
 Each entry re-verifies one displayed identity by evaluating its two sides
-through independent code paths (they share only the primitive layer).  Modes:
-
-* ``formal``  — coefficient-exact comparison in the truncated series ring;
-* ``exact``   — exact rational (or cube-root-extended rational) scalar
-  equality at sampled rational points;
-* ``numeric`` — arbitrary-precision evaluation with a scale-aware residual.
-
-Statuses: PASS, FAIL, DISCREPANCY_DOCUMENTED (the as-printed reading fails
-but a documented corrected reading passes), SKIPPED (evaluator error).
+through independent code paths (they share only the primitive layer).  Per
+mode (formal, exact, numeric) an entry declares a :class:`.driver.Check`:
+its sides callable, the grid or sampler of points, the parameters it reports
+and, for the DISCREPANCY_DOCUMENTED entries, the literal reading with its own
+points.  The q policy (``fixed_q``, ``q_cap``, ``complex_ok``) and the
+tolerance (``tol_shift``) sit on the entry.  :func:`.driver.run_entry` runs
+every entry the same way.  Numeric constants are written as strings,
+Fractions or QPows, so that they become numbers inside the working precision
+and never at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import mpmath as mp
 
@@ -24,1316 +22,790 @@ from ..context import QContext, scaled_deviation, to_mp
 from ..errors import UnknownIdentityError
 from ..pochhammer import (QPow, multi_pochhammer_infinite,
                           pochhammer_infinite_value)
-from .. import partitions as parts
-from ..qbessel import (asymptotic_main_term, bessel_i, bessel_j,
-                       gen_func_sides, i1_continued,
-                       lommel_relation_j_residual, lommel_relation_residual,
-                       mittag_leffler_rhs, special_value_sides,
-                       sv_series_form_values)
-from ..qfunctions import (a_alpha, a_alpha_formal, b_alpha,
-                          bilateral_cube_slice_sides,
-                          bilateral_pair_slice_sides,
-                          cube_bilateral_master_sides, cube_convolution_sides,
-                          cube_master_sides, heine_sides, omega, omega_formal,
-                          pair_convolution_sides, phi21_terminating_exact,
-                          phi_1_1, psi_1_1, psi_1_1_product, ramanujan_A,
-                          ramanujan_A_formal, rr_product_formal,
-                          rr_sum_formal, square_bilateral_master_sides,
-                          square_master_sides, theta_pair_imag_sides,
-                          theta_pair_sides, theta_triple_sides, u_m_bilateral)
-from ..qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
-                            finite_qbinom_sides, gfhn0_diff_formal,
-                            gfhn0_sides, hermite_gf_sides, inversion_delta,
-                            inversion_delta_from_system, mform_diff_formal,
-                            poisson_kernel_sides, q_lommel_p, schur_a,
-                            schur_b, st_5_1_diff_formal, st_5_1_sides,
-                            st_5_2_sides, st_5_3_sides, st_5_4_sides,
-                            st_5_5_sides, st_5_6_even_diff_formal,
-                            st_5_6_odd_formal, st_5_7_diff_formal,
-                            st_5_7_sides, st_5_8_diff_formal, st_5_8_sides,
-                            st_5_9_sides, st_10_sides, stieltjes_wigert,
-                            stieltjes_wigert_second, sw_as_hermite_residual,
-                            sw_functional_residual, sw_inversion_sides,
-                            sw_lommel_special_residual, sw_symmetry_residual,
-                            u_poly)
+from .. import partitions as parts, qbessel as qb, qfunctions as qf
+from .. import qpolynomials as qp
+from .driver import (EVALUATED, LITERAL, Check, IdentityEntry, Reading,
+                     Verdict, grid)
 from .sampling import (annulus_pair, distinct_rationals, entry_rng,
-                       pole_avoiding, rational_in)
+                       rational_in, rational_nonzero)
 
 F = Fraction
-COMPLEX_Q = complex(0.2, 0.1)
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """Knobs shared by every check in one run."""
-
-    precision: int = 50
-    order: int = 100
-    q_values: tuple = ("0.2", "0.3")
-    seed: int = 20240809
-    max_terms: int = 8000
-    tolerance_exponent: int | None = None  # force pass tol 10^-E when set
-
-    def numeric_ctx(self, q) -> QContext:
-        return QContext.numeric(q, precision=self.precision,
-                                max_terms=self.max_terms)
-
-    def formal_ctx(self, base_exponent: int = 1,
-                   order: int | None = None) -> QContext:
-        return QContext.formal(order or self.order, base_exponent)
-
-    def tol(self, shift: int = 10):
-        if self.tolerance_exponent is not None:
-            return mp.mpf(10) ** -self.tolerance_exponent
-        return mp.mpf(10) ** -(self.precision - shift)
+def _each(count, draw):
+    """Sampler: ``count`` independent draws per round."""
+    return lambda rng: [draw(rng) for _ in range(count)]
 
 
-@dataclass
-class CheckOutcome:
-    status: str
-    deviation: object = None          # worst scale-aware residual (numeric/exact)
-    first_diff: int | None = None     # formal mode
-    params: dict = field(default_factory=dict)
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    """One registered identity: metadata plus its mode-dispatching checker."""
-
-    id: str
-    title: str
-    statement: str
-    modes: tuple
-    domains: tuple = ()
-    tol_shift: int = 10
-    fixed_q: tuple | None = None   # override the configured q list
-    q_cap: float | None = None     # drop configured q above this value
-    complex_ok: bool = False       # additionally run at q = 0.2 + 0.1i
-    note: str = ""
-    check: Callable = None
-
-    def q_list(self, rc: RunSettings):
-        qs = list(self.fixed_q) if self.fixed_q else list(rc.q_values)
-        if self.q_cap is not None:
-            kept = [q for q in qs if abs(to_mp(q)) <= self.q_cap + 1e-12]
-            qs = kept or [str(self.q_cap)]
-        if self.complex_ok:
-            qs.append(COMPLEX_Q)
-        return qs
-
-
-def _pass_fail(worst, tol, params, note=""):
-    status = "PASS" if worst < tol else "FAIL"
-    return CheckOutcome(status, deviation=worst, params=params, note=note)
-
-
-def _exact(ok: bool, params, note="", witness=None):
-    return CheckOutcome("PASS" if ok else "FAIL",
-                        deviation=mp.mpf(0) if ok else witness,
-                        params=params, note=note)
-
-
-def _formal(diff_series, params, note=""):
-    fd = diff_series.first_difference(
-        type(diff_series)(diff_series.D, diff_series.N))
-    status = "PASS" if fd is None else "FAIL"
-    return CheckOutcome(status, first_diff=fd, params=params, note=note)
-
-
-def _discrepancy(corrected_ok: bool, literal_ok: bool, deviation, params, note):
-    if literal_ok:
-        return CheckOutcome("PASS", deviation=deviation, params=params, note=note)
-    if corrected_ok:
-        return CheckOutcome("DISCREPANCY_DOCUMENTED", deviation=deviation,
-                            params=params, note=note)
-    return CheckOutcome("FAIL", deviation=deviation, params=params, note=note)
+def _distinct(name, lo, hi, avoid=()):
+    """Sampler: three distinct rationals in (lo, hi), drawn under ``name``."""
+    return lambda rng: [{name: v} for v in
+                        distinct_rationals(rng, 3, lo, hi, avoid=avoid)]
 
 
 # ---------------------------------------------------------------------------
-# gap identities and their combinatorics
+# sides that do not fit one expression
 # ---------------------------------------------------------------------------
 
-def _chk_rr(which: int, mode, rc: RunSettings):
-    if mode == "formal":
-        ctx = rc.formal_ctx()
-        diff = rr_sum_formal(which - 1, ctx) - rr_product_formal(which, ctx)
-        return _formal(diff, {"order": rc.order})
-    devs = []
-    qs = []
-    entry = get_entry(f"RR{which}")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            lhs = u_m_bilateral(QPow(1, 0), which - 1, ctx).value
-            rhs = 1 / multi_pochhammer_infinite(
-                [qv ** which, qv ** (5 - which)], qv ** 5, ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-            qs.append(str(q))
-    return _pass_fail(max(devs), rc.tol(), {"q": qs})
-
-
-def _chk_mform(mode, rc: RunSettings):
-    if mode == "formal":
-        from ..formal import FormalSeries
-        ctx = rc.formal_ctx(order=min(rc.order, 80))
-        zero = FormalSeries(ctx.base_exponent, ctx.u_order)
-        worst = None
-        for m in range(11):
-            fd = mform_diff_formal(m, ctx).first_difference(zero)
-            if fd is not None:
-                worst = fd if worst is None else min(worst, fd)
-        status = "PASS" if worst is None else "FAIL"
-        return CheckOutcome(status, first_diff=worst,
-                            params={"m": "0..10", "order": min(rc.order, 80)})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            p1 = 1 / multi_pochhammer_infinite([qv, qv ** 4], qv ** 5, ctx)
-            p2 = 1 / multi_pochhammer_infinite([qv ** 2, qv ** 3], qv ** 5, ctx)
-            for m in range(9):
-                lhs = u_m_bilateral(QPow(1, 0), m, ctx).value
-                am = schur_a(m)(qv)
-                bm = schur_b(m)(qv)
-                rhs = ((-1) ** m * qv ** F(-m * (m - 1), 2)
-                       * (am * p1 - bm * p2))
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"q": list(map(str, rc.q_values)),
-                                            "m": "0..8"})
-
-
-def _chk_rr_partitions(which: int, mode, rc: RunSettings):
-    ok = parts.series_vs_partitions(f"RR{which}", 40)
-    return _exact(ok, {"n": "0..40"})
-
-
-def _chk_ferrers(mode, rc: RunSettings):
-    bad = [(k, m) for k in range(0, 15) for m in range(0, 15 - k)
-           if not parts.box_matches_q_binomial(k, m)]
-    return _exact(not bad, {"k+m": "<= 14"}, witness=str(bad) if bad else None)
-
-
-def _chk_schur_cd(mode, rc: RunSettings):
-    ok = all(c_poly(m).specialize_a(1) == schur_a(m)
-             and d_poly(m).specialize_a(1) == schur_b(m) for m in range(13))
-    pos = all(v > 0 for n in range(2, 13)
-              for v in (c_poly(n).coefficients() | d_poly(n).coefficients()).values())
-    return _exact(ok and pos, {"m": "0..12"},
-                  note="closed forms apply for m >= 2; m in {0,1} from seeds")
-
-
-def _chk_cd_three_way(mode, rc: RunSettings):
-    ok = all(c_poly(n, "recurrence") == c_poly(n, "explicit")
-             == c_poly(n, "generating")
-             and d_poly(n, "recurrence") == d_poly(n, "explicit")
-             == d_poly(n, "generating") for n in range(21))
-    return _exact(ok, {"n": "0..20"},
-                  note="seeds (c0,c1,d0,d1)=(1,0,0,1); the duplicated-c0 "
-                       "display is reproducible only with these seeds")
-
-
-def _chk_um_recurrence(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            for a in (mp.mpf("0.5"), QPow(1, 0), mp.mpf("1.5")):
-                for m in range(7):
-                    lhs = qv ** (m + 1) * u_m_bilateral(a, m + 2, ctx).value
-                    av = 1 if isinstance(a, QPow) else a
-                    rhs = (u_m_bilateral(a, m, ctx).value
-                           - av * u_m_bilateral(a, m + 1, ctx).value)
-                    devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(),
-                      {"a": "{1/2, 1, 3/2}", "m": "0..6",
-                       "q": list(map(str, rc.q_values))})
-
-
-def _chk_um_mform(mode, rc: RunSettings):
-    worst = mp.mpf(0)
-    literal_worst = mp.mpf(0)
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for a in (mp.mpf("0.5"), QPow(1, 0), mp.mpf("1.5")):
-                for m in range(9):
-                    worst = max(worst, bilateral_m_version_residual(
-                        a, m, ctx, sign=-1))
-            literal_worst = max(literal_worst, bilateral_m_version_residual(
-                mp.mpf("0.5"), 4, ctx, sign=+1))
-    tol = rc.tol()
-    return _discrepancy(worst < tol, literal_worst < tol, worst,
-                        {"a": "{1/2, 1, 3/2}", "m": "0..8"},
-                        note="as-printed +d reading fails (literal residual "
-                             f"{mp.nstr(literal_worst, 3)}); the -d reading, "
-                             "forced by the seeds and by the a=1 case, passes")
-
-
-# ---------------------------------------------------------------------------
-# q-Bessel entries
-# ---------------------------------------------------------------------------
-
-def _chk_bessel_defs(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            z = mp.mpf("0.8")
-            for kind, weight in ((1, lambda n: mp.mpf(0)),
-                                 (2, lambda n: mp.mpf(n * n)),
-                                 (3, lambda n: mp.mpf(n * (n - 1)) / 2)):
-                direct = mp.mpf(0)
-                for n in range(80):
-                    direct += (qv ** weight(n) * (z / 2) ** (2 * n)
-                               / (mp.qp(qv, qv, n) ** 2))
-                devs.append(scaled_deviation(bessel_i(kind, 0, z, ctx), direct))
-            devs.append(scaled_deviation(bessel_i(2, 0, mp.mpf(2), ctx),
-                                         1 / pochhammer_infinite_value(qv, qv, ctx)))
-    return _pass_fail(max(devs), rc.tol(), {"z": "0.8", "order": 0},
-                      note="order-0 series vs direct truncated oracle, all kinds")
-
-
-def _chk_i1_continuation(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for z in (mp.mpf("0.6"), mp.mpf("1.2"), mp.mpf("1.8")):
-                for nu in (F(1, 2), F(0), F(5, 2)):
-                    devs.append(scaled_deviation(
-                        bessel_i(1, nu, z, ctx), i1_continued(nu, z, ctx)))
-    return _pass_fail(max(devs), rc.tol(), {"z": "<2", "nu": "{0, 1/2, 5/2}"})
-
-
-def _chk_bessel_sv(variant: int, mode, rc: RunSettings):
-    devs = []
-    for q in get_entry(f"bessel-sv-{variant}").q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for nu in (F(0), F(1, 2), F(27, 10)):
-                for n in range(11):
-                    lhs, rhs = special_value_sides(variant, nu, n, ctx)
-                    devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(),
-                      {"q": "{0.2, 0.5}", "nu": "{0, 0.5, 2.7}", "n": "0..10"})
-
-
-def _chk_bessel_sv_series(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for nu in (F(7, 10), F(3, 2)):
-                for n in range(9):
-                    s, f4, f5 = sv_series_form_values(nu, n, ctx)
-                    devs.append(scaled_deviation(s, f4))
-                    devs.append(scaled_deviation(s, f5))
-    return _pass_fail(max(devs), rc.tol(), {"nu": "{0.7, 1.5}", "n": "0..8"})
-
-
-def _chk_bessel_sv_general(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            for z in (mp.mpf("0.6"), mp.mpf("1.4")):
-                for nu in (F(1, 2), F(2)):
-                    lhs = bessel_i(2, nu, 2 * z, ctx)
-                    rhs = (z ** (mp.mpf(nu.numerator) / nu.denominator)
-                           / pochhammer_infinite_value(qv, qv, ctx)
-                           * phi_1_1(z * z, mp.mpf(0), QPow(1, nu + 1), ctx).value)
-                    devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"z": "{0.6, 1.4}", "nu": "{1/2, 2}"})
-
-
-def _chk_heine(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "heine", mode)
-    devs = []
-    entry = get_entry("heine")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for _ in range(10):
-                b = rational_in(rng, F(3, 10), F(9, 10))
-                c = b * rational_in(rng, F(1, 10), F(17, 20))
-                a = rational_in(rng, F(1, 20), F(9, 10))
-                z = rational_in(rng, F(1, 20), F(9, 10))
-                lhs, rhs = heine_sides(to_mp(a), to_mp(b), to_mp(c), to_mp(z), ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"draws": "10 per q, |c/b|<1, |z|<1"})
-
-
-def _chk_bessel_gf(mode, rc: RunSettings):
-    devs = []
-    cases = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for z, t in ((mp.mpf(1), mp.mpf(1)), (mp.mpf("0.8"), mp.mpf(-2)),
-                         (mp.mpf("1.5"), mp.mpf("0.4"))):
-                lhs, rhs = gen_func_sides(z, t, ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-                cases.append(f"(z={z},t={t})")
-            lhs, rhs = gen_func_sides(mp.mpf(0), mp.mpf("0.7"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(15), {"cases": cases})
-
-
-def _chk_bessel_ml(mode, rc: RunSettings):
-    devs = []
-    ctx = rc.numeric_ctx("0.3")
-    with ctx.workdps():
-        for nu in (F(0), F(1, 2)):
-            devs.append(scaled_deviation(mittag_leffler_rhs(nu, mp.mpf(1), ctx),
-                                         i1_continued(nu, mp.mpf(1), ctx)))
-    ctx = rc.numeric_ctx("0.25")
-    with ctx.workdps():
-        for nu, z in ((F(1), mp.mpf(3)), (F(2), mp.mpf(3))):
-            devs.append(scaled_deviation(mittag_leffler_rhs(nu, z, ctx),
-                                         i1_continued(nu, z, ctx)))
-    return _pass_fail(max(devs), rc.tol(15),
-                      {"z": "{1, 3}", "note": "z=3 is outside the |z|<2 disk"})
-
-
-def _chk_bessel_ivsj(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "bessel-i-vs-j", mode)
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            i = mp.mpc(0, 1)
-            for _ in range(10):
-                nu = F(rng.randint(1, 60), 20)
-                z = mp.mpf(rng.randint(2, 18)) / 10
-                kind = rng.choice((1, 2))
-                lhs = bessel_i(kind, nu, z, ctx)
-                rot = (mp.e ** (-i * mp.pi * mp.mpf(nu.numerator)
-                                / nu.denominator / 2)
-                       * bessel_j(kind, nu, i * z, ctx))
-                devs.append(scaled_deviation(lhs, rot))
-    return _pass_fail(max(devs), rc.tol(), {"draws": "10 per q"})
-
-
-def _chk_bessel_asymptotic(mode, rc: RunSettings):
-    ctx = rc.numeric_ctx("0.5")
-    with ctx.workdps():
-        prev = None
-        monotone = True
-        last = None
-        for j in range(4, 11):
-            r = mp.mpf(2) ** j
-            dev = abs(bessel_i(2, 0, r, ctx)
-                      / asymptotic_main_term(0, r, ctx) - 1)
-            if prev is not None and not dev < prev:
-                monotone = False
-            prev = dev
-            last = dev
-    status = "PASS" if monotone else "FAIL"
-    return CheckOutcome(status, deviation=last,
-                        params={"q": "0.5", "r": "q^-j, j=4..10"},
-                        note="trend property only: |I/main - 1| strictly "
-                             "decreasing; no absolute tolerance is claimed")
-
-
-def _chk_lommel(form: str, mode, rc: RunSettings):
-    devs = []
-    fn = lommel_relation_residual if form == "i" else lommel_relation_j_residual
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in range(0 if form == "i" else 1, 7):
-                devs.append(fn(n, F(2, 5), mp.mpf("1.5"), ctx))
-    return _pass_fail(max(devs), rc.tol(), {"n": "<=6", "nu": "2/5", "x": "1.5"})
-
-
-def _chk_sw_lommel_special(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in range(1, 5):
-                for k in (1, 2, 3):
-                    devs.append(sw_lommel_special_residual(n, F(2, 5), k, ctx))
-    return _pass_fail(max(devs), rc.tol(), {"n": "1..4", "k": "1..3"})
-
-
-# ---------------------------------------------------------------------------
-# bilateral sum and convolution entries
-# ---------------------------------------------------------------------------
-
-def _chk_psi11(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "psi11", mode)
-    devs = []
-    entry = get_entry("psi11")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for _ in range(10):
-                a, b, z = annulus_pair(rng)
-                s = psi_1_1(to_mp(a), to_mp(b), to_mp(z), ctx).value
-                p = psi_1_1_product(to_mp(a), to_mp(b), to_mp(z), ctx)
-                devs.append(scaled_deviation(s, p))
-    return _pass_fail(max(devs), rc.tol(),
-                      {"draws": "10 per q inside |b/a|+1/20 < |z| < 19/20"})
-
-
-def _chk_ms1(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "ms-1", mode)
-    samples = distinct_rationals(rng, 3, F(1, 10), F(3, 2), avoid=(F(1),))
-    for a in samples:
-        for n in range(31):
-            lhs, rhs = pair_convolution_sides(n, a, F(1, 2))
-            if lhs != rhs:
-                return _exact(False, {"a": str(a), "n": n})
-    return _exact(True, {"a": [str(s) for s in samples], "n": "0..30",
-                         "q": "1/2"})
-
-
-def _chk_ms2(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "ms-2", mode)
-    samples = distinct_rationals(rng, 3, F(1, 10), F(3, 2), avoid=(F(1),))
-    for a in samples:
-        for n in range(31):
-            lhs, rhs = cube_convolution_sides(n, a, F(1, 3))
-            if not (lhs == rhs):
-                return _exact(False, {"a": str(a), "n": n})
-    return _exact(True, {"a": [str(s) for s in samples], "n": "0..30",
-                         "q": "1/3"},
-                  note="exact arithmetic in Q(w), w a primitive cube root of 1")
-
-
-def _chk_ms3(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-3")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in range(0, 6):
-                lhs, rhs = bilateral_pair_slice_sides(
-                    n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"n": "0..5", "a": "0.5", "b": "0.1"})
-
-
-def _chk_ms4(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-4")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in (1, 2, 4, 5):
-                lhs, _ = bilateral_cube_slice_sides(
-                    n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34)
-                devs.append(abs(lhs))
-    return _pass_fail(max(devs), rc.tol(25), {"n": "{1,2,4,5}"},
-                      note="slice sums with 3 not dividing n vanish")
-
-
-def _chk_ms5(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-5")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            for n in (0, 3, 6):
-                lhs, rhs = bilateral_cube_slice_sides(
-                    n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34)
-                devs.append(scaled_deviation(lhs, rhs))
-            # literal reading of the subscript-free base-q^3 factor as a
-            # single (.;q^3)_1 pair, recorded for the open question
-            av, bv = mp.mpf("0.5"), mp.mpf("0.1")
-            lhs, rhs = bilateral_cube_slice_sides(3, av, bv, ctx, digits=34)
-            lit = rhs * multi_pochhammer_infinite(
-                [qv ** 3, (bv / av) ** 3], qv ** 3, ctx) \
-                / ((1 - qv ** 3) * (1 - (bv / av) ** 3))
-            literal_dev = scaled_deviation(lhs, lit)
-    return _pass_fail(max(devs), rc.tol(25), {"n": "{0,3,6}"},
-                      note="subscript-free factors read as infinite products; "
-                           "the (.;q^3)_1 reading deviates by "
-                           f"{mp.nstr(literal_dev, 3)}")
-
-
-def _chk_ms6(mode, rc: RunSettings):
-    if mode == "formal":
-        ctx = rc.formal_ctx(order=min(rc.order, 60))
-        t = F(2, 3)
-        d1 = a_alpha_formal(1, (1, 1), (t, 0), ctx) - omega_formal(t, 0, ctx)
-        d2 = (a_alpha_formal(1, None, (t, 0), ctx)
-              - ramanujan_A_formal(-t, 0, ctx))
-        diff = d1 if not d1.is_zero() else d2
-        return _formal(diff, {"t": "2/3"},
-                       note="a=q and a=0 reductions of the alpha-family")
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            qv = ctx.q
-            t = mp.mpf("0.6")
-            devs.append(scaled_deviation(a_alpha(1, QPow(1, 1), t, ctx).value,
-                                         omega(t, ctx).value))
-            devs.append(scaled_deviation(a_alpha(1, mp.mpf(0), t, ctx).value,
-                                         ramanujan_A(-t, ctx).value))
-            ctx2 = rc.numeric_ctx(qv * qv)
-            ctx4 = rc.numeric_ctx(qv ** 4)
-            devs.append(scaled_deviation(
-                a_alpha(2, QPow(1, 1), t * t, ctx2).value,
-                omega(t * t, ctx4).value))
-    return _pass_fail(max(devs), rc.tol(), {"t": "0.6"})
-
-
-def _chk_ms7(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for alpha in (F(1), F(1, 2)):
-                lhs, rhs = square_master_sides(alpha, mp.mpf("0.5"),
-                                               mp.mpf("0.6"), ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"alpha": "{1, 1/2}",
-                                              "a": "0.5", "t": "0.6"})
-
-
-def _chk_ms8(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = cube_master_sides(1, mp.mpf("0.5"), mp.mpf("0.6"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"alpha": "1", "a": "0.5",
-                                              "t": "0.6"})
-
-
-def _chk_ms10(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            devs.append(scaled_deviation(
-                b_alpha(1, mp.mpf("0.5"), QPow(1, 1), mp.mpf("0.7"), ctx).value,
-                a_alpha(1, mp.mpf("0.5"), mp.mpf("0.7"), ctx).value))
-            v = b_alpha(1, mp.mpf("0.4"), mp.mpf("0.9"), mp.mpf("0.7"), ctx)
-            if not (v.converged and mp.isfinite(v.value)):
-                return CheckOutcome("FAIL", deviation=mp.mpf("inf"),
-                                    params={"q": str(q)})
-    return _pass_fail(max(devs), rc.tol(), {"reduction": "b=q collapses to "
-                                            "the unilateral alpha-family"})
-
-
-def _chk_ms11(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-11")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = square_bilateral_master_sides(
-                1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25),
-                      {"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
-                      note="sampled with |b/a| < 1 so the outer bilateral "
-                           "sum converges absolutely")
-
-
-def _chk_ms12(mode, rc: RunSettings):
-    worst = mp.mpf(0)
-    lit = None
-    entry = get_entry("ms-12")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = cube_bilateral_master_sides(
-                1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx,
-                corrected=True)
-            worst = max(worst, scaled_deviation(lhs, rhs))
-            if lit is None:  # one literal evaluation shows the defect
-                l2, r2 = cube_bilateral_master_sides(
-                    1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx,
-                    corrected=False)
-                lit = scaled_deviation(l2, r2)
-    tol = rc.tol(25)
-    return _discrepancy(worst < tol, lit < tol, worst,
-                        {"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
-                        note="as printed, the inner argument misses the w^2 "
-                             "twist carried by its unilateral counterpart; "
-                             f"literal residual {mp.nstr(lit, 3)}")
-
-
-def _chk_ms13(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-13")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = theta_pair_sides(mp.mpf("0.5"), mp.mpf("0.6"), ctx,
-                                        digits=34)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"a": "0.5", "x": "0.6"})
-
-
-def _chk_ms14(mode, rc: RunSettings):
-    devs = []
-    entry = get_entry("ms-14")
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = theta_pair_imag_sides(mp.mpf("0.6"), ctx, digits=34)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"x": "0.6"},
-                      note="denominators 1 + i q^{j+1/2}; numeric mode only")
-
-
-def _chk_ms_triple(which: int, mode, rc: RunSettings):
-    devs = []
-    entry = get_entry(f"ms-{which}")
-    spec = {15: (mp.mpf("0.5"), "base"),
-            16: (QPow(1, F(1, 3)), "split-left"),
-            17: (QPow(-1, F(1, 3)), "base")}[which]
-    for q in entry.q_list(rc):
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = theta_triple_sides(spec[0], mp.mpf("0.6"), ctx,
-                                          digits=32, arrangement=spec[1])
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(25), {"x": "0.6"})
-
-
-# ---------------------------------------------------------------------------
-# S_n-family entries
-# ---------------------------------------------------------------------------
-
-def _chk_sw_two_forms(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "sw-two-forms", mode)
-    xs = distinct_rationals(rng, 3, F(-2), F(2))
-    for x in xs:
-        for n in range(16):
-            if stieltjes_wigert(n, x, F(1, 3)) != stieltjes_wigert_second(
-                    n, x, F(1, 3)):
-                return _exact(False, {"x": str(x), "n": n})
-    return _exact(True, {"x": [str(x) for x in xs], "n": "0..15", "q": "1/3"})
-
-
-def _chk_sw_symmetry(mode, rc: RunSettings):
-    if mode == "exact":
-        ok = all(sw_symmetry_residual(n, F(3, 7), F(1, 3)) == 0
-                 for n in range(9))
-        return _exact(ok, {"t": "3/7", "q": "1/3", "n": "0..8"})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            devs.append(sw_symmetry_residual(12, mp.mpf("1.4"), ctx.q))
-    return _pass_fail(max(devs), rc.tol(), {"n": 12, "t": "1.4"})
-
-
-def _chk_u_poly_def(mode, rc: RunSettings):
-    q, sq = F(1, 4), F(1, 2)
-    ok = all(u_poly(n, sq ** k, F(1, 8), q)
-             == q_lommel_p(n, sq ** k / 2, q, F(1, 8))
-             for n in range(7) for k in range(4))
-    lit_differs = u_poly(2, sq, F(1, 8), q) != u_poly(2, sq, F(1, 8), q,
-                                                      weighted=False)
-    if ok and lit_differs:
-        return CheckOutcome("DISCREPANCY_DOCUMENTED", deviation=mp.mpf(0),
-                            params={"n": "0..6", "k": "0..3"},
-                            note="the printed u_n drops the q^{j(j-1)} y^j "
-                                 "weight; with it, u_n(q^{k/2}, q^mu) equals "
-                                 "the ladder polynomial at q^{k/2}/2 exactly")
-    return _exact(ok, {"n": "0..6"})
-
-
-def _chk_sw_functional(mode, rc: RunSettings):
-    if mode == "exact":
-        ok = all(sw_functional_residual(k, F(2, 5), n, F(1, 4), F(1, 2)) == 0
-                 for k in range(5) for n in range(6))
-        return _exact(ok, {"k": "0..4", "n": "0..5", "q": "1/4", "y": "2/5"})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            sqv = mp.sqrt(ctx.q)
-            for n in range(1, 6):
-                devs.append(sw_functional_residual(3, mp.mpf("-0.21"), n,
-                                                   ctx.q, sqv))
-    return _pass_fail(max(devs), rc.tol(), {"k": 3, "n": "1..5", "y": "-0.21"})
-
-
-def _chk_sw_inversion(mode, rc: RunSettings):
-    if mode == "exact":
-        lhs, rec = sw_inversion_sides(2, F(1, 3), 1, F(1, 4), F(1, 2),
-                                      "corrected")
-        d1 = inversion_delta(3, F(2, 7), 2, F(1, 4), F(1, 2))
-        d2 = inversion_delta_from_system(3, F(2, 7), 2, F(1, 4), F(1, 2))
-        corrected_ok = (lhs == rec) and (d1 == d2)
-        lit, recl = sw_inversion_sides(2, F(1, 3), 1, F(1, 4), F(1, 2),
-                                       "literal")
-        return _discrepancy(corrected_ok, lit == recl, mp.mpf(0),
-                            {"k": 2, "y": "1/3", "n": 1, "q": "1/4"},
-                            note="second numerator must read u_{n-1} with "
-                                 "argument y q^{n+1} (from solving the 2x2 "
-                                 "system); the determinant display itself is "
-                                 "correct and matches the system determinant")
-    worst = mp.mpf(0)
-    lit_worst = mp.mpf(0)
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            sqv = mp.sqrt(ctx.q)
-            y = -ctx.q ** mp.mpf("0.7")
-            for n in (1, 2):
-                lhs, rec = sw_inversion_sides(2, y, n, ctx.q, sqv, "corrected")
-                worst = max(worst, scaled_deviation(lhs, rec))
-                lhs, rec = sw_inversion_sides(2, y, n, ctx.q, sqv, "literal")
-                lit_worst = max(lit_worst, scaled_deviation(lhs, rec))
-    tol = rc.tol()
-    return _discrepancy(worst < tol, lit_worst < tol, worst,
-                        {"y": "-q^0.7", "k": 2, "n": "1..2"},
-                        note="literal reading evaluated at y = -q^nu where "
-                             "its S-argument is well defined; residual "
-                             f"{mp.nstr(lit_worst, 3)}")
-
-
-def _chk_finite_qbinom(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "finite-qbinom", mode)
-    xs = distinct_rationals(rng, 3, F(-2), F(2))
-    ok = all(finite_qbinom_sides(n, x, F(1, 3))[0]
-             == finite_qbinom_sides(n, x, F(1, 3))[1]
-             for x in xs for n in range(13))
-    return _exact(ok, {"x": [str(x) for x in xs], "n": "0..12"},
-                  note="exponent read as binom(j,2) over the summation index")
-
-
-def _chk_st51(mode, rc: RunSettings):
-    if mode == "formal":
-        ctx = rc.formal_ctx(order=min(rc.order, 60))
-        rng = entry_rng(rc.seed, "st-5.1", mode)
-        for _ in range(3):
-            x = rational_in(rng, F(-1), F(1))
-            t = rational_in(rng, F(-1), F(1))
-            d = st_5_1_diff_formal(x, t, ctx)
-            if not d.is_zero():
-                return _formal(d, {"x": str(x), "t": str(t)})
-        return CheckOutcome("PASS", first_diff=None,
-                            params={"samples": 3, "order": min(rc.order, 60)})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = st_5_1_sides(mp.mpf("0.4"), mp.mpf("0.6"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"x": "0.4", "t": "0.6"})
-
-
-def _chk_st52(mode, rc: RunSettings):
-    ok = all(st_5_2_sides(n, F(2, 3), F(1, 4))[0]
-             == st_5_2_sides(n, F(2, 3), F(1, 4))[1] for n in range(13))
-    return _exact(ok, {"x": "2/3", "q": "1/4", "n": "0..12"})
-
-
-def _chk_st53(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in (0, 2, 4):
-                lhs, rhs = st_5_3_sides(n, mp.mpf("0.7"), ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"n": "{0,2,4}", "x": "0.7"},
-                      note="faithful transcription passes as printed")
-
-
-def _chk_st54(mode, rc: RunSettings):
-    if mode == "exact":
-        ok = all(st_5_4_sides(n, F(2, 5), F(3, 4), F(1, 3))[0]
-                 == st_5_4_sides(n, F(2, 5), F(3, 4), F(1, 3))[1]
-                 for n in range(10))
-        return _exact(ok, {"a": "2/5", "b": "3/4", "q": "1/3", "n": "0..9"})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = st_5_4_sides(5, mp.mpf("0.4"), mp.mpf("0.75"), ctx.q)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"n": 5})
-
-
-def _chk_st55(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for n in (0, 1, 4):
-                lhs, rhs = st_5_5_sides(n, mp.mpf("0.6"), ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"n": "{0,1,4}", "a": "0.6"})
-
-
-def _chk_st56(which: str, mode, rc: RunSettings):
-    ctx = rc.formal_ctx(order=min(rc.order, 50))
-    for n in range(6):
-        d = (st_5_6_even_diff_formal(n, ctx) if which == "even"
-             else st_5_6_odd_formal(n, ctx))
-        if not d.is_zero():
-            return _formal(d, {"n": n})
-    return CheckOutcome("PASS", first_diff=None, params={"n": "0..5"})
-
-
-def _chk_st5_half(which: int, mode, rc: RunSettings):
-    if mode == "formal":
-        ctx = rc.formal_ctx(base_exponent=4, order=min(rc.order, 40))
-        for n in range(9):
-            d = (st_5_7_diff_formal(n, ctx) if which == 7
-                 else st_5_8_diff_formal(n, ctx))
-            if not d.is_zero():
-                return _formal(d, {"n": n})
-        return CheckOutcome("PASS", first_diff=None,
-                            params={"n": "0..8", "D": 4})
-    fn = st_5_7_sides if which == 7 else st_5_8_sides
-    ok = all(fn(n, F(1, 4), F(1, 2))[0] == fn(n, F(1, 4), F(1, 2))[1]
-             for n in range(9))
-    return _exact(ok, {"q": "1/4 (exact square root 1/2)", "n": "0..8"})
-
-
-def _chk_st59(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = st_5_9_sides(mp.mpf("0.5"), mp.mpf("0.8"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"w": "0.5", "z": "0.8"})
-
-
-def _chk_st10(mode, rc: RunSettings):
-    if mode == "exact":
-        ok = all(phi21_terminating_exact(m, n, F(1, 3)) == F(1, 3) ** (-m * n)
-                 for m in range(9) for n in range(9))
-        return _exact(ok, {"m,n": "0..8"},
-                      note="the terminating inner series collapses to q^{-mn}")
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for m in (0, 1, 3):
-                lhs, rhs = st_10_sides(m, mp.mpf("0.5"), ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"m": "{0,1,3}", "z": "0.5"})
-
-
-def _chk_sw_hermite(mode, rc: RunSettings):
-    rng = entry_rng(rc.seed, "sw-hermite", mode)
-    if mode == "exact":
-        es = distinct_rationals(rng, 3, F(1, 2), F(3), avoid=(F(1),))
-        corrected_ok = all(sw_as_hermite_residual(n, e, F(1, 3)) == 0
-                           for e in es for n in range(11))
-        literal_ok = sw_as_hermite_residual(2, es[0], F(1, 3),
-                                            reading="literal") == 0
-        return _discrepancy(corrected_ok, literal_ok, mp.mpf(0),
-                            {"E": [str(e) for e in es], "n": "0..10"},
-                            note="as printed the bridge omits the e^{-n xi} "
-                                 "factor; with it the two finite sums agree "
-                                 "term by term")
-    worst = mp.mpf(0)
-    lit = mp.mpf(0)
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            e = mp.e ** mp.mpf("0.35")
-            for n in range(11):
-                worst = max(worst, sw_as_hermite_residual(n, e, ctx.q))
-            lit = max(lit, sw_as_hermite_residual(3, e, ctx.q, "literal"))
-    tol = rc.tol()
-    return _discrepancy(worst < tol, lit < tol, worst,
-                        {"xi": "0.35", "n": "0..10"},
-                        note=f"literal residual {mp.nstr(lit, 3)}")
-
-
-def _chk_hermite_gf(mode, rc: RunSettings):
-    worst = mp.mpf(0)
-    lit = mp.mpf(0)
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for t, z in ((mp.mpf("0.15"), mp.mpf("0.5")),
-                         (mp.mpf("-0.12"), mp.mpf("0.7"))):
-                l1, r1 = hermite_gf_sides(t, z, ctx, "corrected")
-                worst = max(worst, scaled_deviation(l1, r1))
-                l2, r2 = hermite_gf_sides(t, z, ctx, "literal")
-                lit = max(lit, scaled_deviation(l2, r2))
-    tol = rc.tol()
-    return _discrepancy(worst < tol, lit < tol, worst,
-                        {"(t,z)": "{(0.15,0.5), (-0.12,0.7)}"},
-                        note="unique passing sign pattern flips the "
-                             "z-carrying numerator argument; literal residual "
-                             f"{mp.nstr(lit, 3)}")
-
-
-def _chk_poisson(mode, rc: RunSettings):
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            lhs, rhs = poisson_kernel_sides(mp.mpf("0.1"), mp.mpf("0.4"),
-                                            mp.mpf("0.55"), ctx)
-            devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"t": "0.1", "z": "0.4",
-                                            "zeta": "0.55"})
-
-
-def _chk_gfhn0(mode, rc: RunSettings):
-    if mode == "formal":
-        ctx = rc.formal_ctx(base_exponent=2, order=min(rc.order, 60))
-        rng = entry_rng(rc.seed, "GFhn0", mode)
-        for _ in range(3):
-            b = rational_in(rng, F(-1), F(1))
-            if b == 0:
-                continue
-            d = gfhn0_diff_formal(b, ctx)
-            if not d.is_zero():
-                return _formal(d, {"b": str(b)})
-        return CheckOutcome("PASS", first_diff=None,
-                            params={"samples": 3, "D": 2})
-    devs = []
-    for q in rc.q_values:
-        ctx = rc.numeric_ctx(q)
-        with ctx.workdps():
-            for b in (mp.mpf("0.7"), mp.mpf("-0.4")):
-                lhs, rhs = gfhn0_sides(b, ctx)
-                devs.append(scaled_deviation(lhs, rhs))
-    return _pass_fail(max(devs), rc.tol(), {"b": "{0.7, -0.4}"})
+def _rr_checks(which: int) -> dict:
+    return dict(
+        formal=Check(lambda ctx: (qf.rr_sum_formal(which - 1, ctx)
+                                  - qf.rr_product_formal(which, ctx)),
+                     params={"order": EVALUATED}),
+        numeric=Check(
+            lambda ctx: (qf.u_m_bilateral(QPow(1, 0), which - 1, ctx).value,
+                         1 / multi_pochhammer_infinite(
+                             [ctx.q ** which, ctx.q ** (5 - which)],
+                             ctx.q ** 5, ctx)),
+            params={"q": EVALUATED}))
+
+
+def _mform_products(ctx):
+    qv = ctx.q
+    return {"p1": 1 / multi_pochhammer_infinite([qv, qv ** 4], qv ** 5, ctx),
+            "p2": 1 / multi_pochhammer_infinite([qv ** 2, qv ** 3], qv ** 5,
+                                                ctx)}
+
+
+def _mform(ctx, m, p1, p2):
+    qv = ctx.q
+    return (qf.u_m_bilateral(QPow(1, 0), m, ctx).value,
+            (-1) ** m * qv ** F(-m * (m - 1), 2)
+            * (qp.schur_a(m)(qv) * p1 - qp.schur_b(m)(qv) * p2))
+
+
+def _schur_cd(m):
+    """Closed forms at a = 1; positive coefficients from m = 2 on."""
+    c, d = qp.c_poly(m), qp.d_poly(m)
+    return (c.specialize_a(1) == qp.schur_a(m)
+            and d.specialize_a(1) == qp.schur_b(m)
+            and (m < 2 or all(v > 0 for v in (c.coefficients()
+                                              | d.coefficients()).values())))
+
+
+def _cd_three_way(n):
+    return (qp.c_poly(n, "recurrence") == qp.c_poly(n, "explicit")
+            == qp.c_poly(n, "generating")
+            and qp.d_poly(n, "recurrence") == qp.d_poly(n, "explicit")
+            == qp.d_poly(n, "generating"))
+
+
+def _um_recurrence(ctx, a, m):
+    av = 1 if isinstance(a, QPow) else a
+    return (ctx.q ** (m + 1) * qf.u_m_bilateral(a, m + 2, ctx).value,
+            qf.u_m_bilateral(a, m, ctx).value
+            - av * qf.u_m_bilateral(a, m + 1, ctx).value)
+
+
+def _bessel_defs(ctx, kind, z):
+    """Order-0 series against a direct 80-term sum; at z = 2 the kind-2
+    value is 1/(q;q)_inf."""
+    qv = ctx.q
+    if z == 2:
+        return (qb.bessel_i(2, 0, z, ctx),
+                1 / pochhammer_infinite_value(qv, qv, ctx))
+    weight = {1: lambda n: mp.mpf(0), 2: lambda n: mp.mpf(n * n),
+              3: lambda n: mp.mpf(n * (n - 1)) / 2}[kind]
+    direct = mp.mpf(0)
+    for n in range(80):
+        direct += (qv ** weight(n) * (z / 2) ** (2 * n)
+                   / (mp.qp(qv, qv, n) ** 2))
+    return qb.bessel_i(kind, 0, z, ctx), direct
+
+
+def _sv_series(ctx, nu, n):
+    s, f4, f5 = qb.sv_series_form_values(nu, n, ctx)
+    return max(scaled_deviation(s, f4), scaled_deviation(s, f5))
+
+
+def _sv_general(ctx, z, nu):
+    qv = ctx.q
+    return (qb.bessel_i(2, nu, 2 * z, ctx),
+            z ** (mp.mpf(nu.numerator) / nu.denominator)
+            / pochhammer_infinite_value(qv, qv, ctx)
+            * qf.phi_1_1(z * z, mp.mpf(0), QPow(1, nu + 1), ctx).value)
+
+
+def _heine_draw(rng):
+    b = rational_in(rng, F(3, 10), F(9, 10))
+    return {"b": b, "c": b * rational_in(rng, F(1, 10), F(17, 20)),
+            "a": rational_in(rng, F(1, 20), F(9, 10)),
+            "z": rational_in(rng, F(1, 20), F(9, 10))}
+
+
+def _bessel_ml(ctx):
+    """z = 1, inside the |z| < 2 disk, at q = 0.3; z = 3 at q = 0.25."""
+    points = (((F(0), 1), (F(1, 2), 1)) if ctx.q > mp.mpf("0.275")
+              else ((F(1), 3), (F(2), 3)))
+    return max(scaled_deviation(qb.mittag_leffler_rhs(nu, mp.mpf(z), ctx),
+                                qb.i1_continued(nu, mp.mpf(z), ctx))
+               for nu, z in points)
+
+
+def _bessel_ivsj(ctx, nu, z, kind):
+    i, z = mp.mpc(0, 1), to_mp(z)
+    return (qb.bessel_i(kind, nu, z, ctx),
+            mp.e ** (-i * mp.pi * mp.mpf(nu.numerator) / nu.denominator / 2)
+            * qb.bessel_j(kind, nu, i * z, ctx))
+
+
+def _bessel_asymptotic(ctx):
+    """|I/main - 1| along r = 2^j, j = 4..10, must strictly decrease."""
+    devs = [abs(qb.bessel_i(2, 0, r, ctx)
+                / qb.asymptotic_main_term(0, r, ctx) - 1)
+            for r in (mp.mpf(2) ** j for j in range(4, 11))]
+    return Verdict(devs[-1], all(b < a for a, b in zip(devs, devs[1:])))
+
+
+def _ms5_single_factor(ctx):
+    """n = 3 with the subscript-free base-q^3 factor read as (.;q^3)_1."""
+    qv, av, bv = ctx.q, mp.mpf("0.5"), mp.mpf("0.1")
+    lhs, rhs = qf.bilateral_cube_slice_sides(3, av, bv, ctx, digits=34)
+    return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (bv / av) ** 3],
+                                                 qv ** 3, ctx)
+                 / ((1 - qv ** 3) * (1 - (bv / av) ** 3)))
+
+
+def _ms6_formal(ctx, a):
+    """a = q reduces to qf.omega(t), a = 0 to A_q(-t); t = 2/3."""
+    t = F(2, 3)
+    return qf.a_alpha_formal(1, a, (t, 0), ctx) - (
+        qf.omega_formal(t, 0, ctx) if a else qf.ramanujan_A_formal(-t, 0, ctx))
+
+
+def _ms6_numeric(ctx):
+    """The three reductions at t = 0.6; the last runs at bases q^2, q^4."""
+    qv, t = ctx.q, mp.mpf("0.6")
+    ctx2, ctx4 = (QContext.numeric(base, precision=ctx.precision,
+                                   max_terms=ctx.max_terms)
+                  for base in (qv * qv, qv ** 4))
+    return max(scaled_deviation(qf.a_alpha(1, QPow(1, 1), t, ctx).value,
+                                qf.omega(t, ctx).value),
+               scaled_deviation(qf.a_alpha(1, mp.mpf(0), t, ctx).value,
+                                qf.ramanujan_A(-t, ctx).value),
+               scaled_deviation(qf.a_alpha(2, QPow(1, 1), t * t, ctx2).value,
+                                qf.omega(t * t, ctx4).value))
+
+
+def _ms10(ctx):
+    """B^(1)(0.5, q; 0.7) = A^(1)(0.5; 0.7); B^(1)(0.4, 0.9; 0.7) converges."""
+    dev = scaled_deviation(
+        qf.b_alpha(1, mp.mpf("0.5"), QPow(1, 1), mp.mpf("0.7"), ctx).value,
+        qf.a_alpha(1, mp.mpf("0.5"), mp.mpf("0.7"), ctx).value)
+    v = qf.b_alpha(1, mp.mpf("0.4"), mp.mpf("0.9"), mp.mpf("0.7"), ctx)
+    return dev if v.converged and mp.isfinite(v.value) else mp.inf
+
+
+def _ms12(corrected: bool):
+    return lambda ctx: qf.cube_bilateral_master_sides(
+        1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx,
+        corrected=corrected)
+
+
+def _theta_triple(arrangement):
+    return lambda ctx, a: qf.theta_triple_sides(
+        a, mp.mpf("0.6"), ctx, digits=32, arrangement=arrangement)
+
+
+def _sw_inversion_exact():
+    """The inverted S_k(y) and the determinant, compared as one pair."""
+    lhs, rec = qp.sw_inversion_sides(2, F(1, 3), 1, F(1, 4), F(1, 2),
+                                     "corrected")
+    return ((lhs, qp.inversion_delta(3, F(2, 7), 2, F(1, 4), F(1, 2))),
+            (rec, qp.inversion_delta_from_system(3, F(2, 7), 2, F(1, 4),
+                                                 F(1, 2))))
+
+
+def _sw_inversion_numeric(reading):
+    return lambda ctx, sq, y, n: qp.sw_inversion_sides(2, y, n, ctx.q, sq,
+                                                       reading)
+
+
+def _st_5_half(which: int) -> dict:
+    return dict(
+        formal=Check(lambda ctx, n: (qp.st_5_7_diff_formal if which == 7
+                                     else qp.st_5_8_diff_formal)(n, ctx),
+                     grid(n=range(9)), params={"n": "0..8", "D": 4},
+                     order=40, D=4),
+        exact=Check(lambda n: (qp.st_5_7_sides if which == 7
+                               else qp.st_5_8_sides)(n, F(1, 4), F(1, 2)),
+                    grid(n=range(9)),
+                    params={"q": "1/4 (exact square root 1/2)", "n": "0..8"}))
+
+
+def _hermite_gf(reading):
+    return lambda ctx, t, z: qp.hermite_gf_sides(t, z, ctx, reading)
 
 
 # ---------------------------------------------------------------------------
 # the registry itself
 # ---------------------------------------------------------------------------
 
-def _partial(fn, *bound):
-    import functools
-    return functools.partial(fn, *bound)
-
+_BESSEL_SV = dict(
+    points=grid(nu=(F(0), F(1, 2), F(27, 10)), n=range(11)),
+    params={"q": "{0.2, 0.5}", "nu": "{0, 0.5, 2.7}", "n": "0..10"})
+_MS_SLICE = dict(tol_shift=25, q_cap=0.3)
+_HERMITE_GF_POINTS = ({"t": "0.15", "z": "0.5"}, {"t": "-0.12", "z": "0.7"})
 
 ENTRIES: tuple = (
     IdentityEntry(
         "RR1", "first gap identity",
         "sum q^{n^2}/(q;q)_n = 1/((q;q^5)_inf (q^4;q^5)_inf)",
-        ("formal", "numeric"), (("q", "|q| < 1"),), complex_ok=True,
-        check=_partial(_chk_rr, 1)),
+        (("q", "|q| < 1"),), complex_ok=True, **_rr_checks(1)),
     IdentityEntry(
         "RR2", "second gap identity",
         "sum q^{n^2+n}/(q;q)_n = 1/((q^2;q^5)_inf (q^3;q^5)_inf)",
-        ("formal", "numeric"), (("q", "|q| < 1"),), complex_ok=True,
-        check=_partial(_chk_rr, 2)),
+        (("q", "|q| < 1"),), complex_ok=True, **_rr_checks(2)),
     IdentityEntry(
         "mform", "m-shifted gap identity",
         "sum q^{n^2+mn}/(q;q)_n = (-1)^m q^-binom(m,2) [a_m P1 - b_m P2]",
-        ("formal", "numeric"), (("m", "0..10"),),
-        check=_chk_mform),
+        (("m", "0..10"),),
+        formal=Check(lambda ctx, m: qp.mform_diff_formal(m, ctx),
+                     grid(m=range(11)),
+                     params={"m": "0..10", "order": EVALUATED}, order=80),
+        numeric=Check(_mform, grid(m=range(9)), prepare=_mform_products,
+                      params={"q": EVALUATED, "m": "0..8"})),
     IdentityEntry(
         "rr1-partitions", "gap-2 partition interpretation",
         "[q^n] gap series = #{parts differing by >= 2} = #{parts = 1,4 mod 5}",
-        ("exact",), (("n", "<= 40"),), check=_partial(_chk_rr_partitions, 1)),
+        (("n", "<= 40"),),
+        exact=Check(lambda: parts.series_vs_partitions("RR1", 40),
+                    params={"n": "0..40"})),
     IdentityEntry(
         "rr2-partitions", "gap-2 partition interpretation, second kind",
         "[q^n] shifted gap series = #{gap 2, least part >= 2} "
         "= #{parts = 2,3 mod 5}",
-        ("exact",), (("n", "<= 40"),), check=_partial(_chk_rr_partitions, 2)),
+        (("n", "<= 40"),),
+        exact=Check(lambda: parts.series_vs_partitions("RR2", 40),
+                    params={"n": "0..40"})),
     IdentityEntry(
         "ferrers-box", "box-bounded partition generating polynomial",
         "sum over partitions in a k x m box of q^|p| = gauss(k+m, k)",
-        ("exact",), (("k+m", "<= 14"),), check=_chk_ferrers),
+        (("k+m", "<= 14"),),
+        exact=Check(lambda k, m: parts.box_matches_q_binomial(k, m),
+                    tuple({"k": k, "m": m}
+                          for k in range(15) for m in range(15 - k)),
+                    params={"k+m": "<= 14"})),
     IdentityEntry(
         "schur-cd", "closed forms specialize the recurrence pair",
         "c_m(1,q) = a_m(q), d_m(1,q) = b_m(q); coefficients nonnegative",
-        ("exact",), (("m", "<= 12"),), check=_chk_schur_cd),
+        (("m", "<= 12"),),
+        exact=Check(_schur_cd, grid(m=range(13)), params={"m": "0..12"},
+                    note="closed forms apply for m >= 2; m in {0,1} from "
+                         "seeds")),
     IdentityEntry(
         "cd-three-way", "recurrence pair: three constructions coincide",
         "recurrence = explicit sum = t-series coefficients, for c_n and d_n",
-        ("exact",), (("n", "<= 20"),), check=_chk_cd_three_way),
+        (("n", "<= 20"),),
+        exact=Check(_cd_three_way, grid(n=range(21)), params={"n": "0..20"},
+                    note="seeds (c0,c1,d0,d1)=(1,0,0,1); the duplicated-c0 "
+                         "display is reproducible only with these seeds")),
     IdentityEntry(
         "um-recurrence", "three-term contiguous relation",
         "q^{m+1} u_{m+2}(a) = u_m(a) - a u_{m+1}(a)",
-        ("numeric",), (("a", "{1/2, 1, 3/2}"), ("m", "0..6")),
-        check=_chk_um_recurrence),
+        (("a", "{1/2, 1, 3/2}"), ("m", "0..6")),
+        numeric=Check(_um_recurrence, grid(a=("0.5", QPow(1, 0), "1.5"),
+                                           m=range(7)),
+                      params={"a": "{1/2, 1, 3/2}", "m": "0..6",
+                              "q": EVALUATED})),
     IdentityEntry(
         "um-mform", "bilateral resolution along the recurrence pair",
         "u_m(a) = (-1)^m q^-binom(m,2) [c_m(a,q) u_0(a) - d_m(a,q) u_1(a)]",
-        ("numeric",), (("a", "{1/2, 1, 3/2}"), ("m", "0..8")),
-        check=_chk_um_mform,
-        note="sign of the d-term corrected; see the discrepancy note"),
+        (("a", "{1/2, 1, 3/2}"), ("m", "0..8")),
+        numeric=Check(
+            lambda ctx, a, m: qp.bilateral_m_version_residual(a, m, ctx,
+                                                              sign=-1),
+            grid(a=("0.5", QPow(1, 0), "1.5"), m=range(9)),
+            params={"a": "{1/2, 1, 3/2}", "m": "0..8"},
+            note=f"as-printed +d reading fails (literal residual {LITERAL}); "
+                 "the -d reading, forced by the seeds and by the a=1 case, "
+                 "passes",
+            literal=Reading(lambda ctx, a, m: qp.bilateral_m_version_residual(
+                a, m, ctx, sign=+1), grid(a=("0.5",), m=(4,))))),
     IdentityEntry(
         "heine", "second-iterate transformation of 2phi1",
         "2phi1(a,b;c;q,z) = (c/b, bz;q)_inf/(c, z;q)_inf "
         "2phi1(abz/c, b; bz; q, c/b)",
-        ("numeric",), (("z", "|z| < 1"), ("c/b", "|c/b| < 1")),
-        complex_ok=True, check=_chk_heine),
+        (("z", "|z| < 1"), ("c/b", "|c/b| < 1")), complex_ok=True,
+        numeric=Check(
+            lambda ctx, a, b, c, z: qf.heine_sides(
+                to_mp(a), to_mp(b), to_mp(c), to_mp(z), ctx),
+            sampler=_each(10, _heine_draw),
+            params={"draws": "10 per q, |c/b|<1, |z|<1"})),
     IdentityEntry(
         "bessel-defs", "three defining series at integer order",
         "kind-k series against direct truncated oracles; value at z=2",
-        ("numeric",), (("kind", "1..3"),), check=_chk_bessel_defs),
+        (("kind", "1..3"),),
+        numeric=Check(_bessel_defs,
+                      grid(kind=(1, 2, 3), z=("0.8",))
+                      + ({"kind": 2, "z": "2"},),
+                      params={"z": "0.8", "order": 0},
+                      note="order-0 series vs direct truncated oracle, all "
+                           "kinds")),
     IdentityEntry(
         "bessel-i1-continuation", "kind 1 continued by the square factor",
         "I1_nu(z) = I2_nu(z) / (z^2/4; q)_inf",
-        ("numeric",), (("z", "|z| < 2 for the direct series"),),
-        check=_chk_i1_continuation),
+        (("z", "|z| < 2 for the direct series"),),
+        numeric=Check(lambda ctx, z, nu: (qb.bessel_i(1, nu, z, ctx),
+                                          qb.i1_continued(nu, z, ctx)),
+                      grid(z=("0.6", "1.2", "1.8"),
+                           nu=(F(1, 2), F(0), F(5, 2))),
+                      params={"z": "<2", "nu": "{0, 1/2, 5/2}"})),
     IdentityEntry(
         "bessel-sv-4", "special values on the geometric lattice, first form",
         "I2_nu(2 q^{-n/2}) = q^{nu n/2} S_n(-q^{-nu-n}) / (q^{n+1};q)_inf",
-        ("numeric",), (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")),
-        fixed_q=("0.2", "0.5"), check=_partial(_chk_bessel_sv, 4)),
+        (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")), fixed_q=("0.2", "0.5"),
+        numeric=Check(lambda ctx, nu, n: qb.special_value_sides(4, nu, n, ctx),
+                      **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-5", "special values, symmetric form",
         "I2_nu(2 q^{-n/2}) = q^{-nu n/2} S_n(-q^{nu-n}) / (q^{n+1};q)_inf",
-        ("numeric",), (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")),
-        fixed_q=("0.2", "0.5"), check=_partial(_chk_bessel_sv, 5)),
+        (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")), fixed_q=("0.2", "0.5"),
+        numeric=Check(lambda ctx, nu, n: qb.special_value_sides(5, nu, n, ctx),
+                      **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-series", "special values written as series",
         "sum_k q^{k(k+nu-n)}/((q;q)_k (q^{nu+1};q)_k) equals both finite forms",
-        ("numeric",), (("n", "0..8"),), check=_chk_bessel_sv_series),
+        (("n", "0..8"),),
+        numeric=Check(_sv_series, grid(nu=(F(7, 10), F(3, 2)), n=range(9)),
+                      params={"nu": "{0.7, 1.5}", "n": "0..8"})),
     IdentityEntry(
         "bessel-sv-general", "entire-series form of the kind-2 function",
         "I2_nu(2z) = z^nu / (q;q)_inf * 1phi1(z^2; 0; q, q^{nu+1})",
-        ("numeric",), (("z", "any"), ("nu", "generic")),
-        check=_chk_bessel_sv_general),
+        (("z", "any"), ("nu", "generic")),
+        numeric=Check(_sv_general, grid(z=("0.6", "1.4"), nu=(F(1, 2), F(2))),
+                      params={"z": "{0.6, 1.4}", "nu": "{1/2, 2}"})),
     IdentityEntry(
         "bessel-gf", "order generating function",
         "sum_m q^binom(m,2) I2_m(z) t^m = (-tz/2, -qz/2t; q)_inf",
-        ("numeric",), (("t", "nonzero"),), tol_shift=15,
-        check=_chk_bessel_gf),
+        (("t", "nonzero"),), tol_shift=15,
+        numeric=Check(lambda ctx, z, t: qb.gen_func_sides(z, t, ctx),
+                      ({"z": "1", "t": "1"}, {"z": "0.8", "t": "-2"},
+                       {"z": "1.5", "t": "0.4"}, {"z": "0", "t": "0.7"}),
+                      params={"(z,t)": "{(1,1), (0.8,-2), (1.5,0.4), "
+                                       "(0,0.7)}"})),
     IdentityEntry(
         "bessel-ml", "pole expansion of the continued kind-1 function",
         "I1_nu(z) = (z/2)^nu/(q;q)_inf^2 sum_n (-1)^n q^binom(n+1,2) "
         "S_n(-q^{nu-n}) / (1 - z^2 q^n/4)",
-        ("numeric",), (("z", "off the pole lattice"),), tol_shift=15,
-        check=_chk_bessel_ml),
+        (("z", "off the pole lattice"),), tol_shift=15,
+        fixed_q=("0.3", "0.25"),
+        numeric=Check(_bessel_ml, params={
+            "z": "{1, 3}", "note": "z=3 is outside the |z|<2 disk"})),
     IdentityEntry(
         "bessel-i-vs-j", "imaginary-argument rotation",
         "I_nu(z) = e^{-i nu pi/2} J_nu(iz), kinds 1 and 2",
-        ("numeric",), (("draws", "10"),), check=_chk_bessel_ivsj),
+        (("draws", "10"),),
+        numeric=Check(_bessel_ivsj, sampler=_each(10, lambda rng: {
+            "nu": F(rng.randint(1, 60), 20), "z": F(rng.randint(2, 18), 10),
+            "kind": rng.choice((1, 2))}), params={"draws": "10 per q"})),
     IdentityEntry(
         "bessel-asymptotic", "large-argument main term",
         "I2_nu(r) ~ (r/2)^nu (q^{1/2};q)_inf/(2 (q;q)_inf) "
         "[(r q^{(nu+1/2)/2}/2; q^{1/2})_inf + (-...; q^{1/2})_inf]",
-        ("numeric",), (("r", "q^{-j}, j = 4..10"),), fixed_q=("0.5",),
-        check=_chk_bessel_asymptotic,
-        note="trend property only; the bracket is read as exactly two "
-             "products (trailing comma ignored)"),
+        (("r", "q^{-j}, j = 4..10"),), fixed_q=("0.5",),
+        numeric=Check(_bessel_asymptotic,
+                      params={"q": "0.5", "r": "q^-j, j=4..10"},
+                      note="trend property only: |I/main - 1| strictly "
+                           "decreasing; no absolute tolerance is claimed")),
     IdentityEntry(
         "lommel-i", "ladder relation for the kind-2 function",
         "(-1)^n q^{n nu + n(n-1)/2} I2_{nu+n}(x) = p_{n,nu}(1/x) I2_nu(x) "
         "- p_{n-1,nu+1}(1/x) I2_{nu-1}(x)",
-        ("numeric",), (("n", "0..6"),), check=_partial(_chk_lommel, "i")),
+        (("n", "0..6"),),
+        numeric=Check(
+            lambda ctx, n: qb.lommel_relation_residual(
+                n, F(2, 5), mp.mpf("1.5"), ctx),
+            grid(n=range(7)),
+            params={"n": "<=6", "nu": "2/5", "x": "1.5"})),
     IdentityEntry(
         "lommel-j", "ladder relation, alternating form",
         "q^{n nu + n(n-1)/2} J2_{nu+n}(x) = h_{n,nu}(1/x) J2_nu(x) "
         "- h_{n-1,nu+1}(1/x) J2_{nu-1}(x)",
-        ("numeric",), (("n", "1..6"),), check=_partial(_chk_lommel, "j")),
+        (("n", "1..6"),),
+        numeric=Check(
+            lambda ctx, n: qb.lommel_relation_j_residual(
+                n, F(2, 5), mp.mpf("1.5"), ctx),
+            grid(n=range(1, 7)),
+            params={"n": "1..6", "nu": "2/5", "x": "1.5"})),
     IdentityEntry(
         "sw-lommel-special", "ladder relation pinched to the S_n lattice",
         "(-1)^n q^{n(n+2nu+k-1)/2} S_k(-q^{nu+n}) = p_{n,nu+k}(q^{k/2}/2) "
         "S_k(-q^nu) - q^{k/2} p_{n-1,nu+k+1}(q^{k/2}/2) S_k(-q^{nu-1})",
-        ("numeric",), (("n", "1..4"), ("k", "1..3")),
-        check=_chk_sw_lommel_special),
+        (("n", "1..4"), ("k", "1..3")),
+        numeric=Check(
+            lambda ctx, n, k: qp.sw_lommel_special_residual(
+                n, F(2, 5), k, ctx),
+            grid(n=range(1, 5), k=(1, 2, 3)),
+            params={"n": "1..4", "k": "1..3"})),
     IdentityEntry(
         "psi11", "bilateral binomial sum and its product form",
         "sum (a;q)_n/(b;q)_n z^n = (q, b/a, az, q/az;q)_inf "
         "/ (b, q/a, z, b/az;q)_inf on |b/a| < |z| < 1",
-        ("numeric",), (("(a,b,z)", "annulus with margin 1/20"),),
-        complex_ok=True, check=_chk_psi11),
+        (("(a,b,z)", "annulus with margin 1/20"),), complex_ok=True,
+        numeric=Check(
+            lambda ctx, a, b, z: (
+                qf.psi_1_1(to_mp(a), to_mp(b), to_mp(z), ctx).value,
+                qf.psi_1_1_product(to_mp(a), to_mp(b), to_mp(z), ctx)),
+            sampler=_each(10, lambda rng: dict(zip("abz", annulus_pair(rng)))),
+            params={"draws": "10 per q inside |b/a|+1/20 < |z| < 19/20"})),
     IdentityEntry(
         "ms-1", "alternating pair convolution, finite",
         "sum_k r_k r_{n-k} (-1)^k = 0 (odd) or (a^2;q^2)_m/(q^2;q^2)_m",
-        ("exact",), (("n", "0..30"), ("a", "3 rational samples")),
-        check=_chk_ms1),
+        (("n", "0..30"), ("a", "3 rational samples")),
+        exact=Check(lambda a, n: qf.pair_convolution_sides(n, a, F(1, 2)),
+                    grid(n=range(31)),
+                    sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)),
+                    params={"a": EVALUATED, "n": "0..30", "q": "1/2"})),
     IdentityEntry(
         "ms-2", "cube-root pair convolution, finite",
         "triple convolution with w^{k+2l} = 0 (3 not | n) or "
         "(a^3;q^3)_m/(q^3;q^3)_m",
-        ("exact",), (("n", "0..30"), ("a", "3 rational samples")),
-        check=_chk_ms2),
+        (("n", "0..30"), ("a", "3 rational samples")),
+        exact=Check(lambda a, n: qf.cube_convolution_sides(n, a, F(1, 3)),
+                    grid(n=range(31)),
+                    sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)),
+                    params={"a": EVALUATED, "n": "0..30", "q": "1/3"},
+                    note="exact arithmetic in Q(w), w a primitive cube root "
+                         "of 1")),
     IdentityEntry(
         "ms-3", "alternating pair convolution, bilateral",
         "slice sum over j+k=n of (a)_j(a)_k(-1)^k/((b)_j(b)_k): zero for odd "
         "n, a product multiple of (a^2;q^2)_m/(b^2;q^2)_m for n=2m",
-        ("numeric",), (("n", "0..5"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms3),
+        (("n", "0..5"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx, n: qf.bilateral_pair_slice_sides(
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34),
+            grid(n=range(6)), params={"n": "0..5", "a": "0.5", "b": "0.1"})),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
         "bilateral slice sum with w^{k+2l} = 0 for 3 not dividing n",
-        ("numeric",), (("n", "{1,2,4,5}"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms4),
+        (("n", "{1,2,4,5}"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx, n: abs(qf.bilateral_cube_slice_sides(
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34)[0]),
+            grid(n=(1, 2, 4, 5)), params={"n": "{1,2,4,5}"},
+            note="slice sums with 3 not dividing n vanish")),
     IdentityEntry(
         "ms-5", "cube-root triple slices at multiples of 3",
         "bilateral slice sum = cubed prefactor * (a^3;q^3)_m/(b^3;q^3)_m",
-        ("numeric",), (("n", "{0,3,6}"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms5),
+        (("n", "{0,3,6}"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx, n: qf.bilateral_cube_slice_sides(
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34),
+            grid(n=(0, 3, 6)), params={"n": "{0,3,6}"},
+            note="subscript-free factors read as infinite products; the "
+                 f"(.;q^3)_1 reading deviates by {LITERAL}",
+            literal=Reading(_ms5_single_factor, decides=False))),
     IdentityEntry(
         "ms-6", "alpha-family reductions",
-        "A^(1)(q;t) = omega(t;q); A^(1)(0;t) = A_q(-t); "
-        "A_{q^2}^(2)(q^2;t^2) = omega(t^2;q^4)",
-        ("formal", "numeric"), (("t", "sampled"),), check=_chk_ms6),
+        "A^(1)(q;t) = qf.omega(t;q); A^(1)(0;t) = A_q(-t); "
+        "A_{q^2}^(2)(q^2;t^2) = qf.omega(t^2;q^4)",
+        (("t", "sampled"),),
+        formal=Check(_ms6_formal, grid(a=((1, 1), None)),
+                     params={"t": "2/3"}, order=60,
+                     note="a=q and a=0 reductions of the alpha-family"),
+        numeric=Check(_ms6_numeric, params={"t": "0.6"})),
     IdentityEntry(
         "ms-7", "square-argument expansion, unilateral",
         "A_{q^2}^{(2a)}(a^2;t^2) = sum_j r_j q^{a j^2} (-t)^j "
         "A^{(a)}(a; t q^{2aj})",
-        ("numeric",), (("alpha", "{1, 1/2}"),), tol_shift=25, check=_chk_ms7),
+        (("alpha", "{1, 1/2}"),), tol_shift=25,
+        numeric=Check(
+            lambda ctx, alpha: qf.square_master_sides(
+                alpha, mp.mpf("0.5"), mp.mpf("0.6"), ctx),
+            grid(alpha=(F(1), F(1, 2))),
+            params={"alpha": "{1, 1/2}", "a": "0.5", "t": "0.6"})),
     IdentityEntry(
         "ms-8", "cube-argument expansion, unilateral",
         "A_{q^3}^{(3a)}(a^3;t^3) = double sum with w^k weights and w^2-twisted "
         "inner argument",
-        ("numeric",), (("alpha", "1"),), tol_shift=25, check=_chk_ms8),
+        (("alpha", "1"),), tol_shift=25,
+        numeric=Check(
+            lambda ctx: qf.cube_master_sides(
+                1, mp.mpf("0.5"), mp.mpf("0.6"), ctx),
+            params={"alpha": "1", "a": "0.5", "t": "0.6"})),
     IdentityEntry(
         "ms-10", "bilateral alpha-family: definition and collapse",
         "B^(a)(a,q;x) loses its negative tail and equals A^(a)(a;x)",
-        ("numeric",), (("alpha", "1"),), check=_chk_ms10),
+        (("alpha", "1"),),
+        numeric=Check(_ms10, params={
+            "reduction": "b=q collapses to the unilateral alpha-family"})),
     IdentityEntry(
         "ms-11", "square-argument expansion, bilateral",
         "prefactored B_{q^2}^{(2a)}(a^2,b^2;x^2) = bilateral j-sum of "
         "twisted B evaluations",
-        ("numeric",), (("alpha", "1"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms11),
+        (("alpha", "1"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx: qf.square_bilateral_master_sides(
+                1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx),
+            params={"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
+            note="sampled with |b/a| < 1 so the outer bilateral sum "
+                 "converges absolutely")),
     IdentityEntry(
         "ms-12", "cube-argument expansion, bilateral",
         "B_{q^3}^{(3a)}(a^3,b^3;x^3) = prefactor * double bilateral sum",
-        ("numeric",), (("alpha", "1"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms12,
-        note="inner argument needs the w^2 twist (as in the unilateral case)"),
+        (("alpha", "1"),), **_MS_SLICE,
+        numeric=Check(
+            _ms12(corrected=True),
+            params={"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
+            note="as printed, the inner argument misses the w^2 twist "
+                 "carried by its unilateral counterpart; literal residual "
+                 + LITERAL,
+            literal=Reading(_ms12(corrected=False), first_q_only=True))),
     IdentityEntry(
         "ms-13", "theta quotient over simple poles, squared",
         "pref * sum q^{4n^2} x^{2n}/(1-a^2 q^{2n}) = double pole-sum",
-        ("numeric",), (("x", "q < |x| < 1"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms13),
+        (("x", "q < |x| < 1"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx: qf.theta_pair_sides(
+                mp.mpf("0.5"), mp.mpf("0.6"), ctx, digits=34),
+            params={"a": "0.5", "x": "0.6"})),
     IdentityEntry(
         "ms-14", "imaginary specialization of the squared theta quotient",
         "(q,q;q)_inf/(-q,-q;q)_inf sum q^{4n^2}x^{2n}/(1+q^{2n+1}) = "
         "double pole-sum over 1 + i q^{j+1/2}",
-        ("numeric",), (("x", "q < |x| < 1"),), tol_shift=25, q_cap=0.3,
-        check=_chk_ms14),
+        (("x", "q < |x| < 1"),), **_MS_SLICE,
+        numeric=Check(
+            lambda ctx: qf.theta_pair_imag_sides(
+                mp.mpf("0.6"), ctx, digits=34),
+            params={"x": "0.6"},
+            note="denominators 1 + i q^{j+1/2}; numeric mode only")),
     IdentityEntry(
         "ms-15", "theta quotient over simple poles, cubed",
         "sum q^{9n^2}x^{3n}/(1-a^3q^{3n}) = pref * triple pole-sum",
-        ("numeric",), (("x", "q < |x| < 1"),), tol_shift=25, q_cap=0.3,
-        check=_partial(_chk_ms_triple, 15)),
+        (("x", "q < |x| < 1"),), **_MS_SLICE,
+        numeric=Check(_theta_triple("base"), ({"a": "0.5"},),
+                      params={"x": "0.6"})),
     IdentityEntry(
         "ms-16", "cubed theta quotient at the positive third-power point",
         "rearranged cube identity at a = q^{1/3}",
-        ("numeric",), (("x", "q < |x| < 1"),), tol_shift=25, q_cap=0.3,
-        check=_partial(_chk_ms_triple, 16)),
+        (("x", "q < |x| < 1"),), **_MS_SLICE,
+        numeric=Check(_theta_triple("split-left"), ({"a": QPow(1, F(1, 3))},),
+                      params={"x": "0.6"})),
     IdentityEntry(
         "ms-17", "cubed theta quotient at the negative third-power point",
         "cube identity at a = -q^{1/3} (denominators 1 + q^{j+1/3})",
-        ("numeric",), (("x", "q < |x| < 1"),), tol_shift=25, q_cap=0.3,
-        check=_partial(_chk_ms_triple, 17)),
+        (("x", "q < |x| < 1"),), **_MS_SLICE,
+        numeric=Check(_theta_triple("base"), ({"a": QPow(-1, F(1, 3))},),
+                      params={"x": "0.6"})),
     IdentityEntry(
         "sw-two-forms", "equivalence of the two defining sums for S_n",
         "binomial-weighted form equals the base-shifted form",
-        ("exact",), (("n", "0..15"),), check=_chk_sw_two_forms),
+        (("n", "0..15"),),
+        exact=Check(lambda x, n: (qp.stieltjes_wigert(n, x, F(1, 3)),
+                                  qp.stieltjes_wigert_second(n, x, F(1, 3))),
+                    grid(n=range(16)), sampler=_distinct("x", F(-2), F(2)),
+                    params={"x": EVALUATED, "n": "0..15", "q": "1/3"})),
     IdentityEntry(
         "sw-symmetry", "degree-reflection symmetry of S_n",
         "q^{n^2} (-t)^n S_n(q^{-2n}/t) = S_n(t)",
-        ("exact", "numeric"), (("t", "nonzero"),), check=_chk_sw_symmetry),
+        (("t", "nonzero"),),
+        exact=Check(lambda n: qp.sw_symmetry_residual(n, F(3, 7),
+                                                      F(1, 3)) == 0,
+                    grid(n=range(9)),
+                    params={"t": "3/7", "q": "1/3", "n": "0..8"}),
+        numeric=Check(
+            lambda ctx: qp.sw_symmetry_residual(
+                12, mp.mpf("1.4"), ctx.q),
+            params={"n": 12, "t": "1.4"})),
     IdentityEntry(
         "u-poly-def", "auxiliary polynomial matches the ladder family",
         "u_n(q^{k/2}, q^mu) = p_{n,mu}(q^{k/2}/2)",
-        ("exact",), (("n", "0..6"),), check=_chk_u_poly_def,
-        note="printed sum lacks the q^{j(j-1)} y^j weight"),
+        (("n", "0..6"),),
+        exact=Check(
+            lambda n, k: qp.u_poly(n, F(1, 2) ** k, F(1, 8), F(1, 4))
+            == qp.q_lommel_p(n, F(1, 2) ** k / 2, F(1, 4), F(1, 8)),
+            grid(n=range(7), k=range(4)), params={"n": "0..6", "k": "0..3"},
+            note="the printed u_n drops the q^{j(j-1)} y^j weight; with it, "
+                 "u_n(q^{k/2}, q^mu) equals the ladder polynomial at "
+                 "q^{k/2}/2 exactly",
+            literal=Reading(lambda: (
+                qp.u_poly(2, F(1, 2), F(1, 8), F(1, 4), weighted=False),
+                qp.u_poly(2, F(1, 2), F(1, 8), F(1, 4)))))),
     IdentityEntry(
         "sw-functional", "argument-shift functional equation",
         "y^n q^{n(n+k-1)/2} S_k(y q^n) = u_n(q^{k/2},-yq^k) S_k(y) "
         "- q^{k/2} u_{n-1}(q^{k/2},-yq^{k+1}) S_k(y/q)",
-        ("exact", "numeric"), (("k", "0..4"), ("n", "0..5")),
-        check=_chk_sw_functional),
+        (("k", "0..4"), ("n", "0..5")),
+        exact=Check(
+            lambda k, n: qp.sw_functional_residual(
+                k, F(2, 5), n, F(1, 4), F(1, 2)) == 0,
+            grid(k=range(5), n=range(6)),
+            params={"k": "0..4", "n": "0..5", "q": "1/4", "y": "2/5"}),
+        numeric=Check(
+            lambda ctx, sq, n: qp.sw_functional_residual(
+                3, mp.mpf("-0.21"), n, ctx.q, sq),
+            grid(n=range(1, 6)),
+            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)},
+            params={"k": 3, "n": "1..5", "y": "-0.21"})),
     IdentityEntry(
         "sw-inversion", "inverting the shift: S_k(y) from shifted values",
         "S_k(y) = [A_n u_n(q^{k/2},-yq^{k+1}) - A_{n+1} "
         "u_{n-1}(q^{k/2},-yq^{k+1})] / Delta_n",
-        ("exact", "numeric"), (("Delta_n", "nonzero"),),
-        check=_chk_sw_inversion),
+        (("Delta_n", "nonzero"),),
+        exact=Check(
+            _sw_inversion_exact, params={"k": 2, "y": "1/3", "n": 1,
+                                         "q": "1/4"},
+            note="second numerator must read u_{n-1} with argument y q^{n+1} "
+                 "(from solving the 2x2 system); the determinant display "
+                 "itself is correct and matches the system determinant",
+            literal=Reading(lambda: qp.sw_inversion_sides(
+                2, F(1, 3), 1, F(1, 4), F(1, 2), "literal"))),
+        numeric=Check(
+            _sw_inversion_numeric("corrected"), grid(n=(1, 2)),
+            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q),
+                                 "y": -ctx.q ** mp.mpf("0.7")},
+            params={"y": "-q^0.7", "k": 2, "n": "1..2"},
+            note="literal reading evaluated at y = -q^nu where its "
+                 f"S-argument is well defined; residual {LITERAL}",
+            literal=Reading(_sw_inversion_numeric("literal"),
+                            grid(n=(1, 2))))),
     IdentityEntry(
         "finite-qbinom", "finite binomial expansion of (x;q)_n",
         "(x;q)_n = sum_j gauss(n,j) (-x)^j q^binom(j,2)",
-        ("exact",), (("n", "0..12"),), check=_chk_finite_qbinom),
+        (("n", "0..12"),),
+        exact=Check(lambda x, n: qp.finite_qbinom_sides(n, x, F(1, 3)),
+                    grid(n=range(13)), sampler=_distinct("x", F(-2), F(2)),
+                    params={"x": EVALUATED, "n": "0..12"},
+                    note="exponent read as binom(j,2) over the summation "
+                         "index")),
     IdentityEntry(
         "st-5.1", "two-factor product generates S_n at shifted arguments",
         "(xt, -t; q)_inf = sum_n q^binom(n,2) t^n S_n(x q^{-n})",
-        ("formal", "numeric"), (("x, t", "rational samples"),),
-        check=_chk_st51),
+        (("x, t", "rational samples"),),
+        formal=Check(lambda ctx, x, t: qp.st_5_1_diff_formal(x, t, ctx),
+                     sampler=_each(3, lambda rng: {
+                         "x": rational_in(rng, F(-1), F(1)),
+                         "t": rational_in(rng, F(-1), F(1))}),
+                     params={"samples": 3, "order": EVALUATED}, order=60),
+        numeric=Check(lambda ctx: qp.st_5_1_sides(mp.mpf("0.4"),
+                                                  mp.mpf("0.6"), ctx),
+                      params={"x": "0.4", "t": "0.6"})),
     IdentityEntry(
         "st-5.2", "monomial reconstruction from shifted S_k",
         "q^binom(n,2) x^n/(q;q)_n = sum_k (-1)^k q^binom(k,2) "
         "S_k(x q^{-k})/(q;q)_{n-k}",
-        ("exact",), (("n", "0..12"),), check=_chk_st52),
+        (("n", "0..12"),),
+        exact=Check(lambda n: qp.st_5_2_sides(n, F(2, 3), F(1, 4)),
+                    grid(n=range(13)),
+                    params={"x": "2/3", "q": "1/4", "n": "0..12"})),
     IdentityEntry(
         "st-5.3", "S_n expanded over the entire function",
         "S_n(x) = sum_k q^binom(k+1,2) (x q^n)^k A_q(x q^k) "
         "/ ((q;q)_n (q;q)_k)",
-        ("numeric",), (("n", "{0,2,4}"),), check=_chk_st53),
+        (("n", "{0,2,4}"),),
+        numeric=Check(lambda ctx, n: qp.st_5_3_sides(n, mp.mpf("0.7"), ctx),
+                      grid(n=(0, 2, 4)), params={"n": "{0,2,4}", "x": "0.7"},
+                      note="faithful transcription passes as printed")),
     IdentityEntry(
         "st-5.4", "argument-product expansion",
         "S_n(ab) = b^n sum_k (1/b;q)_k (-q^{1-n})^k q^binom(k,2) "
         "S_{n-k}(a q^k) / (q;q)_k",
-        ("exact", "numeric"), (("n", "0..9"),), check=_chk_st54),
+        (("n", "0..9"),),
+        exact=Check(lambda n: qp.st_5_4_sides(n, F(2, 5), F(3, 4), F(1, 3)),
+                    grid(n=range(10)),
+                    params={"a": "2/5", "b": "3/4", "q": "1/3", "n": "0..9"}),
+        numeric=Check(lambda ctx: qp.st_5_4_sides(5, mp.mpf("0.4"),
+                                                  mp.mpf("0.75"), ctx.q),
+                      params={"n": 5})),
     IdentityEntry(
         "st-5.5", "tail-product expansion",
         "S_n(a) = (-aq;q)_inf/((q;q)_n (-aq;q)_n) sum_k q^{k^2} (-a)^k "
         "/ ((q;q)_k (-aq^{n+1};q)_k)",
-        ("numeric",), (("n", "{0,1,4}"),), check=_chk_st55),
+        (("n", "{0,1,4}"),),
+        numeric=Check(lambda ctx, n: qp.st_5_5_sides(n, mp.mpf("0.6"), ctx),
+                      grid(n=(0, 1, 4)), params={"n": "{0,1,4}", "a": "0.6"})),
     IdentityEntry(
         "st-5.6-even", "even special value on the lattice",
         "S_{2n}(q^{-2n}) = (-1)^n q^{-n^2} / (q^2;q^2)_n",
-        ("formal",), (("n", "0..5"),), check=_partial(_chk_st56, "even")),
+        (("n", "0..5"),),
+        formal=Check(lambda ctx, n: qp.st_5_6_even_diff_formal(n, ctx),
+                     grid(n=range(6)), params={"n": "0..5"}, order=50)),
     IdentityEntry(
         "st-5.6-odd", "odd lattice values vanish",
         "S_{2n+1}(q^{-2n-1}) = 0",
-        ("formal",), (("n", "0..5"),), check=_partial(_chk_st56, "odd")),
+        (("n", "0..5"),),
+        formal=Check(lambda ctx, n: qp.st_5_6_odd_formal(n, ctx),
+                     grid(n=range(6)), params={"n": "0..5"}, order=50)),
     IdentityEntry(
         "st-5.7", "half-power special value, upper sign",
         "S_n(-q^{-n+1/2}) = q^{-(n^2-n)/4} / (q^{1/2};q^{1/2})_n",
-        ("formal", "exact"), (("n", "0..8"),),
-        check=_partial(_chk_st5_half, 7)),
+        (("n", "0..8"),), **_st_5_half(7)),
     IdentityEntry(
         "st-5.8", "half-power special value, lower sign",
         "S_n(-q^{-n-1/2}) = q^{-(n^2+n)/4} / (q^{1/2};q^{1/2})_n",
-        ("formal", "exact"), (("n", "0..8"),),
-        check=_partial(_chk_st5_half, 8)),
+        (("n", "0..8"),), **_st_5_half(8)),
     IdentityEntry(
         "st-5.9", "double-argument expansion of the entire function",
         "A_q(wz) = (wq;q)_inf sum_n q^{n^2} w^n S_n(z q^{-n})/(wq;q)_n",
-        ("numeric",), (("w, z", "|w| < 1"),), check=_chk_st59),
+        (("w, z", "|w| < 1"),),
+        numeric=Check(lambda ctx: qp.st_5_9_sides(mp.mpf("0.5"),
+                                                  mp.mpf("0.8"), ctx),
+                      params={"w": "0.5", "z": "0.8"})),
     IdentityEntry(
         "st-10", "degree-shift expansion of the entire function",
         "A_q(z) = (q;q)_m sum_n q^{n^2+mn} (-z)^n S_m(z q^n)/(q;q)_n",
-        ("exact", "numeric"), (("m", "{0,1,3}"),), check=_chk_st10),
+        (("m", "{0,1,3}"),),
+        exact=Check(lambda m, n: (qf.phi21_terminating_exact(m, n, F(1, 3)),
+                                  F(1, 3) ** (-m * n)),
+                    grid(m=range(9), n=range(9)), params={"m,n": "0..8"},
+                    note="the terminating inner series collapses to "
+                         "q^{-mn}"),
+        numeric=Check(lambda ctx, m: qp.st_10_sides(m, mp.mpf("0.5"), ctx),
+                      grid(m=(0, 1, 3)), params={"m": "{0,1,3}", "z": "0.5"})),
     IdentityEntry(
         "sw-hermite", "bridge to the inverse-base Hermite family",
         "(q;q)_n S_n(e^{-2xi} q^{-n}) = e^{-n xi} h_n(sinh xi | q)",
-        ("exact", "numeric"), (("E = e^xi", "rational samples"),),
-        check=_chk_sw_hermite,
-        note="printed form lacks the e^{-n xi} factor"),
+        (("E = e^xi", "rational samples"),),
+        exact=Check(
+            lambda E, n: qp.sw_as_hermite_residual(n, E, F(1, 3)) == 0,
+            grid(n=range(11)),
+            sampler=_distinct("E", F(1, 2), F(3), avoid=(F(1),)),
+            params={"E": EVALUATED, "n": "0..10"},
+            note="as printed the bridge omits the e^{-n xi} factor; with it "
+                 "the two finite sums agree term by term",
+            literal=Reading(lambda E, n: qp.sw_as_hermite_residual(
+                n, E, F(1, 3), reading="literal") == 0, grid(n=(2,)))),
+        numeric=Check(
+            lambda ctx, e, n: qp.sw_as_hermite_residual(n, e, ctx.q),
+            grid(n=range(11)),
+            prepare=lambda ctx: {"e": mp.e ** mp.mpf("0.35")},
+            params={"xi": "0.35", "n": "0..10"},
+            note=f"literal residual {LITERAL}",
+            literal=Reading(lambda ctx, e, n: qp.sw_as_hermite_residual(
+                n, e, ctx.q, "literal"), grid(n=(3,))))),
     IdentityEntry(
         "hermite-gf", "quarter-power generating function",
         "sum_n (q;q)_n q^{n^2/4} t^n S_n(z q^{-n})/(q^{1/2};q^{1/2})_n = "
         "(-t q^{1/4}, t q^{1/4} z; q^{1/2})_inf / (-t^2 z; q)_inf",
-        ("numeric",), (("t", "small"),), check=_chk_hermite_gf,
-        note="sign of the z-carrying argument corrected"),
+        (("t", "small"),),
+        numeric=Check(
+            _hermite_gf("corrected"),
+            _HERMITE_GF_POINTS, params={"(t,z)": "{(0.15,0.5), (-0.12,0.7)}"},
+            note="unique passing sign pattern flips the z-carrying numerator "
+                 f"argument; literal residual {LITERAL}",
+            literal=Reading(_hermite_gf("literal"), _HERMITE_GF_POINTS))),
     IdentityEntry(
         "poisson-kernel", "bilinear kernel for shifted S_n pairs",
         "sum_n (q;q)_n q^binom(n,2) t^n S_n(z q^{-n}) S_n(zeta q^{-n}) = "
         "(-t, -t z zeta, tz, t zeta; q)_inf / (t^2 z zeta/q; q)_inf",
-        ("numeric",), (("t", "small"),), check=_chk_poisson),
+        (("t", "small"),),
+        numeric=Check(
+            lambda ctx: qp.poisson_kernel_sides(
+                mp.mpf("0.1"), mp.mpf("0.4"), mp.mpf("0.55"), ctx),
+            params={"t": "0.1", "z": "0.4", "zeta": "0.55"})),
     IdentityEntry(
         "GFhn0", "half-power series for the base-squared entire function",
         "A_{q^2}(-b^2) = (b sqrt(q); q)_inf sum_n q^{n^2/2} b^n "
         "/ ((q, b sqrt(q); q)_n)",
-        ("formal", "numeric"), (("b", "rational samples"),),
-        check=_chk_gfhn0),
+        (("b", "rational samples"),),
+        formal=Check(lambda ctx, b: qp.gfhn0_diff_formal(b, ctx),
+                     sampler=_each(3, lambda rng: {
+                         "b": rational_nonzero(rng, F(-1), F(1))}),
+                     params={"samples": 3, "D": 2}, order=60, D=2),
+        numeric=Check(lambda ctx, b: qp.gfhn0_sides(b, ctx),
+                      grid(b=("0.7", "-0.4")), params={"b": "{0.7, -0.4}"})),
 )
 
 _BY_ID = {e.id: e for e in ENTRIES}
@@ -1344,44 +816,19 @@ def list_identities():
     return sorted(ENTRIES, key=lambda e: e.id)
 
 
-# Samplers behind sample_params, for the entries that draw parameters.
-_PARAM_SAMPLERS = {
-    "psi11": lambda rng: dict(zip(("a", "b", "z"), annulus_pair(rng))),
-    "heine": lambda rng: (lambda b: {
-        "b": b,
-        "c": b * rational_in(rng, F(1, 10), F(17, 20)),
-        "a": rational_in(rng, F(1, 20), F(9, 10)),
-        "z": rational_in(rng, F(1, 20), F(9, 10)),
-    })(rational_in(rng, F(3, 10), F(9, 10))),
-    "ms-1": lambda rng: {"a": distinct_rationals(rng, 3, F(1, 10), F(3, 2),
-                                                 avoid=(F(1),))},
-    "ms-2": lambda rng: {"a": distinct_rationals(rng, 3, F(1, 10), F(3, 2),
-                                                 avoid=(F(1),))},
-    "um-recurrence": lambda rng: {
-        "a": pole_avoiding(rng, F(3, 10), F(1, 10), F(2))},
-    "um-mform": lambda rng: {
-        "a": pole_avoiding(rng, F(3, 10), F(1, 10), F(2))},
-    "sw-two-forms": lambda rng: {"x": distinct_rationals(rng, 3, F(-2), F(2))},
-    "finite-qbinom": lambda rng: {"x": distinct_rationals(rng, 3, F(-2), F(2))},
-    "st-5.1": lambda rng: {"x": rational_in(rng, F(-1), F(1)),
-                           "t": rational_in(rng, F(-1), F(1))},
-    "GFhn0": lambda rng: {"b": rational_in(rng, F(-1), F(1))},
-}
+def sample_params(entry, seed: int, mode: str | None = None) -> dict:
+    """The first draw a check evaluates, from the check's own sampler.
 
-
-def sample_params(entry, seed: int, mode: str = "numeric") -> dict:
-    """Deterministic parameter assignment for one entry.
-
-    Entries with random draws use their registered sampler (rational values
-    strictly inside their domains, margins >= 1/20, pole sets avoided by
-    rejection); entries with fixed grids return those as declared.
+    ``mode`` defaults to the first of the entry's modes that samples.
+    Entries that evaluate fixed grids only return their declared domains.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
-    sampler = _PARAM_SAMPLERS.get(entry.id)
-    if sampler is None:
-        return dict(entry.domains)
-    return sampler(entry_rng(seed, entry.id, mode))
+    for m in [mode] if mode else entry.modes:
+        chk = getattr(entry, m, None)
+        if chk is not None and chk.sampler is not None:
+            return chk.sampler(entry_rng(seed, entry.id, m))[0]
+    return dict(entry.domains)
 
 
 def get_entry(entry_id: str) -> IdentityEntry:

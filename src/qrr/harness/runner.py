@@ -11,7 +11,8 @@ from datetime import datetime, timezone
 import mpmath as mp
 
 from ..errors import ConfigError, QrrError, UnsupportedModeError
-from .registry import RunSettings, get_entry, list_identities
+from .driver import RunSettings
+from .registry import get_entry, list_identities
 from .report import IdentityReport, emit_report
 
 _CONFIG_KEYS = {"ids", "modes", "q", "precision", "order", "seed",

@@ -1,8 +1,8 @@
 """Deterministic rational parameter sampling for identity checks.
 
 All draws are Fractions strictly inside their stated domains with a margin,
-so annulus and pole constraints hold with room to spare; a fixed seed
-reproduces the exact same assignment.
+so annulus constraints hold with room to spare; a fixed seed reproduces the
+exact same assignment.
 """
 
 from __future__ import annotations
@@ -63,16 +63,3 @@ def distinct_rationals(rng: random.Random, count: int, lo, hi,
             raise EmptyDomainError("could not find enough distinct samples")
     return out
 
-
-def pole_avoiding(rng: random.Random, q: Fraction, lo, hi, depth: int = 40,
-                  den: int = 48) -> Fraction:
-    """Rational a with every factor 1 - a q^{-j} (j <= depth) bounded away
-    from zero: rejection sampling against the exact pole set a = q^{j}, with
-    the stated margin scaled per pole."""
-    poles = [q ** -j for j in range(1, depth + 1) if abs(q) ** -j <= hi * 2]
-    poles += [q ** j for j in range(0, depth + 1) if q ** j >= lo / 2]
-    for _ in range(256):
-        a = rational_in(rng, lo, hi, den)
-        if all(abs(a - p) > MARGIN * max(Fraction(1), abs(p)) for p in poles):
-            return a
-    raise EmptyDomainError("pole-avoiding sampling exhausted its attempts")

@@ -2,8 +2,10 @@
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 from qrr import ConfigError, UnknownIdentityError, UnsupportedModeError
@@ -12,6 +14,10 @@ from qrr.harness import (CENSUS, ENTRIES, RunSettings, SuiteConfig,
                          emit_report, get_entry, list_identities,
                          parse_report, planned_checks, run_check, run_info,
                          run_suite, sample_params)
+from qrr.formal import FormalSeries
+from qrr.harness.driver import (COMPLEX_Q, EVALUATED, LITERAL, Check,
+                                IdentityEntry, Reading, grid, run_entry,
+                                status)
 from qrr.harness.sampling import annulus_pair, entry_rng, rational_in
 
 FAST_IDS = ["st-5.7", "sw-symmetry", "finite-qbinom", "schur-cd"]
@@ -91,16 +97,148 @@ def test_sample_params_annulus_and_determinism():
     assert sample_params("psi11", 43) != draw
 
 
-def test_sample_params_avoids_poles():
-    # factors 1 - a q^{-j} of (aq;q)_n must stay bounded away from zero
-    q = F(3, 10)
-    for seed in range(8):
-        a = sample_params("um-recurrence", seed)["a"]
-        for j in range(1, 40):
-            if abs(q) ** -j > 4:
-                break
-            assert abs(1 - a * q ** -j) > 0
-            assert abs(a - q ** -j) > F(1, 20) * max(F(1), q ** -j)
+class _FirstPoint(Exception):
+    pass
+
+
+def _first_point(entry, mode, seed):
+    """The keyword point the check passes to its sides callable first."""
+    chk = getattr(entry, mode)
+
+    def spy(*args, **point):
+        raise _FirstPoint(point)
+
+    spied = replace(entry, **{mode: replace(chk, sides=spy)})
+    with pytest.raises(_FirstPoint) as caught:
+        run_entry(spied, mode, RunSettings(seed=seed))
+    return caught.value.args[0]
+
+
+def test_sample_params_is_first_evaluated_point():
+    sampled = [(e, m) for e in ENTRIES for m in e.modes
+               if getattr(e, m).sampler is not None]
+    assert {(e.id, m) for e, m in sampled} >= {
+        ("psi11", "numeric"), ("heine", "numeric"), ("ms-1", "exact"),
+        ("GFhn0", "formal"), ("st-5.1", "formal"), ("sw-hermite", "exact")}
+    for entry, mode in sampled:
+        for seed in (0, 42, 20240809):
+            draw = sample_params(entry.id, seed, mode)
+            first = _first_point(entry, mode, seed)
+            assert {k: first[k] for k in draw} == draw, (entry.id, mode, seed)
+    # grid entries draw nothing: they report their declared domains
+    for entry_id in ("um-recurrence", "um-mform"):
+        entry = get_entry(entry_id)
+        assert entry.numeric.sampler is None
+        assert sample_params(entry_id, 3) == dict(entry.domains)
+
+
+def test_gfhn0_formal_runs_three_nonzero_samples():
+    entry = get_entry("GFhn0")
+    default = [d["b"] for d in entry.formal.sampler(
+        entry_rng(20240809, "GFhn0", "formal"))]
+    assert default == [F(-7, 24), F(-11, 24), F(-17, 48)]
+    for seed in (42, 20240809):
+        seen = []
+
+        def sides(ctx, b, real=entry.formal.sides):
+            seen.append(b)
+            return real(ctx, b=b)
+
+        spied = replace(entry, formal=replace(entry.formal, sides=sides))
+        outcome = run_entry(spied, "formal", RunSettings(seed=seed))
+        assert outcome.status == "PASS" and outcome.params["samples"] == 3
+        assert len(seen) == 3 and 0 not in seen, (seed, seen)
+
+
+def _stub(**fields):
+    return IdentityEntry("stub", "stub", "stub", **fields)
+
+
+def test_driver_numeric_tolerance_follows_tol_shift():
+    rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
+    assert rc.tol(5) == mp.mpf(10) ** -15
+    for residual, status in (("5e-16", "PASS"), ("2e-15", "FAIL")):
+        entry = _stub(tol_shift=5, numeric=Check(
+            lambda ctx, r: r, grid(r=("1e-30", residual)),
+            params={"q": EVALUATED, "r": "fixed"}))
+        out = entry.check("numeric", rc)
+        assert out.status == status
+        assert mp.nstr(out.deviation, 3) == mp.nstr(mp.mpf(residual), 3)
+        assert out.params == {"q": ["0.2", "0.3"], "r": "fixed"}
+    # a (lhs, rhs) pair is folded by scale-aware deviation
+    entry = _stub(numeric=Check(lambda ctx: (ctx.q, ctx.q)))
+    assert entry.check("numeric", rc).status == "PASS"
+
+
+def test_driver_literal_readings():
+    rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
+    calls = []
+
+    def literal(ctx, r):
+        calls.append(ctx.q)
+        return r
+
+    def entry(literal_residual, **reading):
+        return _stub(numeric=Check(
+            lambda ctx: mp.mpf(0), note=f"literal residual {LITERAL}",
+            literal=Reading(literal, grid(r=(literal_residual,)),
+                            **reading)))
+
+    out = entry("0.25").check("numeric", rc)
+    assert out.status == "DISCREPANCY_DOCUMENTED"
+    assert out.note == "literal residual 0.25"
+    assert entry("1e-40").check("numeric", rc).status == "PASS"
+    # a literal reading that does not decide is only quoted in the note
+    assert entry("0.25", decides=False).check("numeric", rc).status == "PASS"
+    calls.clear()
+    entry("0.25", first_q_only=True).check("numeric", rc)
+    assert len(calls) == 1
+    assert status(False, False) == "FAIL" and status(False) == "FAIL"
+    assert status(True) == "PASS" and status(False, True) == "PASS"
+
+
+def test_literal_note_reports_worst_q():
+    # ms-5 quotes the worst literal deviation over q, whatever the q order
+    out = run_check("ms-5", "numeric", RunSettings(q_values=("0.3", "0.2")))
+    assert out.status == "PASS"
+    assert out.note.endswith("deviates by 0.000971"), out.note
+
+
+def test_driver_exact_fail_names_point():
+    entry = _stub(exact=Check(lambda a, n: (n, n if n != 3 else -1),
+                              grid(n=range(6)),
+                              sampler=lambda rng: [{"a": F(1, 2)}],
+                              params={"a": EVALUATED, "n": "0..5"}))
+    out = entry.check("exact", RunSettings())
+    assert out.status == "FAIL" and out.deviation is None
+    assert out.params == {"a": F(1, 2), "n": 3}
+    ok = _stub(exact=Check(lambda n: n == n, grid(n=range(3)),
+                           params={"n": "0..2"})).check("exact", RunSettings())
+    assert ok.status == "PASS" and ok.deviation == 0
+
+
+def test_driver_formal_reports_first_differing_coefficient():
+    def diff(ctx, n):
+        return FormalSeries(ctx.base_exponent, ctx.u_order,
+                            [0] * 4 + [n] if n else [])
+
+    entry = _stub(formal=Check(diff, grid(n=(0, 5, 7)), order=10, D=2,
+                               params={"order": EVALUATED}))
+    out = entry.check("formal", RunSettings())
+    assert out.status == "FAIL" and out.first_diff == 4
+    assert out.params == {"order": 10, "n": 5}
+
+
+def test_q_list_policies():
+    rc = RunSettings(q_values=("0.2", "0.5"))
+    assert _stub(fixed_q=("0.25",)).q_list(rc) == ["0.25"]
+    assert _stub(q_cap=0.3).q_list(rc) == ["0.2"]
+    assert _stub(q_cap=0.3).q_list(RunSettings(q_values=("0.5", "0.7"))) \
+        == ["0.3"]
+    assert _stub(complex_ok=True).q_list(rc) == ["0.2", "0.5", COMPLEX_Q]
+    assert _stub(fixed_q=("0.2", "0.5"), q_cap=0.3,
+                 complex_ok=True).q_list(rc) == ["0.2", COMPLEX_Q]
+    assert get_entry("bessel-asymptotic").q_list(rc) == ["0.5"]
 
 
 def test_sample_params_fixed_grid_entries():

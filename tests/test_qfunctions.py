@@ -8,7 +8,7 @@ import pytest
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  QContext, QPow)
 from qrr.context import powq
-from qrr.harness.registry import COMPLEX_Q
+from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (inv_pochhammer, pochhammer_finite,
                             pochhammer_infinite_value, pochhammer_ratio)
 from qrr.qfunctions import (a_alpha, a_alpha_formal, b_alpha,
