@@ -1,26 +1,35 @@
 """The three modified q-Bessel functions and their special-point machinery.
 
-Integer orders (of either sign) are evaluated through the prefactor-free
-form with double (q;q) denominators, which makes the reflection
-I^{(1,2)}_{-m} = I^{(1,2)}_m automatic; non-integer orders use the classical
-prefactor form.  The analytic continuation of kind 1, the order-generating
-function, the partial-fraction expansion and the large-argument main term
-all live here.
+Every kind, of either the I or the J form, sums the one series
+sum_n x^n q^{alpha n^2} / ((q;q)_n (q^{nu+1};q)_n), where the kind sets
+(alpha, x).  Integer orders take the prefactor (z/2)^m / (q;q)_m, negative
+integer orders of kinds 1 and 2 the reflection I_{-m} = I_m; other orders use
+the classical prefactor.  The analytic continuation of kind 1, the
+order-generating function, the partial-fraction expansion and the
+large-argument main term all live here.
+
+Every numeric series is defined by its term ratio, as in
+:mod:`qrr.qfunctions`: each term comes from the previous one by
+multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
+running streams that live for one sum.  Only the Stieltjes-Wigert values
+S_n(x q^{-n}) are evaluated afresh per term, since their degree moves with n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
+from operator import mul
 
 import mpmath as mp
 
 from .context import QContext, powq, to_mp
 from .errors import DomainError, PoleError
-from .pochhammer import QPow, pochhammer_finite, pochhammer_infinite_value
-from .qpolynomials import q_lommel_p, stieltjes_wigert
+from .pochhammer import QPow, _factors, pochhammer_finite, pochhammer_infinite_value
+from .qfunctions import _Q1, _bilateral, _gaussian, _inverse, _unilateral
+from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
+                           stieltjes_wigert)
 from .summation import sum_bilateral, sum_series
-
-_WEIGHTS = {1: lambda n, nu: 0, 2: lambda n, nu: n * (n + nu), 3: lambda n, nu: Fraction(n * (n - 1), 2)}
 
 
 def as_order(nu) -> Fraction:
@@ -30,85 +39,26 @@ def as_order(nu) -> Fraction:
     return Fraction(nu)
 
 
-def _is_int(nu) -> bool:
-    return isinstance(nu, int) or (isinstance(nu, Fraction) and nu.denominator == 1)
-
-
 def bessel_i(kind: int, nu, z, ctx: QContext):
     """Modified q-Bessel function of the given kind (1, 2, or 3).
 
     Kind 1 uses the defining series and is restricted to |z| < 2 (use
     :func:`i1_continued` beyond); kinds 2 and 3 are entire apart from the
     z^nu prefactor.  Negative integer orders are supported for kinds 1 and 2
-    via the double-factorial form.
+    through the reflection I_{-m} = I_m.
     """
     if kind not in (1, 2, 3):
         raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
     with ctx.workdps():
-        q = ctx.q
         zv = to_mp(z)
         if kind == 1 and abs(zv) >= 2:
             raise DomainError("kind-1 series needs |z| < 2; use i1_continued")
         nu = as_order(nu)
-        if _is_int(nu):
-            return _bessel_i_integer(kind, int(nu), zv, ctx)
-        return _bessel_i_generic(kind, nu, zv, ctx)
-
-
-def _bessel_i_integer(kind: int, m: int, zv, ctx: QContext):
-    if kind == 3 and m < 0:
-        raise DomainError("negative integer order implemented for kinds 1 and 2 only")
-    q = ctx.q
-    n0 = max(0, -m)
-    if zv == 0:
-        return mp.mpf(1) if m == 0 else mp.mpf(0)
-    half = zv / 2
-    base = (powq(q, _WEIGHTS[kind](n0, m)) * half ** (m + 2 * n0)
-            / (pochhammer_finite(q, q, n0) * pochhammer_finite(q, q, n0 + m)))
-    state = {"t": base, "i": 0}
-
-    def term(i):
-        assert i == state["i"]
-        t = state["t"]
-        n = n0 + i
-        if kind == 1:
-            wr = 1
-        elif kind == 2:
-            wr = q ** (2 * n + 1 + m)
-        else:
-            wr = q ** n
-        state["t"] = t * wr * half ** 2 / ((1 - q ** (n + 1))
-                                           * (1 - q ** (n + m + 1)))
-        state["i"] += 1
-        return t
-
-    return sum_series(term, ctx).value
-
-
-def _bessel_i_generic(kind: int, nu: Fraction, zv, ctx: QContext):
-    q = ctx.q
-    qnu1 = QPow(1, nu + 1)
-    pref = pochhammer_infinite_value(qnu1, q, ctx) / pochhammer_infinite_value(q, q, ctx)
-    if zv == 0:
-        if nu > 0:
-            return mp.mpf(0)
-        raise DomainError("z = 0 with negative non-integer order")
-    half = zv / 2
-    zpow = mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
-    w = _WEIGHTS[kind]
-    state = {"r": mp.mpf(1)}
-
-    def term(n):
-        r = state["r"]
-        fq = 1 - q ** (n + 1)
-        fnu = 1 - powq(q, nu + 1 + n)
-        if fnu == 0:
-            raise PoleError(f"(q^(nu+1);q)_{n + 1} vanished")
-        state["r"] = r * half ** 2 / (fq * fnu)
-        return r * powq(q, w(n, nu))
-
-    series = sum_series(term, ctx).value
-    return pref * zpow * series
+        if nu < 0 and nu.denominator == 1:
+            if kind == 3:
+                raise DomainError("negative integer order implemented for kinds 1 and 2 only")
+            nu = -nu
+        return _bessel(kind, nu, zv, 1, ctx)
 
 
 def bessel_j(kind: int, nu, z, ctx: QContext):
@@ -116,29 +66,43 @@ def bessel_j(kind: int, nu, z, ctx: QContext):
     if kind not in (1, 2):
         raise DomainError("kinds 1 and 2 only")
     with ctx.workdps():
-        q = ctx.q
         zv = to_mp(z)
         if kind == 1 and abs(zv) >= 2:
             raise DomainError("kind-1 series needs |z| < 2")
-        nu = as_order(nu)
-        qnu1 = QPow(1, nu + 1)
-        pref = pochhammer_infinite_value(qnu1, q, ctx) / pochhammer_infinite_value(q, q, ctx)
-        half = zv / 2
-        zpow = mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
-        w = _WEIGHTS[kind]
-        state = {"r": mp.mpf(1)}
+        return _bessel(kind, as_order(nu), zv, -1, ctx)
 
-        def term(n):
-            r = state["r"]
-            fq = 1 - q ** (n + 1)
-            fnu = 1 - powq(q, nu + 1 + n)
-            if fnu == 0:
-                raise PoleError(f"(q^(nu+1);q)_{n + 1} vanished")
-            state["r"] = r * (-(half ** 2)) / (fq * fnu)
-            return r * powq(q, w(n, nu))
 
-        series = sum_series(term, ctx).value
-        return pref * zpow * series
+def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
+    """(z/2)^nu (q^{nu+1};q)_inf / (q;q)_inf times the kind's series at
+    x = sign (z/2)^2.  At an order m = 0, 1, ... the prefactor is
+    (z/2)^m / (q;q)_m; at a negative integer order the series has a pole.
+
+    Kind k weights term n by q^{w_k(n)}, w = 0, n(n + nu), binom(n, 2), that
+    is by q^{alpha n^2} (q^shift)^n with the (alpha, shift) below.
+    """
+    q = ctx.q
+    if zv == 0:
+        if nu < 0:
+            raise DomainError("z = 0 with negative order")
+        return mp.mpf(1) if nu == 0 else mp.mpf(0)
+    half = zv / 2
+    if nu.denominator == 1 and nu >= 0:
+        pref = half ** int(nu) / pochhammer_finite(q, q, int(nu))
+    else:
+        pref = (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
+                * pochhammer_infinite_value(QPow(1, nu + 1), q, ctx)
+                / pochhammer_infinite_value(q, q, ctx))
+    alpha, shift = {1: (0, 0), 2: (1, nu), 3: (Fraction(1, 2), Fraction(-1, 2))}[kind]
+    return pref * _bessel_series(nu, alpha, sign * half ** 2 * powq(q, shift), ctx)
+
+
+def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):
+    """sum_n x^n q^{alpha n^2} / ((q;q)_n (q^{nu+1};q)_n): the series of every
+    kind, and of the special-value identity."""
+    q = ctx.q
+    terms = map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(1, nu + 1), q)),
+                _gaussian(q, alpha, x))
+    return sum_series(_unilateral(terms), ctx).value
 
 
 def i1_continued(nu, z, ctx: QContext):
@@ -196,24 +160,12 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
     nu = as_order(nu)
     with ctx.workdps():
         q = ctx.q
-        state = {"r": mp.mpf(1)}
-
-        def term(k):
-            r = state["r"]
-            fq = 1 - q ** (k + 1)
-            fnu = 1 - powq(q, nu + 1 + k)
-            state["r"] = r / (fq * fnu)
-            return r * powq(q, Fraction(k) * (k + nu - n))
-
-        series = sum_series(term, ctx).value
+        x = powq(q, nu - n)
+        series = _bessel_series(nu, 1, x, ctx)
         tail = pochhammer_infinite_value(QPow(1, nu + 1), q, ctx)
-        binom = mp.mpf(1)
-        s4 = mp.mpf(0)
-        s5 = mp.mpf(0)
-        for k in range(n + 1):
-            s4 += binom * powq(q, Fraction(k * k) - k * (nu + n))
-            s5 += binom * powq(q, Fraction(k * k) + k * (nu - n))
-            binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
+        binoms = list(_qbinomials(n, q))
+        s4 = sum(map(mul, binoms, _gaussian(q, 1, powq(q, -nu - n))))
+        s5 = sum(map(mul, binoms, _gaussian(q, 1, x)))
         return series, powq(q, n * nu) * s4 / tail, s5 / tail
 
 
@@ -225,11 +177,12 @@ def gen_func_sides(z, t, ctx: QContext):
         zv, tv = to_mp(z), to_mp(t)
         if tv == 0:
             raise DomainError("t must be nonzero")
-
-        def term(m):
-            return (q ** (m * (m - 1) // 2) * bessel_i(2, m, zv, ctx) * tv ** m)
-
-        lhs = sum_bilateral(term, ctx).value
+        # at m = -k the weight q^binom(m,2) t^m is q^binom(k,2) (q/t)^k
+        pos = map(mul, _binomial_powers(tv, q),
+                  (bessel_i(2, m, zv, ctx) for m in count()))
+        neg = map(mul, islice(_binomial_powers(q / tv, q), 1, None),
+                  (bessel_i(2, m, zv, ctx) for m in count(-1, -1)))
+        lhs = sum_bilateral(_bilateral(pos, neg), ctx).value
         rhs = (pochhammer_infinite_value(-tv * zv / 2, q, ctx)
                * pochhammer_infinite_value(-q * zv / (2 * tv), q, ctx))
         return lhs, rhs
@@ -254,15 +207,15 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
             e2, c2 = 0, zv ** 2
         z24 = QPow(c2 / 4, e2)
 
-        def term(n):
-            e = Fraction(z24.exponent) + n
-            denom = 1 - z24.coeff * powq(q, e) if e != 0 else 1 - z24.coeff
-            if denom == 0:
-                raise PoleError(f"pole: z^2/4 = q^-{n}")
-            s = stieltjes_wigert(n, -powq(q, nu - n), q)
-            return (-1) ** n * q ** (n * (n + 1) // 2) * s / denom
+        def terms():
+            # (-1)^n q^binom(n+1,2) = q^binom(n,2) (-q)^n
+            for n, w, s, f in zip(count(), _binomial_powers(-q, q),
+                                  _sw_shifted(-powq(q, nu), q), _factors(z24, q)):
+                if f == 0:
+                    raise PoleError(f"pole: z^2/4 = q^-{n}")
+                yield w * s / f
 
-        series = sum_series(term, ctx).value
+        series = sum_series(_unilateral(terms()), ctx).value
         pref = (mp.power(zv / 2, mp.mpf(nu.numerator) / nu.denominator)
                 / pochhammer_infinite_value(q, q, ctx) ** 2)
         return pref * series

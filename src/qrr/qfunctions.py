@@ -25,11 +25,12 @@ from .context import QContext, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .formal import FormalSeries, fs_div_finite_pochhammer, qexp_to_u
-from .pochhammer import (QPow, _as_qpow, _factors, multi_pochhammer_infinite,
-                         pochhammer_finite)
+from .pochhammer import (QPow, _as_qpow, _factors, _one_like,
+                         multi_pochhammer_infinite, pochhammer_finite)
 from .summation import SumOutcome, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
+_Q0 = QPow(0, 0)  # a = 0, as in (0;q)_n = 1
 
 
 def _unilateral(terms):
@@ -65,16 +66,21 @@ def _gaussian(q, alpha, x, n=0):
 
 
 def _ratios_up(a: QPow, b: QPow, q):
-    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ...
+    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ..., exact for Fraction q.
 
     Term n checks the factor of b that term n + 1 divides by.
     """
-    r = mp.mpf(1)
+    r = _one_like(q)
     for n, fa, fb in zip(count(), _factors(a, q), _factors(b, q)):
         if fb == 0:
             raise PoleError(f"(b;q)_{n + 1} vanished")
         yield r
         r = r * fa / fb
+
+
+def _inverse(b: QPow, q):
+    """Yield 1/(b;q)_n = (0;q)_n / (b;q)_n for n = 0, 1, 2, ..."""
+    return _ratios_up(_Q0, b, q)
 
 
 def _ratios_down(a: QPow, b: QPow, q, what="term"):
@@ -290,19 +296,10 @@ def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
     aq1 = QPow(aq.coeff, aq.exponent + 1)  # a*q
     with ctx.workdps():
         q = ctx.q
-
-        def reciprocals():  # 1/(aq;q)_n for n = 0, 1, ...
-            r = mp.mpf(1)
-            for n, f in enumerate(_factors(aq1, q), 1):
-                yield r
-                if f == 0:
-                    raise PoleError(f"(a;q)_{n} vanished; reciprocal undefined")
-                r = r / f
-
         # 1/(aq;q)_{-k} = (aq q^{-k};q)_k: the ratio (0;q)_n / (aq;q)_n
         weight = powq(q, m)
-        pos = map(mul, reciprocals(), _gaussian(q, 1, weight))
-        neg = map(mul, _ratios_down(QPow(0, 0), aq1, q), _gaussian(q, 1, 1 / weight, 1))
+        pos = map(mul, _inverse(aq1, q), _gaussian(q, 1, weight))
+        neg = map(mul, _ratios_down(_Q0, aq1, q), _gaussian(q, 1, 1 / weight, 1))
         return sum_bilateral(_bilateral(pos, neg), ctx)
 
 

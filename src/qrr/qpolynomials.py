@@ -9,11 +9,20 @@ the section of product/series kernels that tie them together.
 Scalar evaluators are generic over the coefficient type: Fractions in give
 exact Fractions out, mp numbers give mp numbers.  Formal builders return
 :class:`~qrr.formal.FormalSeries`.
+
+Every numeric series, and every finite sum, is defined by its term ratio, as
+in :mod:`qrr.qfunctions`: each term comes from the previous one by
+multiplication, with the q-powers, x-powers, Gaussian binomials and
+Pochhammer ratios carried as running streams that live for one sum.  Only the
+values S_n(x q^{-n}) are evaluated afresh per term, since their degree moves
+with n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count, islice, repeat
+from operator import mul, truediv
 
 import mpmath as mp
 
@@ -22,9 +31,11 @@ from .errors import DomainError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .formal import (FormalSeries, fs_div_finite_pochhammer,
                      fs_pochhammer_infinite, qexp_to_u)
-from .pochhammer import (QPow, multi_pochhammer_infinite, pochhammer_finite,
-                         pochhammer_infinite_value, q_binomial)
-from .qfunctions import ramanujan_A, rr_product_formal, rr_sum_formal, u_m_bilateral
+from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
+                         pochhammer_finite, pochhammer_infinite_value, q_binomial)
+from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _ratios_up,
+                         _unilateral, ramanujan_A, rr_product_formal, rr_sum_formal,
+                         u_m_bilateral)
 from .summation import sum_series
 
 
@@ -32,16 +43,31 @@ from .summation import sum_series
 # S_n and its immediate relations
 # ---------------------------------------------------------------------------
 
+def _qbinomials(n: int, q):
+    """Yield the Gaussian binomials [n,k]_q for k = 0, ..., n, exact for
+    Fraction q: term k + 1 is term k times (1 - q^{n-k}) / (1 - q^{k+1})."""
+    return accumulate(map(truediv, islice(_factors(QPow(1, n), q, 0, -1), n),
+                          _factors(_Q1, q)), mul, initial=_one_like(q))
+
+
+def _binomial_powers(x, q):
+    """Yield q^binom(k,2) x^k for k = 0, 1, ..., exact for Fraction inputs:
+    term k + 1 is term k times x q^k."""
+    return accumulate(_geometric(x, q), mul, initial=_one_like(q))
+
+
+def _sw_shifted(x, q):
+    """Yield S_n(x q^{-n}; q) for n = 0, 1, ...  The argument moves with the
+    degree, so each value is a fresh degree-n evaluation."""
+    return map(stieltjes_wigert, count(), _geometric(x, 1 / q), repeat(q))
+
+
 def stieltjes_wigert(n: int, x, q):
     """S_n(x; q) = (1/(q;q)_n) sum_k [n,k]_q q^{k^2} (-x)^k, exact for
     Fraction inputs."""
     if n < 0:
         raise DomainError("degree must be >= 0")
-    binom = _one(q)
-    acc = 0 * _one(q)
-    for k in range(n + 1):
-        acc = acc + binom * q ** (k * k) * (-x) ** k
-        binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
+    acc = sum(map(mul, _qbinomials(n, q), _gaussian(q, 1, -x)), 0 * _one_like(q))
     return acc / pochhammer_finite(q, q, n)
 
 
@@ -50,12 +76,10 @@ def stieltjes_wigert_second(n: int, x, q):
     (1/(q;q)_n) sum_k (q^{-n};q)_k / (q;q)_k q^{binom(k+1,2)} (x q^n)^k."""
     if n < 0:
         raise DomainError("degree must be >= 0")
-    acc = 0 * _one(q)
-    t = _one(q)
-    for k in range(n + 1):
-        acc = acc + t * q ** (k * (k + 1) // 2) * (x * q ** n) ** k
-        t = t * (1 - q ** (k - n)) / (1 - q ** (k + 1))
-    return acc / pochhammer_finite(q, q, n)
+    # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
+    terms = map(mul, _ratios_up(QPow(1, -n), _Q1, q),
+                _binomial_powers(x * q ** (n + 1), q))
+    return sum(islice(terms, n + 1), 0 * _one_like(q)) / pochhammer_finite(q, q, n)
 
 
 def sw_symmetry_residual(n: int, t, q):
@@ -252,11 +276,11 @@ def q_lommel_p(n: int, x, q, q_nu):
     p_{-1} = 0 by convention (the ladder identity's n = 0 edge).
     """
     if n < 0:
-        return 0 * _one(q)
-    acc = 0 * _one(q)
+        return 0 * _one_like(q)
+    acc = 0 * _one_like(q)
     for j in range(n // 2 + 1):
-        num = (_poch_u(q_nu, q, n - j) * pochhammer_finite(q, q, n - j))
-        den = (pochhammer_finite(q, q, j) * _poch_u(q_nu, q, j)
+        num = (pochhammer_finite(q_nu, q, n - j) * pochhammer_finite(q, q, n - j))
+        den = (pochhammer_finite(q, q, j) * pochhammer_finite(q_nu, q, j)
                * pochhammer_finite(q, q, n - 2 * j))
         acc = acc + num / den * (2 * x) ** (n - 2 * j) * q ** (j * (j - 1)) * q_nu ** j
     return acc
@@ -272,22 +296,15 @@ def u_poly(n: int, x, y, q, weighted: bool = True):
     form (which carries no j-weight) for the discrepancy record.
     """
     if n < 0:
-        return 0 * _one(q)
-    acc = 0 * _one(q)
+        return 0 * _one_like(q)
+    acc = 0 * _one_like(q)
     for j in range(n // 2 + 1):
-        num = _poch_u(y, q, n - j) * pochhammer_finite(q, q, n - j)
-        den = (pochhammer_finite(q, q, j) * _poch_u(y, q, j)
+        num = pochhammer_finite(y, q, n - j) * pochhammer_finite(q, q, n - j)
+        den = (pochhammer_finite(q, q, j) * pochhammer_finite(y, q, j)
                * pochhammer_finite(q, q, n - 2 * j))
-        w = q ** (j * (j - 1)) * y ** j if weighted else _one(q)
+        w = q ** (j * (j - 1)) * y ** j if weighted else _one_like(q)
         acc = acc + num / den * w * x ** (n - 2 * j)
     return acc
-
-
-def _poch_u(a, q, n: int):
-    prod = _one(q)
-    for k in range(n):
-        prod = prod * (1 - a * q ** k)
-    return prod
 
 
 def sw_functional_residual(k: int, y, n: int, q, sq):
@@ -373,12 +390,10 @@ def qinv_hermite(n: int, e_xi, q):
     sum_k binom-q * (-1)^k q^{k(k-n)} E^{n-2k}."""
     if n < 0:
         raise DomainError("degree must be >= 0")
-    binom = _one(q)
-    acc = 0 * _one(q)
-    for k in range(n + 1):
-        acc = acc + binom * (-1) ** k * q ** (k * (k - n)) * e_xi ** (n - 2 * k)
-        binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
-    return acc
+    # (-1)^k q^{k(k-n)} = q^{k^2} (-q^{-n})^k
+    terms = map(mul, map(mul, _qbinomials(n, q), _gaussian(q, 1, -q ** -n)),
+                _geometric(e_xi ** n, e_xi ** -2))
+    return sum(terms, 0 * _one_like(q))
 
 
 def sw_as_hermite_residual(n: int, e_xi, q, reading: str = "corrected"):
@@ -389,7 +404,7 @@ def sw_as_hermite_residual(n: int, e_xi, q, reading: str = "corrected"):
     as-printed form omits the E^{-n} factor; ``literal`` evaluates that.
     """
     lhs = pochhammer_finite(q, q, n) * stieltjes_wigert(n, e_xi ** -2 * q ** -n, q)
-    scale = e_xi ** -n if reading == "corrected" else _one(q)
+    scale = e_xi ** -n if reading == "corrected" else _one_like(q)
     return abs(lhs - scale * qinv_hermite(n, e_xi, q))
 
 
@@ -399,13 +414,8 @@ def sw_as_hermite_residual(n: int, e_xi, q, reading: str = "corrected"):
 
 def finite_qbinom_sides(n: int, x, q):
     """(x;q)_n against sum_j [n,j]_q (-x)^j q^binom(j,2) (exact)."""
-    lhs = _poch_u(x, q, n)
-    binom = _one(q)
-    rhs = 0 * _one(q)
-    for j in range(n + 1):
-        rhs = rhs + binom * (-x) ** j * q ** (j * (j - 1) // 2)
-        binom = binom * (1 - q ** (n - j)) / (1 - q ** (j + 1))
-    return lhs, rhs
+    rhs = sum(map(mul, _qbinomials(n, q), _binomial_powers(-x, q)), 0 * _one_like(q))
+    return pochhammer_finite(x, q, n), rhs
 
 
 def st_5_1_sides(x, t, ctx: QContext):
@@ -414,12 +424,8 @@ def st_5_1_sides(x, t, ctx: QContext):
         q = ctx.q
         xv, tv = to_mp(x), to_mp(t)
         lhs = multi_pochhammer_infinite([xv * tv, -tv], q, ctx)
-
-        def term(n):
-            return (q ** (n * (n - 1) // 2) * tv ** n
-                    * stieltjes_wigert(n, xv * q ** (-n), q))
-
-        return lhs, sum_series(term, ctx).value
+        terms = map(mul, _binomial_powers(tv, q), _sw_shifted(xv, q))
+        return lhs, sum_series(_unilateral(terms), ctx).value
 
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
@@ -442,11 +448,9 @@ def st_5_2_sides(n: int, x, q):
     """q^binom(n,2) x^n / (q;q)_n against the alternating S_k reconstruction
     (finite; exact for exact inputs)."""
     lhs = q ** (n * (n - 1) // 2) * x ** n / pochhammer_finite(q, q, n)
-    rhs = 0 * _one(q)
-    for k in range(n + 1):
-        rhs = rhs + ((-1) ** k * q ** (k * (k - 1) // 2)
-                     * stieltjes_wigert(k, x * q ** (-k), q)
-                     / pochhammer_finite(q, q, n - k))
+    rhs = 0 * _one_like(q)
+    for k, w, s in zip(range(n + 1), _binomial_powers(-1, q), _sw_shifted(x, q)):
+        rhs = rhs + w * s / pochhammer_finite(q, q, n - k)
     return lhs, rhs
 
 
@@ -457,26 +461,19 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         q = ctx.q
         xv = to_mp(x)
         lhs = stieltjes_wigert(n, xv, q)
-        qqn = pochhammer_finite(q, q, n)
-
-        def term(k):
-            return (q ** (k * (k + 1) // 2) * (xv * q ** n) ** k
-                    * ramanujan_A(xv * q ** k, ctx).value
-                    / (qqn * pochhammer_finite(q, q, k)))
-
-        return lhs, sum_series(term, ctx).value
+        # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
+        terms = map(mul, map(mul, _binomial_powers(xv * q ** (n + 1), q), _inverse(_Q1, q)),
+                    (ramanujan_A(y, ctx).value for y in _geometric(xv, q)))
+        return lhs, sum_series(_unilateral(terms), ctx).value / pochhammer_finite(q, q, n)
 
 
 def st_5_4_sides(n: int, a, b, q):
     """S_n(ab) against the b-expansion over S_{n-k}(a q^k) (finite sum)."""
     lhs = stieltjes_wigert(n, a * b, q)
-    rhs = 0 * _one(q)
-    t = _one(q)
-    for k in range(n + 1):
-        rhs = rhs + (t * (-(q ** (1 - n))) ** k * q ** (k * (k - 1) // 2)
-                     * stieltjes_wigert(n - k, a * q ** k, q))
-        t = t * (1 - (1 / b) * q ** k) / (1 - q ** (k + 1))
-    return lhs, b ** n * rhs
+    terms = map(mul, map(mul, _ratios_up(QPow(1 / b, 0), _Q1, q),
+                         _binomial_powers(-q ** (1 - n), q)),
+                map(stieltjes_wigert, range(n, -1, -1), _geometric(a, q), repeat(q)))
+    return lhs, b ** n * sum(terms, 0 * _one_like(q))
 
 
 def st_5_5_sides(n: int, a, ctx: QContext):
@@ -486,15 +483,10 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         av = to_mp(a)
         lhs = stieltjes_wigert(n, av, q)
         pref = (pochhammer_infinite_value(-av * q, q, ctx)
-                / (pochhammer_finite(q, q, n) * _poch_u(-av * q, q, n)))
-        state = {"t": mp.mpf(1)}
-
-        def term(k):
-            t = state["t"]
-            state["t"] = t / ((1 - q ** (k + 1)) * (1 + av * q ** (n + 1 + k)))
-            return t * q ** (k * k) * (-av) ** k
-
-        return lhs, pref * sum_series(term, ctx).value
+                / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
+        terms = map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(-av, n + 1), q)),
+                    _gaussian(q, 1, -av))
+        return lhs, pref * sum_series(_unilateral(terms), ctx).value
 
 
 def st_5_6_even_diff_formal(n: int, ctx: QContext) -> FormalSeries:
@@ -531,20 +523,14 @@ def st_5_7_sides(n: int, q, sq):
     """Scalar special value at -q^{-n+1/2} (exact when sq^2 = q exactly)."""
     x = -(sq / q ** n)
     lhs = stieltjes_wigert(n, x, q)
-    num = _one(q)
-    for j in range(1, n + 1):
-        num = num * (1 - sq ** j)
-    return lhs, sq ** (-(n * n - n) // 2) / num
+    return lhs, sq ** (-(n * n - n) // 2) / pochhammer_finite(sq, sq, n)
 
 
 def st_5_8_sides(n: int, q, sq):
     """Scalar special value at -q^{-n-1/2}."""
     x = -(1 / (sq * q ** n))
     lhs = stieltjes_wigert(n, x, q)
-    num = _one(q)
-    for j in range(1, n + 1):
-        num = num * (1 - sq ** j)
-    return lhs, sq ** (-(n * n + n) // 2) / num
+    return lhs, sq ** (-(n * n + n) // 2) / pochhammer_finite(sq, sq, n)
 
 
 def st_5_9_sides(w, z, ctx: QContext):
@@ -554,15 +540,9 @@ def st_5_9_sides(w, z, ctx: QContext):
         wv, zv = to_mp(w), to_mp(z)
         lhs = ramanujan_A(wv * zv, ctx).value
         pref = pochhammer_infinite_value(wv * q, q, ctx)
-        state = {"p": mp.mpf(1)}
-
-        def term(n):
-            p = state["p"]
-            state["p"] = p * (1 - wv * q ** (n + 1))
-            return (q ** (n * n) * wv ** n
-                    * stieltjes_wigert(n, zv * q ** (-n), q) / p)
-
-        return lhs, pref * sum_series(term, ctx).value
+        terms = map(mul, map(mul, _gaussian(q, 1, wv), _inverse(QPow(wv, 1), q)),
+                    _sw_shifted(zv, q))
+        return lhs, pref * sum_series(_unilateral(terms), ctx).value
 
 
 def st_10_sides(m: int, z, ctx: QContext):
@@ -571,14 +551,10 @@ def st_10_sides(m: int, z, ctx: QContext):
         q = ctx.q
         zv = to_mp(z)
         lhs = ramanujan_A(zv, ctx).value
-        qqm = pochhammer_finite(q, q, m)
-
-        def term(n):
-            return (q ** (n * n + m * n) * (-zv) ** n
-                    * stieltjes_wigert(m, zv * q ** n, q)
-                    / pochhammer_finite(q, q, n))
-
-        return lhs, qqm * sum_series(term, ctx).value
+        # q^{n^2 + m n} (-z)^n = q^{n^2} (-z q^m)^n
+        terms = map(mul, map(mul, _gaussian(q, 1, -zv * q ** m), _inverse(_Q1, q)),
+                    map(stieltjes_wigert, repeat(m), _geometric(zv, q), repeat(q)))
+        return lhs, pochhammer_finite(q, q, m) * sum_series(_unilateral(terms), ctx).value
 
 
 def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
@@ -596,15 +572,10 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
         tv, zv = to_mp(t), to_mp(z)
         sq = mp.sqrt(q)
         q4 = mp.sqrt(sq)
-        state = {"r": mp.mpf(1)}
-
-        def term(n):
-            r = state["r"]
-            state["r"] = r * (1 - q ** (n + 1)) / (1 - sq ** (n + 1))
-            return (r * q4 ** (n * n) * tv ** n
-                    * stieltjes_wigert(n, zv * q ** (-n), q))
-
-        lhs = sum_series(term, ctx).value
+        # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n
+        terms = map(mul, map(mul, _ratios_up(QPow(-1, 1), _Q0, sq), _gaussian(q4, 1, tv)),
+                    _sw_shifted(zv, q))
+        lhs = sum_series(_unilateral(terms), ctx).value
         zsign = -1 if reading == "literal" else 1
         rhs = (pochhammer_infinite_value(-tv * q4, sq, ctx)
                * pochhammer_infinite_value(zsign * tv * q4 * zv, sq, ctx)
@@ -618,16 +589,10 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         tv, zv, wv = to_mp(t), to_mp(z), to_mp(zeta)
-        state = {"p": mp.mpf(1)}
-
-        def term(n):
-            p = state["p"]
-            state["p"] = p * (1 - q ** (n + 1))
-            return (p * q ** (n * (n - 1) // 2) * tv ** n
-                    * stieltjes_wigert(n, zv * q ** (-n), q)
-                    * stieltjes_wigert(n, wv * q ** (-n), q))
-
-        lhs = sum_series(term, ctx).value
+        # (q;q)_n = (q;q)_n / (0;q)_n
+        terms = map(mul, map(mul, _ratios_up(_Q1, _Q0, q), _binomial_powers(tv, q)),
+                    map(mul, _sw_shifted(zv, q), _sw_shifted(wv, q)))
+        lhs = sum_series(_unilateral(terms), ctx).value
         rhs = (multi_pochhammer_infinite([-tv, -tv * zv * wv, tv * zv, tv * wv], q, ctx)
                / pochhammer_infinite_value(tv * tv * zv * wv / q, q, ctx))
         return lhs, rhs
@@ -645,14 +610,9 @@ def gfhn0_sides(b, ctx: QContext):
                                 max_terms=ctx.max_terms)
         lhs = ramanujan_A(-bv * bv, ctx2).value
         pref = pochhammer_infinite_value(bv * sq, q, ctx)
-        state = {"p": mp.mpf(1)}
-
-        def term(n):
-            p = state["p"]
-            state["p"] = p * (1 - q ** (n + 1)) * (1 - bv * sq * q ** n)
-            return sq ** (n * n) * bv ** n / p
-
-        return lhs, pref * sum_series(term, ctx).value
+        terms = map(mul, map(mul, _gaussian(sq, 1, bv), _inverse(_Q1, q)),
+                    _inverse(QPow(bv * sq, 0), q))
+        return lhs, pref * sum_series(_unilateral(terms), ctx).value
 
 
 def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:
@@ -677,8 +637,3 @@ def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:
         n += 1
     return lhs - pref * rhs
 
-
-def _one(q):
-    if isinstance(q, (int, Fraction)):
-        return Fraction(1)
-    return mp.mpf(1)

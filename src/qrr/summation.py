@@ -98,24 +98,28 @@ def sum_bilateral(term, ctx: QContext, group: int = 5) -> SumOutcome:
 def _decay_rate(mags, tol):
     """Certified per-index decay rate from trailing magnitudes, or None.
 
-    Pairs whose earlier member sits above the stop tolerance are the
-    informative ones (below it, a series that once was large is down in
-    roundoff, where ratios mean nothing).  A series that never rose above
-    the tolerance is judged on its raw ratios instead, so a flat plateau of
-    tiny terms still fails the certificate.  Gaps from interleaved zero
-    terms are normalized away.  Only the trailing ``RATIO_WINDOW`` pairs
-    are ever inspected, so only their ratios are computed.
+    Only pairs after the largest magnitude count: ratios before the peak
+    describe how the series grows, not its tail.  Pairs whose earlier member
+    sits above the stop tolerance are the informative ones (below it, a
+    series that once was large is down in roundoff, where ratios mean
+    nothing).  A series that never rose above the tolerance is judged on its
+    raw ratios instead, so a flat plateau of tiny terms still fails the
+    certificate.  Gaps from interleaved zero terms are normalized away.
+    Only the trailing ``RATIO_WINDOW`` pairs are ever inspected, so only
+    their ratios are computed.
     """
     last = len(mags) - 1
     if last < 1:
         return mp.mpf("0.5")  # single nonzero term: a terminated sum
-    pairs = list(islice((i for i in range(last, 0, -1) if mags[i - 1][1] >= tol),
+    values = [m for _, m in mags]
+    peak = values.index(max(values))
+    pairs = list(islice((i for i in range(last, peak, -1) if mags[i - 1][1] >= tol),
                         RATIO_WINDOW))
     if not pairs:
-        pairs = range(last, max(last - RATIO_WINDOW, 0), -1)
-    worst = max(_pair_ratio(mags[i - 1], mags[i]) for i in pairs)
-    if worst >= RATIO_CAP:
-        return None
+        pairs = range(last, max(last - RATIO_WINDOW, peak), -1)
+    worst = max((_pair_ratio(mags[i - 1], mags[i]) for i in pairs), default=None)
+    if worst is None or worst >= RATIO_CAP:
+        return None  # still rising at its last term, or no decay
     return worst
 
 

@@ -154,6 +154,37 @@ def _stub(**fields):
     return IdentityEntry("stub", "stub", "stub", **fields)
 
 
+def test_st51_formal_draws_nonzero_t():
+    # seed 4 is the first seed whose plain draw gives t = 0, where both sides
+    # are 1 and the sample checks nothing
+    entry = get_entry("st-5.1")
+    draws = entry.formal.sampler(entry_rng(4, "st-5.1", "formal"))
+    assert len(draws) == 3 and all(d["t"] != 0 for d in draws)
+    assert draws[0] == {"x": F(-25, 48), "t": F(-31, 48)}
+    # the default seed and seed 42 draw what they drew before
+    assert entry.formal.sampler(entry_rng(20240809, "st-5.1", "formal"))[0] \
+        == {"x": F(23, 48), "t": F(-1, 6)}
+    assert entry.formal.sampler(entry_rng(42, "st-5.1", "formal"))[0] \
+        == {"x": F(23, 48), "t": F(11, 48)}
+    assert run_entry(entry, "formal", RunSettings(seed=4)).status == "PASS"
+
+
+def test_ms6_declares_the_t_it_evaluates():
+    assert sample_params("ms-6", 0) == {"t": "2/3 (formal), 0.6 (numeric)"}
+    assert get_entry("ms-6").formal.params == {"t": "2/3"}
+    assert get_entry("ms-6").numeric.params == {"t": "0.6"}
+
+
+# Entries that used to raise RatioTestError (a short series that rises before
+# it decays) or stop a direct oracle at a fixed term count at these settings.
+@pytest.mark.parametrize("entry_id, precision", [
+    ("bessel-sv-4", 20), ("bessel-sv-5", 20), ("bessel-sv-series", 20),
+    ("lommel-i", 20), ("lommel-j", 20), ("ms-10", 20), ("bessel-defs", 100)])
+def test_config_sweep_passes(entry_id, precision):
+    report = run_check(entry_id, "numeric", RunSettings(precision=precision))
+    assert report.status == "PASS", report.note
+
+
 def test_driver_numeric_tolerance_follows_tol_shift():
     rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
     assert rc.tol(5) == mp.mpf(10) ** -15

@@ -7,11 +7,13 @@ import mpmath as mp
 import pytest
 
 from qrr import DomainError, PoleError, QContext, QPow
+from qrr.context import powq
 from qrr.pochhammer import pochhammer_infinite_value
 from qrr.qbessel import (asymptotic_main_term, bessel_i, bessel_j,
                          gen_func_sides, i1_continued, lommel_relation_j_residual,
                          lommel_relation_residual, mittag_leffler_rhs,
                          special_value_sides, sv_series_form_values)
+from qrr.summation import sum_bilateral, sum_series
 
 CTX = QContext.numeric("0.3", precision=50)
 TOL = mp.mpf(10) ** -40
@@ -178,3 +180,123 @@ def test_ladder_relation_alternating_form():
         for n in range(1, 5):
             assert lommel_relation_j_residual(n, F(2, 5), mp.mpf("1.5"), CTX) \
                 < mp.mpf(10) ** -38
+
+
+# ---------------------------------------------------------------------------
+# term-ratio series against their per-term formulas
+# ---------------------------------------------------------------------------
+#
+# Each oracle recomputes term n from scratch with mp.qp and plain powers, the
+# way the series were written before they carried running products.  Both go
+# through the same summation engine, so they stop at the same term and must
+# agree to the working precision.
+
+ORACLE_TOL = mp.mpf(10) ** -58
+ORACLE_QS = pytest.mark.parametrize("q", ["0.2", "0.3"])
+
+
+def rel(new, old):
+    return abs(new - old) / abs(old)
+
+
+def old_bessel(kind, nu, z, sign, ctx):
+    """(z/2)^nu (q^{nu+1};q)_inf/(q;q)_inf sum_n q^{w(n)} (sign z^2/4)^n
+    / ((q;q)_n (q^{nu+1};q)_n); integer orders m of either sign use
+    sum_{n >= max(0, -m)} q^{w(n)} (z/2)^{m+2n} / ((q;q)_n (q;q)_{n+m})."""
+    q, half = ctx.q, z / 2
+    w = {1: lambda n: 0, 2: lambda n: n * (n + nu),
+         3: lambda n: F(n * (n - 1), 2)}[kind]
+    if nu.denominator == 1:
+        m = int(nu)
+        n0 = max(0, -m)
+        return sum_series(lambda i: (powq(q, w(n0 + i)) * half ** (m + 2 * n0 + 2 * i)
+                                     * sign ** (n0 + i) / (mp.qp(q, q, n0 + i)
+                                                           * mp.qp(q, q, n0 + i + m))),
+                          ctx).value
+    qnu1 = powq(q, nu + 1)
+    series = sum_series(lambda n: (powq(q, w(n)) * (sign * half ** 2) ** n
+                                   / (mp.qp(q, q, n) * mp.qp(qnu1, q, n))), ctx).value
+    return (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
+            * mp.qp(qnu1, q) / mp.qp(q, q) * series)
+
+
+def old_sw(n, x, q):
+    """S_n(x; q) with its Gaussian binomials built of mp.qp."""
+    qq = [mp.qp(q, q, j) for j in range(n + 1)]
+    return sum(q ** (k * k) * (-x) ** k / (qq[k] * qq[n - k]) for k in range(n + 1))
+
+
+BESSEL_ORDERS = (F(0), F(3), F(-2), F(7, 10), F(1, 2), F(3, 2))
+
+
+@ORACLE_QS
+@pytest.mark.parametrize("kind, nu", [(k, nu) for k in (1, 2, 3) for nu in BESSEL_ORDERS
+                                      if k < 3 or nu >= 0], ids=str)
+def test_bessel_i_matches_per_term_oracle(kind, nu, q):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        # kind 1 decays only geometrically, so its oracle is the slow one
+        for z in (mp.mpf("0.8"),) if kind == 1 else (mp.mpf("0.8"), mp.mpf("1.9")):
+            assert rel(bessel_i(kind, nu, z, ctx),
+                       old_bessel(kind, nu, z, 1, ctx)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind", (1, 2))
+@pytest.mark.parametrize("nu", (F(0), F(3), F(7, 10)), ids=str)
+def test_bessel_j_matches_per_term_oracle(kind, nu):
+    with CTX.workdps():
+        for z in (mp.mpf("0.8"), mp.mpc("0.3", "0.9")):
+            assert rel(bessel_j(kind, nu, z, CTX),
+                       old_bessel(kind, nu, z, -1, CTX)) <= ORACLE_TOL
+
+
+def test_bessel_j_negative_integer_order_is_a_pole():
+    with pytest.raises(PoleError):
+        bessel_j(2, -2, mp.mpf("0.8"), CTX)
+
+
+@ORACLE_QS
+def test_sv_series_forms_match_per_term_oracle(q):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        q = ctx.q
+        for nu, n in ((F(7, 10), 0), (F(7, 10), 5), (F(3, 2), 8)):
+            qnu1 = powq(q, nu + 1)
+            series = sum_series(lambda k: powq(q, k * (k + nu - n))
+                                / (mp.qp(q, q, k) * mp.qp(qnu1, q, k)), ctx).value
+
+            def finite(e):
+                return sum(mp.qp(q, q, n) / (mp.qp(q, q, k) * mp.qp(q, q, n - k))
+                           * powq(q, e(k)) for k in range(n + 1)) / mp.qp(qnu1, q)
+
+            old = (series, powq(q, n * nu) * finite(lambda k: k * k - k * (nu + n)),
+                   finite(lambda k: k * k + k * (nu - n)))
+            for new, ref in zip(sv_series_form_values(nu, n, ctx), old):
+                assert rel(new, ref) <= ORACLE_TOL
+
+
+@ORACLE_QS
+def test_generating_function_matches_per_term_oracle(q):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        q = ctx.q
+        for z, t in ((mp.mpf(1), mp.mpf(1)), (mp.mpf("0.8"), mp.mpf(-2)),
+                     (mp.mpf("1.5"), mp.mpf("0.4"))):
+            old = sum_bilateral(lambda m: q ** (m * (m - 1) // 2)
+                                * bessel_i(2, m, z, ctx) * t ** m, ctx).value
+            assert rel(gen_func_sides(z, t, ctx)[0], old) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("q, nu, z", [("0.3", F(0), "1"), ("0.3", F(1, 2), "1"),
+                                      ("0.25", F(1), "3"), ("0.25", F(2), "3")])
+def test_mittag_leffler_matches_per_term_oracle(q, nu, z):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        q, z = ctx.q, mp.mpf(z)
+        qnu = powq(q, nu)
+        series = sum_series(lambda n: (-1) ** n * q ** (n * (n + 1) // 2)
+                            * old_sw(n, -qnu * q ** -n, q) / (1 - z * z * q ** n / 4),
+                            ctx).value
+        old = (mp.power(z / 2, mp.mpf(nu.numerator) / nu.denominator)
+               / mp.qp(q, q) ** 2 * series)
+        assert rel(mittag_leffler_rhs(nu, z, ctx), old) <= ORACLE_TOL

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr import QContext, QPoly, SingularDeltaError
+from qrr.pochhammer import pochhammer_finite, q_binomial
+from qrr.qfunctions import ramanujan_A
 from qrr.qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
                               finite_qbinom_sides, gfhn0_diff_formal,
                               gfhn0_sides, hermite_gf_sides, inversion_delta,
@@ -25,6 +27,7 @@ from qrr.qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
                               sw_formal, sw_functional_residual,
                               sw_inversion_sides, sw_lommel_special_residual,
                               sw_symmetry_residual, u_poly)
+from qrr.summation import sum_series
 
 CTX = QContext.numeric("0.3", precision=50)
 TOL = mp.mpf(10) ** -40
@@ -316,3 +319,110 @@ def test_half_power_series_evaluation():
         assert abs(lhs - rhs) < TOL
     ctx = QContext.formal(order=60, base_exponent=2)
     assert gfhn0_diff_formal(F(2, 3), ctx).is_zero()
+
+
+# -- term-ratio series against their per-term formulas -----------------------
+#
+# Each oracle recomputes term n from scratch with mp.qp and plain powers, the
+# way the series were written before they carried running products; S_n comes
+# from Gaussian binomials built of mp.qp.  Both go through the same summation
+# engine, so they stop at the same term and must agree to the working
+# precision.
+
+ORACLE_TOL = mp.mpf(10) ** -58
+
+
+def old_sw(n, x, q):
+    qq = [mp.qp(q, q, j) for j in range(n + 1)]
+    return sum(q ** (k * k) * (-x) ** k / (qq[k] * qq[n - k]) for k in range(n + 1))
+
+
+def _series_cases():
+    def st_5_1(ctx, q, x=mp.mpf("0.4"), t=mp.mpf("0.6")):
+        return (st_5_1_sides(x, t, ctx)[1],
+                sum_series(lambda n: q ** (n * (n - 1) // 2) * t ** n
+                           * old_sw(n, x * q ** -n, q), ctx).value)
+
+    def st_5_3(ctx, q, n, x=mp.mpf("0.7")):
+        return (st_5_3_sides(n, x, ctx)[1],
+                sum_series(lambda k: q ** (k * (k + 1) // 2) * (x * q ** n) ** k
+                           * ramanujan_A(x * q ** k, ctx).value
+                           / (mp.qp(q, q, n) * mp.qp(q, q, k)), ctx).value)
+
+    def st_5_5(ctx, q, n, a=mp.mpf("0.6")):
+        pref = mp.qp(-a * q, q) / (mp.qp(q, q, n) * mp.qp(-a * q, q, n))
+        return (st_5_5_sides(n, a, ctx)[1],
+                pref * sum_series(lambda k: q ** (k * k) * (-a) ** k
+                                  / (mp.qp(q, q, k) * mp.qp(-a * q ** (n + 1), q, k)),
+                                  ctx).value)
+
+    def st_5_9(ctx, q, w=mp.mpf("0.5"), z=mp.mpf("0.8")):
+        return (st_5_9_sides(w, z, ctx)[1],
+                mp.qp(w * q, q) * sum_series(lambda n: q ** (n * n) * w ** n
+                                             * old_sw(n, z * q ** -n, q)
+                                             / mp.qp(w * q, q, n), ctx).value)
+
+    def st_10(ctx, q, m, z=mp.mpf("0.5")):
+        return (st_10_sides(m, z, ctx)[1],
+                mp.qp(q, q, m) * sum_series(lambda n: q ** (n * n + m * n) * (-z) ** n
+                                            * old_sw(m, z * q ** n, q) / mp.qp(q, q, n),
+                                            ctx).value)
+
+    def hermite_gf(ctx, q, t=mp.mpf("0.15"), z=mp.mpf("0.5")):
+        sq = mp.sqrt(q)
+        return (hermite_gf_sides(t, z, ctx, "corrected")[0],
+                sum_series(lambda n: mp.qp(q, q, n) * sq ** (n * n / mp.mpf(2)) * t ** n
+                           * old_sw(n, z * q ** -n, q) / mp.qp(sq, sq, n), ctx).value)
+
+    def poisson(ctx, q, t=mp.mpf("0.1"), z=mp.mpf("0.4"), zeta=mp.mpf("0.55")):
+        return (poisson_kernel_sides(t, z, zeta, ctx)[0],
+                sum_series(lambda n: mp.qp(q, q, n) * q ** (n * (n - 1) // 2) * t ** n
+                           * old_sw(n, z * q ** -n, q) * old_sw(n, zeta * q ** -n, q),
+                           ctx).value)
+
+    def gfhn0(ctx, q, b):
+        bs = b * mp.sqrt(q)
+        return (gfhn0_sides(b, ctx)[1],
+                mp.qp(bs, q) * sum_series(lambda n: q ** (n * n / mp.mpf(2)) * b ** n
+                                          / (mp.qp(q, q, n) * mp.qp(bs, q, n)),
+                                          ctx).value)
+
+    cases = {"st_5_1": st_5_1, "st_5_9": st_5_9, "hermite_gf": hermite_gf,
+             "poisson_kernel": poisson}
+    for n in (0, 2, 4):
+        cases[f"st_5_3-n={n}"] = lambda ctx, q, n=n: st_5_3(ctx, q, n)
+    for n in (0, 1, 4):
+        cases[f"st_5_5-n={n}"] = lambda ctx, q, n=n: st_5_5(ctx, q, n)
+    for m in (0, 1, 3):
+        cases[f"st_10-m={m}"] = lambda ctx, q, m=m: st_10(ctx, q, m)
+    for b in ("0.7", "-0.4"):
+        cases[f"gfhn0-b={b}"] = lambda ctx, q, b=b: gfhn0(ctx, q, mp.mpf(b))
+    return cases
+
+
+SERIES_CASES = _series_cases()
+
+
+@pytest.mark.parametrize("q", ["0.2", "0.3"])
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_series_side_matches_per_term_oracle(case, q):
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        new, old = SERIES_CASES[case](ctx, ctx.q)
+        assert abs(new - old) <= ORACLE_TOL * abs(old)
+
+
+def test_finite_sums_stay_exact():
+    # Fraction inputs give Fractions equal to sums over exact Gaussian binomials
+    q, x, E = F(2, 7), F(-3, 5), F(5, 4)
+    for n in range(9):
+        binoms = [q_binomial(n, k, q) for k in range(n + 1)]
+        sw = sum(b * q ** (k * k) * (-x) ** k for k, b in enumerate(binoms))
+        for value in (stieltjes_wigert(n, x, q), stieltjes_wigert_second(n, x, q)):
+            assert type(value) is F and value == sw / pochhammer_finite(q, q, n)
+        h = qinv_hermite(n, E, q)
+        assert type(h) is F and h == sum(b * (-1) ** k * q ** (k * (k - n)) * E ** (n - 2 * k)
+                                         for k, b in enumerate(binoms))
+        lhs, rhs = finite_qbinom_sides(n, x, q)
+        assert type(rhs) is F and rhs == sum(b * (-x) ** k * q ** (k * (k - 1) // 2)
+                                             for k, b in enumerate(binoms)) == lhs

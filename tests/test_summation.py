@@ -163,3 +163,26 @@ def test_decay_rate_is_bit_identical_to_full_history(name):
         assert got is None
     else:
         assert got._mpf_ == want._mpf_
+
+
+def test_decay_rate_reads_only_the_tail_after_the_peak():
+    # a short series that rises before it decays: the growth ratio 2.17 / 1
+    # says nothing about the tail
+    tol = mp.mpf(10) ** -30
+    with mp.workdps(45):
+        rising = [(0, mp.mpf(1)), (1, mp.mpf("2.17"))]
+        rising += [(n, mp.mpf("0.148") * mp.mpf(10) ** (-5 * (n - 2))) for n in range(2, 13)]
+        assert _decay_rate(rising, tol) == rising[2][1] / rising[1][1]
+        assert decay_rate_reference(rising, tol) is None  # the whole-history window
+        # still rising at the last term: nothing after the peak to certify
+        assert _decay_rate([(0, mp.mpf(1)), (1, mp.mpf(2))], tol) is None
+        for name in ("plateau-below-tol", "plateau-above-tol"):
+            assert _decay_rate(_CASES[name], _TOL) is None
+
+
+def test_short_rising_series_certifies_at_low_precision():
+    ctx = QContext.numeric("0.2", precision=20)
+    with ctx.workdps():
+        x = mp.mpf(6)  # terms x^n q^(n^2): 1, 1.2, 0.0576, 1.1e-4, ...
+        out = sum_series(lambda n: x ** n * ctx.q ** (n * n), ctx)
+    assert out.converged
