@@ -3,7 +3,7 @@
 1. Coefficient-exact: both sides live in the truncated series ring and the
    difference is the zero series through q^100.
 2. Combinatorial: coefficients count gap-restricted partitions on one side
-   and congruence-restricted partitions on the other, by brute enumeration.
+   and congruence-restricted partitions on the other, by enumeration.
 3. Numeric: 50-digit evaluation of the sum and product sides at q = 0.3.
 """
 

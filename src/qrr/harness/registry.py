@@ -162,10 +162,17 @@ def _bessel_asymptotic(ctx):
     return Verdict(devs[-1], all(b < a for a, b in zip(devs, devs[1:])))
 
 
+def _ms_digits(ctx):
+    """Slice-sum digits of ms-3/4/5: their tolerance exponent, precision
+    minus 25 (see ``_MS_SLICE``), plus 9 guard digits; 34 at precision 50."""
+    return ctx.precision - 16
+
+
 def _ms5_single_factor(ctx):
     """n = 3 with the subscript-free base-q^3 factor read as (.;q^3)_1."""
     qv, av, bv = ctx.q, mp.mpf("0.5"), mp.mpf("0.1")
-    lhs, rhs = qf.bilateral_cube_slice_sides(3, av, bv, ctx, digits=34)
+    lhs, rhs = qf.bilateral_cube_slice_sides(3, av, bv, ctx,
+                                             digits=_ms_digits(ctx))
     return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (bv / av) ** 3],
                                                  qv ** 3, ctx)
                  / ((1 - qv ** 3) * (1 - (bv / av) ** 3)))
@@ -480,7 +487,7 @@ ENTRIES: tuple = (
         (("n", "0..5"),), **_MS_SLICE,
         numeric=Check(
             lambda ctx, n: qf.bilateral_pair_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34),
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx)),
             grid(n=range(6)), params={"n": "0..5", "a": "0.5", "b": "0.1"})),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
@@ -488,7 +495,7 @@ ENTRIES: tuple = (
         (("n", "{1,2,4,5}"),), **_MS_SLICE,
         numeric=Check(
             lambda ctx, n: abs(qf.bilateral_cube_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34)[0]),
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx))[0]),
             grid(n=(1, 2, 4, 5)), params={"n": "{1,2,4,5}"},
             note="slice sums with 3 not dividing n vanish")),
     IdentityEntry(
@@ -497,7 +504,7 @@ ENTRIES: tuple = (
         (("n", "{0,3,6}"),), **_MS_SLICE,
         numeric=Check(
             lambda ctx, n: qf.bilateral_cube_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=34),
+                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx)),
             grid(n=(0, 3, 6)), params={"n": "{0,3,6}"},
             note="subscript-free factors read as infinite products; the "
                  f"(.;q^3)_1 reading deviates by {LITERAL}",

@@ -423,12 +423,12 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
     as EisensteinRational values.
     """
     r = _ratio_table(a, q, n)
-    lhs = EisensteinRational.of(0)
+    s = [Fraction(0)] * 3  # s[e]: the terms weighted by w^e
     for j in range(n + 1):
         for k in range(n + 1 - j):
             l = n - j - k
-            w = EisensteinRational.root_power(k + 2 * l)
-            lhs = lhs + w * (r[j] * r[k] * r[l])
+            s[(k + 2 * l) % 3] += r[j] * r[k] * r[l]
+    lhs = EisensteinRational(s[0] - s[2], s[1] - s[2])  # w^2 = -1 - w
     if n % 3 != 0:
         rhs = EisensteinRational.of(0)
     else:

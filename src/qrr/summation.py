@@ -71,6 +71,8 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
                     return SumOutcome(total, n, mp.mpf(0), True)
                 rate = _decay_rate(mags, tol)
                 if rate is None:
+                    rate = _parity_decay_rate(mags, tol)
+                if rate is None:
                     raise RatioTestError(
                         f"terms below tolerance after {n} terms but no decay certificate")
                 level = max(max(m for _, m in mags[-group:]), tol)
@@ -121,6 +123,23 @@ def _decay_rate(mags, tol):
     if worst is None or worst >= RATIO_CAP:
         return None  # still rising at its last term, or no decay
     return worst
+
+
+def _parity_decay_rate(mags, tol):
+    """Decay rate certified on the even- and odd-position magnitudes apart,
+    or None.
+
+    A series whose two interleaved classes of terms decay at different
+    levels shows ratios that alternate up and down across the classes, so
+    the plain certificate fails although each class decays.  Each class
+    needs at least two magnitudes; the per-index rate of a gap of two comes
+    from :func:`_pair_ratio`.  The larger of the two rates bounds both
+    classes, so ``level * r / (1 - r)`` stays an upper bound on the tail.
+    """
+    if len(mags) < 4:
+        return None
+    rates = [_decay_rate(mags[start::2], tol) for start in (0, 1)]
+    return None if None in rates else max(rates)
 
 
 def _pair_ratio(first, second):

@@ -185,6 +185,25 @@ def test_config_sweep_passes(entry_id, precision):
     assert report.status == "PASS", report.note
 
 
+# Settings where ms-3/ms-5 used to FAIL (their slice sums were truncated at a
+# fixed 34 digits whatever the precision) or where a series whose even and
+# odd terms decay at different levels raised RatioTestError (SKIPPED).
+@pytest.mark.parametrize("entry_id, settings, expected", [
+    ("ms-3", {"precision": 100}, "PASS"),
+    ("ms-5", {"precision": 100}, "PASS"),
+    ("hermite-gf", {"q_values": ("0.5",)}, "DISCREPANCY_DOCUMENTED"),
+    ("hermite-gf", {"q_values": ("0.7",)}, "DISCREPANCY_DOCUMENTED"),
+    ("poisson-kernel", {"q_values": ("-0.3",)}, "PASS")])
+def test_config_probe_fixes(entry_id, settings, expected):
+    report = run_check(entry_id, "numeric", RunSettings(**settings))
+    assert report.status == expected, report.note
+
+
+def test_ms_slice_digits_unchanged_at_default_precision():
+    from qrr.harness.registry import _ms_digits
+    assert _ms_digits(RunSettings().numeric_ctx("0.3")) == 34
+
+
 def test_driver_numeric_tolerance_follows_tol_shift():
     rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
     assert rc.tol(5) == mp.mpf(10) ** -15

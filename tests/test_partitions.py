@@ -1,12 +1,14 @@
 """Partition enumeration oracles against series and binomial coefficients."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr import QPoly, SizeError, q_binomial
-from qrr.partitions import (Congruence, MinGap, Unrestricted, box_gf,
-                            box_matches_q_binomial, count_partitions,
+from qrr.partitions import (Box, Congruence, MinGap, Unrestricted, _tally,
+                            box_gf, box_matches_q_binomial, count_partitions,
                             partitions_of, series_vs_partitions)
 
 
@@ -74,3 +76,62 @@ def test_gap_series_coefficients_match_counts_small():
     assert series_vs_partitions("RR1", 0)
     assert series_vs_partitions("RR1", 12)
     assert series_vs_partitions("RR2", 12)
+
+
+@lru_cache(maxsize=None)
+def _bounded_count(n, max_part, max_parts):
+    """Partitions of n with parts <= max_part and at most max_parts parts,
+    by the largest-part recursion (independent of the walk)."""
+    if n == 0:
+        return 1
+    if max_parts == 0:
+        return 0
+    return sum(_bounded_count(n - p, p, max_parts - 1)
+               for p in range(1, min(max_part, n) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 31), st.integers(0, 31))
+def test_partitions_of_is_complete(n, max_part, max_parts):
+    parts = list(partitions_of(n, max_part=max_part, max_parts=max_parts))
+    assert len(set(parts)) == len(parts)
+    assert len(parts) == _bounded_count(n, max_part, max_parts)
+    assert all(sum(p) == n and len(p) <= max_parts and list(p) == sorted(p)[::-1]
+               and all(1 <= x <= max_part for x in p) for p in parts)
+    assert len(list(partitions_of(n))) == _bounded_count(n, n, n)
+
+
+@lru_cache(maxsize=None)
+def _all_partitions(n):
+    return tuple(partitions_of(n))
+
+
+def _brute_count(n, filt):
+    return sum(1 for parts in _all_partitions(n) if filt.admits(parts))
+
+
+_FILTERS = st.one_of(
+    st.builds(MinGap, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(Congruence, st.frozensets(st.integers(0, 7), max_size=4),
+              st.integers(1, 8)),
+    st.builds(Box, st.integers(0, 8), st.integers(0, 8)),
+    st.just(Unrestricted()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FILTERS, st.integers(0, 30))
+def test_pruned_counts_equal_brute_force(filt, n):
+    assert count_partitions(n, filt) == _brute_count(n, filt)
+    assert _tally(filt, n) == [_brute_count(k, filt) for k in range(n + 1)]
+
+
+def test_pruned_walk_examines_only_admitted_partitions():
+    class Counting(MinGap):
+        examined = 0
+
+        def admits(self, parts):
+            Counting.examined += 1
+            return super().admits(parts)
+
+    counts = _tally(Counting(2, min_part=1), 40)
+    assert Counting.examined == sum(counts)

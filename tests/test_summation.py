@@ -7,7 +7,8 @@ import pytest
 
 from qrr import (NonConvergenceError, QContext, RatioTestError, sum_bilateral,
                  sum_series)
-from qrr.summation import RATIO_CAP, RATIO_WINDOW, _decay_rate
+from qrr.summation import (RATIO_CAP, RATIO_WINDOW, _decay_rate,
+                           _parity_decay_rate)
 
 
 def theta_half_oracle(dps=40, terms=25):
@@ -51,6 +52,30 @@ def test_no_decay_certificate_raises():
 
     with pytest.raises(RatioTestError):
         sum_series(flat_small, ctx)
+
+
+def test_parity_split_decay_certificate():
+    # even terms r^n, odd terms c r^n: the ratios alternate between c r and
+    # r / c, so only the two classes taken apart show the decay rate r
+    ctx = QContext.numeric("0.5", precision=30)
+    r, c = mp.mpf("0.5"), mp.mpf("1e-3")
+    with ctx.workdps():
+        out = sum_series(lambda n: r ** n * (1 if n % 2 == 0 else c), ctx)
+        exact = (1 + c * r) / (1 - r * r)
+        assert out.converged
+        assert abs(out.value - exact) <= out.tail_bound
+        assert abs(out.value - exact) < mp.mpf(10) ** -30
+        mags = [(n, r ** n * (1 if n % 2 == 0 else c))
+                for n in range(out.terms_used)]
+    assert _decay_rate(mags, ctx.stop_tol) is None
+    assert mp.almosteq(_parity_decay_rate(mags, ctx.stop_tol), r, 1e-20)
+
+
+def test_parity_split_needs_two_terms_per_class():
+    tol = mp.mpf(10) ** -40
+    rising = [(0, mp.mpf(1)), (1, mp.mpf(2))]
+    assert _parity_decay_rate(rising, tol) is None
+    assert _parity_decay_rate(rising + [(2, mp.mpf(3))], tol) is None
 
 
 def test_bilateral_symmetric_gaussian():
