@@ -10,7 +10,8 @@ every registered identity by evaluating both sides independently.
 from .context import QContext, powq, scaled_deviation, to_mp
 from .errors import (AnnulusError, ConfigError, DomainError, EmptyDomainError,
                      ExponentError, NonConvergenceError, NotUnitError,
-                     PoleError, QrrError, RatioTestError, SeriesMismatchError,
+                     PoleError, PrecisionLossError, QrrError, RatioTestError,
+                     SeriesMismatchError,
                      SingularDeltaError, SizeError, UnknownIdentityError,
                      UnsupportedModeError, ValuationError)
 from .exactpoly import BivariatePoly, EisensteinRational, QPoly
@@ -29,6 +30,7 @@ __all__ = [
     "fs_finite_pochhammer",
     "QPoly", "BivariatePoly", "EisensteinRational",
     "QrrError", "PoleError", "NonConvergenceError", "RatioTestError",
+    "PrecisionLossError",
     "DomainError", "AnnulusError", "SeriesMismatchError", "NotUnitError",
     "ExponentError", "ValuationError", "SingularDeltaError", "SizeError",
     "UnknownIdentityError", "UnsupportedModeError", "ConfigError",

@@ -14,6 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, ExponentError
+from .fixedpoint import Fixed, bits_for_digits, rounding_bits
 
 # Series of a few hundred terms lose at most a couple of digits, so a fixed
 # guard is enough to report residuals well below the pass threshold.
@@ -64,6 +65,16 @@ class QContext:
     def working_dps(self) -> int:
         return self.precision + GUARD_DIGITS
 
+    @property
+    def fixed_bits(self) -> int:
+        """Fixed-point working precision of a numeric series: the working
+        digits plus the guard bits of a sum of ``max_terms`` terms."""
+        return bits_for_digits(self.working_dps) + rounding_bits(self.max_terms)
+
+    def fixed(self, x) -> Fixed:
+        """``x`` in fixed point at :attr:`fixed_bits`."""
+        return Fixed.of(x, self.fixed_bits)
+
     def workdps(self):
         """Context manager entering the working precision."""
         return mp.workdps(self.working_dps)
@@ -88,6 +99,8 @@ def to_mp(x):
     """Convert ints, Fractions, floats, strings and mp numbers to mpf/mpc."""
     if isinstance(x, (mp.mpf, mp.mpc)):
         return x
+    if isinstance(x, Fixed):
+        return x.to_mp()
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     if isinstance(x, complex):
@@ -101,11 +114,11 @@ def powq(base, exponent):
     Keeps exact types exact: a Fraction base with an integer exponent stays a
     Fraction, and fractional exponents of a Fraction are resolved through
     exact integer roots when they exist (``powq(F(1,4), F(1,2)) == F(1,2)``).
-    mp numbers use the principal branch.
+    mp numbers use the principal branch; a Fixed base stays Fixed.
     """
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
         exponent = int(exponent)
-    if isinstance(exponent, int):
+    if isinstance(exponent, int) or isinstance(base, Fixed):
         return base ** exponent
     if not isinstance(exponent, Fraction):
         raise ExponentError(f"exponent must be int or Fraction, got {exponent!r}")

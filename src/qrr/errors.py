@@ -63,3 +63,14 @@ class ConfigError(QrrError):
 
 class EmptyDomainError(QrrError):
     """A parameter domain admits no sample."""
+
+
+class PrecisionLossError(QrrError):
+    """A fixed-point sum cancelled below the requested precision.
+
+    ``bits`` is how many more working bits the sum needs to meet it.
+    """
+
+    def __init__(self, message: str, bits: int):
+        super().__init__(message)
+        self.bits = bits

@@ -216,7 +216,7 @@ def _ms12(corrected: bool):
 
 def _theta_triple(arrangement):
     return lambda ctx, a: qf.theta_triple_sides(
-        a, mp.mpf("0.6"), ctx, digits=32, arrangement=arrangement)
+        a, mp.mpf("0.6"), ctx, arrangement=arrangement)
 
 
 def _sw_inversion_exact():
@@ -571,7 +571,7 @@ ENTRIES: tuple = (
         (("x", "q < |x| < 1"),), **_MS_SLICE,
         numeric=Check(
             lambda ctx: qf.theta_pair_sides(
-                mp.mpf("0.5"), mp.mpf("0.6"), ctx, digits=34),
+                mp.mpf("0.5"), mp.mpf("0.6"), ctx),
             params={"a": "0.5", "x": "0.6"})),
     IdentityEntry(
         "ms-14", "imaginary specialization of the squared theta quotient",
@@ -580,7 +580,7 @@ ENTRIES: tuple = (
         (("x", "q < |x| < 1"),), **_MS_SLICE,
         numeric=Check(
             lambda ctx: qf.theta_pair_imag_sides(
-                mp.mpf("0.6"), ctx, digits=34),
+                mp.mpf("0.6"), ctx),
             params={"x": "0.6"},
             note="denominators 1 + i q^{j+1/2}; numeric mode only")),
     IdentityEntry(

@@ -22,6 +22,7 @@ import mpmath as mp
 from .context import QContext, powq, to_mp
 from .errors import NonConvergenceError, PoleError
 from .exactpoly import QPoly
+from .fixedpoint import Fixed, cut, one_minus, parts
 from .summation import SumOutcome
 
 
@@ -48,8 +49,8 @@ def _factors(a: QPow, q, j=0, step=1):
     multiplication.  A factor whose exact joint exponent is 0 is
     ``1 - coeff`` exactly, never a rounded value.
     """
-    c, e = a.coeff, a.exponent + j
-    p = c * powq(q, e)
+    c, e = a.coeff * _one_like(q), a.exponent + j
+    p = powq(q, e) * c
     shift = powq(q, step)
     while True:
         yield 1 - c if e == 0 else 1 - p
@@ -133,28 +134,46 @@ def pochhammer_ratio(a, b, q, n: int):
 
 
 def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
-    """(a;q)_infinity as a truncated product with a log-product tail bound."""
+    """(a;q)_infinity as a truncated product with a log-product tail bound.
+
+    The product stops at the first factor k with |a q^k| below the stop
+    tolerance, a count read off log |a| and log |q| up front.  It runs in
+    fixed point at ``ctx.fixed_bits``: the product and the carried power
+    a q^k are pairs of ints with an exponent, cut back once per factor.
+    """
     a = _as_qpow(a)
     with ctx.workdps():
         qv = to_mp(q)
         if abs(qv) >= 1:
             raise PoleError(f"infinite product needs |q| < 1, got {qv}")
         absq = abs(qv)
-        mag = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^k|
-        prod = mp.mpf(1)
+        mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
         tol = ctx.stop_tol
-        for k, f in zip(range(ctx.max_terms), _factors(a, qv)):
-            if f == 0:
+        last = 0 if mag0 < tol else int(mp.floor(mp.log(mag0 / tol) / -mp.log(absq))) + 1
+        if last >= ctx.max_terms:
+            raise NonConvergenceError(
+                f"(a;q)_inf did not settle in {ctx.max_terms} factors")
+        qf = ctx.fixed(qv)
+        power = powq(qf, a.exponent) * a.coeff
+        complex_value = power.im is not None or qf.im is not None
+        wp, e = qf.wp, a.exponent
+        pr, pi, pe = parts(power)
+        qr, qi, qe = parts(qf)
+        exact = parts(qf.like(1) - a.coeff)
+        vr, vi, ve = 1, 0, 0
+        for k in range(last + 1):
+            fr, fi, fe = exact if e + k == 0 else one_minus(pr, pi, pe, wp)
+            if not (fr or fi):
                 return SumOutcome(mp.mpf(0), k + 1, mp.mpf(0), True)
-            prod = prod * f
-            if mag < tol:
-                # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
-                tail_log = mag * absq / ((1 - absq) * (1 - mag))
-                tail = abs(prod) * (mp.e ** tail_log - 1)
-                return SumOutcome(prod, k + 1, tail,
-                                  bool(tail < mp.mpf(10) ** (-ctx.precision)))
-            mag = mag * absq
-        raise NonConvergenceError(f"(a;q)_inf did not settle in {ctx.max_terms} factors")
+            vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
+            pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)
+        value = Fixed(vr, vi if complex_value else None, ve, wp).to_mp()
+        # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
+        mag = mag0 * absq ** last
+        tail_log = mag * absq / ((1 - absq) * (1 - mag))
+        tail = abs(value) * (mp.e ** tail_log - 1)
+        return SumOutcome(value, last + 1, tail,
+                          bool(tail < mp.mpf(10) ** (-ctx.precision)))
 
 
 def pochhammer_infinite_value(a, q, ctx: QContext):
@@ -198,4 +217,6 @@ def q_binomial(n: int, k: int, q=None):
 def _one_like(q):
     if isinstance(q, (int, Fraction)):
         return Fraction(1)
+    if isinstance(q, Fixed):
+        return q.like(1)
     return mp.mpf(1)

@@ -26,10 +26,9 @@ import mpmath as mp
 from .context import QContext, powq, to_mp
 from .errors import DomainError, PoleError
 from .pochhammer import QPow, _factors, pochhammer_finite, pochhammer_infinite_value
-from .qfunctions import _Q1, _bilateral, _gaussian, _inverse, _unilateral
+from .qfunctions import _Q1, _bilateral, _gaussian, _ratio_terms, _unilateral
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
                            stieltjes_wigert)
-from .summation import sum_bilateral, sum_series
 
 
 def as_order(nu) -> Fraction:
@@ -99,10 +98,9 @@ def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
 def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):
     """sum_n x^n q^{alpha n^2} / ((q;q)_n (q^{nu+1};q)_n): the series of every
     kind, and of the special-value identity."""
-    q = ctx.q
-    terms = map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(1, nu + 1), q)),
-                _gaussian(q, alpha, x))
-    return sum_series(_unilateral(terms), ctx).value
+    return _unilateral(lambda q: _ratio_terms([], [_Q1, QPow(1, nu + 1)], q,
+                                              powq(q, alpha) * x, powq(q, 2 * alpha)),
+                       ctx).value
 
 
 def i1_continued(nu, z, ctx: QContext):
@@ -163,9 +161,10 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
         x = powq(q, nu - n)
         series = _bessel_series(nu, 1, x, ctx)
         tail = pochhammer_infinite_value(QPow(1, nu + 1), q, ctx)
-        binoms = list(_qbinomials(n, q))
-        s4 = sum(map(mul, binoms, _gaussian(q, 1, powq(q, -nu - n))))
-        s5 = sum(map(mul, binoms, _gaussian(q, 1, x)))
+        qf = ctx.fixed(q)
+        binoms = list(_qbinomials(n, qf))
+        s4, s5 = (sum(map(mul, binoms, _gaussian(qf, 1, powq(qf, e)))).to_mp()
+                  for e in (-nu - n, nu - n))
         return series, powq(q, n * nu) * s4 / tail, s5 / tail
 
 
@@ -178,11 +177,14 @@ def gen_func_sides(z, t, ctx: QContext):
         if tv == 0:
             raise DomainError("t must be nonzero")
         # at m = -k the weight q^binom(m,2) t^m is q^binom(k,2) (q/t)^k
-        pos = map(mul, _binomial_powers(tv, q),
-                  (bessel_i(2, m, zv, ctx) for m in count()))
-        neg = map(mul, islice(_binomial_powers(q / tv, q), 1, None),
-                  (bessel_i(2, m, zv, ctx) for m in count(-1, -1)))
-        lhs = sum_bilateral(_bilateral(pos, neg), ctx).value
+        def streams(q):
+            t = q.like(tv)
+            return (map(mul, _binomial_powers(t, q),
+                        (bessel_i(2, m, zv, ctx) for m in count())),
+                    map(mul, islice(_binomial_powers(q / t, q), 1, None),
+                        (bessel_i(2, m, zv, ctx) for m in count(-1, -1))))
+
+        lhs = _bilateral(streams, ctx).value
         rhs = (pochhammer_infinite_value(-tv * zv / 2, q, ctx)
                * pochhammer_infinite_value(-q * zv / (2 * tv), q, ctx))
         return lhs, rhs
@@ -207,7 +209,7 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
             e2, c2 = 0, zv ** 2
         z24 = QPow(c2 / 4, e2)
 
-        def terms():
+        def terms(q):
             # (-1)^n q^binom(n+1,2) = q^binom(n,2) (-q)^n
             for n, w, s, f in zip(count(), _binomial_powers(-q, q),
                                   _sw_shifted(-powq(q, nu), q), _factors(z24, q)):
@@ -215,7 +217,7 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
                     raise PoleError(f"pole: z^2/4 = q^-{n}")
                 yield w * s / f
 
-        series = sum_series(_unilateral(terms()), ctx).value
+        series = _unilateral(terms, ctx).value
         pref = (mp.power(zv / 2, mp.mpf(nu.numerator) / nu.denominator)
                 / pochhammer_infinite_value(q, q, ctx) ** 2)
         return pref * series

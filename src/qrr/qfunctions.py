@@ -2,15 +2,23 @@
 generalizations, bilateral sums, and the cube-root-of-unity convolution
 identities built from them.
 
-Numeric evaluators run on mpmath numbers inside the context's working
-precision; the handful of series that admit coefficient-exact verification
-have formal counterparts returning :class:`~qrr.formal.FormalSeries`.
+Numeric evaluators take and return mpmath numbers; the handful of series that
+admit coefficient-exact verification have formal counterparts returning
+:class:`~qrr.formal.FormalSeries`.
 
 Every numeric series is defined by its term ratio (Gasper & Rahman, *Basic
 Hypergeometric Series*, ch. 1): each term comes from the previous one by
 multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
-running products that live for one sum.  Slice convolutions work on tables
-built once per call and evaluate each inner sum with ``mp.fdot``.
+running products that live for one sum.  The stream helpers are generic in
+the number type: Fraction q gives exact Fractions, and a numeric series runs
+them on :class:`~qrr.fixedpoint.Fixed` values, Python-int fixed point with
+complex values as pairs of ints.  A series enters fixed point in
+:func:`_unilateral` / :func:`_bilateral`, which hand its stream-builder the
+base q at ``ctx.fixed_bits`` (other arguments are read exactly at their first
+use) and rerun it wider when the engine reports cancellation; it leaves as the
+mpf/mpc ``SumOutcome.value``.  Slice convolutions build their tables once per
+call in fixed point, aligned exactly to one binary exponent per table, so each
+inner sum is one exact integer dot product, rounded once.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from operator import mul
 import mpmath as mp
 
 from .context import QContext, powq, to_mp
-from .errors import AnnulusError, DomainError, PoleError
+from .errors import AnnulusError, DomainError, PoleError, PrecisionLossError
 from .exactpoly import EisensteinRational
+from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import FormalSeries, fs_div_finite_pochhammer, qexp_to_u
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like,
                          multi_pochhammer_infinite, pochhammer_finite)
@@ -32,16 +41,42 @@ from .summation import SumOutcome, sum_bilateral, sum_series
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 _Q0 = QPow(0, 0)  # a = 0, as in (0;q)_n = 1
 
+# A rerun asks for the missing bits plus this margin, and gives up beyond
+# MAX_WIDENING times the context's fixed-point precision.
+RERUN_MARGIN_BITS = 16
+MAX_WIDENING = 4
 
-def _unilateral(terms):
-    """Term function for :func:`sum_series` over a stream of terms 0, 1, ..."""
-    return lambda n: next(terms)
+
+def _widening(run, ctx: QContext):
+    """run(q), q the context's base in fixed point; rerun at a wider scale
+    while the sum reports that cancellation left it short of precision."""
+    wp = ctx.fixed_bits
+    while True:
+        try:
+            return run(Fixed.of(ctx.q, wp))
+        except PrecisionLossError as exc:
+            if wp + exc.bits > MAX_WIDENING * ctx.fixed_bits:
+                raise
+            wp += exc.bits + RERUN_MARGIN_BITS
 
 
-def _bilateral(pos, neg):
-    """Term function for :func:`sum_bilateral` over the streams of terms
-    n = 0, 1, ... and n = -1, -2, ..."""
-    return lambda n: next(pos) if n >= 0 else next(neg)
+def _unilateral(build, ctx: QContext) -> SumOutcome:
+    """Sum of the stream of terms 0, 1, ... that ``build(q)`` returns."""
+    def run(q):
+        terms = build(q)
+        return sum_series(lambda n: next(terms), ctx)
+
+    return _widening(run, ctx)
+
+
+def _bilateral(build, ctx: QContext) -> SumOutcome:
+    """Sum of the streams of terms n = 0, 1, ... and n = -1, -2, ... that
+    ``build(q)`` returns as a pair."""
+    def run(q):
+        pos, neg = build(q)
+        return sum_bilateral(lambda n: next(pos) if n >= 0 else next(neg), ctx)
+
+    return _widening(run, ctx)
 
 
 def _geometric(x0, ratio):
@@ -90,7 +125,7 @@ def _ratios_down(a: QPow, b: QPow, q, what="term"):
     tail); a vanishing factor of a is a pole, reported as one of the
     bilateral ``what`` ("term" or "ratio").
     """
-    r = mp.mpf(1)
+    r = _one_like(q)
     for k, fa, fb in zip(count(1), _factors(a, q, -1, -1), _factors(b, q, -1, -1)):
         if fb == 0:
             break
@@ -98,8 +133,9 @@ def _ratios_down(a: QPow, b: QPow, q, what="term"):
             raise PoleError(f"(a;q)_{-k} infinite: bilateral {what} has a pole")
         r = r * fb / fa
         yield r
+    zero = 0 * r
     while True:
-        yield mp.mpf(0)
+        yield zero
 
 
 def _value(x, q):
@@ -123,21 +159,12 @@ def phi_2_1(a, b, c, z, ctx: QContext) -> SumOutcome:
     """2phi1(a, b; c; q, z) for |z| < 1."""
     a, b, c = _as_qpow(a), _as_qpow(b), _as_qpow(c)
     with ctx.workdps():
-        q = ctx.q
-        zv = _value(z, q)
+        zv = _value(z, ctx.q)
         if abs(zv) >= 1:
             raise DomainError(f"2phi1 requires |z| < 1, got |z|={abs(zv)}")
 
-        def terms():
-            t = mp.mpf(1)
-            for k, fa, fb, fc, fq in zip(count(), _factors(a, q), _factors(b, q),
-                                         _factors(c, q), _factors(_Q1, q)):
-                if fc == 0:
-                    raise PoleError(f"2phi1 denominator parameter hits q^(-{k})")
-                yield t
-                t = t * fa * fb * zv / (fc * fq)
-
-        return sum_series(_unilateral(terms()), ctx)
+        return _unilateral(lambda q: _ratio_terms([a, b], [c, _Q1], q, q.like(zv),
+                                                  q.like(1)), ctx)
 
 
 def phi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
@@ -148,20 +175,10 @@ def phi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
     """
     a, b = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
-        q = ctx.q
-        zv = _value(z, q)
+        zv = _value(z, ctx.q)
 
-        def terms():
-            t = mp.mpf(1)
-            for k, fa, fb, fq, qk in zip(count(), _factors(a, q), _factors(b, q),
-                                         _factors(_Q1, q), _geometric(-zv, q)):
-                if fb == 0:
-                    raise PoleError(f"1phi1 denominator parameter hits q^(-{k})")
-                yield t
-                # ratio carries (-1) * q^k from the convention factor
-                t = t * fa * qk / (fb * fq)
-
-        return sum_series(_unilateral(terms()), ctx)
+        # the ratio carries (-1) * q^k from the convention factor
+        return _unilateral(lambda q: _ratio_terms([a], [b, _Q1], q, -q.like(zv), q), ctx)
 
 
 def phi21_terminating_exact(m: int, n: int, q: Fraction) -> Fraction:
@@ -212,14 +229,81 @@ def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
         if not abs(zv) < 1 or (not terminating and not ratio < abs(zv)):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
-        return _ratio_series(aq, bq, 0, zv, q, ctx)
+        return _ratio_series(aq, bq, 0, zv, ctx)
 
 
-def _ratio_series(aq: QPow, bq: QPow, alpha, xv, q, ctx: QContext) -> SumOutcome:
+def _ratio_series(aq: QPow, bq: QPow, alpha, xv, ctx: QContext) -> SumOutcome:
     """Bilateral sum over n of (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
-    pos = map(mul, _ratios_up(aq, bq, q), _gaussian(q, alpha, xv))
-    neg = map(mul, _ratios_down(aq, bq, q), _gaussian(q, alpha, 1 / xv, 1))
-    return sum_bilateral(_bilateral(pos, neg), ctx)
+    def streams(q):
+        x, qa, q2a = q.like(xv), powq(q, alpha), powq(q, 2 * alpha)
+        return (_ratio_terms([aq], [bq], q, qa * x, q2a),
+                _ratio_terms([bq], [aq], q, qa / x, q2a, up=False))
+
+    return _bilateral(streams, ctx)
+
+
+def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
+    """The fused stream of a series given by its term ratio
+    prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k) * step_k, step_{k+1} =
+    step_k * growth, over the QPows a_i in ``nums`` and b_j in ``dens``.
+
+    Upwards it yields t_0 = 1, t_1, ... with k = 0, 1, ... (term k + 1 is
+    term k times ratio k); downwards it yields t_{-1}, t_{-2}, ... with
+    k = -1, -2, ... (term -k is term -k + 1 times ratio -k, t_0 = 1), as
+    (a;q)_n / (b;q)_n q^{alpha n^2} x^n reads from n = -1 on with a and b
+    swapped.  The term, the step and every carried power a_i q^k are pairs of
+    ints with an exponent each, cut back to wp bits once per step.  A factor
+    whose exact exponent is 0 is 1 - coeff exactly.  A vanishing denominator
+    factor is a pole (checked before the term it would divide); downwards a
+    vanishing numerator factor kills the tail, which yields exact zeros.
+    """
+    wp, one = q.wp, q.like(1)
+    k, dk = (0, 1) if up else (-1, -1)
+    shift = q if up else 1 / q
+    powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
+    complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
+    # per factor: [exact exponent of q, carried power, exact 1 - coeff]
+    factors = [[c.exponent + k, parts(p), parts(one - c.coeff)]
+               for c, p in zip((*nums, *dens), powers)]
+    n_num = len(nums)
+    hr, hi, he = parts(shift)
+    gr, gi, ge = parts(growth)
+    sr, si, se = parts(step)
+    tr, ti, te = 1, 0, 0
+    while True:
+        fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
+        for i, f in enumerate(factors):
+            e, (pr, pi, pe), exact = f
+            xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
+            if i < n_num:
+                if not (xr or xi) and not up:
+                    zero = Fixed(0, 0 if complex_terms else None, 0, wp)
+                    while True:
+                        yield zero
+                fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
+            else:
+                if not (xr or xi):
+                    raise PoleError(f"denominator factor 1 - b q^({k}) of the "
+                                    f"{'term' if up else 'bilateral term'} ratio vanished")
+                vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
+            f[0] = e + dk
+            f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
+        if up:
+            yield Fixed(tr, ti if complex_terms else None, te, wp)
+        # t * f * step / v, with one rounding in the division
+        tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
+        tr, ti = tr * sr - ti * si, tr * si + ti * sr
+        te += fe + se - ve
+        if vi:
+            tr, ti = tr * vr + ti * vi, ti * vr - tr * vi
+            vr = vr * vr + vi * vi
+        s, m = tr.bit_length(), ti.bit_length()
+        s = wp + 1 + vr.bit_length() - (m if m > s else s)
+        tr, ti, te = shifted(tr, s) // vr, shifted(ti, s) // vr, te - s
+        if not up:
+            yield Fixed(tr, ti if complex_terms else None, te, wp)
+        k += dk
+        sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
 def psi_1_1_product(a, b, z, ctx: QContext):
@@ -241,23 +325,17 @@ def psi_1_1_product(a, b, z, ctx: QContext):
 def ramanujan_A(z, ctx: QContext) -> SumOutcome:
     """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z."""
     with ctx.workdps():
-        q = ctx.q
         zv = to_mp(z)
 
-        def terms():
-            t = mp.mpf(1)
-            # ratio q^{2k+1} from the square, -z, and the new (q;q) factor
-            for step, fq in zip(_geometric(-zv * q, q * q), _factors(_Q1, q)):
-                yield t
-                t = t * step / fq
-
-        return sum_series(_unilateral(terms()), ctx)
+        # ratio q^{2k+1} from the square, -z, and the new (q;q) factor
+        return _unilateral(lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q), ctx)
 
 
 def omega(v, ctx: QContext) -> SumOutcome:
     """omega(v; q) = sum_{n>=0} q^{n^2} v^n."""
     with ctx.workdps():
-        return sum_series(_unilateral(_gaussian(ctx.q, 1, to_mp(v))), ctx)
+        vv = to_mp(v)
+        return _unilateral(lambda q: _ratio_terms([], [], q, q * vv, q * q), ctx)
 
 
 def a_alpha(alpha, a, t, ctx: QContext) -> SumOutcome:
@@ -265,9 +343,9 @@ def a_alpha(alpha, a, t, ctx: QContext) -> SumOutcome:
     aq = _as_qpow(a)
     alpha = Fraction(alpha)
     with ctx.workdps():
-        q = ctx.q
-        terms = map(mul, _ratios_up(aq, _Q1, q), _gaussian(q, alpha, to_mp(t)))
-        return sum_series(_unilateral(terms), ctx)
+        tv = to_mp(t)
+        return _unilateral(lambda q: _ratio_terms([aq], [_Q1], q, powq(q, alpha) * tv,
+                                                  powq(q, 2 * alpha)), ctx)
 
 
 def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
@@ -283,7 +361,7 @@ def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
     if alpha == 0:
         return psi_1_1(aq, bq, x, ctx)
     with ctx.workdps():
-        return _ratio_series(aq, bq, alpha, to_mp(x), ctx.q, ctx)
+        return _ratio_series(aq, bq, alpha, to_mp(x), ctx)
 
 
 def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
@@ -294,13 +372,14 @@ def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
     """
     aq = _as_qpow(a)
     aq1 = QPow(aq.coeff, aq.exponent + 1)  # a*q
-    with ctx.workdps():
-        q = ctx.q
+
+    def streams(q):
         # 1/(aq;q)_{-k} = (aq q^{-k};q)_k: the ratio (0;q)_n / (aq;q)_n
-        weight = powq(q, m)
-        pos = map(mul, _inverse(aq1, q), _gaussian(q, 1, weight))
-        neg = map(mul, _ratios_down(_Q0, aq1, q), _gaussian(q, 1, 1 / weight, 1))
-        return sum_bilateral(_bilateral(pos, neg), ctx)
+        return (_ratio_terms([], [aq1], q, powq(q, m + 1), q * q),
+                _ratio_terms([aq1], [], q, powq(q, 1 - m), q * q, up=False))
+
+    with ctx.workdps():
+        return _bilateral(streams, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -450,49 +529,85 @@ def _ratio_table(a, q, n_max: int):
 # ---------------------------------------------------------------------------
 
 class _Table:
-    """Values v_j for lo <= j <= hi, kept forward and reversed so that a
-    convolution sum_j f_j g_{n-j} is the dot product of two plain slices."""
+    """Values v_j for lo <= j <= hi in fixed point on one binary exponent:
+    v_j = (re_j + i im_j) 2^E.  The mantissas are kept forward and reversed,
+    so that a convolution sum_j f_j g_{n-j} is an integer dot product of two
+    plain slices, exact and then rounded once.
+
+    E lies 2 wp bits below the largest entry, or at the smallest entry's
+    exponent if that is higher: entries down to 2^-wp of the largest keep all
+    their bits, and smaller ones are floored at 2^(-2 wp) of it.  A dot
+    product of n terms therefore errs, beyond the entries' own roundings, by
+    less than 2n 2^(-2 wp) times its largest possible product; callers
+    factor out any growth (x^j) that pairs large entries with small ones.
+    """
 
     def __init__(self, lo: int, values):
         self.lo = lo
         self.values = list(values)
         self.hi = lo + len(self.values) - 1
-        self.reversed = self.values[::-1]
+        self.wp = self.values[0].wp
+        nonzero = [v for v in self.values if v]
+        self.E = max(min((v.e for v in nonzero), default=0),
+                     max((v.top() for v in nonzero), default=0) - 2 * self.wp)
+        self.re = [shifted(v.re, v.e - self.E) for v in self.values]
+        self.im = None
+        if any(v.im is not None for v in self.values):
+            self.im = [shifted(v.im or 0, v.e - self.E) for v in self.values]
+            self.im_reversed = self.im[::-1]
+        self.re_reversed = self.re[::-1]
 
     def weighted(self, weight) -> "_Table":
         """The table of weight(j) * v_j."""
         return _Table(self.lo, [weight(j) * v for j, v in enumerate(self.values, self.lo)])
 
 
-def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1):
-    """sum of f_j g_{n-j} over j = lo, lo + step, ... <= hi, rounded once.
+def _dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1) -> Fixed:
+    """sum of f_j g_{n-j} over j = lo, lo + step, ... <= hi, exact and then
+    rounded once.
 
     The caller keeps j inside f and n - j inside g.
     """
-    return mp.fdot(f.values[lo - f.lo:hi - f.lo + 1:step],
-                   g.reversed[g.hi - n + lo:g.hi - n + hi + 1:step])
+    fs = slice(lo - f.lo, hi - f.lo + 1, step)
+    gs = slice(g.hi - n + lo, g.hi - n + hi + 1, step)
+    fr, gr = f.re[fs], g.re_reversed[gs]
+    re, e = _dot(fr, gr), f.E + g.E
+    if f.im is None and g.im is None:
+        return _real(re, e, f.wp)
+    fi = f.im[fs] if f.im is not None else None
+    gi = g.im_reversed[gs] if g.im is not None else None
+    if fi is None:
+        im = _dot(fr, gi)
+    elif gi is None:
+        im = _dot(fi, gr)
+    else:
+        re -= _dot(fi, gi)
+        im = _dot(fr, gi) + _dot(fi, gr)
+    return _complex(re, im, e, f.wp)
 
 
-def _conv_w(f: _Table, g: _Table, n: int, lo: int, hi: int, wpow):
+def _conv_w(f: _Table, g: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
     """sum over lo <= j <= hi of f_j g_{n-j} w^((n-j) mod 3).
 
     ``wpow`` is the table (1, w, w^2); each residue class of n - j is one
     dot product, so real tables stay real until the final three terms.
     """
-    total = mp.mpf(0)
-    for t in range(3):
-        total += wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3)
-    return total
+    return sum(wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3))
 
 
-def _powers(x, lo: int, hi: int):
-    """[x^lo, x^(lo+1), ..., x^hi] by one multiplication each."""
-    return list(islice(_geometric(x ** lo, x), hi - lo + 1))
+def _cube_weights(ctx: QContext):
+    """(1, w, w^2) for the primitive cube root of unity w, in fixed point."""
+    w = ctx.fixed(rho_root(ctx))
+    return (w.like(1), w, w * w)
 
 
 def _bilateral_ratio_array(a: QPow, b: QPow, q, K: int) -> _Table:
     """r_n = (a;q)_n/(b;q)_n for n in [-K, K], built incrementally."""
-    up = [mp.mpf(1)]
+    up = [_one_like(q)]
     for n, fa, fb in zip(range(K), _factors(a, q), _factors(b, q)):
         if fb == 0:
             raise PoleError(f"(b;q)_{n + 1} vanished")
@@ -518,9 +633,9 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
         K = slice_truncation(q, digits) + abs(n)
-        r = _bilateral_ratio_array(aq, bq, q, K)
+        r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         signed = r.weighted(lambda k: (-1) ** (k % 2))
-        lhs = _conv(r, signed, n, max(-K, n - K), min(K, n + K))
+        lhs = _conv(r, signed, n, max(-K, n - K), min(K, n + K)).to_mp()
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
@@ -540,17 +655,16 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
     aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
-        w = rho_root(ctx)
-        wpow = (mp.mpf(1), w, w * w)
+        wpow = _cube_weights(ctx)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
         K = slice_truncation(q, digits) + abs(n)
-        r = _bilateral_ratio_array(aq, bq, q, K)
+        r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
         lo, hi = max(-2 * K, n - K), min(2 * K, n + K)
         conv12 = _Table(lo, [_conv_w(r, r, m, max(-K, m - K), min(K, m + K), wpow)
                              for m in range(lo, hi + 1)])
-        lhs = _conv(conv12, r.weighted(lambda l: wpow[(2 * l) % 3]), n, lo, hi)
+        lhs = _conv(conv12, r.weighted(lambda l: wpow[(2 * l) % 3]), n, lo, hi).to_mp()
         if n % 3 != 0:
             return lhs, mp.mpf(0)
         m = n // 3
@@ -572,7 +686,7 @@ def _outer_terms(ratios, weights, args, inner):
     """Yield r_j g_j inner(y_j) from the streams r, g and y; inner is not
     evaluated where r_j is an exact zero."""
     for r, g, y in zip(ratios, weights, args):
-        yield r * g * inner(y) if r != 0 else mp.mpf(0)
+        yield r * g * inner(y) if r != 0 else 0 * r
 
 
 def square_master_sides(alpha, a, t, ctx: QContext):
@@ -591,10 +705,12 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         def inner(y):
             return a_alpha(alpha, av, y, ctx).value
 
-        terms = _outer_terms(_ratios_up(_as_qpow(av), _Q1, q), _gaussian(q, alpha, -tv),
-                             _geometric(tv, powq(q, 2 * alpha)), inner)
-        rhs = sum_series(_unilateral(terms), ctx).value
-        return lhs, rhs
+        def terms(q):
+            t = q.like(tv)
+            return _outer_terms(_ratios_up(_as_qpow(av), _Q1, q), _gaussian(q, alpha, -t),
+                                _geometric(t, powq(q, 2 * alpha)), inner)
+
+        return lhs, _unilateral(terms, ctx).value
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -603,8 +719,6 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
     alpha = Fraction(alpha)
     with ctx.workdps():
         q = ctx.q
-        w = rho_root(ctx)
-        wpow = (mp.mpf(1), w, w * w)
         av, tv = to_mp(a), to_mp(t)
         ctx3 = QContext.numeric(q ** 3, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3).value
@@ -613,14 +727,15 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         s_max = 2
         while float(alpha) * s_max * s_max * float(-mp.log10(abs(q))) < tol_digits:
             s_max += 1
-        r = _Table(0, islice(_ratios_up(_as_qpow(av), _Q1, q), s_max + 1))
-        weights = _gaussian(q, alpha, tv)
-        args = _geometric(wpow[2] * tv, powq(q, 2 * alpha))
-        rhs = mp.mpf(0)
+        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
+        r = _Table(0, islice(_ratios_up(_as_qpow(av), _Q1, qf), s_max + 1))
+        weights = _gaussian(qf, alpha, qf.like(tv))
+        args = _geometric(wpow[2] * tv, powq(qf, 2 * alpha))
+        rhs = 0 * qf
         for s, g, y in zip(range(s_max + 1), weights, args):
             c = _conv_w(r, r, s, 0, s, wpow)
             rhs += c * g * a_alpha(alpha, av, y, ctx).value
-        return lhs, rhs
+        return lhs, rhs.to_mp()
 
 
 def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
@@ -647,13 +762,15 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
 
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
         aq, bq = _as_qpow(av), _as_qpow(bv)
-        q2a = powq(q, 2 * alpha)
-        pos = _outer_terms(_ratios_up(aq, bq, q), _gaussian(q, alpha, -xv),
-                           _geometric(xv, q2a), inner)
-        neg = _outer_terms(_ratios_down(aq, bq, q), _gaussian(q, alpha, -1 / xv, 1),
-                           _geometric(xv / q2a, 1 / q2a), inner)
-        rhs = sum_bilateral(_bilateral(pos, neg), ctx).value
-        return lhs, rhs
+
+        def streams(q):
+            x, q2a = q.like(xv), powq(q, 2 * alpha)
+            return (_outer_terms(_ratios_up(aq, bq, q), _gaussian(q, alpha, -x),
+                                 _geometric(x, q2a), inner),
+                    _outer_terms(_ratios_down(aq, bq, q), _gaussian(q, alpha, -1 / x, 1),
+                                 _geometric(x / q2a, 1 / q2a), inner))
+
+        return lhs, _bilateral(streams, ctx).value
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -670,8 +787,6 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         raise DomainError("needs alpha > 0")
     with ctx.workdps():
         q = ctx.q
-        w = rho_root(ctx)
-        wpow = (mp.mpf(1), w, w * w)
         av, bv, xv = to_mp(a), to_mp(b), to_mp(x)
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
@@ -688,15 +803,17 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # the slice terms only decay like (b/a)^|s| in each direction.
         digits = ctx.precision + 8
         K = slice_truncation(bv / av, digits)
-        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), q, 3 * K)
-        twist = w ** 2 if corrected else mp.mpf(1)
-        weights = _gaussian(q, alpha, xv, -K)  # q^{alpha s^2} x^s
-        args = _geometric(twist * xv * powq(q, -2 * alpha * K), powq(q, 2 * alpha))
-        rhs_sum = mp.mpf(0)
+        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
+        x = qf.like(xv)
+        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 3 * K)
+        twist = wpow[2] if corrected else 1
+        weights = _gaussian(qf, alpha, x, -K)  # q^{alpha s^2} x^s
+        args = _geometric(twist * x * powq(qf, -2 * alpha * K), powq(qf, 2 * alpha))
+        rhs_sum = 0 * qf
         for s, g, y in zip(range(-K, K + 1), weights, args):
             c = _conv_w(r, r, s, -K - abs(s), K + abs(s), wpow)
             rhs_sum += c * g * b_alpha(alpha, av, bv, y, ctx).value
-        return lhs, pref * rhs_sum
+        return lhs, pref * rhs_sum.to_mp()
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +830,7 @@ def _pole_table(a: QPow, q, lo: int, hi: int) -> _Table:
     return _Table(lo, out)
 
 
-def _pole_series(a: QPow, step: int, alpha, x, q, ctx: QContext) -> SumOutcome:
+def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext) -> SumOutcome:
     """Bilateral sum over n of q^{alpha n^2} x^n / (1 - a q^{step n})."""
 
     def terms(factors, weights):
@@ -722,9 +839,12 @@ def _pole_series(a: QPow, step: int, alpha, x, q, ctx: QContext) -> SumOutcome:
                 raise PoleError("pole in the single sum")
             yield g / f
 
-    pos = terms(_factors(a, q, 0, step), _gaussian(q, alpha, x))
-    neg = terms(_factors(a, q, -step, -step), _gaussian(q, alpha, 1 / x, 1))
-    return sum_bilateral(_bilateral(pos, neg), ctx)
+    def streams(q):
+        x = q.like(xv)
+        return (terms(_factors(a, q, 0, step), _gaussian(q, alpha, x)),
+                terms(_factors(a, q, -step, -step), _gaussian(q, alpha, 1 / x, 1)))
+
+    return _bilateral(streams, ctx)
 
 
 def _theta_truncation(q, x, digits: int):
@@ -737,16 +857,16 @@ def _theta_truncation(q, x, digits: int):
 
 
 def _pair_slices(inv: _Table, x, q, K: int, s_max: int):
-    """sum over |s| <= s_max of q^{s^2} sum_{|j| <= K} (-x)^j inv_j x^{s-j} inv_{s-j}.
+    """sum over |s| <= s_max of q^{s^2} sum_{|j| <= K} (-x)^j inv_j x^{s-j} inv_{s-j},
+    for fixed-point x and q, as an mp number.  The x-powers of slice s
+    multiply to x^s, which is factored out of its dot product.
 
     ``inv`` covers [-(K + s_max), K + s_max].
     """
-    g = _Table(inv.lo, map(mul, _powers(x, inv.lo, inv.hi), inv.values))
-    f = _Table(-K, g.values[-K - g.lo:K - g.lo + 1]).weighted(lambda j: (-1) ** (j % 2))
-    total = mp.mpf(0)
-    for s in range(-s_max, s_max + 1):
-        total += q ** (s * s) * _conv(f, g, s, -K, K)
-    return total
+    f = _Table(-K, inv.values[-K - inv.lo:K - inv.lo + 1]).weighted(lambda j: (-1) ** (j % 2))
+    total = sum(q ** (s * s) * x ** s * _conv(f, inv, s, -K, K)
+                for s in range(-s_max, s_max + 1))
+    return total.to_mp()
 
 
 def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
@@ -767,9 +887,11 @@ def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
         pref = (multi_pochhammer_infinite([-av, -q / av, q, q], q, ctx)
                 / multi_pochhammer_infinite([av, q / av, -q, -q], q, ctx))
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
-        lhs = pref * _pole_series(a2, 2, 4, xv * xv, q, ctx).value
+        lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx).value
         K, s_max = _theta_truncation(q, xv, digits)
-        rhs = _pair_slices(_pole_table(aq, q, -(K + s_max), K + s_max), xv, q, K, s_max)
+        qf = ctx.fixed(q)
+        rhs = _pair_slices(_pole_table(aq, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
+                           K, s_max)
         return lhs, rhs
 
 
@@ -787,10 +909,12 @@ def theta_pair_imag_sides(x, ctx: QContext, digits: int | None = None):
             raise AnnulusError("needs |q| < |x| < 1")
         pref = (multi_pochhammer_infinite([q, q], q, ctx)
                 / multi_pochhammer_infinite([-q, -q], q, ctx))
-        lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, q, ctx).value
+        lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx).value
         K, s_max = _theta_truncation(q, xv, digits)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
-        rhs = _pair_slices(_pole_table(ia, q, -(K + s_max), K + s_max), xv, q, K, s_max)
+        qf = ctx.fixed(q)
+        rhs = _pair_slices(_pole_table(ia, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
+                           K, s_max)
         return lhs, rhs
 
 
@@ -808,8 +932,6 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
     aq = _as_qpow(a)
     with ctx.workdps():
         q = ctx.q
-        w = rho_root(ctx)
-        wpow = (mp.mpf(1), w, w * w)
         xv = to_mp(x)
         digits = digits or (ctx.precision + 6)
         if not abs(q) < abs(xv) < 1:
@@ -817,23 +939,23 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
-        single = _pole_series(a3, 3, 9, xv ** 3, q, ctx).value
+        single = _pole_series(a3, 3, 9, xv ** 3, ctx).value
         pref = (multi_pochhammer_infinite([q3], q3, ctx) ** 2
                 / multi_pochhammer_infinite([q], q, ctx) ** 6
                 * multi_pochhammer_infinite([av, q / av], q, ctx) ** 3
                 / multi_pochhammer_infinite(
                     [av ** 3, q3 / av ** 3], q3, ctx))
         K, s_max = _theta_truncation(q, xv, digits)
-        inv = _pole_table(aq, q, -(2 * K + s_max), 2 * K + s_max)
-        h = _Table(inv.lo, map(mul, _powers(xv, inv.lo, inv.hi), inv.values))
+        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
+        inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
         # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),
-        # |m1|, |m2| <= K
-        conv12 = _Table(-2 * K, [_conv_w(h, h, m, max(-K, m - K), min(K, m + K), wpow)
+        # |m1|, |m2| <= K, with h_j = x^j inv_j: the x-powers multiply to x^s
+        conv12 = _Table(-2 * K, [_conv_w(inv, inv, m, max(-K, m - K), min(K, m + K), wpow)
                                  for m in range(-2 * K, 2 * K + 1)])
-        h3 = h.weighted(lambda l: wpow[(2 * l) % 3])
-        triple = mp.mpf(0)
-        for s in range(-s_max, s_max + 1):
-            triple += q ** (s * s) * _conv(conv12, h3, s, -2 * K, 2 * K)
+        inv3 = inv.weighted(lambda l: wpow[(2 * l) % 3])
+        x = qf.like(xv)
+        triple = sum(qf ** (s * s) * x ** s * _conv(conv12, inv3, s, -2 * K, 2 * K)
+                     for s in range(-s_max, s_max + 1)).to_mp()
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

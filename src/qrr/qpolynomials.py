@@ -36,7 +36,6 @@ from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
 from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _ratios_up,
                          _unilateral, ramanujan_A, rr_product_formal, rr_sum_formal,
                          u_m_bilateral)
-from .summation import sum_series
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +423,8 @@ def st_5_1_sides(x, t, ctx: QContext):
         q = ctx.q
         xv, tv = to_mp(x), to_mp(t)
         lhs = multi_pochhammer_infinite([xv * tv, -tv], q, ctx)
-        terms = map(mul, _binomial_powers(tv, q), _sw_shifted(xv, q))
-        return lhs, sum_series(_unilateral(terms), ctx).value
+        return lhs, _unilateral(lambda q: map(mul, _binomial_powers(q.like(tv), q),
+                                              _sw_shifted(q.like(xv), q)), ctx).value
 
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
@@ -462,9 +461,12 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         xv = to_mp(x)
         lhs = stieltjes_wigert(n, xv, q)
         # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
-        terms = map(mul, map(mul, _binomial_powers(xv * q ** (n + 1), q), _inverse(_Q1, q)),
-                    (ramanujan_A(y, ctx).value for y in _geometric(xv, q)))
-        return lhs, sum_series(_unilateral(terms), ctx).value / pochhammer_finite(q, q, n)
+        def terms(q):
+            x = q.like(xv)
+            return map(mul, map(mul, _binomial_powers(x * q ** (n + 1), q), _inverse(_Q1, q)),
+                       (ramanujan_A(y, ctx).value for y in _geometric(x, q)))
+
+        return lhs, _unilateral(terms, ctx).value / pochhammer_finite(q, q, n)
 
 
 def st_5_4_sides(n: int, a, b, q):
@@ -484,9 +486,9 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         lhs = stieltjes_wigert(n, av, q)
         pref = (pochhammer_infinite_value(-av * q, q, ctx)
                 / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
-        terms = map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(-av, n + 1), q)),
-                    _gaussian(q, 1, -av))
-        return lhs, pref * sum_series(_unilateral(terms), ctx).value
+        return lhs, pref * _unilateral(
+            lambda q: map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(-av, n + 1), q)),
+                          _gaussian(q, 1, -q.like(av))), ctx).value
 
 
 def st_5_6_even_diff_formal(n: int, ctx: QContext) -> FormalSeries:
@@ -540,9 +542,9 @@ def st_5_9_sides(w, z, ctx: QContext):
         wv, zv = to_mp(w), to_mp(z)
         lhs = ramanujan_A(wv * zv, ctx).value
         pref = pochhammer_infinite_value(wv * q, q, ctx)
-        terms = map(mul, map(mul, _gaussian(q, 1, wv), _inverse(QPow(wv, 1), q)),
-                    _sw_shifted(zv, q))
-        return lhs, pref * sum_series(_unilateral(terms), ctx).value
+        return lhs, pref * _unilateral(
+            lambda q: map(mul, map(mul, _gaussian(q, 1, q.like(wv)), _inverse(QPow(wv, 1), q)),
+                          _sw_shifted(q.like(zv), q)), ctx).value
 
 
 def st_10_sides(m: int, z, ctx: QContext):
@@ -552,9 +554,12 @@ def st_10_sides(m: int, z, ctx: QContext):
         zv = to_mp(z)
         lhs = ramanujan_A(zv, ctx).value
         # q^{n^2 + m n} (-z)^n = q^{n^2} (-z q^m)^n
-        terms = map(mul, map(mul, _gaussian(q, 1, -zv * q ** m), _inverse(_Q1, q)),
-                    map(stieltjes_wigert, repeat(m), _geometric(zv, q), repeat(q)))
-        return lhs, pochhammer_finite(q, q, m) * sum_series(_unilateral(terms), ctx).value
+        def terms(q):
+            z = q.like(zv)
+            return map(mul, map(mul, _gaussian(q, 1, -z * q ** m), _inverse(_Q1, q)),
+                       map(stieltjes_wigert, repeat(m), _geometric(z, q), repeat(q)))
+
+        return lhs, pochhammer_finite(q, q, m) * _unilateral(terms, ctx).value
 
 
 def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
@@ -573,9 +578,13 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
         sq = mp.sqrt(q)
         q4 = mp.sqrt(sq)
         # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n
-        terms = map(mul, map(mul, _ratios_up(QPow(-1, 1), _Q0, sq), _gaussian(q4, 1, tv)),
-                    _sw_shifted(zv, q))
-        lhs = sum_series(_unilateral(terms), ctx).value
+        def terms(q):
+            sqf = q.like(sq)
+            return map(mul, map(mul, _ratios_up(QPow(-1, 1), _Q0, sqf),
+                                _gaussian(q.like(q4), 1, q.like(tv))),
+                       _sw_shifted(q.like(zv), q))
+
+        lhs = _unilateral(terms, ctx).value
         zsign = -1 if reading == "literal" else 1
         rhs = (pochhammer_infinite_value(-tv * q4, sq, ctx)
                * pochhammer_infinite_value(zsign * tv * q4 * zv, sq, ctx)
@@ -590,9 +599,10 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
         q = ctx.q
         tv, zv, wv = to_mp(t), to_mp(z), to_mp(zeta)
         # (q;q)_n = (q;q)_n / (0;q)_n
-        terms = map(mul, map(mul, _ratios_up(_Q1, _Q0, q), _binomial_powers(tv, q)),
-                    map(mul, _sw_shifted(zv, q), _sw_shifted(wv, q)))
-        lhs = sum_series(_unilateral(terms), ctx).value
+        lhs = _unilateral(
+            lambda q: map(mul, map(mul, _ratios_up(_Q1, _Q0, q), _binomial_powers(q.like(tv), q)),
+                          map(mul, _sw_shifted(q.like(zv), q), _sw_shifted(q.like(wv), q))),
+            ctx).value
         rhs = (multi_pochhammer_infinite([-tv, -tv * zv * wv, tv * zv, tv * wv], q, ctx)
                / pochhammer_infinite_value(tv * tv * zv * wv / q, q, ctx))
         return lhs, rhs
@@ -610,9 +620,9 @@ def gfhn0_sides(b, ctx: QContext):
                                 max_terms=ctx.max_terms)
         lhs = ramanujan_A(-bv * bv, ctx2).value
         pref = pochhammer_infinite_value(bv * sq, q, ctx)
-        terms = map(mul, map(mul, _gaussian(sq, 1, bv), _inverse(_Q1, q)),
-                    _inverse(QPow(bv * sq, 0), q))
-        return lhs, pref * sum_series(_unilateral(terms), ctx).value
+        return lhs, pref * _unilateral(
+            lambda q: map(mul, map(mul, _gaussian(q.like(sq), 1, q.like(bv)), _inverse(_Q1, q)),
+                          _inverse(QPow(bv * sq, 0), q)), ctx).value
 
 
 def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:
