@@ -1,7 +1,9 @@
 """Evaluation contexts and small numeric helpers.
 
-Numeric work runs on mpmath real/complex numbers at ``precision`` target
-digits plus a fixed guard allowance; exact work runs on ``fractions.Fraction``
+Numeric work takes and returns mpmath real/complex numbers at ``precision``
+target digits plus a fixed guard allowance; its series, infinite products and
+slice sums run in binary fixed point (:mod:`qrr.fixedpoint`) at
+:attr:`QContext.fixed_bits`.  Exact work runs on ``fractions.Fraction``
 (or on the truncated series ring in :mod:`qrr.formal`).  All functions are
 pure for a fixed context, so values may be shared freely between workers.
 """

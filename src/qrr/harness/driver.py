@@ -8,7 +8,8 @@ in the same way for every entry:
 
 * ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
   once and evaluates every point inside ``workdps()``; the worst scale-aware
-  residual is compared with ``rc.tol(entry.tol_shift)``;
+  residual is compared with ``rc.tol(entry.tol_shift)``, and a check whose
+  tolerance would be looser than 10^-MIN_TOL_EXPONENT is SKIPPED unrun;
 * ``exact`` — the two sides are compared with ``==``; the first unequal
   point fails the check and is reported;
 * ``formal`` — the sides callable returns a difference series; the first
@@ -33,6 +34,10 @@ from .sampling import entry_rng
 
 MODES = ("formal", "exact", "numeric")
 COMPLEX_Q = complex(0.2, 0.1)
+# A numeric check compares against 10^-(precision - tol_shift).  Looser than
+# 10^-MIN_TOL_EXPONENT, that tolerance cannot tell a defect from a pass, so
+# the check is SKIPPED instead of run.
+MIN_TOL_EXPONENT = 10
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,11 @@ def status(ok: bool, literal_ok: bool | None = None) -> str:
 def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
     """Evaluate ``entry`` in ``mode`` and derive its outcome."""
     chk = getattr(entry, mode)
+    exponent = rc.precision - entry.tol_shift
+    if mode == "numeric" and rc.tolerance_exponent is None and exponent < MIN_TOL_EXPONENT:
+        return CheckOutcome(
+            "SKIPPED", note=f"vacuous tolerance: 10^-(precision - tol_shift) = "
+            f"10^-({rc.precision} - {entry.tol_shift}) is looser than 10^-{MIN_TOL_EXPONENT}")
     rng = entry_rng(rc.seed, entry.id, mode)
     run = {"draws": []}
     note, fail_point, first_diff, literal_ok = chk.note, None, None, None

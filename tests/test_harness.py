@@ -204,6 +204,33 @@ def test_ms_slice_digits_unchanged_at_default_precision():
     assert _ms_digits(RunSettings().numeric_ctx("0.3")) == 34
 
 
+def test_ms15_theta_truncation_follows_precision_100():
+    # the triple pole-sums used to stop at a fixed 32 digits (about 1e-78)
+    report = run_check("ms-15", "numeric", RunSettings(precision=100, q_values=("0.3",)))
+    assert report.status == "PASS", report.note
+    assert mp.mpf(report.max_abs_deviation) < mp.mpf(10) ** -100
+
+
+def test_ms12_at_precision_20_is_not_pass():
+    # 10^-(20 - 25) = 10^5 would pass the literal reading, which misses by 0.19
+    report = run_check("ms-12", "numeric", RunSettings(precision=20))
+    assert report.status == "SKIPPED" and "vacuous tolerance" in report.note
+
+
+@pytest.mark.parametrize("tol_shift, status", [(10, "PASS"), (11, "SKIPPED")])
+def test_driver_skips_a_vacuous_tolerance_at_the_boundary(tol_shift, status):
+    # precision 20: exponent 10 is still checked, exponent 9 is not run
+    evaluated = []
+    entry = _stub(tol_shift=tol_shift, numeric=Check(
+        lambda ctx: evaluated.append(ctx.q) or (ctx.q, ctx.q)))
+    out = entry.check("numeric", RunSettings(precision=20))
+    assert out.status == status
+    assert bool(evaluated) == (status == "PASS")
+    # a forced tolerance exponent is the caller's explicit choice
+    forced = RunSettings(precision=20, tolerance_exponent=30)
+    assert entry.check("numeric", forced).status == "PASS"
+
+
 def test_driver_numeric_tolerance_follows_tol_shift():
     rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
     assert rc.tol(5) == mp.mpf(10) ** -15
