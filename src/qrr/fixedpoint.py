@@ -32,6 +32,23 @@ def bits_for_digits(digits) -> int:
     return math.ceil(digits * LOG2_10)
 
 
+# Roundings per step charged to a stream term: term n of a stream is the end
+# of at most ROUNDINGS * (n + 1)**2 roundings.  A running product carries one
+# rounding per step; q^(alpha n^2) x^n is a running product of a running
+# product, whose step has itself n roundings; a factor 1 - c q^k carries the
+# k roundings of its power c q^k, weighted by |c q^k / (1 - c q^k)|, taken as
+# about 1 (factors well away from zero); complex products count twice.
+ROUNDINGS = 8
+
+
+def rounding_bits(n_terms: int) -> int:
+    """log2 of 2 R N^3 + N, rounded up: N terms, each at most R (n + 1)^2
+    roundings of 2^(1 - wp) relative away from exact and none above the
+    peak, plus N additions floored into the running sum, err by less than
+    2^(rounding_bits(N) + top(peak) - wp)."""
+    return (2 * ROUNDINGS * n_terms ** 3 + n_terms).bit_length()
+
+
 def _real(m, e, wp):
     n = m.bit_length() - wp
     if n > 0:
@@ -135,24 +152,12 @@ class Fixed:
             return mp.mpf(re)
         return mp.mpc(re, from_man_exp(self.im, self.e, prec, rnd))
 
-    @property
-    def is_complex(self) -> bool:
-        return self.im is not None
-
     def top(self) -> int:
         """Exponent bound: |value| < 2**top (and >= 2**(top - 2) unless 0)."""
         n = self.re.bit_length()
         if self.im is not None:
             n = max(n, self.im.bit_length())
         return n + self.e
-
-    def log2abs(self) -> float:
-        """log2 |value|; -inf at zero."""
-        re, im = self.re, self.im
-        if im:
-            m = re * re + im * im
-            return 0.5 * math.log2(m) + self.e if m else -math.inf
-        return math.log2(abs(re)) + self.e if re else -math.inf
 
     def __repr__(self):
         return f"Fixed({self.re}, {self.im}, {self.e}, wp={self.wp})"
@@ -208,9 +213,6 @@ class Fixed:
 
     def __neg__(self):
         return Fixed(-self.re, None if self.im is None else -self.im, self.e, self.wp)
-
-    def __pos__(self):
-        return self
 
     def __sub__(self, o):
         if o.__class__ is not Fixed:
@@ -290,14 +292,7 @@ class Fixed:
                 return o
         return not (self - o)
 
-    def __ne__(self, o):
-        eq = self.__eq__(o)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
-
-    def __abs__(self):
-        return abs(self.to_mp())
 
 
 def _man_exp(mpf_tuple):
@@ -307,18 +302,3 @@ def _man_exp(mpf_tuple):
         raise ValueError("inf or nan has no fixed-point value")
     return (-man if sign else man), exp
 
-
-# Roundings per step charged to a stream term: term n of a stream is the end
-# of at most ROUNDINGS * (n + 1)**2 roundings.  A running product carries one
-# rounding per step; q^(alpha n^2) x^n is a running product of a running
-# product, whose step has itself n roundings; a factor 1 - c q^k and a ratio
-# r * fa / fb add a few per step; complex products count twice.
-ROUNDINGS = 8
-
-
-def rounding_bits(n_terms: int) -> int:
-    """log2 of 2 R N^3 + N, rounded up: N terms, each at most R (n + 1)^2
-    roundings of 2^(1 - wp) relative away from exact and none above the
-    peak, plus N additions floored into the running sum, err by less than
-    2^(rounding_bits(N) + top(peak) - wp)."""
-    return (2 * ROUNDINGS * n_terms ** 3 + n_terms).bit_length()

@@ -9,16 +9,20 @@ admit coefficient-exact verification have formal counterparts returning
 Every numeric series is defined by its term ratio (Gasper & Rahman, *Basic
 Hypergeometric Series*, ch. 1): each term comes from the previous one by
 multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
-running products that live for one sum.  The stream helpers are generic in
-the number type: Fraction q gives exact Fractions, and a numeric series runs
-them on :class:`~qrr.fixedpoint.Fixed` values, Python-int fixed point with
-complex values as pairs of ints.  A series enters fixed point in
-:func:`_unilateral` / :func:`_bilateral`, which hand its stream-builder the
-base q at ``ctx.fixed_bits`` (other arguments are read exactly at their first
+running products that live for one sum.
+
+Numeric series run in Python-int fixed point (:mod:`qrr.fixedpoint`), complex
+values as pairs of ints.  A series enters fixed point in :func:`_unilateral` /
+:func:`_bilateral`, which hand its stream builder the base q at
+``ctx.fixed_bits`` (other mpf/mpc arguments are read exactly at their first
 use) and rerun it wider when the engine reports cancellation; it leaves as the
-mpf/mpc ``SumOutcome.value``.  Slice convolutions build their tables once per
-call in fixed point, aligned exactly to one binary exponent per table, so each
-inner sum is one exact integer dot product, rounded once.
+mpf/mpc ``SumOutcome.value``.  A series whose term ratio is a quotient of
+factors 1 - c q^k times a geometric step is one fused integer stream,
+:func:`_ratio_terms`.  Other series compose the stream helpers, which are
+generic in the number type: Fraction q gives exact Fractions, a Fixed q gives
+Fixed values.  Slice convolutions build their tables once per call in fixed
+point on one binary exponent per table (:class:`_Table`), so each inner sum is
+one integer dot product, rounded once.
 """
 
 from __future__ import annotations
@@ -49,14 +53,20 @@ MAX_WIDENING = 4
 
 def _widening(run, ctx: QContext):
     """run(q), q the context's base in fixed point; rerun at a wider scale
-    while the sum reports that cancellation left it short of precision."""
-    wp = ctx.fixed_bits
+    while the sum reports that cancellation left it short of precision.
+
+    Past the widest scale it raises PrecisionLossError with ``bits`` 0, which
+    no enclosing sum reruns for.
+    """
+    wp, widest = ctx.fixed_bits, MAX_WIDENING * ctx.fixed_bits
     while True:
         try:
             return run(Fixed.of(ctx.q, wp))
         except PrecisionLossError as exc:
-            if wp + exc.bits > MAX_WIDENING * ctx.fixed_bits:
+            if not exc.bits:
                 raise
+            if wp + exc.bits > widest:
+                raise PrecisionLossError(f"{exc} (beyond {widest} bits)", 0) from exc
             wp += exc.bits + RERUN_MARGIN_BITS
 
 

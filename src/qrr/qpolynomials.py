@@ -33,9 +33,9 @@ from .formal import (FormalSeries, fs_div_finite_pochhammer,
                      fs_pochhammer_infinite, qexp_to_u)
 from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
                          pochhammer_finite, pochhammer_infinite_value, q_binomial)
-from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _ratios_up,
-                         _unilateral, ramanujan_A, rr_product_formal, rr_sum_formal,
-                         u_m_bilateral)
+from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _ratio_terms,
+                         _ratios_up, _unilateral, ramanujan_A, rr_product_formal,
+                         rr_sum_formal, u_m_bilateral)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +487,8 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         pref = (pochhammer_infinite_value(-av * q, q, ctx)
                 / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
         return lhs, pref * _unilateral(
-            lambda q: map(mul, map(mul, _inverse(_Q1, q), _inverse(QPow(-av, n + 1), q)),
-                          _gaussian(q, 1, -q.like(av))), ctx).value
+            lambda q: _ratio_terms([], [_Q1, QPow(-av, n + 1)], q, -q.like(av) * q, q * q),
+            ctx).value
 
 
 def st_5_6_even_diff_formal(n: int, ctx: QContext) -> FormalSeries:
@@ -621,8 +621,8 @@ def gfhn0_sides(b, ctx: QContext):
         lhs = ramanujan_A(-bv * bv, ctx2).value
         pref = pochhammer_infinite_value(bv * sq, q, ctx)
         return lhs, pref * _unilateral(
-            lambda q: map(mul, map(mul, _gaussian(q.like(sq), 1, q.like(bv)), _inverse(_Q1, q)),
-                          _inverse(QPow(bv * sq, 0), q)), ctx).value
+            lambda q: _ratio_terms([], [_Q1, QPow(bv * sq, 0)], q, q.like(sq) * bv, q),
+            ctx).value
 
 
 def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:

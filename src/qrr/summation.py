@@ -157,19 +157,20 @@ def _settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
     """(value, rounding-error bound) of the block sum, after the guard check.
 
     The bound is 2^(rounding_bits(n) + top(peak) - term_bits) (see the module
-    docstring).  An exactly zero sum keeps its absolute bound; any other sum
-    must be at least 2^precision times its bound.
+    docstring), and the sum must be at least 2^precision times it.  A sum
+    that comes out exactly zero is only known to lie below one unit 2^E of
+    the block, which is judged the same way.
     """
     if bw is None:
         return mp.mpf(0), mp.mpf(0)
     bound_top = rounding_bits(n) + peak_top - term_bits
     total = Fixed(s_re, s_im, E, bw)
-    if total:
-        missing = bits_for_digits(ctx.precision) + bound_top - (total.top() - 1)
-        if missing > 0:
-            raise PrecisionLossError(
-                f"sum cancelled {peak_top - total.top()} bits below its largest term; "
-                f"{missing} more working bits needed", missing)
+    top = total.top() if total else E
+    missing = bits_for_digits(ctx.precision) + bound_top - (top - 1)
+    if missing > 0:
+        raise PrecisionLossError(
+            f"sum cancelled {peak_top - top} bits below its largest term; "
+            f"{missing} more working bits needed", missing)
     return total.to_mp(), mp.ldexp(mp.mpf(1), bound_top)
 
 
@@ -187,8 +188,8 @@ def sum_bilateral(term, ctx: QContext, group: int = 5) -> SumOutcome:
         value = pos.value + neg.value
         error = pos.error + neg.error
         if value != 0 and error:
-            missing = int(mp.ceil(mp.log(error / abs(value), 2))) + bits_for_digits(
-                ctx.precision)
+            # |value| >= 2^(mag(value) - 2) and error <= 2^mag(error)
+            missing = bits_for_digits(ctx.precision) + mp.mag(error) - (mp.mag(value) - 2)
             if missing > 0:
                 raise PrecisionLossError(
                     f"bilateral tails cancel; {missing} more working bits needed", missing)

@@ -77,6 +77,23 @@ def test_cancelling_series_matches_oracle_or_raises(precision, monkeypatch):
         assert abs(out.value - oracle) <= mp.mpf(10) ** -precision * abs(oracle)
 
 
+def test_rerun_widens_by_the_missing_bits_and_stops_at_four_times():
+    ctx = QContext.numeric("0.5", precision=20)
+    widths = []
+
+    def run(q, lacking):
+        widths.append(q.wp)
+        if len(widths) == 1:
+            raise PrecisionLossError("short", lacking)
+        return q.wp
+
+    assert qfunctions._widening(lambda q: run(q, 30), ctx) == ctx.fixed_bits + 30 + 16
+    widths.clear()
+    with pytest.raises(PrecisionLossError) as info:
+        qfunctions._widening(lambda q: run(q, 3 * ctx.fixed_bits + 1), ctx)
+    assert info.value.bits == 0 and widths == [ctx.fixed_bits]
+
+
 def _direct_b_alpha(a, b, x, q, dps):
     """sum over n of (a;q)_n/(b;q)_n q^{n^2} x^n by running mpf products
     from n = 0 both ways, until 40 terms after the peak fall below 10^-dps
