@@ -180,7 +180,8 @@ def sum_bilateral(term, ctx: QContext, group: int = 5) -> SumOutcome:
     ``term`` is called with n = 0, 1, 2, ... and then with n = -1, -2, ...,
     each tail in order, so a kernel may keep one running state per tail.
     The two tails' rounding bounds are checked against their sum as
-    :func:`sum_series` checks its own.
+    :func:`sum_series` checks its own; a sum that cancels exactly to zero
+    keeps their absolute bound in ``error``.
     """
     pos = sum_series(term, ctx, group=group)
     neg = sum_series(lambda k: term(-1 - k), ctx, group=group)
