@@ -23,10 +23,19 @@ generic in the number type: Fraction q gives exact Fractions, a Fixed q gives
 Fixed values.  Slice convolutions build their tables once per call in fixed
 point on one binary exponent per table (:class:`_Table`), so each inner sum is
 one integer dot product, rounded once.
+
+Shared work.  A kernel that needs one series at a q-geometric family of
+arguments y0 q^(e s) (the inner sums of the master expansions) builds a
+:class:`_Lattice`: the coefficient streams at y0 once per call and width, and
+each sum as those coefficients times a running power.  A self-convolution
+over a range mirrored about n/2 (:func:`_self_conv_w`) sums mirror pairs
+j, n - j once, from half the products of :func:`_conv_w` and with its
+result bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import count, islice
 from operator import mul
@@ -94,6 +103,110 @@ def _geometric(x0, ratio):
     while True:
         yield x0
         x0 = x0 * ratio
+
+
+class _Shared:
+    """The terms of one stream, kept as they are first read, for any number
+    of readers.  An exception that ends the stream (a pole) is kept too and
+    raised to every reader that reaches it, not only to the first."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.terms = []
+        self.error = None
+
+    def __getitem__(self, n):
+        terms = self.terms
+        while n >= len(terms):
+            if self.error is not None:
+                raise self.error
+            try:
+                terms.append(next(self.stream))
+            except Exception as exc:
+                self.error = exc
+                raise
+        return terms[n]
+
+
+class _Lattice:
+    """One series at the q-geometric family of arguments y_s = y0 q^(e s),
+    s an integer, from one set of coefficient streams.
+
+    ``build(q)`` returns the series' stream at y0, or for a ``bilateral``
+    series the pair of its streams n = 0, 1, ... and n = -1, -2, ..., as the
+    builders of :func:`_unilateral` / :func:`_bilateral` do.  Its term n is
+    c_n y0^n, so the term at y_s is c_n h^n with h = q^(e s).  The streams
+    are built once per fixed-point width ``wp`` and kept as they extend, so
+    the sum at s costs one running power and one multiplication per term;
+    a :func:`_widening` rerun builds them again at its wider ``wp``.  The
+    lattice lives for one kernel call.
+
+    Roundings.  h is q^(e s) from a power taken ``bitlen(|e s|) + 2`` bits
+    wider and rounded once to wp, so h^n carries n roundings of its own and
+    n more from the error of h, and c_n h^n one more: 2n + 1.  The
+    coefficient streams of :func:`_ratio_terms` with F <= 2 factors carry at
+    most n + 3n(n - 1)/2 (one division per step, and the k roundings of the
+    step and of each carried power in step k).  Both doubled for complex
+    values, term n carries at most 3n^2 + 6n + 2 roundings, within the
+    R (n + 1)^2 = 8 (n + 1)^2 of :func:`~qrr.fixedpoint.rounding_bits`.
+    """
+
+    def __init__(self, build, e, ctx: QContext, bilateral: bool = False):
+        self.build = build
+        self.e = Fraction(e)
+        self.ctx = ctx
+        self.bilateral = bilateral
+        self.tables = {}  # wp -> the shared coefficient streams at that width
+
+    def _streams(self, q: Fixed):
+        table = self.tables.get(q.wp)
+        if table is None:
+            streams = self.build(q)
+            table = self.tables[q.wp] = [_Shared(t) for t in
+                                         (streams if self.bilateral else (streams,))]
+        return table
+
+    def sum(self, s: int) -> SumOutcome:
+        """The series at y0 q^(e s)."""
+        def build(q):
+            table = self._streams(q)
+            if self.bilateral:
+                # the stream n = -1, -2, ... reads c_n h^n as c_n (1/h)^(-n)
+                return (_scaled(table[0], _power(q, self.e * s)),
+                        _scaled(table[1], _power(q, -self.e * s), 1))
+            return _scaled(table[0], _power(q, self.e * s))
+
+        return (_bilateral if self.bilateral else _unilateral)(build, self.ctx)
+
+
+def _power(q: Fixed, m) -> Fixed:
+    """q^m rounded once to q's width: the power is taken wide enough that
+    its own roundings stay below that one."""
+    wide = Fixed.of(q, q.wp + math.ceil(abs(m)).bit_length() + 2)
+    return q.like(powq(wide, m))
+
+
+def _scaled(coeffs: _Shared, h: Fixed, first: int = 0):
+    """Yield c_n h^(n + first) for the shared coefficients c_n, n = 0, 1, ...
+    (first is 0 or 1), the power carried as a running product; a real h
+    multiplies each part once."""
+    if h.im is not None:
+        p = h if first else h.like(1)
+        for n in count():
+            yield coeffs[n] * p
+            p = p * h
+    wp, hr, he = h.wp, h.re, h.e
+    pr, pe = (hr, he) if first else (1, 0)
+    for n in count():
+        c = coeffs[n]
+        if c.im is None:
+            yield _real(c.re * pr, c.e + pe, wp)
+        else:
+            yield _complex(c.re * pr, c.im * pr, c.e + pe, wp)
+        pr, pe = pr * hr, pe + he
+        k = pr.bit_length() - wp
+        if k > 0:
+            pr, pe = pr >> k, pe + k
 
 
 def _gaussian(q, alpha, x, n=0):
@@ -239,17 +352,18 @@ def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
         if not abs(zv) < 1 or (not terminating and not ratio < abs(zv)):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
-        return _ratio_series(aq, bq, 0, zv, ctx)
+        return _bilateral(_ratio_streams(aq, bq, 0, zv), ctx)
 
 
-def _ratio_series(aq: QPow, bq: QPow, alpha, xv, ctx: QContext) -> SumOutcome:
-    """Bilateral sum over n of (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
+def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
+    """Builder of the two streams of the bilateral sum over n of
+    (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
     def streams(q):
         x, qa, q2a = q.like(xv), powq(q, alpha), powq(q, 2 * alpha)
         return (_ratio_terms([aq], [bq], q, qa * x, q2a),
                 _ratio_terms([bq], [aq], q, qa / x, q2a, up=False))
 
-    return _bilateral(streams, ctx)
+    return streams
 
 
 def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
@@ -335,10 +449,13 @@ def psi_1_1_product(a, b, z, ctx: QContext):
 def ramanujan_A(z, ctx: QContext) -> SumOutcome:
     """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z."""
     with ctx.workdps():
-        zv = to_mp(z)
+        return _unilateral(_ramanujan_A_stream(to_mp(z)), ctx)
 
-        # ratio q^{2k+1} from the square, -z, and the new (q;q) factor
-        return _unilateral(lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q), ctx)
+
+def _ramanujan_A_stream(zv):
+    """Builder of the stream of A_q(z): its ratio is q^{2k+1} from the
+    square, -z, and the new (q;q) factor."""
+    return lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q)
 
 
 def omega(v, ctx: QContext) -> SumOutcome:
@@ -353,9 +470,12 @@ def a_alpha(alpha, a, t, ctx: QContext) -> SumOutcome:
     aq = _as_qpow(a)
     alpha = Fraction(alpha)
     with ctx.workdps():
-        tv = to_mp(t)
-        return _unilateral(lambda q: _ratio_terms([aq], [_Q1], q, powq(q, alpha) * tv,
-                                                  powq(q, 2 * alpha)), ctx)
+        return _unilateral(_a_alpha_stream(aq, alpha, to_mp(t)), ctx)
+
+
+def _a_alpha_stream(aq: QPow, alpha, tv):
+    """Builder of the stream of :func:`a_alpha`."""
+    return lambda q: _ratio_terms([aq], [_Q1], q, powq(q, alpha) * tv, powq(q, 2 * alpha))
 
 
 def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
@@ -371,7 +491,7 @@ def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
     if alpha == 0:
         return psi_1_1(aq, bq, x, ctx)
     with ctx.workdps():
-        return _ratio_series(aq, bq, alpha, to_mp(x), ctx)
+        return _bilateral(_ratio_streams(aq, bq, alpha, to_mp(x)), ctx)
 
 
 def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
@@ -609,6 +729,45 @@ def _conv_w(f: _Table, g: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
     return sum(wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3))
 
 
+def _self_conv_w(f: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
+    """``_conv_w(f, f, n, lo, hi, wpow)`` for a range mirrored by j -> n - j
+    (lo + hi = n), from half the products, with the same result bit for bit.
+
+    The mirror maps the residue class t of n - j to the class n - t, and
+    f_j f_{n-j} to itself, so the classes' dot products P_t agree in pairs.
+    One pair is one dot product; the class with 2t = n (mod 3) maps to
+    itself and sums each mirror pair once, doubled, plus the middle term
+    j = n/2.  Each P_t is the same exact int as in :func:`_conv`, rounded
+    once in the same way.
+    """
+    if lo + hi != n:
+        raise ValueError(f"range [{lo}, {hi}] is not mirrored about {n}/2")
+    own = 2 * n % 3
+    pair = (own + 1) % 3
+    p = [None] * 3
+    p[pair] = p[(n - pair) % 3] = _conv(f, f, n, lo + (n - pair - lo) % 3, hi, 3)
+    # the class of own: j from j0 in steps of 3 while j < n - j
+    j0 = lo + (n - own - lo) % 3
+    half = slice(j0 - f.lo, (n - 1) // 2 - f.lo + 1, 3)
+    mirror = slice(f.hi - n + j0, f.hi - n + (n - 1) // 2 + 1, 3)
+    fr, gr = f.re[half], f.re_reversed[mirror]
+    mid = n % 2 == 0 and lo <= n // 2 <= hi
+    c = n // 2 - f.lo
+    e = 2 * f.E
+    if f.im is None:
+        re = 2 * _dot(fr, gr) + (f.re[c] ** 2 if mid else 0)
+        p[own] = _real(re, e, f.wp)
+    else:
+        fi, gi = f.im[half], f.im_reversed[mirror]
+        re = 2 * (_dot(fr, gr) - _dot(fi, gi))
+        im = 2 * (_dot(fr, gi) + _dot(fi, gr))
+        if mid:
+            re += f.re[c] ** 2 - f.im[c] ** 2
+            im += 2 * f.re[c] * f.im[c]
+        p[own] = _complex(re, im, e, f.wp)
+    return sum(wpow[t] * p[t] for t in range(3))
+
+
 def _cube_weights(ctx: QContext):
     """(1, w, w^2) for the primitive cube root of unity w, in fixed point."""
     w = ctx.fixed(rho_root(ctx))
@@ -672,7 +831,7 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
         lo, hi = max(-2 * K, n - K), min(2 * K, n + K)
-        conv12 = _Table(lo, [_conv_w(r, r, m, max(-K, m - K), min(K, m + K), wpow)
+        conv12 = _Table(lo, [_self_conv_w(r, m, max(-K, m - K), min(K, m + K), wpow)
                              for m in range(lo, hi + 1)])
         lhs = _conv(conv12, r.weighted(lambda l: wpow[(2 * l) % 3]), n, lo, hi).to_mp()
         if n % 3 != 0:
@@ -692,11 +851,11 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
-def _outer_terms(ratios, weights, args, inner):
-    """Yield r_j g_j inner(y_j) from the streams r, g and y; inner is not
-    evaluated where r_j is an exact zero."""
-    for r, g, y in zip(ratios, weights, args):
-        yield r * g * inner(y) if r != 0 else 0 * r
+def _outer_terms(ratios, weights, indices, inner: _Lattice):
+    """Yield r_j g_j F(y_j) from the streams r, g and j, F(y_j) the sum of
+    the ``inner`` lattice at j; it is not summed where r_j is an exact zero."""
+    for r, g, j in zip(ratios, weights, indices):
+        yield r * g * inner.sum(j).value if r != 0 else 0 * r
 
 
 def square_master_sides(alpha, a, t, ctx: QContext):
@@ -711,14 +870,12 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         av, tv = to_mp(a), to_mp(t)
         ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2).value
-
-        def inner(y):
-            return a_alpha(alpha, av, y, ctx).value
+        # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
+        inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, tv), 2 * alpha, ctx)
 
         def terms(q):
-            t = q.like(tv)
-            return _outer_terms(_ratios_up(_as_qpow(av), _Q1, q), _gaussian(q, alpha, -t),
-                                _geometric(t, powq(q, 2 * alpha)), inner)
+            return _outer_terms(_ratios_up(_as_qpow(av), _Q1, q),
+                                _gaussian(q, alpha, -q.like(tv)), count(), inner)
 
         return lhs, _unilateral(terms, ctx).value
 
@@ -740,11 +897,13 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         r = _Table(0, islice(_ratios_up(_as_qpow(av), _Q1, qf), s_max + 1))
         weights = _gaussian(qf, alpha, qf.like(tv))
-        args = _geometric(wpow[2] * tv, powq(qf, 2 * alpha))
+        # the inner function at w^2 t q^{2 alpha s}
+        inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
+                         2 * alpha, ctx)
         rhs = 0 * qf
-        for s, g, y in zip(range(s_max + 1), weights, args):
-            c = _conv_w(r, r, s, 0, s, wpow)
-            rhs += c * g * a_alpha(alpha, av, y, ctx).value
+        for s, g in zip(range(s_max + 1), weights):
+            c = _self_conv_w(r, s, 0, s, wpow)
+            rhs += c * g * inner.sum(s).value
         return lhs, rhs.to_mp()
 
 
@@ -767,18 +926,16 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
                 / multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx))
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2).value
 
-        def inner(y):
-            return b_alpha(alpha, av, bv, y, ctx).value
-
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
         aq, bq = _as_qpow(av), _as_qpow(bv)
+        inner = _Lattice(_ratio_streams(aq, bq, alpha, xv), 2 * alpha, ctx, bilateral=True)
 
         def streams(q):
-            x, q2a = q.like(xv), powq(q, 2 * alpha)
+            x = q.like(xv)
             return (_outer_terms(_ratios_up(aq, bq, q), _gaussian(q, alpha, -x),
-                                 _geometric(x, q2a), inner),
+                                 count(), inner),
                     _outer_terms(_ratios_down(aq, bq, q), _gaussian(q, alpha, -1 / x, 1),
-                                 _geometric(x / q2a, 1 / q2a), inner))
+                                 count(-1, -1), inner))
 
         return lhs, _bilateral(streams, ctx).value
 
@@ -814,15 +971,16 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         digits = ctx.precision + 8
         K = slice_truncation(bv / av, digits)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
-        x = qf.like(xv)
         r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 3 * K)
-        twist = wpow[2] if corrected else 1
-        weights = _gaussian(qf, alpha, x, -K)  # q^{alpha s^2} x^s
-        args = _geometric(twist * x * powq(qf, -2 * alpha * K), powq(qf, 2 * alpha))
+        twist = rho_root(ctx) ** 2 if corrected else 1
+        weights = _gaussian(qf, alpha, qf.like(xv), -K)  # q^{alpha s^2} x^s
+        # the inner function at twist x q^{2 alpha s}
+        inner = _Lattice(_ratio_streams(_as_qpow(av), _as_qpow(bv), alpha, twist * xv),
+                         2 * alpha, ctx, bilateral=True)
         rhs_sum = 0 * qf
-        for s, g, y in zip(range(-K, K + 1), weights, args):
+        for s, g in zip(range(-K, K + 1), weights):
             c = _conv_w(r, r, s, -K - abs(s), K + abs(s), wpow)
-            rhs_sum += c * g * b_alpha(alpha, av, bv, y, ctx).value
+            rhs_sum += c * g * inner.sum(s).value
         return lhs, pref * rhs_sum.to_mp()
 
 
@@ -960,7 +1118,7 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
         inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
         # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),
         # |m1|, |m2| <= K, with h_j = x^j inv_j: the x-powers multiply to x^s
-        conv12 = _Table(-2 * K, [_conv_w(inv, inv, m, max(-K, m - K), min(K, m + K), wpow)
+        conv12 = _Table(-2 * K, [_self_conv_w(inv, m, max(-K, m - K), min(K, m + K), wpow)
                                  for m in range(-2 * K, 2 * K + 1)])
         inv3 = inv.weighted(lambda l: wpow[(2 * l) % 3])
         x = qf.like(xv)

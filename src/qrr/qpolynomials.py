@@ -33,9 +33,9 @@ from .formal import (FormalSeries, fs_div_finite_pochhammer,
                      fs_pochhammer_infinite, qexp_to_u)
 from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
                          pochhammer_finite, pochhammer_infinite_value, q_binomial)
-from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _ratio_terms,
-                         _ratios_up, _unilateral, ramanujan_A, rr_product_formal,
-                         rr_sum_formal, u_m_bilateral)
+from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _Lattice,
+                         _ramanujan_A_stream, _ratio_terms, _ratios_up, _unilateral,
+                         ramanujan_A, rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +461,12 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         xv = to_mp(x)
         lhs = stieltjes_wigert(n, xv, q)
         # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
+        inner = _Lattice(_ramanujan_A_stream(xv), 1, ctx)  # A_q(x q^k)
+
         def terms(q):
             x = q.like(xv)
             return map(mul, map(mul, _binomial_powers(x * q ** (n + 1), q), _inverse(_Q1, q)),
-                       (ramanujan_A(y, ctx).value for y in _geometric(x, q)))
+                       (inner.sum(k).value for k in count()))
 
         return lhs, _unilateral(terms, ctx).value / pochhammer_finite(q, q, n)
 

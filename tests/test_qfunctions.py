@@ -6,12 +6,15 @@ import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
-                 QContext, QPow)
+                 PrecisionLossError, QContext, QPow, qfunctions)
 from qrr.context import powq
+from qrr.fixedpoint import Fixed
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (inv_pochhammer, pochhammer_finite,
                             pochhammer_infinite_value, pochhammer_ratio)
-from qrr.qfunctions import (a_alpha, a_alpha_formal, b_alpha,
+from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv_w,
+                            _cube_weights, _Lattice, _ratio_streams, _self_conv_w,
+                            _Table, a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
                             cube_bilateral_master_sides, cube_master_sides,
@@ -565,3 +568,121 @@ def test_theta_slice_sums_match_per_term_oracle(q):
         _, rhs = theta_triple_sides(a, x, ctx, digits=SLICE_DIGITS, arrangement="split-left")
         old = old_theta_triple_rhs(a, x, ctx, SLICE_DIGITS)
         assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+
+
+# ---------------------------------------------------------------------------
+# lattices of inner sums and mirrored self-convolutions
+# ---------------------------------------------------------------------------
+
+LATTICE_S = (-107, -1, 0, 1, 107)
+LATTICE_Y0 = pytest.mark.parametrize("twisted", [False, True], ids=["y0=0.5", "y0=w^2*0.5"])
+LATTICE_PRECISIONS = pytest.mark.parametrize("precision", [20, 50, 100])
+A6, B15 = mp.mpf("0.6"), mp.mpf("0.15")
+
+
+def _lattice_y0(ctx, twisted):
+    return (rho_root(ctx) ** 2 if twisted else 1) * mp.mpf("0.5")
+
+
+@LATTICE_PRECISIONS
+@LATTICE_Y0
+def test_b_lattice_matches_b_alpha(precision, twisted):
+    ctx = QContext.numeric("0.3", precision=precision)
+    with ctx.workdps():
+        y0 = _lattice_y0(ctx, twisted)
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx,
+                           bilateral=True)
+        for s in LATTICE_S:
+            direct = b_alpha(1, A6, B15, y0 * powq(ctx.q, 2 * s), ctx).value
+            got = lattice.sum(s).value
+            assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
+
+
+@LATTICE_PRECISIONS
+@LATTICE_Y0
+def test_a_lattice_matches_a_alpha(precision, twisted):
+    ctx = QContext.numeric("0.3", precision=precision)
+    with ctx.workdps():
+        y0 = _lattice_y0(ctx, twisted)
+        lattice = _Lattice(_a_alpha_stream(QPow(A6, 0), F(1), y0), 2, ctx)
+        for s in LATTICE_S:
+            direct = a_alpha(1, A6, y0 * powq(ctx.q, 2 * s), ctx).value
+            got = lattice.sum(s).value
+            assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
+
+
+def test_lattice_pole_reaches_every_reader():
+    # (b;q)_4 vanishes at b = q^-3: the shared stream ends in a PoleError,
+    # which a second reader must see too, not a finished generator
+    with CTX.workdps():
+        with pytest.raises(PoleError):
+            b_alpha(1, A6, QPow(1, -3), mp.mpf("0.5"), CTX)
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(1, -3), F(1), mp.mpf("0.5")), 2,
+                           CTX, bilateral=True)
+        for s in (0, 5):
+            with pytest.raises(PoleError):
+                lattice.sum(s)
+
+
+def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
+    forced, seen = [], []
+    real = qfunctions.sum_bilateral
+
+    def short_once(term, ctx):
+        if not forced:
+            forced.append(1)
+            raise PrecisionLossError("forced", 20)
+
+        def watched(n):
+            t = term(n)
+            seen.append(t.wp)
+            return t
+
+        return real(watched, ctx)
+
+    monkeypatch.setattr(qfunctions, "sum_bilateral", short_once)
+    wp = CTX.fixed_bits
+    wide = wp + 20 + RERUN_MARGIN_BITS
+    with CTX.workdps():
+        y0 = _lattice_y0(CTX, True)
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, CTX,
+                           bilateral=True)
+        got = lattice.sum(3).value
+        assert sorted(lattice.tables) == [wp, wide]
+        for shared in lattice.tables[wide]:
+            assert shared.terms and {c.wp for c in shared.terms} == {wide}
+        assert set(seen) == {wide}
+        monkeypatch.setattr(qfunctions, "sum_bilateral", real)
+        direct = b_alpha(1, A6, B15, y0 * powq(CTX.q, 6), CTX).value
+        assert abs(got - direct) <= mp.mpf(10) ** -50 * abs(direct)
+
+
+def _random_table(rnd, lo, size, wp, complex_values):
+    def part():
+        return rnd.choice((-1, 1)) * rnd.getrandbits(rnd.randint(1, wp))
+
+    values = []
+    for _ in range(size):
+        if rnd.random() < 0.1:
+            values.append(Fixed(0, 0 if complex_values else None, 0, wp))
+        else:
+            values.append(Fixed(part(), part() if complex_values else None,
+                                rnd.randint(-3 * wp, wp), wp))
+    return _Table(lo, values)
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
+    import random
+    rnd = random.Random(20261018 + complex_values)
+    wpow = _cube_weights(CTX)
+    for lo, size in ((-9, 19), (-4, 12), (0, 7)):
+        f = _random_table(rnd, lo, size, CTX.fixed_bits, complex_values)
+        for n in range(2 * f.lo, 2 * f.hi + 1):
+            first, last = max(f.lo, n - f.hi), min(f.hi, n - f.lo)
+            for d in range(4):
+                got = _self_conv_w(f, n, first + d, last - d, wpow)
+                want = _conv_w(f, f, n, first + d, last - d, wpow)
+                assert (got.re, got.im, got.e) == (want.re, want.im, want.e), (n, d)
+    with pytest.raises(ValueError):
+        _self_conv_w(f, 0, -3, 4, wpow)
