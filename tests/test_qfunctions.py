@@ -584,10 +584,11 @@ def _lattice_y0(ctx, twisted):
     return (rho_root(ctx) ** 2 if twisted else 1) * mp.mpf("0.5")
 
 
+@ORACLE_QS
 @LATTICE_PRECISIONS
 @LATTICE_Y0
-def test_b_lattice_matches_b_alpha(precision, twisted):
-    ctx = QContext.numeric("0.3", precision=precision)
+def test_b_lattice_matches_b_alpha(precision, twisted, q):
+    ctx = QContext.numeric(q, precision=precision)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, twisted)
         lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx,
