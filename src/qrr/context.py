@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
 from .errors import DomainError, ExponentError
-from .fixedpoint import Fixed, bits_for_digits, rounding_bits
+from .fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
 
 # Series of a few hundred terms lose at most a couple of digits, so a fixed
 # guard is enough to report residuals well below the pass threshold.
@@ -81,10 +82,26 @@ class QContext:
         """Context manager entering the working precision."""
         return mp.workdps(self.working_dps)
 
-    @property
+    # The tolerances below are made once per context, at the working
+    # precision: every sum and infinite product reads them.
+
+    @cached_property
     def stop_tol(self):
         """Terms below this magnitude count as negligible for stopping."""
-        return mp.mpf(10) ** (-(self.precision + 10))
+        with self.workdps():
+            return mp.mpf(10) ** (-(self.precision + 10))
+
+    @cached_property
+    def stop_log2(self) -> float:
+        """Float log2 of :attr:`stop_tol`, the per-term stop test's bound."""
+        return -(self.precision + 10) * LOG2_10
+
+    @cached_property
+    def target_tol(self):
+        """A sum or product whose tail bound lies below this, 10^-precision,
+        counts as converged."""
+        with self.workdps():
+            return mp.mpf(10) ** (-self.precision)
 
     @property
     def pass_tol(self):

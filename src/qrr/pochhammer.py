@@ -172,8 +172,7 @@ def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
         mag = mag0 * absq ** last
         tail_log = mag * absq / ((1 - absq) * (1 - mag))
         tail = abs(value) * (mp.e ** tail_log - 1)
-        return SumOutcome(value, last + 1, tail,
-                          bool(tail < mp.mpf(10) ** (-ctx.precision)))
+        return SumOutcome(value, last + 1, tail, bool(tail < ctx.target_tol))
 
 
 def pochhammer_infinite_value(a, q, ctx: QContext):

@@ -1,5 +1,6 @@
 """Context construction, exact powers, and deviation scaling."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,6 +31,17 @@ def test_working_precision_carries_guard():
     assert ctx.working_dps == 65
     with ctx.workdps():
         assert mp.mp.dps == 65
+
+
+def test_tolerances_made_once_at_working_precision():
+    ctx = QContext.numeric("0.3", precision=50)
+    with mp.workdps(15):  # read outside the working precision
+        stop, target = ctx.stop_tol, ctx.target_tol
+    with ctx.workdps():
+        assert stop._mpf_ == (mp.mpf(10) ** -60)._mpf_
+        assert target._mpf_ == (mp.mpf(10) ** -50)._mpf_
+    assert ctx.stop_tol is stop and ctx.target_tol is target
+    assert ctx.stop_log2 == pytest.approx(-60 * math.log2(10), rel=1e-15)
 
 
 def test_powq_exact_integer_exponents():
