@@ -236,10 +236,10 @@ def test_short_rising_series_certifies_at_low_precision():
 
 # -- engine oracle -----------------------------------------------------------
 #
-# The engine as it was before its bookkeeping moved to bit lengths: a float
-# log2 per term for the stop test and the peak, and a certificate that makes
-# an mpf magnitude for every term it reads.  The one change is the
-# convergence flag, which now also asks the tail bound to lie below the sum.
+# A reference engine that keeps its books on mpf values: a float log2 per
+# term for the stop test and the peak, and a certificate that makes an mpf
+# magnitude for every term it reads.  ``sum_series`` must give the same
+# outcome bit for bit, or raise the same error.
 
 
 def reference_sum_series(term, ctx, group=5):
