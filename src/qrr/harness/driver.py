@@ -2,9 +2,10 @@
 
 An entry gives, per mode, a :class:`Check`: the callable that evaluates the
 two sides, the points to evaluate it at (a fixed grid, a sampler's draws, or
-the draws crossed with a grid), the parameters to report, and optionally a
-second reading of the identity as printed.  :func:`run_entry` does the rest
-in the same way for every entry:
+the draws crossed with a grid), and optionally a second reading of the
+identity as printed.  A point holds every value the sides receive, so the
+points are the one declaration of what a check evaluates.  :func:`run_entry`
+does the rest in the same way for every entry:
 
 * ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
   once and evaluates every point inside ``workdps()``; the worst scale-aware
@@ -15,6 +16,10 @@ in the same way for every entry:
 * ``formal`` — the sides callable returns a difference series; the first
   nonzero one fails the check and its first differing coefficient is
   reported.
+
+The reported ``params`` are derived from the run, never declared: the q list
+(numeric) or the order and D (formal), and :func:`summarise` of the points
+the sides were called with, the failing point merged in last.
 
 Statuses come from :func:`status` alone: a literal reading that holds gives
 PASS; one that fails while the corrected reading holds gives
@@ -30,6 +35,7 @@ from typing import Callable, NamedTuple
 import mpmath as mp
 
 from ..context import QContext, scaled_deviation, to_mp
+from ..pochhammer import QPow
 from .sampling import entry_rng
 
 MODES = ("formal", "exact", "numeric")
@@ -81,10 +87,6 @@ class Verdict(NamedTuple):
     ok: bool
 
 
-# A ``params`` value filled in from the run: the q values (key "q"), the
-# formal order (key "order"), or the values drawn under that key.
-EVALUATED = object()
-
 # A literal note quotes the literal reading's worst residual here.
 LITERAL = "{literal}"
 
@@ -121,7 +123,6 @@ class Check:
     sides: Callable
     points: tuple = ({},)
     sampler: Callable | None = None   # rng -> draws, each crossed with points
-    params: dict = field(default_factory=dict)
     note: str = ""
     literal: Reading | None = None
     prepare: Callable | None = None   # numeric: ctx -> per-q keyword values
@@ -131,7 +132,12 @@ class Check:
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """One registered identity: metadata, q policy and a check per mode."""
+    """One registered identity: metadata, q policy and a check per mode.
+
+    ``domains`` holds the identity's true limits, each a ``(parameter,
+    limit, reason)`` triple; the points themselves are declared only once,
+    on the checks.
+    """
 
     id: str
     title: str
@@ -180,70 +186,100 @@ def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
             "SKIPPED", note=f"vacuous tolerance: 10^-(precision - tol_shift) = "
             f"10^-({rc.precision} - {entry.tol_shift}) is looser than 10^-{MIN_TOL_EXPONENT}")
     rng = entry_rng(rc.seed, entry.id, mode)
-    run = {"draws": []}
+    ran = []   # every point the sides were called with, as declared
     note, fail_point, first_diff, literal_ok = chk.note, None, None, None
     if mode == "numeric":
-        dev, ok, literal = _numeric(entry, chk, rc, rng, run)
+        qs = entry.q_list(rc)
+        params = {"q": [str(q) for q in qs]}
+        dev, ok, literal = _numeric(entry, chk, rc, rng, qs, ran)
         if literal is not None:
             note = note.replace(LITERAL, mp.nstr(literal, 3))
             literal_ok = literal < rc.tol(entry.tol_shift)
     else:
-        draws = run["draws"] = chk.sampler(rng) if chk.sampler else [{}]
+        draws = chk.sampler(rng) if chk.sampler else [{}]
         if mode == "exact":
-            fail_point = _first_unequal(chk.sides, _cross(draws, chk.points))
+            params = {}
+            fail_point = _first_unequal(chk.sides, _cross(draws, chk.points),
+                                        ran)
             if chk.literal is not None:
                 literal_ok = _first_unequal(
                     chk.literal.sides,
-                    _cross(draws, chk.literal.points)) is None
+                    _cross(draws, chk.literal.points), ran) is None
         else:
             ctx = rc.formal_ctx(chk.D, chk.order and min(rc.order, chk.order))
-            run["order"] = ctx.order
+            params = {"order": ctx.order, "D": chk.D}
             fail_point, first_diff = _first_nonzero(
-                chk.sides, ctx, _cross(draws, chk.points))
+                chk.sides, ctx, _cross(draws, chk.points), ran)
         ok = fail_point is None
         dev = mp.mpf(0) if ok and mode == "exact" else None
-    params = {k: _evaluated(k, run) if v is EVALUATED else v
-              for k, v in chk.params.items()}
+    params.update(summarise(ran))
     if fail_point is not None:
-        params.update(fail_point)
+        params.update(summarise([fail_point]))
     if chk.literal is None or not chk.literal.decides:
         literal_ok = None
-    return CheckOutcome(status(ok, literal_ok), deviation=dev,
-                        first_diff=first_diff, params=params, note=note)
+    return CheckOutcome(status(ok, literal_ok), dev, first_diff, params, note)
 
 
-def _evaluated(key, run):
-    if key in ("q", "order"):
-        return run[key]
-    return [str(d[key]) for d in run["draws"]]
+def summarise(points) -> dict:
+    """Each key of ``points`` with its distinct values, in the order first met.
+
+    One value prints bare, a run of consecutive ints as ``lo..hi`` and
+    anything else as ``{a, b, ...}``; a QPow prints as a power of q.
+    """
+    seen = {}
+    for point in points:
+        for key, value in point.items():
+            values = seen.setdefault(key, [])
+            if value not in values:
+                values.append(value)
+    return {key: _span(values) for key, values in seen.items()}
+
+
+def _span(values):
+    if len(values) == 1:
+        return _show(values[0])
+    if (all(type(v) is int for v in values)
+            and max(values) - min(values) == len(values) - 1):
+        return f"{min(values)}..{max(values)}"
+    return "{" + ", ".join(map(_show, values)) + "}"
+
+
+def _show(value):
+    if not isinstance(value, QPow):
+        return str(value)
+    c, e = value
+    if e == 0:
+        return str(c)
+    power = "q" if e == 1 else f"q^({e})" if "/" in str(e) else f"q^{e}"
+    return {1: power, -1: "-" + power}.get(c, f"{c}*{power}")
 
 
 def _cross(draws, points):
     return [{**d, **p} for d in draws for p in points]
 
 
-def _numeric(entry, chk, rc, rng, run):
+def _numeric(entry, chk, rc, rng, qs, ran):
     """(worst residual, all passed, worst literal residual or None)."""
     tol = rc.tol(entry.tol_shift)
     reading = chk.literal
     worst, ok = mp.mpf(0), True
     literal = None if reading is None else mp.mpf(0)
-    qs = entry.q_list(rc)
     for i, q in enumerate(qs):
         ctx = rc.numeric_ctx(q)
         with ctx.workdps():
             draws = chk.sampler(rng) if chk.sampler else [{}]
             extra = chk.prepare(ctx) if chk.prepare else {}
             for point in _cross(draws, chk.points):
+                ran.append(point)
                 dev, passed = _residual(chk.sides(ctx, **extra,
                                                   **_as_mp(point)), tol)
                 worst, ok = max(worst, dev), ok and passed
             if reading is not None and not (reading.first_q_only and i):
                 for point in _cross(draws, reading.points):
+                    ran.append(point)
                     dev, _ = _residual(reading.sides(ctx, **extra,
                                                      **_as_mp(point)), tol)
                     literal = max(literal, dev)
-    run["q"] = [str(q) for q in qs]
     return worst, ok, literal
 
 
@@ -260,16 +296,18 @@ def _residual(value, tol) -> Verdict:
     return Verdict(value, value < tol)
 
 
-def _first_unequal(sides, points):
+def _first_unequal(sides, points, ran):
     for point in points:
+        ran.append(point)
         value = sides(**point)
         if not (value if isinstance(value, bool) else value[0] == value[1]):
             return point
     return None
 
 
-def _first_nonzero(sides, ctx, points):
+def _first_nonzero(sides, ctx, points, ran):
     for point in points:
+        ran.append(point)
         diff = sides(ctx, **point)
         if not diff.is_zero():
             return point, diff.first_difference(type(diff)(diff.D, diff.N))

@@ -3,9 +3,14 @@
 Each entry re-verifies one displayed identity by evaluating its two sides
 through independent code paths (they share only the primitive layer).  Per
 mode (formal, exact, numeric) an entry declares a :class:`.driver.Check`:
-its sides callable, the grid or sampler of points, the parameters it reports
-and, for the DISCREPANCY_DOCUMENTED entries, the literal reading with its own
-points.  The q policy (``fixed_q``, ``q_cap``, ``complex_ok``) and the
+its sides callable, the grid or sampler of points and, for the
+DISCREPANCY_DOCUMENTED entries, the literal reading with its own points.
+Every value a sides callable passes on to a kernel comes from its point, so
+the points are the one declaration of what a check evaluates, and the
+report's ``params`` are derived from the points that ran.  Two checks choose
+their arguments from q itself and keep them inside: ``bessel-asymptotic``
+(r = 2^j) and ``bessel-ml``.  ``domains`` holds only true limits, each with
+its reason.  The q policy (``fixed_q``, ``q_cap``, ``complex_ok``) and the
 tolerance (``tol_shift``) sit on the entry.  :func:`.driver.run_entry` runs
 every entry the same way.  Numeric constants are written as strings,
 Fractions or QPows, so that they become numbers inside the working precision
@@ -20,13 +25,12 @@ from itertools import count
 import mpmath as mp
 
 from ..context import QContext, scaled_deviation, to_mp
-from ..errors import UnknownIdentityError
+from ..errors import UnknownIdentityError, UnsupportedModeError
 from ..pochhammer import (QPow, multi_pochhammer_infinite,
                           pochhammer_infinite_value)
 from .. import partitions as parts, qbessel as qb, qfunctions as qf
 from .. import qpolynomials as qp
-from .driver import (EVALUATED, LITERAL, Check, IdentityEntry, Reading,
-                     Verdict, grid)
+from .driver import LITERAL, Check, IdentityEntry, Reading, Verdict, grid
 from .sampling import (annulus_pair, distinct_rationals, entry_rng,
                        rational_in, rational_nonzero)
 
@@ -51,14 +55,12 @@ def _distinct(name, lo, hi, avoid=()):
 def _rr_checks(which: int) -> dict:
     return dict(
         formal=Check(lambda ctx: (qf.rr_sum_formal(which - 1, ctx)
-                                  - qf.rr_product_formal(which, ctx)),
-                     params={"order": EVALUATED}),
+                                  - qf.rr_product_formal(which, ctx))),
         numeric=Check(
             lambda ctx: (qf.u_m_bilateral(QPow(1, 0), which - 1, ctx).value,
                          1 / multi_pochhammer_infinite(
                              [ctx.q ** which, ctx.q ** (5 - which)],
-                             ctx.q ** 5, ctx)),
-            params={"q": EVALUATED}))
+                             ctx.q ** 5, ctx))))
 
 
 def _mform_products(ctx):
@@ -168,26 +170,25 @@ def _ms_digits(ctx):
     return ctx.precision - 16
 
 
-def _ms5_single_factor(ctx):
-    """n = 3 with the subscript-free base-q^3 factor read as (.;q^3)_1."""
-    qv, av, bv = ctx.q, mp.mpf("0.5"), mp.mpf("0.1")
-    lhs, rhs = qf.bilateral_cube_slice_sides(3, av, bv, ctx,
+def _ms5_single_factor(ctx, n, a, b):
+    """The slice with the subscript-free base-q^3 factor read as (.;q^3)_1."""
+    qv = ctx.q
+    lhs, rhs = qf.bilateral_cube_slice_sides(n, a, b, ctx,
                                              digits=_ms_digits(ctx))
-    return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (bv / av) ** 3],
+    return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (b / a) ** 3],
                                                  qv ** 3, ctx)
-                 / ((1 - qv ** 3) * (1 - (bv / av) ** 3)))
+                 / ((1 - qv ** 3) * (1 - (b / a) ** 3)))
 
 
-def _ms6_formal(ctx, a):
-    """a = q reduces to qf.omega(t), a = 0 to A_q(-t); t = 2/3."""
-    t = F(2, 3)
+def _ms6_formal(ctx, a, t):
+    """a = q reduces to qf.omega(t), a = 0 to A_q(-t)."""
     return qf.a_alpha_formal(1, a, (t, 0), ctx) - (
         qf.omega_formal(t, 0, ctx) if a else qf.ramanujan_A_formal(-t, 0, ctx))
 
 
-def _ms6_numeric(ctx):
-    """The three reductions at t = 0.6; the last runs at bases q^2, q^4."""
-    qv, t = ctx.q, mp.mpf("0.6")
+def _ms6_numeric(ctx, t):
+    """The three reductions; the last runs at bases q^2, q^4."""
+    qv = ctx.q
     ctx2, ctx4 = (QContext.numeric(base, precision=ctx.precision,
                                    max_terms=ctx.max_terms)
                   for base in (qv * qv, qv ** 4))
@@ -199,50 +200,45 @@ def _ms6_numeric(ctx):
                                 qf.omega(t * t, ctx4).value))
 
 
-def _ms10(ctx):
-    """B^(1)(0.5, q; 0.7) = A^(1)(0.5; 0.7); B^(1)(0.4, 0.9; 0.7) converges."""
-    dev = scaled_deviation(
-        qf.b_alpha(1, mp.mpf("0.5"), QPow(1, 1), mp.mpf("0.7"), ctx).value,
-        qf.a_alpha(1, mp.mpf("0.5"), mp.mpf("0.7"), ctx).value)
-    v = qf.b_alpha(1, mp.mpf("0.4"), mp.mpf("0.9"), mp.mpf("0.7"), ctx)
-    return dev if v.converged and mp.isfinite(v.value) else mp.inf
+def _ms10(ctx, alpha, a, b, x):
+    """At b = q, B^(a)(a, b; x) equals A^(a)(a; x); elsewhere it converges."""
+    v = qf.b_alpha(alpha, a, b, x, ctx)
+    if isinstance(b, QPow):
+        return scaled_deviation(v.value, qf.a_alpha(alpha, a, x, ctx).value)
+    return mp.mpf(0) if v.converged and mp.isfinite(v.value) else mp.inf
 
 
 def _ms12(corrected: bool):
-    return lambda ctx: qf.cube_bilateral_master_sides(
-        1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx,
-        corrected=corrected)
+    return lambda ctx, alpha, a, b, x: qf.cube_bilateral_master_sides(
+        alpha, a, b, x, ctx, corrected=corrected)
 
 
 def _theta_triple(arrangement):
-    return lambda ctx, a: qf.theta_triple_sides(
-        a, mp.mpf("0.6"), ctx, arrangement=arrangement)
+    return lambda ctx, a, x: qf.theta_triple_sides(
+        a, x, ctx, arrangement=arrangement)
 
 
-def _sw_inversion_exact():
+def _sw_inversion_exact(k, y, n, q, sq):
     """The inverted S_k(y) and the determinant, compared as one pair."""
-    lhs, rec = qp.sw_inversion_sides(2, F(1, 3), 1, F(1, 4), F(1, 2),
-                                     "corrected")
-    return ((lhs, qp.inversion_delta(3, F(2, 7), 2, F(1, 4), F(1, 2))),
-            (rec, qp.inversion_delta_from_system(3, F(2, 7), 2, F(1, 4),
-                                                 F(1, 2))))
+    lhs, rec = qp.sw_inversion_sides(k, y, n, q, sq, "corrected")
+    return ((lhs, qp.inversion_delta(k, y, n, q, sq)),
+            (rec, qp.inversion_delta_from_system(k, y, n, q, sq)))
 
 
 def _sw_inversion_numeric(reading):
-    return lambda ctx, sq, y, n: qp.sw_inversion_sides(2, y, n, ctx.q, sq,
-                                                       reading)
+    """At y = -q^nu, where the literal reading's S-argument is defined."""
+    return lambda ctx, sq, k, nu, n: qp.sw_inversion_sides(
+        k, -ctx.q ** nu, n, ctx.q, sq, reading)
 
 
 def _st_5_half(which: int) -> dict:
     return dict(
         formal=Check(lambda ctx, n: (qp.st_5_7_diff_formal if which == 7
                                      else qp.st_5_8_diff_formal)(n, ctx),
-                     grid(n=range(9)), params={"n": "0..8", "D": 4},
-                     order=40, D=4),
-        exact=Check(lambda n: (qp.st_5_7_sides if which == 7
-                               else qp.st_5_8_sides)(n, F(1, 4), F(1, 2)),
-                    grid(n=range(9)),
-                    params={"q": "1/4 (exact square root 1/2)", "n": "0..8"}))
+                     grid(n=range(9)), order=40, D=4),
+        exact=Check(lambda n, q, sq: (qp.st_5_7_sides if which == 7
+                                      else qp.st_5_8_sides)(n, q, sq),
+                    grid(n=range(9), **_QUARTER)))
 
 
 def _hermite_gf(reading):
@@ -253,82 +249,75 @@ def _hermite_gf(reading):
 # the registry itself
 # ---------------------------------------------------------------------------
 
-_BESSEL_SV = dict(
-    points=grid(nu=(F(0), F(1, 2), F(27, 10)), n=range(11)),
-    params={"q": "{0.2, 0.5}", "nu": "{0, 0.5, 2.7}", "n": "0..10"})
+_BESSEL_SV = dict(points=grid(nu=(F(0), F(1, 2), F(27, 10)), n=range(11)))
 _MS_SLICE = dict(tol_shift=25, q_cap=0.3)
+_MS_SLICE_AB = dict(a=("0.5",), b=("0.1",))
+_MS_BILATERAL = grid(alpha=(1,), a=("0.6",), b=("0.15",), x=("0.5",))
+_MS_ANNULUS = (("x", "q < |x| < 1",
+                "the pole-sums converge only on this annulus"),)
 _HERMITE_GF_POINTS = ({"t": "0.15", "z": "0.5"}, {"t": "-0.12", "z": "0.7"})
+_QUARTER = dict(q=(F(1, 4),), sq=(F(1, 2),))   # exact q with its square root
+_SW_INVERSION_POINTS = (grid(k=(2,), y=(F(1, 3),), n=(1,), **_QUARTER)
+                        + grid(k=(3,), y=(F(2, 7),), n=(2,), **_QUARTER))
+_UNIT_DISK = (("q", "|q| < 1",
+               "the sums and infinite products converge only there"),)
 
 ENTRIES: tuple = (
     IdentityEntry(
         "RR1", "first gap identity",
         "sum q^{n^2}/(q;q)_n = 1/((q;q^5)_inf (q^4;q^5)_inf)",
-        (("q", "|q| < 1"),), complex_ok=True, **_rr_checks(1)),
+        _UNIT_DISK, complex_ok=True, **_rr_checks(1)),
     IdentityEntry(
         "RR2", "second gap identity",
         "sum q^{n^2+n}/(q;q)_n = 1/((q^2;q^5)_inf (q^3;q^5)_inf)",
-        (("q", "|q| < 1"),), complex_ok=True, **_rr_checks(2)),
+        _UNIT_DISK, complex_ok=True, **_rr_checks(2)),
     IdentityEntry(
         "mform", "m-shifted gap identity",
         "sum q^{n^2+mn}/(q;q)_n = (-1)^m q^-binom(m,2) [a_m P1 - b_m P2]",
-        (("m", "0..10"),),
         formal=Check(lambda ctx, m: qp.mform_diff_formal(m, ctx),
-                     grid(m=range(11)),
-                     params={"m": "0..10", "order": EVALUATED}, order=80),
-        numeric=Check(_mform, grid(m=range(9)), prepare=_mform_products,
-                      params={"q": EVALUATED, "m": "0..8"})),
+                     grid(m=range(11)), order=80),
+        numeric=Check(_mform, grid(m=range(9)), prepare=_mform_products)),
     IdentityEntry(
         "rr1-partitions", "gap-2 partition interpretation",
         "[q^n] gap series = #{parts differing by >= 2} = #{parts = 1,4 mod 5}",
-        (("n", "<= 40"),),
-        exact=Check(lambda: parts.series_vs_partitions("RR1", 40),
-                    params={"n": "0..40"})),
+        exact=Check(lambda n_max: parts.series_vs_partitions("RR1", n_max),
+                    grid(n_max=(40,)))),
     IdentityEntry(
         "rr2-partitions", "gap-2 partition interpretation, second kind",
         "[q^n] shifted gap series = #{gap 2, least part >= 2} "
         "= #{parts = 2,3 mod 5}",
-        (("n", "<= 40"),),
-        exact=Check(lambda: parts.series_vs_partitions("RR2", 40),
-                    params={"n": "0..40"})),
+        exact=Check(lambda n_max: parts.series_vs_partitions("RR2", n_max),
+                    grid(n_max=(40,)))),
     IdentityEntry(
         "ferrers-box", "box-bounded partition generating polynomial",
         "sum over partitions in a k x m box of q^|p| = gauss(k+m, k)",
-        (("k+m", "<= 14"),),
         exact=Check(lambda k, m: parts.box_matches_q_binomial(k, m),
                     tuple({"k": k, "m": m}
-                          for k in range(15) for m in range(15 - k)),
-                    params={"k+m": "<= 14"})),
+                          for k in range(15) for m in range(15 - k)))),
     IdentityEntry(
         "schur-cd", "closed forms specialize the recurrence pair",
         "c_m(1,q) = a_m(q), d_m(1,q) = b_m(q); coefficients nonnegative",
-        (("m", "<= 12"),),
-        exact=Check(_schur_cd, grid(m=range(13)), params={"m": "0..12"},
+        exact=Check(_schur_cd, grid(m=range(13)),
                     note="closed forms apply for m >= 2; m in {0,1} from "
                          "seeds")),
     IdentityEntry(
         "cd-three-way", "recurrence pair: three constructions coincide",
         "recurrence = explicit sum = t-series coefficients, for c_n and d_n",
-        (("n", "<= 20"),),
-        exact=Check(_cd_three_way, grid(n=range(21)), params={"n": "0..20"},
+        exact=Check(_cd_three_way, grid(n=range(21)),
                     note="seeds (c0,c1,d0,d1)=(1,0,0,1); the duplicated-c0 "
                          "display is reproducible only with these seeds")),
     IdentityEntry(
         "um-recurrence", "three-term contiguous relation",
         "q^{m+1} u_{m+2}(a) = u_m(a) - a u_{m+1}(a)",
-        (("a", "{1/2, 1, 3/2}"), ("m", "0..6")),
         numeric=Check(_um_recurrence, grid(a=("0.5", QPow(1, 0), "1.5"),
-                                           m=range(7)),
-                      params={"a": "{1/2, 1, 3/2}", "m": "0..6",
-                              "q": EVALUATED})),
+                                           m=range(7)))),
     IdentityEntry(
         "um-mform", "bilateral resolution along the recurrence pair",
         "u_m(a) = (-1)^m q^-binom(m,2) [c_m(a,q) u_0(a) - d_m(a,q) u_1(a)]",
-        (("a", "{1/2, 1, 3/2}"), ("m", "0..8")),
         numeric=Check(
             lambda ctx, a, m: qp.bilateral_m_version_residual(a, m, ctx,
                                                               sign=-1),
             grid(a=("0.5", QPow(1, 0), "1.5"), m=range(9)),
-            params={"a": "{1/2, 1, 3/2}", "m": "0..8"},
             note=f"as-printed +d reading fails (literal residual {LITERAL}); "
                  "the -d reading, forced by the seeds and by the a=1 case, "
                  "passes",
@@ -338,463 +327,413 @@ ENTRIES: tuple = (
         "heine", "second-iterate transformation of 2phi1",
         "2phi1(a,b;c;q,z) = (c/b, bz;q)_inf/(c, z;q)_inf "
         "2phi1(abz/c, b; bz; q, c/b)",
-        (("z", "|z| < 1"), ("c/b", "|c/b| < 1")), complex_ok=True,
+        (("z", "|z| < 1", "the left 2phi1 converges only there"),
+         ("c/b", "|c/b| < 1", "the right 2phi1 converges only there")),
+        complex_ok=True,
         numeric=Check(
             lambda ctx, a, b, c, z: qf.heine_sides(
                 to_mp(a), to_mp(b), to_mp(c), to_mp(z), ctx),
-            sampler=_each(10, _heine_draw),
-            params={"draws": "10 per q, |c/b|<1, |z|<1"})),
+            sampler=_each(10, _heine_draw))),
     IdentityEntry(
         "bessel-defs", "three defining series at integer order",
         "kind-k series against direct truncated oracles; value at z=2",
-        (("kind", "1..3"),),
         numeric=Check(_bessel_defs,
                       grid(kind=(1, 2, 3), z=("0.8",))
                       + ({"kind": 2, "z": "2"},),
-                      params={"z": "0.8", "order": 0},
                       note="order-0 series vs direct truncated oracle, all "
                            "kinds")),
     IdentityEntry(
         "bessel-i1-continuation", "kind 1 continued by the square factor",
         "I1_nu(z) = I2_nu(z) / (z^2/4; q)_inf",
-        (("z", "|z| < 2 for the direct series"),),
+        (("z", "|z| < 2 for the direct series",
+          "the kind-1 series converges only there"),),
         numeric=Check(lambda ctx, z, nu: (qb.bessel_i(1, nu, z, ctx),
                                           qb.i1_continued(nu, z, ctx)),
                       grid(z=("0.6", "1.2", "1.8"),
-                           nu=(F(1, 2), F(0), F(5, 2))),
-                      params={"z": "<2", "nu": "{0, 1/2, 5/2}"})),
+                           nu=(F(1, 2), F(0), F(5, 2))))),
     IdentityEntry(
         "bessel-sv-4", "special values on the geometric lattice, first form",
         "I2_nu(2 q^{-n/2}) = q^{nu n/2} S_n(-q^{-nu-n}) / (q^{n+1};q)_inf",
-        (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")), fixed_q=("0.2", "0.5"),
+        fixed_q=("0.2", "0.5"),
         numeric=Check(lambda ctx, nu, n: qb.special_value_sides(4, nu, n, ctx),
                       **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-5", "special values, symmetric form",
         "I2_nu(2 q^{-n/2}) = q^{-nu n/2} S_n(-q^{nu-n}) / (q^{n+1};q)_inf",
-        (("nu", "{0, 1/2, 27/10}"), ("n", "0..10")), fixed_q=("0.2", "0.5"),
+        fixed_q=("0.2", "0.5"),
         numeric=Check(lambda ctx, nu, n: qb.special_value_sides(5, nu, n, ctx),
                       **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-series", "special values written as series",
         "sum_k q^{k(k+nu-n)}/((q;q)_k (q^{nu+1};q)_k) equals both finite forms",
-        (("n", "0..8"),),
-        numeric=Check(_sv_series, grid(nu=(F(7, 10), F(3, 2)), n=range(9)),
-                      params={"nu": "{0.7, 1.5}", "n": "0..8"})),
+        numeric=Check(_sv_series, grid(nu=(F(7, 10), F(3, 2)), n=range(9)))),
     IdentityEntry(
         "bessel-sv-general", "entire-series form of the kind-2 function",
         "I2_nu(2z) = z^nu / (q;q)_inf * 1phi1(z^2; 0; q, q^{nu+1})",
-        (("z", "any"), ("nu", "generic")),
-        numeric=Check(_sv_general, grid(z=("0.6", "1.4"), nu=(F(1, 2), F(2))),
-                      params={"z": "{0.6, 1.4}", "nu": "{1/2, 2}"})),
+        numeric=Check(_sv_general,
+                      grid(z=("0.6", "1.4"), nu=(F(1, 2), F(2))))),
     IdentityEntry(
         "bessel-gf", "order generating function",
         "sum_m q^binom(m,2) I2_m(z) t^m = (-tz/2, -qz/2t; q)_inf",
-        (("t", "nonzero"),), tol_shift=15,
+        (("t", "nonzero", "the product (-qz/2t; q)_inf divides by t"),),
+        tol_shift=15,
         numeric=Check(lambda ctx, z, t: qb.gen_func_sides(z, t, ctx),
                       ({"z": "1", "t": "1"}, {"z": "0.8", "t": "-2"},
-                       {"z": "1.5", "t": "0.4"}, {"z": "0", "t": "0.7"}),
-                      params={"(z,t)": "{(1,1), (0.8,-2), (1.5,0.4), "
-                                       "(0,0.7)}"})),
+                       {"z": "1.5", "t": "0.4"}, {"z": "0", "t": "0.7"}))),
     IdentityEntry(
         "bessel-ml", "pole expansion of the continued kind-1 function",
         "I1_nu(z) = (z/2)^nu/(q;q)_inf^2 sum_n (-1)^n q^binom(n+1,2) "
         "S_n(-q^{nu-n}) / (1 - z^2 q^n/4)",
-        (("z", "off the pole lattice"),), tol_shift=15,
-        fixed_q=("0.3", "0.25"),
-        numeric=Check(_bessel_ml, params={
-            "z": "{1, 3}", "note": "z=3 is outside the |z|<2 disk"})),
+        (("z", "off the pole lattice",
+          "the terms have poles where z^2 q^n = 4"),),
+        tol_shift=15, fixed_q=("0.3", "0.25"),
+        numeric=Check(_bessel_ml)),
     IdentityEntry(
         "bessel-i-vs-j", "imaginary-argument rotation",
         "I_nu(z) = e^{-i nu pi/2} J_nu(iz), kinds 1 and 2",
-        (("draws", "10"),),
         numeric=Check(_bessel_ivsj, sampler=_each(10, lambda rng: {
             "nu": F(rng.randint(1, 60), 20), "z": F(rng.randint(2, 18), 10),
-            "kind": rng.choice((1, 2))}), params={"draws": "10 per q"})),
+            "kind": rng.choice((1, 2))}))),
     IdentityEntry(
         "bessel-asymptotic", "large-argument main term",
         "I2_nu(r) ~ (r/2)^nu (q^{1/2};q)_inf/(2 (q;q)_inf) "
         "[(r q^{(nu+1/2)/2}/2; q^{1/2})_inf + (-...; q^{1/2})_inf]",
-        (("r", "q^{-j}, j = 4..10"),), fixed_q=("0.5",),
+        fixed_q=("0.5",),
         numeric=Check(_bessel_asymptotic,
-                      params={"q": "0.5", "r": "q^-j, j=4..10"},
                       note="trend property only: |I/main - 1| strictly "
                            "decreasing; no absolute tolerance is claimed")),
     IdentityEntry(
         "lommel-i", "ladder relation for the kind-2 function",
         "(-1)^n q^{n nu + n(n-1)/2} I2_{nu+n}(x) = p_{n,nu}(1/x) I2_nu(x) "
         "- p_{n-1,nu+1}(1/x) I2_{nu-1}(x)",
-        (("n", "0..6"),),
         numeric=Check(
-            lambda ctx, n: qb.lommel_relation_residual(
-                n, F(2, 5), mp.mpf("1.5"), ctx),
-            grid(n=range(7)),
-            params={"n": "<=6", "nu": "2/5", "x": "1.5"})),
+            lambda ctx, n, nu, x: qb.lommel_relation_residual(n, nu, x, ctx),
+            grid(n=range(7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "lommel-j", "ladder relation, alternating form",
         "q^{n nu + n(n-1)/2} J2_{nu+n}(x) = h_{n,nu}(1/x) J2_nu(x) "
         "- h_{n-1,nu+1}(1/x) J2_{nu-1}(x)",
-        (("n", "1..6"),),
         numeric=Check(
-            lambda ctx, n: qb.lommel_relation_j_residual(
-                n, F(2, 5), mp.mpf("1.5"), ctx),
-            grid(n=range(1, 7)),
-            params={"n": "1..6", "nu": "2/5", "x": "1.5"})),
+            lambda ctx, n, nu, x: qb.lommel_relation_j_residual(n, nu, x, ctx),
+            grid(n=range(1, 7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "sw-lommel-special", "ladder relation pinched to the S_n lattice",
         "(-1)^n q^{n(n+2nu+k-1)/2} S_k(-q^{nu+n}) = p_{n,nu+k}(q^{k/2}/2) "
         "S_k(-q^nu) - q^{k/2} p_{n-1,nu+k+1}(q^{k/2}/2) S_k(-q^{nu-1})",
-        (("n", "1..4"), ("k", "1..3")),
         numeric=Check(
-            lambda ctx, n, k: qp.sw_lommel_special_residual(
-                n, F(2, 5), k, ctx),
-            grid(n=range(1, 5), k=(1, 2, 3)),
-            params={"n": "1..4", "k": "1..3"})),
+            lambda ctx, n, nu, k: qp.sw_lommel_special_residual(n, nu, k, ctx),
+            grid(n=range(1, 5), nu=(F(2, 5),), k=(1, 2, 3)))),
     IdentityEntry(
         "psi11", "bilateral binomial sum and its product form",
         "sum (a;q)_n/(b;q)_n z^n = (q, b/a, az, q/az;q)_inf "
         "/ (b, q/a, z, b/az;q)_inf on |b/a| < |z| < 1",
-        (("(a,b,z)", "annulus with margin 1/20"),), complex_ok=True,
+        (("(a,b,z)", "|b/a| < |z| < 1",
+          "the bilateral sum converges only on this annulus; draws keep a "
+          "margin of 1/20 inside it"),), complex_ok=True,
         numeric=Check(
             lambda ctx, a, b, z: (
                 qf.psi_1_1(to_mp(a), to_mp(b), to_mp(z), ctx).value,
                 qf.psi_1_1_product(to_mp(a), to_mp(b), to_mp(z), ctx)),
-            sampler=_each(10, lambda rng: dict(zip("abz", annulus_pair(rng)))),
-            params={"draws": "10 per q inside |b/a|+1/20 < |z| < 19/20"})),
+            sampler=_each(10, lambda rng: dict(zip("abz", annulus_pair(rng)))))),
     IdentityEntry(
         "ms-1", "alternating pair convolution, finite",
         "sum_k r_k r_{n-k} (-1)^k = 0 (odd) or (a^2;q^2)_m/(q^2;q^2)_m",
-        (("n", "0..30"), ("a", "3 rational samples")),
-        exact=Check(lambda a, n: qf.pair_convolution_sides(n, a, F(1, 2)),
-                    grid(n=range(31)),
-                    sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)),
-                    params={"a": EVALUATED, "n": "0..30", "q": "1/2"})),
+        exact=Check(lambda a, n, q: qf.pair_convolution_sides(n, a, q),
+                    grid(n=range(31), q=(F(1, 2),)),
+                    sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)))),
     IdentityEntry(
         "ms-2", "cube-root pair convolution, finite",
         "triple convolution with w^{k+2l} = 0 (3 not | n) or "
         "(a^3;q^3)_m/(q^3;q^3)_m",
-        (("n", "0..30"), ("a", "3 rational samples")),
-        exact=Check(lambda a, n: qf.cube_convolution_sides(n, a, F(1, 3)),
-                    grid(n=range(31)),
+        exact=Check(lambda a, n, q: qf.cube_convolution_sides(n, a, q),
+                    grid(n=range(31), q=(F(1, 3),)),
                     sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)),
-                    params={"a": EVALUATED, "n": "0..30", "q": "1/3"},
                     note="exact arithmetic in Q(w), w a primitive cube root "
                          "of 1")),
     IdentityEntry(
         "ms-3", "alternating pair convolution, bilateral",
         "slice sum over j+k=n of (a)_j(a)_k(-1)^k/((b)_j(b)_k): zero for odd "
         "n, a product multiple of (a^2;q^2)_m/(b^2;q^2)_m for n=2m",
-        (("n", "0..5"),), **_MS_SLICE,
+        **_MS_SLICE,
         numeric=Check(
-            lambda ctx, n: qf.bilateral_pair_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx)),
-            grid(n=range(6)), params={"n": "0..5", "a": "0.5", "b": "0.1"})),
+            lambda ctx, n, a, b: qf.bilateral_pair_slice_sides(
+                n, a, b, ctx, digits=_ms_digits(ctx)),
+            grid(n=range(6), **_MS_SLICE_AB))),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
         "bilateral slice sum with w^{k+2l} = 0 for 3 not dividing n",
-        (("n", "{1,2,4,5}"),), **_MS_SLICE,
+        **_MS_SLICE,
         numeric=Check(
-            lambda ctx, n: abs(qf.bilateral_cube_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx))[0]),
-            grid(n=(1, 2, 4, 5)), params={"n": "{1,2,4,5}"},
+            lambda ctx, n, a, b: abs(qf.bilateral_cube_slice_sides(
+                n, a, b, ctx, digits=_ms_digits(ctx))[0]),
+            grid(n=(1, 2, 4, 5), **_MS_SLICE_AB),
             note="slice sums with 3 not dividing n vanish")),
     IdentityEntry(
         "ms-5", "cube-root triple slices at multiples of 3",
         "bilateral slice sum = cubed prefactor * (a^3;q^3)_m/(b^3;q^3)_m",
-        (("n", "{0,3,6}"),), **_MS_SLICE,
+        **_MS_SLICE,
         numeric=Check(
-            lambda ctx, n: qf.bilateral_cube_slice_sides(
-                n, mp.mpf("0.5"), mp.mpf("0.1"), ctx, digits=_ms_digits(ctx)),
-            grid(n=(0, 3, 6)), params={"n": "{0,3,6}"},
+            lambda ctx, n, a, b: qf.bilateral_cube_slice_sides(
+                n, a, b, ctx, digits=_ms_digits(ctx)),
+            grid(n=(0, 3, 6), **_MS_SLICE_AB),
             note="subscript-free factors read as infinite products; the "
                  f"(.;q^3)_1 reading deviates by {LITERAL}",
-            literal=Reading(_ms5_single_factor, decides=False))),
+            literal=Reading(_ms5_single_factor, grid(n=(3,), **_MS_SLICE_AB),
+                            decides=False))),
     IdentityEntry(
         "ms-6", "alpha-family reductions",
         "A^(1)(q;t) = qf.omega(t;q); A^(1)(0;t) = A_q(-t); "
         "A_{q^2}^(2)(q^2;t^2) = qf.omega(t^2;q^4)",
-        (("t", "2/3 (formal), 0.6 (numeric)"),),
-        formal=Check(_ms6_formal, grid(a=((1, 1), None)),
-                     params={"t": "2/3"}, order=60,
+        formal=Check(_ms6_formal, grid(a=(QPow(1, 1), None), t=(F(2, 3),)),
+                     order=60,
                      note="a=q and a=0 reductions of the alpha-family"),
-        numeric=Check(_ms6_numeric, params={"t": "0.6"})),
+        numeric=Check(_ms6_numeric, grid(t=("0.6",)))),
     IdentityEntry(
         "ms-7", "square-argument expansion, unilateral",
         "A_{q^2}^{(2a)}(a^2;t^2) = sum_j r_j q^{a j^2} (-t)^j "
         "A^{(a)}(a; t q^{2aj})",
-        (("alpha", "{1, 1/2}"),), tol_shift=25,
-        numeric=Check(
-            lambda ctx, alpha: qf.square_master_sides(
-                alpha, mp.mpf("0.5"), mp.mpf("0.6"), ctx),
-            grid(alpha=(F(1), F(1, 2))),
-            params={"alpha": "{1, 1/2}", "a": "0.5", "t": "0.6"})),
+        tol_shift=25,
+        numeric=Check(lambda ctx, alpha, a, t: qf.square_master_sides(
+                          alpha, a, t, ctx),
+                      grid(alpha=(F(1), F(1, 2)), a=("0.5",), t=("0.6",)))),
     IdentityEntry(
         "ms-8", "cube-argument expansion, unilateral",
         "A_{q^3}^{(3a)}(a^3;t^3) = double sum with w^k weights and w^2-twisted "
         "inner argument",
-        (("alpha", "1"),), tol_shift=25,
-        numeric=Check(
-            lambda ctx: qf.cube_master_sides(
-                1, mp.mpf("0.5"), mp.mpf("0.6"), ctx),
-            params={"alpha": "1", "a": "0.5", "t": "0.6"})),
+        tol_shift=25,
+        numeric=Check(lambda ctx, alpha, a, t: qf.cube_master_sides(
+                          alpha, a, t, ctx),
+                      grid(alpha=(1,), a=("0.5",), t=("0.6",)))),
     IdentityEntry(
         "ms-10", "bilateral alpha-family: definition and collapse",
         "B^(a)(a,q;x) loses its negative tail and equals A^(a)(a;x)",
-        (("alpha", "1"),),
-        numeric=Check(_ms10, params={
-            "reduction": "b=q collapses to the unilateral alpha-family"})),
+        numeric=Check(_ms10, ({"alpha": 1, "a": "0.5", "b": QPow(1, 1),
+                               "x": "0.7"},
+                              {"alpha": 1, "a": "0.4", "b": "0.9",
+                               "x": "0.7"}))),
     IdentityEntry(
         "ms-11", "square-argument expansion, bilateral",
         "prefactored B_{q^2}^{(2a)}(a^2,b^2;x^2) = bilateral j-sum of "
         "twisted B evaluations",
-        (("alpha", "1"),), **_MS_SLICE,
+        **_MS_SLICE,
         numeric=Check(
-            lambda ctx: qf.square_bilateral_master_sides(
-                1, mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5"), ctx),
-            params={"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
+            lambda ctx, alpha, a, b, x: qf.square_bilateral_master_sides(
+                alpha, a, b, x, ctx),
+            _MS_BILATERAL,
             note="sampled with |b/a| < 1 so the outer bilateral sum "
                  "converges absolutely")),
     IdentityEntry(
         "ms-12", "cube-argument expansion, bilateral",
         "B_{q^3}^{(3a)}(a^3,b^3;x^3) = prefactor * double bilateral sum",
-        (("alpha", "1"),), **_MS_SLICE,
+        **_MS_SLICE,
         numeric=Check(
-            _ms12(corrected=True),
-            params={"alpha": "1", "a": "0.6", "b": "0.15", "x": "0.5"},
+            _ms12(corrected=True), _MS_BILATERAL,
             note="as printed, the inner argument misses the w^2 twist "
                  "carried by its unilateral counterpart; literal residual "
                  + LITERAL,
-            literal=Reading(_ms12(corrected=False), first_q_only=True))),
+            literal=Reading(_ms12(corrected=False), _MS_BILATERAL,
+                            first_q_only=True))),
     IdentityEntry(
         "ms-13", "theta quotient over simple poles, squared",
         "pref * sum q^{4n^2} x^{2n}/(1-a^2 q^{2n}) = double pole-sum",
-        (("x", "q < |x| < 1"),), **_MS_SLICE,
-        numeric=Check(
-            lambda ctx: qf.theta_pair_sides(
-                mp.mpf("0.5"), mp.mpf("0.6"), ctx),
-            params={"a": "0.5", "x": "0.6"})),
+        _MS_ANNULUS, **_MS_SLICE,
+        numeric=Check(lambda ctx, a, x: qf.theta_pair_sides(a, x, ctx),
+                      grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-14", "imaginary specialization of the squared theta quotient",
         "(q,q;q)_inf/(-q,-q;q)_inf sum q^{4n^2}x^{2n}/(1+q^{2n+1}) = "
         "double pole-sum over 1 + i q^{j+1/2}",
-        (("x", "q < |x| < 1"),), **_MS_SLICE,
-        numeric=Check(
-            lambda ctx: qf.theta_pair_imag_sides(
-                mp.mpf("0.6"), ctx),
-            params={"x": "0.6"},
-            note="denominators 1 + i q^{j+1/2}; numeric mode only")),
+        _MS_ANNULUS, **_MS_SLICE,
+        numeric=Check(lambda ctx, x: qf.theta_pair_imag_sides(x, ctx),
+                      grid(x=("0.6",)),
+                      note="denominators 1 + i q^{j+1/2}; numeric mode only")),
     IdentityEntry(
         "ms-15", "theta quotient over simple poles, cubed",
         "sum q^{9n^2}x^{3n}/(1-a^3q^{3n}) = pref * triple pole-sum",
-        (("x", "q < |x| < 1"),), **_MS_SLICE,
-        numeric=Check(_theta_triple("base"), ({"a": "0.5"},),
-                      params={"x": "0.6"})),
+        _MS_ANNULUS, **_MS_SLICE,
+        numeric=Check(_theta_triple("base"), grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-16", "cubed theta quotient at the positive third-power point",
         "rearranged cube identity at a = q^{1/3}",
-        (("x", "q < |x| < 1"),), **_MS_SLICE,
-        numeric=Check(_theta_triple("split-left"), ({"a": QPow(1, F(1, 3))},),
-                      params={"x": "0.6"})),
+        _MS_ANNULUS, **_MS_SLICE,
+        numeric=Check(_theta_triple("split-left"),
+                      grid(a=(QPow(1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(
         "ms-17", "cubed theta quotient at the negative third-power point",
         "cube identity at a = -q^{1/3} (denominators 1 + q^{j+1/3})",
-        (("x", "q < |x| < 1"),), **_MS_SLICE,
-        numeric=Check(_theta_triple("base"), ({"a": QPow(-1, F(1, 3))},),
-                      params={"x": "0.6"})),
+        _MS_ANNULUS, **_MS_SLICE,
+        numeric=Check(_theta_triple("base"),
+                      grid(a=(QPow(-1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(
         "sw-two-forms", "equivalence of the two defining sums for S_n",
         "binomial-weighted form equals the base-shifted form",
-        (("n", "0..15"),),
-        exact=Check(lambda x, n: (qp.stieltjes_wigert(n, x, F(1, 3)),
-                                  qp.stieltjes_wigert_second(n, x, F(1, 3))),
-                    grid(n=range(16)), sampler=_distinct("x", F(-2), F(2)),
-                    params={"x": EVALUATED, "n": "0..15", "q": "1/3"})),
+        exact=Check(lambda x, n, q: (qp.stieltjes_wigert(n, x, q),
+                                     qp.stieltjes_wigert_second(n, x, q)),
+                    grid(n=range(16), q=(F(1, 3),)),
+                    sampler=_distinct("x", F(-2), F(2)))),
     IdentityEntry(
         "sw-symmetry", "degree-reflection symmetry of S_n",
         "q^{n^2} (-t)^n S_n(q^{-2n}/t) = S_n(t)",
-        (("t", "nonzero"),),
-        exact=Check(lambda n: qp.sw_symmetry_residual(n, F(3, 7),
-                                                      F(1, 3)) == 0,
-                    grid(n=range(9)),
-                    params={"t": "3/7", "q": "1/3", "n": "0..8"}),
-        numeric=Check(
-            lambda ctx: qp.sw_symmetry_residual(
-                12, mp.mpf("1.4"), ctx.q),
-            params={"n": 12, "t": "1.4"})),
+        (("t", "nonzero", "the left side evaluates S_n at q^{-2n}/t"),),
+        exact=Check(lambda n, t, q: qp.sw_symmetry_residual(n, t, q) == 0,
+                    grid(n=range(9), t=(F(3, 7),), q=(F(1, 3),))),
+        numeric=Check(lambda ctx, n, t: qp.sw_symmetry_residual(n, t, ctx.q),
+                      grid(n=(12,), t=("1.4",)))),
     IdentityEntry(
         "u-poly-def", "auxiliary polynomial matches the ladder family",
         "u_n(q^{k/2}, q^mu) = p_{n,mu}(q^{k/2}/2)",
-        (("n", "0..6"),),
         exact=Check(
-            lambda n, k: qp.u_poly(n, F(1, 2) ** k, F(1, 8), F(1, 4))
-            == qp.q_lommel_p(n, F(1, 2) ** k / 2, F(1, 4), F(1, 8)),
-            grid(n=range(7), k=range(4)), params={"n": "0..6", "k": "0..3"},
+            lambda n, k, q_mu, q, sq: qp.u_poly(n, sq ** k, q_mu, q)
+            == qp.q_lommel_p(n, sq ** k / 2, q, q_mu),
+            grid(n=range(7), k=range(4), q_mu=(F(1, 8),), **_QUARTER),
             note="the printed u_n drops the q^{j(j-1)} y^j weight; with it, "
                  "u_n(q^{k/2}, q^mu) equals the ladder polynomial at "
                  "q^{k/2}/2 exactly",
-            literal=Reading(lambda: (
-                qp.u_poly(2, F(1, 2), F(1, 8), F(1, 4), weighted=False),
-                qp.u_poly(2, F(1, 2), F(1, 8), F(1, 4)))))),
+            literal=Reading(lambda n, k, q_mu, q, sq: (
+                qp.u_poly(n, sq ** k, q_mu, q, weighted=False),
+                qp.u_poly(n, sq ** k, q_mu, q)),
+                grid(n=(2,), k=(1,), q_mu=(F(1, 8),), **_QUARTER)))),
     IdentityEntry(
         "sw-functional", "argument-shift functional equation",
         "y^n q^{n(n+k-1)/2} S_k(y q^n) = u_n(q^{k/2},-yq^k) S_k(y) "
         "- q^{k/2} u_{n-1}(q^{k/2},-yq^{k+1}) S_k(y/q)",
-        (("k", "0..4"), ("n", "0..5")),
         exact=Check(
-            lambda k, n: qp.sw_functional_residual(
-                k, F(2, 5), n, F(1, 4), F(1, 2)) == 0,
-            grid(k=range(5), n=range(6)),
-            params={"k": "0..4", "n": "0..5", "q": "1/4", "y": "2/5"}),
+            lambda k, n, y, q, sq: qp.sw_functional_residual(
+                k, y, n, q, sq) == 0,
+            grid(k=range(5), n=range(6), y=(F(2, 5),), **_QUARTER)),
         numeric=Check(
-            lambda ctx, sq, n: qp.sw_functional_residual(
-                3, mp.mpf("-0.21"), n, ctx.q, sq),
-            grid(n=range(1, 6)),
-            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)},
-            params={"k": 3, "n": "1..5", "y": "-0.21"})),
+            lambda ctx, sq, k, n, y: qp.sw_functional_residual(
+                k, y, n, ctx.q, sq),
+            grid(k=(3,), n=range(1, 6), y=("-0.21",)),
+            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)})),
     IdentityEntry(
         "sw-inversion", "inverting the shift: S_k(y) from shifted values",
         "S_k(y) = [A_n u_n(q^{k/2},-yq^{k+1}) - A_{n+1} "
         "u_{n-1}(q^{k/2},-yq^{k+1})] / Delta_n",
-        (("Delta_n", "nonzero"),),
+        (("Delta_n", "nonzero", "the reconstruction divides by it"),),
         exact=Check(
-            _sw_inversion_exact, params={"k": 2, "y": "1/3", "n": 1,
-                                         "q": "1/4"},
+            _sw_inversion_exact, _SW_INVERSION_POINTS,
             note="second numerator must read u_{n-1} with argument y q^{n+1} "
                  "(from solving the 2x2 system); the determinant display "
                  "itself is correct and matches the system determinant",
-            literal=Reading(lambda: qp.sw_inversion_sides(
-                2, F(1, 3), 1, F(1, 4), F(1, 2), "literal"))),
+            literal=Reading(lambda k, y, n, q, sq: qp.sw_inversion_sides(
+                k, y, n, q, sq, "literal"), _SW_INVERSION_POINTS[:1])),
         numeric=Check(
-            _sw_inversion_numeric("corrected"), grid(n=(1, 2)),
-            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q),
-                                 "y": -ctx.q ** mp.mpf("0.7")},
-            params={"y": "-q^0.7", "k": 2, "n": "1..2"},
+            _sw_inversion_numeric("corrected"),
+            grid(k=(2,), nu=("0.7",), n=(1, 2)),
+            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)},
             note="literal reading evaluated at y = -q^nu where its "
                  f"S-argument is well defined; residual {LITERAL}",
             literal=Reading(_sw_inversion_numeric("literal"),
-                            grid(n=(1, 2))))),
+                            grid(k=(2,), nu=("0.7",), n=(1, 2))))),
     IdentityEntry(
         "finite-qbinom", "finite binomial expansion of (x;q)_n",
         "(x;q)_n = sum_j gauss(n,j) (-x)^j q^binom(j,2)",
-        (("n", "0..12"),),
-        exact=Check(lambda x, n: qp.finite_qbinom_sides(n, x, F(1, 3)),
-                    grid(n=range(13)), sampler=_distinct("x", F(-2), F(2)),
-                    params={"x": EVALUATED, "n": "0..12"},
+        exact=Check(lambda x, n, q: qp.finite_qbinom_sides(n, x, q),
+                    grid(n=range(13), q=(F(1, 3),)),
+                    sampler=_distinct("x", F(-2), F(2)),
                     note="exponent read as binom(j,2) over the summation "
                          "index")),
     IdentityEntry(
         "st-5.1", "two-factor product generates S_n at shifted arguments",
         "(xt, -t; q)_inf = sum_n q^binom(n,2) t^n S_n(x q^{-n})",
-        (("x, t", "rational samples"),),
         formal=Check(lambda ctx, x, t: qp.st_5_1_diff_formal(x, t, ctx),
                      sampler=_each(3, lambda rng: {
                          "x": rational_in(rng, F(-1), F(1)),
                          "t": rational_nonzero(rng, F(-1), F(1))}),
-                     params={"samples": 3, "order": EVALUATED}, order=60),
-        numeric=Check(lambda ctx: qp.st_5_1_sides(mp.mpf("0.4"),
-                                                  mp.mpf("0.6"), ctx),
-                      params={"x": "0.4", "t": "0.6"})),
+                     order=60),
+        numeric=Check(lambda ctx, x, t: qp.st_5_1_sides(x, t, ctx),
+                      grid(x=("0.4",), t=("0.6",)))),
     IdentityEntry(
         "st-5.2", "monomial reconstruction from shifted S_k",
         "q^binom(n,2) x^n/(q;q)_n = sum_k (-1)^k q^binom(k,2) "
         "S_k(x q^{-k})/(q;q)_{n-k}",
-        (("n", "0..12"),),
-        exact=Check(lambda n: qp.st_5_2_sides(n, F(2, 3), F(1, 4)),
-                    grid(n=range(13)),
-                    params={"x": "2/3", "q": "1/4", "n": "0..12"})),
+        exact=Check(qp.st_5_2_sides,
+                    grid(n=range(13), x=(F(2, 3),), q=(F(1, 4),)))),
     IdentityEntry(
         "st-5.3", "S_n expanded over the entire function",
         "S_n(x) = sum_k q^binom(k+1,2) (x q^n)^k A_q(x q^k) "
         "/ ((q;q)_n (q;q)_k)",
-        (("n", "{0,2,4}"),),
-        numeric=Check(lambda ctx, n: qp.st_5_3_sides(n, mp.mpf("0.7"), ctx),
-                      grid(n=(0, 2, 4)), params={"n": "{0,2,4}", "x": "0.7"},
+        numeric=Check(lambda ctx, n, x: qp.st_5_3_sides(n, x, ctx),
+                      grid(n=(0, 2, 4), x=("0.7",)),
                       note="faithful transcription passes as printed")),
     IdentityEntry(
         "st-5.4", "argument-product expansion",
         "S_n(ab) = b^n sum_k (1/b;q)_k (-q^{1-n})^k q^binom(k,2) "
         "S_{n-k}(a q^k) / (q;q)_k",
-        (("n", "0..9"),),
-        exact=Check(lambda n: qp.st_5_4_sides(n, F(2, 5), F(3, 4), F(1, 3)),
-                    grid(n=range(10)),
-                    params={"a": "2/5", "b": "3/4", "q": "1/3", "n": "0..9"}),
-        numeric=Check(lambda ctx: qp.st_5_4_sides(5, mp.mpf("0.4"),
-                                                  mp.mpf("0.75"), ctx.q),
-                      params={"n": 5})),
+        exact=Check(qp.st_5_4_sides, grid(n=range(10), a=(F(2, 5),),
+                                          b=(F(3, 4),), q=(F(1, 3),))),
+        numeric=Check(lambda ctx, n, a, b: qp.st_5_4_sides(n, a, b, ctx.q),
+                      grid(n=(5,), a=("0.4",), b=("0.75",)))),
     IdentityEntry(
         "st-5.5", "tail-product expansion",
         "S_n(a) = (-aq;q)_inf/((q;q)_n (-aq;q)_n) sum_k q^{k^2} (-a)^k "
         "/ ((q;q)_k (-aq^{n+1};q)_k)",
-        (("n", "{0,1,4}"),),
-        numeric=Check(lambda ctx, n: qp.st_5_5_sides(n, mp.mpf("0.6"), ctx),
-                      grid(n=(0, 1, 4)), params={"n": "{0,1,4}", "a": "0.6"})),
+        numeric=Check(lambda ctx, n, a: qp.st_5_5_sides(n, a, ctx),
+                      grid(n=(0, 1, 4), a=("0.6",)))),
     IdentityEntry(
         "st-5.6-even", "even special value on the lattice",
         "S_{2n}(q^{-2n}) = (-1)^n q^{-n^2} / (q^2;q^2)_n",
-        (("n", "0..5"),),
         formal=Check(lambda ctx, n: qp.st_5_6_even_diff_formal(n, ctx),
-                     grid(n=range(6)), params={"n": "0..5"}, order=50)),
+                     grid(n=range(6)), order=50)),
     IdentityEntry(
         "st-5.6-odd", "odd lattice values vanish",
         "S_{2n+1}(q^{-2n-1}) = 0",
-        (("n", "0..5"),),
         formal=Check(lambda ctx, n: qp.st_5_6_odd_formal(n, ctx),
-                     grid(n=range(6)), params={"n": "0..5"}, order=50)),
+                     grid(n=range(6)), order=50)),
     IdentityEntry(
         "st-5.7", "half-power special value, upper sign",
         "S_n(-q^{-n+1/2}) = q^{-(n^2-n)/4} / (q^{1/2};q^{1/2})_n",
-        (("n", "0..8"),), **_st_5_half(7)),
+        **_st_5_half(7)),
     IdentityEntry(
         "st-5.8", "half-power special value, lower sign",
         "S_n(-q^{-n-1/2}) = q^{-(n^2+n)/4} / (q^{1/2};q^{1/2})_n",
-        (("n", "0..8"),), **_st_5_half(8)),
+        **_st_5_half(8)),
     IdentityEntry(
         "st-5.9", "double-argument expansion of the entire function",
         "A_q(wz) = (wq;q)_inf sum_n q^{n^2} w^n S_n(z q^{-n})/(wq;q)_n",
-        (("w, z", "|w| < 1"),),
-        numeric=Check(lambda ctx: qp.st_5_9_sides(mp.mpf("0.5"),
-                                                  mp.mpf("0.8"), ctx),
-                      params={"w": "0.5", "z": "0.8"})),
+        (("w", "|w| < 1", "1/(wq;q)_n has its poles at w = q^{-k}, k >= 1, "
+          "all outside the unit disk"),),
+        numeric=Check(lambda ctx, w, z: qp.st_5_9_sides(w, z, ctx),
+                      grid(w=("0.5",), z=("0.8",)))),
     IdentityEntry(
         "st-10", "degree-shift expansion of the entire function",
         "A_q(z) = (q;q)_m sum_n q^{n^2+mn} (-z)^n S_m(z q^n)/(q;q)_n",
-        (("m", "{0,1,3}"),),
-        exact=Check(lambda m, n: (qf.phi21_terminating_exact(m, n, F(1, 3)),
-                                  F(1, 3) ** (-m * n)),
-                    grid(m=range(9), n=range(9)), params={"m,n": "0..8"},
+        exact=Check(lambda m, n, q: (qf.phi21_terminating_exact(m, n, q),
+                                     q ** (-m * n)),
+                    grid(m=range(9), n=range(9), q=(F(1, 3),)),
                     note="the terminating inner series collapses to "
                          "q^{-mn}"),
-        numeric=Check(lambda ctx, m: qp.st_10_sides(m, mp.mpf("0.5"), ctx),
-                      grid(m=(0, 1, 3)), params={"m": "{0,1,3}", "z": "0.5"})),
+        numeric=Check(lambda ctx, m, z: qp.st_10_sides(m, z, ctx),
+                      grid(m=(0, 1, 3), z=("0.5",)))),
     IdentityEntry(
         "sw-hermite", "bridge to the inverse-base Hermite family",
         "(q;q)_n S_n(e^{-2xi} q^{-n}) = e^{-n xi} h_n(sinh xi | q)",
-        (("E = e^xi", "rational samples"),),
         exact=Check(
-            lambda E, n: qp.sw_as_hermite_residual(n, E, F(1, 3)) == 0,
-            grid(n=range(11)),
+            lambda E, n, q: qp.sw_as_hermite_residual(n, E, q) == 0,
+            grid(n=range(11), q=(F(1, 3),)),
             sampler=_distinct("E", F(1, 2), F(3), avoid=(F(1),)),
-            params={"E": EVALUATED, "n": "0..10"},
             note="as printed the bridge omits the e^{-n xi} factor; with it "
                  "the two finite sums agree term by term",
-            literal=Reading(lambda E, n: qp.sw_as_hermite_residual(
-                n, E, F(1, 3), reading="literal") == 0, grid(n=(2,)))),
+            literal=Reading(lambda E, n, q: qp.sw_as_hermite_residual(
+                n, E, q, reading="literal") == 0,
+                grid(n=(2,), q=(F(1, 3),)))),
         numeric=Check(
-            lambda ctx, e, n: qp.sw_as_hermite_residual(n, e, ctx.q),
-            grid(n=range(11)),
-            prepare=lambda ctx: {"e": mp.e ** mp.mpf("0.35")},
-            params={"xi": "0.35", "n": "0..10"},
+            lambda ctx, xi, n: qp.sw_as_hermite_residual(n, mp.e ** xi,
+                                                         ctx.q),
+            grid(xi=("0.35",), n=range(11)),
             note=f"literal residual {LITERAL}",
-            literal=Reading(lambda ctx, e, n: qp.sw_as_hermite_residual(
-                n, e, ctx.q, "literal"), grid(n=(3,))))),
+            literal=Reading(lambda ctx, xi, n: qp.sw_as_hermite_residual(
+                n, mp.e ** xi, ctx.q, "literal"),
+                grid(xi=("0.35",), n=(3,))))),
     IdentityEntry(
         "hermite-gf", "quarter-power generating function",
         "sum_n (q;q)_n q^{n^2/4} t^n S_n(z q^{-n})/(q^{1/2};q^{1/2})_n = "
         "(-t q^{1/4}, t q^{1/4} z; q^{1/2})_inf / (-t^2 z; q)_inf",
-        (("t", "small"),),
+        (("t", "small", "the right side has a pole where t^2 z = -1, which "
+          "bounds the radius of the series in t"),),
         numeric=Check(
-            _hermite_gf("corrected"),
-            _HERMITE_GF_POINTS, params={"(t,z)": "{(0.15,0.5), (-0.12,0.7)}"},
+            _hermite_gf("corrected"), _HERMITE_GF_POINTS,
             note="unique passing sign pattern flips the z-carrying numerator "
                  f"argument; literal residual {LITERAL}",
             literal=Reading(_hermite_gf("literal"), _HERMITE_GF_POINTS))),
@@ -802,22 +741,21 @@ ENTRIES: tuple = (
         "poisson-kernel", "bilinear kernel for shifted S_n pairs",
         "sum_n (q;q)_n q^binom(n,2) t^n S_n(z q^{-n}) S_n(zeta q^{-n}) = "
         "(-t, -t z zeta, tz, t zeta; q)_inf / (t^2 z zeta/q; q)_inf",
-        (("t", "small"),),
-        numeric=Check(
-            lambda ctx: qp.poisson_kernel_sides(
-                mp.mpf("0.1"), mp.mpf("0.4"), mp.mpf("0.55"), ctx),
-            params={"t": "0.1", "z": "0.4", "zeta": "0.55"})),
+        (("t", "small", "the right side has a pole where t^2 z zeta = q, "
+          "which bounds the radius of the series in t"),),
+        numeric=Check(lambda ctx, t, z, zeta: qp.poisson_kernel_sides(
+                          t, z, zeta, ctx),
+                      grid(t=("0.1",), z=("0.4",), zeta=("0.55",)))),
     IdentityEntry(
         "GFhn0", "half-power series for the base-squared entire function",
         "A_{q^2}(-b^2) = (b sqrt(q); q)_inf sum_n q^{n^2/2} b^n "
         "/ ((q, b sqrt(q); q)_n)",
-        (("b", "rational samples"),),
         formal=Check(lambda ctx, b: qp.gfhn0_diff_formal(b, ctx),
                      sampler=_each(3, lambda rng: {
                          "b": rational_nonzero(rng, F(-1), F(1))}),
-                     params={"samples": 3, "D": 2}, order=60, D=2),
+                     order=60, D=2),
         numeric=Check(lambda ctx, b: qp.gfhn0_sides(b, ctx),
-                      grid(b=("0.7", "-0.4")), params={"b": "{0.7, -0.4}"})),
+                      grid(b=("0.7", "-0.4")))),
 )
 
 _BY_ID = {e.id: e for e in ENTRIES}
@@ -829,18 +767,17 @@ def list_identities():
 
 
 def sample_params(entry, seed: int, mode: str | None = None) -> dict:
-    """The first draw a check evaluates, from the check's own sampler.
-
-    ``mode`` defaults to the first of the entry's modes that samples.
-    Entries that evaluate fixed grids only return their declared domains.
-    """
+    """The first point a check evaluates: its first draw crossed with its
+    first grid point.  ``mode`` defaults to the entry's first mode."""
     if isinstance(entry, str):
         entry = get_entry(entry)
-    for m in [mode] if mode else entry.modes:
-        chk = getattr(entry, m, None)
-        if chk is not None and chk.sampler is not None:
-            return chk.sampler(entry_rng(seed, entry.id, m))[0]
-    return dict(entry.domains)
+    mode = mode or entry.modes[0]
+    if mode not in entry.modes:
+        raise UnsupportedModeError(
+            f"{entry.id} supports modes {entry.modes}, not {mode!r}")
+    chk = getattr(entry, mode)
+    draws = chk.sampler(entry_rng(seed, entry.id, mode)) if chk.sampler else [{}]
+    return {**draws[0], **chk.points[0]}
 
 
 def get_entry(entry_id: str) -> IdentityEntry:

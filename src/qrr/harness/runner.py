@@ -7,6 +7,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -54,15 +55,17 @@ class SuiteConfig:
             cfg.q = [qv] if not isinstance(qv, list) else list(qv)
             if not cfg.q:
                 raise ConfigError("q list must be nonempty")
+            for q in cfg.q:
+                _check_q(q)
         for key in ("precision", "order", "seed", "jobs"):
             if key in data:
                 val = data[key]
-                if not isinstance(val, int) or val <= 0 and key != "seed":
+                if not _is_int(val) or val <= 0 and key != "seed":
                     raise ConfigError(f"{key} must be a positive integer")
                 setattr(cfg, key, val)
         if "tolerance_exponent" in data and data["tolerance_exponent"] is not None:
             te = data["tolerance_exponent"]
-            if not isinstance(te, int) or te <= 0:
+            if not _is_int(te) or te <= 0:
                 raise ConfigError("tolerance_exponent must be a positive integer")
             cfg.tolerance_exponent = te
         return cfg
@@ -84,6 +87,21 @@ class SuiteConfig:
                            tolerance_exponent=self.tolerance_exponent)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_q(q):
+    """A configured q must be a real number with 0 < |q| < 1."""
+    try:
+        ok = not isinstance(q, bool) and 0 < abs(Fraction(q)) < 1
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"q must be a real number with 0 < |q| < 1, "
+                          f"not {q!r}")
+
+
 def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
     """Run one identity in one mode; evaluator errors become SKIPPED."""
     entry = get_entry(entry_id)
@@ -100,8 +118,8 @@ def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
             note=f"{type(exc).__name__}: {exc}", seed=rc.seed)
     if outcome is not None:
         report = IdentityReport(
-            id=entry_id, mode=mode, status=outcome.status,
-            params={k: str(v) for k, v in outcome.params.items()},
+            entry_id, mode, outcome.status,
+            {k: str(v) for k, v in outcome.params.items()},
             max_abs_deviation=(None if outcome.deviation is None
                                else mp.nstr(mp.mpf(outcome.deviation), 6)),
             first_differing_coefficient=outcome.first_diff,

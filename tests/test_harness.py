@@ -15,9 +15,10 @@ from qrr.harness import (CENSUS, ENTRIES, RunSettings, SuiteConfig,
                          parse_report, planned_checks, run_check, run_info,
                          run_suite, sample_params)
 from qrr.formal import FormalSeries
-from qrr.harness.driver import (COMPLEX_Q, EVALUATED, LITERAL, Check,
-                                IdentityEntry, Reading, grid, run_entry,
-                                status)
+from qrr.harness.driver import (COMPLEX_Q, LITERAL, Check, IdentityEntry,
+                                Reading, Verdict, _as_mp, grid, run_entry,
+                                status, summarise)
+from qrr.pochhammer import QPow
 from qrr.harness.sampling import annulus_pair, entry_rng, rational_in
 
 FAST_IDS = ["st-5.7", "sw-symmetry", "finite-qbinom", "schur-cd"]
@@ -102,16 +103,17 @@ class _FirstPoint(Exception):
 
 
 def _first_point(entry, mode, seed):
-    """The keyword point the check passes to its sides callable first."""
+    """The keyword point the check passes to its sides callable first, with
+    the working precision it was passed at (``prepare`` values left out)."""
     chk = getattr(entry, mode)
 
     def spy(*args, **point):
-        raise _FirstPoint(point)
+        raise _FirstPoint(point, mp.mp.prec)
 
-    spied = replace(entry, **{mode: replace(chk, sides=spy)})
+    spied = replace(entry, **{mode: replace(chk, sides=spy, prepare=None)})
     with pytest.raises(_FirstPoint) as caught:
         run_entry(spied, mode, RunSettings(seed=seed))
-    return caught.value.args[0]
+    return caught.value.args
 
 
 def test_sample_params_is_first_evaluated_point():
@@ -120,16 +122,17 @@ def test_sample_params_is_first_evaluated_point():
     assert {(e.id, m) for e, m in sampled} >= {
         ("psi11", "numeric"), ("heine", "numeric"), ("ms-1", "exact"),
         ("GFhn0", "formal"), ("st-5.1", "formal"), ("sw-hermite", "exact")}
-    for entry, mode in sampled:
-        for seed in (0, 42, 20240809):
-            draw = sample_params(entry.id, seed, mode)
-            first = _first_point(entry, mode, seed)
-            assert {k: first[k] for k in draw} == draw, (entry.id, mode, seed)
-    # grid entries draw nothing: they report their declared domains
-    for entry_id in ("um-recurrence", "um-mform"):
-        entry = get_entry(entry_id)
-        assert entry.numeric.sampler is None
-        assert sample_params(entry_id, 3) == dict(entry.domains)
+    # one rule for every check: the first draw crossed with the first point
+    for entry in ENTRIES:
+        for mode in entry.modes:
+            for seed in (0, 42, 20240809):
+                sample = sample_params(entry.id, seed, mode)
+                first, prec = _first_point(entry, mode, seed)
+                with mp.workprec(prec):
+                    expected = _as_mp(sample) if mode == "numeric" else sample
+                assert first == expected, (entry.id, mode, seed)
+    assert sample_params("um-mform", 3) == {"a": "0.5", "m": 0}
+    assert sample_params("GFhn0", 3) == sample_params("GFhn0", 3, "formal")
 
 
 def test_gfhn0_formal_runs_three_nonzero_samples():
@@ -146,7 +149,8 @@ def test_gfhn0_formal_runs_three_nonzero_samples():
 
         spied = replace(entry, formal=replace(entry.formal, sides=sides))
         outcome = run_entry(spied, "formal", RunSettings(seed=seed))
-        assert outcome.status == "PASS" and outcome.params["samples"] == 3
+        assert outcome.status == "PASS"
+        assert outcome.params["b"] == "{" + ", ".join(map(str, seen)) + "}"
         assert len(seen) == 3 and 0 not in seen, (seed, seen)
 
 
@@ -170,9 +174,10 @@ def test_st51_formal_draws_nonzero_t():
 
 
 def test_ms6_declares_the_t_it_evaluates():
-    assert sample_params("ms-6", 0) == {"t": "2/3 (formal), 0.6 (numeric)"}
-    assert get_entry("ms-6").formal.params == {"t": "2/3"}
-    assert get_entry("ms-6").numeric.params == {"t": "0.6"}
+    assert run_check("ms-6", "formal", RunSettings()).params == {
+        "order": "60", "D": "1", "a": "{q, None}", "t": "2/3"}
+    assert run_check("ms-6", "numeric", RunSettings()).params == {
+        "q": "['0.2', '0.3']", "t": "0.6"}
 
 
 # Entries that used to raise RatioTestError (a short series that rises before
@@ -236,12 +241,12 @@ def test_driver_numeric_tolerance_follows_tol_shift():
     assert rc.tol(5) == mp.mpf(10) ** -15
     for residual, status in (("5e-16", "PASS"), ("2e-15", "FAIL")):
         entry = _stub(tol_shift=5, numeric=Check(
-            lambda ctx, r: r, grid(r=("1e-30", residual)),
-            params={"q": EVALUATED, "r": "fixed"}))
+            lambda ctx, r: r, grid(r=("1e-30", residual))))
         out = entry.check("numeric", rc)
         assert out.status == status
         assert mp.nstr(out.deviation, 3) == mp.nstr(mp.mpf(residual), 3)
-        assert out.params == {"q": ["0.2", "0.3"], "r": "fixed"}
+        assert out.params == {"q": ["0.2", "0.3"],
+                              "r": "{1e-30, %s}" % residual}
     # a (lhs, rhs) pair is folded by scale-aware deviation
     entry = _stub(numeric=Check(lambda ctx: (ctx.q, ctx.q)))
     assert entry.check("numeric", rc).status == "PASS"
@@ -264,6 +269,8 @@ def test_driver_literal_readings():
     out = entry("0.25").check("numeric", rc)
     assert out.status == "DISCREPANCY_DOCUMENTED"
     assert out.note == "literal residual 0.25"
+    # the literal reading's points ran, so they are reported too
+    assert out.params == {"q": ["0.2", "0.3"], "r": "0.25"}
     assert entry("1e-40").check("numeric", rc).status == "PASS"
     # a literal reading that does not decide is only quoted in the note
     assert entry("0.25", decides=False).check("numeric", rc).status == "PASS"
@@ -284,14 +291,14 @@ def test_literal_note_reports_worst_q():
 def test_driver_exact_fail_names_point():
     entry = _stub(exact=Check(lambda a, n: (n, n if n != 3 else -1),
                               grid(n=range(6)),
-                              sampler=lambda rng: [{"a": F(1, 2)}],
-                              params={"a": EVALUATED, "n": "0..5"}))
+                              sampler=lambda rng: [{"a": F(1, 2)}]))
     out = entry.check("exact", RunSettings())
     assert out.status == "FAIL" and out.deviation is None
-    assert out.params == {"a": F(1, 2), "n": 3}
-    ok = _stub(exact=Check(lambda n: n == n, grid(n=range(3)),
-                           params={"n": "0..2"})).check("exact", RunSettings())
+    assert out.params == {"a": "1/2", "n": "3"}
+    ok = _stub(exact=Check(lambda n: n == n, grid(n=range(3)))).check(
+        "exact", RunSettings())
     assert ok.status == "PASS" and ok.deviation == 0
+    assert ok.params == {"n": "0..2"}
 
 
 def test_driver_formal_reports_first_differing_coefficient():
@@ -299,11 +306,10 @@ def test_driver_formal_reports_first_differing_coefficient():
         return FormalSeries(ctx.base_exponent, ctx.u_order,
                             [0] * 4 + [n] if n else [])
 
-    entry = _stub(formal=Check(diff, grid(n=(0, 5, 7)), order=10, D=2,
-                               params={"order": EVALUATED}))
+    entry = _stub(formal=Check(diff, grid(n=(0, 5, 7)), order=10, D=2))
     out = entry.check("formal", RunSettings())
     assert out.status == "FAIL" and out.first_diff == 4
-    assert out.params == {"order": 10, "n": 5}
+    assert out.params == {"order": 10, "D": 2, "n": "5"}
 
 
 def test_q_list_policies():
@@ -319,8 +325,54 @@ def test_q_list_policies():
 
 
 def test_sample_params_fixed_grid_entries():
-    fixed = sample_params("bessel-sv-4", 0)
-    assert fixed == dict(get_entry("bessel-sv-4").domains)
+    assert sample_params("bessel-sv-4", 0) == {"nu": F(0), "n": 0}
+    assert sample_params("ms-16", 0) == {"a": QPow(1, F(1, 3)), "x": "0.6"}
+    assert sample_params("bessel-ml", 0) == {}
+    with pytest.raises(UnsupportedModeError):
+        sample_params("ms-14", 0, "formal")
+
+
+def test_summarise_points():
+    points = [{"n": n, "x": "0.7", "a": a} for a in (F(1, 2), F(3, 2))
+              for n in (2, 0, 1)]
+    assert summarise(points) == {"n": "0..2", "x": "0.7", "a": "{1/2, 3/2}"}
+    # ints that are not one run, draws in draw order, powers of q
+    assert summarise([{"n": 0}, {"n": 3}, {"n": 6}]) == {"n": "{0, 3, 6}"}
+    assert summarise([{"b": v} for v in (F(5, 6), F(-1, 3), F(5, 6))]) \
+        == {"b": "{5/6, -1/3}"}
+    assert summarise([{"a": QPow(1, F(1, 3))}, {"a": QPow(-1, F(1, 3))},
+                      {"a": QPow(1, 1)}, {"a": QPow(2, 2)},
+                      {"a": QPow(1, 0)}]) \
+        == {"a": "{q^(1/3), -q^(1/3), q, 2*q^2, 1}"}
+    assert summarise([{"kind": 2}, {"kind": 1}, {"kind": 2}]) \
+        == {"kind": "1..2"}
+    assert summarise([{}]) == {}
+
+
+def _points_spy(calls, mode):
+    """A sides stand-in that records each point and passes."""
+    def spy(*ctx, **point):
+        calls.append(point)
+        if mode == "numeric":
+            return Verdict(mp.mpf(0), True)
+        return True if mode == "exact" else FormalSeries.zero(ctx[0])
+    return spy
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.id)
+def test_reported_params_name_every_evaluated_key(entry):
+    for mode in entry.modes:
+        chk, calls = getattr(entry, mode), []
+        spy = _points_spy(calls, mode)
+        literal = chk.literal and replace(chk.literal, sides=spy)
+        spied = replace(entry, **{mode: replace(
+            chk, sides=spy, prepare=None, literal=literal)})
+        params = run_entry(spied, mode, RunSettings()).params
+        assert calls, (entry.id, mode)
+        assert {k for point in calls for k in point} <= set(params), \
+            (entry.id, mode, params)
+        required = {"numeric": {"q"}, "formal": {"order", "D"}}
+        assert required.get(mode, set()) <= set(params), (entry.id, mode)
 
 
 def test_emit_report_propagates_io_errors():
@@ -408,6 +460,26 @@ def test_config_validation():
         SuiteConfig.from_dict({"precision": -3})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"q": []})
+
+
+@pytest.mark.parametrize("data", [
+    {"q": "abc"}, {"q": "1.5"}, {"q": "0"}, {"q": True}, {"q": ["0.2", "1"]},
+    {"precision": True}, {"order": False}, {"jobs": True},
+    {"tolerance_exponent": True}])
+def test_config_rejects_q_outside_the_unit_disk_and_bools(data):
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict(data)
+
+
+def test_config_accepts_real_q_inside_the_unit_disk():
+    assert SuiteConfig.from_dict({"q": "-0.3"}).q == ["-0.3"]
+    assert SuiteConfig.from_dict({"q": ["0.7", 0.2]}).q == ["0.7", 0.2]
+
+
+@pytest.mark.parametrize("q", ["abc", "1.5"])
+def test_cli_rejects_a_bad_q(q, capsys):
+    assert main(["suite", "--ids", "RR1", "--q", q]) == 2
+    assert "0 < |q| < 1" in capsys.readouterr().err
 
 
 def test_cli_list(capsys):
