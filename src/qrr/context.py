@@ -24,7 +24,7 @@ from .fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
 GUARD_DIGITS = 15
 
 DEFAULT_PRECISION = 50
-DEFAULT_MAX_TERMS = 4000
+DEFAULT_MAX_TERMS = 8000
 DEFAULT_BASE_EXPONENT = 12
 DEFAULT_ORDER = 100
 
@@ -102,11 +102,6 @@ class QContext:
         counts as converged."""
         with self.workdps():
             return mp.mpf(10) ** (-self.precision)
-
-    @property
-    def pass_tol(self):
-        """Default deviation threshold for a numeric identity check."""
-        return mp.mpf(10) ** (-(self.precision - 10))
 
     @property
     def u_order(self) -> int:

@@ -54,12 +54,10 @@ class RunSettings:
     order: int = 100
     q_values: tuple = ("0.2", "0.3")
     seed: int = 20240809
-    max_terms: int = 8000
     tolerance_exponent: int | None = None  # force pass tol 10^-E when set
 
     def numeric_ctx(self, q) -> QContext:
-        return QContext.numeric(q, precision=self.precision,
-                                max_terms=self.max_terms)
+        return QContext.numeric(q, precision=self.precision)
 
     def formal_ctx(self, base_exponent: int = 1,
                    order: int | None = None) -> QContext:

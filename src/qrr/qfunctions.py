@@ -16,13 +16,16 @@ values as pairs of ints.  A series enters fixed point in :func:`_unilateral` /
 :func:`_bilateral`, which hand its stream builder the base q at
 ``ctx.fixed_bits`` (other mpf/mpc arguments are read exactly at their first
 use) and rerun it wider when the engine reports cancellation; it leaves as the
-mpf/mpc ``SumOutcome.value``.  A series whose term ratio is a quotient of
-factors 1 - c q^k times a geometric step is one fused integer stream,
-:func:`_ratio_terms`.  Other series compose the stream helpers, which are
-generic in the number type: Fraction q gives exact Fractions, a Fixed q gives
-Fixed values.  Slice convolutions build their tables once per call in fixed
-point on one binary exponent per table (:class:`_Table`), so each inner sum is
-one integer dot product, rounded once.
+mpf/mpc ``SumOutcome.value``.  A Pochhammer-ratio stream, whose term ratio is
+a quotient of factors 1 - c q^k times a geometric step, is one fused integer
+stream, :func:`_ratio_terms` (both halves of a bilateral one from
+:func:`_ratio_streams`); that holds for series, outer sums and ratio tables
+alike.  The generic stream helpers (:func:`_ratios_up`, :func:`_gaussian`,
+:func:`~qrr.pochhammer._factors`) serve exact Fraction sums, weights, pole
+tables and S_n values: Fraction q gives exact Fractions, a Fixed q gives Fixed
+values.  Slice convolutions build their tables once per call in fixed point on
+one binary exponent per table (:class:`_Table`), so each inner sum is one
+integer dot product, rounded once.
 
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
@@ -52,7 +55,6 @@ from .pochhammer import (QPow, _as_qpow, _factors, _one_like,
 from .summation import SumOutcome, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
-_Q0 = QPow(0, 0)  # a = 0, as in (0;q)_n = 1
 
 # A rerun asks for the missing bits plus this margin, and gives up beyond
 # MAX_WIDENING times the context's fixed-point precision.
@@ -224,7 +226,8 @@ def _gaussian(q, alpha, x, n=0):
 
 
 def _ratios_up(a: QPow, b: QPow, q):
-    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ..., exact for Fraction q.
+    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ..., exact for Fraction q,
+    for finite exact or mpf sums; a fixed-point series is :func:`_ratio_terms`.
 
     Term n checks the factor of b that term n + 1 divides by.
     """
@@ -234,31 +237,6 @@ def _ratios_up(a: QPow, b: QPow, q):
             raise PoleError(f"(b;q)_{n + 1} vanished")
         yield r
         r = r * fa / fb
-
-
-def _inverse(b: QPow, q):
-    """Yield 1/(b;q)_n = (0;q)_n / (b;q)_n for n = 0, 1, 2, ..."""
-    return _ratios_up(_Q0, b, q)
-
-
-def _ratios_down(a: QPow, b: QPow, q, what="term"):
-    """Yield (a;q)_n / (b;q)_n for n = -1, -2, ...
-
-    A vanishing factor of b kills this and every later term exactly (a dead
-    tail); a vanishing factor of a is a pole, reported as one of the
-    bilateral ``what`` ("term" or "ratio").
-    """
-    r = _one_like(q)
-    for k, fa, fb in zip(count(1), _factors(a, q, -1, -1), _factors(b, q, -1, -1)):
-        if fb == 0:
-            break
-        if fa == 0:
-            raise PoleError(f"(a;q)_{-k} infinite: bilateral {what} has a pole")
-        r = r * fb / fa
-        yield r
-    zero = 0 * r
-    while True:
-        yield zero
 
 
 def _value(x, q):
@@ -614,7 +592,7 @@ def pair_convolution_sides(n: int, a: Fraction, q: Fraction):
     LHS = sum_{k=0}^n r_k r_{n-k} (-1)^k; RHS = 0 for odd n and
     (a^2;q^2)_m / (q^2;q^2)_m for n = 2m.  Exact for Fraction inputs.
     """
-    r = _ratio_table(a, q, n)
+    r = list(islice(_ratios_up(_as_qpow(a), _Q1, q), n + 1))
     lhs = sum((-1) ** k * r[k] * r[n - k] for k in range(n + 1))
     if n % 2 == 1:
         rhs = Fraction(0) if isinstance(q, Fraction) else mp.mpf(0)
@@ -631,7 +609,7 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
     in which case it is (a^3;q^3)_m / (q^3;q^3)_m.  Both sides are returned
     as EisensteinRational values.
     """
-    r = _ratio_table(a, q, n)
+    r = list(islice(_ratios_up(_as_qpow(a), _Q1, q), n + 1))
     s = [Fraction(0)] * 3  # s[e]: the terms weighted by w^e
     for j in range(n + 1):
         for k in range(n + 1 - j):
@@ -645,13 +623,6 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
         rhs = EisensteinRational.of(
             pochhammer_finite(a ** 3, q ** 3, m) / pochhammer_finite(q ** 3, q ** 3, m))
     return lhs, rhs
-
-
-def _ratio_table(a, q, n_max: int):
-    out = [Fraction(1) if isinstance(q, Fraction) else mp.mpf(1)]
-    for k in range(n_max):
-        out.append(out[-1] * (1 - a * q ** k) / (1 - q ** (k + 1)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -774,15 +745,11 @@ def _cube_weights(ctx: QContext):
     return (w.like(1), w, w * w)
 
 
-def _bilateral_ratio_array(a: QPow, b: QPow, q, K: int) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K], built incrementally."""
-    up = [_one_like(q)]
-    for n, fa, fb in zip(range(K), _factors(a, q), _factors(b, q)):
-        if fb == 0:
-            raise PoleError(f"(b;q)_{n + 1} vanished")
-        up.append(up[-1] * fa / fb)
-    down = list(islice(_ratios_down(a, b, q, "ratio"), K))
-    return _Table(-K, down[::-1] + up)
+def _bilateral_ratio_array(a: QPow, b: QPow, q: Fixed, K: int) -> _Table:
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K]: the two streams of 1psi1 at
+    z = 1."""
+    up, down = _ratio_streams(a, b, 0, 1)(q)
+    return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)])
 
 
 def slice_truncation(rate, digits: int) -> int:
@@ -851,11 +818,11 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
-def _outer_terms(ratios, weights, indices, inner: _Lattice):
-    """Yield r_j g_j F(y_j) from the streams r, g and j, F(y_j) the sum of
-    the ``inner`` lattice at j; it is not summed where r_j is an exact zero."""
-    for r, g, j in zip(ratios, weights, indices):
-        yield r * g * inner.sum(j).value if r != 0 else 0 * r
+def _outer_terms(coeffs, indices, inner: _Lattice):
+    """Yield c_j F(y_j) from the streams c and j, F(y_j) the sum of the
+    ``inner`` lattice at j; it is not summed where c_j is an exact zero."""
+    for c, j in zip(coeffs, indices):
+        yield c * inner.sum(j).value if c else c
 
 
 def square_master_sides(alpha, a, t, ctx: QContext):
@@ -871,13 +838,10 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2).value
         # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
-        inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, tv), 2 * alpha, ctx)
-
-        def terms(q):
-            return _outer_terms(_ratios_up(_as_qpow(av), _Q1, q),
-                                _gaussian(q, alpha, -q.like(tv)), count(), inner)
-
-        return lhs, _unilateral(terms, ctx).value
+        aq = _as_qpow(av)
+        inner = _Lattice(_a_alpha_stream(aq, alpha, tv), 2 * alpha, ctx)
+        outer = _a_alpha_stream(aq, alpha, -tv)
+        return lhs, _unilateral(lambda q: _outer_terms(outer(q), count(), inner), ctx).value
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -895,7 +859,8 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         while float(alpha) * s_max * s_max * float(-mp.log10(abs(q))) < tol_digits:
             s_max += 1
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
-        r = _Table(0, islice(_ratios_up(_as_qpow(av), _Q1, qf), s_max + 1))
+        one = qf.like(1)
+        r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1))
         weights = _gaussian(qf, alpha, qf.like(tv))
         # the inner function at w^2 t q^{2 alpha s}
         inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
@@ -929,13 +894,12 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
         aq, bq = _as_qpow(av), _as_qpow(bv)
         inner = _Lattice(_ratio_streams(aq, bq, alpha, xv), 2 * alpha, ctx, bilateral=True)
+        outer = _ratio_streams(aq, bq, alpha, -xv)
 
         def streams(q):
-            x = q.like(xv)
-            return (_outer_terms(_ratios_up(aq, bq, q), _gaussian(q, alpha, -x),
-                                 count(), inner),
-                    _outer_terms(_ratios_down(aq, bq, q), _gaussian(q, alpha, -1 / x, 1),
-                                 count(-1, -1), inner))
+            pos, neg = outer(q)
+            return (_outer_terms(pos, count(), inner),
+                    _outer_terms(neg, count(-1, -1), inner))
 
         return lhs, _bilateral(streams, ctx).value
 

@@ -13,9 +13,10 @@ exact Fractions out, mp numbers give mp numbers.  Formal builders return
 Every numeric series, and every finite sum, is defined by its term ratio, as
 in :mod:`qrr.qfunctions`: each term comes from the previous one by
 multiplication, with the q-powers, x-powers, Gaussian binomials and
-Pochhammer ratios carried as running streams that live for one sum.  Only the
-values S_n(x q^{-n}) are evaluated afresh per term, since their degree moves
-with n.
+Pochhammer ratios carried as running streams that live for one sum.  A numeric
+Pochhammer ratio and its q-power weight are one fused
+:func:`~qrr.qfunctions._ratio_terms` stream.  Only the values S_n(x q^{-n})
+are evaluated afresh per term, since their degree moves with n.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .formal import (FormalSeries, fs_div_finite_pochhammer,
                      fs_pochhammer_infinite, qexp_to_u)
 from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
                          pochhammer_finite, pochhammer_infinite_value, q_binomial)
-from .qfunctions import (_Q0, _Q1, _gaussian, _geometric, _inverse, _Lattice,
-                         _ramanujan_A_stream, _ratio_terms, _ratios_up, _unilateral,
-                         ramanujan_A, rr_product_formal, rr_sum_formal, u_m_bilateral)
+from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
+                         _ratio_terms, _ratios_up, _unilateral, ramanujan_A,
+                         rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +461,11 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         q = ctx.q
         xv = to_mp(x)
         lhs = stieltjes_wigert(n, xv, q)
-        # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
+        # q^binom(k+1,2) (x q^n)^k / (q;q)_k: ratio x q^{n+1} q^k / (1 - q^{k+1})
         inner = _Lattice(_ramanujan_A_stream(xv), 1, ctx)  # A_q(x q^k)
 
         def terms(q):
-            x = q.like(xv)
-            return map(mul, map(mul, _binomial_powers(x * q ** (n + 1), q), _inverse(_Q1, q)),
+            return map(mul, _ratio_terms([], [_Q1], q, q.like(xv) * q ** (n + 1), q),
                        (inner.sum(k).value for k in count()))
 
         return lhs, _unilateral(terms, ctx).value / pochhammer_finite(q, q, n)
@@ -544,8 +544,9 @@ def st_5_9_sides(w, z, ctx: QContext):
         wv, zv = to_mp(w), to_mp(z)
         lhs = ramanujan_A(wv * zv, ctx).value
         pref = pochhammer_infinite_value(wv * q, q, ctx)
+        # q^{n^2} w^n / (wq;q)_n: ratio w q^{2n+1} / (1 - w q^{n+1})
         return lhs, pref * _unilateral(
-            lambda q: map(mul, map(mul, _gaussian(q, 1, q.like(wv)), _inverse(QPow(wv, 1), q)),
+            lambda q: map(mul, _ratio_terms([], [QPow(wv, 1)], q, q.like(wv) * q, q * q),
                           _sw_shifted(q.like(zv), q)), ctx).value
 
 
@@ -555,10 +556,10 @@ def st_10_sides(m: int, z, ctx: QContext):
         q = ctx.q
         zv = to_mp(z)
         lhs = ramanujan_A(zv, ctx).value
-        # q^{n^2 + m n} (-z)^n = q^{n^2} (-z q^m)^n
+        # q^{n^2 + m n} (-z)^n / (q;q)_n: ratio -z q^{m + 2n + 1} / (1 - q^{n+1})
         def terms(q):
             z = q.like(zv)
-            return map(mul, map(mul, _gaussian(q, 1, -z * q ** m), _inverse(_Q1, q)),
+            return map(mul, _ratio_terms([], [_Q1], q, -z * q ** (m + 1), q * q),
                        map(stieltjes_wigert, repeat(m), _geometric(z, q), repeat(q)))
 
         return lhs, pochhammer_finite(q, q, m) * _unilateral(terms, ctx).value
@@ -579,11 +580,11 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
         tv, zv = to_mp(t), to_mp(z)
         sq = mp.sqrt(q)
         q4 = mp.sqrt(sq)
-        # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n
+        # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n, and q^{n^2/4} t^n:
+        # in base s = q^{1/2}, ratio (1 + s^{n+1}) q^{1/4} t s^n
         def terms(q):
             sqf = q.like(sq)
-            return map(mul, map(mul, _ratios_up(QPow(-1, 1), _Q0, sqf),
-                                _gaussian(q.like(q4), 1, q.like(tv))),
+            return map(mul, _ratio_terms([QPow(-1, 1)], [], sqf, q.like(q4) * tv, sqf),
                        _sw_shifted(q.like(zv), q))
 
         lhs = _unilateral(terms, ctx).value
@@ -600,9 +601,9 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         tv, zv, wv = to_mp(t), to_mp(z), to_mp(zeta)
-        # (q;q)_n = (q;q)_n / (0;q)_n
+        # (q;q)_n q^binom(n,2) t^n: ratio (1 - q^{n+1}) t q^n
         lhs = _unilateral(
-            lambda q: map(mul, map(mul, _ratios_up(_Q1, _Q0, q), _binomial_powers(q.like(tv), q)),
+            lambda q: map(mul, _ratio_terms([_Q1], [], q, q.like(tv), q),
                           map(mul, _sw_shifted(q.like(zv), q), _sw_shifted(q.like(wv), q))),
             ctx).value
         rhs = (multi_pochhammer_infinite([-tv, -tv * zv * wv, tv * zv, tv * wv], q, ctx)

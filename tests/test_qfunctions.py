@@ -483,6 +483,39 @@ def test_square_bilateral_outer_sum_matches_per_term_oracle():
         assert abs(rhs - old) <= ORACLE_TOL * abs(old)
 
 
+def old_square_master_rhs(alpha, a, t, ctx):
+    q = ctx.q
+    return sum_series(lambda j: pochhammer_ratio(a, Q1, q, j) * powq(q, alpha * j * j)
+                      * (-t) ** j * a_alpha(alpha, a, t * powq(q, 2 * alpha * j), ctx).value,
+                      ctx).value
+
+
+def old_cube_master_rhs(alpha, a, t, ctx):
+    q, w = ctx.q, rho_root(ctx)
+    s_max = 2
+    while float(alpha) * s_max * s_max * float(-mp.log10(abs(q))) < ctx.precision + 8:
+        s_max += 1
+    r = [pochhammer_ratio(a, Q1, q, j) for j in range(s_max + 1)]
+    return sum(sum(r[j] * r[s - j] * w ** ((s - j) % 3) for j in range(s + 1))
+               * powq(q, alpha * s * s) * t ** s
+               * a_alpha(alpha, a, w ** 2 * t * powq(q, 2 * alpha * s), ctx).value
+               for s in range(s_max + 1))
+
+
+@ORACLE_QS
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1)], ids=["alpha=1/2", "alpha=1"])
+def test_master_outer_sums_match_per_term_oracle(alpha, q):
+    ctx = QContext.numeric(q, precision=50)
+    a, t = mp.mpf("0.5"), mp.mpf("0.6")
+    with ctx.workdps():
+        _, rhs = square_master_sides(alpha, a, t, ctx)
+        old = old_square_master_rhs(alpha, a, t, ctx)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+        _, rhs = cube_master_sides(alpha, a, t, ctx)
+        old = old_cube_master_rhs(alpha, a, t, ctx)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+
+
 def old_ratio_dict(a, b, q, K):
     return {n: pochhammer_ratio(a, b, q, n) for n in range(-K, K + 1)}
 
@@ -541,17 +574,30 @@ def old_theta_triple_rhs(a, x, ctx, digits):
 SLICE_DIGITS = 8
 
 
-@pytest.mark.parametrize("n", [0, 2, 3, 4])
-def test_bilateral_slice_convolutions_match_per_term_oracle(n):
+# (a, b, pole): generic; b = q^2, where every r_n with n <= -2 is an exact
+# zero; a = q^2, where (a;q)_n is infinite for n <= -2, a pole on both paths
+SLICE_AB = {"": (mp.mpf("0.5"), mp.mpf("0.1"), False),
+            "dead-tail-b=q^2-": (mp.mpf("0.5"), QPow(1, 2), False),
+            "pole-a=q^2-": (QPow(1, 2), mp.mpf("0.1"), True)}
+SLICE_CASES = [(kind + str(n), n, *ab) for kind, ab in SLICE_AB.items() for n in (0, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("n, a, b, pole", [case[1:] for case in SLICE_CASES],
+                         ids=[case[0] for case in SLICE_CASES])
+def test_bilateral_slice_convolutions_match_per_term_oracle(n, a, b, pole):
     ctx = QContext.numeric("0.3", precision=50)
-    a, b = mp.mpf("0.5"), mp.mpf("0.1")
     with ctx.workdps():
-        lhs, _ = bilateral_cube_slice_sides(n, a, b, ctx, digits=SLICE_DIGITS)
-        old = old_cube_slice_lhs(n, a, b, ctx, SLICE_DIGITS)
-        assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
-        lhs, _ = bilateral_pair_slice_sides(n, a, b, ctx, digits=SLICE_DIGITS)
-        old = old_pair_slice_lhs(n, a, b, ctx, SLICE_DIGITS)
-        assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
+        for sides, oracle in ((bilateral_cube_slice_sides, old_cube_slice_lhs),
+                              (bilateral_pair_slice_sides, old_pair_slice_lhs)):
+            if pole:
+                with pytest.raises(PoleError):
+                    oracle(n, a, b, ctx, SLICE_DIGITS)
+                with pytest.raises(PoleError):
+                    sides(n, a, b, ctx, digits=SLICE_DIGITS)
+                continue
+            lhs, _ = sides(n, a, b, ctx, digits=SLICE_DIGITS)
+            old = oracle(n, a, b, ctx, SLICE_DIGITS)
+            assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
 
 
 @ORACLE_QS

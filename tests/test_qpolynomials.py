@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrr import QContext, QPoly, SingularDeltaError
-from qrr.pochhammer import pochhammer_finite, q_binomial
+from qrr import QContext, QPoly, QPow, SingularDeltaError
+from qrr.context import powq
+from qrr.harness.driver import COMPLEX_Q
+from qrr.pochhammer import pochhammer_finite, pochhammer_ratio, q_binomial
 from qrr.qfunctions import ramanujan_A
 from qrr.qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
                               finite_qbinom_sides, gfhn0_diff_formal,
@@ -410,6 +412,57 @@ def test_series_side_matches_per_term_oracle(case, q):
     with ctx.workdps():
         new, old = SERIES_CASES[case](ctx, ctx.q)
         assert abs(new - old) <= ORACLE_TOL * abs(old)
+
+
+# The series whose Pochhammer ratio and weight run as one fused stream, against
+# term n rebuilt from pochhammer_ratio, pochhammer_finite and powq, at the
+# widths of precision 20 and 100 and at a complex base.  S_n comes from
+# stieltjes_wigert on mp numbers (the kernels run it in fixed point); its
+# formula has its own oracle in test_series_side_matches_per_term_oracle.
+
+def _fused_stream_cases():
+    def sw_shifted(n, x, q):
+        return stieltjes_wigert(n, x * powq(q, -n), q)
+
+    def st_5_9(ctx, q, w=mp.mpf("0.5"), z=mp.mpf("0.8")):
+        return (st_5_9_sides(w, z, ctx)[1],
+                mp.qp(w * q, q) * sum_series(
+                    lambda n: pochhammer_ratio(0, QPow(w, 1), q, n) * powq(q, n * n) * w ** n
+                    * sw_shifted(n, z, q), ctx).value)
+
+    def st_10(ctx, q, m=3, z=mp.mpf("0.5")):
+        return (st_10_sides(m, z, ctx)[1],
+                pochhammer_finite(q, q, m) * sum_series(
+                    lambda n: pochhammer_ratio(0, QPow(1, 1), q, n) * powq(q, n * n + m * n)
+                    * (-z) ** n * stieltjes_wigert(m, z * powq(q, n), q), ctx).value)
+
+    def hermite_gf(ctx, q, t=mp.mpf("0.15"), z=mp.mpf("0.5")):
+        sq = powq(q, F(1, 2))
+        return (hermite_gf_sides(t, z, ctx, "corrected")[0],
+                sum_series(lambda n: pochhammer_finite(q, q, n) / pochhammer_finite(sq, sq, n)
+                           * powq(q, F(n * n, 4)) * t ** n * sw_shifted(n, z, q), ctx).value)
+
+    def poisson(ctx, q, t=mp.mpf("0.1"), z=mp.mpf("0.4"), zeta=mp.mpf("0.55")):
+        return (poisson_kernel_sides(t, z, zeta, ctx)[0],
+                sum_series(lambda n: pochhammer_finite(q, q, n) * powq(q, n * (n - 1) // 2)
+                           * t ** n * sw_shifted(n, z, q) * sw_shifted(n, zeta, q),
+                           ctx).value)
+
+    return {"st_5_9": st_5_9, "st_10": st_10, "hermite_gf": hermite_gf,
+            "poisson_kernel": poisson}
+
+
+FUSED_STREAM_CASES = _fused_stream_cases()
+
+
+@pytest.mark.parametrize("q", ["0.3", COMPLEX_Q], ids=["real-q", "complex-q"])
+@pytest.mark.parametrize("precision", [20, 100])
+@pytest.mark.parametrize("case", sorted(FUSED_STREAM_CASES))
+def test_fused_stream_matches_pochhammer_oracle(case, precision, q):
+    ctx = QContext.numeric(q, precision=precision)
+    with ctx.workdps():
+        new, old = FUSED_STREAM_CASES[case](ctx, ctx.q)
+        assert abs(new - old) <= mp.mpf(10) ** -(precision + 8) * abs(old)
 
 
 def test_finite_sums_stay_exact():
