@@ -15,8 +15,7 @@ from .errors import (AnnulusError, ConfigError, DomainError, EmptyDomainError,
                      SingularDeltaError, SizeError, UnknownIdentityError,
                      UnsupportedModeError, ValuationError)
 from .exactpoly import BivariatePoly, EisensteinRational, QPoly
-from .formal import (FormalSeries, fs_finite_pochhammer, fs_from_qpower,
-                     fs_pochhammer_infinite)
+from .formal import FormalSeries, fs_pochhammer_infinite
 from .pochhammer import (QPow, inv_pochhammer, pochhammer_finite,
                          pochhammer_infinite, pochhammer_ratio, q_binomial)
 from .summation import SumOutcome, sum_bilateral, sum_series
@@ -26,8 +25,7 @@ __all__ = [
     "QPow", "pochhammer_finite", "pochhammer_infinite", "inv_pochhammer",
     "pochhammer_ratio", "q_binomial",
     "SumOutcome", "sum_series", "sum_bilateral",
-    "FormalSeries", "fs_from_qpower", "fs_pochhammer_infinite",
-    "fs_finite_pochhammer",
+    "FormalSeries", "fs_pochhammer_infinite",
     "QPoly", "BivariatePoly", "EisensteinRational",
     "QrrError", "PoleError", "NonConvergenceError", "RatioTestError",
     "PrecisionLossError",

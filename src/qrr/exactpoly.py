@@ -218,15 +218,6 @@ class EisensteinRational:
     def of(cls, x, y=0):
         return cls(Fraction(x), Fraction(y))
 
-    @classmethod
-    def root_power(cls, k: int) -> "EisensteinRational":
-        k %= 3
-        if k == 0:
-            return cls.of(1, 0)
-        if k == 1:
-            return cls.of(0, 1)
-        return cls.of(-1, -1)
-
     def __add__(self, other):
         other = _coerce(other)
         return EisensteinRational(self.x + other.x, self.y + other.y)

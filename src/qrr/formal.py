@@ -2,15 +2,24 @@
 
 This ring is where coefficient-exact identity checks happen.  All arithmetic
 is exact (ints and Fractions); multiplication truncates at the ring order.
-Construction helpers cover the shapes the identity registry needs: monomial
-q-powers, finite and infinite q-shifted-factorial products, and division by
-sparse factors 1 - c*u^e (which is how reciprocals of products are built
-without a dense O(N^2) inversion).
+Series are built as on the numeric side, by term ratio, through two
+helpers:
+
+* every factor 1 - c q^e of a product goes through :func:`_one_minus`, which
+  multiplies or divides a coefficient list in place in O(N), takes e = 0 as
+  the exact unit 1 - c and skips a factor past the ring order.  The factor
+  walk :func:`fs_pochhammer` applies a whole (c q^a; q^s)_n, finite or
+  infinite, to one series that way, so a reciprocal product is never a
+  dense inversion;
+* every sum is one :func:`fs_ratio_sum` call, the exact-ring mirror of the
+  numeric ``_ratio_terms``: t_0 = 1 and t_{k+1} = t_k c q^{e + growth k}
+  prod (1 - a_i q^{base k + alpha_i}) / prod (1 - b_j q^{base k + beta_j}).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import mpmath as mp
 
@@ -74,9 +83,6 @@ class FormalSeries:
             raise SeriesMismatchError(
                 f"series rings differ: (D={self.D}, N={self.N}) vs (D={other.D}, N={other.N})")
 
-    def copy(self) -> "FormalSeries":
-        return FormalSeries(self.D, self.N, list(self.c))
-
     def __add__(self, other):
         self._check(other)
         return FormalSeries(self.D, self.N, [a + b for a, b in zip(self.c, other.c)])
@@ -122,18 +128,7 @@ class FormalSeries:
     def mul_one_minus(self, coeff, e: int) -> "FormalSeries":
         """Multiply by (1 - coeff * u**e) in O(N)."""
         out = list(self.c)
-        for k in range(self.N, e - 1, -1):
-            out[k] = out[k] - coeff * self.c[k - e]
-        return FormalSeries(self.D, self.N, out)
-
-    def div_one_minus(self, coeff, e: int) -> "FormalSeries":
-        """Divide by (1 - coeff * u**e) in O(N); e >= 1."""
-        if e < 1:
-            raise ExponentError("div_one_minus needs e >= 1")
-        out = list(self.c)
-        for k in range(e, self.N + 1):
-            if out[k - e] != 0:
-                out[k] = out[k] + coeff * out[k - e]
+        _one_minus(out, coeff, e)
         return FormalSeries(self.D, self.N, out)
 
     def invert(self) -> "FormalSeries":
@@ -208,19 +203,7 @@ class FormalSeries:
         return f"FormalSeries(D={self.D}, N={self.N}: {body} + ...)"
 
 
-# -- constructors tied to a context ---------------------------------------
-
-def fs_from_qpower(r, ctx: QContext) -> FormalSeries:
-    """Monomial q**r as a series in u; r = k/m needs m | D and r >= 0."""
-    r = Fraction(r)
-    e = r * ctx.base_exponent
-    if e.denominator != 1:
-        raise ExponentError(
-            f"q^{r} needs denominator dividing D={ctx.base_exponent}")
-    if e < 0:
-        raise ExponentError(f"negative exponent q^{r} is not in the power-series ring")
-    return FormalSeries.monomial(ctx, 1, int(e))
-
+# -- the factor walk and the term-ratio sum --------------------------------
 
 def qexp_to_u(r, ctx: QContext) -> int:
     """Exact u-exponent of q**r; raises if off-grid or negative."""
@@ -232,68 +215,86 @@ def qexp_to_u(r, ctx: QContext) -> int:
     return int(e)
 
 
+def _one_minus(c: list, coeff, e: int, inverse: bool = False):
+    """Multiply the coefficients ``c`` in place by 1 - coeff u^e, or divide
+    them by it if ``inverse``.  At e = 0 the factor is the exact unit
+    1 - coeff; past the end of ``c`` it is 1."""
+    top = len(c) - 1
+    if e == 0:
+        unit = 1 - coeff
+        if inverse:
+            if unit == 0:
+                raise NotUnitError("a vanishing constant factor has no inverse")
+            unit = 1 / Fraction(unit)
+        c[:] = [a * unit for a in c]
+    elif inverse:
+        for k in range(e, top + 1):
+            if c[k - e] != 0:
+                c[k] += coeff * c[k - e]
+    else:
+        for k in range(top, e - 1, -1):
+            if c[k - e] != 0:
+                c[k] -= coeff * c[k - e]
+
+
+def fs_pochhammer(series: FormalSeries, coeff, q_exp, step, ctx: QContext,
+                  n: int | None = None, inverse: bool = False) -> FormalSeries:
+    """series times (c q^{q_exp}; q^{step})_n, or divided by it if
+    ``inverse``; n = None is the infinite product.
+
+    The factors are 1 - c u^{D(q_exp + k step)}, applied one by one; step > 0,
+    so the walk ends at the first factor past the ring order.
+    """
+    q_exp, step = Fraction(q_exp), Fraction(step)
+    if step <= 0:
+        raise ValuationError("a q-shifted factorial needs a positive exponent step")
+    out = list(series.c)
+    for k in (count() if n is None else range(n)):
+        e = qexp_to_u(q_exp + k * step, ctx)
+        if e > ctx.u_order:
+            break
+        _one_minus(out, coeff, e, inverse)
+    return FormalSeries(series.D, series.N, out)
+
+
 def fs_pochhammer_infinite(coeff, q_exp, step, ctx: QContext,
                            inverse: bool = False) -> FormalSeries:
-    """(c q^{q_exp}; q^{step})_infinity, or its reciprocal, exactly truncated.
+    """(c q^{q_exp}; q^{step})_infinity, or its reciprocal, exactly truncated."""
+    return fs_pochhammer(FormalSeries.one(ctx), coeff, q_exp, step, ctx,
+                         inverse=inverse)
 
-    Factors are 1 - c u^{D(q_exp + k step)}; the product stabilizes as long
-    as step > 0 (factors eventually exceed the truncation order).  q_exp = 0
-    contributes a constant factor 1 - c.
+
+def fs_ratio_sum(ctx: QContext, coeff, e, growth, num=(), den=(),
+                 base=1) -> FormalSeries:
+    """sum_k t_k in the exact ring, by term ratio: t_0 = 1 and
+
+        t_{k+1} = t_k c q^{e + growth k} prod_i (1 - a_i q^{base k + alpha_i})
+                                         / prod_j (1 - b_j q^{base k + beta_j}),
+
+    ``num`` and ``den`` holding the pairs (a_i, alpha_i) and (b_j, beta_j).
+    Term k is kept as c^k q^{E_k} times the running factor product, so an
+    exponent step e + growth k < 0 loses no coefficient.  The sum stops at
+    the first term whose q^{E_k} passes the ring order; a negative or
+    off-grid E_k raises ExponentError.
     """
-    step = Fraction(step)
-    if step <= 0:
-        raise ValuationError("infinite product needs a positive exponent step")
-    q_exp = Fraction(q_exp)
-    if q_exp < 0:
-        raise ExponentError("product start exponent must be nonnegative")
-    s = FormalSeries.one(ctx)
-    k = 0
+    e, growth = Fraction(e), Fraction(growth)
+    if growth < 0 or (growth == 0 and e <= 0):
+        raise ValuationError("a formal sum needs term exponents that grow")
+    top = ctx.u_order
+    acc = [0] * (top + 1)
+    ratio = [1] + [0] * top
+    mono, E, u, k = 1, e, 0, 0
     while True:
-        e = (q_exp + k * step) * ctx.base_exponent
-        if e.denominator != 1:
-            raise ExponentError(
-                f"factor exponent {q_exp + k * step} off the u-grid (D={ctx.base_exponent})")
-        ei = int(e)
-        if ei > ctx.u_order:
-            return s
-        if ei == 0:
-            s = s.scale(1 - coeff)
-        elif inverse:
-            s = s.div_one_minus(coeff, ei)
-        else:
-            s = s.mul_one_minus(coeff, ei)
+        for j in range(u, top + 1):
+            if ratio[j - u] != 0:
+                acc[j] += mono * ratio[j - u]
+        u = qexp_to_u(E, ctx)
+        if u > top:
+            return FormalSeries(ctx.base_exponent, top, acc)
+        mono *= coeff
+        for a, alpha in num:
+            _one_minus(ratio, a, qexp_to_u(base * k + Fraction(alpha), ctx))
+        for b, beta in den:
+            _one_minus(ratio, b, qexp_to_u(base * k + Fraction(beta), ctx), True)
         k += 1
-
-
-def fs_finite_pochhammer(coeff, q_exp, step, n: int, ctx: QContext) -> FormalSeries:
-    """(c q^{q_exp}; q^{step})_n as an exact truncated series (n >= 0)."""
-    s = FormalSeries.one(ctx)
-    for k in range(n):
-        e = (Fraction(q_exp) + k * Fraction(step)) * ctx.base_exponent
-        if e.denominator != 1 or e < 0:
-            raise ExponentError(f"factor exponent {e / ctx.base_exponent} not representable")
-        ei = int(e)
-        if ei == 0:
-            s = s.scale(1 - coeff)
-        elif ei <= ctx.u_order:
-            s = s.mul_one_minus(coeff, ei)
-    return s
-
-
-def fs_div_finite_pochhammer(series: FormalSeries, coeff, q_exp, step, n: int,
-                             ctx: QContext) -> FormalSeries:
-    """series / (c q^{q_exp}; q^{step})_n via sparse-factor divisions."""
-    out = series
-    for k in range(n):
-        e = (Fraction(q_exp) + k * Fraction(step)) * ctx.base_exponent
-        if e.denominator != 1 or e < 0:
-            raise ExponentError(f"factor exponent {e / ctx.base_exponent} not representable")
-        ei = int(e)
-        if ei == 0:
-            unit = 1 - coeff
-            if unit == 0:
-                raise NotUnitError("finite product has a vanishing constant factor")
-            out = out.scale(Fraction(1) / Fraction(unit))
-        elif ei <= ctx.u_order:
-            out = out.div_one_minus(coeff, ei)
-    return out
+        E += e + growth * k

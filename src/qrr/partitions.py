@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .context import QContext
 from .errors import SizeError
 from .exactpoly import QPoly
-from .formal import FormalSeries, fs_pochhammer_infinite
 from .pochhammer import q_binomial
+from .qfunctions import rr_product_formal, rr_sum_formal
 
 SIZE_CAP = 60
 
@@ -160,23 +160,6 @@ def box_gf(k: int, m: int) -> QPoly:
     return QPoly(_tally(Box(k, m), k * m))
 
 
-def gap_series_formal(which: int, ctx: QContext) -> FormalSeries:
-    """sum_n q^{n^2 + (which-1) n} / (q;q)_n — the gap-side generating series."""
-    from .qfunctions import rr_sum_formal
-    return rr_sum_formal(which - 1, ctx)
-
-
-def congruence_product_formal(which: int, ctx: QContext) -> FormalSeries:
-    """1/(q^{r}, q^{5-r}; q^5)_infinity for r = which (r = 1 or 2)."""
-    s = fs_pochhammer_infinite(1, which, 5, ctx, inverse=True)
-    for k in range(ctx.order + 1):
-        e = (5 - which) + 5 * k
-        if e * ctx.base_exponent > ctx.u_order:
-            break
-        s = s.div_one_minus(1, e * ctx.base_exponent)
-    return s
-
-
 def series_vs_partitions(series_id: str, upto: int, cap: int = SIZE_CAP) -> bool:
     """Coefficient-by-coefficient check of the two classical gap theorems.
 
@@ -191,8 +174,8 @@ def series_vs_partitions(series_id: str, upto: int, cap: int = SIZE_CAP) -> bool
     if upto > cap:
         raise SizeError(f"capped at n <= {cap}")
     ctx = QContext.formal(order=max(upto, 1), base_exponent=1)
-    series = gap_series_formal(which, ctx)
-    product = congruence_product_formal(which, ctx)
+    series = rr_sum_formal(which - 1, ctx)
+    product = rr_product_formal(which, ctx)
     gap_counts = _tally(MinGap(2, min_part=which), upto)
     cong_counts = _tally(Congruence(frozenset({which, 5 - which}), 5), upto)
     for n in range(upto + 1):

@@ -49,7 +49,7 @@ from .context import QContext, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError, PrecisionLossError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
-from .formal import FormalSeries, fs_div_finite_pochhammer, qexp_to_u
+from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like,
                          multi_pochhammer_infinite, pochhammer_finite)
 from .summation import SumOutcome, sum_bilateral, sum_series
@@ -496,60 +496,25 @@ def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
 
 def rr_sum_formal(m: int, ctx: QContext) -> FormalSeries:
     """sum_n q^{n^2 + m n} / (q;q)_n in the exact ring (m >= 0)."""
-    acc = FormalSeries.zero(ctx)
-    D = ctx.base_exponent
-    n = 0
-    while True:
-        e = (n * n + m * n) * D
-        if e > ctx.u_order:
-            break
-        t = FormalSeries.monomial(ctx, 1, e)
-        t = fs_div_finite_pochhammer(t, 1, 1, 1, n, ctx)
-        acc = acc + t
-        n += 1
-    return acc
+    return fs_ratio_sum(ctx, 1, 1 + m, 2, den=[(1, 1)])
 
 
 def rr_product_formal(which: int, ctx: QContext) -> FormalSeries:
     """1/(q^which, q^{5-which}; q^5)_infinity, which = 1 or 2."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    s = FormalSeries.one(ctx)
-    D = ctx.base_exponent
-    for start in (which, 5 - which):
-        k = 0
-        while (start + 5 * k) * D <= ctx.u_order:
-            s = s.div_one_minus(1, (start + 5 * k) * D)
-            k += 1
-    return s
+    s = fs_pochhammer_infinite(1, which, 5, ctx, inverse=True)
+    return fs_pochhammer(s, 1, 5 - which, 5, ctx, inverse=True)
 
 
 def ramanujan_A_formal(z_coeff, z_qexp, ctx: QContext) -> FormalSeries:
     """A_q(c q^e) in the exact ring; needs n^2 + n e >= 0 along the support."""
-    acc = FormalSeries.zero(ctx)
-    n = 0
-    while True:
-        e = qexp_to_u(n * n + Fraction(z_qexp) * n, ctx) if n else 0
-        if e > ctx.u_order:
-            break
-        t = FormalSeries.monomial(ctx, (-1) ** n * z_coeff ** n if n else 1, e)
-        t = fs_div_finite_pochhammer(t, 1, 1, 1, n, ctx)
-        acc = acc + t
-        n += 1
-    return acc
+    return fs_ratio_sum(ctx, -z_coeff, 1 + z_qexp, 2, den=[(1, 1)])
 
 
 def omega_formal(v_coeff, v_qexp, ctx: QContext, qscale: int = 1) -> FormalSeries:
     """sum_n q^{qscale n^2} (c q^e)^n in the exact ring."""
-    acc = FormalSeries.zero(ctx)
-    n = 0
-    while True:
-        e = qexp_to_u(qscale * n * n + Fraction(v_qexp) * n, ctx)
-        if e > ctx.u_order:
-            break
-        acc = acc + FormalSeries.monomial(ctx, v_coeff ** n, e)
-        n += 1
-    return acc
+    return fs_ratio_sum(ctx, v_coeff, qscale + v_qexp, 2 * qscale)
 
 
 def a_alpha_formal(alpha, a_mono, t_mono, ctx: QContext) -> FormalSeries:
@@ -560,26 +525,8 @@ def a_alpha_formal(alpha, a_mono, t_mono, ctx: QContext) -> FormalSeries:
     """
     alpha = Fraction(alpha)
     tc, te = t_mono
-    acc = FormalSeries.zero(ctx)
-    n = 0
-    while True:
-        base = alpha * n * n + Fraction(te) * n
-        e = qexp_to_u(base, ctx)
-        if e > ctx.u_order:
-            break
-        t = FormalSeries.monomial(ctx, tc ** n, e)
-        if a_mono is not None:
-            ac, ae = a_mono
-            for k in range(n):
-                fe = qexp_to_u(Fraction(ae) + k, ctx)
-                if fe == 0:
-                    t = t.scale(1 - ac)
-                elif fe <= ctx.u_order:
-                    t = t.mul_one_minus(ac, fe)
-        t = fs_div_finite_pochhammer(t, 1, 1, 1, n, ctx)
-        acc = acc + t
-        n += 1
-    return acc
+    return fs_ratio_sum(ctx, tc, alpha + te, 2 * alpha,
+                        num=[a_mono] if a_mono is not None else [], den=[(1, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ import mpmath as mp
 from .context import QContext, powq, to_mp
 from .errors import DomainError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
-from .formal import (FormalSeries, fs_div_finite_pochhammer,
-                     fs_pochhammer_infinite, qexp_to_u)
+from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
+                     fs_ratio_sum, qexp_to_u)
 from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
                          pochhammer_finite, pochhammer_infinite_value, q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
@@ -108,7 +108,7 @@ def sw_formal(n: int, x_coeff, x_qexp, shift, ctx: QContext) -> FormalSeries:
             e = base + j * D
             if e <= ctx.u_order:
                 acc.c[e] += coeff * a
-    return fs_div_finite_pochhammer(acc, 1, 1, 1, n, ctx)
+    return fs_pochhammer(acc, 1, 1, 1, ctx, n, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +171,17 @@ def _cd_poly(n: int, construction: str, which: str) -> BivariatePoly:
             prev, cur = cur, BivariatePoly.monomial(1, 0, m - 1) * prev + a * cur
         return cur
     if construction == "explicit":
-        if which == "c":
-            if n == 0:
-                return BivariatePoly.one()
-            if n == 1:
-                return BivariatePoly.zero()
-            acc = BivariatePoly.zero()
-            for j in range((n - 2) // 2 + 1):
-                gb = q_binomial(n - j - 2, j)
-                for dq, coeff in enumerate(gb.coeffs()):
-                    if coeff:
-                        acc = acc + BivariatePoly.monomial(
-                            coeff, n - 2 * j - 2, dq + j * j + j)
-            return acc
-        if n == 0:
-            return BivariatePoly.zero()
+        # sum_j [n-j-off, j] a^{n-2j-off} q^{j^2 + wj}: (off, w) = (2, 1) for c,
+        # (1, 0) for d; the empty sum gives c_1 = d_0 = 0
+        if which == "c" and n == 0:
+            return BivariatePoly.one()
+        off, w = (2, 1) if which == "c" else (1, 0)
         acc = BivariatePoly.zero()
-        for j in range((n - 1) // 2 + 1):
-            gb = q_binomial(n - j - 1, j)
-            for dq, coeff in enumerate(gb.coeffs()):
+        for j in range((n - off) // 2 + 1):
+            for dq, coeff in enumerate(q_binomial(n - j - off, j).coeffs()):
                 if coeff:
-                    acc = acc + BivariatePoly.monomial(
-                        coeff, n - 2 * j - 1, dq + j * j)
+                    acc = acc + BivariatePoly.monomial(coeff, n - 2 * j - off,
+                                                       dq + j * j + w * j)
         return acc
     if construction == "generating":
         return _cd_from_generating(n, which)
@@ -253,11 +242,7 @@ def bilateral_m_version_residual(a, m: int, ctx: QContext,
 def mform_diff_formal(m: int, ctx: QContext) -> FormalSeries:
     """q^binom(m,2) * (shifted gap series) minus its two-product resolution,
     in the exact ring; the zero series iff the m-shifted identity holds."""
-    D = ctx.base_exponent
-    shift = (m * (m - 1) // 2) * D
-    lhs = rr_sum_formal(m, ctx)
-    lhs = FormalSeries(ctx.base_exponent, ctx.u_order,
-                       [0] * shift + lhs.c[:ctx.u_order + 1 - shift])
+    lhs = rr_sum_formal(m, ctx).shift_up(m * (m - 1) // 2 * ctx.base_exponent)
     p1 = rr_product_formal(1, ctx)
     p2 = rr_product_formal(2, ctx)
     am, bm = schur_a(m), schur_b(m)
@@ -430,8 +415,7 @@ def st_5_1_sides(x, t, ctx: QContext):
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
     """Exact-ring difference of the same identity at rational (x, t)."""
-    lhs = fs_pochhammer_infinite(x * t, 0, 1, ctx)
-    lhs = lhs * fs_pochhammer_infinite(-t, 0, 1, ctx)
+    lhs = fs_pochhammer(fs_pochhammer_infinite(x * t, 0, 1, ctx), -t, 0, 1, ctx)
     rhs = FormalSeries.zero(ctx)
     n = 0
     while True:
@@ -496,8 +480,8 @@ def st_5_5_sides(n: int, a, ctx: QContext):
 def st_5_6_even_diff_formal(n: int, ctx: QContext) -> FormalSeries:
     """q^{n^2} S_{2n}(q^{-2n}) - (-1)^n / (q^2;q^2)_n in the exact ring."""
     lhs = sw_formal(2 * n, 1, -2 * n, n * n, ctx)
-    rhs = fs_div_finite_pochhammer(
-        FormalSeries.monomial(ctx, (-1) ** n, 0), 1, 2, 2, n, ctx)
+    rhs = fs_pochhammer(FormalSeries.monomial(ctx, (-1) ** n, 0), 1, 2, 2, ctx, n,
+                        inverse=True)
     return lhs - rhs
 
 
@@ -510,16 +494,16 @@ def st_5_6_odd_formal(n: int, ctx: QContext) -> FormalSeries:
 def st_5_7_diff_formal(n: int, ctx: QContext) -> FormalSeries:
     """q^{(n^2-n)/4} S_n(-q^{-n+1/2}) - 1/(q^{1/2};q^{1/2})_n (needs 4 | D)."""
     lhs = sw_formal(n, -1, Fraction(1, 2) - n, Fraction(n * n - n, 4), ctx)
-    rhs = fs_div_finite_pochhammer(
-        FormalSeries.one(ctx), 1, Fraction(1, 2), Fraction(1, 2), n, ctx)
+    rhs = fs_pochhammer(FormalSeries.one(ctx), 1, Fraction(1, 2), Fraction(1, 2),
+                        ctx, n, inverse=True)
     return lhs - rhs
 
 
 def st_5_8_diff_formal(n: int, ctx: QContext) -> FormalSeries:
     """q^{(n^2+n)/4} S_n(-q^{-n-1/2}) - 1/(q^{1/2};q^{1/2})_n (needs 4 | D)."""
     lhs = sw_formal(n, -1, -Fraction(1, 2) - n, Fraction(n * n + n, 4), ctx)
-    rhs = fs_div_finite_pochhammer(
-        FormalSeries.one(ctx), 1, Fraction(1, 2), Fraction(1, 2), n, ctx)
+    rhs = fs_pochhammer(FormalSeries.one(ctx), 1, Fraction(1, 2), Fraction(1, 2),
+                        ctx, n, inverse=True)
     return lhs - rhs
 
 
@@ -630,23 +614,8 @@ def gfhn0_sides(b, ctx: QContext):
 
 def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:
     """Exact-ring difference of the same identity at rational b (needs 2 | D)."""
-    D = ctx.base_exponent
     half = Fraction(1, 2)
-    lhs = FormalSeries.zero(ctx)
-    n = 0
-    while 2 * n * n * D <= ctx.u_order:
-        t = FormalSeries.monomial(ctx, b ** (2 * n), 2 * n * n * D)
-        t = fs_div_finite_pochhammer(t, 1, 2, 2, n, ctx)
-        lhs = lhs + t
-        n += 1
-    pref = fs_pochhammer_infinite(b, half, 1, ctx)
-    rhs = FormalSeries.zero(ctx)
-    n = 0
-    while qexp_to_u(Fraction(n * n, 2), ctx) <= ctx.u_order:
-        t = FormalSeries.monomial(ctx, b ** n, qexp_to_u(Fraction(n * n, 2), ctx))
-        t = fs_div_finite_pochhammer(t, 1, 1, 1, n, ctx)
-        t = fs_div_finite_pochhammer(t, b, half, 1, n, ctx)
-        rhs = rhs + t
-        n += 1
-    return lhs - pref * rhs
+    lhs = fs_ratio_sum(ctx, b * b, 2, 4, den=[(1, 2)], base=2)
+    rhs = fs_ratio_sum(ctx, b, half, 1, den=[(1, 1), (b, half)])
+    return lhs - fs_pochhammer(rhs, b, half, 1, ctx)
 

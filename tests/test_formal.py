@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr import (ExponentError, FormalSeries, NotUnitError, QContext,
-                 SeriesMismatchError, ValuationError, fs_from_qpower,
-                 fs_pochhammer_infinite)
+                 SeriesMismatchError, ValuationError, fs_pochhammer_infinite)
+from qrr.formal import fs_pochhammer, qexp_to_u
+from qrr.qfunctions import (a_alpha_formal, omega_formal, ramanujan_A_formal,
+                            rr_product_formal, rr_sum_formal)
+from qrr.qpolynomials import gfhn0_diff_formal
 
 CTX = QContext.formal(order=12, base_exponent=1)
 
@@ -39,12 +42,12 @@ small_series = st.lists(st.integers(-6, 6), min_size=1, max_size=13).map(
 
 def test_q_power_monomials():
     ctx = QContext.formal(order=10, base_exponent=12)
-    assert fs_from_qpower(1, ctx).coeff_u(12) == 1
-    assert fs_from_qpower(Fraction(1, 2), ctx).coeff_u(6) == 1
+    assert qexp_to_u(1, ctx) == 12
+    assert qexp_to_u(Fraction(1, 2), ctx) == 6
     with pytest.raises(ExponentError):
-        fs_from_qpower(Fraction(1, 5), ctx)
+        qexp_to_u(Fraction(1, 5), ctx)
     with pytest.raises(ExponentError):
-        fs_from_qpower(Fraction(-1, 2), ctx)
+        qexp_to_u(Fraction(-1, 2), ctx)
 
 
 def test_product_difference_of_squares():
@@ -125,6 +128,13 @@ def test_infinite_product_requires_positive_step():
         fs_pochhammer_infinite(1, 1, 0, ctx)
 
 
+def test_formal_sum_requires_growing_exponents():
+    # alpha = 0 with t = q^0: every term sits at q^0, so no order ends the sum
+    ctx = QContext.formal(order=10, base_exponent=1)
+    with pytest.raises(ValuationError):
+        a_alpha_formal(0, None, (1, 0), ctx)
+
+
 def test_numeric_evaluation_matches_mpmath():
     ctx = QContext.formal(order=120, base_exponent=1)
     prod = fs_pochhammer_infinite(1, 1, 1, ctx)
@@ -141,3 +151,129 @@ def test_first_difference_reporting():
     b = FormalSeries(1, 10, [1, 2, 4])
     assert a.first_difference(b) == 2
     assert a.first_difference(a) is None
+
+
+def test_inverse_infinite_product_at_exponent_zero():
+    # the factor 1 - c at q^0 is a unit: the reciprocal product divides by it
+    ctx = QContext.formal(order=10, base_exponent=1)
+    c = Fraction(1, 3)
+    forward = fs_pochhammer_infinite(c, 0, 1, ctx)
+    inverse = fs_pochhammer_infinite(c, 0, 1, ctx, inverse=True)
+    assert forward * inverse == FormalSeries.one(ctx)
+    with pytest.raises(NotUnitError):
+        fs_pochhammer_infinite(1, 0, 1, ctx, inverse=True)
+
+
+# -- direct-definition oracle for the term-ratio builders --------------------
+#
+# Term n is its monomial times dense products of the binomials 1 - a q^e,
+# divided through FormalSeries.invert: no factor walk, no term ratio.
+
+def _u(r, ctx):
+    e = Fraction(r) * ctx.base_exponent
+    if e.denominator != 1 or e < 0:
+        raise ExponentError(f"q^{r} is not in the ring")
+    return int(e)
+
+
+def _poch(ctx, a, alpha, step, n=None):
+    """(a q^alpha; q^step)_n as a dense product; n None: every factor in range."""
+    s, k = FormalSeries.one(ctx), 0
+    while (n is None or k < n) and _u(alpha + k * step, ctx) <= ctx.u_order:
+        f = FormalSeries.one(ctx)
+        f.c[_u(alpha + k * step, ctx)] -= a
+        s, k = s * f, k + 1
+    return s
+
+
+def _direct_sum(ctx, c, E, num=(), den=()):
+    """sum_n c^n q^{E(n)} prod (a q^alpha; q^step)_n / prod (b q^beta; q^step)_n
+    over the (a, alpha, step) of ``num`` and ``den``, up to the first E(n)
+    past the ring order."""
+    acc, n = FormalSeries.zero(ctx), 0
+    while _u(E(n), ctx) <= ctx.u_order:
+        t = FormalSeries.monomial(ctx, c ** n, _u(E(n), ctx))
+        for a, alpha, step in num:
+            t = t * _poch(ctx, a, alpha, step, n)
+        for b, beta, step in den:
+            t = t * _poch(ctx, b, beta, step, n).invert()
+        acc, n = acc + t, n + 1
+    return acc
+
+
+def _builder_cases():
+    qq = (1, 1, 1)  # (q;q)_n
+    half = Fraction(1, 2)
+    cases = []
+    for m in (0, 1, 3):
+        cases.append((f"rr_sum-{m}", lambda ctx, m=m: rr_sum_formal(m, ctx),
+                      lambda ctx, m=m: _direct_sum(ctx, 1, lambda n: n * n + m * n,
+                                                   den=[qq])))
+    for which in (1, 2):
+        cases.append((f"rr_product-{which}",
+                      lambda ctx, w=which: rr_product_formal(w, ctx),
+                      lambda ctx, w=which: (_poch(ctx, 1, w, 5)
+                                            * _poch(ctx, 1, 5 - w, 5)).invert()))
+    for z in (-1, 0, Fraction(3, 2), Fraction(-2, 3)):
+        for ze in (0, 1, -1):
+            cases.append((f"ramanujan_A-{z}-{ze}",
+                          lambda ctx, z=z, ze=ze: ramanujan_A_formal(z, ze, ctx),
+                          lambda ctx, z=z, ze=ze: _direct_sum(
+                              ctx, -z, lambda n: n * n + ze * n, den=[qq])))
+    for v in (Fraction(-3, 4), 0, 2):
+        for ve, scale in ((0, 1), (1, 1), (half, 2)):
+            cases.append((f"omega-{v}-{ve}-{scale}",
+                          lambda ctx, v=v, ve=ve, s=scale: omega_formal(v, ve, ctx, s),
+                          lambda ctx, v=v, ve=ve, s=scale: _direct_sum(
+                              ctx, v, lambda n: s * n * n + ve * n)))
+    for alpha in (half, 1, 2):
+        for a in (None, (Fraction(-2, 3), 0), (1, 0), (0, 1), (Fraction(3, 5), 1),
+                  (-1, 1)):
+            for t in ((Fraction(2, 3), 0), (-1, 1), (0, 0)):
+                a_id = f"{a[0]}q^{a[1]}" if a else "0"
+                cases.append((f"a_alpha-{alpha}-a={a_id}-t={t[0]}q^{t[1]}",
+                              lambda ctx, al=alpha, a=a, t=t: a_alpha_formal(al, a, t, ctx),
+                              lambda ctx, al=alpha, a=a, t=t: _direct_sum(
+                                  ctx, t[0], lambda n: al * n * n + t[1] * n,
+                                  num=[(a[0], a[1], 1)] if a else [], den=[qq])))
+    for b in (Fraction(2, 3), Fraction(-7, 24), 0):
+        cases.append((f"gfhn0-{b}", lambda ctx, b=b: gfhn0_diff_formal(b, ctx),
+                      lambda ctx, b=b: _direct_sum(ctx, b * b, lambda n: 2 * n * n,
+                                                   den=[(1, 2, 2)])
+                      - _poch(ctx, b, half, 1) * _direct_sum(
+                          ctx, b, lambda n: Fraction(n * n, 2),
+                          den=[qq, (b, half, 1)])))
+    for c in (Fraction(1, 3), -2, 0):
+        for e0 in (0, 1):
+            for inverse in (False, True):
+                cases.append((f"pochhammer_infinite-{c}-{e0}-{inverse}",
+                              lambda ctx, c=c, e0=e0, i=inverse:
+                                  fs_pochhammer_infinite(c, e0, half, ctx, inverse=i),
+                              lambda ctx, c=c, e0=e0, i=inverse:
+                                  _poch(ctx, c, e0, half).invert() if i
+                                  else _poch(ctx, c, e0, half)))
+                cases.append((f"pochhammer_finite-{c}-{e0}-{inverse}",
+                              lambda ctx, c=c, e0=e0, i=inverse: fs_pochhammer(
+                                  _poch(ctx, -1, 1, 1), c, e0, 1, ctx, 4, inverse=i),
+                              lambda ctx, c=c, e0=e0, i=inverse: _poch(ctx, -1, 1, 1) * (
+                                  _poch(ctx, c, e0, 1, 4).invert() if i
+                                  else _poch(ctx, c, e0, 1, 4))))
+    return cases
+
+
+BUILDER_CASES = _builder_cases()
+
+
+def _outcome(build, ctx):
+    try:
+        return build(ctx).c
+    except (ExponentError, NotUnitError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("D", (1, 2, 4, 12))
+@pytest.mark.parametrize("case", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
+def test_builder_matches_direct_definition(case, D):
+    _, build, oracle = case
+    ctx = QContext.formal(order=40 // D + 1, base_exponent=D)
+    assert _outcome(build, ctx) == _outcome(oracle, ctx)
