@@ -9,8 +9,8 @@ does the rest in the same way for every entry:
 
 * ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
   once and evaluates every point inside ``workdps()``; the worst scale-aware
-  residual is compared with ``rc.tol(entry.tol_shift)``, and a check whose
-  tolerance would be looser than 10^-MIN_TOL_EXPONENT is SKIPPED unrun;
+  residual is compared with ``rc.tol()``, 10^-(precision - 10) for every
+  entry, and below precision 20 the check is SKIPPED unrun;
 * ``exact`` — the two sides are compared with ``==``; the first unequal
   point fails the check and is reported;
 * ``formal`` — the sides callable returns a difference series; the first
@@ -34,15 +34,15 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from ..context import QContext, scaled_deviation, to_mp
+from ..context import QContext, scaled_deviation
 from ..pochhammer import QPow
 from .sampling import entry_rng
 
 MODES = ("formal", "exact", "numeric")
 COMPLEX_Q = complex(0.2, 0.1)
-# A numeric check compares against 10^-(precision - tol_shift).  Looser than
-# 10^-MIN_TOL_EXPONENT, that tolerance cannot tell a defect from a pass, so
-# the check is SKIPPED instead of run.
+# A numeric check compares against 10^-(precision - 10).  Looser than
+# 10^-MIN_TOL_EXPONENT, that is below precision 20, the tolerance cannot tell
+# a defect from a pass, so the check is SKIPPED instead of run.
 MIN_TOL_EXPONENT = 10
 
 
@@ -63,10 +63,10 @@ class RunSettings:
                    order: int | None = None) -> QContext:
         return QContext.formal(order or self.order, base_exponent)
 
-    def tol(self, shift: int = 10):
+    def tol(self):
         if self.tolerance_exponent is not None:
             return mp.mpf(10) ** -self.tolerance_exponent
-        return mp.mpf(10) ** -(self.precision - shift)
+        return mp.mpf(10) ** -(self.precision - 10)
 
 
 @dataclass
@@ -141,9 +141,7 @@ class IdentityEntry:
     title: str
     statement: str
     domains: tuple = ()
-    tol_shift: int = 10
     fixed_q: tuple | None = None   # override the configured q list
-    q_cap: float | None = None     # drop configured q above this value
     complex_ok: bool = False       # additionally run at q = 0.2 + 0.1i
     formal: Check | None = None
     exact: Check | None = None
@@ -155,9 +153,6 @@ class IdentityEntry:
 
     def q_list(self, rc: RunSettings):
         qs = list(self.fixed_q) if self.fixed_q else list(rc.q_values)
-        if self.q_cap is not None:
-            kept = [q for q in qs if abs(to_mp(q)) <= self.q_cap + 1e-12]
-            qs = kept or [str(self.q_cap)]
         if self.complex_ok:
             qs.append(COMPLEX_Q)
         return qs
@@ -178,11 +173,11 @@ def status(ok: bool, literal_ok: bool | None = None) -> str:
 def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
     """Evaluate ``entry`` in ``mode`` and derive its outcome."""
     chk = getattr(entry, mode)
-    exponent = rc.precision - entry.tol_shift
+    exponent = rc.precision - 10
     if mode == "numeric" and rc.tolerance_exponent is None and exponent < MIN_TOL_EXPONENT:
         return CheckOutcome(
-            "SKIPPED", note=f"vacuous tolerance: 10^-(precision - tol_shift) = "
-            f"10^-({rc.precision} - {entry.tol_shift}) is looser than 10^-{MIN_TOL_EXPONENT}")
+            "SKIPPED", note=f"vacuous tolerance: 10^-(precision - 10) = "
+            f"10^-{exponent} is looser than 10^-{MIN_TOL_EXPONENT}")
     rng = entry_rng(rc.seed, entry.id, mode)
     ran = []   # every point the sides were called with, as declared
     note, fail_point, first_diff, literal_ok = chk.note, None, None, None
@@ -192,7 +187,7 @@ def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
         dev, ok, literal = _numeric(entry, chk, rc, rng, qs, ran)
         if literal is not None:
             note = note.replace(LITERAL, mp.nstr(literal, 3))
-            literal_ok = literal < rc.tol(entry.tol_shift)
+            literal_ok = literal < rc.tol()
     else:
         draws = chk.sampler(rng) if chk.sampler else [{}]
         if mode == "exact":
@@ -258,7 +253,7 @@ def _cross(draws, points):
 
 def _numeric(entry, chk, rc, rng, qs, ran):
     """(worst residual, all passed, worst literal residual or None)."""
-    tol = rc.tol(entry.tol_shift)
+    tol = rc.tol()
     reading = chk.literal
     worst, ok = mp.mpf(0), True
     literal = None if reading is None else mp.mpf(0)

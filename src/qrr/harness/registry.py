@@ -10,11 +10,12 @@ the points are the one declaration of what a check evaluates, and the
 report's ``params`` are derived from the points that ran.  Two checks choose
 their arguments from q itself and keep them inside: ``bessel-asymptotic``
 (r = 2^j) and ``bessel-ml``.  ``domains`` holds only true limits, each with
-its reason.  The q policy (``fixed_q``, ``q_cap``, ``complex_ok``) and the
-tolerance (``tol_shift``) sit on the entry.  :func:`.driver.run_entry` runs
-every entry the same way.  Numeric constants are written as strings,
-Fractions or QPows, so that they become numbers inside the working precision
-and never at import.
+its reason; a q outside them raises the kernel's declared exception, which
+the report carries as a SKIPPED note.  The q policy (``fixed_q``,
+``complex_ok``) sits on the entry.  :func:`.driver.run_entry` runs every
+entry the same way, at one tolerance.  Numeric constants are written as
+strings, Fractions or QPows, so that they become numbers inside the working
+precision and never at import.
 """
 
 from __future__ import annotations
@@ -164,17 +165,10 @@ def _bessel_asymptotic(ctx):
     return Verdict(devs[-1], all(b < a for a, b in zip(devs, devs[1:])))
 
 
-def _ms_digits(ctx):
-    """Slice-sum digits of ms-3/4/5: their tolerance exponent, precision
-    minus 25 (see ``_MS_SLICE``), plus 9 guard digits; 34 at precision 50."""
-    return ctx.precision - 16
-
-
 def _ms5_single_factor(ctx, n, a, b):
     """The slice with the subscript-free base-q^3 factor read as (.;q^3)_1."""
     qv = ctx.q
-    lhs, rhs = qf.bilateral_cube_slice_sides(n, a, b, ctx,
-                                             digits=_ms_digits(ctx))
+    lhs, rhs = qf.bilateral_cube_slice_sides(n, a, b, ctx)
     return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (b / a) ** 3],
                                                  qv ** 3, ctx)
                  / ((1 - qv ** 3) * (1 - (b / a) ** 3)))
@@ -250,7 +244,6 @@ def _hermite_gf(reading):
 # ---------------------------------------------------------------------------
 
 _BESSEL_SV = dict(points=grid(nu=(F(0), F(1, 2), F(27, 10)), n=range(11)))
-_MS_SLICE = dict(tol_shift=25, q_cap=0.3)
 _MS_SLICE_AB = dict(a=("0.5",), b=("0.1",))
 _MS_BILATERAL = grid(alpha=(1,), a=("0.6",), b=("0.15",), x=("0.5",))
 _MS_ANNULUS = (("x", "q < |x| < 1",
@@ -376,7 +369,6 @@ ENTRIES: tuple = (
         "bessel-gf", "order generating function",
         "sum_m q^binom(m,2) I2_m(z) t^m = (-tz/2, -qz/2t; q)_inf",
         (("t", "nonzero", "the product (-qz/2t; q)_inf divides by t"),),
-        tol_shift=15,
         numeric=Check(lambda ctx, z, t: qb.gen_func_sides(z, t, ctx),
                       ({"z": "1", "t": "1"}, {"z": "0.8", "t": "-2"},
                        {"z": "1.5", "t": "0.4"}, {"z": "0", "t": "0.7"}))),
@@ -386,7 +378,7 @@ ENTRIES: tuple = (
         "S_n(-q^{nu-n}) / (1 - z^2 q^n/4)",
         (("z", "off the pole lattice",
           "the terms have poles where z^2 q^n = 4"),),
-        tol_shift=15, fixed_q=("0.3", "0.25"),
+        fixed_q=("0.3", "0.25"),
         numeric=Check(_bessel_ml)),
     IdentityEntry(
         "bessel-i-vs-j", "imaginary-argument rotation",
@@ -454,27 +446,22 @@ ENTRIES: tuple = (
         "ms-3", "alternating pair convolution, bilateral",
         "slice sum over j+k=n of (a)_j(a)_k(-1)^k/((b)_j(b)_k): zero for odd "
         "n, a product multiple of (a^2;q^2)_m/(b^2;q^2)_m for n=2m",
-        **_MS_SLICE,
         numeric=Check(
-            lambda ctx, n, a, b: qf.bilateral_pair_slice_sides(
-                n, a, b, ctx, digits=_ms_digits(ctx)),
+            lambda ctx, n, a, b: qf.bilateral_pair_slice_sides(n, a, b, ctx),
             grid(n=range(6), **_MS_SLICE_AB))),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
         "bilateral slice sum with w^{k+2l} = 0 for 3 not dividing n",
-        **_MS_SLICE,
         numeric=Check(
             lambda ctx, n, a, b: abs(qf.bilateral_cube_slice_sides(
-                n, a, b, ctx, digits=_ms_digits(ctx))[0]),
+                n, a, b, ctx)[0]),
             grid(n=(1, 2, 4, 5), **_MS_SLICE_AB),
             note="slice sums with 3 not dividing n vanish")),
     IdentityEntry(
         "ms-5", "cube-root triple slices at multiples of 3",
         "bilateral slice sum = cubed prefactor * (a^3;q^3)_m/(b^3;q^3)_m",
-        **_MS_SLICE,
         numeric=Check(
-            lambda ctx, n, a, b: qf.bilateral_cube_slice_sides(
-                n, a, b, ctx, digits=_ms_digits(ctx)),
+            lambda ctx, n, a, b: qf.bilateral_cube_slice_sides(n, a, b, ctx),
             grid(n=(0, 3, 6), **_MS_SLICE_AB),
             note="subscript-free factors read as infinite products; the "
                  f"(.;q^3)_1 reading deviates by {LITERAL}",
@@ -492,7 +479,6 @@ ENTRIES: tuple = (
         "ms-7", "square-argument expansion, unilateral",
         "A_{q^2}^{(2a)}(a^2;t^2) = sum_j r_j q^{a j^2} (-t)^j "
         "A^{(a)}(a; t q^{2aj})",
-        tol_shift=25,
         numeric=Check(lambda ctx, alpha, a, t: qf.square_master_sides(
                           alpha, a, t, ctx),
                       grid(alpha=(F(1), F(1, 2)), a=("0.5",), t=("0.6",)))),
@@ -500,7 +486,6 @@ ENTRIES: tuple = (
         "ms-8", "cube-argument expansion, unilateral",
         "A_{q^3}^{(3a)}(a^3;t^3) = double sum with w^k weights and w^2-twisted "
         "inner argument",
-        tol_shift=25,
         numeric=Check(lambda ctx, alpha, a, t: qf.cube_master_sides(
                           alpha, a, t, ctx),
                       grid(alpha=(1,), a=("0.5",), t=("0.6",)))),
@@ -515,7 +500,6 @@ ENTRIES: tuple = (
         "ms-11", "square-argument expansion, bilateral",
         "prefactored B_{q^2}^{(2a)}(a^2,b^2;x^2) = bilateral j-sum of "
         "twisted B evaluations",
-        **_MS_SLICE,
         numeric=Check(
             lambda ctx, alpha, a, b, x: qf.square_bilateral_master_sides(
                 alpha, a, b, x, ctx),
@@ -525,7 +509,6 @@ ENTRIES: tuple = (
     IdentityEntry(
         "ms-12", "cube-argument expansion, bilateral",
         "B_{q^3}^{(3a)}(a^3,b^3;x^3) = prefactor * double bilateral sum",
-        **_MS_SLICE,
         numeric=Check(
             _ms12(corrected=True), _MS_BILATERAL,
             note="as printed, the inner argument misses the w^2 twist "
@@ -536,32 +519,32 @@ ENTRIES: tuple = (
     IdentityEntry(
         "ms-13", "theta quotient over simple poles, squared",
         "pref * sum q^{4n^2} x^{2n}/(1-a^2 q^{2n}) = double pole-sum",
-        _MS_ANNULUS, **_MS_SLICE,
+        _MS_ANNULUS,
         numeric=Check(lambda ctx, a, x: qf.theta_pair_sides(a, x, ctx),
                       grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-14", "imaginary specialization of the squared theta quotient",
         "(q,q;q)_inf/(-q,-q;q)_inf sum q^{4n^2}x^{2n}/(1+q^{2n+1}) = "
         "double pole-sum over 1 + i q^{j+1/2}",
-        _MS_ANNULUS, **_MS_SLICE,
+        _MS_ANNULUS,
         numeric=Check(lambda ctx, x: qf.theta_pair_imag_sides(x, ctx),
                       grid(x=("0.6",)),
                       note="denominators 1 + i q^{j+1/2}; numeric mode only")),
     IdentityEntry(
         "ms-15", "theta quotient over simple poles, cubed",
         "sum q^{9n^2}x^{3n}/(1-a^3q^{3n}) = pref * triple pole-sum",
-        _MS_ANNULUS, **_MS_SLICE,
+        _MS_ANNULUS,
         numeric=Check(_theta_triple("base"), grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-16", "cubed theta quotient at the positive third-power point",
         "rearranged cube identity at a = q^{1/3}",
-        _MS_ANNULUS, **_MS_SLICE,
+        _MS_ANNULUS,
         numeric=Check(_theta_triple("split-left"),
                       grid(a=(QPow(1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(
         "ms-17", "cubed theta quotient at the negative third-power point",
         "cube identity at a = -q^{1/3} (denominators 1 + q^{j+1/3})",
-        _MS_ANNULUS, **_MS_SLICE,
+        _MS_ANNULUS,
         numeric=Check(_theta_triple("base"),
                       grid(a=(QPow(-1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(

@@ -385,7 +385,8 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
                 fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
             else:
                 if not (xr or xi):
-                    raise PoleError(f"denominator factor 1 - b q^({k}) of the "
+                    c = mp.nstr(to_mp(dens[i - n_num].coeff), 8)
+                    raise PoleError(f"denominator factor 1 - {c} q^({e}) of the "
                                     f"{'term' if up else 'bilateral term'} ratio vanished")
                 vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
             f[0] = e + dk
@@ -408,16 +409,21 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
         sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
+def _nonzero(product, name: str):
+    """``product``, about to divide; a PoleError naming it if it vanished."""
+    if product == 0:
+        raise PoleError(f"{name} vanished")
+    return product
+
+
 def psi_1_1_product(a, b, z, ctx: QContext):
     """Closed product form of the bilateral sum: the classical evaluation."""
     with ctx.workdps():
         q = ctx.q
         av, bv, zv = (to_mp(v) for v in (a, b, z))
         num = multi_pochhammer_infinite([q, bv / av, av * zv, q / (av * zv)], q, ctx)
-        den = multi_pochhammer_infinite([bv, q / av, zv, bv / (av * zv)], q, ctx)
-        if den == 0:
-            raise PoleError("product side denominator vanished")
-        return num / den
+        return num / _nonzero(multi_pochhammer_infinite(
+            [bv, q / av, zv, bv / (av * zv)], q, ctx), "product side denominator")
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +705,32 @@ def _bilateral_ratio_array(a: QPow, b: QPow, q: Fixed, K: int) -> _Table:
     return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)])
 
 
-def slice_truncation(rate, digits: int) -> int:
-    """Index cutoff giving a q^K-type tail below 10^-digits."""
+def slice_truncation(rate, ctx: QContext) -> int:
+    """Index cutoff K of a slice or pole sum whose terms decay like rate^K:
+    rate^K is below 10^-(precision + 12), so a tail up to 10^6 times that
+    stays below 10^-(precision + 6)."""
     rate = abs(to_mp(rate))
     if rate >= 1:
         raise DomainError("slice tails need rate < 1")
-    return max(8, int(mp.ceil((digits + 6) / (-mp.log10(rate)))))
+    return max(8, int(mp.ceil((ctx.precision + 12) / (-mp.log10(rate)))))
 
 
-def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
+def ratio_truncation(av, bv, q, ctx: QContext) -> int:
+    """Cutoff K of the table r_n = (a;q)_n/(b;q)_n of a bilateral slice sum:
+    the first m >= 8 where |r_{-m}| and |r_{-ceil(m/2)}|^2 (a tail on one index
+    or split over two) are below the bound of :func:`slice_truncation`.
+    r_{-m} = prod_{k<=m} (b - q^k)/(a - q^k) decays at the 1psi1 annulus rate
+    |b/a| only once |q|^k < |b|; a vanishing a - q^k is left to the table."""
+    if abs(bv / av) >= 1:
+        raise DomainError("slice tails need |b/a| < 1")
+    bound, qk, r = mp.mpf(10) ** -(ctx.precision + 12), mp.mpf(1), [mp.mpf(1)]
+    while len(r) <= 8 or r[-1] >= bound or r[len(r) // 2] ** 2 >= bound:
+        qk *= q
+        r.append(r[-1] * abs(bv - qk) / abs(av - qk) if av != qk else r[-1])
+    return len(r) - 1
+
+
+def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral alternating pair convolution at fixed total n, with its
     closed product evaluation (zero for odd n)."""
     aq, bq = _as_qpow(a), _as_qpow(b)
@@ -715,7 +738,7 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
         q = ctx.q
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
-        K = slice_truncation(q, digits) + abs(n)
+        K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         signed = r.weighted(lambda k: (-1) ** (k % 2))
         lhs = _conv(r, signed, n, max(-K, n - K), min(K, n + K)).to_mp()
@@ -729,7 +752,7 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
         return lhs, pref * tail
 
 
-def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
+def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral cube-root-weighted triple convolution at fixed total n.
 
     RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
@@ -741,7 +764,7 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext, digits: int = 30):
         wpow = _cube_weights(ctx)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         bv = to_mp(bq.coeff) * powq(q, bq.exponent)
-        K = slice_truncation(q, digits) + abs(n)
+        K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
         lo, hi = max(-2 * K, n - K), min(2 * K, n + K)
@@ -834,8 +857,11 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
         ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
-        pref = (multi_pochhammer_infinite([-bv, -q / av, q, bv / av], q, ctx)
-                / multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx))
+        # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
+        pref = (_nonzero(multi_pochhammer_infinite([-bv, -q / av, q, bv / av], q, ctx),
+                         "prefactor numerator (-b, -q/a; q)_inf")
+                / _nonzero(multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx),
+                           "prefactor denominator (b, q/a; q)_inf"))
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2).value
 
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
@@ -874,13 +900,13 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         pref = ((multi_pochhammer_infinite([bv, q / av], q, ctx)
                  / multi_pochhammer_infinite([q, bv / av], q, ctx)) ** 3
                 * multi_pochhammer_infinite([q3, (bv / av) ** 3], q3, ctx)
-                / multi_pochhammer_infinite([bv ** 3, q3 / av ** 3], q3, ctx))
+                / _nonzero(multi_pochhammer_infinite([bv ** 3, q3 / av ** 3], q3, ctx),
+                           "prefactor denominator (b^3, q^3/a^3; q^3)_inf"))
         # double bilateral sum arranged by slices s = j + k.  The q^{alpha s^2}
         # weight is neutralized by the inner function's bilateral growth on
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
         # the slice terms only decay like (b/a)^|s| in each direction.
-        digits = ctx.precision + 8
-        K = slice_truncation(bv / av, digits)
+        K = ratio_truncation(av, bv, q, ctx)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 3 * K)
         twist = rho_root(ctx) ** 2 if corrected else 1
@@ -926,12 +952,15 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext) -> SumOutcome:
     return _bilateral(streams, ctx)
 
 
-def _theta_truncation(q, x, digits: int):
-    """(K, s_max): the |j| <= K cutoff of the pole sums, tails below
-    10^-digits at rate max(|x|, |q/x|), and the |s| <= s_max cutoff of the
-    q^{s^2} slice weights."""
-    K = slice_truncation(max(abs(x), abs(q / x)), digits)
-    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+def _theta_truncation(x, ctx: QContext):
+    """(K, s_max): the |j| <= K cutoff of the pole sums, which decay at rate
+    max(|x|, |q/x|), and the |s| <= s_max cutoff of the q^{s^2} weights.
+    The pole sums converge only on the annulus |q| < |x| < 1."""
+    q = ctx.q
+    if not abs(q) < abs(x) < 1:
+        raise AnnulusError("needs |q| < |x| < 1")
+    K = slice_truncation(max(abs(x), abs(q / x)), ctx)
+    s_max = int(mp.ceil(mp.sqrt((ctx.precision + 10) / (-mp.log10(abs(q)))))) + 2
     return K, s_max
 
 
@@ -948,7 +977,7 @@ def _pair_slices(inv: _Table, x, q, K: int, s_max: int):
     return total.to_mp()
 
 
-def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
+def theta_pair_sides(a, x, ctx: QContext):
     """Single theta-type bilateral sum against the double pole-sum.
 
     LHS: prefactor * sum_n q^{4n^2} x^{2n} / (1 - a^2 q^{2n});
@@ -959,22 +988,20 @@ def theta_pair_sides(a, x, ctx: QContext, digits: int | None = None):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        digits = digits or (ctx.precision + 6)
-        if not abs(q) < abs(xv) < 1:
-            raise AnnulusError("needs |q| < |x| < 1")
+        K, s_max = _theta_truncation(xv, ctx)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         pref = (multi_pochhammer_infinite([-av, -q / av, q, q], q, ctx)
-                / multi_pochhammer_infinite([av, q / av, -q, -q], q, ctx))
+                / _nonzero(multi_pochhammer_infinite([av, q / av, -q, -q], q, ctx),
+                           "prefactor denominator (a, q/a; q)_inf"))
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx).value
-        K, s_max = _theta_truncation(q, xv, digits)
         qf = ctx.fixed(q)
         rhs = _pair_slices(_pole_table(aq, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
                            K, s_max)
         return lhs, rhs
 
 
-def theta_pair_imag_sides(x, ctx: QContext, digits: int | None = None):
+def theta_pair_imag_sides(x, ctx: QContext):
     """The previous identity specialized to a^2 = -q (imaginary a).
 
     LHS: (q,q;q)_inf/(-q,-q;q)_inf * sum_n q^{4n^2} x^{2n}/(1 + q^{2n+1});
@@ -983,13 +1010,10 @@ def theta_pair_imag_sides(x, ctx: QContext, digits: int | None = None):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        digits = digits or (ctx.precision + 6)
-        if not abs(q) < abs(xv) < 1:
-            raise AnnulusError("needs |q| < |x| < 1")
+        K, s_max = _theta_truncation(xv, ctx)
         pref = (multi_pochhammer_infinite([q, q], q, ctx)
                 / multi_pochhammer_infinite([-q, -q], q, ctx))
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx).value
-        K, s_max = _theta_truncation(q, xv, digits)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
         qf = ctx.fixed(q)
         rhs = _pair_slices(_pole_table(ia, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
@@ -997,8 +1021,7 @@ def theta_pair_imag_sides(x, ctx: QContext, digits: int | None = None):
         return lhs, rhs
 
 
-def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
-                       arrangement: str = "base"):
+def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
     """Triple pole-sum identity for the cube-power theta quotient.
 
     ``arrangement="base"`` checks
@@ -1012,9 +1035,7 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        digits = digits or (ctx.precision + 6)
-        if not abs(q) < abs(xv) < 1:
-            raise AnnulusError("needs |q| < |x| < 1")
+        K, s_max = _theta_truncation(xv, ctx)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
@@ -1022,9 +1043,8 @@ def theta_triple_sides(a, x, ctx: QContext, digits: int | None = None,
         pref = (multi_pochhammer_infinite([q3], q3, ctx) ** 2
                 / multi_pochhammer_infinite([q], q, ctx) ** 6
                 * multi_pochhammer_infinite([av, q / av], q, ctx) ** 3
-                / multi_pochhammer_infinite(
-                    [av ** 3, q3 / av ** 3], q3, ctx))
-        K, s_max = _theta_truncation(q, xv, digits)
+                / _nonzero(multi_pochhammer_infinite([av ** 3, q3 / av ** 3], q3, ctx),
+                           "prefactor denominator (a^3, q^3/a^3; q^3)_inf"))
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
         # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),

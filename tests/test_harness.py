@@ -190,6 +190,35 @@ def test_config_sweep_passes(entry_id, precision):
     assert report.status == "PASS", report.note
 
 
+# Entries that used to swap a configured q above 0.3 for 0.3, and entries
+# whose tolerance used to be 10^-(precision - 15) or 10^-(precision - 25).
+# At q = 0.5 and q = +-0.6 the fixed points a = 0.5 and a = 0.6 sit on poles,
+# which must show as PoleError, not as a FAIL or a ZeroDivisionError; at
+# q = 0.7 the fixed x = 0.6 is outside q < |x| < 1.
+FORMERLY_CAPPED = ("ms-3", "ms-4", "ms-5", "ms-11", "ms-12", "ms-13", "ms-14",
+                   "ms-15", "ms-16", "ms-17")
+FORMERLY_RELAXED = FORMERLY_CAPPED + ("ms-7", "ms-8", "bessel-gf", "bessel-ml")
+DECLARED_EXCEPTIONS = ("PoleError", "DomainError", "AnnulusError")
+
+
+@pytest.mark.parametrize("q", ["0.5", "0.7", "0.6", "-0.6"])
+def test_configured_q_is_evaluated_or_declared_out_of_domain(q):
+    for entry_id in FORMERLY_CAPPED:
+        report = run_check(entry_id, "numeric",
+                           RunSettings(precision=20, q_values=(q,)))
+        if report.status == "SKIPPED":
+            assert report.note.startswith(DECLARED_EXCEPTIONS), (entry_id, report.note)
+        else:
+            assert report.params["q"] == str([q]), (entry_id, report.params)
+            assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
+
+
+def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
+    for entry_id in FORMERLY_RELAXED:
+        report = run_check(entry_id, "numeric", RunSettings(precision=20))
+        assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
+
+
 # Settings where ms-3/ms-5 used to FAIL (their slice sums were truncated at a
 # fixed 34 digits whatever the precision) or where a series whose even and
 # odd terms decay at different levels raised RatioTestError (SKIPPED).
@@ -204,11 +233,6 @@ def test_config_probe_fixes(entry_id, settings, expected):
     assert report.status == expected, report.note
 
 
-def test_ms_slice_digits_unchanged_at_default_precision():
-    from qrr.harness.registry import _ms_digits
-    assert _ms_digits(RunSettings().numeric_ctx("0.3")) == 34
-
-
 def test_ms15_theta_truncation_follows_precision_100():
     # the triple pole-sums used to stop at a fixed 32 digits (about 1e-78)
     report = run_check("ms-15", "numeric", RunSettings(precision=100, q_values=("0.3",)))
@@ -217,30 +241,34 @@ def test_ms15_theta_truncation_follows_precision_100():
 
 
 def test_ms12_at_precision_20_is_not_pass():
-    # 10^-(20 - 25) = 10^5 would pass the literal reading, which misses by 0.19
+    # the tolerance is 10^-10; the literal reading misses by 0.19
     report = run_check("ms-12", "numeric", RunSettings(precision=20))
-    assert report.status == "SKIPPED" and "vacuous tolerance" in report.note
+    assert report.status == "DISCREPANCY_DOCUMENTED", report.note
+    assert report.note.endswith("literal residual 0.194"), report.note
 
 
-@pytest.mark.parametrize("tol_shift, status", [(10, "PASS"), (11, "SKIPPED")])
-def test_driver_skips_a_vacuous_tolerance_at_the_boundary(tol_shift, status):
-    # precision 20: exponent 10 is still checked, exponent 9 is not run
+@pytest.mark.parametrize("precision, status", [(20, "PASS"), (19, "SKIPPED")])
+def test_driver_skips_a_vacuous_tolerance_at_the_boundary(precision, status):
+    # tolerance exponent precision - 10: 10 is still checked, 9 is not run
     evaluated = []
-    entry = _stub(tol_shift=tol_shift, numeric=Check(
+    entry = _stub(numeric=Check(
         lambda ctx: evaluated.append(ctx.q) or (ctx.q, ctx.q)))
-    out = entry.check("numeric", RunSettings(precision=20))
+    out = entry.check("numeric", RunSettings(precision=precision))
     assert out.status == status
     assert bool(evaluated) == (status == "PASS")
+    if status == "SKIPPED":
+        assert out.note == ("vacuous tolerance: 10^-(precision - 10) = 10^-9 "
+                            "is looser than 10^-10")
     # a forced tolerance exponent is the caller's explicit choice
-    forced = RunSettings(precision=20, tolerance_exponent=30)
+    forced = RunSettings(precision=precision, tolerance_exponent=30)
     assert entry.check("numeric", forced).status == "PASS"
 
 
-def test_driver_numeric_tolerance_follows_tol_shift():
-    rc = RunSettings(precision=20, q_values=("0.2", "0.3"))
-    assert rc.tol(5) == mp.mpf(10) ** -15
+def test_driver_numeric_tolerance_follows_precision():
+    rc = RunSettings(precision=25, q_values=("0.2", "0.3"))
+    assert rc.tol() == mp.mpf(10) ** -15
     for residual, status in (("5e-16", "PASS"), ("2e-15", "FAIL")):
-        entry = _stub(tol_shift=5, numeric=Check(
+        entry = _stub(numeric=Check(
             lambda ctx, r: r, grid(r=("1e-30", residual))))
         out = entry.check("numeric", rc)
         assert out.status == status
@@ -315,12 +343,10 @@ def test_driver_formal_reports_first_differing_coefficient():
 def test_q_list_policies():
     rc = RunSettings(q_values=("0.2", "0.5"))
     assert _stub(fixed_q=("0.25",)).q_list(rc) == ["0.25"]
-    assert _stub(q_cap=0.3).q_list(rc) == ["0.2"]
-    assert _stub(q_cap=0.3).q_list(RunSettings(q_values=("0.5", "0.7"))) \
-        == ["0.3"]
+    assert _stub().q_list(rc) == ["0.2", "0.5"]
     assert _stub(complex_ok=True).q_list(rc) == ["0.2", "0.5", COMPLEX_Q]
-    assert _stub(fixed_q=("0.2", "0.5"), q_cap=0.3,
-                 complex_ok=True).q_list(rc) == ["0.2", COMPLEX_Q]
+    assert _stub(fixed_q=("0.7",),
+                 complex_ok=True).q_list(rc) == ["0.7", COMPLEX_Q]
     assert get_entry("bessel-asymptotic").q_list(rc) == ["0.5"]
 
 

@@ -1,13 +1,14 @@
 """Hypergeometric, bilateral, and convolution-identity evaluators."""
 
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qfunctions)
-from qrr.context import powq
+from qrr.context import powq, to_mp
 from qrr.fixedpoint import Fixed
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (inv_pochhammer, pochhammer_finite,
@@ -22,7 +23,7 @@ from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv_w,
                             pair_convolution_sides, phi21_terminating_exact,
                             phi_1_1, phi_2_1, psi_1_1, psi_1_1_product,
                             ramanujan_A, ramanujan_A_formal, rho_root,
-                            rr_product_formal, rr_sum_formal,
+                            ratio_truncation, rr_product_formal, rr_sum_formal,
                             slice_truncation, square_bilateral_master_sides,
                             square_master_sides, theta_pair_imag_sides,
                             theta_pair_sides, theta_triple_sides,
@@ -245,20 +246,69 @@ def test_bilateral_pair_slices():
     with CTX.workdps():
         a, b = mp.mpf("0.5"), mp.mpf("0.1")
         for n in (0, 2, 4):
-            lhs, rhs = bilateral_pair_slice_sides(n, a, b, CTX, digits=40)
+            lhs, rhs = bilateral_pair_slice_sides(n, a, b, CTX)
             assert abs(lhs - rhs) < mp.mpf(10) ** -30
         for n in (1, 3):
-            lhs, rhs = bilateral_pair_slice_sides(n, a, b, CTX, digits=40)
+            lhs, rhs = bilateral_pair_slice_sides(n, a, b, CTX)
             assert rhs == 0 and abs(lhs) < mp.mpf(10) ** -30
 
 
 def test_bilateral_cube_slices():
     with CTX.workdps():
         a, b = mp.mpf("0.5"), mp.mpf("0.1")
-        lhs, rhs = bilateral_cube_slice_sides(6, a, b, CTX, digits=35)
+        lhs, rhs = bilateral_cube_slice_sides(6, a, b, CTX)
         assert abs(lhs - rhs) < mp.mpf(10) ** -26
-        lhs, rhs = bilateral_cube_slice_sides(4, a, b, CTX, digits=35)
+        lhs, rhs = bilateral_cube_slice_sides(4, a, b, CTX)
         assert rhs == 0 and abs(lhs) < mp.mpf(10) ** -26
+
+
+# b/a = 0.8 decays far slower than q = 0.3: a cutoff at rate q and 34 digits,
+# as ms-3 used, left the pair slice 1.4e-8 and the cube slice 9e-9 off their
+# products.  b = 0 and 1e-10 decay at about |q|^k / |a| until |q|^k ~ |b|,
+# far slower at first than the rate |b/a| alone would say.
+@pytest.mark.parametrize("b", ["0.4", "1e-10", "0"])
+def test_slice_sums_truncate_at_the_ratio_tail(b):
+    ctx = QContext.numeric("0.3", precision=50)
+    with ctx.workdps():
+        a = mp.mpf("0.5")
+        for sides, n in ((bilateral_pair_slice_sides, 2), (bilateral_cube_slice_sides, 3)):
+            lhs, rhs = sides(n, a, mp.mpf(b), ctx)
+            assert abs(lhs - rhs) < mp.mpf(10) ** -55 * abs(rhs), (sides.__name__, lhs - rhs)
+
+
+def test_slice_sums_outside_the_annulus_are_a_domain_error():
+    with CTX.workdps():
+        for sides in (bilateral_pair_slice_sides, bilateral_cube_slice_sides):
+            with pytest.raises(DomainError, match=r"\|b/a\| < 1"):
+                sides(0, mp.mpf("0.1"), mp.mpf("0.2"), CTX)
+
+
+def test_pole_messages_name_the_vanishing_factor():
+    ctx = QContext.numeric("0.5", precision=20)
+    with ctx.workdps():
+        # downwards the stream divides by 1 - a q^k: a = q vanishes at k = -1
+        with pytest.raises(PoleError) as err:
+            bilateral_pair_slice_sides(0, mp.mpf("0.5"), mp.mpf("0.1"), ctx)
+        assert str(err.value) == ("denominator factor 1 - 0.5 q^(-1) of the "
+                                  "bilateral term ratio vanished")
+        # upwards it divides by 1 - b q^k: b = q^-2 vanishes at k = 2
+        with pytest.raises(PoleError) as err:
+            psi_1_1(mp.mpf(10), QPow(1, -2), mp.mpf("0.5"), ctx)
+        assert str(err.value) == ("denominator factor 1 - 1.0 q^(0) of the "
+                                  "term ratio vanished")
+
+
+def test_theta_prefactor_poles_are_pole_errors():
+    # (a, q/a; q)_inf and (a^3, q^3/a^3; q^3)_inf divide the theta prefactors;
+    # at a = q and a = q^30 they vanish, where the kernels used to raise
+    # ZeroDivisionError
+    ctx = QContext.numeric("0.5", precision=20)
+    with ctx.workdps():
+        a, x = mp.mpf("0.5"), mp.mpf("0.6")
+        with pytest.raises(PoleError, match=r"\(a, q/a; q\)_inf vanished"):
+            theta_pair_sides(a, x, ctx)
+        with pytest.raises(PoleError, match=r"\(a\^3, q\^3/a\^3; q\^3\)_inf vanished"):
+            theta_triple_sides(QPow(1, 30), x, ctx)
 
 
 def test_square_master_transformation():
@@ -299,27 +349,26 @@ def test_cube_bilateral_master_corrected_vs_literal():
 def test_theta_pair_identity():
     ctx = QContext.numeric("0.3", precision=40)
     with ctx.workdps():
-        lhs, rhs = theta_pair_sides(mp.mpf("0.5"), mp.mpf("0.6"), ctx, digits=40)
+        lhs, rhs = theta_pair_sides(mp.mpf("0.5"), mp.mpf("0.6"), ctx)
         assert abs(lhs - rhs) < mp.mpf(10) ** -30
 
 
 def test_theta_pair_imaginary_specialization():
     ctx = QContext.numeric("0.3", precision=40)
     with ctx.workdps():
-        lhs, rhs = theta_pair_imag_sides(mp.mpf("0.6"), ctx, digits=40)
+        lhs, rhs = theta_pair_imag_sides(mp.mpf("0.6"), ctx)
         assert abs(lhs - rhs) < mp.mpf(10) ** -30
 
 
 def test_theta_triple_identities():
     ctx = QContext.numeric("0.3", precision=40)
     with ctx.workdps():
-        lhs, rhs = theta_triple_sides(mp.mpf("0.5"), mp.mpf("0.6"), ctx, digits=32)
+        lhs, rhs = theta_triple_sides(mp.mpf("0.5"), mp.mpf("0.6"), ctx)
         assert abs(lhs - rhs) < mp.mpf(10) ** -26
         lhs, rhs = theta_triple_sides(QPow(1, F(1, 3)), mp.mpf("0.6"), ctx,
-                                      digits=32, arrangement="split-left")
+                                      arrangement="split-left")
         assert abs(lhs - rhs) < mp.mpf(10) ** -26
-        lhs, rhs = theta_triple_sides(QPow(-1, F(1, 3)), mp.mpf("0.6"), ctx,
-                                      digits=32)
+        lhs, rhs = theta_triple_sides(QPow(-1, F(1, 3)), mp.mpf("0.6"), ctx)
         assert abs(lhs - rhs) < mp.mpf(10) ** -26
 
 
@@ -520,9 +569,16 @@ def old_ratio_dict(a, b, q, K):
     return {n: pochhammer_ratio(a, b, q, n) for n in range(-K, K + 1)}
 
 
-def old_cube_slice_lhs(n, a, b, ctx, digits):
+def _slice_cutoff(n, a, b, ctx):
+    q = ctx.q
+    av, bv = (to_mp(v.coeff) * powq(q, v.exponent) if isinstance(v, QPow) else v
+              for v in (a, b))
+    return ratio_truncation(av, bv, q, ctx) + abs(n)
+
+
+def old_cube_slice_lhs(n, a, b, ctx):
     q, w = ctx.q, rho_root(ctx)
-    K = slice_truncation(q, digits) + abs(n)
+    K = _slice_cutoff(n, a, b, ctx)
     r = old_ratio_dict(a, b, q, K)
     lhs = mp.mpf(0)
     for m1 in range(-K, K + 1):
@@ -532,21 +588,28 @@ def old_cube_slice_lhs(n, a, b, ctx, digits):
     return lhs
 
 
-def old_pair_slice_lhs(n, a, b, ctx, digits):
-    K = slice_truncation(ctx.q, digits) + abs(n)
+def old_pair_slice_lhs(n, a, b, ctx):
+    K = _slice_cutoff(n, a, b, ctx)
     r = old_ratio_dict(a, b, ctx.q, K)
     return sum((-1) ** ((n - j) % 2) * r[j] * r[n - j]
                for j in range(-K, K + 1) if abs(n - j) <= K)
 
 
-def old_theta_pair_rhs(a, x, ctx, digits, imaginary=False):
+def _theta_cutoffs(x, ctx):
     q = ctx.q
-    K = slice_truncation(max(abs(x), abs(q / x)), digits)
-    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+    return (slice_truncation(max(abs(x), abs(q / x)), ctx),
+            int(mp.ceil(mp.sqrt((ctx.precision + 10) / (-mp.log10(abs(q)))))) + 2)
+
+
+def old_theta_pair_rhs(a, x, ctx, imaginary=False):
+    q = ctx.q
+    K, s_max = _theta_cutoffs(x, ctx)
     if imaginary:
+        @cache
         def inv(j):
             return 1 / (1 + mp.mpc(0, 1) * mp.sqrt(q) * q ** j)
     else:
+        @cache
         def inv(j):
             return 1 / (1 - a * q ** j)
     return sum(q ** (s * s) * sum((-x) ** j * inv(j) * x ** (s - j) * inv(s - j)
@@ -554,66 +617,72 @@ def old_theta_pair_rhs(a, x, ctx, digits, imaginary=False):
                for s in range(-s_max, s_max + 1))
 
 
-def old_theta_triple_rhs(a, x, ctx, digits):
+def old_theta_triple_rhs(a, x, ctx):
     q, w = ctx.q, rho_root(ctx)
-    K = slice_truncation(max(abs(x), abs(q / x)), digits)
-    s_max = int(mp.ceil(mp.sqrt((digits + 4) / (-mp.log10(abs(q)))))) + 2
+    K, s_max = _theta_cutoffs(x, ctx)
+    wpow = (1, w, w * w)
 
+    @cache
     def h(j):
         return x ** j / (1 - a * q ** j)
 
     conv12 = {}
     for m1 in range(-K, K + 1):
         for m2 in range(-K, K + 1):
-            conv12[m1 + m2] = conv12.get(m1 + m2, 0) + h(m1) * w ** (m2 % 3) * h(m2)
-    return sum(q ** (s * s) * sum(v * w ** ((2 * (s - m)) % 3) * h(s - m)
+            conv12[m1 + m2] = conv12.get(m1 + m2, 0) + h(m1) * wpow[m2 % 3] * h(m2)
+    return sum(q ** (s * s) * sum(v * wpow[(2 * (s - m)) % 3] * h(s - m)
                                   for m, v in conv12.items())
                for s in range(-s_max, s_max + 1))
 
 
-SLICE_DIGITS = 8
+# The per-term oracles are slow in mpf, so they run at precision 20, which
+# keeps the cutoffs short; both sides stop at the same cutoff and must agree
+# far below it.
+SLICE_PRECISION = 20
+SLICE_TOL = mp.mpf(10) ** -(SLICE_PRECISION + 8)
 
 
 # (a, b, pole): generic; b = q^2, where every r_n with n <= -2 is an exact
 # zero; a = q^2, where (a;q)_n is infinite for n <= -2, a pole on both paths
+# (with |b/a| < 1, so that the slice sum would converge without it)
 SLICE_AB = {"": (mp.mpf("0.5"), mp.mpf("0.1"), False),
             "dead-tail-b=q^2-": (mp.mpf("0.5"), QPow(1, 2), False),
-            "pole-a=q^2-": (QPow(1, 2), mp.mpf("0.1"), True)}
+            "pole-a=q^2-": (QPow(1, 2), mp.mpf("0.05"), True)}
 SLICE_CASES = [(kind + str(n), n, *ab) for kind, ab in SLICE_AB.items() for n in (0, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("n, a, b, pole", [case[1:] for case in SLICE_CASES],
                          ids=[case[0] for case in SLICE_CASES])
 def test_bilateral_slice_convolutions_match_per_term_oracle(n, a, b, pole):
-    ctx = QContext.numeric("0.3", precision=50)
+    ctx = QContext.numeric("0.3", precision=SLICE_PRECISION)
     with ctx.workdps():
         for sides, oracle in ((bilateral_cube_slice_sides, old_cube_slice_lhs),
                               (bilateral_pair_slice_sides, old_pair_slice_lhs)):
             if pole:
                 with pytest.raises(PoleError):
-                    oracle(n, a, b, ctx, SLICE_DIGITS)
+                    oracle(n, a, b, ctx)
                 with pytest.raises(PoleError):
-                    sides(n, a, b, ctx, digits=SLICE_DIGITS)
+                    sides(n, a, b, ctx)
                 continue
-            lhs, _ = sides(n, a, b, ctx, digits=SLICE_DIGITS)
-            old = oracle(n, a, b, ctx, SLICE_DIGITS)
-            assert abs(lhs - old) <= ORACLE_TOL * max(abs(old), 1)
+            lhs, _ = sides(n, a, b, ctx)
+            old = oracle(n, a, b, ctx)
+            assert abs(lhs - old) <= SLICE_TOL * max(abs(old), 1)
 
 
 @ORACLE_QS
 def test_theta_slice_sums_match_per_term_oracle(q):
-    ctx = QContext.numeric(q, precision=50)
+    ctx = QContext.numeric(q, precision=SLICE_PRECISION)
     a, x = mp.mpf("0.5"), mp.mpf("0.55")
     with ctx.workdps():
-        _, rhs = theta_pair_sides(a, x, ctx, digits=SLICE_DIGITS)
-        old = old_theta_pair_rhs(a, x, ctx, SLICE_DIGITS)
-        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
-        _, rhs = theta_pair_imag_sides(x, ctx, digits=SLICE_DIGITS)
-        old = old_theta_pair_rhs(None, x, ctx, SLICE_DIGITS, imaginary=True)
-        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
-        _, rhs = theta_triple_sides(a, x, ctx, digits=SLICE_DIGITS, arrangement="split-left")
-        old = old_theta_triple_rhs(a, x, ctx, SLICE_DIGITS)
-        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+        _, rhs = theta_pair_sides(a, x, ctx)
+        old = old_theta_pair_rhs(a, x, ctx)
+        assert abs(rhs - old) <= SLICE_TOL * abs(old)
+        _, rhs = theta_pair_imag_sides(x, ctx)
+        old = old_theta_pair_rhs(None, x, ctx, imaginary=True)
+        assert abs(rhs - old) <= SLICE_TOL * abs(old)
+        _, rhs = theta_triple_sides(a, x, ctx, arrangement="split-left")
+        old = old_theta_triple_rhs(a, x, ctx)
+        assert abs(rhs - old) <= SLICE_TOL * abs(old)
 
 
 # ---------------------------------------------------------------------------
