@@ -12,9 +12,8 @@ import mpmath as mp
 from qrr import QContext
 from qrr.partitions import (Congruence, MinGap, count_partitions,
                             series_vs_partitions)
-from qrr.pochhammer import multi_pochhammer_infinite
+from qrr.pochhammer import QPow, infinite_product
 from qrr.qfunctions import rr_product_formal, rr_sum_formal, u_m_bilateral
-from qrr.pochhammer import QPow
 
 print("== coefficient-exact check through q^100 ==")
 ctx = QContext.formal(order=100, base_exponent=1)
@@ -34,7 +33,7 @@ ctx = QContext.numeric("0.3", precision=50)
 with ctx.workdps():
     q = ctx.q
     lhs = u_m_bilateral(QPow(1, 0), 0, ctx).value   # sum q^{n^2}/(q;q)_n
-    rhs = 1 / multi_pochhammer_infinite([q, q ** 4], q ** 5, ctx)
+    rhs = infinite_product([], [q, q ** 4], q ** 5, ctx).value
     print("  sum side:    ", mp.nstr(lhs, 30))
     print("  product side:", mp.nstr(rhs, 30))
     print("  |difference| =", mp.nstr(abs(lhs - rhs), 3))

@@ -9,7 +9,7 @@ import mpmath as mp
 from qrr import QContext, QPow
 from qrr.qfunctions import (cube_convolution_sides, psi_1_1, psi_1_1_product,
                             square_master_sides, u_m_bilateral)
-from qrr.qpolynomials import bilateral_m_version_residual, c_poly, d_poly
+from qrr.qpolynomials import bilateral_m_version_sides, c_poly, d_poly
 
 ctx = QContext.numeric("0.3", precision=50)
 
@@ -26,7 +26,8 @@ print("  c_4 =", c_poly(4))
 print("  d_3 =", d_poly(3))
 with ctx.workdps():
     for m in (2, 5, 8):
-        res = bilateral_m_version_residual(mp.mpf("0.5"), m, ctx)
+        lhs, rhs = bilateral_m_version_sides(mp.mpf("0.5"), m, ctx)
+        res = abs(lhs - rhs)
         print(f"  m={m}: residual = {mp.nstr(res, 3)}")
     # at a = 1 the negative tail vanishes term by term
     u0 = u_m_bilateral(QPow(1, 0), 0, ctx).value

@@ -5,7 +5,8 @@
     qrr suite [--config PATH] [--out PATH] [--format json|text] [--jobs K]
               [--ids ID ...] [--q R] [--precision P] [--order N] [--seed S]
 
-Exit codes: 0 success, 1 at least one FAIL, 2 usage or configuration error.
+Exit codes: 0 success, 1 at least one FAIL or ERROR, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def cmd_check(args) -> int:
     modes = [args.mode] if args.mode else list(entry.modes)
     reports = [run_check(entry.id, mode, cfg.settings()) for mode in modes]
     print(emit_report(reports, run_info(cfg), fmt="text"), end="")
-    return 1 if any(r.status == "FAIL" for r in reports) else 0
+    return 1 if any(r.status in ("FAIL", "ERROR") for r in reports) else 0
 
 
 def cmd_suite(args) -> int:

@@ -27,8 +27,7 @@ import mpmath as mp
 
 from ..context import QContext, scaled_deviation, to_mp
 from ..errors import UnknownIdentityError, UnsupportedModeError
-from ..pochhammer import (QPow, multi_pochhammer_infinite,
-                          pochhammer_infinite_value)
+from ..pochhammer import QPow, infinite_product
 from .. import partitions as parts, qbessel as qb, qfunctions as qf
 from .. import qpolynomials as qp
 from .driver import LITERAL, Check, IdentityEntry, Reading, Verdict, grid
@@ -59,23 +58,24 @@ def _rr_checks(which: int) -> dict:
                                   - qf.rr_product_formal(which, ctx))),
         numeric=Check(
             lambda ctx: (qf.u_m_bilateral(QPow(1, 0), which - 1, ctx).value,
-                         1 / multi_pochhammer_infinite(
-                             [ctx.q ** which, ctx.q ** (5 - which)],
-                             ctx.q ** 5, ctx))))
+                         _gap_product(which, ctx))))
 
 
-def _mform_products(ctx):
+def _gap_product(which, ctx):
+    """1/(q^which, q^(5 - which); q^5)_inf."""
     qv = ctx.q
-    return {"p1": 1 / multi_pochhammer_infinite([qv, qv ** 4], qv ** 5, ctx),
-            "p2": 1 / multi_pochhammer_infinite([qv ** 2, qv ** 3], qv ** 5,
-                                                ctx)}
+    return infinite_product([], [qv ** which, qv ** (5 - which)], qv ** 5, ctx).value
 
 
-def _mform(ctx, m, p1, p2):
-    qv = ctx.q
-    return (qf.u_m_bilateral(QPow(1, 0), m, ctx).value,
-            (-1) ** m * qv ** F(-m * (m - 1), 2)
-            * (qp.schur_a(m)(qv) * p1 - qp.schur_b(m)(qv) * p2))
+def _mform(ctx, m):
+    """The right side runs at ``qp.m_shift_context``: a_m P1 - b_m P2 cancels."""
+    lhs = qf.u_m_bilateral(QPow(1, 0), m, ctx).value
+    wide = qp.m_shift_context(m, ctx)
+    with wide.workdps():
+        qv = wide.q
+        return lhs, ((-1) ** m * qv ** F(-m * (m - 1), 2)
+                     * (qp.schur_a(m)(qv) * _gap_product(1, wide)
+                        - qp.schur_b(m)(qv) * _gap_product(2, wide)))
 
 
 def _schur_cd(m):
@@ -108,7 +108,7 @@ def _bessel_defs(ctx, kind, z):
     qv = ctx.q
     if z == 2:
         return (qb.bessel_i(2, 0, z, ctx),
-                1 / pochhammer_infinite_value(qv, qv, ctx))
+                infinite_product([], [qv], qv, ctx).value)
     weight = {1: lambda n: mp.mpf(0), 2: lambda n: mp.mpf(n * n),
               3: lambda n: mp.mpf(n * (n - 1)) / 2}[kind]
     direct = mp.mpf(0)
@@ -130,7 +130,7 @@ def _sv_general(ctx, z, nu):
     qv = ctx.q
     return (qb.bessel_i(2, nu, 2 * z, ctx),
             z ** (mp.mpf(nu.numerator) / nu.denominator)
-            / pochhammer_infinite_value(qv, qv, ctx)
+            * infinite_product([], [qv], qv, ctx).value
             * qf.phi_1_1(z * z, mp.mpf(0), QPow(1, nu + 1), ctx).value)
 
 
@@ -169,8 +169,7 @@ def _ms5_single_factor(ctx, n, a, b):
     """The slice with the subscript-free base-q^3 factor read as (.;q^3)_1."""
     qv = ctx.q
     lhs, rhs = qf.bilateral_cube_slice_sides(n, a, b, ctx)
-    return lhs, (rhs * multi_pochhammer_infinite([qv ** 3, (b / a) ** 3],
-                                                 qv ** 3, ctx)
+    return lhs, (rhs * infinite_product([qv ** 3, (b / a) ** 3], [], qv ** 3, ctx).value
                  / ((1 - qv ** 3) * (1 - (b / a) ** 3)))
 
 
@@ -269,7 +268,7 @@ ENTRIES: tuple = (
         "sum q^{n^2+mn}/(q;q)_n = (-1)^m q^-binom(m,2) [a_m P1 - b_m P2]",
         formal=Check(lambda ctx, m: qp.mform_diff_formal(m, ctx),
                      grid(m=range(11)), order=80),
-        numeric=Check(_mform, grid(m=range(9)), prepare=_mform_products)),
+        numeric=Check(_mform, grid(m=range(9)))),
     IdentityEntry(
         "rr1-partitions", "gap-2 partition interpretation",
         "[q^n] gap series = #{parts differing by >= 2} = #{parts = 1,4 mod 5}",
@@ -308,13 +307,12 @@ ENTRIES: tuple = (
         "um-mform", "bilateral resolution along the recurrence pair",
         "u_m(a) = (-1)^m q^-binom(m,2) [c_m(a,q) u_0(a) - d_m(a,q) u_1(a)]",
         numeric=Check(
-            lambda ctx, a, m: qp.bilateral_m_version_residual(a, m, ctx,
-                                                              sign=-1),
+            lambda ctx, a, m: qp.bilateral_m_version_sides(a, m, ctx, sign=-1),
             grid(a=("0.5", QPow(1, 0), "1.5"), m=range(9)),
             note=f"as-printed +d reading fails (literal residual {LITERAL}); "
                  "the -d reading, forced by the seeds and by the a=1 case, "
                  "passes",
-            literal=Reading(lambda ctx, a, m: qp.bilateral_m_version_residual(
+            literal=Reading(lambda ctx, a, m: qp.bilateral_m_version_sides(
                 a, m, ctx, sign=+1), grid(a=("0.5",), m=(4,))))),
     IdentityEntry(
         "heine", "second-iterate transformation of 2phi1",

@@ -14,7 +14,7 @@ class IdentityReport:
 
     id: str
     mode: str
-    status: str  # PASS | FAIL | DISCREPANCY_DOCUMENTED | SKIPPED
+    status: str  # PASS | FAIL | DISCREPANCY_DOCUMENTED | SKIPPED | ERROR
     params: dict = field(default_factory=dict)
     max_abs_deviation: str | None = None       # numeric/exact modes
     first_differing_coefficient: int | None = None  # formal mode
@@ -26,7 +26,7 @@ class IdentityReport:
         return (self.id, self.mode)
 
 
-STATUSES = ("PASS", "FAIL", "DISCREPANCY_DOCUMENTED", "SKIPPED")
+STATUSES = ("PASS", "FAIL", "DISCREPANCY_DOCUMENTED", "SKIPPED", "ERROR")
 
 
 def emit_report(reports, run_info: dict, fmt: str = "json",

@@ -11,10 +11,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ..errors import ConfigError, QrrError, UnsupportedModeError
+from ..errors import (ConfigError, DomainError, EmptyDomainError, PoleError,
+                      SingularDeltaError, UnsupportedModeError)
 from .driver import RunSettings
 from .registry import get_entry, list_identities
 from .report import IdentityReport, emit_report
+
+# A kernel's declared exceptions for a point outside its domain; others crash.
+DOMAIN_EXCEPTIONS = (DomainError, PoleError, EmptyDomainError, SingularDeltaError)
 
 _CONFIG_KEYS = {"ids", "modes", "q", "precision", "order", "seed",
                 "tolerance_exponent", "jobs"}
@@ -103,7 +107,7 @@ def _check_q(q):
 
 
 def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
-    """Run one identity in one mode; evaluator errors become SKIPPED."""
+    """Run one identity in one mode; a domain exception is SKIPPED, any other ERROR."""
     entry = get_entry(entry_id)
     if mode not in entry.modes:
         raise UnsupportedModeError(
@@ -114,7 +118,8 @@ def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
     except Exception as exc:  # evaluator failures are reported, not raised
         outcome = None
         report = IdentityReport(
-            id=entry_id, mode=mode, status="SKIPPED",
+            id=entry_id, mode=mode,
+            status="SKIPPED" if isinstance(exc, DOMAIN_EXCEPTIONS) else "ERROR",
             note=f"{type(exc).__name__}: {exc}", seed=rc.seed)
     if outcome is not None:
         report = IdentityReport(
@@ -155,7 +160,7 @@ def run_suite(config: SuiteConfig):
 
     Checks are independent; with jobs > 1 they run in worker processes and
     the merged report order is by (id, mode) either way.  Exit code 0 unless
-    some check FAILs (documented discrepancies do not fail the suite).
+    some check is FAIL or ERROR (documented discrepancies do not fail it).
     """
     rc = config.settings()
     plan = planned_checks(config)
@@ -170,7 +175,7 @@ def run_suite(config: SuiteConfig):
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1
     summary = {"total": len(reports), **counts}
-    exit_code = 1 if counts.get("FAIL") else 0
+    exit_code = 1 if counts.get("FAIL") or counts.get("ERROR") else 0
     return reports, summary, exit_code
 
 

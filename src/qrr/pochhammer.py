@@ -9,6 +9,10 @@ vanishing to collapse onto their unilateral halves.
 Arguments may be plain numbers or :class:`QPow` pairs ``c * q**e``.  The
 structured form keeps exponent bookkeeping exact, so a factor such as
 1 - a*q^0 at a = 1 vanishes identically rather than to roundoff.
+
+Every numeric quotient of infinite products over one base is one
+:func:`infinite_product` walk; a vanishing denominator factor is a PoleError
+naming that factor.
 """
 
 from __future__ import annotations
@@ -133,60 +137,63 @@ def pochhammer_ratio(a, b, q, n: int):
     return num / den
 
 
-def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
-    """(a;q)_infinity as a truncated product with a log-product tail bound.
+def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
+    """(a_1, ..., a_k; q)_inf / (b_1, ..., b_l; q)_inf over numbers or QPows.
 
-    The product stops at the first factor k with |a q^k| below the stop
-    tolerance, a count read off log |a| and log |q| up front.  It runs in
-    fixed point at ``ctx.fixed_bits``: the product and the carried power
-    a q^k are pairs of ints with an exponent, cut back once per factor.
+    Each factor c walks to its own stop count, the first k with |c q^k| below
+    the stop tolerance, read off log |c| and log |q|.  Numerator, denominator
+    and each carried power c q^k are fixed-point ints at ``ctx.fixed_bits``,
+    cut back once per factor; one division ends the walk.  Exponent 0 gives
+    1 - c exactly.  Denominators walk first: a vanishing one is a PoleError
+    naming it, and a vanishing numerator factor then makes the product 0.
     """
-    a = _as_qpow(a)
     with ctx.workdps():
         qv = to_mp(q)
         if abs(qv) >= 1:
             raise PoleError(f"infinite product needs |q| < 1, got {qv}")
         absq = abs(qv)
-        mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
-        tol = ctx.stop_tol
-        last = 0 if mag0 < tol else int(mp.floor(mp.log(mag0 / tol) / -mp.log(absq))) + 1
-        if last >= ctx.max_terms:
-            raise NonConvergenceError(
-                f"(a;q)_inf did not settle in {ctx.max_terms} factors")
         qf = ctx.fixed(qv)
-        power = powq(qf, a.exponent) * a.coeff
-        complex_value = power.im is not None or qf.im is not None
-        wp, e = qf.wp, a.exponent
-        pr, pi, pe = parts(power)
+        wp, one = qf.wp, qf.like(1)
         qr, qi, qe = parts(qf)
-        exact = parts(qf.like(1) - a.coeff)
-        vr, vi, ve = 1, 0, 0
-        for k in range(last + 1):
-            fr, fi, fe = exact if e + k == 0 else one_minus(pr, pi, pe, wp)
-            if not (fr or fi):
-                return SumOutcome(mp.mpf(0), k + 1, mp.mpf(0), True)
-            vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
-            pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)
-        value = Fixed(vr, vi if complex_value else None, ve, wp).to_mp()
-        # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
-        mag = mag0 * absq ** last
-        tail_log = mag * absq / ((1 - absq) * (1 - mag))
+        complex_value = qf.im is not None
+        walked, tail_log, products = 0, 0, []
+        for is_den, group in ((True, dens), (False, nums)):
+            vr, vi, ve = 1, 0, 0
+            for a in map(_as_qpow, group):
+                mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
+                last = (0 if mag0 < ctx.stop_tol else
+                        int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
+                if last >= ctx.max_terms:
+                    raise NonConvergenceError(
+                        f"(a;q)_inf did not settle in {ctx.max_terms} factors")
+                power = powq(qf, a.exponent) * a.coeff
+                complex_value = complex_value or power.im is not None
+                pr, pi, pe = parts(power)
+                exact = parts(one - a.coeff)
+                for k in range(last + 1):
+                    fr, fi, fe = exact if a.exponent + k == 0 else one_minus(pr, pi, pe, wp)
+                    if not (fr or fi):
+                        if is_den:
+                            c = mp.nstr(to_mp(a.coeff), 8)
+                            raise PoleError(f"denominator factor 1 - {c} q^({a.exponent + k}) "
+                                            "of the infinite product vanished")
+                        return SumOutcome(mp.mpf(0), walked + k + 1, mp.mpf(0), True)
+                    vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
+                    pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)
+                walked += last + 1
+                # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
+                mag = mag0 * absq ** last
+                tail_log += mag * absq / ((1 - absq) * (1 - mag))
+            products.append(Fixed(vr, vi if complex_value else None, ve, wp))
+        den, num = products
+        value = (num / den if dens else num).to_mp()
         tail = abs(value) * (mp.e ** tail_log - 1)
-        return SumOutcome(value, last + 1, tail, bool(tail < ctx.target_tol))
+        return SumOutcome(value, walked, tail, bool(tail < ctx.target_tol))
 
 
-def pochhammer_infinite_value(a, q, ctx: QContext):
-    """Value-only shorthand for (a;q)_infinity."""
-    return pochhammer_infinite(a, q, ctx).value
-
-
-def multi_pochhammer_infinite(params, q, ctx: QContext):
-    """Product (a1, a2, ...; q)_infinity of several infinite factors."""
-    with ctx.workdps():
-        prod = mp.mpf(1)
-        for a in params:
-            prod = prod * pochhammer_infinite(a, q, ctx).value
-        return prod
+def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
+    """(a;q)_infinity: the one-factor :func:`infinite_product`."""
+    return infinite_product([a], [], q, ctx)
 
 
 def q_binomial(n: int, k: int, q=None):

@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .context import QContext, powq, to_mp
 from .errors import DomainError, PoleError
-from .pochhammer import QPow, _factors, pochhammer_finite, pochhammer_infinite_value
+from .pochhammer import QPow, _factors, infinite_product, pochhammer_finite
 from .qfunctions import _Q1, _bilateral, _gaussian, _ratio_terms, _unilateral
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
                            stieltjes_wigert)
@@ -89,8 +89,7 @@ def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
         pref = half ** int(nu) / pochhammer_finite(q, q, int(nu))
     else:
         pref = (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
-                * pochhammer_infinite_value(QPow(1, nu + 1), q, ctx)
-                / pochhammer_infinite_value(q, q, ctx))
+                * infinite_product([QPow(1, nu + 1)], [q], q, ctx).value)
     alpha, shift = {1: (0, 0), 2: (1, nu), 3: (Fraction(1, 2), Fraction(-1, 2))}[kind]
     return pref * _bessel_series(nu, alpha, sign * half ** 2 * powq(q, shift), ctx)
 
@@ -118,10 +117,7 @@ def i1_continued(nu, z, ctx: QContext):
         else:
             zv = to_mp(z)
             z24 = QPow(zv ** 2 / 4, 0)
-        denom = pochhammer_infinite_value(z24, q, ctx)
-        if denom == 0:
-            raise PoleError("z^2/4 lies on the pole set q^{-k}")
-        return bessel_i(2, nu, zv, ctx) / denom
+        return infinite_product([], [z24], q, ctx).value * bessel_i(2, nu, zv, ctx)
 
 
 def special_value_sides(variant: int, nu, n: int, ctx: QContext):
@@ -137,13 +133,13 @@ def special_value_sides(variant: int, nu, n: int, ctx: QContext):
         q = ctx.q
         z = 2 * powq(q, Fraction(-n, 2))
         lhs = bessel_i(2, nu, z, ctx)
-        tail = pochhammer_infinite_value(QPow(1, n + 1), q, ctx)
+        tail = infinite_product([], [QPow(1, n + 1)], q, ctx).value
         if variant == 4:
             rhs = (powq(q, nu * n / 2)
-                   * stieltjes_wigert(n, -powq(q, -nu - n), q) / tail)
+                   * stieltjes_wigert(n, -powq(q, -nu - n), q) * tail)
         else:
             rhs = (powq(q, -nu * n / 2)
-                   * stieltjes_wigert(n, -powq(q, nu - n), q) / tail)
+                   * stieltjes_wigert(n, -powq(q, nu - n), q) * tail)
         return lhs, rhs
 
 
@@ -160,12 +156,12 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
         q = ctx.q
         x = powq(q, nu - n)
         series = _bessel_series(nu, 1, x, ctx)
-        tail = pochhammer_infinite_value(QPow(1, nu + 1), q, ctx)
+        tail = infinite_product([], [QPow(1, nu + 1)], q, ctx).value
         qf = ctx.fixed(q)
         binoms = list(_qbinomials(n, qf))
         s4, s5 = (sum(map(mul, binoms, _gaussian(qf, 1, powq(qf, e)))).to_mp()
                   for e in (-nu - n, nu - n))
-        return series, powq(q, n * nu) * s4 / tail, s5 / tail
+        return series, powq(q, n * nu) * s4 * tail, s5 * tail
 
 
 def gen_func_sides(z, t, ctx: QContext):
@@ -185,8 +181,7 @@ def gen_func_sides(z, t, ctx: QContext):
                         (bessel_i(2, m, zv, ctx) for m in count(-1, -1))))
 
         lhs = _bilateral(streams, ctx).value
-        rhs = (pochhammer_infinite_value(-tv * zv / 2, q, ctx)
-               * pochhammer_infinite_value(-q * zv / (2 * tv), q, ctx))
+        rhs = infinite_product([-tv * zv / 2, -q * zv / (2 * tv)], [], q, ctx).value
         return lhs, rhs
 
 
@@ -219,7 +214,7 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
 
         series = _unilateral(terms, ctx).value
         pref = (mp.power(zv / 2, mp.mpf(nu.numerator) / nu.denominator)
-                / pochhammer_infinite_value(q, q, ctx) ** 2)
+                * infinite_product([], [q, q], q, ctx).value)
         return pref * series
 
 
@@ -233,11 +228,10 @@ def asymptotic_main_term(nu, r, ctx: QContext):
             raise DomainError("main term stated for r > 0")
         sq = mp.sqrt(q)
         arg = rv * powq(q, (nu + Fraction(1, 2)) / 2) / 2
-        bracket = (pochhammer_infinite_value(arg, sq, ctx)
-                   + pochhammer_infinite_value(-arg, sq, ctx))
+        bracket = (infinite_product([arg], [], sq, ctx).value
+                   + infinite_product([-arg], [], sq, ctx).value)
         pref = (mp.power(rv / 2, mp.mpf(nu.numerator) / nu.denominator)
-                * pochhammer_infinite_value(QPow(1, Fraction(1, 2)), q, ctx)
-                / (2 * pochhammer_infinite_value(q, q, ctx)))
+                * infinite_product([QPow(1, Fraction(1, 2))], [q], q, ctx).value / 2)
         return pref * bracket
 
 

@@ -25,7 +25,10 @@ alike.  The generic stream helpers (:func:`_ratios_up`, :func:`_gaussian`,
 tables and S_n values: Fraction q gives exact Fractions, a Fixed q gives Fixed
 values.  Slice convolutions build their tables once per call in fixed point on
 one binary exponent per table (:class:`_Table`), so each inner sum is one
-integer dot product, rounded once.
+integer dot product, rounded once.  Every product side, a quotient of
+infinite products over one base, is one
+:func:`~qrr.pochhammer.infinite_product` walk; a vanishing denominator factor
+there is a PoleError naming that factor.
 
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
@@ -50,8 +53,8 @@ from .errors import AnnulusError, DomainError, PoleError, PrecisionLossError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
-from .pochhammer import (QPow, _as_qpow, _factors, _one_like,
-                         multi_pochhammer_infinite, pochhammer_finite)
+from .pochhammer import (QPow, _as_qpow, _factors, _one_like, infinite_product,
+                         pochhammer_finite)
 from .summation import SumOutcome, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
@@ -305,8 +308,7 @@ def heine_sides(a, b, c, z, ctx: QContext):
         if abs(cv / bv) >= 1:
             raise DomainError("transformed argument c/b must satisfy |c/b| < 1")
         lhs = phi_2_1(av, bv, cv, zv, ctx).value
-        pref = (multi_pochhammer_infinite([cv / bv, bv * zv], q, ctx)
-                / multi_pochhammer_infinite([cv, zv], q, ctx))
+        pref = infinite_product([cv / bv, bv * zv], [cv, zv], q, ctx).value
         rhs = pref * phi_2_1(av * bv * zv / cv, bv, bv * zv, cv / bv, ctx).value
         return lhs, rhs
 
@@ -409,21 +411,13 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
         sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
-def _nonzero(product, name: str):
-    """``product``, about to divide; a PoleError naming it if it vanished."""
-    if product == 0:
-        raise PoleError(f"{name} vanished")
-    return product
-
-
 def psi_1_1_product(a, b, z, ctx: QContext):
     """Closed product form of the bilateral sum: the classical evaluation."""
     with ctx.workdps():
         q = ctx.q
         av, bv, zv = (to_mp(v) for v in (a, b, z))
-        num = multi_pochhammer_infinite([q, bv / av, av * zv, q / (av * zv)], q, ctx)
-        return num / _nonzero(multi_pochhammer_infinite(
-            [bv, q / av, zv, bv / (av * zv)], q, ctx), "product side denominator")
+        return infinite_product([q, bv / av, av * zv, q / (av * zv)],
+                                [bv, q / av, zv, bv / (av * zv)], q, ctx).value
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +739,8 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
-        pref = (multi_pochhammer_infinite([q, bv / av, -bv, -q / av], q, ctx)
-                / multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx))
+        pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av],
+                                q, ctx).value
         tail = (pochhammer_finite(av * av, q * q, m)
                 / pochhammer_finite(bv * bv, q * q, m))
         return lhs, pref * tail
@@ -775,10 +769,9 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
             return lhs, mp.mpf(0)
         m = n // 3
         q3 = q ** 3
-        pref = ((multi_pochhammer_infinite([q, bv / av], q, ctx)
-                 / multi_pochhammer_infinite([bv, q / av], q, ctx)) ** 3
-                * multi_pochhammer_infinite([bv ** 3, q3 / av ** 3], q3, ctx)
-                / multi_pochhammer_infinite([q3, (bv / av) ** 3], q3, ctx))
+        pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx).value ** 3
+                * infinite_product([bv ** 3, q3 / av ** 3], [q3, (bv / av) ** 3], q3,
+                                   ctx).value)
         tail = (pochhammer_finite(av ** 3, q3, m)
                 / pochhammer_finite(bv ** 3, q3, m))
         return lhs, pref * tail
@@ -857,11 +850,11 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
         ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
-        # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
-        pref = (_nonzero(multi_pochhammer_infinite([-bv, -q / av, q, bv / av], q, ctx),
-                         "prefactor numerator (-b, -q/a; q)_inf")
-                / _nonzero(multi_pochhammer_infinite([-q, -bv / av, bv, q / av], q, ctx),
-                           "prefactor denominator (b, q/a; q)_inf"))
+        pref = infinite_product([-bv, -q / av, q, bv / av], [-q, -bv / av, bv, q / av],
+                                q, ctx).value
+        if pref == 0:
+            # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
+            raise PoleError("prefactor numerator (-b, -q/a; q)_inf vanished")
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2).value
 
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
@@ -897,11 +890,9 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         q3 = q ** 3
         ctx3 = QContext.numeric(q3, precision=ctx.precision, max_terms=ctx.max_terms)
         lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3).value
-        pref = ((multi_pochhammer_infinite([bv, q / av], q, ctx)
-                 / multi_pochhammer_infinite([q, bv / av], q, ctx)) ** 3
-                * multi_pochhammer_infinite([q3, (bv / av) ** 3], q3, ctx)
-                / _nonzero(multi_pochhammer_infinite([bv ** 3, q3 / av ** 3], q3, ctx),
-                           "prefactor denominator (b^3, q^3/a^3; q^3)_inf"))
+        pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3,
+                                 ctx).value
+                * infinite_product([bv, q / av], [q, bv / av], q, ctx).value ** 3)
         # double bilateral sum arranged by slices s = j + k.  The q^{alpha s^2}
         # weight is neutralized by the inner function's bilateral growth on
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
@@ -990,9 +981,7 @@ def theta_pair_sides(a, x, ctx: QContext):
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
         av = to_mp(aq.coeff) * powq(q, aq.exponent)
-        pref = (multi_pochhammer_infinite([-av, -q / av, q, q], q, ctx)
-                / _nonzero(multi_pochhammer_infinite([av, q / av, -q, -q], q, ctx),
-                           "prefactor denominator (a, q/a; q)_inf"))
+        pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx).value
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx).value
         qf = ctx.fixed(q)
@@ -1011,8 +1000,7 @@ def theta_pair_imag_sides(x, ctx: QContext):
         q = ctx.q
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
-        pref = (multi_pochhammer_infinite([q, q], q, ctx)
-                / multi_pochhammer_infinite([-q, -q], q, ctx))
+        pref = infinite_product([q, q], [-q, -q], q, ctx).value
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx).value
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
         qf = ctx.fixed(q)
@@ -1040,11 +1028,8 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
         single = _pole_series(a3, 3, 9, xv ** 3, ctx).value
-        pref = (multi_pochhammer_infinite([q3], q3, ctx) ** 2
-                / multi_pochhammer_infinite([q], q, ctx) ** 6
-                * multi_pochhammer_infinite([av, q / av], q, ctx) ** 3
-                / _nonzero(multi_pochhammer_infinite([av ** 3, q3 / av ** 3], q3, ctx),
-                           "prefactor denominator (a^3, q^3/a^3; q^3)_inf"))
+        pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx).value
+                * infinite_product([av, q / av], [q, q], q, ctx).value ** 3)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
         # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),

@@ -32,8 +32,8 @@ from .errors import DomainError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum, qexp_to_u)
-from .pochhammer import (QPow, _factors, _one_like, multi_pochhammer_infinite,
-                         pochhammer_finite, pochhammer_infinite_value, q_binomial)
+from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
+                         q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
                          _ratio_terms, _ratios_up, _unilateral, ramanujan_A,
                          rr_product_formal, rr_sum_formal, u_m_bilateral)
@@ -219,24 +219,33 @@ def _divide_inplace(coeffs, i: int, deg: int):
         coeffs[k] = coeffs[k] + g * coeffs[k - 1]
 
 
-def bilateral_m_version_residual(a, m: int, ctx: QContext,
-                                 sign: int = -1):
-    """Residual of the shifted bilateral sum against its (c, d) resolution.
+def m_shift_context(m: int, ctx: QContext) -> QContext:
+    """``ctx`` with the ceil(m(m-1)/2 log10(1/|q|)) more digits that the m-shifted
+    right sides, q^{-m(m-1)/2} times a cancelling difference, lose."""
+    with ctx.workdps():
+        extra = int(mp.ceil(m * (m - 1) / 2 * -mp.log10(abs(ctx.q))))
+    return QContext.numeric(ctx.q, precision=ctx.precision + extra, max_terms=ctx.max_terms)
+
+
+def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
+    """The shifted bilateral sum u_m(a) and its (c, d) resolution, as (lhs, rhs).
 
     ``sign`` is the coefficient of the d-term: -1 is the reading forced by
     the recurrence seeds (and by the a = 1 specialization); +1 is the
-    as-printed reading, kept available for the discrepancy record.
+    as-printed reading, kept available for the discrepancy record.  The
+    resolution runs at :func:`m_shift_context`.
     """
-    with ctx.workdps():
-        q = ctx.q
+    lhs = u_m_bilateral(a, m, ctx).value
+    wide = m_shift_context(m, ctx)
+    with wide.workdps():
+        q = wide.q
         av = to_mp(a) if not isinstance(a, QPow) else to_mp(a.coeff) * powq(q, a.exponent)
-        lhs = u_m_bilateral(a, m, ctx).value
-        u0 = u_m_bilateral(a, 0, ctx).value
-        u1 = u_m_bilateral(a, 1, ctx).value
+        u0 = u_m_bilateral(a, 0, wide).value
+        u1 = u_m_bilateral(a, 1, wide).value
         cm = c_poly(m).eval(av, q)
         dm = d_poly(m).eval(av, q)
         rhs = (-1) ** m * powq(q, Fraction(-m * (m - 1), 2)) * (cm * u0 + sign * dm * u1)
-        return abs(lhs - rhs)
+        return lhs, rhs
 
 
 def mform_diff_formal(m: int, ctx: QContext) -> FormalSeries:
@@ -408,7 +417,7 @@ def st_5_1_sides(x, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv, tv = to_mp(x), to_mp(t)
-        lhs = multi_pochhammer_infinite([xv * tv, -tv], q, ctx)
+        lhs = infinite_product([xv * tv, -tv], [], q, ctx).value
         return lhs, _unilateral(lambda q: map(mul, _binomial_powers(q.like(tv), q),
                                               _sw_shifted(q.like(xv), q)), ctx).value
 
@@ -470,7 +479,7 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         q = ctx.q
         av = to_mp(a)
         lhs = stieltjes_wigert(n, av, q)
-        pref = (pochhammer_infinite_value(-av * q, q, ctx)
+        pref = (infinite_product([-av * q], [], q, ctx).value
                 / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
         return lhs, pref * _unilateral(
             lambda q: _ratio_terms([], [_Q1, QPow(-av, n + 1)], q, -q.like(av) * q, q * q),
@@ -527,7 +536,7 @@ def st_5_9_sides(w, z, ctx: QContext):
         q = ctx.q
         wv, zv = to_mp(w), to_mp(z)
         lhs = ramanujan_A(wv * zv, ctx).value
-        pref = pochhammer_infinite_value(wv * q, q, ctx)
+        pref = infinite_product([wv * q], [], q, ctx).value
         # q^{n^2} w^n / (wq;q)_n: ratio w q^{2n+1} / (1 - w q^{n+1})
         return lhs, pref * _unilateral(
             lambda q: map(mul, _ratio_terms([], [QPow(wv, 1)], q, q.like(wv) * q, q * q),
@@ -573,9 +582,8 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
 
         lhs = _unilateral(terms, ctx).value
         zsign = -1 if reading == "literal" else 1
-        rhs = (pochhammer_infinite_value(-tv * q4, sq, ctx)
-               * pochhammer_infinite_value(zsign * tv * q4 * zv, sq, ctx)
-               / pochhammer_infinite_value(-tv * tv * zv, q, ctx))
+        rhs = (infinite_product([-tv * q4, zsign * tv * q4 * zv], [], sq, ctx).value
+               * infinite_product([], [-tv * tv * zv], q, ctx).value)
         return lhs, rhs
 
 
@@ -590,8 +598,8 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
             lambda q: map(mul, _ratio_terms([_Q1], [], q, q.like(tv), q),
                           map(mul, _sw_shifted(q.like(zv), q), _sw_shifted(q.like(wv), q))),
             ctx).value
-        rhs = (multi_pochhammer_infinite([-tv, -tv * zv * wv, tv * zv, tv * wv], q, ctx)
-               / pochhammer_infinite_value(tv * tv * zv * wv / q, q, ctx))
+        rhs = infinite_product([-tv, -tv * zv * wv, tv * zv, tv * wv],
+                               [tv * tv * zv * wv / q], q, ctx).value
         return lhs, rhs
 
 
@@ -606,7 +614,7 @@ def gfhn0_sides(b, ctx: QContext):
         ctx2 = QContext.numeric(q * q, precision=ctx.precision,
                                 max_terms=ctx.max_terms)
         lhs = ramanujan_A(-bv * bv, ctx2).value
-        pref = pochhammer_infinite_value(bv * sq, q, ctx)
+        pref = infinite_product([bv * sq], [], q, ctx).value
         return lhs, pref * _unilateral(
             lambda q: _ratio_terms([], [_Q1, QPow(bv * sq, 0)], q, q.like(sq) * bv, q),
             ctx).value

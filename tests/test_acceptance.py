@@ -19,7 +19,7 @@ from qrr.qbessel import (asymptotic_main_term, bessel_i, gen_func_sides,
                          mittag_leffler_rhs, special_value_sides)
 from qrr.qfunctions import (cube_convolution_sides, pair_convolution_sides,
                             rr_product_formal, rr_sum_formal)
-from qrr.qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
+from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
                               mform_diff_formal, schur_a, schur_b,
                               st_5_6_even_diff_formal, st_5_6_odd_formal,
                               st_5_7_diff_formal, st_5_8_diff_formal,
@@ -109,7 +109,8 @@ def test_recurrence_pair_system():
         worst = mp.mpf(0)
         for a in (mp.mpf("0.5"), QPow(1, 0), mp.mpf("1.5")):
             for m in range(9):
-                worst = max(worst, bilateral_m_version_residual(a, m, ctx))
+                lhs, rhs = bilateral_m_version_sides(a, m, ctx)
+                worst = max(worst, abs(lhs - rhs))
     assert worst < tol, mp.nstr(worst, 5)
     _ok("recurrence pair: three-way equality (n <= 20), specialization, "
         f"bilateral residual {mp.nstr(worst, 3)} < 1e-38")
@@ -194,12 +195,10 @@ def test_full_default_suite_under_15_minutes_no_failures():
     start = time.perf_counter()
     reports, summary, exit_code = run_suite(SuiteConfig())
     elapsed = time.perf_counter() - start
-    failures = [r for r in reports if r.status == "FAIL"]
-    assert not failures, failures
-    # run_check turns any exception into SKIPPED, so a crash in an evaluator
-    # would otherwise leave this test green
-    skipped = [(r.id, r.mode, r.note) for r in reports if r.status == "SKIPPED"]
-    assert not skipped, skipped
+    bad = [(r.id, r.mode, r.status, r.note) for r in reports
+           if r.status not in ("PASS", "DISCREPANCY_DOCUMENTED")]
+    assert not bad, bad
     assert exit_code == 0
     assert elapsed < 900, f"suite took {elapsed:.0f}s"
-    _ok(f"full default suite: {summary} in {elapsed:.0f}s (< 900s), zero FAIL or SKIPPED")
+    _ok(f"full default suite: {summary} in {elapsed:.0f}s (< 900s), "
+        "all PASS or DISCREPANCY_DOCUMENTED")

@@ -6,8 +6,10 @@ import random
 import mpmath as mp
 import pytest
 
-from qrr import (PrecisionLossError, QContext, QPow, pochhammer_infinite, qfunctions,
-                 sum_series)
+from fractions import Fraction as F
+
+from qrr import (PrecisionLossError, QContext, QPow, infinite_product, pochhammer_infinite,
+                 qfunctions, sum_series)
 from qrr.context import powq
 from qrr.fixedpoint import Fixed, rounding_bits
 from qrr.harness.driver import COMPLEX_Q
@@ -150,6 +152,11 @@ def _kernel_oracles():
                                   / mp.qp(q, q, int(n)), [0, mp.inf])),
         "pochhammer_infinite": (lambda ctx: pochhammer_infinite(zc, ctx.q, ctx),
                                 lambda q: mp.qp(zc, q)),
+        "infinite_product": (
+            lambda ctx: infinite_product([a, zc, QPow(b, F(1, 2))],
+                                         [c, QPow(-3, F(1, 3))], ctx.q, ctx),
+            lambda q: mp.qp(a, q) * mp.qp(zc, q) * mp.qp(b * q ** (mp.mpf(1) / 2), q)
+            / (mp.qp(c, q) * mp.qp(-3 * q ** (mp.mpf(1) / 3), q))),
     }
 
 
@@ -169,3 +176,22 @@ def test_fixed_point_kernels_agree_with_mpmath(kernel, q, precision):
         want = theirs(qv)
     assert out.converged
     assert abs(out.value - want) <= mp.mpf(10) ** -precision * max(1, abs(want))
+
+
+@pytest.mark.parametrize("precision", [20, 50, 100])
+@pytest.mark.parametrize("q", ["0.3", COMPLEX_Q], ids=["real-q", "complex-q"])
+def test_infinite_product_is_the_quotient_of_its_factors(q, precision):
+    # every factor walks to its own stop count, so the one-pass quotient
+    # agrees with the quotient of one-factor products to working precision
+    ctx = QContext.numeric(q, precision=precision)
+    nums = [mp.mpf("0.01"), mp.mpf(7), QPow(mp.mpc("0.3", "0.4"), F(1, 2))]
+    dens = [mp.mpf("-0.9"), QPow(-3, F(1, 3))]
+    with ctx.workdps():
+        out = infinite_product(nums, dens, ctx.q, ctx)
+        want = mp.mpf(1)
+        for a in nums:
+            want *= pochhammer_infinite(a, ctx.q, ctx).value
+        for b in dens:
+            want /= pochhammer_infinite(b, ctx.q, ctx).value
+        assert out.converged
+        assert abs(out.value - want) <= mp.mpf(10) ** -(precision + 13) * abs(want)

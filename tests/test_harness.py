@@ -71,6 +71,47 @@ def test_evaluator_error_becomes_skipped():
     assert "DomainError" in rep.note
 
 
+def test_undeclared_exception_is_error_and_fails_the_suite(monkeypatch, capsys):
+    from qrr import cli
+    from qrr.harness import runner
+    stub = _stub(numeric=Check(lambda ctx: 1 / 0))
+    for module in (runner, cli):
+        monkeypatch.setattr(module, "get_entry", lambda entry_id: stub)
+    monkeypatch.setattr(runner, "list_identities", lambda: [stub])
+    report = run_check("stub", "numeric", RunSettings())
+    assert report.status == "ERROR"
+    assert report.note == "ZeroDivisionError: division by zero"
+    cfg = SuiteConfig()
+    reports, summary, exit_code = run_suite(cfg)
+    assert [r.status for r in reports] == ["ERROR"]
+    assert summary == {"total": 1, "ERROR": 1} and exit_code == 1
+    footer = emit_report(reports, run_info(cfg), fmt="text").splitlines()[-1]
+    assert footer.endswith(" SKIPPED=0 ERROR=1"), footer
+    assert main(["check", "stub"]) == 1
+    assert "ERROR" in capsys.readouterr().out
+
+
+def test_poisson_kernel_certificate_failure_is_error():
+    # at q = -0.6 the ratio test cannot certify the kernel's sum: a crash of
+    # the engine, not a declared limit of the identity
+    report = run_check("poisson-kernel", "numeric",
+                       RunSettings(precision=20, q_values=("-0.6",)))
+    assert report.status == "ERROR"
+    assert report.note.startswith("RatioTestError: "), report.note
+
+
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("q", ["0.1", "0.05"])
+def test_m_shifted_resolutions_hold_at_small_q(q, precision):
+    # q^(-m(m-1)/2) times a difference that cancels m(m-1)/2 log10(1/q)
+    # digits: 28 at m = 8 and q = 0.1, more than the guard digits
+    for entry_id in ("mform", "um-mform"):
+        report = run_check(entry_id, "numeric",
+                           RunSettings(precision=precision, q_values=(q,)))
+        assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), \
+            (entry_id, report.max_abs_deviation, report.note)
+
+
 def test_sampling_is_deterministic_and_respects_margins():
     r1 = entry_rng(7, "psi11", "numeric")
     r2 = entry_rng(7, "psi11", "numeric")

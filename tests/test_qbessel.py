@@ -8,7 +8,7 @@ import pytest
 
 from qrr import DomainError, PoleError, QContext, QPow
 from qrr.context import powq
-from qrr.pochhammer import pochhammer_infinite_value
+from qrr.pochhammer import infinite_product
 from qrr.qbessel import (asymptotic_main_term, bessel_i, bessel_j,
                          gen_func_sides, i1_continued, lommel_relation_j_residual,
                          lommel_relation_residual, mittag_leffler_rhs,
@@ -33,7 +33,7 @@ def test_unit_special_value():
     # order 0 at argument 2: 1/(q;q)_inf
     with CTX.workdps():
         v = bessel_i(2, 0, mp.mpf(2), CTX)
-        ref = 1 / pochhammer_infinite_value(CTX.q, CTX.q, CTX)
+        ref = infinite_product([], [CTX.q], CTX.q, CTX).value
         assert abs(v - ref) < TOL
 
 

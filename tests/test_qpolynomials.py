@@ -13,7 +13,7 @@ from qrr.context import powq
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import pochhammer_finite, pochhammer_ratio, q_binomial
 from qrr.qfunctions import ramanujan_A
-from qrr.qpolynomials import (bilateral_m_version_residual, c_poly, d_poly,
+from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
                               finite_qbinom_sides, gfhn0_diff_formal,
                               gfhn0_sides, hermite_gf_sides, inversion_delta,
                               inversion_delta_from_system, mform_diff_formal,
@@ -115,13 +115,16 @@ def test_shifted_identity_formal_m_through_10():
 
 def test_bilateral_m_version_sign_readings():
     with CTX.workdps():
-        assert bilateral_m_version_residual(mp.mpf("0.5"), 0, CTX) == 0
-        assert bilateral_m_version_residual(mp.mpf("0.5"), 1, CTX) == 0
+        def residual(m, sign=-1):
+            lhs, rhs = bilateral_m_version_sides(mp.mpf("0.5"), m, CTX, sign)
+            return abs(lhs - rhs)
+
+        assert residual(0) == 0
+        assert residual(1) == 0
         for m in range(2, 9):
-            assert bilateral_m_version_residual(mp.mpf("0.5"), m, CTX) \
-                < mp.mpf(10) ** -38
+            assert residual(m) < mp.mpf(10) ** -38
         # the as-printed +d reading fails beyond the trivial cases
-        assert bilateral_m_version_residual(mp.mpf("0.5"), 4, CTX, sign=+1) > 1
+        assert residual(4, sign=+1) > 1
 
 
 # -- ladder polynomials and the functional equation --------------------------
