@@ -8,7 +8,7 @@ import mpmath as mp
 from qrr import QContext
 from qrr.qpolynomials import (hermite_gf_sides, poisson_kernel_sides,
                               st_5_1_sides, stieltjes_wigert,
-                              sw_as_hermite_residual, sw_functional_residual,
+                              sw_as_hermite_sides, sw_functional_residual,
                               sw_inversion_sides, sw_symmetry_residual)
 
 F = Fraction
@@ -28,7 +28,8 @@ print("  reconstruction  =", recon, " (corrected second-numerator reading)")
 
 print("\n== bridge to the inverse-base Hermite family ==")
 print("  residual with the e^{-n xi} factor, n <= 6:",
-      max(sw_as_hermite_residual(n, F(5, 4), q) for n in range(7)))
+      max(abs(lhs - rhs) for lhs, rhs in (sw_as_hermite_sides(n, F(5, 4), q)
+                                           for n in range(7))))
 
 ctx = QContext.numeric("0.3", precision=50)
 print("\n== product/series kernels at q = 0.3 ==")

@@ -691,20 +691,18 @@ ENTRIES: tuple = (
         "sw-hermite", "bridge to the inverse-base Hermite family",
         "(q;q)_n S_n(e^{-2xi} q^{-n}) = e^{-n xi} h_n(sinh xi | q)",
         exact=Check(
-            lambda E, n, q: qp.sw_as_hermite_residual(n, E, q) == 0,
+            lambda E, n, q: qp.sw_as_hermite_sides(n, E, q),
             grid(n=range(11), q=(F(1, 3),)),
             sampler=_distinct("E", F(1, 2), F(3), avoid=(F(1),)),
             note="as printed the bridge omits the e^{-n xi} factor; with it "
                  "the two finite sums agree term by term",
-            literal=Reading(lambda E, n, q: qp.sw_as_hermite_residual(
-                n, E, q, reading="literal") == 0,
+            literal=Reading(lambda E, n, q: qp.sw_as_hermite_sides(n, E, q, reading="literal"),
                 grid(n=(2,), q=(F(1, 3),)))),
         numeric=Check(
-            lambda ctx, xi, n: qp.sw_as_hermite_residual(n, mp.e ** xi,
-                                                         ctx.q),
+            lambda ctx, xi, n: qp.sw_as_hermite_sides(n, mp.e ** xi, ctx.q),
             grid(xi=("0.35",), n=range(11)),
             note=f"literal residual {LITERAL}",
-            literal=Reading(lambda ctx, xi, n: qp.sw_as_hermite_residual(
+            literal=Reading(lambda ctx, xi, n: qp.sw_as_hermite_sides(
                 n, mp.e ** xi, ctx.q, "literal"),
                 grid(xi=("0.35",), n=(3,))))),
     IdentityEntry(

@@ -170,8 +170,10 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
                 complex_value = complex_value or power.im is not None
                 pr, pi, pe = parts(power)
                 exact = parts(one - a.coeff)
+                k0 = -a.exponent  # the step whose joint exponent is 0, as an int or None
+                zero_at = int(k0) if k0 >= 0 and k0 == int(k0) else None
                 for k in range(last + 1):
-                    fr, fi, fe = exact if a.exponent + k == 0 else one_minus(pr, pi, pe, wp)
+                    fr, fi, fe = exact if k == zero_at else one_minus(pr, pi, pe, wp)
                     if not (fr or fi):
                         if is_den:
                             c = mp.nstr(to_mp(a.coeff), 8)

@@ -11,8 +11,8 @@ large-argument main term all live here.
 Every numeric series is defined by its term ratio, as in
 :mod:`qrr.qfunctions`: each term comes from the previous one by
 multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
-running streams that live for one sum.  Only the Stieltjes-Wigert values
-S_n(x q^{-n}) are evaluated afresh per term, since their degree moves with n.
+running streams that live for one sum.  The Stieltjes-Wigert values
+S_n(x q^{-n}) are one row walk, :func:`~qrr.qpolynomials._sw_shifted`.
 """
 
 from __future__ import annotations

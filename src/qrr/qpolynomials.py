@@ -15,8 +15,8 @@ in :mod:`qrr.qfunctions`: each term comes from the previous one by
 multiplication, with the q-powers, x-powers, Gaussian binomials and
 Pochhammer ratios carried as running streams that live for one sum.  A numeric
 Pochhammer ratio and its q-power weight are one fused
-:func:`~qrr.qfunctions._ratio_terms` stream.  Only the values S_n(x q^{-n})
-are evaluated afresh per term, since their degree moves with n.
+:func:`~qrr.qfunctions._ratio_terms` stream.  The values S_n(x q^{-n}), whose
+degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.
 """
 
 from __future__ import annotations
@@ -57,9 +57,24 @@ def _binomial_powers(x, q):
 
 
 def _sw_shifted(x, q):
-    """Yield S_n(x q^{-n}; q) for n = 0, 1, ...  The argument moves with the
-    degree, so each value is a fresh degree-n evaluation."""
-    return map(stieltjes_wigert, count(), _geometric(x, 1 / q), repeat(q))
+    """Yield S_n(x q^{-n}; q) for n = 0, 1, ... by one q-Pascal row walk.
+
+    Row n holds u_n[k] = [n,k]_q q^{k(k-n)} (-x)^k, k = 0..n, and S_n(x q^{-n})
+    = sum_k u_n[k] / (q;q)_n.  By [n,k] = q^k [n-1,k] + [n-1,k-1], u_n[k] =
+    u_{n-1}[k] + g_{n-k} u_{n-1}[k-1] with g_j = -x q^{-j} (u_{n-1} is 0 off
+    0..n-1), updated in place for falling k: one multiplication and one addition
+    per entry, one division per degree.  Exact for Fraction inputs; for Fixed
+    ones an entry of row n ends about 3n roundings, the sum adds n and (q;q)_n
+    2n, well inside the ROUNDINGS * (n + 1)**2 of stream term n.
+    """
+    one = _one_like(q)
+    row, g, gs = [one], [], _geometric(-x, 1 / q)
+    for n, poch in enumerate(accumulate(_factors(_Q1, q), mul, initial=one)):
+        yield sum(row) / poch
+        g.append(next(gs))  # g_n; row n + 1 reads g_0 .. g_n
+        row.append(g[0] * row[n])
+        for k in range(n, 0, -1):
+            row[k] = row[k] + g[n + 1 - k] * row[k - 1]
 
 
 def stieltjes_wigert(n: int, x, q):
@@ -390,8 +405,8 @@ def qinv_hermite(n: int, e_xi, q):
     return sum(terms, 0 * _one_like(q))
 
 
-def sw_as_hermite_residual(n: int, e_xi, q, reading: str = "corrected"):
-    """Residual of the S_n / h_n bridge, E = e^{xi}.
+def sw_as_hermite_sides(n: int, e_xi, q, reading: str = "corrected"):
+    """The two sides of the S_n / h_n bridge, E = e^{xi}, as (lhs, rhs).
 
     ``corrected``: (q;q)_n S_n(E^{-2} q^{-n}; q) = E^{-n} h_n(sinh xi | q),
     which is an exact term-by-term match of the two finite sums.  The
@@ -399,7 +414,7 @@ def sw_as_hermite_residual(n: int, e_xi, q, reading: str = "corrected"):
     """
     lhs = pochhammer_finite(q, q, n) * stieltjes_wigert(n, e_xi ** -2 * q ** -n, q)
     scale = e_xi ** -n if reading == "corrected" else _one_like(q)
-    return abs(lhs - scale * qinv_hermite(n, e_xi, q))
+    return lhs, scale * qinv_hermite(n, e_xi, q)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 kernels against direct mpf oracles at higher precision."""
 
 import random
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -15,6 +16,7 @@ from qrr.fixedpoint import Fixed, rounding_bits
 from qrr.harness.driver import COMPLEX_Q
 from qrr.qfunctions import (a_alpha, b_alpha, phi_1_1, phi_2_1, psi_1_1, ramanujan_A,
                             rho_root, u_m_bilateral)
+from qrr.qpolynomials import _binomial_powers, _sw_shifted
 
 WP = 240
 
@@ -129,6 +131,22 @@ def test_b_alpha_inner_sums_of_ms12_match_direct_mpf_sum(s):
         assert abs(value - direct) <= mp.mpf(10) ** -60 * abs(direct)
 
 
+def _sw_shifted_sum(x, t, q):
+    """sum_n q^binom(n,2) t^n S_n(x q^-n), each S_n a direct degree-n sum of
+    Gaussian binomials from mp.qp, until a term falls below mp.eps of the sum."""
+    poch, total, n = [mp.mpf(1)], 0, 0
+    while True:
+        y = -x * q ** -n
+        s = mp.fsum(poch[n] / (poch[k] * poch[n - k]) * q ** (k * k) * y ** k
+                    for k in range(n + 1)) / poch[n]
+        term = q ** (n * (n - 1) // 2) * t ** n * s
+        total += term
+        if n > 5 and abs(term) < mp.eps * abs(total):
+            return total
+        n += 1
+        poch.append(poch[-1] * (1 - q ** n))
+
+
 def _kernel_oracles():
     a, b, c = mp.mpf("0.6"), mp.mpf("0.06"), mp.mpf("0.45")
     z, zc = mp.mpf("0.3"), mp.mpc("0.3", "0.4")
@@ -152,6 +170,9 @@ def _kernel_oracles():
                                   / mp.qp(q, q, int(n)), [0, mp.inf])),
         "pochhammer_infinite": (lambda ctx: pochhammer_infinite(zc, ctx.q, ctx),
                                 lambda q: mp.qp(zc, q)),
+        "sw_shifted": (lambda ctx: qfunctions._unilateral(
+            lambda q: map(mul, _binomial_powers(q.like(zc), q), _sw_shifted(q.like(a), q)),
+            ctx), lambda q: _sw_shifted_sum(a, zc, q)),
         "infinite_product": (
             lambda ctx: infinite_product([a, zc, QPow(b, F(1, 2))],
                                          [c, QPow(-3, F(1, 3))], ctx.q, ctx),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrr import (PoleError, QContext, QPow, QPoly, inv_pochhammer,
+from qrr import (PoleError, QContext, QPow, QPoly, infinite_product, inv_pochhammer,
                  pochhammer_finite, pochhammer_infinite, pochhammer_ratio,
                  q_binomial)
 
@@ -103,6 +103,18 @@ def test_infinite_product_against_mpmath_qp():
 def test_infinite_product_zero_literal():
     ctx = QContext.numeric("0.5")
     assert pochhammer_infinite(QPow(1, 0), mp.mpf("0.5"), ctx).value == 0
+
+
+@pytest.mark.parametrize("e", [0, -2, Fraction(-2)], ids=["0", "-2", "Fraction(-2)"])
+def test_infinite_product_factor_at_exponent_zero_is_exact(e):
+    # the factor whose joint exponent is 0 is 1 - c exactly, however the
+    # exponent is written; a carried power c q^e q^k would round near 1
+    ctx = QContext.numeric("0.3", precision=30)
+    with ctx.workdps():
+        assert infinite_product([QPow(1, e)], [], ctx.q, ctx).value == 0
+        with pytest.raises(PoleError):
+            infinite_product([], [QPow(1, e)], ctx.q, ctx)
+        assert infinite_product([QPow(1, Fraction(-3, 2))], [], ctx.q, ctx).value != 0
 
 
 def test_infinite_product_of_zero_argument():

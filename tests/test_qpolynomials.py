@@ -2,6 +2,7 @@
 series/product kernels around S_n."""
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -24,8 +25,8 @@ from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
                               st_5_6_even_diff_formal, st_5_6_odd_formal,
                               st_5_7_diff_formal, st_5_7_sides,
                               st_5_8_diff_formal, st_5_8_sides, st_5_9_sides,
-                              st_10_sides, stieltjes_wigert,
-                              stieltjes_wigert_second, sw_as_hermite_residual,
+                              _sw_shifted, st_10_sides, stieltjes_wigert,
+                              stieltjes_wigert_second, sw_as_hermite_sides,
                               sw_formal, sw_functional_residual,
                               sw_inversion_sides, sw_lommel_special_residual,
                               sw_symmetry_residual, u_poly)
@@ -54,6 +55,15 @@ def test_degree_two_special_point():
 @given(st.integers(0, 12), st.fractions(min_value=-3, max_value=3))
 def test_two_forms_agree(n, x):
     assert stieltjes_wigert(n, x, Q13) == stieltjes_wigert_second(n, x, Q13)
+
+
+@pytest.mark.parametrize("x", [F(2, 5), F(-3, 7), F(5)])
+@pytest.mark.parametrize("q", [Q13, F(2, 7)])
+def test_shifted_walk_matches_one_degree_values(q, x):
+    # the q-Pascal row walk gives exactly the per-degree S_n(x q^{-n})
+    got = list(islice(_sw_shifted(x, q), 25))
+    assert all(type(v) is F for v in got)
+    assert got == [stieltjes_wigert(n, x * q ** -n, q) for n in range(25)]
 
 
 def test_symmetry_exact_and_numeric():
@@ -223,8 +233,10 @@ def test_hermite_values():
 def test_hermite_bridge_corrected_exact():
     E = F(5, 4)
     for n in range(11):
-        assert sw_as_hermite_residual(n, E, Q13) == 0
-    assert sw_as_hermite_residual(2, E, Q13, reading="literal") != 0
+        lhs, rhs = sw_as_hermite_sides(n, E, Q13)
+        assert lhs == rhs
+    lhs, rhs = sw_as_hermite_sides(2, E, Q13, reading="literal")
+    assert lhs != rhs
 
 
 # -- section kernels ----------------------------------------------------------
@@ -420,8 +432,9 @@ def test_series_side_matches_per_term_oracle(case, q):
 # The series whose Pochhammer ratio and weight run as one fused stream, against
 # term n rebuilt from pochhammer_ratio, pochhammer_finite and powq, at the
 # widths of precision 20 and 100 and at a complex base.  S_n comes from
-# stieltjes_wigert on mp numbers (the kernels run it in fixed point); its
-# formula has its own oracle in test_series_side_matches_per_term_oracle.
+# stieltjes_wigert on mp numbers (the kernels run the row walk _sw_shifted in
+# fixed point); its formula has its own oracle in
+# test_series_side_matches_per_term_oracle.
 
 def _fused_stream_cases():
     def sw_shifted(n, x, q):
