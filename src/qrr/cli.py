@@ -5,18 +5,20 @@
     qrr suite [--config PATH] [--out PATH] [--format json|text] [--jobs K]
               [--ids ID ...] [--q R] [--precision P] [--order N] [--seed S]
 
+Flags given on the command line overlay the keys of the ``--config`` file.
 Exit codes: 0 success, 1 at least one FAIL or ERROR, 2 usage or configuration
-error.
+error (an unknown config key included).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, QrrError, UnknownIdentityError, UnsupportedModeError
 from .harness import (SuiteConfig, emit_report, get_entry, list_identities,
-                      run_check, run_info, run_suite)
+                      read_config, run_check, run_info, run_suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                      action="append", dest="modes")
     ste.add_argument("--out", help="write the report to this path")
     ste.add_argument("--format", choices=("json", "text"), default="text")
-    ste.add_argument("--jobs", type=int, default=1)
+    ste.add_argument("--jobs", type=int)
     _run_options(ste)
     return parser
 
@@ -53,32 +55,13 @@ def _run_options(sub):
 
 
 def _config_from_args(args) -> SuiteConfig:
-    cfg = (SuiteConfig.from_file(args.config)
-           if getattr(args, "config", None) else SuiteConfig())
-    overrides = {}
-    if getattr(args, "ids", None):
-        overrides["ids"] = list(args.ids)
-    if getattr(args, "modes", None):
-        overrides["modes"] = list(args.modes)
-    if args.q:
-        overrides["q"] = list(args.q)
-    for key in ("precision", "order", "seed"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "jobs", None):
-        overrides["jobs"] = args.jobs
-    if overrides:
-        merged = {
-            "ids": cfg.ids, "q": cfg.q, "precision": cfg.precision,
-            "order": cfg.order, "seed": cfg.seed, "jobs": cfg.jobs,
-        }
-        if cfg.modes is not None:
-            merged["modes"] = cfg.modes
-        if cfg.tolerance_exponent is not None:
-            merged["tolerance_exponent"] = cfg.tolerance_exponent
-        merged.update(overrides)
-        cfg = SuiteConfig.from_dict(merged)
-    return cfg
+    """The config file's keys (``suite --config``) with the flags given laid
+    over them, validated once."""
+    data = read_config(args.config) if getattr(args, "config", None) else {}
+    for f in fields(SuiteConfig):
+        if getattr(args, f.name, None) is not None:
+            data[f.name] = getattr(args, f.name)
+    return SuiteConfig.from_dict(data)
 
 
 def cmd_list() -> int:

@@ -31,17 +31,18 @@ DEFAULT_ORDER = 100
 
 @dataclass(frozen=True)
 class QContext:
-    """Shared evaluation environment.
+    """Shared evaluation environment, made by one of two constructors.
 
-    mode
-        ``"numeric"``: ``q`` is an mpmath number with ``|q| < 1`` and results
-        carry ``precision`` target digits (guard digits are internal).
-        ``"formal"``: computation happens in the exact truncated ring in the
+    :meth:`numeric`
+        ``q`` is an mpmath number with ``|q| < 1``; results carry
+        ``precision`` target digits (guard digits are internal) and a series
+        stops after at most ``max_terms`` terms.
+    :meth:`formal`
+        ``q`` is None; computation happens in the exact truncated ring in the
         auxiliary variable ``u`` with ``q = u**base_exponent``, truncated so
         the series is exact through ``q**order``.
     """
 
-    mode: str
     q: object = None
     precision: int = DEFAULT_PRECISION
     max_terms: int = DEFAULT_MAX_TERMS
@@ -55,14 +56,14 @@ class QContext:
             qv = to_mp(q)
             if abs(qv) >= 1:
                 raise DomainError(f"numeric mode requires |q| < 1, got q={qv}")
-        return cls("numeric", qv, precision=precision, max_terms=max_terms)
+        return cls(qv, precision=precision, max_terms=max_terms)
 
     @classmethod
     def formal(cls, order: int = DEFAULT_ORDER,
                base_exponent: int = DEFAULT_BASE_EXPONENT) -> "QContext":
         if base_exponent < 1 or order < 1:
             raise DomainError("formal mode needs base_exponent >= 1 and order >= 1")
-        return cls("formal", None, base_exponent=base_exponent, order=order)
+        return cls(base_exponent=base_exponent, order=order)
 
     @property
     def working_dps(self) -> int:

@@ -125,12 +125,6 @@ class FormalSeries:
             raise ExponentError("shift_up needs k >= 0")
         return FormalSeries(self.D, self.N, [0] * k + self.c[:self.N + 1 - k])
 
-    def mul_one_minus(self, coeff, e: int) -> "FormalSeries":
-        """Multiply by (1 - coeff * u**e) in O(N)."""
-        out = list(self.c)
-        _one_minus(out, coeff, e)
-        return FormalSeries(self.D, self.N, out)
-
     def invert(self) -> "FormalSeries":
         """Multiplicative inverse up to order N (constant term must be a unit)."""
         a0 = self.c[0]

@@ -48,24 +48,21 @@ MIN_TOL_EXPONENT = 10
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Knobs shared by every check in one run."""
+    """Knobs shared by every check in one run, made from a validated
+    config by :meth:`.runner.SuiteConfig.settings`.
+
+    ``precision`` fixes both the numeric working precision and the one pass
+    tolerance :meth:`tol`; ``order`` caps formal series; ``q_values`` are the
+    numeric bases of an entry without ``fixed_q``; ``seed`` seeds every
+    sampler.
+    """
 
     precision: int = 50
     order: int = 100
     q_values: tuple = ("0.2", "0.3")
     seed: int = 20240809
-    tolerance_exponent: int | None = None  # force pass tol 10^-E when set
-
-    def numeric_ctx(self, q) -> QContext:
-        return QContext.numeric(q, precision=self.precision)
-
-    def formal_ctx(self, base_exponent: int = 1,
-                   order: int | None = None) -> QContext:
-        return QContext.formal(order or self.order, base_exponent)
 
     def tol(self):
-        if self.tolerance_exponent is not None:
-            return mp.mpf(10) ** -self.tolerance_exponent
         return mp.mpf(10) ** -(self.precision - 10)
 
 
@@ -123,7 +120,6 @@ class Check:
     sampler: Callable | None = None   # rng -> draws, each crossed with points
     note: str = ""
     literal: Reading | None = None
-    prepare: Callable | None = None   # numeric: ctx -> per-q keyword values
     order: int | None = None          # formal: cap on the configured order
     D: int = 1                        # formal: q = u^D
 
@@ -157,9 +153,6 @@ class IdentityEntry:
             qs.append(COMPLEX_Q)
         return qs
 
-    def check(self, mode: str, rc: RunSettings) -> CheckOutcome:
-        return run_entry(self, mode, rc)
-
 
 def status(ok: bool, literal_ok: bool | None = None) -> str:
     """Status from the corrected reading and, if one decides, the literal."""
@@ -174,7 +167,7 @@ def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
     """Evaluate ``entry`` in ``mode`` and derive its outcome."""
     chk = getattr(entry, mode)
     exponent = rc.precision - 10
-    if mode == "numeric" and rc.tolerance_exponent is None and exponent < MIN_TOL_EXPONENT:
+    if mode == "numeric" and exponent < MIN_TOL_EXPONENT:
         return CheckOutcome(
             "SKIPPED", note=f"vacuous tolerance: 10^-(precision - 10) = "
             f"10^-{exponent} is looser than 10^-{MIN_TOL_EXPONENT}")
@@ -199,7 +192,7 @@ def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
                     chk.literal.sides,
                     _cross(draws, chk.literal.points), ran) is None
         else:
-            ctx = rc.formal_ctx(chk.D, chk.order and min(rc.order, chk.order))
+            ctx = QContext.formal(min(rc.order, chk.order or rc.order), chk.D)
             params = {"order": ctx.order, "D": chk.D}
             fail_point, first_diff = _first_nonzero(
                 chk.sides, ctx, _cross(draws, chk.points), ran)
@@ -258,20 +251,18 @@ def _numeric(entry, chk, rc, rng, qs, ran):
     worst, ok = mp.mpf(0), True
     literal = None if reading is None else mp.mpf(0)
     for i, q in enumerate(qs):
-        ctx = rc.numeric_ctx(q)
+        ctx = QContext.numeric(q, precision=rc.precision)
         with ctx.workdps():
             draws = chk.sampler(rng) if chk.sampler else [{}]
-            extra = chk.prepare(ctx) if chk.prepare else {}
             for point in _cross(draws, chk.points):
                 ran.append(point)
-                dev, passed = _residual(chk.sides(ctx, **extra,
-                                                  **_as_mp(point)), tol)
+                dev, passed = _residual(chk.sides(ctx, **_as_mp(point)), tol)
                 worst, ok = max(worst, dev), ok and passed
             if reading is not None and not (reading.first_q_only and i):
                 for point in _cross(draws, reading.points):
                     ran.append(point)
-                    dev, _ = _residual(reading.sides(ctx, **extra,
-                                                     **_as_mp(point)), tol)
+                    dev, _ = _residual(reading.sides(ctx, **_as_mp(point)),
+                                       tol)
                     literal = max(literal, dev)
     return worst, ok, literal
 

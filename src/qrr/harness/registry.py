@@ -220,8 +220,8 @@ def _sw_inversion_exact(k, y, n, q, sq):
 
 def _sw_inversion_numeric(reading):
     """At y = -q^nu, where the literal reading's S-argument is defined."""
-    return lambda ctx, sq, k, nu, n: qp.sw_inversion_sides(
-        k, -ctx.q ** nu, n, ctx.q, sq, reading)
+    return lambda ctx, k, nu, n: qp.sw_inversion_sides(
+        k, -ctx.q ** nu, n, ctx.q, mp.sqrt(ctx.q), reading)
 
 
 def _st_5_half(which: int) -> dict:
@@ -583,10 +583,9 @@ ENTRIES: tuple = (
                 k, y, n, q, sq) == 0,
             grid(k=range(5), n=range(6), y=(F(2, 5),), **_QUARTER)),
         numeric=Check(
-            lambda ctx, sq, k, n, y: qp.sw_functional_residual(
-                k, y, n, ctx.q, sq),
-            grid(k=(3,), n=range(1, 6), y=("-0.21",)),
-            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)})),
+            lambda ctx, k, n, y: qp.sw_functional_residual(
+                k, y, n, ctx.q, mp.sqrt(ctx.q)),
+            grid(k=(3,), n=range(1, 6), y=("-0.21",)))),
     IdentityEntry(
         "sw-inversion", "inverting the shift: S_k(y) from shifted values",
         "S_k(y) = [A_n u_n(q^{k/2},-yq^{k+1}) - A_{n+1} "
@@ -602,7 +601,6 @@ ENTRIES: tuple = (
         numeric=Check(
             _sw_inversion_numeric("corrected"),
             grid(k=(2,), nu=("0.7",), n=(1, 2)),
-            prepare=lambda ctx: {"sq": mp.sqrt(ctx.q)},
             note="literal reading evaluated at y = -q^nu where its "
                  f"S-argument is well defined; residual {LITERAL}",
             literal=Reading(_sw_inversion_numeric("literal"),

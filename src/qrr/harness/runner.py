@@ -1,28 +1,32 @@
-"""Check execution: single identities, whole suites, configuration."""
+"""Check execution: single identities, whole suites, configuration.
+
+Run settings reach the checks by one path: a JSON object (from
+:func:`read_config`, with command-line flags laid over it, or built in code)
+is validated once by :meth:`SuiteConfig.from_dict`; :meth:`SuiteConfig.settings`
+gives the :class:`.driver.RunSettings` every check of the run receives, and
+:func:`run_check` hands them to :func:`.driver.run_entry`.
+"""
 
 from __future__ import annotations
 
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath as mp
 
 from ..errors import (ConfigError, DomainError, EmptyDomainError, PoleError,
                       SingularDeltaError, UnsupportedModeError)
-from .driver import RunSettings
+from .driver import RunSettings, run_entry
 from .registry import get_entry, list_identities
 from .report import IdentityReport, emit_report
 
 # A kernel's declared exceptions for a point outside its domain; others crash.
 DOMAIN_EXCEPTIONS = (DomainError, PoleError, EmptyDomainError, SingularDeltaError)
-
-_CONFIG_KEYS = {"ids", "modes", "q", "precision", "order", "seed",
-                "tolerance_exponent", "jobs"}
-
 
 @dataclass
 class SuiteConfig:
@@ -32,12 +36,11 @@ class SuiteConfig:
     precision: int = 50
     order: int = 100
     seed: int = 20240809
-    tolerance_exponent: int | None = None
     jobs: int = 1
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls()
@@ -67,28 +70,24 @@ class SuiteConfig:
                 if not _is_int(val) or val <= 0 and key != "seed":
                     raise ConfigError(f"{key} must be a positive integer")
                 setattr(cfg, key, val)
-        if "tolerance_exponent" in data and data["tolerance_exponent"] is not None:
-            te = data["tolerance_exponent"]
-            if not _is_int(te) or te <= 0:
-                raise ConfigError("tolerance_exponent must be a positive integer")
-            cfg.tolerance_exponent = te
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str) -> "SuiteConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(data)
 
     def settings(self) -> RunSettings:
         return RunSettings(precision=self.precision, order=self.order,
-                           q_values=tuple(self.q), seed=self.seed,
-                           tolerance_exponent=self.tolerance_exponent)
+                           q_values=tuple(self.q), seed=self.seed)
+
+
+def read_config(path: str) -> dict:
+    """The JSON object in the config file at ``path``, unvalidated: callers
+    overlay their own keys and pass the result to :meth:`SuiteConfig.from_dict`."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
 
 
 def _is_int(value) -> bool:
@@ -114,7 +113,7 @@ def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
             f"{entry_id} supports modes {entry.modes}, not {mode!r}")
     start = time.perf_counter()
     try:
-        outcome = entry.check(mode, rc)
+        outcome = run_entry(entry, mode, rc)
     except Exception as exc:  # evaluator failures are reported, not raised
         outcome = None
         report = IdentityReport(
@@ -150,11 +149,6 @@ def planned_checks(config: SuiteConfig):
     return plan
 
 
-def _run_one(args):
-    entry_id, mode, rc = args
-    return run_check(entry_id, mode, rc)
-
-
 def run_suite(config: SuiteConfig):
     """Run all selected checks; returns (reports, summary, exit_code).
 
@@ -166,8 +160,7 @@ def run_suite(config: SuiteConfig):
     plan = planned_checks(config)
     if config.jobs > 1 and len(plan) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_run_one,
-                                    [(i, m, rc) for i, m in plan]))
+            reports = list(pool.map(run_check, *zip(*plan), repeat(rc)))
     else:
         reports = [run_check(i, m, rc) for i, m in plan]
     reports.sort(key=IdentityReport.sort_key)
@@ -186,9 +179,8 @@ def run_info(config: SuiteConfig, timestamp: str | None = None) -> dict:
         "precision": config.precision,
         "order": config.order,
         "seed": config.seed,
-        "tolerance_exponent": config.tolerance_exponent,
     }
 
 
-__all__ = ["SuiteConfig", "run_check", "run_suite", "planned_checks",
-           "run_info", "emit_report"]
+__all__ = ["SuiteConfig", "read_config", "run_check", "run_suite",
+           "planned_checks", "run_info", "emit_report"]

@@ -36,10 +36,6 @@ class QPow(NamedTuple):
     coeff: object
     exponent: object  # int or Fraction
 
-    @classmethod
-    def of(cls, coeff, exponent=0):
-        return cls(coeff, exponent)
-
 
 def _as_qpow(a) -> QPow:
     return a if isinstance(a, QPow) else QPow(a, 0)

@@ -26,7 +26,8 @@ import mpmath as mp
 from .context import QContext, powq, to_mp
 from .errors import DomainError, PoleError
 from .pochhammer import QPow, _factors, infinite_product, pochhammer_finite
-from .qfunctions import _Q1, _bilateral, _gaussian, _ratio_terms, _unilateral
+from .qfunctions import (_Q1, _bilateral, _gaussian, _ratio_terms, _unilateral,
+                         _value)
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
                            stieltjes_wigert)
 
@@ -102,6 +103,17 @@ def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):
                        ctx).value
 
 
+def _with_quarter_square(z, q):
+    """(value of z, z^2/4 as a QPow) for a plain number or a QPow z = c q^e;
+    an int or Fraction c keeps the coefficient of z^2/4 exact."""
+    zv = _value(z, q)
+    if not isinstance(z, QPow):
+        return zv, QPow(zv ** 2 / 4, 0)
+    c = (Fraction(z.coeff) if isinstance(z.coeff, (int, Fraction))
+         else to_mp(z.coeff))
+    return zv, QPow(c ** 2 / 4, 2 * Fraction(z.exponent))
+
+
 def i1_continued(nu, z, ctx: QContext):
     """Kind-1 function continued to the plane: I^{(2)}_nu(z) / (z^2/4; q)_inf.
 
@@ -110,13 +122,7 @@ def i1_continued(nu, z, ctx: QContext):
     """
     with ctx.workdps():
         q = ctx.q
-        if isinstance(z, QPow):
-            zv = to_mp(z.coeff) * powq(q, z.exponent)
-            z24 = QPow(Fraction(z.coeff) ** 2 / 4 if isinstance(z.coeff, (int, Fraction))
-                       else to_mp(z.coeff) ** 2 / 4, 2 * Fraction(z.exponent))
-        else:
-            zv = to_mp(z)
-            z24 = QPow(zv ** 2 / 4, 0)
+        zv, z24 = _with_quarter_square(z, q)
         return infinite_product([], [z24], q, ctx).value * bessel_i(2, nu, zv, ctx)
 
 
@@ -134,12 +140,9 @@ def special_value_sides(variant: int, nu, n: int, ctx: QContext):
         z = 2 * powq(q, Fraction(-n, 2))
         lhs = bessel_i(2, nu, z, ctx)
         tail = infinite_product([], [QPow(1, n + 1)], q, ctx).value
-        if variant == 4:
-            rhs = (powq(q, nu * n / 2)
-                   * stieltjes_wigert(n, -powq(q, -nu - n), q) * tail)
-        else:
-            rhs = (powq(q, -nu * n / 2)
-                   * stieltjes_wigert(n, -powq(q, nu - n), q) * tail)
+        sign = 1 if variant == 4 else -1
+        rhs = (powq(q, sign * nu * n / 2)
+               * stieltjes_wigert(n, -powq(q, -sign * nu - n), q) * tail)
         return lhs, rhs
 
 
@@ -194,15 +197,7 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
     nu = as_order(nu)
     with ctx.workdps():
         q = ctx.q
-        if isinstance(z, QPow):
-            zv = to_mp(z.coeff) * powq(q, z.exponent)
-            e2 = 2 * Fraction(z.exponent)
-            c2 = (Fraction(z.coeff) ** 2 if isinstance(z.coeff, (int, Fraction))
-                  else to_mp(z.coeff) ** 2)
-        else:
-            zv = to_mp(z)
-            e2, c2 = 0, zv ** 2
-        z24 = QPow(c2 / 4, e2)
+        zv, z24 = _with_quarter_square(z, q)
 
         def terms(q):
             # (-1)^n q^binom(n+1,2) = q^binom(n,2) (-q)^n

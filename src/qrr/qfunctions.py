@@ -228,16 +228,14 @@ def _gaussian(q, alpha, x, n=0):
         step = step * q2a
 
 
-def _ratios_up(a: QPow, b: QPow, q):
-    """Yield (a;q)_n / (b;q)_n for n = 0, 1, 2, ..., exact for Fraction q,
+def _ratios_up(a: QPow, q):
+    """Yield (a;q)_n / (q;q)_n for n = 0, 1, 2, ..., exact for Fraction q,
     for finite exact or mpf sums; a fixed-point series is :func:`_ratio_terms`.
 
-    Term n checks the factor of b that term n + 1 divides by.
+    The factors 1 - q^(n+1) never vanish for 0 < |q| < 1.
     """
     r = _one_like(q)
-    for n, fa, fb in zip(count(), _factors(a, q), _factors(b, q)):
-        if fb == 0:
-            raise PoleError(f"(b;q)_{n + 1} vanished")
+    for fa, fb in zip(_factors(a, q), _factors(_Q1, q)):
         yield r
         r = r * fa / fb
 
@@ -327,8 +325,7 @@ def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
         # |z| < 1 is needed; otherwise enforce the classical annulus.
         terminating = (bq.coeff == 1 and Fraction(bq.exponent).denominator == 1
                        and bq.exponent >= 1)
-        ratio = abs(to_mp(bq.coeff) * powq(q, bq.exponent)
-                    / (to_mp(aq.coeff) * powq(q, aq.exponent)))
+        ratio = abs(_value(bq, q) / _value(aq, q))
         if not abs(zv) < 1 or (not terminating and not ratio < abs(zv)):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
@@ -539,7 +536,7 @@ def pair_convolution_sides(n: int, a: Fraction, q: Fraction):
     LHS = sum_{k=0}^n r_k r_{n-k} (-1)^k; RHS = 0 for odd n and
     (a^2;q^2)_m / (q^2;q^2)_m for n = 2m.  Exact for Fraction inputs.
     """
-    r = list(islice(_ratios_up(_as_qpow(a), _Q1, q), n + 1))
+    r = list(islice(_ratios_up(_as_qpow(a), q), n + 1))
     lhs = sum((-1) ** k * r[k] * r[n - k] for k in range(n + 1))
     if n % 2 == 1:
         rhs = Fraction(0) if isinstance(q, Fraction) else mp.mpf(0)
@@ -556,7 +553,7 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
     in which case it is (a^3;q^3)_m / (q^3;q^3)_m.  Both sides are returned
     as EisensteinRational values.
     """
-    r = list(islice(_ratios_up(_as_qpow(a), _Q1, q), n + 1))
+    r = list(islice(_ratios_up(_as_qpow(a), q), n + 1))
     s = [Fraction(0)] * 3  # s[e]: the terms weighted by w^e
     for j in range(n + 1):
         for k in range(n + 1 - j):
@@ -730,8 +727,7 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
-        av = to_mp(aq.coeff) * powq(q, aq.exponent)
-        bv = to_mp(bq.coeff) * powq(q, bq.exponent)
+        av, bv = _value(aq, q), _value(bq, q)
         K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         signed = r.weighted(lambda k: (-1) ** (k % 2))
@@ -756,8 +752,7 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         wpow = _cube_weights(ctx)
-        av = to_mp(aq.coeff) * powq(q, aq.exponent)
-        bv = to_mp(bq.coeff) * powq(q, bq.exponent)
+        av, bv = _value(aq, q), _value(bq, q)
         K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
         # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
@@ -980,7 +975,7 @@ def theta_pair_sides(a, x, ctx: QContext):
         q = ctx.q
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
-        av = to_mp(aq.coeff) * powq(q, aq.exponent)
+        av = _value(aq, q)
         pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx).value
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx).value
@@ -1024,7 +1019,7 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         q = ctx.q
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
-        av = to_mp(aq.coeff) * powq(q, aq.exponent)
+        av = _value(aq, q)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
         single = _pole_series(a3, 3, 9, xv ** 3, ctx).value

@@ -35,7 +35,7 @@ from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
 from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
                          q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
-                         _ratio_terms, _ratios_up, _unilateral, ramanujan_A,
+                         _ratio_terms, _ratios_up, _unilateral, _value, ramanujan_A,
                          rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
@@ -92,7 +92,7 @@ def stieltjes_wigert_second(n: int, x, q):
     if n < 0:
         raise DomainError("degree must be >= 0")
     # q^binom(k+1,2) (x q^n)^k = q^binom(k,2) (x q^{n+1})^k
-    terms = map(mul, _ratios_up(QPow(1, -n), _Q1, q),
+    terms = map(mul, _ratios_up(QPow(1, -n), q),
                 _binomial_powers(x * q ** (n + 1), q))
     return sum(islice(terms, n + 1), 0 * _one_like(q)) / pochhammer_finite(q, q, n)
 
@@ -254,7 +254,7 @@ def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
     wide = m_shift_context(m, ctx)
     with wide.workdps():
         q = wide.q
-        av = to_mp(a) if not isinstance(a, QPow) else to_mp(a.coeff) * powq(q, a.exponent)
+        av = _value(a, q)
         u0 = u_m_bilateral(a, 0, wide).value
         u1 = u_m_bilateral(a, 1, wide).value
         cm = c_poly(m).eval(av, q)
@@ -482,7 +482,7 @@ def st_5_3_sides(n: int, x, ctx: QContext):
 def st_5_4_sides(n: int, a, b, q):
     """S_n(ab) against the b-expansion over S_{n-k}(a q^k) (finite sum)."""
     lhs = stieltjes_wigert(n, a * b, q)
-    terms = map(mul, map(mul, _ratios_up(QPow(1 / b, 0), _Q1, q),
+    terms = map(mul, map(mul, _ratios_up(QPow(1 / b, 0), q),
                          _binomial_powers(-q ** (1 - n), q)),
                 map(stieltjes_wigert, range(n, -1, -1), _geometric(a, q), repeat(q)))
     return lhs, b ** n * sum(terms, 0 * _one_like(q))

@@ -70,9 +70,6 @@ class SumOutcome:
     converged: bool
     error: object = 0
 
-    def __iter__(self):  # allow  value, *_ = outcome
-        return iter((self.value, self.terms_used, self.tail_bound, self.converged))
-
 
 def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.

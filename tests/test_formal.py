@@ -112,12 +112,8 @@ def test_euler_product_matches_pentagonal_oracle():
 
 def test_first_factor_only_below_base():
     # (u; q = u^D)_inf truncated below D keeps only the first factor 1 - u
-    ctx = QContext("formal", None, base_exponent=5, order=1)
-    s = FormalSeries.one(ctx)
-    e = 1
-    while e <= ctx.u_order:
-        s = s.mul_one_minus(1, e)
-        e += 5
+    ctx = QContext.formal(order=1, base_exponent=5)
+    s = fs_pochhammer_infinite(1, Fraction(1, 5), 1, ctx)   # factors 1 - u^(1+5k)
     assert s.coeff_u(0) == 1 and s.coeff_u(1) == -1
     assert all(s.coeff_u(k) == 0 for k in range(2, min(5, ctx.u_order + 1)))
 

@@ -51,7 +51,7 @@ def test_every_entry_has_modes_and_checker():
     for e in ENTRIES:
         assert e.modes and all(m in ("formal", "exact", "numeric")
                                for m in e.modes)
-        assert callable(e.check)
+        assert all(callable(getattr(e, m).sides) for m in e.modes)
         assert e.statement and e.title
 
 
@@ -156,13 +156,13 @@ class _FirstPoint(Exception):
 
 def _first_point(entry, mode, seed):
     """The keyword point the check passes to its sides callable first, with
-    the working precision it was passed at (``prepare`` values left out)."""
+    the working precision it was passed at."""
     chk = getattr(entry, mode)
 
     def spy(*args, **point):
         raise _FirstPoint(point, mp.mp.prec)
 
-    spied = replace(entry, **{mode: replace(chk, sides=spy, prepare=None)})
+    spied = replace(entry, **{mode: replace(chk, sides=spy)})
     with pytest.raises(_FirstPoint) as caught:
         run_entry(spied, mode, RunSettings(seed=seed))
     return caught.value.args
@@ -305,15 +305,12 @@ def test_driver_skips_a_vacuous_tolerance_at_the_boundary(precision, status):
     evaluated = []
     entry = _stub(numeric=Check(
         lambda ctx: evaluated.append(ctx.q) or (ctx.q, ctx.q)))
-    out = entry.check("numeric", RunSettings(precision=precision))
+    out = run_entry(entry, "numeric", RunSettings(precision=precision))
     assert out.status == status
     assert bool(evaluated) == (status == "PASS")
     if status == "SKIPPED":
         assert out.note == ("vacuous tolerance: 10^-(precision - 10) = 10^-9 "
                             "is looser than 10^-10")
-    # a forced tolerance exponent is the caller's explicit choice
-    forced = RunSettings(precision=precision, tolerance_exponent=30)
-    assert entry.check("numeric", forced).status == "PASS"
 
 
 def test_driver_numeric_tolerance_follows_precision():
@@ -322,14 +319,14 @@ def test_driver_numeric_tolerance_follows_precision():
     for residual, status in (("5e-16", "PASS"), ("2e-15", "FAIL")):
         entry = _stub(numeric=Check(
             lambda ctx, r: r, grid(r=("1e-30", residual))))
-        out = entry.check("numeric", rc)
+        out = run_entry(entry, "numeric", rc)
         assert out.status == status
         assert mp.nstr(out.deviation, 3) == mp.nstr(mp.mpf(residual), 3)
         assert out.params == {"q": ["0.2", "0.3"],
                               "r": "{1e-30, %s}" % residual}
     # a (lhs, rhs) pair is folded by scale-aware deviation
     entry = _stub(numeric=Check(lambda ctx: (ctx.q, ctx.q)))
-    assert entry.check("numeric", rc).status == "PASS"
+    assert run_entry(entry, "numeric", rc).status == "PASS"
 
 
 def test_driver_literal_readings():
@@ -346,16 +343,16 @@ def test_driver_literal_readings():
             literal=Reading(literal, grid(r=(literal_residual,)),
                             **reading)))
 
-    out = entry("0.25").check("numeric", rc)
+    out = run_entry(entry("0.25"), "numeric", rc)
     assert out.status == "DISCREPANCY_DOCUMENTED"
     assert out.note == "literal residual 0.25"
     # the literal reading's points ran, so they are reported too
     assert out.params == {"q": ["0.2", "0.3"], "r": "0.25"}
-    assert entry("1e-40").check("numeric", rc).status == "PASS"
+    assert run_entry(entry("1e-40"), "numeric", rc).status == "PASS"
     # a literal reading that does not decide is only quoted in the note
-    assert entry("0.25", decides=False).check("numeric", rc).status == "PASS"
+    assert run_entry(entry("0.25", decides=False), "numeric", rc).status == "PASS"
     calls.clear()
-    entry("0.25", first_q_only=True).check("numeric", rc)
+    run_entry(entry("0.25", first_q_only=True), "numeric", rc)
     assert len(calls) == 1
     assert status(False, False) == "FAIL" and status(False) == "FAIL"
     assert status(True) == "PASS" and status(False, True) == "PASS"
@@ -372,11 +369,11 @@ def test_driver_exact_fail_names_point():
     entry = _stub(exact=Check(lambda a, n: (n, n if n != 3 else -1),
                               grid(n=range(6)),
                               sampler=lambda rng: [{"a": F(1, 2)}]))
-    out = entry.check("exact", RunSettings())
+    out = run_entry(entry, "exact", RunSettings())
     assert out.status == "FAIL" and out.deviation is None
     assert out.params == {"a": "1/2", "n": "3"}
-    ok = _stub(exact=Check(lambda n: n == n, grid(n=range(3)))).check(
-        "exact", RunSettings())
+    ok = run_entry(_stub(exact=Check(lambda n: n == n, grid(n=range(3)))),
+                   "exact", RunSettings())
     assert ok.status == "PASS" and ok.deviation == 0
     assert ok.params == {"n": "0..2"}
 
@@ -387,7 +384,7 @@ def test_driver_formal_reports_first_differing_coefficient():
                             [0] * 4 + [n] if n else [])
 
     entry = _stub(formal=Check(diff, grid(n=(0, 5, 7)), order=10, D=2))
-    out = entry.check("formal", RunSettings())
+    out = run_entry(entry, "formal", RunSettings())
     assert out.status == "FAIL" and out.first_diff == 4
     assert out.params == {"order": 10, "D": 2, "n": "5"}
 
@@ -444,7 +441,7 @@ def test_reported_params_name_every_evaluated_key(entry):
         spy = _points_spy(calls, mode)
         literal = chk.literal and replace(chk.literal, sides=spy)
         spied = replace(entry, **{mode: replace(
-            chk, sides=spy, prepare=None, literal=literal)})
+            chk, sides=spy, literal=literal)})
         params = run_entry(spied, mode, RunSettings()).params
         assert calls, (entry.id, mode)
         assert {k for point in calls for k in point} <= set(params), \
@@ -468,12 +465,14 @@ def test_empty_selection_exits_zero():
     assert reports == [] and code == 0 and summary["total"] == 0
 
 
-def test_forced_bad_tolerance_fails_suite():
-    cfg = SuiteConfig.from_dict({"ids": ["sw-symmetry"], "modes": ["numeric"],
-                                 "tolerance_exponent": 200})
-    reports, summary, code = run_suite(cfg)
-    assert code == 1
-    assert any(r.status == "FAIL" for r in reports)
+def test_failing_check_fails_suite(monkeypatch):
+    from qrr.harness import runner
+    stub = _stub(numeric=Check(lambda ctx: (ctx.q, 2 * ctx.q)))
+    monkeypatch.setattr(runner, "get_entry", lambda entry_id: stub)
+    monkeypatch.setattr(runner, "list_identities", lambda: [stub])
+    reports, summary, code = run_suite(SuiteConfig())
+    assert [r.status for r in reports] == ["FAIL"]
+    assert summary == {"total": 1, "FAIL": 1} and code == 1
 
 
 def test_suite_parallel_matches_sequential():
@@ -543,7 +542,7 @@ def test_config_validation():
 @pytest.mark.parametrize("data", [
     {"q": "abc"}, {"q": "1.5"}, {"q": "0"}, {"q": True}, {"q": ["0.2", "1"]},
     {"precision": True}, {"order": False}, {"jobs": True},
-    {"tolerance_exponent": True}])
+    {"tolerance_exponent": 30}])
 def test_config_rejects_q_outside_the_unit_disk_and_bools(data):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(data)
@@ -589,6 +588,21 @@ def test_cli_suite_config_file(tmp_path):
     assert main(["suite", "--config", str(cfg_path)]) == 0
     cfg_path.write_text(json.dumps({"bogus": True}))
     assert main(["suite", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(json.dumps({"tolerance_exponent": 30}))
+    assert main(["suite", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_flags_overlay_the_config_file(tmp_path, monkeypatch):
+    from qrr import cli
+    seen = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda cfg: seen.append(cfg) or ([], {"total": 0}, 0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"jobs": 2, "precision": 30}))
+    assert main(["suite", "--config", str(cfg_path)]) == 0
+    assert main(["suite", "--config", str(cfg_path), "--precision", "40"]) == 0
+    assert seen == [SuiteConfig(jobs=2, precision=30),
+                    SuiteConfig(jobs=2, precision=40)]
 
 
 def test_cli_bad_usage_exit_code():
