@@ -3,9 +3,11 @@
 Numeric work takes and returns mpmath real/complex numbers at ``precision``
 target digits plus a fixed guard allowance; its series, infinite products and
 slice sums run in binary fixed point (:mod:`qrr.fixedpoint`) at
-:attr:`QContext.fixed_bits`.  Exact work runs on ``fractions.Fraction``
-(or on the truncated series ring in :mod:`qrr.formal`).  All functions are
-pure for a fixed context, so values may be shared freely between workers.
+:attr:`QContext.fixed_bits`.  Every series and infinite product gives up
+after ``MAX_TERMS`` terms or factors, one budget for every context.  Exact
+work runs on ``fractions.Fraction`` (or on the truncated series ring in
+:mod:`qrr.formal`).  All functions are pure for a fixed context, so values
+may be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
 GUARD_DIGITS = 15
 
 DEFAULT_PRECISION = 50
-DEFAULT_MAX_TERMS = 8000
+# The term budget of every numeric series and infinite product.
+MAX_TERMS = 8000
 DEFAULT_BASE_EXPONENT = 12
 DEFAULT_ORDER = 100
 
@@ -35,8 +38,7 @@ class QContext:
 
     :meth:`numeric`
         ``q`` is an mpmath number with ``|q| < 1``; results carry
-        ``precision`` target digits (guard digits are internal) and a series
-        stops after at most ``max_terms`` terms.
+        ``precision`` target digits (guard digits are internal).
     :meth:`formal`
         ``q`` is None; computation happens in the exact truncated ring in the
         auxiliary variable ``u`` with ``q = u**base_exponent``, truncated so
@@ -45,18 +47,16 @@ class QContext:
 
     q: object = None
     precision: int = DEFAULT_PRECISION
-    max_terms: int = DEFAULT_MAX_TERMS
     base_exponent: int = DEFAULT_BASE_EXPONENT
     order: int = DEFAULT_ORDER
 
     @classmethod
-    def numeric(cls, q, precision: int = DEFAULT_PRECISION,
-                max_terms: int = DEFAULT_MAX_TERMS) -> "QContext":
+    def numeric(cls, q, precision: int = DEFAULT_PRECISION) -> "QContext":
         with mp.workdps(precision + GUARD_DIGITS):
             qv = to_mp(q)
             if abs(qv) >= 1:
                 raise DomainError(f"numeric mode requires |q| < 1, got q={qv}")
-        return cls(qv, precision=precision, max_terms=max_terms)
+        return cls(qv, precision=precision)
 
     @classmethod
     def formal(cls, order: int = DEFAULT_ORDER,
@@ -72,8 +72,8 @@ class QContext:
     @property
     def fixed_bits(self) -> int:
         """Fixed-point working precision of a numeric series: the working
-        digits plus the guard bits of a sum of ``max_terms`` terms."""
-        return bits_for_digits(self.working_dps) + rounding_bits(self.max_terms)
+        digits plus the guard bits of a sum of ``MAX_TERMS`` terms."""
+        return bits_for_digits(self.working_dps) + rounding_bits(MAX_TERMS)
 
     def fixed(self, x) -> Fixed:
         """``x`` in fixed point at :attr:`fixed_bits`."""
@@ -126,9 +126,8 @@ def to_mp(x):
 def powq(base, exponent):
     """``base ** exponent`` for integer or Fraction exponents.
 
-    Keeps exact types exact: a Fraction base with an integer exponent stays a
-    Fraction, and fractional exponents of a Fraction are resolved through
-    exact integer roots when they exist (``powq(F(1,4), F(1,2)) == F(1,2)``).
+    A Fraction base with an integer exponent stays a Fraction; one with a
+    fractional exponent raises ExponentError (pass exact roots explicitly).
     mp numbers use the principal branch; a Fixed base stays Fixed.
     """
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
@@ -138,41 +137,9 @@ def powq(base, exponent):
     if not isinstance(exponent, Fraction):
         raise ExponentError(f"exponent must be int or Fraction, got {exponent!r}")
     if isinstance(base, Fraction):
-        root = _fraction_root(base, exponent.denominator)
-        return root ** exponent.numerator
+        raise ExponentError(f"no exact power {exponent} of the Fraction {base}")
     b = to_mp(base)
     return b ** (mp.mpf(exponent.numerator) / exponent.denominator)
-
-
-def _fraction_root(x: Fraction, m: int) -> Fraction:
-    if x < 0:
-        raise ExponentError(f"no exact real {m}-th root of negative {x}")
-    num = _iroot_exact(x.numerator, m)
-    den = _iroot_exact(x.denominator, m)
-    if num is None or den is None:
-        raise ExponentError(f"{x} has no exact rational {m}-th root")
-    return Fraction(num, den)
-
-
-def _iroot_exact(n: int, m: int):
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / m))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** m == n:
-            return cand
-    # float seed can be off for big ints; fall back to integer bisection
-    lo, hi = 0, 1 << (max(n.bit_length() // m, 0) + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** m
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 def scaled_deviation(lhs, rhs):

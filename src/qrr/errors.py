@@ -38,7 +38,9 @@ class ExponentError(QrrError):
 
 
 class ValuationError(QrrError):
-    """An infinite product does not stabilize at the requested order."""
+    """A formal product or sum would not stop at the ring order: a
+    q-shifted factorial with a non-positive exponent step, or a sum whose
+    term exponents do not grow."""
 
 
 class SingularDeltaError(QrrError):

@@ -182,8 +182,7 @@ def _ms6_formal(ctx, a, t):
 def _ms6_numeric(ctx, t):
     """The three reductions; the last runs at bases q^2, q^4."""
     qv = ctx.q
-    ctx2, ctx4 = (QContext.numeric(base, precision=ctx.precision,
-                                   max_terms=ctx.max_terms)
+    ctx2, ctx4 = (QContext.numeric(base, precision=ctx.precision)
                   for base in (qv * qv, qv ** 4))
     return max(scaled_deviation(qf.a_alpha(1, QPow(1, 1), t, ctx).value,
                                 qf.omega(t, ctx).value),
@@ -397,14 +396,14 @@ ENTRIES: tuple = (
         "(-1)^n q^{n nu + n(n-1)/2} I2_{nu+n}(x) = p_{n,nu}(1/x) I2_nu(x) "
         "- p_{n-1,nu+1}(1/x) I2_{nu-1}(x)",
         numeric=Check(
-            lambda ctx, n, nu, x: qb.lommel_relation_residual(n, nu, x, ctx),
+            lambda ctx, n, nu, x: qb.lommel_relation_sides(n, nu, x, ctx),
             grid(n=range(7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "lommel-j", "ladder relation, alternating form",
         "q^{n nu + n(n-1)/2} J2_{nu+n}(x) = h_{n,nu}(1/x) J2_nu(x) "
         "- h_{n-1,nu+1}(1/x) J2_{nu-1}(x)",
         numeric=Check(
-            lambda ctx, n, nu, x: qb.lommel_relation_j_residual(n, nu, x, ctx),
+            lambda ctx, n, nu, x: qb.lommel_relation_j_sides(n, nu, x, ctx),
             grid(n=range(1, 7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "sw-lommel-special", "ladder relation pinched to the S_n lattice",

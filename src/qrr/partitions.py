@@ -146,10 +146,10 @@ def partitions_of(n: int, max_part: int | None = None,
             yield tuple(parts)
 
 
-def count_partitions(n: int, filt, cap: int = SIZE_CAP) -> int:
+def count_partitions(n: int, filt) -> int:
     """Exact filtered partition count: the admitted partitions of n."""
-    if n > cap:
-        raise SizeError(f"partition enumeration capped at n <= {cap}, got {n}")
+    if n > SIZE_CAP:
+        raise SizeError(f"partition enumeration capped at n <= {SIZE_CAP}, got {n}")
     if n < 0:
         return 0
     return _tally(filt, n)[n]
@@ -160,7 +160,7 @@ def box_gf(k: int, m: int) -> QPoly:
     return QPoly(_tally(Box(k, m), k * m))
 
 
-def series_vs_partitions(series_id: str, upto: int, cap: int = SIZE_CAP) -> bool:
+def series_vs_partitions(series_id: str, upto: int) -> bool:
     """Coefficient-by-coefficient check of the two classical gap theorems.
 
     For RR1 the q^n coefficient of the gap-2 series must equal the number of
@@ -171,8 +171,8 @@ def series_vs_partitions(series_id: str, upto: int, cap: int = SIZE_CAP) -> bool
     if series_id not in ("RR1", "RR2"):
         raise ValueError(f"unknown series id {series_id!r}")
     which = 1 if series_id == "RR1" else 2
-    if upto > cap:
-        raise SizeError(f"capped at n <= {cap}")
+    if upto > SIZE_CAP:
+        raise SizeError(f"capped at n <= {SIZE_CAP}")
     ctx = QContext.formal(order=max(upto, 1), base_exponent=1)
     series = rr_sum_formal(which - 1, ctx)
     product = rr_product_formal(which, ctx)

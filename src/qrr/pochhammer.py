@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .context import QContext, powq, to_mp
+from .context import MAX_TERMS, QContext, powq, to_mp
 from .errors import NonConvergenceError, PoleError
 from .exactpoly import QPoly
 from .fixedpoint import Fixed, cut, one_minus, parts
@@ -159,9 +159,9 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
                 mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
                 last = (0 if mag0 < ctx.stop_tol else
                         int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
-                if last >= ctx.max_terms:
+                if last >= MAX_TERMS:
                     raise NonConvergenceError(
-                        f"(a;q)_inf did not settle in {ctx.max_terms} factors")
+                        f"(a;q)_inf did not settle in {MAX_TERMS} factors")
                 power = powq(qf, a.exponent) * a.coeff
                 complex_value = complex_value or power.im is not None
                 pr, pi, pe = parts(power)
@@ -194,28 +194,16 @@ def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
     return infinite_product([a], [], q, ctx)
 
 
-def q_binomial(n: int, k: int, q=None):
-    """Gaussian binomial coefficient.
-
-    With ``q=None`` returns the exact integer-coefficient QPoly; with a
-    numeric or Fraction ``q`` evaluates the product formula directly
-    (exactly for Fractions).  Zero outside 0 <= k <= n.
-    """
+def q_binomial(n: int, k: int) -> QPoly:
+    """Gaussian binomial coefficient as an exact integer-coefficient QPoly;
+    zero outside 0 <= k <= n."""
     if k < 0 or n < 0 or k > n:
-        return QPoly.zero() if q is None else 0 * _one_like(q)
-    if q is None:
-        poly = QPoly.one()
-        for i in range(1, k + 1):
-            poly = poly - poly.shift(n - k + i)  # multiply by (1 - q^{n-k+i})
-            poly = poly.divexact_one_minus(i)
-        return poly
-    num = _one_like(q)
-    den = _one_like(q)
+        return QPoly.zero()
+    poly = QPoly.one()
     for i in range(1, k + 1):
-        num = num * (1 - powq(q, n - k + i))
-        den = den * (1 - powq(q, i))
-    return num / den
-
+        poly = poly - poly.shift(n - k + i)  # multiply by (1 - q^{n-k+i})
+        poly = poly.divexact_one_minus(i)
+    return poly
 
 
 def _one_like(q):

@@ -230,11 +230,13 @@ def asymptotic_main_term(nu, r, ctx: QContext):
         return pref * bracket
 
 
-def lommel_relation_residual(n: int, nu, x, ctx: QContext):
-    """Residual of the three-term ladder relation for kind-2 functions:
+def lommel_relation_sides(n: int, nu, x, ctx: QContext):
+    """The two sides of the three-term ladder relation for kind-2 functions:
 
-    (-1)^n q^{n nu + n(n-1)/2} I_{nu+n} - [p_{n,nu}(1/x) I_nu
-                                           - p_{n-1,nu+1}(1/x) I_{nu-1}].
+    (-1)^n q^{n nu + n(n-1)/2} I_{nu+n} = p_{n,nu}(1/x) I_nu
+                                          - p_{n-1,nu+1}(1/x) I_{nu-1}.
+
+    Returns (lhs, rhs).
     """
     nu = as_order(nu)
     with ctx.workdps():
@@ -247,11 +249,12 @@ def lommel_relation_residual(n: int, nu, x, ctx: QContext):
         qnu = powq(q, nu)
         rhs = (q_lommel_p(n, 1 / xv, q, qnu) * bessel_i(2, nu, xv, ctx)
                - q_lommel_p(n - 1, 1 / xv, q, qnu * q) * bessel_i(2, nu - 1, xv, ctx))
-        return abs(lhs - rhs)
+        return lhs, rhs
 
 
-def lommel_relation_j_residual(n: int, nu, x, ctx: QContext):
-    """Same ladder in its alternating-series (J) form, via h = i^n p(-i x)."""
+def lommel_relation_j_sides(n: int, nu, x, ctx: QContext):
+    """Same ladder in its alternating-series (J) form, via h = i^n p(-i x).
+    Returns (lhs, rhs)."""
     nu = as_order(nu)
     with ctx.workdps():
         q = ctx.q
@@ -266,4 +269,4 @@ def lommel_relation_j_residual(n: int, nu, x, ctx: QContext):
                * bessel_j(2, nu + n, xv, ctx))
         rhs = (h(n, qnu, 1 / xv) * bessel_j(2, nu, xv, ctx)
                - h(n - 1, qnu * q, 1 / xv) * bessel_j(2, nu - 1, xv, ctx))
-        return abs(lhs - rhs)
+        return lhs, rhs

@@ -98,7 +98,7 @@ def _bilateral(build, ctx: QContext) -> SumOutcome:
     ``build(q)`` returns as a pair."""
     def run(q):
         pos, neg = build(q)
-        return sum_bilateral(lambda n: next(pos) if n >= 0 else next(neg), ctx)
+        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx)
 
     return _widening(run, ctx)
 
@@ -509,9 +509,9 @@ def ramanujan_A_formal(z_coeff, z_qexp, ctx: QContext) -> FormalSeries:
     return fs_ratio_sum(ctx, -z_coeff, 1 + z_qexp, 2, den=[(1, 1)])
 
 
-def omega_formal(v_coeff, v_qexp, ctx: QContext, qscale: int = 1) -> FormalSeries:
-    """sum_n q^{qscale n^2} (c q^e)^n in the exact ring."""
-    return fs_ratio_sum(ctx, v_coeff, qscale + v_qexp, 2 * qscale)
+def omega_formal(v_coeff, v_qexp, ctx: QContext) -> FormalSeries:
+    """sum_n q^{n^2} (c q^e)^n in the exact ring."""
+    return fs_ratio_sum(ctx, v_coeff, 1 + v_qexp, 2)
 
 
 def a_alpha_formal(alpha, a_mono, t_mono, ctx: QContext) -> FormalSeries:
@@ -793,7 +793,7 @@ def square_master_sides(alpha, a, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
+        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2).value
         # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
         aq = _as_qpow(av)
@@ -809,7 +809,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
-        ctx3 = QContext.numeric(q ** 3, precision=ctx.precision, max_terms=ctx.max_terms)
+        ctx3 = QContext.numeric(q ** 3, precision=ctx.precision)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3).value
         # slice coefficients C(s) = sum_{j+k=s} r_j r_k w^k
         tol_digits = ctx.precision + 8
@@ -844,7 +844,7 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         av, bv, xv = to_mp(a), to_mp(b), to_mp(x)
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision, max_terms=ctx.max_terms)
+        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
         pref = infinite_product([-bv, -q / av, q, bv / av], [-q, -bv / av, bv, q / av],
                                 q, ctx).value
         if pref == 0:
@@ -883,7 +883,7 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
         q3 = q ** 3
-        ctx3 = QContext.numeric(q3, precision=ctx.precision, max_terms=ctx.max_terms)
+        ctx3 = QContext.numeric(q3, precision=ctx.precision)
         lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3).value
         pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3,
                                  ctx).value

@@ -239,7 +239,7 @@ def m_shift_context(m: int, ctx: QContext) -> QContext:
     right sides, q^{-m(m-1)/2} times a cancelling difference, lose."""
     with ctx.workdps():
         extra = int(mp.ceil(m * (m - 1) / 2 * -mp.log10(abs(ctx.q))))
-    return QContext.numeric(ctx.q, precision=ctx.precision + extra, max_terms=ctx.max_terms)
+    return QContext.numeric(ctx.q, precision=ctx.precision + extra)
 
 
 def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
@@ -626,8 +626,7 @@ def gfhn0_sides(b, ctx: QContext):
         q = ctx.q
         bv = to_mp(b)
         sq = mp.sqrt(q)
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision,
-                                max_terms=ctx.max_terms)
+        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
         lhs = ramanujan_A(-bv * bv, ctx2).value
         pref = infinite_product([bv * sq], [], q, ctx).value
         return lhs, pref * _unilateral(

@@ -2,8 +2,11 @@
 
 Every unilateral and bilateral series in the package funnels through
 :func:`sum_series` / :func:`sum_bilateral`.  Stopping is heuristic — a run of
-consecutive negligible terms plus a ratio certificate on the observed decay —
-and the certificate data is reported in the outcome so failures are auditable.
+``STOP_RUN`` consecutive negligible terms plus a ratio certificate on the
+observed decay — and the certificate data is reported in the outcome so
+failures are auditable.  A sum that has not stopped after
+:data:`~qrr.context.MAX_TERMS` terms raises.  Both values are module
+constants: every sum runs the same stop rule on the same budget.
 
 The sum runs in binary fixed point (:mod:`qrr.fixedpoint`).  Terms arrive as
 :class:`~qrr.fixedpoint.Fixed` values, or as mpf/mpc values that are read
@@ -26,7 +29,7 @@ bound, the same bits a certificate on mpf magnitudes throughout would give.
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings
 (see :func:`~qrr.fixedpoint.rounding_bits`) errs by less than
 2^(rounding_bits(N) + top(peak) - wp); ``QContext.fixed_bits`` adds the
-bits of that bound at ``max_terms`` to the working digits.  Every sum checks
+bits of that bound at ``MAX_TERMS`` to the working digits.  Every sum checks
 the bound at the end against its own magnitude, so the cancellation bits
 top(peak) - top(sum) come out of the slack.  A sum left with fewer than
 ``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 
-from .context import QContext
+from .context import MAX_TERMS, QContext
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
 from .fixedpoint import Fixed, bits_for_digits, rounding_bits
 
@@ -52,6 +55,8 @@ from .fixedpoint import Fixed, bits_for_digits, rounding_bits
 RATIO_CAP = 0.995
 # Number of trailing magnitude ratios inspected for the certificate.
 RATIO_WINDOW = 8
+# A sum stops after this many consecutive terms below the stop tolerance.
+STOP_RUN = 5
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class SumOutcome:
     error: object = 0
 
 
-def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
+def sum_series(term, ctx: QContext) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
     ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
@@ -79,11 +84,11 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
     function advances running products (q-powers, x-powers, Pochhammer
     ratios) by multiplication instead of recomputing term n from scratch.
 
-    Stops once ``group`` consecutive terms fall below the context stop
+    Stops once ``STOP_RUN`` consecutive terms fall below the context stop
     tolerance and the recent term magnitudes certify decay; raises
-    NonConvergenceError when the term budget runs out, RatioTestError
-    when terms are small but no decay pattern is visible, and
-    PrecisionLossError when cancellation leaves fewer than
+    NonConvergenceError when ``MAX_TERMS`` terms do not suffice,
+    RatioTestError when terms are small but no decay pattern is visible,
+    and PrecisionLossError when cancellation leaves fewer than
     ``ctx.precision`` digits.
 
     Each term is judged by its top, its bit length plus its exponent: |t|
@@ -113,7 +118,7 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
         small_run = 0
         zero_run = 0
         ns, ts, tops = [], [], []  # index, value and top of each nonzero term
-        for n in range(ctx.max_terms):
+        for n in range(MAX_TERMS):
             t = term(n)
             if t.__class__ is not Fixed:
                 t = Fixed.of(t, wp)
@@ -170,11 +175,11 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
             else:
                 zero_run += 1
                 small_run += 1
-            if small_run >= group and n >= group - 1:
+            if small_run >= STOP_RUN and n >= STOP_RUN - 1:
                 n += 1
                 value, error = _settled(s_re, s_im if cplx else None, E, peak_top, n,
                                         term_bits, bw, ctx)
-                if zero_run >= group or not ts:
+                if zero_run >= STOP_RUN or not ts:
                     return SumOutcome(value, n, mp.mpf(0), True, error)
                 tol = _Tol.of(ctx.stop_tol)
                 terms = _Terms(ns, ts, tops)
@@ -184,10 +189,10 @@ def sum_series(term, ctx: QContext, group: int = 5) -> SumOutcome:
                 if rate is None:
                     raise RatioTestError(
                         f"terms below tolerance after {n} terms but no decay certificate")
-                tail = terms.level(group, tol) * rate / (1 - rate)
+                tail = terms.level(tol) * rate / (1 - rate)
                 converged = tail < ctx.target_tol and _below(tail, value)
                 return SumOutcome(value, n, tail, converged, error)
-        raise NonConvergenceError(f"no convergence within {ctx.max_terms} terms")
+        raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
 
 def _log2(t):
@@ -230,20 +235,22 @@ def _settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
     return total.to_mp(), mp.make_mpf((0, 1, bound_top, 1))
 
 
-def sum_bilateral(term, ctx: QContext, group: int = 5) -> SumOutcome:
-    """Sum ``term(n)`` over all integers n with per-tail certificates.
+def sum_bilateral(pos, neg, ctx: QContext) -> SumOutcome:
+    """Sum a bilateral series given as its two tails, with a certificate
+    for each.
 
-    ``term`` is called with n = 0, 1, 2, ... and then with n = -1, -2, ...,
-    each tail in order, so a kernel may keep one running state per tail.
-    The two tails' rounding bounds are checked against their sum as
-    :func:`sum_series` checks its own; a sum that cancels exactly to zero
-    keeps their absolute bound in ``error``.  The sum counts as converged
-    when each tail bound lies below ``ctx.target_tol`` and their sum below
-    |value|, so a tail far smaller than the other one does not count
-    against it.
+    ``pos(k)`` is the term at n = k and ``neg(k)`` the term at n = -1 - k;
+    each tail is summed by :func:`sum_series`, so each is called with
+    k = 0, 1, 2, ... in order, once each, and a kernel may keep one running
+    state per tail.  The two tails' rounding bounds are checked against
+    their sum as :func:`sum_series` checks its own; a sum that cancels
+    exactly to zero keeps their absolute bound in ``error``.  The sum counts
+    as converged when each tail bound lies below ``ctx.target_tol`` and
+    their sum below |value|, so a tail far smaller than the other one does
+    not count against it.
     """
-    pos = sum_series(term, ctx, group=group)
-    neg = sum_series(lambda k: term(-1 - k), ctx, group=group)
+    pos = sum_series(pos, ctx)
+    neg = sum_series(neg, ctx)
     with ctx.workdps():
         value = pos.value + neg.value
         error = pos.error + neg.error
@@ -293,13 +300,6 @@ class _Terms:
     def __init__(self, ns, ts, tops, made=None):
         self.ns, self.ts, self.tops = ns, ts, tops
         self.made = {} if made is None else made
-
-    @classmethod
-    def of_magnitudes(cls, mags):
-        """The view of a list of (index, positive mpf magnitude) pairs."""
-        ts = [Fixed(m.man, None, m.exp, m.bc) for _, m in mags]
-        return cls([n for n, _ in mags], ts, [t.top() for t in ts],
-                   {i: m._mpf_ for i, (_, m) in enumerate(mags)})
 
     def __len__(self):
         return len(self.ts)
@@ -369,11 +369,11 @@ class _Terms:
             pairs = _contenders(pairs, spans)
         return max(map(self.ratio, pairs), default=None)
 
-    def level(self, group, tol):
-        """The largest magnitude among the last ``group`` terms, or the
+    def level(self, tol):
+        """The largest magnitude among the last ``STOP_RUN`` terms, or the
         tolerance (a :class:`_Tol`) if that is larger: the level the tail
         bound starts from."""
-        first = max(0, len(self.ts) - group)
+        first = max(0, len(self.ts) - STOP_RUN)
         if max(self.tops[first:]) < tol.below:
             return tol.value
         j = self.largest(list(range(first, len(self.ts))))
@@ -411,8 +411,7 @@ def _contenders(items, spans):
 def _decay_rate(mags, tol, peak=None):
     """Certified per-index decay rate from trailing magnitudes, or None.
 
-    ``mags`` is a :class:`_Terms` view, or a list of (index, mpf magnitude)
-    pairs.  Only pairs after the largest magnitude (position ``peak``, found
+    ``mags`` is a :class:`_Terms` view.  Only pairs after the largest magnitude (position ``peak``, found
     here when not given) count: ratios before the peak describe how the
     series grows, not its tail.  Pairs whose earlier member sits above the
     stop tolerance are the informative ones (below it, a series that once
@@ -424,8 +423,6 @@ def _decay_rate(mags, tol, peak=None):
     and the worst of them is found on float log2s, so the returned ratio
     and near ties are the only ratios computed in mpf.
     """
-    if not isinstance(mags, _Terms):
-        mags = _Terms.of_magnitudes(mags)
     last = len(mags) - 1
     if last < 1:
         return mp.mpf("0.5")  # single nonzero term: a terminated sum
@@ -459,7 +456,5 @@ def _parity_decay_rate(mags, tol):
     """
     if len(mags) < 4:
         return None
-    if not isinstance(mags, _Terms):
-        mags = _Terms.of_magnitudes(mags)
     rates = [_decay_rate(mags.every_other(start), tol) for start in (0, 1)]
     return None if None in rates else max(rates)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qrr import (ExponentError, FormalSeries, NotUnitError, QContext,
                  SeriesMismatchError, ValuationError, fs_pochhammer_infinite)
-from qrr.formal import fs_pochhammer, qexp_to_u
+from qrr.formal import fs_pochhammer, fs_ratio_sum, qexp_to_u
 from qrr.qfunctions import (a_alpha_formal, omega_formal, ramanujan_A_formal,
                             rr_product_formal, rr_sum_formal)
 from qrr.qpolynomials import gfhn0_diff_formal
@@ -216,10 +216,14 @@ def _builder_cases():
                           lambda ctx, z=z, ze=ze: ramanujan_A_formal(z, ze, ctx),
                           lambda ctx, z=z, ze=ze: _direct_sum(
                               ctx, -z, lambda n: n * n + ze * n, den=[qq])))
+    # sum q^{s n^2} (v q^ve)^n: omega_formal at s = 1, and at s = 2 the
+    # same term-ratio sum (ratio v q^{s + ve + 2 s n}) built directly
     for v in (Fraction(-3, 4), 0, 2):
         for ve, scale in ((0, 1), (1, 1), (half, 2)):
             cases.append((f"omega-{v}-{ve}-{scale}",
-                          lambda ctx, v=v, ve=ve, s=scale: omega_formal(v, ve, ctx, s),
+                          (lambda ctx, v=v, ve=ve: omega_formal(v, ve, ctx)) if scale == 1
+                          else lambda ctx, v=v, ve=ve, s=scale: fs_ratio_sum(
+                              ctx, v, s + ve, 2 * s),
                           lambda ctx, v=v, ve=ve, s=scale: _direct_sum(
                               ctx, v, lambda n: s * n * n + ve * n)))
     for alpha in (half, 1, 2):

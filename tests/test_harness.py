@@ -272,14 +272,17 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
 
 
 # Settings where ms-3/ms-5 used to FAIL (their slice sums were truncated at a
-# fixed 34 digits whatever the precision) or where a series whose even and
-# odd terms decay at different levels raised RatioTestError (SKIPPED).
+# fixed 34 digits whatever the precision), where a series whose even and odd
+# terms decay at different levels raised RatioTestError (SKIPPED), or where
+# lommel-i/lommel-j judged |lhs - rhs| unscaled on sides of order 10^21.
 @pytest.mark.parametrize("entry_id, settings, expected", [
     ("ms-3", {"precision": 100}, "PASS"),
     ("ms-5", {"precision": 100}, "PASS"),
     ("hermite-gf", {"q_values": ("0.5",)}, "DISCREPANCY_DOCUMENTED"),
     ("hermite-gf", {"q_values": ("0.7",)}, "DISCREPANCY_DOCUMENTED"),
-    ("poisson-kernel", {"q_values": ("-0.3",)}, "PASS")])
+    ("poisson-kernel", {"q_values": ("-0.3",)}, "PASS"),
+    ("lommel-i", {"precision": 20, "q_values": ("-0.99",)}, "PASS"),
+    ("lommel-j", {"precision": 20, "q_values": ("-0.99",)}, "PASS")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
     assert report.status == expected, report.note

@@ -57,8 +57,8 @@ def test_reciprocal_of_vanishing_product_is_a_pole():
 
 
 def test_q_binomial_out_of_range_numeric_zero():
-    assert q_binomial(3, 5, Fraction(1, 2)) == 0
-    assert q_binomial(-1, 0, Fraction(1, 2)) == 0
+    assert q_binomial(3, 5)(Fraction(1, 2)) == 0
+    assert q_binomial(-1, 0)(Fraction(1, 2)) == 0
 
 
 def test_reciprocal_of_gap_factorial_is_exact_zero():
@@ -148,7 +148,7 @@ def test_q_binomial_polynomials():
     assert q_binomial(5, 0) == QPoly([1])
     assert q_binomial(4, 2) == QPoly([1, 1, 2, 1, 1])
     assert q_binomial(3, 5) == QPoly.zero()
-    assert q_binomial(4, 2, Fraction(1, 2)) == Fraction(35, 16)  # 1+1/2+2/4+1/8+1/16
+    assert q_binomial(4, 2)(Fraction(1, 2)) == Fraction(35, 16)  # 1+1/2+2/4+1/8+1/16
 
 
 @settings(max_examples=40, deadline=None)

@@ -485,7 +485,7 @@ def test_finite_sums_stay_exact():
     # Fraction inputs give Fractions equal to sums over exact Gaussian binomials
     q, x, E = F(2, 7), F(-3, 5), F(5, 4)
     for n in range(9):
-        binoms = [q_binomial(n, k, q) for k in range(n + 1)]
+        binoms = [q_binomial(n, k)(q) for k in range(n + 1)]
         sw = sum(b * q ** (k * k) * (-x) ** k for k, b in enumerate(binoms))
         for value in (stieltjes_wigert(n, x, q), stieltjes_wigert_second(n, x, q)):
             assert type(value) is F and value == sw / pochhammer_finite(q, q, n)

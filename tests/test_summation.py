@@ -10,12 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
-from qrr import (NonConvergenceError, PrecisionLossError, QContext, RatioTestError,
-                 SumOutcome, sum_bilateral, sum_series)
+from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext,
+                 RatioTestError, SumOutcome, sum_bilateral, sum_series)
+from qrr.context import MAX_TERMS
 from qrr.fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
 from qrr.qfunctions import phi_1_1
-from qrr.summation import (RATIO_CAP, RATIO_WINDOW, _decay_rate,
-                           _parity_decay_rate)
+from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
+                           _parity_decay_rate, _Terms)
+
+
+def _view(mags):
+    """The certificate's view of (index, positive mpf magnitude) pairs."""
+    ts = [Fixed(m.man, None, m.exp, m.bc) for _, m in mags]
+    return _Terms([n for n, _ in mags], ts, [t.top() for t in ts])
+
+
+def _tails(term):
+    """The two tails of the bilateral series with terms ``term(n)``."""
+    return term, lambda k: term(-1 - k)
 
 
 def theta_half_oracle(dps=40, terms=25):
@@ -45,13 +57,15 @@ def test_gaussian_terms_match_direct_oracle():
 
 
 def test_constant_terms_do_not_converge():
-    ctx = QContext.numeric("0.5", max_terms=200)
+    ctx = QContext.numeric("0.5")
+    calls = []
     with pytest.raises(NonConvergenceError):
-        sum_series(lambda n: mp.mpf(1), ctx)
+        sum_series(lambda n: calls.append(n) or mp.mpf(1), ctx)
+    assert calls == list(range(MAX_TERMS))
 
 
 def test_no_decay_certificate_raises():
-    ctx = QContext.numeric("0.5", precision=20, max_terms=500)
+    ctx = QContext.numeric("0.5", precision=20)
     tiny = mp.mpf(10) ** -35
 
     def flat_small(n):
@@ -72,24 +86,24 @@ def test_parity_split_decay_certificate():
         assert out.converged
         assert abs(out.value - exact) <= out.tail_bound
         assert abs(out.value - exact) < mp.mpf(10) ** -30
-        mags = [(n, r ** n * (1 if n % 2 == 0 else c))
-                for n in range(out.terms_used)]
-    assert _decay_rate(mags, ctx.stop_tol) is None
-    assert mp.almosteq(_parity_decay_rate(mags, ctx.stop_tol), r, 1e-20)
+        mags = _view([(n, r ** n * (1 if n % 2 == 0 else c))
+                      for n in range(out.terms_used)])
+        assert _decay_rate(mags, ctx.stop_tol) is None
+        assert mp.almosteq(_parity_decay_rate(mags, ctx.stop_tol), r, 1e-20)
 
 
 def test_parity_split_needs_two_terms_per_class():
     tol = mp.mpf(10) ** -40
     rising = [(0, mp.mpf(1)), (1, mp.mpf(2))]
-    assert _parity_decay_rate(rising, tol) is None
-    assert _parity_decay_rate(rising + [(2, mp.mpf(3))], tol) is None
+    assert _parity_decay_rate(_view(rising), tol) is None
+    assert _parity_decay_rate(_view(rising + [(2, mp.mpf(3))]), tol) is None
 
 
 def test_bilateral_symmetric_gaussian():
     ctx = QContext.numeric("0.5", precision=30)
     q = ctx.q
     with ctx.workdps():
-        out = sum_bilateral(lambda n: q ** (n * n), ctx)
+        out = sum_bilateral(*_tails(lambda n: q ** (n * n)), ctx)
     oracle = 2 * theta_half_oracle(dps=35) - 1
     assert abs(out.value - oracle) < mp.mpf(10) ** -29
     assert mp.nstr(out.value, 20) == "2.1289368272118771587"
@@ -99,7 +113,7 @@ def test_bilateral_two_geometric_tails():
     ctx = QContext.numeric("0.5", precision=30)
     q = ctx.q
     with ctx.workdps():
-        out = sum_bilateral(lambda n: q ** abs(n), ctx)
+        out = sum_bilateral(lambda k: q ** k, lambda k: q ** (k + 1), ctx)
     assert abs(out.value - 3) < mp.mpf(10) ** -29
 
 
@@ -107,11 +121,8 @@ def test_bilateral_with_dead_negative_tail():
     ctx = QContext.numeric("0.4", precision=30)
     q = ctx.q
 
-    def term(n):
-        return q ** n if n >= 0 else mp.mpf(0)
-
     with ctx.workdps():
-        out = sum_bilateral(term, ctx)
+        out = sum_bilateral(lambda k: q ** k, lambda k: mp.mpf(0), ctx)
         uni = sum_series(lambda n: q ** n, ctx)
     assert abs(out.value - uni.value) == 0
 
@@ -123,7 +134,7 @@ def test_bilateral_with_negligible_tail_converges():
     q = ctx.q
     tiny = mp.mpf(10) ** -80
     with ctx.workdps():
-        out = sum_bilateral(lambda n: q ** (n * n) if n >= 0 else tiny * q ** -n, ctx)
+        out = sum_bilateral(lambda k: q ** (k * k), lambda k: tiny * q ** (k + 1), ctx)
         neg = sum_series(lambda k: tiny * q ** (k + 1), ctx)
     assert not neg.converged
     assert out.converged
@@ -131,12 +142,49 @@ def test_bilateral_with_negligible_tail_converges():
 
 
 def test_stability_under_stricter_stopping():
+    # summing on well past the stop run moves the value by no more than the
+    # tail bound the engine reports
     ctx = QContext.numeric("0.45", precision=35)
     q = ctx.q
     with ctx.workdps():
-        loose = sum_series(lambda n: q ** (n * n) * (-1) ** n, ctx, group=5)
-        strict = sum_series(lambda n: q ** (n * n) * (-1) ** n, ctx, group=12)
-    assert abs(loose.value - strict.value) <= loose.tail_bound + strict.tail_bound
+        out = sum_series(lambda n: q ** (n * n) * (-1) ** n, ctx)
+    with mp.workdps(ctx.working_dps + 20):
+        longer = mp.fsum(mp.mpf("0.45") ** (n * n) * (-1) ** n
+                         for n in range(out.terms_used + 3 * STOP_RUN))
+    assert abs(out.value - longer) <= out.tail_bound + out.error
+
+
+def test_bilateral_calls_each_tail_in_order_once():
+    ctx = QContext.numeric("0.5", precision=20)
+    calls = {"pos": [], "neg": []}
+
+    def tail(name, ratio):
+        def term(k):
+            calls[name].append(k)
+            return ratio ** k
+        return term
+
+    with ctx.workdps():
+        out = sum_bilateral(tail("pos", mp.mpf("0.5")), tail("neg", mp.mpf("0.25")), ctx)
+        assert abs(out.value - (2 + mp.mpf(4) / 3)) < mp.mpf(10) ** -20
+    assert calls["pos"] == list(range(len(calls["pos"])))
+    assert calls["neg"] == list(range(len(calls["neg"])))
+    assert out.terms_used == len(calls["pos"]) + len(calls["neg"])
+
+
+@pytest.mark.parametrize("pole_in", ["pos", "neg"])
+def test_bilateral_propagates_a_pole_from_either_tail(pole_in):
+    ctx = QContext.numeric("0.5", precision=20)
+
+    def tail(name):
+        def term(k):
+            if name == pole_in and k == 3:
+                raise PoleError(f"pole in the {name} tail")
+            return mp.mpf(2) ** -k
+        return term
+
+    with pytest.raises(PoleError, match=pole_in):
+        sum_bilateral(tail("pos"), tail("neg"), ctx)
 
 
 def test_converged_flag_implies_tail_below_target():
@@ -201,9 +249,10 @@ _TOL, _CASES = _decay_cases()
 
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_decay_rate_is_bit_identical_to_full_history(name):
-    mags = _CASES[name]
     with mp.workdps(65):
-        got = _decay_rate(mags, _TOL)
+        # the magnitudes at the working precision, as the engine makes them
+        mags = [(n, +m) for n, m in _CASES[name]]
+        got = _decay_rate(_view(mags), _TOL)
         want = decay_rate_reference(mags, _TOL)
     if want is None:
         assert got is None
@@ -218,12 +267,12 @@ def test_decay_rate_reads_only_the_tail_after_the_peak():
     with mp.workdps(45):
         rising = [(0, mp.mpf(1)), (1, mp.mpf("2.17"))]
         rising += [(n, mp.mpf("0.148") * mp.mpf(10) ** (-5 * (n - 2))) for n in range(2, 13)]
-        assert _decay_rate(rising, tol) == rising[2][1] / rising[1][1]
+        assert _decay_rate(_view(rising), tol) == rising[2][1] / rising[1][1]
         assert decay_rate_reference(rising, tol) is None  # the whole-history window
         # still rising at the last term: nothing after the peak to certify
-        assert _decay_rate([(0, mp.mpf(1)), (1, mp.mpf(2))], tol) is None
+        assert _decay_rate(_view([(0, mp.mpf(1)), (1, mp.mpf(2))]), tol) is None
         for name in ("plateau-below-tol", "plateau-above-tol"):
-            assert _decay_rate(_CASES[name], _TOL) is None
+            assert _decay_rate(_view(_CASES[name]), _TOL) is None
 
 
 def test_short_rising_series_certifies_at_low_precision():
@@ -242,7 +291,7 @@ def test_short_rising_series_certifies_at_low_precision():
 # outcome bit for bit, or raise the same error.
 
 
-def reference_sum_series(term, ctx, group=5):
+def reference_sum_series(term, ctx):
     """``sum_series`` with a float log2 and mpf magnitudes for every term."""
     with ctx.workdps():
         tol = ctx.stop_tol
@@ -258,7 +307,7 @@ def reference_sum_series(term, ctx, group=5):
         zero_run = 0
         mags = []
         n = 0
-        while n < ctx.max_terms:
+        while n < MAX_TERMS:
             t = term(n)
             if t.__class__ is not Fixed:
                 t = Fixed.of(t, wp)
@@ -294,10 +343,10 @@ def reference_sum_series(term, ctx, group=5):
                 zero_run += 1
                 small_run += 1
             n += 1
-            if small_run >= group and n >= group:
+            if small_run >= STOP_RUN and n >= STOP_RUN:
                 value, error = _reference_settled(s_re, s_im if cplx else None, E,
                                                   peak_top, n, term_bits, bw, ctx)
-                if zero_run >= group or not mags:
+                if zero_run >= STOP_RUN or not mags:
                     return SumOutcome(value, n, mp.mpf(0), True, error)
                 view = _ReferenceMagnitudes(mags)
                 rate = _reference_decay_rate(view, tol, peak)
@@ -306,12 +355,12 @@ def reference_sum_series(term, ctx, group=5):
                 if rate is None:
                     raise RatioTestError(
                         f"terms below tolerance after {n} terms but no decay certificate")
-                level = max(max(view[i][1] for i in range(max(0, len(view) - group),
+                level = max(max(view[i][1] for i in range(max(0, len(view) - STOP_RUN),
                                                             len(view))), tol)
                 tail = level * rate / (1 - rate)
                 converged = tail < mp.mpf(10) ** (-ctx.precision) and tail < abs(value)
                 return SumOutcome(value, n, tail, bool(converged), error)
-        raise NonConvergenceError(f"no convergence within {ctx.max_terms} terms")
+        raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
 
 def _reference_settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
@@ -373,12 +422,14 @@ def _reference_pair_ratio(first, second):
     return r if n1 - n0 == 1 else r ** (mp.mpf(1) / (n1 - n0))
 
 
-ORACLE_CTX = QContext.numeric("0.5", precision=20, max_terms=300)
+ORACLE_CTX = QContext.numeric("0.5", precision=20)
+# Every oracle stream stops well within this many terms.
+ORACLE_TERMS = 300
 
 
 def oracle_stream(kind="fixed", bits=60, top0=0, rise=0, rate=4, parity=0, zeros=(),
                   near_tol=None, geometric=False, cancel=False, seed=0):
-    """The first ``max_terms`` terms of a test series, as a list.
+    """The first ``ORACLE_TERMS`` terms of a test series, as a list.
 
     Terms rise over ``rise`` steps (by 0 or 1 bit each, so the peak has
     rivals of the same top), then lose ``rate`` bits per step, odd ones
@@ -396,7 +447,7 @@ def oracle_stream(kind="fixed", bits=60, top0=0, rise=0, rate=4, parity=0, zeros
     cplx = kind in ("fixed-complex", "mpc")
     factor = rnd.getrandbits(wp) | 1 << (wp - 1)
     terms, top, ms, base = [], top0, None, 0
-    for n in range(ORACLE_CTX.max_terms):
+    for n in range(ORACLE_TERMS):
         if n in zeros:
             terms.append(Fixed(0, 0 if cplx else None, 0, wp))
             continue
@@ -432,10 +483,10 @@ def _exact_mp(t):
     return mp.make_mpc((from_man_exp(t.re, t.e), from_man_exp(t.im, t.e)))
 
 
-def _outcome_bits(engine, terms, group):
+def _outcome_bits(engine, terms):
     """Every field of the outcome, or the error raised, in comparable form."""
     try:
-        out = engine(terms.__getitem__, ORACLE_CTX, group)
+        out = engine(terms.__getitem__, ORACLE_CTX)
     except (NonConvergenceError, PrecisionLossError, RatioTestError) as exc:
         return type(exc).__name__, str(exc)
     return tuple(getattr(x, "_mpf_", None) or getattr(x, "_mpc_", None) or x
@@ -463,9 +514,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_engine_matches_reference(name):
     terms = oracle_stream(**ORACLE_CASES[name])
-    for group in (5, 3):
-        assert (_outcome_bits(sum_series, terms, group)
-                == _outcome_bits(reference_sum_series, terms, group))
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_engine_matches_reference_when_a_complex_term_tops_the_peak():
@@ -474,9 +523,8 @@ def test_engine_matches_reference_when_a_complex_term_tops_the_peak():
     wp = ORACLE_CTX.fixed_bits
     m = (1 << 60) - 1
     terms = [Fixed(1, 0, 0, wp), Fixed(m, m, -60, wp)]
-    terms += [Fixed(m, -m, -60 - 30 * k, wp) for k in range(1, ORACLE_CTX.max_terms - 1)]
-    assert (_outcome_bits(sum_series, terms, 5)
-            == _outcome_bits(reference_sum_series, terms, 5))
+    terms += [Fixed(m, -m, -60 - 30 * k, wp) for k in range(1, ORACLE_TERMS - 1)]
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_engine_matches_reference_just_under_the_stop_tolerance():
@@ -485,10 +533,8 @@ def test_engine_matches_reference_just_under_the_stop_tolerance():
     wp = ORACLE_CTX.fixed_bits
     terms = [Fixed(1, None, 0, wp), Fixed(1, None, -50, wp)]
     terms += [Fixed(1, None, -100, wp)] * 6
-    terms += [Fixed(1, None, -110 - 9 * k, wp)
-              for k in range(ORACLE_CTX.max_terms - len(terms))]
-    assert (_outcome_bits(sum_series, terms, 5)
-            == _outcome_bits(reference_sum_series, terms, 5))
+    terms += [Fixed(1, None, -110 - 9 * k, wp) for k in range(ORACLE_TERMS - len(terms))]
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_engine_matches_reference_at_a_term_equal_to_the_tolerance():
@@ -499,15 +545,13 @@ def test_engine_matches_reference_at_a_term_equal_to_the_tolerance():
     with ORACLE_CTX.workdps():
         _, man, exp, _ = ORACLE_CTX.stop_tol._mpf_
     terms = [Fixed(man, None, exp + 8 * (10 - k), wp) for k in range(11)]
-    terms += [Fixed(man, None, exp - 2 - 8 * k, wp)
-              for k in range(ORACLE_CTX.max_terms - len(terms))]
-    assert (_outcome_bits(sum_series, terms, 5)
-            == _outcome_bits(reference_sum_series, terms, 5))
+    terms += [Fixed(man, None, exp - 2 - 8 * k, wp) for k in range(ORACLE_TERMS - len(terms))]
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_oracle_cases_reach_what_they_name():
     def outcome(name):
-        return _outcome_bits(reference_sum_series, oracle_stream(**ORACLE_CASES[name]), 5)
+        return _outcome_bits(reference_sum_series, oracle_stream(**ORACLE_CASES[name]))
 
     assert outcome("cancelling")[0] == "PrecisionLossError"
     for name in ("parity", "parity-complex"):
@@ -533,11 +577,10 @@ def oracle_streams(draw):
         cancel=draw(st.integers(0, 9)) == 0, seed=draw(st.integers(0, 2 ** 32)))
 
 
-@given(oracle_streams(), st.sampled_from([5, 3, 12]))
+@given(oracle_streams())
 @settings(max_examples=400, deadline=None)
-def test_engine_matches_reference_on_generated_streams(terms, group):
-    assert (_outcome_bits(sum_series, terms, group)
-            == _outcome_bits(reference_sum_series, terms, group))
+def test_engine_matches_reference_on_generated_streams(terms):
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_sum_below_its_tail_bound_is_not_converged():
