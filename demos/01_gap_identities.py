@@ -32,8 +32,8 @@ print("\n== numeric evaluation at q = 0.3, 50 digits ==")
 ctx = QContext.numeric("0.3", precision=50)
 with ctx.workdps():
     q = ctx.q
-    lhs = u_m_bilateral(QPow(1, 0), 0, ctx).value   # sum q^{n^2}/(q;q)_n
-    rhs = infinite_product([], [q, q ** 4], q ** 5, ctx).value
+    lhs = u_m_bilateral(QPow(1, 0), 0, ctx)   # sum q^{n^2}/(q;q)_n
+    rhs = infinite_product([], [q, q ** 4], q ** 5, ctx)
     print("  sum side:    ", mp.nstr(lhs, 30))
     print("  product side:", mp.nstr(rhs, 30))
     print("  |difference| =", mp.nstr(abs(lhs - rhs), 3))

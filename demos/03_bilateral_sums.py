@@ -16,7 +16,7 @@ ctx = QContext.numeric("0.3", precision=50)
 print("== bilateral binomial sum vs product form ==")
 with ctx.workdps():
     a, b, z = mp.mpf("0.5"), mp.mpf("0.1"), mp.mpf("0.4")
-    s = psi_1_1(a, b, z, ctx).value
+    s = psi_1_1(a, b, z, ctx)
     p = psi_1_1_product(a, b, z, ctx)
     print("  sum:    ", mp.nstr(s, 25))
     print("  product:", mp.nstr(p, 25))
@@ -30,7 +30,7 @@ with ctx.workdps():
         res = abs(lhs - rhs)
         print(f"  m={m}: residual = {mp.nstr(res, 3)}")
     # at a = 1 the negative tail vanishes term by term
-    u0 = u_m_bilateral(QPow(1, 0), 0, ctx).value
+    u0 = u_m_bilateral(QPow(1, 0), 0, ctx)
     print("  a=1 collapse (first gap series):", mp.nstr(u0, 25))
 
 print("\n== exact cube-root-of-unity convolution (finite) ==")

@@ -8,18 +8,18 @@ import mpmath as mp
 from qrr import QContext
 from qrr.qpolynomials import (hermite_gf_sides, poisson_kernel_sides,
                               st_5_1_sides, stieltjes_wigert,
-                              sw_as_hermite_sides, sw_functional_residual,
-                              sw_inversion_sides, sw_symmetry_residual)
+                              sw_as_hermite_sides, sw_functional_sides,
+                              sw_inversion_sides, sw_symmetry_sides)
 
 F = Fraction
 q = F(1, 4)
 
 print("== exact values at q = 1/4 ==")
 print("  S_2(x) at x = 3/5:", stieltjes_wigert(2, F(3, 5), q))
-print("  symmetry residual (n=5, t=3/7):",
-      sw_symmetry_residual(5, F(3, 7), q))
-print("  functional equation residual (k=3, y=2/5, n=4):",
-      sw_functional_residual(3, F(2, 5), 4, q, F(1, 2)))
+lhs, rhs = sw_symmetry_sides(5, F(3, 7), q)
+print("  symmetry (n=5, t=3/7): sides equal ->", lhs == rhs)
+lhs, rhs = sw_functional_sides(3, F(2, 5), 4, q, F(1, 2))
+print("  functional equation (k=3, y=2/5, n=4): sides equal ->", lhs == rhs)
 
 print("\n== inverting the argument shift (exact rational) ==")
 lhs, recon = sw_inversion_sides(2, F(1, 3), 1, q, F(1, 2), "corrected")

@@ -19,14 +19,16 @@ from itertools import repeat
 
 import mpmath as mp
 
-from ..errors import (ConfigError, DomainError, EmptyDomainError, PoleError,
-                      SingularDeltaError, UnsupportedModeError)
+from ..errors import (ConfigError, DomainError, EmptyDomainError, NonConvergenceError,
+                      PoleError, SingularDeltaError, UnsupportedModeError)
 from .driver import RunSettings, run_entry
 from .registry import get_entry, list_identities
 from .report import IdentityReport, emit_report
 
-# A kernel's declared exceptions for a point outside its domain; others crash.
-DOMAIN_EXCEPTIONS = (DomainError, PoleError, EmptyDomainError, SingularDeltaError)
+# A kernel's declared exceptions for a point outside its domain, or for a sum
+# or product it cannot certify at the configured (q, precision); others crash.
+DOMAIN_EXCEPTIONS = (DomainError, PoleError, EmptyDomainError, SingularDeltaError,
+                     NonConvergenceError)
 
 @dataclass
 class SuiteConfig:

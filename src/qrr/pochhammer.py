@@ -11,8 +11,9 @@ structured form keeps exponent bookkeeping exact, so a factor such as
 1 - a*q^0 at a = 1 vanishes identically rather than to roundoff.
 
 Every numeric quotient of infinite products over one base is one
-:func:`infinite_product` walk; a vanishing denominator factor is a PoleError
-naming that factor.
+:func:`infinite_product` walk, which returns its value certified to
+10^-precision relative or raises NonConvergenceError; a vanishing
+denominator factor is a PoleError naming that factor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .context import MAX_TERMS, QContext, powq, to_mp
 from .errors import NonConvergenceError, PoleError
 from .exactpoly import QPoly
 from .fixedpoint import Fixed, cut, one_minus, parts
-from .summation import SumOutcome
 
 
 class QPow(NamedTuple):
@@ -133,7 +133,7 @@ def pochhammer_ratio(a, b, q, n: int):
     return num / den
 
 
-def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
+def infinite_product(nums, dens, q, ctx: QContext):
     """(a_1, ..., a_k; q)_inf / (b_1, ..., b_l; q)_inf over numbers or QPows.
 
     Each factor c walks to its own stop count, the first k with |c q^k| below
@@ -142,6 +142,8 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
     cut back once per factor; one division ends the walk.  Exponent 0 gives
     1 - c exactly.  Denominators walk first: a vanishing one is a PoleError
     naming it, and a vanishing numerator factor then makes the product 0.
+    NonConvergenceError: a relative error bound exp(L) - 1, L the summed log
+    tails, not below 10^-precision, or a factor past ``MAX_TERMS`` steps.
     """
     with ctx.workdps():
         qv = to_mp(q)
@@ -152,7 +154,7 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
         wp, one = qf.wp, qf.like(1)
         qr, qi, qe = parts(qf)
         complex_value = qf.im is not None
-        walked, tail_log, products = 0, 0, []
+        tail_log, products = 0, []
         for is_den, group in ((True, dens), (False, nums)):
             vr, vi, ve = 1, 0, 0
             for a in map(_as_qpow, group):
@@ -161,7 +163,7 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
                         int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
                 if last >= MAX_TERMS:
                     raise NonConvergenceError(
-                        f"(a;q)_inf did not settle in {MAX_TERMS} factors")
+                        f"(a;q)_inf needs {last + 1} factors, over the budget of {MAX_TERMS}")
                 power = powq(qf, a.exponent) * a.coeff
                 complex_value = complex_value or power.im is not None
                 pr, pi, pe = parts(power)
@@ -175,21 +177,22 @@ def infinite_product(nums, dens, q, ctx: QContext) -> SumOutcome:
                             c = mp.nstr(to_mp(a.coeff), 8)
                             raise PoleError(f"denominator factor 1 - {c} q^({a.exponent + k}) "
                                             "of the infinite product vanished")
-                        return SumOutcome(mp.mpf(0), walked + k + 1, mp.mpf(0), True)
+                        return mp.mpf(0)
                     vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
                     pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)
-                walked += last + 1
                 # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
                 mag = mag0 * absq ** last
                 tail_log += mag * absq / ((1 - absq) * (1 - mag))
             products.append(Fixed(vr, vi if complex_value else None, ve, wp))
+        bound = mp.expm1(tail_log)
+        if not bound < ctx.target_tol:
+            raise NonConvergenceError(
+                f"infinite product not certified: relative tail bound {mp.nstr(bound, 3)}")
         den, num = products
-        value = (num / den if dens else num).to_mp()
-        tail = abs(value) * (mp.e ** tail_log - 1)
-        return SumOutcome(value, walked, tail, bool(tail < ctx.target_tol))
+        return (num / den if dens else num).to_mp()
 
 
-def pochhammer_infinite(a, q, ctx: QContext) -> SumOutcome:
+def pochhammer_infinite(a, q, ctx: QContext):
     """(a;q)_infinity: the one-factor :func:`infinite_product`."""
     return infinite_product([a], [], q, ctx)
 

@@ -90,7 +90,7 @@ def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
         pref = half ** int(nu) / pochhammer_finite(q, q, int(nu))
     else:
         pref = (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
-                * infinite_product([QPow(1, nu + 1)], [q], q, ctx).value)
+                * infinite_product([QPow(1, nu + 1)], [q], q, ctx))
     alpha, shift = {1: (0, 0), 2: (1, nu), 3: (Fraction(1, 2), Fraction(-1, 2))}[kind]
     return pref * _bessel_series(nu, alpha, sign * half ** 2 * powq(q, shift), ctx)
 
@@ -99,8 +99,7 @@ def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):
     """sum_n x^n q^{alpha n^2} / ((q;q)_n (q^{nu+1};q)_n): the series of every
     kind, and of the special-value identity."""
     return _unilateral(lambda q: _ratio_terms([], [_Q1, QPow(1, nu + 1)], q,
-                                              powq(q, alpha) * x, powq(q, 2 * alpha)),
-                       ctx).value
+                                              powq(q, alpha) * x, powq(q, 2 * alpha)), ctx)
 
 
 def _with_quarter_square(z, q):
@@ -123,7 +122,7 @@ def i1_continued(nu, z, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         zv, z24 = _with_quarter_square(z, q)
-        return infinite_product([], [z24], q, ctx).value * bessel_i(2, nu, zv, ctx)
+        return infinite_product([], [z24], q, ctx) * bessel_i(2, nu, zv, ctx)
 
 
 def special_value_sides(variant: int, nu, n: int, ctx: QContext):
@@ -139,7 +138,7 @@ def special_value_sides(variant: int, nu, n: int, ctx: QContext):
         q = ctx.q
         z = 2 * powq(q, Fraction(-n, 2))
         lhs = bessel_i(2, nu, z, ctx)
-        tail = infinite_product([], [QPow(1, n + 1)], q, ctx).value
+        tail = infinite_product([], [QPow(1, n + 1)], q, ctx)
         sign = 1 if variant == 4 else -1
         rhs = (powq(q, sign * nu * n / 2)
                * stieltjes_wigert(n, -powq(q, -sign * nu - n), q) * tail)
@@ -159,7 +158,7 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
         q = ctx.q
         x = powq(q, nu - n)
         series = _bessel_series(nu, 1, x, ctx)
-        tail = infinite_product([], [QPow(1, nu + 1)], q, ctx).value
+        tail = infinite_product([], [QPow(1, nu + 1)], q, ctx)
         qf = ctx.fixed(q)
         binoms = list(_qbinomials(n, qf))
         s4, s5 = (sum(map(mul, binoms, _gaussian(qf, 1, powq(qf, e)))).to_mp()
@@ -183,8 +182,8 @@ def gen_func_sides(z, t, ctx: QContext):
                     map(mul, islice(_binomial_powers(q / t, q), 1, None),
                         (bessel_i(2, m, zv, ctx) for m in count(-1, -1))))
 
-        lhs = _bilateral(streams, ctx).value
-        rhs = infinite_product([-tv * zv / 2, -q * zv / (2 * tv)], [], q, ctx).value
+        lhs = _bilateral(streams, ctx)
+        rhs = infinite_product([-tv * zv / 2, -q * zv / (2 * tv)], [], q, ctx)
         return lhs, rhs
 
 
@@ -207,9 +206,9 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
                     raise PoleError(f"pole: z^2/4 = q^-{n}")
                 yield w * s / f
 
-        series = _unilateral(terms, ctx).value
+        series = _unilateral(terms, ctx)
         pref = (mp.power(zv / 2, mp.mpf(nu.numerator) / nu.denominator)
-                * infinite_product([], [q, q], q, ctx).value)
+                * infinite_product([], [q, q], q, ctx))
         return pref * series
 
 
@@ -223,10 +222,10 @@ def asymptotic_main_term(nu, r, ctx: QContext):
             raise DomainError("main term stated for r > 0")
         sq = mp.sqrt(q)
         arg = rv * powq(q, (nu + Fraction(1, 2)) / 2) / 2
-        bracket = (infinite_product([arg], [], sq, ctx).value
-                   + infinite_product([-arg], [], sq, ctx).value)
+        bracket = (infinite_product([arg], [], sq, ctx)
+                   + infinite_product([-arg], [], sq, ctx))
         pref = (mp.power(rv / 2, mp.mpf(nu.numerator) / nu.denominator)
-                * infinite_product([QPow(1, Fraction(1, 2))], [q], q, ctx).value / 2)
+                * infinite_product([QPow(1, Fraction(1, 2))], [q], q, ctx) / 2)
         return pref * bracket
 
 

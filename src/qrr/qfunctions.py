@@ -15,18 +15,18 @@ Numeric series run in Python-int fixed point (:mod:`qrr.fixedpoint`), complex
 values as pairs of ints.  A series enters fixed point in :func:`_unilateral` /
 :func:`_bilateral`, which hand its stream builder the base q at
 ``ctx.fixed_bits`` (other mpf/mpc arguments are read exactly at their first
-use) and rerun it wider when the engine reports cancellation; it leaves as the
-mpf/mpc ``SumOutcome.value``.  A Pochhammer-ratio stream, whose term ratio is
-a quotient of factors 1 - c q^k times a geometric step, is one fused integer
-stream, :func:`_ratio_terms` (both halves of a bilateral one from
-:func:`_ratio_streams`); that holds for series, outer sums and ratio tables
-alike.  The generic stream helpers (:func:`_ratios_up`, :func:`_gaussian`,
-:func:`~qrr.pochhammer._factors`) serve exact Fraction sums, weights, pole
-tables and S_n values: Fraction q gives exact Fractions, a Fixed q gives Fixed
-values.  Slice convolutions build their tables once per call in fixed point on
-one binary exponent per table (:class:`_Table`), so each inner sum is one
-integer dot product, rounded once.  Every product side, a quotient of
-infinite products over one base, is one
+use) and rerun it wider when the engine reports cancellation; it leaves
+:func:`_widening` as its certified mpf/mpc value, or as NonConvergenceError.
+A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
+times a geometric step, is one fused integer stream, :func:`_ratio_terms`
+(both halves of a bilateral one from :func:`_ratio_streams`); that holds for
+series, outer sums and ratio tables alike.  The generic stream helpers
+(:func:`_ratios_up`, :func:`_gaussian`, :func:`~qrr.pochhammer._factors`)
+serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
+gives exact Fractions, a Fixed q gives Fixed values.  Slice convolutions build
+their tables once per call in fixed point on one binary exponent per table
+(:class:`_Table`), so each inner sum is one integer dot product, rounded once.
+Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk; a vanishing denominator factor
 there is a PoleError naming that factor.
 
@@ -55,7 +55,7 @@ from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, infinite_product,
                          pochhammer_finite)
-from .summation import SumOutcome, sum_bilateral, sum_series
+from .summation import sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
@@ -66,16 +66,15 @@ MAX_WIDENING = 4
 
 
 def _widening(run, ctx: QContext):
-    """run(q), q the context's base in fixed point; rerun at a wider scale
-    while the sum reports that cancellation left it short of precision.
-
-    Past the widest scale it raises PrecisionLossError with ``bits`` 0, which
-    no enclosing sum reruns for.
+    """The certified value of the sum run(q), q the context's base in fixed
+    point: the one exit of every numeric series.  Rerun at a wider scale while
+    cancellation leaves it short of precision; past the widest scale it raises
+    PrecisionLossError with ``bits`` 0, which no enclosing sum reruns for.
     """
     wp, widest = ctx.fixed_bits, MAX_WIDENING * ctx.fixed_bits
     while True:
         try:
-            return run(Fixed.of(ctx.q, wp))
+            return run(Fixed.of(ctx.q, wp)).certified()
         except PrecisionLossError as exc:
             if not exc.bits:
                 raise
@@ -84,7 +83,7 @@ def _widening(run, ctx: QContext):
             wp += exc.bits + RERUN_MARGIN_BITS
 
 
-def _unilateral(build, ctx: QContext) -> SumOutcome:
+def _unilateral(build, ctx: QContext):
     """Sum of the stream of terms 0, 1, ... that ``build(q)`` returns."""
     def run(q):
         terms = build(q)
@@ -93,7 +92,7 @@ def _unilateral(build, ctx: QContext) -> SumOutcome:
     return _widening(run, ctx)
 
 
-def _bilateral(build, ctx: QContext) -> SumOutcome:
+def _bilateral(build, ctx: QContext):
     """Sum of the streams of terms n = 0, 1, ... and n = -1, -2, ... that
     ``build(q)`` returns as a pair."""
     def run(q):
@@ -171,7 +170,7 @@ class _Lattice:
                                          (streams if self.bilateral else (streams,))]
         return table
 
-    def sum(self, s: int) -> SumOutcome:
+    def sum(self, s: int):
         """The series at y0 q^(e s)."""
         def build(q):
             table = self._streams(q)
@@ -257,7 +256,7 @@ def rho_root(ctx: QContext):
 # basic hypergeometric series (only the shapes used here: 2phi1 and 1phi1)
 # ---------------------------------------------------------------------------
 
-def phi_2_1(a, b, c, z, ctx: QContext) -> SumOutcome:
+def phi_2_1(a, b, c, z, ctx: QContext):
     """2phi1(a, b; c; q, z) for |z| < 1."""
     a, b, c = _as_qpow(a), _as_qpow(b), _as_qpow(c)
     with ctx.workdps():
@@ -269,7 +268,7 @@ def phi_2_1(a, b, c, z, ctx: QContext) -> SumOutcome:
                                                   q.like(1)), ctx)
 
 
-def phi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
+def phi_1_1(a, b, z, ctx: QContext):
     """1phi1(a; b; q, z) with the (-1)^k q^binom(k,2) convention factor.
 
     The extra factor makes the series entire in z, with terms carrying
@@ -305,9 +304,9 @@ def heine_sides(a, b, c, z, ctx: QContext):
         av, bv, cv, zv = (to_mp(v) for v in (a, b, c, z))
         if abs(cv / bv) >= 1:
             raise DomainError("transformed argument c/b must satisfy |c/b| < 1")
-        lhs = phi_2_1(av, bv, cv, zv, ctx).value
-        pref = infinite_product([cv / bv, bv * zv], [cv, zv], q, ctx).value
-        rhs = pref * phi_2_1(av * bv * zv / cv, bv, bv * zv, cv / bv, ctx).value
+        lhs = phi_2_1(av, bv, cv, zv, ctx)
+        pref = infinite_product([cv / bv, bv * zv], [cv, zv], q, ctx)
+        rhs = pref * phi_2_1(av * bv * zv / cv, bv, bv * zv, cv / bv, ctx)
         return lhs, rhs
 
 
@@ -315,7 +314,7 @@ def heine_sides(a, b, c, z, ctx: QContext):
 # bilateral 1psi1
 # ---------------------------------------------------------------------------
 
-def psi_1_1(a, b, z, ctx: QContext) -> SumOutcome:
+def psi_1_1(a, b, z, ctx: QContext):
     """Bilateral sum over n of (a;q)_n / (b;q)_n * z^n inside its annulus."""
     aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
@@ -414,14 +413,14 @@ def psi_1_1_product(a, b, z, ctx: QContext):
         q = ctx.q
         av, bv, zv = (to_mp(v) for v in (a, b, z))
         return infinite_product([q, bv / av, av * zv, q / (av * zv)],
-                                [bv, q / av, zv, bv / (av * zv)], q, ctx).value
+                                [bv, q / av, zv, bv / (av * zv)], q, ctx)
 
 
 # ---------------------------------------------------------------------------
 # the entire q-Airy-type function A_q and friends
 # ---------------------------------------------------------------------------
 
-def ramanujan_A(z, ctx: QContext) -> SumOutcome:
+def ramanujan_A(z, ctx: QContext):
     """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z."""
     with ctx.workdps():
         return _unilateral(_ramanujan_A_stream(to_mp(z)), ctx)
@@ -433,14 +432,14 @@ def _ramanujan_A_stream(zv):
     return lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q)
 
 
-def omega(v, ctx: QContext) -> SumOutcome:
+def omega(v, ctx: QContext):
     """omega(v; q) = sum_{n>=0} q^{n^2} v^n."""
     with ctx.workdps():
         vv = to_mp(v)
         return _unilateral(lambda q: _ratio_terms([], [], q, q * vv, q * q), ctx)
 
 
-def a_alpha(alpha, a, t, ctx: QContext) -> SumOutcome:
+def a_alpha(alpha, a, t, ctx: QContext):
     """sum_{n>=0} (a;q)_n q^{alpha n^2} t^n / (q;q)_n  (alpha >= 0)."""
     aq = _as_qpow(a)
     alpha = Fraction(alpha)
@@ -453,7 +452,7 @@ def _a_alpha_stream(aq: QPow, alpha, tv):
     return lambda q: _ratio_terms([aq], [_Q1], q, powq(q, alpha) * tv, powq(q, 2 * alpha))
 
 
-def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
+def b_alpha(alpha, a, b, x, ctx: QContext):
     """Bilateral sum of (a;q)_n / (b;q)_n * q^{alpha n^2} x^n.
 
     For alpha > 0 the quadratic q-power dominates both tails; alpha = 0
@@ -469,7 +468,7 @@ def b_alpha(alpha, a, b, x, ctx: QContext) -> SumOutcome:
         return _bilateral(_ratio_streams(aq, bq, alpha, to_mp(x)), ctx)
 
 
-def u_m_bilateral(a, m: int, ctx: QContext) -> SumOutcome:
+def u_m_bilateral(a, m: int, ctx: QContext):
     """Bilateral sum of q^{n^2 + m n} / (a q; q)_n.
 
     At a = 1 the negative half vanishes identically (each reciprocal factor
@@ -735,8 +734,7 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
-        pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av],
-                                q, ctx).value
+        pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av], q, ctx)
         tail = (pochhammer_finite(av * av, q * q, m)
                 / pochhammer_finite(bv * bv, q * q, m))
         return lhs, pref * tail
@@ -764,9 +762,8 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
             return lhs, mp.mpf(0)
         m = n // 3
         q3 = q ** 3
-        pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx).value ** 3
-                * infinite_product([bv ** 3, q3 / av ** 3], [q3, (bv / av) ** 3], q3,
-                                   ctx).value)
+        pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx) ** 3
+                * infinite_product([bv ** 3, q3 / av ** 3], [q3, (bv / av) ** 3], q3, ctx))
         tail = (pochhammer_finite(av ** 3, q3, m)
                 / pochhammer_finite(bv ** 3, q3, m))
         return lhs, pref * tail
@@ -780,7 +777,7 @@ def _outer_terms(coeffs, indices, inner: _Lattice):
     """Yield c_j F(y_j) from the streams c and j, F(y_j) the sum of the
     ``inner`` lattice at j; it is not summed where c_j is an exact zero."""
     for c, j in zip(coeffs, indices):
-        yield c * inner.sum(j).value if c else c
+        yield c * inner.sum(j) if c else c
 
 
 def square_master_sides(alpha, a, t, ctx: QContext):
@@ -794,12 +791,12 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
         ctx2 = QContext.numeric(q * q, precision=ctx.precision)
-        lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2).value
+        lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2)
         # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
         aq = _as_qpow(av)
         inner = _Lattice(_a_alpha_stream(aq, alpha, tv), 2 * alpha, ctx)
         outer = _a_alpha_stream(aq, alpha, -tv)
-        return lhs, _unilateral(lambda q: _outer_terms(outer(q), count(), inner), ctx).value
+        return lhs, _unilateral(lambda q: _outer_terms(outer(q), count(), inner), ctx)
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -810,7 +807,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
         ctx3 = QContext.numeric(q ** 3, precision=ctx.precision)
-        lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3).value
+        lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         # slice coefficients C(s) = sum_{j+k=s} r_j r_k w^k
         tol_digits = ctx.precision + 8
         s_max = 2
@@ -826,7 +823,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         rhs = 0 * qf
         for s, g in zip(range(s_max + 1), weights):
             c = _self_conv_w(r, s, 0, s, wpow)
-            rhs += c * g * inner.sum(s).value
+            rhs += c * g * inner.sum(s)
         return lhs, rhs.to_mp()
 
 
@@ -845,12 +842,11 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
         ctx2 = QContext.numeric(q * q, precision=ctx.precision)
-        pref = infinite_product([-bv, -q / av, q, bv / av], [-q, -bv / av, bv, q / av],
-                                q, ctx).value
+        pref = infinite_product([-bv, -q / av, q, bv / av], [-q, -bv / av, bv, q / av], q, ctx)
         if pref == 0:
             # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
             raise PoleError("prefactor numerator (-b, -q/a; q)_inf vanished")
-        lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2).value
+        lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2)
 
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
         aq, bq = _as_qpow(av), _as_qpow(bv)
@@ -862,7 +858,7 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
             return (_outer_terms(pos, count(), inner),
                     _outer_terms(neg, count(-1, -1), inner))
 
-        return lhs, _bilateral(streams, ctx).value
+        return lhs, _bilateral(streams, ctx)
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -884,10 +880,9 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
             raise DomainError("sampled outside |b/a| < 1")
         q3 = q ** 3
         ctx3 = QContext.numeric(q3, precision=ctx.precision)
-        lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3).value
-        pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3,
-                                 ctx).value
-                * infinite_product([bv, q / av], [q, bv / av], q, ctx).value ** 3)
+        lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3)
+        pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3, ctx)
+                * infinite_product([bv, q / av], [q, bv / av], q, ctx) ** 3)
         # double bilateral sum arranged by slices s = j + k.  The q^{alpha s^2}
         # weight is neutralized by the inner function's bilateral growth on
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
@@ -903,7 +898,7 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         rhs_sum = 0 * qf
         for s, g in zip(range(-K, K + 1), weights):
             c = _conv_w(r, r, s, -K - abs(s), K + abs(s), wpow)
-            rhs_sum += c * g * inner.sum(s).value
+            rhs_sum += c * g * inner.sum(s)
         return lhs, pref * rhs_sum.to_mp()
 
 
@@ -921,7 +916,7 @@ def _pole_table(a: QPow, q, lo: int, hi: int) -> _Table:
     return _Table(lo, out)
 
 
-def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext) -> SumOutcome:
+def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
     """Bilateral sum over n of q^{alpha n^2} x^n / (1 - a q^{step n})."""
 
     def terms(factors, weights):
@@ -976,9 +971,9 @@ def theta_pair_sides(a, x, ctx: QContext):
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
         av = _value(aq, q)
-        pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx).value
+        pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx)
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
-        lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx).value
+        lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx)
         qf = ctx.fixed(q)
         rhs = _pair_slices(_pole_table(aq, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
                            K, s_max)
@@ -995,8 +990,8 @@ def theta_pair_imag_sides(x, ctx: QContext):
         q = ctx.q
         xv = to_mp(x)
         K, s_max = _theta_truncation(xv, ctx)
-        pref = infinite_product([q, q], [-q, -q], q, ctx).value
-        lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx).value
+        pref = infinite_product([q, q], [-q, -q], q, ctx)
+        lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
         qf = ctx.fixed(q)
         rhs = _pair_slices(_pole_table(ia, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
@@ -1022,9 +1017,9 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         av = _value(aq, q)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
-        single = _pole_series(a3, 3, 9, xv ** 3, ctx).value
-        pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx).value
-                * infinite_product([av, q / av], [q, q], q, ctx).value ** 3)
+        single = _pole_series(a3, 3, 9, xv ** 3, ctx)
+        pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
+                * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
         # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),

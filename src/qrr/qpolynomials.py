@@ -97,11 +97,11 @@ def stieltjes_wigert_second(n: int, x, q):
     return sum(islice(terms, n + 1), 0 * _one_like(q)) / pochhammer_finite(q, q, n)
 
 
-def sw_symmetry_residual(n: int, t, q):
-    """|q^{n^2} (-t)^n S_n(q^{-2n}/t; q) - S_n(t; q)|; exactly 0 for exact
-    inputs."""
+def sw_symmetry_sides(n: int, t, q):
+    """q^{n^2} (-t)^n S_n(q^{-2n}/t; q) and S_n(t; q), as (lhs, rhs); equal
+    for exact inputs."""
     lhs = q ** (n * n) * (-t) ** n * stieltjes_wigert(n, q ** (-2 * n) / t, q)
-    return abs(lhs - stieltjes_wigert(n, t, q))
+    return lhs, stieltjes_wigert(n, t, q)
 
 
 def sw_formal(n: int, x_coeff, x_qexp, shift, ctx: QContext) -> FormalSeries:
@@ -250,13 +250,13 @@ def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
     as-printed reading, kept available for the discrepancy record.  The
     resolution runs at :func:`m_shift_context`.
     """
-    lhs = u_m_bilateral(a, m, ctx).value
+    lhs = u_m_bilateral(a, m, ctx)
     wide = m_shift_context(m, ctx)
     with wide.workdps():
         q = wide.q
         av = _value(a, q)
-        u0 = u_m_bilateral(a, 0, wide).value
-        u1 = u_m_bilateral(a, 1, wide).value
+        u0 = u_m_bilateral(a, 0, wide)
+        u1 = u_m_bilateral(a, 1, wide)
         cm = c_poly(m).eval(av, q)
         dm = d_poly(m).eval(av, q)
         rhs = (-1) ** m * powq(q, Fraction(-m * (m - 1), 2)) * (cm * u0 + sign * dm * u1)
@@ -316,21 +316,22 @@ def u_poly(n: int, x, y, q, weighted: bool = True):
     return acc
 
 
-def sw_functional_residual(k: int, y, n: int, q, sq):
-    """Residual of the argument-shift functional equation for S_k:
+def sw_functional_sides(k: int, y, n: int, q, sq):
+    """The two sides of the argument-shift functional equation for S_k, as
+    (lhs, rhs):
 
-    y^n q^{n(n+k-1)/2} S_k(y q^n) - [u_n(q^{k/2}, -y q^k) S_k(y)
-        - q^{k/2} u_{n-1}(q^{k/2}, -y q^{k+1}) S_k(y/q)].
+    y^n q^{n(n+k-1)/2} S_k(y q^n) = u_n(q^{k/2}, -y q^k) S_k(y)
+        - q^{k/2} u_{n-1}(q^{k/2}, -y q^{k+1}) S_k(y/q).
 
     ``sq`` is a square root of q (exact Fraction or mp number); exact inputs
-    give an exact 0.
+    give equal sides.
     """
     xk = sq ** k
     lhs = y ** n * sq ** (n * (n + k - 1)) * stieltjes_wigert(k, y * q ** n, q)
     rhs = (u_poly(n, xk, -y * q ** k, q) * stieltjes_wigert(k, y, q)
            - xk * u_poly(n - 1, xk, -y * q ** (k + 1), q)
            * stieltjes_wigert(k, y / q, q))
-    return abs(lhs - rhs)
+    return lhs, rhs
 
 
 def sw_inversion_sides(k: int, y, n: int, q, sq, reading: str = "corrected"):
@@ -342,7 +343,6 @@ def sw_inversion_sides(k: int, y, n: int, q, sq, reading: str = "corrected"):
     (S_k(y), reconstruction).
     """
     xk = sq ** k
-    y0 = -y * q ** k
     y1 = -y * q ** (k + 1)
     delta = inversion_delta(k, y, n, q, sq)
     if delta == 0:
@@ -373,9 +373,9 @@ def inversion_delta_from_system(k: int, y, n: int, q, sq):
     return -det / xk
 
 
-def sw_lommel_special_residual(n: int, nu, k: int, ctx: QContext):
-    """Residual of the ladder relation pinched to the special points
-    x = 2 q^{-k/2} (written in terms of S_k values)."""
+def sw_lommel_special_sides(n: int, nu, k: int, ctx: QContext):
+    """The two sides of the ladder relation pinched to the special points
+    x = 2 q^{-k/2} (written in terms of S_k values), as (lhs, rhs)."""
     nu = Fraction(nu)
     with ctx.workdps():
         q = ctx.q
@@ -387,7 +387,7 @@ def sw_lommel_special_residual(n: int, nu, k: int, ctx: QContext):
         rhs = (q_lommel_p(n, xk, q, qnu * q ** k) * stieltjes_wigert(k, -qnu, q)
                - sq ** k * q_lommel_p(n - 1, xk, q, qnu * q ** (k + 1))
                * stieltjes_wigert(k, -qnu / q, q))
-        return abs(lhs - rhs)
+        return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +432,9 @@ def st_5_1_sides(x, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv, tv = to_mp(x), to_mp(t)
-        lhs = infinite_product([xv * tv, -tv], [], q, ctx).value
+        lhs = infinite_product([xv * tv, -tv], [], q, ctx)
         return lhs, _unilateral(lambda q: map(mul, _binomial_powers(q.like(tv), q),
-                                              _sw_shifted(q.like(xv), q)), ctx).value
+                                              _sw_shifted(q.like(xv), q)), ctx)
 
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
@@ -474,9 +474,9 @@ def st_5_3_sides(n: int, x, ctx: QContext):
 
         def terms(q):
             return map(mul, _ratio_terms([], [_Q1], q, q.like(xv) * q ** (n + 1), q),
-                       (inner.sum(k).value for k in count()))
+                       (inner.sum(k) for k in count()))
 
-        return lhs, _unilateral(terms, ctx).value / pochhammer_finite(q, q, n)
+        return lhs, _unilateral(terms, ctx) / pochhammer_finite(q, q, n)
 
 
 def st_5_4_sides(n: int, a, b, q):
@@ -494,11 +494,11 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         q = ctx.q
         av = to_mp(a)
         lhs = stieltjes_wigert(n, av, q)
-        pref = (infinite_product([-av * q], [], q, ctx).value
+        pref = (infinite_product([-av * q], [], q, ctx)
                 / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
         return lhs, pref * _unilateral(
             lambda q: _ratio_terms([], [_Q1, QPow(-av, n + 1)], q, -q.like(av) * q, q * q),
-            ctx).value
+            ctx)
 
 
 def st_5_6_even_diff_formal(n: int, ctx: QContext) -> FormalSeries:
@@ -550,12 +550,12 @@ def st_5_9_sides(w, z, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         wv, zv = to_mp(w), to_mp(z)
-        lhs = ramanujan_A(wv * zv, ctx).value
-        pref = infinite_product([wv * q], [], q, ctx).value
+        lhs = ramanujan_A(wv * zv, ctx)
+        pref = infinite_product([wv * q], [], q, ctx)
         # q^{n^2} w^n / (wq;q)_n: ratio w q^{2n+1} / (1 - w q^{n+1})
         return lhs, pref * _unilateral(
             lambda q: map(mul, _ratio_terms([], [QPow(wv, 1)], q, q.like(wv) * q, q * q),
-                          _sw_shifted(q.like(zv), q)), ctx).value
+                          _sw_shifted(q.like(zv), q)), ctx)
 
 
 def st_10_sides(m: int, z, ctx: QContext):
@@ -563,14 +563,14 @@ def st_10_sides(m: int, z, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         zv = to_mp(z)
-        lhs = ramanujan_A(zv, ctx).value
+        lhs = ramanujan_A(zv, ctx)
         # q^{n^2 + m n} (-z)^n / (q;q)_n: ratio -z q^{m + 2n + 1} / (1 - q^{n+1})
         def terms(q):
             z = q.like(zv)
             return map(mul, _ratio_terms([], [_Q1], q, -z * q ** (m + 1), q * q),
                        map(stieltjes_wigert, repeat(m), _geometric(z, q), repeat(q)))
 
-        return lhs, pochhammer_finite(q, q, m) * _unilateral(terms, ctx).value
+        return lhs, pochhammer_finite(q, q, m) * _unilateral(terms, ctx)
 
 
 def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
@@ -595,10 +595,10 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
             return map(mul, _ratio_terms([QPow(-1, 1)], [], sqf, q.like(q4) * tv, sqf),
                        _sw_shifted(q.like(zv), q))
 
-        lhs = _unilateral(terms, ctx).value
+        lhs = _unilateral(terms, ctx)
         zsign = -1 if reading == "literal" else 1
-        rhs = (infinite_product([-tv * q4, zsign * tv * q4 * zv], [], sq, ctx).value
-               * infinite_product([], [-tv * tv * zv], q, ctx).value)
+        rhs = (infinite_product([-tv * q4, zsign * tv * q4 * zv], [], sq, ctx)
+               * infinite_product([], [-tv * tv * zv], q, ctx))
         return lhs, rhs
 
 
@@ -612,9 +612,9 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
         lhs = _unilateral(
             lambda q: map(mul, _ratio_terms([_Q1], [], q, q.like(tv), q),
                           map(mul, _sw_shifted(q.like(zv), q), _sw_shifted(q.like(wv), q))),
-            ctx).value
+            ctx)
         rhs = infinite_product([-tv, -tv * zv * wv, tv * zv, tv * wv],
-                               [tv * tv * zv * wv / q], q, ctx).value
+                               [tv * tv * zv * wv / q], q, ctx)
         return lhs, rhs
 
 
@@ -627,11 +627,11 @@ def gfhn0_sides(b, ctx: QContext):
         bv = to_mp(b)
         sq = mp.sqrt(q)
         ctx2 = QContext.numeric(q * q, precision=ctx.precision)
-        lhs = ramanujan_A(-bv * bv, ctx2).value
-        pref = infinite_product([bv * sq], [], q, ctx).value
+        lhs = ramanujan_A(-bv * bv, ctx2)
+        pref = infinite_product([bv * sq], [], q, ctx)
         return lhs, pref * _unilateral(
             lambda q: _ratio_terms([], [_Q1, QPow(bv * sq, 0)], q, q.like(sq) * bv, q),
-            ctx).value
+            ctx)
 
 
 def gfhn0_diff_formal(b: Fraction, ctx: QContext) -> FormalSeries:

@@ -75,6 +75,14 @@ class SumOutcome:
     converged: bool
     error: object = 0
 
+    def certified(self):
+        """``value``, or NonConvergenceError naming the tail bound and |value|."""
+        if self.converged:
+            return self.value
+        raise NonConvergenceError(
+            f"sum not certified: tail bound {mp.nstr(self.tail_bound, 3)} after "
+            f"{self.terms_used} terms, |value| {mp.nstr(abs(self.value), 3)}")
+
 
 def sum_series(term, ctx: QContext) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.

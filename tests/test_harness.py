@@ -274,7 +274,11 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
 # Settings where ms-3/ms-5 used to FAIL (their slice sums were truncated at a
 # fixed 34 digits whatever the precision), where a series whose even and odd
 # terms decay at different levels raised RatioTestError (SKIPPED), or where
-# lommel-i/lommel-j judged |lhs - rhs| unscaled on sides of order 10^21.
+# lommel-i/lommel-j judged |lhs - rhs| unscaled on sides of order 10^21.  Near
+# |q| = 1 a product beyond the term budget was an ERROR, and psi11 passed
+# on bilateral sums below their own tail bounds: both are SKIPPED now, with a
+# NonConvergenceError note.  ``expected`` is a status, optionally followed by
+# ": " and a fragment of the note.
 @pytest.mark.parametrize("entry_id, settings, expected", [
     ("ms-3", {"precision": 100}, "PASS"),
     ("ms-5", {"precision": 100}, "PASS"),
@@ -282,10 +286,18 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("hermite-gf", {"q_values": ("0.7",)}, "DISCREPANCY_DOCUMENTED"),
     ("poisson-kernel", {"q_values": ("-0.3",)}, "PASS"),
     ("lommel-i", {"precision": 20, "q_values": ("-0.99",)}, "PASS"),
-    ("lommel-j", {"precision": 20, "q_values": ("-0.99",)}, "PASS")])
+    ("lommel-j", {"precision": 20, "q_values": ("-0.99",)}, "PASS"),
+    ("st-5.1", {"q_values": ("0.99",)},
+     "SKIPPED: NonConvergenceError: (a;q)_inf needs 13606 factors, over the budget of 8000"),
+    ("hermite-gf", {"precision": 20, "q_values": ("-0.99",)},
+     "SKIPPED: NonConvergenceError: (a;q)_inf needs 13370 factors"),
+    ("psi11", {"precision": 20, "q_values": ("0.99",)},
+     "SKIPPED: NonConvergenceError: sum not certified")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
-    assert report.status == expected, report.note
+    status, _, note = expected.partition(": ")
+    assert report.status == status, report.note
+    assert report.note.startswith(note), report.note
 
 
 def test_ms15_theta_truncation_follows_precision_100():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrr import (PoleError, QContext, QPow, QPoly, infinite_product, inv_pochhammer,
-                 pochhammer_finite, pochhammer_infinite, pochhammer_ratio,
+from qrr import (NonConvergenceError, PoleError, QContext, QPow, QPoly, infinite_product,
+                 inv_pochhammer, pochhammer_finite, pochhammer_infinite, pochhammer_ratio,
                  q_binomial)
+from qrr.context import MAX_TERMS
 
 CTX = QContext.numeric("0.3", precision=50)
 
@@ -86,23 +87,22 @@ def test_infinite_product_against_euler_oracle():
     ctx = QContext.numeric("0.5", precision=30)
     out = pochhammer_infinite(mp.mpf("0.5"), mp.mpf("0.5"), ctx)
     oracle = euler_product_oracle("0.5", dps=35)
-    assert out.converged
-    assert abs(out.value - oracle) < mp.mpf(10) ** -30
+    assert abs(out - oracle) < mp.mpf(10) ** -30
     # frozen 30-digit value from the direct-product oracle
-    assert mp.nstr(out.value, 25) == "0.2887880950866024212788997"
+    assert mp.nstr(out, 25) == "0.2887880950866024212788997"
 
 
 def test_infinite_product_against_mpmath_qp():
     with mp.workdps(60):
         for qs in ("0.2", "0.35"):
             q = mp.mpf(qs)
-            ours = pochhammer_infinite(q, q, QContext.numeric(q)).value
+            ours = pochhammer_infinite(q, q, QContext.numeric(q))
             assert abs(ours - mp.qp(q)) < mp.mpf(10) ** -50
 
 
 def test_infinite_product_zero_literal():
     ctx = QContext.numeric("0.5")
-    assert pochhammer_infinite(QPow(1, 0), mp.mpf("0.5"), ctx).value == 0
+    assert pochhammer_infinite(QPow(1, 0), mp.mpf("0.5"), ctx) == 0
 
 
 @pytest.mark.parametrize("e", [0, -2, Fraction(-2)], ids=["0", "-2", "Fraction(-2)"])
@@ -111,15 +111,45 @@ def test_infinite_product_factor_at_exponent_zero_is_exact(e):
     # exponent is written; a carried power c q^e q^k would round near 1
     ctx = QContext.numeric("0.3", precision=30)
     with ctx.workdps():
-        assert infinite_product([QPow(1, e)], [], ctx.q, ctx).value == 0
+        assert infinite_product([QPow(1, e)], [], ctx.q, ctx) == 0
         with pytest.raises(PoleError):
             infinite_product([], [QPow(1, e)], ctx.q, ctx)
-        assert infinite_product([QPow(1, Fraction(-3, 2))], [], ctx.q, ctx).value != 0
+        assert infinite_product([QPow(1, Fraction(-3, 2))], [], ctx.q, ctx) != 0
 
 
 def test_infinite_product_of_zero_argument():
     ctx = QContext.numeric("0.5")
-    assert pochhammer_infinite(mp.mpf(0), mp.mpf("0.5"), ctx).value == 1
+    assert pochhammer_infinite(mp.mpf(0), mp.mpf("0.5"), ctx) == 1
+
+
+def test_infinite_product_above_its_relative_tail_bound_raises():
+    # a factor of 1e-60 stops at once, but at q = 1 - 1e-11 its tail
+    # sum_j |c q^j| is about 1e-49, above 10^-50 of the product
+    ctx = QContext.numeric("0.99999999999", precision=50)
+    with ctx.workdps():
+        with pytest.raises(NonConvergenceError, match="relative tail bound 1.0e-49"):
+            infinite_product([mp.mpf("1e-60")], [], ctx.q, ctx)
+
+
+def test_infinite_product_budget_names_the_factors_needed():
+    ctx = QContext.numeric("0.99", precision=50)
+    with pytest.raises(NonConvergenceError,
+                       match=f"needs 13747 factors, over the budget of {MAX_TERMS}"):
+        pochhammer_infinite(QPow(1, 1), ctx.q, ctx)
+
+
+@pytest.mark.parametrize("q", ["0.98", "-0.98"])
+def test_infinite_product_near_the_budget_matches_mpmath_qp(q):
+    # at precision 50, |q| = 0.98 is the largest two-digit |q| whose
+    # factors fit the term budget
+    ctx = QContext.numeric(q, precision=50)
+    a, b = mp.mpf("0.7"), mp.mpf("-0.4")
+    with ctx.workdps():
+        got = infinite_product([a, QPow(1, 1)], [b], ctx.q, ctx)
+    with mp.workdps(80):
+        qv = mp.mpf(q)
+        want = mp.qp(a, qv) * mp.qp(qv, qv) / mp.qp(b, qv)
+        assert abs(got - want) <= mp.mpf(10) ** -50 * abs(want)
 
 
 def test_splitting_identity_numeric():
@@ -128,10 +158,10 @@ def test_splitting_identity_numeric():
     q = ctx.q
     with ctx.workdps():
         a = mp.mpf("0.7")
-        full = pochhammer_infinite(a, q, ctx).value
+        full = pochhammer_infinite(a, q, ctx)
         for n in (1, 3, 8, 20):
             left = pochhammer_finite(a, q, n)
-            rest = pochhammer_infinite(QPow(a, n), q, ctx).value
+            rest = pochhammer_infinite(QPow(a, n), q, ctx)
             assert abs(full - left * rest) < mp.mpf(10) ** -38
 
 

@@ -37,7 +37,7 @@ F = Fraction
 
 def test_phi21_zero_argument_is_one():
     out = phi_2_1(mp.mpf("0.2"), mp.mpf("0.5"), mp.mpf("0.7"), mp.mpf(0), CTX)
-    assert out.value == 1
+    assert out == 1
 
 
 def test_phi21_rejects_large_argument():
@@ -73,8 +73,8 @@ def test_phi11_measures_kind2_series():
         z = mp.mpf("0.6")
         nu = F(1, 2)
         lhs = bessel_i(2, nu, 2 * z, CTX)
-        rhs = (z ** mp.mpf("0.5") * infinite_product([], [q], q, CTX).value
-               * phi_1_1(z * z, mp.mpf(0), QPow(1, nu + 1), CTX).value)
+        rhs = (z ** mp.mpf("0.5") * infinite_product([], [q], q, CTX)
+               * phi_1_1(z * z, mp.mpf(0), QPow(1, nu + 1), CTX))
         assert abs(lhs - rhs) < TOL
 
 
@@ -87,7 +87,7 @@ def test_bilateral_sum_against_product():
             b = a * mp.mpf(rnd.randint(5, 40)) / 100
             lo = b / a
             z = lo + (1 - lo) * mp.mpf(rnd.randint(20, 80)) / 100
-            s = psi_1_1(a, b, z, CTX).value
+            s = psi_1_1(a, b, z, CTX)
             p = psi_1_1_product(a, b, z, CTX)
             assert abs(s - p) < TOL
 
@@ -103,18 +103,18 @@ def test_bilateral_collapses_when_denominator_is_q():
     with CTX.workdps():
         q = CTX.q
         a, z = mp.mpf("0.5"), mp.mpf("0.4")
-        s = psi_1_1(a, QPow(1, 1), z, CTX).value
-        rhs = infinite_product([a * z], [z], q, CTX).value
+        s = psi_1_1(a, QPow(1, 1), z, CTX)
+        rhs = infinite_product([a * z], [z], q, CTX)
         assert abs(s - rhs) < TOL
 
 
 def test_entire_function_values():
-    assert ramanujan_A(mp.mpf(0), CTX).value == 1
+    assert ramanujan_A(mp.mpf(0), CTX) == 1
     # A_q(-1) is the gap-series value
     with CTX.workdps():
         q = CTX.q
         direct = sum(q ** (n * n) / mp.qp(q, q, n) for n in range(40))
-        assert abs(ramanujan_A(mp.mpf(-1), CTX).value - direct) < TOL
+        assert abs(ramanujan_A(mp.mpf(-1), CTX) - direct) < TOL
 
 
 def test_gap_series_product_sides_formal():
@@ -141,17 +141,17 @@ def test_alpha_family_reductions_formal():
 def test_alpha_family_reductions_numeric():
     with CTX.workdps():
         t = mp.mpf("0.6")
-        d1 = abs(a_alpha(1, QPow(1, 1), t, CTX).value - omega(t, CTX).value)
-        d2 = abs(a_alpha(1, mp.mpf(0), t, CTX).value
-                 - ramanujan_A(-t, CTX).value)
+        d1 = abs(a_alpha(1, QPow(1, 1), t, CTX) - omega(t, CTX))
+        d2 = abs(a_alpha(1, mp.mpf(0), t, CTX)
+                 - ramanujan_A(-t, CTX))
         assert d1 == 0 and d2 == 0
 
 
 def test_bilateral_alpha_reduces_to_unilateral():
     with CTX.workdps():
         a, x = mp.mpf("0.5"), mp.mpf("0.7")
-        d = abs(b_alpha(1, a, QPow(1, 1), x, CTX).value
-                - a_alpha(1, a, x, CTX).value)
+        d = abs(b_alpha(1, a, QPow(1, 1), x, CTX)
+                - a_alpha(1, a, x, CTX))
         assert d == 0
 
 
@@ -159,8 +159,7 @@ def test_bilateral_alpha_finite_at_generic_params():
     # finite value at the sampled point used by the square-master check
     with CTX.workdps():
         v = b_alpha(1, mp.mpf("0.4"), mp.mpf("0.9"), mp.mpf("0.7"), CTX)
-        assert v.converged
-        assert mp.isfinite(v.value)
+        assert mp.isfinite(v)
 
 
 def test_shifted_bilateral_recurrence():
@@ -170,24 +169,24 @@ def test_shifted_bilateral_recurrence():
         q = CTX.q
         for a in (mp.mpf("0.5"), mp.mpf("0.8"), mp.mpf("1.5")):
             for m in range(11):
-                lhs = q ** (m + 1) * u_m_bilateral(a, m + 2, CTX).value
-                rhs = (u_m_bilateral(a, m, CTX).value
-                       - a * u_m_bilateral(a, m + 1, CTX).value)
+                lhs = q ** (m + 1) * u_m_bilateral(a, m + 2, CTX)
+                rhs = (u_m_bilateral(a, m, CTX)
+                       - a * u_m_bilateral(a, m + 1, CTX))
                 assert scaled_deviation(lhs, rhs) < TOL
 
 
 def test_shifted_bilateral_at_unit_parameter():
     # a = 1: negative indices die exactly; equals the entire function value
     with CTX.workdps():
-        u0 = u_m_bilateral(QPow(1, 0), 0, CTX).value
-        assert abs(u0 - ramanujan_A(mp.mpf(-1), CTX).value) == 0
+        u0 = u_m_bilateral(QPow(1, 0), 0, CTX)
+        assert abs(u0 - ramanujan_A(mp.mpf(-1), CTX)) == 0
 
 
 def test_shifted_bilateral_against_truncation_oracle():
     with CTX.workdps():
         q = CTX.q
         a = mp.mpf("0.5")
-        val = u_m_bilateral(a, 1, CTX).value
+        val = u_m_bilateral(a, 1, CTX)
         oracle = mp.mpf(0)
         for n in range(80):
             oracle += q ** (n * n + n) / mp.qp(a * q, q, n)
@@ -388,8 +387,8 @@ def test_gap_identity_at_complex_base():
     ctx = QContext.numeric(complex(0.2, 0.1), precision=50)
     with ctx.workdps():
         q = ctx.q
-        lhs = u_m_bilateral(QPow(1, 0), 0, ctx).value
-        rhs = infinite_product([], [q, q ** 4], q ** 5, ctx).value
+        lhs = u_m_bilateral(QPow(1, 0), 0, ctx)
+        rhs = infinite_product([], [q, q ** 4], q ** 5, ctx)
         assert abs(lhs - rhs) < TOL
 
 
@@ -481,14 +480,26 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
+def _engine_outcomes(monkeypatch):
+    """The list that collects every SumOutcome the kernels' engine calls
+    return, in order: the kernels themselves return only values."""
+    seen = []
+    for name in ("sum_series", "sum_bilateral"):
+        real = getattr(qfunctions, name)
+        monkeypatch.setattr(qfunctions, name,
+                            lambda *args, real=real: seen.append(real(*args)) or seen[-1])
+    return seen
+
+
 @ORACLE_QS
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_kernel_matches_per_term_oracle(case, q):
+def test_kernel_matches_per_term_oracle(case, q, monkeypatch):
     ctx = QContext.numeric(q, precision=50)
+    outcomes = _engine_outcomes(monkeypatch)
     with ctx.workdps():
         new, old = KERNEL_CASES[case](ctx)
-        assert new.terms_used == old.terms_used
-        assert abs(new.value - old.value) <= ORACLE_TOL * abs(old.value)
+        assert outcomes[-1].terms_used == old.terms_used
+        assert abs(new - old.value) <= ORACLE_TOL * abs(old.value)
 
 
 POLE_CASES = {
@@ -527,7 +538,7 @@ def old_square_bilateral_rhs(alpha, a, b, x, ctx):
         r = pochhammer_ratio(a, b, q, j)
         if r == 0:
             return mp.mpf(0)
-        inner = b_alpha(alpha, a, b, x * powq(q, 2 * alpha * j), ctx).value
+        inner = b_alpha(alpha, a, b, x * powq(q, 2 * alpha * j), ctx)
         return r * powq(q, alpha * j * j) * (-x) ** j * inner
 
     return sum_bilateral(*_tails(term), ctx).value
@@ -545,7 +556,7 @@ def test_square_bilateral_outer_sum_matches_per_term_oracle():
 def old_square_master_rhs(alpha, a, t, ctx):
     q = ctx.q
     return sum_series(lambda j: pochhammer_ratio(a, Q1, q, j) * powq(q, alpha * j * j)
-                      * (-t) ** j * a_alpha(alpha, a, t * powq(q, 2 * alpha * j), ctx).value,
+                      * (-t) ** j * a_alpha(alpha, a, t * powq(q, 2 * alpha * j), ctx),
                       ctx).value
 
 
@@ -557,7 +568,7 @@ def old_cube_master_rhs(alpha, a, t, ctx):
     r = [pochhammer_ratio(a, Q1, q, j) for j in range(s_max + 1)]
     return sum(sum(r[j] * r[s - j] * w ** ((s - j) % 3) for j in range(s + 1))
                * powq(q, alpha * s * s) * t ** s
-               * a_alpha(alpha, a, w ** 2 * t * powq(q, 2 * alpha * s), ctx).value
+               * a_alpha(alpha, a, w ** 2 * t * powq(q, 2 * alpha * s), ctx)
                for s in range(s_max + 1))
 
 
@@ -719,8 +730,8 @@ def test_b_lattice_matches_b_alpha(precision, twisted, q):
         lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx,
                            bilateral=True)
         for s in LATTICE_S:
-            direct = b_alpha(1, A6, B15, y0 * powq(ctx.q, 2 * s), ctx).value
-            got = lattice.sum(s).value
+            direct = b_alpha(1, A6, B15, y0 * powq(ctx.q, 2 * s), ctx)
+            got = lattice.sum(s)
             assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
 
 
@@ -732,8 +743,8 @@ def test_a_lattice_matches_a_alpha(precision, twisted):
         y0 = _lattice_y0(ctx, twisted)
         lattice = _Lattice(_a_alpha_stream(QPow(A6, 0), F(1), y0), 2, ctx)
         for s in LATTICE_S:
-            direct = a_alpha(1, A6, y0 * powq(ctx.q, 2 * s), ctx).value
-            got = lattice.sum(s).value
+            direct = a_alpha(1, A6, y0 * powq(ctx.q, 2 * s), ctx)
+            got = lattice.sum(s)
             assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
 
 
@@ -775,13 +786,13 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
         y0 = _lattice_y0(CTX, True)
         lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, CTX,
                            bilateral=True)
-        got = lattice.sum(3).value
+        got = lattice.sum(3)
         assert sorted(lattice.tables) == [wp, wide]
         for shared in lattice.tables[wide]:
             assert shared.terms and {c.wp for c in shared.terms} == {wide}
         assert set(seen) == {wide}
         monkeypatch.setattr(qfunctions, "sum_bilateral", real)
-        direct = b_alpha(1, A6, B15, y0 * powq(CTX.q, 6), CTX).value
+        direct = b_alpha(1, A6, B15, y0 * powq(CTX.q, 6), CTX)
         assert abs(got - direct) <= mp.mpf(10) ** -50 * abs(direct)
 
 
