@@ -23,9 +23,11 @@ times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 series, outer sums and ratio tables alike.  The generic stream helpers
 (:func:`_ratios_up`, :func:`_gaussian`, :func:`~qrr.pochhammer._factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
-gives exact Fractions, a Fixed q gives Fixed values.  Slice convolutions build
-their tables once per call in fixed point on one binary exponent per table
-(:class:`_Table`), so each inner sum is one integer dot product, rounded once.
+gives exact Fractions, a Fixed q gives Fixed values.  Slice sums have one
+layer: a kernel builds one :class:`_Table` per call, in fixed point on one
+binary exponent, and reads its pair slices from :func:`_pair_slices` and its
+cube slices from :func:`_cube_pairs` / :func:`_cube_slices`, with every index
+inside the table; each inner sum is one integer dot product, rounded once.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk; a vanishing denominator factor
 there is a PoleError naming that factor.
@@ -33,10 +35,9 @@ there is a PoleError naming that factor.
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
 :class:`_Lattice`: the coefficient streams at y0 once per call and width, and
-each sum as those coefficients times a running power.  A self-convolution
-over a range mirrored about n/2 (:func:`_self_conv_w`) sums mirror pairs
-j, n - j once, from half the products of :func:`_conv_w` and with its
-result bit for bit.
+each sum as those coefficients times a running power.  A cube-root-weighted
+self-convolution over a range mirrored about n/2 (:func:`_self_conv_w`, every
+pair table C_m) sums mirror pairs j, n - j once, from half the products.
 """
 
 from __future__ import annotations
@@ -610,11 +611,18 @@ def _dot(xs, ys):
     return sum(map(mul, xs, ys))
 
 
+def _span(f: _Table, g: _Table, n: int):
+    """(lo, hi): the j with j inside f and n - j inside g, as (lo, lo - 1)
+    when n lies beyond the tables' reach."""
+    lo = max(f.lo, n - g.hi)
+    return lo, max(min(f.hi, n - g.lo), lo - 1)
+
+
 def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1) -> Fixed:
     """sum of f_j g_{n-j} over j = lo, lo + step, ... <= hi, exact and then
     rounded once.
 
-    The caller keeps j inside f and n - j inside g.
+    The caller keeps j inside f and n - j inside g (:func:`_span`).
     """
     fs = slice(lo - f.lo, hi - f.lo + 1, step)
     gs = slice(g.hi - n + lo, g.hi - n + hi + 1, step)
@@ -634,26 +642,20 @@ def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1) -> Fixe
     return _complex(re, im, e, f.wp)
 
 
-def _conv_w(f: _Table, g: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
-    """sum over lo <= j <= hi of f_j g_{n-j} w^((n-j) mod 3).
-
-    ``wpow`` is the table (1, w, w^2); each residue class of n - j is one
-    dot product, so real tables stay real until the final three terms.
-    """
-    return sum(wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3))
-
-
 def _self_conv_w(f: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
-    """``_conv_w(f, f, n, lo, hi, wpow)`` for a range mirrored by j -> n - j
-    (lo + hi = n), from half the products, with the same result bit for bit.
+    """sum over lo <= j <= hi of f_j f_{n-j} w^((n-j) mod 3) for a range
+    mirrored by j -> n - j (lo + hi = n), or empty, from half the products.
 
-    The mirror maps the residue class t of n - j to the class n - t, and
-    f_j f_{n-j} to itself, so the classes' dot products P_t agree in pairs.
-    One pair is one dot product; the class with 2t = n (mod 3) maps to
-    itself and sums each mirror pair once, doubled, plus the middle term
-    j = n/2.  Each P_t is the same exact int as in :func:`_conv`, rounded
-    once in the same way.
+    ``wpow`` is the table (1, w, w^2).  The sum is sum_t w^t P_t over the
+    residue classes t of n - j, each P_t the exact int of its products,
+    rounded once as by :func:`_conv`, so real tables stay real until the
+    final three terms.  The mirror maps the class t to the class n - t, and
+    f_j f_{n-j} to itself, so the P_t agree in pairs.  One pair is one dot
+    product; the class with 2t = n (mod 3) maps to itself and sums each
+    mirror pair once, doubled, plus the middle term j = n/2.
     """
+    if hi < lo:
+        return _conv(f, f, n, lo, hi)
     if lo + hi != n:
         raise ValueError(f"range [{lo}, {hi}] is not mirrored about {n}/2")
     own = 2 * n % 3
@@ -688,6 +690,29 @@ def _cube_weights(ctx: QContext):
     return (w.like(1), w, w * w)
 
 
+def _pair_slices(t: _Table, ns) -> list:
+    """sum over j + k = n of (-1)^j t_j t_k, j and k inside the table, for
+    each n in ``ns``: one dot product each (zero beyond the table's reach)."""
+    signed = t.weighted(lambda j: (-1) ** (j % 2))
+    return [_conv(signed, t, n, *_span(signed, t, n)) for n in ns]
+
+
+def _cube_pairs(t: _Table, lo: int, hi: int, wpow) -> _Table:
+    """The table C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi,
+    j and k inside t, each from its mirror pairs (:func:`_self_conv_w`)."""
+    return _Table(lo, [_self_conv_w(t, m, *_span(t, t, m), wpow) for m in range(lo, hi + 1)])
+
+
+def _cube_slices(t: _Table, ns, wpow) -> list:
+    """sum over j + k + l = n of t_j w^k t_k w^(2l) t_l, every index inside
+    the table, for each n in the sequence ``ns``: the pair table C_m of
+    :func:`_cube_pairs` over the m = n - l that ``ns`` reaches, then one dot
+    product of C with w^(2l) t_l per n."""
+    pairs = _cube_pairs(t, min(ns) - t.hi, max(ns) - t.lo, wpow)
+    twisted = t.weighted(lambda l: wpow[(2 * l) % 3])
+    return [_conv(pairs, twisted, n, *_span(pairs, twisted, n)) for n in ns]
+
+
 def _bilateral_ratio_array(a: QPow, b: QPow, q: Fixed, K: int) -> _Table:
     """r_n = (a;q)_n/(b;q)_n for n in [-K, K]: the two streams of 1psi1 at
     z = 1."""
@@ -720,6 +745,13 @@ def ratio_truncation(av, bv, q, ctx: QContext) -> int:
     return len(r) - 1
 
 
+def gaussian_truncation(alpha, ctx: QContext) -> int:
+    """Cutoff s_max of a sum over |s| <= s_max weighted by q^(alpha s^2):
+    from |s| = s_max - 2 on, the weight is below 10^-(precision + 10)."""
+    rate = -mp.log10(abs(ctx.q)) * to_mp(alpha)
+    return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
+
+
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral alternating pair convolution at fixed total n, with its
     closed product evaluation (zero for odd n)."""
@@ -728,9 +760,7 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
         q = ctx.q
         av, bv = _value(aq, q), _value(bq, q)
         K = ratio_truncation(av, bv, q, ctx) + abs(n)
-        r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
-        signed = r.weighted(lambda k: (-1) ** (k % 2))
-        lhs = _conv(r, signed, n, max(-K, n - K), min(K, n + K)).to_mp()
+        lhs = _pair_slices(_bilateral_ratio_array(aq, bq, ctx.fixed(q), K), [n])[0].to_mp()
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
@@ -753,11 +783,7 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
         av, bv = _value(aq, q), _value(bq, q)
         K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
-        # sum over j + k + l = n of r_j (w^k r_k) (w^{2l} r_l), |j|, |k|, |l| <= K
-        lo, hi = max(-2 * K, n - K), min(2 * K, n + K)
-        conv12 = _Table(lo, [_self_conv_w(r, m, max(-K, m - K), min(K, m + K), wpow)
-                             for m in range(lo, hi + 1)])
-        lhs = _conv(conv12, r.weighted(lambda l: wpow[(2 * l) % 3]), n, lo, hi).to_mp()
+        lhs = _cube_slices(r, [n], wpow)[0].to_mp()
         if n % 3 != 0:
             return lhs, mp.mpf(0)
         m = n // 3
@@ -808,22 +834,17 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         av, tv = to_mp(a), to_mp(t)
         ctx3 = QContext.numeric(q ** 3, precision=ctx.precision)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
-        # slice coefficients C(s) = sum_{j+k=s} r_j r_k w^k
-        tol_digits = ctx.precision + 8
-        s_max = 2
-        while float(alpha) * s_max * s_max * float(-mp.log10(abs(q))) < tol_digits:
-            s_max += 1
+        s_max = gaussian_truncation(alpha, ctx)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
         one = qf.like(1)
         r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1))
+        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights q^{alpha s^2} t^s
+        pairs = _cube_pairs(r, 0, s_max, wpow).values
         weights = _gaussian(qf, alpha, qf.like(tv))
         # the inner function at w^2 t q^{2 alpha s}
         inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
                          2 * alpha, ctx)
-        rhs = 0 * qf
-        for s, g in zip(range(s_max + 1), weights):
-            c = _self_conv_w(r, s, 0, s, wpow)
-            rhs += c * g * inner.sum(s)
+        rhs = sum(c * g * inner.sum(s) for s, c, g in zip(count(), pairs, weights))
         return lhs, rhs.to_mp()
 
 
@@ -889,73 +910,65 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # the slice terms only decay like (b/a)^|s| in each direction.
         K = ratio_truncation(av, bv, q, ctx)
         qf, wpow = ctx.fixed(q), _cube_weights(ctx)
-        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 3 * K)
+        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 2 * K)
+        pairs = _cube_pairs(r, -K, K, wpow).values  # sum_{j+k=s} r_j w^k r_k
         twist = rho_root(ctx) ** 2 if corrected else 1
         weights = _gaussian(qf, alpha, qf.like(xv), -K)  # q^{alpha s^2} x^s
         # the inner function at twist x q^{2 alpha s}
         inner = _Lattice(_ratio_streams(_as_qpow(av), _as_qpow(bv), alpha, twist * xv),
                          2 * alpha, ctx, bilateral=True)
-        rhs_sum = 0 * qf
-        for s, g in zip(range(-K, K + 1), weights):
-            c = _conv_w(r, r, s, -K - abs(s), K + abs(s), wpow)
-            rhs_sum += c * g * inner.sum(s)
-        return lhs, pref * rhs_sum.to_mp()
+        rhs = sum(c * g * inner.sum(s) for s, c, g in zip(count(-K), pairs, weights))
+        return lhs, pref * rhs.to_mp()
 
 
 # ---------------------------------------------------------------------------
 # theta-quotient corollaries (simple-pole denominators)
 # ---------------------------------------------------------------------------
 
-def _pole_table(a: QPow, q, lo: int, hi: int) -> _Table:
-    """v_j = 1/(1 - a q^j) for lo <= j <= hi (x^j-free factor)."""
-    out = []
-    for j, f in zip(range(lo, hi + 1), _factors(a, q, lo)):
+def _pole_factors(a: QPow, q, j=0, step=1):
+    """Yield the factors 1 - a q^i, i = j, j + step, ..., of :func:`_factors`;
+    a vanishing one is a PoleError naming it."""
+    for i, f in zip(count(j, step), _factors(a, q, j, step)):
         if f == 0:
-            raise PoleError(f"denominator 1 - a q^{j} vanished")
-        out.append(1 / f)
-    return _Table(lo, out)
+            raise PoleError(f"denominator factor 1 - {mp.nstr(to_mp(a.coeff), 8)} "
+                            f"q^({a.exponent + i}) of the pole sum vanished")
+        yield f
 
 
 def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
     """Bilateral sum over n of q^{alpha n^2} x^n / (1 - a q^{step n})."""
 
-    def terms(factors, weights):
-        for f, g in zip(factors, weights):
-            if f == 0:
-                raise PoleError("pole in the single sum")
-            yield g / f
-
     def streams(q):
         x = q.like(xv)
-        return (terms(_factors(a, q, 0, step), _gaussian(q, alpha, x)),
-                terms(_factors(a, q, -step, -step), _gaussian(q, alpha, 1 / x, 1)))
+        return ((g / f for f, g in zip(_pole_factors(a, q, 0, step),
+                                       _gaussian(q, alpha, x))),
+                (g / f for f, g in zip(_pole_factors(a, q, -step, -step),
+                                       _gaussian(q, alpha, 1 / x, 1))))
 
     return _bilateral(streams, ctx)
 
 
 def _theta_truncation(x, ctx: QContext):
-    """(K, s_max): the |j| <= K cutoff of the pole sums, which decay at rate
-    max(|x|, |q/x|), and the |s| <= s_max cutoff of the q^{s^2} weights.
-    The pole sums converge only on the annulus |q| < |x| < 1."""
+    """(K, ns): the |j| <= K cutoff of the pole tables, whose entries times
+    x^j decay at rate max(|x|, |q/x|), and the slices ns = -s_max..s_max
+    of the q^{s^2} weights (:func:`gaussian_truncation`).  That rate is
+    below 1 only on the annulus |q| < |x| < 1, so the cutoff needs it; the
+    sums themselves converge for every x != 0."""
     q = ctx.q
     if not abs(q) < abs(x) < 1:
         raise AnnulusError("needs |q| < |x| < 1")
-    K = slice_truncation(max(abs(x), abs(q / x)), ctx)
-    s_max = int(mp.ceil(mp.sqrt((ctx.precision + 10) / (-mp.log10(abs(q)))))) + 2
-    return K, s_max
+    s_max = gaussian_truncation(1, ctx)
+    return slice_truncation(max(abs(x), abs(q / x)), ctx), range(-s_max, s_max + 1)
 
 
-def _pair_slices(inv: _Table, x, q, K: int, s_max: int):
-    """sum over |s| <= s_max of q^{s^2} sum_{|j| <= K} (-x)^j inv_j x^{s-j} inv_{s-j},
-    for fixed-point x and q, as an mp number.  The x-powers of slice s
-    multiply to x^s, which is factored out of its dot product.
-
-    ``inv`` covers [-(K + s_max), K + s_max].
-    """
-    f = _Table(-K, inv.values[-K - inv.lo:K - inv.lo + 1]).weighted(lambda j: (-1) ** (j % 2))
-    total = sum(q ** (s * s) * x ** s * _conv(f, inv, s, -K, K)
-                for s in range(-s_max, s_max + 1))
-    return total.to_mp()
+def _theta_slices(slices, a: QPow, xv, K: int, ns, ctx: QContext):
+    """sum over n in ns of q^{n^2} x^n S_n, as an mp number, for the slices
+    S_n = slices(t, ns) of the pole table t_j = 1/(1 - a q^j), |j| <= K: the
+    pole sums by the sum n of their indices, x^n factored out of slice n."""
+    q = ctx.fixed(ctx.q)
+    t = _Table(-K, [1 / f for f in islice(_pole_factors(a, q, -K), 2 * K + 1)])
+    x = q.like(xv)
+    return sum(q ** (n * n) * x ** n * c for n, c in zip(ns, slices(t, ns))).to_mp()
 
 
 def theta_pair_sides(a, x, ctx: QContext):
@@ -969,15 +982,12 @@ def theta_pair_sides(a, x, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, s_max = _theta_truncation(xv, ctx)
+        K, ns = _theta_truncation(xv, ctx)
         av = _value(aq, q)
         pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx)
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx)
-        qf = ctx.fixed(q)
-        rhs = _pair_slices(_pole_table(aq, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
-                           K, s_max)
-        return lhs, rhs
+        return lhs, _theta_slices(_pair_slices, aq, xv, K, ns, ctx)
 
 
 def theta_pair_imag_sides(x, ctx: QContext):
@@ -989,14 +999,11 @@ def theta_pair_imag_sides(x, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, s_max = _theta_truncation(xv, ctx)
+        K, ns = _theta_truncation(xv, ctx)
         pref = infinite_product([q, q], [-q, -q], q, ctx)
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
-        qf = ctx.fixed(q)
-        rhs = _pair_slices(_pole_table(ia, qf, -(K + s_max), K + s_max), qf.like(xv), qf,
-                           K, s_max)
-        return lhs, rhs
+        return lhs, _theta_slices(_pair_slices, ia, xv, K, ns, ctx)
 
 
 def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
@@ -1013,23 +1020,15 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, s_max = _theta_truncation(xv, ctx)
+        K, ns = _theta_truncation(xv, ctx)
         av = _value(aq, q)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
         single = _pole_series(a3, 3, 9, xv ** 3, ctx)
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
-        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
-        inv = _pole_table(aq, qf, -(2 * K + s_max), 2 * K + s_max)
-        # sum over m1 + m2 + l = s of h_{m1} (w^{m2} h_{m2}) (w^{2l} h_l),
-        # |m1|, |m2| <= K, with h_j = x^j inv_j: the x-powers multiply to x^s
-        conv12 = _Table(-2 * K, [_self_conv_w(inv, m, max(-K, m - K), min(K, m + K), wpow)
-                                 for m in range(-2 * K, 2 * K + 1)])
-        inv3 = inv.weighted(lambda l: wpow[(2 * l) % 3])
-        x = qf.like(xv)
-        triple = sum(qf ** (s * s) * x ** s * _conv(conv12, inv3, s, -2 * K, 2 * K)
-                     for s in range(-s_max, s_max + 1)).to_mp()
+        wpow = _cube_weights(ctx)
+        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, wpow), aq, xv, K, ns, ctx)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

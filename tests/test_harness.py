@@ -277,7 +277,8 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
 # lommel-i/lommel-j judged |lhs - rhs| unscaled on sides of order 10^21.  Near
 # |q| = 1 a product beyond the term budget was an ERROR, and psi11 passed
 # on bilateral sums below their own tail bounds: both are SKIPPED now, with a
-# NonConvergenceError note.  ``expected`` is a status, optionally followed by
+# NonConvergenceError note.  A pole of the theta pole sums (a = 0.5 = q)
+# names its factor.  ``expected`` is a status, optionally followed by
 # ": " and a fragment of the note.
 @pytest.mark.parametrize("entry_id, settings, expected", [
     ("ms-3", {"precision": 100}, "PASS"),
@@ -292,7 +293,9 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("hermite-gf", {"precision": 20, "q_values": ("-0.99",)},
      "SKIPPED: NonConvergenceError: (a;q)_inf needs 13370 factors"),
     ("psi11", {"precision": 20, "q_values": ("0.99",)},
-     "SKIPPED: NonConvergenceError: sum not certified")])
+     "SKIPPED: NonConvergenceError: sum not certified"),
+    ("ms-15", {"precision": 20, "q_values": ("0.5",)},
+     "SKIPPED: PoleError: denominator factor 1 - 0.125 q^(-3) of the pole sum vanished")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
     status, _, note = expected.partition(": ")

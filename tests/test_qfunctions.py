@@ -9,13 +9,13 @@ import pytest
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qfunctions)
 from qrr.context import powq, to_mp
-from qrr.fixedpoint import Fixed
+from qrr.fixedpoint import Fixed, _complex, _real
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
                             pochhammer_ratio)
-from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv_w,
-                            _cube_weights, _Lattice, _ratio_streams, _self_conv_w,
-                            _Table, a_alpha, a_alpha_formal, b_alpha,
+from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv,
+                            _cube_pairs, _cube_slices, _cube_weights, _Lattice,
+                            _pair_slices, _ratio_streams, _self_conv_w, _Table, a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
                             cube_bilateral_master_sides, cube_master_sides,
@@ -810,6 +810,12 @@ def _random_table(rnd, lo, size, wp, complex_values):
     return _Table(lo, values)
 
 
+def _conv_w(f, g, n, lo, hi, wpow):
+    """sum over lo <= j <= hi of f_j g_{n-j} w^((n-j) mod 3), one dot product
+    per residue class of n - j: the unmirrored oracle of _self_conv_w."""
+    return sum(wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3))
+
+
 @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
 def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
     import random
@@ -825,3 +831,104 @@ def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
                 assert (got.re, got.im, got.e) == (want.re, want.im, want.e), (n, d)
     with pytest.raises(ValueError):
         _self_conv_w(f, 0, -3, 4, wpow)
+
+
+# The slice layer against direct double and triple loops over the same table:
+# a two-sided and a one-sided table, real and complex, every n from beyond
+# the low end of the table's reach, over its edges, to beyond its high end.
+# The entries are nonzero, the edge ones too, so a span that drops an index
+# changes the edge slices.
+SLICE_TABLES = pytest.mark.parametrize("lo, hi, complex_values", [
+    (-6, 6, False), (-6, 6, True), (0, 6, False), (0, 6, True)],
+    ids=["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex"])
+
+
+def _full_table(lo, hi, complex_values):
+    """Entries of full wp-bit mantissas between 2^-20 and 2^20 in size, which
+    the table's common exponent keeps exactly."""
+    import random
+    rnd = random.Random(20261019 + 7 * lo + complex_values)
+    wp = CTX.fixed_bits
+
+    def part():
+        return rnd.choice((-1, 1)) * (rnd.getrandbits(wp - 1) | 1 << (wp - 1))
+
+    return _Table(lo, [Fixed(part(), part() if complex_values else None,
+                             rnd.randint(-wp - 20, -wp + 20), wp) for _ in range(lo, hi + 1)])
+
+
+def _mantissas(t):
+    """index -> (re, im) of the table's entries on its common exponent."""
+    im = t.im or [0] * len(t.re)
+    return {j: (t.re[j - t.lo], im[j - t.lo]) for j in range(t.lo, t.hi + 1)}
+
+
+def _rounded_once(t, re, im):
+    """An exact sum of products of two entries, rounded as one dot product."""
+    e = 2 * t.E
+    return _real(re, e, t.wp) if t.im is None else _complex(re, im, e, t.wp)
+
+
+def _bits(x):
+    return x.re, x.im, x.e
+
+
+@SLICE_TABLES
+def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values):
+    t = _full_table(lo, hi, complex_values)
+    v = _mantissas(t)
+    ns = range(2 * lo - 2, 2 * hi + 3)
+    for n, got in zip(ns, _pair_slices(t, ns)):
+        re = im = 0
+        for j in v:
+            if n - j in v:
+                (a, b), (c, d), sign = v[j], v[n - j], (-1) ** (j % 2)
+                re += sign * (a * c - b * d)
+                im += sign * (a * d + b * c)
+        assert _bits(got) == _bits(_rounded_once(t, re, im)), n
+        # for odd n the terms j, k and k, j cancel: these entries are kept exactly
+        assert bool(got) == (2 * lo <= n <= 2 * hi and n % 2 == 0), n
+
+
+@SLICE_TABLES
+def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values):
+    t = _full_table(lo, hi, complex_values)
+    v = _mantissas(t)
+    wpow = _cube_weights(CTX)
+    pairs = _cube_pairs(t, 2 * lo - 2, 2 * hi + 2, wpow)
+    assert (pairs.lo, pairs.hi) == (2 * lo - 2, 2 * hi + 2)
+    for m, got in zip(range(2 * lo - 2, 2 * hi + 3), pairs.values):
+        classes = [[0, 0] for _ in range(3)]  # by the residue of k = m - j
+        for j in v:
+            if m - j in v:
+                (a, b), (c, d) = v[j], v[m - j]
+                classes[(m - j) % 3][0] += a * c - b * d
+                classes[(m - j) % 3][1] += a * d + b * c
+        want = sum(wpow[k] * _rounded_once(t, *classes[k]) for k in range(3))
+        assert _bits(got) == _bits(want), m
+        assert bool(got) == (2 * lo <= m <= 2 * hi), m
+
+
+@SLICE_TABLES
+def test_cube_slices_match_triple_loop(lo, hi, complex_values):
+    t = _full_table(lo, hi, complex_values)
+    ns = range(3 * lo - 2, 3 * hi + 3)
+    wpow = _cube_weights(CTX)
+    got = _cube_slices(t, ns, wpow)
+    with mp.workprec(3 * t.wp):
+        # the slices' own w^k and w^(2l), exactly: their product is not
+        # exactly w^(k + 2l) (w carries the context's precision)
+        w = [p.to_mp() for p in wpow]
+        v = {j: mp.mpc(a, b) * mp.mpf(2) ** t.E for j, (a, b) in _mantissas(t).items()}
+        for n, slice_n in zip(ns, got):
+            want = size = 0
+            for j in v:
+                for k in v:
+                    l = n - j - k
+                    if l in v:
+                        term = v[j] * v[k] * v[l]
+                        want += term * w[k % 3] * w[2 * l % 3]
+                        size += abs(term)
+            # each product of the pair table and the slice is rounded once
+            assert abs(slice_n.to_mp() - want) <= mp.mpf(2) ** (8 - t.wp) * size, n
+            assert bool(slice_n) == (3 * lo <= n <= 3 * hi), n
