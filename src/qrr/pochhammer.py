@@ -1,10 +1,14 @@
 """q-shifted factorials, safe reciprocals, and q-binomial coefficients.
 
 The finite product (a;q)_n extends to negative n through the ratio
-convention (a;q)_{-k} = 1/((a q^{-k}; q)_k).  Reciprocals are exposed
-separately (:func:`inv_pochhammer`) so that 1/(q;q)_{-k} can be an exact
-zero instead of a division by an infinity: bilateral sums rely on that
-vanishing to collapse onto their unilateral halves.
+convention (a;q)_{-k} = 1/((a q^{-k}; q)_k).  Every finite value, its
+reciprocal (:func:`inv_pochhammer`) and a ratio of two
+(:func:`pochhammer_ratio`) is one factor walk, :func:`_product`, over the
+factors of :func:`_factors`, or of :func:`_pole_factors` where the walk is a
+denominator.  The reciprocal is exposed separately so that 1/(q;q)_{-k} is an
+exact zero instead of a division by an infinity.  The numeric kernels carry
+their Pochhammer ratios as streams (:mod:`qrr.qfunctions`); these values
+serve exact sums, prefactors and the tests' per-term oracles.
 
 Arguments may be plain numbers or :class:`QPow` pairs ``c * q**e``.  The
 structured form keeps exponent bookkeeping exact, so a factor such as
@@ -12,20 +16,22 @@ structured form keeps exponent bookkeeping exact, so a factor such as
 
 Every numeric quotient of infinite products over one base is one
 :func:`infinite_product` walk, which returns its value certified to
-10^-precision relative or raises NonConvergenceError; a vanishing
-denominator factor is a PoleError naming that factor.
+10^-precision relative or raises NonConvergenceError.  A vanishing
+denominator factor, here or in any series, is the PoleError of :func:`pole`,
+which names that factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from typing import NamedTuple
 
 import mpmath as mp
 
 from .context import MAX_TERMS, QContext, powq, to_mp
-from .errors import NonConvergenceError, PoleError
+from .errors import DomainError, NonConvergenceError, PoleError
 from .exactpoly import QPoly
 from .fixedpoint import Fixed, cut, one_minus, parts
 
@@ -58,6 +64,32 @@ def _factors(a: QPow, q, j=0, step=1):
         p = p * shift
 
 
+def pole(coeff, e, where) -> PoleError:
+    """The error of a vanishing denominator factor 1 - coeff q^e of ``where``."""
+    return PoleError(f"denominator factor 1 - {mp.nstr(to_mp(coeff), 8)} q^({e}) "
+                     f"of the {where} vanished")
+
+
+def _pole_factors(a: QPow, q, j=0, step=1, where="pole sum"):
+    """Yield the factors of :func:`_factors` as denominator factors: a
+    vanishing one raises :func:`pole`."""
+    for i, f in enumerate(_factors(a, q, j, step)):
+        if not f:
+            raise pole(a.coeff, a.exponent + j + i * step, where)
+        yield f
+
+
+def _product(a: QPow, q, n: int, pole_in=None):
+    """The product of the |n| factors of (a;q)_n for n >= 0, or of
+    (a q^n;q)_{-n} for n < 0, walked from 1 - a q^0 up or from 1 - a q^-1
+    down.  With ``pole_in`` the product is a denominator of that name, read
+    from :func:`_pole_factors`."""
+    j, step = (0, 1) if n >= 0 else (-1, -1)
+    factors = (_factors(a, q, j, step) if pole_in is None
+               else _pole_factors(a, q, j, step, pole_in))
+    return prod(islice(factors, abs(n)), start=_one_like(q))
+
+
 def pochhammer_finite(a, q, n: int):
     """(a;q)_n for any integer n.
 
@@ -66,17 +98,7 @@ def pochhammer_finite(a, q, n: int):
     Works on mp numbers and on Fractions alike.
     """
     a = _as_qpow(a)
-    if n >= 0:
-        prod = _one_like(q)
-        for f in islice(_factors(a, q), n):
-            prod = prod * f
-        return prod
-    denom = _one_like(q)
-    for j, f in enumerate(islice(_factors(a, q, -1, -1), -n), 1):
-        if f == 0:
-            raise PoleError(f"(a;q)_{n} hits zero factor at q^(-{j})")
-        denom = denom * f
-    return 1 / denom
+    return _product(a, q, n) if n >= 0 else 1 / _product(a, q, n, f"(a;q)_{n}")
 
 
 def inv_pochhammer(a, q, n: int):
@@ -86,51 +108,20 @@ def inv_pochhammer(a, q, n: int):
     1/(q;q)_{-k} = 0), which is why this path never divides.
     """
     a = _as_qpow(a)
-    if n < 0:
-        prod = _one_like(q)
-        for f in islice(_factors(a, q, -1, -1), -n):
-            if f == 0:
-                return 0 * _one_like(q)
-            prod = prod * f
-        return prod
-    denom = pochhammer_finite(a, q, n)
-    if denom == 0:
-        raise PoleError(f"(a;q)_{n} vanished; reciprocal undefined")
-    return 1 / denom
+    return _product(a, q, n) if n < 0 else 1 / _product(a, q, n, f"1/(a;q)_{n}")
 
 
 def pochhammer_ratio(a, b, q, n: int):
     """(a;q)_n / (b;q)_n with exact-zero and pole handling on both tails.
 
-    For n = -k the ratio equals (b q^{-k};q)_k / (a q^{-k};q)_k; a vanishing
-    numerator kills the term exactly, a vanishing denominator is a pole, and
-    both vanishing at once is reported as a pole (indeterminate).
+    For n = -k the ratio equals (b q^{-k};q)_k / (a q^{-k};q)_k, so the two
+    walks swap by the sign of n: a vanishing numerator factor kills the term
+    exactly, and a vanishing denominator factor is a pole, even where the
+    numerator vanishes too.
     """
-    a, b = _as_qpow(a), _as_qpow(b)
-    if n >= 0:
-        num = pochhammer_finite(a, q, n)
-        den = pochhammer_finite(b, q, n)
-        if den == 0:
-            raise PoleError(f"(b;q)_{n} vanished in denominator")
-        return num / den
-    k = -n
-    num = _one_like(q)
-    num_zero = False
-    for f in islice(_factors(b, q, -1, -1), k):
-        if f == 0:
-            num_zero = True
-            break
-        num = num * f
-    den = _one_like(q)
-    for f in islice(_factors(a, q, -1, -1), k):
-        if f == 0:
-            if num_zero:
-                raise PoleError(f"indeterminate (a;q)_{n}/(b;q)_{n}: both tails vanish")
-            raise PoleError(f"(a;q)_{n} infinite: zero factor in its reciprocal")
-        den = den * f
-    if num_zero:
-        return 0 * _one_like(q)
-    return num / den
+    num, den = (a, b) if n >= 0 else (b, a)
+    return (_product(_as_qpow(num), q, n)
+            / _product(_as_qpow(den), q, n, f"(a;q)_{n}/(b;q)_{n}"))
 
 
 def infinite_product(nums, dens, q, ctx: QContext):
@@ -148,7 +139,7 @@ def infinite_product(nums, dens, q, ctx: QContext):
     with ctx.workdps():
         qv = to_mp(q)
         if abs(qv) >= 1:
-            raise PoleError(f"infinite product needs |q| < 1, got {qv}")
+            raise DomainError(f"infinite product needs |q| < 1, got {qv}")
         absq = abs(qv)
         qf = ctx.fixed(qv)
         wp, one = qf.wp, qf.like(1)
@@ -174,9 +165,7 @@ def infinite_product(nums, dens, q, ctx: QContext):
                     fr, fi, fe = exact if k == zero_at else one_minus(pr, pi, pe, wp)
                     if not (fr or fi):
                         if is_den:
-                            c = mp.nstr(to_mp(a.coeff), 8)
-                            raise PoleError(f"denominator factor 1 - {c} q^({a.exponent + k}) "
-                                            "of the infinite product vanished")
+                            raise pole(a.coeff, a.exponent + k, "infinite product")
                         return mp.mpf(0)
                     vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
                     pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)

@@ -24,8 +24,8 @@ from operator import mul
 import mpmath as mp
 
 from .context import QContext, powq, to_mp
-from .errors import DomainError, PoleError
-from .pochhammer import QPow, _factors, infinite_product, pochhammer_finite
+from .errors import DomainError
+from .pochhammer import QPow, _pole_factors, infinite_product, pochhammer_finite
 from .qfunctions import (_Q1, _bilateral, _gaussian, _ratio_terms, _unilateral,
                          _value)
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
@@ -200,10 +200,8 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
 
         def terms(q):
             # (-1)^n q^binom(n+1,2) = q^binom(n,2) (-q)^n
-            for n, w, s, f in zip(count(), _binomial_powers(-q, q),
-                                  _sw_shifted(-powq(q, nu), q), _factors(z24, q)):
-                if f == 0:
-                    raise PoleError(f"pole: z^2/4 = q^-{n}")
+            for w, s, f in zip(_binomial_powers(-q, q), _sw_shifted(-powq(q, nu), q),
+                               _pole_factors(z24, q, where="partial-fraction sum")):
                 yield w * s / f
 
         series = _unilateral(terms, ctx)

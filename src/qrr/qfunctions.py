@@ -21,7 +21,8 @@ A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
 series, outer sums and ratio tables alike.  The generic stream helpers
-(:func:`_ratios_up`, :func:`_gaussian`, :func:`~qrr.pochhammer._factors`)
+(:func:`_ratios_up`, :func:`_gaussian`, and the factor walks
+:func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums have one
 layer: a kernel builds one :class:`_Table` per call, in fixed point on one
@@ -29,8 +30,9 @@ binary exponent, and reads its pair slices from :func:`_pair_slices` and its
 cube slices from :func:`_cube_pairs` / :func:`_cube_slices`, with every index
 inside the table; each inner sum is one integer dot product, rounded once.
 Every product side, a quotient of infinite products over one base, is one
-:func:`~qrr.pochhammer.infinite_product` walk; a vanishing denominator factor
-there is a PoleError naming that factor.
+:func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
+factor, in a stream, a pole table or a product, is the PoleError of
+:func:`~qrr.pochhammer.pole`, which names that factor.
 
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
@@ -43,6 +45,7 @@ pair table C_m) sums mirror pairs j, n - j once, from half the products.
 from __future__ import annotations
 
 import math
+from copy import copy
 from fractions import Fraction
 from itertools import count, islice
 from operator import mul
@@ -54,8 +57,8 @@ from .errors import AnnulusError, DomainError, PoleError, PrecisionLossError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
-from .pochhammer import (QPow, _as_qpow, _factors, _one_like, infinite_product,
-                         pochhammer_finite)
+from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
+                         infinite_product, pochhammer_finite, pole)
 from .summation import sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
@@ -384,9 +387,8 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
                 fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
             else:
                 if not (xr or xi):
-                    c = mp.nstr(to_mp(dens[i - n_num].coeff), 8)
-                    raise PoleError(f"denominator factor 1 - {c} q^({e}) of the "
-                                    f"{'term' if up else 'bilateral term'} ratio vanished")
+                    raise pole(dens[i - n_num].coeff, e,
+                               "term ratio" if up else "bilateral term ratio")
                 vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
             f[0] = e + dk
             f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
@@ -606,6 +608,21 @@ class _Table:
         """The table of weight(j) * v_j."""
         return _Table(self.lo, [weight(j) * v for j, v in enumerate(self.values, self.lo)])
 
+    def alternating(self) -> "_Table":
+        """The table of (-1)^j v_j on this table's own exponent: the odd-j
+        mantissas negated.  :meth:`weighted` would floor each -v_j afresh,
+        and floor(-x) != -floor(x) for an entry floored at 2^E."""
+        def flip(xs):
+            return [-x if j % 2 else x for j, x in enumerate(xs, self.lo)]
+
+        signed = copy(self)
+        signed.values, signed.re = flip(self.values), flip(self.re)
+        signed.re_reversed = signed.re[::-1]
+        if self.im is not None:
+            signed.im = flip(self.im)
+            signed.im_reversed = signed.im[::-1]
+        return signed
+
 
 def _dot(xs, ys):
     return sum(map(mul, xs, ys))
@@ -692,8 +709,9 @@ def _cube_weights(ctx: QContext):
 
 def _pair_slices(t: _Table, ns) -> list:
     """sum over j + k = n of (-1)^j t_j t_k, j and k inside the table, for
-    each n in ``ns``: one dot product each (zero beyond the table's reach)."""
-    signed = t.weighted(lambda j: (-1) ** (j % 2))
+    each n in ``ns``: one dot product each (zero beyond the table's reach).
+    The terms j, n - j of an odd n cancel exactly."""
+    signed = t.alternating()
     return [_conv(signed, t, n, *_span(signed, t, n)) for n in ns]
 
 
@@ -924,16 +942,6 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
 # ---------------------------------------------------------------------------
 # theta-quotient corollaries (simple-pole denominators)
 # ---------------------------------------------------------------------------
-
-def _pole_factors(a: QPow, q, j=0, step=1):
-    """Yield the factors 1 - a q^i, i = j, j + step, ..., of :func:`_factors`;
-    a vanishing one is a PoleError naming it."""
-    for i, f in zip(count(j, step), _factors(a, q, j, step)):
-        if f == 0:
-            raise PoleError(f"denominator factor 1 - {mp.nstr(to_mp(a.coeff), 8)} "
-                            f"q^({a.exponent + i}) of the pole sum vanished")
-        yield f
-
 
 def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
     """Bilateral sum over n of q^{alpha n^2} x^n / (1 - a q^{step n})."""

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrr import (NonConvergenceError, PoleError, QContext, QPow, QPoly, infinite_product,
-                 inv_pochhammer, pochhammer_finite, pochhammer_infinite, pochhammer_ratio,
-                 q_binomial)
+from qrr import (DomainError, NonConvergenceError, PoleError, QContext, QPow, QPoly,
+                 infinite_product, inv_pochhammer, pochhammer_finite, pochhammer_infinite,
+                 pochhammer_ratio, q_binomial)
 from qrr.context import MAX_TERMS
 
 CTX = QContext.numeric("0.3", precision=50)
@@ -171,6 +171,12 @@ def test_ratio_handles_vanishing_numerator():
     assert pochhammer_ratio(mp.mpf("0.6"), QPow(1, 1), q, -3) == 0
     with pytest.raises(PoleError):
         pochhammer_ratio(QPow(1, 1), mp.mpf("0.6"), q, -3)
+
+
+def test_infinite_product_outside_the_unit_disk_is_a_domain_error():
+    # PoleError is kept for a vanishing denominator factor
+    with CTX.workdps(), pytest.raises(DomainError, match=r"needs \|q\| < 1"):
+        infinite_product([mp.mpf("0.5")], [], mp.mpf("1.5"), CTX)
 
 
 def test_q_binomial_polynomials():

@@ -13,6 +13,7 @@ from qrr.fixedpoint import Fixed, _complex, _real
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
                             pochhammer_ratio)
+from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv,
                             _cube_pairs, _cube_slices, _cube_weights, _Lattice,
                             _pair_slices, _ratio_streams, _self_conv_w, _Table, a_alpha, a_alpha_formal, b_alpha,
@@ -291,6 +292,22 @@ def test_pole_messages_name_the_vanishing_factor():
             psi_1_1(mp.mpf(10), QPow(1, -2), mp.mpf("0.5"), ctx)
         assert str(err.value) == ("denominator factor 1 - 1.0 q^(0) of the "
                                   "term ratio vanished")
+        # (q;q)_-1 = 1/(1 - q q^-1)
+        with pytest.raises(PoleError) as err:
+            pochhammer_finite(mp.mpf("0.5"), mp.mpf("0.5"), -1)
+        assert str(err.value) == ("denominator factor 1 - 0.5 q^(-1) of the "
+                                  "(a;q)_-1 vanished")
+        # a = q: at n = -3 the ratio divides by (q q^-3;q)_3, whose factor
+        # 1 - q q^-1 vanishes
+        with pytest.raises(PoleError) as err:
+            pochhammer_ratio(QPow(1, 1), mp.mpf("0.6"), mp.mpf("0.5"), -3)
+        assert str(err.value) == ("denominator factor 1 - 1.0 q^(0) of the "
+                                  "(a;q)_-3/(b;q)_-3 vanished")
+        # z = 2 q^(-1/2): z^2/4 = q^-1 meets the partial fraction at n = 1
+        with pytest.raises(PoleError) as err:
+            mittag_leffler_rhs(0, QPow(2, F(-1, 2)), ctx)
+        assert str(err.value) == ("denominator factor 1 - 1.0 q^(0) of the "
+                                  "partial-fraction sum vanished")
 
 
 def test_theta_prefactor_poles_are_pole_errors():
@@ -838,14 +855,23 @@ def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
 # the low end of the table's reach, over its edges, to beyond its high end.
 # The entries are nonzero, the edge ones too, so a span that drops an index
 # changes the edge slices.
-SLICE_TABLES = pytest.mark.parametrize("lo, hi, complex_values", [
-    (-6, 6, False), (-6, 6, True), (0, 6, False), (0, 6, True)],
-    ids=["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex"])
+_TABLES = [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20)]
+_TABLE_IDS = ["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex"]
+UNFLOORED_TABLES = pytest.mark.parametrize("lo, hi, complex_values, spread", _TABLES,
+                                           ids=_TABLE_IDS)
+# The bit-for-bit tests also take a table whose entries span 3 wp bits, more
+# than the 2 wp that its common exponent keeps, so its smallest entries are
+# floored there.  (The triple-loop test leaves it out: :func:`_cube_slices`
+# floors its pair table and its twisted table afresh, beyond the size bound
+# that test checks.)
+SLICE_TABLES = pytest.mark.parametrize(
+    "lo, hi, complex_values, spread", _TABLES + [(-6, 6, False, 3 * CTX.fixed_bits // 2)],
+    ids=_TABLE_IDS + ["two-sided-real-floored"])
 
 
-def _full_table(lo, hi, complex_values):
-    """Entries of full wp-bit mantissas between 2^-20 and 2^20 in size, which
-    the table's common exponent keeps exactly."""
+def _full_table(lo, hi, complex_values, spread):
+    """Entries of full wp-bit mantissas between 2^-spread and 2^spread in
+    size."""
     import random
     rnd = random.Random(20261019 + 7 * lo + complex_values)
     wp = CTX.fixed_bits
@@ -854,7 +880,8 @@ def _full_table(lo, hi, complex_values):
         return rnd.choice((-1, 1)) * (rnd.getrandbits(wp - 1) | 1 << (wp - 1))
 
     return _Table(lo, [Fixed(part(), part() if complex_values else None,
-                             rnd.randint(-wp - 20, -wp + 20), wp) for _ in range(lo, hi + 1)])
+                             rnd.randint(-wp - spread, -wp + spread), wp)
+                       for _ in range(lo, hi + 1)])
 
 
 def _mantissas(t):
@@ -874,8 +901,8 @@ def _bits(x):
 
 
 @SLICE_TABLES
-def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values):
-    t = _full_table(lo, hi, complex_values)
+def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values, spread):
+    t = _full_table(lo, hi, complex_values, spread)
     v = _mantissas(t)
     ns = range(2 * lo - 2, 2 * hi + 3)
     for n, got in zip(ns, _pair_slices(t, ns)):
@@ -891,8 +918,8 @@ def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values):
 
 
 @SLICE_TABLES
-def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values):
-    t = _full_table(lo, hi, complex_values)
+def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values, spread):
+    t = _full_table(lo, hi, complex_values, spread)
     v = _mantissas(t)
     wpow = _cube_weights(CTX)
     pairs = _cube_pairs(t, 2 * lo - 2, 2 * hi + 2, wpow)
@@ -909,9 +936,9 @@ def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values):
         assert bool(got) == (2 * lo <= m <= 2 * hi), m
 
 
-@SLICE_TABLES
-def test_cube_slices_match_triple_loop(lo, hi, complex_values):
-    t = _full_table(lo, hi, complex_values)
+@UNFLOORED_TABLES
+def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread):
+    t = _full_table(lo, hi, complex_values, spread)
     ns = range(3 * lo - 2, 3 * hi + 3)
     wpow = _cube_weights(CTX)
     got = _cube_slices(t, ns, wpow)
