@@ -26,8 +26,7 @@ import mpmath as mp
 from .context import QContext, powq, to_mp
 from .errors import DomainError
 from .pochhammer import QPow, _pole_factors, infinite_product, pochhammer_finite
-from .qfunctions import (_Q1, _bilateral, _gaussian, _ratio_terms, _unilateral,
-                         _value)
+from .qfunctions import _Q1, _gaussian, _ratio_terms, _series, _value
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
                            stieltjes_wigert)
 
@@ -98,8 +97,8 @@ def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
 def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):
     """sum_n x^n q^{alpha n^2} / ((q;q)_n (q^{nu+1};q)_n): the series of every
     kind, and of the special-value identity."""
-    return _unilateral(lambda q: _ratio_terms([], [_Q1, QPow(1, nu + 1)], q,
-                                              powq(q, alpha) * x, powq(q, 2 * alpha)), ctx)
+    return _series(lambda q: _ratio_terms([], [_Q1, QPow(1, nu + 1)], q,
+                                          powq(q, alpha) * x, powq(q, 2 * alpha)), ctx)
 
 
 def _with_quarter_square(z, q):
@@ -182,7 +181,7 @@ def gen_func_sides(z, t, ctx: QContext):
                     map(mul, islice(_binomial_powers(q / t, q), 1, None),
                         (bessel_i(2, m, zv, ctx) for m in count(-1, -1))))
 
-        lhs = _bilateral(streams, ctx)
+        lhs = _series(streams, ctx)
         rhs = infinite_product([-tv * zv / 2, -q * zv / (2 * tv)], [], q, ctx)
         return lhs, rhs
 
@@ -204,7 +203,7 @@ def mittag_leffler_rhs(nu, z, ctx: QContext):
                                _pole_factors(z24, q, where="partial-fraction sum")):
                 yield w * s / f
 
-        series = _unilateral(terms, ctx)
+        series = _series(terms, ctx)
         pref = (mp.power(zv / 2, mp.mpf(nu.numerator) / nu.denominator)
                 * infinite_product([], [q, q], q, ctx))
         return pref * series

@@ -12,11 +12,12 @@ multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
 running products that live for one sum.
 
 Numeric series run in Python-int fixed point (:mod:`qrr.fixedpoint`), complex
-values as pairs of ints.  A series enters fixed point in :func:`_unilateral` /
-:func:`_bilateral`, which hand its stream builder the base q at
-``ctx.fixed_bits`` (other mpf/mpc arguments are read exactly at their first
-use) and rerun it wider when the engine reports cancellation; it leaves
-:func:`_widening` as its certified mpf/mpc value, or as NonConvergenceError.
+values as pairs of ints.  A series, one stream or the pair of streams of a
+bilateral one, enters fixed point in :func:`_series`, which hands its stream
+builder the base q at ``ctx.fixed_bits`` (other mpf/mpc arguments are read
+exactly at their first use) and reruns it wider when the engine reports
+cancellation; it leaves :func:`_widening` as its certified mpf/mpc value, or
+as NonConvergenceError.
 A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
@@ -25,10 +26,11 @@ series, outer sums and ratio tables alike.  The generic stream helpers
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums have one
-layer: a kernel builds one :class:`_Table` per call, in fixed point on one
-binary exponent, and reads its pair slices from :func:`_pair_slices` and its
-cube slices from :func:`_cube_pairs` / :func:`_cube_slices`, with every index
-inside the table; each inner sum is one integer dot product, rounded once.
+rule: a kernel builds one :class:`_Table` per call, in fixed point on one
+binary exponent, and each weighted slice (:func:`_pair_slices`,
+:func:`_cube_pairs`, :func:`_cube_slices`) combines exact integer sums over
+residue classes of the table's own mantissas, every index inside the table,
+and rounds once, so a slice that the identity makes vanish is an exact zero.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -45,7 +47,6 @@ pair table C_m) sums mirror pairs j, n - j once, from half the products.
 from __future__ import annotations
 
 import math
-from copy import copy
 from fractions import Fraction
 from itertools import count, islice
 from operator import mul
@@ -87,21 +88,16 @@ def _widening(run, ctx: QContext):
             wp += exc.bits + RERUN_MARGIN_BITS
 
 
-def _unilateral(build, ctx: QContext):
-    """Sum of the stream of terms 0, 1, ... that ``build(q)`` returns."""
+def _series(build, ctx: QContext):
+    """Sum of the series whose stream of terms n = 0, 1, ... ``build(q)``
+    returns, or of the bilateral series whose streams n = 0, 1, ... and
+    n = -1, -2, ... it returns as a pair."""
     def run(q):
         terms = build(q)
+        if isinstance(terms, tuple):
+            pos, neg = terms
+            return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx)
         return sum_series(lambda n: next(terms), ctx)
-
-    return _widening(run, ctx)
-
-
-def _bilateral(build, ctx: QContext):
-    """Sum of the streams of terms n = 0, 1, ... and n = -1, -2, ... that
-    ``build(q)`` returns as a pair."""
-    def run(q):
-        pos, neg = build(q)
-        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx)
 
     return _widening(run, ctx)
 
@@ -140,14 +136,14 @@ class _Lattice:
     """One series at the q-geometric family of arguments y_s = y0 q^(e s),
     s an integer, from one set of coefficient streams.
 
-    ``build(q)`` returns the series' stream at y0, or for a ``bilateral``
-    series the pair of its streams n = 0, 1, ... and n = -1, -2, ..., as the
-    builders of :func:`_unilateral` / :func:`_bilateral` do.  Its term n is
-    c_n y0^n, so the term at y_s is c_n h^n with h = q^(e s).  The streams
-    are built once per fixed-point width ``wp`` and kept as they extend, so
-    the sum at s costs one running power and one multiplication per term;
-    a :func:`_widening` rerun builds them again at its wider ``wp``.  The
-    lattice lives for one kernel call.
+    ``build(q)`` returns the series' stream at y0, or the pair of streams
+    n = 0, 1, ... and n = -1, -2, ... of a bilateral series, as the
+    builders of :func:`_series` do.  Its term n is c_n y0^n, so the term at
+    y_s is c_n h^n with h = q^(e s).  The streams are built once per
+    fixed-point width ``wp`` and kept as they extend, so the sum at s costs
+    one running power and one multiplication per term; a :func:`_widening`
+    rerun builds them again at its wider ``wp``.  The lattice lives for one
+    kernel call.
 
     Roundings.  h is q^(e s) from a power taken ``bitlen(|e s|) + 2`` bits
     wider and rounded once to wp, so h^n carries n roundings of its own and
@@ -159,32 +155,31 @@ class _Lattice:
     R (n + 1)^2 = 8 (n + 1)^2 of :func:`~qrr.fixedpoint.rounding_bits`.
     """
 
-    def __init__(self, build, e, ctx: QContext, bilateral: bool = False):
+    def __init__(self, build, e, ctx: QContext):
         self.build = build
         self.e = Fraction(e)
         self.ctx = ctx
-        self.bilateral = bilateral
         self.tables = {}  # wp -> the shared coefficient streams at that width
 
     def _streams(self, q: Fixed):
         table = self.tables.get(q.wp)
         if table is None:
             streams = self.build(q)
-            table = self.tables[q.wp] = [_Shared(t) for t in
-                                         (streams if self.bilateral else (streams,))]
+            streams = streams if isinstance(streams, tuple) else (streams,)
+            table = self.tables[q.wp] = [_Shared(t) for t in streams]
         return table
 
     def sum(self, s: int):
         """The series at y0 q^(e s)."""
         def build(q):
             table = self._streams(q)
-            if self.bilateral:
-                # the stream n = -1, -2, ... reads c_n h^n as c_n (1/h)^(-n)
-                return (_scaled(table[0], _power(q, self.e * s)),
-                        _scaled(table[1], _power(q, -self.e * s), 1))
-            return _scaled(table[0], _power(q, self.e * s))
+            pos = _scaled(table[0], _power(q, self.e * s))
+            if len(table) == 1:
+                return pos
+            # the stream n = -1, -2, ... reads c_n h^n as c_n (1/h)^(-n)
+            return pos, _scaled(table[1], _power(q, -self.e * s), 1)
 
-        return (_bilateral if self.bilateral else _unilateral)(build, self.ctx)
+        return _series(build, self.ctx)
 
 
 def _power(q: Fixed, m) -> Fixed:
@@ -268,8 +263,8 @@ def phi_2_1(a, b, c, z, ctx: QContext):
         if abs(zv) >= 1:
             raise DomainError(f"2phi1 requires |z| < 1, got |z|={abs(zv)}")
 
-        return _unilateral(lambda q: _ratio_terms([a, b], [c, _Q1], q, q.like(zv),
-                                                  q.like(1)), ctx)
+        return _series(lambda q: _ratio_terms([a, b], [c, _Q1], q, q.like(zv), q.like(1)),
+                       ctx)
 
 
 def phi_1_1(a, b, z, ctx: QContext):
@@ -283,7 +278,7 @@ def phi_1_1(a, b, z, ctx: QContext):
         zv = _value(z, ctx.q)
 
         # the ratio carries (-1) * q^k from the convention factor
-        return _unilateral(lambda q: _ratio_terms([a], [b, _Q1], q, -q.like(zv), q), ctx)
+        return _series(lambda q: _ratio_terms([a], [b, _Q1], q, -q.like(zv), q), ctx)
 
 
 def phi21_terminating_exact(m: int, n: int, q: Fraction) -> Fraction:
@@ -332,7 +327,7 @@ def psi_1_1(a, b, z, ctx: QContext):
         if not abs(zv) < 1 or (not terminating and not ratio < abs(zv)):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
-        return _bilateral(_ratio_streams(aq, bq, 0, zv), ctx)
+        return _series(_ratio_streams(aq, bq, 0, zv), ctx)
 
 
 def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
@@ -426,7 +421,7 @@ def psi_1_1_product(a, b, z, ctx: QContext):
 def ramanujan_A(z, ctx: QContext):
     """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z."""
     with ctx.workdps():
-        return _unilateral(_ramanujan_A_stream(to_mp(z)), ctx)
+        return _series(_ramanujan_A_stream(to_mp(z)), ctx)
 
 
 def _ramanujan_A_stream(zv):
@@ -439,7 +434,7 @@ def omega(v, ctx: QContext):
     """omega(v; q) = sum_{n>=0} q^{n^2} v^n."""
     with ctx.workdps():
         vv = to_mp(v)
-        return _unilateral(lambda q: _ratio_terms([], [], q, q * vv, q * q), ctx)
+        return _series(lambda q: _ratio_terms([], [], q, q * vv, q * q), ctx)
 
 
 def a_alpha(alpha, a, t, ctx: QContext):
@@ -447,7 +442,7 @@ def a_alpha(alpha, a, t, ctx: QContext):
     aq = _as_qpow(a)
     alpha = Fraction(alpha)
     with ctx.workdps():
-        return _unilateral(_a_alpha_stream(aq, alpha, to_mp(t)), ctx)
+        return _series(_a_alpha_stream(aq, alpha, to_mp(t)), ctx)
 
 
 def _a_alpha_stream(aq: QPow, alpha, tv):
@@ -468,7 +463,7 @@ def b_alpha(alpha, a, b, x, ctx: QContext):
     if alpha == 0:
         return psi_1_1(aq, bq, x, ctx)
     with ctx.workdps():
-        return _bilateral(_ratio_streams(aq, bq, alpha, to_mp(x)), ctx)
+        return _series(_ratio_streams(aq, bq, alpha, to_mp(x)), ctx)
 
 
 def u_m_bilateral(a, m: int, ctx: QContext):
@@ -486,7 +481,7 @@ def u_m_bilateral(a, m: int, ctx: QContext):
                 _ratio_terms([aq1], [], q, powq(q, 1 - m), q * q, up=False))
 
     with ctx.workdps():
-        return _bilateral(streams, ctx)
+        return _series(streams, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -577,55 +572,56 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 
 class _Table:
     """Values v_j for lo <= j <= hi in fixed point on one binary exponent:
-    v_j = (re_j + i im_j) 2^E.  The mantissas are kept forward and reversed,
-    so that a convolution sum_j f_j g_{n-j} is an integer dot product of two
-    plain slices, exact and then rounded once.
+    v_j = (re_j + i im_j) 2^E, im None for a real table.  The mantissas are
+    kept forward and reversed, so that a convolution sum_j f_j g_{n-j} is an
+    exact integer dot product of two plain slices.
 
     E lies 2 wp bits below the largest entry, or at the smallest entry's
     exponent if that is higher: entries down to 2^-wp of the largest keep all
-    their bits, and smaller ones are floored at 2^(-2 wp) of it.  A dot
-    product of n terms therefore errs, beyond the entries' own roundings, by
-    less than 2n 2^(-2 wp) times its largest possible product; callers
+    their bits, and smaller ones are floored at 2^(-2 wp) of it.  A sum of n
+    products of entries therefore errs, beyond the entries' own roundings,
+    by less than 2n 2^(-2 wp) times its largest possible product; callers
     factor out any growth (x^j) that pairs large entries with small ones.
     """
 
     def __init__(self, lo: int, values):
-        self.lo = lo
-        self.values = list(values)
-        self.hi = lo + len(self.values) - 1
-        self.wp = self.values[0].wp
-        nonzero = [v for v in self.values if v]
+        values = list(values)
+        self.lo, self.hi, self.wp = lo, lo + len(values) - 1, values[0].wp
+        nonzero = [v for v in values if v]
         self.E = max(min((v.e for v in nonzero), default=0),
                      max((v.top() for v in nonzero), default=0) - 2 * self.wp)
-        self.re = [shifted(v.re, v.e - self.E) for v in self.values]
+        self.re = [shifted(v.re, v.e - self.E) for v in values]
         self.im = None
-        if any(v.im is not None for v in self.values):
-            self.im = [shifted(v.im or 0, v.e - self.E) for v in self.values]
-            self.im_reversed = self.im[::-1]
-        self.re_reversed = self.re[::-1]
+        if any(v.im is not None for v in values):
+            self.im = [shifted(v.im or 0, v.e - self.E) for v in values]
+        self.reversed = self.re[::-1], self.im and self.im[::-1]
 
-    def weighted(self, weight) -> "_Table":
-        """The table of weight(j) * v_j."""
-        return _Table(self.lo, [weight(j) * v for j, v in enumerate(self.values, self.lo)])
+    def rounded(self, re, im, e) -> Fixed:
+        """(re + i im) 2^e rounded once to the table's width, real for a
+        real table."""
+        return _real(re, e, self.wp) if self.im is None else _complex(re, im, e, self.wp)
 
-    def alternating(self) -> "_Table":
-        """The table of (-1)^j v_j on this table's own exponent: the odd-j
-        mantissas negated.  :meth:`weighted` would floor each -v_j afresh,
-        and floor(-x) != -floor(x) for an entry floored at 2^E."""
-        def flip(xs):
-            return [-x if j % 2 else x for j, x in enumerate(xs, self.lo)]
 
-        signed = copy(self)
-        signed.values, signed.re = flip(self.values), flip(self.re)
-        signed.re_reversed = signed.re[::-1]
-        if self.im is not None:
-            signed.im = flip(self.im)
-            signed.im_reversed = signed.im[::-1]
-        return signed
+def _at(parts, s):
+    """The mantissa lists (re, im) at the slice s, im None for real ones."""
+    re, im = parts
+    return re[s], im and im[s]
 
 
 def _dot(xs, ys):
     return sum(map(mul, xs, ys))
+
+
+def _dots(f, g):
+    """(re, im): the exact sum of the products f_j g_j of two sequences of
+    complex mantissas, each given as its lists (re, im)."""
+    (fr, fi), (gr, gi) = f, g
+    re = _dot(fr, gr)
+    if fi is None:
+        return re, (0 if gi is None else _dot(fr, gi))
+    if gi is None:
+        return re, _dot(fi, gr)
+    return re - _dot(fi, gi), _dot(fr, gi) + _dot(fi, gr)
 
 
 def _span(f: _Table, g: _Table, n: int):
@@ -635,44 +631,28 @@ def _span(f: _Table, g: _Table, n: int):
     return lo, max(min(f.hi, n - g.lo), lo - 1)
 
 
-def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1) -> Fixed:
-    """sum of f_j g_{n-j} over j = lo, lo + step, ... <= hi, exact and then
-    rounded once.
+def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1):
+    """(re, im): the exact sum of f_j g_{n-j} over j = lo, lo + step, ...
+    <= hi, on the exponent f.E + g.E (im 0 for real tables).
 
     The caller keeps j inside f and n - j inside g (:func:`_span`).
     """
-    fs = slice(lo - f.lo, hi - f.lo + 1, step)
-    gs = slice(g.hi - n + lo, g.hi - n + hi + 1, step)
-    fr, gr = f.re[fs], g.re_reversed[gs]
-    re, e = _dot(fr, gr), f.E + g.E
-    if f.im is None and g.im is None:
-        return _real(re, e, f.wp)
-    fi = f.im[fs] if f.im is not None else None
-    gi = g.im_reversed[gs] if g.im is not None else None
-    if fi is None:
-        im = _dot(fr, gi)
-    elif gi is None:
-        im = _dot(fi, gr)
-    else:
-        re -= _dot(fi, gi)
-        im = _dot(fr, gi) + _dot(fi, gr)
-    return _complex(re, im, e, f.wp)
+    return _dots(_at((f.re, f.im), slice(lo - f.lo, hi - f.lo + 1, step)),
+                 _at(g.reversed, slice(g.hi - n + lo, g.hi - n + hi + 1, step)))
 
 
-def _self_conv_w(f: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
-    """sum over lo <= j <= hi of f_j f_{n-j} w^((n-j) mod 3) for a range
-    mirrored by j -> n - j (lo + hi = n), or empty, from half the products.
+def _self_conv_w(f: _Table, n: int, lo: int, hi: int) -> list:
+    """The exact sums (re, im) of f_j f_{n-j} over lo <= j <= hi with
+    n - j = 0, 1, 2 (mod 3), for a range mirrored by j -> n - j
+    (lo + hi = n), or empty, from half the products.
 
-    ``wpow`` is the table (1, w, w^2).  The sum is sum_t w^t P_t over the
-    residue classes t of n - j, each P_t the exact int of its products,
-    rounded once as by :func:`_conv`, so real tables stay real until the
-    final three terms.  The mirror maps the class t to the class n - t, and
-    f_j f_{n-j} to itself, so the P_t agree in pairs.  One pair is one dot
-    product; the class with 2t = n (mod 3) maps to itself and sums each
-    mirror pair once, doubled, plus the middle term j = n/2.
+    The mirror maps the class t to the class n - t, and f_j f_{n-j} to
+    itself, so the classes agree in pairs.  One pair is one dot product; the
+    class with 2t = n (mod 3) maps to itself and sums each mirror pair once,
+    doubled, plus the middle term j = n/2.
     """
     if hi < lo:
-        return _conv(f, f, n, lo, hi)
+        return [(0, 0)] * 3
     if lo + hi != n:
         raise ValueError(f"range [{lo}, {hi}] is not mirrored about {n}/2")
     own = 2 * n % 3
@@ -681,54 +661,75 @@ def _self_conv_w(f: _Table, n: int, lo: int, hi: int, wpow) -> Fixed:
     p[pair] = p[(n - pair) % 3] = _conv(f, f, n, lo + (n - pair - lo) % 3, hi, 3)
     # the class of own: j from j0 in steps of 3 while j < n - j
     j0 = lo + (n - own - lo) % 3
-    half = slice(j0 - f.lo, (n - 1) // 2 - f.lo + 1, 3)
-    mirror = slice(f.hi - n + j0, f.hi - n + (n - 1) // 2 + 1, 3)
-    fr, gr = f.re[half], f.re_reversed[mirror]
-    mid = n % 2 == 0 and lo <= n // 2 <= hi
-    c = n // 2 - f.lo
-    e = 2 * f.E
-    if f.im is None:
-        re = 2 * _dot(fr, gr) + (f.re[c] ** 2 if mid else 0)
-        p[own] = _real(re, e, f.wp)
-    else:
-        fi, gi = f.im[half], f.im_reversed[mirror]
-        re = 2 * (_dot(fr, gr) - _dot(fi, gi))
-        im = 2 * (_dot(fr, gi) + _dot(fi, gr))
-        if mid:
-            re += f.re[c] ** 2 - f.im[c] ** 2
-            im += 2 * f.re[c] * f.im[c]
-        p[own] = _complex(re, im, e, f.wp)
-    return sum(wpow[t] * p[t] for t in range(3))
-
-
-def _cube_weights(ctx: QContext):
-    """(1, w, w^2) for the primitive cube root of unity w, in fixed point."""
-    w = ctx.fixed(rho_root(ctx))
-    return (w.like(1), w, w * w)
+    re, im = _dots(_at((f.re, f.im), slice(j0 - f.lo, (n - 1) // 2 - f.lo + 1, 3)),
+                   _at(f.reversed, slice(f.hi - n + j0, f.hi - n + (n - 1) // 2 + 1, 3)))
+    re, im = 2 * re, 2 * im
+    if n % 2 == 0 and lo <= n // 2 <= hi:
+        cr, ci = (x[n // 2 - f.lo] if x else 0 for x in (f.re, f.im))
+        re, im = re + cr * cr - ci * ci, im + 2 * cr * ci
+    p[own] = re, im
+    return p
 
 
 def _pair_slices(t: _Table, ns) -> list:
     """sum over j + k = n of (-1)^j t_j t_k, j and k inside the table, for
-    each n in ``ns``: one dot product each (zero beyond the table's reach).
-    The terms j, n - j of an odd n cancel exactly."""
-    signed = t.alternating()
-    return [_conv(signed, t, n, *_span(signed, t, n)) for n in ns]
+    each n in ``ns``: the even-j class minus the odd-j class, exact and then
+    rounded once (zero beyond the table's reach).  For an odd n, j -> n - j
+    swaps the classes, so the slice is an exact zero."""
+    def pair_slice(n, lo, hi):
+        (even, even_i), (odd, odd_i) = (_conv(t, t, n, j, hi, 2)
+                                        for j in (lo + lo % 2, lo + 1 - lo % 2))
+        return t.rounded(even - odd, even_i - odd_i, 2 * t.E)
+
+    return [pair_slice(n, *_span(t, t, n)) for n in ns]
 
 
-def _cube_pairs(t: _Table, lo: int, hi: int, wpow) -> _Table:
-    """The table C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi,
-    j and k inside t, each from its mirror pairs (:func:`_self_conv_w`)."""
-    return _Table(lo, [_self_conv_w(t, m, *_span(t, t, m), wpow) for m in range(lo, hi + 1)])
+def _cube_pairs(t: _Table, lo: int, hi: int, w: Fixed) -> list:
+    """C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi, j and k
+    inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_self_conv_w`, each
+    rounded once, weighted by 1, w, w^2."""
+    w2, e = w * w, 2 * t.E
+    classes = ([t.rounded(re, im, e) for re, im in _self_conv_w(t, m, *_span(t, t, m))]
+               for m in range(lo, hi + 1))
+    return [p0 + w * p1 + w2 * p2 for p0, p1, p2 in classes]
 
 
-def _cube_slices(t: _Table, ns, wpow) -> list:
+def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     """sum over j + k + l = n of t_j w^k t_k w^(2l) t_l, every index inside
-    the table, for each n in the sequence ``ns``: the pair table C_m of
-    :func:`_cube_pairs` over the m = n - l that ``ns`` reaches, then one dot
-    product of C with w^(2l) t_l per n."""
-    pairs = _cube_pairs(t, min(ns) - t.hi, max(ns) - t.lo, wpow)
-    twisted = t.weighted(lambda l: wpow[(2 * l) % 3])
-    return [_conv(pairs, twisted, n, *_span(pairs, twisted, n)) for n in ns]
+    the table, for each n in the sequence ``ns``, as x + y w rounded once.
+
+    With P_s the exact sum of the t_j t_k t_l with k + 2l = s (mod 3), the
+    slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the Q(w)
+    coordinates of :func:`cube_convolution_sides`.  From the classes c_i(m)
+    of :func:`_self_conv_w` (k = i mod 3), P_s = sum_l c_(s+l)(n - l) t_l, so
+    x and y take one dot product each per residue of l.  Cycling (j, k, l)
+    maps the class s to s + n, so for 3 not dividing n the P_s agree and the
+    slice is an exact zero.
+    """
+    lo, hi = min(ns) - t.hi, max(ns) - t.lo  # the m = n - l that ns reaches
+    d = [([], []) for _ in range(3)]  # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo
+    for m in range(hi, lo - 1, -1):
+        c = _self_conv_w(t, m, *_span(t, t, m))
+        for i, (dr, di) in enumerate(d):
+            dr.append(c[i][0] - c[(i + 1) % 3][0])
+            di.append(c[i][1] - c[(i + 1) % 3][1])
+    d = [(dr, t.im and di) for dr, di in d]
+    # per residue of l: its first l, its t_l, and the differences for x and y
+    rows = [(l0, _at((t.re, t.im), slice(l0 - t.lo, None, 3)),
+             d[(l0 + 2) % 3], d[(l0 + 1) % 3]) for l0 in range(t.lo, t.lo + 3)]
+    wr, wi, we = parts(w)  # |w| = 1 at wp bits: we < 0
+    out = []
+    for n in ns:
+        xr = xi = yr = yi = 0
+        for l0, tl, dx, dy in rows:
+            ds = slice(hi - n + l0, None, 3)
+            re, im = _dots(_at(dx, ds), tl)
+            xr, xi = xr - re, xi - im
+            re, im = _dots(_at(dy, ds), tl)
+            yr, yi = yr + re, yi + im
+        out.append(_complex((xr << -we) + yr * wr - yi * wi, (xi << -we) + yr * wi + yi * wr,
+                            3 * t.E + we, t.wp))
+    return out
 
 
 def _bilateral_ratio_array(a: QPow, b: QPow, q: Fixed, K: int) -> _Table:
@@ -797,11 +798,10 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
-        wpow = _cube_weights(ctx)
         av, bv = _value(aq, q), _value(bq, q)
         K = ratio_truncation(av, bv, q, ctx) + abs(n)
         r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
-        lhs = _cube_slices(r, [n], wpow)[0].to_mp()
+        lhs = _cube_slices(r, [n], ctx.fixed(rho_root(ctx)))[0].to_mp()
         if n % 3 != 0:
             return lhs, mp.mpf(0)
         m = n // 3
@@ -840,7 +840,7 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         aq = _as_qpow(av)
         inner = _Lattice(_a_alpha_stream(aq, alpha, tv), 2 * alpha, ctx)
         outer = _a_alpha_stream(aq, alpha, -tv)
-        return lhs, _unilateral(lambda q: _outer_terms(outer(q), count(), inner), ctx)
+        return lhs, _series(lambda q: _outer_terms(outer(q), count(), inner), ctx)
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -853,11 +853,11 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         ctx3 = QContext.numeric(q ** 3, precision=ctx.precision)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         s_max = gaussian_truncation(alpha, ctx)
-        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
+        qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
         one = qf.like(1)
         r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1))
         # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights q^{alpha s^2} t^s
-        pairs = _cube_pairs(r, 0, s_max, wpow).values
+        pairs = _cube_pairs(r, 0, s_max, w)
         weights = _gaussian(qf, alpha, qf.like(tv))
         # the inner function at w^2 t q^{2 alpha s}
         inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
@@ -889,7 +889,7 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
 
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
         aq, bq = _as_qpow(av), _as_qpow(bv)
-        inner = _Lattice(_ratio_streams(aq, bq, alpha, xv), 2 * alpha, ctx, bilateral=True)
+        inner = _Lattice(_ratio_streams(aq, bq, alpha, xv), 2 * alpha, ctx)
         outer = _ratio_streams(aq, bq, alpha, -xv)
 
         def streams(q):
@@ -897,7 +897,7 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
             return (_outer_terms(pos, count(), inner),
                     _outer_terms(neg, count(-1, -1), inner))
 
-        return lhs, _bilateral(streams, ctx)
+        return lhs, _series(streams, ctx)
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -927,14 +927,14 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
         # the slice terms only decay like (b/a)^|s| in each direction.
         K = ratio_truncation(av, bv, q, ctx)
-        qf, wpow = ctx.fixed(q), _cube_weights(ctx)
+        qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
         r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 2 * K)
-        pairs = _cube_pairs(r, -K, K, wpow).values  # sum_{j+k=s} r_j w^k r_k
+        pairs = _cube_pairs(r, -K, K, w)  # sum_{j+k=s} r_j w^k r_k
         twist = rho_root(ctx) ** 2 if corrected else 1
         weights = _gaussian(qf, alpha, qf.like(xv), -K)  # q^{alpha s^2} x^s
         # the inner function at twist x q^{2 alpha s}
         inner = _Lattice(_ratio_streams(_as_qpow(av), _as_qpow(bv), alpha, twist * xv),
-                         2 * alpha, ctx, bilateral=True)
+                         2 * alpha, ctx)
         rhs = sum(c * g * inner.sum(s) for s, c, g in zip(count(-K), pairs, weights))
         return lhs, pref * rhs.to_mp()
 
@@ -953,7 +953,7 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
                 (g / f for f, g in zip(_pole_factors(a, q, -step, -step),
                                        _gaussian(q, alpha, 1 / x, 1))))
 
-    return _bilateral(streams, ctx)
+    return _series(streams, ctx)
 
 
 def _theta_truncation(x, ctx: QContext):
@@ -1035,8 +1035,8 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         single = _pole_series(a3, 3, 9, xv ** 3, ctx)
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
-        wpow = _cube_weights(ctx)
-        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, wpow), aq, xv, K, ns, ctx)
+        w = ctx.fixed(rho_root(ctx))
+        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, w), aq, xv, K, ns, ctx)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

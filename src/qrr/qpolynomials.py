@@ -35,7 +35,7 @@ from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
 from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
                          q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
-                         _ratio_terms, _ratios_up, _unilateral, _value, ramanujan_A,
+                         _ratio_terms, _ratios_up, _series, _value, ramanujan_A,
                          rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
@@ -433,8 +433,8 @@ def st_5_1_sides(x, t, ctx: QContext):
         q = ctx.q
         xv, tv = to_mp(x), to_mp(t)
         lhs = infinite_product([xv * tv, -tv], [], q, ctx)
-        return lhs, _unilateral(lambda q: map(mul, _binomial_powers(q.like(tv), q),
-                                              _sw_shifted(q.like(xv), q)), ctx)
+        return lhs, _series(lambda q: map(mul, _binomial_powers(q.like(tv), q),
+                                          _sw_shifted(q.like(xv), q)), ctx)
 
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
@@ -476,7 +476,7 @@ def st_5_3_sides(n: int, x, ctx: QContext):
             return map(mul, _ratio_terms([], [_Q1], q, q.like(xv) * q ** (n + 1), q),
                        (inner.sum(k) for k in count()))
 
-        return lhs, _unilateral(terms, ctx) / pochhammer_finite(q, q, n)
+        return lhs, _series(terms, ctx) / pochhammer_finite(q, q, n)
 
 
 def st_5_4_sides(n: int, a, b, q):
@@ -496,7 +496,7 @@ def st_5_5_sides(n: int, a, ctx: QContext):
         lhs = stieltjes_wigert(n, av, q)
         pref = (infinite_product([-av * q], [], q, ctx)
                 / (pochhammer_finite(q, q, n) * pochhammer_finite(-av * q, q, n)))
-        return lhs, pref * _unilateral(
+        return lhs, pref * _series(
             lambda q: _ratio_terms([], [_Q1, QPow(-av, n + 1)], q, -q.like(av) * q, q * q),
             ctx)
 
@@ -553,7 +553,7 @@ def st_5_9_sides(w, z, ctx: QContext):
         lhs = ramanujan_A(wv * zv, ctx)
         pref = infinite_product([wv * q], [], q, ctx)
         # q^{n^2} w^n / (wq;q)_n: ratio w q^{2n+1} / (1 - w q^{n+1})
-        return lhs, pref * _unilateral(
+        return lhs, pref * _series(
             lambda q: map(mul, _ratio_terms([], [QPow(wv, 1)], q, q.like(wv) * q, q * q),
                           _sw_shifted(q.like(zv), q)), ctx)
 
@@ -570,7 +570,7 @@ def st_10_sides(m: int, z, ctx: QContext):
             return map(mul, _ratio_terms([], [_Q1], q, -z * q ** (m + 1), q * q),
                        map(stieltjes_wigert, repeat(m), _geometric(z, q), repeat(q)))
 
-        return lhs, pochhammer_finite(q, q, m) * _unilateral(terms, ctx)
+        return lhs, pochhammer_finite(q, q, m) * _series(terms, ctx)
 
 
 def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
@@ -595,7 +595,7 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
             return map(mul, _ratio_terms([QPow(-1, 1)], [], sqf, q.like(q4) * tv, sqf),
                        _sw_shifted(q.like(zv), q))
 
-        lhs = _unilateral(terms, ctx)
+        lhs = _series(terms, ctx)
         zsign = -1 if reading == "literal" else 1
         rhs = (infinite_product([-tv * q4, zsign * tv * q4 * zv], [], sq, ctx)
                * infinite_product([], [-tv * tv * zv], q, ctx))
@@ -609,7 +609,7 @@ def poisson_kernel_sides(t, z, zeta, ctx: QContext):
         q = ctx.q
         tv, zv, wv = to_mp(t), to_mp(z), to_mp(zeta)
         # (q;q)_n q^binom(n,2) t^n: ratio (1 - q^{n+1}) t q^n
-        lhs = _unilateral(
+        lhs = _series(
             lambda q: map(mul, _ratio_terms([_Q1], [], q, q.like(tv), q),
                           map(mul, _sw_shifted(q.like(zv), q), _sw_shifted(q.like(wv), q))),
             ctx)
@@ -629,7 +629,7 @@ def gfhn0_sides(b, ctx: QContext):
         ctx2 = QContext.numeric(q * q, precision=ctx.precision)
         lhs = ramanujan_A(-bv * bv, ctx2)
         pref = infinite_product([bv * sq], [], q, ctx)
-        return lhs, pref * _unilateral(
+        return lhs, pref * _series(
             lambda q: _ratio_terms([], [_Q1, QPow(bv * sq, 0)], q, q.like(sq) * bv, q),
             ctx)
 

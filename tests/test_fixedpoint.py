@@ -170,7 +170,7 @@ def _kernel_oracles():
                                   / mp.qp(q, q, int(n)), [0, mp.inf])),
         "pochhammer_infinite": (lambda ctx: pochhammer_infinite(zc, ctx.q, ctx),
                                 lambda q: mp.qp(zc, q)),
-        "sw_shifted": (lambda ctx: qfunctions._unilateral(
+        "sw_shifted": (lambda ctx: qfunctions._series(
             lambda q: map(mul, _binomial_powers(q.like(zc), q), _sw_shifted(q.like(a), q)),
             ctx), lambda q: _sw_shifted_sum(a, zc, q)),
         "infinite_product": (

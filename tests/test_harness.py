@@ -297,7 +297,13 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("ms-15", {"precision": 20, "q_values": ("0.5",)},
      "SKIPPED: PoleError: denominator factor 1 - 0.125 q^(-3) of the pole sum vanished"),
     # the odd slices cancel exactly on the table's own exponent
-    ("ms-3", {"precision": 20, "q_values": ("0.99",)}, "PASS")])
+    ("ms-3", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
+    # the cube slices' residue classes agree exactly when 3 does not divide n
+    ("ms-4", {"precision": 20, "q_values": ("0.96",)}, "PASS"),
+    ("ms-4", {"precision": 20, "q_values": ("0.97",)}, "PASS"),
+    ("ms-4", {"q_values": ("0.97",)}, "PASS"),
+    ("ms-4", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
+    ("ms-4", {"precision": 20, "q_values": ("-0.99",)}, "PASS")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
     status, _, note = expected.partition(": ")

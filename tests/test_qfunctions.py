@@ -15,7 +15,7 @@ from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
                             pochhammer_ratio)
 from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv,
-                            _cube_pairs, _cube_slices, _cube_weights, _Lattice,
+                            _cube_pairs, _cube_slices, _Lattice,
                             _pair_slices, _ratio_streams, _self_conv_w, _Table, a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
@@ -744,8 +744,7 @@ def test_b_lattice_matches_b_alpha(precision, twisted, q):
     ctx = QContext.numeric(q, precision=precision)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, twisted)
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx,
-                           bilateral=True)
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx)
         for s in LATTICE_S:
             direct = b_alpha(1, A6, B15, y0 * powq(ctx.q, 2 * s), ctx)
             got = lattice.sum(s)
@@ -772,7 +771,7 @@ def test_lattice_pole_reaches_every_reader():
         with pytest.raises(PoleError):
             b_alpha(1, A6, QPow(1, -3), mp.mpf("0.5"), CTX)
         lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(1, -3), F(1), mp.mpf("0.5")), 2,
-                           CTX, bilateral=True)
+                           CTX)
         for s in (0, 5):
             with pytest.raises(PoleError):
                 lattice.sum(s)
@@ -801,8 +800,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
     wide = wp + 20 + RERUN_MARGIN_BITS
     with CTX.workdps():
         y0 = _lattice_y0(CTX, True)
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, CTX,
-                           bilateral=True)
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, CTX)
         got = lattice.sum(3)
         assert sorted(lattice.tables) == [wp, wide]
         for shared in lattice.tables[wide]:
@@ -827,46 +825,41 @@ def _random_table(rnd, lo, size, wp, complex_values):
     return _Table(lo, values)
 
 
-def _conv_w(f, g, n, lo, hi, wpow):
-    """sum over lo <= j <= hi of f_j g_{n-j} w^((n-j) mod 3), one dot product
-    per residue class of n - j: the unmirrored oracle of _self_conv_w."""
-    return sum(wpow[t] * _conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3))
+def _conv_classes(f, g, n, lo, hi):
+    """The exact sums over lo <= j <= hi of f_j g_{n-j} with n - j = 0, 1, 2
+    (mod 3), one strided dot product each: the unmirrored oracle of
+    _self_conv_w."""
+    return [_conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3)]
 
 
 @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
 def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
     import random
     rnd = random.Random(20261018 + complex_values)
-    wpow = _cube_weights(CTX)
     for lo, size in ((-9, 19), (-4, 12), (0, 7)):
         f = _random_table(rnd, lo, size, CTX.fixed_bits, complex_values)
         for n in range(2 * f.lo, 2 * f.hi + 1):
             first, last = max(f.lo, n - f.hi), min(f.hi, n - f.lo)
             for d in range(4):
-                got = _self_conv_w(f, n, first + d, last - d, wpow)
-                want = _conv_w(f, f, n, first + d, last - d, wpow)
-                assert (got.re, got.im, got.e) == (want.re, want.im, want.e), (n, d)
+                got = _self_conv_w(f, n, first + d, last - d)
+                assert got == _conv_classes(f, f, n, first + d, last - d), (n, d)
     with pytest.raises(ValueError):
-        _self_conv_w(f, 0, -3, 4, wpow)
+        _self_conv_w(f, 0, -3, 4)
 
 
 # The slice layer against direct double and triple loops over the same table:
 # a two-sided and a one-sided table, real and complex, every n from beyond
 # the low end of the table's reach, over its edges, to beyond its high end.
 # The entries are nonzero, the edge ones too, so a span that drops an index
-# changes the edge slices.
-_TABLES = [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20)]
-_TABLE_IDS = ["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex"]
-UNFLOORED_TABLES = pytest.mark.parametrize("lo, hi, complex_values, spread", _TABLES,
-                                           ids=_TABLE_IDS)
-# The bit-for-bit tests also take a table whose entries span 3 wp bits, more
+# changes the edge slices.  The last table's entries span 3 wp bits, more
 # than the 2 wp that its common exponent keeps, so its smallest entries are
-# floored there.  (The triple-loop test leaves it out: :func:`_cube_slices`
-# floors its pair table and its twisted table afresh, beyond the size bound
-# that test checks.)
+# floored there.
 SLICE_TABLES = pytest.mark.parametrize(
-    "lo, hi, complex_values, spread", _TABLES + [(-6, 6, False, 3 * CTX.fixed_bits // 2)],
-    ids=_TABLE_IDS + ["two-sided-real-floored"])
+    "lo, hi, complex_values, spread",
+    [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20),
+     (-6, 6, False, 3 * CTX.fixed_bits // 2)],
+    ids=["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex",
+         "two-sided-real-floored"])
 
 
 def _full_table(lo, hi, complex_values, spread):
@@ -921,41 +914,44 @@ def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values, sprea
 def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values, spread):
     t = _full_table(lo, hi, complex_values, spread)
     v = _mantissas(t)
-    wpow = _cube_weights(CTX)
-    pairs = _cube_pairs(t, 2 * lo - 2, 2 * hi + 2, wpow)
-    assert (pairs.lo, pairs.hi) == (2 * lo - 2, 2 * hi + 2)
-    for m, got in zip(range(2 * lo - 2, 2 * hi + 3), pairs.values):
+    w = CTX.fixed(rho_root(CTX))
+    pairs = _cube_pairs(t, 2 * lo - 2, 2 * hi + 2, w)
+    assert len(pairs) == 2 * (hi - lo) + 5
+    for m, got in zip(range(2 * lo - 2, 2 * hi + 3), pairs):
         classes = [[0, 0] for _ in range(3)]  # by the residue of k = m - j
         for j in v:
             if m - j in v:
                 (a, b), (c, d) = v[j], v[m - j]
                 classes[(m - j) % 3][0] += a * c - b * d
                 classes[(m - j) % 3][1] += a * d + b * c
-        want = sum(wpow[k] * _rounded_once(t, *classes[k]) for k in range(3))
-        assert _bits(got) == _bits(want), m
+        p0, p1, p2 = (_rounded_once(t, *classes[k]) for k in range(3))
+        assert _bits(got) == _bits(p0 + w * p1 + (w * w) * p2), m
         assert bool(got) == (2 * lo <= m <= 2 * hi), m
 
 
-@UNFLOORED_TABLES
+@SLICE_TABLES
 def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread):
     t = _full_table(lo, hi, complex_values, spread)
+    v = _mantissas(t)
+    w = CTX.fixed(rho_root(CTX))
     ns = range(3 * lo - 2, 3 * hi + 3)
-    wpow = _cube_weights(CTX)
-    got = _cube_slices(t, ns, wpow)
-    with mp.workprec(3 * t.wp):
-        # the slices' own w^k and w^(2l), exactly: their product is not
-        # exactly w^(k + 2l) (w carries the context's precision)
-        w = [p.to_mp() for p in wpow]
-        v = {j: mp.mpc(a, b) * mp.mpf(2) ** t.E for j, (a, b) in _mantissas(t).items()}
-        for n, slice_n in zip(ns, got):
-            want = size = 0
-            for j in v:
-                for k in v:
-                    l = n - j - k
-                    if l in v:
-                        term = v[j] * v[k] * v[l]
-                        want += term * w[k % 3] * w[2 * l % 3]
-                        size += abs(term)
-            # each product of the pair table and the slice is rounded once
-            assert abs(slice_n.to_mp() - want) <= mp.mpf(2) ** (8 - t.wp) * size, n
-            assert bool(slice_n) == (3 * lo <= n <= 3 * hi), n
+    for n, got in zip(ns, _cube_slices(t, ns, w)):
+        classes = [[0, 0] for _ in range(3)]  # P_s: the terms with k + 2l = s (mod 3)
+        for j in v:
+            for k in v:
+                l = n - j - k
+                if l in v:
+                    (a, b), (c, d), (f, g) = v[j], v[k], v[l]
+                    re, im = a * c - b * d, a * d + b * c
+                    classes[(k + 2 * l) % 3][0] += re * f - im * g
+                    classes[(k + 2 * l) % 3][1] += re * g + im * f
+        (p0, i0), (p1, i1), (p2, i2) = classes
+        # x + y w, x = P_0 - P_2 and y = P_1 - P_2, exact on w's mantissas
+        # (w.e < 0), then rounded once
+        (xr, xi), (yr, yi) = (p0 - p2, i0 - i2), (p1 - p2, i1 - i2)
+        want = _complex((xr << -w.e) + yr * w.re - yi * w.im,
+                        (xi << -w.e) + yr * w.im + yi * w.re, 3 * t.E + w.e, t.wp)
+        assert _bits(got) == _bits(want), n
+        # the cyclic shift of (j, k, l) permutes the classes when 3 does
+        # not divide n, so those slices are exact zeros
+        assert bool(got) == (3 * lo <= n <= 3 * hi and n % 3 == 0), n
