@@ -7,7 +7,7 @@ polynomial families; the harness (``qrr.harness``, CLI ``qrr``) re-verifies
 every registered identity by evaluating both sides independently.
 """
 
-from .context import QContext, powq, scaled_deviation, to_mp
+from .context import QContext, powq, scaled_deviation, to_mp, widening
 from .errors import (AnnulusError, ConfigError, DomainError, EmptyDomainError,
                      ExponentError, NonConvergenceError, NotUnitError,
                      PoleError, PrecisionLossError, QrrError, RatioTestError,
@@ -21,7 +21,7 @@ from .pochhammer import (QPow, infinite_product, inv_pochhammer, pochhammer_fini
 from .summation import SumOutcome, sum_bilateral, sum_series
 
 __all__ = [
-    "QContext", "powq", "scaled_deviation", "to_mp",
+    "QContext", "powq", "scaled_deviation", "to_mp", "widening",
     "QPow", "pochhammer_finite", "pochhammer_infinite", "infinite_product",
     "inv_pochhammer",
     "pochhammer_ratio", "q_binomial",

@@ -3,22 +3,24 @@
 Numeric work takes and returns mpmath real/complex numbers at ``precision``
 target digits plus a fixed guard allowance; its series, infinite products and
 slice sums run in binary fixed point (:mod:`qrr.fixedpoint`) at
-:attr:`QContext.fixed_bits`.  Every series and infinite product gives up
-after ``MAX_TERMS`` terms or factors, one budget for every context.  Exact
-work runs on ``fractions.Fraction`` (or on the truncated series ring in
+:attr:`QContext.fixed_bits` and give up after ``MAX_TERMS`` terms or factors.
+A sum that cancels raises PrecisionLossError; :func:`widening` evaluates the
+whole computation again wider (:meth:`QContext.wider`).  Exact work runs on
+``fractions.Fraction`` (or on the truncated series ring in
 :mod:`qrr.formal`).  All functions are pure for a fixed context, so values
 may be shared freely between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
 
-from .errors import DomainError, ExponentError
+from .errors import DomainError, ExponentError, PrecisionLossError
 from .fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
 
 # Series of a few hundred terms lose at most a couple of digits, so a fixed
@@ -30,6 +32,8 @@ DEFAULT_PRECISION = 50
 MAX_TERMS = 8000
 DEFAULT_BASE_EXPONENT = 12
 DEFAULT_ORDER = 100
+RERUN_MARGIN_BITS = 16
+MAX_WIDENING = 4
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,7 @@ class QContext:
     precision: int = DEFAULT_PRECISION
     base_exponent: int = DEFAULT_BASE_EXPONENT
     order: int = DEFAULT_ORDER
+    extra_bits: int = 0     # width added by :meth:`wider`
 
     @classmethod
     def numeric(cls, q, precision: int = DEFAULT_PRECISION) -> "QContext":
@@ -65,15 +70,25 @@ class QContext:
             raise DomainError("formal mode needs base_exponent >= 1 and order >= 1")
         return cls(base_exponent=base_exponent, order=order)
 
+    def wider(self, bits: int) -> "QContext":
+        """``bits`` more fixed-point bits and working digits; the precision stays."""
+        return replace(self, extra_bits=self.extra_bits + bits)
+
+    def at(self, q, precision: int | None = None) -> "QContext":
+        """A numeric context at base ``q`` (and ``precision``) as wide as this one."""
+        ctx = QContext.numeric(q, precision or self.precision)
+        return replace(ctx, extra_bits=self.extra_bits)
+
     @property
     def working_dps(self) -> int:
-        return self.precision + GUARD_DIGITS
+        return self.precision + GUARD_DIGITS + math.ceil(self.extra_bits / LOG2_10)
 
     @property
     def fixed_bits(self) -> int:
         """Fixed-point working precision of a numeric series: the working
         digits plus the guard bits of a sum of ``MAX_TERMS`` terms."""
-        return bits_for_digits(self.working_dps) + rounding_bits(MAX_TERMS)
+        digits = self.precision + GUARD_DIGITS
+        return bits_for_digits(digits) + rounding_bits(MAX_TERMS) + self.extra_bits
 
     def fixed(self, x) -> Fixed:
         """``x`` in fixed point at :attr:`fixed_bits`."""
@@ -83,13 +98,13 @@ class QContext:
         """Context manager entering the working precision."""
         return mp.workdps(self.working_dps)
 
-    # The tolerances below are made once per context, at the working
-    # precision: every sum and infinite product reads them.
+    # The tolerances below are made once per context, at the working digits
+    # of its precision alone (a wider context keeps them): every sum reads them.
 
     @cached_property
     def stop_tol(self):
         """Terms below this magnitude count as negligible for stopping."""
-        with self.workdps():
+        with mp.workdps(self.precision + GUARD_DIGITS):
             return mp.mpf(10) ** (-(self.precision + 10))
 
     @cached_property
@@ -101,13 +116,28 @@ class QContext:
     def target_tol(self):
         """A sum or product whose tail bound lies below this, 10^-precision,
         counts as converged."""
-        with self.workdps():
+        with mp.workdps(self.precision + GUARD_DIGITS):
             return mp.mpf(10) ** (-self.precision)
 
     @property
     def u_order(self) -> int:
         """Truncation order of the formal ring in the base variable u."""
         return self.order * self.base_exponent
+
+
+def widening(evaluate, ctx: QContext):
+    """``evaluate(ctx)`` in its working precision, evaluated again whole at
+    ``ctx.wider(bits + RERUN_MARGIN_BITS)`` while a sum in it lacks ``bits``;
+    beyond MAX_WIDENING times the first width, PrecisionLossError with bits 0."""
+    wide, widest = ctx, MAX_WIDENING * ctx.fixed_bits
+    while True:
+        try:
+            with wide.workdps():
+                return evaluate(wide)
+        except PrecisionLossError as exc:
+            if not exc.bits or wide.fixed_bits + exc.bits > widest:
+                raise PrecisionLossError(f"{exc} (beyond {widest} bits)", 0) from exc
+            wide = wide.wider(exc.bits + RERUN_MARGIN_BITS)
 
 
 def to_mp(x):

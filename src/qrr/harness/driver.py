@@ -8,9 +8,10 @@ points are the one declaration of what a check evaluates.  :func:`run_entry`
 does the rest in the same way for every entry:
 
 * ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
-  once and evaluates every point inside ``workdps()``; the worst scale-aware
-  residual is compared with ``rc.tol()``, 10^-(precision - 10) for every
-  entry, and below precision 20 the check is SKIPPED unrun;
+  once and evaluates every point, literals too, by :func:`~qrr.context.widening`
+  (whole again, wider, if a sum cancels); the worst scale-aware residual is
+  compared with ``rc.tol()``, 10^-(precision - 10) for every entry, and
+  below precision 20 the check is SKIPPED unrun;
 * ``exact`` — the two sides are compared with ``==``; the first unequal
   point fails the check and is reported;
 * ``formal`` — the sides callable returns a difference series; the first
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from ..context import QContext, scaled_deviation
+from ..context import QContext, scaled_deviation, widening
 from ..pochhammer import QPow
 from .sampling import entry_rng
 
@@ -254,30 +255,33 @@ def _numeric(entry, chk, rc, rng, qs, ran):
         ctx = QContext.numeric(q, precision=rc.precision)
         with ctx.workdps():
             draws = chk.sampler(rng) if chk.sampler else [{}]
-            for point in _cross(draws, chk.points):
+        for point in _cross(draws, chk.points):
+            ran.append(point)
+            dev, passed = _residual(chk.sides, point, ctx, tol)
+            worst, ok = max(worst, dev), ok and passed
+        if reading is not None and not (reading.first_q_only and i):
+            for point in _cross(draws, reading.points):
                 ran.append(point)
-                dev, passed = _residual(chk.sides(ctx, **_as_mp(point)), tol)
-                worst, ok = max(worst, dev), ok and passed
-            if reading is not None and not (reading.first_q_only and i):
-                for point in _cross(draws, reading.points):
-                    ran.append(point)
-                    dev, _ = _residual(reading.sides(ctx, **_as_mp(point)),
-                                       tol)
-                    literal = max(literal, dev)
+                literal = max(literal, _residual(reading.sides, point, ctx, tol).deviation)
     return worst, ok, literal
+
+
+def _residual(sides, point, ctx, tol) -> Verdict:
+    """The verdict on ``sides(ctx, **point)``, rerun whole by ``widening``."""
+    def evaluate(ctx):
+        value = sides(ctx, **_as_mp(point))
+        if isinstance(value, Verdict):
+            return value
+        if isinstance(value, tuple):
+            value = scaled_deviation(*value)
+        return Verdict(value, value < tol)
+
+    return widening(evaluate, ctx)
 
 
 def _as_mp(point):
     return {k: mp.mpf(v) if isinstance(v, str) else v
             for k, v in point.items()}
-
-
-def _residual(value, tol) -> Verdict:
-    if isinstance(value, Verdict):
-        return value
-    if isinstance(value, tuple):
-        value = scaled_deviation(*value)
-    return Verdict(value, value < tol)
 
 
 def _first_unequal(sides, points, ran):

@@ -25,7 +25,7 @@ from itertools import count
 
 import mpmath as mp
 
-from ..context import QContext, scaled_deviation, to_mp
+from ..context import scaled_deviation, to_mp
 from ..errors import UnknownIdentityError, UnsupportedModeError
 from ..pochhammer import QPow, infinite_product
 from .. import partitions as parts, qbessel as qb, qfunctions as qf
@@ -180,8 +180,7 @@ def _ms6_formal(ctx, a, t):
 def _ms6_numeric(ctx, t):
     """The three reductions; the last runs at bases q^2, q^4."""
     qv = ctx.q
-    ctx2, ctx4 = (QContext.numeric(base, precision=ctx.precision)
-                  for base in (qv * qv, qv ** 4))
+    ctx2, ctx4 = ctx.at(qv * qv), ctx.at(qv ** 4)
     return max(scaled_deviation(qf.a_alpha(1, QPow(1, 1), t, ctx), qf.omega(t, ctx)),
                scaled_deviation(qf.a_alpha(1, mp.mpf(0), t, ctx), qf.ramanujan_A(-t, ctx)),
                scaled_deviation(qf.a_alpha(2, QPow(1, 1), t * t, ctx2), qf.omega(t * t, ctx4)))

@@ -15,9 +15,10 @@ Numeric series run in Python-int fixed point (:mod:`qrr.fixedpoint`), complex
 values as pairs of ints.  A series, one stream or the pair of streams of a
 bilateral one, enters fixed point in :func:`_series`, which hands its stream
 builder the base q at ``ctx.fixed_bits`` (other mpf/mpc arguments are read
-exactly at their first use) and reruns it wider when the engine reports
-cancellation; it leaves :func:`_widening` as its certified mpf/mpc value, or
-as NonConvergenceError.
+exactly at their first use) and leaves as its certified mpf/mpc value, or as
+NonConvergenceError, or, cancelled below ``ctx.precision`` digits, as
+PrecisionLossError naming the bits it lacks: the caller reruns the whole
+evaluation, inputs included, with :func:`~qrr.context.widening`.
 A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
@@ -38,8 +39,8 @@ factor, in a stream, a pole table or a product, is the PoleError of
 
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
-:class:`_Lattice`: the coefficient streams at y0 once per call and width, and
-each sum as those coefficients times a running power.  A cube-root-weighted
+:class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
+as those coefficients times a running power.  A cube-root-weighted
 self-convolution over a range mirrored about n/2 (:func:`_self_conv_w`, every
 pair table C_m) sums mirror pairs j, n - j once, from half the products.
 """
@@ -54,7 +55,7 @@ from operator import mul
 import mpmath as mp
 
 from .context import QContext, powq, to_mp
-from .errors import AnnulusError, DomainError, PoleError, PrecisionLossError
+from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
@@ -64,42 +65,17 @@ from .summation import sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
-# A rerun asks for the missing bits plus this margin, and gives up beyond
-# MAX_WIDENING times the context's fixed-point precision.
-RERUN_MARGIN_BITS = 16
-MAX_WIDENING = 4
-
-
-def _widening(run, ctx: QContext):
-    """The certified value of the sum run(q), q the context's base in fixed
-    point: the one exit of every numeric series.  Rerun at a wider scale while
-    cancellation leaves it short of precision; past the widest scale it raises
-    PrecisionLossError with ``bits`` 0, which no enclosing sum reruns for.
-    """
-    wp, widest = ctx.fixed_bits, MAX_WIDENING * ctx.fixed_bits
-    while True:
-        try:
-            return run(Fixed.of(ctx.q, wp)).certified()
-        except PrecisionLossError as exc:
-            if not exc.bits:
-                raise
-            if wp + exc.bits > widest:
-                raise PrecisionLossError(f"{exc} (beyond {widest} bits)", 0) from exc
-            wp += exc.bits + RERUN_MARGIN_BITS
-
 
 def _series(build, ctx: QContext):
     """Sum of the series whose stream of terms n = 0, 1, ... ``build(q)``
     returns, or of the bilateral series whose streams n = 0, 1, ... and
-    n = -1, -2, ... it returns as a pair."""
-    def run(q):
-        terms = build(q)
-        if isinstance(terms, tuple):
-            pos, neg = terms
-            return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx)
-        return sum_series(lambda n: next(terms), ctx)
-
-    return _widening(run, ctx)
+    n = -1, -2, ... it returns as a pair, with q the context's base at
+    ``ctx.fixed_bits``: the one exit of every numeric series."""
+    terms = build(ctx.fixed(ctx.q))
+    if isinstance(terms, tuple):
+        pos, neg = terms
+        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx).certified()
+    return sum_series(lambda n: next(terms), ctx).certified()
 
 
 def _geometric(x0, ratio):
@@ -139,11 +115,9 @@ class _Lattice:
     ``build(q)`` returns the series' stream at y0, or the pair of streams
     n = 0, 1, ... and n = -1, -2, ... of a bilateral series, as the
     builders of :func:`_series` do.  Its term n is c_n y0^n, so the term at
-    y_s is c_n h^n with h = q^(e s).  The streams are built once per
-    fixed-point width ``wp`` and kept as they extend, so the sum at s costs
-    one running power and one multiplication per term; a :func:`_widening`
-    rerun builds them again at its wider ``wp``.  The lattice lives for one
-    kernel call.
+    y_s is c_n h^n with h = q^(e s).  The streams are built once and kept
+    as they extend, so the sum at s costs one running power and one
+    multiplication per term.  The lattice lives for one kernel call.
 
     Roundings.  h is q^(e s) from a power taken ``bitlen(|e s|) + 2`` bits
     wider and rounded once to wp, so h^n carries n roundings of its own and
@@ -156,28 +130,20 @@ class _Lattice:
     """
 
     def __init__(self, build, e, ctx: QContext):
-        self.build = build
+        streams = build(ctx.fixed(ctx.q))
+        self.streams = [_Shared(t) for t in
+                        (streams if isinstance(streams, tuple) else (streams,))]
         self.e = Fraction(e)
         self.ctx = ctx
-        self.tables = {}  # wp -> the shared coefficient streams at that width
-
-    def _streams(self, q: Fixed):
-        table = self.tables.get(q.wp)
-        if table is None:
-            streams = self.build(q)
-            streams = streams if isinstance(streams, tuple) else (streams,)
-            table = self.tables[q.wp] = [_Shared(t) for t in streams]
-        return table
 
     def sum(self, s: int):
         """The series at y0 q^(e s)."""
         def build(q):
-            table = self._streams(q)
-            pos = _scaled(table[0], _power(q, self.e * s))
-            if len(table) == 1:
+            pos = _scaled(self.streams[0], _power(q, self.e * s))
+            if len(self.streams) == 1:
                 return pos
             # the stream n = -1, -2, ... reads c_n h^n as c_n (1/h)^(-n)
-            return pos, _scaled(table[1], _power(q, -self.e * s), 1)
+            return pos, _scaled(self.streams[1], _power(q, -self.e * s), 1)
 
         return _series(build, self.ctx)
 
@@ -834,7 +800,7 @@ def square_master_sides(alpha, a, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
+        ctx2 = ctx.at(q * q)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2)
         # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
         aq = _as_qpow(av)
@@ -850,7 +816,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
-        ctx3 = QContext.numeric(q ** 3, precision=ctx.precision)
+        ctx3 = ctx.at(q ** 3)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         s_max = gaussian_truncation(alpha, ctx)
         qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
@@ -880,7 +846,7 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         av, bv, xv = to_mp(a), to_mp(b), to_mp(x)
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
+        ctx2 = ctx.at(q * q)
         pref = infinite_product([-bv, -q / av, q, bv / av], [-q, -bv / av, bv, q / av], q, ctx)
         if pref == 0:
             # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
@@ -918,7 +884,7 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         if abs(bv / av) >= 1:
             raise DomainError("sampled outside |b/a| < 1")
         q3 = q ** 3
-        ctx3 = QContext.numeric(q3, precision=ctx.precision)
+        ctx3 = ctx.at(q3)
         lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3)
         pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([bv, q / av], [q, bv / av], q, ctx) ** 3)

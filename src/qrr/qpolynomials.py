@@ -239,7 +239,7 @@ def m_shift_context(m: int, ctx: QContext) -> QContext:
     right sides, q^{-m(m-1)/2} times a cancelling difference, lose."""
     with ctx.workdps():
         extra = int(mp.ceil(m * (m - 1) / 2 * -mp.log10(abs(ctx.q))))
-    return QContext.numeric(ctx.q, precision=ctx.precision + extra)
+    return ctx.at(ctx.q, ctx.precision + extra)
 
 
 def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
@@ -626,7 +626,7 @@ def gfhn0_sides(b, ctx: QContext):
         q = ctx.q
         bv = to_mp(b)
         sq = mp.sqrt(q)
-        ctx2 = QContext.numeric(q * q, precision=ctx.precision)
+        ctx2 = ctx.at(q * q)
         lhs = ramanujan_A(-bv * bv, ctx2)
         pref = infinite_product([bv * sq], [], q, ctx)
         return lhs, pref * _series(

@@ -33,9 +33,9 @@ bits of that bound at ``MAX_TERMS`` to the working digits.  Every sum checks
 the bound at the end against its own magnitude, so the cancellation bits
 top(peak) - top(sum) come out of the slack.  A sum left with fewer than
 ``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
-which names the bits it lacks; the stream adapters of :mod:`qrr.qfunctions`
-rerun it at that wider scale.  The value leaves fixed point only as the
-mpf/mpc ``SumOutcome.value``.
+which names the bits it lacks; :func:`~qrr.context.widening` reruns the
+whole evaluation around the sum, inputs included, that much wider.  The
+value leaves fixed point only as the mpf/mpc ``SumOutcome.value``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Fixed-point arithmetic, the engine's guard-bit check, and the fixed-point
 kernels against direct mpf oracles at higher precision."""
 
+import math
 import random
 from operator import mul
 
@@ -9,10 +10,10 @@ import pytest
 
 from fractions import Fraction as F
 
-from qrr import (PrecisionLossError, QContext, QPow, SumOutcome, infinite_product,
+from qrr import (PrecisionLossError, QContext, QPow, infinite_product,
                  pochhammer_infinite, qfunctions, sum_series)
-from qrr.context import powq
-from qrr.fixedpoint import Fixed, rounding_bits
+from qrr.context import powq, widening
+from qrr.fixedpoint import LOG2_10, Fixed, rounding_bits
 from qrr.harness.driver import COMPLEX_Q
 from qrr.qfunctions import (a_alpha, b_alpha, phi_1_1, phi_2_1, psi_1_1, ramanujan_A,
                             rho_root, u_m_bilateral)
@@ -72,30 +73,42 @@ def test_cancelling_series_matches_oracle_or_raises(precision, monkeypatch):
         z, q = Z_NEAR_ZERO, ctx.q
         with mp.workdps(precision + 200):
             oracle = mp.qp(z, q)
-        # the same terms handed over as mpf values cannot be rerun: they raise
+        # the same terms handed over as mpf values raise as well
         with pytest.raises(PrecisionLossError):
             sum_series(lambda k: (-z) ** k * q ** (k * (k - 1) // 2) / mp.qp(q, q, k), ctx)
-        # the fixed-point stream reruns at the scale the engine asks for
-        out = phi_1_1(0, 0, z, ctx)
-        assert len(sums) == 2
+        # a kernel called directly raises, naming the bits it lacks
+        with pytest.raises(PrecisionLossError, match=r"\d+ more working bits") as info:
+            phi_1_1(0, 0, z, ctx)
+        assert info.value.bits > 0
+    # the helper reruns the call at the width the engine asks for
+    sums.clear()
+    out = widening(lambda wide: phi_1_1(0, 0, z, wide), ctx)
+    assert len(sums) == 2
+    with ctx.workdps():
         assert abs(out - oracle) <= mp.mpf(10) ** -precision * abs(oracle)
 
 
 def test_rerun_widens_by_the_missing_bits_and_stops_at_four_times():
     ctx = QContext.numeric("0.5", precision=20)
-    widths = []
+    seen = []
 
-    def run(q, lacking):
-        widths.append(q.wp)
-        if len(widths) == 1:
+    def evaluate(wide, lacking):
+        seen.append(wide)
+        assert mp.mp.dps == wide.working_dps
+        if len(seen) == 1:
             raise PrecisionLossError("short", lacking)
-        return SumOutcome(q.wp, 1, mp.mpf(0), True)
+        return wide.fixed_bits
 
-    assert qfunctions._widening(lambda q: run(q, 30), ctx) == ctx.fixed_bits + 30 + 16
-    widths.clear()
+    assert widening(lambda wide: evaluate(wide, 30), ctx) == ctx.fixed_bits + 30 + 16
+    # only the width grows, and a context derived from the wider one keeps it
+    wide = seen[1]
+    assert wide.working_dps == ctx.working_dps + math.ceil(46 / LOG2_10)
+    assert (wide.precision, wide.stop_tol, wide.target_tol) == (20, ctx.stop_tol, ctx.target_tol)
+    assert wide.at(ctx.q ** 2).fixed_bits == ctx.at(ctx.q ** 2).fixed_bits + 46
+    seen.clear()
     with pytest.raises(PrecisionLossError) as info:
-        qfunctions._widening(lambda q: run(q, 3 * ctx.fixed_bits + 1), ctx)
-    assert info.value.bits == 0 and widths == [ctx.fixed_bits]
+        widening(lambda wide: evaluate(wide, 3 * ctx.fixed_bits + 1), ctx)
+    assert info.value.bits == 0 and [c.fixed_bits for c in seen] == [ctx.fixed_bits]
 
 
 def _direct_b_alpha(a, b, x, q, dps):

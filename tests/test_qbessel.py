@@ -6,8 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qrr import DomainError, PoleError, QContext, QPow
-from qrr.context import powq
+from qrr import DomainError, PoleError, PrecisionLossError, QContext, QPow, qbessel, qfunctions
+from qrr.context import powq, widening
 from qrr.pochhammer import infinite_product
 from qrr.qbessel import (asymptotic_main_term, bessel_i, bessel_j,
                          gen_func_sides, i1_continued, lommel_relation_j_sides,
@@ -110,6 +110,41 @@ def test_generating_function_degenerate_argument():
         assert lhs == 1 and rhs == 1
     with pytest.raises(DomainError):
         gen_func_sides(mp.mpf(1), mp.mpf(0), CTX)
+
+
+def test_rerun_widens_the_inner_bessel_values(monkeypatch):
+    # at q = 0.99, z = 0.8, t = -2 the outer sum cancels: the rerun must
+    # evaluate its inner I_m^{(2)} values at the wider width too, not only
+    # the outer stream
+    log, evaluated = [], []
+    real_i = qbessel.bessel_i
+
+    def inner(kind, nu, z, ctx):
+        log.append(ctx.fixed_bits)
+        return real_i(kind, nu, z, ctx)
+
+    def watched(engine):
+        def run(*args):
+            try:
+                return engine(*args)
+            except PrecisionLossError:
+                log.append("loss")
+                raise
+        return run
+
+    def evaluate(ctx):
+        evaluated.append(ctx.fixed_bits)
+        return gen_func_sides(mp.mpf("0.8"), mp.mpf(-2), ctx)
+
+    monkeypatch.setattr(qbessel, "bessel_i", inner)
+    for name in ("sum_series", "sum_bilateral"):
+        monkeypatch.setattr(qfunctions, name, watched(getattr(qfunctions, name)))
+    ctx = QContext.numeric("0.99", precision=20)
+    widening(evaluate, ctx)
+    first = log.index("loss")
+    widths = {w for w in log[first:] if w != "loss"}
+    assert widths and min(widths) > ctx.fixed_bits
+    assert widths <= set(evaluated[1:])
 
 
 def test_mittag_leffler_matches_continuation():

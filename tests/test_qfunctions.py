@@ -8,13 +8,13 @@ import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qfunctions)
-from qrr.context import powq, to_mp
+from qrr.context import RERUN_MARGIN_BITS, powq, to_mp, widening
 from qrr.fixedpoint import Fixed, _complex, _real
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
                             pochhammer_ratio)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (RERUN_MARGIN_BITS, _a_alpha_stream, _conv,
+from qrr.qfunctions import (_a_alpha_stream, _conv,
                             _cube_pairs, _cube_slices, _Lattice,
                             _pair_slices, _ratio_streams, _self_conv_w, _Table, a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
@@ -778,7 +778,7 @@ def test_lattice_pole_reaches_every_reader():
 
 
 def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
-    forced, seen = [], []
+    forced, seen, lattices = [], [], []
     real = qfunctions.sum_bilateral
 
     def short_once(pos, neg, ctx):
@@ -795,19 +795,23 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
 
         return real(watched(pos), watched(neg), ctx)
 
+    def evaluate(ctx):
+        y0 = _lattice_y0(ctx, True)
+        lattices.append(_Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2,
+                                 ctx))
+        return lattices[-1].sum(3)
+
     monkeypatch.setattr(qfunctions, "sum_bilateral", short_once)
-    wp = CTX.fixed_bits
-    wide = wp + 20 + RERUN_MARGIN_BITS
+    wide = CTX.fixed_bits + 20 + RERUN_MARGIN_BITS
+    got = widening(evaluate, CTX)
+    # the rerun is a new lattice, every coefficient it reads at the wider width
+    assert len(lattices) == 2
+    for shared in lattices[1].streams:
+        assert shared.terms and {c.wp for c in shared.terms} == {wide}
+    assert set(seen) == {wide}
+    monkeypatch.setattr(qfunctions, "sum_bilateral", real)
     with CTX.workdps():
-        y0 = _lattice_y0(CTX, True)
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, CTX)
-        got = lattice.sum(3)
-        assert sorted(lattice.tables) == [wp, wide]
-        for shared in lattice.tables[wide]:
-            assert shared.terms and {c.wp for c in shared.terms} == {wide}
-        assert set(seen) == {wide}
-        monkeypatch.setattr(qfunctions, "sum_bilateral", real)
-        direct = b_alpha(1, A6, B15, y0 * powq(CTX.q, 6), CTX)
+        direct = b_alpha(1, A6, B15, _lattice_y0(CTX, True) * powq(CTX.q, 6), CTX)
         assert abs(got - direct) <= mp.mpf(10) ** -50 * abs(direct)
 
 
