@@ -86,19 +86,29 @@ class QPoly:
             return QPoly()
         return QPoly([0] * k + self.c)
 
+    def times_one_minus(self, e: int) -> "QPoly":
+        """Product with (1 - q**e), e >= 0."""
+        if e < 0:
+            raise DomainError("QPoly exponents must be nonnegative")
+        pad = [0] * e
+        return QPoly([a - b for a, b in zip(self.c + pad, pad + self.c)])
+
     def divexact_one_minus(self, e: int) -> "QPoly":
-        """Exact division by (1 - q**e); raises if not divisible."""
-        if self.is_zero():
-            return QPoly()
-        out = [0] * len(self.c)
-        for k in range(len(self.c)):
-            out[k] = self.c[k] + (out[k - e] if k >= e else 0)
-        # verify: multiply back cheaply via the same recurrence shifted
-        q = QPoly(out)
-        check = q - q.shift(e)
-        if check != self:
+        """Exact division by (1 - q**e), e >= 1; raises if not divisible.
+
+        The quotient comes from the one recurrence out_k = c_k + out_{k-e};
+        its product with 1 - q^e is c plus -out_k at q^{k+e} for the top e
+        indices k, so c is divisible exactly when those entries vanish.
+        """
+        if e < 1:
+            raise DomainError(f"cannot divide exactly by 1 - q^{e}")
+        out = list(self.c)
+        for k in range(e, len(out)):
+            if out[k - e]:
+                out[k] += out[k - e]
+        if any(out[max(len(out) - e, 0):]):
             raise DomainError(f"polynomial not divisible by 1 - q^{e}")
-        return q
+        return QPoly(out[:len(out) - e])
 
     def __call__(self, x):
         acc = 0
@@ -122,11 +132,7 @@ class BivariatePoly:
     __slots__ = ("t",)
 
     def __init__(self, terms=None):
-        self.t = {}
-        if terms:
-            for key, v in dict(terms).items():
-                if v != 0:
-                    self.t[key] = v
+        self.t = {key: v for key, v in dict(terms or {}).items() if v != 0}
 
     @classmethod
     def zero(cls):
@@ -171,6 +177,10 @@ class BivariatePoly:
         return BivariatePoly(out)
 
     __rmul__ = __mul__
+
+    def shift(self, deg_a: int, deg_q: int) -> "BivariatePoly":
+        """Multiply by a**deg_a q**deg_q."""
+        return BivariatePoly({(i + deg_a, j + deg_q): v for (i, j), v in self.t.items()})
 
     def is_zero(self) -> bool:
         return not self.t

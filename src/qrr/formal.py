@@ -1,16 +1,17 @@
 """Exact truncated power series in u with q = u**D, over the rationals.
 
-This ring is where coefficient-exact identity checks happen.  All arithmetic
-is exact (ints and Fractions); multiplication truncates at the ring order.
-Series are built as on the numeric side, by term ratio, through two
-helpers:
+This ring is where coefficient-exact identity checks happen.  Every
+coefficient is exact (an int or a Fraction); multiplication truncates at the
+ring order.  Series are built as on the numeric side, by term ratio, through
+two helpers, and both walk integer numerators over one int denominator,
+forming each result coefficient as a reduced Fraction once, at the end:
 
 * every factor 1 - c q^e of a product goes through :func:`_one_minus`, which
-  multiplies or divides a coefficient list in place in O(N), takes e = 0 as
-  the exact unit 1 - c and skips a factor past the ring order.  The factor
-  walk :func:`fs_pochhammer` applies a whole (c q^a; q^s)_n, finite or
-  infinite, to one series that way, so a reciprocal product is never a
-  dense inversion;
+  multiplies or divides a numerator list in place in O(N) and returns the
+  new denominator, takes e = 0 as the exact unit 1 - c and skips a factor
+  past the ring order.  The factor walk :func:`fs_pochhammer` applies a
+  whole (c q^a; q^s)_n, finite or infinite, to one series that way, so a
+  reciprocal product is never a dense inversion;
 * every sum is one :func:`fs_ratio_sum` call, the exact-ring mirror of the
   numeric ``_ratio_terms``: t_0 = 1 and t_{k+1} = t_k c q^{e + growth k}
   prod (1 - a_i q^{base k + alpha_i}) / prod (1 - b_j q^{base k + beta_j}).
@@ -19,7 +20,9 @@ helpers:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count, repeat
+from math import lcm
+from operator import mul
 
 import mpmath as mp
 
@@ -209,26 +212,63 @@ def qexp_to_u(r, ctx: QContext) -> int:
     return int(e)
 
 
-def _one_minus(c: list, coeff, e: int, inverse: bool = False):
-    """Multiply the coefficients ``c`` in place by 1 - coeff u^e, or divide
-    them by it if ``inverse``.  At e = 0 the factor is the exact unit
-    1 - coeff; past the end of ``c`` it is 1."""
-    top = len(c) - 1
+def _numerators(c: list):
+    """Integer numerators over one positive common denominator of the exact
+    values ``c``, as (numerators, denominator)."""
+    d = lcm(*{a.denominator for a in c})
+    return [a.numerator * (d // a.denominator) for a in c], d
+
+
+def _fractions(m: list, d: int) -> list:
+    """The exact values m_k / d: the ints themselves when d = 1, else each
+    reduced once to a Fraction."""
+    if d == 1:
+        return m
+    return [Fraction(a, d) if a else 0 for a in m]
+
+
+def _one_minus(m: list, d: int, coeff, e: int, inverse: bool = False) -> int:
+    """Multiply the values m_k / d in place by 1 - coeff u^e, or divide them
+    by it if ``inverse``, and return the new denominator; the numerators
+    ``m`` stay ints.  At e = 0 the factor is the exact unit 1 - coeff; past
+    the end of ``m`` it is 1.
+
+    With coeff = A/B, multiplying sets m_k <- B m_k - A m_{k-e} and d <- d B.
+    Dividing carries B^(k//e) at index k: t_k = m_k B^(k//e) + A t_{k-e},
+    then m_k = t_k B^(J - k//e) and d <- d B^J with J = top // e.  For B = 1
+    both walks skip zero entries and leave d alone, so integer series stay
+    on int-only work.
+    """
+    A, B = coeff.numerator, coeff.denominator
+    top = len(m) - 1
+    if A == 0:
+        return d
     if e == 0:
-        unit = 1 - coeff
+        unit = B - A
         if inverse:
             if unit == 0:
                 raise NotUnitError("a vanishing constant factor has no inverse")
-            unit = 1 / Fraction(unit)
-        c[:] = [a * unit for a in c]
-    elif inverse:
-        for k in range(e, top + 1):
-            if c[k - e] != 0:
-                c[k] += coeff * c[k - e]
-    else:
-        for k in range(top, e - 1, -1):
-            if c[k - e] != 0:
-                c[k] -= coeff * c[k - e]
+            unit, B = (B, unit) if unit > 0 else (-B, -unit)
+        m[:] = [a * unit for a in m]
+        return d * B
+    if not inverse:
+        if B == 1:
+            m[e:] = [a - A * b if b else a for a, b in zip(m[e:], m)]
+            return d
+        m[:] = [B * a for a in m[:e]] + [B * a - A * b for a, b in zip(m[e:], m)]
+        return d * B
+    if B != 1:
+        J = top // e
+        power = list(accumulate(repeat(B, J), mul, initial=1))
+        m[:] = [a * power[k // e] if a else 0 for k, a in enumerate(m)]
+    # the iterator reads m[k - e] after step k - e has replaced it by t_{k-e}
+    for k, b in zip(range(e, top + 1), m):
+        if b:
+            m[k] += A * b
+    if B == 1:
+        return d
+    m[:] = [t * power[J - k // e] if t else 0 for k, t in enumerate(m)]
+    return d * power[J]
 
 
 def fs_pochhammer(series: FormalSeries, coeff, q_exp, step, ctx: QContext,
@@ -242,13 +282,13 @@ def fs_pochhammer(series: FormalSeries, coeff, q_exp, step, ctx: QContext,
     q_exp, step = Fraction(q_exp), Fraction(step)
     if step <= 0:
         raise ValuationError("a q-shifted factorial needs a positive exponent step")
-    out = list(series.c)
+    out, d = _numerators(series.c)
     for k in (count() if n is None else range(n)):
         e = qexp_to_u(q_exp + k * step, ctx)
         if e > ctx.u_order:
             break
-        _one_minus(out, coeff, e, inverse)
-    return FormalSeries(series.D, series.N, out)
+        d = _one_minus(out, d, coeff, e, inverse)
+    return FormalSeries(series.D, series.N, _fractions(out, d))
 
 
 def fs_pochhammer_infinite(coeff, q_exp, step, ctx: QContext,
@@ -275,20 +315,29 @@ def fs_ratio_sum(ctx: QContext, coeff, e, growth, num=(), den=(),
     if growth < 0 or (growth == 0 and e <= 0):
         raise ValuationError("a formal sum needs term exponents that grow")
     top = ctx.u_order
-    acc = [0] * (top + 1)
-    ratio = [1] + [0] * top
-    mono, E, u, k = 1, e, 0, 0
+    # acc / d_acc and ratio / d_ratio: integer numerators over one
+    # denominator; the monomial coefficient c^k is mono / d_mono
+    acc, d_acc = [0] * (top + 1), 1
+    ratio, d_ratio = [1] + [0] * top, 1
+    mono, d_mono = 1, 1
+    E, u, k = e, 0, 0
     while True:
-        for j in range(u, top + 1):
-            if ratio[j - u] != 0:
-                acc[j] += mono * ratio[j - u]
+        d_term = d_mono * d_ratio
+        d_new = lcm(d_acc, d_term)
+        if d_new != d_acc:
+            acc = [a * (d_new // d_acc) for a in acc]
+            d_acc = d_new
+        f = mono * (d_acc // d_term)
+        acc[u:] = [a + f * r if r else a for a, r in zip(acc[u:], ratio)]
         u = qexp_to_u(E, ctx)
         if u > top:
-            return FormalSeries(ctx.base_exponent, top, acc)
-        mono *= coeff
+            return FormalSeries(ctx.base_exponent, top, _fractions(acc, d_acc))
+        mono, d_mono = mono * coeff.numerator, d_mono * coeff.denominator
         for a, alpha in num:
-            _one_minus(ratio, a, qexp_to_u(base * k + Fraction(alpha), ctx))
+            d_ratio = _one_minus(ratio, d_ratio, a,
+                                 qexp_to_u(base * k + Fraction(alpha), ctx))
         for b, beta in den:
-            _one_minus(ratio, b, qexp_to_u(base * k + Fraction(beta), ctx), True)
+            d_ratio = _one_minus(ratio, d_ratio, b,
+                                 qexp_to_u(base * k + Fraction(beta), ctx), True)
         k += 1
         E += e + growth * k

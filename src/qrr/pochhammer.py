@@ -193,8 +193,7 @@ def q_binomial(n: int, k: int) -> QPoly:
         return QPoly.zero()
     poly = QPoly.one()
     for i in range(1, k + 1):
-        poly = poly - poly.shift(n - k + i)  # multiply by (1 - q^{n-k+i})
-        poly = poly.divexact_one_minus(i)
+        poly = poly.times_one_minus(n - k + i).divexact_one_minus(i)
     return poly
 
 

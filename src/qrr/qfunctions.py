@@ -58,7 +58,8 @@ from .context import QContext, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
-from .formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, fs_ratio_sum
+from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
+                     fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
                          infinite_product, pochhammer_finite, pole)
 from .summation import sum_bilateral, sum_series
@@ -497,12 +498,14 @@ def pair_convolution_sides(n: int, a: Fraction, q: Fraction):
     """LHS and RHS of the alternating pair convolution of (a;q)_k/(q;q)_k.
 
     LHS = sum_{k=0}^n r_k r_{n-k} (-1)^k; RHS = 0 for odd n and
-    (a^2;q^2)_m / (q^2;q^2)_m for n = 2m.  Exact for Fraction inputs.
+    (a^2;q^2)_m / (q^2;q^2)_m for n = 2m.  Exact for rational a and q: with
+    r_k = R_k / L over one denominator, the products are summed on the
+    integers R_k and divided by L^2 once.
     """
-    r = list(islice(_ratios_up(_as_qpow(a), q), n + 1))
-    lhs = sum((-1) ** k * r[k] * r[n - k] for k in range(n + 1))
+    R, L = _numerators(list(islice(_ratios_up(_as_qpow(a), q), n + 1)))
+    lhs = Fraction(sum((-1) ** k * R[k] * R[n - k] for k in range(n + 1)), L * L)
     if n % 2 == 1:
-        rhs = Fraction(0) if isinstance(q, Fraction) else mp.mpf(0)
+        rhs = Fraction(0)
     else:
         m = n // 2
         rhs = pochhammer_finite(a * a, q * q, m) / pochhammer_finite(q * q, q * q, m)
@@ -514,14 +517,20 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 
     LHS = sum over j+k+l=n of r_j r_k r_l w^{k+2l}; RHS is 0 unless 3 | n,
     in which case it is (a^3;q^3)_m / (q^3;q^3)_m.  Both sides are returned
-    as EisensteinRational values.
+    as EisensteinRational values.  With r_k = R_k / L over one denominator,
+    each residue class e of k + 2l mod 3 is an integer sum over the R_k,
+    divided by L^3 once.
     """
-    r = list(islice(_ratios_up(_as_qpow(a), q), n + 1))
-    s = [Fraction(0)] * 3  # s[e]: the terms weighted by w^e
+    R, L = _numerators(list(islice(_ratios_up(_as_qpow(a), q), n + 1)))
+    s = [0, 0, 0]  # s[e]: the numerators of the terms weighted by w^e
     for j in range(n + 1):
-        for k in range(n + 1 - j):
-            l = n - j - k
-            s[(k + 2 * l) % 3] += r[j] * r[k] * r[l]
+        m = n - j  # k + l = m, so k + 2l = 2m - k
+        pair = [0, 0, 0]
+        for k in range(m + 1):
+            pair[(2 * m - k) % 3] += R[k] * R[m - k]
+        for e in range(3):
+            s[e] += R[j] * pair[e]
+    s = [Fraction(x, L ** 3) for x in s]
     lhs = EisensteinRational(s[0] - s[2], s[1] - s[2])  # w^2 = -1 - w
     if n % 3 != 0:
         rhs = EisensteinRational.of(0)

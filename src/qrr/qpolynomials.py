@@ -180,10 +180,9 @@ def _cd_poly(n: int, construction: str, which: str) -> BivariatePoly:
         y1 = BivariatePoly.zero() if which == "c" else BivariatePoly.one()
         if n == 0:
             return y0
-        a = BivariatePoly.monomial(1, 1, 0)
         prev, cur = y0, y1
         for m in range(1, n):
-            prev, cur = cur, BivariatePoly.monomial(1, 0, m - 1) * prev + a * cur
+            prev, cur = cur, prev.shift(0, m - 1) + cur.shift(1, 0)
         return cur
     if construction == "explicit":
         # sum_j [n-j-off, j] a^{n-2j-off} q^{j^2 + wj}: (off, w) = (2, 1) for c,
@@ -220,7 +219,7 @@ def _cd_from_generating(n: int, which: str) -> BivariatePoly:
             break
         w = m * (m - 1) if which == "c" else m * m
         for i in range(deg + 1 - base):
-            acc[i + base] = acc[i + base] + BivariatePoly.monomial(1, 0, w) * inv[i]
+            acc[i + base] = acc[i + base] + inv[i].shift(0, w)
         if which == "c":
             _divide_inplace(inv, m, deg)
         m += 1
@@ -229,9 +228,8 @@ def _cd_from_generating(n: int, which: str) -> BivariatePoly:
 
 def _divide_inplace(coeffs, i: int, deg: int):
     """In-place t-series division by (1 - a q^i t)."""
-    g = BivariatePoly.monomial(1, 1, i)
     for k in range(1, deg + 1):
-        coeffs[k] = coeffs[k] + g * coeffs[k - 1]
+        coeffs[k] = coeffs[k] + coeffs[k - 1].shift(1, i)
 
 
 def m_shift_context(m: int, ctx: QContext) -> QContext:

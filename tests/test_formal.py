@@ -1,5 +1,6 @@
 """Exact truncated-series ring: arithmetic laws, inversion, products."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -277,3 +278,72 @@ def test_builder_matches_direct_definition(case, D):
     _, build, oracle = case
     ctx = QContext.formal(order=40 // D + 1, base_exponent=D)
     assert _outcome(build, ctx) == _outcome(oracle, ctx)
+
+
+# -- the integer walk against the dense oracle at rational coefficients -----
+#
+# _one_minus carries integer numerators over one denominator; these cases
+# put coefficients with denominators > 1, of both signs, through each of its
+# branches (multiply, divide, the e = 0 unit of either sign), at a step that
+# puts a factor at every u-exponent and at a sparse one.
+
+RATIONALS = (Fraction(-3, 11), Fraction(5, 97), Fraction(1, 7))
+
+
+def _start(ctx):
+    """A polynomial with fractional coefficients of both signs."""
+    return _poch(ctx, Fraction(-2, 3), 1, 1, 3)
+
+
+def _walk_cases(D):
+    cases = []
+    for step in (Fraction(1, D), 2):
+        for c in RATIONALS + (Fraction(13, 10),):
+            for e0 in (0, 1):
+                for inverse in (False, True):
+                    tag = f"{c}-q^{e0}-step{step}-{'inv' if inverse else 'mul'}"
+                    cases.append((f"finite-{tag}",
+                                  lambda ctx, c=c, e0=e0, s=step, i=inverse: fs_pochhammer(
+                                      _start(ctx), c, e0, s, ctx, 5, inverse=i),
+                                  lambda ctx, c=c, e0=e0, s=step, i=inverse: _start(ctx) * (
+                                      _poch(ctx, c, e0, s, 5).invert() if i
+                                      else _poch(ctx, c, e0, s, 5))))
+                    cases.append((f"infinite-{tag}",
+                                  lambda ctx, c=c, e0=e0, s=step, i=inverse:
+                                      fs_pochhammer_infinite(c, e0, s, ctx, inverse=i),
+                                  lambda ctx, c=c, e0=e0, s=step, i=inverse:
+                                      _poch(ctx, c, e0, s).invert() if i
+                                      else _poch(ctx, c, e0, s)))
+        for c, b in zip(RATIONALS, RATIONALS[1:] + (Fraction(13, 10),)):
+            # t_n = c^n q^{step (n + binom(n, 2))} (b; q^step)_n
+            #       / ((c q^step; q^step)_n (b q^{2 step}; q^step)_n)
+            cases.append((f"ratio_sum-{c}-{b}-step{step}",
+                          lambda ctx, c=c, b=b, s=step: fs_ratio_sum(
+                              ctx, c, s, s, num=[(b, 0)],
+                              den=[(c, s), (b, 2 * s)], base=s),
+                          lambda ctx, c=c, b=b, s=step: _direct_sum(
+                              ctx, c, lambda n: s * (n + n * (n - 1) // 2),
+                              num=[(b, 0, s)], den=[(c, s, s), (b, 2 * s, s)])))
+    return cases
+
+
+@pytest.mark.parametrize("D", (1, 12))
+def test_integer_walk_matches_dense_oracle(D):
+    ctx = QContext.formal(order=48 // D, base_exponent=D)
+    for name, build, oracle in _walk_cases(D):
+        assert _outcome(build, ctx) == _outcome(oracle, ctx), name
+
+
+def test_integer_walk_returns_reduced_exact_coefficients():
+    ctx = QContext.formal(order=12, base_exponent=1)
+    s = fs_pochhammer_infinite(Fraction(-3, 11), 1, 1, ctx, inverse=True)
+    assert s.c[1] == Fraction(-3, 11) and s.c[1].denominator == 11
+    assert all(type(a) is int or math.gcd(a.numerator, a.denominator) == 1 for a in s.c)
+
+
+def test_vanishing_rational_unit_has_no_inverse():
+    ctx = QContext.formal(order=12, base_exponent=1)
+    with pytest.raises(NotUnitError):
+        fs_pochhammer(_start(ctx), Fraction(7, 7), 0, 1, ctx, 3, inverse=True)
+    with pytest.raises(NotUnitError):
+        fs_ratio_sum(ctx, Fraction(1, 7), 1, 1, den=[(Fraction(1), 0)])

@@ -187,6 +187,25 @@ def test_q_binomial_polynomials():
     assert q_binomial(4, 2)(Fraction(1, 2)) == Fraction(35, 16)  # 1+1/2+2/4+1/8+1/16
 
 
+def test_divexact_one_minus_inverts_times_one_minus():
+    p = QPoly([3, Fraction(-1, 2), 0, 7, Fraction(5, 3)])
+    for e in (1, 2, 4, 9):
+        assert p.times_one_minus(e).divexact_one_minus(e) == p
+    assert QPoly.zero().divexact_one_minus(3) == QPoly.zero()
+    assert QPoly([1, 0, 0, -1]).divexact_one_minus(3) == QPoly.one()
+
+
+def test_divexact_one_minus_raises_unless_divisible():
+    with pytest.raises(DomainError, match="not divisible"):
+        QPoly([1, 1]).divexact_one_minus(1)            # 1 + q
+    with pytest.raises(DomainError, match="not divisible"):
+        QPoly([1, 2, 0, -2]).divexact_one_minus(2)     # (1 - q^2)(1 + 2q) + q^2
+    with pytest.raises(DomainError):
+        QPoly([1, 0, -1]).divexact_one_minus(0)        # e = 0
+    with pytest.raises(DomainError, match="not divisible"):
+        QPoly([1, 0, 1]).divexact_one_minus(3)         # shorter than e
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12))
 def test_q_binomial_symmetry_degree_positivity(n, k):

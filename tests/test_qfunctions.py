@@ -222,6 +222,24 @@ def test_cube_convolution_exact_sweep():
                 assert lhs == EisensteinRational.of(0)
 
 
+def test_convolutions_match_fraction_loops():
+    # oracle: r_k as Fractions and the plain double and triple loops
+    for q in (F(1, 3), F(2, 5)):
+        for a in (F(-7, 5), F(2, 3), F(13, 10)):
+            r = [F(1)]
+            for k in range(30):
+                r.append(r[-1] * (1 - a * q ** k) / (1 - q ** (k + 1)))
+            for n in range(31):
+                pair = sum((-1) ** k * r[k] * r[n - k] for k in range(n + 1))
+                s = [F(0)] * 3
+                for j in range(n + 1):
+                    for k in range(n + 1 - j):
+                        s[(k + 2 * (n - j - k)) % 3] += r[j] * r[k] * r[n - j - k]
+                assert pair_convolution_sides(n, a, q)[0] == pair, (a, q, n)
+                assert cube_convolution_sides(n, a, q)[0] == EisensteinRational(
+                    s[0] - s[2], s[1] - s[2]), (a, q, n)
+
+
 def test_cube_convolution_at_zero_parameter():
     # a = 0: the triple convolution of 1/(q;q)_j collapses to 1/(q^3;q^3)_m
     q = F(1, 2)
