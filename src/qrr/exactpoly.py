@@ -3,6 +3,7 @@ polynomials, and rationals extended by a primitive cube root of unity."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,16 +156,24 @@ class BivariatePoly:
         return hash(frozenset(self.t.items()))
 
     def __add__(self, other):
-        out = dict(self.t)
-        for key, v in other.t.items():
-            out[key] = out.get(key, 0) + v
-        return BivariatePoly(out)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
+        """``self op other`` in one walk over other's terms: a key whose
+        coefficient cancels is dropped in place."""
         out = dict(self.t)
         for key, v in other.t.items():
-            out[key] = out.get(key, 0) - v
-        return BivariatePoly(out)
+            v = op(out.get(key, 0), v)
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        poly = object.__new__(BivariatePoly)
+        poly.t = out
+        return poly
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

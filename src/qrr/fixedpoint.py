@@ -153,7 +153,8 @@ class Fixed:
         return mp.mpc(re, from_man_exp(self.im, self.e, prec, rnd))
 
     def top(self) -> int:
-        """Exponent bound: |value| < 2**top (and >= 2**(top - 2) unless 0)."""
+        """Exponent bound: each part is below 2**top, so |value| lies in
+        [2**(top - 1), 2**(top + 1/2)) unless 0."""
         n = self.re.bit_length()
         if self.im is not None:
             n = max(n, self.im.bit_length())

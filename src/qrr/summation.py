@@ -19,12 +19,11 @@ Bookkeeping on bit lengths.  A term's top, its bit length plus its exponent,
 brackets its magnitude: |t| lies in [2^(top - 1), 2^(top + 1/2)).  The
 per-term stop test and the running peak are decided on tops, and a float
 log2 is taken only for a term within two bits of the stop tolerance or of
-the peak.  The decay certificate picks its pairs on tops and ranks their
-ratios on float log2s, each with a margin that covers its rounding; only
-where a margin leaves the order open (a term at the tolerance, ratios that
-tie in floats) are mpf magnitudes compared.  So the mpf values a sum makes
-are those of its outcome: the winning ratio, the level term and the tail
-bound, the same bits a certificate on mpf magnitudes throughout would give.
+the peak.  The decay certificate compares magnitudes exactly: on tops where
+they decide it, and otherwise on the mpf magnitudes, which it keeps once
+made.  It ranks its ratios by cross-multiplying those mantissas and divides
+once, for the winner.  So its outcome is bit for bit that of a certificate
+on mpf magnitudes throughout.
 
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings
 (see :func:`~qrr.fixedpoint.rounding_bits`) errs by less than
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
@@ -104,8 +102,8 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
     (log2 |t| below ``ctx.stop_log2``) and the running peak unless the term
     lies within two bits of the tolerance or of the peak; only then is its
     float log2 taken.  The certificate (:func:`_decay_rate`) works on the
-    same tops and on float log2s, and makes mpf magnitudes only for the pair
-    whose ratio it returns, the term that sets the tail level and near ties.
+    same tops and, where they leave the order open, on exact comparisons of
+    mpf magnitudes; it makes one mpf quotient for the adjacent pairs.
     The tail bound is level * rate / (1 - rate); the sum counts as converged
     when the bound lies below ``ctx.target_tol`` and below the sum's own
     magnitude.
@@ -189,7 +187,7 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
                                         term_bits, bw, ctx)
                 if zero_run >= STOP_RUN or not ts:
                     return SumOutcome(value, n, mp.mpf(0), True, error)
-                tol = _Tol.of(ctx.stop_tol)
+                tol = ctx.stop_tol
                 terms = _Terms(ns, ts, tops)
                 rate = _decay_rate(terms, tol, peak)
                 if rate is None:
@@ -274,32 +272,14 @@ def sum_bilateral(pos, neg, ctx: QContext) -> SumOutcome:
         return SumOutcome(value, pos.terms_used + neg.terms_used, tail, converged, error)
 
 
-# Relative margin around a float log2 of a magnitude: it covers the float's
-# own rounding (a few units in 2^-52) and the mpf magnitude's (2^-prec).
-_HAIR = 2.0 ** -40
-
-
-def _log2_bounds(t):
-    """(lo, hi) around log2 of the mpf magnitude of a nonzero Fixed term: its
-    float log2, with a relative margin and, for a complex term, room for the
-    floor of the integer square root the magnitude is made from."""
-    lm = _log2(t)
-    margin = _HAIR * (1 + abs(lm))
-    if t.im is not None:
-        margin += 2.0 ** (2 - max(t.re.bit_length(), t.im.bit_length()))
-    return lm - margin, lm + margin
-
-
 class _Terms:
     """The nonzero terms of a sum as the decay certificate reads them:
     parallel lists of index n, Fixed value and top.
 
-    Each magnitude is known three ways, finer and dearer in turn: from the
-    top, |t| in [2^(top - 1), 2^(top + 1/2)]; a float log2 within a margin
-    of it (:func:`_log2_bounds`); and the mpf magnitude that the
-    certificate's values are made of.  A comparison uses the first of these
-    that decides it, so mpf magnitudes are made only for the terms a
-    returned value is made of and for near ties.  They are kept, as mpf
+    Each magnitude is known two ways, exactly both: from the top, |t| in
+    [2^(top - 1), 2^(top + 1/2)]; and as the mpf magnitude that the
+    certificate's values are made of.  A comparison uses the top when that
+    decides it and compares mpf magnitudes otherwise.  They are kept, as mpf
     tuples, once made.
     """
 
@@ -327,27 +307,23 @@ class _Terms:
         return v
 
     def at_least(self, i, tol):
-        """``|term i| >= tol`` for a :class:`_Tol`."""
+        """``|term i| >= tol`` for a positive mpf ``tol``, which lies in
+        [2^(tol_top - 1), 2^tol_top)."""
+        _, _, exp, bc = tol._mpf_
+        tol_top = exp + bc
         top = self.tops[i]
-        if top > tol.above:
+        if top > tol_top:
             return True
-        if top < tol.below:
+        if top < tol_top - 1:
             return False
-        lo, hi = _log2_bounds(self.ts[i])
-        if lo > tol.log2 + tol.slack:
-            return True
-        if hi < tol.log2 - tol.slack:
-            return False
-        return mpf_ge(self.mpf(i), tol.value._mpf_)
+        return mpf_ge(self.mpf(i), tol._mpf_)
 
     def largest(self, positions):
-        """The first of ``positions`` whose mpf magnitude is largest."""
-        tops, ts = self.tops, self.ts
-        for bounds in (lambda i: (tops[i] - 1, tops[i] + 0.5 + _HAIR),
-                       lambda i: _log2_bounds(ts[i])):
-            if len(positions) == 1:
-                return positions[0]
-            positions = _contenders(positions, [bounds(i) for i in positions])
+        """The first of ``positions`` whose mpf magnitude is largest: only a
+        term within one top of the highest can be."""
+        tops = self.tops
+        best = max(tops[i] for i in positions)
+        positions = [i for i in positions if tops[i] >= best - 1]
         if len(positions) == 1:
             return positions[0]
         return max(positions, key=lambda i: mp.make_mpf(self.mpf(i)))
@@ -361,66 +337,54 @@ class _Terms:
 
     def worst_ratio(self, pairs):
         """The largest per-index ratio over the pairs (i - 1, i) for i in
-        ``pairs`` (in falling order), or None for no pairs.  The pairs are
-        ranked on log2 bounds; only the contenders' ratios are made in mpf.
+        ``pairs``, or None for no pairs.
+
+        Adjacent pairs are ranked exactly, m_i / m_(i-1) against
+        m_j / m_(j-1) by cross-multiplying the mpf mantissas, and only the
+        winner's quotient is made: division rounds monotonically, so it is
+        the largest quotient.  A pair across a gap of zero terms is made in
+        mpf.
         """
-        if len(pairs) > 1:
-            ns, ts = self.ns, self.ts
-            spans = []
-            j = None
-            for i in pairs:
-                lo1, hi1 = (lo0, hi0) if i == j else _log2_bounds(ts[i])
-                j = i - 1
-                lo0, hi0 = _log2_bounds(ts[j])
-                gap = ns[i] - ns[j]
-                spans.append(((lo1 - hi0) / gap, (hi1 - lo0) / gap))
-            pairs = _contenders(pairs, spans)
-        return max(map(self.ratio, pairs), default=None)
+        ns = self.ns
+        best = None
+        ratios = []
+        for i in pairs:
+            if ns[i] - ns[i - 1] > 1:
+                ratios.append(self.ratio(i))
+            elif best is None or self._exceeds(i, best):
+                best = i
+        if best is not None:
+            ratios.append(self.ratio(best))
+        return max(ratios, default=None)
+
+    def _exceeds(self, i, j):
+        """``m_i / m_(i-1) > m_j / m_(j-1)`` on the mpf magnitudes."""
+        _, a, ea, _ = self.mpf(i)
+        _, b, eb, _ = self.mpf(j - 1)
+        _, c, ec, _ = self.mpf(j)
+        _, d, ed, _ = self.mpf(i - 1)
+        shift = ea + eb - ec - ed
+        if shift >= 0:
+            return (a * b) << shift > c * d
+        return a * b > (c * d) << -shift
 
     def level(self, tol):
         """The largest magnitude among the last ``STOP_RUN`` terms, or the
-        tolerance (a :class:`_Tol`) if that is larger: the level the tail
-        bound starts from."""
+        tolerance if that is larger: the level the tail bound starts from."""
         first = max(0, len(self.ts) - STOP_RUN)
-        if max(self.tops[first:]) < tol.below:
-            return tol.value
-        j = self.largest(list(range(first, len(self.ts))))
-        return mp.make_mpf(self.mpf(j)) if self.at_least(j, tol) else tol.value
-
-
-class _Tol(NamedTuple):
-    """The stop tolerance as the certificate compares magnitudes with it: a
-    term of top above ``above`` lies at or above it, one of top below
-    ``below`` under it; ``log2 +- slack`` brackets its float log2."""
-
-    value: object
-    log2: float
-    slack: float
-    above: float
-    below: float
-
-    @classmethod
-    def of(cls, tol):
-        if isinstance(tol, cls):
+        _, _, exp, bc = tol._mpf_
+        if max(self.tops[first:]) < exp + bc - 1:
             return tol
-        _, man, exp, _ = tol._mpf_
-        log2 = math.log2(man) + exp
-        slack = _HAIR * (1 + abs(log2))
-        return cls(tol, log2, slack, log2 + slack + 1, log2 - slack - 0.5 - _HAIR)
-
-
-def _contenders(items, spans):
-    """The items whose (lo, hi) span reaches the largest lower end: the only
-    ones that can hold the maximum."""
-    floor = max(lo for lo, _ in spans)
-    return [i for i, (_, hi) in zip(items, spans) if hi >= floor]
+        j = self.largest(list(range(first, len(self.ts))))
+        return mp.make_mpf(self.mpf(j)) if self.at_least(j, tol) else tol
 
 
 def _decay_rate(mags, tol, peak=None):
     """Certified per-index decay rate from trailing magnitudes, or None.
 
-    ``mags`` is a :class:`_Terms` view.  Only pairs after the largest magnitude (position ``peak``, found
-    here when not given) count: ratios before the peak describe how the
+    ``mags`` is a :class:`_Terms` view and ``tol`` a positive mpf.  Only
+    pairs after the largest magnitude (position ``peak``, found here when
+    not given) count: ratios before the peak describe how the
     series grows, not its tail.  Pairs whose earlier member sits above the
     stop tolerance are the informative ones (below it, a series that once
     was large is down in roundoff, where ratios mean nothing).  A series
@@ -428,15 +392,15 @@ def _decay_rate(mags, tol, peak=None):
     so a flat plateau of tiny terms still fails the certificate.  Gaps from
     interleaved zero terms are normalized away.  Only the trailing
     ``RATIO_WINDOW`` pairs are ever inspected.  The pairs are chosen on tops
-    and the worst of them is found on float log2s, so the returned ratio
-    and near ties are the only ratios computed in mpf.
+    and exact mpf comparisons, and the worst of them by cross-multiplying
+    mantissas, so of the adjacent pairs only the returned ratio is divided
+    out in mpf.
     """
     last = len(mags) - 1
     if last < 1:
         return mp.mpf("0.5")  # single nonzero term: a terminated sum
     if peak is None:
         peak = mags.largest(list(range(last + 1)))
-    tol = _Tol.of(tol)
     pairs = []
     for i in range(last, peak, -1):
         if mags.at_least(i - 1, tol):

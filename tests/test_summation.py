@@ -8,13 +8,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 
 from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext,
                  RatioTestError, SumOutcome, sum_bilateral, sum_series)
 from qrr.context import MAX_TERMS, widening
 from qrr.fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
-from qrr import qfunctions
+from qrr import qfunctions, summation
 from qrr.qfunctions import phi_1_1
 from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
                            _parity_decay_rate, _Terms)
@@ -508,6 +508,8 @@ ORACLE_CASES = {
     "parity-complex": dict(kind="fixed-complex", top0=0, rate=2, parity=20, seed=2),
     "geometric-ties": dict(top0=0, rate=3, geometric=True, bits=270, seed=5),
     "geometric-ties-complex": dict(kind="fixed-complex", rate=4, geometric=True, bits=270),
+    "geometric-ties-zero-gaps": dict(top0=0, rate=3, geometric=True, bits=270, seed=5,
+                                     zeros=(22, 26, 27, 30)),
     "cancelling": dict(top0=20, rate=3, cancel=True),
 }
 
@@ -562,6 +564,53 @@ def test_oracle_cases_reach_what_they_name():
             mags = _ReferenceMagnitudes([(n, t) for n, t in enumerate(terms[:out.terms_used])])
             assert _reference_decay_rate(mags, ORACLE_CTX.stop_tol) is None
             assert _reference_parity_decay_rate(mags, ORACLE_CTX.stop_tol) is not None
+
+
+@pytest.mark.parametrize("name", ["geometric-ties", "geometric-ties-complex"])
+def test_running_product_tail_makes_one_quotient(name, monkeypatch):
+    # the window ratios of a running product tie in all but the last bits;
+    # ranked exactly, only the winner is divided out
+    quotients = []
+
+    def counting_div(*args):
+        quotients.append(args)
+        return mpf_div(*args)
+
+    monkeypatch.setattr(summation, "mpf_div", counting_div)
+    terms = oracle_stream(**ORACLE_CASES[name])
+    assert sum_series(terms.__getitem__, ORACLE_CTX).converged
+    assert len(quotients) == 1
+
+
+def test_top_brackets_match_mpf_comparisons_on_complex_terms():
+    # (m, m) 2^e with m = 2^k - 1 has top k + e and a magnitude near
+    # 2^(top + 1/2): it can reach a tolerance or a rival one top higher
+    wp = ORACLE_CTX.fixed_bits
+    with ORACLE_CTX.workdps():
+        tol = ORACLE_CTX.stop_tol
+        _, _, exp, bc = tol._mpf_
+        tol_top = exp + bc
+        ts = []
+        for k in (1, 3, 4, 9, 60, 200):
+            m = (1 << k) - 1
+            for lift in range(-2, 2):
+                e = tol_top + lift - k
+                ts += [Fixed(m, m, e, wp), Fixed(m, -(m >> 1), e, wp), Fixed(m, None, e, wp),
+                       Fixed(1 << (k - 1), None, e, wp)]
+        terms = _Terms(list(range(len(ts))), ts, [t.top() for t in ts])
+        mags = [_ReferenceMagnitudes([(0, t)])[0][1] for t in ts]
+        reached = [terms.at_least(i, tol) for i in range(len(ts))]
+        assert reached == [mpf_ge(m._mpf_, tol._mpf_) for m in mags]
+        assert any(r and top == tol_top - 1 for r, top in zip(reached, terms.tops))
+        passed = 0
+        for i in range(len(ts)):
+            for j in range(len(ts)):
+                if abs(terms.tops[i] - terms.tops[j]) <= 2:
+                    positions = [i, j]
+                    want = max(positions, key=lambda p: mags[p])
+                    assert terms.largest(positions) == want
+                    passed += terms.tops[want] < max(terms.tops[p] for p in positions)
+        assert passed
 
 
 @st.composite
