@@ -8,15 +8,20 @@ A sum that cancels raises PrecisionLossError; :func:`widening` evaluates the
 whole computation again wider (:meth:`QContext.wider`).  Exact work runs on
 ``fractions.Fraction`` (or on the truncated series ring in
 :mod:`qrr.formal`).  All functions are pure for a fixed context, so values
-may be shared freely between workers.
+may be shared freely.  They are shared in one place: within a
+:func:`keeping_values` block, which the check driver opens for each check, a
+:func:`kept` kernel computes each value once and returns it again on a
+repeated call.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 import mpmath as mp
 
@@ -138,6 +143,49 @@ def widening(evaluate, ctx: QContext):
             if not exc.bits or wide.fixed_bits + exc.bits > widest:
                 raise PrecisionLossError(f"{exc} (beyond {widest} bits)", 0) from exc
             wide = wide.wider(exc.bits + RERUN_MARGIN_BITS)
+
+
+_KEPT = ContextVar("kept kernel values", default=None)
+
+
+@contextmanager
+def keeping_values():
+    """Keep the values of every :func:`kept` kernel for the block; none outlive it."""
+    token = _KEPT.set({})
+    try:
+        yield
+    finally:
+        _KEPT.reset(token)
+
+
+def _exact(x):
+    """Four keys for mpf(1), mpc(1, 0), 1 and Fraction(1); sequences go by element."""
+    if isinstance(x, mp.mpf):
+        return "f", x._mpf_
+    if isinstance(x, mp.mpc):
+        return "c", x._mpc_
+    if isinstance(x, (list, tuple)):
+        return type(x), tuple(map(_exact, x))
+    return type(x), x
+
+
+def kept(kernel):
+    """``kernel(*args, ctx)``, computed once in a :func:`keeping_values` block
+    (and on every call outside one) per exact form of its arguments, ``ctx.q``,
+    ``ctx.precision`` and ``ctx.extra_bits``.  The kernel enters
+    ``ctx.workdps()`` itself, so its value depends on that key alone; errors
+    are raised again on every call."""
+    @wraps(kernel)
+    def lookup(*args):
+        values = _KEPT.get()
+        if values is None:
+            return kernel(*args)
+        ctx = args[-1]
+        key = (kernel, _exact(args[:-1]), _exact(ctx.q), ctx.precision, ctx.extra_bits)
+        if key not in values:
+            values[key] = kernel(*args)
+        return values[key]
+    return lookup
 
 
 def to_mp(x):

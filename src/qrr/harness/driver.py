@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from ..context import QContext, scaled_deviation, widening
+from ..context import QContext, keeping_values, scaled_deviation, widening
 from ..pochhammer import QPow
 from .sampling import entry_rng
 
@@ -165,46 +165,48 @@ def status(ok: bool, literal_ok: bool | None = None) -> str:
 
 
 def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
-    """Evaluate ``entry`` in ``mode`` and derive its outcome."""
+    """Evaluate ``entry`` in ``mode`` and derive its outcome; the values of the
+    kept kernels live for this one check (:func:`~qrr.context.keeping_values`)."""
     chk = getattr(entry, mode)
     exponent = rc.precision - 10
     if mode == "numeric" and exponent < MIN_TOL_EXPONENT:
         return CheckOutcome(
             "SKIPPED", note=f"vacuous tolerance: 10^-(precision - 10) = "
             f"10^-{exponent} is looser than 10^-{MIN_TOL_EXPONENT}")
-    rng = entry_rng(rc.seed, entry.id, mode)
-    ran = []   # every point the sides were called with, as declared
-    note, fail_point, first_diff, literal_ok = chk.note, None, None, None
-    if mode == "numeric":
-        qs = entry.q_list(rc)
-        params = {"q": [str(q) for q in qs]}
-        dev, ok, literal = _numeric(entry, chk, rc, rng, qs, ran)
-        if literal is not None:
-            note = note.replace(LITERAL, mp.nstr(literal, 3))
-            literal_ok = literal < rc.tol()
-    else:
-        draws = chk.sampler(rng) if chk.sampler else [{}]
-        if mode == "exact":
-            params = {}
-            fail_point = _first_unequal(chk.sides, _cross(draws, chk.points),
-                                        ran)
-            if chk.literal is not None:
-                literal_ok = _first_unequal(
-                    chk.literal.sides,
-                    _cross(draws, chk.literal.points), ran) is None
+    with keeping_values():
+        rng = entry_rng(rc.seed, entry.id, mode)
+        ran = []   # every point the sides were called with, as declared
+        note, fail_point, first_diff, literal_ok = chk.note, None, None, None
+        if mode == "numeric":
+            qs = entry.q_list(rc)
+            params = {"q": [str(q) for q in qs]}
+            dev, ok, literal = _numeric(entry, chk, rc, rng, qs, ran)
+            if literal is not None:
+                note = note.replace(LITERAL, mp.nstr(literal, 3))
+                literal_ok = literal < rc.tol()
         else:
-            ctx = QContext.formal(min(rc.order, chk.order or rc.order), chk.D)
-            params = {"order": ctx.order, "D": chk.D}
-            fail_point, first_diff = _first_nonzero(
-                chk.sides, ctx, _cross(draws, chk.points), ran)
-        ok = fail_point is None
-        dev = mp.mpf(0) if ok and mode == "exact" else None
-    params.update(summarise(ran))
-    if fail_point is not None:
-        params.update(summarise([fail_point]))
-    if chk.literal is None or not chk.literal.decides:
-        literal_ok = None
-    return CheckOutcome(status(ok, literal_ok), dev, first_diff, params, note)
+            draws = chk.sampler(rng) if chk.sampler else [{}]
+            if mode == "exact":
+                params = {}
+                fail_point = _first_unequal(chk.sides, _cross(draws, chk.points),
+                                            ran)
+                if chk.literal is not None:
+                    literal_ok = _first_unequal(
+                        chk.literal.sides,
+                        _cross(draws, chk.literal.points), ran) is None
+            else:
+                ctx = QContext.formal(min(rc.order, chk.order or rc.order), chk.D)
+                params = {"order": ctx.order, "D": chk.D}
+                fail_point, first_diff = _first_nonzero(
+                    chk.sides, ctx, _cross(draws, chk.points), ran)
+            ok = fail_point is None
+            dev = mp.mpf(0) if ok and mode == "exact" else None
+        params.update(summarise(ran))
+        if fail_point is not None:
+            params.update(summarise([fail_point]))
+        if chk.literal is None or not chk.literal.decides:
+            literal_ok = None
+        return CheckOutcome(status(ok, literal_ok), dev, first_diff, params, note)
 
 
 def summarise(points) -> dict:

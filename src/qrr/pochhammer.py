@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .context import MAX_TERMS, QContext, powq, to_mp
+from .context import MAX_TERMS, QContext, kept, powq, to_mp
 from .errors import DomainError, NonConvergenceError, PoleError
 from .exactpoly import QPoly
 from .fixedpoint import Fixed, cut, one_minus, parts
@@ -124,6 +124,7 @@ def pochhammer_ratio(a, b, q, n: int):
             / _product(_as_qpow(den), q, n, f"(a;q)_{n}/(b;q)_{n}"))
 
 
+@kept
 def infinite_product(nums, dens, q, ctx: QContext):
     """(a_1, ..., a_k; q)_inf / (b_1, ..., b_l; q)_inf over numbers or QPows.
 

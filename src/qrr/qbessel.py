@@ -23,7 +23,7 @@ from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, powq, to_mp
+from .context import QContext, kept, powq, to_mp
 from .errors import DomainError
 from .pochhammer import QPow, _pole_factors, infinite_product, pochhammer_finite
 from .qfunctions import _Q1, _gaussian, _ratio_terms, _series, _value
@@ -57,7 +57,7 @@ def bessel_i(kind: int, nu, z, ctx: QContext):
             if kind == 3:
                 raise DomainError("negative integer order implemented for kinds 1 and 2 only")
             nu = -nu
-        return _bessel(kind, nu, zv, 1, ctx)
+    return _bessel(kind, nu, zv, 1, ctx)
 
 
 def bessel_j(kind: int, nu, z, ctx: QContext):
@@ -68,9 +68,10 @@ def bessel_j(kind: int, nu, z, ctx: QContext):
         zv = to_mp(z)
         if kind == 1 and abs(zv) >= 2:
             raise DomainError("kind-1 series needs |z| < 2")
-        return _bessel(kind, as_order(nu), zv, -1, ctx)
+    return _bessel(kind, as_order(nu), zv, -1, ctx)
 
 
+@kept
 def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
     """(z/2)^nu (q^{nu+1};q)_inf / (q;q)_inf times the kind's series at
     x = sign (z/2)^2.  At an order m = 0, 1, ... the prefactor is
@@ -84,14 +85,15 @@ def _bessel(kind: int, nu: Fraction, zv, sign: int, ctx: QContext):
         if nu < 0:
             raise DomainError("z = 0 with negative order")
         return mp.mpf(1) if nu == 0 else mp.mpf(0)
-    half = zv / 2
-    if nu.denominator == 1 and nu >= 0:
-        pref = half ** int(nu) / pochhammer_finite(q, q, int(nu))
-    else:
-        pref = (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
-                * infinite_product([QPow(1, nu + 1)], [q], q, ctx))
-    alpha, shift = {1: (0, 0), 2: (1, nu), 3: (Fraction(1, 2), Fraction(-1, 2))}[kind]
-    return pref * _bessel_series(nu, alpha, sign * half ** 2 * powq(q, shift), ctx)
+    with ctx.workdps():
+        half = zv / 2
+        if nu.denominator == 1 and nu >= 0:
+            pref = half ** int(nu) / pochhammer_finite(q, q, int(nu))
+        else:
+            pref = (mp.power(half, mp.mpf(nu.numerator) / nu.denominator)
+                    * infinite_product([QPow(1, nu + 1)], [q], q, ctx))
+        alpha, shift = {1: (0, 0), 2: (1, nu), 3: (Fraction(1, 2), Fraction(-1, 2))}[kind]
+        return pref * _bessel_series(nu, alpha, sign * half ** 2 * powq(q, shift), ctx)
 
 
 def _bessel_series(nu: Fraction, alpha, x, ctx: QContext):

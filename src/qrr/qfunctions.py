@@ -54,7 +54,7 @@ from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, powq, to_mp
+from .context import QContext, kept, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
@@ -433,6 +433,7 @@ def b_alpha(alpha, a, b, x, ctx: QContext):
         return _series(_ratio_streams(aq, bq, alpha, to_mp(x)), ctx)
 
 
+@kept
 def u_m_bilateral(a, m: int, ctx: QContext):
     """Bilateral sum of q^{n^2 + m n} / (a q; q)_n.
 

@@ -1,4 +1,4 @@
-"""Context construction, exact powers, and deviation scaling."""
+"""Context construction, exact powers, deviation scaling and kept values."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qrr import DomainError, ExponentError, QContext, powq, scaled_deviation
+from qrr import (DomainError, ExponentError, NonConvergenceError, PoleError, QContext,
+                 QPow, pochhammer, powq, qbessel, qfunctions, scaled_deviation)
+from qrr.context import keeping_values
+from qrr.pochhammer import infinite_product
+from qrr.qfunctions import u_m_bilateral
 
 
 def test_numeric_context_rejects_big_base():
@@ -74,3 +78,90 @@ def test_scaled_deviation():
         big = scaled_deviation(mp.mpf("1e30"), mp.mpf("1e30") + mp.mpf("1e10"))
         assert abs(big - mp.mpf("1e-20")) < mp.mpf("1e-25")
         assert scaled_deviation(mp.mpf("0.25"), mp.mpf("0.5")) == mp.mpf("0.25")
+
+
+# The three kept kernels, each at one point, with a module function its body
+# calls on every walk: (call, module, name of that function).
+KERNELS = {
+    "infinite_product": (
+        lambda ctx: infinite_product([QPow(1, Fraction(3, 2))], [ctx.q], ctx.q, ctx),
+        pochhammer, "one_minus"),
+    "_bessel": (lambda ctx: qbessel._bessel(2, Fraction(1, 2), mp.mpf("0.7"), 1, ctx),
+                qbessel, "_bessel_series"),
+    "u_m_bilateral": (lambda ctx: u_m_bilateral(Fraction(1, 2), 1, ctx),
+                      qfunctions, "_series"),
+}
+
+
+def exact(x):
+    return type(x), x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+
+
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("q", ["0.3", "-0.3", complex(0.3, 0.2)])
+def test_kept_values_are_the_computed_ones(q, precision):
+    ctx = QContext.numeric(q, precision)
+    contexts = (ctx, ctx.wider(64))
+
+    def values():
+        return [exact(call(c)) for call, _, _ in KERNELS.values() for c in contexts]
+
+    fresh = values()
+    with keeping_values():
+        assert values() == fresh    # computed, narrow before wide
+        assert values() == fresh    # read back
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_a_repeat_walks_once_inside_a_scope_only(name, monkeypatch):
+    call, module, walk = KERNELS[name]
+    walks, real = [], getattr(module, walk)
+
+    def spy(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, walk, spy)
+    ctx = QContext.numeric("0.3", 20)
+    call(ctx)
+    once = len(walks)
+    assert once
+    call(ctx)
+    assert len(walks) == 2 * once     # outside a scope every call walks
+    with keeping_values():
+        call(ctx)
+        call(ctx)
+        assert len(walks) == 3 * once
+    call(ctx)
+    assert len(walks) == 4 * once     # nothing is kept after the block
+
+
+def test_mpf_and_equal_mpc_coefficients_are_kept_apart():
+    ctx = QContext.numeric("0.3", 20)
+    with keeping_values():
+        real = infinite_product([mp.mpf("0.4")], [], ctx.q, ctx)
+        cplx = infinite_product([mp.mpc("0.4", 0)], [], ctx.q, ctx)
+    assert type(real) is mp.mpf and type(cplx) is mp.mpc
+    assert cplx.real == real and cplx.imag == 0
+
+
+@pytest.mark.parametrize("q, dens, error", [
+    ("0.3", [QPow(1, 0)], PoleError),                        # 1 - q^0 vanishes
+    ("0.999", [Fraction(1, 2)], NonConvergenceError),      # over the budget
+])
+def test_errors_are_raised_again_on_every_call(q, dens, error, monkeypatch):
+    walks, real = [], pochhammer.to_mp
+
+    def spy(x):
+        walks.append(x)
+        return real(x)
+
+    monkeypatch.setattr(pochhammer, "to_mp", spy)
+    ctx = QContext.numeric(q, 20)
+    with keeping_values():
+        with pytest.raises(error):
+            infinite_product([], dens, ctx.q, ctx)
+        once = len(walks)
+        with pytest.raises(error):
+            infinite_product([], dens, ctx.q, ctx)
+    assert once and len(walks) == 2 * once

@@ -1,5 +1,6 @@
 """Registry coverage, runner behavior, reports, and the CLI."""
 
+import contextlib
 import json
 import re
 from dataclasses import replace
@@ -15,6 +16,7 @@ from qrr.harness import (CENSUS, ENTRIES, RunSettings, SuiteConfig,
                          parse_report, planned_checks, run_check, run_info,
                          run_suite, sample_params)
 from qrr.formal import FormalSeries
+from qrr.harness import driver
 from qrr.harness.driver import (COMPLEX_Q, LITERAL, Check, IdentityEntry,
                                 Reading, Verdict, _as_mp, grid, run_entry,
                                 status, summarise)
@@ -230,6 +232,20 @@ def test_ms6_declares_the_t_it_evaluates():
         "order": "60", "D": "1", "a": "{q, None}", "t": "2/3"}
     assert run_check("ms-6", "numeric", RunSettings()).params == {
         "q": "['0.2', '0.3']", "t": "0.6"}
+
+
+# The entries whose checks repeat calls of the kept kernels (infinite
+# products, q-Bessel values, u_m sums): a kept value must read as a fresh one.
+@pytest.mark.parametrize("entry_id", [
+    "bessel-sv-4", "bessel-sv-5", "lommel-i", "lommel-j", "bessel-gf",
+    "bessel-i1-continuation", "um-recurrence", "RR1"])
+def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
+    kept = run_check(entry_id, "numeric", RunSettings())
+    monkeypatch.setattr(driver, "keeping_values", contextlib.nullcontext)
+    fresh = run_check(entry_id, "numeric", RunSettings())
+    assert kept.status == fresh.status and kept.status in ("PASS", "DISCREPANCY_DOCUMENTED")
+    assert kept.max_abs_deviation == fresh.max_abs_deviation
+    assert kept.params == fresh.params
 
 
 # Entries that used to raise RatioTestError (a short series that rises before

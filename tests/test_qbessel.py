@@ -1,5 +1,6 @@
 """Modified q-Bessel functions: special points, continuation, expansions."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from qrr import DomainError, PoleError, PrecisionLossError, QContext, QPow, qbessel, qfunctions
-from qrr.context import powq, widening
+from qrr.context import keeping_values, powq, widening
 from qrr.pochhammer import infinite_product
 from qrr.qbessel import (asymptotic_main_term, bessel_i, bessel_j,
                          gen_func_sides, i1_continued, lommel_relation_j_sides,
@@ -112,16 +113,21 @@ def test_generating_function_degenerate_argument():
         gen_func_sides(mp.mpf(1), mp.mpf(0), CTX)
 
 
-def test_rerun_widens_the_inner_bessel_values(monkeypatch):
+@pytest.mark.parametrize("scope", [contextlib.nullcontext, keeping_values])
+def test_rerun_widens_the_inner_bessel_values(scope, monkeypatch):
     # at q = 0.99, z = 0.8, t = -2 the outer sum cancels: the rerun must
     # evaluate its inner I_m^{(2)} values at the wider width too, not only
-    # the outer stream
-    log, evaluated = [], []
-    real_i = qbessel.bessel_i
+    # the outer stream, and inside a scope must not read the narrow values
+    log, evaluated, walked = [], [], []
+    real_i, real_walk = qbessel.bessel_i, qbessel._bessel_series
 
     def inner(kind, nu, z, ctx):
-        log.append(ctx.fixed_bits)
+        log.append((ctx.fixed_bits, abs(nu)))
         return real_i(kind, nu, z, ctx)
+
+    def walk(nu, alpha, x, ctx):
+        walked.append((ctx.fixed_bits, nu))
+        return real_walk(nu, alpha, x, ctx)
 
     def watched(engine):
         def run(*args):
@@ -132,19 +138,27 @@ def test_rerun_widens_the_inner_bessel_values(monkeypatch):
                 raise
         return run
 
+    # one z at every width, as a kept value of a narrower width would have
+    z = mp.mpf("0.8")
+
     def evaluate(ctx):
         evaluated.append(ctx.fixed_bits)
-        return gen_func_sides(mp.mpf("0.8"), mp.mpf(-2), ctx)
+        return gen_func_sides(z, mp.mpf(-2), ctx)
 
     monkeypatch.setattr(qbessel, "bessel_i", inner)
+    monkeypatch.setattr(qbessel, "_bessel_series", walk)
     for name in ("sum_series", "sum_bilateral"):
         monkeypatch.setattr(qfunctions, name, watched(getattr(qfunctions, name)))
     ctx = QContext.numeric("0.99", precision=20)
-    widening(evaluate, ctx)
+    with scope():
+        widening(evaluate, ctx)
     first = log.index("loss")
-    widths = {w for w in log[first:] if w != "loss"}
+    rerun = [call for call in log[first:] if call != "loss"]
+    widths = {w for w, _ in rerun}
     assert widths and min(widths) > ctx.fixed_bits
     assert widths <= set(evaluated[1:])
+    # each inner value a rerun reads is walked at that rerun's width
+    assert set(rerun) <= set(walked)
 
 
 def test_mittag_leffler_matches_continuation():
