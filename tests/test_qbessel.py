@@ -138,7 +138,8 @@ def test_rerun_widens_the_inner_bessel_values(scope, monkeypatch):
                 raise
         return run
 
-    # one z at every width, as a kept value of a narrower width would have
+    # one z for every width: parsed anew inside evaluate, it would differ
+    # with each width's digits, and no narrower kept value could be read
     z = mp.mpf("0.8")
 
     def evaluate(ctx):
