@@ -35,7 +35,8 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from ..context import QContext, keeping_values, scaled_deviation, widening
+from ..context import (DEFAULT_ORDER, DEFAULT_PRECISION, QContext, keeping_values,
+                       scaled_deviation, widening)
 from ..pochhammer import QPow
 from .sampling import entry_rng
 
@@ -58,8 +59,8 @@ class RunSettings:
     sampler.
     """
 
-    precision: int = 50
-    order: int = 100
+    precision: int = DEFAULT_PRECISION
+    order: int = DEFAULT_ORDER
     q_values: tuple = ("0.2", "0.3")
     seed: int = 20240809
 

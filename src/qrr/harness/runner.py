@@ -34,10 +34,10 @@ DOMAIN_EXCEPTIONS = (DomainError, PoleError, EmptyDomainError, SingularDeltaErro
 class SuiteConfig:
     ids: list | str = "all"
     modes: list | None = None          # None: every mode an entry declares
-    q: list = field(default_factory=lambda: ["0.2", "0.3"])
-    precision: int = 50
-    order: int = 100
-    seed: int = 20240809
+    q: list = field(default_factory=lambda: list(RunSettings.q_values))
+    precision: int = RunSettings.precision
+    order: int = RunSettings.order
+    seed: int = RunSettings.seed
     jobs: int = 1
 
     @classmethod

@@ -29,9 +29,10 @@ serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums have one
 rule: a kernel builds one :class:`_Table` per call, in fixed point on one
 binary exponent, and each weighted slice (:func:`_pair_slices`,
-:func:`_cube_pairs`, :func:`_cube_slices`) combines exact integer sums over
-residue classes of the table's own mantissas, every index inside the table,
-and rounds once, so a slice that the identity makes vanish is an exact zero.
+:func:`_cube_pairs`, :func:`_cube_slices`) combines the exact residue-class
+sums of :func:`_class_sums` over the table's own mantissas, every index inside
+the table, and rounds once, so a slice that the identity makes vanish is an
+exact zero.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -40,9 +41,9 @@ factor, in a stream, a pole table or a product, is the PoleError of
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
 :class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
-as those coefficients times a running power.  A cube-root-weighted
-self-convolution over a range mirrored about n/2 (:func:`_self_conv_w`, every
-pair table C_m) sums mirror pairs j, n - j once, from half the products.
+as those coefficients times a running power.  The residue classes of a
+self-convolution (:func:`_class_sums`) come from half the products: the
+mirror j <-> n - j swaps two classes, which are then equal, or fixes one.
 """
 
 from __future__ import annotations
@@ -590,82 +591,78 @@ def _dot(xs, ys):
 
 def _dots(f, g):
     """(re, im): the exact sum of the products f_j g_j of two sequences of
-    complex mantissas, each given as its lists (re, im)."""
+    mantissas, each given as its lists (re, im), both real (im None) or both
+    complex."""
     (fr, fi), (gr, gi) = f, g
-    re = _dot(fr, gr)
     if fi is None:
-        return re, (0 if gi is None else _dot(fr, gi))
-    if gi is None:
-        return re, _dot(fi, gr)
-    return re - _dot(fi, gi), _dot(fr, gi) + _dot(fi, gr)
+        return _dot(fr, gr), 0
+    return _dot(fr, gr) - _dot(fi, gi), _dot(fr, gi) + _dot(fi, gr)
 
 
-def _span(f: _Table, g: _Table, n: int):
-    """(lo, hi): the j with j inside f and n - j inside g, as (lo, lo - 1)
-    when n lies beyond the tables' reach."""
-    lo = max(f.lo, n - g.hi)
-    return lo, max(min(f.hi, n - g.lo), lo - 1)
+def _span(t: _Table, n: int):
+    """(lo, hi): the j with j and n - j inside t, as (lo, lo - 1) when n lies
+    beyond the table's reach; lo + hi = n when the span is not empty."""
+    lo = max(t.lo, n - t.hi)
+    return lo, max(min(t.hi, n - t.lo), lo - 1)
 
 
-def _conv(f: _Table, g: _Table, n: int, lo: int, hi: int, step: int = 1):
-    """(re, im): the exact sum of f_j g_{n-j} over j = lo, lo + step, ...
-    <= hi, on the exponent f.E + g.E (im 0 for real tables).
+def _conv(t: _Table, n: int, lo: int, hi: int, step: int):
+    """(re, im): the exact sum of t_j t_{n-j} over j = lo, lo + step, ...
+    <= hi, on the exponent 2 t.E (im 0 for a real table).
 
-    The caller keeps j inside f and n - j inside g (:func:`_span`).
+    The caller keeps j and n - j inside t (:func:`_span`).
     """
-    return _dots(_at((f.re, f.im), slice(lo - f.lo, hi - f.lo + 1, step)),
-                 _at(g.reversed, slice(g.hi - n + lo, g.hi - n + hi + 1, step)))
+    return _dots(_at((t.re, t.im), slice(lo - t.lo, hi - t.lo + 1, step)),
+                 _at(t.reversed, slice(t.hi - n + lo, t.hi - n + hi + 1, step)))
 
 
-def _self_conv_w(f: _Table, n: int, lo: int, hi: int) -> list:
-    """The exact sums (re, im) of f_j f_{n-j} over lo <= j <= hi with
-    n - j = 0, 1, 2 (mod 3), for a range mirrored by j -> n - j
-    (lo + hi = n), or empty, from half the products.
+def _class_sums(t: _Table, n: int, m: int) -> list:
+    """The exact sums (re, im) of t_j t_k over j + k = n, j and k inside the
+    table, split by the residue c of k mod m, from half the products.
 
-    The mirror maps the class t to the class n - t, and f_j f_{n-j} to
-    itself, so the classes agree in pairs.  One pair is one dot product; the
-    class with 2t = n (mod 3) maps to itself and sums each mirror pair once,
-    doubled, plus the middle term j = n/2.
+    The mirror j <-> k maps the class c to the class n - c, and t_j t_k to
+    itself.  Two classes that it swaps are equal and cost one dot product; a
+    class that it maps to itself sums each mirror pair j < k once, doubled,
+    plus the middle term j = k = n/2 when that lies in it.
     """
+    lo, hi = _span(t, n)
+    p = [(0, 0)] * m
     if hi < lo:
-        return [(0, 0)] * 3
-    if lo + hi != n:
-        raise ValueError(f"range [{lo}, {hi}] is not mirrored about {n}/2")
-    own = 2 * n % 3
-    pair = (own + 1) % 3
-    p = [None] * 3
-    p[pair] = p[(n - pair) % 3] = _conv(f, f, n, lo + (n - pair - lo) % 3, hi, 3)
-    # the class of own: j from j0 in steps of 3 while j < n - j
-    j0 = lo + (n - own - lo) % 3
-    re, im = _dots(_at((f.re, f.im), slice(j0 - f.lo, (n - 1) // 2 - f.lo + 1, 3)),
-                   _at(f.reversed, slice(f.hi - n + j0, f.hi - n + (n - 1) // 2 + 1, 3)))
-    re, im = 2 * re, 2 * im
-    if n % 2 == 0 and lo <= n // 2 <= hi:
-        cr, ci = (x[n // 2 - f.lo] if x else 0 for x in (f.re, f.im))
-        re, im = re + cr * cr - ci * ci, im + 2 * cr * ci
-    p[own] = re, im
+        return p
+    for c in range(m):
+        mirror = (n - c) % m
+        j0 = lo + (n - c - lo) % m  # the first j of the class
+        if c < mirror:
+            p[c] = p[mirror] = _conv(t, n, j0, hi, m)
+        elif c == mirror:
+            re, im = _conv(t, n, j0, (n - 1) // 2, m)
+            re, im = 2 * re, 2 * im
+            if n % 2 == 0 and (n // 2 - c) % m == 0:
+                cr, ci = (x[n // 2 - t.lo] if x else 0 for x in (t.re, t.im))
+                re, im = re + cr * cr - ci * ci, im + 2 * cr * ci
+            p[c] = re, im
     return p
 
 
 def _pair_slices(t: _Table, ns) -> list:
     """sum over j + k = n of (-1)^j t_j t_k, j and k inside the table, for
-    each n in ``ns``: the even-j class minus the odd-j class, exact and then
-    rounded once (zero beyond the table's reach).  For an odd n, j -> n - j
-    swaps the classes, so the slice is an exact zero."""
-    def pair_slice(n, lo, hi):
-        (even, even_i), (odd, odd_i) = (_conv(t, t, n, j, hi, 2)
-                                        for j in (lo + lo % 2, lo + 1 - lo % 2))
+    each n in ``ns``: the even-k class of :func:`_class_sums` minus the odd-k
+    one, exact and then rounded once (zero beyond the table's reach).  For an
+    even n, j and k share their parity; for an odd n the mirror swaps the two
+    classes, so they are equal and the slice is an exact zero."""
+    def pair_slice(n):
+        (even, even_i), (odd, odd_i) = _class_sums(t, n, 2)
         return t.rounded(even - odd, even_i - odd_i, 2 * t.E)
 
-    return [pair_slice(n, *_span(t, t, n)) for n in ns]
+    return [pair_slice(n) for n in ns]
 
 
 def _cube_pairs(t: _Table, lo: int, hi: int, w: Fixed) -> list:
     """C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi, j and k
-    inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_self_conv_w`, each
+    inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_class_sums`, each
     rounded once, weighted by 1, w, w^2."""
     w2, e = w * w, 2 * t.E
-    classes = ([t.rounded(re, im, e) for re, im in _self_conv_w(t, m, *_span(t, t, m))]
+    classes = ([t.rounded(re, im, e) for re, im in _class_sums(t, m, 3)]
                for m in range(lo, hi + 1))
     return [p0 + w * p1 + w2 * p2 for p0, p1, p2 in classes]
 
@@ -677,7 +674,7 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     With P_s the exact sum of the t_j t_k t_l with k + 2l = s (mod 3), the
     slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the Q(w)
     coordinates of :func:`cube_convolution_sides`.  From the classes c_i(m)
-    of :func:`_self_conv_w` (k = i mod 3), P_s = sum_l c_(s+l)(n - l) t_l, so
+    of :func:`_class_sums` (k = i mod 3), P_s = sum_l c_(s+l)(n - l) t_l, so
     x and y take one dot product each per residue of l.  Cycling (j, k, l)
     maps the class s to s + n, so for 3 not dividing n the P_s agree and the
     slice is an exact zero.
@@ -685,7 +682,7 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     lo, hi = min(ns) - t.hi, max(ns) - t.lo  # the m = n - l that ns reaches
     d = [([], []) for _ in range(3)]  # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo
     for m in range(hi, lo - 1, -1):
-        c = _self_conv_w(t, m, *_span(t, t, m))
+        c = _class_sums(t, m, 3)
         for i, (dr, di) in enumerate(d):
             dr.append(c[i][0] - c[(i + 1) % 3][0])
             di.append(c[i][1] - c[(i + 1) % 3][1])
@@ -946,13 +943,14 @@ def _theta_truncation(x, ctx: QContext):
 
 
 def _theta_slices(slices, a: QPow, xv, K: int, ns, ctx: QContext):
-    """sum over n in ns of q^{n^2} x^n S_n, as an mp number, for the slices
-    S_n = slices(t, ns) of the pole table t_j = 1/(1 - a q^j), |j| <= K: the
-    pole sums by the sum n of their indices, x^n factored out of slice n."""
+    """sum over the consecutive n in ns of q^{n^2} x^n S_n, as an mp number,
+    for the slices S_n = slices(t, ns) of the pole table t_j = 1/(1 - a q^j),
+    |j| <= K: the pole sums by the sum n of their indices, x^n factored out of
+    slice n, the weights a running product (:func:`_gaussian`)."""
     q = ctx.fixed(ctx.q)
     t = _Table(-K, [1 / f for f in islice(_pole_factors(a, q, -K), 2 * K + 1)])
-    x = q.like(xv)
-    return sum(q ** (n * n) * x ** n * c for n, c in zip(ns, slices(t, ns))).to_mp()
+    weights = _gaussian(q, 1, q.like(xv), ns[0])
+    return sum(g * c for g, c in zip(weights, slices(t, ns))).to_mp()
 
 
 def theta_pair_sides(a, x, ctx: QContext):

@@ -497,6 +497,15 @@ def test_emit_report_propagates_io_errors():
         emit_report([], {}, fmt="json", path="/no/such/dir/report.json")
 
 
+def test_run_defaults_are_spelled_once():
+    from qrr.context import DEFAULT_ORDER, DEFAULT_PRECISION, QContext
+    assert SuiteConfig().settings() == RunSettings() == RunSettings(
+        DEFAULT_PRECISION, DEFAULT_ORDER, ("0.2", "0.3"), 20240809)
+    assert QContext.numeric("0.3").precision == RunSettings().precision
+    assert QContext.formal().order == RunSettings().order
+    assert SuiteConfig().q is not SuiteConfig().q
+
+
 def test_planned_checks_filters_modes():
     cfg = SuiteConfig.from_dict({"ids": ["RR1", "st-5.7"], "modes": ["formal"]})
     assert planned_checks(cfg) == [("RR1", "formal"), ("st-5.7", "formal")]

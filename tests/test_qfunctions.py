@@ -14,9 +14,10 @@ from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
                             pochhammer_ratio)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (_a_alpha_stream, _conv,
+from qrr.qfunctions import (_a_alpha_stream, _class_sums, _conv,
                             _cube_pairs, _cube_slices, _Lattice,
-                            _pair_slices, _ratio_streams, _self_conv_w, _Table, a_alpha, a_alpha_formal, b_alpha,
+                            _pair_slices, _ratio_streams, _span, _Table,
+                            a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
                             cube_bilateral_master_sides, cube_master_sides,
@@ -161,6 +162,27 @@ def test_bilateral_alpha_finite_at_generic_params():
     with CTX.workdps():
         v = b_alpha(1, mp.mpf("0.4"), mp.mpf("0.9"), mp.mpf("0.7"), CTX)
         assert mp.isfinite(v)
+
+
+def test_b_alpha_at_zero_is_psi_1_1():
+    # alpha = 0 is the 1psi1 sum, with its annulus |b/a| < |z| < 1; b = q^2
+    # ends the negative half, so there only |z| < 1 is needed.  (z = 0.6
+    # would put a z at q, where the sum nearly vanishes.)
+    with CTX.workdps():
+        a, b, z = mp.mpf("0.5"), mp.mpf("0.1"), mp.mpf("0.7")
+        v = b_alpha(0, a, b, z, CTX)
+        assert v == psi_1_1(a, b, z, CTX)
+        assert abs(v - psi_1_1_product(a, b, z, CTX)) < TOL
+        small = mp.mpf("0.05")  # below |q^2 / a| = 0.18
+        assert b_alpha(0, a, QPow(1, 2), small, CTX) == psi_1_1(a, QPow(1, 2), small, CTX)
+        for outside in (mp.mpf("0.15"), mp.mpf("1.2"), -mp.mpf("1.2")):  # |b/a| = 0.2
+            with pytest.raises(AnnulusError):
+                b_alpha(0, a, b, outside, CTX)
+        with pytest.raises(AnnulusError):
+            b_alpha(0, a, QPow(1, 2), mp.mpf("1.2"), CTX)
+        with pytest.raises(DomainError) as err:
+            b_alpha(F(-1, 2), a, b, z, CTX)
+        assert not isinstance(err.value, AnnulusError)
 
 
 def test_shifted_bilateral_recurrence():
@@ -847,26 +869,48 @@ def _random_table(rnd, lo, size, wp, complex_values):
     return _Table(lo, values)
 
 
-def _conv_classes(f, g, n, lo, hi):
-    """The exact sums over lo <= j <= hi of f_j g_{n-j} with n - j = 0, 1, 2
-    (mod 3), one strided dot product each: the unmirrored oracle of
-    _self_conv_w."""
-    return [_conv(f, g, n, lo + (n - t - lo) % 3, hi, 3) for t in range(3)]
+def _strided_classes(t, n, m):
+    """The exact sums over the full span of t_j t_{n-j} with n - j = c
+    (mod m), c = 0, ..., m - 1, one strided dot product each: the unmirrored
+    oracle of _class_sums."""
+    lo, hi = _span(t, n)
+    if hi < lo:
+        return [(0, 0)] * m
+    return [_conv(t, n, lo + (n - c - lo) % m, hi, m) for c in range(m)]
 
 
+@pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
-def test_self_conv_w_is_conv_w_bit_for_bit(complex_values):
+def test_class_sums_are_the_strided_classes_bit_for_bit(complex_values, m):
     import random
     rnd = random.Random(20261018 + complex_values)
     for lo, size in ((-9, 19), (-4, 12), (0, 7)):
-        f = _random_table(rnd, lo, size, CTX.fixed_bits, complex_values)
-        for n in range(2 * f.lo, 2 * f.hi + 1):
-            first, last = max(f.lo, n - f.hi), min(f.hi, n - f.lo)
-            for d in range(4):
-                got = _self_conv_w(f, n, first + d, last - d)
-                assert got == _conv_classes(f, f, n, first + d, last - d), (n, d)
-    with pytest.raises(ValueError):
-        _self_conv_w(f, 0, -3, 4)
+        t = _random_table(rnd, lo, size, CTX.fixed_bits, complex_values)
+        for n in range(2 * t.lo - 2, 2 * t.hi + 3):
+            assert _class_sums(t, n, m) == _strided_classes(t, n, m), n
+
+
+def test_pair_slices_take_half_the_products(monkeypatch):
+    # a real table: per slice at most ceil(span / 2) mantissa pairs, where the
+    # two strided parity classes take the whole span
+    t = _full_table(-6, 6, False, 20)
+    pairs = []
+
+    def counting_dot(xs, ys):
+        xs, ys = list(xs), list(ys)
+        pairs.append(min(len(xs), len(ys)))
+        return real_dot(xs, ys)
+
+    real_dot = qfunctions._dot
+    monkeypatch.setattr(qfunctions, "_dot", counting_dot)
+    total = 0
+    for n in range(2 * t.lo - 2, 2 * t.hi + 3):
+        pairs.clear()
+        _pair_slices(t, [n])
+        lo, hi = _span(t, n)
+        assert sum(pairs) <= (hi - lo + 2) // 2, (n, pairs)
+        total += sum(pairs)
+    assert total == 78
 
 
 # The slice layer against direct double and triple loops over the same table:
