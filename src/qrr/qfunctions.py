@@ -930,16 +930,34 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
 
 
 def _theta_truncation(x, ctx: QContext):
-    """(K, ns): the |j| <= K cutoff of the pole tables, whose entries times
-    x^j decay at rate max(|x|, |q/x|), and the slices ns = -s_max..s_max
-    of the q^{s^2} weights (:func:`gaussian_truncation`).  That rate is
-    below 1 only on the annulus |q| < |x| < 1, so the cutoff needs it; the
-    sums themselves converge for every x != 0."""
+    """(K, ns): the |j| <= K cutoff of the pole tables t_j = 1/(1 - a q^j)
+    and the slices ns = -s_max..s_max of the q^{s^2} weights
+    (:func:`gaussian_truncation`).  K = K0 + s_max, K0 =
+    slice_truncation(|q|): slice n carries no x^j (:func:`_theta_slices`
+    factors x^n out), and its entries fall at rate |q| on the negative side.
+
+    The bound.  Let T be the least number with |t_j| <= T for j >= 0 and
+    |t_-m| <= T |q|^m for m >= 1.  A term of slice n is a product of r = 2
+    (pair) or 3 (cube) entries, times a unit, whose indices sum to n.  If
+    one index lies outside [-K, K], the negative ones sum to N >= K - |n| + 1
+    >= K0 + 1 in size, so the term is at most T^r |q|^N, and at most
+    6 (N + |n|) tuples share one N.  So the omitted part of slice n is at
+    most B_n = 6 T^r (K0 + |n| + 1) |q|^(K0+1) / (1 - |q|)^2, and that of
+    the weighted sum at most W B_s_max, W = sum |q^(n^2) x^n| < 4 for
+    |q| < |x| < 1, |q| <= 0.6.  As |q|^K0 < 10^-(precision + 12), that is
+    24 T^r (K0 + s_max + 1) |q| / (1 - |q|)^2 times 10^-(precision + 12):
+    within the 10^6 allowance of :func:`slice_truncation` at the registry
+    points for |q| <= 0.3 (T <= 5) up to precision 200, and 10^7 to 10^8 at
+    q = 0.59, a = 0.5, where t_-1 = 1/(1 - a/q) is near its pole (T = 11).
+
+    The annulus guard |q| < |x| < 1 stays although the sums converge for
+    every x != 0: outside it the ``ms-17`` check (a = -q^{1/3}) FAILs, for
+    a reason still open, while ``ms-13..16`` PASS."""
     q = ctx.q
     if not abs(q) < abs(x) < 1:
         raise AnnulusError("needs |q| < |x| < 1")
     s_max = gaussian_truncation(1, ctx)
-    return slice_truncation(max(abs(x), abs(q / x)), ctx), range(-s_max, s_max + 1)
+    return slice_truncation(abs(q), ctx) + s_max, range(-s_max, s_max + 1)
 
 
 def _theta_slices(slices, a: QPow, xv, K: int, ns, ctx: QContext):

@@ -4,7 +4,10 @@ Every unilateral and bilateral series in the package funnels through
 :func:`sum_series` / :func:`sum_bilateral`.  Stopping is heuristic — a run of
 ``STOP_RUN`` consecutive negligible terms plus a ratio certificate on the
 observed decay — and the certificate data is reported in the outcome so
-failures are auditable.  A sum that has not stopped after
+failures are auditable.  A term is negligible below the stop tolerance, or
+below the running sum's last kept bit, where adding it floors it away; a
+tail bound is negligible below 10^-precision, or at most the sum's own
+rounding bound.  A sum that has not stopped after
 :data:`~qrr.context.MAX_TERMS` terms raises.  Both values are module
 constants: every sum runs the same stop rule on the same budget.
 
@@ -63,8 +66,8 @@ class SumOutcome:
 
     ``error`` bounds the rounding error of ``value`` (the truncation error
     is ``tail_bound``).  ``converged`` says the tail bound lies below
-    10^-precision and below |value|: a sum smaller than its own tail bound
-    has no certified digit.
+    10^-precision or at most ``error``, and below |value|: a sum smaller
+    than its own tail bound has no certified digit.
     """
 
     value: object
@@ -90,23 +93,29 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
     function advances running products (q-powers, x-powers, Pochhammer
     ratios) by multiplication instead of recomputing term n from scratch.
 
-    Stops once ``STOP_RUN`` consecutive terms fall below the context stop
-    tolerance and the recent term magnitudes certify decay; raises
+    Stops once ``STOP_RUN`` consecutive terms are negligible and the recent
+    term magnitudes certify decay; raises
     NonConvergenceError when ``MAX_TERMS`` terms do not suffice,
     RatioTestError when terms are small but no decay pattern is visible,
     and PrecisionLossError when cancellation leaves fewer than
     ``ctx.precision`` digits.
 
     Each term is judged by its top, its bit length plus its exponent: |t|
-    lies in [2^(top - 1), 2^(top + 1/2)).  That decides the stop test
-    (log2 |t| below ``ctx.stop_log2``) and the running peak unless the term
-    lies within two bits of the tolerance or of the peak; only then is its
-    float log2 taken.  The certificate (:func:`_decay_rate`) works on the
-    same tops and, where they leave the order open, on exact comparisons of
-    mpf magnitudes; it makes one mpf quotient for the adjacent pairs.
-    The tail bound is level * rate / (1 - rate); the sum counts as converged
-    when the bound lies below ``ctx.target_tol`` and below the sum's own
-    magnitude.
+    lies in [2^(top - 1), 2^(top + 1/2)).  A term is negligible when its
+    float log2 lies below ``ctx.stop_log2``, or when its top lies below the
+    block exponent E: the running sum keeps no bit under 2^E, and adding
+    the term floors it to 0 or -1 units.  The second case arises only once
+    the peak exceeds about 2^wp times the stop tolerance.  Tops decide the
+    stop test and the running peak unless the term lies within two bits of
+    the tolerance or of the peak; only then is its float log2 taken.  The
+    certificate (:func:`_decay_rate`) works on the same tops and, where they
+    leave the order open, on exact comparisons of mpf magnitudes; it makes
+    one mpf quotient for the adjacent pairs.  The tail bound is
+    level * rate / (1 - rate); the sum counts as converged when the bound
+    lies below ``ctx.target_tol`` or at most the rounding bound ``error``,
+    and below the sum's own magnitude.  :func:`_settled` makes |value| at
+    least 10^precision times ``error``, so such a sum keeps ``precision``
+    relative digits.
     """
     with ctx.workdps():
         tol_log2 = ctx.stop_log2
@@ -172,7 +181,7 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
                 ns.append(n)
                 ts.append(t)
                 tops.append(top)
-                if top <= small_top:
+                if top <= small_top or top < E:
                     small_run += 1
                 elif top >= large_top:
                     small_run = 0
@@ -196,7 +205,7 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
                     raise RatioTestError(
                         f"terms below tolerance after {n} terms but no decay certificate")
                 tail = terms.level(tol) * rate / (1 - rate)
-                converged = tail < ctx.target_tol and _below(tail, value)
+                converged = _negligible(tail, error, ctx) and _below(tail, value)
                 return SumOutcome(value, n, tail, converged, error)
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
@@ -206,6 +215,13 @@ def _log2(t):
     if t.im is None:
         return math.log2(abs(t.re)) + t.e
     return 0.5 * math.log2(t.re * t.re + t.im * t.im) + t.e
+
+
+def _negligible(tail, error, ctx):
+    """A tail bound below ``ctx.target_tol``, or at most the sum's own
+    rounding bound ``error``: such a tail moves the value no more than its
+    rounding already may."""
+    return tail < ctx.target_tol or tail <= error
 
 
 def _below(tail, value):
@@ -251,9 +267,9 @@ def sum_bilateral(pos, neg, ctx: QContext) -> SumOutcome:
     state per tail.  The two tails' rounding bounds are checked against
     their sum as :func:`sum_series` checks its own; a sum that cancels
     exactly to zero keeps their absolute bound in ``error``.  The sum counts
-    as converged when each tail bound lies below ``ctx.target_tol`` and
-    their sum below |value|, so a tail far smaller than the other one does
-    not count against it.
+    as converged when each tail bound lies below ``ctx.target_tol`` or at
+    most that tail's own rounding bound, and their sum below |value|, so a
+    tail far smaller than the other one does not count against it.
     """
     pos = sum_series(pos, ctx)
     neg = sum_series(neg, ctx)
@@ -267,7 +283,8 @@ def sum_bilateral(pos, neg, ctx: QContext) -> SumOutcome:
                 raise PrecisionLossError(
                     f"bilateral tails cancel; {missing} more working bits needed", missing)
         tail = pos.tail_bound + neg.tail_bound
-        converged = (pos.tail_bound < ctx.target_tol and neg.tail_bound < ctx.target_tol
+        converged = (_negligible(pos.tail_bound, pos.error, ctx)
+                     and _negligible(neg.tail_bound, neg.error, ctx)
                      and (not tail or _below(tail, value)))
         return SumOutcome(value, pos.terms_used + neg.terms_used, tail, converged, error)
 

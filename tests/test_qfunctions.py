@@ -763,6 +763,44 @@ def test_theta_slice_sums_match_per_term_oracle(q):
         assert abs(rhs - old) <= SLICE_TOL * abs(old)
 
 
+# the pole tables' a: ms-13/15, ms-16, ms-17, and ms-14's 1 - a q^j = 1 + i q^(j+1/2)
+THETA_CUTOFF_AS = {"a=0.5": lambda q: QPow(mp.mpf("0.5"), 0),
+                   "a=q^(1/3)": lambda q: QPow(1, F(1, 3)),
+                   "a=-q^(1/3)": lambda q: QPow(-1, F(1, 3)),
+                   "ms-14": lambda q: QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)}
+# a = 0.5 is the pole q^1 of t_-1 at q = 0.5
+THETA_CUTOFF_CASES = [(q, a) for q in ("0.2", "0.5", "0.59", "-0.59")
+                      for a in THETA_CUTOFF_AS if (q, a) != ("0.5", "a=0.5")]
+
+
+@pytest.mark.parametrize("q, a", THETA_CUTOFF_CASES,
+                         ids=[f"q={q}-{a}" for q, a in THETA_CUTOFF_CASES])
+def test_theta_cutoff_stays_within_its_bound(q, a):
+    # each slice on the cutoff table against the same slice on a table twice
+    # as wide: the omitted part of slice n is at most
+    # 6 T^r (K0 + |n| + 1) |q|^(K0+1) / (1 - |q|)^2, K0 = slice_truncation(|q|)
+    ctx = QContext.numeric(q, precision=SLICE_PRECISION)
+    with ctx.workdps():
+        q, x = ctx.q, mp.mpf("0.6")
+        aq = THETA_CUTOFF_AS[a](q)
+        av = qfunctions._value(aq, q)
+        K, ns = qfunctions._theta_truncation(x, ctx)
+        K0 = slice_truncation(abs(q), ctx)
+        # |t_j| <= T for j >= 0 and |t_-m| <= T |q|^m, over the wide table
+        T = max(max(1 / abs(1 - av * q ** j) for j in range(2 * K + 1)),
+                max(1 / abs(q ** m - av) for m in range(1, 2 * K + 1)))
+        w = ctx.fixed(rho_root(ctx))
+        for r, slices in ((2, _pair_slices), (3, lambda t, ns: _cube_slices(t, ns, w))):
+            for n in (ns[0], 0, ns[-1]):
+                one = range(n, n + 1)
+                narrow = qfunctions._theta_slices(slices, aq, x, K, one, ctx)
+                wide = qfunctions._theta_slices(slices, aq, x, 2 * K, one, ctx)
+                weight = abs(q) ** (n * n) * x ** n
+                bound = (6 * T ** r * (K0 + abs(n) + 1) * abs(q) ** (K0 + 1)
+                         / (1 - abs(q)) ** 2)
+                assert abs(narrow - wide) <= weight * bound, (r, n)
+
+
 # ---------------------------------------------------------------------------
 # lattices of inner sums and mirrored self-convolutions
 # ---------------------------------------------------------------------------

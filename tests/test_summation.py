@@ -289,11 +289,16 @@ def test_short_rising_series_certifies_at_low_precision():
 # A reference engine that keeps its books on mpf values: a float log2 per
 # term for the stop test and the peak, and a certificate that makes an mpf
 # magnitude for every term it reads.  ``sum_series`` must give the same
-# outcome bit for bit, or raise the same error.
+# outcome bit for bit, or raise the same error.  The reference stops on the
+# stop tolerance alone: on a sum whose terms fall below its last kept bit
+# 2^E while still above that tolerance (a peak above about 2^wp times it),
+# ``sum_series`` stops sooner, and the two agree within the engine's
+# ``error + tail_bound`` instead (``test_sum_stops_where_its_terms_floor_away``).
 
 
 def reference_sum_series(term, ctx):
-    """``sum_series`` with a float log2 and mpf magnitudes for every term."""
+    """``sum_series`` with a float log2 and mpf magnitudes for every term,
+    stopped on the stop tolerance alone."""
     with ctx.workdps():
         tol = ctx.stop_tol
         tol_log2 = -(ctx.precision + 10) * LOG2_10
@@ -514,10 +519,42 @@ ORACLE_CASES = {
 }
 
 
+# terms_used, or the error raised, of each oracle case: a stop on the block's
+# last kept bit must not move them (their peaks lie far below 2^wp stop_tol)
+ORACLE_TERMS_USED = {
+    "cancelling": "PrecisionLossError", "complex": 22, "geometric-ties": 35,
+    "geometric-ties-complex": 29, "geometric-ties-zero-gaps": 39,
+    "mpc-short-mantissas": 25, "mpf": 36, "near-tol": "RatioTestError",
+    "near-tol-complex": "RatioTestError", "parity": 54, "parity-complex": 54,
+    "peak-rivals-same-top": 33, "real": 22, "zero-gaps": 26,
+}
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_engine_matches_reference(name):
     terms = oracle_stream(**ORACLE_CASES[name])
-    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
+    got = _outcome_bits(sum_series, terms)
+    assert got == _outcome_bits(reference_sum_series, terms)
+    assert (got[0] if isinstance(got[0], str) else got[1]) == ORACLE_TERMS_USED[name]
+
+
+def test_sum_stops_where_its_terms_floor_away():
+    # a Gaussian bump that peaks near 1e600: a term below 2^E, the running
+    # sum's last kept bit, adds 0 or -1 units, so it counts toward STOP_RUN
+    # as a term below the stop tolerance does
+    wp = ORACLE_CTX.fixed_bits
+    with ORACLE_CTX.workdps():
+        terms = [mp.mpf(10) ** 600 * mp.mpf("0.7") ** ((n - 30) ** 2)
+                 for n in range(ORACLE_TERMS)]
+        tops = [Fixed.of(t, wp).top() for t in terms]
+        E = max(tops) - wp
+        below = next(n for n in range(30, ORACLE_TERMS) if tops[n] < E)
+        out = sum_series(terms.__getitem__, ORACLE_CTX)
+        full = reference_sum_series(terms.__getitem__, ORACLE_CTX)
+        assert below + STOP_RUN <= out.terms_used <= below + STOP_RUN + 3
+        assert full.terms_used > out.terms_used + 30
+        assert out.converged
+        assert abs(out.value - full.value) <= out.error + out.tail_bound
 
 
 def test_engine_matches_reference_when_a_complex_term_tops_the_peak():
