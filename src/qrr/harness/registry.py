@@ -101,18 +101,21 @@ def _um_recurrence(ctx, a, m):
 
 
 def _bessel_defs(ctx, kind, z):
-    """Order-0 series against a direct sum, stopped at the first term below
-    the stop tolerance relative to the running sum; at z = 2 the kind-2
-    value is 1/(q;q)_inf."""
+    """Order-0 series against a direct sum of its definition, sum_n
+    q^{w(n)} (z/2)^{2n} / (q;q)_n^2, stopped at the first term below the stop
+    tolerance relative to the running sum; at z = 2 the kind-2 value is
+    1/(q;q)_inf.  The direct sum is plain mpf arithmetic, independent of the
+    fixed-point series: (q;q)_n is carried from n - 1 as a running product."""
     qv = ctx.q
     if z == 2:
         return qb.bessel_i(2, 0, z, ctx), infinite_product([], [qv], qv, ctx)
     weight = {1: lambda n: mp.mpf(0), 2: lambda n: mp.mpf(n * n),
               3: lambda n: mp.mpf(n * (n - 1)) / 2}[kind]
-    direct = mp.mpf(0)
+    direct, poch = mp.mpf(0), mp.mpf(1)
     for n in count():
-        term = (qv ** weight(n) * (z / 2) ** (2 * n)
-                / (mp.qp(qv, qv, n) ** 2))
+        if n:
+            poch *= 1 - qv ** n
+        term = qv ** weight(n) * (z / 2) ** (2 * n) / poch ** 2
         direct += term
         if abs(term) < ctx.stop_tol * abs(direct):
             break

@@ -41,7 +41,10 @@ factor, in a stream, a pole table or a product, is the PoleError of
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
 :class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
-as those coefficients times a running power.  The residue classes of a
+as those coefficients times a running power.  Within one check, every
+bilateral ratio table at (a, b) is sliced off one kept pair of streams
+(:func:`_ratio_table_streams`), and its cutoff :func:`ratio_truncation` is
+walked once.  The residue classes of a
 self-convolution (:func:`_class_sums`) come from half the products: the
 mirror j <-> n - j swaps two classes, which are then equal, or fixes one.
 """
@@ -323,26 +326,38 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     whose exact exponent is 0 is 1 - coeff exactly.  A vanishing denominator
     factor is a pole (checked before the term it would divide); downwards a
     vanishing numerator factor kills the tail, which yields exact zeros.
+
+    Upwards, a factor leaves the loop once both parts of its carried power
+    lie below 2^(-wp-4): the power is then below 2^(-wp-3) in size, and as
+    |q| < 1 it stays there at every later k, however a complex q turns it,
+    so both parts stay below the 2^(-wp-3) under which
+    :func:`~qrr.fixedpoint.one_minus` is exactly 1 (at q^0, the exact
+    1 - coeff is 1 too: the power there is coeff, up to its roundings).
+    Dropping such a factor leaves every term bit for bit as it was.
     """
     wp, one = q.wp, q.like(1)
     k, dk = (0, 1) if up else (-1, -1)
     shift = q if up else 1 / q
     powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
     complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
-    # per factor: [exact exponent of q, carried power, exact 1 - coeff]
-    factors = [[c.exponent + k, parts(p), parts(one - c.coeff)]
-               for c, p in zip((*nums, *dens), powers)]
-    n_num = len(nums)
+    # per factor: [exact exponent of q, carried power, exact 1 - coeff, the
+    # QPow of a denominator factor or None]
+    factors = [[c.exponent + k, parts(p), parts(one - c.coeff), d]
+               for c, p, d in zip((*nums, *dens), powers, [None] * len(nums) + dens)]
     hr, hi, he = parts(shift)
     gr, gi, ge = parts(growth)
     sr, si, se = parts(step)
     tr, ti, te = 1, 0, 0
+    gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
     while True:
         fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
-        for i, f in enumerate(factors):
-            e, (pr, pi, pe), exact = f
+        for f in [*factors]:
+            e, (pr, pi, pe), exact, d = f
+            if up and max(pr.bit_length(), pi.bit_length()) + pe < gone:
+                factors.remove(f)
+                continue
             xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
-            if i < n_num:
+            if d is None:
                 if not (xr or xi) and not up:
                     zero = Fixed(0, 0 if complex_terms else None, 0, wp)
                     while True:
@@ -350,8 +365,7 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
                 fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
             else:
                 if not (xr or xi):
-                    raise pole(dens[i - n_num].coeff, e,
-                               "term ratio" if up else "bilateral term ratio")
+                    raise pole(d.coeff, e, "term ratio" if up else "bilateral term ratio")
                 vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
             f[0] = e + dk
             f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
@@ -705,11 +719,22 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     return out
 
 
-def _bilateral_ratio_array(a: QPow, b: QPow, q: Fixed, K: int) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K]: the two streams of 1psi1 at
-    z = 1."""
-    up, down = _ratio_streams(a, b, 0, 1)(q)
-    return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)])
+@kept
+def _ratio_table_streams(a, b, ctx: QContext):
+    """The two streams of 1psi1 at z = 1, r_n = (a;q)_n/(b;q)_n for n = 0,
+    1, ... and n = -1, -2, ..., at ``ctx.fixed(ctx.q)``, each a
+    :class:`_Shared` stream: every table of a check at (a, b) reads them."""
+    return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))))
+
+
+def _bilateral_ratio_array(a: QPow, b: QPow, K: int, ctx: QContext) -> _Table:
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed(ctx.q)``, sliced
+    off the kept streams of :func:`_ratio_table_streams`: the entries do not
+    depend on K, only the table's exponent E does.  A pole in a stream is
+    raised again to every table that reaches it."""
+    up, down = _ratio_table_streams(a, b, ctx)
+    return _Table(-K, [down[j] for j in range(K - 1, -1, -1)]
+                  + [up[j] for j in range(K + 1)])
 
 
 def slice_truncation(rate, ctx: QContext) -> int:
@@ -722,18 +747,21 @@ def slice_truncation(rate, ctx: QContext) -> int:
     return max(8, int(mp.ceil((ctx.precision + 12) / (-mp.log10(rate)))))
 
 
-def ratio_truncation(av, bv, q, ctx: QContext) -> int:
+@kept
+def ratio_truncation(av, bv, ctx: QContext) -> int:
     """Cutoff K of the table r_n = (a;q)_n/(b;q)_n of a bilateral slice sum:
     the first m >= 8 where |r_{-m}| and |r_{-ceil(m/2)}|^2 (a tail on one index
     or split over two) are below the bound of :func:`slice_truncation`.
     r_{-m} = prod_{k<=m} (b - q^k)/(a - q^k) decays at the 1psi1 annulus rate
-    |b/a| only once |q|^k < |b|; a vanishing a - q^k is left to the table."""
-    if abs(bv / av) >= 1:
-        raise DomainError("slice tails need |b/a| < 1")
-    bound, qk, r = mp.mpf(10) ** -(ctx.precision + 12), mp.mpf(1), [mp.mpf(1)]
-    while len(r) <= 8 or r[-1] >= bound or r[len(r) // 2] ** 2 >= bound:
-        qk *= q
-        r.append(r[-1] * abs(bv - qk) / abs(av - qk) if av != qk else r[-1])
+    |b/a| only once |q|^k < |b|; a vanishing a - q^k is left to the table.
+    The walk runs in ``ctx.workdps()``, once per (a, b, q) in a check."""
+    with ctx.workdps():
+        if abs(bv / av) >= 1:
+            raise DomainError("slice tails need |b/a| < 1")
+        bound, qk, r = mp.mpf(10) ** -(ctx.precision + 12), mp.mpf(1), [mp.mpf(1)]
+        while len(r) <= 8 or r[-1] >= bound or r[len(r) // 2] ** 2 >= bound:
+            qk *= ctx.q
+            r.append(r[-1] * abs(bv - qk) / abs(av - qk) if av != qk else r[-1])
     return len(r) - 1
 
 
@@ -744,15 +772,21 @@ def gaussian_truncation(alpha, ctx: QContext) -> int:
     return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
 
 
+def _slice_table(n: int, a, b, ctx: QContext):
+    """(a, b, r) for the slice at total n: a and b as numbers, and the table
+    r_j = (a;q)_j/(b;q)_j for |j| <= K = ratio_truncation + |n|."""
+    aq, bq = _as_qpow(a), _as_qpow(b)
+    av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
+    return av, bv, _bilateral_ratio_array(aq, bq, ratio_truncation(av, bv, ctx) + abs(n), ctx)
+
+
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral alternating pair convolution at fixed total n, with its
     closed product evaluation (zero for odd n)."""
-    aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
-        av, bv = _value(aq, q), _value(bq, q)
-        K = ratio_truncation(av, bv, q, ctx) + abs(n)
-        lhs = _pair_slices(_bilateral_ratio_array(aq, bq, ctx.fixed(q), K), [n])[0].to_mp()
+        av, bv, r = _slice_table(n, a, b, ctx)
+        lhs = _pair_slices(r, [n])[0].to_mp()
         if n % 2 == 1:
             return lhs, mp.mpf(0)
         m = n // 2
@@ -768,12 +802,9 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
     the base-q^3 factors read as infinite products.
     """
-    aq, bq = _as_qpow(a), _as_qpow(b)
     with ctx.workdps():
         q = ctx.q
-        av, bv = _value(aq, q), _value(bq, q)
-        K = ratio_truncation(av, bv, q, ctx) + abs(n)
-        r = _bilateral_ratio_array(aq, bq, ctx.fixed(q), K)
+        av, bv, r = _slice_table(n, a, b, ctx)
         lhs = _cube_slices(r, [n], ctx.fixed(rho_root(ctx)))[0].to_mp()
         if n % 3 != 0:
             return lhs, mp.mpf(0)
@@ -899,9 +930,9 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # weight is neutralized by the inner function's bilateral growth on
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
         # the slice terms only decay like (b/a)^|s| in each direction.
-        K = ratio_truncation(av, bv, q, ctx)
+        K = ratio_truncation(av, bv, ctx)
         qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
-        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), qf, 2 * K)
+        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, ctx)
         pairs = _cube_pairs(r, -K, K, w)  # sum_{j+k=s} r_j w^k r_k
         twist = rho_root(ctx) ** 2 if corrected else 1
         weights = _gaussian(qf, alpha, qf.like(xv), -K)  # q^{alpha s^2} x^s

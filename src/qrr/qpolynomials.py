@@ -27,7 +27,7 @@ from operator import mul, truediv
 
 import mpmath as mp
 
-from .context import QContext, powq, to_mp
+from .context import QContext, kept, powq, to_mp
 from .errors import DomainError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
@@ -571,6 +571,24 @@ def st_10_sides(m: int, z, ctx: QContext):
         return lhs, pochhammer_finite(q, q, m) * _series(terms, ctx)
 
 
+@kept
+def hermite_gf_series(tv, zv, ctx: QContext):
+    """sum_n (q;q)_n q^{n^2/4} t^n S_n(z q^{-n}) / (q^{1/2};q^{1/2})_n, the
+    left side of :func:`hermite_gf_sides`, which both readings share."""
+    with ctx.workdps():
+        sq = mp.sqrt(ctx.q)
+        q4 = mp.sqrt(sq)
+
+        # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n, and q^{n^2/4} t^n:
+        # in base s = q^{1/2}, ratio (1 + s^{n+1}) q^{1/4} t s^n
+        def terms(q):
+            sqf = q.like(sq)
+            return map(mul, _ratio_terms([QPow(-1, 1)], [], sqf, q.like(q4) * tv, sqf),
+                       _sw_shifted(q.like(zv), q))
+
+        return _series(terms, ctx)
+
+
 def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
     """Quarter-power generating function for S_n(z q^{-n}).
 
@@ -586,14 +604,7 @@ def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
         tv, zv = to_mp(t), to_mp(z)
         sq = mp.sqrt(q)
         q4 = mp.sqrt(sq)
-        # (q;q)_n / (q^{1/2};q^{1/2})_n = (-q^{1/2};q^{1/2})_n, and q^{n^2/4} t^n:
-        # in base s = q^{1/2}, ratio (1 + s^{n+1}) q^{1/4} t s^n
-        def terms(q):
-            sqf = q.like(sq)
-            return map(mul, _ratio_terms([QPow(-1, 1)], [], sqf, q.like(q4) * tv, sqf),
-                       _sw_shifted(q.like(zv), q))
-
-        lhs = _series(terms, ctx)
+        lhs = hermite_gf_series(tv, zv, ctx)
         zsign = -1 if reading == "literal" else 1
         rhs = (infinite_product([-tv * q4, zsign * tv * q4 * zv], [], sq, ctx)
                * infinite_product([], [-tv * tv * zv], q, ctx))

@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 
 from qrr import (DomainError, ExponentError, NonConvergenceError, PoleError, QContext,
-                 QPow, pochhammer, powq, qbessel, qfunctions, scaled_deviation)
+                 QPow, pochhammer, powq, qbessel, qfunctions, qpolynomials,
+                 scaled_deviation)
 from qrr.context import keeping_values
 from qrr.pochhammer import infinite_product
 from qrr.qfunctions import u_m_bilateral
@@ -80,8 +81,8 @@ def test_scaled_deviation():
         assert scaled_deviation(mp.mpf("0.25"), mp.mpf("0.5")) == mp.mpf("0.25")
 
 
-# The three kept kernels, each at one point, with a module function its body
-# calls on every walk: (call, module, name of that function).
+# The kept kernels that return a number, each at one point, with a module
+# function its body calls on every walk: (call, module, name of that function).
 KERNELS = {
     "infinite_product": (
         lambda ctx: infinite_product([QPow(1, Fraction(3, 2))], [ctx.q], ctx.q, ctx),
@@ -90,6 +91,9 @@ KERNELS = {
                 qbessel, "_bessel_series"),
     "u_m_bilateral": (lambda ctx: u_m_bilateral(Fraction(1, 2), 1, ctx),
                       qfunctions, "_series"),
+    "hermite_gf_series": (
+        lambda ctx: qpolynomials.hermite_gf_series(mp.mpf("0.15"), mp.mpf("0.5"), ctx),
+        qpolynomials, "_sw_shifted"),
 }
 
 

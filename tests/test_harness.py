@@ -5,6 +5,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import count
 
 import mpmath as mp
 import pytest
@@ -16,7 +17,8 @@ from qrr.harness import (CENSUS, ENTRIES, RunSettings, SuiteConfig,
                          parse_report, planned_checks, run_check, run_info,
                          run_suite, sample_params)
 from qrr.formal import FormalSeries
-from qrr.harness import driver
+from qrr.context import QContext
+from qrr.harness import driver, registry
 from qrr.harness.driver import (COMPLEX_Q, LITERAL, Check, IdentityEntry,
                                 Reading, Verdict, _as_mp, grid, run_entry,
                                 status, summarise)
@@ -235,10 +237,12 @@ def test_ms6_declares_the_t_it_evaluates():
 
 
 # The entries whose checks repeat calls of the kept kernels (infinite
-# products, q-Bessel values, u_m sums): a kept value must read as a fresh one.
+# products, q-Bessel values, u_m sums, slice cutoffs and ratio tables, the
+# hermite-gf series): a kept value must read as a fresh one.
 @pytest.mark.parametrize("entry_id", [
     "bessel-sv-4", "bessel-sv-5", "lommel-i", "lommel-j", "bessel-gf",
-    "bessel-i1-continuation", "um-recurrence", "RR1"])
+    "bessel-i1-continuation", "um-recurrence", "RR1", "ms-3", "ms-4", "ms-5",
+    "hermite-gf"])
 def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
     kept = run_check(entry_id, "numeric", RunSettings())
     monkeypatch.setattr(driver, "keeping_values", contextlib.nullcontext)
@@ -246,6 +250,44 @@ def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
     assert kept.status == fresh.status and kept.status in ("PASS", "DISCREPANCY_DOCUMENTED")
     assert kept.max_abs_deviation == fresh.max_abs_deviation
     assert kept.params == fresh.params
+
+
+def qp_bessel_direct(ctx, kind, z):
+    """(sum, last n) of the bessel-defs direct sum as each term once divided
+    by a fresh mp.qp(q, q, n)^2."""
+    qv = ctx.q
+    weight = {1: lambda n: mp.mpf(0), 2: lambda n: mp.mpf(n * n),
+              3: lambda n: mp.mpf(n * (n - 1)) / 2}[kind]
+    direct = mp.mpf(0)
+    for n in count():
+        term = qv ** weight(n) * (z / 2) ** (2 * n) / mp.qp(qv, qv, n) ** 2
+        direct += term
+        if abs(term) < ctx.stop_tol * abs(direct):
+            return direct, n
+
+
+@pytest.mark.parametrize("precision", [20, 50, 100])
+@pytest.mark.parametrize("q", ["0.2", "0.3", "-0.3", "0.99"])
+def test_bessel_defs_oracle_matches_the_qp_form(q, precision, monkeypatch):
+    """The running (q;q)_n of the bessel-defs oracle stops where the mp.qp
+    form stops and agrees with it far below the working precision."""
+    ctx = QContext.numeric(q, precision)
+    z, tol = mp.mpf("0.8"), mp.mpf(10) ** -(precision + 10)
+    seen = []
+
+    def counting():
+        for n in count():
+            seen.append(n)
+            yield n
+
+    monkeypatch.setattr(registry, "count", counting)
+    for kind in (1, 2, 3):
+        seen.clear()
+        with ctx.workdps():
+            _, direct = registry._bessel_defs(ctx, kind, z)
+            old, stop = qp_bessel_direct(ctx, kind, z)
+            assert seen[-1] == stop, kind
+            assert abs(direct - old) <= tol * abs(old), kind
 
 
 # Entries that used to raise RatioTestError (a short series that rises before

@@ -2,21 +2,23 @@
 
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qfunctions)
-from qrr.context import RERUN_MARGIN_BITS, powq, to_mp, widening
-from qrr.fixedpoint import Fixed, _complex, _real
+from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
+from qrr.fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
-                            pochhammer_ratio)
+                            pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (_a_alpha_stream, _class_sums, _conv,
-                            _cube_pairs, _cube_slices, _Lattice,
-                            _pair_slices, _ratio_streams, _span, _Table,
+from qrr.qfunctions import (_Q1, _a_alpha_stream, _bilateral_ratio_array,
+                            _class_sums, _conv, _cube_pairs, _cube_slices,
+                            _Lattice, _pair_slices, _ratio_streams, _ratio_terms,
+                            _span, _Table,
                             a_alpha, a_alpha_formal, b_alpha,
                             bilateral_cube_slice_sides,
                             bilateral_pair_slice_sides, cube_convolution_sides,
@@ -651,7 +653,7 @@ def _slice_cutoff(n, a, b, ctx):
     q = ctx.q
     av, bv = (to_mp(v.coeff) * powq(q, v.exponent) if isinstance(v, QPow) else v
               for v in (a, b))
-    return ratio_truncation(av, bv, q, ctx) + abs(n)
+    return ratio_truncation(av, bv, ctx) + abs(n)
 
 
 def old_cube_slice_lhs(n, a, b, ctx):
@@ -1059,3 +1061,131 @@ def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread):
         # the cyclic shift of (j, k, l) permutes the classes when 3 does
         # not divide n, so those slices are exact zeros
         assert bool(got) == (3 * lo <= n <= 3 * hi and n % 3 == 0), n
+
+
+def old_ratio_terms(nums, dens, q, step, growth, up=True):
+    """The stream of _ratio_terms as it was before exact-1 factors left the
+    loop: every factor is walked at every step."""
+    wp, one = q.wp, q.like(1)
+    k, dk = (0, 1) if up else (-1, -1)
+    shift = q if up else 1 / q
+    powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
+    complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
+    factors = [[c.exponent + k, parts(p), parts(one - c.coeff)]
+               for c, p in zip((*nums, *dens), powers)]
+    n_num = len(nums)
+    hr, hi, he = parts(shift)
+    gr, gi, ge = parts(growth)
+    sr, si, se = parts(step)
+    tr, ti, te = 1, 0, 0
+    while True:
+        fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
+        for i, f in enumerate(factors):
+            e, (pr, pi, pe), exact = f
+            xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
+            if i < n_num:
+                if not (xr or xi) and not up:
+                    zero = Fixed(0, 0 if complex_terms else None, 0, wp)
+                    while True:
+                        yield zero
+                fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
+            else:
+                if not (xr or xi):
+                    raise pole(dens[i - n_num].coeff, e,
+                               "term ratio" if up else "bilateral term ratio")
+                vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
+            f[0] = e + dk
+            f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
+        if up:
+            yield Fixed(tr, ti if complex_terms else None, te, wp)
+        tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
+        tr, ti = tr * sr - ti * si, tr * si + ti * sr
+        te += fe + se - ve
+        if vi:
+            tr, ti = tr * vr + ti * vi, ti * vr - tr * vi
+            vr = vr * vr + vi * vi
+        s, m = tr.bit_length(), ti.bit_length()
+        s = wp + 1 + vr.bit_length() - (m if m > s else s)
+        tr, ti, te = shifted(tr, s) // vr, shifted(ti, s) // vr, te - s
+        if not up:
+            yield Fixed(tr, ti if complex_terms else None, te, wp)
+        k += dk
+        sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
+
+
+# (nums, dens, step, growth) as functions of the fixed q: a heine-like
+# 2phi1 (four factors, one with a tiny coefficient that leaves early, one
+# with a complex one), a psi11-like bilateral half with a Gaussian growth,
+# and the kind-2 q-Bessel shape with a power of q as its only factor
+DROP_STREAMS = {
+    "2phi1": lambda q: ([QPow(mp.mpf("0.7"), 0), QPow(mp.mpf("1e-30"), 0)],
+                        [QPow(mp.mpc("0.4", "0.3"), 0), _Q1], q.like(mp.mpf("0.6")), q.like(1)),
+    "psi11-up": lambda q: ([QPow(mp.mpf("-0.45"), 0)], [QPow(mp.mpf("0.2"), 1)],
+                           q.like(mp.mpf("0.9")) * q, q * q),
+    "power-of-q": lambda q: ([], [QPow(1, 3)], q.like(mp.mpf("2.5")), q),
+}
+
+
+@pytest.mark.parametrize("q", ["0.2", "0.3", "-0.3", "0.99", complex(0.3, 0.2),
+                               complex(0, 0.5)])
+@pytest.mark.parametrize("stream", sorted(DROP_STREAMS))
+def test_ratio_stream_drops_exact_factors_bit_for_bit(stream, q):
+    """Upward factors that are exactly 1 leave the loop; no term moves a bit."""
+    ctx = QContext.numeric(q, 20)
+    qf = ctx.fixed(ctx.q)
+    nums, dens, step, growth = DROP_STREAMS[stream](qf)
+    new = _ratio_terms(nums, dens, qf, step, growth)
+    old = old_ratio_terms(nums, dens, qf, step, growth)
+    for n, (a, b) in enumerate(islice(zip(new, old), 3000)):
+        assert _bits(a) == _bits(b), n
+
+
+def fresh_ratio_table(a, b, K, ctx):
+    """The table of _bilateral_ratio_array built from new streams."""
+    up, down = _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))
+    return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)])
+
+
+def _table_bits(t):
+    return t.lo, t.hi, t.E, t.wp, t.re, t.im, t.reversed
+
+
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("q", ["0.3", "-0.3"])
+def test_kept_ratio_tables_match_fresh_builds(q, precision, monkeypatch):
+    """Every table a check reads comes from one kept pair of streams per
+    context, bit for bit the table that new streams would give."""
+    ab = QPow(mp.mpf("0.5"), 0), QPow(mp.mpf("0.1"), 0)
+    base = QContext.numeric(q, precision)
+    contexts = (base, base.wider(64))
+    with base.workdps():
+        fresh = {(c, K): _table_bits(fresh_ratio_table(*ab, K, c))
+                 for c in contexts for K in range(8, 41)}
+    builds, real = [], qfunctions._ratio_streams
+
+    def spy(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qfunctions, "_ratio_streams", spy)
+    with keeping_values(), base.workdps():
+        for Ks in (range(40, 7, -1), range(8, 41)):
+            for c in contexts:
+                for K in Ks:
+                    assert _table_bits(_bilateral_ratio_array(*ab, K, c)) == fresh[c, K], K
+    assert len(builds) == len(contexts)    # one pair of streams per context
+
+
+def test_kept_ratio_table_pole_reaches_every_read():
+    """At q = a = 0.5 the downward stream divides by 1 - a/q: every table
+    that reaches it raises the PoleError a fresh build raises."""
+    ctx = QContext.numeric("0.5", 20)
+    ab = QPow(mp.mpf("0.5"), 0), QPow(mp.mpf("0.1"), 0)
+    with ctx.workdps():
+        with pytest.raises(PoleError) as fresh:
+            fresh_ratio_table(*ab, 8, ctx)
+        with keeping_values():
+            for K in (12, 8, 12, 20):
+                with pytest.raises(PoleError) as kept:
+                    _bilateral_ratio_array(*ab, K, ctx)
+                assert str(kept.value) == str(fresh.value)
