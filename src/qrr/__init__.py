@@ -16,14 +16,13 @@ from .errors import (AnnulusError, ConfigError, DomainError, EmptyDomainError,
                      UnsupportedModeError, ValuationError)
 from .exactpoly import BivariatePoly, EisensteinRational, QPoly
 from .formal import FormalSeries, fs_pochhammer_infinite
-from .pochhammer import (QPow, infinite_product, inv_pochhammer, pochhammer_finite,
+from .pochhammer import (QPow, infinite_product, pochhammer_finite,
                          pochhammer_infinite, pochhammer_ratio, q_binomial)
 from .summation import SumOutcome, sum_bilateral, sum_series
 
 __all__ = [
     "QContext", "powq", "scaled_deviation", "to_mp", "widening",
     "QPow", "pochhammer_finite", "pochhammer_infinite", "infinite_product",
-    "inv_pochhammer",
     "pochhammer_ratio", "q_binomial",
     "SumOutcome", "sum_series", "sum_bilateral",
     "FormalSeries", "fs_pochhammer_infinite",

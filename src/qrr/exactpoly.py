@@ -29,15 +29,6 @@ class QPoly:
     def one(cls):
         return cls([1])
 
-    @classmethod
-    def monomial(cls, coeff, exp: int):
-        if exp < 0:
-            raise DomainError("QPoly exponents must be nonnegative")
-        return cls([0] * exp + [coeff])
-
-    def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -57,29 +48,6 @@ class QPoly:
             other = QPoly([other])
         n = max(len(self.c), len(other.c))
         return QPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly([other])
-        n = max(len(self.c), len(other.c))
-        return QPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self):
-        return QPoly([-a for a in self.c])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly([a * other for a in self.c])
-        out = [0] * (len(self.c) + len(other.c) - 1) if self.c and other.c else []
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b != 0:
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k."""

@@ -94,9 +94,6 @@ class FormalSeries:
         self._check(other)
         return FormalSeries(self.D, self.N, [a - b for a, b in zip(self.c, other.c)])
 
-    def __neg__(self):
-        return FormalSeries(self.D, self.N, [-a for a in self.c])
-
     def scale(self, factor) -> "FormalSeries":
         return FormalSeries(self.D, self.N, [a * factor for a in self.c])
 
@@ -181,9 +178,6 @@ class FormalSeries:
         if e.denominator != 1:
             raise ExponentError(f"q^{k} is not on the u-grid with D={self.D}")
         return self.coeff_u(int(e))
-
-    def q_coefficients(self, through_order: int) -> list:
-        return [self.coeff_u(k * self.D) for k in range(through_order + 1)]
 
     def eval_at(self, q, dps: int = 50):
         """Numeric value of the truncated series at real q in (0, 1)."""

@@ -26,13 +26,13 @@ from itertools import count
 import mpmath as mp
 
 from ..context import scaled_deviation, to_mp
-from ..errors import UnknownIdentityError, UnsupportedModeError
+from ..errors import UnknownIdentityError
 from ..pochhammer import QPow, infinite_product
 from .. import partitions as parts, qbessel as qb, qfunctions as qf
 from .. import qpolynomials as qp
 from .driver import LITERAL, Check, IdentityEntry, Reading, Verdict, grid
-from .sampling import (annulus_pair, distinct_rationals, entry_rng,
-                       rational_in, rational_nonzero)
+from .sampling import (annulus_pair, distinct_rationals, rational_in,
+                       rational_nonzero)
 
 F = Fraction
 
@@ -734,20 +734,6 @@ _BY_ID = {e.id: e for e in ENTRIES}
 def list_identities():
     """All registered entries, sorted by id."""
     return sorted(ENTRIES, key=lambda e: e.id)
-
-
-def sample_params(entry, seed: int, mode: str | None = None) -> dict:
-    """The first point a check evaluates: its first draw crossed with its
-    first grid point.  ``mode`` defaults to the entry's first mode."""
-    if isinstance(entry, str):
-        entry = get_entry(entry)
-    mode = mode or entry.modes[0]
-    if mode not in entry.modes:
-        raise UnsupportedModeError(
-            f"{entry.id} supports modes {entry.modes}, not {mode!r}")
-    chk = getattr(entry, mode)
-    draws = chk.sampler(entry_rng(seed, entry.id, mode)) if chk.sampler else [{}]
-    return {**draws[0], **chk.points[0]}
 
 
 def get_entry(entry_id: str) -> IdentityEntry:

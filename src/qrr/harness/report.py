@@ -47,13 +47,6 @@ def emit_report(reports, run_info: dict, fmt: str = "json",
     return text
 
 
-def parse_report(text: str):
-    """Inverse of the JSON emitter."""
-    payload = json.loads(text)
-    reports = [IdentityReport(**r) for r in payload["results"]]
-    return payload["run"], reports
-
-
 def _text_table(reports, run_info) -> str:
     head = (f"run: q={run_info.get('q')} precision={run_info.get('precision')} "
             f"order={run_info.get('order')} seed={run_info.get('seed')} "

@@ -48,13 +48,15 @@ class SuiteConfig:
         cfg = cls()
         if "ids" in data:
             ids = data["ids"]
-            if not (ids == "all" or isinstance(ids, list)):
-                raise ConfigError("ids must be 'all' or a list of entry ids")
+            if not (ids == "all" or _nonempty_strings(ids)):
+                raise ConfigError("ids must be 'all' or a nonempty list of entry ids")
             cfg.ids = ids
         if "modes" in data:
             modes = data["modes"]
             if isinstance(modes, str):
                 modes = [modes]
+            if not _nonempty_strings(modes):
+                raise ConfigError("modes must be a mode name or a nonempty list of them")
             bad = set(modes) - {"formal", "exact", "numeric"}
             if bad:
                 raise ConfigError(f"unknown modes: {sorted(bad)}")
@@ -94,6 +96,11 @@ def read_config(path: str) -> dict:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonempty_strings(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(v, str) for v in value)
 
 
 def _check_q(q):
@@ -161,7 +168,8 @@ def run_suite(config: SuiteConfig):
     rc = config.settings()
     plan = planned_checks(config)
     if config.jobs > 1 and len(plan) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # every worker forks at once, so start no more than there are checks
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(plan))) as pool:
             reports = list(pool.map(run_check, *zip(*plan), repeat(rc)))
     else:
         reports = [run_check(i, m, rc) for i, m in plan]

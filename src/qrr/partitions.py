@@ -84,15 +84,6 @@ class Box:
         return Moves(tuple(range(1, min(self.cols, upto) + 1)), max_len=self.rows)
 
 
-@dataclass(frozen=True)
-class Unrestricted:
-    def admits(self, parts) -> bool:
-        return True
-
-    def moves(self, upto: int) -> Moves:
-        return Moves(tuple(range(1, upto + 1)))
-
-
 def _walk(moves: Moves, upto: int):
     """Yield ``(size, parts)`` for every descending partition of size at
     most ``upto`` that ``moves`` allows, the empty one first, in
@@ -132,18 +123,6 @@ def _tally(filt, upto: int) -> list[int]:
         if filt.admits(tuple(parts)):
             counts[size] += 1
     return counts
-
-
-def partitions_of(n: int, max_part: int | None = None,
-                  max_parts: int | None = None):
-    """Yield all partitions of n as descending tuples, optionally bounding
-    the largest part and the number of parts."""
-    if n < 0:
-        return
-    cap = n if max_part is None else min(max_part, n)
-    for size, parts in _walk(Moves(tuple(range(1, cap + 1)), max_len=max_parts), n):
-        if size == n:
-            yield tuple(parts)
 
 
 def count_partitions(n: int, filt) -> int:

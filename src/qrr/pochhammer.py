@@ -1,14 +1,12 @@
-"""q-shifted factorials, safe reciprocals, and q-binomial coefficients.
+"""q-shifted factorials, their ratios, and q-binomial coefficients.
 
 The finite product (a;q)_n extends to negative n through the ratio
-convention (a;q)_{-k} = 1/((a q^{-k}; q)_k).  Every finite value, its
-reciprocal (:func:`inv_pochhammer`) and a ratio of two
-(:func:`pochhammer_ratio`) is one factor walk, :func:`_product`, over the
-factors of :func:`_factors`, or of :func:`_pole_factors` where the walk is a
-denominator.  The reciprocal is exposed separately so that 1/(q;q)_{-k} is an
-exact zero instead of a division by an infinity.  The numeric kernels carry
-their Pochhammer ratios as streams (:mod:`qrr.qfunctions`); these values
-serve exact sums, prefactors and the tests' per-term oracles.
+convention (a;q)_{-k} = 1/((a q^{-k}; q)_k).  Every finite value and every
+ratio of two (:func:`pochhammer_ratio`) is one factor walk, :func:`_product`,
+over the factors of :func:`_factors`, or of :func:`_pole_factors` where the
+walk is a denominator.  The numeric kernels carry their Pochhammer ratios as
+streams (:mod:`qrr.qfunctions`); these values serve exact sums, prefactors
+and the tests' per-term oracles.
 
 Arguments may be plain numbers or :class:`QPow` pairs ``c * q**e``.  The
 structured form keeps exponent bookkeeping exact, so a factor such as
@@ -99,16 +97,6 @@ def pochhammer_finite(a, q, n: int):
     """
     a = _as_qpow(a)
     return _product(a, q, n) if n >= 0 else 1 / _product(a, q, n, f"(a;q)_{n}")
-
-
-def inv_pochhammer(a, q, n: int):
-    """1 / (a;q)_n, with the n < 0 case returned as an exact finite product.
-
-    1/(a;q)_{-k} = (a q^{-k}; q)_k may legitimately be zero (for instance
-    1/(q;q)_{-k} = 0), which is why this path never divides.
-    """
-    a = _as_qpow(a)
-    return _product(a, q, n) if n < 0 else 1 / _product(a, q, n, f"1/(a;q)_{n}")
 
 
 def pochhammer_ratio(a, b, q, n: int):

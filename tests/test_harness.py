@@ -1,6 +1,7 @@
 """Registry coverage, runner behavior, reports, and the CLI."""
 
 import contextlib
+import importlib
 import json
 import re
 from dataclasses import replace
@@ -12,10 +13,9 @@ import pytest
 
 from qrr import ConfigError, UnknownIdentityError, UnsupportedModeError
 from qrr.cli import main
-from qrr.harness import (CENSUS, ENTRIES, RunSettings, SuiteConfig,
-                         emit_report, get_entry, list_identities,
-                         parse_report, planned_checks, run_check, run_info,
-                         run_suite, sample_params)
+from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
+                         SuiteConfig, emit_report, get_entry, list_identities,
+                         planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext
 from qrr.harness import driver, registry
@@ -34,6 +34,14 @@ def test_registry_size_and_ordering():
     assert [e.id for e in entries] == sorted(e.id for e in entries)
     assert get_entry("RR1").statement.startswith("sum q^{n^2}")
     assert any(e.id == "ms-17" for e in entries)
+
+
+@pytest.mark.parametrize("module", ["qrr", "qrr.harness"])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition went breaks `import *`
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        getattr(mod, name)
 
 
 def test_census_covers_registry():
@@ -147,11 +155,22 @@ def test_rational_in_is_strictly_inside():
         assert 0 < v < 1
 
 
+def _first_sample(entry_id, seed, mode=None):
+    """The first point a check evaluates by the registry's rule: its first
+    draw crossed with its first grid point; ``mode`` defaults to the entry's
+    first mode."""
+    entry = get_entry(entry_id)
+    mode = mode or entry.modes[0]
+    chk = getattr(entry, mode)
+    draws = chk.sampler(entry_rng(seed, entry_id, mode)) if chk.sampler else [{}]
+    return {**draws[0], **chk.points[0]}
+
+
 def test_sample_params_annulus_and_determinism():
-    draw = sample_params("psi11", 42)
-    assert draw == sample_params("psi11", 42)
+    draw = _first_sample("psi11", 42)
+    assert draw == _first_sample("psi11", 42)
     assert draw["b"] / draw["a"] + F(1, 20) <= draw["z"] <= F(19, 20)
-    assert sample_params("psi11", 43) != draw
+    assert _first_sample("psi11", 43) != draw
 
 
 class _FirstPoint(Exception):
@@ -182,13 +201,13 @@ def test_sample_params_is_first_evaluated_point():
     for entry in ENTRIES:
         for mode in entry.modes:
             for seed in (0, 42, 20240809):
-                sample = sample_params(entry.id, seed, mode)
+                sample = _first_sample(entry.id, seed, mode)
                 first, prec = _first_point(entry, mode, seed)
                 with mp.workprec(prec):
                     expected = _as_mp(sample) if mode == "numeric" else sample
                 assert first == expected, (entry.id, mode, seed)
-    assert sample_params("um-mform", 3) == {"a": "0.5", "m": 0}
-    assert sample_params("GFhn0", 3) == sample_params("GFhn0", 3, "formal")
+    assert _first_sample("um-mform", 3) == {"a": "0.5", "m": 0}
+    assert _first_sample("GFhn0", 3) == _first_sample("GFhn0", 3, "formal")
 
 
 def test_gfhn0_formal_runs_three_nonzero_samples():
@@ -484,11 +503,11 @@ def test_q_list_policies():
 
 
 def test_sample_params_fixed_grid_entries():
-    assert sample_params("bessel-sv-4", 0) == {"nu": F(0), "n": 0}
-    assert sample_params("ms-16", 0) == {"a": QPow(1, F(1, 3)), "x": "0.6"}
-    assert sample_params("bessel-ml", 0) == {}
+    assert _first_sample("bessel-sv-4", 0) == {"nu": F(0), "n": 0}
+    assert _first_sample("ms-16", 0) == {"a": QPow(1, F(1, 3)), "x": "0.6"}
+    assert _first_sample("bessel-ml", 0) == {}
     with pytest.raises(UnsupportedModeError):
-        sample_params("ms-14", 0, "formal")
+        run_check("ms-14", "formal", RunSettings())
 
 
 def test_summarise_points():
@@ -554,8 +573,34 @@ def test_planned_checks_filters_modes():
 
 
 def test_empty_selection_exits_zero():
-    reports, summary, code = run_suite(SuiteConfig.from_dict({"ids": []}))
+    # ms-14 has no formal check, so this selection plans none
+    cfg = SuiteConfig.from_dict({"ids": ["ms-14"], "modes": ["formal"]})
+    reports, summary, code = run_suite(cfg)
     assert reports == [] and code == 0 and summary["total"] == 0
+
+
+def test_worker_count_is_capped_at_the_plan(monkeypatch):
+    from qrr.harness import runner
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    for jobs in (64, 2):
+        cfg = SuiteConfig.from_dict({"ids": FAST_IDS, "modes": ["exact"], "jobs": jobs})
+        reports, summary, code = run_suite(cfg)
+        assert code == 0 and summary == {"total": 4, "PASS": 4}
+    assert started == [4, 2]
 
 
 def test_failing_check_fails_suite(monkeypatch):
@@ -600,15 +645,15 @@ def test_report_round_trip():
     reports, _, _ = run_suite(cfg)
     info = run_info(cfg, timestamp="T0")
     text = emit_report(reports, info, fmt="json")
-    info2, reports2 = parse_report(text)
-    assert info2 == info
-    assert reports2 == reports
+    payload = json.loads(text)
+    assert payload["run"] == info
+    assert [IdentityReport(**r) for r in payload["results"]] == reports
 
 
 def test_empty_report_is_valid_json():
     text = emit_report([], {"q": ["0.3"]}, fmt="json")
-    info, reports = parse_report(text)
-    assert reports == [] and info["q"] == ["0.3"]
+    payload = json.loads(text)
+    assert payload["results"] == [] and payload["run"]["q"] == ["0.3"]
 
 
 def test_text_table_shape():
@@ -630,6 +675,11 @@ def test_config_validation():
         SuiteConfig.from_dict({"precision": -3})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"q": []})
+    # an empty id or mode list would plan no check and pass vacuously
+    for data in ({"ids": []}, {"modes": []}, {"ids": [["RR1"]]}, {"modes": 5},
+                 {"modes": [["numeric"]]}):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict(data)
 
 
 @pytest.mark.parametrize("data", [
@@ -669,9 +719,9 @@ def test_cli_suite_json_output(tmp_path, capsys):
     code = main(["suite", "--ids", "st-5.7", "sw-symmetry", "--format",
                  "json", "--out", str(out)])
     assert code == 0
-    info, reports = parse_report(out.read_text())
-    assert {r.id for r in reports} == {"st-5.7", "sw-symmetry"}
-    assert all(r.status == "PASS" for r in reports)
+    reports = json.loads(out.read_text())["results"]
+    assert {r["id"] for r in reports} == {"st-5.7", "sw-symmetry"}
+    assert all(r["status"] == "PASS" for r in reports)
 
 
 def test_cli_suite_config_file(tmp_path):
@@ -716,8 +766,8 @@ def test_cli_subprocess_end_to_end(tmp_path):
                 "--out", str(rep), "--jobs", "2"],
         capture_output=True, text=True)
     assert out.returncode == 0
-    _, reports = parse_report(rep.read_text())
-    assert all(r.status == "PASS" for r in reports)
+    reports = json.loads(rep.read_text())["results"]
+    assert all(r["status"] == "PASS" for r in reports)
 
     out = subprocess.run(base + ["check", "unknown-thing"],
                          capture_output=True, text=True)

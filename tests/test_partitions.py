@@ -7,13 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr import QPoly, SizeError, q_binomial
-from qrr.partitions import (Box, Congruence, MinGap, Unrestricted, _tally,
+from qrr.partitions import (SIZE_CAP, Box, Congruence, MinGap, _tally, _walk,
                             box_gf, box_matches_q_binomial, count_partitions,
-                            partitions_of, series_vs_partitions)
+                            series_vs_partitions)
+
+# a box as large as the size cap admits every partition the oracles count
+EVERY = Box(SIZE_CAP, SIZE_CAP)
+
+
+def _walked(n, filt):
+    """The partitions of n that the pruned walk yields for ``filt``."""
+    return [tuple(parts) for size, parts in _walk(filt.moves(n), n) if size == n]
 
 
 def test_empty_partition_counts_once():
-    for filt in (Unrestricted(), MinGap(2), Congruence(frozenset({1, 4}), 5)):
+    for filt in (EVERY, MinGap(2), Congruence(frozenset({1, 4}), 5)):
         assert count_partitions(0, filt) == 1
 
 
@@ -36,16 +44,16 @@ def test_gap_with_min_part_two():
 def test_unrestricted_matches_classical_values():
     classical = {1: 1, 5: 7, 10: 42, 20: 627}
     for n, p in classical.items():
-        assert count_partitions(n, Unrestricted()) == p
+        assert count_partitions(n, EVERY) == p
 
 
 def test_size_cap():
     with pytest.raises(SizeError):
-        count_partitions(61, Unrestricted())
+        count_partitions(61, EVERY)
 
 
 def test_partition_generator_shape():
-    parts = list(partitions_of(6))
+    parts = _walked(6, EVERY)
     assert len(parts) == 11
     assert all(all(p[i] >= p[i + 1] for i in range(len(p) - 1)) for p in parts)
     assert all(sum(p) == 6 for p in parts)
@@ -93,17 +101,24 @@ def _bounded_count(n, max_part, max_parts):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 30), st.integers(0, 31), st.integers(0, 31))
 def test_partitions_of_is_complete(n, max_part, max_parts):
-    parts = list(partitions_of(n, max_part=max_part, max_parts=max_parts))
+    box = Box(max_parts, max_part)
+    parts = _walked(n, box)
     assert len(set(parts)) == len(parts)
-    assert len(parts) == _bounded_count(n, max_part, max_parts)
+    assert len(parts) == _tally(box, n)[n] == _bounded_count(n, max_part, max_parts)
     assert all(sum(p) == n and len(p) <= max_parts and list(p) == sorted(p)[::-1]
                and all(1 <= x <= max_part for x in p) for p in parts)
-    assert len(list(partitions_of(n))) == _bounded_count(n, n, n)
+    assert _tally(Box(n, n), n)[n] == _bounded_count(n, n, n)
 
 
 @lru_cache(maxsize=None)
-def _all_partitions(n):
-    return tuple(partitions_of(n))
+def _all_partitions(n, max_part=None):
+    """Every partition of n as a descending tuple, by the largest-part
+    recursion (independent of the walk)."""
+    if n == 0:
+        return ((),)
+    top = n if max_part is None else min(max_part, n)
+    return tuple((p,) + rest for p in range(top, 0, -1)
+                 for rest in _all_partitions(n - p, p))
 
 
 def _brute_count(n, filt):
@@ -115,7 +130,7 @@ _FILTERS = st.one_of(
     st.builds(Congruence, st.frozensets(st.integers(0, 7), max_size=4),
               st.integers(1, 8)),
     st.builds(Box, st.integers(0, 8), st.integers(0, 8)),
-    st.just(Unrestricted()))
+    st.just(EVERY))
 
 
 @settings(max_examples=80, deadline=None)

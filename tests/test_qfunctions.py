@@ -12,8 +12,8 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
 from qrr.harness.driver import COMPLEX_Q
-from qrr.pochhammer import (infinite_product, inv_pochhammer, pochhammer_finite,
-                            pochhammer_ratio, pole)
+from qrr.pochhammer import (infinite_product, pochhammer_finite, pochhammer_ratio,
+                            pole)
 from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (_Q1, _a_alpha_stream, _bilateral_ratio_array,
                             _class_sums, _conv, _cube_pairs, _cube_slices,
@@ -499,8 +499,10 @@ def old_u_m(a, m, ctx):
     q = ctx.q
     aq = a if isinstance(a, QPow) else QPow(a, 0)
     aq1 = QPow(aq.coeff, aq.exponent + 1)
+    # 1/(aq;q)_n as (0;q)_n / (aq;q)_n: a finite product for n < 0, and a
+    # PoleError, not a division by zero, where a factor of (aq;q)_n vanishes
     return sum_bilateral(*_tails(lambda n: powq(q, n * n + m * n)
-                                 * inv_pochhammer(aq1, q, n)), ctx)
+                                 * pochhammer_ratio(0, aq1, q, n)), ctx)
 
 
 def old_ramanujan_A(z, ctx):
