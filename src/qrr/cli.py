@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_options(sub):
-    sub.add_argument("--q", help="numeric base, e.g. 0.3 (may repeat)",
-                     action="append")
+    sub.add_argument("--q", action="append", help=(
+        "numeric base, real or complex, e.g. 0.3 or 0.2+0.1j (may repeat); "
+        "a complex q that starts with '-' is written --q=-0.4+0.6j"))
     sub.add_argument("--precision", type=int)
     sub.add_argument("--order", type=int)
     sub.add_argument("--seed", type=int)

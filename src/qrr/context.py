@@ -189,16 +189,15 @@ def kept(kernel):
 
 
 def to_mp(x):
-    """Convert ints, Fractions, floats, strings and mp numbers to mpf/mpc."""
+    """Convert ints, floats, complex, Fractions, strings ("-0.3", "1/3",
+    "0.2+0.1j") and mp numbers to mpf/mpc at the working precision."""
     if isinstance(x, (mp.mpf, mp.mpc)):
         return x
     if isinstance(x, Fixed):
         return x.to_mp()
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    if isinstance(x, complex):
-        return mp.mpc(x)
-    return mp.mpf(x)
+    return mp.mpmathify(x)
 
 
 def powq(base, exponent):
@@ -206,7 +205,8 @@ def powq(base, exponent):
 
     A Fraction base with an integer exponent stays a Fraction; one with a
     fractional exponent raises ExponentError (pass exact roots explicitly).
-    mp numbers use the principal branch; a Fixed base stays Fixed.
+    A fractional power of an mp number, a negative or complex q included,
+    takes the principal branch; a Fixed base stays Fixed.
     """
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
         exponent = int(exponent)

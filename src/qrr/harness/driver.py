@@ -41,7 +41,6 @@ from ..pochhammer import QPow
 from .sampling import entry_rng
 
 MODES = ("formal", "exact", "numeric")
-COMPLEX_Q = complex(0.2, 0.1)
 # A numeric check compares against 10^-(precision - 10).  Looser than
 # 10^-MIN_TOL_EXPONENT, that is below precision 20, the tolerance cannot tell
 # a defect from a pass, so the check is SKIPPED instead of run.
@@ -55,8 +54,8 @@ class RunSettings:
 
     ``precision`` fixes both the numeric working precision and the one pass
     tolerance :meth:`tol`; ``order`` caps formal series; ``q_values`` are the
-    numeric bases of an entry without ``fixed_q``; ``seed`` seeds every
-    sampler.
+    numeric bases, real or complex, of an entry without ``fixed_q``; ``seed``
+    seeds every sampler.
     """
 
     precision: int = DEFAULT_PRECISION
@@ -140,7 +139,6 @@ class IdentityEntry:
     statement: str
     domains: tuple = ()
     fixed_q: tuple | None = None   # override the configured q list
-    complex_ok: bool = False       # additionally run at q = 0.2 + 0.1i
     formal: Check | None = None
     exact: Check | None = None
     numeric: Check | None = None
@@ -150,10 +148,7 @@ class IdentityEntry:
         return tuple(m for m in MODES if getattr(self, m) is not None)
 
     def q_list(self, rc: RunSettings):
-        qs = list(self.fixed_q) if self.fixed_q else list(rc.q_values)
-        if self.complex_ok:
-            qs.append(COMPLEX_Q)
-        return qs
+        return list(self.fixed_q or rc.q_values)
 
 
 def status(ok: bool, literal_ok: bool | None = None) -> str:

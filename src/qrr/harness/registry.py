@@ -10,12 +10,13 @@ the points are the one declaration of what a check evaluates, and the
 report's ``params`` are derived from the points that ran.  Two checks choose
 their arguments from q itself and keep them inside: ``bessel-asymptotic``
 (r = 2^j) and ``bessel-ml``.  ``domains`` holds only true limits, each with
-its reason; a q outside them raises the kernel's declared exception, which
-the report carries as a SKIPPED note.  The q policy (``fixed_q``,
-``complex_ok``) sits on the entry.  :func:`.driver.run_entry` runs every
-entry the same way, at one tolerance.  Numeric constants are written as
-strings, Fractions or QPows, so that they become numbers inside the working
-precision and never at import.
+its reason; a point outside them raises the kernel's declared exception,
+which the report carries as a SKIPPED note.  A numeric check runs at each
+configured q, real or complex, unless its entry sets ``fixed_q``; those of
+``bessel-sv-4/5`` keep q > 0 for a reason their ``domains`` give.
+:func:`.driver.run_entry` runs every entry the same way, at one tolerance.
+Numeric constants are written as strings, Fractions or QPows, so that they
+become numbers inside the working precision and never at import.
 """
 
 from __future__ import annotations
@@ -248,16 +249,19 @@ _SW_INVERSION_POINTS = (grid(k=(2,), y=(F(1, 3),), n=(1,), **_QUARTER)
                         + grid(k=(3,), y=(F(2, 7),), n=(2,), **_QUARTER))
 _UNIT_DISK = (("q", "|q| < 1",
                "the sums and infinite products converge only there"),)
+_POSITIVE_Q = (("q", "0 < q < 1", "the lattice point 2q^{-n/2} and its power "
+                "z^nu are principal-branch powers, equal to q^{-nu n/2} only "
+                "while n |arg q| < 2 pi"),)
 
 ENTRIES: tuple = (
     IdentityEntry(
         "RR1", "first gap identity",
         "sum q^{n^2}/(q;q)_n = 1/((q;q^5)_inf (q^4;q^5)_inf)",
-        _UNIT_DISK, complex_ok=True, **_rr_checks(1)),
+        _UNIT_DISK, **_rr_checks(1)),
     IdentityEntry(
         "RR2", "second gap identity",
         "sum q^{n^2+n}/(q;q)_n = 1/((q^2;q^5)_inf (q^3;q^5)_inf)",
-        _UNIT_DISK, complex_ok=True, **_rr_checks(2)),
+        _UNIT_DISK, **_rr_checks(2)),
     IdentityEntry(
         "mform", "m-shifted gap identity",
         "sum q^{n^2+mn}/(q;q)_n = (-1)^m q^-binom(m,2) [a_m P1 - b_m P2]",
@@ -315,7 +319,6 @@ ENTRIES: tuple = (
         "2phi1(abz/c, b; bz; q, c/b)",
         (("z", "|z| < 1", "the left 2phi1 converges only there"),
          ("c/b", "|c/b| < 1", "the right 2phi1 converges only there")),
-        complex_ok=True,
         numeric=Check(
             lambda ctx, a, b, c, z: qf.heine_sides(
                 to_mp(a), to_mp(b), to_mp(c), to_mp(z), ctx),
@@ -340,13 +343,13 @@ ENTRIES: tuple = (
     IdentityEntry(
         "bessel-sv-4", "special values on the geometric lattice, first form",
         "I2_nu(2 q^{-n/2}) = q^{nu n/2} S_n(-q^{-nu-n}) / (q^{n+1};q)_inf",
-        fixed_q=("0.2", "0.5"),
+        _POSITIVE_Q, fixed_q=("0.2", "0.5"),
         numeric=Check(lambda ctx, nu, n: qb.special_value_sides(4, nu, n, ctx),
                       **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-5", "special values, symmetric form",
         "I2_nu(2 q^{-n/2}) = q^{-nu n/2} S_n(-q^{nu-n}) / (q^{n+1};q)_inf",
-        fixed_q=("0.2", "0.5"),
+        _POSITIVE_Q, fixed_q=("0.2", "0.5"),
         numeric=Check(lambda ctx, nu, n: qb.special_value_sides(5, nu, n, ctx),
                       **_BESSEL_SV)),
     IdentityEntry(
@@ -414,7 +417,7 @@ ENTRIES: tuple = (
         "/ (b, q/a, z, b/az;q)_inf on |b/a| < |z| < 1",
         (("(a,b,z)", "|b/a| < |z| < 1",
           "the bilateral sum converges only on this annulus; draws keep a "
-          "margin of 1/20 inside it"),), complex_ok=True,
+          "margin of 1/20 inside it"),),
         numeric=Check(
             lambda ctx, a, b, z: (
                 qf.psi_1_1(to_mp(a), to_mp(b), to_mp(z), ctx),

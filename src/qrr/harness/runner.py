@@ -14,11 +14,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from fractions import Fraction
 from itertools import repeat
 
 import mpmath as mp
 
+from ..context import to_mp
 from ..errors import (ConfigError, DomainError, EmptyDomainError, NonConvergenceError,
                       PoleError, SingularDeltaError, UnsupportedModeError)
 from .driver import RunSettings, run_entry
@@ -104,14 +104,16 @@ def _nonempty_strings(value) -> bool:
 
 
 def _check_q(q):
-    """A configured q must be a real number with 0 < |q| < 1."""
+    """A configured q is real or complex with 0 < |q| < 1, in a form ``to_mp``
+    reads ("0.3", "1/3", "0.2+0.1j", a JSON number), read at twice its written
+    digits so that rounding cannot carry it across |q| = 1."""
     try:
-        ok = not isinstance(q, bool) and 0 < abs(Fraction(q)) < 1
-    except (TypeError, ValueError):
+        with mp.workdps(2 * len(str(q)) + 10):
+            ok = not isinstance(q, bool) and 0 < abs(to_mp(q)) < 1
+    except (TypeError, ValueError, AttributeError):   # AttributeError: "2/3j"
         ok = False
     if not ok:
-        raise ConfigError(f"q must be a real number with 0 < |q| < 1, "
-                          f"not {q!r}")
+        raise ConfigError(f"q must be real or complex with 0 < |q| < 1, not {q!r}")
 
 
 def run_check(entry_id: str, mode: str, rc: RunSettings) -> IdentityReport:
@@ -150,11 +152,10 @@ def planned_checks(config: SuiteConfig):
         if missing:
             raise ConfigError(f"unknown identity ids: {missing}")
         entries = [e for e in entries if e.id in set(config.ids)]
-    plan = []
-    for entry in entries:
-        for mode in entry.modes:
-            if config.modes is None or mode in config.modes:
-                plan.append((entry.id, mode))
+    plan = [(entry.id, mode) for entry in entries for mode in entry.modes
+            if config.modes is None or mode in config.modes]
+    if not plan:
+        raise ConfigError(f"ids {config.ids} have no check in modes {config.modes}")
     return plan
 
 

@@ -14,12 +14,12 @@ from qrr import (PrecisionLossError, QContext, QPow, infinite_product,
                  pochhammer_infinite, qfunctions, sum_series)
 from qrr.context import powq, widening
 from qrr.fixedpoint import LOG2_10, Fixed, rounding_bits
-from qrr.harness.driver import COMPLEX_Q
 from qrr.qfunctions import (a_alpha, b_alpha, phi_1_1, phi_2_1, psi_1_1, ramanujan_A,
                             rho_root, u_m_bilateral)
 from qrr.qpolynomials import _binomial_powers, _sw_shifted
 
 WP = 240
+COMPLEX_Q = complex(0.2, 0.1)
 
 
 def _random_value(rnd):

@@ -19,9 +19,9 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
 from qrr.formal import FormalSeries
 from qrr.context import QContext
 from qrr.harness import driver, registry
-from qrr.harness.driver import (COMPLEX_Q, LITERAL, Check, IdentityEntry,
-                                Reading, Verdict, _as_mp, grid, run_entry,
-                                status, summarise)
+from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
+                                Verdict, _as_mp, grid, run_entry, status,
+                                summarise)
 from qrr.pochhammer import QPow
 from qrr.harness.sampling import annulus_pair, entry_rng, rational_in
 
@@ -496,9 +496,6 @@ def test_q_list_policies():
     rc = RunSettings(q_values=("0.2", "0.5"))
     assert _stub(fixed_q=("0.25",)).q_list(rc) == ["0.25"]
     assert _stub().q_list(rc) == ["0.2", "0.5"]
-    assert _stub(complex_ok=True).q_list(rc) == ["0.2", "0.5", COMPLEX_Q]
-    assert _stub(fixed_q=("0.7",),
-                 complex_ok=True).q_list(rc) == ["0.7", COMPLEX_Q]
     assert get_entry("bessel-asymptotic").q_list(rc) == ["0.5"]
 
 
@@ -572,11 +569,13 @@ def test_planned_checks_filters_modes():
     assert planned_checks(cfg) == [("RR1", "formal"), ("st-5.7", "formal")]
 
 
-def test_empty_selection_exits_zero():
-    # ms-14 has no formal check, so this selection plans none
+def test_empty_selection_is_a_config_error(capsys):
+    # ms-14 has no formal check, so this selection plans none: not a pass
     cfg = SuiteConfig.from_dict({"ids": ["ms-14"], "modes": ["formal"]})
-    reports, summary, code = run_suite(cfg)
-    assert reports == [] and code == 0 and summary["total"] == 0
+    with pytest.raises(ConfigError, match="ms-14.*formal"):
+        run_suite(cfg)
+    assert main(["suite", "--ids", "ms-14", "--mode", "formal"]) == 2
+    assert "no check" in capsys.readouterr().err
 
 
 def test_worker_count_is_capped_at_the_plan(monkeypatch):
@@ -685,7 +684,8 @@ def test_config_validation():
 @pytest.mark.parametrize("data", [
     {"q": "abc"}, {"q": "1.5"}, {"q": "0"}, {"q": True}, {"q": ["0.2", "1"]},
     {"precision": True}, {"order": False}, {"jobs": True},
-    {"tolerance_exponent": 30}])
+    {"tolerance_exponent": 30}, {"q": "0.8+0.8j"}, {"q": "1j"}, {"q": "0j"},
+    {"q": "2/3j"}])
 def test_config_rejects_q_outside_the_unit_disk_and_bools(data):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(data)
@@ -694,12 +694,37 @@ def test_config_rejects_q_outside_the_unit_disk_and_bools(data):
 def test_config_accepts_real_q_inside_the_unit_disk():
     assert SuiteConfig.from_dict({"q": "-0.3"}).q == ["-0.3"]
     assert SuiteConfig.from_dict({"q": ["0.7", 0.2]}).q == ["0.7", 0.2]
+    # 1 - 10^-17 is inside the disk, though a double rounds it to 1
+    assert SuiteConfig.from_dict({"q": "0.99999999999999999"}).q == ["0.99999999999999999"]
 
 
-@pytest.mark.parametrize("q", ["abc", "1.5"])
+def test_config_accepts_complex_q_inside_the_unit_disk():
+    qs = ["0.2+0.1j", "0.5j", "-0.4+0.6j", complex(0.2, 0.1)]
+    assert SuiteConfig.from_dict({"q": qs}).q == qs
+
+
+def test_complex_q_runs_through_config_and_suite():
+    # the complex sample the default suite does not run: every check PASSes
+    cfg = SuiteConfig.from_dict({"ids": ["RR1", "RR2", "heine", "psi11"],
+                                 "modes": ["numeric"], "q": "0.2+0.1j",
+                                 "precision": 50})
+    reports, summary, code = run_suite(cfg)
+    assert [r.status for r in reports] == ["PASS"] * 4 and code == 0
+    assert all(r.params["q"] == "['0.2+0.1j']" for r in reports)
+
+
+@pytest.mark.parametrize("q", ["abc", "1.5", "0.8+0.8j"])
 def test_cli_rejects_a_bad_q(q, capsys):
     assert main(["suite", "--ids", "RR1", "--q", q]) == 2
     assert "0 < |q| < 1" in capsys.readouterr().err
+
+
+def test_cli_complex_q_that_starts_with_a_minus(capsys):
+    # as --help says: argparse reads "-0.4+0.6j" after a space as an option
+    assert main(["suite", "--ids", "RR1", "--mode", "numeric",
+                 "--q=-0.4+0.6j"]) == 0
+    assert "-0.4+0.6j" in capsys.readouterr().out
+    assert main(["suite", "--ids", "RR1", "--q", "-0.4+0.6j"]) == 2
 
 
 def test_cli_list(capsys):

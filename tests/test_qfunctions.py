@@ -11,7 +11,6 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qfunctions)
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
-from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import (infinite_product, pochhammer_finite, pochhammer_ratio,
                             pole)
 from qrr.qbessel import mittag_leffler_rhs
@@ -33,6 +32,8 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _bilateral_ratio_array,
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
 from qrr.summation import sum_bilateral, sum_series
+
+COMPLEX_Q = complex(0.2, 0.1)
 
 CTX = QContext.numeric("0.3", precision=50)
 TOL = mp.mpf(10) ** -40

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qrr import QContext, QPoly, QPow, SingularDeltaError
 from qrr.context import powq
-from qrr.harness.driver import COMPLEX_Q
 from qrr.pochhammer import pochhammer_finite, pochhammer_ratio, q_binomial
 from qrr.qfunctions import ramanujan_A
 from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
@@ -33,6 +32,7 @@ from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
 from qrr.summation import sum_series
 
 CTX = QContext.numeric("0.3", precision=50)
+COMPLEX_Q = complex(0.2, 0.1)
 TOL = mp.mpf(10) ** -40
 F = Fraction
 Q13 = F(1, 3)
