@@ -41,7 +41,8 @@ factor, in a stream, a pole table or a product, is the PoleError of
 Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
 :class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
-as those coefficients times a running power.  Within one check, every
+as those coefficients times a running power, a bilateral one read outward
+from its peak.  Within one check, every
 bilateral ratio table at (a, b) is sliced off one kept pair of streams
 (:func:`_ratio_table_streams`), and its cutoff :func:`ratio_truncation` is
 walked once.  The residue classes of a
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import mul
 
 import mpmath as mp
@@ -71,16 +72,18 @@ from .summation import sum_bilateral, sum_series
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
 
-def _series(build, ctx: QContext):
+def _series(build, ctx: QContext, first=0):
     """Sum of the series whose stream of terms n = 0, 1, ... ``build(q)``
     returns, or of the bilateral series whose streams n = 0, 1, ... and
     n = -1, -2, ... it returns as a pair, with q the context's base at
-    ``ctx.fixed_bits``: the one exit of every numeric series."""
+    ``ctx.fixed_bits``: the one exit of every numeric series.  A series read
+    from the middle of its streams (:class:`_Lattice`) passes the stream
+    index its rounding charge starts from in ``first``."""
     terms = build(ctx.fixed(ctx.q))
     if isinstance(terms, tuple):
         pos, neg = terms
-        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx).certified()
-    return sum_series(lambda n: next(terms), ctx).certified()
+        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx, first).certified()
+    return sum_series(lambda n: next(terms), ctx, first).certified()
 
 
 def _geometric(x0, ratio):
@@ -121,17 +124,33 @@ class _Lattice:
     n = 0, 1, ... and n = -1, -2, ... of a bilateral series, as the
     builders of :func:`_series` do.  Its term n is c_n y0^n, so the term at
     y_s is c_n h^n with h = q^(e s).  The streams are built once and kept
-    as they extend, so the sum at s costs one running power and one
+    as they extend, so the sum at s costs one power of q and one
     multiplication per term.  The lattice lives for one kernel call.
 
+    Reading.  A unilateral lattice (s >= 0, largest terms at n <= 0) reads
+    each sum from n = 0.  A bilateral one reads it outward from n0 = -s: one
+    tail over n0, n0 + 1, ..., the other over n0 - 1, n0 - 2, ..., each
+    going on along the other stream where it crosses n = 0.  Both callers
+    step by e = 2 alpha over streams that carry q^(alpha n^2), so term n of
+    the sum at s carries q^(alpha ((n + s)^2 - s^2)) and peaks near n0: a
+    read from n = 0 would make up to |s| terms there only to floor them
+    away.  A centre off the peak costs terms, not accuracy.
+
     Roundings.  h is q^(e s) from a power taken ``bitlen(|e s|) + 2`` bits
-    wider and rounded once to wp, so h^n carries n roundings of its own and
-    n more from the error of h, and c_n h^n one more: 2n + 1.  The
-    coefficient streams of :func:`_ratio_terms` with F <= 2 factors carry at
-    most n + 3n(n - 1)/2 (one division per step, and the k roundings of the
-    step and of each carried power in step k).  Both doubled for complex
-    values, term n carries at most 3n^2 + 6n + 2 roundings, within the
-    R (n + 1)^2 = 8 (n + 1)^2 of :func:`~qrr.fixedpoint.rounding_bits`.
+    wider and rounded once to wp, and 1/h one division more.  h^n0 is the
+    binary power of h: |n0| roundings from the error of h, fewer than |n0|
+    of its own, and one division when n0 < 0.  Each step of a tail
+    multiplies the running power by h or 1/h, one rounding of its own and
+    at most two carried, and the term by its coefficient, one more.  The
+    coefficient streams of :func:`_ratio_terms` with F <= 2 factors carry
+    at most m + 3m(m - 1)/2 roundings at |n| = m (one division per step, and
+    the k roundings of the step and of each carried power in step k).  With
+    N = |s| + k, term k of either tail lies at |n| <= N + 1 after at most
+    k + 1 steps, so it carries at most 3N^2/2 + 11N/2 + 5 roundings (at
+    s = 0, h = 1 is exact and the power carries none).  Doubled for complex
+    values, that is 3N^2 + 11N + 10, within the R (N + 1)^2 = 8 (N + 1)^2
+    of :func:`~qrr.fixedpoint.rounding_bits` at stream index N: each sum
+    is charged from index |n0| on.
     """
 
     def __init__(self, build, e, ctx: QContext):
@@ -143,41 +162,44 @@ class _Lattice:
 
     def sum(self, s: int):
         """The series at y0 q^(e s)."""
+        streams = self.streams
+        n0 = -s if len(streams) == 2 else 0
+
         def build(q):
-            pos = _scaled(self.streams[0], _power(q, self.e * s))
-            if len(self.streams) == 1:
+            # q^(e s), taken wide enough that its own roundings stay below
+            # the one rounding to wp
+            m = self.e * s
+            h = q.like(powq(Fixed.of(q, q.wp + math.ceil(abs(m)).bit_length() + 2), m))
+            p = h ** n0
+            pos = _walk(n0, p, h, *streams)
+            if len(streams) == 1:
                 return pos
-            # the stream n = -1, -2, ... reads c_n h^n as c_n (1/h)^(-n)
-            return pos, _scaled(self.streams[1], _power(q, -self.e * s), 1)
+            g = 1 / h
+            return pos, _walk(-n0, p * g, g, *streams[::-1])
 
-        return _series(build, self.ctx)
-
-
-def _power(q: Fixed, m) -> Fixed:
-    """q^m rounded once to q's width: the power is taken wide enough that
-    its own roundings stay below that one."""
-    wide = Fixed.of(q, q.wp + math.ceil(abs(m)).bit_length() + 2)
-    return q.like(powq(wide, m))
+        return _series(build, self.ctx, abs(n0))
 
 
-def _scaled(coeffs: _Shared, h: Fixed, first: int = 0):
-    """Yield c_n h^(n + first) for the shared coefficients c_n, n = 0, 1, ...
-    (first is 0 or 1), the power carried as a running product; a real h
-    multiplies each part once."""
-    if h.im is not None:
-        p = h if first else h.like(1)
-        for n in count():
-            yield coeffs[n] * p
-            p = p * h
-    wp, hr, he = h.wp, h.re, h.e
-    pr, pe = (hr, he) if first else (1, 0)
-    for n in count():
-        c = coeffs[n]
+def _walk(n, p, g, near, far=None):
+    """Yield c_n p, c_(n + 1) p g, c_(n + 2) p g^2, ... for the coefficients
+    c_0, c_1, ... of the stream ``near`` and c_-1, c_-2, ... of ``far``: read
+    from n < 0, they run down ``far`` to c_-1 and go on along ``near``.  The
+    power is carried as a running product; a real g (and p) multiplies each
+    part once.  With p = h^n and g = h this is the series at h read upward
+    from n; with the streams swapped, -n for n and g = 1/h, it is the same
+    series read downward from n - 1."""
+    coeffs = chain((far[i] for i in range(-1 - n, -1, -1)),
+                   map(near.__getitem__, count(max(n, 0))))
+    if g.im is not None:
+        yield from map(mul, coeffs, _geometric(p, g))
+        return
+    wp, gr, ge, pr, pe = g.wp, g.re, g.e, p.re, p.e
+    for c in coeffs:
         if c.im is None:
             yield _real(c.re * pr, c.e + pe, wp)
         else:
             yield _complex(c.re * pr, c.im * pr, c.e + pe, wp)
-        pr, pe = pr * hr, pe + he
+        pr, pe = pr * gr, pe + ge
         k = pr.bit_length() - wp
         if k > 0:
             pr, pe = pr >> k, pe + k

@@ -24,20 +24,25 @@ per-term stop test and the running peak are decided on tops, and a float
 log2 is taken only for a term within two bits of the stop tolerance or of
 the peak.  The decay certificate compares magnitudes exactly: on tops where
 they decide it, and otherwise on the mpf magnitudes, which it keeps once
-made.  It ranks its ratios by cross-multiplying those mantissas and divides
-once, for the winner.  So its outcome is bit for bit that of a certificate
+made.  It ranks its ratios on top differences where two lie 4 or more
+apart, otherwise by cross-multiplying those mantissas, and divides once,
+for the winner.  So its outcome is bit for bit that of a certificate
 on mpf magnitudes throughout.
 
-Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings
-(see :func:`~qrr.fixedpoint.rounding_bits`) errs by less than
-2^(rounding_bits(N) + top(peak) - wp); ``QContext.fixed_bits`` adds the
-bits of that bound at ``MAX_TERMS`` to the working digits.  Every sum checks
+Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings,
+n the term's index in the stream it was read from, errs by less than
+2^(rounding_bits(N, f) + top(peak) - wp) for a first index f (see
+:func:`~qrr.fixedpoint.rounding_bits`); a series read from its start has
+f = 0, and ``QContext.fixed_bits`` adds the bits of that bound at
+``MAX_TERMS`` to the working digits.  Every sum checks
 the bound at the end against its own magnitude, so the cancellation bits
 top(peak) - top(sum) come out of the slack.  A sum left with fewer than
 ``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
 which names the bits it lacks; :func:`~qrr.context.widening` reruns the
-whole evaluation around the sum, inputs included, that much wider.  The
-value leaves fixed point only as the mpf/mpc ``SumOutcome.value``.
+whole evaluation around the sum, inputs included, that much wider.  A
+bilateral sum whose tails cancel to exactly zero raises too, as one tail
+that floors to zero does.  The value leaves fixed point only as the mpf/mpc
+``SumOutcome.value``.
 """
 
 from __future__ import annotations
@@ -85,13 +90,16 @@ class SumOutcome:
             f"{self.terms_used} terms, |value| {mp.nstr(abs(self.value), 3)}")
 
 
-def sum_series(term, ctx: QContext) -> SumOutcome:
+def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
     ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
     rely on that order: a series is defined by its term ratio, and its term
     function advances running products (q-powers, x-powers, Pochhammer
     ratios) by multiplication instead of recomputing term n from scratch.
+    ``term(n)`` lies at index ``first + n`` of the stream it is read from,
+    and is charged the R (first + n + 1)^2 roundings of that index: a tail
+    read from the middle of a stream is charged where it lies.
 
     Stops once ``STOP_RUN`` consecutive terms are negligible and the recent
     term magnitudes certify decay; raises
@@ -193,7 +201,7 @@ def sum_series(term, ctx: QContext) -> SumOutcome:
             if small_run >= STOP_RUN and n >= STOP_RUN - 1:
                 n += 1
                 value, error = _settled(s_re, s_im if cplx else None, E, peak_top, n,
-                                        term_bits, bw, ctx)
+                                        first, term_bits, bw, ctx)
                 if zero_run >= STOP_RUN or not ts:
                     return SumOutcome(value, n, mp.mpf(0), True, error)
                 tol = ctx.stop_tol
@@ -236,17 +244,17 @@ def _below(tail, value):
     return exp + bc < top or tail < abs(value)
 
 
-def _settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
+def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
     """(value, rounding-error bound) of the block sum, after the guard check.
 
-    The bound is 2^(rounding_bits(n) + top(peak) - term_bits) (see the module
-    docstring), and the sum must be at least 2^precision times it.  A sum
-    that comes out exactly zero is only known to lie below one unit 2^E of
-    the block, which is judged the same way.
+    The bound is 2^(rounding_bits(n, first) + top(peak) - term_bits) (see the
+    module docstring), and the sum must be at least 2^precision times it.  A
+    sum that comes out exactly zero is only known to lie below one unit 2^E
+    of the block, which is judged the same way.
     """
     if bw is None:
         return mp.mpf(0), mp.mpf(0)
-    bound_top = rounding_bits(n) + peak_top - term_bits
+    bound_top = rounding_bits(n, first) + peak_top - term_bits
     total = Fixed(s_re, s_im, E, bw)
     top = total.top() if total else E
     missing = bits_for_digits(ctx.precision) + bound_top - (top - 1)
@@ -257,28 +265,34 @@ def _settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
     return total.to_mp(), mp.make_mpf((0, 1, bound_top, 1))
 
 
-def sum_bilateral(pos, neg, ctx: QContext) -> SumOutcome:
+def sum_bilateral(pos, neg, ctx: QContext, first: int = 0) -> SumOutcome:
     """Sum a bilateral series given as its two tails, with a certificate
     for each.
 
     ``pos(k)`` is the term at n = k and ``neg(k)`` the term at n = -1 - k;
     each tail is summed by :func:`sum_series`, so each is called with
     k = 0, 1, 2, ... in order, once each, and a kernel may keep one running
-    state per tail.  The two tails' rounding bounds are checked against
-    their sum as :func:`sum_series` checks its own; a sum that cancels
-    exactly to zero keeps their absolute bound in ``error``.  The sum counts
-    as converged when each tail bound lies below ``ctx.target_tol`` or at
-    most that tail's own rounding bound, and their sum below |value|, so a
-    tail far smaller than the other one does not count against it.
+    state per tail.  A kernel that reads its tails outward from elsewhere
+    than n = 0 passes in ``first`` the stream index from which both tails
+    are charged (see :func:`sum_series`).  The two tails' rounding bounds
+    are checked against their sum as :func:`sum_series` checks its own; a
+    sum that cancels exactly to zero is known only to lie below their bound,
+    and raises PrecisionLossError as one tail that floors to zero does.  The
+    sum counts as converged when each tail bound lies below
+    ``ctx.target_tol`` or at most that tail's own rounding bound, and their
+    sum below |value|, so a tail far smaller than the other one does not
+    count against it.
     """
-    pos = sum_series(pos, ctx)
-    neg = sum_series(neg, ctx)
+    pos = sum_series(pos, ctx, first)
+    neg = sum_series(neg, ctx, first)
     with ctx.workdps():
         value = pos.value + neg.value
         error = pos.error + neg.error
-        if value != 0 and error:
-            # |value| >= 2^(mag(value) - 2) and error <= 2^mag(error)
-            missing = bits_for_digits(ctx.precision) + mp.mag(error) - (mp.mag(value) - 2)
+        if error:
+            # |value| >= 2^(mag(value) - 2) and error <= 2^mag(error); an
+            # exact zero is known only to lie below error
+            low = mp.mag(value) - 2 if value else mp.mag(error)
+            missing = bits_for_digits(ctx.precision) + mp.mag(error) - low
             if missing > 0:
                 raise PrecisionLossError(
                     f"bilateral tails cancel; {missing} more working bits needed", missing)
@@ -357,10 +371,10 @@ class _Terms:
         ``pairs``, or None for no pairs.
 
         Adjacent pairs are ranked exactly, m_i / m_(i-1) against
-        m_j / m_(j-1) by cross-multiplying the mpf mantissas, and only the
-        winner's quotient is made: division rounds monotonically, so it is
-        the largest quotient.  A pair across a gap of zero terms is made in
-        mpf.
+        m_j / m_(j-1) on tops or by cross-multiplying the mpf mantissas
+        (:meth:`_exceeds`), and only the winner's quotient is made: division
+        rounds monotonically, so it is the largest quotient.  A pair across
+        a gap of zero terms is made in mpf.
         """
         ns = self.ns
         best = None
@@ -375,7 +389,23 @@ class _Terms:
         return max(ratios, default=None)
 
     def _exceeds(self, i, j):
-        """``m_i / m_(i-1) > m_j / m_(j-1)`` on the mpf magnitudes."""
+        """``m_i / m_(i-1) > m_j / m_(j-1)`` on the mpf magnitudes, from tops
+        when they decide it.
+
+        An mpf magnitude m of top T lies in [2^(T - 1), 2^(T + 1/2) (1 + u)],
+        u < 2^(1 - prec) from its rounding, so log2(m_i / m_(i-1)) lies
+        within 3/2 + 2u of the top difference d_i = T_i - T_(i-1), and the
+        two log2 ratios differ from d_i - d_j by at most 3 + 4u < 4: a
+        difference of 4 or more decides.  One of 3 does not: with m_i and
+        m_(j-1) at the foot of their brackets and m_(i-1), m_j rounded up
+        past 2^(T + 1/2), ratio i falls short of ratio j.
+        """
+        tops = self.tops
+        d = tops[i] - tops[i - 1] - tops[j] + tops[j - 1]
+        if d >= 4:
+            return True
+        if d <= -4:
+            return False
         _, a, ea, _ = self.mpf(i)
         _, b, eb, _ = self.mpf(j - 1)
         _, c, ec, _ = self.mpf(j)
@@ -409,9 +439,9 @@ def _decay_rate(mags, tol, peak=None):
     so a flat plateau of tiny terms still fails the certificate.  Gaps from
     interleaved zero terms are normalized away.  Only the trailing
     ``RATIO_WINDOW`` pairs are ever inspected.  The pairs are chosen on tops
-    and exact mpf comparisons, and the worst of them by cross-multiplying
-    mantissas, so of the adjacent pairs only the returned ratio is divided
-    out in mpf.
+    and exact mpf comparisons, and the worst of them on tops or by
+    cross-multiplying mantissas, so of the adjacent pairs only the returned
+    ratio is divided out in mpf.
     """
     last = len(mags) - 1
     if last < 1:

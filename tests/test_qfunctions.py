@@ -8,9 +8,10 @@ import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
-                 PrecisionLossError, QContext, QPow, qfunctions)
+                 PrecisionLossError, QContext, QPow, qfunctions, summation)
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
-from qrr.fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
+from qrr.fixedpoint import (Fixed, _complex, _real, cut, one_minus, parts, rounding_bits,
+                            shifted)
 from qrr.pochhammer import (infinite_product, pochhammer_finite, pochhammer_ratio,
                             pole)
 from qrr.qbessel import mittag_leffler_rhs
@@ -810,7 +811,9 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
 # lattices of inner sums and mirrored self-convolutions
 # ---------------------------------------------------------------------------
 
-LATTICE_S = (-107, -1, 0, 1, 107)
+# the centre n0 = -s of a bilateral sum, at the ends, near n = 0 (where a
+# tail crosses to the other stream) and far out
+LATTICE_S = (-107, -40, -3, -2, -1, 0, 1, 2, 3, 40, 107)
 LATTICE_Y0 = pytest.mark.parametrize("twisted", [False, True], ids=["y0=0.5", "y0=w^2*0.5"])
 LATTICE_PRECISIONS = pytest.mark.parametrize("precision", [20, 50, 100])
 A6, B15 = mp.mpf("0.6"), mp.mpf("0.15")
@@ -860,11 +863,36 @@ def test_lattice_pole_reaches_every_reader():
                 lattice.sum(s)
 
 
+def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
+    # the sum at s = -107 reads both tails outward from n0 = 107: term k of a
+    # tail is charged the roundings of stream index 107 + k, not of k
+    tails = []
+    real = summation.sum_series
+
+    def watched(term, ctx, first=0):
+        seen = []
+        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first)
+        tails.append((seen, out))
+        return out
+
+    monkeypatch.setattr(summation, "sum_series", watched)
+    with CTX.workdps():
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), 2,
+                           CTX)
+        lattice.sum(-107)
+    assert len(tails) == 2
+    for seen, out in tails:
+        peak = max(t.top() for t in seen if t)
+        n = out.terms_used
+        assert out.error == mp.ldexp(1, rounding_bits(n, 107) + peak - CTX.fixed_bits)
+        assert rounding_bits(n, 107) > rounding_bits(n)
+
+
 def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
     forced, seen, lattices = [], [], []
     real = qfunctions.sum_bilateral
 
-    def short_once(pos, neg, ctx):
+    def short_once(pos, neg, ctx, first=0):
         if not forced:
             forced.append(1)
             raise PrecisionLossError("forced", 20)
@@ -876,7 +904,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
                 return t
             return term
 
-        return real(watched(pos), watched(neg), ctx)
+        return real(watched(pos), watched(neg), ctx, first)
 
     def evaluate(ctx):
         y0 = _lattice_y0(ctx, True)

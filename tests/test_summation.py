@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import islice
+from itertools import islice, product
 
 import mpmath as mp
 import pytest
@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext,
                  RatioTestError, SumOutcome, sum_bilateral, sum_series)
 from qrr.context import MAX_TERMS, widening
-from qrr.fixedpoint import LOG2_10, Fixed, bits_for_digits, rounding_bits
+from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits
 from qrr import qfunctions, summation
 from qrr.qfunctions import phi_1_1
 from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
@@ -140,6 +140,17 @@ def test_bilateral_with_negligible_tail_converges():
     assert not neg.converged
     assert out.converged
     assert abs(out.value - theta_half_oracle(dps=35)) < mp.mpf(10) ** -30
+
+
+def test_bilateral_exact_cancellation_raises():
+    # tails 3/4 and -3/4 cancel to exactly 0, known only to lie below their
+    # rounding bound: like a tail that floors to 0, the sum lacks every digit
+    ctx = QContext.numeric("0.5", precision=20)
+    with ctx.workdps():
+        with pytest.raises(PrecisionLossError, match="bilateral tails cancel") as exc:
+            sum_bilateral(lambda k: mp.mpf(0.75) if k == 0 else mp.mpf(0),
+                          lambda k: mp.mpf(-0.75) if k == 0 else mp.mpf(0), ctx)
+    assert exc.value.bits > 0
 
 
 def test_stability_under_stricter_stopping():
@@ -296,7 +307,7 @@ def test_short_rising_series_certifies_at_low_precision():
 # ``error + tail_bound`` instead (``test_sum_stops_where_its_terms_floor_away``).
 
 
-def reference_sum_series(term, ctx):
+def reference_sum_series(term, ctx, first=0):
     """``sum_series`` with a float log2 and mpf magnitudes for every term,
     stopped on the stop tolerance alone."""
     with ctx.workdps():
@@ -351,7 +362,7 @@ def reference_sum_series(term, ctx):
             n += 1
             if small_run >= STOP_RUN and n >= STOP_RUN:
                 value, error = _reference_settled(s_re, s_im if cplx else None, E,
-                                                  peak_top, n, term_bits, bw, ctx)
+                                                  peak_top, n, first, term_bits, bw, ctx)
                 if zero_run >= STOP_RUN or not mags:
                     return SumOutcome(value, n, mp.mpf(0), True, error)
                 view = _ReferenceMagnitudes(mags)
@@ -369,10 +380,12 @@ def reference_sum_series(term, ctx):
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
 
-def _reference_settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx):
+def _reference_settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
     if bw is None:
         return mp.mpf(0), mp.mpf(0)
-    bound_top = rounding_bits(n) + peak_top - term_bits
+    # term k at stream index first + k carries at most R (first + k + 1)^2
+    # roundings, 2 R N (first + N)^2 in all for N terms at 2^(1 - wp) each
+    bound_top = (2 * ROUNDINGS * n * (first + n) ** 2 + n).bit_length() + peak_top - term_bits
     total = Fixed(s_re, s_im, E, bw)
     top = total.top() if total else E
     missing = bits_for_digits(ctx.precision) + bound_top - (top - 1)
@@ -489,10 +502,10 @@ def _exact_mp(t):
     return mp.make_mpc((from_man_exp(t.re, t.e), from_man_exp(t.im, t.e)))
 
 
-def _outcome_bits(engine, terms):
+def _outcome_bits(engine, terms, first=0):
     """Every field of the outcome, or the error raised, in comparable form."""
     try:
-        out = engine(terms.__getitem__, ORACLE_CTX)
+        out = engine(terms.__getitem__, ORACLE_CTX, first)
     except (NonConvergenceError, PrecisionLossError, RatioTestError) as exc:
         return type(exc).__name__, str(exc)
     return tuple(getattr(x, "_mpf_", None) or getattr(x, "_mpc_", None) or x
@@ -650,6 +663,37 @@ def test_top_brackets_match_mpf_comparisons_on_complex_terms():
         assert passed
 
 
+def test_ratio_order_is_decided_on_tops_four_apart():
+    # pairs (0, 1) and (2, 3) whose top differences d differ by 3, 4 and 5;
+    # each magnitude at the foot of its bracket, 2^(top - 1), or at its
+    # head: just under 2^top (real), near 2^(top + 1/2) (complex) or
+    # rounded up past it at the working precision
+    wp = ORACLE_CTX.fixed_bits
+    with ORACLE_CTX.workdps():
+        def magnitude(t):
+            return _ReferenceMagnitudes([(0, t)])[0][1]
+
+        past = next(k for k in range(mp.mp.prec + 2, wp)
+                    if magnitude(Fixed((1 << k) - 1, (1 << k) - 1, -k, wp)) ** 2 > 2)
+        shapes = [(1 << 59, None, 60), ((1 << 60) - 1, None, 60), (511, 511, 9),
+                  ((1 << past) - 1, (1 << past) - 1, past)]
+        undecided = 0
+        for diff in (-5, -4, -3, 3, 4, 5):
+            for picks in product(shapes, repeat=4):
+                ts = [Fixed(re, im, top - k, wp)
+                      for (re, im, k), top in zip(picks, (0, 7, 20, 27 - diff))]
+                terms = _Terms([0, 1, 2, 3], ts, [t.top() for t in ts])
+                assert terms.tops[1] - terms.tops[0] - terms.tops[3] + terms.tops[2] == diff
+                m = [magnitude(t) for t in ts]
+                first, second = mp.fmul(m[1], m[2], exact=True), mp.fmul(m[3], m[0], exact=True)
+                assert terms._exceeds(1, 3) == (first > second)
+                assert terms._exceeds(3, 1) == (second > first)
+                undecided += abs(diff) == 3 and (first > second) != (diff > 0)
+        # top differences 3 apart do not decide: some pair there orders
+        # against them
+        assert undecided
+
+
 @st.composite
 def oracle_streams(draw):
     kind = draw(st.sampled_from(["fixed", "fixed-complex", "mpf", "mpc"]))
@@ -664,10 +708,11 @@ def oracle_streams(draw):
         cancel=draw(st.integers(0, 9)) == 0, seed=draw(st.integers(0, 2 ** 32)))
 
 
-@given(oracle_streams())
+@given(oracle_streams(), st.sampled_from([0, 0, 1, 3, 40, 107, 1000]))
 @settings(max_examples=400, deadline=None)
-def test_engine_matches_reference_on_generated_streams(terms):
-    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
+def test_engine_matches_reference_on_generated_streams(terms, first):
+    assert (_outcome_bits(sum_series, terms, first)
+            == _outcome_bits(reference_sum_series, terms, first))
 
 
 def test_sum_below_its_tail_bound_is_not_converged(monkeypatch):
