@@ -4,6 +4,9 @@ Each test prints one PASS line on success (run with -s to see them inline);
 the test names mirror the criteria.
 """
 
+import importlib.util
+import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -12,6 +15,8 @@ import mpmath as mp
 from qrr import QContext, QPow
 from qrr.formal import FormalSeries
 from qrr.harness import RunSettings, SuiteConfig, run_check, run_suite
+from qrr.harness.report import emit_report
+from qrr.harness.runner import run_info
 from qrr.pochhammer import q_binomial
 from qrr.partitions import box_gf, series_vs_partitions
 from qrr.qbessel import (asymptotic_main_term, bessel_i, gen_func_sides,
@@ -201,5 +206,20 @@ def test_full_default_suite_under_15_minutes_no_failures():
     assert not bad, bad
     assert exit_code == 0
     assert elapsed < 900, f"suite took {elapsed:.0f}s"
+    report = json.loads(emit_report(reports, run_info(SuiteConfig())))
+    golden = GOLDEN / "default.json"
+    moved = _golden_compare().differences(json.loads(golden.read_text()), report)
+    assert not moved, "\n".join(moved)
     _ok(f"full default suite: {summary} in {elapsed:.0f}s (< 900s), "
-        "all PASS or DISCREPANCY_DOCUMENTED")
+        "all PASS or DISCREPANCY_DOCUMENTED, report as in tests/golden/default.json")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _golden_compare():
+    """The comparison script of the golden reports, as a module."""
+    spec = importlib.util.spec_from_file_location("golden_compare", GOLDEN / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
