@@ -118,6 +118,14 @@ class QContext:
         return -(self.precision + 10) * LOG2_10
 
     @cached_property
+    def tail_log2(self) -> float:
+        """Float log2 of 10^-(precision + GUARD_DIGITS), one unit of the
+        working digits: a sum that declares its ratio bound stops once its
+        tail bound lies below this, or below the last kept bit of its
+        running sum (:func:`~qrr.summation.sum_series`)."""
+        return -(self.precision + GUARD_DIGITS) * LOG2_10
+
+    @cached_property
     def target_tol(self):
         """A sum or product whose tail bound lies below this, 10^-precision,
         counts as converged."""

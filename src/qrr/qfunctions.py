@@ -67,7 +67,7 @@ from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_inf
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
                          infinite_product, pochhammer_finite, pole)
-from .summation import sum_bilateral, sum_series
+from .summation import Declared, declared, reading, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
@@ -78,12 +78,15 @@ def _series(build, ctx: QContext, first=0):
     n = -1, -2, ... it returns as a pair, with q the context's base at
     ``ctx.fixed_bits``: the one exit of every numeric series.  A series read
     from the middle of its streams (:class:`_Lattice`) passes the stream
-    index its rounding charge starts from in ``first``."""
+    index its rounding charge starts from in ``first``.  A
+    :class:`~qrr.summation.Declared` stream stops on its declared ratio
+    bound, any other on the observed certificate."""
     terms = build(ctx.fixed(ctx.q))
     if isinstance(terms, tuple):
-        pos, neg = terms
-        return sum_bilateral(lambda n: next(pos), lambda n: next(neg), ctx, first).certified()
-    return sum_series(lambda n: next(terms), ctx, first).certified()
+        (pos, up), (neg, down) = map(reading, terms)
+        return sum_bilateral(pos, neg, ctx, first, (up, down)).certified()
+    term, ratio = reading(terms)
+    return sum_series(term, ctx, first, ratio).certified()
 
 
 def _geometric(x0, ratio):
@@ -151,6 +154,22 @@ class _Lattice:
     values, that is 3N^2 + 11N + 10, within the R (N + 1)^2 = 8 (N + 1)^2
     of :func:`~qrr.fixedpoint.rounding_bits` at stream index N: each sum
     is charged from index |n0| on.
+
+    Declared bound.  Term n of the sum at s is c_n h^n, so the ratio of two
+    terms read upwards is c_(n + 1) / c_n times h, and downwards
+    c_(n - 1) / c_n times 1/h.  The coefficient streams are
+    :func:`_ratio_terms` streams, and the ratio formula of each holds at
+    every integer n, across n = 0 too: the two streams of
+    :func:`_ratio_streams` are the halves of one series, whose ratio
+    (1 - a q^n) / (1 - b q^n) q^(alpha (2n + 1)) x holds for all n.  At
+    h = q^(2 alpha s) a tail from n0 = -s reads the ratios
+    (1 - a q^n) / (1 - b q^n) q^(alpha (2(n + s) + 1)) x, n >= n0, and
+    their mirror images downwards.  So each tail declares the bound of its
+    near stream read from its first index with the scale h or 1/h
+    (:func:`_walk`, :meth:`~qrr.summation.RatioBound.reading`): the
+    Gaussian step falls by |q|^(2 alpha) a term from |q^alpha x| at the
+    peak, and the Pochhammer part's suffix supremum is made once per
+    lattice, for all of its sums.
     """
 
     def __init__(self, build, e, ctx: QContext):
@@ -181,13 +200,19 @@ class _Lattice:
 
 
 def _walk(n, p, g, near, far=None):
-    """Yield c_n p, c_(n + 1) p g, c_(n + 2) p g^2, ... for the coefficients
-    c_0, c_1, ... of the stream ``near`` and c_-1, c_-2, ... of ``far``: read
-    from n < 0, they run down ``far`` to c_-1 and go on along ``near``.  The
-    power is carried as a running product; a real g (and p) multiplies each
-    part once.  With p = h^n and g = h this is the series at h read upward
-    from n; with the streams swapped, -n for n and g = 1/h, it is the same
-    series read downward from n - 1."""
+    """The stream c_n p, c_(n + 1) p g, c_(n + 2) p g^2, ... for the
+    coefficients c_0, c_1, ... of the stream ``near`` and c_-1, c_-2, ... of
+    ``far``: read from n < 0, they run down ``far`` to c_-1 and go on along
+    ``near``.  The power is carried as a running product; a real g (and p)
+    multiplies each part once.  With p = h^n and g = h this is the series at
+    h read upward from n; with the streams swapped, -n for n and g = 1/h, it
+    is the same series read downward from n - 1.  It declares the bound of
+    ``near`` read from n with the scale g (its ratio formula holds across
+    n = 0, see :class:`~qrr.summation.RatioBound`)."""
+    return Declared(_walked(n, p, g, near, far), near.stream.bound, n, g)
+
+
+def _walked(n, p, g, near, far):
     coeffs = chain((far[i] for i in range(-1 - n, -1, -1)),
                    map(near.__getitem__, count(max(n, 0))))
     if g.im is not None:
@@ -334,6 +359,7 @@ def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
     return streams
 
 
+@declared
 def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
     """The fused stream of a series given by its term ratio
     prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k) * step_k, step_{k+1} =
@@ -356,6 +382,18 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     :func:`~qrr.fixedpoint.one_minus` is exactly 1 (at q^0, the exact
     1 - coeff is 1 too: the power there is coeff, up to its roundings).
     Dropping such a factor leaves every term bit for bit as it was.
+
+    The stream is a :class:`~qrr.summation.Declared` one: it carries the
+    :class:`~qrr.summation.RatioBound` of its parameters, so that a sum of
+    it stops on rho_k = |step_k| times a suffix supremum of the Pochhammer
+    part, with no stop run and no observed certificate.  |step_k| does not
+    rise, as |growth| <= 1 (downwards, |growth| |q|^-d with d the number of
+    numerator factors less that of the denominator ones, the power of q^k
+    that the Pochhammer part then grows by); each factor 1 - c q^k is
+    bounded by 1 + |c q^k| and 1/(1 - |c q^k|) where |c q^k| <= 1/2, by
+    |c q^k| + 1 and 1/(|c q^k| - 1) where it is >= 2, and by its value in
+    between.  Mapped, zipped or cut, the stream is a plain one and stops on
+    the observed certificate, as a mixed stream must.
     """
     wp, one = q.wp, q.like(1)
     k, dk = (0, 1) if up else (-1, -1)

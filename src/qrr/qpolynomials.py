@@ -35,7 +35,7 @@ from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
 from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
                          q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
-                         _ratio_terms, _ratios_up, _series, _value, ramanujan_A,
+                         _ratio_terms, _ratios_up, _series, _Shared, _value, ramanujan_A,
                          rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
@@ -460,6 +460,15 @@ def st_5_2_sides(n: int, x, q):
     return lhs, rhs
 
 
+@kept
+def _shifted_entire_values(xv, ctx: QContext):
+    """A_q(x q^k) for k = 0, 1, ..., as a :class:`~qrr.qfunctions._Shared`
+    stream of the sums of one lattice at x: every n of a check reads the
+    same values, each summed once."""
+    with ctx.workdps():
+        return _Shared(map(_Lattice(_ramanujan_A_stream(xv), 1, ctx).sum, count()))
+
+
 def st_5_3_sides(n: int, x, ctx: QContext):
     """S_n(x) against its expansion over shifted values of the entire
     function."""
@@ -468,11 +477,11 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         xv = to_mp(x)
         lhs = stieltjes_wigert(n, xv, q)
         # q^binom(k+1,2) (x q^n)^k / (q;q)_k: ratio x q^{n+1} q^k / (1 - q^{k+1})
-        inner = _Lattice(_ramanujan_A_stream(xv), 1, ctx)  # A_q(x q^k)
+        inner = _shifted_entire_values(xv, ctx)  # A_q(x q^k)
 
         def terms(q):
             return map(mul, _ratio_terms([], [_Q1], q, q.like(xv) * q ** (n + 1), q),
-                       (inner.sum(k) for k in count()))
+                       map(inner.__getitem__, count()))
 
         return lhs, _series(terms, ctx) / pochhammer_finite(q, q, n)
 

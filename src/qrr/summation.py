@@ -1,15 +1,31 @@
-"""Convergent-series summation engine with decay certificates.
+"""Convergent-series summation engine with tail certificates.
 
 Every unilateral and bilateral series in the package funnels through
-:func:`sum_series` / :func:`sum_bilateral`.  Stopping is heuristic — a run of
-``STOP_RUN`` consecutive negligible terms plus a ratio certificate on the
-observed decay — and the certificate data is reported in the outcome so
-failures are auditable.  A term is negligible below the stop tolerance, or
-below the running sum's last kept bit, where adding it floors it away; a
-tail bound is negligible below 10^-precision, or at most the sum's own
-rounding bound.  A sum that has not stopped after
-:data:`~qrr.context.MAX_TERMS` terms raises.  Both values are module
-constants: every sum runs the same stop rule on the same budget.
+:func:`sum_series` / :func:`sum_bilateral`.  A sum stops by one of two rules,
+and the certificate data is reported in the outcome so failures are
+auditable.
+
+* **Declared bound.**  A stream whose term ratio is known in closed form
+  declares a bound rho(K) on every later ratio |t(m + 1) / t(m)|, m >= K
+  (:class:`RatioBound`, carried by a :class:`Declared` stream): every
+  Pochhammer-ratio stream of the series kernels, and every lattice sum read
+  over them.  Such a sum stops after the first term t(K) with rho(K) < 1 and
+  |t(K)| rho(K) / (1 - rho(K)) below one unit of the working digits,
+  10^-(precision + GUARD_DIGITS), or below the running sum's last kept bit,
+  and reports that bound as its tail bound: the tail after t(K) is a
+  geometric series term by term below it (Johansson, "Computing
+  hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  It reads
+  no stop run and makes no observed certificate.
+* **Observed decay.**  Every other stream (mixed streams, outer sums, pole
+  sums) stops after a run of ``STOP_RUN`` consecutive negligible terms plus a
+  ratio certificate on the observed decay, which is heuristic.
+
+A term is negligible below the stop tolerance, or below the running sum's
+last kept bit, where adding it floors it away; a tail bound is negligible
+below 10^-precision, or at most the sum's own rounding bound.  A sum that
+has not stopped after :data:`~qrr.context.MAX_TERMS` terms raises.  Both
+values are module constants: every sum runs its stop rule on the same
+budget.
 
 The sum runs in binary fixed point (:mod:`qrr.fixedpoint`).  Terms arrive as
 :class:`~qrr.fixedpoint.Fixed` values, or as mpf/mpc values that are read
@@ -22,11 +38,12 @@ Bookkeeping on bit lengths.  A term's top, its bit length plus its exponent,
 brackets its magnitude: |t| lies in [2^(top - 1), 2^(top + 1/2)).  The
 per-term stop test and the running peak are decided on tops, and a float
 log2 is taken only for a term within two bits of the stop tolerance or of
-the peak.  The decay certificate compares magnitudes exactly: on tops where
-they decide it, and otherwise on the mpf magnitudes, which it keeps once
-made.  It ranks its ratios on top differences where two lie 4 or more
-apart, otherwise by cross-multiplying those mantissas, and divides once,
-for the winner.  So its outcome is bit for bit that of a certificate
+the peak; under a declared bound, only for a term whose top leaves the
+bound's stop test open.  The decay certificate compares magnitudes exactly:
+on tops where they decide it, and otherwise on the mpf magnitudes, which it
+keeps once made.  It ranks its ratios on top differences where two lie 4 or
+more apart, otherwise by cross-multiplying those mantissas, and divides
+once, for the winner.  So its outcome is bit for bit that of a certificate
 on mpf magnitudes throughout.
 
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings,
@@ -49,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
@@ -56,6 +74,8 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 from .context import MAX_TERMS, QContext
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
 from .fixedpoint import Fixed, bits_for_digits, rounding_bits
+
+LN2 = math.log(2)
 
 # Ratios above this cap do not certify decay even if terms look small.
 RATIO_CAP = 0.995
@@ -90,7 +110,7 @@ class SumOutcome:
             f"{self.terms_used} terms, |value| {mp.nstr(abs(self.value), 3)}")
 
 
-def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
+def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
     ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
@@ -101,12 +121,28 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
     and is charged the R (first + n + 1)^2 roundings of that index: a tail
     read from the middle of a stream is charged where it lies.
 
-    Stops once ``STOP_RUN`` consecutive terms are negligible and the recent
-    term magnitudes certify decay; raises
-    NonConvergenceError when ``MAX_TERMS`` terms do not suffice,
-    RatioTestError when terms are small but no decay pattern is visible,
-    and PrecisionLossError when cancellation leaves fewer than
-    ``ctx.precision`` digits.
+    Two stop rules (see the module docstring).  With a declared bound
+    ``ratio``, a :class:`Reading`: ``ratio(n)`` is log2 of a bound rho_n on
+    every later ratio |t(m + 1) / t(m)|, m >= n, and the sum stops after the
+    first term t(n) with rho_n < 1 and |t(n)| rho_n / (1 - rho_n) below the
+    level L: the larger of one unit of the working digits,
+    2^``ctx.tail_log2`` = 10^-(precision + GUARD_DIGITS), and one unit 2^E
+    of the running block, where a term would floor away.  An exact zero term
+    stops it at any finite rho_n, as every later term is zero.  That bound,
+    rounded up to a power of two, is the tail bound.  L lies 5 digits below
+    the stop tolerance, where a term counts as negligible: a tail just
+    below the stop tolerance moves the last working digits that the stop
+    run of the observed rule kept, and 15 digits below ``ctx.target_tol``,
+    where stopping would cost that many digits of every value.  log2 rho_n
+    is at least ``ratio.low + ratio.slope * n``, so a
+    term with top - 1 + that >= log2 L cannot stop the sum, and its bound is
+    not evaluated.  Without a declared bound, the sum stops once
+    ``STOP_RUN`` consecutive terms are negligible and the recent term
+    magnitudes certify decay, and raises RatioTestError when terms are
+    small but no decay pattern is visible.  Either way it raises
+    NonConvergenceError when ``MAX_TERMS`` terms do not suffice, and
+    PrecisionLossError when cancellation leaves fewer than ``ctx.precision``
+    digits.
 
     Each term is judged by its top, its bit length plus its exponent: |t|
     lies in [2^(top - 1), 2^(top + 1/2)).  A term is negligible when its
@@ -118,11 +154,12 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
     the tolerance or of the peak; only then is its float log2 taken.  The
     certificate (:func:`_decay_rate`) works on the same tops and, where they
     leave the order open, on exact comparisons of mpf magnitudes; it makes
-    one mpf quotient for the adjacent pairs.  The tail bound is
-    level * rate / (1 - rate); the sum counts as converged when the bound
-    lies below ``ctx.target_tol`` or at most the rounding bound ``error``,
-    and below the sum's own magnitude.  :func:`_settled` makes |value| at
-    least 10^precision times ``error``, so such a sum keeps ``precision``
+    one mpf quotient for the adjacent pairs.  Its tail bound is
+    level * rate / (1 - rate).  Under either rule the sum counts as
+    converged when the tail bound lies below ``ctx.target_tol`` or at most
+    the rounding bound ``error``, and below the sum's own magnitude; a zero
+    tail bound always counts.  :func:`_settled` makes |value| at least
+    10^precision times ``error``, so such a sum keeps ``precision``
     relative digits.
     """
     with ctx.workdps():
@@ -137,10 +174,15 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
         s_re = s_im = 0      # the running sum is (s_re + i s_im) * 2**E
         E = 0
         cplx = False
-        peak, peak_top, peak_lm = 0, -math.inf, None  # peak_lm made on demand
+        # the peak term, its top, its float log2 (made on demand) and its
+        # position among the nonzero terms
+        peak_t, peak_top, peak_lm, peak = None, -math.inf, None, 0
         small_run = 0
         zero_run = 0
         ns, ts, tops = [], [], []  # index, value and top of each nonzero term
+        if ratio is not None:
+            tail_log2 = ctx.tail_log2
+            low, slope = ratio.low - 1, ratio.slope
         for n in range(MAX_TERMS):
             t = term(n)
             if t.__class__ is not Fixed:
@@ -179,13 +221,28 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
                 # [top - 1, top + 1/2], so tops more than two apart decide
                 # the peak
                 if top > peak_top + 2:
-                    peak, peak_top, peak_lm = len(ts), top, None
+                    peak_t, peak_top, peak_lm, peak = t, top, None, len(ts)
                 elif top > peak_top - 2:
                     lm = _log2(t)
                     if peak_lm is None:
-                        peak_lm = _log2(ts[peak])
+                        peak_lm = _log2(peak_t)
                     if lm > peak_lm:
-                        peak, peak_top, peak_lm = len(ts), top, lm
+                        peak_t, peak_top, peak_lm, peak = t, top, lm, len(ts)
+                if ratio is not None:
+                    # |t| rho / (1 - rho) >= 2^(top - 1) 2^(low + slope n),
+                    # and the level is at most 2^max(E, tail_log2)
+                    if top + low + slope * n < (E if E > tail_log2 else tail_log2):
+                        # one unit of the working digits of the running sum,
+                        # taken as 1 when it is larger: |S| >= 2^(bits + E - 1)
+                        size = (s_re if s_re > -s_re else -s_re).bit_length()
+                        if s_im:
+                            size = max(size, (s_im if s_im > -s_im else -s_im).bit_length())
+                        level = tail_log2 + min(size + E - 1, 0)
+                        tail = _declared_tail(_log2(t), ratio(n), E if E > level else level)
+                        if tail is not None:
+                            return _stopped(s_re, s_im if cplx else None, E, peak_top, n + 1,
+                                            first, term_bits, bw, tail, ctx)
+                    continue
                 ns.append(n)
                 ts.append(t)
                 tops.append(top)
@@ -196,6 +253,11 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
                 else:
                     small_run = small_run + 1 if _log2(t) < tol_log2 else 0
             else:
+                if ratio is not None:
+                    if ratio(n) < math.inf:
+                        return _stopped(s_re, s_im if cplx else None, E, peak_top, n + 1,
+                                        first, term_bits, bw, mp.mpf(0), ctx)
+                    continue
                 zero_run += 1
                 small_run += 1
             if small_run >= STOP_RUN and n >= STOP_RUN - 1:
@@ -216,6 +278,26 @@ def sum_series(term, ctx: QContext, first: int = 0) -> SumOutcome:
                 converged = _negligible(tail, error, ctx) and _below(tail, value)
                 return SumOutcome(value, n, tail, converged, error)
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
+
+
+def _declared_tail(log2_t, log2_rho, level):
+    """The tail bound |t| rho / (1 - rho) after a term of log2 magnitude
+    ``log2_t``, as an mpf power of two above it, when rho < 1 and the bound
+    lies below 2^level; otherwise None."""
+    if not log2_rho < 0:
+        return None
+    # 1 - rho = -expm1(rho ln 2), exact to a few ulps also for rho near 1
+    bound = log2_t + log2_rho - math.log2(-math.expm1(log2_rho * LN2))
+    if bound >= level:
+        return None
+    return mp.mpf(0) if bound == -math.inf else mp.ldexp(1, math.ceil(bound))
+
+
+def _stopped(s_re, s_im, E, peak_top, n, first, term_bits, bw, tail, ctx):
+    """The outcome of a sum stopped on its declared bound after n terms."""
+    value, error = _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx)
+    converged = not tail or (_negligible(tail, error, ctx) and _below(tail, value))
+    return SumOutcome(value, n, tail, converged, error)
 
 
 def _log2(t):
@@ -265,7 +347,8 @@ def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
     return total.to_mp(), mp.make_mpf((0, 1, bound_top, 1))
 
 
-def sum_bilateral(pos, neg, ctx: QContext, first: int = 0) -> SumOutcome:
+def sum_bilateral(pos, neg, ctx: QContext, first: int = 0,
+                  ratios=(None, None)) -> SumOutcome:
     """Sum a bilateral series given as its two tails, with a certificate
     for each.
 
@@ -274,7 +357,9 @@ def sum_bilateral(pos, neg, ctx: QContext, first: int = 0) -> SumOutcome:
     k = 0, 1, 2, ... in order, once each, and a kernel may keep one running
     state per tail.  A kernel that reads its tails outward from elsewhere
     than n = 0 passes in ``first`` the stream index from which both tails
-    are charged (see :func:`sum_series`).  The two tails' rounding bounds
+    are charged (see :func:`sum_series`), and in ``ratios`` the declared
+    bound of each tail, or None for a tail whose stop is observed.  The two
+    tails' rounding bounds
     are checked against their sum as :func:`sum_series` checks its own; a
     sum that cancels exactly to zero is known only to lie below their bound,
     and raises PrecisionLossError as one tail that floors to zero does.  The
@@ -283,8 +368,8 @@ def sum_bilateral(pos, neg, ctx: QContext, first: int = 0) -> SumOutcome:
     sum below |value|, so a tail far smaller than the other one does not
     count against it.
     """
-    pos = sum_series(pos, ctx, first)
-    neg = sum_series(neg, ctx, first)
+    pos = sum_series(pos, ctx, first, ratios[0])
+    neg = sum_series(neg, ctx, first, ratios[1])
     with ctx.workdps():
         value = pos.value + neg.value
         error = pos.error + neg.error
@@ -301,6 +386,212 @@ def sum_bilateral(pos, neg, ctx: QContext, first: int = 0) -> SumOutcome:
                      and _negligible(neg.tail_bound, neg.error, ctx)
                      and (not tail or _below(tail, value)))
         return SumOutcome(value, pos.terms_used + neg.terms_used, tail, converged, error)
+
+
+# Every declared log2 ratio bound is raised by this much (a factor
+# 1 + 7e-7): it covers the float arithmetic of the bound and the roundings
+# of the terms it is checked against, both below 2^-40 relative.
+RATIO_SLACK = 2.0 ** -20
+# |1 - x| for 1/2 < |x| < 2 is evaluated from x in floats to within this.
+FACTOR_SLACK = 2.0 ** -30
+
+
+class RatioBound:
+    """The declared bound on the term ratios of a ratio stream, from its
+    parameters: the stream of :func:`~qrr.qfunctions._ratio_terms`, whose
+    ratio at stream index k is
+
+        r_k = step_k * prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k),
+
+    a_i q^k = coeff q^(exponent + k) for the QPows a_i in ``nums`` and b_j
+    in ``dens``, with step_k = step growth^k upwards (t_(k+1) = t_k r_k,
+    k = 0, 1, ...) and step growth^(-1 - k) downwards (t_k = t_(k+1) r_k,
+    k = -1, -2, ...).  The same formula at every integer k is the ratio of
+    the whole series that the stream is one half of, which is how a lattice
+    tail that crosses n = 0 is bounded.
+
+    The bound at k, along the reading direction, is |step_k| times a suffix
+    supremum P(k) of the Pochhammer part.  |step_k| does not increase, as
+    |growth| <= 1.  For P each factor x = c q^k is bounded by its
+    magnitude: |1 - x| <= 1 + |x| and 1/|1 - x| <= 1/(1 - |x|) for
+    |x| <= 1/2, and |1 - x| <= |x| + 1, 1/|1 - x| <= 1/(|x| - 1) for
+    |x| >= 2; for |x| in between from x itself, within ``FACTOR_SLACK``
+    (a denominator within that of zero bounds nothing: P is infinite there,
+    and a pole of the series is never stepped over).  Upwards |x| falls, so
+    once every factor is below 1/2 (from the edge K_s on) the product of the
+    magnitude bounds falls too and is its own suffix supremum; before K_s,
+    P(k) is the running maximum of the factor bounds back from K_s, made
+    once per stream and kept.  Downwards |x| grows; once every factor is
+    above 2 (up to the edge K_h) the bound is
+    C |q^k|^d prod (1 + 1/|a q^k|) / prod (1 - 1/|b q^k|), C =
+    prod |a| / prod |b| and d the number of numerator factors less that of
+    the denominator ones: |q^k|^d moves into the step, which then changes by
+    |growth| |q|^-d per step, and the rest falls.  A stream whose step grows
+    (|growth| > 1, or |growth| |q|^-d > 1 downwards) declares no bound.  A
+    factor with coefficient 0 is exactly 1 and is left out.
+
+    Everything is a float log2, so no magnitude overflows; the parameters
+    are read once, at the first :meth:`reading`, and each reading of the
+    stream (a plain sum, or a lattice tail at its own start and scale)
+    shares them and the kept suprema.
+    """
+
+    def __init__(self, nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
+        self.params = nums, dens, q, step, growth
+        self.up = up
+        self.made = False
+
+    def _make(self):
+        nums, dens, q, step, growth = self.params
+        self.ell = ell = _log2(q)
+        self.phi = phi = _arg(q)
+        # per factor: log2 |c q^exponent|, its argument, and +1 for a
+        # numerator, -1 for a denominator
+        self.factors = []
+        for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]:
+            v = q.like(c.coeff)
+            if v:
+                eps = float(c.exponent)
+                self.factors.append((_log2(v) + eps * ell, _arg(v) + eps * phi, sign))
+        d = 0 if self.up else sum(sign for _, _, sign in self.factors)
+        self.d = d
+        self.sigma = _log2(step) if step else -math.inf
+        self.gamma = gamma = _log2(growth)
+        # log2 |step_k| moves by this much per step of the reading
+        self.slope = gamma if self.up else gamma - d * ell
+        # log2 P has this limit along the reading, and is never below it
+        self.floor = 0.0 if self.up else sum(t0 * sign for t0, _, sign in self.factors)
+        if self.up:
+            edges = [math.ceil((-1 - t0) / ell) for t0, _, _ in self.factors]
+            self.edge = max(edges, default=-math.inf)
+        else:
+            edges = [math.floor((1 - t0) / ell) for t0, _, _ in self.factors]
+            self.edge = min(edges, default=math.inf)
+        self.kept = []  # P at the indices before the edge, back from it
+        self.made = True
+
+    def reading(self, n: int = 0, g: Fixed | None = None):
+        """The :class:`Reading` of the stream's entries n, n + 1, ..., each
+        entry j further scaled by g^j (a lattice's power of q), or None
+        when the stream declares no bound.  Entry i is t_i upwards and
+        t_(-1-i) downwards, at any integer i; the ratio from entry i to
+        entry i + 1 is r_i upwards and r_(-2-i) downwards."""
+        if not self.made:
+            self._make()
+        if self.slope > 0:
+            return None
+        k0 = n if self.up else -2 - n
+        base = self._step(k0) + (0.0 if g is None else _log2(g)) + RATIO_SLACK
+        return Reading(self, k0, 1 if self.up else -1, base)
+
+    def _step(self, k):
+        """log2 |step_k|, with |q^k|^d taken in downwards."""
+        if self.up:
+            return self.sigma + self.gamma * k
+        return self.sigma - (1 + k) * self.gamma + self.d * k * self.ell
+
+    def _part(self, k):
+        """log2 of the factor bounds at stream index k, less |q^k|^d
+        downwards: an upper bound on the Pochhammer part there."""
+        ell, total = self.ell, 0.0
+        for t0, theta0, sign in self.factors:
+            t = t0 + k * ell
+            if t <= -1:
+                f = math.log2(1 + 2.0 ** t) if sign > 0 else -math.log2(1 - 2.0 ** t)
+            elif t >= 1:
+                u = 2.0 ** -t
+                f = t + math.log2(1 + u) if sign > 0 else -t - math.log2(1 - u)
+            else:
+                # |1 - x|^2 = (1 - |x|)^2 + 4 |x| sin^2(arg x / 2)
+                x, s = 2.0 ** t, math.sin((theta0 + k * self.phi) / 2)
+                m = math.sqrt((1 - x) ** 2 + 4 * x * s * s)
+                if sign > 0:
+                    f = math.log2(m + FACTOR_SLACK)
+                elif m > FACTOR_SLACK:
+                    f = -math.log2(m - FACTOR_SLACK)
+                else:
+                    return math.inf
+            total += f
+        return total - self.d * k * ell
+
+    def sup(self, k):
+        """log2 P(k): a bound on the Pochhammer part at stream index k and
+        at every later one along the reading."""
+        edge = self.edge
+        i = (edge - 1 - k) if self.up else (k - edge - 1)
+        if i < 0:
+            return self._part(k)
+        kept, step = self.kept, -1 if self.up else 1
+        while len(kept) <= i:
+            prev = kept[-1] if kept else self._part(edge)
+            kept.append(max(self._part(edge + step * (len(kept) + 1)), prev))
+        return kept[i]
+
+
+class Reading:
+    """log2 bounds on the ratios of one read of a declared stream:
+    ``reading(j)`` bounds every ratio |t(m + 1) / t(m)| of the read terms,
+    m >= j.  It does not increase with j, and it is at least
+    ``low + slope * j``, which :func:`sum_series` uses to skip terms that
+    cannot stop the sum."""
+
+    __slots__ = ("bound", "k0", "dk", "base", "low", "slope")
+
+    def __init__(self, bound: RatioBound, k0: int, dk: int, base: float):
+        self.bound, self.k0, self.dk, self.base = bound, k0, dk, base
+        self.slope = bound.slope
+        self.low = base + bound.floor
+
+    def __call__(self, j: int) -> float:
+        if self.base == -math.inf:
+            return -math.inf  # a zero step: every later term is zero
+        return self.base + self.slope * j + self.bound.sup(self.k0 + self.dk * j)
+
+
+class Declared:
+    """A stream of terms with its declared ratio bound: ``bound`` (a
+    :class:`RatioBound`, or None for none) read from entry ``n`` with the
+    further scale ``g`` (see :meth:`RatioBound.reading`).  Iterating it
+    iterates the stream itself, so a stream that is mapped, zipped or cut
+    runs at full speed and, being no longer a Declared, stops on the
+    observed certificate; :func:`reading` hands its bound to the engine."""
+
+    __slots__ = ("terms", "bound", "n", "g")
+
+    def __init__(self, terms, bound: RatioBound | None, n: int = 0, g: Fixed | None = None):
+        self.terms, self.bound, self.n, self.g = terms, bound, n, g
+
+    def __iter__(self):
+        return self.terms
+
+    def __next__(self):
+        return next(self.terms)
+
+
+def declared(walk):
+    """The generator function ``walk(nums, dens, q, step, growth, up=True)``,
+    returning each stream as a :class:`Declared` one with the
+    :class:`RatioBound` of its parameters."""
+    @wraps(walk)
+    def stream(*args, **kwargs):
+        return Declared(walk(*args, **kwargs), RatioBound(*args, **kwargs))
+    return stream
+
+
+def reading(stream):
+    """(term, ratio) of a stream for :func:`sum_series`: ``term(n)`` its
+    next term, and ``ratio`` the :class:`Reading` of its declared bound, or
+    None for a stream that declares none."""
+    terms = iter(stream)
+    bound = stream.bound if stream.__class__ is Declared else None
+    return (lambda n: next(terms)), bound and bound.reading(stream.n, stream.g)
+
+
+def _arg(v: Fixed) -> float:
+    """The principal argument of a nonzero Fixed value."""
+    if v.im is None:
+        return 0.0 if v.re > 0 else math.pi
+    return math.atan2(v.im, v.re)
 
 
 class _Terms:

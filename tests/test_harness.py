@@ -18,6 +18,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext
+from qrr import qfunctions
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -261,7 +262,7 @@ def test_ms6_declares_the_t_it_evaluates():
 @pytest.mark.parametrize("entry_id", [
     "bessel-sv-4", "bessel-sv-5", "lommel-i", "lommel-j", "bessel-gf",
     "bessel-i1-continuation", "um-recurrence", "RR1", "ms-3", "ms-4", "ms-5",
-    "hermite-gf"])
+    "hermite-gf", "st-5.3"])
 def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
     kept = run_check(entry_id, "numeric", RunSettings())
     monkeypatch.setattr(driver, "keeping_values", contextlib.nullcontext)
@@ -269,6 +270,20 @@ def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
     assert kept.status == fresh.status and kept.status in ("PASS", "DISCREPANCY_DOCUMENTED")
     assert kept.max_abs_deviation == fresh.max_abs_deviation
     assert kept.params == fresh.params
+
+
+def test_st53_sums_each_shifted_entire_value_once(monkeypatch):
+    # every n of the check reads A_q(x q^k) off one kept stream per (x,
+    # ctx): each distinct (q, k) is summed once, where one lattice per n
+    # summed 104 values, 66 of them again
+    summed = []
+    real = qfunctions._Lattice.sum
+    monkeypatch.setattr(qfunctions._Lattice, "sum", lambda lattice, s: summed.append(
+        (str(lattice.ctx.q), lattice.ctx.extra_bits, s)) or real(lattice, s))
+    report = run_check("st-5.3", "numeric", RunSettings())
+    assert report.status == "PASS", report.note
+    assert len(summed) == len(set(summed)) == 38
+    assert {q for q, _, _ in summed} == {"0.2", "0.3"}
 
 
 def qp_bessel_direct(ctx, kind, z):
@@ -380,7 +395,13 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("ms-4", {"precision": 20, "q_values": ("0.97",)}, "PASS"),
     ("ms-4", {"q_values": ("0.97",)}, "PASS"),
     ("ms-4", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
-    ("ms-4", {"precision": 20, "q_values": ("-0.99",)}, "PASS")])
+    ("ms-4", {"precision": 20, "q_values": ("-0.99",)}, "PASS"),
+    # the inner lattice tails stop on their declared ratio bounds; at 0.99
+    # the observed certificate raised RatioTestError on a flat stretch
+    ("ms-11", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
+    ("ms-12", {"precision": 20, "q_values": ("0.99",)}, "DISCREPANCY_DOCUMENTED"),
+    ("ms-11", {"precision": 20, "q_values": ("0.9",)}, "PASS"),
+    ("ms-12", {"precision": 20, "q_values": ("0.9",)}, "DISCREPANCY_DOCUMENTED")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
     status, _, note = expected.partition(": ")

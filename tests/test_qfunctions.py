@@ -1,5 +1,6 @@
 """Hypergeometric, bilateral, and convolution-identity evaluators."""
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -8,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
-                 PrecisionLossError, QContext, QPow, qfunctions, summation)
+                 PrecisionLossError, QContext, QPow, qbessel, qfunctions, summation)
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (Fixed, _complex, _real, cut, one_minus, parts, rounding_bits,
                             shifted)
@@ -545,12 +546,22 @@ KERNEL_CASES = _kernel_cases()
 
 def _engine_outcomes(monkeypatch):
     """The list that collects every SumOutcome the kernels' engine calls
-    return, in order: the kernels themselves return only values."""
-    seen = []
+    return, in order: the kernels themselves return only values.  The
+    oracles of this module (its own ``sum_series`` and ``sum_bilateral``)
+    then sum under the ratio bound that the kernel's last engine call
+    declared, its last argument, so that both stop by the same rule."""
+    seen, declared = [], [None]
+
+    def kernel(*args, real):
+        declared[0] = args[-1]
+        seen.append(real(*args))
+        return seen[-1]
+
     for name in ("sum_series", "sum_bilateral"):
         real = getattr(qfunctions, name)
-        monkeypatch.setattr(qfunctions, name,
-                            lambda *args, real=real: seen.append(real(*args)) or seen[-1])
+        monkeypatch.setattr(qfunctions, name, lambda *args, real=real: kernel(*args, real=real))
+        monkeypatch.setitem(globals(), name,
+                            lambda *args, real=real: real(*args, 0, declared[0]))
     return seen
 
 
@@ -869,9 +880,9 @@ def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
     tails = []
     real = summation.sum_series
 
-    def watched(term, ctx, first=0):
+    def watched(term, ctx, first=0, ratio=None):
         seen = []
-        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first)
+        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first, ratio)
         tails.append((seen, out))
         return out
 
@@ -892,7 +903,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
     forced, seen, lattices = [], [], []
     real = qfunctions.sum_bilateral
 
-    def short_once(pos, neg, ctx, first=0):
+    def short_once(pos, neg, ctx, first=0, ratios=(None, None)):
         if not forced:
             forced.append(1)
             raise PrecisionLossError("forced", 20)
@@ -904,7 +915,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
                 return t
             return term
 
-        return real(watched(pos), watched(neg), ctx, first)
+        return real(watched(pos), watched(neg), ctx, first, ratios)
 
     def evaluate(ctx):
         y0 = _lattice_y0(ctx, True)
@@ -1220,3 +1231,81 @@ def test_kept_ratio_table_pole_reaches_every_read():
                 with pytest.raises(PoleError) as kept:
                     _bilateral_ratio_array(*ab, K, ctx)
                 assert str(kept.value) == str(fresh.value)
+
+
+# ---------------------------------------------------------------------------
+# declared ratio bounds: every shape of _ratio_terms stream, and lattice sums
+# ---------------------------------------------------------------------------
+#
+# Each case sums one kernel's series; every tail it sums through the engine
+# must declare a bound (summation.RatioBound).  The checks: every ratio
+# |t(m + 1) / t(m)| of the terms read, and of the terms past the stop, lies
+# within the declared rho(m), slack included, and rho does not rise; and
+# the true tail after the stop, read on to a negligible term at twice the
+# digits, sums in absolute value to at most the reported tail bound.
+
+BOUND_QS = ["0.3", "-0.6", "0.99", "0.2+0.1j", "0.5j"]
+
+
+def _bound_cases():
+    a, b, c = mp.mpf("0.6"), mp.mpf("0.06"), mp.mpf("0.45")
+    z, x = mp.mpf("0.3"), mp.mpf("0.5")
+    cases = {
+        "a_alpha": lambda ctx: a_alpha(F(1, 2), QPow(c, F(1, 3)), mp.mpc("0.3", "0.4"), ctx),
+        "ramanujan_A": lambda ctx: ramanujan_A(mp.mpf("0.8"), ctx),
+        "omega": lambda ctx: omega(x, ctx),
+        "phi_1_1": lambda ctx: phi_1_1(a, b, z, ctx),
+        "phi_2_1": lambda ctx: phi_2_1(a, b, c, z, ctx),
+        "psi_1_1": lambda ctx: psi_1_1(a, b, z, ctx),
+        "b_alpha": lambda ctx: b_alpha(1, a, b, x, ctx),
+        "u_m_bilateral": lambda ctx: u_m_bilateral(x, 2, ctx),
+        "bessel_series": lambda ctx: qbessel._bessel_series(F(1, 2), 1, z, ctx),
+        "lattice-unilateral-s=30": lambda ctx: _Lattice(
+            _a_alpha_stream(QPow(a, 0), F(1), z), 2, ctx).sum(30),
+    }
+    for s in (-30, 0, 30):
+        cases[f"lattice-s={s}"] = (lambda s: lambda ctx: _Lattice(
+            _ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), x), 2, ctx).sum(s))(s)
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+
+
+def _declared_tails(run, ctx, extra):
+    """(ratio, outcome, terms) of each tail the last attempt of ``run`` sums
+    within ``widening``: the terms it read and ``extra`` more from the same
+    stream."""
+    tails, real = [], summation.sum_series
+
+    def watched(term, ctx, first=0, ratio=None):
+        seen = []
+        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first, ratio)
+        seen += [term(k) for k in range(len(seen), len(seen) + extra)]
+        tails.append((ratio, out, seen))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summation, "sum_series", watched)
+        patch.setattr(qfunctions, "sum_series", watched)
+        widening(lambda wide: tails.clear() or run(wide), ctx)
+    return tails
+
+
+@pytest.mark.parametrize("q", BOUND_QS)
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
+    tails = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=20), 30)
+    deep = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=40), 1500)
+    assert tails and len(deep) == len(tails)
+    for (ratio, out, seen), (_, _, far) in zip(tails, deep):
+        assert ratio is not None
+        mags = [summation._log2(t) if t else None for t in seen]
+        for m, (t, u) in enumerate(zip(mags, mags[1:])):
+            assert ratio(m + 1) <= ratio(m)
+            if u is not None:
+                assert t is not None and u - t <= ratio(m) or ratio(m) == math.inf, (m, u - t)
+        with mp.workdps(60):
+            rest = [abs(t.to_mp()) for t in far[out.terms_used:]]
+            assert rest[-1] < mp.mpf(10) ** -20 * (out.tail_bound or mp.mpf(10) ** -200)
+            assert sum(rest) <= out.tail_bound

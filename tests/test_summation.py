@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import islice, product
+from itertools import accumulate, islice, product, repeat
 
 import mpmath as mp
 import pytest
@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 
-from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext,
+from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext, QPow,
                  RatioTestError, SumOutcome, sum_bilateral, sum_series)
-from qrr.context import MAX_TERMS, widening
+from qrr.context import GUARD_DIGITS, MAX_TERMS, widening
 from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits
 from qrr import qfunctions, summation
 from qrr.qfunctions import phi_1_1
@@ -307,9 +307,10 @@ def test_short_rising_series_certifies_at_low_precision():
 # ``error + tail_bound`` instead (``test_sum_stops_where_its_terms_floor_away``).
 
 
-def reference_sum_series(term, ctx, first=0):
+def reference_sum_series(term, ctx, first=0, ratio=None):
     """``sum_series`` with a float log2 and mpf magnitudes for every term,
-    stopped on the stop tolerance alone."""
+    stopped on the stop tolerance alone; under a declared bound ``ratio``,
+    with the bound's stop test made at every term."""
     with ctx.workdps():
         tol = ctx.stop_tol
         tol_log2 = -(ctx.precision + 10) * LOG2_10
@@ -356,10 +357,25 @@ def reference_sum_series(term, ctx, first=0):
                     peak, peak_log2, peak_top = len(mags), lm, top
                 mags.append((n, t))
                 small_run = small_run + 1 if lm < tol_log2 else 0
+                if ratio is not None:
+                    # one unit of the working digits of max(1, |running sum|)
+                    lr = ratio(n)
+                    size = Fixed(s_re, s_im if cplx else None, E, bw).top() - 1
+                    level = max(E, -(ctx.precision + GUARD_DIGITS) * LOG2_10 + min(size, 0))
+                    if lr < 0:
+                        bound = lm + lr - math.log2(1 - 2.0 ** lr)
+                        if bound < level:
+                            return _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n + 1,
+                                                            first, term_bits, bw, ctx, bound)
             else:
                 zero_run += 1
                 small_run += 1
+                if ratio is not None and ratio(n) < math.inf:
+                    return _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n + 1,
+                                                    first, term_bits, bw, ctx, -math.inf)
             n += 1
+            if ratio is not None:
+                continue
             if small_run >= STOP_RUN and n >= STOP_RUN:
                 value, error = _reference_settled(s_re, s_im if cplx else None, E,
                                                   peak_top, n, first, term_bits, bw, ctx)
@@ -378,6 +394,18 @@ def reference_sum_series(term, ctx, first=0):
                 converged = tail < mp.mpf(10) ** (-ctx.precision) and tail < abs(value)
                 return SumOutcome(value, n, tail, bool(converged), error)
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
+
+
+def _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n, first, term_bits, bw, ctx,
+                             bound):
+    value, error = _reference_settled(s_re, s_im if cplx else None, E, peak_top, n, first,
+                                      term_bits, bw, ctx)
+    if bound == -math.inf:
+        return SumOutcome(value, n, mp.mpf(0), True, error)
+    tail = mp.mpf(2) ** math.ceil(bound)
+    converged = ((tail < mp.mpf(10) ** (-ctx.precision) or tail <= error)
+                 and tail < abs(value))
+    return SumOutcome(value, n, tail, bool(converged), error)
 
 
 def _reference_settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
@@ -502,10 +530,10 @@ def _exact_mp(t):
     return mp.make_mpc((from_man_exp(t.re, t.e), from_man_exp(t.im, t.e)))
 
 
-def _outcome_bits(engine, terms, first=0):
+def _outcome_bits(engine, terms, first=0, ratio=None):
     """Every field of the outcome, or the error raised, in comparable form."""
     try:
-        out = engine(terms.__getitem__, ORACLE_CTX, first)
+        out = engine(terms.__getitem__, ORACLE_CTX, first, ratio)
     except (NonConvergenceError, PrecisionLossError, RatioTestError) as exc:
         return type(exc).__name__, str(exc)
     return tuple(getattr(x, "_mpf_", None) or getattr(x, "_mpc_", None) or x
@@ -716,16 +744,119 @@ def test_engine_matches_reference_on_generated_streams(terms, first):
 
 
 def test_sum_below_its_tail_bound_is_not_converged(monkeypatch):
-    # 1phi1(0; 0; q, z) = (z; q)_inf, exactly 0 at z = 2^20, q = 1/2: the
+    # 1phi1(0; 0; q, z) = (z; q)_inf, exactly 0 at z = 2^20, q = 1/2, on the
+    # observed certificate (its stream passed on as a plain one): the
     # truncated series is 6e-77, far below its tail bound of 4e-36
     outcomes = []
     monkeypatch.setattr(qfunctions, "sum_series",
                         lambda *args: outcomes.append(sum_series(*args)) or outcomes[-1])
     ctx = QContext.numeric("0.5", precision=20)
+    zero = QPow(0, 0)
+
+    def observed(wide):
+        return qfunctions._series(lambda q: iter(qfunctions._ratio_terms(
+            [zero], [zero, QPow(1, 1)], q, -q.like(2 ** 20), q)), wide)
+
     # the kernel returns no uncertified value: rerun wider, it raises,
     # naming the bound
     with pytest.raises(NonConvergenceError, match=r"tail bound 3.81e-36 .* \|value\| 5.98e-77"):
-        widening(lambda wide: phi_1_1(0, 0, 2 ** 20, wide), ctx)
+        widening(observed, ctx)
     out = outcomes[-1]
     assert out.tail_bound > abs(out.value)
     assert not out.converged
+
+
+def test_declared_sum_of_a_vanishing_series_lacks_every_digit():
+    # the same series on its declared bound reads on until its tail lies
+    # below one unit of the working digits of the running sum, which
+    # cancels towards the exact 0: no width is enough
+    ctx = QContext.numeric("0.5", precision=20)
+    with pytest.raises(PrecisionLossError, match="beyond") as exc:
+        widening(lambda wide: phi_1_1(0, 0, 2 ** 20, wide), ctx)
+    assert exc.value.bits == 0
+
+
+# The declared stop rule.  ``observed_reading`` declares, for a list of
+# terms, the largest log2 ratio |t(m + 1) / t(m)| over m >= j (infinite
+# across a zero followed by a nonzero term), raised by the engine's slack:
+# a valid bound for the list by construction.  Its ``low`` of -inf makes
+# the engine evaluate it at every term, as the reference does; the engine's
+# own skip on ``low + slope * j`` is checked on kernel streams in
+# tests/test_qfunctions.py.
+
+
+class observed_reading:
+    low, slope = -math.inf, 0.0
+
+    def __init__(self, terms):
+        wp = ORACLE_CTX.fixed_bits
+        mags = [summation._log2(t) if t else None
+                for t in (x if x.__class__ is Fixed else Fixed.of(x, wp) for x in terms)]
+        ratios = []
+        for a, b in zip(mags, mags[1:]):
+            ratios.append(-math.inf if b is None else math.inf if a is None else b - a)
+        self.sup = list(accumulate(reversed(ratios), max))[::-1] + [-math.inf]
+
+    def __call__(self, j):
+        return self.sup[j] + summation.RATIO_SLACK
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_engine_matches_reference_under_a_declared_bound(name):
+    terms = oracle_stream(**ORACLE_CASES[name])
+    ratio = observed_reading(terms)
+    got = _outcome_bits(sum_series, terms, 0, ratio)
+    assert got == _outcome_bits(reference_sum_series, terms, 0, ratio)
+
+
+@given(oracle_streams(), st.sampled_from([0, 0, 1, 3, 40, 107, 1000]))
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_reference_on_generated_streams_under_a_declared_bound(terms, first):
+    ratio = observed_reading(terms)
+    assert (_outcome_bits(sum_series, terms, first, ratio)
+            == _outcome_bits(reference_sum_series, terms, first, ratio))
+
+
+def test_declared_bound_stops_at_its_first_certified_term():
+    # sum_n r^n at r = 0.9 under the bound of its own stream (step r,
+    # growth 1): the stop is the first K with r^K r / (1 - r) below one unit
+    # of the working digits, not below 10^-precision, and no stop run
+    ctx = QContext.numeric("0.5", precision=30)
+    r = mp.mpf("0.9")
+    with ctx.workdps():
+        q, step = ctx.fixed(ctx.q), ctx.fixed(r)
+        ratio = summation.RatioBound([], [], q, step, q.like(1)).reading()
+        assert ratio.slope == 0
+        terms = list(islice(accumulate(repeat(step), lambda t, f: t * f, initial=q.like(1)),
+                            2000))
+        out = sum_series(terms.__getitem__, ctx, 0, ratio)
+        level = ctx.tail_log2
+        stops = [k for k in range(2000)
+                 if k * math.log2(0.9) + math.log2(0.9 / 0.1) < level]
+        assert out.terms_used == stops[0] + 1
+        # the bound, rounded up to a power of two
+        assert out.tail_bound < 2 * mp.mpf(2) ** level < ctx.target_tol * mp.mpf(10) ** -14
+        exact = 1 / (1 - r)
+        assert abs(out.value - exact) <= out.tail_bound + out.error
+        assert out.converged
+
+
+def test_declared_zero_term_stops_only_below_a_finite_bound():
+    # zero terms before a pole of the ratio (a lattice tail that reads a
+    # terminated stream first) go on; a zero under a finite bound stops
+    ctx = QContext.numeric("0.5", precision=20)
+    wp = ctx.fixed_bits
+    zero, one = Fixed(0, None, 0, wp), Fixed(1, None, 0, wp)
+    terms = [zero, zero, one] + [Fixed(1, None, -40 * k, wp) for k in range(1, 20)]
+
+    class declared:
+        low, slope = -math.inf, 0.0
+
+        def __call__(self, j):
+            return math.inf if j < 2 else -40 + summation.RATIO_SLACK
+
+    out = sum_series(terms.__getitem__, ctx, 0, declared())
+    assert out.value == 1 + mp.mpf(2) ** -40 + mp.mpf(2) ** -80
+    assert out.terms_used == 5
+    dead = sum_series(lambda n: zero, ctx, 0, observed_reading([zero, zero]))
+    assert (dead.value, dead.terms_used, dead.tail_bound, dead.converged) == (0, 1, 0, True)
