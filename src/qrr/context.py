@@ -11,7 +11,9 @@ whole computation again wider (:meth:`QContext.wider`).  Exact work runs on
 may be shared freely.  They are shared in one place: within a
 :func:`keeping_values` block, which the check driver opens for each check, a
 :func:`kept` kernel computes each value once and returns it again on a
-repeated call.
+repeated call.  A stream that several readers share, such as a kept one, is
+read through a :class:`_Shared`, which keeps its terms as they are first
+read.
 """
 
 from __future__ import annotations
@@ -194,6 +196,29 @@ def kept(kernel):
             values[key] = kernel(*args)
         return values[key]
     return lookup
+
+
+class _Shared:
+    """The terms of one stream, kept as they are first read, for any number
+    of readers.  An exception that ends the stream (a pole) is kept too and
+    raised to every reader that reaches it, not only to the first."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.terms = []
+        self.error = None
+
+    def __getitem__(self, n):
+        terms = self.terms
+        while n >= len(terms):
+            if self.error is not None:
+                raise self.error
+            try:
+                terms.append(next(self.stream))
+            except Exception as exc:
+                self.error = exc
+                raise
+        return terms[n]
 
 
 def to_mp(x):

@@ -59,7 +59,7 @@ from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, kept, powq, to_mp
+from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
 from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
@@ -94,29 +94,6 @@ def _geometric(x0, ratio):
     while True:
         yield x0
         x0 = x0 * ratio
-
-
-class _Shared:
-    """The terms of one stream, kept as they are first read, for any number
-    of readers.  An exception that ends the stream (a pole) is kept too and
-    raised to every reader that reaches it, not only to the first."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.terms = []
-        self.error = None
-
-    def __getitem__(self, n):
-        terms = self.terms
-        while n >= len(terms):
-            if self.error is not None:
-                raise self.error
-            try:
-                terms.append(next(self.stream))
-            except Exception as exc:
-                self.error = exc
-                raise
-        return terms[n]
 
 
 class _Lattice:
@@ -783,7 +760,8 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
 def _ratio_table_streams(a, b, ctx: QContext):
     """The two streams of 1psi1 at z = 1, r_n = (a;q)_n/(b;q)_n for n = 0,
     1, ... and n = -1, -2, ..., at ``ctx.fixed(ctx.q)``, each a
-    :class:`_Shared` stream: every table of a check at (a, b) reads them."""
+    :class:`~qrr.context._Shared` stream: every table of a check at (a, b)
+    reads them."""
     return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))))
 
 

@@ -27,7 +27,7 @@ from operator import mul, truediv
 
 import mpmath as mp
 
-from .context import QContext, kept, powq, to_mp
+from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import DomainError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
@@ -35,7 +35,7 @@ from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
 from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
                          q_binomial)
 from .qfunctions import (_Q1, _gaussian, _geometric, _Lattice, _ramanujan_A_stream,
-                         _ratio_terms, _ratios_up, _series, _Shared, _value, ramanujan_A,
+                         _ratio_terms, _ratios_up, _series, _value, ramanujan_A,
                          rr_product_formal, rr_sum_formal, u_m_bilateral)
 
 
@@ -462,7 +462,7 @@ def st_5_2_sides(n: int, x, q):
 
 @kept
 def _shifted_entire_values(xv, ctx: QContext):
-    """A_q(x q^k) for k = 0, 1, ..., as a :class:`~qrr.qfunctions._Shared`
+    """A_q(x q^k) for k = 0, 1, ..., as a :class:`~qrr.context._Shared`
     stream of the sums of one lattice at x: every n of a check reads the
     same values, each summed once."""
     with ctx.workdps():

@@ -521,6 +521,10 @@ class RatioBound:
         i = (edge - 1 - k) if self.up else (k - edge - 1)
         if i < 0:
             return self._part(k)
+        if i > MAX_TERMS:
+            # no sum reaches the edge from here within its term budget (a q
+            # within about 1/MAX_TERMS of the unit circle): no bound
+            return math.inf
         kept, step = self.kept, -1 if self.up else 1
         while len(kept) <= i:
             prev = kept[-1] if kept else self._part(edge)
