@@ -22,7 +22,10 @@ evaluation, inputs included, with :func:`~qrr.context.widening`.
 A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
-series, outer sums and ratio tables alike.  The generic stream helpers
+series, outer sums and ratio tables alike.  Such a stream declares its ratio
+bound to the engine, and a sum of it, or a lattice sum over it, stops on
+that bound (:class:`~qrr.summation._RatioBound`); any other stream stops on
+the observed certificate.  The generic stream helpers
 (:func:`_ratios_up`, :func:`_gaussian`, and the factor walks
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
@@ -67,7 +70,7 @@ from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_inf
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
                          infinite_product, pochhammer_finite, pole)
-from .summation import Declared, declared, reading, sum_bilateral, sum_series
+from .summation import _declared, _Declared, _reading, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
@@ -79,13 +82,13 @@ def _series(build, ctx: QContext, first=0):
     ``ctx.fixed_bits``: the one exit of every numeric series.  A series read
     from the middle of its streams (:class:`_Lattice`) passes the stream
     index its rounding charge starts from in ``first``.  A
-    :class:`~qrr.summation.Declared` stream stops on its declared ratio
+    :class:`~qrr.summation._Declared` stream stops on its declared ratio
     bound, any other on the observed certificate."""
     terms = build(ctx.fixed(ctx.q))
     if isinstance(terms, tuple):
-        (pos, up), (neg, down) = map(reading, terms)
+        (pos, up), (neg, down) = map(_reading, terms)
         return sum_bilateral(pos, neg, ctx, first, (up, down)).certified()
-    term, ratio = reading(terms)
+    term, ratio = _reading(terms)
     return sum_series(term, ctx, first, ratio).certified()
 
 
@@ -143,7 +146,7 @@ class _Lattice:
     (1 - a q^n) / (1 - b q^n) q^(alpha (2(n + s) + 1)) x, n >= n0, and
     their mirror images downwards.  So each tail declares the bound of its
     near stream read from its first index with the scale h or 1/h
-    (:func:`_walk`, :meth:`~qrr.summation.RatioBound.reading`): the
+    (:func:`_walk`, :meth:`~qrr.summation._RatioBound.reading`): the
     Gaussian step falls by |q|^(2 alpha) a term from |q^alpha x| at the
     peak, and the Pochhammer part's suffix supremum is made once per
     lattice, for all of its sums.
@@ -185,8 +188,8 @@ def _walk(n, p, g, near, far=None):
     h read upward from n; with the streams swapped, -n for n and g = 1/h, it
     is the same series read downward from n - 1.  It declares the bound of
     ``near`` read from n with the scale g (its ratio formula holds across
-    n = 0, see :class:`~qrr.summation.RatioBound`)."""
-    return Declared(_walked(n, p, g, near, far), near.stream.bound, n, g)
+    n = 0, see :class:`~qrr.summation._RatioBound`)."""
+    return _Declared(_walked(n, p, g, near, far), near.stream.bound, n, g)
 
 
 def _walked(n, p, g, near, far):
@@ -336,7 +339,7 @@ def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
     return streams
 
 
-@declared
+@_declared
 def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
     """The fused stream of a series given by its term ratio
     prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k) * step_k, step_{k+1} =
@@ -360,8 +363,8 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     1 - coeff is 1 too: the power there is coeff, up to its roundings).
     Dropping such a factor leaves every term bit for bit as it was.
 
-    The stream is a :class:`~qrr.summation.Declared` one: it carries the
-    :class:`~qrr.summation.RatioBound` of its parameters, so that a sum of
+    The stream is a :class:`~qrr.summation._Declared` one: it carries the
+    :class:`~qrr.summation._RatioBound` of its parameters, so that a sum of
     it stops on rho_k = |step_k| times a suffix supremum of the Pochhammer
     part, with no stop run and no observed certificate.  |step_k| does not
     rise, as |growth| <= 1 (downwards, |growth| |q|^-d with d the number of

@@ -7,7 +7,7 @@ auditable.
 
 * **Declared bound.**  A stream whose term ratio is known in closed form
   declares a bound rho(K) on every later ratio |t(m + 1) / t(m)|, m >= K
-  (:class:`RatioBound`, carried by a :class:`Declared` stream): every
+  (:class:`_RatioBound`, carried by a :class:`_Declared` stream): every
   Pochhammer-ratio stream of the series kernels, and every lattice sum read
   over them.  Such a sum stops after the first term t(K) with rho(K) < 1 and
   |t(K)| rho(K) / (1 - rho(K)) below one unit of the working digits,
@@ -122,7 +122,7 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
     read from the middle of a stream is charged where it lies.
 
     Two stop rules (see the module docstring).  With a declared bound
-    ``ratio``, a :class:`Reading`: ``ratio(n)`` is log2 of a bound rho_n on
+    ``ratio``, a :class:`_Reading`: ``ratio(n)`` is log2 of a bound rho_n on
     every later ratio |t(m + 1) / t(m)|, m >= n, and the sum stops after the
     first term t(n) with rho_n < 1 and |t(n)| rho_n / (1 - rho_n) below the
     level L: the larger of one unit of the working digits,
@@ -396,7 +396,7 @@ RATIO_SLACK = 2.0 ** -20
 FACTOR_SLACK = 2.0 ** -30
 
 
-class RatioBound:
+class _RatioBound:
     """The declared bound on the term ratios of a ratio stream, from its
     parameters: the stream of :func:`~qrr.qfunctions._ratio_terms`, whose
     ratio at stream index k is
@@ -471,7 +471,7 @@ class RatioBound:
         self.made = True
 
     def reading(self, n: int = 0, g: Fixed | None = None):
-        """The :class:`Reading` of the stream's entries n, n + 1, ..., each
+        """The :class:`_Reading` of the stream's entries n, n + 1, ..., each
         entry j further scaled by g^j (a lattice's power of q), or None
         when the stream declares no bound.  Entry i is t_i upwards and
         t_(-1-i) downwards, at any integer i; the ratio from entry i to
@@ -482,7 +482,7 @@ class RatioBound:
             return None
         k0 = n if self.up else -2 - n
         base = self._step(k0) + (0.0 if g is None else _log2(g)) + RATIO_SLACK
-        return Reading(self, k0, 1 if self.up else -1, base)
+        return _Reading(self, k0, 1 if self.up else -1, base)
 
     def _step(self, k):
         """log2 |step_k|, with |q^k|^d taken in downwards."""
@@ -532,7 +532,7 @@ class RatioBound:
         return kept[i]
 
 
-class Reading:
+class _Reading:
     """log2 bounds on the ratios of one read of a declared stream:
     ``reading(j)`` bounds every ratio |t(m + 1) / t(m)| of the read terms,
     m >= j.  It does not increase with j, and it is at least
@@ -541,7 +541,7 @@ class Reading:
 
     __slots__ = ("bound", "k0", "dk", "base", "low", "slope")
 
-    def __init__(self, bound: RatioBound, k0: int, dk: int, base: float):
+    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float):
         self.bound, self.k0, self.dk, self.base = bound, k0, dk, base
         self.slope = bound.slope
         self.low = base + bound.floor
@@ -552,17 +552,17 @@ class Reading:
         return self.base + self.slope * j + self.bound.sup(self.k0 + self.dk * j)
 
 
-class Declared:
+class _Declared:
     """A stream of terms with its declared ratio bound: ``bound`` (a
-    :class:`RatioBound`, or None for none) read from entry ``n`` with the
-    further scale ``g`` (see :meth:`RatioBound.reading`).  Iterating it
+    :class:`_RatioBound`, or None for none) read from entry ``n`` with the
+    further scale ``g`` (see :meth:`_RatioBound.reading`).  Iterating it
     iterates the stream itself, so a stream that is mapped, zipped or cut
-    runs at full speed and, being no longer a Declared, stops on the
-    observed certificate; :func:`reading` hands its bound to the engine."""
+    runs at full speed and, being no longer declared, stops on the
+    observed certificate; :func:`_reading` hands its bound to the engine."""
 
     __slots__ = ("terms", "bound", "n", "g")
 
-    def __init__(self, terms, bound: RatioBound | None, n: int = 0, g: Fixed | None = None):
+    def __init__(self, terms, bound: _RatioBound | None, n: int = 0, g: Fixed | None = None):
         self.terms, self.bound, self.n, self.g = terms, bound, n, g
 
     def __iter__(self):
@@ -572,22 +572,22 @@ class Declared:
         return next(self.terms)
 
 
-def declared(walk):
+def _declared(walk):
     """The generator function ``walk(nums, dens, q, step, growth, up=True)``,
     returning each stream as a :class:`Declared` one with the
-    :class:`RatioBound` of its parameters."""
+    :class:`_RatioBound` of its parameters."""
     @wraps(walk)
     def stream(*args, **kwargs):
-        return Declared(walk(*args, **kwargs), RatioBound(*args, **kwargs))
+        return _Declared(walk(*args, **kwargs), _RatioBound(*args, **kwargs))
     return stream
 
 
-def reading(stream):
+def _reading(stream):
     """(term, ratio) of a stream for :func:`sum_series`: ``term(n)`` its
-    next term, and ``ratio`` the :class:`Reading` of its declared bound, or
+    next term, and ``ratio`` the :class:`_Reading` of its declared bound, or
     None for a stream that declares none."""
     terms = iter(stream)
-    bound = stream.bound if stream.__class__ is Declared else None
+    bound = stream.bound if stream.__class__ is _Declared else None
     return (lambda n: next(terms)), bound and bound.reading(stream.n, stream.g)
 
 

@@ -1238,7 +1238,7 @@ def test_kept_ratio_table_pole_reaches_every_read():
 # ---------------------------------------------------------------------------
 #
 # Each case sums one kernel's series; every tail it sums through the engine
-# must declare a bound (summation.RatioBound).  The checks: every ratio
+# must declare a bound (summation._RatioBound).  The checks: every ratio
 # |t(m + 1) / t(m)| of the terms read, and of the terms past the stop, lies
 # within the declared rho(m), slack included, and rho does not rise; and
 # the true tail after the stop, read on to a negligible term at twice the

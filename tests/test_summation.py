@@ -825,7 +825,7 @@ def test_declared_bound_stops_at_its_first_certified_term():
     r = mp.mpf("0.9")
     with ctx.workdps():
         q, step = ctx.fixed(ctx.q), ctx.fixed(r)
-        ratio = summation.RatioBound([], [], q, step, q.like(1)).reading()
+        ratio = summation._RatioBound([], [], q, step, q.like(1)).reading()
         assert ratio.slope == 0
         terms = list(islice(accumulate(repeat(step), lambda t, f: t * f, initial=q.like(1)),
                             2000))
