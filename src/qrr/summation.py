@@ -234,10 +234,8 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
                     if top + low + slope * n < (E if E > tail_log2 else tail_log2):
                         # one unit of the working digits of the running sum,
                         # taken as 1 when it is larger: |S| >= 2^(bits + E - 1)
-                        size = (s_re if s_re > -s_re else -s_re).bit_length()
-                        if s_im:
-                            size = max(size, (s_im if s_im > -s_im else -s_im).bit_length())
-                        level = tail_log2 + min(size + E - 1, 0)
+                        size = max(s_re.bit_length(), s_im.bit_length()) + E - 1
+                        level = tail_log2 + min(size, 0)
                         tail = _declared_tail(_log2(t), ratio(n), E if E > level else level)
                         if tail is not None:
                             return _stopped(s_re, s_im if cplx else None, E, peak_top, n + 1,

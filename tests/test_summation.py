@@ -776,7 +776,7 @@ def test_declared_sum_of_a_vanishing_series_lacks_every_digit():
     assert exc.value.bits == 0
 
 
-# The declared stop rule.  ``observed_reading`` declares, for a list of
+# The declared stop rule.  ``ObservedReading`` declares, for a list of
 # terms, the largest log2 ratio |t(m + 1) / t(m)| over m >= j (infinite
 # across a zero followed by a nonzero term), raised by the engine's slack:
 # a valid bound for the list by construction.  Its ``low`` of -inf makes
@@ -785,7 +785,7 @@ def test_declared_sum_of_a_vanishing_series_lacks_every_digit():
 # tests/test_qfunctions.py.
 
 
-class observed_reading:
+class ObservedReading:
     low, slope = -math.inf, 0.0
 
     def __init__(self, terms):
@@ -804,7 +804,7 @@ class observed_reading:
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_engine_matches_reference_under_a_declared_bound(name):
     terms = oracle_stream(**ORACLE_CASES[name])
-    ratio = observed_reading(terms)
+    ratio = ObservedReading(terms)
     got = _outcome_bits(sum_series, terms, 0, ratio)
     assert got == _outcome_bits(reference_sum_series, terms, 0, ratio)
 
@@ -812,7 +812,7 @@ def test_engine_matches_reference_under_a_declared_bound(name):
 @given(oracle_streams(), st.sampled_from([0, 0, 1, 3, 40, 107, 1000]))
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_reference_on_generated_streams_under_a_declared_bound(terms, first):
-    ratio = observed_reading(terms)
+    ratio = ObservedReading(terms)
     assert (_outcome_bits(sum_series, terms, first, ratio)
             == _outcome_bits(reference_sum_series, terms, first, ratio))
 
@@ -849,14 +849,14 @@ def test_declared_zero_term_stops_only_below_a_finite_bound():
     zero, one = Fixed(0, None, 0, wp), Fixed(1, None, 0, wp)
     terms = [zero, zero, one] + [Fixed(1, None, -40 * k, wp) for k in range(1, 20)]
 
-    class declared:
+    class PoleAfterTwo:
         low, slope = -math.inf, 0.0
 
         def __call__(self, j):
             return math.inf if j < 2 else -40 + summation.RATIO_SLACK
 
-    out = sum_series(terms.__getitem__, ctx, 0, declared())
+    out = sum_series(terms.__getitem__, ctx, 0, PoleAfterTwo())
     assert out.value == 1 + mp.mpf(2) ** -40 + mp.mpf(2) ** -80
     assert out.terms_used == 5
-    dead = sum_series(lambda n: zero, ctx, 0, observed_reading([zero, zero]))
+    dead = sum_series(lambda n: zero, ctx, 0, ObservedReading([zero, zero]))
     assert (dead.value, dead.terms_used, dead.tail_bound, dead.converged) == (0, 1, 0, True)
