@@ -277,41 +277,67 @@ def mform_diff_formal(m: int, ctx: QContext) -> FormalSeries:
 # ladder polynomials
 # ---------------------------------------------------------------------------
 
+def _ladder(n: int, x, nu, q, weighted: bool):
+    """sum_{0 <= j <= n/2} c_j with
+    c_j = (nu, q;q)_{n-j} / ((q, nu;q)_j (q;q)_{n-2j}) w_j x^{n-2j} and
+    w_j = q^{j(j-1)} nu^j, or 1 when not ``weighted``; 0 for n < 0.
+
+    One running ratio: c_0 = (nu;q)_n x^n and
+    c_{j+1} / c_j = (1 - q^{n-2j}) (1 - q^{n-2j-1}) q^{2j} nu
+    / ((1 - nu q^{n-j-1}) (1 - q^{n-j}) (1 - q^{j+1}) (1 - nu q^j) x^2),
+    without the q^{2j} nu when not weighted.  A factor 1 - nu q^i that is
+    exactly 0 is counted, not multiplied in: the terms it kills are 0 and
+    the later ones exact.  x = 0 leaves the one term j = n/2.
+    """
+    one = _one_like(q)
+    m = n // 2
+    if n < 0 or (not x and n % 2):
+        return 0 * one
+    if not x:
+        return one * q ** (m * (m - 1)) * nu ** m if weighted else one
+    powers = list(accumulate(repeat(q, n), mul, initial=one))   # q^0, ..., q^n
+    ups = [1 - p for p in powers]
+    lows = [1 - nu * p for p in powers[:n]]                      # 1 - nu q^i
+    term, zeros, x2 = one * x ** n, 0, x * x
+    for f in lows:
+        if f:
+            term = term * f
+        else:
+            zeros += 1
+    acc = 0 * one if zeros else term
+    for j in range(m):
+        r = ups[n - 2 * j] * ups[n - 2 * j - 1] / (ups[n - j] * ups[j + 1] * x2)
+        term = term * (r * powers[2 * j] * nu if weighted else r)
+        for f in (lows[n - j - 1], lows[j]):
+            if f:
+                term = term / f
+            else:
+                zeros -= 1
+        if not zeros:
+            acc = acc + term
+    return acc
+
+
 def q_lommel_p(n: int, x, q, q_nu):
-    """Normalized ladder polynomial of degree n in x; q_nu = q**nu.
+    """Normalized ladder polynomial of degree n in x; q_nu = q**nu:
+    sum_j (q_nu, q;q)_{n-j} / ((q, q_nu;q)_j (q;q)_{n-2j})
+    q^{j(j-1)} q_nu^j (2x)^{n-2j}, one :func:`_ladder` walk.
 
     p_{-1} = 0 by convention (the ladder identity's n = 0 edge).
     """
-    if n < 0:
-        return 0 * _one_like(q)
-    acc = 0 * _one_like(q)
-    for j in range(n // 2 + 1):
-        num = (pochhammer_finite(q_nu, q, n - j) * pochhammer_finite(q, q, n - j))
-        den = (pochhammer_finite(q, q, j) * pochhammer_finite(q_nu, q, j)
-               * pochhammer_finite(q, q, n - 2 * j))
-        acc = acc + num / den * (2 * x) ** (n - 2 * j) * q ** (j * (j - 1)) * q_nu ** j
-    return acc
+    return _ladder(n, 2 * x, q_nu, q, True)
 
 
 def u_poly(n: int, x, y, q, weighted: bool = True):
     """u_n(x, y) = sum_j (y,q;q)_{n-j} / ((q,y;q)_j (q;q)_{n-2j})
-    q^{j(j-1)} y^j x^{n-2j};  u_{-1} = 0.
+    q^{j(j-1)} y^j x^{n-2j};  u_{-1} = 0.  One :func:`_ladder` walk.
 
     The q^{j(j-1)} y^j factor is what makes u_n(q^{k/2}, q^mu) coincide with
     the ladder polynomial p_{n,mu}(q^{k/2}/2) and the argument-shift
     functional equation hold; ``weighted=False`` evaluates the as-printed
     form (which carries no j-weight) for the discrepancy record.
     """
-    if n < 0:
-        return 0 * _one_like(q)
-    acc = 0 * _one_like(q)
-    for j in range(n // 2 + 1):
-        num = pochhammer_finite(y, q, n - j) * pochhammer_finite(q, q, n - j)
-        den = (pochhammer_finite(q, q, j) * pochhammer_finite(y, q, j)
-               * pochhammer_finite(q, q, n - 2 * j))
-        w = q ** (j * (j - 1)) * y ** j if weighted else _one_like(q)
-        acc = acc + num / den * w * x ** (n - 2 * j)
-    return acc
+    return _ladder(n, x, y, q, weighted)
 
 
 def sw_functional_sides(k: int, y, n: int, q, sq):

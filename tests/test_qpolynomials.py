@@ -159,6 +159,48 @@ def test_u_poly_values_and_ladder_match():
             assert u_poly(n, sq ** k, qmu, q) == q_lommel_p(n, sq ** k / 2, q, qmu)
 
 
+def five_product_ladder(n, x, nu, q, weighted=True, cancelled=False):
+    """sum_j (nu, q;q)_{n-j} / ((q, nu;q)_j (q;q)_{n-2j}) w_j x^{n-2j}, each
+    term from its five finite products; ``cancelled`` reads the nu-part
+    (nu;q)_{n-j} / (nu;q)_j as (nu q^j;q)_{n-2j}, which stays finite where
+    a factor 1 - nu q^i of both vanishes."""
+    if n < 0:
+        return 0
+    acc = 0
+    for j in range(n // 2 + 1):
+        if cancelled:
+            nu_part = pochhammer_finite(QPow(nu, j), q, n - 2 * j)
+        else:
+            nu_part = pochhammer_finite(nu, q, n - j) / pochhammer_finite(nu, q, j)
+        rest = (pochhammer_finite(q, q, n - j)
+                / (pochhammer_finite(q, q, j) * pochhammer_finite(q, q, n - 2 * j)))
+        w = q ** (j * (j - 1)) * nu ** j if weighted else 1
+        acc += nu_part * rest * w * x ** (n - 2 * j)
+    return acc
+
+
+@pytest.mark.parametrize("q, nu, x", [(F(1, 3), F(2, 5), F(3, 2)),
+                                      (F(-2, 7), F(5, 3), F(-1, 4))])
+def test_ladder_walk_equals_the_five_product_form(q, nu, x):
+    for n in range(-1, 13):
+        assert q_lommel_p(n, x, q, nu) == five_product_ladder(n, 2 * x, nu, q), n
+        assert u_poly(n, x, nu, q) == five_product_ladder(n, x, nu, q), n
+        assert (u_poly(n, x, nu, q, weighted=False)
+                == five_product_ladder(n, x, nu, q, weighted=False)), n
+        # x = 0 keeps the one term j = n/2
+        assert u_poly(n, 0, nu, q) == five_product_ladder(n, 0, nu, q), n
+
+
+def test_ladder_walk_at_a_vanishing_nu_factor():
+    # nu = q^-i zeroes the factor 1 - nu q^i of (nu;q)_{n-j} and of
+    # (nu;q)_j alike; the walk counts it out and stays exact
+    q, x = F(1, 3), F(3, 2)
+    for n in range(1, 10):
+        for i in range(n):
+            want = five_product_ladder(n, 2 * x, q ** -i, q, cancelled=True)
+            assert q_lommel_p(n, x, q, q ** -i) == want, (n, i)
+
+
 def test_u_poly_literal_reading_differs():
     q = F(1, 4)
     assert u_poly(2, F(1, 2), F(1, 8), q) != u_poly(2, F(1, 2), F(1, 8), q,
