@@ -25,6 +25,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 LOG2_10 = math.log2(10)
+LN2 = math.log(2)
 
 
 def bits_for_digits(digits) -> int:

@@ -13,7 +13,8 @@ structured form keeps exponent bookkeeping exact, so a factor such as
 1 - a*q^0 at a = 1 vanishes identically rather than to roundoff.
 
 Every numeric quotient of infinite products over one base is one
-:func:`infinite_product` walk, which returns its value certified to
+:func:`infinite_product` call, a short walk of each factor and one log
+series shared by all of them, which returns its value certified to
 10^-precision relative or raises NonConvergenceError.  A vanishing
 denominator factor, here or in any series, is the PoleError of :func:`pole`,
 which names that factor.
@@ -21,6 +22,7 @@ which names that factor.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -31,7 +33,7 @@ import mpmath as mp
 from .context import MAX_TERMS, QContext, kept, powq, to_mp
 from .errors import DomainError, NonConvergenceError, PoleError
 from .exactpoly import QPoly
-from .fixedpoint import Fixed, cut, one_minus, parts
+from .fixedpoint import LN2, Fixed, cut, one_minus, parts, shifted
 
 
 class QPow(NamedTuple):
@@ -116,41 +118,59 @@ def pochhammer_ratio(a, b, q, n: int):
 def infinite_product(nums, dens, q, ctx: QContext):
     """(a_1, ..., a_k; q)_inf / (b_1, ..., b_l; q)_inf over numbers or QPows.
 
-    Each factor c walks to its own stop count, the first k with |c q^k| below
-    the stop tolerance, read off log |c| and log |q|.  Numerator, denominator
-    and each carried power c q^k are fixed-point ints at ``ctx.fixed_bits``,
-    cut back once per factor; one division ends the walk.  Exponent 0 gives
-    1 - c exactly.  Denominators walk first: a vanishing one is a PoleError
-    naming it, and a vanishing numerator factor then makes the product 0.
-    NonConvergenceError: a relative error bound exp(L) - 1, L the summed log
-    tails, not below 10^-precision, or a factor past ``MAX_TERMS`` steps.
+    Two stages.  **Walk:** each factor c walks its factors 1 - c q^k in fixed
+    point at ``ctx.fixed_bits`` while |c q^k| > 2^-b, b = sqrt(B log2(1/|q|))
+    with B = -``ctx.tail_log2`` (clamped to [1, B]; about 19 at q = 0.3 and
+    precision 50), and always up to the factor whose joint exponent is 0,
+    which is 1 - c exactly.  Denominators walk first: a vanishing one is a
+    PoleError naming it, and a vanishing numerator factor then makes the
+    product 0.  **Log series:** every factor left, from x = c q^N on, is one
+    (x;q)_inf, and log (x;q)_inf = -sum_k x^k / (k (1 - q^k)) (Gasper and
+    Rahman, ch. 1), so all of them are one series
+    L = sum_k (sum_den y^k - sum_num x^k) / (k (1 - q^k)) with the divisor
+    made once per k.  Each |x| is at most min(|c q^0|, 2^-b), and the series
+    stops at the first K at which its remainder,
+    sum_x |x|^(K+1) / ((K+1) (1 - |q|^(K+1)) (1 - |x|)) at most, bounded as
+    in :func:`_log_terms`, lies below 2^``ctx.tail_log2``; the walk's
+    quotient times exp(L) is the value, of relative error at most
+    exp(bound) - 1 beyond rounding.  At precision 50 and q = 0.3, (q;q)_inf
+    takes 11 walk steps and 10 log terms, where a walk to the stop tolerance
+    takes 115.
+
+    NonConvergenceError: that bound not below 10^-precision, or a factor past
+    the budget: the factors a walk to the stop tolerance would take, the
+    first k with |c q^k| below it, counted from log |c| and log |q|, may not
+    reach ``MAX_TERMS``.
     """
     with ctx.workdps():
         qv = to_mp(q)
         if abs(qv) >= 1:
             raise DomainError(f"infinite product needs |q| < 1, got {qv}")
-        absq = abs(qv)
         qf = ctx.fixed(qv)
         wp, one = qf.wp, qf.like(1)
         qr, qi, qe = parts(qf)
+        lam = float(-mp.log(abs(qv), 2))   # log2 1/|q|, inf at q = 0
+        bits = -ctx.tail_log2
+        b = min(bits, max(1.0, math.sqrt(bits * lam)))
         complex_value = qf.im is not None
-        tail_log, products = 0, []
+        # each factor's x = c q^N once walked: (re, im, sign) at 2^-wp, and
+        # the float log2 of a bound on |x|
+        products, xs, x_log2 = [], [], []
         for is_den, group in ((True, dens), (False, nums)):
             vr, vi, ve = 1, 0, 0
             for a in map(_as_qpow, group):
-                mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
-                last = (0 if mag0 < ctx.stop_tol else
-                        int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
-                if last >= MAX_TERMS:
-                    raise NonConvergenceError(
-                        f"(a;q)_inf needs {last + 1} factors, over the budget of {MAX_TERMS}")
                 power = powq(qf, a.exponent) * a.coeff
                 complex_value = complex_value or power.im is not None
                 pr, pi, pe = parts(power)
-                exact = parts(one - a.coeff)
+                top = _log2_abs(pr, pi, pe)   # log2 |a q^0|
+                _budget(a, top, lam, qv, ctx)
                 k0 = -a.exponent  # the step whose joint exponent is 0, as an int or None
                 zero_at = int(k0) if k0 >= 0 and k0 == int(k0) else None
-                for k in range(last + 1):
+                steps = int((top + b) / lam) + 1 if top > -b else 0
+                if zero_at is not None:
+                    steps = max(steps, zero_at + 1)
+                exact = parts(one - a.coeff)
+                for k in range(steps):
                     fr, fi, fe = exact if k == zero_at else one_minus(pr, pi, pe, wp)
                     if not (fr or fi):
                         if is_den:
@@ -158,16 +178,91 @@ def infinite_product(nums, dens, q, ctx: QContext):
                         return mp.mpf(0)
                     vr, vi, ve = cut(vr * fr - vi * fi, vr * fi + vi * fr, ve + fe, wp)
                     pr, pi, pe = cut(pr * qr - pi * qi, pr * qi + pi * qr, pe + qe, wp)
-                # |log tail| <= sum_{j>k} |a q^j| / (1 - |a q^j|)
-                mag = mag0 * absq ** last
-                tail_log += mag * absq / ((1 - absq) * (1 - mag))
+                xs.append((shifted(pr, pe + wp), shifted(pi, pe + wp), 1 if is_den else -1))
+                x_log2.append(min(top, -b))
             products.append(Fixed(vr, vi if complex_value else None, ve, wp))
-        bound = mp.expm1(tail_log)
-        if not bound < ctx.target_tol:
-            raise NonConvergenceError(
-                f"infinite product not certified: relative tail bound {mp.nstr(bound, 3)}")
+        terms, log_bound = _log_terms(x_log2, lam, ctx.tail_log2)
+        # below 2^tail_log2 the bound is far below 10^-precision
+        if not log_bound < ctx.tail_log2:
+            bound = mp.mpf(2) ** log_bound
+            if not mp.expm1(bound) < ctx.target_tol:
+                raise NonConvergenceError(
+                    f"infinite product not certified: relative tail bound {mp.nstr(bound, 3)}")
         den, num = products
-        return (num / den if dens else num).to_mp()
+        value = (num / den if dens else num).to_mp()
+        lr, li = _log_series(xs, terms, qf)
+        if lr or li:
+            value *= mp.exp(Fixed(lr, li if complex_value else None, -wp, wp).to_mp())
+        return value
+
+
+def _log2_abs(re, im, e) -> float:
+    """Float log2 of |(re + i im) 2^e|, -inf at 0."""
+    return 0.5 * math.log2(re * re + im * im) + e if re or im else -math.inf
+
+
+def _budget(a: QPow, top, lam, qv, ctx: QContext):
+    """NonConvergenceError when the walk of ``a`` to the stop tolerance, the
+    first k with |a q^k| below it, would take ``MAX_TERMS`` factors or more.
+    The float count ``top``/``lam`` decides far from the budget; near it the
+    count is made in mp, at the working precision."""
+    if top - ctx.stop_log2 < (MAX_TERMS - 2) * lam:
+        return
+    absq = abs(qv)
+    mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
+    last = (0 if mag0 < ctx.stop_tol else
+            int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
+    if last >= MAX_TERMS:
+        raise NonConvergenceError(
+            f"(a;q)_inf needs {last + 1} factors, over the budget of {MAX_TERMS}")
+
+
+def _log_terms(x_log2, lam, level):
+    """(K, log2 bound): the number K of log-series terms over factors
+    |x| <= 2^t, t in ``x_log2``, whose remainder bound lies below 2^level,
+    and that bound.  With T the largest t, for n = K + 1 >= 1,
+    sum_x |x|^n / (n (1 - |q|^n) (1 - |x|))
+    <= 2^(n T) sum_x 2^(t - T) / (1 - 2^t) / (n (1 - |q|^n)), |q| = 2^-lam.
+    Float log2 throughout, each t raised by 2^-20 for its rounding."""
+    x_log2 = [t + 2.0 ** -20 for t in x_log2 if t > -math.inf]
+    if not x_log2:
+        return 0, -math.inf
+    top = max(x_log2)
+    head = math.log2(sum(2.0 ** (t - top) / (1 - 2.0 ** t) for t in x_log2))
+    for n in range(1, MAX_TERMS + 1):
+        # log2 (1 - |q|^n), exact to a few ulps also for |q| near 1
+        log_bound = (n * top + head - math.log2(n)
+                     - math.log2(-math.expm1(-lam * n * LN2)))
+        if log_bound < level:
+            break
+    return n - 1, log_bound
+
+
+def _log_series(xs, terms: int, qf: Fixed):
+    """The first ``terms`` terms of sum_k (sum_den y^k - sum_num x^k) /
+    (k (1 - q^k)) in fixed point at 2^-wp, as the ints (re, im): ``xs``
+    holds each x as (re, im, sign) at that scale, sign 1 for a denominator
+    and -1 for a numerator factor."""
+    wp = qf.wp
+    unit = 1 << wp
+    qr, qi, qe = parts(qf)
+    qr, qi = shifted(qr, qe + wp), shifted(qi, qe + wp)
+    powers = [(xr, xi) for xr, xi, _ in xs]
+    kr, ki = qr, qi     # q^k
+    lr = li = 0
+    for k in range(1, terms + 1):
+        sr = si = 0
+        for i, (xr, xi, sign) in enumerate(xs):
+            pr, pi = powers[i]
+            sr += sign * pr
+            si += sign * pi
+            powers[i] = (pr * xr - pi * xi) >> wp, (pr * xi + pi * xr) >> wp
+        dr, di = k * (unit - kr), -k * ki
+        norm = dr * dr + di * di
+        lr += ((sr * dr + si * di) << wp) // norm
+        li += ((si * dr - sr * di) << wp) // norm
+        kr, ki = (kr * qr - ki * qi) >> wp, (kr * qi + ki * qr) >> wp
+    return lr, li
 
 
 def pochhammer_infinite(a, q, ctx: QContext):

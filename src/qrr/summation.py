@@ -73,9 +73,8 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 
 from .context import MAX_TERMS, QContext
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
-from .fixedpoint import Fixed, bits_for_digits, rounding_bits
+from .fixedpoint import LN2, Fixed, bits_for_digits, rounding_bits
 
-LN2 = math.log(2)
 
 # Ratios above this cap do not certify decay even if terms look small.
 RATIO_CAP = 0.995

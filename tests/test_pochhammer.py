@@ -123,13 +123,19 @@ def test_infinite_product_of_zero_argument():
     assert pochhammer_infinite(mp.mpf(0), mp.mpf("0.5"), ctx) == 1
 
 
-def test_infinite_product_above_its_relative_tail_bound_raises():
-    # a factor of 1e-60 stops at once, but at q = 1 - 1e-11 its tail
-    # sum_j |c q^j| is about 1e-49, above 10^-50 of the product
+def test_infinite_product_of_a_tiny_factor_near_one_matches_its_log_series():
+    # a factor of 1e-60 is never walked, but at q = 1 - 1e-11 its product
+    # differs from 1 by about 1e-49: the log series carries it, and
+    # exp(-x/(1 - q) - x^2/(2 (1 - q^2))) is the product to far below 10^-65
     ctx = QContext.numeric("0.99999999999", precision=50)
     with ctx.workdps():
-        with pytest.raises(NonConvergenceError, match="relative tail bound 1.0e-49"):
-            infinite_product([mp.mpf("1e-60")], [], ctx.q, ctx)
+        x = mp.mpf("1e-60")
+        got = infinite_product([x], [], ctx.q, ctx)
+    with mp.workdps(100):
+        q = ctx.q
+        want = mp.exp(-x / (1 - q) - x ** 2 / (2 * (1 - q ** 2)))
+        assert 1 - want > mp.mpf(10) ** -50
+        assert abs(got - want) < mp.mpf(10) ** -65
 
 
 def test_infinite_product_budget_names_the_factors_needed():
@@ -151,6 +157,82 @@ def test_infinite_product_near_the_budget_matches_mpmath_qp(q):
         qv = mp.mpf(q)
         want = mp.qp(a, qv) * mp.qp(qv, qv) / mp.qp(b, qv)
         assert abs(got - want) <= mp.mpf(10) ** -50 * abs(want)
+
+
+ORACLE_QS = ["0.05", "0.3", "0.5", "-0.6", "0.9", "0.98", "-0.98",
+             "0.2+0.1j", "0.5j", "-0.4+0.6j"]
+ORACLE_FACTORS = ["0.5", "0.99", "-0.97", "0.3+0.8j", "7.5", "1e-60"]
+# 1 - q^-30 q^30 = 0: the 31st factor of (q^-30;q)_inf vanishes exactly
+VANISHING = QPow(1, -30)
+
+
+def product_oracle(c, q, dps):
+    """(c;q)_inf at ``dps`` digits: mpmath's qp, or a direct walk where qp
+    does not converge."""
+    with mp.workdps(dps):
+        try:
+            return mp.qp(c, q)
+        except mp.NoConvergence:
+            value, power = mp.mpf(1), c
+            while abs(power) > mp.mpf(10) ** -(dps + 5):
+                value, power = value * (1 - power), power * q
+            return value
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_infinite_product_matches_oracles_at_twice_the_digits(q):
+    # each factor alone and all six in one quotient, which shares one log
+    # series; relative error within 10^-(precision + 13)
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        cs = [mp.mpmathify(c) for c in ORACLE_FACTORS]
+        alone = [infinite_product([c], [], ctx.q, ctx) for c in cs]
+        quotient = infinite_product(cs[::2], cs[1::2], ctx.q, ctx)
+    with mp.workdps(100):
+        want = [product_oracle(c, ctx.q, 100) for c in cs]
+        for c, got, w in zip(ORACLE_FACTORS, alone, want):
+            assert abs(got - w) <= mp.mpf(10) ** -63 * abs(w), (q, c)
+        w = mp.fprod(want[::2]) / mp.fprod(want[1::2])
+        assert abs(quotient - w) <= mp.mpf(10) ** -63 * abs(w), q
+
+
+@pytest.mark.parametrize("q", ["0.05", "0.98", "0.2+0.1j"])
+def test_factors_vanishing_past_the_walk_threshold_are_a_zero_or_a_pole(q):
+    # the factor 1 - q^0 of (q^-30;q)_inf is the 31st: the walk reaches it
+    # however far the threshold 2^-b lies from |c| = 1
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        others = [mp.mpf("0.5"), mp.mpc("0.3", "0.8")]
+        assert infinite_product(others + [VANISHING], [mp.mpf("7.5")], ctx.q, ctx) == 0
+        with pytest.raises(PoleError, match=r"1 - 1\.0 q\^\(0\) of the infinite product"):
+            infinite_product(others, [mp.mpf("7.5"), VANISHING], ctx.q, ctx)
+
+
+def test_infinite_product_takes_a_few_dozen_steps_per_factor(monkeypatch):
+    # at q = 0.3, precision 50, a walk to the stop tolerance takes about 115
+    # steps per factor; the walk to 2^-b and the log series take about 20
+    import qrr.pochhammer as pochhammer
+
+    steps, terms = [], []
+    one_minus, log_terms = pochhammer.one_minus, pochhammer._log_terms
+
+    def counted_one_minus(*args):
+        steps.append(1)
+        return one_minus(*args)
+
+    def counted_log_terms(*args):
+        k, bound = log_terms(*args)
+        terms.append(k)
+        return k, bound
+
+    monkeypatch.setattr(pochhammer, "one_minus", counted_one_minus)
+    monkeypatch.setattr(pochhammer, "_log_terms", counted_log_terms)
+    with CTX.workdps():
+        factors = [mp.mpmathify(c) for c in ORACLE_FACTORS] + [QPow(1, 1)]
+        infinite_product(factors[:4], factors[4:], CTX.q, CTX)
+    # 66 walk steps over the 7 factors (1e-60 takes none) and 11 log terms
+    assert len(terms) == 1 and terms[0] <= 20
+    assert len(steps) + terms[0] * len(factors) <= 40 * len(factors)
 
 
 def test_splitting_identity_numeric():

@@ -6,7 +6,7 @@ from itertools import accumulate, islice, product, repeat
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 
@@ -300,17 +300,16 @@ def test_short_rising_series_certifies_at_low_precision():
 # A reference engine that keeps its books on mpf values: a float log2 per
 # term for the stop test and the peak, and a certificate that makes an mpf
 # magnitude for every term it reads.  ``sum_series`` must give the same
-# outcome bit for bit, or raise the same error.  The reference stops on the
-# stop tolerance alone: on a sum whose terms fall below its last kept bit
-# 2^E while still above that tolerance (a peak above about 2^wp times it),
-# ``sum_series`` stops sooner, and the two agree within the engine's
-# ``error + tail_bound`` instead (``test_sum_stops_where_its_terms_floor_away``).
+# outcome bit for bit, or raise the same error.  A term counts as negligible
+# below the stop tolerance or with its top below the running sum's last kept
+# bit 2^E, as in the engine; the second only matters for a peak above about
+# 2^wp times the tolerance (``test_sum_stops_where_its_terms_floor_away``).
 
 
 def reference_sum_series(term, ctx, first=0, ratio=None):
-    """``sum_series`` with a float log2 and mpf magnitudes for every term,
-    stopped on the stop tolerance alone; under a declared bound ``ratio``,
-    with the bound's stop test made at every term."""
+    """``sum_series`` with a float log2 and mpf magnitudes for every term;
+    under a declared bound ``ratio``, with the bound's stop test made at
+    every term."""
     with ctx.workdps():
         tol = ctx.stop_tol
         tol_log2 = -(ctx.precision + 10) * LOG2_10
@@ -356,7 +355,7 @@ def reference_sum_series(term, ctx, first=0, ratio=None):
                 if lm > peak_log2:
                     peak, peak_log2, peak_top = len(mags), lm, top
                 mags.append((n, t))
-                small_run = small_run + 1 if lm < tol_log2 else 0
+                small_run = small_run + 1 if lm < tol_log2 or top < E else 0
                 if ratio is not None:
                     # one unit of the working digits of max(1, |running sum|)
                     lr = ratio(n)
@@ -391,7 +390,8 @@ def reference_sum_series(term, ctx, first=0, ratio=None):
                 level = max(max(view[i][1] for i in range(max(0, len(view) - STOP_RUN),
                                                             len(view))), tol)
                 tail = level * rate / (1 - rate)
-                converged = tail < mp.mpf(10) ** (-ctx.precision) and tail < abs(value)
+                converged = ((tail < mp.mpf(10) ** (-ctx.precision) or tail <= error)
+                             and tail < abs(value))
                 return SumOutcome(value, n, tail, bool(converged), error)
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
@@ -582,7 +582,8 @@ def test_engine_matches_reference(name):
 def test_sum_stops_where_its_terms_floor_away():
     # a Gaussian bump that peaks near 1e600: a term below 2^E, the running
     # sum's last kept bit, adds 0 or -1 units, so it counts toward STOP_RUN
-    # as a term below the stop tolerance does
+    # as a term below the stop tolerance does, long before the terms reach
+    # that tolerance
     wp = ORACLE_CTX.fixed_bits
     with ORACLE_CTX.workdps():
         terms = [mp.mpf(10) ** 600 * mp.mpf("0.7") ** ((n - 30) ** 2)
@@ -590,12 +591,13 @@ def test_sum_stops_where_its_terms_floor_away():
         tops = [Fixed.of(t, wp).top() for t in terms]
         E = max(tops) - wp
         below = next(n for n in range(30, ORACLE_TERMS) if tops[n] < E)
+        negligible = next(n for n in range(30, ORACLE_TERMS) if terms[n] < ORACLE_CTX.stop_tol)
         out = sum_series(terms.__getitem__, ORACLE_CTX)
-        full = reference_sum_series(terms.__getitem__, ORACLE_CTX)
         assert below + STOP_RUN <= out.terms_used <= below + STOP_RUN + 3
-        assert full.terms_used > out.terms_used + 30
+        assert negligible > out.terms_used + 30
         assert out.converged
-        assert abs(out.value - full.value) <= out.error + out.tail_bound
+        assert abs(out.value - mp.fsum(terms)) <= out.error + out.tail_bound
+    assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
 def test_engine_matches_reference_when_a_complex_term_tops_the_peak():
@@ -736,7 +738,30 @@ def oracle_streams(draw):
         cancel=draw(st.integers(0, 9)) == 0, seed=draw(st.integers(0, 2 ** 32)))
 
 
+# Draws on which a reference that counted a term negligible below the stop
+# tolerance alone parted from the engine: geometric streams with 270-bit
+# mantissas whose odd terms lie 60 bits lower, found by a random search of
+# the strategy's arguments (about 1 draw in 2,000 of that corner).
+PARTED_DRAWS = [
+    (dict(kind="fixed", bits=270, top0=36, rise=4, rate=12, parity=60,
+          zeros=frozenset({32, 35, 36, 4, 59}), geometric=True, seed=2784755950), 0),
+    (dict(kind="mpf", bits=270, top0=37, rise=4, rate=1, parity=60,
+          zeros=frozenset({34, 4, 42, 51, 20, 55}), geometric=True, cancel=True,
+          seed=4236285959), 40),
+    (dict(kind="mpc", bits=270, top0=39, rise=4, rate=8, parity=60,
+          zeros=frozenset({48, 26, 4, 47}), near_tol=14, geometric=True,
+          seed=3804187971), 107),
+]
+
+
+def _parted(test):
+    for kwargs, first in PARTED_DRAWS:
+        test = example(oracle_stream(**kwargs), first)(test)
+    return test
+
+
 @given(oracle_streams(), st.sampled_from([0, 0, 1, 3, 40, 107, 1000]))
+@_parted
 @settings(max_examples=400, deadline=None)
 def test_engine_matches_reference_on_generated_streams(terms, first):
     assert (_outcome_bits(sum_series, terms, first)
@@ -810,6 +835,7 @@ def test_engine_matches_reference_under_a_declared_bound(name):
 
 
 @given(oracle_streams(), st.sampled_from([0, 0, 1, 3, 40, 107, 1000]))
+@_parted
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_reference_on_generated_streams_under_a_declared_bound(terms, first):
     ratio = ObservedReading(terms)
