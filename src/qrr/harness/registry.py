@@ -30,7 +30,7 @@ from ..context import scaled_deviation, to_mp
 from ..errors import UnknownIdentityError
 from ..pochhammer import QPow, infinite_product
 from .. import partitions as parts, qbessel as qb, qfunctions as qf
-from .. import qpolynomials as qp
+from .. import qpolynomials as qp, slices as sl
 from .driver import LITERAL, Check, IdentityEntry, Reading, Verdict, grid
 from .sampling import (annulus_pair, distinct_rationals, rational_in,
                        rational_nonzero)
@@ -170,7 +170,7 @@ def _bessel_asymptotic(ctx):
 def _ms5_single_factor(ctx, n, a, b):
     """The slice with the subscript-free base-q^3 factor read as (.;q^3)_1."""
     qv = ctx.q
-    lhs, rhs = qf.bilateral_cube_slice_sides(n, a, b, ctx)
+    lhs, rhs = sl.bilateral_cube_slice_sides(n, a, b, ctx)
     return lhs, (rhs * infinite_product([qv ** 3, (b / a) ** 3], [], qv ** 3, ctx)
                  / ((1 - qv ** 3) * (1 - (b / a) ** 3)))
 
@@ -443,20 +443,20 @@ ENTRIES: tuple = (
         "slice sum over j+k=n of (a)_j(a)_k(-1)^k/((b)_j(b)_k): zero for odd "
         "n, a product multiple of (a^2;q^2)_m/(b^2;q^2)_m for n=2m",
         numeric=Check(
-            lambda ctx, n, a, b: qf.bilateral_pair_slice_sides(n, a, b, ctx),
+            lambda ctx, n, a, b: sl.bilateral_pair_slice_sides(n, a, b, ctx),
             grid(n=range(6), **_MS_SLICE_AB))),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
         "bilateral slice sum with w^{k+2l} = 0 for 3 not dividing n",
         numeric=Check(
-            lambda ctx, n, a, b: qf.bilateral_cube_slice_sides(n, a, b, ctx),
+            lambda ctx, n, a, b: sl.bilateral_cube_slice_sides(n, a, b, ctx),
             grid(n=(1, 2, 4, 5), **_MS_SLICE_AB),
             note="slice sums with 3 not dividing n vanish")),
     IdentityEntry(
         "ms-5", "cube-root triple slices at multiples of 3",
         "bilateral slice sum = cubed prefactor * (a^3;q^3)_m/(b^3;q^3)_m",
         numeric=Check(
-            lambda ctx, n, a, b: qf.bilateral_cube_slice_sides(n, a, b, ctx),
+            lambda ctx, n, a, b: sl.bilateral_cube_slice_sides(n, a, b, ctx),
             grid(n=(0, 3, 6), **_MS_SLICE_AB),
             note="subscript-free factors read as infinite products; the "
                  f"(.;q^3)_1 reading deviates by {LITERAL}",

@@ -598,264 +598,13 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# bilateral slice convolutions (numeric)
+# bilateral slice convolutions (numeric): qrr.slices, which reads the stream
+# kernels above and is read by the sums below
 # ---------------------------------------------------------------------------
 
-class _Table:
-    """Values v_j for lo <= j <= hi in fixed point on one binary exponent:
-    v_j = (re_j + i im_j) 2^E, im None for a real table.  The mantissas are
-    kept forward and reversed, so that a convolution sum_j f_j g_{n-j} is an
-    exact integer dot product of two plain slices.
-
-    E lies 2 wp bits below the largest entry, or at the smallest entry's
-    exponent if that is higher: entries down to 2^-wp of the largest keep all
-    their bits, and smaller ones are floored at 2^(-2 wp) of it.  A sum of n
-    products of entries therefore errs, beyond the entries' own roundings,
-    by less than 2n 2^(-2 wp) times its largest possible product; callers
-    factor out any growth (x^j) that pairs large entries with small ones.
-    """
-
-    def __init__(self, lo: int, values):
-        values = list(values)
-        self.lo, self.hi, self.wp = lo, lo + len(values) - 1, values[0].wp
-        nonzero = [v for v in values if v]
-        self.E = max(min((v.e for v in nonzero), default=0),
-                     max((v.top() for v in nonzero), default=0) - 2 * self.wp)
-        self.re = [shifted(v.re, v.e - self.E) for v in values]
-        self.im = None
-        if any(v.im is not None for v in values):
-            self.im = [shifted(v.im or 0, v.e - self.E) for v in values]
-        self.reversed = self.re[::-1], self.im and self.im[::-1]
-
-    def rounded(self, re, im, e) -> Fixed:
-        """(re + i im) 2^e rounded once to the table's width, real for a
-        real table."""
-        return _real(re, e, self.wp) if self.im is None else _complex(re, im, e, self.wp)
-
-
-def _at(parts, s):
-    """The mantissa lists (re, im) at the slice s, im None for real ones."""
-    re, im = parts
-    return re[s], im and im[s]
-
-
-def _dot(xs, ys):
-    return sum(map(mul, xs, ys))
-
-
-def _dots(f, g):
-    """(re, im): the exact sum of the products f_j g_j of two sequences of
-    mantissas, each given as its lists (re, im), both real (im None) or both
-    complex."""
-    (fr, fi), (gr, gi) = f, g
-    if fi is None:
-        return _dot(fr, gr), 0
-    return _dot(fr, gr) - _dot(fi, gi), _dot(fr, gi) + _dot(fi, gr)
-
-
-def _span(t: _Table, n: int):
-    """(lo, hi): the j with j and n - j inside t, as (lo, lo - 1) when n lies
-    beyond the table's reach; lo + hi = n when the span is not empty."""
-    lo = max(t.lo, n - t.hi)
-    return lo, max(min(t.hi, n - t.lo), lo - 1)
-
-
-def _conv(t: _Table, n: int, lo: int, hi: int, step: int):
-    """(re, im): the exact sum of t_j t_{n-j} over j = lo, lo + step, ...
-    <= hi, on the exponent 2 t.E (im 0 for a real table).
-
-    The caller keeps j and n - j inside t (:func:`_span`).
-    """
-    return _dots(_at((t.re, t.im), slice(lo - t.lo, hi - t.lo + 1, step)),
-                 _at(t.reversed, slice(t.hi - n + lo, t.hi - n + hi + 1, step)))
-
-
-def _class_sums(t: _Table, n: int, m: int) -> list:
-    """The exact sums (re, im) of t_j t_k over j + k = n, j and k inside the
-    table, split by the residue c of k mod m, from half the products.
-
-    The mirror j <-> k maps the class c to the class n - c, and t_j t_k to
-    itself.  Two classes that it swaps are equal and cost one dot product; a
-    class that it maps to itself sums each mirror pair j < k once, doubled,
-    plus the middle term j = k = n/2 when that lies in it.
-    """
-    lo, hi = _span(t, n)
-    p = [(0, 0)] * m
-    if hi < lo:
-        return p
-    for c in range(m):
-        mirror = (n - c) % m
-        j0 = lo + (n - c - lo) % m  # the first j of the class
-        if c < mirror:
-            p[c] = p[mirror] = _conv(t, n, j0, hi, m)
-        elif c == mirror:
-            re, im = _conv(t, n, j0, (n - 1) // 2, m)
-            re, im = 2 * re, 2 * im
-            if n % 2 == 0 and (n // 2 - c) % m == 0:
-                cr, ci = (x[n // 2 - t.lo] if x else 0 for x in (t.re, t.im))
-                re, im = re + cr * cr - ci * ci, im + 2 * cr * ci
-            p[c] = re, im
-    return p
-
-
-def _pair_slices(t: _Table, ns) -> list:
-    """sum over j + k = n of (-1)^j t_j t_k, j and k inside the table, for
-    each n in ``ns``: the even-k class of :func:`_class_sums` minus the odd-k
-    one, exact and then rounded once (zero beyond the table's reach).  For an
-    even n, j and k share their parity; for an odd n the mirror swaps the two
-    classes, so they are equal and the slice is an exact zero."""
-    def pair_slice(n):
-        (even, even_i), (odd, odd_i) = _class_sums(t, n, 2)
-        return t.rounded(even - odd, even_i - odd_i, 2 * t.E)
-
-    return [pair_slice(n) for n in ns]
-
-
-def _cube_pairs(t: _Table, lo: int, hi: int, w: Fixed) -> list:
-    """C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi, j and k
-    inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_class_sums`, each
-    rounded once, weighted by 1, w, w^2."""
-    w2, e = w * w, 2 * t.E
-    classes = ([t.rounded(re, im, e) for re, im in _class_sums(t, m, 3)]
-               for m in range(lo, hi + 1))
-    return [p0 + w * p1 + w2 * p2 for p0, p1, p2 in classes]
-
-
-def _cube_slices(t: _Table, ns, w: Fixed) -> list:
-    """sum over j + k + l = n of t_j w^k t_k w^(2l) t_l, every index inside
-    the table, for each n in the sequence ``ns``, as x + y w rounded once.
-
-    With P_s the exact sum of the t_j t_k t_l with k + 2l = s (mod 3), the
-    slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the Q(w)
-    coordinates of :func:`cube_convolution_sides`.  From the classes c_i(m)
-    of :func:`_class_sums` (k = i mod 3), P_s = sum_l c_(s+l)(n - l) t_l, so
-    x and y take one dot product each per residue of l.  Cycling (j, k, l)
-    maps the class s to s + n, so for 3 not dividing n the P_s agree and the
-    slice is an exact zero.
-    """
-    lo, hi = min(ns) - t.hi, max(ns) - t.lo  # the m = n - l that ns reaches
-    d = [([], []) for _ in range(3)]  # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo
-    for m in range(hi, lo - 1, -1):
-        c = _class_sums(t, m, 3)
-        for i, (dr, di) in enumerate(d):
-            dr.append(c[i][0] - c[(i + 1) % 3][0])
-            di.append(c[i][1] - c[(i + 1) % 3][1])
-    d = [(dr, t.im and di) for dr, di in d]
-    # per residue of l: its first l, its t_l, and the differences for x and y
-    rows = [(l0, _at((t.re, t.im), slice(l0 - t.lo, None, 3)),
-             d[(l0 + 2) % 3], d[(l0 + 1) % 3]) for l0 in range(t.lo, t.lo + 3)]
-    wr, wi, we = parts(w)  # |w| = 1 at wp bits: we < 0
-    out = []
-    for n in ns:
-        xr = xi = yr = yi = 0
-        for l0, tl, dx, dy in rows:
-            ds = slice(hi - n + l0, None, 3)
-            re, im = _dots(_at(dx, ds), tl)
-            xr, xi = xr - re, xi - im
-            re, im = _dots(_at(dy, ds), tl)
-            yr, yi = yr + re, yi + im
-        out.append(_complex((xr << -we) + yr * wr - yi * wi, (xi << -we) + yr * wi + yi * wr,
-                            3 * t.E + we, t.wp))
-    return out
-
-
-@kept
-def _ratio_table_streams(a, b, ctx: QContext):
-    """The two streams of 1psi1 at z = 1, r_n = (a;q)_n/(b;q)_n for n = 0,
-    1, ... and n = -1, -2, ..., at ``ctx.fixed(ctx.q)``, each a
-    :class:`~qrr.context._Shared` stream: every table of a check at (a, b)
-    reads them."""
-    return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))))
-
-
-def _bilateral_ratio_array(a: QPow, b: QPow, K: int, ctx: QContext) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed(ctx.q)``, sliced
-    off the kept streams of :func:`_ratio_table_streams`: the entries do not
-    depend on K, only the table's exponent E does.  A pole in a stream is
-    raised again to every table that reaches it."""
-    up, down = _ratio_table_streams(a, b, ctx)
-    return _Table(-K, [down[j] for j in range(K - 1, -1, -1)]
-                  + [up[j] for j in range(K + 1)])
-
-
-def slice_truncation(rate, ctx: QContext) -> int:
-    """Index cutoff K of a slice or pole sum whose terms decay like rate^K:
-    rate^K is below 10^-(precision + 12), so a tail up to 10^6 times that
-    stays below 10^-(precision + 6)."""
-    rate = abs(to_mp(rate))
-    if rate >= 1:
-        raise DomainError("slice tails need rate < 1")
-    return max(8, int(mp.ceil((ctx.precision + 12) / (-mp.log10(rate)))))
-
-
-@kept
-def ratio_truncation(av, bv, ctx: QContext) -> int:
-    """Cutoff K of the table r_n = (a;q)_n/(b;q)_n of a bilateral slice sum:
-    the first m >= 8 where |r_{-m}| and |r_{-ceil(m/2)}|^2 (a tail on one index
-    or split over two) are below the bound of :func:`slice_truncation`.
-    r_{-m} = prod_{k<=m} (b - q^k)/(a - q^k) decays at the 1psi1 annulus rate
-    |b/a| only once |q|^k < |b|; a vanishing a - q^k is left to the table.
-    The walk runs in ``ctx.workdps()``, once per (a, b, q) in a check."""
-    with ctx.workdps():
-        if abs(bv / av) >= 1:
-            raise DomainError("slice tails need |b/a| < 1")
-        bound, qk, r = mp.mpf(10) ** -(ctx.precision + 12), mp.mpf(1), [mp.mpf(1)]
-        while len(r) <= 8 or r[-1] >= bound or r[len(r) // 2] ** 2 >= bound:
-            qk *= ctx.q
-            r.append(r[-1] * abs(bv - qk) / abs(av - qk) if av != qk else r[-1])
-    return len(r) - 1
-
-
-def gaussian_truncation(alpha, ctx: QContext) -> int:
-    """Cutoff s_max of a sum over |s| <= s_max weighted by q^(alpha s^2):
-    from |s| = s_max - 2 on, the weight is below 10^-(precision + 10)."""
-    rate = -mp.log10(abs(ctx.q)) * to_mp(alpha)
-    return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
-
-
-def _slice_table(n: int, a, b, ctx: QContext):
-    """(a, b, r) for the slice at total n: a and b as numbers, and the table
-    r_j = (a;q)_j/(b;q)_j for |j| <= K = ratio_truncation + |n|."""
-    aq, bq = _as_qpow(a), _as_qpow(b)
-    av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
-    return av, bv, _bilateral_ratio_array(aq, bq, ratio_truncation(av, bv, ctx) + abs(n), ctx)
-
-
-def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
-    """Bilateral alternating pair convolution at fixed total n, with its
-    closed product evaluation (zero for odd n)."""
-    with ctx.workdps():
-        q = ctx.q
-        av, bv, r = _slice_table(n, a, b, ctx)
-        lhs = _pair_slices(r, [n])[0].to_mp()
-        if n % 2 == 1:
-            return lhs, mp.mpf(0)
-        m = n // 2
-        pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av], q, ctx)
-        tail = (pochhammer_finite(av * av, q * q, m)
-                / pochhammer_finite(bv * bv, q * q, m))
-        return lhs, pref * tail
-
-
-def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
-    """Bilateral cube-root-weighted triple convolution at fixed total n.
-
-    RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
-    the base-q^3 factors read as infinite products.
-    """
-    with ctx.workdps():
-        q = ctx.q
-        av, bv, r = _slice_table(n, a, b, ctx)
-        lhs = _cube_slices(r, [n], ctx.fixed(rho_root(ctx)))[0].to_mp()
-        if n % 3 != 0:
-            return lhs, mp.mpf(0)
-        m = n // 3
-        q3 = q ** 3
-        pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx) ** 3
-                * infinite_product([bv ** 3, q3 / av ** 3], [q3, (bv / av) ** 3], q3, ctx))
-        tail = (pochhammer_finite(av ** 3, q3, m)
-                / pochhammer_finite(bv ** 3, q3, m))
-        return lhs, pref * tail
+from .slices import (_bilateral_ratio_array, _cube_pairs, _cube_slices,  # noqa: E402
+                     _pair_slices, _Table, gaussian_truncation, ratio_truncation,
+                     slice_truncation)
 
 
 # ---------------------------------------------------------------------------

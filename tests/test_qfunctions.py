@@ -9,30 +9,29 @@ import mpmath as mp
 import pytest
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
-                 PrecisionLossError, QContext, QPow, qbessel, qfunctions, summation)
+                 PrecisionLossError, QContext, QPow, qbessel, qfunctions, slices, summation)
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (Fixed, _complex, _real, cut, one_minus, parts, rounding_bits,
                             shifted)
 from qrr.pochhammer import (infinite_product, pochhammer_finite, pochhammer_ratio,
                             pole)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (_Q1, _a_alpha_stream, _bilateral_ratio_array,
-                            _class_sums, _conv, _cube_pairs, _cube_slices,
-                            _Lattice, _pair_slices, _ratio_streams, _ratio_terms,
-                            _span, _Table,
-                            a_alpha, a_alpha_formal, b_alpha,
-                            bilateral_cube_slice_sides,
-                            bilateral_pair_slice_sides, cube_convolution_sides,
+from qrr.qfunctions import (_Q1, _a_alpha_stream, _Lattice, _ratio_streams, _ratio_terms,
+                            a_alpha, a_alpha_formal, b_alpha, cube_convolution_sides,
                             cube_bilateral_master_sides, cube_master_sides,
                             heine_sides, omega, omega_formal,
                             pair_convolution_sides, phi21_terminating_exact,
                             phi_1_1, phi_2_1, psi_1_1, psi_1_1_product,
                             ramanujan_A, ramanujan_A_formal, rho_root,
-                            ratio_truncation, rr_product_formal, rr_sum_formal,
-                            slice_truncation, square_bilateral_master_sides,
+                            rr_product_formal, rr_sum_formal,
+                            square_bilateral_master_sides,
                             square_master_sides, theta_pair_imag_sides,
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
+from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv, _cube_pairs,
+                        _cube_slices, _pair_slices, _span, _Table,
+                        bilateral_cube_slice_sides, bilateral_pair_slice_sides,
+                        ratio_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
@@ -983,8 +982,8 @@ def test_pair_slices_take_half_the_products(monkeypatch):
         pairs.append(min(len(xs), len(ys)))
         return real_dot(xs, ys)
 
-    real_dot = qfunctions._dot
-    monkeypatch.setattr(qfunctions, "_dot", counting_dot)
+    real_dot = slices._dot
+    monkeypatch.setattr(slices, "_dot", counting_dot)
     total = 0
     for n in range(2 * t.lo - 2, 2 * t.hi + 3):
         pairs.clear()
@@ -1203,13 +1202,13 @@ def test_kept_ratio_tables_match_fresh_builds(q, precision, monkeypatch):
     with base.workdps():
         fresh = {(c, K): _table_bits(fresh_ratio_table(*ab, K, c))
                  for c in contexts for K in range(8, 41)}
-    builds, real = [], qfunctions._ratio_streams
+    builds, real = [], slices._ratio_streams
 
     def spy(*args):
         builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(qfunctions, "_ratio_streams", spy)
+    monkeypatch.setattr(slices, "_ratio_streams", spy)
     with keeping_values(), base.workdps():
         for Ks in (range(40, 7, -1), range(8, 41)):
             for c in contexts:
