@@ -29,13 +29,11 @@ the observed certificate.  The generic stream helpers
 (:func:`_ratios_up`, :func:`_gaussian`, and the factor walks
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
-gives exact Fractions, a Fixed q gives Fixed values.  Slice sums have one
-rule: a kernel builds one :class:`_Table` per call, in fixed point on one
-binary exponent, and each weighted slice (:func:`_pair_slices`,
-:func:`_cube_pairs`, :func:`_cube_slices`) combines the exact residue-class
-sums of :func:`_class_sums` over the table's own mantissas, every index inside
-the table, and rounds once, so a slice that the identity makes vanish is an
-exact zero.
+gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
+bilateral convolutions, the cube pairs of the master expansions and the theta
+pole sums) take their tables from :mod:`qrr.slices`, each on an exponent
+chosen from its floor bound and checked against the sum it gives
+(:func:`~qrr.slices._floored`); the theta sums check their cutoff there too.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -45,12 +43,7 @@ Shared work.  A kernel that needs one series at a q-geometric family of
 arguments y0 q^(e s) (the inner sums of the master expansions) builds a
 :class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
 as those coefficients times a running power, a bilateral one read outward
-from its peak.  Within one check, every
-bilateral ratio table at (a, b) is sliced off one kept pair of streams
-(:func:`_ratio_table_streams`), and its cutoff :func:`ratio_truncation` is
-walked once.  The residue classes of a
-self-convolution (:func:`_class_sums`) come from half the products: the
-mirror j <-> n - j swaps two classes, which are then equal, or fixes one.
+from its peak.
 """
 
 from __future__ import annotations
@@ -65,7 +58,7 @@ import mpmath as mp
 from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
-from .fixedpoint import Fixed, _complex, _real, cut, one_minus, parts, shifted
+from .fixedpoint import LOG2_10, Fixed, _complex, _real, cut, one_minus, parts, shifted
 from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
@@ -602,9 +595,9 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 # kernels above and is read by the sums below
 # ---------------------------------------------------------------------------
 
-from .slices import (_bilateral_ratio_array, _cube_pairs, _cube_slices,  # noqa: E402
-                     _pair_slices, _Table, gaussian_truncation, ratio_truncation,
-                     slice_truncation)
+from .slices import (_bilateral_ratio_array, _cube_slices, _floored,  # noqa: E402
+                     _log2_sum, _pair_slices, _Table, _weighted_pairs, gaussian_truncation,
+                     ratio_truncation, slice_truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +642,14 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         s_max = gaussian_truncation(alpha, ctx)
         qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
         one = qf.like(1)
-        r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1))
-        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights q^{alpha s^2} t^s
-        pairs = _cube_pairs(r, 0, s_max, w)
-        weights = _gaussian(qf, alpha, qf.like(tv))
+        r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1),
+                   2, ctx)
         # the inner function at w^2 t q^{2 alpha s}
         inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
                          2 * alpha, ctx)
-        rhs = sum(c * g * inner.sum(s) for s, c, g in zip(count(), pairs, weights))
+        values = [inner.sum(s) for s in range(s_max + 1)]
+        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights q^{alpha s^2} t^s
+        rhs = _weighted_pairs(r, 0, w, _gaussian(qf, alpha, qf.like(tv)), values, ctx)
         return lhs, rhs.to_mp()
 
 
@@ -722,14 +715,14 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # the slice terms only decay like (b/a)^|s| in each direction.
         K = ratio_truncation(av, bv, ctx)
         qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
-        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, ctx)
-        pairs = _cube_pairs(r, -K, K, w)  # sum_{j+k=s} r_j w^k r_k
+        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, 2, ctx)
         twist = rho_root(ctx) ** 2 if corrected else 1
-        weights = _gaussian(qf, alpha, qf.like(xv), -K)  # q^{alpha s^2} x^s
         # the inner function at twist x q^{2 alpha s}
         inner = _Lattice(_ratio_streams(_as_qpow(av), _as_qpow(bv), alpha, twist * xv),
                          2 * alpha, ctx)
-        rhs = sum(c * g * inner.sum(s) for s, c, g in zip(count(-K), pairs, weights))
+        values = [inner.sum(s) for s in range(-K, K + 1)]
+        # C_s = sum_{j+k=s} r_j w^k r_k, weights q^{alpha s^2} x^s
+        rhs = _weighted_pairs(r, -K, w, _gaussian(qf, alpha, qf.like(xv), -K), values, ctx)
         return lhs, pref * rhs.to_mp()
 
 
@@ -753,23 +746,10 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
 def _theta_truncation(x, ctx: QContext):
     """(K, ns): the |j| <= K cutoff of the pole tables t_j = 1/(1 - a q^j)
     and the slices ns = -s_max..s_max of the q^{s^2} weights
-    (:func:`gaussian_truncation`).  K = K0 + s_max, K0 =
-    slice_truncation(|q|): slice n carries no x^j (:func:`_theta_slices`
-    factors x^n out), and its entries fall at rate |q| on the negative side.
-
-    The bound.  Let T be the least number with |t_j| <= T for j >= 0 and
-    |t_-m| <= T |q|^m for m >= 1.  A term of slice n is a product of r = 2
-    (pair) or 3 (cube) entries, times a unit, whose indices sum to n.  If
-    one index lies outside [-K, K], the negative ones sum to N >= K - |n| + 1
-    >= K0 + 1 in size, so the term is at most T^r |q|^N, and at most
-    6 (N + |n|) tuples share one N.  So the omitted part of slice n is at
-    most B_n = 6 T^r (K0 + |n| + 1) |q|^(K0+1) / (1 - |q|)^2, and that of
-    the weighted sum at most W B_s_max, W = sum |q^(n^2) x^n| < 4 for
-    |q| < |x| < 1, |q| <= 0.6.  As |q|^K0 < 10^-(precision + 12), that is
-    24 T^r (K0 + s_max + 1) |q| / (1 - |q|)^2 times 10^-(precision + 12):
-    within the 10^6 allowance of :func:`slice_truncation` at the registry
-    points for |q| <= 0.3 (T <= 5) up to precision 200, and 10^7 to 10^8 at
-    q = 0.59, a = 0.5, where t_-1 = 1/(1 - a/q) is near its pole (T = 11).
+    (:func:`gaussian_truncation`).  K = slice_truncation(|q|) + s_max: slice
+    n carries no x^j (:func:`_theta_slices` factors x^n out), and its entries
+    fall at rate |q| on the negative side.  :func:`_theta_cutoff` bounds
+    what the cutoff omits.
 
     The annulus guard |q| < |x| < 1 stays although the sums converge for
     every x != 0: outside it the ``ms-17`` check (a = -q^{1/3}) FAILs, for
@@ -781,15 +761,50 @@ def _theta_truncation(x, ctx: QContext):
     return slice_truncation(abs(q), ctx) + s_max, range(-s_max, s_max + 1)
 
 
-def _theta_slices(slices, a: QPow, xv, K: int, ns, ctx: QContext):
+def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
+    """log2 of a bound on what the cutoff |j| <= K of the pole table t omits
+    from sum over n in ns of g_n S_n, for the weights g_n and the slices S_n
+    of order k = t.k; ``rate`` is log2 |q|.
+
+    Let T be the least number with |t_j| <= T for j >= 0 and
+    |t_-m| <= T |q|^m for m >= 1, read off the table's entries (each taken
+    as 2^(top + 1/2), which also covers their limits 1 and 1/|a|).  A term
+    of slice n is a product of k entries, times a unit, whose indices sum
+    to n.  If one index lies outside [-K, K], the negative ones sum to
+    N >= K - |n| + 1 in size, so the term is at most T^k |q|^N, and at most
+    6 (N + |n|) tuples share one N.  So slice n omits at most
+    B_n = 6 T^k (K + 1) |q|^(K - |n| + 1) / (1 - |q|)^2, and the sum at most
+    sum |g_n| B_n."""
+    K = t.hi
+    log2_t = max(v.top() + 0.5 + min(j, 0) * rate
+                 for j, v in enumerate(t.values, t.lo) if v)
+    return (math.log2(6 * (K + 1)) + t.k * log2_t + (K + 1) * rate
+            - 2 * math.log2(1 - 2.0 ** rate)
+            + _log2_sum(g.top() + 0.5 - abs(n) * rate for n, g in zip(ns, weights) if g))
+
+
+def _theta_slices(slices, k: int, a: QPow, xv, K: int, ns, ctx: QContext):
     """sum over the consecutive n in ns of q^{n^2} x^n S_n, as an mp number,
-    for the slices S_n = slices(t, ns) of the pole table t_j = 1/(1 - a q^j),
-    |j| <= K: the pole sums by the sum n of their indices, x^n factored out of
-    slice n, the weights a running product (:func:`_gaussian`)."""
+    for the slices S_n = slices(t, ns) of order k of the pole table
+    t_j = 1/(1 - a q^j), |j| <= K: the pole sums by the sum n of their
+    indices, x^n factored out of slice n, the weights a running product
+    (:func:`_gaussian`).  The sum is checked against its table's floor bound
+    (:func:`_floored`) and against :func:`_theta_cutoff`: where the cutoff
+    bound exceeds 10^-(precision + 6) of it, the 10^6 allowance of
+    :func:`slice_truncation`, K grows until it does not."""
     q = ctx.fixed(ctx.q)
-    t = _Table(-K, [1 / f for f in islice(_pole_factors(a, q, -K), 2 * K + 1)])
-    weights = _gaussian(q, 1, q.like(xv), ns[0])
-    return sum(g * c for g, c in zip(weights, slices(t, ns))).to_mp()
+    weights = list(islice(_gaussian(q, 1, q.like(xv), ns[0]), len(ns)))
+    weight = _log2_sum(g.top() + 0.5 for g in weights if g)
+    rate = float(mp.log(abs(ctx.q), 2))
+    while True:
+        t = _Table(-K, [1 / f for f in islice(_pole_factors(a, q, -K), 2 * K + 1)], k, ctx)
+        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, slices(t, ns))),
+                         ctx, weight)
+        short = (_theta_cutoff(t, ns, weights, rate) - value.top() + 1
+                 + (ctx.precision + 6) * LOG2_10)
+        if short <= 0:
+            return value.to_mp()
+        K += math.ceil(short / -rate)
 
 
 def theta_pair_sides(a, x, ctx: QContext):
@@ -808,7 +823,7 @@ def theta_pair_sides(a, x, ctx: QContext):
         pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx)
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx)
-        return lhs, _theta_slices(_pair_slices, aq, xv, K, ns, ctx)
+        return lhs, _theta_slices(_pair_slices, 2, aq, xv, K, ns, ctx)
 
 
 def theta_pair_imag_sides(x, ctx: QContext):
@@ -824,7 +839,7 @@ def theta_pair_imag_sides(x, ctx: QContext):
         pref = infinite_product([q, q], [-q, -q], q, ctx)
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
-        return lhs, _theta_slices(_pair_slices, ia, xv, K, ns, ctx)
+        return lhs, _theta_slices(_pair_slices, 2, ia, xv, K, ns, ctx)
 
 
 def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
@@ -849,7 +864,8 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
         w = ctx.fixed(rho_root(ctx))
-        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, w), aq, xv, K, ns, ctx)
+        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, w), 3, aq, xv, K, ns,
+                               ctx)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

@@ -14,6 +14,19 @@ bilateral ratio table at (a, b) is sliced off one kept pair of streams
 (:func:`_ratio_table_streams`), and its cutoff :func:`ratio_truncation` is
 walked once.
 
+Each table lies on the exponent that its floor bound chooses: the error
+that flooring the entries adds to a slice of order k is at most
+k u (A + u L)^(k-1), u = sqrt(2) 2^E, A = sum |v_j| over the L entries
+(:class:`_Table`).  E is set a priori from the scale A^k, the working digits
+and a measured cancellation allowance (CANCELLATION_BITS), never below the
+entries' own last bit, so that the mantissas carry about the working digits
+and no more.  Each weighted slice sum then checks that bound, times the sum
+of |weights|, against its value (:func:`_floored`): where it misses one unit
+of the working digits the table is floored again, finer, from the entries it
+keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
+the sum raises PrecisionLossError for a wider rerun.  A slice that the
+identity makes an exact zero needs no check.
+
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
 master and theta sums read the tables in turn; each module imports from the
 other after its own definitions, so either may be imported first.
@@ -21,14 +34,34 @@ other after its own definitions, so either may be imported first.
 
 from __future__ import annotations
 
+import math
+from itertools import islice
 from operator import mul
 
 import mpmath as mp
 
 from .context import QContext, _Shared, kept, to_mp
-from .errors import DomainError
-from .fixedpoint import Fixed, _complex, _real, parts, shifted
+from .errors import DomainError, PrecisionLossError
+from .fixedpoint import Fixed, _complex, _real, bits_for_digits, parts, shifted
 from .pochhammer import QPow, _as_qpow, infinite_product, pochhammer_finite
+
+
+# The bits by which a slice sum may cancel below the scale A^k W of its table
+# (A = sum |v_j|, W = sum |weights|) before the a-priori exponent of
+# :class:`_Table` needs a finer one.  Measured at q = 0.3, where the cancellation
+# is largest among the default and CI cells with |q| <= 0.5: 34 bits at
+# precision 50, 37 at 100 and 40 at 200 (``ms-5``); it grows with the table.
+CANCELLATION_BITS = 48
+
+
+def _log2_sum(exponents) -> float:
+    """log2 of the sum of 2^x over the float exponents x, -inf for none:
+    a bound on sum |v| when each |v| < 2^x."""
+    exponents = list(exponents)
+    if not exponents:
+        return -math.inf
+    top = max(exponents)
+    return top + math.log2(math.fsum(2.0 ** (x - top) for x in exponents))
 
 
 class _Table:
@@ -37,30 +70,80 @@ class _Table:
     kept forward and reversed, so that a convolution sum_j f_j g_{n-j} is an
     exact integer dot product of two plain slices.
 
-    E lies 2 wp bits below the largest entry, or at the smallest entry's
-    exponent if that is higher: entries down to 2^-wp of the largest keep all
-    their bits, and smaller ones are floored at 2^(-2 wp) of it.  A sum of n
-    products of entries therefore errs, beyond the entries' own roundings,
-    by less than 2n 2^(-2 wp) times its largest possible product; callers
-    factor out any growth (x^j) that pairs large entries with small ones.
+    The floor bound.  Floored to 2^E, each entry errs by under u = sqrt(2)
+    2^E.  A slice of order k (2 for pairs, 3 for cubes) sums products of k
+    entries whose indices have a fixed sum, so with A = sum |v_j| over the L
+    entries it errs by at most sum_i C(k, i) u^i L^(i-1) A^(k-i) =
+    ((A + u L)^k - A^k) / L <= k u (A + u L)^(k-1): k u A^(k-1) plus the
+    u^2 terms.  :meth:`bound` is its log2, with A bounded by the entries'
+    tops.  E is set a priori so that this bound is CANCELLATION_BITS below
+    one unit of the working digits of A^k (``ctx.tail_log2``, lowered by
+    ``ctx.extra_bits``), and never below the entries' own last bit, min e_j,
+    where no entry is floored: there the bound reads as that last bit.  A
+    slice sum checks the bound against its value (:func:`_floored`), which
+    may floor the table again, finer, from the entries it keeps.
     """
 
-    def __init__(self, lo: int, values):
-        values = list(values)
-        self.lo, self.hi, self.wp = lo, lo + len(values) - 1, values[0].wp
+    def __init__(self, lo: int, values, k: int, ctx: QContext):
+        self.values = values = list(values)
+        self.lo, self.hi, self.wp, self.k = lo, lo + len(values) - 1, values[0].wp, k
         nonzero = [v for v in values if v]
-        self.E = max(min((v.e for v in nonzero), default=0),
-                     max((v.top() for v in nonzero), default=0) - 2 * self.wp)
-        self.re = [shifted(v.re, v.e - self.E) for v in values]
+        self.last = min((v.e for v in nonzero), default=0)
+        self.log2_sum = _log2_sum(v.top() + 0.5 for v in nonzero)
+        self.need = ctx.extra_bits - ctx.tail_log2
+        scale = self.log2_sum - self.need - CANCELLATION_BITS - math.log2(k) - 0.5
+        self.floor(max(self.last, math.floor(scale)) if nonzero else 0)
+
+    def floor(self, E: int):
+        """Put the mantissas on the exponent E, flooring every entry below it."""
+        values, self.E = self.values, E
+        self.re = [shifted(v.re, v.e - E) for v in values]
         self.im = None
         if any(v.im is not None for v in values):
-            self.im = [shifted(v.im or 0, v.e - self.E) for v in values]
+            self.im = [shifted(v.im or 0, v.e - E) for v in values]
         self.reversed = self.re[::-1], self.im and self.im[::-1]
+
+    def bound(self) -> float:
+        """log2 of the floor bound of a slice of order k on this table."""
+        u = self.E + 0.5
+        spread = u + math.log2(len(self.values))
+        a = max(self.log2_sum, spread)
+        return math.log2(self.k) + u + (self.k - 1) * (
+            a + math.log2(2.0 ** (self.log2_sum - a) + 2.0 ** (spread - a)))
 
     def rounded(self, re, im, e) -> Fixed:
         """(re + i im) 2^e rounded once to the table's width, real for a
         real table."""
         return _real(re, e, self.wp) if self.im is None else _complex(re, im, e, self.wp)
+
+
+def _floored(t: _Table, evaluate, ctx: QContext, weight: float = 0.0) -> Fixed:
+    """``evaluate(t)``, a nonzero weighted slice sum over t as a Fixed, with
+    ``weight`` the log2 of a bound on the sum of |weights| (0 for one slice),
+    checked against the floor bound of t.
+
+    While the bound times 2^weight exceeds one unit of the working digits of
+    the value and E lies above the entries' last bit, t is floored again, E
+    lowered by the bits missing (by the working digits for a zero value),
+    and the sum taken again.  Where it still misses ``ctx.precision`` digits
+    at the last bit, PrecisionLossError names the bits: the caller reruns
+    wider (:func:`~qrr.context.widening`).  A slice that the identity makes
+    an exact zero needs no check.
+    """
+    while True:
+        value = evaluate(t)
+        lost = t.bound() + weight - (value.top() - 1 if value else t.k * t.E)
+        if value and lost <= -t.need:
+            return value
+        if t.E > t.last:
+            t.floor(max(t.last, t.E - math.ceil(lost + t.need if value else t.need) - 1))
+            continue
+        missing = math.ceil(bits_for_digits(ctx.precision) + lost)
+        if missing > 0:
+            raise PrecisionLossError(
+                f"slice sum cancelled to its table's last bit; {missing} more working bits "
+                "needed", missing)
+        return value
 
 
 def _at(parts, s):
@@ -189,6 +272,17 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     return out
 
 
+def _weighted_pairs(t: _Table, lo: int, w: Fixed, weights, values, ctx: QContext) -> Fixed:
+    """sum over s = lo, lo + 1, ... of C_s g_s F_s for the mp values F_s, the
+    weights g_s from the stream ``weights`` and the cube pairs C_s of t
+    (:func:`_cube_pairs`), checked by :func:`_floored` against sum |g_s F_s|."""
+    weights = list(islice(weights, len(values)))
+    weight = _log2_sum(g.top() + 0.5 + mp.mag(f) for g, f in zip(weights, values) if g and f)
+    hi = lo + len(values) - 1
+    return _floored(t, lambda t: sum(c * g * f for c, g, f in zip(
+        _cube_pairs(t, lo, hi, w), weights, values)), ctx, weight)
+
+
 @kept
 def _ratio_table_streams(a, b, ctx: QContext):
     """The two streams of 1psi1 at z = 1, r_n = (a;q)_n/(b;q)_n for n = 0,
@@ -198,14 +292,15 @@ def _ratio_table_streams(a, b, ctx: QContext):
     return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))))
 
 
-def _bilateral_ratio_array(a: QPow, b: QPow, K: int, ctx: QContext) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed(ctx.q)``, sliced
-    off the kept streams of :func:`_ratio_table_streams`: the entries do not
-    depend on K, only the table's exponent E does.  A pole in a stream is
-    raised again to every table that reaches it."""
+def _bilateral_ratio_array(a: QPow, b: QPow, K: int, k: int, ctx: QContext) -> _Table:
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed(ctx.q)``, a
+    table for slices of order k, sliced off the kept streams of
+    :func:`_ratio_table_streams`: the entries do not depend on K, only the
+    table's exponent E does.  A pole in a stream is raised again to every
+    table that reaches it."""
     up, down = _ratio_table_streams(a, b, ctx)
     return _Table(-K, [down[j] for j in range(K - 1, -1, -1)]
-                  + [up[j] for j in range(K + 1)])
+                  + [up[j] for j in range(K + 1)], k, ctx)
 
 
 def slice_truncation(rate, ctx: QContext) -> int:
@@ -243,12 +338,12 @@ def gaussian_truncation(alpha, ctx: QContext) -> int:
     return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
 
 
-def _slice_table(n: int, a, b, ctx: QContext):
-    """(a, b, r) for the slice at total n: a and b as numbers, and the table
-    r_j = (a;q)_j/(b;q)_j for |j| <= K = ratio_truncation + |n|."""
+def _slice_table(n: int, a, b, k: int, ctx: QContext):
+    """(a, b, r) for the slice of order k at total n: a and b as numbers, and
+    the table r_j = (a;q)_j/(b;q)_j for |j| <= K = ratio_truncation + |n|."""
     aq, bq = _as_qpow(a), _as_qpow(b)
     av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
-    return av, bv, _bilateral_ratio_array(aq, bq, ratio_truncation(av, bv, ctx) + abs(n), ctx)
+    return av, bv, _bilateral_ratio_array(aq, bq, ratio_truncation(av, bv, ctx) + abs(n), k, ctx)
 
 
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
@@ -256,10 +351,10 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     closed product evaluation (zero for odd n)."""
     with ctx.workdps():
         q = ctx.q
-        av, bv, r = _slice_table(n, a, b, ctx)
-        lhs = _pair_slices(r, [n])[0].to_mp()
-        if n % 2 == 1:
-            return lhs, mp.mpf(0)
+        av, bv, r = _slice_table(n, a, b, 2, ctx)
+        if n % 2 == 1:  # an exact zero (_pair_slices)
+            return _pair_slices(r, [n])[0].to_mp(), mp.mpf(0)
+        lhs = _floored(r, lambda t: _pair_slices(t, [n])[0], ctx).to_mp()
         m = n // 2
         pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av], q, ctx)
         tail = (pochhammer_finite(av * av, q * q, m)
@@ -275,10 +370,11 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     """
     with ctx.workdps():
         q = ctx.q
-        av, bv, r = _slice_table(n, a, b, ctx)
-        lhs = _cube_slices(r, [n], ctx.fixed(rho_root(ctx)))[0].to_mp()
-        if n % 3 != 0:
-            return lhs, mp.mpf(0)
+        av, bv, r = _slice_table(n, a, b, 3, ctx)
+        w = ctx.fixed(rho_root(ctx))
+        if n % 3 != 0:  # an exact zero (_cube_slices)
+            return _cube_slices(r, [n], w)[0].to_mp(), mp.mpf(0)
+        lhs = _floored(r, lambda t: _cube_slices(t, [n], w)[0], ctx).to_mp()
         m = n // 3
         q3 = q ** 3
         pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx) ** 3

@@ -13,8 +13,8 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
 from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (Fixed, _complex, _real, cut, one_minus, parts, rounding_bits,
                             shifted)
-from qrr.pochhammer import (infinite_product, pochhammer_finite, pochhammer_ratio,
-                            pole)
+from qrr.pochhammer import (_pole_factors, infinite_product, pochhammer_finite,
+                            pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (_Q1, _a_alpha_stream, _Lattice, _ratio_streams, _ratio_terms,
                             a_alpha, a_alpha_formal, b_alpha, cube_convolution_sides,
@@ -793,28 +793,27 @@ THETA_CUTOFF_CASES = [(q, a) for q in ("0.2", "0.5", "0.59", "-0.59")
                          ids=[f"q={q}-{a}" for q, a in THETA_CUTOFF_CASES])
 def test_theta_cutoff_stays_within_its_bound(q, a):
     # each slice on the cutoff table against the same slice on a table twice
-    # as wide: the omitted part of slice n is at most
-    # 6 T^r (K0 + |n| + 1) |q|^(K0+1) / (1 - |q|)^2, K0 = slice_truncation(|q|)
+    # as wide: the omitted part of slice n is at most the bound of
+    # _theta_cutoff, 6 T^k (K + 1) |q|^(K - |n| + 1) / (1 - |q|)^2, with T
+    # read off the cutoff table
     ctx = QContext.numeric(q, precision=SLICE_PRECISION)
     with ctx.workdps():
         q, x = ctx.q, mp.mpf("0.6")
         aq = THETA_CUTOFF_AS[a](q)
-        av = qfunctions._value(aq, q)
         K, ns = qfunctions._theta_truncation(x, ctx)
-        K0 = slice_truncation(abs(q), ctx)
-        # |t_j| <= T for j >= 0 and |t_-m| <= T |q|^m, over the wide table
-        T = max(max(1 / abs(1 - av * q ** j) for j in range(2 * K + 1)),
-                max(1 / abs(q ** m - av) for m in range(1, 2 * K + 1)))
-        w = ctx.fixed(rho_root(ctx))
-        for r, slices in ((2, _pair_slices), (3, lambda t, ns: _cube_slices(t, ns, w))):
+        qf, rate = ctx.fixed(q), float(mp.log(abs(q), 2))
+        one, w = qf.like(1), ctx.fixed(rho_root(ctx))
+
+        def table(K, k):
+            return _Table(-K, [1 / f for f in islice(_pole_factors(aq, qf, -K), 2 * K + 1)],
+                          k, ctx)
+
+        for k, slices in ((2, _pair_slices), (3, lambda t, ns: _cube_slices(t, ns, w))):
+            narrow, wide = table(K, k), table(2 * K, k)
             for n in (ns[0], 0, ns[-1]):
-                one = range(n, n + 1)
-                narrow = qfunctions._theta_slices(slices, aq, x, K, one, ctx)
-                wide = qfunctions._theta_slices(slices, aq, x, 2 * K, one, ctx)
-                weight = abs(q) ** (n * n) * x ** n
-                bound = (6 * T ** r * (K0 + abs(n) + 1) * abs(q) ** (K0 + 1)
-                         / (1 - abs(q)) ** 2)
-                assert abs(narrow - wide) <= weight * bound, (r, n)
+                omitted = slices(narrow, [n])[0].to_mp() - slices(wide, [n])[0].to_mp()
+                bound = qfunctions._theta_cutoff(narrow, [n], [one], rate)
+                assert abs(omitted) <= mp.mpf(2) ** bound, (k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +946,7 @@ def _random_table(rnd, lo, size, wp, complex_values):
         else:
             values.append(Fixed(part(), part() if complex_values else None,
                                 rnd.randint(-3 * wp, wp), wp))
-    return _Table(lo, values)
+    return _Table(lo, values, 2, CTX)
 
 
 def _strided_classes(t, n, m):
@@ -998,9 +997,10 @@ def test_pair_slices_take_half_the_products(monkeypatch):
 # a two-sided and a one-sided table, real and complex, every n from beyond
 # the low end of the table's reach, over its edges, to beyond its high end.
 # The entries are nonzero, the edge ones too, so a span that drops an index
-# changes the edge slices.  The last table's entries span 3 wp bits, more
-# than the 2 wp that its common exponent keeps, so its smallest entries are
-# floored there.
+# changes the edge slices.  Each table lies on the exponent that its floor
+# bound chooses, about the working digits below the sum of its entries; the
+# last table's entries span 3 wp bits, so its smallest ones floor to a few
+# bits or to zero.
 SLICE_TABLES = pytest.mark.parametrize(
     "lo, hi, complex_values, spread",
     [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20),
@@ -1021,7 +1021,7 @@ def _full_table(lo, hi, complex_values, spread):
 
     return _Table(lo, [Fixed(part(), part() if complex_values else None,
                              rnd.randint(-wp - spread, -wp + spread), wp)
-                       for _ in range(lo, hi + 1)])
+                       for _ in range(lo, hi + 1)], 2, CTX)
 
 
 def _mantissas(t):
@@ -1184,7 +1184,7 @@ def test_ratio_stream_drops_exact_factors_bit_for_bit(stream, q):
 def fresh_ratio_table(a, b, K, ctx):
     """The table of _bilateral_ratio_array built from new streams."""
     up, down = _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))
-    return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)])
+    return _Table(-K, [*islice(down, K)][::-1] + [*islice(up, K + 1)], 3, ctx)
 
 
 def _table_bits(t):
@@ -1213,7 +1213,7 @@ def test_kept_ratio_tables_match_fresh_builds(q, precision, monkeypatch):
         for Ks in (range(40, 7, -1), range(8, 41)):
             for c in contexts:
                 for K in Ks:
-                    assert _table_bits(_bilateral_ratio_array(*ab, K, c)) == fresh[c, K], K
+                    assert _table_bits(_bilateral_ratio_array(*ab, K, 3, c)) == fresh[c, K], K
     assert len(builds) == len(contexts)    # one pair of streams per context
 
 
@@ -1228,7 +1228,7 @@ def test_kept_ratio_table_pole_reaches_every_read():
         with keeping_values():
             for K in (12, 8, 12, 20):
                 with pytest.raises(PoleError) as kept:
-                    _bilateral_ratio_array(*ab, K, ctx)
+                    _bilateral_ratio_array(*ab, K, 3, ctx)
                 assert str(kept.value) == str(fresh.value)
 
 
