@@ -767,8 +767,9 @@ def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
     of order k = t.k; ``rate`` is log2 |q|.
 
     Let T be the least number with |t_j| <= T for j >= 0 and
-    |t_-m| <= T |q|^m for m >= 1, read off the table's entries (each taken
-    as 2^(top + 1/2), which also covers their limits 1 and 1/|a|).  A term
+    |t_-m| <= T |q|^m for m >= 1.  It is read off the table's entries, each
+    bounded by 2^(top + 1/2); past the table, |t_j| and |t_-m| / |q|^m lie
+    within a factor 1 + O(|q|^K) of their limits 1 and 1/|a|.  A term
     of slice n is a product of k entries, times a unit, whose indices sum
     to n.  If one index lies outside [-K, K], the negative ones sum to
     N >= K - |n| + 1 in size, so the term is at most T^k |q|^N, and at most

@@ -50,7 +50,8 @@ from .pochhammer import QPow, _as_qpow, infinite_product, pochhammer_finite
 # (A = sum |v_j|, W = sum |weights|) before the a-priori exponent of
 # :class:`_Table` needs a finer one.  Measured at q = 0.3, where the cancellation
 # is largest among the default and CI cells with |q| <= 0.5: 34 bits at
-# precision 50, 37 at 100 and 40 at 200 (``ms-5``); it grows with the table.
+# precision 50, 37 at 100 and 40 at 200, all in the ``ms-17`` theta sum
+# (the next largest, ``ms-15``, 23 to 29); it grows with the table.
 CANCELLATION_BITS = 48
 
 

@@ -7,6 +7,8 @@ from itertools import islice
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qbessel, qfunctions, slices, summation)
@@ -29,7 +31,7 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _Lattice, _ratio_streams, _rat
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
 from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv, _cube_pairs,
-                        _cube_slices, _pair_slices, _span, _Table,
+                        _cube_slices, _log2_sum, _pair_slices, _span, _Table,
                         bilateral_cube_slice_sides, bilateral_pair_slice_sides,
                         ratio_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
@@ -1308,3 +1310,142 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
             rest = [abs(t.to_mp()) for t in far[out.terms_used:]]
             assert rest[-1] < mp.mpf(10) ** -20 * (out.tail_bound or mp.mpf(10) ** -200)
             assert sum(rest) <= out.tail_bound
+
+
+# ---------------------------------------------------------------------------
+# floor bounds of the slice tables
+# ---------------------------------------------------------------------------
+
+def _recorded_checks(monkeypatch, sides):
+    """(t, evaluate, weight, ctx, E, value) of every _floored check that
+    ``sides()`` makes, with the table's exponent and the value it returned."""
+    checks, real = [], slices._floored
+
+    def spy(t, evaluate, ctx, weight=0.0):
+        value = real(t, evaluate, ctx, weight)
+        checks.append((t, evaluate, weight, ctx, t.E, value))
+        return value
+
+    monkeypatch.setattr(slices, "_floored", spy)
+    monkeypatch.setattr(qfunctions, "_floored", spy)
+    sides()
+    monkeypatch.undo()
+    return checks
+
+
+def _lost(t, value, weight):
+    """Bits by which the floor bound times 2^weight exceeds |value|."""
+    return t.bound() + weight - (value.top() - 1 if value else t.k * t.E)
+
+
+FLOOR_CTX = QContext.numeric("0.3", precision=20)
+A5, B1, X6 = mp.mpf("0.5"), mp.mpf("0.1"), mp.mpf("0.6")
+# one sum of each kind: a pair and a cube slice of a ratio table (ms-3, ms-5),
+# the cube pairs of ms-8 and ms-12, and a pair and a cube theta sum (ms-13, ms-15)
+FLOOR_SIDES = {
+    "pair-slice": lambda ctx: bilateral_pair_slice_sides(2, A5, B1, ctx),
+    "cube-slice": lambda ctx: bilateral_cube_slice_sides(3, A5, B1, ctx),
+    "cube-master": lambda ctx: cube_master_sides(1, A5, X6, ctx),
+    "cube-bilateral-master": lambda ctx: cube_bilateral_master_sides(1, A5, B1, X6, ctx),
+    "theta-pair": lambda ctx: theta_pair_sides(A5, X6, ctx),
+    "theta-cube": lambda ctx: theta_triple_sides(A5, X6, ctx),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLOOR_SIDES))
+def test_an_exponent_one_wp_too_high_is_caught_by_the_bound(kind, monkeypatch):
+    """Each sum checks its table's floor bound: on the chosen exponent the
+    bound holds, one wp above it the bound misses the working digits of the
+    value, and from there the check floors the table again and gives the
+    value back."""
+    ctx = FLOOR_CTX
+    with ctx.workdps():
+        checks = _recorded_checks(monkeypatch, lambda: FLOOR_SIDES[kind](ctx))
+        assert checks
+        for t, evaluate, weight, c, E, value in checks:
+            assert t.E == E and _lost(t, value, weight) <= -t.need
+            t.floor(E + t.wp)
+            assert _lost(t, evaluate(t), weight) > -t.need, kind
+            again = slices._floored(t, evaluate, c, weight)
+            assert t.E < E + t.wp
+            assert abs((again - value).to_mp()) <= 2 ** -t.need * abs(value.to_mp())
+
+
+def _theta_tables(monkeypatch):
+    """The half-widths K of the pole tables that the theta sums build."""
+    built, real = [], qfunctions._Table
+
+    def table(lo, values, k, ctx):
+        built.append(-lo)
+        return real(lo, values, k, ctx)
+
+    monkeypatch.setattr(qfunctions, "_Table", table)
+    return built
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.59"])
+@pytest.mark.parametrize("k", [2, 3], ids=["pair", "cube"])
+def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(k, q, monkeypatch):
+    """The least K whose cutoff bound holds builds one table; one entry
+    shorter, the check misses the bound and grows the table to it or past."""
+    ctx = QContext.numeric(q, precision=20)
+    w = ctx.fixed(rho_root(ctx))
+    slices_of = _pair_slices if k == 2 else (lambda t, ns: _cube_slices(t, ns, w))
+    with ctx.workdps():
+        K, ns = qfunctions._theta_truncation(X6, ctx)
+        aq = QPow(A5, 0)
+        built = _theta_tables(monkeypatch)
+
+        def tables(K):
+            built.clear()
+            qfunctions._theta_slices(slices_of, k, aq, X6, K, ns, ctx)
+            return list(built)
+
+        low, high = 1, max(tables(K))  # the cutoff bound holds at high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if tables(mid) == [mid] else (mid, high)
+        assert tables(high) == [high]
+        short = tables(high - 1)
+        assert short[0] == high - 1 and len(short) > 1 and short[-1] >= high
+
+
+FLOOR_WP = CTX.fixed_bits
+
+
+@st.composite
+def _floor_tables(draw):
+    """A table of random real or complex entries with mantissas of up to wp
+    bits and exponents spread over 3 wp, some of them zero."""
+    complex_values = draw(st.booleans())
+    size = draw(st.integers(1, 12))
+    lo = draw(st.integers(-6, 3))
+
+    def part():
+        return draw(st.integers(-(1 << FLOOR_WP) + 1, (1 << FLOOR_WP) - 1)) >> draw(
+            st.integers(0, FLOOR_WP - 1))
+
+    values = [Fixed(part(), part() if complex_values else None,
+                    draw(st.integers(-2 * FLOOR_WP, FLOOR_WP)), FLOOR_WP)
+              for _ in range(size)]
+    return lo, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_floor_tables())
+def test_class_sums_floor_error_stays_within_the_bound(table):
+    """The class sums of a pair table on its chosen exponent, against the
+    exact ones at the entries' last bit: the floor errors of all classes
+    together stay within the table's bound."""
+    lo, values = table
+    t, exact = _Table(lo, values, 2, CTX), _Table(lo, values, 2, CTX)
+    exact.floor(exact.last)
+    shift = 2 * (t.E - exact.last)
+    for m in (2, 3):
+        for n in range(2 * t.lo - 1, 2 * t.hi + 2):
+            errors = []
+            for (re, im), (xr, xi) in zip(_class_sums(t, n, m), _class_sums(exact, n, m)):
+                er, ei = shifted(re, shift) - xr, shifted(im, shift) - xi
+                if er or ei:
+                    errors.append(0.5 * math.log2(er * er + ei * ei) + 2 * exact.last)
+            assert _log2_sum(errors) <= t.bound() + 1e-9, (m, n)
