@@ -1371,6 +1371,20 @@ def test_an_exponent_one_wp_too_high_is_caught_by_the_bound(kind, monkeypatch):
             assert abs((again - value).to_mp()) <= 2 ** -t.need * abs(value.to_mp())
 
 
+def test_a_sum_that_cancels_at_the_last_bit_asks_for_more_bits():
+    """A pair slice that cancels exactly, not by symmetry (t_0^2 = 2 t_1
+    t_-1), is floored down to the entries' last bit and then raises
+    PrecisionLossError naming the bits it lacks; the tiny t_2 lies beyond
+    the slice's reach and puts that last bit far below the first E."""
+    wp = CTX.fixed_bits
+    t = _Table(-1, [Fixed(2, None, 0, wp), Fixed(2, None, 0, wp), Fixed(1, None, 0, wp),
+                    Fixed(1, None, -1000, wp)], 2, CTX)
+    assert t.E > t.last
+    with pytest.raises(PrecisionLossError) as lost:
+        slices._floored(t, lambda t: _pair_slices(t, [0])[0], CTX)
+    assert t.E == t.last and lost.value.bits > 0
+
+
 def _theta_tables(monkeypatch):
     """The half-widths K of the pole tables that the theta sums build."""
     built, real = [], qfunctions._Table
