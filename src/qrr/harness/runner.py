@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
@@ -169,6 +168,9 @@ def run_suite(config: SuiteConfig):
     rc = config.settings()
     plan = planned_checks(config)
     if config.jobs > 1 and len(plan) > 1:
+        # imported here: one process starts no pool and need not load one
+        from concurrent.futures import ProcessPoolExecutor
+
         # every worker forks at once, so start no more than there are checks
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(plan))) as pool:
             reports = list(pool.map(run_check, *zip(*plan), repeat(rc)))

@@ -638,7 +638,7 @@ def test_empty_selection_is_a_config_error(capsys):
 
 
 def test_worker_count_is_capped_at_the_plan(monkeypatch):
-    from qrr.harness import runner
+    import concurrent.futures
     started = []
 
     class InProcessPool:
@@ -653,7 +653,8 @@ def test_worker_count_is_capped_at_the_plan(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    # run_suite imports the pool only where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     for jobs in (64, 2):
         cfg = SuiteConfig.from_dict({"ids": FAST_IDS, "modes": ["exact"], "jobs": jobs})
         reports, summary, code = run_suite(cfg)
