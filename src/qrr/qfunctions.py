@@ -55,10 +55,11 @@ from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, _Shared, kept, powq, to_mp
+from .context import MAX_TERMS, QContext, _Shared, kept, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
-from .fixedpoint import LOG2_10, Fixed, _complex, _real, cut, one_minus, parts, shifted
+from .fixedpoint import (LOG2_10, Fixed, _complex, _real, cut, one_minus, parts,
+                         rounding_bits, shifted)
 from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
@@ -100,7 +101,8 @@ class _Lattice:
     n = 0, 1, ... and n = -1, -2, ... of a bilateral series, as the
     builders of :func:`_series` do.  Its term n is c_n y0^n, so the term at
     y_s is c_n h^n with h = q^(e s).  The streams are built once and kept
-    as they extend, so the sum at s costs one power of q and one
+    as they extend, and so are tables of q^(e s), q^(-e s) and q^(-e s^2):
+    the sum at s reads h, 1/h and h^(-s) from them and costs one
     multiplication per term.  The lattice lives for one kernel call.
 
     Reading.  A unilateral lattice (s >= 0, largest terms at n <= 0) reads
@@ -112,21 +114,29 @@ class _Lattice:
     read from n = 0 would make up to |s| terms there only to floor them
     away.  A centre off the peak costs terms, not accuracy.
 
-    Roundings.  h is q^(e s) from a power taken ``bitlen(|e s|) + 2`` bits
-    wider and rounded once to wp, and 1/h one division more.  h^n0 is the
-    binary power of h: |n0| roundings from the error of h, fewer than |n0|
-    of its own, and one division when n0 < 0.  Each step of a tail
-    multiplies the running power by h or 1/h, one rounding of its own and
-    at most two carried, and the term by its coefficient, one more.  The
-    coefficient streams of :func:`_ratio_terms` with F <= 2 factors carry
-    at most m + 3m(m - 1)/2 roundings at |n| = m (one division per step, and
-    the k roundings of the step and of each carried power in step k).  With
-    N = |s| + k, term k of either tail lies at |n| <= N + 1 after at most
-    k + 1 steps, so it carries at most 3N^2/2 + 11N/2 + 5 roundings (at
-    s = 0, h = 1 is exact and the power carries none).  Doubled for complex
-    values, that is 3N^2 + 11N + 10, within the R (N + 1)^2 = 8 (N + 1)^2
-    of :func:`~qrr.fixedpoint.rounding_bits` at stream index N: each sum
-    is charged from index |n0| on.
+    Roundings.  The tables are running products at W = wp +
+    ``rounding_bits(1, MAX_TERMS)`` bits: q^e from a power taken
+    ``bitlen(|e|) + 2`` bits wider still and rounded once to W, q^-e one
+    division more, each entry of q^(+-e s) the last one times q^(+-e), and
+    q^(-e s^2) the last one times q^(-e (s - 1)) q^(-e s).  So the entries
+    at |s| = m carry at most 3m, 4m and 4m^2 + 2m roundings of W bits, less
+    than the R (m + 1)^2 of a stream term at index m also when doubled for
+    complex values, and W makes that less than 2^-wp relative for every
+    m <= MAX_TERMS: rounded once to wp, h, 1/h and h^n0 = q^(-e s^2) are each
+    within two roundings.  The tables grow outward from s = 0 as the sums
+    ask, so an entry does not depend on the order the sums are read in.
+    Each step of a tail multiplies the running power by h or 1/h, one
+    rounding of its own and at most two carried, and the term by its
+    coefficient, one more; the lower tail starts at h^n0 / h, one step
+    from h^n0.  The coefficient streams of :func:`_ratio_terms` with F <= 2
+    factors carry at most m + 3m(m - 1)/2 roundings at |n| = m (one
+    division per step, and the k roundings of the step and of each carried
+    power in step k).  With N = |s| + k, term k of either tail lies at
+    |n| <= N + 1 after at most k + 1 steps, so it carries at most
+    3N^2/2 + 11N/2 + 7 roundings (at s = 0 every power is exactly 1).
+    Doubled for complex values, that is 3N^2 + 11N + 14, within the
+    R (N + 1)^2 = 8 (N + 1)^2 of :func:`~qrr.fixedpoint.rounding_bits` at
+    stream index N >= 1: each sum is charged from index |n0| on.
 
     Declared bound.  Term n of the sum at s is c_n h^n, so the ratio of two
     terms read upwards is c_(n + 1) / c_n times h, and downwards
@@ -146,30 +156,46 @@ class _Lattice:
     """
 
     def __init__(self, build, e, ctx: QContext):
-        streams = build(ctx.fixed(ctx.q))
+        q = ctx.fixed(ctx.q)
+        streams = build(q)
         self.streams = [_Shared(t) for t in
                         (streams if isinstance(streams, tuple) else (streams,))]
-        self.e = Fraction(e)
-        self.ctx = ctx
+        self.ctx, self.wp = ctx, q.wp
+        # q^e taken wider still, so that its own roundings stay below the one
+        # rounding to the tables' width
+        width = q.wp + rounding_bits(1, MAX_TERMS)
+        e = Fraction(e)
+        step = Fixed.of(powq(Fixed.of(q, width + math.ceil(abs(e)).bit_length() + 2), e), width)
+        one = Fixed(1, None, 0, width)
+        self.steps = step, 1 / step
+        self.powers = [one], [one]  # q^(e s) and q^(-e s), s = 0, 1, ...
+        self.gauss = [one]  # q^(-e s^2), s = 0, 1, ...
+
+    def _power(self, s: int):
+        """q^(e s), from the running product out from s = 0."""
+        powers, step = self.powers[s < 0], self.steps[s < 0]
+        while len(powers) <= abs(s):
+            powers.append(powers[-1] * step)
+        return powers[abs(s)]
+
+    def _gauss(self, s: int):
+        """q^(-e s^2) for s >= 0: q^(-e (s - 1)^2) times q^(-e (s - 1)) q^(-e s)."""
+        gauss = self.gauss
+        while len(gauss) <= s:
+            k = len(gauss)
+            gauss.append(gauss[-1] * self._power(1 - k) * self._power(-k))
+        return gauss[s]
 
     def sum(self, s: int):
         """The series at y0 q^(e s)."""
-        streams = self.streams
-        n0 = -s if len(streams) == 2 else 0
-
-        def build(q):
-            # q^(e s), taken wide enough that its own roundings stay below
-            # the one rounding to wp
-            m = self.e * s
-            h = q.like(powq(Fixed.of(q, q.wp + math.ceil(abs(m)).bit_length() + 2), m))
-            p = h ** n0
-            pos = _walk(n0, p, h, *streams)
-            if len(streams) == 1:
-                return pos
-            g = 1 / h
-            return pos, _walk(-n0, p * g, g, *streams[::-1])
-
-        return _series(build, self.ctx, abs(n0))
+        streams, wp = self.streams, self.wp
+        h = Fixed.of(self._power(s), wp)
+        if len(streams) == 1:
+            return _series(lambda q: _walk(0, Fixed(1, None, 0, wp), h, *streams), self.ctx)
+        # h^n0 at n0 = -s, and 1/h
+        p, g = Fixed.of(self._gauss(abs(s)), wp), Fixed.of(self._power(-s), wp)
+        return _series(lambda q: (_walk(-s, p, h, *streams), _walk(s, p * g, g, *streams[::-1])),
+                       self.ctx, abs(s))
 
 
 def _walk(n, p, g, near, far=None):

@@ -57,8 +57,10 @@ top(peak) - top(sum) come out of the slack.  A sum left with fewer than
 ``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
 which names the bits it lacks; :func:`~qrr.context.widening` reruns the
 whole evaluation around the sum, inputs included, that much wider.  A
-bilateral sum whose tails cancel to exactly zero raises too, as one tail
-that floors to zero does.  The value leaves fixed point only as the mpf/mpc
+bilateral sum is one block: its second tail adds into the running sum of
+the first, the N terms of both are charged as one sum, and the bound is
+checked once, so tails that cancel to exactly zero raise as one tail that
+floors to zero does.  The value leaves fixed point only as the mpf/mpc
 ``SumOutcome.value``.
 """
 
@@ -109,7 +111,7 @@ class SumOutcome:
             f"{self.terms_used} terms, |value| {mp.nstr(abs(self.value), 3)}")
 
 
-def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
+def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
     ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
@@ -118,7 +120,10 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
     ratios) by multiplication instead of recomputing term n from scratch.
     ``term(n)`` lies at index ``first + n`` of the stream it is read from,
     and is charged the R (first + n + 1)^2 roundings of that index: a tail
-    read from the middle of a stream is charged where it lies.
+    read from the middle of a stream is charged where it lies.  ``then``, a
+    pair (term, ratio) of a second tail, is read from n = 0 on into the same
+    block once the first tail stops, and stops by its own rule
+    (:func:`sum_bilateral`).
 
     Two stop rules (see the module docstring).  With a declared bound
     ``ratio``, a :class:`_Reading`: ``ratio(n)`` is log2 of a bound rho_n on
@@ -167,6 +172,7 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
         # top >= large_top above it; between them its float log2 decides
         small_top = math.floor(tol_log2) - 1
         large_top = math.ceil(tol_log2) + 2
+        tail_log2 = ctx.tail_log2
         wp = ctx.fixed_bits
         bw = None            # block precision: bits kept below the peak
         term_bits = None     # precision the terms were computed at
@@ -174,107 +180,109 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None) -> SumOutcome:
         E = 0
         cplx = False
         # the peak term, its top, its float log2 (made on demand) and its
-        # position among the nonzero terms
+        # position among the nonzero terms of its tail
         peak_t, peak_top, peak_lm, peak = None, -math.inf, None, 0
-        small_run = 0
-        zero_run = 0
-        ns, ts, tops = [], [], []  # index, value and top of each nonzero term
-        if ratio is not None:
-            tail_log2 = ctx.tail_log2
-            low, slope = ratio.low - 1, ratio.slope
-        for n in range(MAX_TERMS):
-            t = term(n)
-            if t.__class__ is not Fixed:
-                t = Fixed.of(t, wp)
-                if term_bits is None:
-                    term_bits = mp.mp.prec
-            re, im, e = t.re, t.im, t.e
-            if re or im:
-                zero_run = 0
-                if im is None:
-                    top = re.bit_length() + e
+        used = 0
+        # per tail: its tail bound, or what its decay certificate reads
+        stops = []
+        for term, ratio in ((term, ratio),) if then is None else ((term, ratio), then):
+            small_run = 0
+            zero_run = 0
+            ns, ts, tops = [], [], []  # index, value and top of each nonzero term
+            if stops:
+                peak = None  # the peak lies in the first tail, until one tops it
+            if ratio is not None:
+                low, slope = ratio.low - 1, ratio.slope
+            for n in range(MAX_TERMS):
+                t = term(n)
+                if t.__class__ is not Fixed:
+                    t = Fixed.of(t, wp)
+                    if term_bits is None:
+                        term_bits = mp.mp.prec
+                re, im, e = t.re, t.im, t.e
+                if re or im:
+                    zero_run = 0
+                    if im is None:
+                        top = re.bit_length() + e
+                    else:
+                        cplx = True
+                        top = re.bit_length()
+                        top_im = im.bit_length()
+                        top = (top if top > top_im else top_im) + e
+                    if bw is None:
+                        bw = max(wp, t.wp)
+                        term_bits = term_bits or t.wp
+                        E = top - bw
+                    if top - bw > E:
+                        shift = top - bw - E
+                        s_re >>= shift
+                        s_im >>= shift
+                        E += shift
+                    d = e - E
+                    if d >= 0:
+                        s_re += re << d
+                        if im is not None:
+                            s_im += im << d
+                    else:
+                        s_re += re >> -d
+                        if im is not None:
+                            s_im += im >> -d
+                    # the float log2 of a term lies within a hair of
+                    # [top - 1, top + 1/2], so tops more than two apart decide
+                    # the peak
+                    if top > peak_top + 2:
+                        peak_t, peak_top, peak_lm, peak = t, top, None, len(ts)
+                    elif top > peak_top - 2:
+                        lm = _log2(t)
+                        if peak_lm is None:
+                            peak_lm = _log2(peak_t)
+                        if lm > peak_lm:
+                            peak_t, peak_top, peak_lm, peak = t, top, lm, len(ts)
+                    if ratio is not None:
+                        # |t| rho / (1 - rho) >= 2^(top - 1) 2^(low + slope n),
+                        # and the level is at most 2^max(E, tail_log2)
+                        if top + low + slope * n < (E if E > tail_log2 else tail_log2):
+                            # one unit of the working digits of the running
+                            # sum, taken as 1 when it is larger:
+                            # |S| >= 2^(bits + E - 1)
+                            size = max(s_re.bit_length(), s_im.bit_length()) + E - 1
+                            level = tail_log2 + min(size, 0)
+                            tail = _declared_tail(_log2(t), ratio(n), E if E > level else level)
+                            if tail is not None:
+                                stops.append(tail)
+                                break
+                        continue
+                    ns.append(n)
+                    ts.append(t)
+                    tops.append(top)
+                    if top <= small_top or top < E:
+                        small_run += 1
+                    elif top >= large_top:
+                        small_run = 0
+                    else:
+                        small_run = small_run + 1 if _log2(t) < tol_log2 else 0
                 else:
-                    cplx = True
-                    top = re.bit_length()
-                    top_im = im.bit_length()
-                    top = (top if top > top_im else top_im) + e
-                if bw is None:
-                    bw = max(wp, t.wp)
-                    term_bits = term_bits or t.wp
-                    E = top - bw
-                if top - bw > E:
-                    shift = top - bw - E
-                    s_re >>= shift
-                    s_im >>= shift
-                    E += shift
-                d = e - E
-                if d >= 0:
-                    s_re += re << d
-                    if im is not None:
-                        s_im += im << d
-                else:
-                    s_re += re >> -d
-                    if im is not None:
-                        s_im += im >> -d
-                # the float log2 of a term lies within a hair of
-                # [top - 1, top + 1/2], so tops more than two apart decide
-                # the peak
-                if top > peak_top + 2:
-                    peak_t, peak_top, peak_lm, peak = t, top, None, len(ts)
-                elif top > peak_top - 2:
-                    lm = _log2(t)
-                    if peak_lm is None:
-                        peak_lm = _log2(peak_t)
-                    if lm > peak_lm:
-                        peak_t, peak_top, peak_lm, peak = t, top, lm, len(ts)
-                if ratio is not None:
-                    # |t| rho / (1 - rho) >= 2^(top - 1) 2^(low + slope n),
-                    # and the level is at most 2^max(E, tail_log2)
-                    if top + low + slope * n < (E if E > tail_log2 else tail_log2):
-                        # one unit of the working digits of the running sum,
-                        # taken as 1 when it is larger: |S| >= 2^(bits + E - 1)
-                        size = max(s_re.bit_length(), s_im.bit_length()) + E - 1
-                        level = tail_log2 + min(size, 0)
-                        tail = _declared_tail(_log2(t), ratio(n), E if E > level else level)
-                        if tail is not None:
-                            return _stopped(s_re, s_im if cplx else None, E, peak_top, n + 1,
-                                            first, term_bits, bw, tail, ctx)
-                    continue
-                ns.append(n)
-                ts.append(t)
-                tops.append(top)
-                if top <= small_top or top < E:
+                    if ratio is not None:
+                        if ratio(n) < math.inf:
+                            stops.append(mp.mpf(0))
+                            break
+                        continue
+                    zero_run += 1
                     small_run += 1
-                elif top >= large_top:
-                    small_run = 0
-                else:
-                    small_run = small_run + 1 if _log2(t) < tol_log2 else 0
+                if small_run >= STOP_RUN and n >= STOP_RUN - 1:
+                    stops.append(mp.mpf(0) if zero_run >= STOP_RUN or not ts
+                                 else (_Terms(ns, ts, tops), peak, n + 1))
+                    break
             else:
-                if ratio is not None:
-                    if ratio(n) < math.inf:
-                        return _stopped(s_re, s_im if cplx else None, E, peak_top, n + 1,
-                                        first, term_bits, bw, mp.mpf(0), ctx)
-                    continue
-                zero_run += 1
-                small_run += 1
-            if small_run >= STOP_RUN and n >= STOP_RUN - 1:
-                n += 1
-                value, error = _settled(s_re, s_im if cplx else None, E, peak_top, n,
-                                        first, term_bits, bw, ctx)
-                if zero_run >= STOP_RUN or not ts:
-                    return SumOutcome(value, n, mp.mpf(0), True, error)
-                tol = ctx.stop_tol
-                terms = _Terms(ns, ts, tops)
-                rate = _decay_rate(terms, tol, peak)
-                if rate is None:
-                    rate = _parity_decay_rate(terms, tol)
-                if rate is None:
-                    raise RatioTestError(
-                        f"terms below tolerance after {n} terms but no decay certificate")
-                tail = terms.level(tol) * rate / (1 - rate)
-                converged = _negligible(tail, error, ctx) and _below(tail, value)
-                return SumOutcome(value, n, tail, converged, error)
-        raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
+                raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
+            used += n + 1
+        value, error = _settled(s_re, s_im if cplx else None, E, peak_top, used, first,
+                                term_bits, bw, ctx, "sum" if then is None else "bilateral tails")
+        tails = [_observed_tail(*stop, ctx) if stop.__class__ is tuple else stop
+                 for stop in stops]
+        tail = tails[0] if then is None else tails[0] + tails[1]
+        converged = not tail or (_negligible(tail, error, ctx) and _below(tail, value))
+        return SumOutcome(value, used, tail, converged, error)
 
 
 def _declared_tail(log2_t, log2_rho, level):
@@ -287,14 +295,7 @@ def _declared_tail(log2_t, log2_rho, level):
     bound = log2_t + log2_rho - math.log2(-math.expm1(log2_rho * LN2))
     if bound >= level:
         return None
-    return mp.mpf(0) if bound == -math.inf else mp.ldexp(1, math.ceil(bound))
-
-
-def _stopped(s_re, s_im, E, peak_top, n, first, term_bits, bw, tail, ctx):
-    """The outcome of a sum stopped on its declared bound after n terms."""
-    value, error = _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx)
-    converged = not tail or (_negligible(tail, error, ctx) and _below(tail, value))
-    return SumOutcome(value, n, tail, converged, error)
+    return mp.mpf(0) if bound == -math.inf else mp.make_mpf((0, 1, math.ceil(bound), 1))
 
 
 def _log2(t):
@@ -323,7 +324,7 @@ def _below(tail, value):
     return exp + bc < top or tail < abs(value)
 
 
-def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
+def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx, what="sum"):
     """(value, rounding-error bound) of the block sum, after the guard check.
 
     The bound is 2^(rounding_bits(n, first) + top(peak) - term_bits) (see the
@@ -339,50 +340,43 @@ def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx):
     missing = bits_for_digits(ctx.precision) + bound_top - (top - 1)
     if missing > 0:
         raise PrecisionLossError(
-            f"sum cancelled {peak_top - top} bits below its largest term; "
+            f"{what} cancelled {peak_top - top} bits below its largest term; "
             f"{missing} more working bits needed", missing)
     return total.to_mp(), mp.make_mpf((0, 1, bound_top, 1))
 
 
+def _observed_tail(terms, peak, n, ctx):
+    """The tail bound level * rate / (1 - rate) of the decay certificate on
+    the nonzero ``terms`` of a tail stopped after n terms, its largest at
+    position ``peak`` (None: found here); RatioTestError without one."""
+    tol = ctx.stop_tol
+    rate = _decay_rate(terms, tol, peak)
+    if rate is None:
+        rate = _parity_decay_rate(terms, tol)
+    if rate is None:
+        raise RatioTestError(f"terms below tolerance after {n} terms but no decay certificate")
+    return terms.level(tol) * rate / (1 - rate)
+
+
 def sum_bilateral(pos, neg, ctx: QContext, first: int = 0,
                   ratios=(None, None)) -> SumOutcome:
-    """Sum a bilateral series given as its two tails, with a certificate
-    for each.
+    """Sum a bilateral series given as its two tails, in one block.
 
     ``pos(k)`` is the term at n = k and ``neg(k)`` the term at n = -1 - k;
-    each tail is summed by :func:`sum_series`, so each is called with
-    k = 0, 1, 2, ... in order, once each, and a kernel may keep one running
-    state per tail.  A kernel that reads its tails outward from elsewhere
-    than n = 0 passes in ``first`` the stream index from which both tails
-    are charged (see :func:`sum_series`), and in ``ratios`` the declared
-    bound of each tail, or None for a tail whose stop is observed.  The two
-    tails' rounding bounds
-    are checked against their sum as :func:`sum_series` checks its own; a
-    sum that cancels exactly to zero is known only to lie below their bound,
-    and raises PrecisionLossError as one tail that floors to zero does.  The
-    sum counts as converged when each tail bound lies below
-    ``ctx.target_tol`` or at most that tail's own rounding bound, and their
-    sum below |value|, so a tail far smaller than the other one does not
-    count against it.
+    each is called with k = 0, 1, 2, ... in order, once each, ``pos`` to its
+    stop and then ``neg``, so a kernel may keep one running state per tail.
+    A kernel that reads its tails outward from elsewhere than n = 0 passes
+    in ``first`` the stream index from which both tails are charged, and in
+    ``ratios`` the declared bound of each tail, or None for a tail whose
+    stop is observed.  It is one :func:`sum_series` over both tails: one
+    running sum and peak, the rounding charge of all N terms of both at
+    once, rounding_bits(N, first), and one guard check, so a sum that
+    cancels exactly to zero raises PrecisionLossError as one tail that
+    floors to zero does.  Each tail stops by its own rule, the second at a
+    level read off the running sum of both, and the tail bound is the sum of
+    the two, judged as that of one series.
     """
-    pos = sum_series(pos, ctx, first, ratios[0])
-    neg = sum_series(neg, ctx, first, ratios[1])
-    with ctx.workdps():
-        value = pos.value + neg.value
-        error = pos.error + neg.error
-        if error:
-            # |value| >= 2^(mag(value) - 2) and error <= 2^mag(error); an
-            # exact zero is known only to lie below error
-            low = mp.mag(value) - 2 if value else mp.mag(error)
-            missing = bits_for_digits(ctx.precision) + mp.mag(error) - low
-            if missing > 0:
-                raise PrecisionLossError(
-                    f"bilateral tails cancel; {missing} more working bits needed", missing)
-        tail = pos.tail_bound + neg.tail_bound
-        converged = (_negligible(pos.tail_bound, pos.error, ctx)
-                     and _negligible(neg.tail_bound, neg.error, ctx)
-                     and (not tail or _below(tail, value)))
-        return SumOutcome(value, pos.terms_used + neg.terms_used, tail, converged, error)
+    return sum_series(pos, ctx, first, ratios[0], (neg, ratios[1]))
 
 
 # Every declared log2 ratio bound is raised by this much (a factor

@@ -1,6 +1,7 @@
 """Hypergeometric, bilateral, and convolution-identity evaluators."""
 
 import math
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qbessel, qfunctions, slices, summation)
-from qrr.context import RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
-from qrr.fixedpoint import (Fixed, _complex, _real, cut, one_minus, parts, rounding_bits,
-                            shifted)
+from qrr.context import MAX_TERMS, RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
+from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
+                            rounding_bits, shifted)
 from qrr.pochhammer import (_pole_factors, infinite_product, pochhammer_finite,
                             pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
@@ -547,10 +548,12 @@ KERNEL_CASES = _kernel_cases()
 
 def _engine_outcomes(monkeypatch):
     """The list that collects every SumOutcome the kernels' engine calls
-    return, in order: the kernels themselves return only values.  The
-    oracles of this module (its own ``sum_series`` and ``sum_bilateral``)
-    then sum under the ratio bound that the kernel's last engine call
-    declared, its last argument, so that both stop by the same rule."""
+    return, in order: the kernels themselves return only values.  A
+    bilateral sum is one engine call, whose one outcome counts the terms of
+    both tails.  The oracles of this module (its own ``sum_series`` and
+    ``sum_bilateral``) then sum under the ratio bounds that the kernel's
+    last engine call declared, its last argument, so that both stop by the
+    same rule, each tail of a bilateral one too."""
     seen, declared = [], [None]
 
     def kernel(*args, real):
@@ -861,6 +864,73 @@ def test_a_lattice_matches_a_alpha(precision, twisted):
             assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
 
 
+# The power tables of a lattice: q^(e s), q^(-e s) and q^(-e s^2), each a
+# running product out from s = 0 at the tables' own width.  A sum at s reads
+# h = q^(e s), 1/h and h^(-s) = q^(-e s^2) from them.
+
+TABLE_QS = ["0.3", "-0.6", "0.99", "0.2+0.1j"]
+TABLE_K = 40
+
+
+def _table_reads(ctx, e, order):
+    """{s: (h, 1/h, h^-s)} as the sums of one lattice read them, in ``order``,
+    each part as (re, im, e, wp)."""
+    lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e, ctx)
+    return {s: tuple((v.re, v.im, v.e, v.wp) for v in (
+        lattice._power(s), lattice._power(-s), lattice._gauss(abs(s)))) for s in order}
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_lattice_tables_do_not_depend_on_the_read_order(q):
+    ctx = QContext.numeric(q, precision=50)
+    K = TABLE_K
+    shuffled = list(range(-K, K + 1))
+    random.Random(34).shuffle(shuffled)
+    for e in (2, F(2, 3)):
+        # as ms-12 reads (-K..K), as ms-11 reads (0, 1, ... then -1, -2, ...)
+        reads = [_table_reads(ctx, e, order) for order in (
+            range(-K, K + 1), [*range(K + 1), *range(-1, -K - 1, -1)], shuffled)]
+        assert reads[0] == reads[1] == reads[2]
+
+
+def _table_misses(lattice, ctx, e):
+    """The s in -K..K where an entry of the tables, or what a sum reads of
+    it at wp, lies outside its stated rounding of mpmath's value at twice
+    the digits: R (m + 1)^2 roundings at the tables' width for |s| = m, and
+    two roundings at wp."""
+    misses = []
+    wp = ctx.fixed_bits
+    with mp.workdps(2 * ctx.working_dps):
+        qm = ctx.fixed(ctx.q).to_mp()
+        for s in range(-TABLE_K, TABLE_K + 1):
+            m = abs(s)
+            for entry, exact in ((lattice._power(s), qm ** (e * s)),
+                                 (lattice._power(-s), qm ** (-e * s)),
+                                 (lattice._gauss(m), qm ** (-e * m * m))):
+                bound = ROUNDINGS * (m + 1) ** 2 * mp.ldexp(abs(exact), 1 - entry.wp)
+                read = Fixed.of(entry, wp).to_mp()
+                if (abs(entry.to_mp() - exact) > bound
+                        or abs(read - exact) > mp.ldexp(abs(exact), 2 - wp)):
+                    misses.append(s)
+                    break
+    return misses
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_lattice_tables_lie_within_their_roundings(q):
+    ctx = QContext.numeric(q, precision=50)
+    for e in (2, F(2, 3)):
+        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e,
+                           ctx)
+        assert lattice._power(0).wp == ctx.fixed_bits + rounding_bits(1, MAX_TERMS)
+        assert not _table_misses(lattice, ctx, e)
+        # a table whose step is off by one power of q misses at every s but 0
+        off = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e, ctx)
+        step = off.steps[0] * off.steps[0].like(ctx.fixed(ctx.q))
+        off.steps = step, 1 / step
+        assert _table_misses(off, ctx, e) == [s for s in range(-TABLE_K, TABLE_K + 1) if s]
+
+
 def test_lattice_pole_reaches_every_reader():
     # (b;q)_4 vanishes at b = q^-3: the shared stream ends in a PoleError,
     # which a second reader must see too, not a finished generator
@@ -875,28 +945,29 @@ def test_lattice_pole_reaches_every_reader():
 
 
 def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
-    # the sum at s = -107 reads both tails outward from n0 = 107: term k of a
-    # tail is charged the roundings of stream index 107 + k, not of k
-    tails = []
+    # the sum at s = -107 reads both tails outward from n0 = 107, in one
+    # block: term k of a tail is charged the roundings of stream index
+    # 107 + k, not of k, and the charge counts the terms of both tails
+    tails, sums = ([], []), []
     real = summation.sum_series
 
-    def watched(term, ctx, first=0, ratio=None):
-        seen = []
-        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first, ratio)
-        tails.append((seen, out))
-        return out
+    def watched(term, ctx, first=0, ratio=None, then=None):
+        def seen(i, term):
+            return lambda k: tails[i].append(term(k)) or tails[i][-1]
+        sums.append(real(seen(0, term), ctx, first, ratio, then and (seen(1, then[0]), then[1])))
+        return sums[-1]
 
     monkeypatch.setattr(summation, "sum_series", watched)
     with CTX.workdps():
         lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), 2,
                            CTX)
         lattice.sum(-107)
-    assert len(tails) == 2
-    for seen, out in tails:
-        peak = max(t.top() for t in seen if t)
-        n = out.terms_used
-        assert out.error == mp.ldexp(1, rounding_bits(n, 107) + peak - CTX.fixed_bits)
-        assert rounding_bits(n, 107) > rounding_bits(n)
+    assert len(sums) == 1 and all(tails)
+    out, n = sums[0], sums[0].terms_used
+    assert n == len(tails[0]) + len(tails[1])
+    peak = max(t.top() for seen in tails for t in seen if t)
+    assert out.error == mp.ldexp(1, rounding_bits(n, 107) + peak - CTX.fixed_bits)
+    assert rounding_bits(n, 107) > rounding_bits(n)
 
 
 def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
@@ -930,6 +1001,9 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
     assert len(lattices) == 2
     for shared in lattices[1].streams:
         assert shared.terms and {c.wp for c in shared.terms} == {wide}
+    # and its power tables, from which both tails of the one block read
+    tables = [*lattices[1].powers[0], *lattices[1].powers[1], *lattices[1].gauss]
+    assert {v.wp for v in tables} == {wide + rounding_bits(1, MAX_TERMS)}
     assert set(seen) == {wide}
     monkeypatch.setattr(qfunctions, "sum_bilateral", real)
     with CTX.workdps():
@@ -1274,16 +1348,21 @@ BOUND_CASES = _bound_cases()
 
 
 def _declared_tails(run, ctx, extra):
-    """(ratio, outcome, terms) of each tail the last attempt of ``run`` sums
-    within ``widening``: the terms it read and ``extra`` more from the same
-    stream."""
+    """(ratio, terms used, outcome, terms) of each tail the last attempt of
+    ``run`` sums within ``widening``: the terms it read and ``extra`` more
+    from the same stream.  The two tails of a bilateral sum share the
+    outcome of their one block."""
     tails, real = [], summation.sum_series
 
-    def watched(term, ctx, first=0, ratio=None):
-        seen = []
-        out = real(lambda k: seen.append(term(k)) or seen[-1], ctx, first, ratio)
-        seen += [term(k) for k in range(len(seen), len(seen) + extra)]
-        tails.append((ratio, out, seen))
+    def watched(term, ctx, first=0, ratio=None, then=None):
+        read = [(term, ratio, [])] + ([(*then, [])] if then else [])
+        taps = [(lambda k, term=term, seen=seen: seen.append(term(k)) or seen[-1], ratio)
+                for term, ratio, seen in read]
+        out = real(taps[0][0], ctx, first, ratio, then and taps[1])
+        for term, ratio, seen in read:
+            used = len(seen)
+            seen += [term(k) for k in range(used, used + extra)]
+            tails.append((ratio, used, out, seen))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1299,7 +1378,8 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
     tails = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=20), 30)
     deep = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=40), 1500)
     assert tails and len(deep) == len(tails)
-    for (ratio, out, seen), (_, _, far) in zip(tails, deep):
+    rests = {}  # per sum: its outcome and the true tails after the stops
+    for (ratio, used, out, seen), (_, _, _, far) in zip(tails, deep):
         assert ratio is not None
         mags = [summation._log2(t) if t else None for t in seen]
         for m, (t, u) in enumerate(zip(mags, mags[1:])):
@@ -1307,9 +1387,11 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
             if u is not None:
                 assert t is not None and u - t <= ratio(m) or ratio(m) == math.inf, (m, u - t)
         with mp.workdps(60):
-            rest = [abs(t.to_mp()) for t in far[out.terms_used:]]
+            rest = [abs(t.to_mp()) for t in far[used:]]
             assert rest[-1] < mp.mpf(10) ** -20 * (out.tail_bound or mp.mpf(10) ** -200)
-            assert sum(rest) <= out.tail_bound
+            rests.setdefault(id(out), [out, 0])[1] += sum(rest)
+    for out, rest in rests.values():
+        assert rest <= out.tail_bound
 
 
 # ---------------------------------------------------------------------------

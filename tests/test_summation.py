@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
 from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext, QPow,
                  RatioTestError, SumOutcome, sum_bilateral, sum_series)
 from qrr.context import GUARD_DIGITS, MAX_TERMS, widening
-from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits
+from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits, rounding_bits
 from qrr import qfunctions, summation
 from qrr.qfunctions import phi_1_1
 from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
@@ -886,3 +886,80 @@ def test_declared_zero_term_stops_only_below_a_finite_bound():
     assert out.terms_used == 5
     dead = sum_series(lambda n: zero, ctx, 0, ObservedReading([zero, zero]))
     assert (dead.value, dead.terms_used, dead.tail_bound, dead.converged) == (0, 1, 0, True)
+
+
+# One block for both tails.  ``sum_bilateral`` sums its two tails into one
+# running sum; the oracle sums each tail on its own with ``sum_series`` and
+# adds the two outcomes.  The two may stop a tail at different terms (the
+# second tail of the block reads its level off the sum of both), so they
+# agree within both rounding bounds and both tail bounds.
+
+BLOCK_TAILS = {
+    "real": (dict(top0=5, rate=6), dict(top0=-3, rate=4, seed=1)),
+    "complex": (dict(kind="fixed-complex", top0=5, rate=6, bits=260),
+                dict(kind="fixed-complex", top0=9, rate=3, seed=4)),
+    "mpf-and-mpc": (dict(kind="mpf", top0=-3, rate=3), dict(kind="mpc", bits=2, rate=5)),
+    "parity-and-gaps": (dict(top0=0, rate=2, parity=25),
+                        dict(top0=2, rate=7, zeros=(2, 5, 6, 11))),
+    # the second tail undoes the first to within 2^-40 of its first term
+    "cancelling": (dict(top0=20, rate=3), dict(top0=20, rate=3)),
+    "cancelling-complex": (dict(kind="fixed-complex", top0=20, rate=3, bits=260),
+                           dict(kind="fixed-complex", top0=20, rate=3, bits=260)),
+}
+BLOCK_RULES = {"declared": (True, True), "observed": (False, False),
+               "declared-then-observed": (True, False), "observed-then-declared": (False, True)}
+
+
+def _block_tails(name):
+    pos, neg = (oracle_stream(**kw) for kw in BLOCK_TAILS[name])
+    if name.startswith("cancelling"):
+        neg = [-t for t in pos]
+        neg[0] = neg[0] + Fixed.of(pos[0], 300) * Fixed(1, None, -40, 300)
+        neg[0] = Fixed.of(neg[0], pos[0].wp)
+    return pos, neg
+
+
+def _peak_top(terms):
+    """The top of the first term of largest float log2, as the engine
+    picks its peak."""
+    peak, best = None, -math.inf
+    for t in terms:
+        t = t if t.__class__ is Fixed else Fixed.of(t, ORACLE_CTX.fixed_bits)
+        if t and summation._log2(t) > best:
+            peak, best = t.top(), summation._log2(t)
+    return peak
+
+
+@pytest.mark.parametrize("first", [0, 107])
+@pytest.mark.parametrize("rule", sorted(BLOCK_RULES))
+@pytest.mark.parametrize("name", sorted(BLOCK_TAILS))
+def test_bilateral_block_matches_the_per_tail_oracle(name, rule, first):
+    tails = _block_tails(name)
+    ratios = tuple(ObservedReading(t) if declared else None
+                   for t, declared in zip(tails, BLOCK_RULES[rule]))
+    read = ([], [])
+
+    def reader(i):
+        return lambda k: read[i].append(tails[i][k]) or read[i][-1]
+
+    ctx = ORACLE_CTX
+    with ctx.workdps():
+        out = sum_bilateral(reader(0), reader(1), ctx, first, ratios)
+        pos, neg = (sum_series(t.__getitem__, ctx, first, r) for t, r in zip(tails, ratios))
+        assert out.converged and pos.converged and neg.converged
+        outs = (out, pos, neg)
+        # each value is its block sum rounded once to the working precision
+        rounded = sum(mp.ldexp(abs(o.value), 1 - mp.mp.prec) for o in outs)
+        with mp.workdps(400):
+            gap = abs(out.value - (pos.value + neg.value))
+        assert gap <= sum(o.error + o.tail_bound for o in outs) + rounded
+        if name.startswith("cancelling"):
+            # the tails cancel about 40 bits below their largest term
+            assert abs(out.value) < mp.ldexp(abs(tails[0][0].to_mp()), -30)
+    n = out.terms_used
+    assert n == len(read[0]) + len(read[1]) and all(read)
+    # one rounding charge over all n terms of both tails, at the peak of both
+    with ctx.workdps():
+        term_bits = ctx.fixed_bits if tails[0][0].__class__ is Fixed else mp.mp.prec
+    assert out.error == mp.ldexp(1, rounding_bits(n, first) + _peak_top(read[0] + read[1])
+                                 - term_bits)
