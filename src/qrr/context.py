@@ -105,6 +105,12 @@ class QContext:
         """Context manager entering the working precision."""
         return mp.workdps(self.working_dps)
 
+    @cached_property
+    def fixed_q(self) -> Fixed:
+        """The base q at :attr:`fixed_bits`, made once per context: every
+        numeric series reads it."""
+        return self.fixed(self.q)
+
     # The tolerances below are made once per context, at the working digits
     # of its precision alone (a wider context keeps them): every sum reads them.
 

@@ -160,7 +160,7 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
         x = powq(q, nu - n)
         series = _bessel_series(nu, 1, x, ctx)
         tail = infinite_product([], [QPow(1, nu + 1)], q, ctx)
-        qf = ctx.fixed(q)
+        qf = ctx.fixed_q
         binoms = list(_qbinomials(n, qf))
         s4, s5 = (sum(map(mul, binoms, _gaussian(qf, 1, powq(qf, e)))).to_mp()
                   for e in (-nu - n, nu - n))

@@ -14,11 +14,12 @@ running products that live for one sum.
 Numeric series run in Python-int fixed point (:mod:`qrr.fixedpoint`), complex
 values as pairs of ints.  A series, one stream or the pair of streams of a
 bilateral one, enters fixed point in :func:`_series`, which hands its stream
-builder the base q at ``ctx.fixed_bits`` (other mpf/mpc arguments are read
-exactly at their first use) and leaves as its certified mpf/mpc value, or as
-NonConvergenceError, or, cancelled below ``ctx.precision`` digits, as
-PrecisionLossError naming the bits it lacks: the caller reruns the whole
-evaluation, inputs included, with :func:`~qrr.context.widening`.
+builder the base q at ``ctx.fixed_bits``, ``ctx.fixed_q``, made once per
+context (other mpf/mpc arguments are read exactly at their first use), and
+leaves as its certified mpf/mpc value, or as NonConvergenceError, or,
+cancelled below ``ctx.precision`` digits, as PrecisionLossError naming the
+bits it lacks: the caller reruns the whole evaluation, inputs included, with
+:func:`~qrr.context.widening`.
 A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
@@ -73,12 +74,13 @@ def _series(build, ctx: QContext, first=0):
     """Sum of the series whose stream of terms n = 0, 1, ... ``build(q)``
     returns, or of the bilateral series whose streams n = 0, 1, ... and
     n = -1, -2, ... it returns as a pair, with q the context's base at
-    ``ctx.fixed_bits``: the one exit of every numeric series.  A series read
-    from the middle of its streams (:class:`_Lattice`) passes the stream
-    index its rounding charge starts from in ``first``.  A
+    ``ctx.fixed_bits`` (``ctx.fixed_q``): the one exit of every numeric
+    series.  A series read from the middle of its streams
+    (:class:`_Lattice`) passes the stream index its rounding charge starts
+    from in ``first``.  A
     :class:`~qrr.summation._Declared` stream stops on its declared ratio
     bound, any other on the observed certificate."""
-    terms = build(ctx.fixed(ctx.q))
+    terms = build(ctx.fixed_q)
     if isinstance(terms, tuple):
         (pos, up), (neg, down) = map(_reading, terms)
         return sum_bilateral(pos, neg, ctx, first, (up, down)).certified()
@@ -156,7 +158,7 @@ class _Lattice:
     """
 
     def __init__(self, build, e, ctx: QContext):
-        q = ctx.fixed(ctx.q)
+        q = ctx.fixed_q
         streams = build(q)
         self.streams = [_Shared(t) for t in
                         (streams if isinstance(streams, tuple) else (streams,))]
@@ -666,7 +668,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         ctx3 = ctx.at(q ** 3)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         s_max = gaussian_truncation(alpha, ctx)
-        qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
+        qf, w = ctx.fixed_q, ctx.fixed(rho_root(ctx))
         one = qf.like(1)
         r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1),
                    2, ctx)
@@ -740,7 +742,7 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
         # the slice terms only decay like (b/a)^|s| in each direction.
         K = ratio_truncation(av, bv, ctx)
-        qf, w = ctx.fixed(q), ctx.fixed(rho_root(ctx))
+        qf, w = ctx.fixed_q, ctx.fixed(rho_root(ctx))
         r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, 2, ctx)
         twist = rho_root(ctx) ** 2 if corrected else 1
         # the inner function at twist x q^{2 alpha s}
@@ -819,7 +821,7 @@ def _theta_slices(slices, k: int, a: QPow, xv, K: int, ns, ctx: QContext):
     (:func:`_floored`) and against :func:`_theta_cutoff`: where the cutoff
     bound exceeds 10^-(precision + 6) of it, the 10^6 allowance of
     :func:`slice_truncation`, K grows until it does not."""
-    q = ctx.fixed(ctx.q)
+    q = ctx.fixed_q
     weights = list(islice(_gaussian(q, 1, q.like(xv), ns[0]), len(ns)))
     weight = _log2_sum(g.top() + 0.5 for g in weights if g)
     rate = float(mp.log(abs(ctx.q), 2))

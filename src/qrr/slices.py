@@ -287,14 +287,14 @@ def _weighted_pairs(t: _Table, lo: int, w: Fixed, weights, values, ctx: QContext
 @kept
 def _ratio_table_streams(a, b, ctx: QContext):
     """The two streams of 1psi1 at z = 1, r_n = (a;q)_n/(b;q)_n for n = 0,
-    1, ... and n = -1, -2, ..., at ``ctx.fixed(ctx.q)``, each a
+    1, ... and n = -1, -2, ..., at ``ctx.fixed_q``, each a
     :class:`~qrr.context._Shared` stream: every table of a check at (a, b)
     reads them."""
-    return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))))
+    return tuple(map(_Shared, _ratio_streams(a, b, 0, 1)(ctx.fixed_q)))
 
 
 def _bilateral_ratio_array(a: QPow, b: QPow, K: int, k: int, ctx: QContext) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed(ctx.q)``, a
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed_q``, a
     table for slices of order k, sliced off the kept streams of
     :func:`_ratio_table_streams`: the entries do not depend on K, only the
     table's exponent E does.  A pole in a stream is raised again to every

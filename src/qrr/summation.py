@@ -36,15 +36,14 @@ that, E moves up and the sum is shifted down with it.
 
 Bookkeeping on bit lengths.  A term's top, its bit length plus its exponent,
 brackets its magnitude: |t| lies in [2^(top - 1), 2^(top + 1/2)).  The
-per-term stop test and the running peak are decided on tops, and a float
-log2 is taken only for a term within two bits of the stop tolerance or of
-the peak; under a declared bound, only for a term whose top leaves the
-bound's stop test open.  The decay certificate compares magnitudes exactly:
-on tops where they decide it, and otherwise on the mpf magnitudes, which it
-keeps once made.  It ranks its ratios on top differences where two lie 4 or
-more apart, otherwise by cross-multiplying those mantissas, and divides
-once, for the winner.  So its outcome is bit for bit that of a certificate
-on mpf magnitudes throughout.
+running peak is decided on tops, and a float log2 is taken only for a term
+within two bits of the peak; under a declared bound, only for a term whose
+top leaves the bound's stop test open.  Under the observed rule a term is
+negligible when its top lies below the block exponent or its float log2
+below the stop tolerance's.  The decay certificate runs on mpf magnitudes:
+a tail under the observed rule keeps its nonzero terms as (index, value)
+pairs, and at its stop each becomes one mpf magnitude at the working
+precision, which the certificate compares and divides as plain mpf values.
 
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings,
 n the term's index in the stream it was read from, errs by less than
@@ -69,9 +68,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
+from itertools import islice
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
+from mpmath.libmp import from_man_exp
 
 from .context import MAX_TERMS, QContext
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
@@ -149,16 +149,15 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
     digits.
 
     Each term is judged by its top, its bit length plus its exponent: |t|
-    lies in [2^(top - 1), 2^(top + 1/2)).  A term is negligible when its
-    float log2 lies below ``ctx.stop_log2``, or when its top lies below the
-    block exponent E: the running sum keeps no bit under 2^E, and adding
-    the term floors it to 0 or -1 units.  The second case arises only once
+    lies in [2^(top - 1), 2^(top + 1/2)).  A term is negligible when its top
+    lies below the block exponent E, or its float log2 below
+    ``ctx.stop_log2``: the running sum keeps no bit under 2^E, and adding
+    the term floors it to 0 or -1 units.  The first case arises only once
     the peak exceeds about 2^wp times the stop tolerance.  Tops decide the
-    stop test and the running peak unless the term lies within two bits of
-    the tolerance or of the peak; only then is its float log2 taken.  The
-    certificate (:func:`_decay_rate`) works on the same tops and, where they
-    leave the order open, on exact comparisons of mpf magnitudes; it makes
-    one mpf quotient for the adjacent pairs.  Its tail bound is
+    running peak unless the term lies within two bits of it; only then is
+    its float log2 taken.  The certificate (:func:`_decay_rate`) reads the
+    mpf magnitudes of the tail's nonzero terms, made once at its stop, and
+    divides out each pair it inspects.  Its tail bound is
     level * rate / (1 - rate).  Under either rule the sum counts as
     converged when the tail bound lies below ``ctx.target_tol`` or at most
     the rounding bound ``error``, and below the sum's own magnitude; a zero
@@ -168,10 +167,6 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
     """
     with ctx.workdps():
         tol_log2 = ctx.stop_log2
-        # a term of top <= small_top lies below the stop tolerance, one of
-        # top >= large_top above it; between them its float log2 decides
-        small_top = math.floor(tol_log2) - 1
-        large_top = math.ceil(tol_log2) + 2
         tail_log2 = ctx.tail_log2
         wp = ctx.fixed_bits
         bw = None            # block precision: bits kept below the peak
@@ -188,7 +183,7 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
         for term, ratio in ((term, ratio),) if then is None else ((term, ratio), then):
             small_run = 0
             zero_run = 0
-            ns, ts, tops = [], [], []  # index, value and top of each nonzero term
+            terms = []  # (index, value) of each nonzero term
             if stops:
                 peak = None  # the peak lies in the first tail, until one tops it
             if ratio is not None:
@@ -231,13 +226,13 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
                     # [top - 1, top + 1/2], so tops more than two apart decide
                     # the peak
                     if top > peak_top + 2:
-                        peak_t, peak_top, peak_lm, peak = t, top, None, len(ts)
+                        peak_t, peak_top, peak_lm, peak = t, top, None, len(terms)
                     elif top > peak_top - 2:
                         lm = _log2(t)
                         if peak_lm is None:
                             peak_lm = _log2(peak_t)
                         if lm > peak_lm:
-                            peak_t, peak_top, peak_lm, peak = t, top, lm, len(ts)
+                            peak_t, peak_top, peak_lm, peak = t, top, lm, len(terms)
                     if ratio is not None:
                         # |t| rho / (1 - rho) >= 2^(top - 1) 2^(low + slope n),
                         # and the level is at most 2^max(E, tail_log2)
@@ -252,15 +247,8 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
                                 stops.append(tail)
                                 break
                         continue
-                    ns.append(n)
-                    ts.append(t)
-                    tops.append(top)
-                    if top <= small_top or top < E:
-                        small_run += 1
-                    elif top >= large_top:
-                        small_run = 0
-                    else:
-                        small_run = small_run + 1 if _log2(t) < tol_log2 else 0
+                    terms.append((n, t))
+                    small_run = small_run + 1 if top < E or _log2(t) < tol_log2 else 0
                 else:
                     if ratio is not None:
                         if ratio(n) < math.inf:
@@ -270,8 +258,8 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
                     zero_run += 1
                     small_run += 1
                 if small_run >= STOP_RUN and n >= STOP_RUN - 1:
-                    stops.append(mp.mpf(0) if zero_run >= STOP_RUN or not ts
-                                 else (_Terms(ns, ts, tops), peak, n + 1))
+                    stops.append(mp.mpf(0) if zero_run >= STOP_RUN or not terms
+                                 else (terms, peak, n + 1))
                     break
             else:
                 raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
@@ -347,15 +335,19 @@ def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx, what="sum"):
 
 def _observed_tail(terms, peak, n, ctx):
     """The tail bound level * rate / (1 - rate) of the decay certificate on
-    the nonzero ``terms`` of a tail stopped after n terms, its largest at
-    position ``peak`` (None: found here); RatioTestError without one."""
+    the (index, value) pairs ``terms`` of the nonzero terms of a tail
+    stopped after n terms, its largest at position ``peak`` (None: found
+    here); RatioTestError without one.  The level is the largest magnitude
+    among the last ``STOP_RUN`` terms, or the tolerance if that is larger."""
     tol = ctx.stop_tol
-    rate = _decay_rate(terms, tol, peak)
+    mags = [(i, _magnitude(t)) for i, t in terms]
+    rate = _decay_rate(mags, tol, peak)
     if rate is None:
-        rate = _parity_decay_rate(terms, tol)
+        rate = _parity_decay_rate(mags, tol)
     if rate is None:
         raise RatioTestError(f"terms below tolerance after {n} terms but no decay certificate")
-    return terms.level(tol) * rate / (1 - rate)
+    level = max(max(m for _, m in mags[-STOP_RUN:]), tol)
+    return level * rate / (1 - rate)
 
 
 def sum_bilateral(pos, neg, ctx: QContext, first: int = 0,
@@ -565,7 +557,7 @@ class _Declared:
 
 def _declared(walk):
     """The generator function ``walk(nums, dens, q, step, growth, up=True)``,
-    returning each stream as a :class:`Declared` one with the
+    returning each stream as a :class:`_Declared` one with the
     :class:`_RatioBound` of its parameters."""
     @wraps(walk)
     def stream(*args, **kwargs):
@@ -589,163 +581,49 @@ def _arg(v: Fixed) -> float:
     return math.atan2(v.im, v.re)
 
 
-class _Terms:
-    """The nonzero terms of a sum as the decay certificate reads them:
-    parallel lists of index n, Fixed value and top.
-
-    Each magnitude is known two ways, exactly both: from the top, |t| in
-    [2^(top - 1), 2^(top + 1/2)]; and as the mpf magnitude that the
-    certificate's values are made of.  A comparison uses the top when that
-    decides it and compares mpf magnitudes otherwise.  They are kept, as mpf
-    tuples, once made.
-    """
-
-    __slots__ = ("ns", "ts", "tops", "made")
-
-    def __init__(self, ns, ts, tops, made=None):
-        self.ns, self.ts, self.tops = ns, ts, tops
-        self.made = {} if made is None else made
-
-    def __len__(self):
-        return len(self.ts)
-
-    def every_other(self, start):
-        """The terms at positions start, start + 2, ..., with what is made."""
-        return _Terms(self.ns[start::2], self.ts[start::2], self.tops[start::2],
-                      {i // 2: v for i, v in self.made.items() if i % 2 == start})
-
-    def mpf(self, i):
-        """The mpf tuple of |term i| at the current precision."""
-        v = self.made.get(i)
-        if v is None:
-            t = self.ts[i]
-            m = abs(t.re) if t.im is None else math.isqrt(t.re * t.re + t.im * t.im)
-            v = self.made[i] = from_man_exp(m, t.e, *mp.mp._prec_rounding)
-        return v
-
-    def at_least(self, i, tol):
-        """``|term i| >= tol`` for a positive mpf ``tol``, which lies in
-        [2^(tol_top - 1), 2^tol_top)."""
-        _, _, exp, bc = tol._mpf_
-        tol_top = exp + bc
-        top = self.tops[i]
-        if top > tol_top:
-            return True
-        if top < tol_top - 1:
-            return False
-        return mpf_ge(self.mpf(i), tol._mpf_)
-
-    def largest(self, positions):
-        """The first of ``positions`` whose mpf magnitude is largest: only a
-        term within one top of the highest can be."""
-        tops = self.tops
-        best = max(tops[i] for i in positions)
-        positions = [i for i in positions if tops[i] >= best - 1]
-        if len(positions) == 1:
-            return positions[0]
-        return max(positions, key=lambda i: mp.make_mpf(self.mpf(i)))
-
-    def ratio(self, i):
-        """The per-index ratio (m_i / m_(i-1))^(1/gap) across a gap of zero
-        terms, as an mpf."""
-        r = mp.make_mpf(mpf_div(self.mpf(i), self.mpf(i - 1), *mp.mp._prec_rounding))
-        gap = self.ns[i] - self.ns[i - 1]
-        return r if gap == 1 else r ** (mp.mpf(1) / gap)
-
-    def worst_ratio(self, pairs):
-        """The largest per-index ratio over the pairs (i - 1, i) for i in
-        ``pairs``, or None for no pairs.
-
-        Adjacent pairs are ranked exactly, m_i / m_(i-1) against
-        m_j / m_(j-1) on tops or by cross-multiplying the mpf mantissas
-        (:meth:`_exceeds`), and only the winner's quotient is made: division
-        rounds monotonically, so it is the largest quotient.  A pair across
-        a gap of zero terms is made in mpf.
-        """
-        ns = self.ns
-        best = None
-        ratios = []
-        for i in pairs:
-            if ns[i] - ns[i - 1] > 1:
-                ratios.append(self.ratio(i))
-            elif best is None or self._exceeds(i, best):
-                best = i
-        if best is not None:
-            ratios.append(self.ratio(best))
-        return max(ratios, default=None)
-
-    def _exceeds(self, i, j):
-        """``m_i / m_(i-1) > m_j / m_(j-1)`` on the mpf magnitudes, from tops
-        when they decide it.
-
-        An mpf magnitude m of top T lies in [2^(T - 1), 2^(T + 1/2) (1 + u)],
-        u < 2^(1 - prec) from its rounding, so log2(m_i / m_(i-1)) lies
-        within 3/2 + 2u of the top difference d_i = T_i - T_(i-1), and the
-        two log2 ratios differ from d_i - d_j by at most 3 + 4u < 4: a
-        difference of 4 or more decides.  One of 3 does not: with m_i and
-        m_(j-1) at the foot of their brackets and m_(i-1), m_j rounded up
-        past 2^(T + 1/2), ratio i falls short of ratio j.
-        """
-        tops = self.tops
-        d = tops[i] - tops[i - 1] - tops[j] + tops[j - 1]
-        if d >= 4:
-            return True
-        if d <= -4:
-            return False
-        _, a, ea, _ = self.mpf(i)
-        _, b, eb, _ = self.mpf(j - 1)
-        _, c, ec, _ = self.mpf(j)
-        _, d, ed, _ = self.mpf(i - 1)
-        shift = ea + eb - ec - ed
-        if shift >= 0:
-            return (a * b) << shift > c * d
-        return a * b > (c * d) << -shift
-
-    def level(self, tol):
-        """The largest magnitude among the last ``STOP_RUN`` terms, or the
-        tolerance if that is larger: the level the tail bound starts from."""
-        first = max(0, len(self.ts) - STOP_RUN)
-        _, _, exp, bc = tol._mpf_
-        if max(self.tops[first:]) < exp + bc - 1:
-            return tol
-        j = self.largest(list(range(first, len(self.ts))))
-        return mp.make_mpf(self.mpf(j)) if self.at_least(j, tol) else tol
+def _magnitude(t):
+    """|t| of a nonzero Fixed term as an mpf, rounded once to the current
+    precision."""
+    m = abs(t.re) if t.im is None else math.isqrt(t.re * t.re + t.im * t.im)
+    return mp.make_mpf(from_man_exp(m, t.e, *mp.mp._prec_rounding))
 
 
 def _decay_rate(mags, tol, peak=None):
     """Certified per-index decay rate from trailing magnitudes, or None.
 
-    ``mags`` is a :class:`_Terms` view and ``tol`` a positive mpf.  Only
-    pairs after the largest magnitude (position ``peak``, found here when
-    not given) count: ratios before the peak describe how the
-    series grows, not its tail.  Pairs whose earlier member sits above the
-    stop tolerance are the informative ones (below it, a series that once
-    was large is down in roundoff, where ratios mean nothing).  A series
-    that never rose above the tolerance is judged on its raw ratios instead,
-    so a flat plateau of tiny terms still fails the certificate.  Gaps from
-    interleaved zero terms are normalized away.  Only the trailing
-    ``RATIO_WINDOW`` pairs are ever inspected.  The pairs are chosen on tops
-    and exact mpf comparisons, and the worst of them on tops or by
-    cross-multiplying mantissas, so of the adjacent pairs only the returned
-    ratio is divided out in mpf.
+    ``mags`` is a list of (index, positive mpf magnitude) pairs and ``tol``
+    a positive mpf.  Only pairs after the largest magnitude (position
+    ``peak``, the first largest, found here when not given) count: ratios
+    before the peak describe how the series grows, not its tail.  Pairs
+    whose earlier member sits above the stop tolerance are the informative
+    ones (below it, a series that once was large is down in roundoff, where
+    ratios mean nothing).  A series that never rose above the tolerance is
+    judged on its raw ratios instead, so a flat plateau of tiny terms still
+    fails the certificate.  Gaps from interleaved zero terms are normalized
+    away.  Only the trailing ``RATIO_WINDOW`` pairs are ever inspected.
     """
     last = len(mags) - 1
     if last < 1:
         return mp.mpf("0.5")  # single nonzero term: a terminated sum
     if peak is None:
-        peak = mags.largest(list(range(last + 1)))
-    pairs = []
-    for i in range(last, peak, -1):
-        if mags.at_least(i - 1, tol):
-            pairs.append(i)
-            if len(pairs) == RATIO_WINDOW:
-                break
+        values = [m for _, m in mags]
+        peak = values.index(max(values))
+    pairs = list(islice((i for i in range(last, peak, -1) if mags[i - 1][1] >= tol),
+                        RATIO_WINDOW))
     if not pairs:
-        pairs = list(range(last, max(last - RATIO_WINDOW, peak), -1))
-    worst = mags.worst_ratio(pairs)
+        pairs = range(last, max(last - RATIO_WINDOW, peak), -1)
+    worst = max((_ratio(mags[i - 1], mags[i]) for i in pairs), default=None)
     if worst is None or worst >= RATIO_CAP:
         return None  # still rising at its last term, or no decay
     return worst
+
+
+def _ratio(before, after):
+    """The per-index ratio (m1 / m0)^(1/gap) of two (index, magnitude)
+    pairs, across a gap of zero terms."""
+    (n0, m0), (n1, m1) = before, after
+    r = m1 / m0
+    return r if n1 - n0 == 1 else r ** (mp.mpf(1) / (n1 - n0))
 
 
 def _parity_decay_rate(mags, tol):
@@ -755,11 +633,11 @@ def _parity_decay_rate(mags, tol):
     A series whose two interleaved classes of terms decay at different
     levels shows ratios that alternate up and down across the classes, so
     the plain certificate fails although each class decays.  Each class
-    needs at least two magnitudes; the per-index rate of a gap of two comes
-    from :meth:`_Terms.ratio`.  The larger of the two rates bounds both
-    classes, so ``level * r / (1 - r)`` stays an upper bound on the tail.
+    needs at least two magnitudes; its per-index rate spans a gap of two.
+    The larger of the two rates bounds both classes, so
+    ``level * r / (1 - r)`` stays an upper bound on the tail.
     """
     if len(mags) < 4:
         return None
-    rates = [_decay_rate(mags.every_other(start), tol) for start in (0, 1)]
+    rates = [_decay_rate(mags[start::2], tol) for start in (0, 1)]
     return None if None in rates else max(rates)

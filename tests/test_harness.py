@@ -18,7 +18,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext
-from qrr import qfunctions
+from qrr import qfunctions, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -111,6 +111,22 @@ def test_poisson_kernel_certificate_failure_is_error():
                        RunSettings(precision=20, q_values=("-0.6",)))
     assert report.status == "ERROR"
     assert report.note.startswith("RatioTestError: "), report.note
+
+
+@pytest.mark.parametrize("entry_id, q, status", [
+    ("poisson-kernel", "-0.3", "PASS"),
+    ("hermite-gf", "0.7", "DISCREPANCY_DOCUMENTED"),
+])
+def test_parity_certificate_certifies_a_kernel_sum(entry_id, q, status, monkeypatch):
+    # these kernels' sums alternate between two decay levels, so only the
+    # parity rule certifies them; no sum reaches it at the default q
+    rates = []
+    parity = summation._parity_decay_rate
+    monkeypatch.setattr(summation, "_parity_decay_rate",
+                        lambda mags, tol: rates.append(parity(mags, tol)) or rates[-1])
+    report = run_check(entry_id, "numeric", RunSettings(q_values=(q,)))
+    assert rates and None not in rates
+    assert report.status == status, (report.max_abs_deviation, report.note)
 
 
 @pytest.mark.parametrize("precision", [20, 50])

@@ -2,13 +2,13 @@
 
 import math
 import random
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, islice, repeat
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_div, mpf_ge
+from mpmath.libmp import from_man_exp
 
 from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext, QPow,
                  RatioTestError, SumOutcome, sum_bilateral, sum_series)
@@ -17,13 +17,7 @@ from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits, rounding_
 from qrr import qfunctions, summation
 from qrr.qfunctions import phi_1_1
 from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
-                           _parity_decay_rate, _Terms)
-
-
-def _view(mags):
-    """The certificate's view of (index, positive mpf magnitude) pairs."""
-    ts = [Fixed(m.man, None, m.exp, m.bc) for _, m in mags]
-    return _Terms([n for n, _ in mags], ts, [t.top() for t in ts])
+                           _parity_decay_rate)
 
 
 def _tails(term):
@@ -87,8 +81,7 @@ def test_parity_split_decay_certificate():
         assert out.converged
         assert abs(out.value - exact) <= out.tail_bound
         assert abs(out.value - exact) < mp.mpf(10) ** -30
-        mags = _view([(n, r ** n * (1 if n % 2 == 0 else c))
-                      for n in range(out.terms_used)])
+        mags = [(n, r ** n * (1 if n % 2 == 0 else c)) for n in range(out.terms_used)]
         assert _decay_rate(mags, ctx.stop_tol) is None
         assert mp.almosteq(_parity_decay_rate(mags, ctx.stop_tol), r, 1e-20)
 
@@ -96,8 +89,8 @@ def test_parity_split_decay_certificate():
 def test_parity_split_needs_two_terms_per_class():
     tol = mp.mpf(10) ** -40
     rising = [(0, mp.mpf(1)), (1, mp.mpf(2))]
-    assert _parity_decay_rate(_view(rising), tol) is None
-    assert _parity_decay_rate(_view(rising + [(2, mp.mpf(3))]), tol) is None
+    assert _parity_decay_rate(rising, tol) is None
+    assert _parity_decay_rate(rising + [(2, mp.mpf(3))], tol) is None
 
 
 def test_bilateral_symmetric_gaussian():
@@ -264,7 +257,7 @@ def test_decay_rate_is_bit_identical_to_full_history(name):
     with mp.workdps(65):
         # the magnitudes at the working precision, as the engine makes them
         mags = [(n, +m) for n, m in _CASES[name]]
-        got = _decay_rate(_view(mags), _TOL)
+        got = _decay_rate(mags, _TOL)
         want = decay_rate_reference(mags, _TOL)
     if want is None:
         assert got is None
@@ -279,12 +272,12 @@ def test_decay_rate_reads_only_the_tail_after_the_peak():
     with mp.workdps(45):
         rising = [(0, mp.mpf(1)), (1, mp.mpf("2.17"))]
         rising += [(n, mp.mpf("0.148") * mp.mpf(10) ** (-5 * (n - 2))) for n in range(2, 13)]
-        assert _decay_rate(_view(rising), tol) == rising[2][1] / rising[1][1]
+        assert _decay_rate(rising, tol) == rising[2][1] / rising[1][1]
         assert decay_rate_reference(rising, tol) is None  # the whole-history window
         # still rising at the last term: nothing after the peak to certify
-        assert _decay_rate(_view([(0, mp.mpf(1)), (1, mp.mpf(2))]), tol) is None
+        assert _decay_rate([(0, mp.mpf(1)), (1, mp.mpf(2))], tol) is None
         for name in ("plateau-below-tol", "plateau-above-tol"):
-            assert _decay_rate(_view(_CASES[name]), _TOL) is None
+            assert _decay_rate(_CASES[name], _TOL) is None
 
 
 def test_short_rising_series_certifies_at_low_precision():
@@ -475,7 +468,7 @@ ORACLE_TERMS = 300
 
 
 def oracle_stream(kind="fixed", bits=60, top0=0, rise=0, rate=4, parity=0, zeros=(),
-                  near_tol=None, geometric=False, cancel=False, seed=0):
+                  near_tol=None, geometric=False, cancel=False, heads=False, seed=0):
     """The first ``ORACLE_TERMS`` terms of a test series, as a list.
 
     Terms rise over ``rise`` steps (by 0 or 1 bit each, so the peak has
@@ -487,6 +480,9 @@ def oracle_stream(kind="fixed", bits=60, top0=0, rise=0, rate=4, parity=0, zeros
     terms within two bits of the stop tolerance; ``cancel`` makes the second
     term the negative of the first, so the sum cancels.  Mantissas have
     ``bits`` bits; ``kind`` is "fixed", "fixed-complex", "mpf" or "mpc".
+    With ``heads`` every third complex term is (m, +-m) 2^e, m = 2^bits - 1:
+    its magnitude lies near 2^(top + 1/2), at the head of its top's bracket,
+    so it can reach a tolerance or a rival one top higher.
     """
     wp = ORACLE_CTX.fixed_bits
     tol_top = math.floor(ORACLE_CTX.stop_log2)
@@ -515,6 +511,8 @@ def oracle_stream(kind="fixed", bits=60, top0=0, rise=0, rate=4, parity=0, zeros
                   for _ in range(1 + cplx)]
             if cplx and rnd.randint(0, 9) == 0:
                 ms[1] = 0
+            if cplx and heads and n % 3 == 1:
+                ms = [(1 << bits) - 1, rnd.choice((1, -1)) * ((1 << bits) - 1)]
             base = step - max(abs(m).bit_length() for m in ms) + shift
         terms.append(Fixed(ms[0], ms[1] if cplx else None, base - shift, wp))
     if cancel:
@@ -557,6 +555,13 @@ ORACLE_CASES = {
     "geometric-ties-zero-gaps": dict(top0=0, rate=3, geometric=True, bits=270, seed=5,
                                      zeros=(22, 26, 27, 30)),
     "cancelling": dict(top0=20, rate=3, cancel=True),
+    # complex terms near 2^(top + 1/2) that reach the stop tolerance from one
+    # top below it, and a parity class whose largest term lies one top below
+    # a rival's
+    "heads-near-tol": dict(kind="fixed-complex", heads=True, bits=9, top0=-60, rate=2,
+                           near_tol=3, rise=4),
+    "heads-rivals": dict(kind="fixed-complex", heads=True, bits=2, top0=10, rate=3,
+                         near_tol=3, rise=6, parity=25, seed=2),
 }
 
 
@@ -564,8 +569,8 @@ ORACLE_CASES = {
 # last kept bit must not move them (their peaks lie far below 2^wp stop_tol)
 ORACLE_TERMS_USED = {
     "cancelling": "PrecisionLossError", "complex": 22, "geometric-ties": 35,
-    "geometric-ties-complex": 29, "geometric-ties-zero-gaps": 39,
-    "mpc-short-mantissas": 25, "mpf": 36, "near-tol": "RatioTestError",
+    "geometric-ties-complex": 29, "geometric-ties-zero-gaps": 39, "heads-near-tol": 34,
+    "heads-rivals": 50, "mpc-short-mantissas": 25, "mpf": 36, "near-tol": "RatioTestError",
     "near-tol-complex": "RatioTestError", "parity": 54, "parity-complex": 54,
     "peak-rivals-same-top": 33, "real": 22, "zero-gaps": 26,
 }
@@ -636,92 +641,34 @@ def test_oracle_cases_reach_what_they_name():
     def outcome(name):
         return _outcome_bits(reference_sum_series, oracle_stream(**ORACLE_CASES[name]))
 
-    assert outcome("cancelling")[0] == "PrecisionLossError"
-    for name in ("parity", "parity-complex"):
+    def summed(name):
+        """(index, term) of each nonzero term the reference sums."""
         terms = oracle_stream(**ORACLE_CASES[name])
         out = reference_sum_series(terms.__getitem__, ORACLE_CTX)
-        with ORACLE_CTX.workdps():
-            mags = _ReferenceMagnitudes([(n, t) for n, t in enumerate(terms[:out.terms_used])])
-            assert _reference_decay_rate(mags, ORACLE_CTX.stop_tol) is None
-            assert _reference_parity_decay_rate(mags, ORACLE_CTX.stop_tol) is not None
+        return [(n, t) for n, t in enumerate(terms[:out.terms_used]) if t]
 
-
-@pytest.mark.parametrize("name", ["geometric-ties", "geometric-ties-complex"])
-def test_running_product_tail_makes_one_quotient(name, monkeypatch):
-    # the window ratios of a running product tie in all but the last bits;
-    # ranked exactly, only the winner is divided out
-    quotients = []
-
-    def counting_div(*args):
-        quotients.append(args)
-        return mpf_div(*args)
-
-    monkeypatch.setattr(summation, "mpf_div", counting_div)
-    terms = oracle_stream(**ORACLE_CASES[name])
-    assert sum_series(terms.__getitem__, ORACLE_CTX).converged
-    assert len(quotients) == 1
-
-
-def test_top_brackets_match_mpf_comparisons_on_complex_terms():
-    # (m, m) 2^e with m = 2^k - 1 has top k + e and a magnitude near
-    # 2^(top + 1/2): it can reach a tolerance or a rival one top higher
-    wp = ORACLE_CTX.fixed_bits
+    assert outcome("cancelling")[0] == "PrecisionLossError"
+    tol = ORACLE_CTX.stop_tol
     with ORACLE_CTX.workdps():
-        tol = ORACLE_CTX.stop_tol
+        for name in ("parity", "parity-complex", "heads-rivals"):
+            mags = _ReferenceMagnitudes(summed(name))
+            assert _reference_decay_rate(mags, tol) is None
+            assert _reference_parity_decay_rate(mags, tol) is not None
+        # a term one top below the tolerance's that reaches it
         _, _, exp, bc = tol._mpf_
-        tol_top = exp + bc
-        ts = []
-        for k in (1, 3, 4, 9, 60, 200):
-            m = (1 << k) - 1
-            for lift in range(-2, 2):
-                e = tol_top + lift - k
-                ts += [Fixed(m, m, e, wp), Fixed(m, -(m >> 1), e, wp), Fixed(m, None, e, wp),
-                       Fixed(1 << (k - 1), None, e, wp)]
-        terms = _Terms(list(range(len(ts))), ts, [t.top() for t in ts])
-        mags = [_ReferenceMagnitudes([(0, t)])[0][1] for t in ts]
-        reached = [terms.at_least(i, tol) for i in range(len(ts))]
-        assert reached == [mpf_ge(m._mpf_, tol._mpf_) for m in mags]
-        assert any(r and top == tol_top - 1 for r, top in zip(reached, terms.tops))
-        passed = 0
-        for i in range(len(ts)):
-            for j in range(len(ts)):
-                if abs(terms.tops[i] - terms.tops[j]) <= 2:
-                    positions = [i, j]
-                    want = max(positions, key=lambda p: mags[p])
-                    assert terms.largest(positions) == want
-                    passed += terms.tops[want] < max(terms.tops[p] for p in positions)
-        assert passed
-
-
-def test_ratio_order_is_decided_on_tops_four_apart():
-    # pairs (0, 1) and (2, 3) whose top differences d differ by 3, 4 and 5;
-    # each magnitude at the foot of its bracket, 2^(top - 1), or at its
-    # head: just under 2^top (real), near 2^(top + 1/2) (complex) or
-    # rounded up past it at the working precision
-    wp = ORACLE_CTX.fixed_bits
-    with ORACLE_CTX.workdps():
-        def magnitude(t):
-            return _ReferenceMagnitudes([(0, t)])[0][1]
-
-        past = next(k for k in range(mp.mp.prec + 2, wp)
-                    if magnitude(Fixed((1 << k) - 1, (1 << k) - 1, -k, wp)) ** 2 > 2)
-        shapes = [(1 << 59, None, 60), ((1 << 60) - 1, None, 60), (511, 511, 9),
-                  ((1 << past) - 1, (1 << past) - 1, past)]
-        undecided = 0
-        for diff in (-5, -4, -3, 3, 4, 5):
-            for picks in product(shapes, repeat=4):
-                ts = [Fixed(re, im, top - k, wp)
-                      for (re, im, k), top in zip(picks, (0, 7, 20, 27 - diff))]
-                terms = _Terms([0, 1, 2, 3], ts, [t.top() for t in ts])
-                assert terms.tops[1] - terms.tops[0] - terms.tops[3] + terms.tops[2] == diff
-                m = [magnitude(t) for t in ts]
-                first, second = mp.fmul(m[1], m[2], exact=True), mp.fmul(m[3], m[0], exact=True)
-                assert terms._exceeds(1, 3) == (first > second)
-                assert terms._exceeds(3, 1) == (second > first)
-                undecided += abs(diff) == 3 and (first > second) != (diff > 0)
-        # top differences 3 apart do not decide: some pair there orders
-        # against them
-        assert undecided
+        below = _ReferenceMagnitudes([(n, t) for n, t in summed("heads-near-tol")
+                                      if t.top() == exp + bc - 1])
+        assert any(below[i][1] >= tol for i in range(len(below)))
+        # a parity class whose first largest term lies one top below its
+        # highest
+        terms = summed("heads-rivals")
+        gaps = []
+        for start in (0, 1):
+            mags = _ReferenceMagnitudes(terms[start::2])
+            values = [mags[i][1] for i in range(len(mags))]
+            peak = terms[start::2][values.index(max(values))][1].top()
+            gaps.append(max(t.top() for _, t in terms[start::2]) - peak)
+        assert 1 in gaps
 
 
 @st.composite
