@@ -42,13 +42,12 @@ def bits_for_digits(digits) -> int:
 ROUNDINGS = 8
 
 
-def rounding_bits(n_terms: int, first: int = 0) -> int:
-    """log2 of 2 R N (f + N)^2 + N, rounded up: N terms at stream indices
-    n = f, ..., f + N - 1, each at most R (n + 1)^2 roundings of 2^(1 - wp)
-    relative away from exact and none above the peak, plus N additions
-    floored into the running sum, err by less than
-    2^(rounding_bits(N, f) + top(peak) - wp)."""
-    return (2 * ROUNDINGS * n_terms * (first + n_terms) ** 2 + n_terms).bit_length()
+def rounding_bits(n_terms: int) -> int:
+    """log2 of 2 R N^3 + N, rounded up: N terms at stream indices n < N,
+    each at most R (n + 1)^2 roundings of 2^(1 - wp) relative away from
+    exact and none above the peak, plus N additions floored into the running
+    sum, err by less than 2^(rounding_bits(N) + top(peak) - wp)."""
+    return (2 * ROUNDINGS * n_terms ** 3 + n_terms).bit_length()
 
 
 def _real(m, e, wp):

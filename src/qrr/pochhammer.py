@@ -146,7 +146,7 @@ def infinite_product(nums, dens, q, ctx: QContext):
         qv = to_mp(q)
         if abs(qv) >= 1:
             raise DomainError(f"infinite product needs |q| < 1, got {qv}")
-        qf = ctx.fixed(qv)
+        qf = ctx.fixed_q if qv is ctx.q else ctx.fixed(qv)
         wp, one = qf.wp, qf.like(1)
         qr, qi, qe = parts(qf)
         lam = float(-mp.log(abs(qv), 2))   # log2 1/|q|, inf at q = 0

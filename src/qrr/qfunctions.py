@@ -24,68 +24,70 @@ A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
 times a geometric step, is one fused integer stream, :func:`_ratio_terms`
 (both halves of a bilateral one from :func:`_ratio_streams`); that holds for
 series, outer sums and ratio tables alike.  Such a stream declares its ratio
-bound to the engine, and a sum of it, or a lattice sum over it, stops on
+bound to the engine, and a sum of it stops on
 that bound (:class:`~qrr.summation._RatioBound`); any other stream stops on
 the observed certificate.  The generic stream helpers
 (:func:`_ratios_up`, :func:`_gaussian`, and the factor walks
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
-bilateral convolutions, the cube pairs of the master expansions and the theta
-pole sums) take their tables from :mod:`qrr.slices`, each on an exponent
-chosen from its floor bound and checked against the sum it gives
-(:func:`~qrr.slices._floored`); the theta sums check their cutoff there too.
+bilateral convolutions, the cube pairs of the master expansions, their outer
+sums and the theta pole sums) take their tables from :mod:`qrr.slices`, each
+on an exponent chosen from its floor bound and checked against the sum it
+gives (:func:`~qrr.slices._floored`); the theta and outer sums check their
+cutoffs there too.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
 :func:`~qrr.pochhammer.pole`, which names that factor.
 
-Shared work.  A kernel that needs one series at a q-geometric family of
-arguments y0 q^(e s) (the inner sums of the master expansions) builds a
-:class:`_Lattice`: the coefficient streams at y0 once per call, and each sum
-as those coefficients times a running power, a bilateral one read outward
-from its peak.
+Shared work.  A kernel that needs one series F(y) = sum_n p_n q^(alpha n^2)
+y^n at a q-geometric family of arguments y_s = y0 q^(2 alpha s) (the inner
+sums of the master expansions, and A_q(x q^k) of ``st-5.3``) takes them as
+one correlation of two tables (:func:`~qrr.slices.lattice_values`):
+q^(alpha s^2) F(y_s) = sum_n u_n g_(n + s), u_n = p_n y0^n and g_m =
+q^(alpha m^2), each an exact integer dot product rounded once.  The caller
+weighs the values without their q^(alpha s^2).  Where the outer sum has the
+inner series' own coefficients (the square expansions), the double sum is
+summed by n + j = m instead, as Gaussian-weighted pair slices
+(:func:`_square_outer`).  The left sides stay single series, so the two
+sides share no summation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count, islice
-from operator import mul
+from itertools import islice
 
 import mpmath as mp
 
 from .context import MAX_TERMS, QContext, _Shared, kept, powq, to_mp
-from .errors import AnnulusError, DomainError, PoleError
+from .errors import AnnulusError, DomainError, NonConvergenceError, PoleError
 from .exactpoly import EisensteinRational
-from .fixedpoint import (LOG2_10, Fixed, _complex, _real, cut, one_minus, parts,
-                         rounding_bits, shifted)
+from .fixedpoint import LN2, LOG2_10, Fixed, cut, one_minus, parts, shifted
 from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
                          infinite_product, pochhammer_finite, pole)
-from .summation import _declared, _Declared, _reading, sum_bilateral, sum_series
+from .summation import _declared, _reading, sum_bilateral, sum_series
 
 _Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
 
 
-def _series(build, ctx: QContext, first=0):
+def _series(build, ctx: QContext):
     """Sum of the series whose stream of terms n = 0, 1, ... ``build(q)``
     returns, or of the bilateral series whose streams n = 0, 1, ... and
     n = -1, -2, ... it returns as a pair, with q the context's base at
     ``ctx.fixed_bits`` (``ctx.fixed_q``): the one exit of every numeric
-    series.  A series read from the middle of its streams
-    (:class:`_Lattice`) passes the stream index its rounding charge starts
-    from in ``first``.  A
-    :class:`~qrr.summation._Declared` stream stops on its declared ratio
-    bound, any other on the observed certificate."""
+    series.  A :class:`~qrr.summation._Declared` stream stops on its
+    declared ratio bound, any other on the observed certificate."""
     terms = build(ctx.fixed_q)
     if isinstance(terms, tuple):
         (pos, up), (neg, down) = map(_reading, terms)
-        return sum_bilateral(pos, neg, ctx, first, (up, down)).certified()
+        return sum_bilateral(pos, neg, ctx, (up, down)).certified()
     term, ratio = _reading(terms)
-    return sum_series(term, ctx, first, ratio).certified()
+    return sum_series(term, ctx, ratio).certified()
 
 
 def _geometric(x0, ratio):
@@ -93,142 +95,6 @@ def _geometric(x0, ratio):
     while True:
         yield x0
         x0 = x0 * ratio
-
-
-class _Lattice:
-    """One series at the q-geometric family of arguments y_s = y0 q^(e s),
-    s an integer, from one set of coefficient streams.
-
-    ``build(q)`` returns the series' stream at y0, or the pair of streams
-    n = 0, 1, ... and n = -1, -2, ... of a bilateral series, as the
-    builders of :func:`_series` do.  Its term n is c_n y0^n, so the term at
-    y_s is c_n h^n with h = q^(e s).  The streams are built once and kept
-    as they extend, and so are tables of q^(e s), q^(-e s) and q^(-e s^2):
-    the sum at s reads h, 1/h and h^(-s) from them and costs one
-    multiplication per term.  The lattice lives for one kernel call.
-
-    Reading.  A unilateral lattice (s >= 0, largest terms at n <= 0) reads
-    each sum from n = 0.  A bilateral one reads it outward from n0 = -s: one
-    tail over n0, n0 + 1, ..., the other over n0 - 1, n0 - 2, ..., each
-    going on along the other stream where it crosses n = 0.  Both callers
-    step by e = 2 alpha over streams that carry q^(alpha n^2), so term n of
-    the sum at s carries q^(alpha ((n + s)^2 - s^2)) and peaks near n0: a
-    read from n = 0 would make up to |s| terms there only to floor them
-    away.  A centre off the peak costs terms, not accuracy.
-
-    Roundings.  The tables are running products at W = wp +
-    ``rounding_bits(1, MAX_TERMS)`` bits: q^e from a power taken
-    ``bitlen(|e|) + 2`` bits wider still and rounded once to W, q^-e one
-    division more, each entry of q^(+-e s) the last one times q^(+-e), and
-    q^(-e s^2) the last one times q^(-e (s - 1)) q^(-e s).  So the entries
-    at |s| = m carry at most 3m, 4m and 4m^2 + 2m roundings of W bits, less
-    than the R (m + 1)^2 of a stream term at index m also when doubled for
-    complex values, and W makes that less than 2^-wp relative for every
-    m <= MAX_TERMS: rounded once to wp, h, 1/h and h^n0 = q^(-e s^2) are each
-    within two roundings.  The tables grow outward from s = 0 as the sums
-    ask, so an entry does not depend on the order the sums are read in.
-    Each step of a tail multiplies the running power by h or 1/h, one
-    rounding of its own and at most two carried, and the term by its
-    coefficient, one more; the lower tail starts at h^n0 / h, one step
-    from h^n0.  The coefficient streams of :func:`_ratio_terms` with F <= 2
-    factors carry at most m + 3m(m - 1)/2 roundings at |n| = m (one
-    division per step, and the k roundings of the step and of each carried
-    power in step k).  With N = |s| + k, term k of either tail lies at
-    |n| <= N + 1 after at most k + 1 steps, so it carries at most
-    3N^2/2 + 11N/2 + 7 roundings (at s = 0 every power is exactly 1).
-    Doubled for complex values, that is 3N^2 + 11N + 14, within the
-    R (N + 1)^2 = 8 (N + 1)^2 of :func:`~qrr.fixedpoint.rounding_bits` at
-    stream index N >= 1: each sum is charged from index |n0| on.
-
-    Declared bound.  Term n of the sum at s is c_n h^n, so the ratio of two
-    terms read upwards is c_(n + 1) / c_n times h, and downwards
-    c_(n - 1) / c_n times 1/h.  The coefficient streams are
-    :func:`_ratio_terms` streams, and the ratio formula of each holds at
-    every integer n, across n = 0 too: the two streams of
-    :func:`_ratio_streams` are the halves of one series, whose ratio
-    (1 - a q^n) / (1 - b q^n) q^(alpha (2n + 1)) x holds for all n.  At
-    h = q^(2 alpha s) a tail from n0 = -s reads the ratios
-    (1 - a q^n) / (1 - b q^n) q^(alpha (2(n + s) + 1)) x, n >= n0, and
-    their mirror images downwards.  So each tail declares the bound of its
-    near stream read from its first index with the scale h or 1/h
-    (:func:`_walk`, :meth:`~qrr.summation._RatioBound.reading`): the
-    Gaussian step falls by |q|^(2 alpha) a term from |q^alpha x| at the
-    peak, and the Pochhammer part's suffix supremum is made once per
-    lattice, for all of its sums.
-    """
-
-    def __init__(self, build, e, ctx: QContext):
-        q = ctx.fixed_q
-        streams = build(q)
-        self.streams = [_Shared(t) for t in
-                        (streams if isinstance(streams, tuple) else (streams,))]
-        self.ctx, self.wp = ctx, q.wp
-        # q^e taken wider still, so that its own roundings stay below the one
-        # rounding to the tables' width
-        width = q.wp + rounding_bits(1, MAX_TERMS)
-        e = Fraction(e)
-        step = Fixed.of(powq(Fixed.of(q, width + math.ceil(abs(e)).bit_length() + 2), e), width)
-        one = Fixed(1, None, 0, width)
-        self.steps = step, 1 / step
-        self.powers = [one], [one]  # q^(e s) and q^(-e s), s = 0, 1, ...
-        self.gauss = [one]  # q^(-e s^2), s = 0, 1, ...
-
-    def _power(self, s: int):
-        """q^(e s), from the running product out from s = 0."""
-        powers, step = self.powers[s < 0], self.steps[s < 0]
-        while len(powers) <= abs(s):
-            powers.append(powers[-1] * step)
-        return powers[abs(s)]
-
-    def _gauss(self, s: int):
-        """q^(-e s^2) for s >= 0: q^(-e (s - 1)^2) times q^(-e (s - 1)) q^(-e s)."""
-        gauss = self.gauss
-        while len(gauss) <= s:
-            k = len(gauss)
-            gauss.append(gauss[-1] * self._power(1 - k) * self._power(-k))
-        return gauss[s]
-
-    def sum(self, s: int):
-        """The series at y0 q^(e s)."""
-        streams, wp = self.streams, self.wp
-        h = Fixed.of(self._power(s), wp)
-        if len(streams) == 1:
-            return _series(lambda q: _walk(0, Fixed(1, None, 0, wp), h, *streams), self.ctx)
-        # h^n0 at n0 = -s, and 1/h
-        p, g = Fixed.of(self._gauss(abs(s)), wp), Fixed.of(self._power(-s), wp)
-        return _series(lambda q: (_walk(-s, p, h, *streams), _walk(s, p * g, g, *streams[::-1])),
-                       self.ctx, abs(s))
-
-
-def _walk(n, p, g, near, far=None):
-    """The stream c_n p, c_(n + 1) p g, c_(n + 2) p g^2, ... for the
-    coefficients c_0, c_1, ... of the stream ``near`` and c_-1, c_-2, ... of
-    ``far``: read from n < 0, they run down ``far`` to c_-1 and go on along
-    ``near``.  The power is carried as a running product; a real g (and p)
-    multiplies each part once.  With p = h^n and g = h this is the series at
-    h read upward from n; with the streams swapped, -n for n and g = 1/h, it
-    is the same series read downward from n - 1.  It declares the bound of
-    ``near`` read from n with the scale g (its ratio formula holds across
-    n = 0, see :class:`~qrr.summation._RatioBound`)."""
-    return _Declared(_walked(n, p, g, near, far), near.stream.bound, n, g)
-
-
-def _walked(n, p, g, near, far):
-    coeffs = chain((far[i] for i in range(-1 - n, -1, -1)),
-                   map(near.__getitem__, count(max(n, 0))))
-    if g.im is not None:
-        yield from map(mul, coeffs, _geometric(p, g))
-        return
-    wp, gr, ge, pr, pe = g.wp, g.re, g.e, p.re, p.e
-    for c in coeffs:
-        if c.im is None:
-            yield _real(c.re * pr, c.e + pe, wp)
-        else:
-            yield _complex(c.re * pr, c.im * pr, c.e + pe, wp)
-        pr, pe = pr * gr, pe + ge
-        k = pr.bit_length() - wp
-        if k > 0:
-            pr, pe = pr >> k, pe + k
 
 
 def _gaussian(q, alpha, x, n=0):
@@ -462,15 +328,11 @@ def psi_1_1_product(a, b, z, ctx: QContext):
 # ---------------------------------------------------------------------------
 
 def ramanujan_A(z, ctx: QContext):
-    """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z."""
+    """A_q(z) = sum_n (-z)^n q^{n^2} / (q;q)_n, entire in z: its ratio is
+    q^{2k+1} from the square, -z, and the new (q;q) factor."""
     with ctx.workdps():
-        return _series(_ramanujan_A_stream(to_mp(z)), ctx)
-
-
-def _ramanujan_A_stream(zv):
-    """Builder of the stream of A_q(z): its ratio is q^{2k+1} from the
-    square, -z, and the new (q;q) factor."""
-    return lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q)
+        zv = to_mp(z)
+        return _series(lambda q: _ratio_terms([], [_Q1], q, -q.like(zv) * q, q * q), ctx)
 
 
 def omega(v, ctx: QContext):
@@ -624,26 +486,69 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 # ---------------------------------------------------------------------------
 
 from .slices import (_bilateral_ratio_array, _cube_slices, _floored,  # noqa: E402
-                     _log2_sum, _pair_slices, _Table, _weighted_pairs, gaussian_truncation,
-                     ratio_truncation, slice_truncation)
+                     _log2_sum, _pair_charge, _pair_slices, _Table, _tops, _weighted_pairs,
+                     gaussian_truncation, lattice_values, ratio_truncation, slice_truncation)
 
 
 # ---------------------------------------------------------------------------
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
-def _outer_terms(coeffs, indices, inner: _Lattice):
-    """Yield c_j F(y_j) from the streams c and j, F(y_j) the sum of the
-    ``inner`` lattice at j; it is not summed where c_j is an exact zero."""
-    for c, j in zip(coeffs, indices):
-        yield c * inner.sum(j) if c else c
+def _square_outer(table, alpha, xv, K: int, ctx: QContext, rate=None, stream=None):
+    """sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)), F(y) =
+    sum_n r_n q^(alpha n^2) y^n: the outer sum of a square master expansion,
+    summed by m = j + n as sum over m of q^(alpha m^2) x^m P_m, P_m the pair
+    slices (:func:`_pair_slices`) of the table r = ``table(K)``, checked by
+    :func:`_floored` with its entries' roundings charged (:func:`_pair_charge`).
+
+    Both cutoffs are checked against the sum, and grow where they miss
+    10^-(precision + 6) of it.  The weights, 0 <= m <= M for a unilateral
+    table, read off the :class:`~qrr.context._Shared` ``stream`` r_0, r_1,
+    ..., whose P_m are then exact: with A the largest |r_j| and rho >= 1 the
+    declared ratio bound past r_M, |P_m| <= (m + 1) A^2 rho^(m - M) for
+    m > M.  For a bilateral table, |m| <= M and |P_m| <= T^2 b^max(0, -m)
+    (|m| + 1 + 2 / (1 - b)), with T and b = 2^rate as in
+    :func:`_theta_cutoff`, which checks its cutoff |j| <= K.  Past M the
+    terms fall by at least 2^(h + 1) |q|^(alpha (2M + 3)) a step."""
+    qf, ell, x = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), float(mp.log(abs(xv), 2))
+
+    def tail(h, c):  # log2 of a bound on sum over m > M of (m + c) 2^(h m) |q|^(alpha m^2)
+        fall = h + 1 + alpha * (2 * M + 3) * ell
+        return math.inf if fall >= 0 else (math.log2(M + 1 + c) + h * (M + 1) + alpha * (
+            M + 1) ** 2 * ell - math.log2(-math.expm1(fall * LN2)))
+
+    M = gaussian_truncation(alpha, ctx)
+    while True:
+        t, ns = table(K), range(0 if stream else -M, M + 1)
+        weights = list(islice(_gaussian(qf, alpha, qf.like(xv), ns[0]), len(ns)))
+        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, _pair_slices(t, ns))),
+                         ctx, _log2_sum(g.top() + 0.5 for g in weights if g),
+                         _pair_charge(t, ns, weights))
+        level = value.top() - 1 - (ctx.precision + 6) * LOG2_10
+        if stream:
+            rho = max(0.0, stream.stream.bound.reading(M)(0))
+            cut = 2 * max(_tops(t.values)) - M * rho + tail(rho + x, 1)
+        else:
+            short = _theta_cutoff(t, ns, weights, rate) - level
+            if short > 0:
+                K += math.ceil(short / -rate)
+                continue
+            c = 1 + 2 / (1 - 2.0 ** rate)
+            cut = 2 * _table_top(t, rate) + _log2_sum((tail(x, c), tail(rate - x, c)))
+        if cut <= level:
+            return value.to_mp()
+        fall = -ell * alpha * (2 * M + 3)  # the bits |q|^(alpha m^2) falls by at m = M + 1
+        M += M if cut == math.inf else max(1, math.ceil((cut - level) / fall))
+        K = M if stream else K
+        if M > MAX_TERMS:
+            raise NonConvergenceError(f"master outer sum beyond {MAX_TERMS} terms")
 
 
 def square_master_sides(alpha, a, t, ctx: QContext):
     """Square-argument expansion of the generalized entire function.
 
     LHS: the base-q^2 function at (a^2; t^2); RHS: alternating sum of shifted
-    base-q evaluations.  Returns (lhs, rhs).
+    base-q evaluations, summed by :func:`_square_outer`.  Returns (lhs, rhs).
     """
     alpha = Fraction(alpha)
     with ctx.workdps():
@@ -651,11 +556,15 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         av, tv = to_mp(a), to_mp(t)
         ctx2 = ctx.at(q * q)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2)
-        # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j})
-        aq = _as_qpow(av)
-        inner = _Lattice(_a_alpha_stream(aq, alpha, tv), 2 * alpha, ctx)
-        outer = _a_alpha_stream(aq, alpha, -tv)
-        return lhs, _series(lambda q: _outer_terms(outer(q), count(), inner), ctx)
+        # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j}), r_j = (a;q)_j/(q;q)_j
+        one = ctx.fixed_q.like(1)
+        r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
+
+        def table(K):
+            return _Table(0, map(r.__getitem__, range(K + 1)), 2, ctx)
+
+        return lhs, _square_outer(table, alpha, tv, gaussian_truncation(alpha, ctx), ctx,
+                                  stream=r)
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -672,12 +581,11 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         one = qf.like(1)
         r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1),
                    2, ctx)
-        # the inner function at w^2 t q^{2 alpha s}
-        inner = _Lattice(_a_alpha_stream(_as_qpow(av), alpha, rho_root(ctx) ** 2 * tv),
-                         2 * alpha, ctx)
-        values = [inner.sum(s) for s in range(s_max + 1)]
-        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights q^{alpha s^2} t^s
-        rhs = _weighted_pairs(r, 0, w, _gaussian(qf, alpha, qf.like(tv)), values, ctx)
+        # q^{alpha s^2} times the inner function at w^2 t q^{2 alpha s}
+        inner = _a_alpha_stream(_as_qpow(av), 0, rho_root(ctx) ** 2 * tv)(qf)
+        values = lattice_values([_Shared(inner)], alpha, range(s_max + 1), ctx)
+        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights t^s
+        rhs = _weighted_pairs(r, 0, w, _geometric(one, qf.like(tv)), values, ctx)
         return lhs, rhs.to_mp()
 
 
@@ -701,18 +609,11 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
             # (-b, -q/a; q)_inf vanishes where B_{q^2}(a^2, b^2; .) has a pole
             raise PoleError("prefactor numerator (-b, -q/a; q)_inf vanished")
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2)
-
-        # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j})
+        # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j}), r_j = (a;q)_j/(b;q)_j
         aq, bq = _as_qpow(av), _as_qpow(bv)
-        inner = _Lattice(_ratio_streams(aq, bq, alpha, xv), 2 * alpha, ctx)
-        outer = _ratio_streams(aq, bq, alpha, -xv)
-
-        def streams(q):
-            pos, neg = outer(q)
-            return (_outer_terms(pos, count(), inner),
-                    _outer_terms(neg, count(-1, -1), inner))
-
-        return lhs, _series(streams, ctx)
+        K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
+        return lhs, _square_outer(lambda K: _bilateral_ratio_array(aq, bq, K, 2, ctx), alpha,
+                                  xv, K, ctx, float(mp.log(abs(bv / av), 2)))
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -737,20 +638,20 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3)
         pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([bv, q / av], [q, bv / av], q, ctx) ** 3)
-        # double bilateral sum arranged by slices s = j + k.  The q^{alpha s^2}
-        # weight is neutralized by the inner function's bilateral growth on
-        # BOTH tails (huge argument for s << 0, tiny argument for s >> 0), so
-        # the slice terms only decay like (b/a)^|s| in each direction.
+        # double bilateral sum arranged by slices s = j + k.  The inner
+        # function's values, weighted by q^{alpha s^2}, grow on one tail as
+        # the slice coefficients fall, so the slice terms only decay like
+        # (b/a)^|s| in each direction.
         K = ratio_truncation(av, bv, ctx)
         qf, w = ctx.fixed_q, ctx.fixed(rho_root(ctx))
         r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, 2, ctx)
         twist = rho_root(ctx) ** 2 if corrected else 1
-        # the inner function at twist x q^{2 alpha s}
-        inner = _Lattice(_ratio_streams(_as_qpow(av), _as_qpow(bv), alpha, twist * xv),
-                         2 * alpha, ctx)
-        values = [inner.sum(s) for s in range(-K, K + 1)]
-        # C_s = sum_{j+k=s} r_j w^k r_k, weights q^{alpha s^2} x^s
-        rhs = _weighted_pairs(r, -K, w, _gaussian(qf, alpha, qf.like(xv), -K), values, ctx)
+        # q^{alpha s^2} times the inner function at twist x q^{2 alpha s}
+        inner = _ratio_streams(_as_qpow(av), _as_qpow(bv), 0, twist * xv)(qf)
+        values = lattice_values([*map(_Shared, inner)], alpha, range(-K, K + 1), ctx)
+        # C_s = sum_{j+k=s} r_j w^k r_k, weights x^s
+        x = qf.like(xv)
+        rhs = _weighted_pairs(r, -K, w, _geometric(x ** -K, x), values, ctx)
         return lhs, pref * rhs.to_mp()
 
 
@@ -805,11 +706,15 @@ def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
     B_n = 6 T^k (K + 1) |q|^(K - |n| + 1) / (1 - |q|)^2, and the sum at most
     sum |g_n| B_n."""
     K = t.hi
-    log2_t = max(v.top() + 0.5 + min(j, 0) * rate
-                 for j, v in enumerate(t.values, t.lo) if v)
-    return (math.log2(6 * (K + 1)) + t.k * log2_t + (K + 1) * rate
+    return (math.log2(6 * (K + 1)) + t.k * _table_top(t, rate) + (K + 1) * rate
             - 2 * math.log2(1 - 2.0 ** rate)
             + _log2_sum(g.top() + 0.5 - abs(n) * rate for n, g in zip(ns, weights) if g))
+
+
+def _table_top(t: _Table, rate: float) -> float:
+    """log2 T, read off the entries of t: |t_j| <= T for j >= 0 and
+    |t_-m| <= T 2^(m rate) (:func:`_theta_cutoff`)."""
+    return max(v.top() + 0.5 + min(j, 0) * rate for j, v in enumerate(t.values, t.lo) if v)
 
 
 def _theta_slices(slices, k: int, a: QPow, xv, K: int, ns, ctx: QContext):

@@ -1,6 +1,6 @@
 """Bilateral slice convolutions (numeric): the slice sums of the
 convolution lemma, of the master expansions built on it and of the theta
-pole sums.
+pole sums, and the lattice values of the master expansions' inner sums.
 
 Slice sums have one rule: a kernel builds one :class:`_Table` per call, in
 fixed point on one binary exponent, and each weighted slice
@@ -9,10 +9,13 @@ exact residue-class sums of :func:`_class_sums` over the table's own
 mantissas, every index inside the table, and rounds once, so a slice that the
 identity makes vanish is an exact zero.  The residue classes of a
 self-convolution come from half the products: the mirror j <-> n - j swaps
-two classes, which are then equal, or fixes one.  Within one check, every
-bilateral ratio table at (a, b) is sliced off one kept pair of streams
-(:func:`_ratio_table_streams`), and its cutoff :func:`ratio_truncation` is
-walked once.
+two classes, which are then equal, or fixes one.  The fourth shape, the
+correlation sum_n u_n g_(n + s) of two tables (:class:`_Pair`,
+:func:`lattice_values`), gives one series at a q-geometric family of
+arguments, the Gaussian g factored out of its terms, as exact dot products
+rounded once.  Within one check, every bilateral ratio table at (a, b) is
+sliced off one kept pair of streams (:func:`_ratio_table_streams`), and its
+cutoff :func:`ratio_truncation` is walked once.
 
 Each table lies on the exponent that its floor bound chooses: the error
 that flooring the entries adds to a slice of order k is at most
@@ -24,8 +27,10 @@ and no more.  Each weighted slice sum then checks that bound, times the sum
 of |weights|, against its value (:func:`_floored`): where it misses one unit
 of the working digits the table is floored again, finer, from the entries it
 keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
-the sum raises PrecisionLossError for a wider rerun.  A slice that the
-identity makes an exact zero needs no check.
+the sum raises PrecisionLossError for a wider rerun.  A table of rounded
+entries (a correlation, an outer pair sum) is also charged their own
+roundings, which no floor lowers.  A slice that the identity makes an exact
+zero needs no check.
 
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
 master and theta sums read the tables in turn; each module imports from the
@@ -35,14 +40,15 @@ other after its own definitions, so either may be imported first.
 from __future__ import annotations
 
 import math
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice
+from operator import add, mul
 
 import mpmath as mp
 
-from .context import QContext, _Shared, kept, to_mp
-from .errors import DomainError, PrecisionLossError
-from .fixedpoint import Fixed, _complex, _real, bits_for_digits, parts, shifted
+from .context import MAX_TERMS, QContext, _Shared, kept, to_mp
+from .errors import DomainError, NonConvergenceError, PrecisionLossError
+from .fixedpoint import (LOG2_10, Fixed, _complex, _real, bits_for_digits, parts, rounding_bits,
+                         shifted)
 from .pochhammer import QPow, _as_qpow, infinite_product, pochhammer_finite
 
 
@@ -53,15 +59,18 @@ from .pochhammer import QPow, _as_qpow, infinite_product, pochhammer_finite
 # precision 50, 37 at 100 and 40 at 200, all in the ``ms-17`` theta sum
 # (the next largest, ``ms-15``, 23 to 29); it grows with the table.
 CANCELLATION_BITS = 48
+# The values of a lattice that share one pair of table exponents
+# (:func:`lattice_values`): a chunk's exponents serve its own values alone.
+LATTICE_CHUNK = 32
 
 
 def _log2_sum(exponents) -> float:
     """log2 of the sum of 2^x over the float exponents x, -inf for none:
     a bound on sum |v| when each |v| < 2^x."""
     exponents = list(exponents)
-    if not exponents:
-        return -math.inf
-    top = max(exponents)
+    top = max(exponents, default=-math.inf)
+    if math.isinf(top):
+        return top
     return top + math.log2(math.fsum(2.0 ** (x - top) for x in exponents))
 
 
@@ -85,15 +94,17 @@ class _Table:
     may floor the table again, finer, from the entries it keeps.
     """
 
-    def __init__(self, lo: int, values, k: int, ctx: QContext):
+    def __init__(self, lo: int, values, k: int, ctx: QContext, E: int | None = None):
         self.values = values = list(values)
         self.lo, self.hi, self.wp, self.k = lo, lo + len(values) - 1, values[0].wp, k
-        nonzero = [v for v in values if v]
-        self.last = min((v.e for v in nonzero), default=0)
-        self.log2_sum = _log2_sum(v.top() + 0.5 for v in nonzero)
+        self.last = min((v.e for v in values if v), default=None)
         self.need = ctx.extra_bits - ctx.tail_log2
-        scale = self.log2_sum - self.need - CANCELLATION_BITS - math.log2(k) - 0.5
-        self.floor(max(self.last, math.floor(scale)) if nonzero else 0)
+        if self.last is None:  # every entry is zero
+            self.last, self.log2_sum, E = 0, -math.inf, 0
+        elif E is None:
+            self.log2_sum = _log2_sum(v.top() + 0.5 for v in values if v)
+            E = math.floor(self.log2_sum - self.need - CANCELLATION_BITS - math.log2(k) - 0.5)
+        self.floor(max(self.last, E))
 
     def floor(self, E: int):
         """Put the mantissas on the exponent E, flooring every entry below it."""
@@ -112,35 +123,45 @@ class _Table:
         return math.log2(self.k) + u + (self.k - 1) * (
             a + math.log2(2.0 ** (self.log2_sum - a) + 2.0 ** (spread - a)))
 
+    def unit(self) -> int:
+        """log2 of one unit of the products of a slice: 2^(k E)."""
+        return self.k * self.E
+
     def rounded(self, re, im, e) -> Fixed:
         """(re + i im) 2^e rounded once to the table's width, real for a
         real table."""
         return _real(re, e, self.wp) if self.im is None else _complex(re, im, e, self.wp)
 
 
-def _floored(t: _Table, evaluate, ctx: QContext, weight: float = 0.0) -> Fixed:
+def _floored(t: _Table, evaluate, ctx: QContext, weight: float = 0.0,
+             charge: float = -math.inf) -> Fixed:
     """``evaluate(t)``, a nonzero weighted slice sum over t as a Fixed, with
     ``weight`` the log2 of a bound on the sum of |weights| (0 for one slice),
-    checked against the floor bound of t.
+    checked against the floor bound of t and ``charge``, the log2 of a bound
+    on the entries' own roundings (none for exact entries).
 
-    While the bound times 2^weight exceeds one unit of the working digits of
-    the value and E lies above the entries' last bit, t is floored again, E
-    lowered by the bits missing (by the working digits for a zero value),
-    and the sum taken again.  Where it still misses ``ctx.precision`` digits
-    at the last bit, PrecisionLossError names the bits: the caller reruns
-    wider (:func:`~qrr.context.widening`).  A slice that the identity makes
-    an exact zero needs no check.
+    While the floor bound times 2^weight exceeds one unit of the working
+    digits of the value, is not below the charge, and E lies above the
+    entries' last bit, t is floored again, E lowered by the bits missing (by
+    the working digits for a zero value), and the sum taken again.  Where it
+    still misses ``ctx.precision`` digits, PrecisionLossError names the bits
+    (for a charge, those that restore every working digit): the caller
+    reruns wider (:func:`~qrr.context.widening`).  A slice that the identity
+    makes an exact zero needs no check.
     """
     while True:
         value = evaluate(t)
-        lost = t.bound() + weight - (value.top() - 1 if value else t.k * t.E)
+        top = value.top() - 1 if value else t.unit()
+        floor = t.bound() + weight
+        lost = _log2_sum((floor, charge)) - top
         if value and lost <= -t.need:
             return value
-        if t.E > t.last:
-            t.floor(max(t.last, t.E - math.ceil(lost + t.need if value else t.need) - 1))
+        if t.E > t.last and floor >= charge:
+            t.floor(max(t.last, t.E - math.ceil(floor - top + t.need if value else t.need) - 1))
             continue
-        missing = math.ceil(bits_for_digits(ctx.precision) + lost)
-        if missing > 0:
+        lacking = bits_for_digits(ctx.precision) + lost
+        if lacking > 0:
+            missing = math.ceil(max(lacking, charge - top + t.need))
             raise PrecisionLossError(
                 f"slice sum cancelled to its table's last bit; {missing} more working bits "
                 "needed", missing)
@@ -225,6 +246,20 @@ def _pair_slices(t: _Table, ns) -> list:
     return [pair_slice(n) for n in ns]
 
 
+def _pair_charge(t: _Table, ns, weights) -> float:
+    """log2 of the charge for the entries' own roundings (:class:`_Pair`) of
+    sum over n in ns of g_n P_n, P_n the pair slices of t: 2^(rounding_bits(N)
+    - wp) sum |g_n| sum |t_j t_(n - j)|, N >= 8 the largest |index|, as each
+    product of three entries is at most 6 R (N + 1)^2 roundings from exact."""
+    tops, terms = _tops(t.values), []
+    for n, g in zip(ns, weights):
+        lo, hi = _span(t, n)
+        if g and lo <= hi:
+            span = tops[lo - t.lo:hi - t.lo + 1]
+            terms.append(g.top() + 0.5 + max(map(add, span, span[::-1])) + math.log2(hi - lo + 1))
+    return rounding_bits(max(8, -t.lo, t.hi)) - t.wp + _log2_sum(terms)
+
+
 def _cube_pairs(t: _Table, lo: int, hi: int, w: Fixed) -> list:
     """C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi, j and k
     inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_class_sums`, each
@@ -274,14 +309,203 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
 
 
 def _weighted_pairs(t: _Table, lo: int, w: Fixed, weights, values, ctx: QContext) -> Fixed:
-    """sum over s = lo, lo + 1, ... of C_s g_s F_s for the mp values F_s, the
-    weights g_s from the stream ``weights`` and the cube pairs C_s of t
-    (:func:`_cube_pairs`), checked by :func:`_floored` against sum |g_s F_s|."""
+    """sum over s = lo, lo + 1, ... of C_s g_s V_s for the Fixed values V_s,
+    the weights g_s from the stream ``weights`` and the cube pairs C_s of t
+    (:func:`_cube_pairs`), checked by :func:`_floored` against sum |g_s V_s|."""
     weights = list(islice(weights, len(values)))
-    weight = _log2_sum(g.top() + 0.5 + mp.mag(f) for g, f in zip(weights, values) if g and f)
+    weight = _log2_sum(g.top() + v.top() + 1 for g, v in zip(weights, values) if g and v)
     hi = lo + len(values) - 1
-    return _floored(t, lambda t: sum(c * g * f for c, g, f in zip(
+    return _floored(t, lambda t: sum(c * g * v for c, g, v in zip(
         _cube_pairs(t, lo, hi, w), weights, values)), ctx, weight)
+
+
+class _Pair:
+    """The tables u (indices n) and g (indices m), with the log2 bounds lu and
+    lg of their entries (:func:`_tops`), of the correlation
+    V_s = sum_n u_n g_(n + s) for the s in ``ss``: the fourth slice shape.
+    Each V_s is one exact integer dot product over its window n0 <= n <= n1
+    of L_s products, rounded once (:meth:`value`); ``windows`` holds
+    (n0, n1, log2 L_s, big_s, max log2 |u|, max log2 |g|) per nonzero one,
+    big_s the log2 bound of its largest product.
+
+    The floor bound.  Floored to 2^Eu and 2^Eg, V_s errs by at most
+    L_s (sqrt(2) 2^Eu max |g| + sqrt(2) 2^Eg max |u| + 2^(Eu + Eg + 1)), the
+    maxima over its window (:meth:`bound`, at the value ``s`` being checked).
+    Eu and Eg are set a priori CANCELLATION_BITS below one unit of the
+    working digits of every window's largest product, never below the
+    entries' last bits; :func:`_floored` lowers both by the offset E.
+
+    The entries' own roundings.  An entry at index m (its stream index for u,
+    |m| for g) is at most R (m + 1)^2 roundings of 2^(1 - wp) from exact, so
+    V_s is charged 2^(rounding_bits(N) - wp) L_s 2^big_s, N >= 4 the largest
+    |index|, which no floor lowers.
+    """
+
+    def __init__(self, u_lo: int, u, lu, g_lo: int, g, lg, ss, ctx: QContext):
+        u_hi, g_hi = u_lo + len(u) - 1, g_lo + len(g) - 1
+        self.windows = {}
+        for s in ss:
+            n0, n1 = max(u_lo, g_lo - s), min(u_hi, g_hi - s)
+            wu, wg = lu[n0 - u_lo:n1 - u_lo + 1], lg[n0 + s - g_lo:n1 + s - g_lo + 1]
+            big = max(map(add, wu, wg), default=-math.inf)
+            if big > -math.inf:  # else every product is an exact zero
+                self.windows[s] = n0, n1, math.log2(n1 - n0 + 1), big, max(wu), max(wg)
+        margin = ctx.extra_bits - ctx.tail_log2 + CANCELLATION_BITS + 2
+        ws = self.windows.values()
+        self.u = _Table(u_lo, u, 1, ctx, math.floor(
+            min((b - mg - n for _, _, n, b, _, mg in ws), default=0) - margin))
+        self.g = _Table(g_lo, g, 1, ctx, math.floor(
+            min((b - mu - n for _, _, n, b, mu, _ in ws), default=0) - margin))
+        self.need, self.wp, self.N = self.u.need, self.u.wp, max(4, -u_lo, u_hi, -g_lo, g_hi)
+        self.E0, self.E = (self.u.E, self.g.E), 0
+        self.last = min(self.u.last - self.u.E, self.g.last - self.g.E)
+
+    def floor(self, E: int):
+        self.E = E
+        for t, E0 in zip((self.u, self.g), self.E0):
+            t.floor(max(t.last, E0 + E))
+
+    def unit(self) -> int:
+        return self.u.E + self.g.E
+
+    def bound(self) -> float:
+        _, _, n, _, mu, mg = self.windows[self.s]
+        eu, eg = self.u.E + 0.5, self.g.E + 0.5
+        return n + _log2_sum((eu + mg, eg + mu, eu + eg))
+
+    def value(self, s: int) -> Fixed:
+        """V_s on the current exponents.  On a mirrored Gaussian (g_-m = g_m)
+        a full window sums (u_(m - s) + u_(-m - s)) g_m over m >= 0, u_-s g_0
+        once: the same exact sum from half the products."""
+        n0, n1 = self.windows[s][:2]
+        u, g = self.u, self.g
+        if g.lo == -g.hi and n1 - n0 == 2 * g.hi:
+            c, M, b = -s - u.lo, g.hi, slice(g.hi, None)
+
+            def part(xs):
+                return xs and [xs[c], *map(add, xs[c + 1:c + M + 1], xs[c - M:c][::-1])]
+
+            ur, ui = part(u.re), part(u.im)
+        else:
+            a, b = slice(n0 - u.lo, n1 - u.lo + 1), slice(n0 + s - g.lo, n1 + s - g.lo + 1)
+            ur, ui = u.re[a], u.im and u.im[a]
+        gr, gi = g.re[b], g.im and g.im[b]
+        re, e = _dot(ur, gr), u.E + g.E
+        if ui is None and gi is None:
+            return _real(re, e, self.wp)
+        if gi is None:
+            im = _dot(ui, gr)
+        elif ui is None:
+            im = _dot(ur, gi)
+        else:
+            re, im = re - _dot(ui, gi), _dot(ur, gi) + _dot(ui, gr)
+        return _complex(re, im, e, self.wp)
+
+    def values(self, ss, ctx: QContext):
+        """(values, bits): V_s for the s in ss, each checked by
+        :func:`_floored` with its charge (an exact zero where no window is),
+        and the most bits that a PrecisionLossError of one named."""
+        charge = rounding_bits(self.N) - self.wp
+        zero = Fixed(0, None if self.u.im is None and self.g.im is None else 0, 0, self.wp)
+        out, missing = [], 0
+        for s in ss:
+            self.s, window = s, self.windows.get(s)
+            try:
+                out.append(zero if window is None else _floored(
+                    self, lambda t, s=s: t.value(s), ctx, charge=charge + window[2] + window[3]))
+            except PrecisionLossError as exc:
+                missing = max(missing, exc.bits)
+        return out, missing
+
+
+def _tops(values) -> list:
+    """The float log2 bound top + 1/2 of each Fixed value, -inf for zero."""
+    return [v.top() + 0.5 if v else -math.inf for v in values]
+
+
+def lattice_values(streams, alpha, ss, ctx: QContext, beta: int = 0) -> list:
+    """V_s = sum_n u_n q^(alpha m^2 + beta m), m = n + s, for the s in ``ss``,
+    as Fixed values: with u_n = p_n y0^n, V_s = q^(alpha s^2) F(y0 q^(2 alpha
+    s)) for F(y) = sum_n p_n q^(alpha n^2) y^n, as q^(alpha n^2)
+    q^(2 alpha s n) = q^(alpha (n + s)^2 - alpha s^2) (Bluestein's chirp).
+    ``streams`` holds the :class:`~qrr.context._Shared` stream u_0, u_1, ...
+    of a unilateral series (s >= 0), or also u_-1, u_-2, ... (beta 0), each
+    with its declared ratio bound.  The values are correlations
+    (:class:`_Pair`) of a u table and the Gaussian g_m = q^(alpha m^2 +
+    beta m), 0 <= m <= M (|m| <= M), in chunks of LATTICE_CHUNK values.
+
+    The cutoff M is checked against each window's largest product before any
+    dot product, then against the values, and the values it misses are taken
+    again where it holds.  Past M, |g_(M + 1 + j)| <= |g_(M + 1)| (2r)^-j,
+    2r = |q|^-(alpha (2M + 3) + beta), and the envelope e_n of the u table
+    bounds |u_(n + j)| <= 2^e_n r^j, read on past the table by the declared
+    bound; so V_s omits at most 2^(e + 1) |g_(M + 1)| upwards, e at
+    n = M + 1 - s, and likewise downwards from n = -M - 1 - s."""
+    qf, ell, (up, *down) = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), streams
+
+    def entries(lo, hi):
+        return [down[0][-1 - n] if n < 0 else up[n] for n in range(lo, hi + 1)]
+
+    def envelope(mags, reading, log2_r):  # e_i = max over j >= i of mags[j] - (j - i) log2_r
+        env = -math.inf if reading is not None and reading(0) <= log2_r else math.inf
+        return list(accumulate(reversed(mags), lambda e, m: max(m, e - log2_r),
+                               initial=env))[:0:-1]
+
+    def cutoff(M, ss, levels):
+        """(M', shorts): the least M' >= M, by steps, where each V_s omits at
+        most 10^-(precision + 6) of its level (the largest for a zero
+        value), and the bits by which each misses that at M."""
+        levels, first = [lv if lv > -math.inf else max(levels) for lv in levels], None
+        while True:
+            lo, hi = (-M - 1 - max(ss) if down else 0), M + 1 - min(ss)
+            mags, log2_r = _tops(entries(lo, hi)), -(alpha * (2 * M + 3) + beta) * ell - 1
+            upward = envelope(mags, up.stream.bound.reading(hi), log2_r)
+            downward = down and envelope(mags[::-1], down[0].stream.bound.reading(-1 - lo),
+                                         log2_r)[::-1]
+            # 2 |g_(M + 1)|, one bit of slack, and the digits asked for
+            edge = ((alpha * (M + 1) ** 2 + beta * (M + 1)) * ell + 2
+                    + (ctx.precision + 6) * LOG2_10)
+            shorts = [_log2_sum((upward[M + 1 - s - lo], downward[-M - 1 - s - lo] if down
+                                 else -math.inf)) + edge - lv for s, lv in zip(ss, levels)]
+            first, short = first or shorts, max(shorts)
+            if short <= 0:
+                return M, first
+            # past the table u may outgrow the Gaussian's fall at M: M doubles
+            M += M if short == math.inf else max(1, math.ceil(
+                short / (-ell * alpha * (2 * M + 3))))
+            if M > MAX_TERMS:
+                raise NonConvergenceError(f"lattice cutoff beyond {MAX_TERMS} terms")
+
+    M = gaussian_truncation(alpha, ctx) + (0 if down else max(ss))
+    done, todo, levels = {}, list(ss), None
+    while todo:
+        g = list(islice(_gaussian(qf, alpha, qf ** beta), M + 1))
+        g_lo, g = (-M, g[:0:-1] + g) if down else (0, g)
+        chunks = [todo[i:i + LATTICE_CHUNK] for i in range(0, len(todo), LATTICE_CHUNK)]
+        first = -M - todo[-1] if down else 0
+        u = entries(first, M - todo[0])
+        lu, lg = _tops(u), _tops(g)
+        pairs = [_Pair(lo, u[lo - first:hi - first + 1], lu[lo - first:hi - first + 1], g_lo,
+                       g, lg, chunk, ctx)
+                 for chunk in chunks for lo, hi in [(-M - chunk[-1] if down else 0, M - chunk[0])]]
+        if levels is None:
+            levels = [p.windows[s][3] if s in p.windows else -math.inf
+                      for p, chunk in zip(pairs, chunks) for s in chunk]
+            M, wide = cutoff(M, todo, levels)[0], M
+            if M > wide:
+                continue
+        made = [p.values(chunk, ctx) for p, chunk in zip(pairs, chunks)]
+        missing = max(bits for _, bits in made)
+        if missing:
+            raise PrecisionLossError(f"lattice value cancelled to its tables' last bits; "
+                                     f"{missing} more working bits needed", missing)
+        values = [v for vs, _ in made for v in vs]
+        levels = [v.top() - 1 if v else -math.inf for v in values]
+        M, shorts = cutoff(M, todo, levels)
+        done.update(zip(todo, values))
+        missed = [i for i, short in enumerate(shorts) if short > 0]
+        todo, levels = [todo[i] for i in missed], [levels[i] for i in missed]
+    return [done[s] for s in ss]
 
 
 @kept
@@ -386,4 +610,4 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
 
 
 # the ratio-stream kernels the tables read (see the module docstring)
-from .qfunctions import _ratio_streams, _value, rho_root  # noqa: E402
+from .qfunctions import _gaussian, _ratio_streams, _value, rho_root  # noqa: E402

@@ -8,8 +8,8 @@ auditable.
 * **Declared bound.**  A stream whose term ratio is known in closed form
   declares a bound rho(K) on every later ratio |t(m + 1) / t(m)|, m >= K
   (:class:`_RatioBound`, carried by a :class:`_Declared` stream): every
-  Pochhammer-ratio stream of the series kernels, and every lattice sum read
-  over them.  Such a sum stops after the first term t(K) with rho(K) < 1 and
+  Pochhammer-ratio stream of the series kernels.  Such a sum stops after the
+  first term t(K) with rho(K) < 1 and
   |t(K)| rho(K) / (1 - rho(K)) below one unit of the working digits,
   10^-(precision + GUARD_DIGITS), or below the running sum's last kept bit,
   and reports that bound as its tail bound: the tail after t(K) is a
@@ -46,11 +46,9 @@ pairs, and at its stop each becomes one mpf magnitude at the working
 precision, which the certificate compares and divides as plain mpf values.
 
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings,
-n the term's index in the stream it was read from, errs by less than
-2^(rounding_bits(N, f) + top(peak) - wp) for a first index f (see
-:func:`~qrr.fixedpoint.rounding_bits`); a series read from its start has
-f = 0, and ``QContext.fixed_bits`` adds the bits of that bound at
-``MAX_TERMS`` to the working digits.  Every sum checks
+n the term's index, errs by less than 2^(rounding_bits(N) + top(peak) - wp)
+(see :func:`~qrr.fixedpoint.rounding_bits`), and ``QContext.fixed_bits``
+adds the bits of that bound at ``MAX_TERMS`` to the working digits.  Every sum checks
 the bound at the end against its own magnitude, so the cancellation bits
 top(peak) - top(sum) come out of the slack.  A sum left with fewer than
 ``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
@@ -111,16 +109,15 @@ class SumOutcome:
             f"{self.terms_used} terms, |value| {mp.nstr(abs(self.value), 3)}")
 
 
-def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> SumOutcome:
+def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     """Sum ``term(0) + term(1) + ...`` until the tail is certified negligible.
 
     ``term`` is called with n = 0, 1, 2, ... in order, once each.  Kernels
     rely on that order: a series is defined by its term ratio, and its term
     function advances running products (q-powers, x-powers, Pochhammer
-    ratios) by multiplication instead of recomputing term n from scratch.
-    ``term(n)`` lies at index ``first + n`` of the stream it is read from,
-    and is charged the R (first + n + 1)^2 roundings of that index: a tail
-    read from the middle of a stream is charged where it lies.  ``then``, a
+    ratios) by multiplication instead of recomputing term n from scratch,
+    and ``term(n)`` is charged the R (n + 1)^2 roundings of its index.
+    ``then``, a
     pair (term, ratio) of a second tail, is read from n = 0 on into the same
     block once the first tail stops, and stops by its own rule
     (:func:`sum_bilateral`).
@@ -264,8 +261,8 @@ def sum_series(term, ctx: QContext, first: int = 0, ratio=None, then=None) -> Su
             else:
                 raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
             used += n + 1
-        value, error = _settled(s_re, s_im if cplx else None, E, peak_top, used, first,
-                                term_bits, bw, ctx, "sum" if then is None else "bilateral tails")
+        value, error = _settled(s_re, s_im if cplx else None, E, peak_top, used, term_bits, bw,
+                                ctx, "sum" if then is None else "bilateral tails")
         tails = [_observed_tail(*stop, ctx) if stop.__class__ is tuple else stop
                  for stop in stops]
         tail = tails[0] if then is None else tails[0] + tails[1]
@@ -312,17 +309,17 @@ def _below(tail, value):
     return exp + bc < top or tail < abs(value)
 
 
-def _settled(s_re, s_im, E, peak_top, n, first, term_bits, bw, ctx, what="sum"):
+def _settled(s_re, s_im, E, peak_top, n, term_bits, bw, ctx, what="sum"):
     """(value, rounding-error bound) of the block sum, after the guard check.
 
-    The bound is 2^(rounding_bits(n, first) + top(peak) - term_bits) (see the
+    The bound is 2^(rounding_bits(n) + top(peak) - term_bits) (see the
     module docstring), and the sum must be at least 2^precision times it.  A
     sum that comes out exactly zero is only known to lie below one unit 2^E
     of the block, which is judged the same way.
     """
     if bw is None:
         return mp.mpf(0), mp.mpf(0)
-    bound_top = rounding_bits(n, first) + peak_top - term_bits
+    bound_top = rounding_bits(n) + peak_top - term_bits
     total = Fixed(s_re, s_im, E, bw)
     top = total.top() if total else E
     missing = bits_for_digits(ctx.precision) + bound_top - (top - 1)
@@ -350,25 +347,22 @@ def _observed_tail(terms, peak, n, ctx):
     return level * rate / (1 - rate)
 
 
-def sum_bilateral(pos, neg, ctx: QContext, first: int = 0,
-                  ratios=(None, None)) -> SumOutcome:
+def sum_bilateral(pos, neg, ctx: QContext, ratios=(None, None)) -> SumOutcome:
     """Sum a bilateral series given as its two tails, in one block.
 
     ``pos(k)`` is the term at n = k and ``neg(k)`` the term at n = -1 - k;
     each is called with k = 0, 1, 2, ... in order, once each, ``pos`` to its
     stop and then ``neg``, so a kernel may keep one running state per tail.
-    A kernel that reads its tails outward from elsewhere than n = 0 passes
-    in ``first`` the stream index from which both tails are charged, and in
-    ``ratios`` the declared bound of each tail, or None for a tail whose
-    stop is observed.  It is one :func:`sum_series` over both tails: one
-    running sum and peak, the rounding charge of all N terms of both at
-    once, rounding_bits(N, first), and one guard check, so a sum that
+    ``ratios`` holds the declared bound of each tail, or None for a tail
+    whose stop is observed.  It is one :func:`sum_series` over both tails:
+    one running sum and peak, the rounding charge of all N terms of both at
+    once, rounding_bits(N), and one guard check, so a sum that
     cancels exactly to zero raises PrecisionLossError as one tail that
     floors to zero does.  Each tail stops by its own rule, the second at a
     level read off the running sum of both, and the tail bound is the sum of
     the two, judged as that of one series.
     """
-    return sum_series(pos, ctx, first, ratios[0], (neg, ratios[1]))
+    return sum_series(pos, ctx, ratios[0], (neg, ratios[1]))
 
 
 # Every declared log2 ratio bound is raised by this much (a factor
@@ -389,9 +383,7 @@ class _RatioBound:
     a_i q^k = coeff q^(exponent + k) for the QPows a_i in ``nums`` and b_j
     in ``dens``, with step_k = step growth^k upwards (t_(k+1) = t_k r_k,
     k = 0, 1, ...) and step growth^(-1 - k) downwards (t_k = t_(k+1) r_k,
-    k = -1, -2, ...).  The same formula at every integer k is the ratio of
-    the whole series that the stream is one half of, which is how a lattice
-    tail that crosses n = 0 is bounded.
+    k = -1, -2, ...).
 
     The bound at k, along the reading direction, is |step_k| times a suffix
     supremum P(k) of the Pochhammer part.  |step_k| does not increase, as
@@ -415,7 +407,7 @@ class _RatioBound:
 
     Everything is a float log2, so no magnitude overflows; the parameters
     are read once, at the first :meth:`reading`, and each reading of the
-    stream (a plain sum, or a lattice tail at its own start and scale)
+    stream (a sum from its start, or a table's cutoff from its last entry)
     shares them and the kept suprema.
     """
 
@@ -453,18 +445,19 @@ class _RatioBound:
         self.kept = []  # P at the indices before the edge, back from it
         self.made = True
 
-    def reading(self, n: int = 0, g: Fixed | None = None):
-        """The :class:`_Reading` of the stream's entries n, n + 1, ..., each
-        entry j further scaled by g^j (a lattice's power of q), or None
-        when the stream declares no bound.  Entry i is t_i upwards and
-        t_(-1-i) downwards, at any integer i; the ratio from entry i to
-        entry i + 1 is r_i upwards and r_(-2-i) downwards."""
+    def reading(self, n: int = 0):
+        """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
+        None when the stream declares no bound: a sum reads it from n = 0,
+        and a table cut after entry n reads it from there on
+        (:func:`~qrr.slices.lattice_values`).  Entry i is t_i upwards and
+        t_(-1-i) downwards; the ratio from entry i to entry i + 1 is r_i
+        upwards and r_(-2-i) downwards."""
         if not self.made:
             self._make()
         if self.slope > 0:
             return None
         k0 = n if self.up else -2 - n
-        base = self._step(k0) + (0.0 if g is None else _log2(g)) + RATIO_SLACK
+        base = self._step(k0) + RATIO_SLACK
         return _Reading(self, k0, 1 if self.up else -1, base)
 
     def _step(self, k):
@@ -537,16 +530,15 @@ class _Reading:
 
 class _Declared:
     """A stream of terms with its declared ratio bound: ``bound`` (a
-    :class:`_RatioBound`, or None for none) read from entry ``n`` with the
-    further scale ``g`` (see :meth:`_RatioBound.reading`).  Iterating it
+    :class:`_RatioBound`, or None for none).  Iterating it
     iterates the stream itself, so a stream that is mapped, zipped or cut
     runs at full speed and, being no longer declared, stops on the
     observed certificate; :func:`_reading` hands its bound to the engine."""
 
-    __slots__ = ("terms", "bound", "n", "g")
+    __slots__ = ("terms", "bound")
 
-    def __init__(self, terms, bound: _RatioBound | None, n: int = 0, g: Fixed | None = None):
-        self.terms, self.bound, self.n, self.g = terms, bound, n, g
+    def __init__(self, terms, bound: _RatioBound | None):
+        self.terms, self.bound = terms, bound
 
     def __iter__(self):
         return self.terms
@@ -571,7 +563,7 @@ def _reading(stream):
     None for a stream that declares none."""
     terms = iter(stream)
     bound = stream.bound if stream.__class__ is _Declared else None
-    return (lambda n: next(terms)), bound and bound.reading(stream.n, stream.g)
+    return (lambda n: next(terms)), bound and bound.reading()
 
 
 def _arg(v: Fixed) -> float:

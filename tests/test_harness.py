@@ -18,7 +18,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext
-from qrr import qfunctions, summation
+from qrr import qfunctions, qpolynomials, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -290,16 +290,22 @@ def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
 
 def test_st53_sums_each_shifted_entire_value_once(monkeypatch):
     # every n of the check reads A_q(x q^k) off one kept stream per (x,
-    # ctx): each distinct (q, k) is summed once, where one lattice per n
-    # summed 104 values, 66 of them again
-    summed = []
-    real = qfunctions._Lattice.sum
-    monkeypatch.setattr(qfunctions._Lattice, "sum", lambda lattice, s: summed.append(
-        (str(lattice.ctx.q), lattice.ctx.extra_bits, s)) or real(lattice, s))
+    # ctx), made in blocks of k by the lattice kernel: each distinct (q, k)
+    # is made once, where one lattice per n summed 104 values, 66 of them
+    # again.  A block of 12 (q = 0.2) or 13 (q = 0.3) values of l gives
+    # k = 2l and 2l + 1.
+    made = []
+    real = qpolynomials.lattice_values
+
+    def spy(streams, alpha, ls, ctx, beta=0):
+        made.extend((str(ctx.q), ctx.extra_bits, 2 * l + beta) for l in ls)
+        return real(streams, alpha, ls, ctx, beta)
+
+    monkeypatch.setattr(qpolynomials, "lattice_values", spy)
     report = run_check("st-5.3", "numeric", RunSettings())
     assert report.status == "PASS", report.note
-    assert len(summed) == len(set(summed)) == 38
-    assert {q for q, _, _ in summed} == {"0.2", "0.3"}
+    assert len(made) == len(set(made)) == 50
+    assert {q for q, _, _ in made} == {"0.2", "0.3"}
 
 
 def qp_bessel_direct(ctx, kind, z):
@@ -428,17 +434,22 @@ def test_config_probe_fixes(entry_id, settings, expected):
     assert report.note.startswith(note), report.note
 
 
-SLICE_CHECKS = ("ms-3", "ms-4", "ms-5", "ms-8", "ms-12", "ms-13", "ms-14", "ms-15", "ms-16",
-                "ms-17")
+SLICE_CHECKS = ("ms-3", "ms-4", "ms-5", "ms-7", "ms-8", "ms-11", "ms-12", "ms-13", "ms-14",
+                "ms-15", "ms-16", "ms-17")
 
 
 def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkeypatch):
     # at the default config every slice sum holds its floor bound on the
     # table's a-priori exponent and every theta sum its cutoff bound on its
-    # first table: no table is floored again or grown, no check rerun wider.
-    # The 43 tables: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and the literal
-    # reading at n = 3), ms-8, ms-12 and the five theta sums (one each), at
-    # q = 0.2 and 0.3, and the literal reading of ms-12 at the first q
+    # first table, every lattice value on its pair's a-priori exponents, and
+    # every outer pair sum of ms-7 and ms-11 its cutoff on its first table:
+    # no table is floored again or grown, no check rerun wider.  The 95
+    # tables, at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and
+    # the literal reading at n = 3), ms-7 (two alpha), ms-11, the five theta
+    # sums (one each), ms-8 (its ratio table, and one u and one Gaussian
+    # table for its lattice), and ms-12 (its ratio table and 7 chunks of
+    # lattice values, two tables each), with the literal reading of ms-12
+    # at the first q
     from qrr import slices
     counts = {"floors": 0, "refloors": 0, "theta": 0, "cutoffs": 0, "wider": 0}
 
@@ -458,8 +469,9 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
     for entry_id in SLICE_CHECKS:
         report = run_check(entry_id, "numeric", RunSettings())
         assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
-    assert counts["floors"] == 43 and counts["theta"] == 10
-    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"]
+    assert counts["floors"] == 95 and counts["theta"] == 10
+    # one cutoff check per theta sum, and one for ms-11's ratio table per q
+    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 2
     assert counts["wider"] == 0
 
 

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
-                 PrecisionLossError, QContext, QPow, qbessel, qfunctions, slices, summation)
-from qrr.context import MAX_TERMS, RERUN_MARGIN_BITS, keeping_values, powq, to_mp, widening
+                 PrecisionLossError, QContext, QPow, qbessel, qfunctions, qpolynomials, slices,
+                 summation)
+from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
                             rounding_bits, shifted)
-from qrr.pochhammer import (_pole_factors, infinite_product, pochhammer_finite,
+from qrr.pochhammer import (_as_qpow, _pole_factors, infinite_product, pochhammer_finite,
                             pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (_Q1, _a_alpha_stream, _Lattice, _ratio_streams, _ratio_terms,
+from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
                             a_alpha, a_alpha_formal, b_alpha, cube_convolution_sides,
                             cube_bilateral_master_sides, cube_master_sides,
                             heine_sides, omega, omega_formal,
@@ -34,7 +35,7 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _Lattice, _ratio_streams, _rat
 from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv, _cube_pairs,
                         _cube_slices, _log2_sum, _pair_slices, _span, _Table,
                         bilateral_cube_slice_sides, bilateral_pair_slice_sides,
-                        ratio_truncation, slice_truncation)
+                        lattice_values, ratio_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
@@ -565,7 +566,7 @@ def _engine_outcomes(monkeypatch):
         real = getattr(qfunctions, name)
         monkeypatch.setattr(qfunctions, name, lambda *args, real=real: kernel(*args, real=real))
         monkeypatch.setitem(globals(), name,
-                            lambda *args, real=real: real(*args, 0, declared[0]))
+                            lambda *args, real=real: real(*args, declared[0]))
     return seen
 
 
@@ -822,7 +823,8 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
 
 
 # ---------------------------------------------------------------------------
-# lattices of inner sums and mirrored self-convolutions
+# lattices of inner sums, as one correlation of two tables, and mirrored
+# self-convolutions
 # ---------------------------------------------------------------------------
 
 # the centre n0 = -s of a bilateral sum, at the ends, near n = 0 (where a
@@ -837,6 +839,27 @@ def _lattice_y0(ctx, twisted):
     return (rho_root(ctx) ** 2 if twisted else 1) * mp.mpf("0.5")
 
 
+def _lattice_streams(ctx, y0, b=B15, bilateral=True):
+    """The shared streams u_n = p_n y0^n of ms-12's inner function (p_n =
+    (a;q)_n/(b;q)_n) or of ms-8's (p_n = (a;q)_n/(q;q)_n), a = 0.6."""
+    if bilateral:
+        return [*map(_Shared, _ratio_streams(QPow(A6, 0), _as_qpow(b), 0, y0)(ctx.fixed_q))]
+    return [_Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))]
+
+
+def direct_lattice(series, alpha, ss, ctx):
+    """The direct lattice sum, the oracle of slices.lattice_values:
+    q^(alpha s^2) F(q^(2 alpha s)) for each s in ss, each value its own
+    engine sum ``series(h)`` = F at y0 h."""
+    q = ctx.q
+    return [powq(q, alpha * s * s) * series(powq(q, 2 * alpha * s)) for s in ss]
+
+
+def _assert_lattice(got, direct, ss, precision):
+    for s, v, d in zip(ss, got, direct):
+        assert abs(v.to_mp() - d) <= mp.mpf(10) ** -precision * abs(d), s
+
+
 @ORACLE_QS
 @LATTICE_PRECISIONS
 @LATTICE_Y0
@@ -844,91 +867,244 @@ def test_b_lattice_matches_b_alpha(precision, twisted, q):
     ctx = QContext.numeric(q, precision=precision)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, twisted)
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2, ctx)
-        for s in LATTICE_S:
-            direct = b_alpha(1, A6, B15, y0 * powq(ctx.q, 2 * s), ctx)
-            got = lattice.sum(s)
-            assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
+        ss = range(LATTICE_S[0], LATTICE_S[-1] + 1)
+        got = dict(zip(ss, lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)))
+        direct = direct_lattice(lambda h: b_alpha(1, A6, B15, y0 * h, ctx), 1, LATTICE_S, ctx)
+        _assert_lattice([got[s] for s in LATTICE_S], direct, LATTICE_S, precision)
 
 
 @LATTICE_PRECISIONS
 @LATTICE_Y0
 def test_a_lattice_matches_a_alpha(precision, twisted):
+    # a unilateral lattice reads s >= 0
     ctx = QContext.numeric("0.3", precision=precision)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, twisted)
-        lattice = _Lattice(_a_alpha_stream(QPow(A6, 0), F(1), y0), 2, ctx)
-        for s in LATTICE_S:
-            direct = a_alpha(1, A6, y0 * powq(ctx.q, 2 * s), ctx)
-            got = lattice.sum(s)
-            assert abs(got - direct) <= mp.mpf(10) ** -precision * abs(direct), s
+        ss = [s for s in LATTICE_S if s >= 0]
+        got = lattice_values(_lattice_streams(ctx, y0, bilateral=False), 1, range(ss[-1] + 1), ctx)
+        direct = direct_lattice(lambda h: a_alpha(1, A6, y0 * h, ctx), 1, ss, ctx)
+        _assert_lattice([got[s] for s in ss], direct, ss, precision)
 
 
-# The power tables of a lattice: q^(e s), q^(-e s) and q^(-e s^2), each a
-# running product out from s = 0 at the tables' own width.  A sum at s reads
-# h = q^(e s), 1/h and h^(-s) = q^(-e s^2) from them.
+# the default point, negative, near-one and complex q, each with the
+# bilateral and unilateral streams of ms-12 and ms-8 (e = 2 alpha), and the
+# values A_q(x q^k) of st-5.3 (e = 1)
+ORACLE_LATTICE_QS = ["0.3", "-0.6", "0.9", "0.2+0.1j"]
+
+
+@pytest.mark.parametrize("kind", ["bilateral", "unilateral", "entire"])
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("q", ORACLE_LATTICE_QS)
+def test_lattice_matches_the_direct_sums(q, precision, kind):
+    ctx = QContext.numeric(q, precision=precision)
+    with ctx.workdps():
+        y0 = _lattice_y0(ctx, True)
+        if kind == "entire":
+            x, ks = mp.mpf("0.7"), range(24)
+            shared = qpolynomials._shifted_entire_values(x, ctx)
+            got = [shared[k] for k in ks]
+            direct = [ramanujan_A(x * ctx.q ** k, ctx) for k in ks]
+            return _assert_lattice(got, direct, ks, precision)
+        if kind == "bilateral":
+            ss = range(-30, 31)
+            direct = direct_lattice(lambda h: b_alpha(1, A6, B15, y0 * h, ctx), 1, ss, ctx)
+        else:
+            ss = range(31)
+            direct = direct_lattice(lambda h: a_alpha(F(1, 2), A6, y0 * h, ctx), F(1, 2), ss,
+                                    ctx)
+        alpha = 1 if kind == "bilateral" else F(1, 2)
+        got = widening(lambda c: lattice_values(
+            _lattice_streams(c, y0, bilateral=kind == "bilateral"), alpha, ss, c), ctx)
+        _assert_lattice(got, direct, ss, precision)
+
+
+def _lattice_pairs(monkeypatch):
+    """Every _Pair that lattice_values builds."""
+    pairs, real = [], slices._Pair
+
+    def pair(*args):
+        pairs.append(real(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(slices, "_Pair", pair)
+    return pairs
+
+
+@pytest.mark.parametrize("bilateral", [True, False], ids=["bilateral", "unilateral"])
+@pytest.mark.parametrize("q", ["0.3", "0.9"])
+def test_lattice_windows_hold_every_product_of_the_cutoff(q, bilateral, monkeypatch):
+    """Each value sums u_(m - s) g_m over every m of its Gaussian table,
+    |m| <= M (0 <= m <= M): the u table is not cut short, and every table of
+    one round shares one M."""
+    ctx = QContext.numeric(q, precision=20)
+    pairs = _lattice_pairs(monkeypatch)
+    with ctx.workdps():
+        ss = range(-25, 26) if bilateral else range(26)
+        lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True), bilateral=bilateral), 1,
+                       ss, ctx)
+    last = {}  # s: the pair that made it last
+    for pair in pairs:
+        M = pair.g.hi
+        assert pair.g.lo == (-M if bilateral else 0)
+        last.update(dict.fromkeys(pair.windows, pair))
+    for s in ss:
+        M = last[s].g.hi
+        assert last[s].windows[s][:2] == ((-M - s, M - s) if bilateral else (0, M - s)), s
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.9"])
+def test_a_lattice_table_cut_one_entry_short_is_caught_by_the_bound(q, monkeypatch):
+    """The least cutoff M whose bound holds builds its tables once; one entry
+    shorter, the check misses the bound, before the dot products or after
+    them, and grows the tables to M or past."""
+    ctx = QContext.numeric(q, precision=20)
+    pairs = _lattice_pairs(monkeypatch)
+    ss = range(-20, 21)
+
+    def cutoffs(M):
+        pairs.clear()
+        monkeypatch.setattr(slices, "gaussian_truncation", lambda alpha, ctx: M)
+        with ctx.workdps():
+            lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True)), 1, ss, ctx)
+        return sorted({pair.g.hi for pair in pairs})
+
+    low, high = 1, max(cutoffs(2))  # the cutoff bound holds at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if cutoffs(mid) == [mid] else (mid, high)
+    assert cutoffs(high) == [high]
+    assert max(cutoffs(high - 1)) >= high
+
+
+def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
+    """Each value's check is charged 2^(rounding_bits(N) - wp) times the L
+    products' bound 2^big, N the tables' largest |index| (the stream index
+    of u, |m| of the Gaussian): a charge that the floor bound does not
+    lower."""
+    charges, real = [], slices._floored
+
+    def spy(t, evaluate, ctx, weight=0.0, charge=-math.inf):
+        if isinstance(t, slices._Pair):
+            _, _, n, big, _, _ = t.windows[t.s]
+            assert charge == rounding_bits(t.N) - t.wp + n + big
+            assert t.N >= max(4, t.g.hi, t.u.hi, -1 - t.u.lo)
+            charges.append(charge)
+        return real(t, evaluate, ctx, weight, charge)
+
+    monkeypatch.setattr(slices, "_floored", spy)
+    with CTX.workdps():
+        ss = range(-40, 41)
+        lattice_values(_lattice_streams(CTX, mp.mpf("0.5")), 1, ss, CTX)
+    assert len(charges) == len(ss) and -math.inf < min(charges)
+
+
+def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
+    """The Gaussian pair sums of ms-7 and ms-11 pass the charge of
+    slices._pair_charge for their entries' roundings to their check."""
+    made, passed = [], []
+    real_charge, real_floored = slices._pair_charge, slices._floored
+
+    def charge(*args):
+        made.append(real_charge(*args))
+        return made[-1]
+
+    def floored(t, evaluate, ctx, weight=0.0, charge=-math.inf):
+        passed.append(charge)
+        return real_floored(t, evaluate, ctx, weight, charge)
+
+    monkeypatch.setattr(qfunctions, "_pair_charge", charge)
+    monkeypatch.setattr(qfunctions, "_floored", floored)
+    with CTX.workdps():
+        square_master_sides(F(1, 2), A5, X6, CTX)
+        square_bilateral_master_sides(1, A5, B1, X6, CTX)
+    assert len(made) == 2 and passed == made and all(-math.inf < c < 0 for c in made)
+
+
+def test_a_lattice_that_cancels_past_its_charge_asks_for_more_bits():
+    """At q = 0.99 ms-12's inner values cancel about 160 bits below their
+    largest products, past what the entries' roundings leave at the working
+    width: the first pass raises PrecisionLossError, naming the bits, and
+    the wider rerun matches the direct sums."""
+    ctx = QContext.numeric("0.99", precision=20)
+    ss = range(-146, -139)
+    with ctx.workdps():
+        y0 = _lattice_y0(ctx, True)
+        with pytest.raises(PrecisionLossError) as lost:
+            lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)
+        assert lost.value.bits > 100
+        got = widening(lambda c: lattice_values(_lattice_streams(c, y0), 1, ss, c), ctx)
+    # the direct sums at 60 digits
+    deep = QContext.numeric("0.99", precision=60)
+    with deep.workdps():
+        y0 = _lattice_y0(deep, True)
+        direct = direct_lattice(lambda h: widening(lambda c: b_alpha(1, A6, B15, y0 * h, c),
+                                                   deep), 1, ss, deep)
+        _assert_lattice(got, direct, ss, 20)
+
+
+# The tables of a lattice: u_n = p_n y0^n from the coefficient streams and
+# the Gaussian g_m = q^(alpha m^2), each entry at index m within the R (m + 1)^2
+# roundings that its values' charge assumes.
 
 TABLE_QS = ["0.3", "-0.6", "0.99", "0.2+0.1j"]
 TABLE_K = 40
 
 
-def _table_reads(ctx, e, order):
-    """{s: (h, 1/h, h^-s)} as the sums of one lattice read them, in ``order``,
-    each part as (re, im, e, wp)."""
-    lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e, ctx)
-    return {s: tuple((v.re, v.im, v.e, v.wp) for v in (
-        lattice._power(s), lattice._power(-s), lattice._gauss(abs(s)))) for s in order}
+def _lattice_tables(ctx, alpha, y0=mp.mpf("0.5")):
+    """{n: u_n} for |n| <= TABLE_K and {m: g_m} for 0 <= m <= TABLE_K, as
+    lattice_values reads them."""
+    up, down = _lattice_streams(ctx, y0)
+    u = {n: up[n] if n >= 0 else down[-1 - n] for n in range(-TABLE_K, TABLE_K + 1)}
+    one = ctx.fixed_q.like(1)
+    return u, dict(enumerate(islice(qfunctions._gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1)))
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_lattice_tables_do_not_depend_on_the_read_order(q):
+    # the same values whether the shared streams are fresh, were read far
+    # past the tables by another reader, or were read by an earlier lattice
     ctx = QContext.numeric(q, precision=50)
-    K = TABLE_K
-    shuffled = list(range(-K, K + 1))
-    random.Random(34).shuffle(shuffled)
-    for e in (2, F(2, 3)):
-        # as ms-12 reads (-K..K), as ms-11 reads (0, 1, ... then -1, -2, ...)
-        reads = [_table_reads(ctx, e, order) for order in (
-            range(-K, K + 1), [*range(K + 1), *range(-1, -K - 1, -1)], shuffled)]
-        assert reads[0] == reads[1] == reads[2]
+    ss = range(-TABLE_K, TABLE_K + 1)
+    with ctx.workdps():
+        y0 = _lattice_y0(ctx, True)
+        fresh = lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)
+        streams = _lattice_streams(ctx, y0)
+        for stream in streams:
+            stream[3 * TABLE_K]
+        ahead = lattice_values(streams, 1, ss, ctx)
+        again = lattice_values(streams, 1, ss, ctx)
+    assert [_bits(v) for v in fresh] == [_bits(v) for v in ahead] == [_bits(v) for v in again]
 
 
-def _table_misses(lattice, ctx, e):
-    """The s in -K..K where an entry of the tables, or what a sum reads of
-    it at wp, lies outside its stated rounding of mpmath's value at twice
-    the digits: R (m + 1)^2 roundings at the tables' width for |s| = m, and
-    two roundings at wp."""
+def _table_misses(u, g, ctx, alpha, y0=mp.mpf("0.5")):
+    """The indices where an entry of the tables lies outside R (m + 1)^2
+    roundings of mpmath's value at twice the digits."""
     misses = []
-    wp = ctx.fixed_bits
     with mp.workdps(2 * ctx.working_dps):
-        qm = ctx.fixed(ctx.q).to_mp()
-        for s in range(-TABLE_K, TABLE_K + 1):
-            m = abs(s)
-            for entry, exact in ((lattice._power(s), qm ** (e * s)),
-                                 (lattice._power(-s), qm ** (-e * s)),
-                                 (lattice._gauss(m), qm ** (-e * m * m))):
-                bound = ROUNDINGS * (m + 1) ** 2 * mp.ldexp(abs(exact), 1 - entry.wp)
-                read = Fixed.of(entry, wp).to_mp()
-                if (abs(entry.to_mp() - exact) > bound
-                        or abs(read - exact) > mp.ldexp(abs(exact), 2 - wp)):
-                    misses.append(s)
-                    break
+        q = ctx.fixed(ctx.q).to_mp()
+        for n, v in u.items():
+            exact = pochhammer_ratio(A6, B15, q, n) * y0 ** n
+            if abs(v.to_mp() - exact) > ROUNDINGS * (abs(n) + 1) ** 2 * mp.ldexp(abs(exact),
+                                                                                1 - v.wp):
+                misses.append(("u", n))
+        for m, v in g.items():
+            exact = powq(q, alpha * m * m)
+            if abs(v.to_mp() - exact) > ROUNDINGS * (m + 1) ** 2 * mp.ldexp(abs(exact), 1 - v.wp):
+                misses.append(("g", m))
     return misses
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_lattice_tables_lie_within_their_roundings(q):
     ctx = QContext.numeric(q, precision=50)
-    for e in (2, F(2, 3)):
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e,
-                           ctx)
-        assert lattice._power(0).wp == ctx.fixed_bits + rounding_bits(1, MAX_TERMS)
-        assert not _table_misses(lattice, ctx, e)
-        # a table whose step is off by one power of q misses at every s but 0
-        off = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), e, ctx)
-        step = off.steps[0] * off.steps[0].like(ctx.fixed(ctx.q))
-        off.steps = step, 1 / step
-        assert _table_misses(off, ctx, e) == [s for s in range(-TABLE_K, TABLE_K + 1) if s]
+    for alpha in (1, F(1, 3)):
+        with ctx.workdps():
+            u, g = _lattice_tables(ctx, alpha)
+            assert not _table_misses(u, g, ctx, alpha)
+            # a Gaussian offset by one, q^(alpha (m + 1)^2), misses at every m
+            offset = qfunctions._gaussian(ctx.fixed_q, alpha, ctx.fixed_q.like(1), 1)
+            off = dict(enumerate(islice(offset, TABLE_K + 1)))
+            assert _table_misses({}, off, ctx, alpha) == [("g", m) for m in range(TABLE_K + 1)]
 
 
 def test_lattice_pole_reaches_every_reader():
@@ -937,78 +1113,41 @@ def test_lattice_pole_reaches_every_reader():
     with CTX.workdps():
         with pytest.raises(PoleError):
             b_alpha(1, A6, QPow(1, -3), mp.mpf("0.5"), CTX)
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(1, -3), F(1), mp.mpf("0.5")), 2,
-                           CTX)
-        for s in (0, 5):
+        streams = _lattice_streams(CTX, mp.mpf("0.5"), QPow(1, -3))
+        for ss in (range(-5, 6), range(0, 1), range(-5, 6)):
             with pytest.raises(PoleError):
-                lattice.sum(s)
-
-
-def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
-    # the sum at s = -107 reads both tails outward from n0 = 107, in one
-    # block: term k of a tail is charged the roundings of stream index
-    # 107 + k, not of k, and the charge counts the terms of both tails
-    tails, sums = ([], []), []
-    real = summation.sum_series
-
-    def watched(term, ctx, first=0, ratio=None, then=None):
-        def seen(i, term):
-            return lambda k: tails[i].append(term(k)) or tails[i][-1]
-        sums.append(real(seen(0, term), ctx, first, ratio, then and (seen(1, then[0]), then[1])))
-        return sums[-1]
-
-    monkeypatch.setattr(summation, "sum_series", watched)
-    with CTX.workdps():
-        lattice = _Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), mp.mpf("0.5")), 2,
-                           CTX)
-        lattice.sum(-107)
-    assert len(sums) == 1 and all(tails)
-    out, n = sums[0], sums[0].terms_used
-    assert n == len(tails[0]) + len(tails[1])
-    peak = max(t.top() for seen in tails for t in seen if t)
-    assert out.error == mp.ldexp(1, rounding_bits(n, 107) + peak - CTX.fixed_bits)
-    assert rounding_bits(n, 107) > rounding_bits(n)
+                lattice_values(streams, 1, ss, CTX)
 
 
 def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
-    forced, seen, lattices = [], [], []
-    real = qfunctions.sum_bilateral
+    forced, pairs = [], []
+    real_values, real_pair = slices._Pair.values, slices._Pair
 
-    def short_once(pos, neg, ctx, first=0, ratios=(None, None)):
+    def short_once(pair, ss, ctx):
         if not forced:
             forced.append(1)
             raise PrecisionLossError("forced", 20)
+        return real_values(pair, ss, ctx)
 
-        def watched(tail):
-            def term(k):
-                t = tail(k)
-                seen.append(t.wp)
-                return t
-            return term
-
-        return real(watched(pos), watched(neg), ctx, first, ratios)
+    def pair(*args):
+        pairs.append(real_pair(*args))
+        return pairs[-1]
 
     def evaluate(ctx):
-        y0 = _lattice_y0(ctx, True)
-        lattices.append(_Lattice(_ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), y0), 2,
-                                 ctx))
-        return lattices[-1].sum(3)
+        pairs.clear()
+        return lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True)), 1, range(-3, 4),
+                              ctx)[6]
 
-    monkeypatch.setattr(qfunctions, "sum_bilateral", short_once)
+    monkeypatch.setattr(slices._Pair, "values", short_once)
+    monkeypatch.setattr(slices, "_Pair", pair)
     wide = CTX.fixed_bits + 20 + RERUN_MARGIN_BITS
     got = widening(evaluate, CTX)
-    # the rerun is a new lattice, every coefficient it reads at the wider width
-    assert len(lattices) == 2
-    for shared in lattices[1].streams:
-        assert shared.terms and {c.wp for c in shared.terms} == {wide}
-    # and its power tables, from which both tails of the one block read
-    tables = [*lattices[1].powers[0], *lattices[1].powers[1], *lattices[1].gauss]
-    assert {v.wp for v in tables} == {wide + rounding_bits(1, MAX_TERMS)}
-    assert set(seen) == {wide}
-    monkeypatch.setattr(qfunctions, "sum_bilateral", real)
+    # the rerun builds new tables, every entry of both at the wider width
+    assert pairs and all({v.wp for v in p.u.values + p.g.values} == {wide} for p in pairs)
+    assert got.wp == wide
     with CTX.workdps():
         direct = b_alpha(1, A6, B15, _lattice_y0(CTX, True) * powq(CTX.q, 6), CTX)
-        assert abs(got - direct) <= mp.mpf(10) ** -50 * abs(direct)
+        assert abs(got.to_mp() / (powq(CTX.q, 9) * direct) - 1) <= mp.mpf(10) ** -50
 
 
 def _random_table(rnd, lo, size, wp, complex_values):
@@ -1309,7 +1448,8 @@ def test_kept_ratio_table_pole_reaches_every_read():
 
 
 # ---------------------------------------------------------------------------
-# declared ratio bounds: every shape of _ratio_terms stream, and lattice sums
+# declared ratio bounds: every shape of _ratio_terms stream, and the direct
+# lattice sums
 # ---------------------------------------------------------------------------
 #
 # Each case sums one kernel's series; every tail it sums through the engine
@@ -1335,12 +1475,12 @@ def _bound_cases():
         "b_alpha": lambda ctx: b_alpha(1, a, b, x, ctx),
         "u_m_bilateral": lambda ctx: u_m_bilateral(x, 2, ctx),
         "bessel_series": lambda ctx: qbessel._bessel_series(F(1, 2), 1, z, ctx),
-        "lattice-unilateral-s=30": lambda ctx: _Lattice(
-            _a_alpha_stream(QPow(a, 0), F(1), z), 2, ctx).sum(30),
+        # the direct sums of a lattice (direct_lattice) at its far points
+        "lattice-unilateral-s=30": lambda ctx: a_alpha(1, a, z * ctx.q ** 60, ctx),
     }
     for s in (-30, 0, 30):
-        cases[f"lattice-s={s}"] = (lambda s: lambda ctx: _Lattice(
-            _ratio_streams(QPow(A6, 0), QPow(B15, 0), F(1), x), 2, ctx).sum(s))(s)
+        cases[f"lattice-s={s}"] = (lambda s: lambda ctx: b_alpha(
+            1, A6, B15, x * ctx.q ** (2 * s), ctx))(s)
     return cases
 
 
@@ -1354,11 +1494,11 @@ def _declared_tails(run, ctx, extra):
     outcome of their one block."""
     tails, real = [], summation.sum_series
 
-    def watched(term, ctx, first=0, ratio=None, then=None):
+    def watched(term, ctx, ratio=None, then=None):
         read = [(term, ratio, [])] + ([(*then, [])] if then else [])
         taps = [(lambda k, term=term, seen=seen: seen.append(term(k)) or seen[-1], ratio)
                 for term, ratio, seen in read]
-        out = real(taps[0][0], ctx, first, ratio, then and taps[1])
+        out = real(taps[0][0], ctx, ratio, then and taps[1])
         for term, ratio, seen in read:
             used = len(seen)
             seen += [term(k) for k in range(used, used + extra)]
@@ -1399,13 +1539,23 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
 # ---------------------------------------------------------------------------
 
 def _recorded_checks(monkeypatch, sides):
-    """(t, evaluate, weight, ctx, E, value) of every _floored check that
-    ``sides()`` makes, with the table's exponent and the value it returned."""
+    """(t, evaluate, weight, ctx, E, value, charge) of every _floored check
+    that ``sides()`` makes, with the table's exponent and the value it
+    returned; a lattice pair (slices._Pair) is left at the window of that
+    value (``t.s``) and its exponent when it is read."""
     checks, real = [], slices._floored
 
-    def spy(t, evaluate, ctx, weight=0.0):
-        value = real(t, evaluate, ctx, weight)
-        checks.append((t, evaluate, weight, ctx, t.E, value))
+    def spy(t, evaluate, ctx, weight=0.0, charge=-math.inf):
+        value = real(t, evaluate, ctx, weight, charge)
+        s = getattr(t, "s", None)
+
+        def at(E, t=t, s=s):
+            if s is not None:
+                t.s = s
+                t.floor(E)
+            return t
+
+        checks.append((at, evaluate, weight, ctx, t.E, value, charge))
         return value
 
     monkeypatch.setattr(slices, "_floored", spy)
@@ -1417,18 +1567,21 @@ def _recorded_checks(monkeypatch, sides):
 
 def _lost(t, value, weight):
     """Bits by which the floor bound times 2^weight exceeds |value|."""
-    return t.bound() + weight - (value.top() - 1 if value else t.k * t.E)
+    return t.bound() + weight - (value.top() - 1 if value else t.unit())
 
 
 FLOOR_CTX = QContext.numeric("0.3", precision=20)
 A5, B1, X6 = mp.mpf("0.5"), mp.mpf("0.1"), mp.mpf("0.6")
 # one sum of each kind: a pair and a cube slice of a ratio table (ms-3, ms-5),
-# the cube pairs of ms-8 and ms-12, and a pair and a cube theta sum (ms-13, ms-15)
+# the cube pairs and the lattice values of ms-8 and ms-12, the Gaussian pair
+# sums of ms-7 and ms-11, and a pair and a cube theta sum (ms-13, ms-15)
 FLOOR_SIDES = {
     "pair-slice": lambda ctx: bilateral_pair_slice_sides(2, A5, B1, ctx),
     "cube-slice": lambda ctx: bilateral_cube_slice_sides(3, A5, B1, ctx),
     "cube-master": lambda ctx: cube_master_sides(1, A5, X6, ctx),
     "cube-bilateral-master": lambda ctx: cube_bilateral_master_sides(1, A5, B1, X6, ctx),
+    "square-master": lambda ctx: square_master_sides(1, A5, X6, ctx),
+    "square-bilateral-master": lambda ctx: square_bilateral_master_sides(1, A5, B1, X6, ctx),
     "theta-pair": lambda ctx: theta_pair_sides(A5, X6, ctx),
     "theta-cube": lambda ctx: theta_triple_sides(A5, X6, ctx),
 }
@@ -1444,11 +1597,12 @@ def test_an_exponent_one_wp_too_high_is_caught_by_the_bound(kind, monkeypatch):
     with ctx.workdps():
         checks = _recorded_checks(monkeypatch, lambda: FLOOR_SIDES[kind](ctx))
         assert checks
-        for t, evaluate, weight, c, E, value in checks:
+        for at, evaluate, weight, c, E, value, charge in checks:
+            t = at(E)
             assert t.E == E and _lost(t, value, weight) <= -t.need
             t.floor(E + t.wp)
             assert _lost(t, evaluate(t), weight) > -t.need, kind
-            again = slices._floored(t, evaluate, c, weight)
+            again = slices._floored(t, evaluate, c, weight, charge)
             assert t.E < E + t.wp
             assert abs((again - value).to_mp()) <= 2 ** -t.need * abs(value.to_mp())
 
