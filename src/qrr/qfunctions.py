@@ -502,20 +502,24 @@ def _square_outer(table, alpha, xv, K: int, ctx: QContext, rate=None, stream=Non
     :func:`_floored` with its entries' roundings charged (:func:`_pair_charge`).
 
     Both cutoffs are checked against the sum, and grow where they miss
-    10^-(precision + 6) of it.  The weights, 0 <= m <= M for a unilateral
-    table, read off the :class:`~qrr.context._Shared` ``stream`` r_0, r_1,
-    ..., whose P_m are then exact: with A the largest |r_j| and rho >= 1 the
-    declared ratio bound past r_M, |P_m| <= (m + 1) A^2 rho^(m - M) for
-    m > M.  For a bilateral table, |m| <= M and |P_m| <= T^2 b^max(0, -m)
-    (|m| + 1 + 2 / (1 - b)), with T and b = 2^rate as in
-    :func:`_theta_cutoff`, which checks its cutoff |j| <= K.  Past M the
-    terms fall by at least 2^(h + 1) |q|^(alpha (2M + 3)) a step."""
+    10^-(precision + 6) of it.  A unilateral table, read off the
+    :class:`~qrr.context._Shared` ``stream`` r_0, r_1, ..., holds r_0..r_M for
+    the weights 0 <= m <= M, so its P_m are exact; past M, with A the
+    largest |r_j| and rho >= 1 the declared ratio bound past r_M,
+    |P_m| <= (m + 1) A^2 rho^(m - M).  A bilateral table takes |m| <= M, and
+    |P_m| <= T^2 b^max(0, -m) (|m| + 1 + 2 / (1 - b)), with T and b = 2^rate
+    as in :func:`_theta_cutoff`, which checks its cutoff |j| <= K."""
     qf, ell, x = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), float(mp.log(abs(xv), 2))
 
-    def tail(h, c):  # log2 of a bound on sum over m > M of (m + c) 2^(h m) |q|^(alpha m^2)
+    def tail(h, c):
+        """log2 of a bound on sum over m > M of (m + c) 2^(h m) |q|^(alpha m^2),
+        c >= 1: each term is at most 2^(h + 1) |q|^(alpha (2M + 3)) times the
+        last, so the first over one minus that."""
         fall = h + 1 + alpha * (2 * M + 3) * ell
-        return math.inf if fall >= 0 else (math.log2(M + 1 + c) + h * (M + 1) + alpha * (
-            M + 1) ** 2 * ell - math.log2(-math.expm1(fall * LN2)))
+        if fall >= 0:
+            return math.inf
+        return (math.log2(M + 1 + c) + h * (M + 1) + alpha * (M + 1) ** 2 * ell
+                - math.log2(-math.expm1(fall * LN2)))
 
     M = gaussian_truncation(alpha, ctx)
     while True:

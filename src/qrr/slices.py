@@ -324,9 +324,7 @@ class _Pair:
     lg of their entries (:func:`_tops`), of the correlation
     V_s = sum_n u_n g_(n + s) for the s in ``ss``: the fourth slice shape.
     Each V_s is one exact integer dot product over its window n0 <= n <= n1
-    of L_s products, rounded once (:meth:`value`); ``windows`` holds
-    (n0, n1, log2 L_s, big_s, max log2 |u|, max log2 |g|) per nonzero one,
-    big_s the log2 bound of its largest product.
+    of L_s products (:func:`_windows`), rounded once (:meth:`value`).
 
     The floor bound.  Floored to 2^Eu and 2^Eg, V_s errs by at most
     L_s (sqrt(2) 2^Eu max |g| + sqrt(2) 2^Eg max |u| + 2^(Eu + Eg + 1)), the
@@ -342,21 +340,17 @@ class _Pair:
     """
 
     def __init__(self, u_lo: int, u, lu, g_lo: int, g, lg, ss, ctx: QContext):
-        u_hi, g_hi = u_lo + len(u) - 1, g_lo + len(g) - 1
-        self.windows = {}
-        for s in ss:
-            n0, n1 = max(u_lo, g_lo - s), min(u_hi, g_hi - s)
-            wu, wg = lu[n0 - u_lo:n1 - u_lo + 1], lg[n0 + s - g_lo:n1 + s - g_lo + 1]
-            big = max(map(add, wu, wg), default=-math.inf)
-            if big > -math.inf:  # else every product is an exact zero
-                self.windows[s] = n0, n1, math.log2(n1 - n0 + 1), big, max(wu), max(wg)
+        self.windows = windows = _windows(u_lo, lu, g_lo, lg, ss)
+        # |g_m| falls away from m = 0: its largest in a window lies nearest 0
+        self.mg = {s: lg[min(max(0, n0 + s), n1 + s) - g_lo] for s, (n0, n1, *_) in
+                   windows.items()}
         margin = ctx.extra_bits - ctx.tail_log2 + CANCELLATION_BITS + 2
-        ws = self.windows.values()
-        self.u = _Table(u_lo, u, 1, ctx, math.floor(
-            min((b - mg - n for _, _, n, b, _, mg in ws), default=0) - margin))
-        self.g = _Table(g_lo, g, 1, ctx, math.floor(
-            min((b - mu - n for _, _, n, b, mu, _ in ws), default=0) - margin))
-        self.need, self.wp, self.N = self.u.need, self.u.wp, max(4, -u_lo, u_hi, -g_lo, g_hi)
+        self.u = _Table(u_lo, u, 1, ctx, math.floor(min(
+            (b - self.mg[s] - n for s, (_, _, n, b, _) in windows.items()), default=0) - margin))
+        self.g = _Table(g_lo, g, 1, ctx, math.floor(min(
+            (b - mu - n for _, _, n, b, mu in windows.values()), default=0) - margin))
+        self.need, self.wp = self.u.need, self.u.wp
+        self.N = max(4, -u_lo, u_lo + len(u) - 1, -g_lo, g_lo + len(g) - 1)
         self.E0, self.E = (self.u.E, self.g.E), 0
         self.last = min(self.u.last - self.u.E, self.g.last - self.g.E)
 
@@ -369,9 +363,9 @@ class _Pair:
         return self.u.E + self.g.E
 
     def bound(self) -> float:
-        _, _, n, _, mu, mg = self.windows[self.s]
+        _, _, n, _, mu = self.windows[self.s]
         eu, eg = self.u.E + 0.5, self.g.E + 0.5
-        return n + _log2_sum((eu + mg, eg + mu, eu + eg))
+        return n + _log2_sum((eu + self.mg[self.s], eg + mu, eu + eg))
 
     def value(self, s: int) -> Fixed:
         """V_s on the current exponents.  On a mirrored Gaussian (g_-m = g_m)
@@ -416,6 +410,21 @@ class _Pair:
             except PrecisionLossError as exc:
                 missing = max(missing, exc.bits)
         return out, missing
+
+
+def _windows(u_lo: int, lu, g_lo: int, lg, ss) -> dict:
+    """{s: (n0, n1, log2 L_s, big_s, mu_s)} for each s in ss whose window
+    n0 <= n <= n1 of L_s products u_n g_(n + s) inside the tables, of log2
+    bounds lu and lg, holds a nonzero one; big_s bounds the largest product
+    and mu_s the largest |u_n|."""
+    u_hi, g_hi, windows = u_lo + len(lu) - 1, g_lo + len(lg) - 1, {}
+    for s in ss:
+        n0, n1 = max(u_lo, g_lo - s), min(u_hi, g_hi - s)
+        wu = lu[n0 - u_lo:n1 - u_lo + 1]
+        big = max(map(add, wu, lg[n0 + s - g_lo:n1 + s - g_lo + 1]), default=-math.inf)
+        if big > -math.inf:
+            windows[s] = n0, n1, math.log2(n1 - n0 + 1), big, max(wu)
+    return windows
 
 
 def _tops(values) -> list:
@@ -485,15 +494,15 @@ def lattice_values(streams, alpha, ss, ctx: QContext, beta: int = 0) -> list:
         first = -M - todo[-1] if down else 0
         u = entries(first, M - todo[0])
         lu, lg = _tops(u), _tops(g)
-        pairs = [_Pair(lo, u[lo - first:hi - first + 1], lu[lo - first:hi - first + 1], g_lo,
-                       g, lg, chunk, ctx)
-                 for chunk in chunks for lo, hi in [(-M - chunk[-1] if down else 0, M - chunk[0])]]
         if levels is None:
-            levels = [p.windows[s][3] if s in p.windows else -math.inf
-                      for p, chunk in zip(pairs, chunks) for s in chunk]
+            windows = _windows(first, lu, g_lo, lg, todo)
+            levels = [windows[s][3] if s in windows else -math.inf for s in todo]
             M, wide = cutoff(M, todo, levels)[0], M
             if M > wide:
                 continue
+        pairs = [_Pair(lo, u[lo - first:hi - first + 1], lu[lo - first:hi - first + 1], g_lo,
+                       g, lg, chunk, ctx)
+                 for chunk in chunks for lo, hi in [(-M - chunk[-1] if down else 0, M - chunk[0])]]
         made = [p.values(chunk, ctx) for p, chunk in zip(pairs, chunks)]
         missing = max(bits for _, bits in made)
         if missing:
