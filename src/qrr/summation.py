@@ -9,8 +9,8 @@ auditable.
   declares a bound rho(K) on every later ratio |t(m + 1) / t(m)|, m >= K
   (:class:`_RatioBound`, carried by a :class:`_Declared` stream): every
   Pochhammer-ratio stream of the series kernels.  Such a sum stops after the
-  first term t(K) with rho(K) < 1 and
-  |t(K)| rho(K) / (1 - rho(K)) below one unit of the working digits,
+  first term t(K) with rho(K) < 1 and |t(K)| rho(K) / (1 - rho(K)) below one
+  unit of the working digits,
   10^-(precision + GUARD_DIGITS), or below the running sum's last kept bit,
   and reports that bound as its tail bound: the tail after t(K) is a
   geometric series term by term below it (Johansson, "Computing
@@ -48,12 +48,13 @@ precision, which the certificate compares and divides as plain mpf values.
 Guard bits.  Summing N terms that each carry at most R (n + 1)^2 roundings,
 n the term's index, errs by less than 2^(rounding_bits(N) + top(peak) - wp)
 (see :func:`~qrr.fixedpoint.rounding_bits`), and ``QContext.fixed_bits``
-adds the bits of that bound at ``MAX_TERMS`` to the working digits.  Every sum checks
-the bound at the end against its own magnitude, so the cancellation bits
-top(peak) - top(sum) come out of the slack.  A sum left with fewer than
-``ctx.precision`` digits raises :class:`~qrr.errors.PrecisionLossError`,
-which names the bits it lacks; :func:`~qrr.context.widening` reruns the
-whole evaluation around the sum, inputs included, that much wider.  A
+adds the bits of that bound at ``MAX_TERMS`` to the working digits.  Every
+sum checks the bound at the end against its own magnitude, so the
+cancellation bits top(peak) - top(sum) come out of the slack.  A sum left
+with fewer than ``ctx.precision`` digits raises
+:class:`~qrr.errors.PrecisionLossError`, which names the bits it lacks;
+:func:`~qrr.context.widening` reruns the whole evaluation around the sum,
+inputs included, that much wider.  A
 bilateral sum is one block: its second tail adds into the running sum of
 the first, the N terms of both are charged as one sum, and the bound is
 checked once, so tails that cancel to exactly zero raise as one tail that
@@ -117,10 +118,9 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     function advances running products (q-powers, x-powers, Pochhammer
     ratios) by multiplication instead of recomputing term n from scratch,
     and ``term(n)`` is charged the R (n + 1)^2 roundings of its index.
-    ``then``, a
-    pair (term, ratio) of a second tail, is read from n = 0 on into the same
-    block once the first tail stops, and stops by its own rule
-    (:func:`sum_bilateral`).
+    ``then``, a pair (term, ratio) of a second tail, is read from n = 0 on
+    into the same block once the first tail stops, and stops by its own
+    rule (:func:`sum_bilateral`).
 
     Two stop rules (see the module docstring).  With a declared bound
     ``ratio``, a :class:`_Reading`: ``ratio(n)`` is log2 of a bound rho_n on
