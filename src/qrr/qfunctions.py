@@ -237,7 +237,8 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     k = -1, -2, ... (term -k is term -k + 1 times ratio -k, t_0 = 1), as
     (a;q)_n / (b;q)_n q^{alpha n^2} x^n reads from n = -1 on with a and b
     swapped.  The term, the step and every carried power a_i q^k are pairs of
-    ints with an exponent each, cut back to wp bits once per step.  A factor
+    ints with an exponent each, cut back to wp bits once per step; a step of
+    growth exactly 1 is carried as it is.  A factor
     whose exact exponent is 0 is 1 - coeff exactly.  A vanishing denominator
     factor is a pole (checked before the term it would divide); downwards a
     vanishing numerator factor kills the tail, which yields exact zeros.
@@ -273,6 +274,7 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
                for c, p, d in zip((*nums, *dens), powers, [None] * len(nums) + dens)]
     hr, hi, he = parts(shift)
     gr, gi, ge = parts(growth)
+    unit = growth == 1
     sr, si, se = parts(step)
     tr, ti, te = 1, 0, 0
     gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
@@ -311,7 +313,8 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
         if not up:
             yield Fixed(tr, ti if complex_terms else None, te, wp)
         k += dk
-        sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
+        if not unit:
+            sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
 def psi_1_1_product(a, b, z, ctx: QContext):

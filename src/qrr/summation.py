@@ -1,8 +1,8 @@
 """Convergent-series summation engine with tail certificates.
 
 Every unilateral and bilateral series in the package funnels through
-:func:`sum_series` / :func:`sum_bilateral`.  A sum stops by one of two rules,
-and the certificate data is reported in the outcome so failures are
+:func:`sum_series` / :func:`sum_bilateral`.  A sum stops by one of three
+rules, and the certificate data is reported in the outcome so failures are
 auditable.
 
 * **Declared bound.**  A stream whose term ratio is known in closed form
@@ -16,9 +16,18 @@ auditable.
   geometric series term by term below it (Johansson, "Computing
   hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  It reads
   no stop run and makes no observed certificate.
-* **Observed decay.**  Every other stream (mixed streams, outer sums, pole
-  sums) stops after a run of ``STOP_RUN`` consecutive negligible terms plus a
-  ratio certificate on the observed decay, which is heuristic.
+* **Closed geometric remainder.**  An upward declared stream of growth
+  exactly 1 has the ratio s (1 + delta_k), and from an index K_g on every
+  factor 1 - c q^k lies within 2^-(wp + 4) of 1.  Such a sum stops at the
+  first term t(n) with n >= K_g and adds the rest of the series,
+  t(n) s / (1 - s) (Gasper & Rahman, *Basic Hypergeometric Series*,
+  ch. 1), as one more term at index n + 1; its tail bound is 0.  It closes
+  only where that remainder's error fits in the R (n + 2)^2 roundings the
+  charge allows its index (:meth:`_RatioBound._closing` gives the bound);
+  until then the declared bound may stop the sum as before.
+* **Observed decay.**  Every other stream (mixed streams, pole sums) stops
+  after a run of ``STOP_RUN`` consecutive negligible terms plus a ratio
+  certificate on the observed decay, which is heuristic.
 
 A term is negligible below the stop tolerance, or below the running sum's
 last kept bit, where adding it floors it away; a tail bound is negligible
@@ -58,8 +67,10 @@ inputs included, that much wider.  A
 bilateral sum is one block: its second tail adds into the running sum of
 the first, the N terms of both are charged as one sum, and the bound is
 checked once, so tails that cancel to exactly zero raise as one tail that
-floors to zero does.  The value leaves fixed point only as the mpf/mpc
-``SumOutcome.value``.
+floors to zero does.  Where the second tail has cancelled the sum below the
+level at which a declared first tail stopped, the first is read on from
+where it stopped, to a level off the sum of both.  The value leaves fixed
+point only as the mpf/mpc ``SumOutcome.value``.
 """
 
 from __future__ import annotations
@@ -74,7 +85,7 @@ from mpmath.libmp import from_man_exp
 
 from .context import MAX_TERMS, QContext
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
-from .fixedpoint import LN2, Fixed, bits_for_digits, rounding_bits
+from .fixedpoint import LN2, ROUNDINGS, Fixed, bits_for_digits, rounding_bits
 
 
 # Ratios above this cap do not certify decay even if terms look small.
@@ -120,9 +131,12 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     and ``term(n)`` is charged the R (n + 1)^2 roundings of its index.
     ``then``, a pair (term, ratio) of a second tail, is read from n = 0 on
     into the same block once the first tail stops, and stops by its own
-    rule (:func:`sum_bilateral`).
+    rule (:func:`sum_bilateral`).  If the first tail's declared bound is
+    then not below the level read off the running sum of both, the first
+    tail is read on from the term after its stop, by its own rule at that
+    level, and its new bound replaces the old.
 
-    Two stop rules (see the module docstring).  With a declared bound
+    Three stop rules (see the module docstring).  With a declared bound
     ``ratio``, a :class:`_Reading`: ``ratio(n)`` is log2 of a bound rho_n on
     every later ratio |t(m + 1) / t(m)|, m >= n, and the sum stops after the
     first term t(n) with rho_n < 1 and |t(n)| rho_n / (1 - rho_n) below the
@@ -137,7 +151,13 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     where stopping would cost that many digits of every value.  log2 rho_n
     is at least ``ratio.low + ratio.slope * n``, so a
     term with top - 1 + that >= log2 L cannot stop the sum, and its bound is
-    not evaluated.  Without a declared bound, the sum stops once
+    not evaluated.  A declared read with ``ratio.close`` finite (an upward
+    stream of growth 1) stops instead at the first nonzero term t(n) with
+    n >= ``ratio.close``, unless the bound stopped it before: the rest of
+    the series, t(n) s / (1 - s) with s the stream's step
+    (``ratio.bound.rest``), is added as term n + 1, charged the
+    R (n + 2)^2 roundings of that index, and the tail bound is 0.  Without
+    a declared bound, the sum stops once
     ``STOP_RUN`` consecutive terms are negligible and the recent term
     magnitudes certify decay, and raises RatioTestError when terms are
     small but no decay pattern is visible.  Either way it raises
@@ -175,18 +195,22 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
         # position among the nonzero terms of its tail
         peak_t, peak_top, peak_lm, peak = None, -math.inf, None, 0
         used = 0
-        # per tail: its tail bound, or what its decay certificate reads
+        # per tail: the exponent of its declared tail bound, a power of two
+        # (-inf for 0), or what its decay certificate reads; a read with a
+        # start resumes the first tail there
         stops = []
-        for term, ratio in ((term, ratio),) if then is None else ((term, ratio), then):
+        reads = [(term, ratio, 0)] if then is None else [(term, ratio, 0), (*then, 0)]
+        for term, ratio, start in reads:
             small_run = 0
             zero_run = 0
             terms = []  # (index, value) of each nonzero term
             if stops:
                 peak = None  # the peak lies in the first tail, until one tops it
             if ratio is not None:
-                low, slope = ratio.low - 1, ratio.slope
-            for n in range(MAX_TERMS):
-                t = term(n)
+                low, slope, close = ratio.low - 1, ratio.slope, ratio.close
+            rest = None  # the closed remainder, read as the next term
+            for n in range(start, MAX_TERMS):
+                t = term(n) if rest is None else rest
                 if t.__class__ is not Fixed:
                     t = Fixed.of(t, wp)
                     if term_bits is None:
@@ -231,17 +255,18 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
                         if lm > peak_lm:
                             peak_t, peak_top, peak_lm, peak = t, top, lm, len(terms)
                     if ratio is not None:
+                        if n >= close:
+                            if rest is None:
+                                rest = ratio.bound.rest(t)
+                                continue
+                            stop = -math.inf  # the remainder is in: nothing is left
+                            break
                         # |t| rho / (1 - rho) >= 2^(top - 1) 2^(low + slope n),
                         # and the level is at most 2^max(E, tail_log2)
                         if top + low + slope * n < (E if E > tail_log2 else tail_log2):
-                            # one unit of the working digits of the running
-                            # sum, taken as 1 when it is larger:
-                            # |S| >= 2^(bits + E - 1)
-                            size = max(s_re.bit_length(), s_im.bit_length()) + E - 1
-                            level = tail_log2 + min(size, 0)
-                            tail = _declared_tail(_log2(t), ratio(n), E if E > level else level)
-                            if tail is not None:
-                                stops.append(tail)
+                            level = _level(s_re, s_im, E, tail_log2)
+                            stop = _declared_tail(_log2(t), ratio(n), level)
+                            if stop is not None:
                                 break
                         continue
                     terms.append((n, t))
@@ -249,38 +274,67 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
                 else:
                     if ratio is not None:
                         if ratio(n) < math.inf:
-                            stops.append(mp.mpf(0))
+                            stop = -math.inf
                             break
                         continue
                     zero_run += 1
                     small_run += 1
                 if small_run >= STOP_RUN and n >= STOP_RUN - 1:
-                    stops.append(mp.mpf(0) if zero_run >= STOP_RUN or not terms
-                                 else (terms, peak, n + 1))
+                    stop = (-math.inf if zero_run >= STOP_RUN or not terms
+                            else (terms, peak, n + 1))
                     break
             else:
                 raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
-            used += n + 1
+            used += n + 1 - start
+            if start:
+                stops[0] = stop
+                continue
+            stops.append(stop)
+            if len(stops) == 1:
+                first_end = n
+            elif stops[0].__class__ is not tuple and stops[0] >= _level(s_re, s_im, E, tail_log2):
+                # the first tail stopped at a level off its own running sum,
+                # and the second has cancelled the sum below that: read the
+                # first on from where it stopped
+                reads.append((*reads[0][:2], first_end + 1))
         value, error = _settled(s_re, s_im if cplx else None, E, peak_top, used, term_bits, bw,
                                 ctx, "sum" if then is None else "bilateral tails")
-        tails = [_observed_tail(*stop, ctx) if stop.__class__ is tuple else stop
+        tails = [_observed_tail(*stop, ctx) if stop.__class__ is tuple else _power_of_two(stop)
                  for stop in stops]
         tail = tails[0] if then is None else tails[0] + tails[1]
         converged = not tail or (_negligible(tail, error, ctx) and _below(tail, value))
         return SumOutcome(value, used, tail, converged, error)
 
 
+def _level(s_re, s_im, E, tail_log2):
+    """log2 of the declared stop level of a running sum (s_re + i s_im) 2^E:
+    one unit of its working digits, 2^tail_log2 times |S| when |S| < 1
+    (|S| >= 2^(bits + E - 1)), or its last kept bit 2^E when that is
+    larger."""
+    size = max(s_re.bit_length(), s_im.bit_length()) + E - 1
+    level = tail_log2 + min(size, 0)
+    return E if E > level else level
+
+
 def _declared_tail(log2_t, log2_rho, level):
-    """The tail bound |t| rho / (1 - rho) after a term of log2 magnitude
-    ``log2_t``, as an mpf power of two above it, when rho < 1 and the bound
-    lies below 2^level; otherwise None."""
+    """The exponent of the least power of two at or above the tail bound
+    |t| rho / (1 - rho) after a term of log2 magnitude ``log2_t`` (-inf
+    for a zero bound), when rho < 1 and the bound lies below 2^level;
+    otherwise None."""
     if not log2_rho < 0:
         return None
     # 1 - rho = -expm1(rho ln 2), exact to a few ulps also for rho near 1
     bound = log2_t + log2_rho - math.log2(-math.expm1(log2_rho * LN2))
     if bound >= level:
         return None
-    return mp.mpf(0) if bound == -math.inf else mp.make_mpf((0, 1, math.ceil(bound), 1))
+    return bound if bound == -math.inf else math.ceil(bound)
+
+
+def _power_of_two(exponent):
+    """The declared tail bound 2^exponent as an mpf; 0 for -inf."""
+    if exponent == -math.inf:
+        return mp.mpf(0)
+    return mp.make_mpf((0, 1, exponent, 1))
 
 
 def _log2(t):
@@ -443,7 +497,51 @@ class _RatioBound:
             edges = [math.floor((1 - t0) / ell) for t0, _, _ in self.factors]
             self.edge = min(edges, default=math.inf)
         self.kept = []  # P at the indices before the edge, back from it
+        self.close = self._closing(q, step, growth)
         self.made = True
+
+    def _closing(self, q, step, growth):
+        """The stream index from which a sum may end an upward stream of
+        growth exactly 1 on its closed remainder (:meth:`rest`), or inf.
+
+        From the index K_g on every factor has |c q^k| <= v |q|^(k - K_g),
+        v = 2^-(wp + 4), so each of the F factors 1 - c q^k, or its
+        reciprocal, lies within |c q^k| (1 + 2 v) of 1: r_k = s (1 + delta_k)
+        with |delta_k| <= 1.01 F v |q|^(k - K_g), and the deltas from any
+        n >= K_g on sum to at most D = 1.01 F v / (1 - |q|).  The rest after
+        t_n is t_n s / (1 - s) (Gasper & Rahman, ch. 1) within
+        |t_n| sum_j |s|^j (e^D - 1) <= 1.01 D |t_n s| / (1 - |s|), that is
+        within F u |1 - s| / (31 (1 - |q|) (1 - |s|)) relative to it, with
+        u = 2^(1 - wp).  Relative to the remainder as summed, the error is
+        then at most
+            R (n + 1)^2 u                       t_n's own roundings,
+          + 6 u                                 the product, 1 - s and the
+                                                division, complex counted twice,
+          + 2 u (1 + |s| / |1 - s|)             the step's rounding, amplified,
+          + F u |1 - s| / (8 (1 - |q|) (1 - |s|))  the factors, with room for
+                                                the float logs of K_g,
+          + u                                   second-order terms,
+        and the engine charges it as term n + 1, at R (n + 2)^2 u: it fits
+        from the first n >= K_g with R (2 n + 3) at least the last four
+        lines over u.  |1 - s| and 1 - |s| are taken from floats; within
+        ``FACTOR_SLACK`` of 0 they close nothing."""
+        if not (self.up and step and self.gamma == 0 and growth == 1):
+            return math.inf
+        s = complex(step.to_mp())
+        gap, near = abs(1 - s), -math.expm1(self.sigma * LN2)
+        if gap <= FACTOR_SLACK or near <= FACTOR_SLACK:
+            return math.inf
+        wp, ell = q.wp, self.ell
+        edge = max((math.floor((-4 - wp - t0) / ell) + 1 for t0, _, _ in self.factors), default=0)
+        need = (9 + 2 * abs(s) / (gap - FACTOR_SLACK) + len(self.factors) * (gap + FACTOR_SLACK)
+                / (8 * -math.expm1(ell * LN2) * near))
+        return max(edge, math.ceil((need / ROUNDINGS - 3) / 2), 0)
+
+    def rest(self, t: Fixed) -> Fixed:
+        """t s / (1 - s): the rest of a stream of growth 1 after its term
+        t, from the index :meth:`_closing` gives on."""
+        step = self.params[3]
+        return t * step / (1 - step)
 
     def reading(self, n: int = 0):
         """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
@@ -458,7 +556,7 @@ class _RatioBound:
             return None
         k0 = n if self.up else -2 - n
         base = self._step(k0) + RATIO_SLACK
-        return _Reading(self, k0, 1 if self.up else -1, base)
+        return _Reading(self, k0, 1 if self.up else -1, base, max(self.close - n, 0))
 
     def _step(self, k):
         """log2 |step_k|, with |q^k|^d taken in downwards."""
@@ -513,12 +611,13 @@ class _Reading:
     ``reading(j)`` bounds every ratio |t(m + 1) / t(m)| of the read terms,
     m >= j.  It does not increase with j, and it is at least
     ``low + slope * j``, which :func:`sum_series` uses to skip terms that
-    cannot stop the sum."""
+    cannot stop the sum.  From the read term ``close`` on (inf for none),
+    the rest of the read is ``bound.rest`` of its term."""
 
-    __slots__ = ("bound", "k0", "dk", "base", "low", "slope")
+    __slots__ = ("bound", "k0", "dk", "base", "low", "slope", "close")
 
-    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float):
-        self.bound, self.k0, self.dk, self.base = bound, k0, dk, base
+    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float, close=math.inf):
+        self.bound, self.k0, self.dk, self.base, self.close = bound, k0, dk, base, close
         self.slope = bound.slope
         self.low = base + bound.floor
 

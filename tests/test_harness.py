@@ -390,8 +390,10 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
 # terms decay at different levels raised RatioTestError (SKIPPED), or where
 # lommel-i/lommel-j judged |lhs - rhs| unscaled on sides of order 10^21.  Near
 # |q| = 1 a product beyond the term budget was an ERROR, and psi11 passed
-# on bilateral sums below their own tail bounds: both are SKIPPED now, with a
-# NonConvergenceError note.  A pole of the theta pole sums (a = 0.5 = q)
+# on bilateral sums below their own tail bounds: the first is SKIPPED now,
+# with a NonConvergenceError note, and psi11 at q = 0.99 is certified since
+# a bilateral block reads its first tail on below the sum of both.  A pole
+# of the theta pole sums (a = 0.5 = q)
 # names its factor.  ``expected`` is a status, optionally followed by
 # ": " and a fragment of the note.
 @pytest.mark.parametrize("entry_id, settings, expected", [
@@ -406,8 +408,8 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
      "SKIPPED: NonConvergenceError: (a;q)_inf needs 13606 factors, over the budget of 8000"),
     ("hermite-gf", {"precision": 20, "q_values": ("-0.99",)},
      "SKIPPED: NonConvergenceError: (a;q)_inf needs 13370 factors"),
-    ("psi11", {"precision": 20, "q_values": ("0.99",)},
-     "SKIPPED: NonConvergenceError: sum not certified"),
+    # the first tail of the bilateral block is read on below the sum of both
+    ("psi11", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
     ("ms-15", {"precision": 20, "q_values": ("0.5",)},
      "SKIPPED: PoleError: denominator factor 1 - 0.125 q^(-3) of the pole sum vanished"),
     # the odd slices cancel exactly on the table's own exponent

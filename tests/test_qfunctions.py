@@ -1396,6 +1396,33 @@ def test_ratio_stream_drops_exact_factors_bit_for_bit(stream, q):
         assert _bits(a) == _bits(b), n
 
 
+# upward streams of growth exactly 1, which carry their step as it is rather
+# than multiply it by 1 and cut it on every step: a complex step, a negative
+# one with a Fraction factor exponent (the kind-1 q-Bessel shape at nu = 1/2),
+# and a psi11 upward half
+UNIT_GROWTH_STREAMS = {
+    "complex-step": lambda q: ([QPow(mp.mpf("0.6"), 0)], [_Q1], q.like(mp.mpc("0.6", "0.6")),
+                               q.like(1)),
+    "fraction-exponent": lambda q: ([], [_Q1, QPow(1, F(3, 2))], q.like(mp.mpf("-0.75")),
+                                    powq(q, 0)),
+    "psi11-up": lambda q: ([QPow(mp.mpf("0.6"), 0)], [QPow(mp.mpf("0.06"), 0)],
+                           powq(q, 0) * q.like(mp.mpf("0.906")), powq(q, 0)),
+}
+
+
+@pytest.mark.parametrize("q", ["0.3", "-0.6", complex(0.2, 0.1), complex(0, 0.5)])
+@pytest.mark.parametrize("stream", sorted(UNIT_GROWTH_STREAMS))
+def test_unit_growth_stream_carries_its_step_bit_for_bit(stream, q):
+    ctx = QContext.numeric(q, 50)
+    qf = ctx.fixed(ctx.q)
+    nums, dens, step, growth = UNIT_GROWTH_STREAMS[stream](qf)
+    assert growth == 1
+    new = _ratio_terms(nums, dens, qf, step, growth)
+    old = old_ratio_terms(nums, dens, qf, step, growth)
+    for n, (a, b) in enumerate(islice(zip(new, old), 1500)):
+        assert _bits(a) == _bits(b), n
+
+
 def fresh_ratio_table(a, b, K, ctx):
     """The table of _bilateral_ratio_array built from new streams."""
     up, down = _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))
@@ -1457,7 +1484,10 @@ def test_kept_ratio_table_pole_reaches_every_read():
 # |t(m + 1) / t(m)| of the terms read, and of the terms past the stop, lies
 # within the declared rho(m), slack included, and rho does not rise; and
 # the true tail after the stop, read on to a negligible term at twice the
-# digits, sums in absolute value to at most the reported tail bound.
+# digits, sums in absolute value to at most the reported tail bound.  A sum
+# that closed a tail on its geometric remainder reports no bound for it: its
+# value lies within its rounding bound (and the other tail's bound) of the
+# terms it read plus the true rest of its streams.
 
 BOUND_QS = ["0.3", "-0.6", "0.99", "0.2+0.1j", "0.5j"]
 
@@ -1475,6 +1505,12 @@ def _bound_cases():
         "b_alpha": lambda ctx: b_alpha(1, a, b, x, ctx),
         "u_m_bilateral": lambda ctx: u_m_bilateral(x, 2, ctx),
         "bessel_series": lambda ctx: qbessel._bessel_series(F(1, 2), 1, z, ctx),
+        # steps near the unit circle, whose sums close on their remainder:
+        # real, negative, and a Fraction factor exponent nu + 1 (kind 1)
+        "phi_2_1-z=0.9": lambda ctx: phi_2_1(a, b, c, mp.mpf("0.9"), ctx),
+        "psi_1_1-z=-0.9": lambda ctx: psi_1_1(a, b, mp.mpf("-0.9"), ctx),
+        "bessel_series-kind1": lambda ctx: qbessel._bessel_series(F(1, 2), 0, -x - x / 2,
+                                                                  ctx),
         # the direct sums of a lattice (direct_lattice) at its far points
         "lattice-unilateral-s=30": lambda ctx: a_alpha(1, a, z * ctx.q ** 60, ctx),
     }
@@ -1488,10 +1524,11 @@ BOUND_CASES = _bound_cases()
 
 
 def _declared_tails(run, ctx, extra):
-    """(ratio, terms used, outcome, terms) of each tail the last attempt of
-    ``run`` sums within ``widening``: the terms it read and ``extra`` more
-    from the same stream.  The two tails of a bilateral sum share the
-    outcome of their one block."""
+    """(ratio, terms used, outcome, terms, precision) of each tail the last
+    attempt of ``run`` sums within ``widening``: the terms it read and
+    ``extra`` more from the same stream, and the mp precision its value is
+    rounded to.  The two tails of a bilateral sum share the outcome of their
+    one block."""
     tails, real = [], summation.sum_series
 
     def watched(term, ctx, ratio=None, then=None):
@@ -1499,10 +1536,12 @@ def _declared_tails(run, ctx, extra):
         taps = [(lambda k, term=term, seen=seen: seen.append(term(k)) or seen[-1], ratio)
                 for term, ratio, seen in read]
         out = real(taps[0][0], ctx, ratio, then and taps[1])
+        with ctx.workdps():
+            prec = mp.mp.prec
         for term, ratio, seen in read:
             used = len(seen)
             seen += [term(k) for k in range(used, used + extra)]
-            tails.append((ratio, used, out, seen))
+            tails.append((ratio, used, out, seen, prec))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1518,8 +1557,11 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
     tails = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=20), 30)
     deep = _declared_tails(BOUND_CASES[case], QContext.numeric(q, precision=40), 1500)
     assert tails and len(deep) == len(tails)
-    rests = {}  # per sum: its outcome and the true tails after the stops
-    for (ratio, used, out, seen), (_, _, _, far) in zip(tails, deep):
+    # per sum: its outcome, the true tails after the stops in absolute value,
+    # the terms read plus those tails, the count of terms read, the last
+    # term read on, and the precision of its value
+    rests = {}
+    for (ratio, used, out, seen, prec), (_, _, _, far, _) in zip(tails, deep):
         assert ratio is not None
         mags = [summation._log2(t) if t else None for t in seen]
         for m, (t, u) in enumerate(zip(mags, mags[1:])):
@@ -1528,10 +1570,21 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
                 assert t is not None and u - t <= ratio(m) or ratio(m) == math.inf, (m, u - t)
         with mp.workdps(60):
             rest = [abs(t.to_mp()) for t in far[used:]]
-            assert rest[-1] < mp.mpf(10) ** -20 * (out.tail_bound or mp.mpf(10) ** -200)
-            rests.setdefault(id(out), [out, 0])[1] += sum(rest)
-    for out, rest in rests.values():
-        assert rest <= out.tail_bound
+            entry = rests.setdefault(id(out), [out, 0, 0, 0, 0, prec])
+            entry[1] += sum(rest)
+            entry[2] += sum(t.to_mp() for t in seen[:used]) + sum(t.to_mp() for t in far[used:])
+            entry[3] += used
+            entry[4] = max(entry[4], rest[-1])
+    for out, rest, total, read, last, prec in rests.values():
+        closed = out.terms_used > read  # a closed tail's remainder is one more term
+        with mp.workdps(60):
+            assert last < mp.mpf(10) ** -20 * (out.tail_bound or (out.error if closed
+                                                                  else mp.mpf(10) ** -200))
+            if closed:  # the value is its block sum rounded once to prec bits
+                rounded = mp.ldexp(abs(out.value), 1 - prec)
+                assert abs(out.value - total) <= out.error + out.tail_bound + rounded
+            else:
+                assert rest <= out.tail_bound
 
 
 # ---------------------------------------------------------------------------

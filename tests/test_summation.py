@@ -2,7 +2,8 @@
 
 import math
 import random
-from itertools import accumulate, islice, repeat
+from fractions import Fraction
+from itertools import accumulate, islice
 
 import mpmath as mp
 import pytest
@@ -297,12 +298,18 @@ def test_short_rising_series_certifies_at_low_precision():
 # below the stop tolerance or with its top below the running sum's last kept
 # bit 2^E, as in the engine; the second only matters for a peak above about
 # 2^wp times the tolerance (``test_sum_stops_where_its_terms_floor_away``).
+# Under the declared bound of an upward stream of growth 1 the reference
+# finds on its own, in mp, the first index past every factor and the charge
+# that its remainder fits (``_reference_closing``).
 
 
 def reference_sum_series(term, ctx, ratio=None):
     """``sum_series`` with a float log2 and mpf magnitudes for every term;
     under a declared bound ``ratio``, with the bound's stop test made at
-    every term."""
+    every term, and its read closed on the geometric remainder where
+    ``_reference_closing`` says."""
+    closing = _reference_closing(ratio)
+    rest = None
     with ctx.workdps():
         tol = ctx.stop_tol
         tol_log2 = -(ctx.precision + 10) * LOG2_10
@@ -318,7 +325,7 @@ def reference_sum_series(term, ctx, ratio=None):
         mags = []
         n = 0
         while n < MAX_TERMS:
-            t = term(n)
+            t = term(n) if rest is None else rest
             if t.__class__ is not Fixed:
                 t = Fixed.of(t, wp)
                 if term_bits is None:
@@ -349,6 +356,14 @@ def reference_sum_series(term, ctx, ratio=None):
                     peak, peak_log2, peak_top = len(mags), lm, top
                 mags.append((n, t))
                 small_run = small_run + 1 if lm < tol_log2 or top < E else 0
+                if rest is not None:
+                    return _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n + 1,
+                                                    term_bits, bw, ctx, -math.inf)
+                if closing is not None and n >= closing:
+                    step = ratio.bound.params[3]
+                    rest = t * step / (1 - step)
+                    n += 1
+                    continue
                 if ratio is not None:
                     # one unit of the working digits of max(1, |running sum|)
                     lr = ratio(n)
@@ -387,6 +402,32 @@ def reference_sum_series(term, ctx, ratio=None):
                              and tail < abs(value))
                 return SumOutcome(value, n, tail, bool(converged), error)
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
+
+
+def _reference_closing(ratio):
+    """The first read index n at which a declared read of an upward stream
+    of growth exactly 1, read from its start, may end on its remainder
+    t_n s / (1 - s): every factor has |c q^n| below 2^-(wp + 4), and the
+    charge of the remainder's index, R (n + 2)^2 roundings, covers t_n's
+    R (n + 1)^2 and 9 + 2 |s| / |1 - s| + F |1 - s| / (8 (1 - |q|) (1 - |s|))
+    more (F factors); None for any other read.  In mp, index by index."""
+    bound = getattr(ratio, "bound", None)
+    if bound is None or not bound.up or ratio.k0:
+        return None
+    nums, dens, q, step, growth = bound.params
+    with mp.workdps(40):
+        qv, s = q.to_mp(), step.to_mp()
+        if growth.to_mp() != 1 or not 0 < abs(s) < 1:
+            return None
+        cs = [abs(q.like(c.coeff).to_mp()) * abs(qv) ** c.exponent for c in (*nums, *dens)]
+        cs = [c for c in cs if c]
+        need = (9 + 2 * abs(s) / abs(1 - s)
+                + len(cs) * abs(1 - s) / (8 * (1 - abs(qv)) * (1 - abs(s))))
+        for n in range(MAX_TERMS):
+            if (all(c * abs(qv) ** n < mp.mpf(2) ** -(q.wp + 4) for c in cs)
+                    and ROUNDINGS * ((n + 2) ** 2 - (n + 1) ** 2) >= need):
+                return n
+    return None
 
 
 def _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n, term_bits, bw, ctx, bound):
@@ -527,10 +568,10 @@ def _exact_mp(t):
     return mp.make_mpc((from_man_exp(t.re, t.e), from_man_exp(t.im, t.e)))
 
 
-def _outcome_bits(engine, terms, ratio=None):
+def _outcome_bits(engine, terms, ratio=None, ctx=ORACLE_CTX):
     """Every field of the outcome, or the error raised, in comparable form."""
     try:
-        out = engine(terms.__getitem__, ORACLE_CTX, ratio)
+        out = engine(terms.__getitem__, ctx, ratio)
     except (NonConvergenceError, PrecisionLossError, RatioTestError) as exc:
         return type(exc).__name__, str(exc)
     return tuple(getattr(x, "_mpf_", None) or getattr(x, "_mpc_", None) or x
@@ -755,7 +796,7 @@ def test_declared_sum_of_a_vanishing_series_lacks_every_digit():
 
 
 class ObservedReading:
-    low, slope = -math.inf, 0.0
+    low, slope, close = -math.inf, 0.0, math.inf
 
     def __init__(self, terms):
         wp = ORACLE_CTX.fixed_bits
@@ -788,17 +829,18 @@ def test_engine_matches_reference_on_generated_streams_under_a_declared_bound(te
 
 
 def test_declared_bound_stops_at_its_first_certified_term():
-    # sum_n r^n at r = 0.9 under the bound of its own stream (step r,
-    # growth 1): the stop is the first K with r^K r / (1 - r) below one unit
-    # of the working digits, not below 10^-precision, and no stop run
+    # sum_n r^n (-1)^(n (n - 1) / 2) at r = 0.9 under the bound of its own
+    # stream (step r, growth -1): the stop is the first K with
+    # r^K r / (1 - r) below one unit of the working digits, not below
+    # 10^-precision, and no stop run; the sum is (1 + r) / (1 + r^2)
     ctx = QContext.numeric("0.5", precision=30)
     r = mp.mpf("0.9")
     with ctx.workdps():
         q, step = ctx.fixed(ctx.q), ctx.fixed(r)
-        ratio = summation._RatioBound([], [], q, step, q.like(1)).reading()
-        assert ratio.slope == 0
-        terms = list(islice(accumulate(repeat(step), lambda t, f: t * f, initial=q.like(1)),
-                            2000))
+        ratio = summation._RatioBound([], [], q, step, q.like(-1)).reading()
+        assert ratio.slope == 0 and ratio.close == math.inf
+        steps = (step if k % 2 == 0 else -step for k in range(2000))
+        terms = list(islice(accumulate(steps, lambda t, f: t * f, initial=q.like(1)), 2000))
         out = sum_series(terms.__getitem__, ctx, ratio)
         level = ctx.tail_log2
         stops = [k for k in range(2000)
@@ -806,7 +848,7 @@ def test_declared_bound_stops_at_its_first_certified_term():
         assert out.terms_used == stops[0] + 1
         # the bound, rounded up to a power of two
         assert out.tail_bound < 2 * mp.mpf(2) ** level < ctx.target_tol * mp.mpf(10) ** -14
-        exact = 1 / (1 - r)
+        exact = (1 + r) / (1 + r * r)
         assert abs(out.value - exact) <= out.tail_bound + out.error
         assert out.converged
 
@@ -820,7 +862,7 @@ def test_declared_zero_term_stops_only_below_a_finite_bound():
     terms = [zero, zero, one] + [Fixed(1, None, -40 * k, wp) for k in range(1, 20)]
 
     class PoleAfterTwo:
-        low, slope = -math.inf, 0.0
+        low, slope, close = -math.inf, 0.0, math.inf
 
         def __call__(self, j):
             return math.inf if j < 2 else -40 + summation.RATIO_SLACK
@@ -909,3 +951,173 @@ def test_bilateral_block_matches_the_per_tail_oracle(name, rule, extra):
         term_bits = tails[0][0].wp if tails[0][0].__class__ is Fixed else mp.mp.prec
     assert out.error == mp.ldexp(1, rounding_bits(n) + _peak_top(read[0] + read[1], ctx)
                                  - term_bits)
+
+
+# -- closed geometric remainders -----------------------------------------------
+#
+# An upward _ratio_terms stream of growth exactly 1 has the ratio
+# s prod (1 - a q^k) / prod (1 - b q^k), which is s to the working width once
+# every |c q^k| lies below 2^-(wp + 4): the sum ends there on the remainder
+# t_n s / (1 - s), charged as one more term, with no tail bound.  Each case:
+# q, precision, numerator and denominator QPows, and the step.
+
+A6, B06, C45 = (QPow(mp.mpf(v), 0) for v in ("0.6", "0.06", "0.45"))
+Q1 = QPow(1, 1)
+UNIT_STREAMS = {
+    "real": ("0.3", 20, [A6, B06], [C45, Q1], "0.9"),
+    "negative": ("-0.6", 50, [A6, B06], [C45, Q1], "-0.9"),
+    "complex": ("0.2+0.1j", 20, [A6], [Q1], "0.6+0.6j"),
+    # the kind-1 q-Bessel series at order 1/2: a factor exponent nu + 1
+    "fraction-exponent": ("0.5j", 20, [], [Q1, QPow(1, Fraction(3, 2))], "-0.75"),
+    # 1 - s = 2^-14: the remainder's error waits for a charge far past K_g
+    "near-one": ("0.5", 20, [A6], [Q1], 1 - mp.mpf(2) ** -14),
+}
+
+
+def _unit_stream(name):
+    """(ctx, terms as a list, the declared reading) of a case, read to two
+    terms past its closing index."""
+    qs, precision, nums, dens, step = UNIT_STREAMS[name]
+    ctx = QContext.numeric(qs, precision=precision)
+    with ctx.workdps():
+        q = ctx.fixed_q
+        stream = qfunctions._ratio_terms(nums, dens, q, q.like(mp.mpmathify(step)), q.like(1))
+        ratio = stream.bound.reading()
+        assert ratio.close < MAX_TERMS - 2
+        return ctx, list(islice(stream, ratio.close + 2)), ratio
+
+
+def _unit_exact(ratio, precision):
+    """The value in mp at twice the digits of the series a read ``ratio``
+    declares, at the stream's own q, step and coefficients: the q-binomial
+    theorem (a s; q)_inf / (s; q)_inf for one numerator over (q; q), else
+    the terms from the ratio summed to 10^-(2 precision)."""
+    nums, dens, qf, step, _ = ratio.bound.params
+    with mp.workdps(2 * precision + 20):
+        q, s = qf.to_mp(), step.to_mp()
+
+        def factor(c, k):
+            e = Fraction(c.exponent) + k
+            return 1 - qf.like(c.coeff).to_mp() * q ** (mp.mpf(e.numerator) / e.denominator)
+
+        if dens == [Q1] and len(nums) == 1:
+            return mp.qp(qf.like(nums[0].coeff).to_mp() * s, q) / mp.qp(s, q)
+        total, t, k = 0, mp.mpf(1), 0
+        while abs(t) > mp.mpf(10) ** (-2 * precision - 10):
+            total += t
+            t *= (s * mp.fprod(factor(c, k) for c in nums)
+                  / mp.fprod(factor(c, k) for c in dens))
+            k += 1
+        return total
+
+
+def _k_g(name, ctx):
+    """The first stream index at which every factor has |c q^k| below
+    2^-(wp + 4), in mp."""
+    qs, precision, nums, dens, step = UNIT_STREAMS[name]
+    with mp.workdps(40):
+        q = abs(mp.mpmathify(qs))
+        cs = [abs(mp.mpmathify(c.coeff)) * q ** (mp.mpf(Fraction(c.exponent).numerator)
+                                                 / Fraction(c.exponent).denominator)
+              for c in (*nums, *dens)]
+        return next(k for k in range(MAX_TERMS)
+                    if all(c * q ** k < mp.mpf(2) ** -(ctx.fixed_bits + 4) for c in cs))
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_STREAMS))
+def test_unit_growth_sum_matches_the_reference_and_its_value(name):
+    ctx, terms, ratio = _unit_stream(name)
+    assert (_outcome_bits(sum_series, terms, ratio, ctx)
+            == _outcome_bits(reference_sum_series, terms, ratio, ctx))
+    read = []
+    out = sum_series(lambda n: read.append(n) or terms[n], ctx, ratio)
+    # closed: the stream is read to its closing index, the remainder is one
+    # more term, and nothing is left
+    assert (len(read), out.terms_used, out.tail_bound) == (ratio.close + 1, ratio.close + 2, 0)
+    with ctx.workdps():
+        rounded = mp.ldexp(abs(out.value), 1 - mp.mp.prec)
+    with mp.workdps(2 * ctx.precision + 20):
+        assert abs(out.value - _unit_exact(ratio, ctx.precision)) <= out.error + rounded
+    assert out.converged
+
+
+def test_unit_growth_closes_at_the_first_index_past_every_factor():
+    # at q = 0.3 the charge fits long before K_g, which decides; near 1 the
+    # closure waits for the charge, long after K_g
+    ctx, _, ratio = _unit_stream("real")
+    assert ratio.close == _k_g("real", ctx) == summation._RatioBound(
+        *ratio.bound.params).reading().close
+    ctx, _, ratio = _unit_stream("near-one")
+    k = _k_g("near-one", ctx)
+    assert ratio.close > 10 * k
+    assert ratio.close == _reference_closing(ratio)
+
+
+def test_unit_growth_closes_only_upwards_and_at_growth_one():
+    ctx = QContext.numeric("0.3", precision=20)
+    with ctx.workdps():
+        q = ctx.fixed_q
+        step = q.like(mp.mpf("0.9"))
+        up = summation._RatioBound([A6], [Q1], q, step, q.like(1))
+        down = summation._RatioBound([A6], [Q1], q, step, q.like(1), up=False)
+        grows = summation._RatioBound([A6], [Q1], q, step, q)
+        assert up.reading().close < math.inf
+        assert down.reading().close == grows.reading().close == math.inf
+        # a read from entry n of the stream closes n entries sooner
+        assert up.reading(5).close == up.reading().close - 5
+
+
+def test_bilateral_block_closes_its_first_tail():
+    # sum over n of (a; q)_n / (b; q)_n z^n (Ramanujan's 1psi1) at z = 0.9:
+    # the upward tail closes, the downward one stops on its bound
+    ctx = QContext.numeric("0.3", precision=50)
+    a, b, z = mp.mpf("0.6"), mp.mpf("0.06"), mp.mpf("0.9")
+    with ctx.workdps():
+        streams = qfunctions._ratio_streams(QPow(a, 0), QPow(b, 0), 0, z)(ctx.fixed_q)
+        (pos, up), (neg, down) = map(summation._reading, streams)
+        counts = [0, 0]
+
+        def counted(term, i):
+            return lambda k: counts.__setitem__(i, counts[i] + 1) or term(k)
+
+        out = sum_bilateral(counted(pos, 0), counted(neg, 1), ctx, (up, down))
+        assert up.close < math.inf and down.close == math.inf
+        assert counts[0] == up.close + 1
+        assert out.terms_used == counts[0] + counts[1] + 1
+        rounded = mp.ldexp(abs(out.value), 1 - mp.mp.prec)
+    with mp.workdps(2 * ctx.precision + 20):
+        q = mp.mpf("0.3")
+        exact = (mp.qp(q, q) * mp.qp(b / a, q) * mp.qp(a * z, q) * mp.qp(q / (a * z), q)
+                 / (mp.qp(b, q) * mp.qp(q / a, q) * mp.qp(z, q) * mp.qp(b / (a * z), q)))
+        assert abs(out.value - exact) <= out.error + out.tail_bound + rounded
+    assert out.converged
+
+
+def test_bilateral_block_reads_its_first_tail_on_below_the_sum_of_both():
+    # 2^-n over n >= 0 against its negative, whose first term is
+    # -1 + 2^-140: the block sums to 2^-140.  The first tail stops at one
+    # unit of the working digits of its own sum, about 2^-117, far above
+    # that; after the second tail it is read on to the level of the sum of
+    # both, so the block's tail bound falls below its value
+    ctx = ORACLE_CTX.wider(120)
+    wp = ctx.fixed_bits
+    pos = [Fixed(1, None, -n, wp) for n in range(ORACLE_TERMS)]
+    neg = [-t for t in pos]
+    neg[0] = Fixed((1 << 140) - 1, None, -140, wp) * -1
+    ratios = (ObservedReading(pos), ObservedReading(neg))
+    read = ([], [])
+
+    def reader(i, tail):
+        return lambda k: read[i].append(k) or tail[k]
+
+    with ctx.workdps():
+        out = sum_bilateral(reader(0, pos), reader(1, neg), ctx, ratios)
+        alone = sum_series(pos.__getitem__, ctx, ratios[0])
+    first = alone.terms_used
+    assert read[0] == list(range(len(read[0]))) and len(read[0]) > first + 100
+    assert out.terms_used == len(read[0]) + len(read[1])
+    with mp.workdps(200):
+        assert abs(out.value - mp.mpf(2) ** -140) <= out.error + out.tail_bound
+    # the second tail stops about 2^-117 below the sum of both, then -2^-117
+    assert alone.tail_bound > abs(out.value) > mp.mpf(2) ** 80 * out.tail_bound
+    assert out.converged
