@@ -616,7 +616,7 @@ class _Reading:
 
     __slots__ = ("bound", "k0", "dk", "base", "low", "slope", "close")
 
-    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float, close=math.inf):
+    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float, close):
         self.bound, self.k0, self.dk, self.base, self.close = bound, k0, dk, base, close
         self.slope = bound.slope
         self.low = base + bound.floor
