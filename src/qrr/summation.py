@@ -16,15 +16,18 @@ auditable.
   geometric series term by term below it (Johansson, "Computing
   hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  It reads
   no stop run and makes no observed certificate.
-* **Closed geometric remainder.**  An upward declared stream of growth
-  exactly 1 has the ratio s (1 + delta_k), and from an index K_g on every
-  factor 1 - c q^k lies within 2^-(wp + 4) of 1.  Such a sum stops at the
-  first term t(n) with n >= K_g and adds the rest of the series,
-  t(n) s / (1 - s) (Gasper & Rahman, *Basic Hypergeometric Series*,
-  ch. 1), as one more term at index n + 1; its tail bound is 0.  It closes
-  only where that remainder's error fits in the R (n + 2)^2 roundings the
-  charge allows its index (:meth:`_RatioBound._closing` gives the bound);
-  until then the declared bound may stop the sum as before.
+* **Closed geometric remainder.**  A declared stream whose ratio tends to
+  a constant s (growth exactly 1, and downwards as many numerator as
+  denominator factors) has, from its entry n on, the ratio
+  s prod_num (1 - x q^i) / prod_den (1 - x q^i) over the factor values x
+  at entry n.  Such a sum stops at the first term t(n) whose first-order
+  remainder t(n) s / (1 - s) (1 + D / (1 - s q)), D = sum_den x -
+  sum_num x (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1), errs
+  by no more than the R (n + 2)^2 roundings the charge allows index
+  n + 1, and adds it as that term; its tail bound is 0.  The error is of
+  second order in the x (:meth:`_RatioBound._closing` gives the bound), so
+  a sum closes at about half the index at which every factor is 1 at the
+  working width; until then the declared bound may stop the sum as before.
 * **Observed decay.**  Every other stream (mixed streams, pole sums) stops
   after a run of ``STOP_RUN`` consecutive negligible terms plus a ratio
   certificate on the observed decay, which is heuristic.
@@ -83,7 +86,7 @@ from itertools import islice
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
-from .context import MAX_TERMS, QContext
+from .context import MAX_TERMS, QContext, powq
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
 from .fixedpoint import LN2, ROUNDINGS, Fixed, bits_for_digits, rounding_bits
 
@@ -151,11 +154,11 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     where stopping would cost that many digits of every value.  log2 rho_n
     is at least ``ratio.low + ratio.slope * n``, so a
     term with top - 1 + that >= log2 L cannot stop the sum, and its bound is
-    not evaluated.  A declared read with ``ratio.close`` finite (an upward
-    stream of growth 1) stops instead at the first nonzero term t(n) with
-    n >= ``ratio.close``, unless the bound stopped it before: the rest of
-    the series, t(n) s / (1 - s) with s the stream's step
-    (``ratio.bound.rest``), is added as term n + 1, charged the
+    not evaluated.  A declared read with ``ratio.close`` finite (a stream
+    whose ratio tends to a constant) stops instead at the first nonzero
+    term t(n) with n >= ``ratio.close``, unless the bound stopped it before:
+    the rest of the series, its first-order remainder
+    ``ratio.rest(t(n), n)``, is added as term n + 1, charged the
     R (n + 2)^2 roundings of that index, and the tail bound is 0.  Without
     a declared bound, the sum stops once
     ``STOP_RUN`` consecutive terms are negligible and the recent term
@@ -257,7 +260,7 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
                     if ratio is not None:
                         if n >= close:
                             if rest is None:
-                                rest = ratio.bound.rest(t)
+                                rest = ratio.rest(t, n)
                                 continue
                             stop = -math.inf  # the remainder is in: nothing is left
                             break
@@ -497,51 +500,122 @@ class _RatioBound:
             edges = [math.floor((1 - t0) / ell) for t0, _, _ in self.factors]
             self.edge = min(edges, default=math.inf)
         self.kept = []  # P at the indices before the edge, back from it
-        self.close = self._closing(q, step, growth)
+        self.limit = self._limit(q, step, growth)
+        self.close = self._closing(q)
         self.made = True
 
-    def _closing(self, q, step, growth):
-        """The stream index from which a sum may end an upward stream of
-        growth exactly 1 on its closed remainder (:meth:`rest`), or inf.
+    def _limit(self, q, step, growth):
+        """The limit s of the stream's ratio along its reading, when it is a
+        constant, or None: the step of a stream of growth exactly 1, and
+        downwards step prod a / prod b over the factor values c q^exponent,
+        when there are as many numerator as denominator factors, as each
+        1 - c q^k is -c q^k (1 - q^-k / c).  That product is taken in mp 20
+        bits wider than the stream and rounded once."""
+        if not (step and self.gamma == 0 and growth == 1) or self.d:
+            return None
+        if self.up:
+            return step
+        nums, dens = self.params[:2]
+        with mp.workprec(q.wp + 20):
+            qv, s = q.to_mp(), step.to_mp()
+            for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]:
+                v = q.like(c.coeff).to_mp()
+                if v:
+                    v *= powq(qv, c.exponent)
+                    s = s * v if sign > 0 else s / v
+        return q.like(s)
 
-        From the index K_g on every factor has |c q^k| <= v |q|^(k - K_g),
-        v = 2^-(wp + 4), so each of the F factors 1 - c q^k, or its
-        reciprocal, lies within |c q^k| (1 + 2 v) of 1: r_k = s (1 + delta_k)
-        with |delta_k| <= 1.01 F v |q|^(k - K_g), and the deltas from any
-        n >= K_g on sum to at most D = 1.01 F v / (1 - |q|).  The rest after
-        t_n is t_n s / (1 - s) (Gasper & Rahman, ch. 1) within
-        |t_n| sum_j |s|^j (e^D - 1) <= 1.01 D |t_n s| / (1 - |s|), that is
-        within F u |1 - s| / (31 (1 - |q|) (1 - |s|)) relative to it, with
-        u = 2^(1 - wp).  Relative to the remainder as summed, the error is
-        then at most
-            R (n + 1)^2 u                       t_n's own roundings,
-          + 6 u                                 the product, 1 - s and the
-                                                division, complex counted twice,
-          + 2 u (1 + |s| / |1 - s|)             the step's rounding, amplified,
-          + F u |1 - s| / (8 (1 - |q|) (1 - |s|))  the factors, with room for
-                                                the float logs of K_g,
-          + u                                   second-order terms,
+    def _closing(self, q):
+        """The read index from which a sum may end a stream whose ratio tends
+        to a constant s (:meth:`_limit`) on its first-order remainder
+        (:meth:`rest`), or inf.
+
+        Along the reading, from entry n on, the ratio from entry n + i to
+        n + i + 1 is s prod_num (1 - x q^i) / prod_den (1 - x q^i) over the
+        F factor values x at entry n: c q^n upwards and q^(n + 2) / c
+        downwards (the ratio r_k there has k = -2 - n).  Let V be the sum
+        of their magnitudes and W = V / (1 - |q|) <= 2^-8.  As
+        |log(1 - x) + x| <= |x|^2 / (2 (1 - |x|)), the ratio is
+        s exp(D q^i + e_i) with D = sum_den x - sum_num x and
+        |e_i| <= V^2 |q|^(2 i) / (2 (1 - V)), so entry n + j is
+        t_n s^j exp(A_j + E_j), A_j = D (1 - q^j) / (1 - q), |A_j| <= W and
+        |E_j| <= 0.51 W^2, and exp(A_j + E_j) = 1 + A_j + rho_j with
+        |rho_j| <= 1.02 W^2.  Summed over j >= 1 (Gasper & Rahman, ch. 1),
+        the rest after t_n is t_n s / (1 - s) (1 + D / (1 - s q)) within
+        1.02 W^2 |t_n s| / (1 - |s|), that is within
+        1.03 W^2 |1 - s| / (1 - |s|) relative to it, as |1 - s q| >= 1 - |q|.
+        Relative to the remainder as summed, with u = 2^(1 - wp), the error
+        is then at most
+            R (n + 1)^2 u                     t_n's own roundings,
+          + 10 u                              the product, 1 - s, the
+                                              division, 1 + D / (1 - s q)
+                                              and the product by it, complex
+                                              counted twice,
+          + 2 m u (1 + |s| / |1 - s|)         the m roundings of s, amplified
+                                              (the step's; downwards also
+                                              that of the product),
+          + 1.25 W^2 |1 - s| / (1 - |s|)      the truncation, with room for
+                                              the float logs it is read in,
+          + 2 u                               the roundings of the correction,
+                                              below (64 + F) W u < u as it
+                                              is at most W in size, and
+                                              second-order terms,
         and the engine charges it as term n + 1, at R (n + 2)^2 u: it fits
-        from the first n >= K_g with R (2 n + 3) at least the last four
-        lines over u.  |1 - s| and 1 - |s| are taken from floats; within
-        ``FACTOR_SLACK`` of 0 they close nothing."""
-        if not (self.up and step and self.gamma == 0 and growth == 1):
+        from the first n with R (2 n + 3) at least the last four lines over
+        u, which is about half the index at which every factor is 1 at the
+        working width, as W^2 is then about u.  The rounding charge of that
+        index stays in force: a step near 1 waits for a later n.  |1 - s|
+        and 1 - |s| are taken from floats; within ``FACTOR_SLACK`` of 0 they
+        close nothing."""
+        s = self.limit
+        ell, near = self.ell, self.sigma + self.floor  # log2 |q|, log2 |s|
+        if s is None or not (near < 0 and ell < 0):
             return math.inf
-        s = complex(step.to_mp())
-        gap, near = abs(1 - s), -math.expm1(self.sigma * LN2)
+        s = complex(s.to_mp())
+        gap, near = abs(1 - s), -math.expm1(near * LN2)
         if gap <= FACTOR_SLACK or near <= FACTOR_SLACK:
             return math.inf
-        wp, ell = q.wp, self.ell
-        edge = max((math.floor((-4 - wp - t0) / ell) + 1 for t0, _, _ in self.factors), default=0)
-        need = (9 + 2 * abs(s) / (gap - FACTOR_SLACK) + len(self.factors) * (gap + FACTOR_SLACK)
-                / (8 * -math.expm1(ell * LN2) * near))
-        return max(edge, math.ceil((need / ROUNDINGS - 3) / 2), 0)
+        # log2 W at entry 0: the factor magnitudes there over 1 - |q|
+        logs = [t0 if self.up else 2 * ell - t0 for t0, _, _ in self.factors]
+        w0 = max(logs, default=-math.inf)
+        if logs:
+            w0 += math.log2(sum(2.0 ** (t - w0) for t in logs))
+        w0 -= math.log2(-math.expm1(ell * LN2))
+        fixed = 12 + (2 if self.up else 4) * (1 + abs(s) / (gap - FACTOR_SLACK))
+        # log2 of the truncation over u, less 2 log2 W
+        cut = math.log2(1.25 * (gap + FACTOR_SLACK) / (near - FACTOR_SLACK)) + q.wp - 1
 
-    def rest(self, t: Fixed) -> Fixed:
-        """t s / (1 - s): the rest of a stream of growth 1 after its term
-        t, from the index :meth:`_closing` gives on."""
-        step = self.params[3]
-        return t * step / (1 - step)
+        def fits(n):
+            w, room = w0 + n * ell, ROUNDINGS * (2 * n + 3) - fixed
+            return w <= -8 and room > 0 and cut + 2 * w <= math.log2(room)
+
+        # fits holds from the first n on: find that n by bisection
+        if not fits(MAX_TERMS):
+            return math.inf
+        lo, hi = 0, MAX_TERMS
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def rest(self, t: Fixed, k: int) -> Fixed:
+        """t s / (1 - s) (1 + D / (1 - s q)): the rest of the read after its
+        term t, from the index :meth:`_closing` gives on, with k the stream
+        index of the ratio after t and D = sum_den x - sum_num x over the
+        factor values x, c q^k upwards and q^-k / c downwards."""
+        nums, dens, q = self.params[:3]
+        s, d = self.limit, 0
+        for sign, group in ((-1, nums), (1, dens)):
+            for c in group:
+                v = q.like(c.coeff)
+                if v:
+                    x = v * powq(q, c.exponent + k) if self.up else powq(q, -k - c.exponent) / v
+                    d = d + x if sign > 0 else d - x
+        rest = t * s / (1 - s)
+        return rest * (1 + d / (1 - s * q)) if d else rest
 
     def reading(self, n: int = 0):
         """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
@@ -612,7 +686,7 @@ class _Reading:
     m >= j.  It does not increase with j, and it is at least
     ``low + slope * j``, which :func:`sum_series` uses to skip terms that
     cannot stop the sum.  From the read term ``close`` on (inf for none),
-    the rest of the read is ``bound.rest`` of its term."""
+    the rest of the read is :meth:`rest` of its term."""
 
     __slots__ = ("bound", "k0", "dk", "base", "low", "slope", "close")
 
@@ -625,6 +699,10 @@ class _Reading:
         if self.base == -math.inf:
             return -math.inf  # a zero step: every later term is zero
         return self.base + self.slope * j + self.bound.sup(self.k0 + self.dk * j)
+
+    def rest(self, t: Fixed, j: int) -> Fixed:
+        """The rest of the read after its term j, t (:meth:`_RatioBound.rest`)."""
+        return self.bound.rest(t, self.k0 + self.dk * j)
 
 
 class _Declared:

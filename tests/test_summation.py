@@ -298,15 +298,16 @@ def test_short_rising_series_certifies_at_low_precision():
 # below the stop tolerance or with its top below the running sum's last kept
 # bit 2^E, as in the engine; the second only matters for a peak above about
 # 2^wp times the tolerance (``test_sum_stops_where_its_terms_floor_away``).
-# Under the declared bound of an upward stream of growth 1 the reference
-# finds on its own, in mp, the first index past every factor and the charge
-# that its remainder fits (``_reference_closing``).
+# Under the declared bound of a stream whose ratio tends to a constant the
+# reference finds on its own, in mp, the first index at which its
+# first-order remainder fits the charge (``_reference_closing``), and adds
+# the stream's own remainder there.
 
 
 def reference_sum_series(term, ctx, ratio=None):
     """``sum_series`` with a float log2 and mpf magnitudes for every term;
     under a declared bound ``ratio``, with the bound's stop test made at
-    every term, and its read closed on the geometric remainder where
+    every term, and its read closed on the remainder ``ratio.rest`` where
     ``_reference_closing`` says."""
     closing = _reference_closing(ratio)
     rest = None
@@ -360,8 +361,7 @@ def reference_sum_series(term, ctx, ratio=None):
                     return _reference_declared_stop(s_re, s_im, cplx, E, peak_top, n + 1,
                                                     term_bits, bw, ctx, -math.inf)
                 if closing is not None and n >= closing:
-                    step = ratio.bound.params[3]
-                    rest = t * step / (1 - step)
+                    rest = ratio.rest(t, n)
                     n += 1
                     continue
                 if ratio is not None:
@@ -405,27 +405,41 @@ def reference_sum_series(term, ctx, ratio=None):
 
 
 def _reference_closing(ratio):
-    """The first read index n at which a declared read of an upward stream
-    of growth exactly 1, read from its start, may end on its remainder
-    t_n s / (1 - s): every factor has |c q^n| below 2^-(wp + 4), and the
-    charge of the remainder's index, R (n + 2)^2 roundings, covers t_n's
-    R (n + 1)^2 and 9 + 2 |s| / |1 - s| + F |1 - s| / (8 (1 - |q|) (1 - |s|))
-    more (F factors); None for any other read.  In mp, index by index."""
+    """The first read index n at which a declared read, from its start, of a
+    stream of growth exactly 1 may end on its first-order remainder; None
+    for any other read, and for a downward stream with unequal numbers of
+    numerator and denominator factors.  The ratio tends to s, the step
+    upwards and the step times prod a / prod b downwards; the factor values
+    x at read index n are c q^n upwards and q^(n + 2) / c downwards, W is
+    the sum of their magnitudes over 1 - |q|, and the remainder's index,
+    charged R (n + 2)^2 roundings, must cover t_n's R (n + 1)^2 and
+    12 + 2 m (1 + |s| / |1 - s|) + 1.25 W^2 |1 - s| / (1 - |s|) / u more,
+    m = 1 upwards and 2 downwards, u = 2^(1 - wp), with W <= 2^-8.  In mp,
+    index by index."""
     bound = getattr(ratio, "bound", None)
-    if bound is None or not bound.up or ratio.k0:
+    if bound is None or ratio.k0 != (0 if bound.up else -2):
         return None
     nums, dens, q, step, growth = bound.params
     with mp.workdps(40):
         qv, s = q.to_mp(), step.to_mp()
-        if growth.to_mp() != 1 or not 0 < abs(s) < 1:
+        cs = [(q.like(c.coeff).to_mp() * qv ** (mp.mpf(Fraction(c.exponent).numerator)
+                                                / Fraction(c.exponent).denominator), sign)
+              for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]
+              if q.like(c.coeff)]
+        if growth.to_mp() != 1 or (not bound.up and sum(sign for _, sign in cs)):
             return None
-        cs = [abs(q.like(c.coeff).to_mp()) * abs(qv) ** c.exponent for c in (*nums, *dens)]
-        cs = [c for c in cs if c]
-        need = (9 + 2 * abs(s) / abs(1 - s)
-                + len(cs) * abs(1 - s) / (8 * (1 - abs(qv)) * (1 - abs(s))))
+        if not bound.up:
+            s *= mp.fprod(c ** sign for c, sign in cs)
+        if not 0 < abs(s) < 1:
+            return None
+        m = 1 if bound.up else 2
+        fixed = 12 + 2 * m * (1 + abs(s) / abs(1 - s))
+        spread = 1.25 * abs(1 - s) / (1 - abs(s)) / mp.mpf(2) ** (1 - q.wp)
+        Q = abs(qv)
         for n in range(MAX_TERMS):
-            if (all(c * abs(qv) ** n < mp.mpf(2) ** -(q.wp + 4) for c in cs)
-                    and ROUNDINGS * ((n + 2) ** 2 - (n + 1) ** 2) >= need):
+            w = mp.fsum(abs(c) * Q ** n if bound.up else Q ** (n + 2) / abs(c)
+                        for c, _ in cs) / (1 - Q)
+            if w <= mp.mpf(2) ** -8 and ROUNDINGS * (2 * n + 3) >= fixed + spread * w ** 2:
                 return n
     return None
 
@@ -955,33 +969,43 @@ def test_bilateral_block_matches_the_per_tail_oracle(name, rule, extra):
 
 # -- closed geometric remainders -----------------------------------------------
 #
-# An upward _ratio_terms stream of growth exactly 1 has the ratio
-# s prod (1 - a q^k) / prod (1 - b q^k), which is s to the working width once
-# every |c q^k| lies below 2^-(wp + 4): the sum ends there on the remainder
-# t_n s / (1 - s), charged as one more term, with no tail bound.  Each case:
-# q, precision, numerator and denominator QPows, and the step.
+# A _ratio_terms stream of growth exactly 1 has a ratio that tends to a
+# constant s: upwards s prod (1 - a q^k) / prod (1 - b q^k) with s the step,
+# and downwards, with as many numerator as denominator factors,
+# s prod (1 - q^-k / a) / prod (1 - q^-k / b) with s the step times
+# prod a / prod b.  Its sum ends, from the first index at which the
+# first-order remainder t_n s / (1 - s) (1 + D / (1 - s q)) fits the charge
+# of one more term, on that remainder, with no tail bound.  Each case: q,
+# precision, numerator and denominator QPows, the step, and the direction.
 
 A6, B06, C45 = (QPow(mp.mpf(v), 0) for v in ("0.6", "0.06", "0.45"))
 Q1 = QPow(1, 1)
 UNIT_STREAMS = {
-    "real": ("0.3", 20, [A6, B06], [C45, Q1], "0.9"),
-    "negative": ("-0.6", 50, [A6, B06], [C45, Q1], "-0.9"),
-    "complex": ("0.2+0.1j", 20, [A6], [Q1], "0.6+0.6j"),
+    "real": ("0.3", 20, [A6, B06], [C45, Q1], "0.9", True),
+    "negative": ("-0.6", 50, [A6, B06], [C45, Q1], "-0.9", True),
+    "complex": ("0.2+0.1j", 20, [A6], [Q1], "0.6+0.6j", True),
     # the kind-1 q-Bessel series at order 1/2: a factor exponent nu + 1
-    "fraction-exponent": ("0.5j", 20, [], [Q1, QPow(1, Fraction(3, 2))], "-0.75"),
+    "fraction-exponent": ("0.5j", 20, [], [Q1, QPow(1, Fraction(3, 2))], "-0.75", True),
     # 1 - s = 2^-14: the remainder's error waits for a charge far past K_g
-    "near-one": ("0.5", 20, [A6], [Q1], 1 - mp.mpf(2) ** -14),
+    "near-one": ("0.5", 20, [A6], [Q1], 1 - mp.mpf(2) ** -14, True),
+    # downwards, s = 1.1 * 0.45 / 0.6, and so on
+    "down-real": ("0.3", 20, [C45], [A6], "1.1", False),
+    "down-negative": ("-0.6", 50, [C45, B06], [A6, QPow(mp.mpf("0.5"), 1)], "-5", False),
+    "down-complex": ("0.2+0.1j", 20, [A6], [QPow(mp.mpf("0.5"), 1)], "0.1+0.1j", False),
+    "down-fraction-exponent": ("0.5j", 20, [QPow(mp.mpf("0.7"), Fraction(1, 2))], [A6],
+                               "-0.9", False),
 }
 
 
 def _unit_stream(name):
     """(ctx, terms as a list, the declared reading) of a case, read to two
     terms past its closing index."""
-    qs, precision, nums, dens, step = UNIT_STREAMS[name]
+    qs, precision, nums, dens, step, up = UNIT_STREAMS[name]
     ctx = QContext.numeric(qs, precision=precision)
     with ctx.workdps():
         q = ctx.fixed_q
-        stream = qfunctions._ratio_terms(nums, dens, q, q.like(mp.mpmathify(step)), q.like(1))
+        stream = qfunctions._ratio_terms(nums, dens, q, q.like(mp.mpmathify(step)), q.like(1),
+                                         up=up)
         ratio = stream.bound.reading()
         assert ratio.close < MAX_TERMS - 2
         return ctx, list(islice(stream, ratio.close + 2)), ratio
@@ -990,9 +1014,10 @@ def _unit_stream(name):
 def _unit_exact(ratio, precision):
     """The value in mp at twice the digits of the series a read ``ratio``
     declares, at the stream's own q, step and coefficients: the q-binomial
-    theorem (a s; q)_inf / (s; q)_inf for one numerator over (q; q), else
-    the terms from the ratio summed to 10^-(2 precision)."""
+    theorem (a s; q)_inf / (s; q)_inf for one numerator over (q; q)
+    upwards, else the terms from the ratio summed to 10^-(2 precision)."""
     nums, dens, qf, step, _ = ratio.bound.params
+    up = ratio.bound.up
     with mp.workdps(2 * precision + 20):
         q, s = qf.to_mp(), step.to_mp()
 
@@ -1000,21 +1025,30 @@ def _unit_exact(ratio, precision):
             e = Fraction(c.exponent) + k
             return 1 - qf.like(c.coeff).to_mp() * q ** (mp.mpf(e.numerator) / e.denominator)
 
-        if dens == [Q1] and len(nums) == 1:
+        def r(k):
+            return (s * mp.fprod(factor(c, k) for c in nums)
+                    / mp.fprod(factor(c, k) for c in dens))
+
+        if up and dens == [Q1] and len(nums) == 1:
             return mp.qp(qf.like(nums[0].coeff).to_mp() * s, q) / mp.qp(s, q)
-        total, t, k = 0, mp.mpf(1), 0
+        # upwards t_0 = 1 and t_(k+1) = t_k r_k; downwards the read starts at
+        # t_(-1) = r_(-1) and goes on by t_(k-1) = t_k r_(k-1)
+        total, t, k = 0, mp.mpf(1) if up else r(-1), 0 if up else -1
         while abs(t) > mp.mpf(10) ** (-2 * precision - 10):
             total += t
-            t *= (s * mp.fprod(factor(c, k) for c in nums)
-                  / mp.fprod(factor(c, k) for c in dens))
-            k += 1
+            if up:
+                t *= r(k)
+                k += 1
+            else:
+                k -= 1
+                t *= r(k)
         return total
 
 
 def _k_g(name, ctx):
-    """The first stream index at which every factor has |c q^k| below
-    2^-(wp + 4), in mp."""
-    qs, precision, nums, dens, step = UNIT_STREAMS[name]
+    """The first stream index at which every factor of an upward case has
+    |c q^k| below 2^-(wp + 4), in mp."""
+    qs, precision, nums, dens, step, _ = UNIT_STREAMS[name]
     with mp.workdps(40):
         q = abs(mp.mpmathify(qs))
         cs = [abs(mp.mpmathify(c.coeff)) * q ** (mp.mpf(Fraction(c.exponent).numerator)
@@ -1031,8 +1065,9 @@ def test_unit_growth_sum_matches_the_reference_and_its_value(name):
             == _outcome_bits(reference_sum_series, terms, ratio, ctx))
     read = []
     out = sum_series(lambda n: read.append(n) or terms[n], ctx, ratio)
-    # closed: the stream is read to its closing index, the remainder is one
-    # more term, and nothing is left
+    # closed at the index the reference found in mp: the stream is read to
+    # it, the remainder is one more term, and nothing is left
+    assert ratio.close == _reference_closing(ratio)
     assert (len(read), out.terms_used, out.tail_bound) == (ratio.close + 1, ratio.close + 2, 0)
     with ctx.workdps():
         rounded = mp.ldexp(abs(out.value), 1 - mp.mp.prec)
@@ -1041,39 +1076,55 @@ def test_unit_growth_sum_matches_the_reference_and_its_value(name):
     assert out.converged
 
 
-def test_unit_growth_closes_at_the_first_index_past_every_factor():
-    # at q = 0.3 the charge fits long before K_g, which decides; near 1 the
-    # closure waits for the charge, long after K_g
+def test_unit_growth_closes_where_its_first_order_remainder_fits():
+    # at q = 0.3 the remainder's truncation, of order W^2, decides: it
+    # closes at about half the index K_g at which every factor is 1 at the
+    # working width.  With 1 - s = 2^-14 the charge decides, far past K_g
     ctx, _, ratio = _unit_stream("real")
-    assert ratio.close == _k_g("real", ctx) == summation._RatioBound(
+    k = _k_g("real", ctx)
+    assert ratio.close == _reference_closing(ratio) == summation._RatioBound(
         *ratio.bound.params).reading().close
+    assert k / 2 - 3 <= ratio.close <= k / 2
     ctx, _, ratio = _unit_stream("near-one")
-    k = _k_g("near-one", ctx)
-    assert ratio.close > 10 * k
+    assert ratio.close > 10 * _k_g("near-one", ctx)
     assert ratio.close == _reference_closing(ratio)
+    with mp.workdps(40):
+        s = ratio.bound.params[3].to_mp()
+        charge = 12 + 2 * (1 + abs(s) / abs(1 - s))
+    assert ROUNDINGS * (2 * ratio.close + 1) < charge <= ROUNDINGS * (2 * ratio.close + 3)
 
 
-def test_unit_growth_closes_only_upwards_and_at_growth_one():
+def test_unit_growth_closes_only_at_a_constant_limit_ratio():
     ctx = QContext.numeric("0.3", precision=20)
     with ctx.workdps():
         q = ctx.fixed_q
-        step = q.like(mp.mpf("0.9"))
-        up = summation._RatioBound([A6], [Q1], q, step, q.like(1))
-        down = summation._RatioBound([A6], [Q1], q, step, q.like(1), up=False)
-        grows = summation._RatioBound([A6], [Q1], q, step, q)
-        assert up.reading().close < math.inf
-        assert down.reading().close == grows.reading().close == math.inf
-        # a read from entry n of the stream closes n entries sooner
+        step, one = q.like(mp.mpf("0.9")), q.like(1)
+
+        def bound(nums, dens, growth=one, up=True):
+            return summation._RatioBound(nums, dens, q, step, growth, up)
+
+        assert bound([A6], [Q1]).reading().close < math.inf
+        assert bound([C45], [A6], up=False).reading().close < math.inf
+        # downwards the ratio tends to a constant only with as many numerator
+        # as denominator factors, and in no direction at growth q
+        for case in (bound([], [A6], up=False), bound([A6], [C45, B06], up=False),
+                     bound([A6], [Q1], q), bound([C45], [A6], q, up=False)):
+            assert case.reading().close == math.inf
+        # a read from entry n closes n entries sooner
+        up = bound([A6], [Q1])
         assert up.reading(5).close == up.reading().close - 5
 
 
-def test_bilateral_block_closes_its_first_tail():
+@pytest.mark.parametrize("qs", ["0.3", "-0.6", "0.9", "0.2+0.1j"])
+def test_bilateral_block_closes_both_tails(qs):
     # sum over n of (a; q)_n / (b; q)_n z^n (Ramanujan's 1psi1) at z = 0.9:
-    # the upward tail closes, the downward one stops on its bound
-    ctx = QContext.numeric("0.3", precision=50)
-    a, b, z = mp.mpf("0.6"), mp.mpf("0.06"), mp.mpf("0.9")
+    # the upward tail's ratio tends to z and the downward one's to b / (a z),
+    # and both close on their first-order remainders
+    ctx = QContext.numeric(qs, precision=50)
+    a, b, z = mp.mpf("0.6"), mp.mpf("0.5"), mp.mpf("0.9")
     with ctx.workdps():
-        streams = qfunctions._ratio_streams(QPow(a, 0), QPow(b, 0), 0, z)(ctx.fixed_q)
+        qf = ctx.fixed_q
+        streams = qfunctions._ratio_streams(QPow(a, 0), QPow(b, 0), 0, z)(qf)
         (pos, up), (neg, down) = map(summation._reading, streams)
         counts = [0, 0]
 
@@ -1081,15 +1132,15 @@ def test_bilateral_block_closes_its_first_tail():
             return lambda k: counts.__setitem__(i, counts[i] + 1) or term(k)
 
         out = sum_bilateral(counted(pos, 0), counted(neg, 1), ctx, (up, down))
-        assert up.close < math.inf and down.close == math.inf
-        assert counts[0] == up.close + 1
-        assert out.terms_used == counts[0] + counts[1] + 1
+        assert [up.close, down.close] == [_reference_closing(up), _reference_closing(down)]
+        assert counts == [up.close + 1, down.close + 1]
+        assert (out.terms_used, out.tail_bound) == (sum(counts) + 2, 0)
         rounded = mp.ldexp(abs(out.value), 1 - mp.mp.prec)
     with mp.workdps(2 * ctx.precision + 20):
-        q = mp.mpf("0.3")
+        q = qf.to_mp()
         exact = (mp.qp(q, q) * mp.qp(b / a, q) * mp.qp(a * z, q) * mp.qp(q / (a * z), q)
                  / (mp.qp(b, q) * mp.qp(q / a, q) * mp.qp(z, q) * mp.qp(b / (a * z), q)))
-        assert abs(out.value - exact) <= out.error + out.tail_bound + rounded
+        assert abs(out.value - exact) <= out.error + rounded
     assert out.converged
 
 
