@@ -567,12 +567,12 @@ class _RatioBound:
         index stays in force: a step near 1 waits for a later n.  |1 - s|
         and 1 - |s| are taken from floats; within ``FACTOR_SLACK`` of 0 they
         close nothing."""
-        s = self.limit
-        ell, near = self.ell, self.sigma + self.floor  # log2 |q|, log2 |s|
-        if s is None or not (near < 0 and ell < 0):
+        s, ell = self.limit, self.ell
+        log_s = self.sigma + self.floor  # log2 |s|
+        if s is None or not log_s < 0:
             return math.inf
         s = complex(s.to_mp())
-        gap, near = abs(1 - s), -math.expm1(near * LN2)
+        gap, near = abs(1 - s), -math.expm1(log_s * LN2)
         if gap <= FACTOR_SLACK or near <= FACTOR_SLACK:
             return math.inf
         # log2 W at entry 0: the factor magnitudes there over 1 - |q|
@@ -614,8 +614,7 @@ class _RatioBound:
                 if v:
                     x = v * powq(q, c.exponent + k) if self.up else powq(q, -k - c.exponent) / v
                     d = d + x if sign > 0 else d - x
-        rest = t * s / (1 - s)
-        return rest * (1 + d / (1 - s * q)) if d else rest
+        return t * s / (1 - s) * (1 + d / (1 - s * q))
 
     def reading(self, n: int = 0):
         """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
