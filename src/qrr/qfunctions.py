@@ -32,10 +32,12 @@ the observed certificate.  The generic stream helpers
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
 bilateral convolutions, the cube pairs of the master expansions, their outer
-sums and the theta double and triple pole sums) take their tables from
-:mod:`qrr.slices`, each on an exponent chosen from its floor bound and
-checked against the sum it gives (:func:`~qrr.slices._floored`); the theta
-and outer sums check their cutoffs there too.
+sums and the theta double and triple pole sums) are summed in
+:mod:`qrr.slices`, each table on an exponent chosen from its floor bound,
+and checked there: the floor and the entries' roundings against the sum it
+gives, and the cutoffs of the Gaussian-weighted ones
+(:func:`~qrr.slices._gaussian_slices`); this module builds the streams
+that their tables read.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -50,22 +52,21 @@ q^(alpha m^2), each an exact integer dot product rounded once.  The caller
 weighs the values without their q^(alpha s^2).  Where the outer sum has the
 inner series' own coefficients (the square expansions), the double sum is
 summed by n + j = m instead, as Gaussian-weighted pair slices
-(:func:`_square_outer`).  The left sides stay single series, so the two
-sides share no summation.
+(:func:`~qrr.slices._gaussian_slices`).  The left sides stay single series,
+so the two sides share no summation.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import islice
 
 import mpmath as mp
 
-from .context import MAX_TERMS, QContext, _Shared, kept, powq, to_mp
-from .errors import AnnulusError, DomainError, NonConvergenceError, PoleError
+from .context import QContext, _Shared, kept, powq, to_mp
+from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
-from .fixedpoint import LN2, LOG2_10, Fixed, cut, one_minus, parts, shifted
+from .fixedpoint import Fixed, cut, one_minus, parts, shifted
 from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum)
 from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
@@ -488,74 +489,21 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 # kernels above and is read by the sums below
 # ---------------------------------------------------------------------------
 
-from .slices import (_bilateral_ratio_array, _cube_slices, _floored,  # noqa: E402
-                     _log2_sum, _pair_charge, _pair_slices, _Table, _tops, _weighted_pairs,
-                     gaussian_truncation, lattice_values, ratio_truncation, slice_truncation)
+from .slices import (_bilateral_ratio_array, _cube_slices, _gaussian_slices,  # noqa: E402
+                     _pair_slices, _pole_table, _Table, _weighted_pairs, gaussian_truncation,
+                     lattice_values, ratio_truncation, slice_truncation)
 
 
 # ---------------------------------------------------------------------------
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
-def _square_outer(table, alpha, xv, K: int, ctx: QContext, rate=None, stream=None):
-    """sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)), F(y) =
-    sum_n r_n q^(alpha n^2) y^n: the outer sum of a square master expansion,
-    summed by m = j + n as sum over m of q^(alpha m^2) x^m P_m, P_m the pair
-    slices (:func:`_pair_slices`) of the table r = ``table(K)``, checked by
-    :func:`_floored` with its entries' roundings charged (:func:`_pair_charge`).
-
-    Both cutoffs are checked against the sum, and grow where they miss
-    10^-(precision + 6) of it.  A unilateral table, read off the
-    :class:`~qrr.context._Shared` ``stream`` r_0, r_1, ..., holds r_0..r_M for
-    the weights 0 <= m <= M, so its P_m are exact; past M, with A the
-    largest |r_j| and rho >= 1 the declared ratio bound past r_M,
-    |P_m| <= (m + 1) A^2 rho^(m - M).  A bilateral table takes |m| <= M, and
-    |P_m| <= T^2 b^max(0, -m) (|m| + 1 + 2 / (1 - b)), with T and b = 2^rate
-    as in :func:`_theta_cutoff`, which checks its cutoff |j| <= K."""
-    qf, ell, x = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), float(mp.log(abs(xv), 2))
-
-    def tail(h, c):
-        """log2 of a bound on sum over m > M of (m + c) 2^(h m) |q|^(alpha m^2),
-        c >= 1: each term is at most 2^(h + 1) |q|^(alpha (2M + 3)) times the
-        last, so the first over one minus that."""
-        fall = h + 1 + alpha * (2 * M + 3) * ell
-        if fall >= 0:
-            return math.inf
-        return (math.log2(M + 1 + c) + h * (M + 1) + alpha * (M + 1) ** 2 * ell
-                - math.log2(-math.expm1(fall * LN2)))
-
-    M = gaussian_truncation(alpha, ctx)
-    while True:
-        t, ns = table(K), range(0 if stream else -M, M + 1)
-        weights = list(islice(_gaussian(qf, alpha, qf.like(xv), ns[0]), len(ns)))
-        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, _pair_slices(t, ns))),
-                         ctx, _log2_sum(g.top() + 0.5 for g in weights if g),
-                         _pair_charge(t, ns, weights))
-        level = value.top() - 1 - (ctx.precision + 6) * LOG2_10
-        if stream:
-            rho = max(0.0, stream.stream.bound.reading(M)(0))
-            cut = 2 * max(_tops(t.values)) - M * rho + tail(rho + x, 1)
-        else:
-            short = _theta_cutoff(t, ns, weights, rate) - level
-            if short > 0:
-                K += math.ceil(short / -rate)
-                continue
-            c = 1 + 2 / (1 - 2.0 ** rate)
-            cut = 2 * _table_top(t, rate) + _log2_sum((tail(x, c), tail(rate - x, c)))
-        if cut <= level:
-            return value.to_mp()
-        fall = -ell * alpha * (2 * M + 3)  # the bits |q|^(alpha m^2) falls by at m = M + 1
-        M += M if cut == math.inf else max(1, math.ceil((cut - level) / fall))
-        K = M if stream else K
-        if M > MAX_TERMS:
-            raise NonConvergenceError(f"master outer sum beyond {MAX_TERMS} terms")
-
-
 def square_master_sides(alpha, a, t, ctx: QContext):
     """Square-argument expansion of the generalized entire function.
 
     LHS: the base-q^2 function at (a^2; t^2); RHS: alternating sum of shifted
-    base-q evaluations, summed by :func:`_square_outer`.  Returns (lhs, rhs).
+    base-q evaluations, summed by :func:`~qrr.slices._gaussian_slices`.
+    Returns (lhs, rhs).
     """
     alpha = Fraction(alpha)
     with ctx.workdps():
@@ -570,8 +518,7 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         def table(K):
             return _Table(0, map(r.__getitem__, range(K + 1)), 2, ctx)
 
-        return lhs, _square_outer(table, alpha, tv, gaussian_truncation(alpha, ctx), ctx,
-                                  stream=r)
+        return lhs, _gaussian_slices(table, _pair_slices, alpha, tv, None, ctx, stream=r)
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -619,8 +566,8 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j}), r_j = (a;q)_j/(b;q)_j
         aq, bq = _as_qpow(av), _as_qpow(bv)
         K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
-        return lhs, _square_outer(lambda K: _bilateral_ratio_array(aq, bq, K, 2, ctx), alpha,
-                                  xv, K, ctx, float(mp.log(abs(bv / av), 2)))
+        return lhs, _gaussian_slices(lambda K: _bilateral_ratio_array(aq, bq, K, 2, ctx),
+                                     _pair_slices, alpha, xv, K, ctx, bv / av)
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -689,78 +636,25 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
     return _series(lambda q: build(q ** step), ctx) / (1 - c)
 
 
-def _theta_truncation(x, ctx: QContext):
-    """(K, ns): the |j| <= K cutoff of the pole tables t_j = 1/(1 - a q^j)
-    and the slices ns = -s_max..s_max of the q^{s^2} weights
-    (:func:`gaussian_truncation`).  K = slice_truncation(|q|) + s_max: slice
-    n carries no x^j (:func:`_theta_slices` factors x^n out), and its entries
-    fall at rate |q| on the negative side.  :func:`_theta_cutoff` bounds
-    what the cutoff omits.
+def _theta_truncation(x, ctx: QContext) -> int:
+    """The start K of the |j| <= K cutoff of the pole tables t_j = 1/(1 - a
+    q^j) (:func:`~qrr.slices._pole_table`): slice_truncation(|q|) + s_max,
+    s_max the start cutoff of the q^{s^2} weights (:func:`gaussian_truncation`).
+    Slice n carries no x^j (the sum factors x^n out), and its entries fall at
+    rate |q| on the negative side.  The sum checks both cutoffs and grows
+    them where they miss (:func:`~qrr.slices._gaussian_slices`).
 
     The annulus guard |q| < |x| < 1 stays although the sums converge for
     every x != 0: outside it, near |q| = 1, the ``ms-17`` check
     (a = -q^{1/3}) FAILs, while ``ms-13..16`` PASS.  Its triple sum cancels
     far below its entries (7.2e-107 against a prefactor of 5.8e106 at
-    q = 0.95), and :func:`_theta_slices` checks the floor of its table but
-    charges nothing for the roundings of the entries and weights, so the
-    sum reads rounding noise (1.4e12 for a side of 4.18; 12 digits at 64
-    bits wider, all at 160)."""
-    q = ctx.q
-    if not abs(q) < abs(x) < 1:
+    q = 0.95), and a cube table is checked against its floor but charged
+    nothing for the roundings of its entries and weights, so the sum reads
+    rounding noise (1.4e12 for a side of 4.18; 12 digits at 64 bits wider,
+    all at 160).  The pair tables of ``ms-13/14`` are charged."""
+    if not abs(ctx.q) < abs(x) < 1:
         raise AnnulusError("needs |q| < |x| < 1")
-    s_max = gaussian_truncation(1, ctx)
-    return slice_truncation(abs(q), ctx) + s_max, range(-s_max, s_max + 1)
-
-
-def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
-    """log2 of a bound on what the cutoff |j| <= K of the pole table t omits
-    from sum over n in ns of g_n S_n, for the weights g_n and the slices S_n
-    of order k = t.k; ``rate`` is log2 |q|.
-
-    Let T be the least number with |t_j| <= T for j >= 0 and
-    |t_-m| <= T |q|^m for m >= 1.  It is read off the table's entries, each
-    bounded by 2^(top + 1/2); past the table, |t_j| and |t_-m| / |q|^m lie
-    within a factor 1 + O(|q|^K) of their limits 1 and 1/|a|.  A term
-    of slice n is a product of k entries, times a unit, whose indices sum
-    to n.  If one index lies outside [-K, K], the negative ones sum to
-    N >= K - |n| + 1 in size, so the term is at most T^k |q|^N, and at most
-    6 (N + |n|) tuples share one N.  So slice n omits at most
-    B_n = 6 T^k (K + 1) |q|^(K - |n| + 1) / (1 - |q|)^2, and the sum at most
-    sum |g_n| B_n."""
-    K = t.hi
-    return (math.log2(6 * (K + 1)) + t.k * _table_top(t, rate) + (K + 1) * rate
-            - 2 * math.log2(1 - 2.0 ** rate)
-            + _log2_sum(g.top() + 0.5 - abs(n) * rate for n, g in zip(ns, weights) if g))
-
-
-def _table_top(t: _Table, rate: float) -> float:
-    """log2 T, read off the entries of t: |t_j| <= T for j >= 0 and
-    |t_-m| <= T 2^(m rate) (:func:`_theta_cutoff`)."""
-    return max(v.top() + 0.5 + min(j, 0) * rate for j, v in enumerate(t.values, t.lo) if v)
-
-
-def _theta_slices(slices, k: int, a: QPow, xv, K: int, ns, ctx: QContext):
-    """sum over the consecutive n in ns of q^{n^2} x^n S_n, as an mp number,
-    for the slices S_n = slices(t, ns) of order k of the pole table
-    t_j = 1/(1 - a q^j), |j| <= K: the pole sums by the sum n of their
-    indices, x^n factored out of slice n, the weights a running product
-    (:func:`_gaussian`).  The sum is checked against its table's floor bound
-    (:func:`_floored`) and against :func:`_theta_cutoff`: where the cutoff
-    bound exceeds 10^-(precision + 6) of it, the 10^6 allowance of
-    :func:`slice_truncation`, K grows until it does not."""
-    q = ctx.fixed_q
-    weights = list(islice(_gaussian(q, 1, q.like(xv), ns[0]), len(ns)))
-    weight = _log2_sum(g.top() + 0.5 for g in weights if g)
-    rate = float(mp.log(abs(ctx.q), 2))
-    while True:
-        t = _Table(-K, [1 / f for f in islice(_pole_factors(a, q, -K), 2 * K + 1)], k, ctx)
-        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, slices(t, ns))),
-                         ctx, weight)
-        short = (_theta_cutoff(t, ns, weights, rate) - value.top() + 1
-                 + (ctx.precision + 6) * LOG2_10)
-        if short <= 0:
-            return value.to_mp()
-        K += math.ceil(short / -rate)
+    return slice_truncation(abs(ctx.q), ctx) + gaussian_truncation(1, ctx)
 
 
 def theta_pair_sides(a, x, ctx: QContext):
@@ -774,12 +668,13 @@ def theta_pair_sides(a, x, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, ns = _theta_truncation(xv, ctx)
+        K = _theta_truncation(xv, ctx)
         av = _value(aq, q)
         pref = infinite_product([-av, -q / av, q, q], [av, q / av, -q, -q], q, ctx)
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx)
-        return lhs, _theta_slices(_pair_slices, 2, aq, xv, K, ns, ctx)
+        return lhs, _gaussian_slices(lambda K: _pole_table(aq, K, 2, ctx), _pair_slices, 1, xv,
+                                     K, ctx, q)
 
 
 def theta_pair_imag_sides(x, ctx: QContext):
@@ -791,11 +686,12 @@ def theta_pair_imag_sides(x, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, ns = _theta_truncation(xv, ctx)
+        K = _theta_truncation(xv, ctx)
         pref = infinite_product([q, q], [-q, -q], q, ctx)
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
-        return lhs, _theta_slices(_pair_slices, 2, ia, xv, K, ns, ctx)
+        return lhs, _gaussian_slices(lambda K: _pole_table(ia, K, 2, ctx), _pair_slices, 1, xv,
+                                     K, ctx, q)
 
 
 def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
@@ -812,7 +708,7 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
     with ctx.workdps():
         q = ctx.q
         xv = to_mp(x)
-        K, ns = _theta_truncation(xv, ctx)
+        K = _theta_truncation(xv, ctx)
         av = _value(aq, q)
         q3 = q ** 3
         a3 = QPow(aq.coeff ** 3, 3 * Fraction(aq.exponent))
@@ -820,8 +716,8 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
         w = ctx.fixed(rho_root(ctx))
-        triple = _theta_slices(lambda t, ns: _cube_slices(t, ns, w), 3, aq, xv, K, ns,
-                               ctx)
+        triple = _gaussian_slices(lambda K: _pole_table(aq, K, 3, ctx),
+                                  lambda t, ns: _cube_slices(t, ns, w), 1, xv, K, ctx, q)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

@@ -17,6 +17,14 @@ rounded once.  Within one check, every bilateral ratio table at (a, b) is
 sliced off one kept pair of streams (:func:`_ratio_table_streams`), and its
 cutoff :func:`ratio_truncation` is walked once.
 
+The Gaussian-weighted slice sums, sum over m of q^(alpha m^2) x^m S_m for
+the slices S_m of one table, are one function, :func:`_gaussian_slices`:
+the outer pair sums of the square master expansions (``ms-7``, ``ms-11``)
+and the theta pole sums over pole tables (:func:`_pole_table`,
+``ms-13..17``).  It checks the Gaussian cutoff M of every such sum, and the
+cutoff K of every bilateral table (:func:`_theta_cutoff`), against the sum,
+and grows the one that misses.
+
 Each table lies on the exponent that its floor bound chooses: the error
 that flooring the entries adds to a slice of order k is at most
 k u (A + u L)^(k-1), u = sqrt(2) 2^E, A = sum |v_j| over the L entries
@@ -28,13 +36,13 @@ of |weights|, against its value (:func:`_floored`): where it misses one unit
 of the working digits the table is floored again, finer, from the entries it
 keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
 the sum raises PrecisionLossError for a wider rerun.  A table of rounded
-entries (a correlation, an outer pair sum) is also charged their own
-roundings, which no floor lowers.  A slice that the identity makes an exact
-zero needs no check.
+entries (a correlation, a Gaussian pair sum) is also charged their own
+roundings, which no floor lowers; the cube tables of the theta sums are not
+charged yet.  A slice that the identity makes an exact zero needs no check.
 
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
-master and theta sums read the tables in turn; each module imports from the
-other after its own definitions, so either may be imported first.
+master and theta sides read the slice sums in turn; each module imports
+from the other after its own definitions, so either may be imported first.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ import mpmath as mp
 
 from .context import MAX_TERMS, QContext, _Shared, kept, to_mp
 from .errors import DomainError, NonConvergenceError, PrecisionLossError
-from .fixedpoint import (LOG2_10, Fixed, _complex, _real, bits_for_digits, parts, rounding_bits,
-                         shifted)
-from .pochhammer import QPow, _as_qpow, infinite_product, pochhammer_finite
+from .fixedpoint import (LN2, LOG2_10, Fixed, _complex, _real, bits_for_digits, parts,
+                         rounding_bits, shifted)
+from .pochhammer import QPow, _as_qpow, _pole_factors, infinite_product, pochhammer_finite
 
 
 # The bits by which a slice sum may cancel below the scale A^k W of its table
@@ -537,6 +545,13 @@ def _bilateral_ratio_array(a: QPow, b: QPow, K: int, k: int, ctx: QContext) -> _
                   + [up[j] for j in range(K + 1)], k, ctx)
 
 
+def _pole_table(a: QPow, K: int, k: int, ctx: QContext) -> _Table:
+    """t_j = 1/(1 - a q^j) for |j| <= K at ``ctx.fixed_q``, the pole table of
+    the theta sums, for slices of order k; a vanishing factor is a pole."""
+    return _Table(-K, [1 / f for f in islice(_pole_factors(a, ctx.fixed_q, -K), 2 * K + 1)],
+                  k, ctx)
+
+
 def slice_truncation(rate, ctx: QContext) -> int:
     """Index cutoff K of a slice or pole sum whose terms decay like rate^K:
     rate^K is below 10^-(precision + 12), so a tail up to 10^6 times that
@@ -570,6 +585,104 @@ def gaussian_truncation(alpha, ctx: QContext) -> int:
     from |s| = s_max - 2 on, the weight is below 10^-(precision + 10)."""
     rate = -mp.log10(abs(ctx.q)) * to_mp(alpha)
     return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
+
+
+def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, stream=None):
+    """sum over m of q^(alpha m^2) x^m S_m, the one Gaussian-weighted slice
+    sum, S_m = ``slices(t, ns)`` the slices of order k = t.k (pairs or cubes)
+    of the table t = ``table(K)``, or ``table(M)`` for a unilateral one (K
+    None): each S_m sums unit multiples of products of k entries whose
+    indices add to m.  The outer sum of a square master
+    expansion, sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)) for
+    F(y) = sum_n r_n q^(alpha n^2) y^n, is this sum of the pair slices
+    (:func:`_pair_slices`) of r_j = (a;q)_j / (b;q)_j by m = j + n; the theta
+    pole sums are its pair and cube slices (:func:`_cube_slices`) of the pole
+    table t_j = 1/(1 - a q^j) (:func:`_pole_table`) at alpha = 1.  The sum is
+    checked by :func:`_floored`, a pair table charged its entries' roundings
+    (:func:`_pair_charge`); a cube table is charged nothing, as no bound on
+    the roundings of its triple products is derived yet.
+
+    Both cutoffs are checked against the sum, and grow where they miss
+    10^-(precision + 6) of it.  A unilateral table, read off the
+    :class:`~qrr.context._Shared` ``stream`` r_0, r_1, ..., holds r_0..r_M for
+    the weights 0 <= m <= M, so its S_m are exact; past M, with A the largest
+    |r_j| and rho >= 1 the declared ratio bound past r_M, each of the
+    C(m + k - 1, k - 1) <= (m + 1)^(k - 1) products of S_m is at most
+    A^k rho^(m - M).  A bilateral table of decay rate b = |``decay``| < 1
+    takes |m| <= M, and :func:`_theta_cutoff` checks its cutoff |j| <= K.
+    With T as there (|t_j| <= T for j >= 0, |t_-n| <= T b^n), a product of
+    S_m whose indices of the sign opposite to m's (the negative ones for
+    m >= 0, the positive ones for m < 0) add to d in size is at most
+    T^k b^(max(0, -m) + d).  For k <= 3, C(|m| + k - 1, k - 1) products have
+    d = 0, and k (|m| + 2d)^(k - 2) have each d >= 1: k (|m| + d + 1)^(k - 2)
+    with one opposite index, and for k = 3 another 3 (d - 1) with two.
+    Summed over d, term by term, |S_m| <= T^k b^max(0, -m) (|m| + c)^(k - 1),
+    c = 1 + k / (1 - b)."""
+    qf, ell, x = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), float(mp.log(abs(xv), 2))
+    rate = None if stream else float(mp.log(abs(decay), 2))
+
+    def tail(h, c):
+        """log2 of a bound on sum over m > M of (m + c)^(k - 1) 2^(h m)
+        |q|^(alpha m^2), c >= 1: each term is at most 2^(h + k - 1)
+        |q|^(alpha (2M + 3)) times the last, so the first over one minus that."""
+        fall = h + (t.k - 1) + alpha * (2 * M + 3) * ell
+        if fall >= 0:
+            return math.inf
+        return ((t.k - 1) * math.log2(M + 1 + c) + h * (M + 1) + alpha * (M + 1) ** 2 * ell
+                - math.log2(-math.expm1(fall * LN2)))
+
+    M = gaussian_truncation(alpha, ctx)
+    while True:
+        t, ns = table(M if stream else K), range(0 if stream else -M, M + 1)
+        weights = list(islice(_gaussian(qf, alpha, qf.like(xv), ns[0]), len(ns)))
+        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, slices(t, ns))),
+                         ctx, _log2_sum(g.top() + 0.5 for g in weights if g),
+                         _pair_charge(t, ns, weights) if t.k == 2 else -math.inf)
+        level = value.top() - 1 - (ctx.precision + 6) * LOG2_10
+        if stream:
+            rho = max(0.0, stream.stream.bound.reading(M)(0))
+            cut = t.k * max(_tops(t.values)) - M * rho + tail(rho + x, 1)
+        else:
+            short = _theta_cutoff(t, ns, weights, rate) - level
+            if short > 0:
+                K += math.ceil(short / -rate)
+                continue
+            c = 1 + t.k / (1 - 2.0 ** rate)
+            cut = t.k * _table_top(t, rate) + _log2_sum((tail(x, c), tail(rate - x, c)))
+        if cut <= level:
+            return value.to_mp()
+        fall = -ell * alpha * (2 * M + 3)  # the bits |q|^(alpha m^2) falls by at m = M + 1
+        M += M if cut == math.inf else max(1, math.ceil((cut - level) / fall))
+        if M > MAX_TERMS:
+            raise NonConvergenceError(f"Gaussian slice sum beyond {MAX_TERMS} terms")
+
+
+def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
+    """log2 of a bound on what the cutoff |j| <= K of the bilateral table t
+    omits from sum over n in ns of g_n S_n, for the weights g_n and the
+    slices S_n of order k = t.k <= 3; ``rate`` is log2 b, b the rate at which
+    the entries fall on the negative side (|q| for a pole table).
+
+    Let T be the least number with |t_j| <= T for j >= 0 and
+    |t_-m| <= T b^m for m >= 1.  It is read off the table's entries, each
+    bounded by 2^(top + 1/2); past the table, |t_j| and |t_-m| / b^m lie
+    within a factor 1 + O(|q|^K) of their limits (1 and 1/|a| for a pole
+    table).  A term of slice n is a product of k entries, times a unit,
+    whose indices sum to n.  If one index lies outside [-K, K], the negative
+    ones sum to N >= K - |n| + 1 in size, so the term is at most T^k b^N, and
+    at most 6 (N + |n|) tuples share one N.  So slice n omits at most
+    B_n = 6 T^k (K + 1) b^(K - |n| + 1) / (1 - b)^2, and the sum at most
+    sum |g_n| B_n."""
+    K = t.hi
+    return (math.log2(6 * (K + 1)) + t.k * _table_top(t, rate) + (K + 1) * rate
+            - 2 * math.log2(1 - 2.0 ** rate)
+            + _log2_sum(g.top() + 0.5 - abs(n) * rate for n, g in zip(ns, weights) if g))
+
+
+def _table_top(t: _Table, rate: float) -> float:
+    """log2 T, read off the entries of t: |t_j| <= T for j >= 0 and
+    |t_-m| <= T 2^(m rate) (:func:`_theta_cutoff`)."""
+    return max(v.top() + 0.5 + min(j, 0) * rate for j, v in enumerate(t.values, t.lo) if v)
 
 
 def _slice_table(n: int, a, b, k: int, ctx: QContext):

@@ -18,7 +18,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext
-from qrr import qfunctions, qpolynomials, summation
+from qrr import qpolynomials, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -465,8 +465,9 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
 
     monkeypatch.setattr(slices._Table, "floor", counting(
         "floors", slices._Table.floor, lambda t, E: hasattr(t, "E")))
-    monkeypatch.setattr(qfunctions, "_theta_slices", counting("theta", qfunctions._theta_slices))
-    monkeypatch.setattr(qfunctions, "_theta_cutoff", counting("cutoffs", qfunctions._theta_cutoff))
+    # one pole table per theta sum, and the cutoff check of every bilateral table
+    monkeypatch.setattr(slices, "_pole_factors", counting("theta", slices._pole_factors))
+    monkeypatch.setattr(slices, "_theta_cutoff", counting("cutoffs", slices._theta_cutoff))
     monkeypatch.setattr(QContext, "wider", counting("wider", QContext.wider))
     for entry_id in SLICE_CHECKS:
         report = run_check(entry_id, "numeric", RunSettings())

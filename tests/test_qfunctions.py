@@ -17,7 +17,7 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
 from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
                             rounding_bits, shifted)
-from qrr.pochhammer import (_as_qpow, _pole_factors, infinite_product, pochhammer_finite,
+from qrr.pochhammer import (_as_qpow, infinite_product, pochhammer_finite,
                             pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
@@ -33,9 +33,9 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
 from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv, _cube_pairs,
-                        _cube_slices, _log2_sum, _pair_slices, _span, _Table,
-                        bilateral_cube_slice_sides, bilateral_pair_slice_sides,
-                        lattice_values, ratio_truncation, slice_truncation)
+                        _cube_slices, _log2_sum, _pair_slices, _pole_table, _span, _Table,
+                        _theta_cutoff, bilateral_cube_slice_sides, bilateral_pair_slice_sides,
+                        gaussian_truncation, lattice_values, ratio_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
@@ -905,19 +905,19 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
     with ctx.workdps():
         q, x = ctx.q, mp.mpf("0.6")
         aq = THETA_CUTOFF_AS[a](q)
-        K, ns = qfunctions._theta_truncation(x, ctx)
-        qf, rate = ctx.fixed(q), float(mp.log(abs(q), 2))
-        one, w = qf.like(1), ctx.fixed(rho_root(ctx))
+        K, s_max = qfunctions._theta_truncation(x, ctx), gaussian_truncation(1, ctx)
+        ns = range(-s_max, s_max + 1)
+        rate = float(mp.log(abs(q), 2))
+        one, w = ctx.fixed_q.like(1), ctx.fixed(rho_root(ctx))
 
         def table(K, k):
-            return _Table(-K, [1 / f for f in islice(_pole_factors(aq, qf, -K), 2 * K + 1)],
-                          k, ctx)
+            return _pole_table(aq, K, k, ctx)
 
         for k, slices in ((2, _pair_slices), (3, lambda t, ns: _cube_slices(t, ns, w))):
             narrow, wide = table(K, k), table(2 * K, k)
             for n in (ns[0], 0, ns[-1]):
                 omitted = slices(narrow, [n])[0].to_mp() - slices(wide, [n])[0].to_mp()
-                bound = qfunctions._theta_cutoff(narrow, [n], [one], rate)
+                bound = _theta_cutoff(narrow, [n], [one], rate)
                 assert abs(omitted) <= mp.mpf(2) ** bound, (k, n)
 
 
@@ -1098,8 +1098,8 @@ def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
 
 
 def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
-    """The Gaussian pair sums of ms-7 and ms-11 pass the charge of
-    slices._pair_charge for their entries' roundings to their check."""
+    """The Gaussian pair sums of ms-7, ms-11, ms-13 and ms-14 pass the charge
+    of slices._pair_charge for their entries' roundings to their check."""
     made, passed = [], []
     real_charge, real_floored = slices._pair_charge, slices._floored
 
@@ -1111,12 +1111,14 @@ def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
         passed.append(charge)
         return real_floored(t, evaluate, ctx, weight, charge)
 
-    monkeypatch.setattr(qfunctions, "_pair_charge", charge)
-    monkeypatch.setattr(qfunctions, "_floored", floored)
+    monkeypatch.setattr(slices, "_pair_charge", charge)
+    monkeypatch.setattr(slices, "_floored", floored)
     with CTX.workdps():
         square_master_sides(F(1, 2), A5, X6, CTX)
         square_bilateral_master_sides(1, A5, B1, X6, CTX)
-    assert len(made) == 2 and passed == made and all(-math.inf < c < 0 for c in made)
+        theta_pair_sides(A5, X6, CTX)
+        theta_pair_imag_sides(X6, CTX)
+    assert len(made) == 4 and passed == made and all(-math.inf < c < 0 for c in made)
 
 
 def test_a_lattice_that_cancels_past_its_charge_asks_for_more_bits():
@@ -1716,7 +1718,6 @@ def _recorded_checks(monkeypatch, sides):
         return value
 
     monkeypatch.setattr(slices, "_floored", spy)
-    monkeypatch.setattr(qfunctions, "_floored", spy)
     sides()
     monkeypatch.undo()
     return checks
@@ -1780,13 +1781,13 @@ def test_a_sum_that_cancels_at_the_last_bit_asks_for_more_bits():
 
 def _theta_tables(monkeypatch):
     """The half-widths K of the pole tables that the theta sums build."""
-    built, real = [], qfunctions._Table
+    built, real = [], slices._Table
 
     def table(lo, values, k, ctx):
         built.append(-lo)
         return real(lo, values, k, ctx)
 
-    monkeypatch.setattr(qfunctions, "_Table", table)
+    monkeypatch.setattr(slices, "_Table", table)
     return built
 
 
@@ -1799,13 +1800,14 @@ def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(k, q, monkeypa
     w = ctx.fixed(rho_root(ctx))
     slices_of = _pair_slices if k == 2 else (lambda t, ns: _cube_slices(t, ns, w))
     with ctx.workdps():
-        K, ns = qfunctions._theta_truncation(X6, ctx)
+        K = qfunctions._theta_truncation(X6, ctx)
         aq = QPow(A5, 0)
         built = _theta_tables(monkeypatch)
 
         def tables(K):
             built.clear()
-            qfunctions._theta_slices(slices_of, k, aq, X6, K, ns, ctx)
+            slices._gaussian_slices(lambda K: slices._pole_table(aq, K, k, ctx), slices_of, 1,
+                                    X6, K, ctx, ctx.q)
             return list(built)
 
         low, high = 1, max(tables(K))  # the cutoff bound holds at high
@@ -1815,6 +1817,64 @@ def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(k, q, monkeypa
         assert tables(high) == [high]
         short = tables(high - 1)
         assert short[0] == high - 1 and len(short) > 1 and short[-1] >= high
+
+
+def _gaussian_sum_shapes(ctx, pairs, cubes):
+    """{shape: sum(M)}: one Gaussian-weighted slice sum of each shape, started
+    at the Gaussian cutoff M, as the master and theta sides build them, with
+    the slice functions ``pairs`` and ``cubes``."""
+    qf, one, aq = ctx.fixed_q, ctx.fixed_q.like(1), QPow(A5, 0)
+    r = _Shared(_ratio_terms([aq], [_Q1], qf, one, one))
+
+    def theta(k, slices_of):
+        return lambda M: slices._gaussian_slices(
+            lambda K: slices._pole_table(aq, K, k, ctx), slices_of, 1, X6,
+            qfunctions._theta_truncation(X6, ctx), ctx, ctx.q)
+
+    return {
+        "ms-7": lambda M: slices._gaussian_slices(
+            lambda K: _Table(0, map(r.__getitem__, range(K + 1)), 2, ctx), pairs, F(1, 2), X6,
+            None, ctx, stream=r),
+        "ms-11": lambda M: slices._gaussian_slices(
+            lambda K: _bilateral_ratio_array(aq, QPow(B1, 0), K, 2, ctx), pairs, 1, X6,
+            ratio_truncation(A5, B1, ctx) + M, ctx, B1 / A5),
+        "theta-pair": theta(2, pairs),
+        "theta-cube": theta(3, cubes),
+    }
+
+
+@pytest.mark.parametrize("shape", ["ms-7", "ms-11", "theta-pair", "theta-cube"])
+def test_a_gaussian_cutoff_one_weight_short_is_caught_by_the_bound(shape, monkeypatch):
+    """The least Gaussian cutoff M whose bound holds sums its slices once;
+    one weight shorter, the check misses the bound and grows M to it or
+    past, for the unilateral and bilateral pair sums of ms-7 and ms-11 and
+    the pair and cube pole sums of the theta identities alike."""
+    ctx = QContext.numeric("0.3", precision=20)
+    seen = set()  # the last weight index of every slice evaluation
+
+    def recording(real):
+        def slices_of(t, ns):
+            seen.add(ns[-1])
+            return real(t, ns)
+        return slices_of
+
+    with ctx.workdps():
+        w = ctx.fixed(rho_root(ctx))
+        total = _gaussian_sum_shapes(ctx, recording(_pair_slices), recording(
+            lambda t, ns: _cube_slices(t, ns, w)))[shape]
+
+        def cutoffs(M):
+            seen.clear()
+            monkeypatch.setattr(slices, "gaussian_truncation", lambda alpha, ctx: M)
+            total(M)
+            return sorted(seen)
+
+        low, high = 1, max(cutoffs(2))  # the cutoff bound holds at high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if cutoffs(mid) == [mid] else (mid, high)
+        assert cutoffs(high) == [high]
+        assert max(cutoffs(high - 1)) >= high
 
 
 FLOOR_WP = CTX.fixed_bits
