@@ -639,7 +639,7 @@ ENTRIES: tuple = (
         "S_{n-k}(a q^k) / (q;q)_k",
         exact=Check(qp.st_5_4_sides, grid(n=range(10), a=(F(2, 5),),
                                           b=(F(3, 4),), q=(F(1, 3),))),
-        numeric=Check(lambda ctx, n, a, b: qp.st_5_4_sides(n, a, b, ctx.q),
+        numeric=Check(lambda ctx, n, a, b: qp.st_5_4_sides(n, a, b, ctx.q, ctx),
                       grid(n=(5,), a=("0.4",), b=("0.75",)))),
     IdentityEntry(
         "st-5.5", "tail-product expansion",

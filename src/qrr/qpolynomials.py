@@ -28,8 +28,9 @@ from operator import mul, truediv
 import mpmath as mp
 
 from .context import QContext, _Shared, kept, powq, to_mp
-from .errors import DomainError, SingularDeltaError
+from .errors import DomainError, PrecisionLossError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
+from .fixedpoint import bits_for_digits, rounding_bits
 from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum, qexp_to_u)
 from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
@@ -526,13 +527,29 @@ def st_5_3_sides(n: int, x, ctx: QContext):
         return lhs, _series(terms, ctx) / pochhammer_finite(q, q, n)
 
 
-def st_5_4_sides(n: int, a, b, q):
-    """S_n(ab) against the b-expansion over S_{n-k}(a q^k) (finite sum)."""
+def st_5_4_sides(n: int, a, b, q, ctx: QContext | None = None):
+    """S_n(ab) against the b-expansion over S_{n-k}(a q^k) (finite sum).
+
+    Term k carries (-q^(1-n))^k q^binom(k,2), about |q|^(-n^2/2) at its peak,
+    so for small |q| the sum cancels far below its terms.  With ``ctx`` the mp
+    sum is checked: summed at mp.prec bits, its N terms each at most
+    R (k + 1)^2 roundings from exact, it errs by under
+    2^(rounding_bits(N) - prec) sum |t_k|; where that misses ``ctx.precision``
+    digits of the sum, PrecisionLossError names the bits missing, for a wider
+    rerun (:func:`~qrr.context.widening`)."""
     lhs = stieltjes_wigert(n, a * b, q)
-    terms = map(mul, map(mul, _ratios_up(QPow(1 / b, 0), q),
-                         _binomial_powers(-q ** (1 - n), q)),
-                map(stieltjes_wigert, range(n, -1, -1), _geometric(a, q), repeat(q)))
-    return lhs, b ** n * sum(terms, 0 * _one_like(q))
+    terms = list(map(mul, map(mul, _ratios_up(QPow(1 / b, 0), q),
+                              _binomial_powers(-q ** (1 - n), q)),
+                     map(stieltjes_wigert, range(n, -1, -1), _geometric(a, q), repeat(q))))
+    total = sum(terms, 0 * _one_like(q))
+    if ctx is not None:
+        lost = mp.log(mp.fsum(map(abs, terms)) / abs(total), 2) if total else mp.mp.prec
+        missing = int(mp.ceil(bits_for_digits(ctx.precision) + rounding_bits(len(terms)) + lost
+                              - mp.mp.prec))
+        if missing > 0:
+            raise PrecisionLossError(f"finite sum cancelled {float(lost):.0f} bits below its "
+                                     f"terms; {missing} more working bits needed", missing)
+    return lhs, b ** n * total
 
 
 def st_5_5_sides(n: int, a, ctx: QContext):

@@ -319,6 +319,30 @@ def test_argument_product_expansion_5_4():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("q, precision", [("0.001", 20), ("0.001", 50), ("1e-6", 20)])
+def test_argument_product_expansion_5_4_cancelling_at_small_q_is_rerun_wider(q, precision):
+    """At small |q| the terms of the 5.4 sum reach about |q|^-10 at n = 5 and
+    cancel to S_5(ab) ~ 1: the checked sum raises PrecisionLossError naming
+    the bits it misses, and the wider rerun matches the exact sides at q
+    read as a dyadic Fraction, which agree.  The check PASSes."""
+    from qrr.context import widening
+    from qrr.errors import PrecisionLossError
+    from qrr.harness import RunSettings, run_check
+    ctx = QContext.numeric(q, precision=precision)
+    a, b = mp.mpf("0.4"), mp.mpf("0.75")
+    with ctx.workdps():
+        with pytest.raises(PrecisionLossError) as short:
+            st_5_4_sides(5, a, b, ctx.q, ctx)
+        assert short.value.bits > 0
+        lhs, rhs = widening(lambda c: st_5_4_sides(5, a, b, c.q, c), ctx)
+        exact = st_5_4_sides(5, *(F(x.man) * F(2) ** x.exp for x in (a, b, ctx.q)))
+        assert exact[0] == exact[1]
+        assert abs(rhs - lhs) <= mp.mpf(10) ** -precision * abs(lhs)
+        assert abs(lhs - exact[0]) <= mp.mpf(10) ** -precision * abs(lhs)
+    report = run_check("st-5.4", "numeric", RunSettings(precision=precision, q_values=(q,)))
+    assert report.status == "PASS", report.note
+
+
 def test_tail_product_expansion_5_5():
     with CTX.workdps():
         for n in (0, 1, 4):
