@@ -31,8 +31,8 @@ the observed certificate.  The generic stream helpers
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
-bilateral convolutions, the cube pairs of the master expansions, their outer
-sums and the theta double and triple pole sums) are summed in
+bilateral convolutions, the double and triple sums of the master expansions
+and the theta double and triple pole sums) are summed in
 :mod:`qrr.slices`, each table on an exponent chosen from its floor bound,
 and checked there: the floor and the entries' roundings against the sum it
 gives, and the cutoffs of the Gaussian-weighted ones
@@ -43,17 +43,17 @@ Every product side, a quotient of infinite products over one base, is one
 factor, in a stream, a pole table or a product, is the PoleError of
 :func:`~qrr.pochhammer.pole`, which names that factor.
 
-Shared work.  A kernel that needs one series F(y) = sum_n p_n q^(alpha n^2)
-y^n at a q-geometric family of arguments y_s = y0 q^(2 alpha s) (the inner
-sums of the master expansions, and A_q(x q^k) of ``st-5.3``) takes them as
-one correlation of two tables (:func:`~qrr.slices.lattice_values`):
-q^(alpha s^2) F(y_s) = sum_n u_n g_(n + s), u_n = p_n y0^n and g_m =
-q^(alpha m^2), each an exact integer dot product rounded once.  The caller
-weighs the values without their q^(alpha s^2).  Where the outer sum has the
-inner series' own coefficients (the square expansions), the double sum is
-summed by n + j = m instead, as Gaussian-weighted pair slices
-(:func:`~qrr.slices._gaussian_slices`).  The left sides stay single series,
-so the two sides share no summation.
+Shared work.  The master expansions sum a series F(y) = sum_n r_n
+q^(alpha n^2) y^n at the q-geometric family of arguments x q^(2 alpha s)
+(twisted by w^2 in the cube ones), weighted by the series' own coefficients
+r_s (square) or their cube pairs (cube).  So each double or triple sum is
+summed by m = j + n or m = j + k + n instead, as one Gaussian-weighted sum
+of the pair or cube slices of r (:func:`~qrr.slices._gaussian_slices`).
+The values A_q(x q^k) of ``st-5.3`` are one correlation of two tables
+(:func:`~qrr.slices.lattice_values`): q^(alpha s^2) F(y0 q^(2 alpha s)) =
+sum_n u_n g_(n + s), u_n = p_n y0^n and g_m = q^(alpha m^2), each an exact
+integer dot product rounded once.  The left sides stay single series, so
+the two sides share no summation.
 """
 
 from __future__ import annotations
@@ -490,8 +490,8 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 # ---------------------------------------------------------------------------
 
 from .slices import (_bilateral_ratio_array, _cube_slices, _gaussian_slices,  # noqa: E402
-                     _pair_slices, _pole_table, _Table, _weighted_pairs, gaussian_truncation,
-                     lattice_values, ratio_truncation, slice_truncation)
+                     _pair_slices, _pole_table, _Table, gaussian_truncation, ratio_truncation,
+                     slice_truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +523,24 @@ def square_master_sides(alpha, a, t, ctx: QContext):
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
     """Cube-argument expansion: base-q^3 function against the double sum
-    with cube-root-of-unity weights.  Returns (lhs, rhs)."""
+    with cube-root-of-unity weights, summed by
+    :func:`~qrr.slices._gaussian_slices`.  Returns (lhs, rhs)."""
     alpha = Fraction(alpha)
     with ctx.workdps():
         q = ctx.q
         av, tv = to_mp(a), to_mp(t)
         ctx3 = ctx.at(q ** 3)
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
-        s_max = gaussian_truncation(alpha, ctx)
-        qf, w = ctx.fixed_q, ctx.fixed(rho_root(ctx))
-        one = qf.like(1)
-        r = _Table(0, islice(_ratio_terms([_as_qpow(av)], [_Q1], qf, one, one), s_max + 1),
-                   2, ctx)
-        # q^{alpha s^2} times the inner function at w^2 t q^{2 alpha s}
-        inner = _a_alpha_stream(_as_qpow(av), 0, rho_root(ctx) ** 2 * tv)(qf)
-        values = lattice_values([_Shared(inner)], alpha, range(s_max + 1), ctx)
-        # slice coefficients C_s = sum_{j+k=s} r_j r_k w^k, weights t^s
-        rhs = _weighted_pairs(r, 0, w, _geometric(one, qf.like(tv)), values, ctx)
-        return lhs, rhs.to_mp()
+        # term s: C_s q^{alpha s^2} t^s A(w^2 t q^{2 alpha s}), C_s = sum_{j+k=s} r_j w^k r_k:
+        # by m = j + k + n, the cube slices of r_j = (a;q)_j/(q;q)_j
+        one, w = ctx.fixed_q.like(1), ctx.fixed(rho_root(ctx))
+        r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
+
+        def table(K):
+            return _Table(0, map(r.__getitem__, range(K + 1)), 3, ctx)
+
+        return lhs, _gaussian_slices(table, lambda t, ns: _cube_slices(t, ns, w), alpha, tv,
+                                     None, ctx, stream=r)
 
 
 def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
@@ -592,21 +592,15 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         lhs = b_alpha(3 * alpha, av ** 3, bv ** 3, xv ** 3, ctx3)
         pref = (infinite_product([q3, (bv / av) ** 3], [bv ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([bv, q / av], [q, bv / av], q, ctx) ** 3)
-        # double bilateral sum arranged by slices s = j + k.  The inner
-        # function's values, weighted by q^{alpha s^2}, grow on one tail as
-        # the slice coefficients fall, so the slice terms only decay like
-        # (b/a)^|s| in each direction.
-        K = ratio_truncation(av, bv, ctx)
-        qf, w = ctx.fixed_q, ctx.fixed(rho_root(ctx))
-        r = _bilateral_ratio_array(_as_qpow(a), _as_qpow(b), 2 * K, 2, ctx)
-        twist = rho_root(ctx) ** 2 if corrected else 1
-        # q^{alpha s^2} times the inner function at twist x q^{2 alpha s}
-        inner = _ratio_streams(_as_qpow(av), _as_qpow(bv), 0, twist * xv)(qf)
-        values = lattice_values([*map(_Shared, inner)], alpha, range(-K, K + 1), ctx)
-        # C_s = sum_{j+k=s} r_j w^k r_k, weights x^s
-        x = qf.like(xv)
-        rhs = _weighted_pairs(r, -K, w, _geometric(x ** -K, x), values, ctx)
-        return lhs, pref * rhs.to_mp()
+        # term s: C_s q^{alpha s^2} x^s B(twist x q^{2 alpha s}), C_s = sum_{j+k=s}
+        # r_j w^k r_k: by m = j + k + n, the cube slices of r_j = (a;q)_j/(b;q)_j,
+        # r_n weighted w^(2n) by the twist w^2 and 1 without it
+        aq, bq, w = _as_qpow(a), _as_qpow(b), ctx.fixed(rho_root(ctx))
+        K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
+        rhs = _gaussian_slices(lambda K: _bilateral_ratio_array(aq, bq, K, 3, ctx),
+                               lambda t, ns: _cube_slices(t, ns, w, 2 if corrected else 0),
+                               alpha, xv, K, ctx, bv / av)
+        return lhs, pref * rhs
 
 
 # ---------------------------------------------------------------------------

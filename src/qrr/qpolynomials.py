@@ -497,7 +497,7 @@ def _shifted_entire_values(xv, ctx: QContext):
     a block of l is two lattices (:func:`~qrr.slices.lattice_values`)."""
     with ctx.workdps():
         qf = ctx.fixed_q
-        u = [_Shared(_ratio_terms([], [_Q1], qf, -qf.like(xv), qf.like(1)))]
+        u = _Shared(_ratio_terms([], [_Q1], qf, -qf.like(xv), qf.like(1)))
         size = gaussian_truncation(1, ctx)
 
         def block(l0):

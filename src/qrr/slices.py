@@ -1,29 +1,30 @@
 """Bilateral slice convolutions (numeric): the slice sums of the
 convolution lemma, of the master expansions built on it and of the theta
-pole sums, and the lattice values of the master expansions' inner sums.
+pole sums, and the lattice values A_q(x q^k) of ``st-5.3``.
 
 Slice sums have one rule: a kernel builds one :class:`_Table` per call, in
 fixed point on one binary exponent, and each weighted slice
-(:func:`_pair_slices`, :func:`_cube_pairs`, :func:`_cube_slices`) combines the
-exact residue-class sums of :func:`_class_sums` over the table's own
-mantissas, every index inside the table, and rounds once, so a slice that the
-identity makes vanish is an exact zero.  The residue classes of a
-self-convolution come from half the products: the mirror j <-> n - j swaps
-two classes, which are then equal, or fixes one.  The fourth shape, the
-correlation sum_n u_n g_(n + s) of two tables (:class:`_Pair`,
-:func:`lattice_values`), gives one series at a q-geometric family of
-arguments, the Gaussian g factored out of its terms, as exact dot products
-rounded once.  Within one check, every bilateral ratio table at (a, b) is
+(:func:`_pair_slices`, :func:`_cube_slices`) combines the exact residue-class
+sums of :func:`_class_sums` over the table's own mantissas, every index
+inside the table, and rounds once, so a slice that the identity makes vanish
+is an exact zero.  The residue classes of a self-convolution come from half
+the products: the mirror j <-> n - j swaps two classes, which are then
+equal, or fixes one.  The third shape, the correlation sum_n u_n g_(n + s)
+of two unilateral tables (:class:`_Pair`, :func:`lattice_values`), gives
+one series at a q-geometric family of arguments, the Gaussian g factored
+out of its terms, as exact dot products rounded once; ``st-5.3`` alone
+reads it.  Within one check, every bilateral ratio table at (a, b) is
 sliced off one kept pair of streams (:func:`_ratio_table_streams`), and its
 cutoff :func:`ratio_truncation` is walked once.
 
 The Gaussian-weighted slice sums, sum over m of q^(alpha m^2) x^m S_m for
 the slices S_m of one table, are one function, :func:`_gaussian_slices`:
-the outer pair sums of the square master expansions (``ms-7``, ``ms-11``)
-and the theta pole sums over pole tables (:func:`_pole_table`,
-``ms-13..17``).  It checks the Gaussian cutoff M of every such sum, and the
-cutoff K of every bilateral table (:func:`_theta_cutoff`), against the sum,
-and grows the one that misses.
+the pair sums of the square master expansions (``ms-7``, ``ms-11``), the
+cube sums of the cube master expansions (``ms-8``, ``ms-12``), and the theta
+pole sums over pole tables (:func:`_pole_table`, ``ms-13..17``).  It checks
+the Gaussian cutoff M of every such sum, and the cutoff K of every bilateral
+table (:func:`_theta_cutoff`), against the sum, and grows the one that
+misses.
 
 Each table lies on the exponent that its floor bound chooses: the error
 that flooring the entries adds to a slice of order k is at most
@@ -37,8 +38,9 @@ of the working digits the table is floored again, finer, from the entries it
 keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
 the sum raises PrecisionLossError for a wider rerun.  A table of rounded
 entries (a correlation, a Gaussian pair sum) is also charged their own
-roundings, which no floor lowers; the cube tables of the theta sums are not
-charged yet.  A slice that the identity makes an exact zero needs no check.
+roundings, which no floor lowers; the cube tables of the Gaussian sums
+(``ms-8``, ``ms-12``, ``ms-15..17``) are not charged yet.  A slice that the
+identity makes an exact zero needs no check.
 
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
 master and theta sides read the slice sums in turn; each module imports
@@ -268,27 +270,18 @@ def _pair_charge(t: _Table, ns, weights) -> float:
     return rounding_bits(max(8, -t.lo, t.hi)) - t.wp + _log2_sum(terms)
 
 
-def _cube_pairs(t: _Table, lo: int, hi: int, w: Fixed) -> list:
-    """C_m = sum over j + k = m of t_j w^k t_k for lo <= m <= hi, j and k
-    inside t: the classes k = 0, 1, 2 (mod 3) of :func:`_class_sums`, each
-    rounded once, weighted by 1, w, w^2."""
-    w2, e = w * w, 2 * t.E
-    classes = ([t.rounded(re, im, e) for re, im in _class_sums(t, m, 3)]
-               for m in range(lo, hi + 1))
-    return [p0 + w * p1 + w2 * p2 for p0, p1, p2 in classes]
+def _cube_slices(t: _Table, ns, w: Fixed, twist: int = 2) -> list:
+    """sum over j + k + l = n of t_j w^k t_k w^(twist l) t_l, every index
+    inside the table, for each n in the sequence ``ns``, as x + y w rounded
+    once; ``twist`` is 2, or 0 for the literal reading of ``ms-12``.
 
-
-def _cube_slices(t: _Table, ns, w: Fixed) -> list:
-    """sum over j + k + l = n of t_j w^k t_k w^(2l) t_l, every index inside
-    the table, for each n in the sequence ``ns``, as x + y w rounded once.
-
-    With P_s the exact sum of the t_j t_k t_l with k + 2l = s (mod 3), the
-    slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the Q(w)
-    coordinates of :func:`cube_convolution_sides`.  From the classes c_i(m)
-    of :func:`_class_sums` (k = i mod 3), P_s = sum_l c_(s+l)(n - l) t_l, so
-    x and y take one dot product each per residue of l.  Cycling (j, k, l)
-    maps the class s to s + n, so for 3 not dividing n the P_s agree and the
-    slice is an exact zero.
+    With P_s the exact sum of the t_j t_k t_l with k + twist l = s (mod 3),
+    the slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the
+    Q(w) coordinates of :func:`cube_convolution_sides`.  From the classes
+    c_i(m) of :func:`_class_sums` (k = i mod 3), P_s = sum_l c_(s - twist
+    l)(n - l) t_l, so x and y take one dot product each per residue of l.
+    At twist 2, cycling (j, k, l) maps the class s to s + n, so for 3 not
+    dividing n the P_s agree and the slice is an exact zero.
     """
     lo, hi = min(ns) - t.hi, max(ns) - t.lo  # the m = n - l that ns reaches
     d = [([], []) for _ in range(3)]  # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo
@@ -300,7 +293,7 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     d = [(dr, t.im and di) for dr, di in d]
     # per residue of l: its first l, its t_l, and the differences for x and y
     rows = [(l0, _at((t.re, t.im), slice(l0 - t.lo, None, 3)),
-             d[(l0 + 2) % 3], d[(l0 + 1) % 3]) for l0 in range(t.lo, t.lo + 3)]
+             d[(2 - twist * l0) % 3], d[(1 - twist * l0) % 3]) for l0 in range(t.lo, t.lo + 3)]
     wr, wi, we = parts(w)  # |w| = 1 at wp bits: we < 0
     out = []
     for n in ns:
@@ -316,23 +309,13 @@ def _cube_slices(t: _Table, ns, w: Fixed) -> list:
     return out
 
 
-def _weighted_pairs(t: _Table, lo: int, w: Fixed, weights, values, ctx: QContext) -> Fixed:
-    """sum over s = lo, lo + 1, ... of C_s g_s V_s for the Fixed values V_s,
-    the weights g_s from the stream ``weights`` and the cube pairs C_s of t
-    (:func:`_cube_pairs`), checked by :func:`_floored` against sum |g_s V_s|."""
-    weights = list(islice(weights, len(values)))
-    weight = _log2_sum(g.top() + v.top() + 1 for g, v in zip(weights, values) if g and v)
-    hi = lo + len(values) - 1
-    return _floored(t, lambda t: sum(c * g * v for c, g, v in zip(
-        _cube_pairs(t, lo, hi, w), weights, values)), ctx, weight)
-
-
 class _Pair:
-    """The tables u (indices n) and g (indices m), with the log2 bounds lu and
-    lg of their entries (:func:`_tops`), of the correlation
-    V_s = sum_n u_n g_(n + s) for the s in ``ss``: the fourth slice shape.
-    Each V_s is one exact integer dot product over its window n0 <= n <= n1
-    of L_s products (:func:`_windows`), rounded once (:meth:`value`).
+    """The tables u (indices n >= 0) and g (indices m >= 0), with the log2
+    bounds lu and lg of their entries (:func:`_tops`), of the correlation
+    V_s = sum_n u_n g_(n + s) for the s >= 0 in ``ss``: the third slice
+    shape.  Each V_s is one exact integer dot product over its window
+    0 <= n <= n1 of L_s products (:func:`_windows`), rounded once
+    (:meth:`value`).
 
     The floor bound.  Floored to 2^Eu and 2^Eg, V_s errs by at most
     L_s (sqrt(2) 2^Eu max |g| + sqrt(2) 2^Eg max |u| + 2^(Eu + Eg + 1)), the
@@ -341,24 +324,23 @@ class _Pair:
     working digits of every window's largest product, never below the
     entries' last bits; :func:`_floored` lowers both by the offset E.
 
-    The entries' own roundings.  An entry at index m (its stream index for u,
-    |m| for g) is at most R (m + 1)^2 roundings of 2^(1 - wp) from exact, so
-    V_s is charged 2^(rounding_bits(N) - wp) L_s 2^big_s, N >= 4 the largest
-    |index|, which no floor lowers.
+    The entries' own roundings.  An entry at index m is at most R (m + 1)^2
+    roundings of 2^(1 - wp) from exact, so V_s is charged
+    2^(rounding_bits(N) - wp) L_s 2^big_s, N >= 4 the largest index, which
+    no floor lowers.
     """
 
-    def __init__(self, u_lo: int, u, lu, g_lo: int, g, lg, ss, ctx: QContext):
-        self.windows = windows = _windows(u_lo, lu, g_lo, lg, ss)
-        # |g_m| falls away from m = 0: its largest in a window lies nearest 0
-        self.mg = {s: lg[min(max(0, n0 + s), n1 + s) - g_lo] for s, (n0, n1, *_) in
-                   windows.items()}
+    def __init__(self, u, lu, g, lg, ss, ctx: QContext):
+        self.windows = windows = _windows(lu, lg, ss)
+        # |g_m| falls with m: its largest in a window is its first, g_s
+        self.mg = {s: lg[s] for s in windows}
         margin = ctx.extra_bits - ctx.tail_log2 + CANCELLATION_BITS + 2
-        self.u = _Table(u_lo, u, 1, ctx, math.floor(min(
-            (b - self.mg[s] - n for s, (_, _, n, b, _) in windows.items()), default=0) - margin))
-        self.g = _Table(g_lo, g, 1, ctx, math.floor(min(
-            (b - mu - n for _, _, n, b, mu in windows.values()), default=0) - margin))
+        self.u = _Table(0, u, 1, ctx, math.floor(min(
+            (b - self.mg[s] - n for s, (_, n, b, _) in windows.items()), default=0) - margin))
+        self.g = _Table(0, g, 1, ctx, math.floor(min(
+            (b - mu - n for _, n, b, mu in windows.values()), default=0) - margin))
         self.need, self.wp = self.u.need, self.u.wp
-        self.N = max(4, -u_lo, u_lo + len(u) - 1, -g_lo, g_lo + len(g) - 1)
+        self.N = max(4, len(u) - 1, len(g) - 1)
         self.E0, self.E = (self.u.E, self.g.E), 0
         self.last = min(self.u.last - self.u.E, self.g.last - self.g.E)
 
@@ -371,26 +353,16 @@ class _Pair:
         return self.u.E + self.g.E
 
     def bound(self) -> float:
-        _, _, n, _, mu = self.windows[self.s]
+        _, n, _, mu = self.windows[self.s]
         eu, eg = self.u.E + 0.5, self.g.E + 0.5
         return n + _log2_sum((eu + self.mg[self.s], eg + mu, eu + eg))
 
     def value(self, s: int) -> Fixed:
-        """V_s on the current exponents.  On a mirrored Gaussian (g_-m = g_m)
-        a full window sums (u_(m - s) + u_(-m - s)) g_m over m >= 0, u_-s g_0
-        once: the same exact sum from half the products."""
-        n0, n1 = self.windows[s][:2]
+        """V_s on the current exponents."""
+        n1 = self.windows[s][0]
         u, g = self.u, self.g
-        if g.lo == -g.hi and n1 - n0 == 2 * g.hi:
-            c, M, b = -s - u.lo, g.hi, slice(g.hi, None)
-
-            def part(xs):
-                return xs and [xs[c], *map(add, xs[c + 1:c + M + 1], xs[c - M:c][::-1])]
-
-            ur, ui = part(u.re), part(u.im)
-        else:
-            a, b = slice(n0 - u.lo, n1 - u.lo + 1), slice(n0 + s - g.lo, n1 + s - g.lo + 1)
-            ur, ui = u.re[a], u.im and u.im[a]
+        a, b = slice(0, n1 + 1), slice(s, n1 + s + 1)
+        ur, ui = u.re[a], u.im and u.im[a]
         gr, gi = g.re[b], g.im and g.im[b]
         re, e = _dot(ur, gr), u.E + g.E
         if ui is None and gi is None:
@@ -414,24 +386,24 @@ class _Pair:
             self.s, window = s, self.windows.get(s)
             try:
                 out.append(zero if window is None else _floored(
-                    self, lambda t, s=s: t.value(s), ctx, charge=charge + window[2] + window[3]))
+                    self, lambda t, s=s: t.value(s), ctx, charge=charge + window[1] + window[2]))
             except PrecisionLossError as exc:
                 missing = max(missing, exc.bits)
         return out, missing
 
 
-def _windows(u_lo: int, lu, g_lo: int, lg, ss) -> dict:
-    """{s: (n0, n1, log2 L_s, big_s, mu_s)} for each s in ss whose window
-    n0 <= n <= n1 of L_s products u_n g_(n + s) inside the tables, of log2
+def _windows(lu, lg, ss) -> dict:
+    """{s: (n1, log2 L_s, big_s, mu_s)} for each s in ss whose window
+    0 <= n <= n1 of L_s products u_n g_(n + s) inside the tables, of log2
     bounds lu and lg, holds a nonzero one; big_s bounds the largest product
     and mu_s the largest |u_n|."""
-    u_hi, g_hi, windows = u_lo + len(lu) - 1, g_lo + len(lg) - 1, {}
+    windows = {}
     for s in ss:
-        n0, n1 = max(u_lo, g_lo - s), min(u_hi, g_hi - s)
-        wu = lu[n0 - u_lo:n1 - u_lo + 1]
-        big = max(map(add, wu, lg[n0 + s - g_lo:n1 + s - g_lo + 1]), default=-math.inf)
+        n1 = min(len(lu), len(lg) - s) - 1
+        wu = lu[:n1 + 1]
+        big = max(map(add, wu, lg[s:n1 + s + 1]), default=-math.inf)
         if big > -math.inf:
-            windows[s] = n0, n1, math.log2(n1 - n0 + 1), big, max(wu)
+            windows[s] = n1, math.log2(n1 + 1), big, max(wu)
     return windows
 
 
@@ -440,33 +412,24 @@ def _tops(values) -> list:
     return [v.top() + 0.5 if v else -math.inf for v in values]
 
 
-def lattice_values(streams, alpha, ss, ctx: QContext, beta: int = 0) -> list:
-    """V_s = sum_n u_n q^(alpha m^2 + beta m), m = n + s, for the s in ``ss``,
-    as Fixed values: with u_n = p_n y0^n, V_s = q^(alpha s^2) F(y0 q^(2 alpha
-    s)) for F(y) = sum_n p_n q^(alpha n^2) y^n, as q^(alpha n^2)
-    q^(2 alpha s n) = q^(alpha (n + s)^2 - alpha s^2) (Bluestein's chirp).
-    ``streams`` holds the :class:`~qrr.context._Shared` stream u_0, u_1, ...
-    of a unilateral series (s >= 0), or also u_-1, u_-2, ... (beta 0), each
-    with its declared ratio bound.  The values are correlations
-    (:class:`_Pair`) of a u table and the Gaussian g_m = q^(alpha m^2 +
-    beta m), 0 <= m <= M (|m| <= M), in chunks of LATTICE_CHUNK values.
+def lattice_values(up, alpha, ss, ctx: QContext, beta: int = 0) -> list:
+    """V_s = sum_n u_n q^(alpha m^2 + beta m), m = n + s, for the s >= 0 in
+    ``ss``, as Fixed values: with u_n = p_n y0^n, V_s = q^(alpha s^2)
+    F(y0 q^(2 alpha s)) for F(y) = sum_n p_n q^(alpha n^2) y^n, as
+    q^(alpha n^2) q^(2 alpha s n) = q^(alpha (n + s)^2 - alpha s^2)
+    (Bluestein's chirp).  ``up`` is the :class:`~qrr.context._Shared` stream
+    u_0, u_1, ... of a unilateral series, with its declared ratio bound.  The
+    values are correlations (:class:`_Pair`) of a u table and the Gaussian
+    g_m = q^(alpha m^2 + beta m), 0 <= m <= M, in chunks of LATTICE_CHUNK
+    values.
 
     The cutoff M is checked against each window's largest product before any
     dot product, then against the values, and the values it misses are taken
     again where it holds.  Past M, |g_(M + 1 + j)| <= |g_(M + 1)| (2r)^-j,
     2r = |q|^-(alpha (2M + 3) + beta), and the envelope e_n of the u table
     bounds |u_(n + j)| <= 2^e_n r^j, read on past the table by the declared
-    bound; so V_s omits at most 2^(e + 1) |g_(M + 1)| upwards, e at
-    n = M + 1 - s, and likewise downwards from n = -M - 1 - s."""
-    qf, ell, (up, *down) = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), streams
-
-    def entries(lo, hi):
-        return [down[0][-1 - n] if n < 0 else up[n] for n in range(lo, hi + 1)]
-
-    def envelope(mags, reading, log2_r):  # e_i = max over j >= i of mags[j] - (j - i) log2_r
-        env = -math.inf if reading is not None and reading(0) <= log2_r else math.inf
-        return list(accumulate(reversed(mags), lambda e, m: max(m, e - log2_r),
-                               initial=env))[:0:-1]
+    bound; so V_s omits at most 2^(e + 1) |g_(M + 1)|, e at n = M + 1 - s."""
+    qf, ell = ctx.fixed_q, float(mp.log(abs(ctx.q), 2))
 
     def cutoff(M, ss, levels):
         """(M', shorts): the least M' >= M, by steps, where each V_s omits at
@@ -474,16 +437,18 @@ def lattice_values(streams, alpha, ss, ctx: QContext, beta: int = 0) -> list:
         value), and the bits by which each misses that at M."""
         levels, first = [lv if lv > -math.inf else max(levels) for lv in levels], None
         while True:
-            lo, hi = (-M - 1 - max(ss) if down else 0), M + 1 - min(ss)
-            mags, log2_r = _tops(entries(lo, hi)), -(alpha * (2 * M + 3) + beta) * ell - 1
-            upward = envelope(mags, up.stream.bound.reading(hi), log2_r)
-            downward = down and envelope(mags[::-1], down[0].stream.bound.reading(-1 - lo),
-                                         log2_r)[::-1]
+            hi = M + 1 - min(ss)
+            mags = _tops(up[n] for n in range(hi + 1))
+            log2_r = -(alpha * (2 * M + 3) + beta) * ell - 1
+            # e_n = max over j >= n of mags[j] - (j - n) log2_r, read on past the table
+            reading = up.stream.bound.reading(hi)
+            env = -math.inf if reading is not None and reading(0) <= log2_r else math.inf
+            upward = list(accumulate(reversed(mags), lambda e, m: max(m, e - log2_r),
+                                     initial=env))[:0:-1]
             # 2 |g_(M + 1)|, one bit of slack, and the digits asked for
             edge = ((alpha * (M + 1) ** 2 + beta * (M + 1)) * ell + 2
                     + (ctx.precision + 6) * LOG2_10)
-            shorts = [_log2_sum((upward[M + 1 - s - lo], downward[-M - 1 - s - lo] if down
-                                 else -math.inf)) + edge - lv for s, lv in zip(ss, levels)]
+            shorts = [upward[M + 1 - s] + edge - lv for s, lv in zip(ss, levels)]
             first, short = first or shorts, max(shorts)
             if short <= 0:
                 return M, first
@@ -493,25 +458,21 @@ def lattice_values(streams, alpha, ss, ctx: QContext, beta: int = 0) -> list:
             if M > MAX_TERMS:
                 raise NonConvergenceError(f"lattice cutoff beyond {MAX_TERMS} terms")
 
-    M = gaussian_truncation(alpha, ctx) + (0 if down else max(ss))
+    M = gaussian_truncation(alpha, ctx) + max(ss)
     done, todo, levels = {}, list(ss), None
     while todo:
         g = list(islice(_gaussian(qf, alpha, qf ** beta), M + 1))
-        g_lo, g = (-M, g[:0:-1] + g) if down else (0, g)
         chunks = [todo[i:i + LATTICE_CHUNK] for i in range(0, len(todo), LATTICE_CHUNK)]
-        first = -M - todo[-1] if down else 0
-        u = entries(first, M - todo[0])
+        u = [up[n] for n in range(M - todo[0] + 1)]
         lu, lg = _tops(u), _tops(g)
         if levels is None:
-            windows = _windows(first, lu, g_lo, lg, todo)
-            levels = [windows[s][3] if s in windows else -math.inf for s in todo]
+            windows = _windows(lu, lg, todo)
+            levels = [windows[s][2] if s in windows else -math.inf for s in todo]
             M, wide = cutoff(M, todo, levels)[0], M
             if M > wide:
                 continue
-        pairs = [_Pair(lo, u[lo - first:hi - first + 1], lu[lo - first:hi - first + 1], g_lo,
-                       g, lg, chunk, ctx)
-                 for chunk in chunks for lo, hi in [(-M - chunk[-1] if down else 0, M - chunk[0])]]
-        made = [p.values(chunk, ctx) for p, chunk in zip(pairs, chunks)]
+        made = [_Pair(u[:M - chunk[0] + 1], lu[:M - chunk[0] + 1], g, lg, chunk, ctx).values(
+            chunk, ctx) for chunk in chunks]
         missing = max(bits for _, bits in made)
         if missing:
             raise PrecisionLossError(f"lattice value cancelled to its tables' last bits; "
@@ -592,11 +553,15 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, str
     sum, S_m = ``slices(t, ns)`` the slices of order k = t.k (pairs or cubes)
     of the table t = ``table(K)``, or ``table(M)`` for a unilateral one (K
     None): each S_m sums unit multiples of products of k entries whose
-    indices add to m.  The outer sum of a square master
-    expansion, sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)) for
+    indices add to m.  The outer sum of a square master expansion (``ms-7``,
+    ``ms-11``), sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)) for
     F(y) = sum_n r_n q^(alpha n^2) y^n, is this sum of the pair slices
-    (:func:`_pair_slices`) of r_j = (a;q)_j / (b;q)_j by m = j + n; the theta
-    pole sums are its pair and cube slices (:func:`_cube_slices`) of the pole
+    (:func:`_pair_slices`) of r_j = (a;q)_j / (b;q)_j by m = j + n.  That of
+    a cube one (``ms-8``, ``ms-12``), sum over s of C_s q^(alpha s^2) x^s
+    F(w^2 x q^(2 alpha s)) for the cube pairs C_s = sum over j + k = s of
+    r_j w^k r_k, is its sum of the cube slices (:func:`_cube_slices`) of r by
+    m = j + k + n (without the twist w^2, the literal reading of ``ms-12``,
+    twist 0).  The theta pole sums are its pair and cube slices of the pole
     table t_j = 1/(1 - a q^j) (:func:`_pole_table`) at alpha = 1.  The sum is
     checked by :func:`_floored`, a pair table charged its entries' roundings
     (:func:`_pair_charge`); a cube table is charged nothing, as no bound on

@@ -420,8 +420,7 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("ms-4", {"q_values": ("0.97",)}, "PASS"),
     ("ms-4", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
     ("ms-4", {"precision": 20, "q_values": ("-0.99",)}, "PASS"),
-    # the inner lattice tails stop on their declared ratio bounds; at 0.99
-    # the observed certificate raised RatioTestError on a flat stretch
+    # the Gaussian ratio-table sums of ms-11 and ms-12 near q = 1
     ("ms-11", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
     ("ms-12", {"precision": 20, "q_values": ("0.99",)}, "DISCREPANCY_DOCUMENTED"),
     ("ms-11", {"precision": 20, "q_values": ("0.9",)}, "PASS"),
@@ -442,16 +441,13 @@ SLICE_CHECKS = ("ms-3", "ms-4", "ms-5", "ms-7", "ms-8", "ms-11", "ms-12", "ms-13
 
 def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkeypatch):
     # at the default config every slice sum holds its floor bound on the
-    # table's a-priori exponent and every theta sum its cutoff bound on its
-    # first table, every lattice value on its pair's a-priori exponents, and
-    # every outer pair sum of ms-7 and ms-11 its cutoff on its first table:
-    # no table is floored again or grown, no check rerun wider.  The 95
-    # tables, at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and
-    # the literal reading at n = 3), ms-7 (two alpha), ms-11, the five theta
-    # sums (one each), ms-8 (its ratio table, and one u and one Gaussian
-    # table for its lattice), and ms-12 (its ratio table and 7 chunks of
-    # lattice values, two tables each), with the literal reading of ms-12
-    # at the first q
+    # table's a-priori exponent, and every Gaussian slice sum (ms-7, ms-8,
+    # ms-11, ms-12 and the theta sums) its cutoffs on its first table: no
+    # table is floored again or grown, no check rerun wider.  The 49 tables,
+    # at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and the
+    # literal reading at n = 3), ms-7 (two alpha), ms-8, ms-11, the five
+    # theta sums (one each) and ms-12, with the literal reading of ms-12 at
+    # the first q
     from qrr import slices
     counts = {"floors": 0, "refloors": 0, "theta": 0, "cutoffs": 0, "wider": 0}
 
@@ -472,9 +468,10 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
     for entry_id in SLICE_CHECKS:
         report = run_check(entry_id, "numeric", RunSettings())
         assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
-    assert counts["floors"] == 95 and counts["theta"] == 10
-    # one cutoff check per theta sum, and one for ms-11's ratio table per q
-    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 2
+    assert counts["floors"] == 49 and counts["theta"] == 10
+    # one cutoff check per theta sum, and one per ratio table of ms-11 and
+    # ms-12: two each, and ms-12's literal reading
+    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 5
     assert counts["wider"] == 0
 
 

@@ -17,8 +17,7 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
 from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
                             rounding_bits, shifted)
-from qrr.pochhammer import (_as_qpow, infinite_product, pochhammer_finite,
-                            pochhammer_ratio, pole)
+from qrr.pochhammer import infinite_product, pochhammer_finite, pochhammer_ratio, pole
 from qrr.qbessel import mittag_leffler_rhs
 from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
                             a_alpha, a_alpha_formal, b_alpha, cube_convolution_sides,
@@ -32,7 +31,7 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
                             square_master_sides, theta_pair_imag_sides,
                             theta_pair_sides, theta_triple_sides,
                             u_m_bilateral)
-from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv, _cube_pairs,
+from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv,
                         _cube_slices, _log2_sum, _pair_slices, _pole_table, _span, _Table,
                         _theta_cutoff, bilateral_cube_slice_sides, bilateral_pair_slice_sides,
                         gaussian_truncation, lattice_values, ratio_truncation, slice_truncation)
@@ -731,6 +730,39 @@ def test_square_bilateral_outer_sum_matches_per_term_oracle():
         assert abs(rhs - old) <= ORACLE_TOL * abs(old)
 
 
+def old_cube_bilateral_rhs(alpha, a, b, x, ctx, corrected=True):
+    """ms-12's right side as printed: pref times the sum over s of C_s x^s
+    q^(alpha s^2) B(twist x q^(2 alpha s)), C_s = sum over j + k = s of r_j
+    w^k r_k for r_j = (a;q)_j/(b;q)_j and twist w^2 or 1, each term from
+    scratch.  Past K = ratio_truncation, r_-K is negligible, and so are the
+    terms with |s| > K, which fall at the rate |b/a| both ways: j and k run
+    down to -K, and s over |s| <= K."""
+    q, w = ctx.q, rho_root(ctx)
+    twist, K = (w ** 2 if corrected else 1), ratio_truncation(a, b, ctx)
+    r = cache(lambda j: pochhammer_ratio(a, b, q, j))
+
+    def term(s):
+        c = sum(r(j) * r(s - j) * w ** ((s - j) % 3) for j in range(-K, s + K + 1))
+        inner = b_alpha(alpha, a, b, twist * x * powq(q, 2 * alpha * s), ctx)
+        return c * powq(q, alpha * s * s) * x ** s * inner
+
+    q3 = q ** 3
+    pref = (infinite_product([q3, (b / a) ** 3], [b ** 3, q3 / a ** 3], q3, ctx)
+            * infinite_product([b, q / a], [q, b / a], q, ctx) ** 3)
+    return pref * sum(map(term, range(-K, K + 1)))
+
+
+@ORACLE_QS
+@pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "literal"])
+def test_cube_bilateral_outer_sum_matches_per_term_oracle(corrected, q):
+    ctx = QContext.numeric(q, precision=50)
+    a, b, x = mp.mpf("0.6"), mp.mpf("0.15"), mp.mpf("0.5")
+    with ctx.workdps():
+        _, rhs = cube_bilateral_master_sides(1, a, b, x, ctx, corrected)
+        old = old_cube_bilateral_rhs(1, a, b, x, ctx, corrected)
+        assert abs(rhs - old) <= ORACLE_TOL * abs(old)
+
+
 def old_square_master_rhs(alpha, a, t, ctx):
     q = ctx.q
     return sum_series(lambda j: pochhammer_ratio(a, Q1, q, j) * powq(q, alpha * j * j)
@@ -926,9 +958,8 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
 # self-convolutions
 # ---------------------------------------------------------------------------
 
-# the centre n0 = -s of a bilateral sum, at the ends, near n = 0 (where a
-# tail crosses to the other stream) and far out
-LATTICE_S = (-107, -40, -3, -2, -1, 0, 1, 2, 3, 40, 107)
+# s at the start, near it and far out
+LATTICE_S = (0, 1, 2, 3, 40, 107)
 LATTICE_Y0 = pytest.mark.parametrize("twisted", [False, True], ids=["y0=0.5", "y0=w^2*0.5"])
 LATTICE_PRECISIONS = pytest.mark.parametrize("precision", [20, 50, 100])
 A6, B15 = mp.mpf("0.6"), mp.mpf("0.15")
@@ -938,12 +969,16 @@ def _lattice_y0(ctx, twisted):
     return (rho_root(ctx) ** 2 if twisted else 1) * mp.mpf("0.5")
 
 
-def _lattice_streams(ctx, y0, b=B15, bilateral=True):
-    """The shared streams u_n = p_n y0^n of ms-12's inner function (p_n =
-    (a;q)_n/(b;q)_n) or of ms-8's (p_n = (a;q)_n/(q;q)_n), a = 0.6."""
-    if bilateral:
-        return [*map(_Shared, _ratio_streams(QPow(A6, 0), _as_qpow(b), 0, y0)(ctx.fixed_q))]
-    return [_Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))]
+def _lattice_stream(ctx, y0):
+    """The shared stream u_n = (a;q)_n/(q;q)_n y0^n, a = 0.6, with its
+    declared ratio bound."""
+    return _Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))
+
+
+def _entire_stream(ctx, x):
+    """st-5.3's shared stream u_m = (-x)^m / (q;q)_m."""
+    qf = ctx.fixed_q
+    return _Shared(_ratio_terms([], [_Q1], qf, -qf.like(x), qf.like(1)))
 
 
 def direct_lattice(series, alpha, ss, ctx):
@@ -959,39 +994,23 @@ def _assert_lattice(got, direct, ss, precision):
         assert abs(v.to_mp() - d) <= mp.mpf(10) ** -precision * abs(d), s
 
 
-@ORACLE_QS
-@LATTICE_PRECISIONS
-@LATTICE_Y0
-def test_b_lattice_matches_b_alpha(precision, twisted, q):
-    ctx = QContext.numeric(q, precision=precision)
-    with ctx.workdps():
-        y0 = _lattice_y0(ctx, twisted)
-        ss = range(LATTICE_S[0], LATTICE_S[-1] + 1)
-        got = dict(zip(ss, lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)))
-        direct = direct_lattice(lambda h: b_alpha(1, A6, B15, y0 * h, ctx), 1, LATTICE_S, ctx)
-        _assert_lattice([got[s] for s in LATTICE_S], direct, LATTICE_S, precision)
-
-
 @LATTICE_PRECISIONS
 @LATTICE_Y0
 def test_a_lattice_matches_a_alpha(precision, twisted):
-    # a unilateral lattice reads s >= 0
     ctx = QContext.numeric("0.3", precision=precision)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, twisted)
-        ss = [s for s in LATTICE_S if s >= 0]
-        got = lattice_values(_lattice_streams(ctx, y0, bilateral=False), 1, range(ss[-1] + 1), ctx)
-        direct = direct_lattice(lambda h: a_alpha(1, A6, y0 * h, ctx), 1, ss, ctx)
-        _assert_lattice([got[s] for s in ss], direct, ss, precision)
+        got = lattice_values(_lattice_stream(ctx, y0), 1, range(LATTICE_S[-1] + 1), ctx)
+        direct = direct_lattice(lambda h: a_alpha(1, A6, y0 * h, ctx), 1, LATTICE_S, ctx)
+        _assert_lattice([got[s] for s in LATTICE_S], direct, LATTICE_S, precision)
 
 
-# the default point, negative, near-one and complex q, each with the
-# bilateral and unilateral streams of ms-12 and ms-8 (e = 2 alpha), and the
-# values A_q(x q^k) of st-5.3 (e = 1)
+# the default point, negative, near-one and complex q, each with a
+# unilateral stream (e = 2 alpha) and the values A_q(x q^k) of st-5.3 (e = 1)
 ORACLE_LATTICE_QS = ["0.3", "-0.6", "0.9", "0.2+0.1j"]
 
 
-@pytest.mark.parametrize("kind", ["bilateral", "unilateral", "entire"])
+@pytest.mark.parametrize("kind", ["unilateral", "entire"])
 @pytest.mark.parametrize("precision", [20, 50])
 @pytest.mark.parametrize("q", ORACLE_LATTICE_QS)
 def test_lattice_matches_the_direct_sums(q, precision, kind):
@@ -1004,16 +1023,9 @@ def test_lattice_matches_the_direct_sums(q, precision, kind):
             direct = [ramanujan_A(x * ctx.q ** k, ctx) for k in ks]
             _assert_lattice([shared[k] for k in ks], direct, ks, precision)
             return
-        if kind == "bilateral":
-            ss = range(-30, 31)
-            direct = direct_lattice(lambda h: b_alpha(1, A6, B15, y0 * h, ctx), 1, ss, ctx)
-        else:
-            ss = range(31)
-            direct = direct_lattice(lambda h: a_alpha(F(1, 2), A6, y0 * h, ctx), F(1, 2), ss,
-                                    ctx)
-        alpha = 1 if kind == "bilateral" else F(1, 2)
-        got = widening(lambda c: lattice_values(
-            _lattice_streams(c, y0, bilateral=kind == "bilateral"), alpha, ss, c), ctx)
+        ss = range(31)
+        direct = direct_lattice(lambda h: a_alpha(F(1, 2), A6, y0 * h, ctx), F(1, 2), ss, ctx)
+        got = widening(lambda c: lattice_values(_lattice_stream(c, y0), F(1, 2), ss, c), ctx)
         _assert_lattice(got, direct, ss, precision)
 
 
@@ -1029,26 +1041,25 @@ def _lattice_pairs(monkeypatch):
     return pairs
 
 
-@pytest.mark.parametrize("bilateral", [True, False], ids=["bilateral", "unilateral"])
+@pytest.mark.parametrize("kind", ["unilateral", "entire"])
 @pytest.mark.parametrize("q", ["0.3", "0.9"])
-def test_lattice_windows_hold_every_product_of_the_cutoff(q, bilateral, monkeypatch):
+def test_lattice_windows_hold_every_product_of_the_cutoff(q, kind, monkeypatch):
     """Each value sums u_(m - s) g_m over every m of its Gaussian table,
-    |m| <= M (0 <= m <= M): the u table is not cut short, and every table of
-    one round shares one M."""
+    0 <= m <= M: the u table is not cut short, and every table of one round
+    shares one M, for a ratio stream and st-5.3's."""
     ctx = QContext.numeric(q, precision=20)
     pairs = _lattice_pairs(monkeypatch)
     with ctx.workdps():
-        ss = range(-25, 26) if bilateral else range(26)
-        lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True), bilateral=bilateral), 1,
-                       ss, ctx)
+        ss = range(26)
+        stream = (_lattice_stream(ctx, _lattice_y0(ctx, True)) if kind == "unilateral" else
+                  _entire_stream(ctx, mp.mpf("0.7")))
+        lattice_values(stream, 1, ss, ctx)
     last = {}  # s: the pair that made it last
     for pair in pairs:
-        M = pair.g.hi
-        assert pair.g.lo == (-M if bilateral else 0)
+        assert pair.g.lo == pair.u.lo == 0
         last.update(dict.fromkeys(pair.windows, pair))
     for s in ss:
-        M = last[s].g.hi
-        assert last[s].windows[s][:2] == ((-M - s, M - s) if bilateral else (0, M - s)), s
+        assert last[s].windows[s][0] == last[s].g.hi - s, s
 
 
 @pytest.mark.parametrize("q", ["0.3", "0.9"])
@@ -1058,16 +1069,18 @@ def test_a_lattice_table_cut_one_entry_short_is_caught_by_the_bound(q, monkeypat
     them, and grows the tables to M or past."""
     ctx = QContext.numeric(q, precision=20)
     pairs = _lattice_pairs(monkeypatch)
-    ss = range(-20, 21)
+    ss = range(21)
 
     def cutoffs(M):
+        # the lattice starts at M = gaussian_truncation + the largest s
         pairs.clear()
-        monkeypatch.setattr(slices, "gaussian_truncation", lambda alpha, ctx: M)
+        monkeypatch.setattr(slices, "gaussian_truncation", lambda alpha, ctx: M - ss[-1])
         with ctx.workdps():
-            lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True)), 1, ss, ctx)
+            lattice_values(_lattice_stream(ctx, _lattice_y0(ctx, True)), 1, ss, ctx)
         return sorted({pair.g.hi for pair in pairs})
 
-    low, high = 1, max(cutoffs(2))  # the cutoff bound holds at high
+    low, high = ss[-1], max(cutoffs(ss[-1] + 2))  # the cutoff bound holds at high
+    assert cutoffs(low) != [low]
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (low, mid) if cutoffs(mid) == [mid] else (mid, high)
@@ -1077,23 +1090,22 @@ def test_a_lattice_table_cut_one_entry_short_is_caught_by_the_bound(q, monkeypat
 
 def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
     """Each value's check is charged 2^(rounding_bits(N) - wp) times the L
-    products' bound 2^big, N the tables' largest |index| (the stream index
-    of u, |m| of the Gaussian): a charge that the floor bound does not
-    lower."""
+    products' bound 2^big, N the tables' largest index (the stream index of
+    u, m of the Gaussian): a charge that the floor bound does not lower."""
     charges, real = [], slices._floored
 
     def spy(t, evaluate, ctx, weight=0.0, charge=-math.inf):
         if isinstance(t, slices._Pair):
-            _, _, n, big, _ = t.windows[t.s]
+            _, n, big, _ = t.windows[t.s]
             assert charge == rounding_bits(t.N) - t.wp + n + big
-            assert t.N >= max(4, t.g.hi, t.u.hi, -1 - t.u.lo)
+            assert t.N >= max(4, t.g.hi, t.u.hi)
             charges.append(charge)
         return real(t, evaluate, ctx, weight, charge)
 
     monkeypatch.setattr(slices, "_floored", spy)
     with CTX.workdps():
-        ss = range(-40, 41)
-        lattice_values(_lattice_streams(CTX, mp.mpf("0.5")), 1, ss, CTX)
+        ss = range(41)
+        lattice_values(_lattice_stream(CTX, mp.mpf("0.5")), 1, ss, CTX)
     assert len(charges) == len(ss) and -math.inf < min(charges)
 
 
@@ -1122,28 +1134,26 @@ def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
 
 
 def test_a_lattice_that_cancels_past_its_charge_asks_for_more_bits():
-    """At q = 0.99 ms-12's inner values cancel about 160 bits below their
-    largest products, past what the entries' roundings leave at the working
-    width: the first pass raises PrecisionLossError, naming the bits, and
-    the wider rerun matches the direct sums."""
+    """At q = 0.99 st-5.3's values q^(s^2) A_q(x q^(2s)) cancel about 100
+    bits below their largest products, past what the entries' roundings
+    leave at the working width: the first pass raises PrecisionLossError,
+    naming the bits, and the wider rerun matches the direct sums."""
     ctx = QContext.numeric("0.99", precision=20)
-    ss = range(-146, -139)
+    x, ss = mp.mpf("0.7"), range(32, 36)
     with ctx.workdps():
-        y0 = _lattice_y0(ctx, True)
         with pytest.raises(PrecisionLossError) as lost:
-            lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)
-        assert lost.value.bits > 100
-        got = widening(lambda c: lattice_values(_lattice_streams(c, y0), 1, ss, c), ctx)
+            lattice_values(_entire_stream(ctx, x), 1, ss, ctx)
+        assert lost.value.bits > 80
+        got = widening(lambda c: lattice_values(_entire_stream(c, x), 1, ss, c), ctx)
     # the direct sums at 60 digits
     deep = QContext.numeric("0.99", precision=60)
     with deep.workdps():
-        y0 = _lattice_y0(deep, True)
-        direct = direct_lattice(lambda h: widening(lambda c: b_alpha(1, A6, B15, y0 * h, c),
-                                                   deep), 1, ss, deep)
+        direct = direct_lattice(lambda h: widening(lambda c: ramanujan_A(x * h, c), deep), 1,
+                                ss, deep)
         _assert_lattice(got, direct, ss, 20)
 
 
-# The tables of a lattice: u_n = p_n y0^n from the coefficient streams and
+# The tables of a lattice: u_n = p_n y0^n from the coefficient stream and
 # the Gaussian g_m = q^(alpha m^2), each entry at index m within the R (m + 1)^2
 # roundings that its values' charge assumes.
 
@@ -1152,28 +1162,27 @@ TABLE_K = 40
 
 
 def _lattice_tables(ctx, alpha, y0=mp.mpf("0.5")):
-    """{n: u_n} for |n| <= TABLE_K and {m: g_m} for 0 <= m <= TABLE_K, as
-    lattice_values reads them."""
-    up, down = _lattice_streams(ctx, y0)
-    u = {n: up[n] if n >= 0 else down[-1 - n] for n in range(-TABLE_K, TABLE_K + 1)}
+    """{n: u_n} and {m: g_m} for 0 <= n, m <= TABLE_K, as lattice_values
+    reads them."""
+    up = _lattice_stream(ctx, y0)
     one = ctx.fixed_q.like(1)
-    return u, dict(enumerate(islice(qfunctions._gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1)))
+    return ({n: up[n] for n in range(TABLE_K + 1)},
+            dict(enumerate(islice(qfunctions._gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1))))
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_lattice_tables_do_not_depend_on_the_read_order(q):
-    # the same values whether the shared streams are fresh, were read far
-    # past the tables by another reader, or were read by an earlier lattice
+    # the same values whether the shared stream is fresh, was read far past
+    # the tables by another reader, or was read by an earlier lattice
     ctx = QContext.numeric(q, precision=50)
-    ss = range(-TABLE_K, TABLE_K + 1)
+    ss = range(TABLE_K + 1)
     with ctx.workdps():
         y0 = _lattice_y0(ctx, True)
-        fresh = lattice_values(_lattice_streams(ctx, y0), 1, ss, ctx)
-        streams = _lattice_streams(ctx, y0)
-        for stream in streams:
-            stream[3 * TABLE_K]
-        ahead = lattice_values(streams, 1, ss, ctx)
-        again = lattice_values(streams, 1, ss, ctx)
+        fresh = lattice_values(_lattice_stream(ctx, y0), 1, ss, ctx)
+        stream = _lattice_stream(ctx, y0)
+        stream[3 * TABLE_K]
+        ahead = lattice_values(stream, 1, ss, ctx)
+        again = lattice_values(stream, 1, ss, ctx)
     assert [_bits(v) for v in fresh] == [_bits(v) for v in ahead] == [_bits(v) for v in again]
 
 
@@ -1184,9 +1193,9 @@ def _table_misses(u, g, ctx, alpha, y0=mp.mpf("0.5")):
     with mp.workdps(2 * ctx.working_dps):
         q = ctx.fixed(ctx.q).to_mp()
         for n, v in u.items():
-            exact = pochhammer_ratio(A6, B15, q, n) * y0 ** n
-            if abs(v.to_mp() - exact) > ROUNDINGS * (abs(n) + 1) ** 2 * mp.ldexp(abs(exact),
-                                                                                1 - v.wp):
+            exact = pochhammer_ratio(A6, Q1, q, n) * y0 ** n
+            if abs(v.to_mp() - exact) > ROUNDINGS * (n + 1) ** 2 * mp.ldexp(abs(exact),
+                                                                            1 - v.wp):
                 misses.append(("u", n))
         for m, v in g.items():
             exact = powq(q, alpha * m * m)
@@ -1209,15 +1218,17 @@ def test_lattice_tables_lie_within_their_roundings(q):
 
 
 def test_lattice_pole_reaches_every_reader():
-    # (b;q)_4 vanishes at b = q^-3: the shared stream ends in a PoleError,
-    # which a second reader must see too, not a finished generator
+    # (b;q)_4 vanishes at b = q^-3: the shared stream of (a;q)_n/(b;q)_n y0^n
+    # ends in a PoleError, which a second reader must see too, not a
+    # finished generator
     with CTX.workdps():
         with pytest.raises(PoleError):
             b_alpha(1, A6, QPow(1, -3), mp.mpf("0.5"), CTX)
-        streams = _lattice_streams(CTX, mp.mpf("0.5"), QPow(1, -3))
-        for ss in (range(-5, 6), range(0, 1), range(-5, 6)):
+        up, _ = _ratio_streams(QPow(A6, 0), QPow(1, -3), 0, mp.mpf("0.5"))(CTX.fixed_q)
+        stream = _Shared(up)
+        for ss in (range(6), range(1), range(6)):
             with pytest.raises(PoleError):
-                lattice_values(streams, 1, ss, CTX)
+                lattice_values(stream, 1, ss, CTX)
 
 
 def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
@@ -1236,8 +1247,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
 
     def evaluate(ctx):
         pairs.clear()
-        return lattice_values(_lattice_streams(ctx, _lattice_y0(ctx, True)), 1, range(-3, 4),
-                              ctx)[6]
+        return lattice_values(_lattice_stream(ctx, _lattice_y0(ctx, True)), 1, range(4), ctx)[3]
 
     monkeypatch.setattr(slices._Pair, "values", short_once)
     monkeypatch.setattr(slices, "_Pair", pair)
@@ -1247,7 +1257,7 @@ def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
     assert pairs and all({v.wp for v in p.u.values + p.g.values} == {wide} for p in pairs)
     assert got.wp == wide
     with CTX.workdps():
-        direct = b_alpha(1, A6, B15, _lattice_y0(CTX, True) * powq(CTX.q, 6), CTX)
+        direct = a_alpha(1, A6, _lattice_y0(CTX, True) * powq(CTX.q, 6), CTX)
         assert abs(got.to_mp() / (powq(CTX.q, 9) * direct) - 1) <= mp.mpf(10) ** -50
 
 
@@ -1317,12 +1327,17 @@ def test_pair_slices_take_half_the_products(monkeypatch):
 # bound chooses, about the working digits below the sum of its entries; the
 # last table's entries span 3 wp bits, so its smallest ones floor to a few
 # bits or to zero.
-SLICE_TABLES = pytest.mark.parametrize(
-    "lo, hi, complex_values, spread",
-    [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20),
-     (-6, 6, False, 3 * CTX.fixed_bits // 2)],
-    ids=["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex",
-         "two-sided-real-floored"])
+SLICE_CASES = [(-6, 6, False, 20), (-6, 6, True, 20), (0, 6, False, 20), (0, 6, True, 20),
+               (-6, 6, False, 3 * CTX.fixed_bits // 2)]
+SLICE_IDS = ["two-sided-real", "two-sided-complex", "one-sided-real", "one-sided-complex",
+             "two-sided-real-floored"]
+SLICE_TABLES = pytest.mark.parametrize("lo, hi, complex_values, spread", SLICE_CASES,
+                                       ids=SLICE_IDS)
+# the cube slices of the same tables at twist 2, under the same ids, and at twist 0
+CUBE_SLICE_TABLES = pytest.mark.parametrize(
+    "lo, hi, complex_values, spread, twist",
+    [(*case, twist) for twist in (2, 0) for case in SLICE_CASES],
+    ids=[name if twist == 2 else f"{name}-twist=0" for twist in (2, 0) for name in SLICE_IDS])
 
 
 def _full_table(lo, hi, complex_values, spread):
@@ -1373,41 +1388,22 @@ def test_pair_slices_match_double_loop_bit_for_bit(lo, hi, complex_values, sprea
         assert bool(got) == (2 * lo <= n <= 2 * hi and n % 2 == 0), n
 
 
-@SLICE_TABLES
-def test_cube_pairs_match_double_loop_bit_for_bit(lo, hi, complex_values, spread):
-    t = _full_table(lo, hi, complex_values, spread)
-    v = _mantissas(t)
-    w = CTX.fixed(rho_root(CTX))
-    pairs = _cube_pairs(t, 2 * lo - 2, 2 * hi + 2, w)
-    assert len(pairs) == 2 * (hi - lo) + 5
-    for m, got in zip(range(2 * lo - 2, 2 * hi + 3), pairs):
-        classes = [[0, 0] for _ in range(3)]  # by the residue of k = m - j
-        for j in v:
-            if m - j in v:
-                (a, b), (c, d) = v[j], v[m - j]
-                classes[(m - j) % 3][0] += a * c - b * d
-                classes[(m - j) % 3][1] += a * d + b * c
-        p0, p1, p2 = (_rounded_once(t, *classes[k]) for k in range(3))
-        assert _bits(got) == _bits(p0 + w * p1 + (w * w) * p2), m
-        assert bool(got) == (2 * lo <= m <= 2 * hi), m
-
-
-@SLICE_TABLES
-def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread):
+@CUBE_SLICE_TABLES
+def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread, twist):
     t = _full_table(lo, hi, complex_values, spread)
     v = _mantissas(t)
     w = CTX.fixed(rho_root(CTX))
     ns = range(3 * lo - 2, 3 * hi + 3)
-    for n, got in zip(ns, _cube_slices(t, ns, w)):
-        classes = [[0, 0] for _ in range(3)]  # P_s: the terms with k + 2l = s (mod 3)
+    for n, got in zip(ns, _cube_slices(t, ns, w, twist)):
+        classes = [[0, 0] for _ in range(3)]  # P_s: the terms with k + twist l = s (mod 3)
         for j in v:
             for k in v:
                 l = n - j - k
                 if l in v:
                     (a, b), (c, d), (f, g) = v[j], v[k], v[l]
                     re, im = a * c - b * d, a * d + b * c
-                    classes[(k + 2 * l) % 3][0] += re * f - im * g
-                    classes[(k + 2 * l) % 3][1] += re * g + im * f
+                    classes[(k + twist * l) % 3][0] += re * f - im * g
+                    classes[(k + twist * l) % 3][1] += re * g + im * f
         (p0, i0), (p1, i1), (p2, i2) = classes
         # x + y w, x = P_0 - P_2 and y = P_1 - P_2, exact on w's mantissas
         # (w.e < 0), then rounded once
@@ -1415,9 +1411,9 @@ def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread):
         want = _complex((xr << -w.e) + yr * w.re - yi * w.im,
                         (xi << -w.e) + yr * w.im + yi * w.re, 3 * t.E + w.e, t.wp)
         assert _bits(got) == _bits(want), n
-        # the cyclic shift of (j, k, l) permutes the classes when 3 does
-        # not divide n, so those slices are exact zeros
-        assert bool(got) == (3 * lo <= n <= 3 * hi and n % 3 == 0), n
+        # at twist 2 the cyclic shift of (j, k, l) permutes the classes when 3
+        # does not divide n, so those slices are exact zeros
+        assert bool(got) == (3 * lo <= n <= 3 * hi and (twist == 0 or n % 3 == 0)), n
 
 
 def old_ratio_terms(nums, dens, q, step, growth, up=True):
@@ -1731,8 +1727,8 @@ def _lost(t, value, weight):
 FLOOR_CTX = QContext.numeric("0.3", precision=20)
 A5, B1, X6 = mp.mpf("0.5"), mp.mpf("0.1"), mp.mpf("0.6")
 # one sum of each kind: a pair and a cube slice of a ratio table (ms-3, ms-5),
-# the cube pairs and the lattice values of ms-8 and ms-12, the Gaussian pair
-# sums of ms-7 and ms-11, and a pair and a cube theta sum (ms-13, ms-15)
+# the Gaussian cube sums of ms-8 and ms-12, the Gaussian pair sums of ms-7
+# and ms-11, and a pair and a cube theta sum (ms-13, ms-15)
 FLOOR_SIDES = {
     "pair-slice": lambda ctx: bilateral_pair_slice_sides(2, A5, B1, ctx),
     "cube-slice": lambda ctx: bilateral_cube_slice_sides(3, A5, B1, ctx),
@@ -1780,7 +1776,8 @@ def test_a_sum_that_cancels_at_the_last_bit_asks_for_more_bits():
 
 
 def _theta_tables(monkeypatch):
-    """The half-widths K of the pole tables that the theta sums build."""
+    """The half-widths K of the bilateral tables, pole or ratio tables, that
+    a Gaussian slice sum builds."""
     built, real = [], slices._Table
 
     def table(lo, values, k, ctx):
@@ -1792,22 +1789,33 @@ def _theta_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("q", ["0.3", "0.59"])
-@pytest.mark.parametrize("k", [2, 3], ids=["pair", "cube"])
-def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(k, q, monkeypatch):
+@pytest.mark.parametrize("table", ["pair", "cube", "ms-11", "ms-12"])
+def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(table, q, monkeypatch):
     """The least K whose cutoff bound holds builds one table; one entry
-    shorter, the check misses the bound and grows the table to it or past."""
+    shorter, the check misses the bound and grows the table to it or past,
+    for the pair and cube pole tables of the theta sums and the pair and
+    cube ratio tables of ms-11 and ms-12 alike."""
     ctx = QContext.numeric(q, precision=20)
     w = ctx.fixed(rho_root(ctx))
-    slices_of = _pair_slices if k == 2 else (lambda t, ns: _cube_slices(t, ns, w))
+    k, slices_of = ((2, _pair_slices) if table in ("pair", "ms-11") else
+                    (3, lambda t, ns: _cube_slices(t, ns, w)))
     with ctx.workdps():
-        K = qfunctions._theta_truncation(X6, ctx)
-        aq = QPow(A5, 0)
+        aq, bq = QPow(A5, 0), QPow(B1, 0)
+        if table in ("pair", "cube"):
+            K, decay = qfunctions._theta_truncation(X6, ctx), ctx.q
+
+            def make(K):
+                return slices._pole_table(aq, K, k, ctx)
+        else:
+            K, decay = ratio_truncation(A5, B1, ctx) + gaussian_truncation(1, ctx), B1 / A5
+
+            def make(K):
+                return _bilateral_ratio_array(aq, bq, K, k, ctx)
         built = _theta_tables(monkeypatch)
 
         def tables(K):
             built.clear()
-            slices._gaussian_slices(lambda K: slices._pole_table(aq, K, k, ctx), slices_of, 1,
-                                    X6, K, ctx, ctx.q)
+            slices._gaussian_slices(make, slices_of, 1, X6, K, ctx, decay)
             return list(built)
 
         low, high = 1, max(tables(K))  # the cutoff bound holds at high
@@ -1831,24 +1839,33 @@ def _gaussian_sum_shapes(ctx, pairs, cubes):
             lambda K: slices._pole_table(aq, K, k, ctx), slices_of, 1, X6,
             qfunctions._theta_truncation(X6, ctx), ctx, ctx.q)
 
+    def unilateral(k, slices_of, alpha):
+        return lambda M: slices._gaussian_slices(
+            lambda K: _Table(0, map(r.__getitem__, range(K + 1)), k, ctx), slices_of, alpha, X6,
+            None, ctx, stream=r)
+
+    def bilateral(k, slices_of):
+        return lambda M: slices._gaussian_slices(
+            lambda K: _bilateral_ratio_array(aq, QPow(B1, 0), K, k, ctx), slices_of, 1, X6,
+            ratio_truncation(A5, B1, ctx) + M, ctx, B1 / A5)
+
     return {
-        "ms-7": lambda M: slices._gaussian_slices(
-            lambda K: _Table(0, map(r.__getitem__, range(K + 1)), 2, ctx), pairs, F(1, 2), X6,
-            None, ctx, stream=r),
-        "ms-11": lambda M: slices._gaussian_slices(
-            lambda K: _bilateral_ratio_array(aq, QPow(B1, 0), K, 2, ctx), pairs, 1, X6,
-            ratio_truncation(A5, B1, ctx) + M, ctx, B1 / A5),
+        "ms-7": unilateral(2, pairs, F(1, 2)),
+        "ms-8": unilateral(3, cubes, 1),
+        "ms-11": bilateral(2, pairs),
+        "ms-12": bilateral(3, cubes),
         "theta-pair": theta(2, pairs),
         "theta-cube": theta(3, cubes),
     }
 
 
-@pytest.mark.parametrize("shape", ["ms-7", "ms-11", "theta-pair", "theta-cube"])
+@pytest.mark.parametrize("shape", ["ms-7", "ms-8", "ms-11", "ms-12", "theta-pair", "theta-cube"])
 def test_a_gaussian_cutoff_one_weight_short_is_caught_by_the_bound(shape, monkeypatch):
     """The least Gaussian cutoff M whose bound holds sums its slices once;
     one weight shorter, the check misses the bound and grows M to it or
-    past, for the unilateral and bilateral pair sums of ms-7 and ms-11 and
-    the pair and cube pole sums of the theta identities alike."""
+    past, for the unilateral and bilateral pair and cube sums of ms-7, ms-8,
+    ms-11 and ms-12 and the pair and cube pole sums of the theta identities
+    alike."""
     ctx = QContext.numeric("0.3", precision=20)
     seen = set()  # the last weight index of every slice evaluation
 
