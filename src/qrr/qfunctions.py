@@ -49,11 +49,10 @@ q^(alpha n^2) y^n at the q-geometric family of arguments x q^(2 alpha s)
 r_s (square) or their cube pairs (cube).  So each double or triple sum is
 summed by m = j + n or m = j + k + n instead, as one Gaussian-weighted sum
 of the pair or cube slices of r (:func:`~qrr.slices._gaussian_slices`).
-The values A_q(x q^k) of ``st-5.3`` are one correlation of two tables
-(:func:`~qrr.slices.lattice_values`): q^(alpha s^2) F(y0 q^(2 alpha s)) =
-sum_n u_n g_(n + s), u_n = p_n y0^n and g_m = q^(alpha m^2), each an exact
-integer dot product rounded once.  The left sides stay single series, so
-the two sides share no summation.
+The left sides stay single series, so the two sides share no summation.
+The values A_q(x q^k) of ``st-5.3`` are each one :func:`ramanujan_A` sum,
+kept in one stream that every n of the check reads
+(:func:`~qrr.qpolynomials._shifted_entire_values`).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
 import mpmath as mp
@@ -38,7 +38,6 @@ from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer
 from .qfunctions import (_Q1, _gaussian, _geometric, _ratio_terms, _ratios_up, _series,
                          _value, ramanujan_A, rr_product_formal, rr_sum_formal,
                          u_m_bilateral)
-from .slices import gaussian_truncation, lattice_values
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +490,11 @@ def st_5_2_sides(n: int, x, q):
 @kept
 def _shifted_entire_values(xv, ctx: QContext):
     """A_q(x q^k) for k = 0, 1, ..., a :class:`~qrr.context._Shared` stream
-    that every n of a check reads, each value made once.  With u_m = (-x)^m /
-    (q;q)_m, A_q(x q^k) = sum_m u_m q^(m^2 + m k), and m^2 + m k is
-    (m + l)^2 - l^2 at k = 2l, (m + l)(m + l + 1) - l(l + 1) at k = 2l + 1:
-    a block of l is two lattices (:func:`~qrr.slices.lattice_values`)."""
-    with ctx.workdps():
-        qf = ctx.fixed_q
-        u = _Shared(_ratio_terms([], [_Q1], qf, -qf.like(xv), qf.like(1)))
-        size = gaussian_truncation(1, ctx)
-
-        def block(l0):
-            ls = range(l0, l0 + size)
-            even, odd = (lattice_values(u, 1, ls, ctx, beta) for beta in (0, 1))
-            for l, e, o in zip(ls, even, odd):
-                yield e * qf ** (-l * l)
-                yield o * qf ** (-l * (l + 1))
-
-        return _Shared(chain.from_iterable(map(block, count(0, size))))
+    that every n of a check reads, each value one :func:`ramanujan_A` sum,
+    made once, its argument x q^k formed in the reader's ``ctx.workdps()``.
+    A PrecisionLossError in one is kept and raised to every reader, for a
+    wider rerun (:func:`~qrr.context.widening`)."""
+    return _Shared(ctx.fixed(ramanujan_A(y, ctx)) for y in _geometric(xv, ctx.q))
 
 
 def st_5_3_sides(n: int, x, ctx: QContext):

@@ -1,6 +1,6 @@
 """Bilateral slice convolutions (numeric): the slice sums of the
 convolution lemma, of the master expansions built on it and of the theta
-pole sums, and the lattice values A_q(x q^k) of ``st-5.3``.
+pole sums.
 
 Slice sums have one rule: a kernel builds one :class:`_Table` per call, in
 fixed point on one binary exponent, and each weighted slice
@@ -9,13 +9,9 @@ sums of :func:`_class_sums` over the table's own mantissas, every index
 inside the table, and rounds once, so a slice that the identity makes vanish
 is an exact zero.  The residue classes of a self-convolution come from half
 the products: the mirror j <-> n - j swaps two classes, which are then
-equal, or fixes one.  The third shape, the correlation sum_n u_n g_(n + s)
-of two unilateral tables (:class:`_Pair`, :func:`lattice_values`), gives
-one series at a q-geometric family of arguments, the Gaussian g factored
-out of its terms, as exact dot products rounded once; ``st-5.3`` alone
-reads it.  Within one check, every bilateral ratio table at (a, b) is
-sliced off one kept pair of streams (:func:`_ratio_table_streams`), and its
-cutoff :func:`ratio_truncation` is walked once.
+equal, or fixes one.  Within one check, every bilateral ratio table at
+(a, b) is sliced off one kept pair of streams (:func:`_ratio_table_streams`),
+and its cutoff :func:`ratio_truncation` is walked once.
 
 The Gaussian-weighted slice sums, sum over m of q^(alpha m^2) x^m S_m for
 the slices S_m of one table, are one function, :func:`_gaussian_slices`:
@@ -36,11 +32,11 @@ and no more.  Each weighted slice sum then checks that bound, times the sum
 of |weights|, against its value (:func:`_floored`): where it misses one unit
 of the working digits the table is floored again, finer, from the entries it
 keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
-the sum raises PrecisionLossError for a wider rerun.  A table of rounded
-entries (a correlation, a Gaussian pair sum) is also charged their own
-roundings, which no floor lowers; the cube tables of the Gaussian sums
-(``ms-8``, ``ms-12``, ``ms-15..17``) are not charged yet.  A slice that the
-identity makes an exact zero needs no check.
+the sum raises PrecisionLossError for a wider rerun.  The table of rounded
+entries of a Gaussian pair sum is also charged their own roundings, which no
+floor lowers; the cube tables of the Gaussian sums (``ms-8``, ``ms-12``,
+``ms-15..17``) are not charged yet.  A slice that the identity makes an
+exact zero needs no check.
 
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
 master and theta sides read the slice sums in turn; each module imports
@@ -50,7 +46,7 @@ from the other after its own definitions, so either may be imported first.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import islice
 from operator import add, mul
 
 import mpmath as mp
@@ -69,9 +65,6 @@ from .pochhammer import QPow, _as_qpow, _pole_factors, infinite_product, pochham
 # precision 50, 37 at 100 and 40 at 200, all in the ``ms-17`` theta sum
 # (the next largest, ``ms-15``, 23 to 29); it grows with the table.
 CANCELLATION_BITS = 48
-# The values of a lattice that share one pair of table exponents
-# (:func:`lattice_values`): a chunk's exponents serve its own values alone.
-LATTICE_CHUNK = 32
 
 
 def _log2_sum(exponents) -> float:
@@ -104,14 +97,14 @@ class _Table:
     may floor the table again, finer, from the entries it keeps.
     """
 
-    def __init__(self, lo: int, values, k: int, ctx: QContext, E: int | None = None):
+    def __init__(self, lo: int, values, k: int, ctx: QContext):
         self.values = values = list(values)
         self.lo, self.hi, self.wp, self.k = lo, lo + len(values) - 1, values[0].wp, k
         self.last = min((v.e for v in values if v), default=None)
         self.need = ctx.extra_bits - ctx.tail_log2
         if self.last is None:  # every entry is zero
             self.last, self.log2_sum, E = 0, -math.inf, 0
-        elif E is None:
+        else:
             self.log2_sum = _log2_sum(v.top() + 0.5 for v in values if v)
             E = math.floor(self.log2_sum - self.need - CANCELLATION_BITS - math.log2(k) - 0.5)
         self.floor(max(self.last, E))
@@ -145,10 +138,11 @@ class _Table:
 
 def _floored(t: _Table, evaluate, ctx: QContext, weight: float = 0.0,
              charge: float = -math.inf) -> Fixed:
-    """``evaluate(t)``, a nonzero weighted slice sum over t as a Fixed, with
-    ``weight`` the log2 of a bound on the sum of |weights| (0 for one slice),
-    checked against the floor bound of t and ``charge``, the log2 of a bound
-    on the entries' own roundings (none for exact entries).
+    """``evaluate(t)``, a nonzero weighted slice sum over the table t as a
+    Fixed, with ``weight`` the log2 of a bound on the sum of |weights| (0 for
+    one slice), checked against the floor bound of t and ``charge``, the log2
+    of a bound on the entries' own roundings (:func:`_pair_charge` for a
+    Gaussian pair sum; none for exact entries or a cube table).
 
     While the floor bound times 2^weight exceeds one unit of the working
     digits of the value, is not below the charge, and E lies above the
@@ -257,10 +251,10 @@ def _pair_slices(t: _Table, ns) -> list:
 
 
 def _pair_charge(t: _Table, ns, weights) -> float:
-    """log2 of the charge for the entries' own roundings (:class:`_Pair`) of
-    sum over n in ns of g_n P_n, P_n the pair slices of t: 2^(rounding_bits(N)
-    - wp) sum |g_n| sum |t_j t_(n - j)|, N >= 8 the largest |index|, as each
-    product of three entries is at most 6 R (N + 1)^2 roundings from exact."""
+    """log2 of the charge for the entries' own roundings of sum over n in ns
+    of g_n P_n, P_n the pair slices of t: 2^(rounding_bits(N) - wp) sum |g_n|
+    sum |t_j t_(n - j)|, N >= 8 the largest |index|, as each product of three
+    entries is at most 6 R (N + 1)^2 roundings from exact."""
     tops, terms = _tops(t.values), []
     for n, g in zip(ns, weights):
         lo, hi = _span(t, n)
@@ -309,181 +303,9 @@ def _cube_slices(t: _Table, ns, w: Fixed, twist: int = 2) -> list:
     return out
 
 
-class _Pair:
-    """The tables u (indices n >= 0) and g (indices m >= 0), with the log2
-    bounds lu and lg of their entries (:func:`_tops`), of the correlation
-    V_s = sum_n u_n g_(n + s) for the s >= 0 in ``ss``: the third slice
-    shape.  Each V_s is one exact integer dot product over its window
-    0 <= n <= n1 of L_s products (:func:`_windows`), rounded once
-    (:meth:`value`).
-
-    The floor bound.  Floored to 2^Eu and 2^Eg, V_s errs by at most
-    L_s (sqrt(2) 2^Eu max |g| + sqrt(2) 2^Eg max |u| + 2^(Eu + Eg + 1)), the
-    maxima over its window (:meth:`bound`, at the value ``s`` being checked).
-    Eu and Eg are set a priori CANCELLATION_BITS below one unit of the
-    working digits of every window's largest product, never below the
-    entries' last bits; :func:`_floored` lowers both by the offset E.
-
-    The entries' own roundings.  An entry at index m is at most R (m + 1)^2
-    roundings of 2^(1 - wp) from exact, so V_s is charged
-    2^(rounding_bits(N) - wp) L_s 2^big_s, N >= 4 the largest index, which
-    no floor lowers.
-    """
-
-    def __init__(self, u, lu, g, lg, ss, ctx: QContext):
-        self.windows = windows = _windows(lu, lg, ss)
-        # |g_m| falls with m: its largest in a window is its first, g_s
-        self.mg = {s: lg[s] for s in windows}
-        margin = ctx.extra_bits - ctx.tail_log2 + CANCELLATION_BITS + 2
-        self.u = _Table(0, u, 1, ctx, math.floor(min(
-            (b - self.mg[s] - n for s, (_, n, b, _) in windows.items()), default=0) - margin))
-        self.g = _Table(0, g, 1, ctx, math.floor(min(
-            (b - mu - n for _, n, b, mu in windows.values()), default=0) - margin))
-        self.need, self.wp = self.u.need, self.u.wp
-        self.N = max(4, len(u) - 1, len(g) - 1)
-        self.E0, self.E = (self.u.E, self.g.E), 0
-        self.last = min(self.u.last - self.u.E, self.g.last - self.g.E)
-
-    def floor(self, E: int):
-        self.E = E
-        for t, E0 in zip((self.u, self.g), self.E0):
-            t.floor(max(t.last, E0 + E))
-
-    def unit(self) -> int:
-        return self.u.E + self.g.E
-
-    def bound(self) -> float:
-        _, n, _, mu = self.windows[self.s]
-        eu, eg = self.u.E + 0.5, self.g.E + 0.5
-        return n + _log2_sum((eu + self.mg[self.s], eg + mu, eu + eg))
-
-    def value(self, s: int) -> Fixed:
-        """V_s on the current exponents."""
-        n1 = self.windows[s][0]
-        u, g = self.u, self.g
-        a, b = slice(0, n1 + 1), slice(s, n1 + s + 1)
-        ur, ui = u.re[a], u.im and u.im[a]
-        gr, gi = g.re[b], g.im and g.im[b]
-        re, e = _dot(ur, gr), u.E + g.E
-        if ui is None and gi is None:
-            return _real(re, e, self.wp)
-        if gi is None:
-            im = _dot(ui, gr)
-        elif ui is None:
-            im = _dot(ur, gi)
-        else:
-            re, im = re - _dot(ui, gi), _dot(ur, gi) + _dot(ui, gr)
-        return _complex(re, im, e, self.wp)
-
-    def values(self, ss, ctx: QContext):
-        """(values, bits): V_s for the s in ss, each checked by
-        :func:`_floored` with its charge (an exact zero where no window is),
-        and the most bits that a PrecisionLossError of one named."""
-        charge = rounding_bits(self.N) - self.wp
-        zero = Fixed(0, None if self.u.im is None and self.g.im is None else 0, 0, self.wp)
-        out, missing = [], 0
-        for s in ss:
-            self.s, window = s, self.windows.get(s)
-            try:
-                out.append(zero if window is None else _floored(
-                    self, lambda t, s=s: t.value(s), ctx, charge=charge + window[1] + window[2]))
-            except PrecisionLossError as exc:
-                missing = max(missing, exc.bits)
-        return out, missing
-
-
-def _windows(lu, lg, ss) -> dict:
-    """{s: (n1, log2 L_s, big_s, mu_s)} for each s in ss whose window
-    0 <= n <= n1 of L_s products u_n g_(n + s) inside the tables, of log2
-    bounds lu and lg, holds a nonzero one; big_s bounds the largest product
-    and mu_s the largest |u_n|."""
-    windows = {}
-    for s in ss:
-        n1 = min(len(lu), len(lg) - s) - 1
-        wu = lu[:n1 + 1]
-        big = max(map(add, wu, lg[s:n1 + s + 1]), default=-math.inf)
-        if big > -math.inf:
-            windows[s] = n1, math.log2(n1 + 1), big, max(wu)
-    return windows
-
-
 def _tops(values) -> list:
     """The float log2 bound top + 1/2 of each Fixed value, -inf for zero."""
     return [v.top() + 0.5 if v else -math.inf for v in values]
-
-
-def lattice_values(up, alpha, ss, ctx: QContext, beta: int = 0) -> list:
-    """V_s = sum_n u_n q^(alpha m^2 + beta m), m = n + s, for the s >= 0 in
-    ``ss``, as Fixed values: with u_n = p_n y0^n, V_s = q^(alpha s^2)
-    F(y0 q^(2 alpha s)) for F(y) = sum_n p_n q^(alpha n^2) y^n, as
-    q^(alpha n^2) q^(2 alpha s n) = q^(alpha (n + s)^2 - alpha s^2)
-    (Bluestein's chirp).  ``up`` is the :class:`~qrr.context._Shared` stream
-    u_0, u_1, ... of a unilateral series, with its declared ratio bound.  The
-    values are correlations (:class:`_Pair`) of a u table and the Gaussian
-    g_m = q^(alpha m^2 + beta m), 0 <= m <= M, in chunks of LATTICE_CHUNK
-    values.
-
-    The cutoff M is checked against each window's largest product before any
-    dot product, then against the values, and the values it misses are taken
-    again where it holds.  Past M, |g_(M + 1 + j)| <= |g_(M + 1)| (2r)^-j,
-    2r = |q|^-(alpha (2M + 3) + beta), and the envelope e_n of the u table
-    bounds |u_(n + j)| <= 2^e_n r^j, read on past the table by the declared
-    bound; so V_s omits at most 2^(e + 1) |g_(M + 1)|, e at n = M + 1 - s."""
-    qf, ell = ctx.fixed_q, float(mp.log(abs(ctx.q), 2))
-
-    def cutoff(M, ss, levels):
-        """(M', shorts): the least M' >= M, by steps, where each V_s omits at
-        most 10^-(precision + 6) of its level (the largest for a zero
-        value), and the bits by which each misses that at M."""
-        levels, first = [lv if lv > -math.inf else max(levels) for lv in levels], None
-        while True:
-            hi = M + 1 - min(ss)
-            mags = _tops(up[n] for n in range(hi + 1))
-            log2_r = -(alpha * (2 * M + 3) + beta) * ell - 1
-            # e_n = max over j >= n of mags[j] - (j - n) log2_r, read on past the table
-            reading = up.stream.bound.reading(hi)
-            env = -math.inf if reading is not None and reading(0) <= log2_r else math.inf
-            upward = list(accumulate(reversed(mags), lambda e, m: max(m, e - log2_r),
-                                     initial=env))[:0:-1]
-            # 2 |g_(M + 1)|, one bit of slack, and the digits asked for
-            edge = ((alpha * (M + 1) ** 2 + beta * (M + 1)) * ell + 2
-                    + (ctx.precision + 6) * LOG2_10)
-            shorts = [upward[M + 1 - s] + edge - lv for s, lv in zip(ss, levels)]
-            first, short = first or shorts, max(shorts)
-            if short <= 0:
-                return M, first
-            # past the table u may outgrow the Gaussian's fall at M: M doubles
-            M += M if short == math.inf else max(1, math.ceil(
-                short / (-ell * alpha * (2 * M + 3))))
-            if M > MAX_TERMS:
-                raise NonConvergenceError(f"lattice cutoff beyond {MAX_TERMS} terms")
-
-    M = gaussian_truncation(alpha, ctx) + max(ss)
-    done, todo, levels = {}, list(ss), None
-    while todo:
-        g = list(islice(_gaussian(qf, alpha, qf ** beta), M + 1))
-        chunks = [todo[i:i + LATTICE_CHUNK] for i in range(0, len(todo), LATTICE_CHUNK)]
-        u = [up[n] for n in range(M - todo[0] + 1)]
-        lu, lg = _tops(u), _tops(g)
-        if levels is None:
-            windows = _windows(lu, lg, todo)
-            levels = [windows[s][2] if s in windows else -math.inf for s in todo]
-            M, wide = cutoff(M, todo, levels)[0], M
-            if M > wide:
-                continue
-        made = [_Pair(u[:M - chunk[0] + 1], lu[:M - chunk[0] + 1], g, lg, chunk, ctx).values(
-            chunk, ctx) for chunk in chunks]
-        missing = max(bits for _, bits in made)
-        if missing:
-            raise PrecisionLossError(f"lattice value cancelled to its tables' last bits; "
-                                     f"{missing} more working bits needed", missing)
-        values = [v for vs, _ in made for v in vs]
-        levels = [v.top() - 1 if v else -math.inf for v in values]
-        M, shorts = cutoff(M, todo, levels)
-        done.update(zip(todo, values))
-        missed = [i for i, short in enumerate(shorts) if short > 0]
-        todo, levels = [todo[i] for i in missed], [levels[i] for i in missed]
-    return [done[s] for s in ss]
 
 
 @kept

@@ -621,8 +621,8 @@ class _RatioBound:
     def reading(self, n: int = 0):
         """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
         None when the stream declares no bound: a sum reads it from n = 0,
-        and a table cut after entry n reads it from there on
-        (:func:`~qrr.slices.lattice_values`).  Entry i is t_i upwards and
+        and a unilateral table cut after entry n reads it from there on
+        (:func:`~qrr.slices._gaussian_slices`).  Entry i is t_i upwards and
         t_(-1-i) downwards; the ratio from entry i to entry i + 1 is r_i
         upwards and r_(-2-i) downwards."""
         if not self.made:

@@ -290,21 +290,19 @@ def test_kept_values_leave_the_report_unchanged(entry_id, monkeypatch):
 
 def test_st53_sums_each_shifted_entire_value_once(monkeypatch):
     # every n of the check reads A_q(x q^k) off one kept stream per (x,
-    # ctx), made in blocks of k by the lattice kernel: each distinct (q, k)
-    # is made once, where one lattice per n summed 104 values, 66 of them
-    # again.  A block of 12 (q = 0.2) or 13 (q = 0.3) values of l gives
-    # k = 2l and 2l + 1.
+    # ctx), each value one ramanujan_A sum: each distinct (q, k) is summed
+    # once across n = 0, 2 and 4
     made = []
-    real = qpolynomials.lattice_values
+    real = qpolynomials.ramanujan_A
 
-    def spy(streams, alpha, ls, ctx, beta=0):
-        made.extend((str(ctx.q), ctx.extra_bits, 2 * l + beta) for l in ls)
-        return real(streams, alpha, ls, ctx, beta)
+    def spy(z, ctx):
+        made.append((str(ctx.q), ctx.extra_bits, str(z)))
+        return real(z, ctx)
 
-    monkeypatch.setattr(qpolynomials, "lattice_values", spy)
+    monkeypatch.setattr(qpolynomials, "ramanujan_A", spy)
     report = run_check("st-5.3", "numeric", RunSettings())
     assert report.status == "PASS", report.note
-    assert len(made) == len(set(made)) == 50
+    assert len(made) == len(set(made)) == 38
     assert {q for q, _, _ in made} == {"0.2", "0.3"}
 
 

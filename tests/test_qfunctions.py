@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 import pytest
@@ -34,7 +34,7 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
 from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv,
                         _cube_slices, _log2_sum, _pair_slices, _pole_table, _span, _Table,
                         _theta_cutoff, bilateral_cube_slice_sides, bilateral_pair_slice_sides,
-                        gaussian_truncation, lattice_values, ratio_truncation, slice_truncation)
+                        gaussian_truncation, ratio_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
@@ -954,159 +954,89 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
 
 
 # ---------------------------------------------------------------------------
-# lattices of inner sums, as one correlation of two tables, and mirrored
-# self-convolutions
+# st-5.3's values A_q(x q^k), the entries the Gaussian pair sums are charged
+# for, and mirrored self-convolutions
 # ---------------------------------------------------------------------------
 
-# s at the start, near it and far out
-LATTICE_S = (0, 1, 2, 3, 40, 107)
-LATTICE_Y0 = pytest.mark.parametrize("twisted", [False, True], ids=["y0=0.5", "y0=w^2*0.5"])
-LATTICE_PRECISIONS = pytest.mark.parametrize("precision", [20, 50, 100])
 A6, B15 = mp.mpf("0.6"), mp.mpf("0.15")
+X7 = mp.mpf("0.7")
 
 
-def _lattice_y0(ctx, twisted):
-    return (rho_root(ctx) ** 2 if twisted else 1) * mp.mpf("0.5")
+def direct_entire(z, q):
+    """A_q(z) = sum_n (-z)^n q^(n^2) / (q;q)_n at the current precision, the
+    oracle of st-5.3's shifted values: each term its own power and its own
+    mp.qp, summed until one falls 2^-10 ulp below the largest."""
+    total = big = 0
+    for n in count():
+        term = (-z) ** n * q ** (n * n) / mp.qp(q, q, n)
+        total, big = total + term, max(big, abs(term))
+        if n > 2 and abs(term) < mp.eps * big / 1024:
+            return total
 
 
-def _lattice_stream(ctx, y0):
-    """The shared stream u_n = (a;q)_n/(q;q)_n y0^n, a = 0.6, with its
-    declared ratio bound."""
-    return _Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))
+def _assert_entire(got, z0, q, ks, precision):
+    """Each got[k] is A_q(z0 q^k) within 10^-precision of its size, by
+    :func:`direct_entire` at twice the digits."""
+    with mp.workdps(2 * mp.mp.dps):
+        for k in ks:
+            want = direct_entire(z0 * q ** k, q)
+            assert abs(got[k].to_mp() - want) <= mp.mpf(10) ** -precision * abs(want), k
 
 
-def _entire_stream(ctx, x):
-    """st-5.3's shared stream u_m = (-x)^m / (q;q)_m."""
-    qf = ctx.fixed_q
-    return _Shared(_ratio_terms([], [_Q1], qf, -qf.like(x), qf.like(1)))
+def _entire_values(ctx, n):
+    """A_q(x q^k) for k < n, x = 0.7, read off one stream."""
+    values = qpolynomials._shifted_entire_values(X7, ctx)
+    return [values[k] for k in range(n)]
 
 
-def direct_lattice(series, alpha, ss, ctx):
-    """The direct lattice sum, the oracle of slices.lattice_values:
-    q^(alpha s^2) F(q^(2 alpha s)) for each s in ss, each value its own
-    engine sum ``series(h)`` = F at y0 h."""
-    q = ctx.q
-    return [powq(q, alpha * s * s) * series(powq(q, 2 * alpha * s)) for s in ss]
-
-
-def _assert_lattice(got, direct, ss, precision):
-    for s, v, d in zip(ss, got, direct):
-        assert abs(v.to_mp() - d) <= mp.mpf(10) ** -precision * abs(d), s
-
-
-@LATTICE_PRECISIONS
-@LATTICE_Y0
-def test_a_lattice_matches_a_alpha(precision, twisted):
-    ctx = QContext.numeric("0.3", precision=precision)
-    with ctx.workdps():
-        y0 = _lattice_y0(ctx, twisted)
-        got = lattice_values(_lattice_stream(ctx, y0), 1, range(LATTICE_S[-1] + 1), ctx)
-        direct = direct_lattice(lambda h: a_alpha(1, A6, y0 * h, ctx), 1, LATTICE_S, ctx)
-        _assert_lattice([got[s] for s in LATTICE_S], direct, LATTICE_S, precision)
-
-
-# the default point, negative, near-one and complex q, each with a
-# unilateral stream (e = 2 alpha) and the values A_q(x q^k) of st-5.3 (e = 1)
+# the default point, negative, near-one and complex q
 ORACLE_LATTICE_QS = ["0.3", "-0.6", "0.9", "0.2+0.1j"]
 
 
-@pytest.mark.parametrize("kind", ["unilateral", "entire"])
 @pytest.mark.parametrize("precision", [20, 50])
 @pytest.mark.parametrize("q", ORACLE_LATTICE_QS)
-def test_lattice_matches_the_direct_sums(q, precision, kind):
+def test_shifted_entire_values_match_the_direct_sums(q, precision):
     ctx = QContext.numeric(q, precision=precision)
     with ctx.workdps():
-        y0 = _lattice_y0(ctx, True)
-        if kind == "entire":  # st-5.3's A_q(x q^k), k = 2l and 2l + 1
-            x, ks = mp.mpf("0.7"), range(24)
-            shared = qpolynomials._shifted_entire_values(x, ctx)
-            direct = [ramanujan_A(x * ctx.q ** k, ctx) for k in ks]
-            _assert_lattice([shared[k] for k in ks], direct, ks, precision)
-            return
-        ss = range(31)
-        direct = direct_lattice(lambda h: a_alpha(F(1, 2), A6, y0 * h, ctx), F(1, 2), ss, ctx)
-        got = widening(lambda c: lattice_values(_lattice_stream(c, y0), F(1, 2), ss, c), ctx)
-        _assert_lattice(got, direct, ss, precision)
+        _assert_entire(_entire_values(ctx, 24), X7, ctx.q, range(24), precision)
 
 
-def _lattice_pairs(monkeypatch):
-    """Every _Pair that lattice_values builds."""
-    pairs, real = [], slices._Pair
-
-    def pair(*args):
-        pairs.append(real(*args))
-        return pairs[-1]
-
-    monkeypatch.setattr(slices, "_Pair", pair)
-    return pairs
-
-
-@pytest.mark.parametrize("kind", ["unilateral", "entire"])
-@pytest.mark.parametrize("q", ["0.3", "0.9"])
-def test_lattice_windows_hold_every_product_of_the_cutoff(q, kind, monkeypatch):
-    """Each value sums u_(m - s) g_m over every m of its Gaussian table,
-    0 <= m <= M: the u table is not cut short, and every table of one round
-    shares one M, for a ratio stream and st-5.3's."""
-    ctx = QContext.numeric(q, precision=20)
-    pairs = _lattice_pairs(monkeypatch)
+def test_shifted_entire_values_that_cancel_ask_for_more_bits():
+    """At q = 0.99 A_q(x) cancels about 150 bits below its largest term,
+    past the working width at precision 20: the first pass raises
+    PrecisionLossError, naming the bits, and the wider rerun matches the
+    direct sums at 110 digits, which the cancellation leaves over 60."""
+    ctx = QContext.numeric("0.99", precision=20)
+    ks = range(64, 68)
     with ctx.workdps():
-        ss = range(26)
-        stream = (_lattice_stream(ctx, _lattice_y0(ctx, True)) if kind == "unilateral" else
-                  _entire_stream(ctx, mp.mpf("0.7")))
-        lattice_values(stream, 1, ss, ctx)
-    last = {}  # s: the pair that made it last
-    for pair in pairs:
-        assert pair.g.lo == pair.u.lo == 0
-        last.update(dict.fromkeys(pair.windows, pair))
-    for s in ss:
-        assert last[s].windows[s][0] == last[s].g.hi - s, s
+        with pytest.raises(PrecisionLossError) as lost:
+            qpolynomials._shifted_entire_values(X7, ctx)[0]
+        assert lost.value.bits > 80
+        got = widening(lambda c: _entire_values(c, ks[-1] + 1), ctx)
+    with mp.workdps(55):  # the oracle at 110 digits
+        _assert_entire(got, X7, ctx.q, ks, 20)
 
 
-@pytest.mark.parametrize("q", ["0.3", "0.9"])
-def test_a_lattice_table_cut_one_entry_short_is_caught_by_the_bound(q, monkeypatch):
-    """The least cutoff M whose bound holds builds its tables once; one entry
-    shorter, the check misses the bound, before the dot products or after
-    them, and grows the tables to M or past."""
-    ctx = QContext.numeric(q, precision=20)
-    pairs = _lattice_pairs(monkeypatch)
-    ss = range(21)
+def test_shifted_entire_values_rerun_reads_wider_values(monkeypatch):
+    """A PrecisionLossError at k = 3 ends the kept stream of the first pass;
+    the rerun reads a stream of its own, every value made again at the wider
+    width, not the kept narrow values 0..2."""
+    made, real = [], qpolynomials.ramanujan_A
 
-    def cutoffs(M):
-        # the lattice starts at M = gaussian_truncation + the largest s
-        pairs.clear()
-        monkeypatch.setattr(slices, "gaussian_truncation", lambda alpha, ctx: M - ss[-1])
-        with ctx.workdps():
-            lattice_values(_lattice_stream(ctx, _lattice_y0(ctx, True)), 1, ss, ctx)
-        return sorted({pair.g.hi for pair in pairs})
+    def short_once(z, ctx):
+        made.append(ctx.fixed_bits)
+        if len(made) == 4:
+            raise PrecisionLossError("forced", 20)
+        return real(z, ctx)
 
-    low, high = ss[-1], max(cutoffs(ss[-1] + 2))  # the cutoff bound holds at high
-    assert cutoffs(low) != [low]
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (low, mid) if cutoffs(mid) == [mid] else (mid, high)
-    assert cutoffs(high) == [high]
-    assert max(cutoffs(high - 1)) >= high
-
-
-def test_lattice_sum_is_charged_at_its_stream_index(monkeypatch):
-    """Each value's check is charged 2^(rounding_bits(N) - wp) times the L
-    products' bound 2^big, N the tables' largest index (the stream index of
-    u, m of the Gaussian): a charge that the floor bound does not lower."""
-    charges, real = [], slices._floored
-
-    def spy(t, evaluate, ctx, weight=0.0, charge=-math.inf):
-        if isinstance(t, slices._Pair):
-            _, n, big, _ = t.windows[t.s]
-            assert charge == rounding_bits(t.N) - t.wp + n + big
-            assert t.N >= max(4, t.g.hi, t.u.hi)
-            charges.append(charge)
-        return real(t, evaluate, ctx, weight, charge)
-
-    monkeypatch.setattr(slices, "_floored", spy)
+    monkeypatch.setattr(qpolynomials, "ramanujan_A", short_once)
+    wide = CTX.fixed_bits + 20 + RERUN_MARGIN_BITS
+    with keeping_values():
+        got = widening(lambda c: _entire_values(c, 4), CTX)
+    assert made == [CTX.fixed_bits] * 4 + [wide] * 4
+    assert {v.wp for v in got} == {wide}
     with CTX.workdps():
-        ss = range(41)
-        lattice_values(_lattice_stream(CTX, mp.mpf("0.5")), 1, ss, CTX)
-    assert len(charges) == len(ss) and -math.inf < min(charges)
+        _assert_entire(got, X7, CTX.q, range(4), 50)
 
 
 def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
@@ -1133,57 +1063,21 @@ def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
     assert len(made) == 4 and passed == made and all(-math.inf < c < 0 for c in made)
 
 
-def test_a_lattice_that_cancels_past_its_charge_asks_for_more_bits():
-    """At q = 0.99 st-5.3's values q^(s^2) A_q(x q^(2s)) cancel about 100
-    bits below their largest products, past what the entries' roundings
-    leave at the working width: the first pass raises PrecisionLossError,
-    naming the bits, and the wider rerun matches the direct sums."""
-    ctx = QContext.numeric("0.99", precision=20)
-    x, ss = mp.mpf("0.7"), range(32, 36)
-    with ctx.workdps():
-        with pytest.raises(PrecisionLossError) as lost:
-            lattice_values(_entire_stream(ctx, x), 1, ss, ctx)
-        assert lost.value.bits > 80
-        got = widening(lambda c: lattice_values(_entire_stream(c, x), 1, ss, c), ctx)
-    # the direct sums at 60 digits
-    deep = QContext.numeric("0.99", precision=60)
-    with deep.workdps():
-        direct = direct_lattice(lambda h: widening(lambda c: ramanujan_A(x * h, c), deep), 1,
-                                ss, deep)
-        _assert_lattice(got, direct, ss, 20)
-
-
-# The tables of a lattice: u_n = p_n y0^n from the coefficient stream and
-# the Gaussian g_m = q^(alpha m^2), each entry at index m within the R (m + 1)^2
-# roundings that its values' charge assumes.
+# A unilateral table u_n = (a;q)_n/(q;q)_n y0^n read off its ratio stream,
+# as the Gaussian sums of ms-7 and ms-8 read theirs, and the Gaussian weights
+# g_m = q^(alpha m^2): each entry at index m within the R (m + 1)^2 roundings
+# that the charge of a Gaussian pair sum (slices._pair_charge) assumes.
 
 TABLE_QS = ["0.3", "-0.6", "0.99", "0.2+0.1j"]
 TABLE_K = 40
 
 
-def _lattice_tables(ctx, alpha, y0=mp.mpf("0.5")):
-    """{n: u_n} and {m: g_m} for 0 <= n, m <= TABLE_K, as lattice_values
-    reads them."""
-    up = _lattice_stream(ctx, y0)
+def _stream_tables(ctx, alpha, y0=mp.mpf("0.5")):
+    """{n: u_n} and {m: g_m} for 0 <= n, m <= TABLE_K, a = 0.6."""
+    up = _Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))
     one = ctx.fixed_q.like(1)
     return ({n: up[n] for n in range(TABLE_K + 1)},
             dict(enumerate(islice(qfunctions._gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1))))
-
-
-@pytest.mark.parametrize("q", TABLE_QS)
-def test_lattice_tables_do_not_depend_on_the_read_order(q):
-    # the same values whether the shared stream is fresh, was read far past
-    # the tables by another reader, or was read by an earlier lattice
-    ctx = QContext.numeric(q, precision=50)
-    ss = range(TABLE_K + 1)
-    with ctx.workdps():
-        y0 = _lattice_y0(ctx, True)
-        fresh = lattice_values(_lattice_stream(ctx, y0), 1, ss, ctx)
-        stream = _lattice_stream(ctx, y0)
-        stream[3 * TABLE_K]
-        ahead = lattice_values(stream, 1, ss, ctx)
-        again = lattice_values(stream, 1, ss, ctx)
-    assert [_bits(v) for v in fresh] == [_bits(v) for v in ahead] == [_bits(v) for v in again]
 
 
 def _table_misses(u, g, ctx, alpha, y0=mp.mpf("0.5")):
@@ -1209,56 +1103,12 @@ def test_lattice_tables_lie_within_their_roundings(q):
     ctx = QContext.numeric(q, precision=50)
     for alpha in (1, F(1, 3)):
         with ctx.workdps():
-            u, g = _lattice_tables(ctx, alpha)
+            u, g = _stream_tables(ctx, alpha)
             assert not _table_misses(u, g, ctx, alpha)
             # a Gaussian offset by one, q^(alpha (m + 1)^2), misses at every m
             offset = qfunctions._gaussian(ctx.fixed_q, alpha, ctx.fixed_q.like(1), 1)
             off = dict(enumerate(islice(offset, TABLE_K + 1)))
             assert _table_misses({}, off, ctx, alpha) == [("g", m) for m in range(TABLE_K + 1)]
-
-
-def test_lattice_pole_reaches_every_reader():
-    # (b;q)_4 vanishes at b = q^-3: the shared stream of (a;q)_n/(b;q)_n y0^n
-    # ends in a PoleError, which a second reader must see too, not a
-    # finished generator
-    with CTX.workdps():
-        with pytest.raises(PoleError):
-            b_alpha(1, A6, QPow(1, -3), mp.mpf("0.5"), CTX)
-        up, _ = _ratio_streams(QPow(A6, 0), QPow(1, -3), 0, mp.mpf("0.5"))(CTX.fixed_q)
-        stream = _Shared(up)
-        for ss in (range(6), range(1), range(6)):
-            with pytest.raises(PoleError):
-                lattice_values(stream, 1, ss, CTX)
-
-
-def test_lattice_rerun_rebuilds_its_tables_wider(monkeypatch):
-    forced, pairs = [], []
-    real_values, real_pair = slices._Pair.values, slices._Pair
-
-    def short_once(pair, ss, ctx):
-        if not forced:
-            forced.append(1)
-            raise PrecisionLossError("forced", 20)
-        return real_values(pair, ss, ctx)
-
-    def pair(*args):
-        pairs.append(real_pair(*args))
-        return pairs[-1]
-
-    def evaluate(ctx):
-        pairs.clear()
-        return lattice_values(_lattice_stream(ctx, _lattice_y0(ctx, True)), 1, range(4), ctx)[3]
-
-    monkeypatch.setattr(slices._Pair, "values", short_once)
-    monkeypatch.setattr(slices, "_Pair", pair)
-    wide = CTX.fixed_bits + 20 + RERUN_MARGIN_BITS
-    got = widening(evaluate, CTX)
-    # the rerun builds new tables, every entry of both at the wider width
-    assert pairs and all({v.wp for v in p.u.values + p.g.values} == {wide} for p in pairs)
-    assert got.wp == wide
-    with CTX.workdps():
-        direct = a_alpha(1, A6, _lattice_y0(CTX, True) * powq(CTX.q, 6), CTX)
-        assert abs(got.to_mp() / (powq(CTX.q, 9) * direct) - 1) <= mp.mpf(10) ** -50
 
 
 def _random_table(rnd, lo, size, wp, complex_values):
@@ -1608,7 +1458,7 @@ def _bound_cases():
         "psi_1_1-z=-0.9": lambda ctx: psi_1_1(a, b, mp.mpf("-0.9"), ctx),
         "bessel_series-kind1": lambda ctx: qbessel._bessel_series(F(1, 2), 0, -x - x / 2,
                                                                   ctx),
-        # the direct sums of a lattice (direct_lattice) at its far points
+        # the series at far points of a q-geometric lattice x q^(2 s)
         "lattice-unilateral-s=30": lambda ctx: a_alpha(1, a, z * ctx.q ** 60, ctx),
         # the theta pole sums, in the base q^step: a pair and a triple shape
         "pole_series-pair": lambda ctx: qfunctions._pole_series(
@@ -1696,21 +1546,12 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
 def _recorded_checks(monkeypatch, sides):
     """(t, evaluate, weight, ctx, E, value, charge) of every _floored check
     that ``sides()`` makes, with the table's exponent and the value it
-    returned; a lattice pair (slices._Pair) is left at the window of that
-    value (``t.s``) and its exponent when it is read."""
+    returned."""
     checks, real = [], slices._floored
 
     def spy(t, evaluate, ctx, weight=0.0, charge=-math.inf):
         value = real(t, evaluate, ctx, weight, charge)
-        s = getattr(t, "s", None)
-
-        def at(E, t=t, s=s):
-            if s is not None:
-                t.s = s
-                t.floor(E)
-            return t
-
-        checks.append((at, evaluate, weight, ctx, t.E, value, charge))
+        checks.append((t, evaluate, weight, ctx, t.E, value, charge))
         return value
 
     monkeypatch.setattr(slices, "_floored", spy)
@@ -1751,8 +1592,7 @@ def test_an_exponent_one_wp_too_high_is_caught_by_the_bound(kind, monkeypatch):
     with ctx.workdps():
         checks = _recorded_checks(monkeypatch, lambda: FLOOR_SIDES[kind](ctx))
         assert checks
-        for at, evaluate, weight, c, E, value, charge in checks:
-            t = at(E)
+        for t, evaluate, weight, c, E, value, charge in checks:
             assert t.E == E and _lost(t, value, weight) <= -t.need
             t.floor(E + t.wp)
             assert _lost(t, evaluate(t), weight) > -t.need, kind
