@@ -5,8 +5,8 @@ target digits plus a fixed guard allowance; its series, infinite products and
 slice sums run in binary fixed point (:mod:`qrr.fixedpoint`) at
 :attr:`QContext.fixed_bits` and give up after ``MAX_TERMS`` terms or factors.
 A sum that cancels raises PrecisionLossError; :func:`widening` evaluates the
-whole computation again wider (:meth:`QContext.wider`).  Exact work runs on
-``fractions.Fraction`` (or on the truncated series ring in
+whole computation again wider and deeper (:meth:`QContext.wider`).  Exact
+work runs on ``fractions.Fraction`` (or on the truncated series ring in
 :mod:`qrr.formal`).  All functions are pure for a fixed context, so values
 may be shared freely.  They are shared in one place: within a
 :func:`keeping_values` block, which the check driver opens for each check, a
@@ -78,13 +78,12 @@ class QContext:
         return cls(base_exponent=base_exponent, order=order)
 
     def wider(self, bits: int) -> "QContext":
-        """``bits`` more fixed-point bits and working digits; the precision stays."""
+        """``bits`` more fixed-point bits and working digits, every stop level ``bits`` lower."""
         return replace(self, extra_bits=self.extra_bits + bits)
 
-    def at(self, q, precision: int | None = None) -> "QContext":
-        """A numeric context at base ``q`` (and ``precision``) as wide as this one."""
-        ctx = QContext.numeric(q, precision or self.precision)
-        return replace(ctx, extra_bits=self.extra_bits)
+    def at(self, q) -> "QContext":
+        """A numeric context at base ``q`` as wide and as deep as this one."""
+        return replace(QContext.numeric(q, self.precision), extra_bits=self.extra_bits)
 
     @property
     def working_dps(self) -> int:
@@ -111,27 +110,27 @@ class QContext:
         numeric series reads it."""
         return self.fixed(self.q)
 
-    # The tolerances below are made once per context, at the working digits
-    # of its precision alone (a wider context keeps them): every sum reads them.
+    # The tolerances below are made once per context: every sum reads them.
+    # The stop levels lie extra_bits below the first pass's; the target stays.
 
     @cached_property
     def stop_tol(self):
-        """Terms below this magnitude count as negligible for stopping."""
+        """Terms below 10^-(precision + 10) 2^-extra_bits are negligible for stopping."""
         with mp.workdps(self.precision + GUARD_DIGITS):
-            return mp.mpf(10) ** (-(self.precision + 10))
+            return mp.ldexp(mp.mpf(10) ** (-(self.precision + 10)), -self.extra_bits)
 
     @cached_property
     def stop_log2(self) -> float:
         """Float log2 of :attr:`stop_tol`, the per-term stop test's bound."""
-        return -(self.precision + 10) * LOG2_10
+        return -(self.precision + 10) * LOG2_10 - self.extra_bits
 
     @cached_property
     def tail_log2(self) -> float:
-        """Float log2 of 10^-(precision + GUARD_DIGITS), one unit of the
-        working digits: a sum that declares its ratio bound stops once its
-        tail bound lies below this, or below the last kept bit of its
-        running sum (:func:`~qrr.summation.sum_series`)."""
-        return -(self.precision + GUARD_DIGITS) * LOG2_10
+        """Float log2 of 10^-(precision + GUARD_DIGITS) 2^-extra_bits, one
+        unit of the working digits: a sum that declares its ratio bound stops
+        once its tail bound lies below this, or below the last kept bit of
+        its running sum (:func:`~qrr.summation.sum_series`)."""
+        return -(self.precision + GUARD_DIGITS) * LOG2_10 - self.extra_bits
 
     @cached_property
     def target_tol(self):
@@ -148,14 +147,16 @@ class QContext:
 
 def widening(evaluate, ctx: QContext):
     """``evaluate(ctx)`` in its working precision, evaluated again whole at
-    ``ctx.wider(bits + RERUN_MARGIN_BITS)`` while a sum in it lacks ``bits``;
-    beyond MAX_WIDENING times the first width, PrecisionLossError with bits 0."""
+    ``ctx.wider(bits + RERUN_MARGIN_BITS)``, as much deeper, while a sum in it
+    lacks ``bits``; beyond MAX_WIDENING times the first width plus the most
+    bits a sum cancels a priori, PrecisionLossError with bits 0."""
     wide, widest = ctx, MAX_WIDENING * ctx.fixed_bits
     while True:
         try:
             with wide.workdps():
                 return evaluate(wide)
         except PrecisionLossError as exc:
+            widest = max(widest, MAX_WIDENING * ctx.fixed_bits + exc.cancels)
             if not exc.bits or wide.fixed_bits + exc.bits > widest:
                 raise PrecisionLossError(f"{exc} (beyond {widest} bits)", 0) from exc
             wide = wide.wider(exc.bits + RERUN_MARGIN_BITS)

@@ -70,9 +70,9 @@ class EmptyDomainError(QrrError):
 class PrecisionLossError(QrrError):
     """A fixed-point sum cancelled below the requested precision.
 
-    ``bits`` is how many more working bits the sum needs to meet it.
+    ``bits``: the working bits the sum lacks; ``cancels``: those it cancels a priori.
     """
 
-    def __init__(self, message: str, bits: int):
+    def __init__(self, message: str, bits: int, cancels: int = 0):
         super().__init__(message)
-        self.bits = bits
+        self.bits, self.cancels = bits, cancels

@@ -69,14 +69,11 @@ def _gap_product(which, ctx):
 
 
 def _mform(ctx, m):
-    """The right side runs at ``qp.m_shift_context``: a_m P1 - b_m P2 cancels."""
-    lhs = qf.u_m_bilateral(QPow(1, 0), m, ctx)
-    wide = qp.m_shift_context(m, ctx)
-    with wide.workdps():
-        qv = wide.q
-        return lhs, ((-1) ** m * qv ** F(-m * (m - 1), 2)
-                     * (qp.schur_a(m)(qv) * _gap_product(1, wide)
-                        - qp.schur_b(m)(qv) * _gap_product(2, wide)))
+    """a_m P1 - b_m P2 is checked as c_m u_0 - d_m u_1 is in ``um-mform``."""
+    qv = ctx.q
+    return qf.u_m_bilateral(QPow(1, 0), m, ctx), qp.m_shifted(
+        [qp.schur_a(m)(qv) * _gap_product(1, ctx), -qp.schur_b(m)(qv) * _gap_product(2, ctx)],
+        m, ctx)
 
 
 def _schur_cd(m):

@@ -23,6 +23,7 @@ which names that factor.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -121,12 +122,13 @@ def infinite_product(nums, dens, q, ctx: QContext):
     Two stages.  **Walk:** each factor c walks its factors 1 - c q^k in fixed
     point at ``ctx.fixed_bits`` while |c q^k| > 2^-b, b = sqrt(B log2(1/|q|))
     with B = -``ctx.tail_log2`` (clamped to [1, B]; about 19 at q = 0.3 and
-    precision 50), and always up to the factor whose joint exponent is 0,
-    which is 1 - c exactly.  Denominators walk first: a vanishing one is a
-    PoleError naming it, and a vanishing numerator factor then makes the
-    product 0.  **Log series:** every factor left, from x = c q^N on, is one
-    (x;q)_inf, and log (x;q)_inf = -sum_k x^k / (k (1 - q^k)) (Gasper and
-    Rahman, ch. 1), so all of them are one series
+    precision 50; a wider rerun raises B by its added bits), and always up to
+    the factor whose joint exponent is 0, which is 1 - c exactly.  Denominators
+    walk first: a vanishing one is a PoleError naming it, and a vanishing
+    numerator factor then makes the product 0.  **Log series:** every factor
+    left, from x = c q^N on, is one (x;q)_inf, and
+    log (x;q)_inf = -sum_k x^k / (k (1 - q^k)) (Gasper and Rahman, ch. 1),
+    so all of them are one series
     L = sum_k (sum_den y^k - sum_num x^k) / (k (1 - q^k)) with the divisor
     made once per k.  Each |x| is at most min(|c q^0|, 2^-b), and the series
     stops at the first K at which its remainder,
@@ -138,9 +140,8 @@ def infinite_product(nums, dens, q, ctx: QContext):
     takes 115.
 
     NonConvergenceError: that bound not below 10^-precision, or a factor past
-    the budget: the factors a walk to the stop tolerance would take, the
-    first k with |c q^k| below it, counted from log |c| and log |q|, may not
-    reach ``MAX_TERMS``.
+    the budget: a walk to the first pass's stop tolerance may not take
+    ``MAX_TERMS`` factors, counted from log |c| and log |q| (:func:`_budget`).
     """
     with ctx.workdps():
         qv = to_mp(q)
@@ -156,6 +157,7 @@ def infinite_product(nums, dens, q, ctx: QContext):
         # each factor's x = c q^N once walked: (re, im, sign) at 2^-wp, and
         # the float log2 of a bound on |x|
         products, xs, x_log2 = [], [], []
+        first = replace(ctx, extra_bits=0)  # the first pass's context, for _budget
         for is_den, group in ((True, dens), (False, nums)):
             vr, vi, ve = 1, 0, 0
             for a in map(_as_qpow, group):
@@ -163,7 +165,7 @@ def infinite_product(nums, dens, q, ctx: QContext):
                 complex_value = complex_value or power.im is not None
                 pr, pi, pe = parts(power)
                 top = _log2_abs(pr, pi, pe)   # log2 |a q^0|
-                _budget(a, top, lam, qv, ctx)
+                _budget(a, top, lam, qv, first)
                 k0 = -a.exponent  # the step whose joint exponent is 0, as an int or None
                 zero_at = int(k0) if k0 >= 0 and k0 == int(k0) else None
                 steps = int((top + b) / lam) + 1 if top > -b else 0
@@ -201,17 +203,17 @@ def _log2_abs(re, im, e) -> float:
     return 0.5 * math.log2(re * re + im * im) + e if re or im else -math.inf
 
 
-def _budget(a: QPow, top, lam, qv, ctx: QContext):
-    """NonConvergenceError when the walk of ``a`` to the stop tolerance, the
-    first k with |a q^k| below it, would take ``MAX_TERMS`` factors or more.
-    The float count ``top``/``lam`` decides far from the budget; near it the
-    count is made in mp, at the working precision."""
-    if top - ctx.stop_log2 < (MAX_TERMS - 2) * lam:
+def _budget(a: QPow, top, lam, qv, first: QContext):
+    """NonConvergenceError when the walk of ``a`` to the stop tolerance of
+    ``first``, the first pass's context (so that a rerun walks every product
+    its first pass walked), would take ``MAX_TERMS`` factors or more.  The
+    float count ``top``/``lam`` decides far from it, an mp count near it."""
+    if top - first.stop_log2 < (MAX_TERMS - 2) * lam:
         return
     absq = abs(qv)
     mag0 = abs(to_mp(a.coeff)) * powq(absq, a.exponent)  # |a q^0|
-    last = (0 if mag0 < ctx.stop_tol else
-            int(mp.floor(mp.log(mag0 / ctx.stop_tol) / -mp.log(absq))) + 1)
+    last = (0 if mag0 < first.stop_tol else
+            int(mp.floor(mp.log(mag0 / first.stop_tol) / -mp.log(absq))) + 1)
     if last >= MAX_TERMS:
         raise NonConvergenceError(
             f"(a;q)_inf needs {last + 1} factors, over the budget of {MAX_TERMS}")

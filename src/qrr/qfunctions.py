@@ -532,14 +532,13 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         # term s: C_s q^{alpha s^2} t^s A(w^2 t q^{2 alpha s}), C_s = sum_{j+k=s} r_j w^k r_k:
         # by m = j + k + n, the cube slices of r_j = (a;q)_j/(q;q)_j
-        one, w = ctx.fixed_q.like(1), ctx.fixed(rho_root(ctx))
+        one = ctx.fixed_q.like(1)
         r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
 
         def table(K):
             return _Table(0, map(r.__getitem__, range(K + 1)), 3, ctx)
 
-        return lhs, _gaussian_slices(table, lambda t, ns: _cube_slices(t, ns, w), alpha, tv,
-                                     None, ctx, stream=r)
+        return lhs, _gaussian_slices(table, _cube_slices, alpha, tv, None, ctx, stream=r)
 
 
 def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
@@ -594,11 +593,11 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # term s: C_s q^{alpha s^2} x^s B(twist x q^{2 alpha s}), C_s = sum_{j+k=s}
         # r_j w^k r_k: by m = j + k + n, the cube slices of r_j = (a;q)_j/(b;q)_j,
         # r_n weighted w^(2n) by the twist w^2 and 1 without it
-        aq, bq, w = _as_qpow(a), _as_qpow(b), ctx.fixed(rho_root(ctx))
+        aq, bq = _as_qpow(a), _as_qpow(b)
+        w = None if corrected else ctx.fixed(rho_root(ctx))
         K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
         rhs = _gaussian_slices(lambda K: _bilateral_ratio_array(aq, bq, K, 3, ctx),
-                               lambda t, ns: _cube_slices(t, ns, w, 2 if corrected else 0),
-                               alpha, xv, K, ctx, bv / av)
+                               lambda t, ns: _cube_slices(t, ns, w), alpha, xv, K, ctx, bv / av)
         return lhs, pref * rhs
 
 
@@ -708,9 +707,8 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         single = _pole_series(a3, 3, 9, xv ** 3, ctx)
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
-        w = ctx.fixed(rho_root(ctx))
-        triple = _gaussian_slices(lambda K: _pole_table(aq, K, 3, ctx),
-                                  lambda t, ns: _cube_slices(t, ns, w), 1, xv, K, ctx, q)
+        triple = _gaussian_slices(lambda K: _pole_table(aq, K, 3, ctx), _cube_slices, 1, xv, K,
+                                  ctx, q)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

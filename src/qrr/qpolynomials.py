@@ -233,12 +233,28 @@ def _divide_inplace(coeffs, i: int, deg: int):
         coeffs[k] = coeffs[k] + coeffs[k - 1].shift(1, i)
 
 
-def m_shift_context(m: int, ctx: QContext) -> QContext:
-    """``ctx`` with the ceil(m(m-1)/2 log10(1/|q|)) more digits that the m-shifted
-    right sides, q^{-m(m-1)/2} times a cancelling difference, lose."""
-    with ctx.workdps():
-        extra = int(mp.ceil(m * (m - 1) / 2 * -mp.log10(abs(ctx.q))))
-    return ctx.at(ctx.q, ctx.precision + extra)
+def checked_sum(terms, spare, cancels=0):
+    """The mp sum of the finite list ``terms``, which may cancel ``spare`` bits
+    below sum |t_k|.  Where it cancels more, by at least ``cancels`` (cancelled
+    to its terms' rounding, it shows no more than their width), the error
+    names the bits missing, for a rerun (:func:`~qrr.context.widening`)."""
+    total = sum(terms)
+    lost = mp.log(mp.fsum(map(abs, terms)) / abs(total), 2) if total else mp.mp.prec
+    lost = max(lost, cancels) if lost > spare else lost
+    missing = int(mp.ceil(lost - spare))
+    if missing > 0:
+        raise PrecisionLossError(f"finite sum cancelled {float(lost):.0f} bits below its "
+                                 f"terms; {missing} more working bits needed", missing, cancels)
+    return total
+
+
+def m_shifted(terms, m: int, ctx: QContext):
+    """(-1)^m q^(-m(m-1)/2) times the m-shifted difference (a_m P1 - b_m P2 or
+    c_m u_0 - d_m u_1, the sum of ``terms``), which may lose 3 digits beyond
+    the bits its context added; at a = 1 it cancels m(m-1)/2 log2(1/|q|) bits."""
+    cancels = int(mp.ceil(m * (m - 1) / 2 * -mp.log(abs(ctx.q), 2)))
+    diff = checked_sum(terms, ctx.extra_bits + bits_for_digits(3), cancels)
+    return (-1) ** m * powq(ctx.q, Fraction(-m * (m - 1), 2)) * diff
 
 
 def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
@@ -247,19 +263,13 @@ def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
     ``sign`` is the coefficient of the d-term: -1 is the reading forced by
     the recurrence seeds (and by the a = 1 specialization); +1 is the
     as-printed reading, kept available for the discrepancy record.  The
-    resolution runs at :func:`m_shift_context`.
+    difference c_m u_0 - d_m u_1 is checked (:func:`m_shifted`).
     """
-    lhs = u_m_bilateral(a, m, ctx)
-    wide = m_shift_context(m, ctx)
-    with wide.workdps():
-        q = wide.q
-        av = _value(a, q)
-        u0 = u_m_bilateral(a, 0, wide)
-        u1 = u_m_bilateral(a, 1, wide)
-        cm = c_poly(m).eval(av, q)
-        dm = d_poly(m).eval(av, q)
-        rhs = (-1) ** m * powq(q, Fraction(-m * (m - 1), 2)) * (cm * u0 + sign * dm * u1)
-        return lhs, rhs
+    with ctx.workdps():
+        q, av = ctx.q, _value(a, ctx.q)
+        return u_m_bilateral(a, m, ctx), m_shifted(
+            [c_poly(m).eval(av, q) * u_m_bilateral(a, 0, ctx),
+             sign * d_poly(m).eval(av, q) * u_m_bilateral(a, 1, ctx)], m, ctx)
 
 
 def mform_diff_formal(m: int, ctx: QContext) -> FormalSeries:
@@ -519,24 +529,18 @@ def st_5_4_sides(n: int, a, b, q, ctx: QContext | None = None):
 
     Term k carries (-q^(1-n))^k q^binom(k,2), about |q|^(-n^2/2) at its peak,
     so for small |q| the sum cancels far below its terms.  With ``ctx`` the mp
-    sum is checked: summed at mp.prec bits, its N terms each at most
-    R (k + 1)^2 roundings from exact, it errs by under
-    2^(rounding_bits(N) - prec) sum |t_k|; where that misses ``ctx.precision``
-    digits of the sum, PrecisionLossError names the bits missing, for a wider
-    rerun (:func:`~qrr.context.widening`)."""
+    sum is checked (:func:`checked_sum`): summed at mp.prec bits, its N terms
+    each at most R (k + 1)^2 roundings from exact, it errs by under
+    2^(rounding_bits(N) - prec) sum |t_k|, and must keep ``ctx.precision``
+    digits."""
     lhs = stieltjes_wigert(n, a * b, q)
     terms = list(map(mul, map(mul, _ratios_up(QPow(1 / b, 0), q),
                               _binomial_powers(-q ** (1 - n), q)),
                      map(stieltjes_wigert, range(n, -1, -1), _geometric(a, q), repeat(q))))
-    total = sum(terms, 0 * _one_like(q))
-    if ctx is not None:
-        lost = mp.log(mp.fsum(map(abs, terms)) / abs(total), 2) if total else mp.mp.prec
-        missing = int(mp.ceil(bits_for_digits(ctx.precision) + rounding_bits(len(terms)) + lost
-                              - mp.mp.prec))
-        if missing > 0:
-            raise PrecisionLossError(f"finite sum cancelled {float(lost):.0f} bits below its "
-                                     f"terms; {missing} more working bits needed", missing)
-    return lhs, b ** n * total
+    if ctx is None:
+        return lhs, b ** n * sum(terms)
+    spare = mp.mp.prec - bits_for_digits(ctx.precision) - rounding_bits(len(terms))
+    return lhs, b ** n * checked_sum(terms, spare)
 
 
 def st_5_5_sides(n: int, a, ctx: QContext):

@@ -90,8 +90,8 @@ class _Table:
     ((A + u L)^k - A^k) / L <= k u (A + u L)^(k-1): k u A^(k-1) plus the
     u^2 terms.  :meth:`bound` is its log2, with A bounded by the entries'
     tops.  E is set a priori so that this bound is CANCELLATION_BITS below
-    one unit of the working digits of A^k (``ctx.tail_log2``, lowered by
-    ``ctx.extra_bits``), and never below the entries' own last bit, min e_j,
+    one unit of the working digits of A^k (``ctx.tail_log2``, which a
+    wider rerun lowers), and never below the entries' own last bit, min e_j,
     where no entry is floored: there the bound reads as that last bit.  A
     slice sum checks the bound against its value (:func:`_floored`), which
     may floor the table again, finer, from the entries it keeps.
@@ -101,7 +101,7 @@ class _Table:
         self.values = values = list(values)
         self.lo, self.hi, self.wp, self.k = lo, lo + len(values) - 1, values[0].wp, k
         self.last = min((v.e for v in values if v), default=None)
-        self.need = ctx.extra_bits - ctx.tail_log2
+        self.need = -ctx.tail_log2
         if self.last is None:  # every entry is zero
             self.last, self.log2_sum, E = 0, -math.inf, 0
         else:
@@ -264,41 +264,39 @@ def _pair_charge(t: _Table, ns, weights) -> float:
     return rounding_bits(max(8, -t.lo, t.hi)) - t.wp + _log2_sum(terms)
 
 
-def _cube_slices(t: _Table, ns, w: Fixed, twist: int = 2) -> list:
-    """sum over j + k + l = n of t_j w^k t_k w^(twist l) t_l, every index
-    inside the table, for each n in the sequence ``ns``, as x + y w rounded
-    once; ``twist`` is 2, or 0 for the literal reading of ``ms-12``.
-
-    With P_s the exact sum of the t_j t_k t_l with k + twist l = s (mod 3),
-    the slice is x + y w, x = P_0 - P_2, y = P_1 - P_2 (w^2 = -1 - w): the
-    Q(w) coordinates of :func:`cube_convolution_sides`.  From the classes
-    c_i(m) of :func:`_class_sums` (k = i mod 3), P_s = sum_l c_(s - twist
-    l)(n - l) t_l, so x and y take one dot product each per residue of l.
-    At twist 2, cycling (j, k, l) maps the class s to s + n, so for 3 not
-    dividing n the P_s agree and the slice is an exact zero.
-    """
+def _cube_slices(t: _Table, ns, w: Fixed | None = None) -> list:
+    """sum over j + k + l = n of t_j w^k t_k w^(2l) t_l, every index inside
+    the table, for each n in ``ns``, rounded once: the coefficients of
+    T(z) W(z), T(z) = sum t_j z^j and W(z) = T(wz) T(w^2 z).  With c_i(m)
+    the classes of :func:`_class_sums` (k = i mod 3), W_m = sum_i c_i(m)
+    w^(2m - i) = c_f(m) - c_(f+1)(m), f = 2m mod 3 the class the mirror
+    fixes (it swaps f + 1 and f + 2, and w + w^2 = -1): one exact dot product
+    per slice.  T(z) W(z) is a series in z^3, so a slice with 3 not dividing
+    n is an exact zero.  With ``w`` given, the literal reading of ``ms-12``
+    without the twist w^(2l), T(z) T(wz) has X_m + Y_m w, X = c_0 - c_2 and
+    Y = c_1 - c_2 (w^2 = -1 - w), and the slice is x + y w, x = sum_l t_l
+    X_(n - l), y likewise: the Q(w) coordinates of
+    :func:`cube_convolution_sides`."""
     lo, hi = min(ns) - t.hi, max(ns) - t.lo  # the m = n - l that ns reaches
-    d = [([], []) for _ in range(3)]  # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo
+    # c_i(m) - c_(i+1)(m) for m = hi, hi - 1, ..., lo: W (i = f), or -X (i = 2) and Y (i = 1)
+    cols = [([], []) for _ in range(1 if w is None else 2)]
     for m in range(hi, lo - 1, -1):
         c = _class_sums(t, m, 3)
-        for i, (dr, di) in enumerate(d):
-            dr.append(c[i][0] - c[(i + 1) % 3][0])
-            di.append(c[i][1] - c[(i + 1) % 3][1])
-    d = [(dr, t.im and di) for dr, di in d]
-    # per residue of l: its first l, its t_l, and the differences for x and y
-    rows = [(l0, _at((t.re, t.im), slice(l0 - t.lo, None, 3)),
-             d[(2 - twist * l0) % 3], d[(1 - twist * l0) % 3]) for l0 in range(t.lo, t.lo + 3)]
+        for (re, im), i in zip(cols, (2 * m % 3,) if w is None else (2, 1)):
+            re.append(c[i][0] - c[(i + 1) % 3][0])
+            im.append(c[i][1] - c[(i + 1) % 3][1])
+    cols = [(re, t.im and im) for re, im in cols]
+
+    def dot(col, n):  # sum over l of t_l times the entry at m = n - l
+        return _dots(_at(col, slice(hi - n + t.lo, hi - n + t.hi + 1)), (t.re, t.im))
+
+    if w is None:
+        return [t.rounded(*dot(cols[0], n), 3 * t.E) for n in ns]
     wr, wi, we = parts(w)  # |w| = 1 at wp bits: we < 0
     out = []
     for n in ns:
-        xr = xi = yr = yi = 0
-        for l0, tl, dx, dy in rows:
-            ds = slice(hi - n + l0, None, 3)
-            re, im = _dots(_at(dx, ds), tl)
-            xr, xi = xr - re, xi - im
-            re, im = _dots(_at(dy, ds), tl)
-            yr, yi = yr + re, yi + im
-        out.append(_complex((xr << -we) + yr * wr - yi * wi, (xi << -we) + yr * wi + yi * wr,
+        (xr, xi), (yr, yi) = dot(cols[0], n), dot(cols[1], n)
+        out.append(_complex((-xr << -we) + yr * wr - yi * wi, (-xi << -we) + yr * wi + yi * wr,
                             3 * t.E + we, t.wp))
     return out
 
@@ -505,10 +503,9 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     with ctx.workdps():
         q = ctx.q
         av, bv, r = _slice_table(n, a, b, 3, ctx)
-        w = ctx.fixed(rho_root(ctx))
         if n % 3 != 0:  # an exact zero (_cube_slices)
-            return _cube_slices(r, [n], w)[0].to_mp(), mp.mpf(0)
-        lhs = _floored(r, lambda t: _cube_slices(t, [n], w)[0], ctx).to_mp()
+            return _cube_slices(r, [n])[0].to_mp(), mp.mpf(0)
+        lhs = _floored(r, lambda t: _cube_slices(t, [n])[0], ctx).to_mp()
         m = n // 3
         q3 = q ** 3
         pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx) ** 3
@@ -519,4 +516,4 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
 
 
 # the ratio-stream kernels the tables read (see the module docstring)
-from .qfunctions import _gaussian, _ratio_streams, _value, rho_root  # noqa: E402
+from .qfunctions import _gaussian, _ratio_streams, _value  # noqa: E402

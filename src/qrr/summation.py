@@ -10,12 +10,11 @@ auditable.
   (:class:`_RatioBound`, carried by a :class:`_Declared` stream): every
   Pochhammer-ratio stream of the series kernels.  Such a sum stops after the
   first term t(K) with rho(K) < 1 and |t(K)| rho(K) / (1 - rho(K)) below one
-  unit of the working digits,
-  10^-(precision + GUARD_DIGITS), or below the running sum's last kept bit,
-  and reports that bound as its tail bound: the tail after t(K) is a
-  geometric series term by term below it (Johansson, "Computing
-  hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  It reads
-  no stop run and makes no observed certificate.
+  unit of the working digits, 10^-(precision + GUARD_DIGITS) 2^-extra_bits,
+  or below the running sum's last kept bit, and reports that bound as its
+  tail bound: the tail after t(K) is a geometric series term by term below
+  it (Johansson, "Computing hypergeometric functions rigorously", ACM TOMS
+  45(3), 2019).  It reads no stop run and makes no observed certificate.
 * **Closed geometric remainder.**  A declared stream whose ratio tends to
   a constant s (growth exactly 1, and downwards as many numerator as
   denominator factors) has, from its entry n on, the ratio
@@ -67,14 +66,14 @@ cancellation bits top(peak) - top(sum) come out of the slack.  A sum left
 with fewer than ``ctx.precision`` digits raises
 :class:`~qrr.errors.PrecisionLossError`, which names the bits it lacks;
 :func:`~qrr.context.widening` reruns the whole evaluation around the sum,
-inputs included, that much wider.  A
-bilateral sum is one block: its second tail adds into the running sum of
-the first, the N terms of both are charged as one sum, and the bound is
-checked once, so tails that cancel to exactly zero raise as one tail that
-floors to zero does.  Where the second tail has cancelled the sum below the
-level at which a declared first tail stopped, the first is read on from
-where it stopped, to a level off the sum of both.  The value leaves fixed
-point only as the mpf/mpc ``SumOutcome.value``.
+inputs included, that much wider and its stop levels that much deeper (the
+digits it asks of a sum stay).  A bilateral sum is one block: its second tail
+adds into the running sum of the first, the N terms of both are charged as
+one sum, and the bound is checked once, so tails that cancel to exactly zero
+raise as one tail that floors to zero does.  Where the second tail has
+cancelled the sum below the level at which a declared first tail stopped,
+the first is read on from where it stopped, to a level off the sum of both.
+The value leaves fixed point only as the mpf/mpc ``SumOutcome.value``.
 """
 
 from __future__ import annotations
@@ -145,7 +144,8 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     every later ratio |t(m + 1) / t(m)|, m >= n, and the sum stops after the
     first term t(n) with rho_n < 1 and |t(n)| rho_n / (1 - rho_n) below the
     level L: the larger of one unit of the working digits,
-    2^``ctx.tail_log2`` = 10^-(precision + GUARD_DIGITS), and one unit 2^E
+    2^``ctx.tail_log2`` = 10^-(precision + GUARD_DIGITS) 2^-extra_bits
+    (a wider rerun stops deeper), and one unit 2^E
     of the running block, where a term would floor away.  An exact zero term
     stops it at any finite rho_n, as every later term is zero.  That bound,
     rounded up to a power of two, is the tail bound.  L lies 5 digits below

@@ -49,6 +49,20 @@ def test_tolerances_made_once_at_working_precision():
     assert ctx.stop_log2 == pytest.approx(-60 * math.log2(10), rel=1e-15)
 
 
+@pytest.mark.parametrize("bits", [1, 46, 200])
+def test_a_wider_context_stops_deeper_by_the_added_bits(bits):
+    """wider(b) lowers every stop level by exactly b bits: a rerun sums
+    deeper as well as wider, and asks the same digits of each sum."""
+    ctx = QContext.numeric("0.3", precision=50)
+    wide = ctx.wider(bits)
+    assert wide.tail_log2 == ctx.tail_log2 - bits
+    assert wide.stop_log2 == ctx.stop_log2 - bits
+    assert wide.stop_tol == mp.ldexp(ctx.stop_tol, -bits)
+    assert (wide.precision, wide.target_tol) == (ctx.precision, ctx.target_tol)
+    assert wide.fixed_bits == ctx.fixed_bits + bits
+    assert wide.wider(bits).tail_log2 == ctx.tail_log2 - 2 * bits
+
+
 def test_powq_exact_integer_exponents():
     assert powq(Fraction(2, 3), 3) == Fraction(8, 27)
     assert powq(Fraction(2, 3), -2) == Fraction(9, 4)

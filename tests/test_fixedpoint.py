@@ -92,23 +92,36 @@ def test_rerun_widens_by_the_missing_bits_and_stops_at_four_times():
     ctx = QContext.numeric("0.5", precision=20)
     seen = []
 
-    def evaluate(wide, lacking):
+    def evaluate(wide, lacking, cancels=0):
         seen.append(wide)
         assert mp.mp.dps == wide.working_dps
         if len(seen) == 1:
-            raise PrecisionLossError("short", lacking)
+            raise PrecisionLossError("short", lacking, cancels)
         return wide.fixed_bits
 
     assert widening(lambda wide: evaluate(wide, 30), ctx) == ctx.fixed_bits + 30 + 16
-    # only the width grows, and a context derived from the wider one keeps it
+    # the width grows and the stop tolerance falls by the added bits, the
+    # precision and the target stay, and a context derived from the wider one
+    # keeps both
     wide = seen[1]
     assert wide.working_dps == ctx.working_dps + math.ceil(46 / LOG2_10)
-    assert (wide.precision, wide.stop_tol, wide.target_tol) == (20, ctx.stop_tol, ctx.target_tol)
-    assert wide.at(ctx.q ** 2).fixed_bits == ctx.at(ctx.q ** 2).fixed_bits + 46
+    assert (wide.precision, wide.target_tol) == (20, ctx.target_tol)
+    assert wide.stop_tol == mp.ldexp(ctx.stop_tol, -46)
+    derived, first = wide.at(ctx.q ** 2), ctx.at(ctx.q ** 2)
+    assert derived.fixed_bits == first.fixed_bits + 46
+    assert derived.tail_log2 == first.tail_log2 - 46
     seen.clear()
     with pytest.raises(PrecisionLossError) as info:
         widening(lambda wide: evaluate(wide, 3 * ctx.fixed_bits + 1), ctx)
     assert info.value.bits == 0 and [c.fixed_bits for c in seen] == [ctx.fixed_bits]
+    # bits that a sum names as cancelled a priori raise the cap by as much
+    seen.clear()
+    lacking = 3 * ctx.fixed_bits + 1
+    assert widening(lambda wide: evaluate(wide, lacking, lacking), ctx) == \
+        ctx.fixed_bits + lacking + 16
+    seen.clear()
+    with pytest.raises(PrecisionLossError, match="beyond"):
+        widening(lambda wide: evaluate(wide, 2 * lacking, lacking), ctx)
 
 
 def _direct_b_alpha(a, b, x, q, dps):

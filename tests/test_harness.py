@@ -11,13 +11,13 @@ from itertools import count
 import mpmath as mp
 import pytest
 
-from qrr import ConfigError, UnknownIdentityError, UnsupportedModeError
+from qrr import ConfigError, PrecisionLossError, UnknownIdentityError, UnsupportedModeError
 from qrr.cli import main
 from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          SuiteConfig, emit_report, get_entry, list_identities,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
-from qrr.context import QContext
+from qrr.context import QContext, scaled_deviation, widening
 from qrr import qpolynomials, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
@@ -130,15 +130,33 @@ def test_parity_certificate_certifies_a_kernel_sum(entry_id, q, status, monkeypa
 
 
 @pytest.mark.parametrize("precision", [20, 50])
-@pytest.mark.parametrize("q", ["0.1", "0.05"])
+@pytest.mark.parametrize("q", ["0.1", "0.05", "1e-6", "1e-30"])
 def test_m_shifted_resolutions_hold_at_small_q(q, precision):
     # q^(-m(m-1)/2) times a difference that cancels m(m-1)/2 log10(1/q)
-    # digits: 28 at m = 8 and q = 0.1, more than the guard digits
+    # digits: 28 at m = 8 and q = 0.1, more than the guard digits, and 168
+    # and 840 at q = 1e-6 and 1e-30, past four times the first width, the
+    # rerun cap, which the cancellation named a priori raises
     for entry_id in ("mform", "um-mform"):
         report = run_check(entry_id, "numeric",
                            RunSettings(precision=precision, q_values=(q,)))
         assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), \
             (entry_id, report.max_abs_deviation, report.note)
+
+
+@pytest.mark.parametrize("sides", [
+    lambda ctx: registry._mform(ctx, 8),
+    lambda ctx: qpolynomials.bilateral_m_version_sides(QPow(1, 0), 8, ctx)],
+    ids=["mform", "um-mform"])
+def test_m_shifted_difference_is_rerun_deeper(sides):
+    # at q = 0.05 and m = 8 the right side's difference cancels about
+    # 28 log2(20) = 121 bits: the first pass raises, naming the bits, and
+    # the rerun that widening makes passes at the check's tolerance
+    ctx = QContext.numeric("0.05", precision=50)
+    with ctx.workdps(), pytest.raises(PrecisionLossError, match="finite sum cancelled 12") as exc:
+        sides(ctx)
+    assert exc.value.bits > 100
+    lhs, rhs = widening(sides, ctx)
+    assert scaled_deviation(lhs, rhs) < RunSettings(precision=50).tol()
 
 
 @pytest.mark.parametrize("precision", [20, 50])
@@ -425,7 +443,11 @@ def test_formerly_relaxed_entries_hold_the_default_tolerance_at_precision_20():
     ("ms-12", {"precision": 20, "q_values": ("0.9",)}, "DISCREPANCY_DOCUMENTED"),
     # the positive-side entries kept about 22 bits on an exponent fixed 2 wp
     # below the peak (FAIL 5.1e-9); the floor bound floors the table finer
-    ("ms-5", {"precision": 20, "q_values": ("0.99",)}, "PASS")])
+    ("ms-5", {"precision": 20, "q_values": ("0.99",)}, "PASS"),
+    # at z = 0.8, t = -2 the outer terms reach 2.6e36 against a value of
+    # 1.4e-56: a rerun that only widened left the inner values' truncation
+    # (FAIL 7.0e-8); one that also sums deeper closes it
+    ("bessel-gf", {"precision": 20, "q_values": ("0.99",)}, "PASS")])
 def test_config_probe_fixes(entry_id, settings, expected):
     report = run_check(entry_id, "numeric", RunSettings(**settings))
     status, _, note = expected.partition(": ")

@@ -145,6 +145,21 @@ def test_infinite_product_budget_names_the_factors_needed():
         pochhammer_infinite(QPow(1, 1), ctx.q, ctx)
 
 
+def test_a_wider_rerun_walks_every_product_its_first_pass_walked():
+    # (q;q)_inf at q = 0.99, precision 20, walks to the stop tolerance 1e-30
+    # within 6873 factors.  200 bits wider, the stop tolerance lies 200 bits
+    # lower, where the walk would take 20,666 factors, but the budget counts
+    # at the first pass's tolerance, so the rerun walks the product too
+    ctx = QContext.numeric("0.99", precision=20)
+    first = pochhammer_infinite(QPow(1, 1), ctx.q, ctx)
+    wide = ctx.wider(200)
+    got = pochhammer_infinite(QPow(1, 1), ctx.q, wide)
+    with mp.workdps(wide.working_dps + 10):
+        want = mp.qp(ctx.q, ctx.q)
+        assert abs(got - want) < mp.mpf(10) ** -60 * want
+        assert abs(first - want) < mp.mpf(10) ** -30 * want
+
+
 @pytest.mark.parametrize("q", ["0.98", "-0.98"])
 def test_infinite_product_near_the_budget_matches_mpmath_qp(q):
     # at precision 50, |q| = 0.98 is the largest two-digit |q| whose

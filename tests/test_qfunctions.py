@@ -940,12 +940,12 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
         K, s_max = qfunctions._theta_truncation(x, ctx), gaussian_truncation(1, ctx)
         ns = range(-s_max, s_max + 1)
         rate = float(mp.log(abs(q), 2))
-        one, w = ctx.fixed_q.like(1), ctx.fixed(rho_root(ctx))
+        one = ctx.fixed_q.like(1)
 
         def table(K, k):
             return _pole_table(aq, K, k, ctx)
 
-        for k, slices in ((2, _pair_slices), (3, lambda t, ns: _cube_slices(t, ns, w))):
+        for k, slices in ((2, _pair_slices), (3, _cube_slices)):
             narrow, wide = table(K, k), table(2 * K, k)
             for n in (ns[0], 0, ns[-1]):
                 omitted = slices(narrow, [n])[0].to_mp() - slices(wide, [n])[0].to_mp()
@@ -1244,7 +1244,8 @@ def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread, twist):
     v = _mantissas(t)
     w = CTX.fixed(rho_root(CTX))
     ns = range(3 * lo - 2, 3 * hi + 3)
-    for n, got in zip(ns, _cube_slices(t, ns, w, twist)):
+    # the twisted reading takes no w; the literal one (twist 0) is x + y w
+    for n, got in zip(ns, _cube_slices(t, ns, None if twist == 2 else w)):
         classes = [[0, 0] for _ in range(3)]  # P_s: the terms with k + twist l = s (mod 3)
         for j in v:
             for k in v:
@@ -1255,11 +1256,17 @@ def test_cube_slices_match_triple_loop(lo, hi, complex_values, spread, twist):
                     classes[(k + twist * l) % 3][0] += re * f - im * g
                     classes[(k + twist * l) % 3][1] += re * g + im * f
         (p0, i0), (p1, i1), (p2, i2) = classes
-        # x + y w, x = P_0 - P_2 and y = P_1 - P_2, exact on w's mantissas
-        # (w.e < 0), then rounded once
+        # x + y w, x = P_0 - P_2 and y = P_1 - P_2
         (xr, xi), (yr, yi) = (p0 - p2, i0 - i2), (p1 - p2, i1 - i2)
-        want = _complex((xr << -w.e) + yr * w.re - yi * w.im,
-                        (xi << -w.e) + yr * w.im + yi * w.re, 3 * t.E + w.e, t.wp)
+        if twist == 2:
+            # swapping k and l maps k + 2l to 2(k + 2l) (mod 3), which swaps
+            # P_1 and P_2: y = 0, and the slice is x, exact, rounded once
+            assert (yr, yi) == (0, 0), n
+            want = t.rounded(xr, xi, 3 * t.E)
+        else:
+            # exact on w's mantissas (w.e < 0), then rounded once
+            want = _complex((xr << -w.e) + yr * w.re - yi * w.im,
+                            (xi << -w.e) + yr * w.im + yi * w.re, 3 * t.E + w.e, t.wp)
         assert _bits(got) == _bits(want), n
         # at twist 2 the cyclic shift of (j, k, l) permutes the classes when 3
         # does not divide n, so those slices are exact zeros
@@ -1636,9 +1643,7 @@ def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(table, q, monk
     for the pair and cube pole tables of the theta sums and the pair and
     cube ratio tables of ms-11 and ms-12 alike."""
     ctx = QContext.numeric(q, precision=20)
-    w = ctx.fixed(rho_root(ctx))
-    k, slices_of = ((2, _pair_slices) if table in ("pair", "ms-11") else
-                    (3, lambda t, ns: _cube_slices(t, ns, w)))
+    k, slices_of = (2, _pair_slices) if table in ("pair", "ms-11") else (3, _cube_slices)
     with ctx.workdps():
         aq, bq = QPow(A5, 0), QPow(B1, 0)
         if table in ("pair", "cube"):
@@ -1716,9 +1721,8 @@ def test_a_gaussian_cutoff_one_weight_short_is_caught_by_the_bound(shape, monkey
         return slices_of
 
     with ctx.workdps():
-        w = ctx.fixed(rho_root(ctx))
-        total = _gaussian_sum_shapes(ctx, recording(_pair_slices), recording(
-            lambda t, ns: _cube_slices(t, ns, w)))[shape]
+        total = _gaussian_sum_shapes(ctx, recording(_pair_slices),
+                                     recording(_cube_slices))[shape]
 
         def cutoffs(M):
             seen.clear()

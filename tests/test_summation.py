@@ -767,27 +767,29 @@ def test_engine_matches_reference_on_generated_streams(terms):
     assert _outcome_bits(sum_series, terms) == _outcome_bits(reference_sum_series, terms)
 
 
-def test_sum_below_its_tail_bound_is_not_converged(monkeypatch):
-    # 1phi1(0; 0; q, z) = (z; q)_inf, exactly 0 at z = 2^20, q = 1/2, on the
-    # observed certificate (its stream passed on as a plain one): the
-    # truncated series is 6e-77, far below its tail bound of 4e-36
-    outcomes = []
-    monkeypatch.setattr(qfunctions, "sum_series",
-                        lambda *args: outcomes.append(sum_series(*args)) or outcomes[-1])
+def test_sum_below_its_tail_bound_is_not_converged():
+    # terms 1e-40 2^-n that do not cancel, each below the stop tolerance
+    # 1e-30 from the first: the observed tail bound, that tolerance times
+    # rate / (1 - rate) = 1, lies far above the value
     ctx = QContext.numeric("0.5", precision=20)
+    out = sum_series(lambda n: mp.mpf(10) ** -40 / 2 ** n, ctx)
+    assert out.tail_bound > abs(out.value) and not out.converged
+    with pytest.raises(NonConvergenceError,
+                       match=r"tail bound 1.0e-30 after 5 terms, \|value\| 1.94e-40"):
+        out.certified()
+    # 1phi1(0; 0; q, z) = (z; q)_inf, exactly 0 at z = 2^20, q = 1/2, on the
+    # observed certificate (its stream passed on as a plain one): each rerun
+    # stops deeper, so the truncated series chases its zero, as its declared
+    # twin below does, and no width is enough
     zero = QPow(0, 0)
 
     def observed(wide):
         return qfunctions._series(lambda q: iter(qfunctions._ratio_terms(
             [zero], [zero, QPow(1, 1)], q, -q.like(2 ** 20), q)), wide)
 
-    # the kernel returns no uncertified value: rerun wider, it raises,
-    # naming the bound
-    with pytest.raises(NonConvergenceError, match=r"tail bound 3.81e-36 .* \|value\| 5.98e-77"):
+    with pytest.raises(PrecisionLossError, match="beyond") as exc:
         widening(observed, ctx)
-    out = outcomes[-1]
-    assert out.tail_bound > abs(out.value)
-    assert not out.converged
+    assert exc.value.bits == 0
 
 
 def test_declared_sum_of_a_vanishing_series_lacks_every_digit():
@@ -1149,9 +1151,11 @@ def test_bilateral_block_reads_its_first_tail_on_below_the_sum_of_both():
     # -1 + 2^-140: the block sums to 2^-140.  The first tail stops at one
     # unit of the working digits of its own sum, about 2^-117, far above
     # that; after the second tail it is read on to the level of the sum of
-    # both, so the block's tail bound falls below its value
-    ctx = ORACLE_CTX.wider(120)
-    wp = ctx.fixed_bits
+    # both, so the block's tail bound falls below its value.  The terms carry
+    # 120 bits more than the context's width, and the block runs at theirs;
+    # a wider context would also stop 120 bits deeper
+    ctx = ORACLE_CTX
+    wp = ctx.fixed_bits + 120
     pos = [Fixed(1, None, -n, wp) for n in range(ORACLE_TERMS)]
     neg = [-t for t in pos]
     neg[0] = Fixed((1 << 140) - 1, None, -140, wp) * -1
