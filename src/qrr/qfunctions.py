@@ -236,12 +236,22 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     term k times ratio k); downwards it yields t_{-1}, t_{-2}, ... with
     k = -1, -2, ... (term -k is term -k + 1 times ratio -k, t_0 = 1), as
     (a;q)_n / (b;q)_n q^{alpha n^2} x^n reads from n = -1 on with a and b
-    swapped.  The term, the step and every carried power a_i q^k are pairs of
-    ints with an exponent each, cut back to wp bits once per step; a step of
-    growth exactly 1 is carried as it is.  A factor
+    swapped.  The term, the step and every carried power a_i q^k are
+    mantissas with an exponent each, cut back to wp bits once per step; a
+    step of growth exactly 1 is carried as it is.  A factor
     whose exact exponent is 0 is 1 - coeff exactly.  A vanishing denominator
     factor is a pole (checked before the term it would divide); downwards a
     vanishing numerator factor kills the tail, which yields exact zeros.
+
+    One set-up feeds two loops.  When q, the step, the growth and every
+    power are real, the real loop carries one int per value, with the
+    factors as parallel lists; otherwise the complex loop carries pairs of
+    ints, as :func:`~qrr.fixedpoint.one_minus` and
+    :func:`~qrr.fixedpoint.cut` take them.  The real loop is the complex one
+    with every imaginary part 0: the products, cuts and the one division
+    take the same ints at the same points, and a part of 0 has bit length 0,
+    so a real power is exactly 1 under the same test
+    (``re.bit_length() + e < -wp - 2``).  Both loops give the same bits.
 
     Upwards, a factor leaves the loop once both parts of its carried power
     lie below 2^(-wp-4): the power is then below 2^(-wp-3) in size, and as
@@ -268,16 +278,80 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
     shift = q if up else 1 / q
     powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
     complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
+    where = "term ratio" if up else "bilateral term ratio"
+    unit = growth == 1
+    gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
+    if not complex_terms:
+        # per factor: the exact exponent of q, the carried power's mantissa
+        # and exponent, the exact 1 - coeff, the QPow of a denominator factor
+        # or None
+        es = [c.exponent + k for c in (*nums, *dens)]
+        ms, pes = [p.re for p in powers], [p.e for p in powers]
+        exacts = [(x.re, x.e) for x in (one - c.coeff for c in (*nums, *dens))]
+        ds = [None] * len(nums) + dens
+        dropped = []
+        h, he, g, ge, s, se = shift.re, shift.e, growth.re, growth.e, step.re, step.e
+        t, te, small = 1, 0, -wp - 2
+        while True:
+            f, fe, v, ve = 1, 0, 1, 0
+            for i, e in enumerate(es):
+                p, pe = ms[i], pes[i]
+                top = p.bit_length() + pe
+                if up and top < gone:
+                    dropped.append(i)
+                    continue
+                if e == 0:
+                    x, xe = exacts[i]
+                elif pe >= 0:
+                    x, xe = 1 - (p << pe), 0
+                elif top < small:
+                    x, xe = 1, 0
+                else:
+                    x, xe = (1 << -pe) - p, pe
+                if ds[i] is None:
+                    if not x and not up:
+                        zero = Fixed(0, None, 0, wp)
+                        while True:
+                            yield zero
+                    f, fe = f * x, fe + xe
+                else:
+                    if not x:
+                        raise pole(ds[i].coeff, e, where)
+                    v, ve = v * x, ve + xe
+                es[i] = e + dk
+                p *= h
+                n = p.bit_length() - wp
+                if n > 0:
+                    ms[i], pes[i] = p >> n, pe + he + n
+                else:
+                    ms[i], pes[i] = p, pe + he
+            if dropped:
+                for i in reversed(dropped):
+                    del es[i], ms[i], pes[i], exacts[i], ds[i]
+                dropped.clear()
+            if up:
+                yield Fixed(t, None, te, wp)
+            # t * f * step / v, with one rounding in the division
+            t = t * f * s
+            n = wp + 1 + v.bit_length() - t.bit_length()
+            t, te = shifted(t, n) // v, te + fe + se - ve - n
+            if not up:
+                yield Fixed(t, None, te, wp)
+            if not unit:
+                s *= g
+                n = s.bit_length() - wp
+                if n > 0:
+                    s, se = s >> n, se + ge + n
+                else:
+                    se += ge
     # per factor: [exact exponent of q, carried power, exact 1 - coeff, the
     # QPow of a denominator factor or None]
     factors = [[c.exponent + k, parts(p), parts(one - c.coeff), d]
                for c, p, d in zip((*nums, *dens), powers, [None] * len(nums) + dens)]
     hr, hi, he = parts(shift)
     gr, gi, ge = parts(growth)
-    unit = growth == 1
     sr, si, se = parts(step)
     tr, ti, te = 1, 0, 0
-    gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
     while True:
         fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
         for f in [*factors]:
@@ -288,18 +362,18 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
             xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
             if d is None:
                 if not (xr or xi) and not up:
-                    zero = Fixed(0, 0 if complex_terms else None, 0, wp)
+                    zero = Fixed(0, 0, 0, wp)
                     while True:
                         yield zero
                 fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
             else:
                 if not (xr or xi):
-                    raise pole(d.coeff, e, "term ratio" if up else "bilateral term ratio")
+                    raise pole(d.coeff, e, where)
                 vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
             f[0] = e + dk
             f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
         if up:
-            yield Fixed(tr, ti if complex_terms else None, te, wp)
+            yield Fixed(tr, ti, te, wp)
         # t * f * step / v, with one rounding in the division
         tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
         tr, ti = tr * sr - ti * si, tr * si + ti * sr
@@ -311,8 +385,7 @@ def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = Tr
         s = wp + 1 + vr.bit_length() - (m if m > s else s)
         tr, ti, te = shifted(tr, s) // vr, shifted(ti, s) // vr, te - s
         if not up:
-            yield Fixed(tr, ti if complex_terms else None, te, wp)
-        k += dk
+            yield Fixed(tr, ti, te, wp)
         if not unit:
             sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 

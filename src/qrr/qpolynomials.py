@@ -22,6 +22,7 @@ degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
@@ -131,6 +132,7 @@ def sw_formal(n: int, x_coeff, x_qexp, shift, ctx: QContext) -> FormalSeries:
 # the two Schur-type sequences and the (a, q) recurrence pair
 # ---------------------------------------------------------------------------
 
+@cache
 def schur_a(m: int) -> QPoly:
     """First Schur-type polynomial; closed form for m >= 2, recurrence seeds
     a_0 = 1, a_1 = 0 below that."""
@@ -148,6 +150,7 @@ def schur_a(m: int) -> QPoly:
     return acc
 
 
+@cache
 def schur_b(m: int) -> QPoly:
     """Second Schur-type polynomial; closed form for m >= 1, b_0 = 0."""
     if m < 0:
@@ -233,6 +236,15 @@ def _divide_inplace(coeffs, i: int, deg: int):
         coeffs[k] = coeffs[k] + coeffs[k - 1].shift(1, i)
 
 
+@cache
+def _cd_pair(m: int):
+    """(c_m, d_m), built once per m for the m-version sides and read by every
+    sample and rerun.  The builders keep nothing: the exact checks build c_n
+    and d_n in three constructions up to n = 20, about 0.9 MB of kept
+    polynomials that a check would read once."""
+    return c_poly(m), d_poly(m)
+
+
 def checked_sum(terms, spare, cancels=0):
     """The mp sum of the finite list ``terms``, which may cancel ``spare`` bits
     below sum |t_k|.  Where it cancels more, by at least ``cancels`` (cancelled
@@ -265,11 +277,12 @@ def bilateral_m_version_sides(a, m: int, ctx: QContext, sign: int = -1):
     as-printed reading, kept available for the discrepancy record.  The
     difference c_m u_0 - d_m u_1 is checked (:func:`m_shifted`).
     """
+    cm, dm = _cd_pair(m)
     with ctx.workdps():
         q, av = ctx.q, _value(a, ctx.q)
         return u_m_bilateral(a, m, ctx), m_shifted(
-            [c_poly(m).eval(av, q) * u_m_bilateral(a, 0, ctx),
-             sign * d_poly(m).eval(av, q) * u_m_bilateral(a, 1, ctx)], m, ctx)
+            [cm.eval(av, q) * u_m_bilateral(a, 0, ctx),
+             sign * dm.eval(av, q) * u_m_bilateral(a, 1, ctx)], m, ctx)
 
 
 def mform_diff_formal(m: int, ctx: QContext) -> FormalSeries:

@@ -1377,6 +1377,98 @@ def test_unit_growth_stream_carries_its_step_bit_for_bit(stream, q):
         assert _bits(a) == _bits(b), n
 
 
+def _walk(stream, n):
+    """The bits of the first n terms of a stream, and the error that ends it
+    early, as (type, message), or None."""
+    bits = []
+    try:
+        for t in islice(stream, n):
+            bits.append(_bits(t))
+    except PoleError as exc:
+        return bits, (type(exc), str(exc))
+    return bits, None
+
+
+@st.composite
+def _real_ratio_streams(draw):
+    """The parameters of a ratio stream with every input real: q in
+    (-1, 1), negative included, 0-4 numerator and 0-4 denominator QPows with
+    Fraction exponents (half-integer ones at q > 0 only, where q^(1/2) is
+    real) and some coefficients 1, a step, a growth of exactly 1 or another one, and a direction."""
+    wp = draw(st.sampled_from([48, 96]))
+    q = F(draw(st.integers(1, 19)), 20) * draw(st.sampled_from([1, -1]))
+    halves = [1, 2] if q > 0 else [1]
+
+    def qpow():
+        # coefficient 1 makes the factor at q^0 exactly 0: a pole or a zero
+        coeff = F(draw(st.integers(-40, 40)), draw(st.integers(1, 20))) if draw(
+            st.integers(0, 3)) else F(1)
+        return QPow(coeff, F(draw(st.integers(-6, 6)), draw(st.sampled_from(halves))))
+
+    nums = [qpow() for _ in range(draw(st.integers(0, 4)))]
+    dens = [qpow() for _ in range(draw(st.integers(0, 4)))]
+    qf = Fixed.of(q, wp)
+    step = qf.like(F(draw(st.integers(-30, 30)), 20))
+    growth = qf.like(1) if draw(st.booleans()) else qf * qf.like(F(draw(st.integers(-20, 20)), 20))
+    return nums, dens, qf, step, growth, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_real_ratio_streams())
+def test_real_ratio_stream_matches_the_complex_pair_walk_bit_for_bit(params):
+    """With every input real, _ratio_terms walks one int per value; each term
+    keeps every bit of the complex-pair walk, and a pole is raised at the
+    same index with the same message."""
+    new, new_end = _walk(_ratio_terms(*params), 300)
+    old, old_end = _walk(old_ratio_terms(*params), 300)
+    assert new == old
+    assert new_end == old_end
+    assert all(im is None for _, im, _ in new)
+
+
+def test_real_ratio_stream_vanishing_numerator_yields_zeros_from_the_same_index():
+    """Downwards, 1 - q^3 q^k is exactly 0 at k = -3: the third term and
+    every later one are exact real zeros, as in the complex-pair walk."""
+    qf = CTX.fixed(mp.mpf("-0.45"))
+    params = [QPow(1, 3), QPow(mp.mpf("0.3"), 0)], [QPow(mp.mpf("0.2"), 1)], qf, qf.like(
+        mp.mpf("0.7")), qf * qf, False
+    new, old = (_walk(walk(*params), 40) for walk in (_ratio_terms, old_ratio_terms))
+    assert new == old
+    bits, end = new
+    assert end is None and len(bits) == 40
+    assert all(b[0] for b in bits[:2]) and bits[2:] == [(0, None, 0)] * 38
+
+
+@pytest.mark.parametrize("up, exponent, where, index", [
+    (True, -2, "term ratio", 2), (False, 2, "bilateral term ratio", 1)])
+def test_real_ratio_stream_pole_is_raised_at_the_same_index(up, exponent, where, index):
+    """1 - q^exponent q^k vanishes at k = -exponent: both walks raise that
+    PoleError after the same number of terms."""
+    qf = CTX.fixed(CTX.q)
+    params = [QPow(mp.mpf("0.6"), 0)], [QPow(1, exponent)], qf, qf.like(mp.mpf("0.9")), qf, up
+    new, old = (_walk(walk(*params), 40) for walk in (_ratio_terms, old_ratio_terms))
+    assert new == old
+    bits, (kind, message) = new
+    assert len(bits) == index and kind is PoleError
+    assert message == str(pole(1, 0, where))
+
+
+@pytest.mark.parametrize("complex_input", ["q", "coeff", "step", "growth"])
+def test_one_complex_input_makes_a_complex_stream(complex_input):
+    """One complex input, whichever it is, makes every term complex
+    (im not None), bit for bit the complex-pair walk."""
+    ctx = QContext.numeric(COMPLEX_Q if complex_input == "q" else "0.3", 20)
+    qf = ctx.fixed(ctx.q)
+    z = qf.like(mp.mpc("0.5", "0.2"))
+    nums = [QPow(z if complex_input == "coeff" else qf.like(mp.mpf("0.5")), 1)]
+    step = z if complex_input == "step" else qf.like(mp.mpf("0.8"))
+    growth = qf * z if complex_input == "growth" else qf
+    params = nums, [_Q1], qf, step, growth
+    new, old = (_walk(walk(*params), 200) for walk in (_ratio_terms, old_ratio_terms))
+    assert new == old
+    assert new[1] is None and all(im is not None for _, im, _ in new[0])
+
+
 def fresh_ratio_table(a, b, K, ctx):
     """The table of _bilateral_ratio_array built from new streams."""
     up, down = _ratio_streams(a, b, 0, 1)(ctx.fixed(ctx.q))

@@ -13,7 +13,7 @@ from qrr import QContext, QPoly, QPow, SingularDeltaError
 from qrr.context import powq
 from qrr.pochhammer import pochhammer_finite, pochhammer_ratio, q_binomial
 from qrr.qfunctions import ramanujan_A
-from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly,
+from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly, _cd_pair,
                               finite_qbinom_sides, gfhn0_diff_formal,
                               gfhn0_sides, hermite_gf_sides, inversion_delta,
                               inversion_delta_from_system, mform_diff_formal,
@@ -104,6 +104,15 @@ def test_three_constructions_agree_through_20():
         assert c_r == c_poly(n, "explicit") == c_poly(n, "generating")
         d_r = d_poly(n, "recurrence")
         assert d_r == d_poly(n, "explicit") == d_poly(n, "generating")
+
+
+def test_m_version_polynomials_are_built_once_per_m():
+    """The m-version sides read c_m, d_m, a_m and b_m built once per m,
+    equal to fresh builds."""
+    for m in range(9):
+        assert _cd_pair(m) is _cd_pair(m) and _cd_pair(m) == (c_poly(m), d_poly(m))
+        assert schur_a(m) is schur_a(m) and schur_b(m) is schur_b(m)
+    assert c_poly(7) is not c_poly(7)
 
 
 def test_pair_specializes_to_schur():
