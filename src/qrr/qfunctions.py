@@ -32,12 +32,8 @@ the observed certificate.  The generic stream helpers
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
 bilateral convolutions, the double and triple sums of the master expansions
-and the theta double and triple pole sums) are summed in
-:mod:`qrr.slices`, each table on an exponent chosen from its floor bound,
-and checked there: the floor and the entries' roundings against the sum it
-gives, and the cutoffs of the Gaussian-weighted ones
-(:func:`~qrr.slices._gaussian_slices`); this module builds the streams
-that their tables read.
+and the theta pole sums) are summed and checked, floor and cutoffs alike,
+in :mod:`qrr.slices`; this module builds the streams that their tables read.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -562,13 +558,21 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 # ---------------------------------------------------------------------------
 
 from .slices import (_bilateral_ratio_array, _cube_slices, _gaussian_slices,  # noqa: E402
-                     _pair_slices, _pole_table, _Table, gaussian_truncation, ratio_truncation,
-                     slice_truncation)
+                     _pair_slices, _pole_table, _Table, gaussian_truncation, slice_truncation)
 
 
 # ---------------------------------------------------------------------------
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
+
+def _unilateral_slices(av, k, slices, alpha, tv, ctx: QContext):
+    """The Gaussian sum of the slices of order k of r_j = (a;q)_j/(q;q)_j,
+    j >= 0, read off one shared stream (:func:`~qrr.slices._gaussian_slices`)."""
+    one = ctx.fixed_q.like(1)
+    r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
+    return _gaussian_slices(lambda M: _Table(0, map(r.__getitem__, range(M + 1)), k, ctx),
+                            slices, alpha, tv, None, ctx, stream=r)
+
 
 def square_master_sides(alpha, a, t, ctx: QContext):
     """Square-argument expansion of the generalized entire function.
@@ -584,13 +588,7 @@ def square_master_sides(alpha, a, t, ctx: QContext):
         ctx2 = ctx.at(q * q)
         lhs = a_alpha(2 * alpha, av * av, tv * tv, ctx2)
         # term j: r_j q^{alpha j^2} (-t)^j A(t q^{2 alpha j}), r_j = (a;q)_j/(q;q)_j
-        one = ctx.fixed_q.like(1)
-        r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
-
-        def table(K):
-            return _Table(0, map(r.__getitem__, range(K + 1)), 2, ctx)
-
-        return lhs, _gaussian_slices(table, _pair_slices, alpha, tv, None, ctx, stream=r)
+        return lhs, _unilateral_slices(av, 2, _pair_slices, alpha, tv, ctx)
 
 
 def cube_master_sides(alpha, a, t, ctx: QContext):
@@ -605,13 +603,7 @@ def cube_master_sides(alpha, a, t, ctx: QContext):
         lhs = a_alpha(3 * alpha, av ** 3, tv ** 3, ctx3)
         # term s: C_s q^{alpha s^2} t^s A(w^2 t q^{2 alpha s}), C_s = sum_{j+k=s} r_j w^k r_k:
         # by m = j + k + n, the cube slices of r_j = (a;q)_j/(q;q)_j
-        one = ctx.fixed_q.like(1)
-        r = _Shared(_ratio_terms([_as_qpow(av)], [_Q1], ctx.fixed_q, one, one))
-
-        def table(K):
-            return _Table(0, map(r.__getitem__, range(K + 1)), 3, ctx)
-
-        return lhs, _gaussian_slices(table, _cube_slices, alpha, tv, None, ctx, stream=r)
+        return lhs, _unilateral_slices(av, 3, _cube_slices, alpha, tv, ctx)
 
 
 def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
@@ -636,9 +628,9 @@ def square_bilateral_master_sides(alpha, a, b, x, ctx: QContext):
         lhs = pref * b_alpha(2 * alpha, av * av, bv * bv, xv * xv, ctx2)
         # term j: r_j q^{alpha j^2} (-x)^j B(x q^{2 alpha j}), r_j = (a;q)_j/(b;q)_j
         aq, bq = _as_qpow(av), _as_qpow(bv)
-        K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
+        K = slice_truncation(bv / av, ctx) + gaussian_truncation(alpha, ctx)
         return lhs, _gaussian_slices(lambda K: _bilateral_ratio_array(aq, bq, K, 2, ctx),
-                                     _pair_slices, alpha, xv, K, ctx, bv / av)
+                                     _pair_slices, alpha, xv, K, ctx)
 
 
 def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
@@ -668,9 +660,9 @@ def cube_bilateral_master_sides(alpha, a, b, x, ctx: QContext,
         # r_n weighted w^(2n) by the twist w^2 and 1 without it
         aq, bq = _as_qpow(a), _as_qpow(b)
         w = None if corrected else ctx.fixed(rho_root(ctx))
-        K = ratio_truncation(av, bv, ctx) + gaussian_truncation(alpha, ctx)
+        K = slice_truncation(bv / av, ctx) + gaussian_truncation(alpha, ctx)
         rhs = _gaussian_slices(lambda K: _bilateral_ratio_array(aq, bq, K, 3, ctx),
-                               lambda t, ns: _cube_slices(t, ns, w), alpha, xv, K, ctx, bv / av)
+                               lambda t, ns: _cube_slices(t, ns, w), alpha, xv, K, ctx)
         return lhs, pref * rhs
 
 
@@ -704,19 +696,17 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
 def _theta_truncation(x, ctx: QContext) -> int:
     """The start K of the |j| <= K cutoff of the pole tables t_j = 1/(1 - a
     q^j) (:func:`~qrr.slices._pole_table`): slice_truncation(|q|) + s_max,
-    s_max the start cutoff of the q^{s^2} weights (:func:`gaussian_truncation`).
-    Slice n carries no x^j (the sum factors x^n out), and its entries fall at
-    rate |q| on the negative side.  The sum checks both cutoffs and grows
-    them where they miss (:func:`~qrr.slices._gaussian_slices`).
+    s_max the start cutoff of the q^{s^2} weights (:func:`gaussian_truncation`):
+    slice n carries no x^j (the sum factors x^n out), and its entries fall at
+    rate |q| on the negative side.  :mod:`qrr.slices` checks both cutoffs.
 
     The annulus guard |q| < |x| < 1 stays although the sums converge for
-    every x != 0: outside it, near |q| = 1, the ``ms-17`` check
-    (a = -q^{1/3}) FAILs, while ``ms-13..16`` PASS.  Its triple sum cancels
-    far below its entries (7.2e-107 against a prefactor of 5.8e106 at
-    q = 0.95), and a cube table is checked against its floor but charged
-    nothing for the roundings of its entries and weights, so the sum reads
-    rounding noise (1.4e12 for a side of 4.18; 12 digits at 64 bits wider,
-    all at 160).  The pair tables of ``ms-13/14`` are charged."""
+    every x != 0: outside it, near |q| = 1, ``ms-17`` (a = -q^{1/3}) FAILs
+    while ``ms-13..16`` PASS.  Its triple sum cancels far below its entries
+    (7.2e-107 against a prefactor of 5.8e106 at q = 0.95), and its cube table
+    is charged nothing for its entries' and weights' roundings, so the sum
+    reads rounding noise (1.4e12 for a side of 4.18; 12 digits at 64 bits
+    wider, all at 160).  The pair tables of ``ms-13/14`` are charged."""
     if not abs(ctx.q) < abs(x) < 1:
         raise AnnulusError("needs |q| < |x| < 1")
     return slice_truncation(abs(ctx.q), ctx) + gaussian_truncation(1, ctx)
@@ -739,7 +729,7 @@ def theta_pair_sides(a, x, ctx: QContext):
         a2 = QPow(aq.coeff ** 2, 2 * Fraction(aq.exponent))
         lhs = pref * _pole_series(a2, 2, 4, xv * xv, ctx)
         return lhs, _gaussian_slices(lambda K: _pole_table(aq, K, 2, ctx), _pair_slices, 1, xv,
-                                     K, ctx, q)
+                                     K, ctx)
 
 
 def theta_pair_imag_sides(x, ctx: QContext):
@@ -756,7 +746,7 @@ def theta_pair_imag_sides(x, ctx: QContext):
         lhs = pref * _pole_series(QPow(-1, 1), 2, 4, xv * xv, ctx)
         ia = QPow(-mp.mpc(0, 1) * mp.sqrt(q), 0)  # 1 - ia q^j = 1 + i q^{j+1/2}
         return lhs, _gaussian_slices(lambda K: _pole_table(ia, K, 2, ctx), _pair_slices, 1, xv,
-                                     K, ctx, q)
+                                     K, ctx)
 
 
 def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
@@ -781,7 +771,7 @@ def theta_triple_sides(a, x, ctx: QContext, arrangement: str = "base"):
         pref = (infinite_product([q3, q3], [av ** 3, q3 / av ** 3], q3, ctx)
                 * infinite_product([av, q / av], [q, q], q, ctx) ** 3)
         triple = _gaussian_slices(lambda K: _pole_table(aq, K, 3, ctx), _cube_slices, 1, xv, K,
-                                  ctx, q)
+                                  ctx)
         if arrangement == "base":
             return single, pref * triple
         return single / pref, triple

@@ -7,36 +7,19 @@ fixed point on one binary exponent, and each weighted slice
 (:func:`_pair_slices`, :func:`_cube_slices`) combines the exact residue-class
 sums of :func:`_class_sums` over the table's own mantissas, every index
 inside the table, and rounds once, so a slice that the identity makes vanish
-is an exact zero.  The residue classes of a self-convolution come from half
-the products: the mirror j <-> n - j swaps two classes, which are then
-equal, or fixes one.  Within one check, every bilateral ratio table at
-(a, b) is sliced off one kept pair of streams (:func:`_ratio_table_streams`),
-and its cutoff :func:`ratio_truncation` is walked once.
+is an exact zero.  Within one check, every bilateral ratio table at
+(a, b) is sliced off one kept pair of streams (:func:`_ratio_table_streams`).
 
-The Gaussian-weighted slice sums, sum over m of q^(alpha m^2) x^m S_m for
-the slices S_m of one table, are one function, :func:`_gaussian_slices`:
-the pair sums of the square master expansions (``ms-7``, ``ms-11``), the
-cube sums of the cube master expansions (``ms-8``, ``ms-12``), and the theta
-pole sums over pole tables (:func:`_pole_table`, ``ms-13..17``).  It checks
-the Gaussian cutoff M of every such sum, and the cutoff K of every bilateral
-table (:func:`_theta_cutoff`), against the sum, and grows the one that
-misses.
-
-Each table lies on the exponent that its floor bound chooses: the error
-that flooring the entries adds to a slice of order k is at most
-k u (A + u L)^(k-1), u = sqrt(2) 2^E, A = sum |v_j| over the L entries
-(:class:`_Table`).  E is set a priori from the scale A^k, the working digits
-and a measured cancellation allowance (CANCELLATION_BITS), never below the
-entries' own last bit, so that the mantissas carry about the working digits
-and no more.  Each weighted slice sum then checks that bound, times the sum
-of |weights|, against its value (:func:`_floored`): where it misses one unit
-of the working digits the table is floored again, finer, from the entries it
-keeps, and where it misses ``ctx.precision`` digits at the entries' last bit
-the sum raises PrecisionLossError for a wider rerun.  The table of rounded
-entries of a Gaussian pair sum is also charged their own roundings, which no
-floor lowers; the cube tables of the Gaussian sums (``ms-8``, ``ms-12``,
-``ms-15..17``) are not charged yet.  A slice that the identity makes an
-exact zero needs no check.
+Each table lies on the exponent that its floor bound chooses
+(:class:`_Table`), and each nonzero weighted slice sum checks that bound
+against its value (:func:`_floored`), which floors the table finer or asks
+for a wider rerun; a Gaussian pair table is also charged its entries'
+roundings, a cube table not yet.  The Gaussian-weighted slice sums, sum over
+m of q^(alpha m^2) x^m S_m (``ms-7/8``, ``ms-11/12`` and the theta pole sums
+``ms-13..17``), are one function, :func:`_gaussian_slices`, which checks and
+grows their cutoff M.  Every bilateral table, of a Gaussian sum or of one
+slice (``ms-3``, ``ms-5``), starts its cutoff K from a closed form, and
+:func:`_cut` grows it until the bound :func:`_theta_cutoff` is met.
 
 The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
 master and theta sides read the slice sums in turn; each module imports
@@ -46,6 +29,7 @@ from the other after its own definitions, so either may be imported first.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import islice
 from operator import add, mul
 
@@ -97,9 +81,13 @@ class _Table:
     may floor the table again, finer, from the entries it keeps.
     """
 
-    def __init__(self, lo: int, values, k: int, ctx: QContext):
+    def __init__(self, lo: int, values, k: int, ctx: QContext, ab=None):
         self.values = values = list(values)
         self.lo, self.hi, self.wp, self.k = lo, lo + len(values) - 1, values[0].wp, k
+        if ab:  # a bilateral table of step factors (1 - a q^j)/(1 - b q^j) (_table_top)
+            a, b, q = (float(mp.log(abs(_value(c, ctx.q)), 2)) for c in (*ab, _Q1))
+            b = b if b > -math.inf else a + q  # a zero b is read as |b| = |aq|
+            self.steps, self.rate = (a, b, q), b - a  # the rate log2 |b/a|
         self.last = min((v.e for v in values if v), default=None)
         self.need = -ctx.tail_log2
         if self.last is None:  # every entry is zero
@@ -126,10 +114,6 @@ class _Table:
         return math.log2(self.k) + u + (self.k - 1) * (
             a + math.log2(2.0 ** (self.log2_sum - a) + 2.0 ** (spread - a)))
 
-    def unit(self) -> int:
-        """log2 of one unit of the products of a slice: 2^(k E)."""
-        return self.k * self.E
-
     def rounded(self, re, im, e) -> Fixed:
         """(re + i im) 2^e rounded once to the table's width, real for a
         real table."""
@@ -141,27 +125,26 @@ def _floored(t: _Table, evaluate, ctx: QContext, weight: float = 0.0,
     """``evaluate(t)``, a nonzero weighted slice sum over the table t as a
     Fixed, with ``weight`` the log2 of a bound on the sum of |weights| (0 for
     one slice), checked against the floor bound of t and ``charge``, the log2
-    of a bound on the entries' own roundings (:func:`_pair_charge` for a
-    Gaussian pair sum; none for exact entries or a cube table).
+    of a bound on the entries' own roundings (:func:`_pair_charge`).
 
     While the floor bound times 2^weight exceeds one unit of the working
     digits of the value, is not below the charge, and E lies above the
     entries' last bit, t is floored again, E lowered by the bits missing (by
-    the working digits for a zero value), and the sum taken again.  Where it
+    the working digits for a value not above the bound, zero or mostly floor
+    error, whose size it does not tell), and the sum taken again.  Where it
     still misses ``ctx.precision`` digits, PrecisionLossError names the bits
     (for a charge, those that restore every working digit): the caller
-    reruns wider (:func:`~qrr.context.widening`).  A slice that the identity
-    makes an exact zero needs no check.
+    reruns wider (:func:`~qrr.context.widening`).
     """
     while True:
         value = evaluate(t)
-        top = value.top() - 1 if value else t.unit()
+        top = value.top() - 1 if value else t.k * t.E  # one unit of the products
         floor = t.bound() + weight
         lost = _log2_sum((floor, charge)) - top
         if value and lost <= -t.need:
             return value
         if t.E > t.last and floor >= charge:
-            t.floor(max(t.last, t.E - math.ceil(floor - top + t.need if value else t.need) - 1))
+            t.floor(max(t.last, t.E - math.ceil(t.need + min(0.0, floor - top)) - 1))
             continue
         lacking = bits_for_digits(ctx.precision) + lost
         if lacking > 0:
@@ -316,21 +299,20 @@ def _ratio_table_streams(a, b, ctx: QContext):
 
 
 def _bilateral_ratio_array(a: QPow, b: QPow, K: int, k: int, ctx: QContext) -> _Table:
-    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed_q``, a
-    table for slices of order k, sliced off the kept streams of
-    :func:`_ratio_table_streams`: the entries do not depend on K, only the
-    table's exponent E does.  A pole in a stream is raised again to every
-    table that reaches it."""
+    """r_n = (a;q)_n/(b;q)_n for n in [-K, K] at ``ctx.fixed_q``, a table for
+    slices of order k, sliced off the kept streams of :func:`_ratio_table_streams`:
+    the entries do not depend on K, only the table's exponent E does.  A pole
+    in a stream is raised again to every table that reaches it."""
     up, down = _ratio_table_streams(a, b, ctx)
     return _Table(-K, [down[j] for j in range(K - 1, -1, -1)]
-                  + [up[j] for j in range(K + 1)], k, ctx)
+                  + [up[j] for j in range(K + 1)], k, ctx, (a, b))
 
 
 def _pole_table(a: QPow, K: int, k: int, ctx: QContext) -> _Table:
     """t_j = 1/(1 - a q^j) for |j| <= K at ``ctx.fixed_q``, the pole table of
     the theta sums, for slices of order k; a vanishing factor is a pole."""
     return _Table(-K, [1 / f for f in islice(_pole_factors(a, ctx.fixed_q, -K), 2 * K + 1)],
-                  k, ctx)
+                  k, ctx, (a, QPow(a.coeff, a.exponent + 1)))
 
 
 def slice_truncation(rate, ctx: QContext) -> int:
@@ -339,26 +321,8 @@ def slice_truncation(rate, ctx: QContext) -> int:
     stays below 10^-(precision + 6)."""
     rate = abs(to_mp(rate))
     if rate >= 1:
-        raise DomainError("slice tails need rate < 1")
+        raise DomainError("slice tails need a rate below 1 (|b/a| < 1 for a ratio table)")
     return max(8, int(mp.ceil((ctx.precision + 12) / (-mp.log10(rate)))))
-
-
-@kept
-def ratio_truncation(av, bv, ctx: QContext) -> int:
-    """Cutoff K of the table r_n = (a;q)_n/(b;q)_n of a bilateral slice sum:
-    the first m >= 8 where |r_{-m}| and |r_{-ceil(m/2)}|^2 (a tail on one index
-    or split over two) are below the bound of :func:`slice_truncation`.
-    r_{-m} = prod_{k<=m} (b - q^k)/(a - q^k) decays at the 1psi1 annulus rate
-    |b/a| only once |q|^k < |b|; a vanishing a - q^k is left to the table.
-    The walk runs in ``ctx.workdps()``, once per (a, b, q) in a check."""
-    with ctx.workdps():
-        if abs(bv / av) >= 1:
-            raise DomainError("slice tails need |b/a| < 1")
-        bound, qk, r = mp.mpf(10) ** -(ctx.precision + 12), mp.mpf(1), [mp.mpf(1)]
-        while len(r) <= 8 or r[-1] >= bound or r[len(r) // 2] ** 2 >= bound:
-            qk *= ctx.q
-            r.append(r[-1] * abs(bv - qk) / abs(av - qk) if av != qk else r[-1])
-    return len(r) - 1
 
 
 def gaussian_truncation(alpha, ctx: QContext) -> int:
@@ -368,24 +332,21 @@ def gaussian_truncation(alpha, ctx: QContext) -> int:
     return int(mp.ceil(mp.sqrt((ctx.precision + 10) / rate))) + 2
 
 
-def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, stream=None):
+def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, stream=None):
     """sum over m of q^(alpha m^2) x^m S_m, the one Gaussian-weighted slice
     sum, S_m = ``slices(t, ns)`` the slices of order k = t.k (pairs or cubes)
     of the table t = ``table(K)``, or ``table(M)`` for a unilateral one (K
     None): each S_m sums unit multiples of products of k entries whose
     indices add to m.  The outer sum of a square master expansion (``ms-7``,
     ``ms-11``), sum over j of r_j q^(alpha j^2) (-x)^j F(x q^(2 alpha j)) for
-    F(y) = sum_n r_n q^(alpha n^2) y^n, is this sum of the pair slices
-    (:func:`_pair_slices`) of r_j = (a;q)_j / (b;q)_j by m = j + n.  That of
-    a cube one (``ms-8``, ``ms-12``), sum over s of C_s q^(alpha s^2) x^s
-    F(w^2 x q^(2 alpha s)) for the cube pairs C_s = sum over j + k = s of
-    r_j w^k r_k, is its sum of the cube slices (:func:`_cube_slices`) of r by
-    m = j + k + n (without the twist w^2, the literal reading of ``ms-12``,
-    twist 0).  The theta pole sums are its pair and cube slices of the pole
-    table t_j = 1/(1 - a q^j) (:func:`_pole_table`) at alpha = 1.  The sum is
-    checked by :func:`_floored`, a pair table charged its entries' roundings
-    (:func:`_pair_charge`); a cube table is charged nothing, as no bound on
-    the roundings of its triple products is derived yet.
+    F(y) = sum_n r_n q^(alpha n^2) y^n, is this sum of the pair slices of
+    r_j = (a;q)_j / (b;q)_j by m = j + n; that of a cube one (``ms-8``,
+    ``ms-12``), over s of C_s q^(alpha s^2) x^s F(w^2 x q^(2 alpha s)),
+    C_s = sum over j + k = s of r_j w^k r_k, its sum of the cube slices of r
+    by m = j + k + n (twist 0 without the w^2 of ``ms-12``).  The theta pole
+    sums are its slices of the pole table (:func:`_pole_table`) at alpha = 1.
+    The sum is checked by :func:`_floored`, a pair table charged its entries'
+    roundings (:func:`_pair_charge`), a cube table not yet.
 
     Both cutoffs are checked against the sum, and grow where they miss
     10^-(precision + 6) of it.  A unilateral table, read off the
@@ -393,9 +354,9 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, str
     the weights 0 <= m <= M, so its S_m are exact; past M, with A the largest
     |r_j| and rho >= 1 the declared ratio bound past r_M, each of the
     C(m + k - 1, k - 1) <= (m + 1)^(k - 1) products of S_m is at most
-    A^k rho^(m - M).  A bilateral table of decay rate b = |``decay``| < 1
-    takes |m| <= M, and :func:`_theta_cutoff` checks its cutoff |j| <= K.
-    With T as there (|t_j| <= T for j >= 0, |t_-n| <= T b^n), a product of
+    A^k rho^(m - M).  A bilateral table of decay rate b = 2^t.rate < 1
+    takes |m| <= M, and :func:`_cut` checks its cutoff |j| <= K.  With T as
+    in :func:`_theta_cutoff` (|t_j| <= T for j >= 0, |t_-n| <= T b^n), a product of
     S_m whose indices of the sign opposite to m's (the negative ones for
     m >= 0, the positive ones for m < 0) add to d in size is at most
     T^k b^(max(0, -m) + d).  For k <= 3, C(|m| + k - 1, k - 1) products have
@@ -404,7 +365,6 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, str
     Summed over d, term by term, |S_m| <= T^k b^max(0, -m) (|m| + c)^(k - 1),
     c = 1 + k / (1 - b)."""
     qf, ell, x = ctx.fixed_q, float(mp.log(abs(ctx.q), 2)), float(mp.log(abs(xv), 2))
-    rate = None if stream else float(mp.log(abs(decay), 2))
 
     def tail(h, c):
         """log2 of a bound on sum over m > M of (m + c)^(k - 1) 2^(h m)
@@ -418,22 +378,26 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, str
 
     M = gaussian_truncation(alpha, ctx)
     while True:
-        t, ns = table(M if stream else K), range(0 if stream else -M, M + 1)
+        ns = range(0 if stream else -M, M + 1)
         weights = list(islice(_gaussian(qf, alpha, qf.like(xv), ns[0]), len(ns)))
-        value = _floored(t, lambda t: sum(g * c for g, c in zip(weights, slices(t, ns))),
-                         ctx, _log2_sum(g.top() + 0.5 for g in weights if g),
-                         _pair_charge(t, ns, weights) if t.k == 2 else -math.inf)
-        level = value.top() - 1 - (ctx.precision + 6) * LOG2_10
+        tops = _tops(weights)
+
+        def evaluate(t):
+            return sum(g * c for g, c in zip(weights, slices(t, ns)))
+
+        def charge(t):
+            return _pair_charge(t, ns, weights) if t.k == 2 else -math.inf
+
         if stream:
+            t = table(M)
+            value = _floored(t, evaluate, ctx, _log2_sum(tops), charge(t))
             rho = max(0.0, stream.stream.bound.reading(M)(0))
             cut = t.k * max(_tops(t.values)) - M * rho + tail(rho + x, 1)
         else:
-            short = _theta_cutoff(t, ns, weights, rate) - level
-            if short > 0:
-                K += math.ceil(short / -rate)
-                continue
-            c = 1 + t.k / (1 - 2.0 ** rate)
-            cut = t.k * _table_top(t, rate) + _log2_sum((tail(x, c), tail(rate - x, c)))
+            t, value = _cut(table, K, evaluate, ns, tops, ctx, charge)
+            K, c = t.hi, 1 + t.k / (1 - 2.0 ** t.rate)
+            cut = t.k * _table_top(t) + _log2_sum((tail(x, c), tail(t.rate - x, c)))
+        level = value.top() - 1 - (ctx.precision + 6) * LOG2_10
         if cut <= level:
             return value.to_mp()
         fall = -ell * alpha * (2 * M + 3)  # the bits |q|^(alpha m^2) falls by at m = M + 1
@@ -442,56 +406,106 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, decay=None, str
             raise NonConvergenceError(f"Gaussian slice sum beyond {MAX_TERMS} terms")
 
 
-def _theta_cutoff(t: _Table, ns, weights, rate: float) -> float:
+def _cut(table, K, evaluate, ns, tops, ctx: QContext, charge=lambda t: -math.inf):
+    """(t, value): the cutoff check of every bilateral table, t = ``table(K)``
+    and ``evaluate(t)`` the sum over n in ``ns`` of g_n S_n (``tops`` the log2
+    of bounds on |g_n|) by :func:`_floored`.  From the start K, t grows until
+    :func:`_theta_cutoff` is below 10^-(precision + 6) of the value: twice as
+    long where the bound is infinite, else by the fewest entries over which
+    it falls by the bits missing at a fixed reading of T; without a sum where
+    it exceeds W A^k (W = sum |g_n|, A = sum |t_j|), which bounds the value.
+    A grown table starts on the exponent that the last sum needed."""
+    weight, E = _log2_sum(tops), math.inf
+    while True:
+        t = table(K)
+        if E < t.E:
+            t.floor(max(t.last, E))
+        bound = _theta_cutoff(t, ns, tops)
+        short = bound - (t.k * t.log2_sum + weight - (ctx.precision + 6) * LOG2_10)
+        if short <= 0:
+            value = _floored(t, evaluate, ctx, weight, charge(t))
+            short, E = bound - (value.top() - 1 - (ctx.precision + 6) * LOG2_10), t.E
+            if short <= 0:
+                return t, value
+        hi = K if short == math.inf else math.ceil(short / -t.rate)  # b^K alone falls so far
+        K += next((s for s in range(1, hi) if -s * t.rate - math.log2((K + s + 1) / (K + 1))
+                   + t.k * (_past(t, K) - _past(t, K + s)) >= short), hi)
+        if K > MAX_TERMS:
+            raise NonConvergenceError(f"bilateral slice table beyond {MAX_TERMS} entries")
+
+
+def _theta_cutoff(t: _Table, ns, tops) -> float:
     """log2 of a bound on what the cutoff |j| <= K of the bilateral table t
-    omits from sum over n in ns of g_n S_n, for the weights g_n and the
-    slices S_n of order k = t.k <= 3; ``rate`` is log2 b, b the rate at which
-    the entries fall on the negative side (|q| for a pole table).
+    omits from sum over n in ns of g_n S_n, for the slices S_n of order
+    k = t.k <= 3 and ``tops`` the log2 of bounds on |g_n|; the entries fall
+    at the rate b = 2^t.rate < 1 on the negative side.
 
-    Let T be the least number with |t_j| <= T for j >= 0 and
-    |t_-m| <= T b^m for m >= 1.  It is read off the table's entries, each
-    bounded by 2^(top + 1/2); past the table, |t_j| and |t_-m| / b^m lie
-    within a factor 1 + O(|q|^K) of their limits (1 and 1/|a| for a pole
-    table).  A term of slice n is a product of k entries, times a unit,
-    whose indices sum to n.  If one index lies outside [-K, K], the negative
-    ones sum to N >= K - |n| + 1 in size, so the term is at most T^k b^N, and
-    at most 6 (N + |n|) tuples share one N.  So slice n omits at most
-    B_n = 6 T^k (K + 1) b^(K - |n| + 1) / (1 - b)^2, and the sum at most
-    sum |g_n| B_n."""
-    K = t.hi
-    return (math.log2(6 * (K + 1)) + t.k * _table_top(t, rate) + (K + 1) * rate
+    Let T be the least number with |t_j| <= T for every j >= 0 and
+    |t_-m| <= T b^m for every m >= 1, past the table too (:func:`_table_top`).
+    A term of slice n is a product of k entries, times a unit, whose indices
+    sum to n.  If one index lies outside [-K, K], the negative ones sum to
+    N >= K - |n| + 1 in size, so the term is at most T^k b^N, and at most
+    6 (N + |n|) tuples share one N.  So slice n omits at most B_n = 6 T^k
+    (K + 1) b^(K - |n| + 1) / (1 - b)^2, and the sum at most sum |g_n| B_n."""
+    K, rate = t.hi, t.rate
+    return (math.log2(6 * (K + 1)) + t.k * _table_top(t) + (K + 1) * rate
             - 2 * math.log2(1 - 2.0 ** rate)
-            + _log2_sum(g.top() + 0.5 - abs(n) * rate for n, g in zip(ns, weights) if g))
+            + _log2_sum(w - abs(n) * rate for n, w in zip(ns, tops)))
 
 
-def _table_top(t: _Table, rate: float) -> float:
-    """log2 T, read off the entries of t: |t_j| <= T for j >= 0 and
-    |t_-m| <= T 2^(m rate) (:func:`_theta_cutoff`)."""
-    return max(v.top() + 0.5 + min(j, 0) * rate for j, v in enumerate(t.values, t.lo) if v)
+def _table_top(t: _Table) -> float:
+    """log2 T (:func:`_theta_cutoff`): |t_j| <= T for j >= 0 and
+    |t_-m| <= T b^m for m >= 1, b = 2^t.rate, past the table too.  Inside
+    it, T is read off the entries, each below 2^(top + 1/2).  Past it each
+    entry is the last times a step factor, a, b, q of log2 size ``t.steps``:
+    t_(j+1) = t_j (1 - a q^j) / (1 - b q^j) (a pole table is the ratio table
+    of a and aq over 1 - a), so t_-m = t_-(m-1) (b - q^m) / (a - q^m), at
+    most |b/a| (1 + |q^m/b|) / (1 - |q^m/a|) in size, also with |b| read
+    larger (a zero b counts as |aq|).  So T is the reading times max(F+, F-)
+    (:func:`_past`), F+ = prod over i >= K of (1 + |a q^i|) / (1 - |b q^i|)
+    and F- = prod over i > K of (1 + |q^i/b|) / (1 - |q^i/a|)."""
+    return _past(t, t.hi) + max(v.top() + 0.5 + min(j, 0) * t.rate
+                                for j, v in enumerate(t.values, t.lo) if v)
 
 
-def _slice_table(n: int, a, b, k: int, ctx: QContext):
-    """(a, b, r) for the slice of order k at total n: a and b as numbers, and
-    the table r_j = (a;q)_j/(b;q)_j for |j| <= K = ratio_truncation + |n|."""
-    aq, bq = _as_qpow(a), _as_qpow(b)
-    av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
-    return av, bv, _bilateral_ratio_array(aq, bq, ratio_truncation(av, bv, ctx) + abs(n), k, ctx)
+def _past(t: _Table, K: int) -> float:
+    """log2 of a bound on max(F+, F-) of :func:`_table_top` at the cutoff K:
+    ln(1 + s) <= s and -ln(1 - s) <= s / (1 - s) bound each ln F by
+    (|X| + |Y| / (1 - |Y|)) / (1 - |q|), X and Y its first terms (a q^K, b q^K;
+    q^(K+1)/b, q^(K+1)/a).  About 1e-49 at the default; infinite where a
+    factor 1 - Y q^i could vanish (|Y| >= 1), and past floats (|X| > 2^1000)."""
+    a, b, q = t.steps
+    sides = ((a + K * q, b + K * q), ((K + 1) * q - b, (K + 1) * q - a))
+    if any(y >= 0 or x > 1000 for x, y in sides):
+        return math.inf
+    return max(2.0 ** x + 2.0 ** y / (1 - 2.0 ** y) for x, y in sides) / -math.expm1(q * LN2) / LN2
+
+
+def _ratio_slice(n: int, a, b, k: int, slices, product, ctx: QContext):
+    """(S_n, P): the slice n of order k, ``slices``, of the table
+    (a;q)_j/(b;q)_j, |j| <= K, K started at slice_truncation(|b/a|) + |n|
+    and grown by :func:`_cut`, and P = ``product(q, a, b, n / k)``, a and b
+    as numbers; zero where k does not divide n, where the slice is an exact
+    zero that needs no check, and its K is the start."""
+    with ctx.workdps():
+        aq, bq = _as_qpow(a), _as_qpow(b)
+        av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
+        K = slice_truncation(bv / av, ctx) + abs(n)
+        table = partial(_bilateral_ratio_array, aq, bq, k=k, ctx=ctx)
+        if n % k:
+            return slices(table(K), [n])[0].to_mp(), mp.mpf(0)
+        lhs = _cut(table, K, lambda t: slices(t, [n])[0], [n], [0.0], ctx)[1].to_mp()
+        return lhs, product(ctx.q, av, bv, n // k)
 
 
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral alternating pair convolution at fixed total n, with its
     closed product evaluation (zero for odd n)."""
-    with ctx.workdps():
-        q = ctx.q
-        av, bv, r = _slice_table(n, a, b, 2, ctx)
-        if n % 2 == 1:  # an exact zero (_pair_slices)
-            return _pair_slices(r, [n])[0].to_mp(), mp.mpf(0)
-        lhs = _floored(r, lambda t: _pair_slices(t, [n])[0], ctx).to_mp()
-        m = n // 2
+    def product(q, av, bv, m):
         pref = infinite_product([q, bv / av, -bv, -q / av], [-q, -bv / av, bv, q / av], q, ctx)
-        tail = (pochhammer_finite(av * av, q * q, m)
-                / pochhammer_finite(bv * bv, q * q, m))
-        return lhs, pref * tail
+        return pref * (pochhammer_finite(av * av, q * q, m) / pochhammer_finite(bv * bv, q * q, m))
+
+    return _ratio_slice(n, a, b, 2, _pair_slices, product, ctx)
 
 
 def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
@@ -500,20 +514,14 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
     the base-q^3 factors read as infinite products.
     """
-    with ctx.workdps():
-        q = ctx.q
-        av, bv, r = _slice_table(n, a, b, 3, ctx)
-        if n % 3 != 0:  # an exact zero (_cube_slices)
-            return _cube_slices(r, [n])[0].to_mp(), mp.mpf(0)
-        lhs = _floored(r, lambda t: _cube_slices(t, [n])[0], ctx).to_mp()
-        m = n // 3
+    def product(q, av, bv, m):
         q3 = q ** 3
         pref = (infinite_product([q, bv / av], [bv, q / av], q, ctx) ** 3
                 * infinite_product([bv ** 3, q3 / av ** 3], [q3, (bv / av) ** 3], q3, ctx))
-        tail = (pochhammer_finite(av ** 3, q3, m)
-                / pochhammer_finite(bv ** 3, q3, m))
-        return lhs, pref * tail
+        return pref * (pochhammer_finite(av ** 3, q3, m) / pochhammer_finite(bv ** 3, q3, m))
+
+    return _ratio_slice(n, a, b, 3, _cube_slices, product, ctx)
 
 
 # the ratio-stream kernels the tables read (see the module docstring)
-from .qfunctions import _gaussian, _ratio_streams, _value  # noqa: E402
+from .qfunctions import _Q1, _gaussian, _ratio_streams, _value  # noqa: E402

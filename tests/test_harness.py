@@ -462,8 +462,9 @@ SLICE_CHECKS = ("ms-3", "ms-4", "ms-5", "ms-7", "ms-8", "ms-11", "ms-12", "ms-13
 def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkeypatch):
     # at the default config every slice sum holds its floor bound on the
     # table's a-priori exponent, and every Gaussian slice sum (ms-7, ms-8,
-    # ms-11, ms-12 and the theta sums) its cutoffs on its first table: no
-    # table is floored again or grown, no check rerun wider.  The 49 tables,
+    # ms-11, ms-12 and the theta sums) and every nonzero slice of ms-3 and
+    # ms-5 its cutoffs on its first table: no table is floored again or
+    # grown, no check rerun wider.  The 49 tables,
     # at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and the
     # literal reading at n = 3), ms-7 (two alpha), ms-8, ms-11, the five
     # theta sums (one each) and ms-12, with the literal reading of ms-12 at
@@ -490,9 +491,29 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
         assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
     assert counts["floors"] == 49 and counts["theta"] == 10
     # one cutoff check per theta sum, and one per ratio table of ms-11 and
-    # ms-12: two each, and ms-12's literal reading
-    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 5
+    # ms-12 (two each, and ms-12's literal reading) and of the nonzero slices
+    # of ms-3 (n = 0, 2, 4) and ms-5 (3 n and the literal reading) at each q
+    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 5 + 2 * (3 + 4)
     assert counts["wider"] == 0
+
+
+def test_ms5_near_one_grows_its_cutoff_past_the_start(monkeypatch):
+    # at q = 0.9, precision 20 the start K = slice_truncation(|b/a|) + n of
+    # ms-5's tables misses the cutoff bound: the check grows its tables past
+    # the start and the slices PASS
+    from qrr import slices
+    ctx = QContext.numeric("0.9", precision=20)
+    start = slices.slice_truncation(mp.mpf("0.1") / mp.mpf("0.5"), ctx)
+    built, real = [], slices._bilateral_ratio_array
+
+    def table(a, b, K, k, ctx):
+        built.append(K)
+        return real(a, b, K, k, ctx)
+
+    monkeypatch.setattr(slices, "_bilateral_ratio_array", table)
+    report = run_check("ms-5", "numeric", RunSettings(precision=20, q_values=("0.9",)))
+    assert report.status == "PASS", report.note
+    assert built[0] == start and max(built) > start + 6
 
 
 def test_ms15_theta_truncation_follows_precision_100():

@@ -34,7 +34,7 @@ from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
 from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv,
                         _cube_slices, _log2_sum, _pair_slices, _pole_table, _span, _Table,
                         _theta_cutoff, bilateral_cube_slice_sides, bilateral_pair_slice_sides,
-                        gaussian_truncation, ratio_truncation, slice_truncation)
+                        gaussian_truncation, slice_truncation)
 from qrr.summation import sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
@@ -734,11 +734,11 @@ def old_cube_bilateral_rhs(alpha, a, b, x, ctx, corrected=True):
     """ms-12's right side as printed: pref times the sum over s of C_s x^s
     q^(alpha s^2) B(twist x q^(2 alpha s)), C_s = sum over j + k = s of r_j
     w^k r_k for r_j = (a;q)_j/(b;q)_j and twist w^2 or 1, each term from
-    scratch.  Past K = ratio_truncation, r_-K is negligible, and so are the
-    terms with |s| > K, which fall at the rate |b/a| both ways: j and k run
-    down to -K, and s over |s| <= K."""
+    scratch.  Past K = slice_truncation(|b/a|), r_-K is negligible, and so
+    are the terms with |s| > K, which fall at the rate |b/a| both ways: j
+    and k run down to -K, and s over |s| <= K."""
     q, w = ctx.q, rho_root(ctx)
-    twist, K = (w ** 2 if corrected else 1), ratio_truncation(a, b, ctx)
+    twist, K = (w ** 2 if corrected else 1), slice_truncation(b / a, ctx)
     r = cache(lambda j: pochhammer_ratio(a, b, q, j))
 
     def term(s):
@@ -804,7 +804,7 @@ def _slice_cutoff(n, a, b, ctx):
     q = ctx.q
     av, bv = (to_mp(v.coeff) * powq(q, v.exponent) if isinstance(v, QPow) else v
               for v in (a, b))
-    return ratio_truncation(av, bv, ctx) + abs(n)
+    return slice_truncation(bv / av, ctx) + abs(n)
 
 
 def old_cube_slice_lhs(n, a, b, ctx):
@@ -939,8 +939,6 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
         aq = THETA_CUTOFF_AS[a](q)
         K, s_max = qfunctions._theta_truncation(x, ctx), gaussian_truncation(1, ctx)
         ns = range(-s_max, s_max + 1)
-        rate = float(mp.log(abs(q), 2))
-        one = ctx.fixed_q.like(1)
 
         def table(K, k):
             return _pole_table(aq, K, k, ctx)
@@ -949,8 +947,56 @@ def test_theta_cutoff_stays_within_its_bound(q, a):
             narrow, wide = table(K, k), table(2 * K, k)
             for n in (ns[0], 0, ns[-1]):
                 omitted = slices(narrow, [n])[0].to_mp() - slices(wide, [n])[0].to_mp()
-                bound = _theta_cutoff(narrow, [n], [one], rate)
+                bound = _theta_cutoff(narrow, [n], [0.0])
                 assert abs(omitted) <= mp.mpf(2) ** bound, (k, n)
+
+
+# the bilateral tables of the cutoff check: the ratio tables of ms-3/4/5 and
+# of ms-11/12, and a pole table of the theta sums (b None)
+CUTOFF_TABLES = {"ratio-0.5-0.1": (mp.mpf("0.5"), mp.mpf("0.1")),
+                 "ratio-0.6-0.15": (mp.mpf("0.6"), mp.mpf("0.15")),
+                 "pole-0.5": (mp.mpf("0.5"), None)}
+CUTOFF_QS = ("0.3", "-0.9", "0.9", "0.99", complex(0.7, 0.55))
+
+
+@pytest.mark.parametrize("q", CUTOFF_QS, ids=str)
+@pytest.mark.parametrize("table", CUTOFF_TABLES)
+def test_cutoff_bound_holds_past_the_table(table, q):
+    # what the cutoff |j| <= K omits from a slice, the slice on a table three
+    # times as long less the slice on the cut table, stays below the bound of
+    # _theta_cutoff, past-the-table factor included, at the start K of the
+    # check and at K 4 and 8 below it.  The tables are floored to their
+    # entries' last bit, 40 digits wider, so the difference is the omitted
+    # part and not rounding.  The start is capped at 48: near |q| = 1 the
+    # pole table's start runs to thousands of entries, too slow for cubes here.
+    # The bound keeps 12 bits or more above the omitted part at every point
+    # here, as its T^k and 6 (K + 1) / (1 - b)^2 are generous: so the test
+    # also holds its two premises, that T bounds every entry of the long table
+    # (|t_j| <= T, |t_-m| <= T b^m) and that the cut table holds every
+    # |j| <= K, which a table cut one entry short breaks
+    ctx = QContext.numeric(q, precision=SLICE_PRECISION)
+    wide = QContext.numeric(q, precision=SLICE_PRECISION + 40)
+    a, b = CUTOFF_TABLES[table]
+    with wide.workdps():
+        start = slice_truncation(abs(ctx.q) if b is None else b / a, ctx)
+
+        def make(K, k):
+            t = (_pole_table(QPow(a, 0), K, k, wide) if b is None
+                 else _bilateral_ratio_array(QPow(a, 0), QPow(b, 0), K, k, wide))
+            t.floor(t.last)
+            return t
+
+        for K in (min(start, 48) - d for d in (8, 4, 0)):
+            for k, slices_of in ((2, _pair_slices), (3, _cube_slices)):
+                cut, long = make(K, k), make(3 * K, k)
+                assert (cut.lo, cut.hi, long.lo, long.hi) == (-K, K, -3 * K, 3 * K)
+                top = slices._table_top(cut)
+                assert all(mp.log(abs(v.to_mp()), 2) + min(j, 0) * cut.rate <= top
+                           for j, v in enumerate(long.values, long.lo) if v), (K, k)
+                for n in (0, 6):
+                    omitted = slices_of(long, [n])[0].to_mp() - slices_of(cut, [n])[0].to_mp()
+                    bound = _theta_cutoff(cut, [n], [0.0])
+                    assert abs(omitted) <= mp.mpf(2) ** bound, (K, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1661,7 +1707,7 @@ def _recorded_checks(monkeypatch, sides):
 
 def _lost(t, value, weight):
     """Bits by which the floor bound times 2^weight exceeds |value|."""
-    return t.bound() + weight - (value.top() - 1 if value else t.unit())
+    return t.bound() + weight - (value.top() - 1 if value else t.k * t.E)
 
 
 FLOOR_CTX = QContext.numeric("0.3", precision=20)
@@ -1719,9 +1765,9 @@ def _theta_tables(monkeypatch):
     a Gaussian slice sum builds."""
     built, real = [], slices._Table
 
-    def table(lo, values, k, ctx):
+    def table(lo, values, k, ctx, ab=None):
         built.append(-lo)
-        return real(lo, values, k, ctx)
+        return real(lo, values, k, ctx, ab)
 
     monkeypatch.setattr(slices, "_Table", table)
     return built
@@ -1739,12 +1785,12 @@ def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(table, q, monk
     with ctx.workdps():
         aq, bq = QPow(A5, 0), QPow(B1, 0)
         if table in ("pair", "cube"):
-            K, decay = qfunctions._theta_truncation(X6, ctx), ctx.q
+            K = qfunctions._theta_truncation(X6, ctx)
 
             def make(K):
                 return slices._pole_table(aq, K, k, ctx)
         else:
-            K, decay = ratio_truncation(A5, B1, ctx) + gaussian_truncation(1, ctx), B1 / A5
+            K = slice_truncation(B1 / A5, ctx) + gaussian_truncation(1, ctx)
 
             def make(K):
                 return _bilateral_ratio_array(aq, bq, K, k, ctx)
@@ -1752,7 +1798,7 @@ def test_a_theta_table_cut_one_entry_short_is_caught_by_the_bound(table, q, monk
 
         def tables(K):
             built.clear()
-            slices._gaussian_slices(make, slices_of, 1, X6, K, ctx, decay)
+            slices._gaussian_slices(make, slices_of, 1, X6, K, ctx)
             return list(built)
 
         low, high = 1, max(tables(K))  # the cutoff bound holds at high
@@ -1774,7 +1820,7 @@ def _gaussian_sum_shapes(ctx, pairs, cubes):
     def theta(k, slices_of):
         return lambda M: slices._gaussian_slices(
             lambda K: slices._pole_table(aq, K, k, ctx), slices_of, 1, X6,
-            qfunctions._theta_truncation(X6, ctx), ctx, ctx.q)
+            qfunctions._theta_truncation(X6, ctx), ctx)
 
     def unilateral(k, slices_of, alpha):
         return lambda M: slices._gaussian_slices(
@@ -1784,7 +1830,7 @@ def _gaussian_sum_shapes(ctx, pairs, cubes):
     def bilateral(k, slices_of):
         return lambda M: slices._gaussian_slices(
             lambda K: _bilateral_ratio_array(aq, QPow(B1, 0), K, k, ctx), slices_of, 1, X6,
-            ratio_truncation(A5, B1, ctx) + M, ctx, B1 / A5)
+            slice_truncation(B1 / A5, ctx) + M, ctx)
 
     return {
         "ms-7": unilateral(2, pairs, F(1, 2)),
