@@ -5,8 +5,11 @@ convention (a;q)_{-k} = 1/((a q^{-k}; q)_k).  Every finite value and every
 ratio of two (:func:`pochhammer_ratio`) is one factor walk, :func:`_product`,
 over the factors of :func:`_factors`, or of :func:`_pole_factors` where the
 walk is a denominator.  The numeric kernels carry their Pochhammer ratios as
-streams (:mod:`qrr.qfunctions`); these values serve exact sums, prefactors
-and the tests' per-term oracles.
+one fused stream, :func:`~qrr.summation._ratio_terms`; these values serve
+exact sums, prefactors and the tests' per-term oracles.  The generic stream
+helpers live here too: :func:`_ratios_up`, the Gaussian weights of
+:func:`_gaussian` and the powers of :func:`_geometric`, exact for Fraction q
+and Fixed for a Fixed q.
 
 Arguments may be plain numbers or :class:`QPow` pairs ``c * q**e``.  The
 structured form keeps exponent bookkeeping exact, so a factor such as
@@ -46,6 +49,16 @@ class QPow(NamedTuple):
 
 def _as_qpow(a) -> QPow:
     return a if isinstance(a, QPow) else QPow(a, 0)
+
+
+_Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
+
+
+def _value(x, q):
+    """Numeric value of a plain number or a QPow relative to q."""
+    if isinstance(x, QPow):
+        return to_mp(x.coeff) * powq(q, x.exponent)
+    return to_mp(x)
 
 
 def _factors(a: QPow, q, j=0, step=1):
@@ -265,6 +278,40 @@ def _log_series(xs, terms: int, qf: Fixed):
         li += ((si * dr - sr * di) << wp) // norm
         kr, ki = (kr * qr - ki * qi) >> wp, (kr * qi + ki * qr) >> wp
     return lr, li
+
+
+def _geometric(x0, ratio):
+    """Yield x0, x0 * ratio, x0 * ratio**2, ..."""
+    while True:
+        yield x0
+        x0 = x0 * ratio
+
+
+def _gaussian(q, alpha, x, n=0):
+    """Yield q^(alpha m^2) x^m for m = n, n + 1, ..., two multiplications each.
+
+    The step q^(alpha (2m+1)) x is itself carried, growing by q^(2 alpha).
+    """
+    g = powq(q, alpha * n * n) * x ** n
+    step = powq(q, alpha * (2 * n + 1)) * x
+    q2a = powq(q, 2 * alpha)
+    while True:
+        yield g
+        g = g * step
+        step = step * q2a
+
+
+def _ratios_up(a: QPow, q):
+    """Yield (a;q)_n / (q;q)_n for n = 0, 1, 2, ..., exact for Fraction q,
+    for finite exact or mpf sums; a fixed-point series is
+    :func:`~qrr.summation._ratio_terms`.
+
+    The factors 1 - q^(n+1) never vanish for 0 < |q| < 1.
+    """
+    r = _one_like(q)
+    for fa, fb in zip(_factors(a, q), _factors(_Q1, q)):
+        yield r
+        r = r * fa / fb
 
 
 def pochhammer_infinite(a, q, ctx: QContext):

@@ -25,10 +25,12 @@ import mpmath as mp
 
 from .context import QContext, kept, powq, to_mp
 from .errors import DomainError
-from .pochhammer import QPow, _pole_factors, infinite_product, pochhammer_finite
-from .qfunctions import _Q1, _gaussian, _ratio_terms, _series, _value
+from .pochhammer import (_Q1, QPow, _gaussian, _pole_factors, _value, infinite_product,
+                         pochhammer_finite)
+from .qfunctions import _series
 from .qpolynomials import (_binomial_powers, _qbinomials, _sw_shifted, q_lommel_p,
                            stieltjes_wigert)
+from .summation import _ratio_terms
 
 
 def as_order(nu) -> Fraction:

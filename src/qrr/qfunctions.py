@@ -21,19 +21,20 @@ cancelled below ``ctx.precision`` digits, as PrecisionLossError naming the
 bits it lacks: the caller reruns the whole evaluation, inputs included, with
 :func:`~qrr.context.widening`.
 A Pochhammer-ratio stream, whose term ratio is a quotient of factors 1 - c q^k
-times a geometric step, is one fused integer stream, :func:`_ratio_terms`
-(both halves of a bilateral one from :func:`_ratio_streams`); that holds for
-series, outer sums and ratio tables alike.  Such a stream declares its ratio
-bound to the engine, and a sum of it stops on
-that bound (:class:`~qrr.summation._RatioBound`); any other stream stops on
-the observed certificate.  The generic stream helpers
-(:func:`_ratios_up`, :func:`_gaussian`, and the factor walks
+times a geometric step, is one fused integer stream,
+:func:`~qrr.summation._ratio_terms` (both halves of a bilateral one from
+:func:`~qrr.summation._ratio_streams`); that holds for series, outer sums and
+ratio tables alike.  The stream lives in :mod:`qrr.summation` beside the
+ratio bound it declares (:class:`~qrr.summation._RatioBound`), on which a sum
+of it stops; any other stream stops on the observed certificate.  The generic
+stream helpers of :mod:`qrr.pochhammer` (:func:`~qrr.pochhammer._ratios_up`,
+:func:`~qrr.pochhammer._gaussian`, and the factor walks
 :func:`~qrr.pochhammer._factors` / :func:`~qrr.pochhammer._pole_factors`)
 serve exact Fraction sums, weights, pole tables and S_n values: Fraction q
 gives exact Fractions, a Fixed q gives Fixed values.  Slice sums (the
 bilateral convolutions, the double and triple sums of the master expansions
 and the theta pole sums) are summed and checked, floor and cutoffs alike,
-in :mod:`qrr.slices`; this module builds the streams that their tables read.
+in :mod:`qrr.slices`, which this module reads.
 Every product side, a quotient of infinite products over one base, is one
 :func:`~qrr.pochhammer.infinite_product` walk.  A vanishing denominator
 factor, in a stream, a pole table or a product, is the PoleError of
@@ -61,14 +62,13 @@ import mpmath as mp
 from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import AnnulusError, DomainError, PoleError
 from .exactpoly import EisensteinRational
-from .fixedpoint import Fixed, cut, one_minus, parts, shifted
 from .formal import (FormalSeries, _numerators, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum)
-from .pochhammer import (QPow, _as_qpow, _factors, _one_like, _pole_factors,
-                         infinite_product, pochhammer_finite, pole)
-from .summation import _declared, _reading, sum_bilateral, sum_series
-
-_Q1 = QPow(1, 1)  # the parameter q itself, as in (q;q)_n
+from .pochhammer import (_Q1, QPow, _as_qpow, _pole_factors, _ratios_up, _value,
+                         infinite_product, pochhammer_finite)
+from .slices import (_bilateral_ratio_array, _cube_slices, _gaussian_slices, _pair_slices,
+                     _pole_table, _Table, gaussian_truncation, slice_truncation)
+from .summation import _ratio_streams, _ratio_terms, _reading, sum_bilateral, sum_series
 
 
 def _series(build, ctx: QContext):
@@ -84,46 +84,6 @@ def _series(build, ctx: QContext):
         return sum_bilateral(pos, neg, ctx, (up, down)).certified()
     term, ratio = _reading(terms)
     return sum_series(term, ctx, ratio).certified()
-
-
-def _geometric(x0, ratio):
-    """Yield x0, x0 * ratio, x0 * ratio**2, ..."""
-    while True:
-        yield x0
-        x0 = x0 * ratio
-
-
-def _gaussian(q, alpha, x, n=0):
-    """Yield q^(alpha m^2) x^m for m = n, n + 1, ..., two multiplications each.
-
-    The step q^(alpha (2m+1)) x is itself carried, growing by q^(2 alpha).
-    """
-    g = powq(q, alpha * n * n) * x ** n
-    step = powq(q, alpha * (2 * n + 1)) * x
-    q2a = powq(q, 2 * alpha)
-    while True:
-        yield g
-        g = g * step
-        step = step * q2a
-
-
-def _ratios_up(a: QPow, q):
-    """Yield (a;q)_n / (q;q)_n for n = 0, 1, 2, ..., exact for Fraction q,
-    for finite exact or mpf sums; a fixed-point series is :func:`_ratio_terms`.
-
-    The factors 1 - q^(n+1) never vanish for 0 < |q| < 1.
-    """
-    r = _one_like(q)
-    for fa, fb in zip(_factors(a, q), _factors(_Q1, q)):
-        yield r
-        r = r * fa / fb
-
-
-def _value(x, q):
-    """Numeric value of a plain number or a QPow relative to q."""
-    if isinstance(x, QPow):
-        return to_mp(x.coeff) * powq(q, x.exponent)
-    return to_mp(x)
 
 
 def rho_root(ctx: QContext):
@@ -209,181 +169,6 @@ def psi_1_1(a, b, z, ctx: QContext):
             raise AnnulusError(
                 f"1psi1 needs |b/a| < |z| < 1; got |b/a|={ratio}, |z|={abs(zv)}")
         return _series(_ratio_streams(aq, bq, 0, zv), ctx)
-
-
-def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
-    """Builder of the two streams of the bilateral sum over n of
-    (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
-    def streams(q):
-        x, qa, q2a = q.like(xv), powq(q, alpha), powq(q, 2 * alpha)
-        return (_ratio_terms([aq], [bq], q, qa * x, q2a),
-                _ratio_terms([bq], [aq], q, qa / x, q2a, up=False))
-
-    return streams
-
-
-@_declared
-def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
-    """The fused stream of a series given by its term ratio
-    prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k) * step_k, step_{k+1} =
-    step_k * growth, over the QPows a_i in ``nums`` and b_j in ``dens``.
-
-    Upwards it yields t_0 = 1, t_1, ... with k = 0, 1, ... (term k + 1 is
-    term k times ratio k); downwards it yields t_{-1}, t_{-2}, ... with
-    k = -1, -2, ... (term -k is term -k + 1 times ratio -k, t_0 = 1), as
-    (a;q)_n / (b;q)_n q^{alpha n^2} x^n reads from n = -1 on with a and b
-    swapped.  The term, the step and every carried power a_i q^k are
-    mantissas with an exponent each, cut back to wp bits once per step; a
-    step of growth exactly 1 is carried as it is.  A factor
-    whose exact exponent is 0 is 1 - coeff exactly.  A vanishing denominator
-    factor is a pole (checked before the term it would divide); downwards a
-    vanishing numerator factor kills the tail, which yields exact zeros.
-
-    One set-up feeds two loops.  When q, the step, the growth and every
-    power are real, the real loop carries one int per value, with the
-    factors as parallel lists; otherwise the complex loop carries pairs of
-    ints, as :func:`~qrr.fixedpoint.one_minus` and
-    :func:`~qrr.fixedpoint.cut` take them.  The real loop is the complex one
-    with every imaginary part 0: the products, cuts and the one division
-    take the same ints at the same points, and a part of 0 has bit length 0,
-    so a real power is exactly 1 under the same test
-    (``re.bit_length() + e < -wp - 2``).  Both loops give the same bits.
-
-    Upwards, a factor leaves the loop once both parts of its carried power
-    lie below 2^(-wp-4): the power is then below 2^(-wp-3) in size, and as
-    |q| < 1 it stays there at every later k, however a complex q turns it,
-    so both parts stay below the 2^(-wp-3) under which
-    :func:`~qrr.fixedpoint.one_minus` is exactly 1 (at q^0, the exact
-    1 - coeff is 1 too: the power there is coeff, up to its roundings).
-    Dropping such a factor leaves every term bit for bit as it was.
-
-    The stream is a :class:`~qrr.summation._Declared` one: it carries the
-    :class:`~qrr.summation._RatioBound` of its parameters, so that a sum of
-    it stops on rho_k = |step_k| times a suffix supremum of the Pochhammer
-    part, with no stop run and no observed certificate.  |step_k| does not
-    rise, as |growth| <= 1 (downwards, |growth| |q|^-d with d the number of
-    numerator factors less that of the denominator ones, the power of q^k
-    that the Pochhammer part then grows by); each factor 1 - c q^k is
-    bounded by 1 + |c q^k| and 1/(1 - |c q^k|) where |c q^k| <= 1/2, by
-    |c q^k| + 1 and 1/(|c q^k| - 1) where it is >= 2, and by its value in
-    between.  Mapped, zipped or cut, the stream is a plain one and stops on
-    the observed certificate, as a mixed stream must.
-    """
-    wp, one = q.wp, q.like(1)
-    k, dk = (0, 1) if up else (-1, -1)
-    shift = q if up else 1 / q
-    powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
-    complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
-    where = "term ratio" if up else "bilateral term ratio"
-    unit = growth == 1
-    gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
-    if not complex_terms:
-        # per factor: the exact exponent of q, the carried power's mantissa
-        # and exponent, the exact 1 - coeff, the QPow of a denominator factor
-        # or None
-        es = [c.exponent + k for c in (*nums, *dens)]
-        ms, pes = [p.re for p in powers], [p.e for p in powers]
-        exacts = [(x.re, x.e) for x in (one - c.coeff for c in (*nums, *dens))]
-        ds = [None] * len(nums) + dens
-        dropped = []
-        h, he, g, ge, s, se = shift.re, shift.e, growth.re, growth.e, step.re, step.e
-        t, te, small = 1, 0, -wp - 2
-        while True:
-            f, fe, v, ve = 1, 0, 1, 0
-            for i, e in enumerate(es):
-                p, pe = ms[i], pes[i]
-                top = p.bit_length() + pe
-                if up and top < gone:
-                    dropped.append(i)
-                    continue
-                if e == 0:
-                    x, xe = exacts[i]
-                elif pe >= 0:
-                    x, xe = 1 - (p << pe), 0
-                elif top < small:
-                    x, xe = 1, 0
-                else:
-                    x, xe = (1 << -pe) - p, pe
-                if ds[i] is None:
-                    if not x and not up:
-                        zero = Fixed(0, None, 0, wp)
-                        while True:
-                            yield zero
-                    f, fe = f * x, fe + xe
-                else:
-                    if not x:
-                        raise pole(ds[i].coeff, e, where)
-                    v, ve = v * x, ve + xe
-                es[i] = e + dk
-                p *= h
-                n = p.bit_length() - wp
-                if n > 0:
-                    ms[i], pes[i] = p >> n, pe + he + n
-                else:
-                    ms[i], pes[i] = p, pe + he
-            if dropped:
-                for i in reversed(dropped):
-                    del es[i], ms[i], pes[i], exacts[i], ds[i]
-                dropped.clear()
-            if up:
-                yield Fixed(t, None, te, wp)
-            # t * f * step / v, with one rounding in the division
-            t = t * f * s
-            n = wp + 1 + v.bit_length() - t.bit_length()
-            t, te = shifted(t, n) // v, te + fe + se - ve - n
-            if not up:
-                yield Fixed(t, None, te, wp)
-            if not unit:
-                s *= g
-                n = s.bit_length() - wp
-                if n > 0:
-                    s, se = s >> n, se + ge + n
-                else:
-                    se += ge
-    # per factor: [exact exponent of q, carried power, exact 1 - coeff, the
-    # QPow of a denominator factor or None]
-    factors = [[c.exponent + k, parts(p), parts(one - c.coeff), d]
-               for c, p, d in zip((*nums, *dens), powers, [None] * len(nums) + dens)]
-    hr, hi, he = parts(shift)
-    gr, gi, ge = parts(growth)
-    sr, si, se = parts(step)
-    tr, ti, te = 1, 0, 0
-    while True:
-        fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
-        for f in [*factors]:
-            e, (pr, pi, pe), exact, d = f
-            if up and max(pr.bit_length(), pi.bit_length()) + pe < gone:
-                factors.remove(f)
-                continue
-            xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
-            if d is None:
-                if not (xr or xi) and not up:
-                    zero = Fixed(0, 0, 0, wp)
-                    while True:
-                        yield zero
-                fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
-            else:
-                if not (xr or xi):
-                    raise pole(d.coeff, e, where)
-                vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
-            f[0] = e + dk
-            f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
-        if up:
-            yield Fixed(tr, ti, te, wp)
-        # t * f * step / v, with one rounding in the division
-        tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
-        tr, ti = tr * sr - ti * si, tr * si + ti * sr
-        te += fe + se - ve
-        if vi:
-            tr, ti = tr * vr + ti * vi, ti * vr - tr * vi
-            vr = vr * vr + vi * vi
-        s, m = tr.bit_length(), ti.bit_length()
-        s = wp + 1 + vr.bit_length() - (m if m > s else s)
-        tr, ti, te = shifted(tr, s) // vr, shifted(ti, s) // vr, te - s
-        if not up:
-            yield Fixed(tr, ti, te, wp)
-        if not unit:
-            sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
 def psi_1_1_product(a, b, z, ctx: QContext):
@@ -553,15 +338,6 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# bilateral slice convolutions (numeric): qrr.slices, which reads the stream
-# kernels above and is read by the sums below
-# ---------------------------------------------------------------------------
-
-from .slices import (_bilateral_ratio_array, _cube_slices, _gaussian_slices,  # noqa: E402
-                     _pair_slices, _pole_table, _Table, gaussian_truncation, slice_truncation)
-
-
-# ---------------------------------------------------------------------------
 # master transformations built on the convolution lemma
 # ---------------------------------------------------------------------------
 
@@ -680,7 +456,7 @@ def _pole_series(a: QPow, step: int, alpha, xv, ctx: QContext):
     and (cQ;Q)_n = 1 / (c Q^(n+1);Q)_-n leave 1 - c over 1 - c Q^n (Gasper
     & Rahman, *Basic Hypergeometric Series*, ch. 1).  So the sum is the
     bilateral ratio sum of (c;Q)_n / (cQ;Q)_n Q^{(alpha / step) n^2} x^n
-    (:func:`_ratio_streams`), which declares its ratio bound, over 1 - c.
+    (:func:`~qrr.summation._ratio_streams`), which declares its ratio bound, over 1 - c.
 
     The factor 1 - a q^{step n} can vanish only at the one n with
     |a q^{step n}| = 1, the nearest integer to -log_|q| |c| / step; that

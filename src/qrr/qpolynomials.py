@@ -15,7 +15,7 @@ in :mod:`qrr.qfunctions`: each term comes from the previous one by
 multiplication, with the q-powers, x-powers, Gaussian binomials and
 Pochhammer ratios carried as running streams that live for one sum.  A numeric
 Pochhammer ratio and its q-power weight are one fused
-:func:`~qrr.qfunctions._ratio_terms` stream.  The values S_n(x q^{-n}), whose
+:func:`~qrr.summation._ratio_terms` stream.  The values S_n(x q^{-n}), whose
 degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.
 """
 
@@ -34,11 +34,11 @@ from .exactpoly import BivariatePoly, QPoly
 from .fixedpoint import bits_for_digits, rounding_bits
 from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
                      fs_ratio_sum, qexp_to_u)
-from .pochhammer import (QPow, _factors, _one_like, infinite_product, pochhammer_finite,
-                         q_binomial)
-from .qfunctions import (_Q1, _gaussian, _geometric, _ratio_terms, _ratios_up, _series,
-                         _value, ramanujan_A, rr_product_formal, rr_sum_formal,
+from .pochhammer import (_Q1, QPow, _factors, _gaussian, _geometric, _one_like, _ratios_up,
+                         _value, infinite_product, pochhammer_finite, q_binomial)
+from .qfunctions import (_series, ramanujan_A, rr_product_formal, rr_sum_formal,
                          u_m_bilateral)
+from .summation import _ratio_terms
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +540,13 @@ def st_5_3_sides(n: int, x, ctx: QContext):
 def st_5_4_sides(n: int, a, b, q, ctx: QContext | None = None):
     """S_n(ab) against the b-expansion over S_{n-k}(a q^k) (finite sum).
 
-    Term k carries (-q^(1-n))^k q^binom(k,2), about |q|^(-n^2/2) at its peak,
-    so for small |q| the sum cancels far below its terms.  With ``ctx`` the mp
-    sum is checked (:func:`checked_sum`): summed at mp.prec bits, its N terms
-    each at most R (k + 1)^2 roundings from exact, it errs by under
-    2^(rounding_bits(N) - prec) sum |t_k|, and must keep ``ctx.precision``
-    digits."""
+    Term k carries (-q^(1-n))^k q^binom(k,2), about |q|^(-n(n-1)/2) at its
+    peak, so for small |q| the sum cancels far below its terms, by
+    n(n-1)/2 log2(1/|q|) bits a priori, as :func:`m_shifted` does.  With
+    ``ctx`` the mp sum is checked (:func:`checked_sum`, told those bits):
+    summed at mp.prec bits, its N terms each at most R (k + 1)^2 roundings
+    from exact, it errs by under 2^(rounding_bits(N) - prec) sum |t_k|, and
+    must keep ``ctx.precision`` digits."""
     lhs = stieltjes_wigert(n, a * b, q)
     terms = list(map(mul, map(mul, _ratios_up(QPow(1 / b, 0), q),
                               _binomial_powers(-q ** (1 - n), q)),
@@ -553,7 +554,8 @@ def st_5_4_sides(n: int, a, b, q, ctx: QContext | None = None):
     if ctx is None:
         return lhs, b ** n * sum(terms)
     spare = mp.mp.prec - bits_for_digits(ctx.precision) - rounding_bits(len(terms))
-    return lhs, b ** n * checked_sum(terms, spare)
+    cancels = int(mp.ceil(n * (n - 1) / 2 * -mp.log(abs(ctx.q), 2)))
+    return lhs, b ** n * checked_sum(terms, spare, cancels)
 
 
 def st_5_5_sides(n: int, a, ctx: QContext):

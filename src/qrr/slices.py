@@ -21,9 +21,11 @@ grows their cutoff M.  Every bilateral table, of a Gaussian sum or of one
 slice (``ms-3``, ``ms-5``), starts its cutoff K from a closed form, and
 :func:`_cut` grows it until the bound :func:`_theta_cutoff` is met.
 
-The tables read the ratio-stream kernels of :mod:`qrr.qfunctions`, whose
-master and theta sides read the slice sums in turn; each module imports
-from the other after its own definitions, so either may be imported first.
+The tables read the ratio streams of :func:`~qrr.summation._ratio_streams`
+and :func:`~qrr.summation._ratio_terms`, whose declared bound
+(:class:`~qrr.summation._RatioBound`) also bounds a unilateral table past
+its last entry, and the generic helpers of :mod:`qrr.pochhammer`; the master
+and theta sides of :mod:`qrr.qfunctions` read the slice sums.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from .context import MAX_TERMS, QContext, _Shared, kept, to_mp
 from .errors import DomainError, NonConvergenceError, PrecisionLossError
 from .fixedpoint import (LN2, LOG2_10, Fixed, _complex, _real, bits_for_digits, parts,
                          rounding_bits, shifted)
-from .pochhammer import QPow, _as_qpow, _pole_factors, infinite_product, pochhammer_finite
+from .pochhammer import (_Q1, QPow, _as_qpow, _gaussian, _pole_factors, _value,
+                         infinite_product, pochhammer_finite)
+from .summation import _ratio_streams
 
 
 # The bits by which a slice sum may cancel below the scale A^k W of its table
@@ -391,7 +395,7 @@ def _gaussian_slices(table, slices, alpha, xv, K, ctx: QContext, stream=None):
         if stream:
             t = table(M)
             value = _floored(t, evaluate, ctx, _log2_sum(tops), charge(t))
-            rho = max(0.0, stream.stream.bound.reading(M)(0))
+            rho = max(0.0, stream.stream.bound.reading()(M))
             cut = t.k * max(_tops(t.values)) - M * rho + tail(rho + x, 1)
         else:
             t, value = _cut(table, K, evaluate, ns, tops, ctx, charge)
@@ -484,16 +488,18 @@ def _past(t: _Table, K: int) -> float:
 def _ratio_slice(n: int, a, b, k: int, slices, product, ctx: QContext):
     """(S_n, P): the slice n of order k, ``slices``, of the table
     (a;q)_j/(b;q)_j, |j| <= K, K started at slice_truncation(|b/a|) + |n|
-    and grown by :func:`_cut`, and P = ``product(q, a, b, n / k)``, a and b
-    as numbers; zero where k does not divide n, where the slice is an exact
-    zero that needs no check, and its K is the start."""
+    (which raises DomainError for |b/a| >= 1) and grown by :func:`_cut`, and
+    P = ``product(q, a, b, n / k)``, a and b as numbers; zero where k does
+    not divide n.  There the slice is an exact zero on every table, so it
+    needs no check, and it is summed on K = |n| + 2, where every residue
+    class of the slice has terms."""
     with ctx.workdps():
         aq, bq = _as_qpow(a), _as_qpow(b)
         av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
         K = slice_truncation(bv / av, ctx) + abs(n)
         table = partial(_bilateral_ratio_array, aq, bq, k=k, ctx=ctx)
         if n % k:
-            return slices(table(K), [n])[0].to_mp(), mp.mpf(0)
+            return slices(table(abs(n) + 2), [n])[0].to_mp(), mp.mpf(0)
         lhs = _cut(table, K, lambda t: slices(t, [n])[0], [n], [0.0], ctx)[1].to_mp()
         return lhs, product(ctx.q, av, bv, n // k)
 
@@ -508,11 +514,13 @@ def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):
     return _ratio_slice(n, a, b, 2, _pair_slices, product, ctx)
 
 
+@kept
 def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
     """Bilateral cube-root-weighted triple convolution at fixed total n.
 
     RHS is zero unless 3 | n; for n = 3m it is the product evaluation with
-    the base-q^3 factors read as infinite products.
+    the base-q^3 factors read as infinite products.  Kept: the literal
+    reading of ``ms-5`` reads its n = 3 slice again.
     """
     def product(q, av, bv, m):
         q3 = q ** 3
@@ -522,6 +530,3 @@ def bilateral_cube_slice_sides(n: int, a, b, ctx: QContext):
 
     return _ratio_slice(n, a, b, 3, _cube_slices, product, ctx)
 
-
-# the ratio-stream kernels the tables read (see the module docstring)
-from .qfunctions import _Q1, _gaussian, _ratio_streams, _value  # noqa: E402

@@ -8,7 +8,9 @@ auditable.
 * **Declared bound.**  A stream whose term ratio is known in closed form
   declares a bound rho(K) on every later ratio |t(m + 1) / t(m)|, m >= K
   (:class:`_RatioBound`, carried by a :class:`_Declared` stream): every
-  Pochhammer-ratio stream of the series kernels.  Such a sum stops after the
+  Pochhammer-ratio stream of the series kernels, which is one fused
+  :func:`_ratio_terms` stream, defined here beside its bound (both halves
+  of a bilateral one from :func:`_ratio_streams`).  Such a sum stops after the
   first term t(K) with rho(K) < 1 and |t(K)| rho(K) / (1 - rho(K)) below one
   unit of the working digits, 10^-(precision + GUARD_DIGITS) 2^-extra_bits,
   or below the running sum's last kept bit, and reports that bound as its
@@ -80,7 +82,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
 from itertools import islice
 
 import mpmath as mp
@@ -88,7 +89,9 @@ from mpmath.libmp import from_man_exp
 
 from .context import MAX_TERMS, QContext, powq
 from .errors import NonConvergenceError, PrecisionLossError, RatioTestError
-from .fixedpoint import LN2, ROUNDINGS, Fixed, bits_for_digits, rounding_bits
+from .fixedpoint import (LN2, ROUNDINGS, Fixed, bits_for_digits, cut, one_minus, parts,
+                         rounding_bits, shifted)
+from .pochhammer import QPow, pole
 
 
 # Ratios above this cap do not certify decay even if terms look small.
@@ -140,7 +143,7 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     level, and its new bound replaces the old.
 
     Three stop rules (see the module docstring).  With a declared bound
-    ``ratio``, a :class:`_Reading`: ``ratio(n)`` is log2 of a bound rho_n on
+    ``ratio``, a :class:`_RatioBound`: ``ratio(n)`` is log2 of a bound rho_n on
     every later ratio |t(m + 1) / t(m)|, m >= n, and the sum stops after the
     first term t(n) with rho_n < 1 and |t(n)| rho_n / (1 - rho_n) below the
     level L: the larger of one unit of the working digits,
@@ -434,7 +437,7 @@ FACTOR_SLACK = 2.0 ** -30
 
 class _RatioBound:
     """The declared bound on the term ratios of a ratio stream, from its
-    parameters: the stream of :func:`~qrr.qfunctions._ratio_terms`, whose
+    parameters: the stream of :func:`_ratio_terms`, whose
     ratio at stream index k is
 
         r_k = step_k * prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k),
@@ -465,9 +468,10 @@ class _RatioBound:
     factor with coefficient 0 is exactly 1 and is left out.
 
     Everything is a float log2, so no magnitude overflows; the parameters
-    are read once, at the first :meth:`reading`, and each reading of the
-    stream (a sum from its start, or a table's cutoff from its last entry)
-    shares them and the kept suprema.
+    are read once, at the first :meth:`reading`, and every read of the
+    bound, ``bound(j)`` for the read entries from j on (a sum from its
+    start, or a table's cutoff from its last entry), shares them and the
+    kept suprema.
     """
 
     def __init__(self, nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
@@ -504,6 +508,10 @@ class _RatioBound:
         self.kept = []  # P at the indices before the edge, back from it
         self.limit = self._limit(q, step, growth)
         self.close = self._closing(q)
+        # the bound at read entry j is base + slope j + sup(k), k the stream
+        # index of that entry's ratio; it is never below low + slope j
+        self.base = self._step(0 if self.up else -2) + RATIO_SLACK
+        self.low = self.base + self.floor
         self.made = True
 
     def _limit(self, q, step, growth):
@@ -603,13 +611,14 @@ class _RatioBound:
                 lo = mid + 1
         return lo
 
-    def rest(self, t: Fixed, k: int) -> Fixed:
+    def rest(self, t: Fixed, j: int) -> Fixed:
         """t s / (1 - s) (1 + D / (1 - s q)): the rest of the read after its
-        term t, from the index :meth:`_closing` gives on, with k the stream
-        index of the ratio after t and D = sum_den x - sum_num x over the
-        factor values x, c q^k upwards and q^-k / c downwards."""
+        entry j, t, from the entry ``close`` on (:meth:`_closing`), with
+        D = sum_den x - sum_num x over the factor values x at the stream
+        index k of the ratio after t, c q^k upwards (k = j) and q^-k / c
+        downwards (k = -2 - j)."""
         nums, dens, q = self.params[:3]
-        s, d = self.limit, 0
+        s, d, k = self.limit, 0, j if self.up else -2 - j
         for sign, group in ((-1, nums), (1, dens)):
             for c in group:
                 v = q.like(c.coeff)
@@ -618,20 +627,23 @@ class _RatioBound:
                     d = d + x if sign > 0 else d - x
         return t * s / (1 - s) * (1 + d / (1 - s * q))
 
-    def reading(self, n: int = 0):
-        """The :class:`_Reading` of the stream's entries n, n + 1, ..., or
-        None when the stream declares no bound: a sum reads it from n = 0,
-        and a unilateral table cut after entry n reads it from there on
-        (:func:`~qrr.slices._gaussian_slices`).  Entry i is t_i upwards and
-        t_(-1-i) downwards; the ratio from entry i to entry i + 1 is r_i
-        upwards and r_(-2-i) downwards."""
+    def reading(self):
+        """The bound itself, made on first use, for a read of the stream from
+        its first entry on, or None when the stream declares no bound.  Entry
+        j is t_j upwards and t_(-1-j) downwards; the ratio from entry j to
+        entry j + 1 is r_j upwards and r_(-2-j) downwards."""
         if not self.made:
             self._make()
-        if self.slope > 0:
-            return None
-        k0 = n if self.up else -2 - n
-        base = self._step(k0) + RATIO_SLACK
-        return _Reading(self, k0, 1 if self.up else -1, base, max(self.close - n, 0))
+        return None if self.slope > 0 else self
+
+    def __call__(self, j: int) -> float:
+        """log2 of a bound on every ratio |t(m + 1) / t(m)| of the read
+        entries, m >= j.  It does not increase with j, and it is at least
+        ``low + slope * j``, which :func:`sum_series` uses to skip terms that
+        cannot stop the sum."""
+        if self.base == -math.inf:
+            return -math.inf  # a zero step: every later term is zero
+        return self.base + self.slope * j + self.sup(j if self.up else -2 - j)
 
     def _step(self, k):
         """log2 |step_k|, with |q^k|^d taken in downwards."""
@@ -681,31 +693,6 @@ class _RatioBound:
         return kept[i]
 
 
-class _Reading:
-    """log2 bounds on the ratios of one read of a declared stream:
-    ``reading(j)`` bounds every ratio |t(m + 1) / t(m)| of the read terms,
-    m >= j.  It does not increase with j, and it is at least
-    ``low + slope * j``, which :func:`sum_series` uses to skip terms that
-    cannot stop the sum.  From the read term ``close`` on (inf for none),
-    the rest of the read is :meth:`rest` of its term."""
-
-    __slots__ = ("bound", "k0", "dk", "base", "low", "slope", "close")
-
-    def __init__(self, bound: _RatioBound, k0: int, dk: int, base: float, close):
-        self.bound, self.k0, self.dk, self.base, self.close = bound, k0, dk, base, close
-        self.slope = bound.slope
-        self.low = base + bound.floor
-
-    def __call__(self, j: int) -> float:
-        if self.base == -math.inf:
-            return -math.inf  # a zero step: every later term is zero
-        return self.base + self.slope * j + self.bound.sup(self.k0 + self.dk * j)
-
-    def rest(self, t: Fixed, j: int) -> Fixed:
-        """The rest of the read after its term j, t (:meth:`_RatioBound.rest`)."""
-        return self.bound.rest(t, self.k0 + self.dk * j)
-
-
 class _Declared:
     """A stream of terms with its declared ratio bound: ``bound`` (a
     :class:`_RatioBound`, or None for none).  Iterating it
@@ -725,23 +712,188 @@ class _Declared:
         return next(self.terms)
 
 
-def _declared(walk):
-    """The generator function ``walk(nums, dens, q, step, growth, up=True)``,
-    returning each stream as a :class:`_Declared` one with the
-    :class:`_RatioBound` of its parameters."""
-    @wraps(walk)
-    def stream(*args, **kwargs):
-        return _Declared(walk(*args, **kwargs), _RatioBound(*args, **kwargs))
-    return stream
-
-
 def _reading(stream):
     """(term, ratio) of a stream for :func:`sum_series`: ``term(n)`` its
-    next term, and ``ratio`` the :class:`_Reading` of its declared bound, or
+    next term, and ``ratio`` its declared :class:`_RatioBound`, or
     None for a stream that declares none."""
     terms = iter(stream)
     bound = stream.bound if stream.__class__ is _Declared else None
     return (lambda n: next(terms)), bound and bound.reading()
+
+
+def _ratio_streams(aq: QPow, bq: QPow, alpha, xv):
+    """Builder of the two streams of the bilateral sum over n of
+    (a;q)_n / (b;q)_n * q^{alpha n^2} x^n."""
+    def streams(q):
+        x, qa, q2a = q.like(xv), powq(q, alpha), powq(q, 2 * alpha)
+        return (_ratio_terms([aq], [bq], q, qa * x, q2a),
+                _ratio_terms([bq], [aq], q, qa / x, q2a, up=False))
+
+    return streams
+
+
+def _ratio_terms(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
+    """The fused stream of a series given by its term ratio
+    r_k = prod_i (1 - a_i q^k) / prod_j (1 - b_j q^k) * step_k, step_{k+1} =
+    step_k * growth, over the QPows a_i in ``nums`` and b_j in ``dens``: a
+    :class:`_Declared` stream, its walk (:func:`_ratio_walk`) with the
+    :class:`_RatioBound` of its parameters, so that a sum of it stops on that
+    bound, with no stop run and no observed certificate.  Mapped, zipped or
+    cut, the stream is a plain one and stops on the observed certificate, as
+    a mixed stream must.
+
+    Upwards it yields t_0 = 1, t_1, ... with k = 0, 1, ... (term k + 1 is
+    term k times ratio k); downwards it yields t_{-1}, t_{-2}, ... with
+    k = -1, -2, ... (term -k is term -k + 1 times ratio -k, t_0 = 1), as
+    (a;q)_n / (b;q)_n q^{alpha n^2} x^n reads from n = -1 on with a and b
+    swapped.
+    """
+    return _Declared(_ratio_walk(nums, dens, q, step, growth, up),
+                     _RatioBound(nums, dens, q, step, growth, up))
+
+
+def _ratio_walk(nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool):
+    """The terms of :func:`_ratio_terms`.  The term, the step and every
+    carried power a_i q^k are mantissas with an exponent each, cut back to wp
+    bits once per step; a step of growth exactly 1 is carried as it is.  A
+    factor whose exact exponent is 0 is 1 - coeff exactly.  A vanishing
+    denominator factor is a pole (checked before the term it would divide);
+    downwards a vanishing numerator factor kills the tail, which yields
+    exact zeros.
+
+    One set-up feeds two loops.  When q, the step, the growth and every
+    power are real, the real loop carries one int per value, with the
+    factors as parallel lists; otherwise the complex loop carries pairs of
+    ints, as :func:`~qrr.fixedpoint.one_minus` and
+    :func:`~qrr.fixedpoint.cut` take them.  The real loop is the complex one
+    with every imaginary part 0: the products, cuts and the one division
+    take the same ints at the same points, and a part of 0 has bit length 0,
+    so a real power is exactly 1 under the same test
+    (``re.bit_length() + e < -wp - 2``).  Both loops give the same bits.
+
+    Upwards, a factor leaves the loop once both parts of its carried power
+    lie below 2^(-wp-4): the power is then below 2^(-wp-3) in size, and as
+    |q| < 1 it stays there at every later k, however a complex q turns it,
+    so both parts stay below the 2^(-wp-3) under which
+    :func:`~qrr.fixedpoint.one_minus` is exactly 1 (at q^0, the exact
+    1 - coeff is 1 too: the power there is coeff, up to its roundings).
+    Dropping such a factor leaves every term bit for bit as it was.
+    """
+    wp, one = q.wp, q.like(1)
+    k, dk = (0, 1) if up else (-1, -1)
+    shift = q if up else 1 / q
+    powers = [powq(q, c.exponent + k) * c.coeff for c in (*nums, *dens)]
+    complex_terms = any(v.im is not None for v in (*powers, step, shift, growth))
+    where = "term ratio" if up else "bilateral term ratio"
+    unit = growth == 1
+    gone = -wp - 3  # an upward factor whose power lies below 2^gone stays exactly 1
+    if not complex_terms:
+        # per factor: the exact exponent of q, the carried power's mantissa
+        # and exponent, the exact 1 - coeff, the QPow of a denominator factor
+        # or None
+        es = [c.exponent + k for c in (*nums, *dens)]
+        ms, pes = [p.re for p in powers], [p.e for p in powers]
+        exacts = [(x.re, x.e) for x in (one - c.coeff for c in (*nums, *dens))]
+        ds = [None] * len(nums) + dens
+        dropped = []
+        h, he, g, ge, s, se = shift.re, shift.e, growth.re, growth.e, step.re, step.e
+        t, te, small = 1, 0, -wp - 2
+        while True:
+            f, fe, v, ve = 1, 0, 1, 0
+            for i, e in enumerate(es):
+                p, pe = ms[i], pes[i]
+                top = p.bit_length() + pe
+                if up and top < gone:
+                    dropped.append(i)
+                    continue
+                if e == 0:
+                    x, xe = exacts[i]
+                elif pe >= 0:
+                    x, xe = 1 - (p << pe), 0
+                elif top < small:
+                    x, xe = 1, 0
+                else:
+                    x, xe = (1 << -pe) - p, pe
+                if ds[i] is None:
+                    if not x and not up:
+                        zero = Fixed(0, None, 0, wp)
+                        while True:
+                            yield zero
+                    f, fe = f * x, fe + xe
+                else:
+                    if not x:
+                        raise pole(ds[i].coeff, e, where)
+                    v, ve = v * x, ve + xe
+                es[i] = e + dk
+                p *= h
+                n = p.bit_length() - wp
+                if n > 0:
+                    ms[i], pes[i] = p >> n, pe + he + n
+                else:
+                    ms[i], pes[i] = p, pe + he
+            if dropped:
+                for i in reversed(dropped):
+                    del es[i], ms[i], pes[i], exacts[i], ds[i]
+                dropped.clear()
+            if up:
+                yield Fixed(t, None, te, wp)
+            # t * f * step / v, with one rounding in the division
+            t = t * f * s
+            n = wp + 1 + v.bit_length() - t.bit_length()
+            t, te = shifted(t, n) // v, te + fe + se - ve - n
+            if not up:
+                yield Fixed(t, None, te, wp)
+            if not unit:
+                s *= g
+                n = s.bit_length() - wp
+                if n > 0:
+                    s, se = s >> n, se + ge + n
+                else:
+                    se += ge
+    # per factor: [exact exponent of q, carried power, exact 1 - coeff, the
+    # QPow of a denominator factor or None]
+    factors = [[c.exponent + k, parts(p), parts(one - c.coeff), d]
+               for c, p, d in zip((*nums, *dens), powers, [None] * len(nums) + dens)]
+    hr, hi, he = parts(shift)
+    gr, gi, ge = parts(growth)
+    sr, si, se = parts(step)
+    tr, ti, te = 1, 0, 0
+    while True:
+        fr, fi, fe, vr, vi, ve = 1, 0, 0, 1, 0, 0
+        for f in [*factors]:
+            e, (pr, pi, pe), exact, d = f
+            if up and max(pr.bit_length(), pi.bit_length()) + pe < gone:
+                factors.remove(f)
+                continue
+            xr, xi, xe = exact if e == 0 else one_minus(pr, pi, pe, wp)
+            if d is None:
+                if not (xr or xi) and not up:
+                    zero = Fixed(0, 0, 0, wp)
+                    while True:
+                        yield zero
+                fr, fi, fe = fr * xr - fi * xi, fr * xi + fi * xr, fe + xe
+            else:
+                if not (xr or xi):
+                    raise pole(d.coeff, e, where)
+                vr, vi, ve = vr * xr - vi * xi, vr * xi + vi * xr, ve + xe
+            f[0] = e + dk
+            f[1] = cut(pr * hr - pi * hi, pr * hi + pi * hr, pe + he, wp)
+        if up:
+            yield Fixed(tr, ti, te, wp)
+        # t * f * step / v, with one rounding in the division
+        tr, ti = tr * fr - ti * fi, tr * fi + ti * fr
+        tr, ti = tr * sr - ti * si, tr * si + ti * sr
+        te += fe + se - ve
+        if vi:
+            tr, ti = tr * vr + ti * vi, ti * vr - tr * vi
+            vr = vr * vr + vi * vi
+        s, m = tr.bit_length(), ti.bit_length()
+        s = wp + 1 + vr.bit_length() - (m if m > s else s)
+        tr, ti, te = shifted(tr, s) // vr, shifted(ti, s) // vr, te - s
+        if not up:
+            yield Fixed(tr, ti, te, wp)
+        if not unit:
+            sr, si, se = cut(sr * gr - si * gi, sr * gi + si * gr, se + ge, wp)
 
 
 def _arg(v: Fixed) -> float:

@@ -32,6 +32,13 @@ def test_every_ci_cell_has_a_golden_report():
     assert not missing, missing
 
 
+def test_worker_counts_share_one_golden_report():
+    # which checks share a worker process cannot move a byte: the cells run
+    # in one and in more worker processes keep identical goldens
+    for one, more in (("numeric-j1", "numeric-j2"), ("rr-j1", "jobs-over-plan")):
+        assert (GOLDEN / f"{one}.json").read_bytes() == (GOLDEN / f"{more}.json").read_bytes()
+
+
 def test_golden_files_carry_no_volatile_field():
     for path in GOLDEN.glob("*.json"):
         report = json.loads(path.read_text())

@@ -18,7 +18,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext, scaled_deviation, widening
-from qrr import qpolynomials, summation
+from qrr import qpolynomials, slices, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -464,11 +464,11 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
     # table's a-priori exponent, and every Gaussian slice sum (ms-7, ms-8,
     # ms-11, ms-12 and the theta sums) and every nonzero slice of ms-3 and
     # ms-5 its cutoffs on its first table: no table is floored again or
-    # grown, no check rerun wider.  The 49 tables,
-    # at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n and the
-    # literal reading at n = 3), ms-7 (two alpha), ms-8, ms-11, the five
-    # theta sums (one each) and ms-12, with the literal reading of ms-12 at
-    # the first q
+    # grown, no check rerun wider.  The 47 tables,
+    # at q = 0.2 and 0.3: ms-3 (n = 0..5), ms-4 (4 n), ms-5 (3 n; its literal
+    # reading at n = 3 reads the kept slice), ms-7 (two alpha), ms-8, ms-11,
+    # the five theta sums (one each) and ms-12, with the literal reading of
+    # ms-12 at the first q
     from qrr import slices
     counts = {"floors": 0, "refloors": 0, "theta": 0, "cutoffs": 0, "wider": 0}
 
@@ -489,11 +489,11 @@ def test_slice_tables_keep_their_first_exponent_and_cutoff_at_the_default(monkey
     for entry_id in SLICE_CHECKS:
         report = run_check(entry_id, "numeric", RunSettings())
         assert report.status in ("PASS", "DISCREPANCY_DOCUMENTED"), (entry_id, report.note)
-    assert counts["floors"] == 49 and counts["theta"] == 10
+    assert counts["floors"] == 47 and counts["theta"] == 10
     # one cutoff check per theta sum, and one per ratio table of ms-11 and
     # ms-12 (two each, and ms-12's literal reading) and of the nonzero slices
-    # of ms-3 (n = 0, 2, 4) and ms-5 (3 n and the literal reading) at each q
-    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 5 + 2 * (3 + 4)
+    # of ms-3 (n = 0, 2, 4) and ms-5 (3 n) at each q
+    assert counts["refloors"] == 0 and counts["cutoffs"] == counts["theta"] + 5 + 2 * (3 + 3)
     assert counts["wider"] == 0
 
 
@@ -926,3 +926,18 @@ def test_cli_subprocess_end_to_end(tmp_path):
     out = subprocess.run(base + ["check", "unknown-thing"],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "error" in out.stderr
+
+
+def test_ms5_literal_reading_reuses_the_checked_slice(monkeypatch):
+    """The literal reading of ms-5 reads the n = 3 slice that the check
+    summed (a kept value): one cutoff check per slice n = 0, 3, 6 and q."""
+    cuts, real = [], slices._cut
+
+    def spy(*args, **kwargs):
+        cuts.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slices, "_cut", spy)
+    report = run_check("ms-5", "numeric", RunSettings())
+    assert report.status == "PASS" and "deviates by" in report.note
+    assert sorted(cuts) == [[0], [0], [3], [3], [6], [6]]

@@ -17,11 +17,11 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
 from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
 from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
                             rounding_bits, shifted)
-from qrr.pochhammer import infinite_product, pochhammer_finite, pochhammer_ratio, pole
+from qrr.pochhammer import (_Q1, _gaussian, infinite_product, pochhammer_finite,
+                            pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
-from qrr.qfunctions import (_Q1, _a_alpha_stream, _ratio_streams, _ratio_terms,
-                            a_alpha, a_alpha_formal, b_alpha, cube_convolution_sides,
-                            cube_bilateral_master_sides, cube_master_sides,
+from qrr.qfunctions import (_a_alpha_stream, a_alpha, a_alpha_formal, b_alpha,
+                            cube_convolution_sides, cube_bilateral_master_sides, cube_master_sides,
                             heine_sides, omega, omega_formal,
                             pair_convolution_sides, phi21_terminating_exact,
                             phi_1_1, phi_2_1, psi_1_1, psi_1_1_product,
@@ -35,7 +35,7 @@ from qrr.slices import (_bilateral_ratio_array, _class_sums, _conv,
                         _cube_slices, _log2_sum, _pair_slices, _pole_table, _span, _Table,
                         _theta_cutoff, bilateral_cube_slice_sides, bilateral_pair_slice_sides,
                         gaussian_truncation, slice_truncation)
-from qrr.summation import sum_bilateral, sum_series
+from qrr.summation import _ratio_streams, _ratio_terms, sum_bilateral, sum_series
 
 COMPLEX_Q = complex(0.2, 0.1)
 
@@ -324,6 +324,34 @@ def test_slice_sums_outside_the_annulus_are_a_domain_error():
         for sides in (bilateral_pair_slice_sides, bilateral_cube_slice_sides):
             with pytest.raises(DomainError, match=r"\|b/a\| < 1"):
                 sides(0, mp.mpf("0.1"), mp.mpf("0.2"), CTX)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.2+0.1j"])
+def test_exact_zero_slices_read_a_small_table(q, monkeypatch):
+    """A slice that its order does not divide (ms-4, the odd slices of ms-3)
+    is an exact zero on every table: it is summed on K = |n| + 2, a table of
+    2|n| + 5 entries, with no cutoff check."""
+    tables, real = [], slices._bilateral_ratio_array
+
+    def spy(*args, **kwargs):
+        t = real(*args, **kwargs)
+        tables.append(len(t.values))
+        return t
+
+    def no_cut(*args):
+        raise AssertionError("an exact-zero slice checks no cutoff")
+
+    monkeypatch.setattr(slices, "_bilateral_ratio_array", spy)
+    monkeypatch.setattr(slices, "_cut", no_cut)
+    ctx = QContext.numeric(q, precision=50)
+    with ctx.workdps():
+        a, b = mp.mpf("0.5"), mp.mpf("0.1")
+        for sides, ns in ((bilateral_pair_slice_sides, (1, 3, 5, -3)),
+                          (bilateral_cube_slice_sides, (1, 2, 4, 5, -2))):
+            for n in ns:
+                tables.clear()
+                lhs, rhs = sides(n, a, b, ctx)
+                assert lhs == rhs == 0 and tables == [2 * abs(n) + 5], (sides.__name__, n)
 
 
 def test_pole_messages_name_the_vanishing_factor():
@@ -1123,7 +1151,7 @@ def _stream_tables(ctx, alpha, y0=mp.mpf("0.5")):
     up = _Shared(_a_alpha_stream(QPow(A6, 0), 0, y0)(ctx.fixed_q))
     one = ctx.fixed_q.like(1)
     return ({n: up[n] for n in range(TABLE_K + 1)},
-            dict(enumerate(islice(qfunctions._gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1))))
+            dict(enumerate(islice(_gaussian(ctx.fixed_q, alpha, one), TABLE_K + 1))))
 
 
 def _table_misses(u, g, ctx, alpha, y0=mp.mpf("0.5")):
@@ -1152,7 +1180,7 @@ def test_lattice_tables_lie_within_their_roundings(q):
             u, g = _stream_tables(ctx, alpha)
             assert not _table_misses(u, g, ctx, alpha)
             # a Gaussian offset by one, q^(alpha (m + 1)^2), misses at every m
-            offset = qfunctions._gaussian(ctx.fixed_q, alpha, ctx.fixed_q.like(1), 1)
+            offset = _gaussian(ctx.fixed_q, alpha, ctx.fixed_q.like(1), 1)
             off = dict(enumerate(islice(offset, TABLE_K + 1)))
             assert _table_misses({}, off, ctx, alpha) == [("g", m) for m in range(TABLE_K + 1)]
 
@@ -1662,6 +1690,11 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
         assert ratio is not None
         mags = [summation._log2(t) if t else None for t in seen]
         for m, (t, u) in enumerate(zip(mags, mags[1:])):
+            # never below the floor on which sum_series skips its bound, up to
+            # the roundings of adding the same floats in another order (a
+            # miss that small could only delay a stop by one term)
+            r, floor = ratio(m), ratio.low + ratio.slope * m
+            assert r >= floor - 8 * math.ulp(abs(ratio.low) + abs(ratio.slope * m) + abs(r)), m
             assert ratio(m + 1) <= ratio(m)
             if u is not None:
                 assert t is not None and u - t <= ratio(m) or ratio(m) == math.inf, (m, u - t)

@@ -1,5 +1,7 @@
-"""Size limits on the package's source files."""
+"""Size limits and import structure of the package's source files."""
 
+import ast
+import graphlib
 import pathlib
 import tokenize
 
@@ -24,3 +26,48 @@ def test_every_module_stays_below_the_parser_token_step():
     assert "slices.py" in sizes and "qfunctions.py" in sizes
     over = {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_STEP}
     assert not over, over
+
+
+def _module(path) -> str:
+    """The dotted name of a source file, relative to the package: "" for
+    the package itself, "harness" for a subpackage."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path, modules) -> set:
+    """The package modules that a source file imports, at any level."""
+    name = _module(path)
+    package = name.split(".") if path.name == "__init__.py" else name.split(".")[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        base = package[:len(package) - (node.level - 1)]
+        if node.module:
+            found.add(".".join(base + node.module.split(".")))
+        else:
+            for alias in node.names:
+                target = ".".join(base + [alias.name])
+                found.add(target if target in modules else ".".join(base))
+    return found
+
+
+def test_intra_package_imports_form_no_cycle():
+    paths = sorted(SRC.rglob("*.py"))
+    modules = {_module(p) for p in paths}
+    graph = {_module(p): _imports(p, modules) - {_module(p)} for p in paths}
+    assert graph["slices"] >= {"pochhammer", "summation"} and "qfunctions" not in graph["slices"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_no_module_level_import_follows_a_definition():
+    late = []
+    for path in sorted(SRC.rglob("*.py")):
+        defined = False
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = True
+            elif defined and isinstance(node, (ast.Import, ast.ImportFrom)):
+                late.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not late, late
