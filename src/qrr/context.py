@@ -11,9 +11,10 @@ work runs on ``fractions.Fraction`` (or on the truncated series ring in
 may be shared freely.  They are shared in one place: within a
 :func:`keeping_values` block, which the check driver opens for each check, a
 :func:`kept` kernel computes each value once and returns it again on a
-repeated call.  A stream that several readers share, such as a kept one, is
-read through a :class:`_Shared`, which keeps its terms as they are first
-read.
+repeated call; an exact kernel, one that takes no context, is kept in the
+same block by its arguments alone.  A stream that several readers share,
+such as a kept one, is read through a :class:`_Shared`, which keeps its
+terms as they are first read.
 """
 
 from __future__ import annotations
@@ -191,14 +192,19 @@ def kept(kernel):
     (and on every call outside one) per exact form of its arguments, ``ctx.q``,
     ``ctx.precision`` and ``ctx.extra_bits``.  The kernel enters
     ``ctx.workdps()`` itself, so its value depends on that key alone; errors
-    are raised again on every call."""
+    are raised again on every call.  An exact kernel, whose last argument is
+    not a :class:`QContext`, is keyed on the exact form of its arguments
+    alone."""
     @wraps(kernel)
     def lookup(*args):
         values = _KEPT.get()
         if values is None:
             return kernel(*args)
         ctx = args[-1]
-        key = (kernel, _exact(args[:-1]), _exact(ctx.q), ctx.precision, ctx.extra_bits)
+        if isinstance(ctx, QContext):
+            key = (kernel, _exact(args[:-1]), _exact(ctx.q), ctx.precision, ctx.extra_bits)
+        else:
+            key = (kernel, _exact(args))
         if key not in values:
             values[key] = kernel(*args)
         return values[key]

@@ -55,7 +55,6 @@ kept in one stream that every n of the check reads
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 import mpmath as mp
 
@@ -290,6 +289,21 @@ def a_alpha_formal(alpha, a_mono, t_mono, ctx: QContext) -> FormalSeries:
 # finite convolution lemma sums (exact)
 # ---------------------------------------------------------------------------
 
+@kept
+def _ratio_prefix(a: Fraction, q: Fraction):
+    """r_k = (a;q)_k / (q;q)_k for k = 0, 1, ..., a :class:`~qrr.context._Shared`
+    stream that every n of a convolution check reads at one (a, q): one
+    exact walk per draw, not one per n."""
+    return _Shared(_ratios_up(_as_qpow(a), q))
+
+
+def _prefix_numerators(n: int, a: Fraction, q: Fraction):
+    """r_0, ..., r_n of :func:`_ratio_prefix` as integer numerators over one
+    denominator, (R, L)."""
+    r = _ratio_prefix(a, q)
+    return _numerators([r[k] for k in range(n + 1)])
+
+
 def pair_convolution_sides(n: int, a: Fraction, q: Fraction):
     """LHS and RHS of the alternating pair convolution of (a;q)_k/(q;q)_k.
 
@@ -298,7 +312,7 @@ def pair_convolution_sides(n: int, a: Fraction, q: Fraction):
     r_k = R_k / L over one denominator, the products are summed on the
     integers R_k and divided by L^2 once.
     """
-    R, L = _numerators(list(islice(_ratios_up(_as_qpow(a), q), n + 1)))
+    R, L = _prefix_numerators(n, a, q)
     lhs = Fraction(sum((-1) ** k * R[k] * R[n - k] for k in range(n + 1)), L * L)
     if n % 2 == 1:
         rhs = Fraction(0)
@@ -317,7 +331,7 @@ def cube_convolution_sides(n: int, a: Fraction, q: Fraction):
     each residue class e of k + 2l mod 3 is an integer sum over the R_k,
     divided by L^3 once.
     """
-    R, L = _numerators(list(islice(_ratios_up(_as_qpow(a), q), n + 1)))
+    R, L = _prefix_numerators(n, a, q)
     s = [0, 0, 0]  # s[e]: the numerators of the terms weighted by w^e
     for j in range(n + 1):
         m = n - j  # k + l = m, so k + 2l = 2m - k

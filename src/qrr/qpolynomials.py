@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count, islice, repeat
+from math import lcm
 from operator import mul, truediv
 
 import mpmath as mp
@@ -32,8 +33,8 @@ from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import DomainError, PrecisionLossError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .fixedpoint import bits_for_digits, rounding_bits
-from .formal import (FormalSeries, fs_pochhammer, fs_pochhammer_infinite,
-                     fs_ratio_sum, qexp_to_u)
+from .formal import (FormalSeries, _fractions, _one_minus, fs_pochhammer,
+                     fs_pochhammer_infinite, fs_ratio_sum, qexp_to_u)
 from .pochhammer import (_Q1, QPow, _factors, _gaussian, _geometric, _one_like, _ratios_up,
                          _value, infinite_product, pochhammer_finite, q_binomial)
 from .qfunctions import (_series, ramanujan_A, rr_product_formal, rr_sum_formal,
@@ -106,26 +107,44 @@ def sw_symmetry_sides(n: int, t, q):
     return lhs, stieltjes_wigert(n, t, q)
 
 
-def sw_formal(n: int, x_coeff, x_qexp, shift, ctx: QContext) -> FormalSeries:
-    """q^{shift} * S_n(c q^e; q) in the exact ring.
+def _sw_numerators(n: int, x_coeff, x_qexp, shift, ctx: QContext):
+    """q^{shift} * S_n(c q^e; q) in the exact ring as integer numerators over
+    one denominator, (numerators, c_den^n).
 
-    The shift must absorb every negative exponent the k-sum produces; an
-    out-of-ring monomial raises ExponentError, which always indicates a
-    mis-normalized identity rather than an input error.
+    With c = c_num / c_den, (-c)^k = (-c_num)^k c_den^(n-k) / c_den^n, so the
+    k-sum of [n,k]_q q^{k^2} (-c q^e)^k has integer numerators, and the
+    division by (q;q)_n, whose factors 1 - q^i have coefficient 1, keeps them
+    integers (:func:`~qrr.formal._one_minus`).  The shift must absorb every
+    negative exponent the k-sum produces; an out-of-ring monomial raises
+    ExponentError, which always indicates a mis-normalized identity rather
+    than an input error.
     """
     x_qexp, shift = Fraction(x_qexp), Fraction(shift)
-    acc = FormalSeries.zero(ctx)
-    D = ctx.base_exponent
+    top, D = ctx.u_order, ctx.base_exponent
+    acc = [0] * (top + 1)
+    num, den = -x_coeff.numerator, x_coeff.denominator
+    binom = QPoly.one()
     for k in range(n + 1):
+        if k:  # [n,k] = [n,k-1] (1 - q^(n-k+1)) / (1 - q^k): one row walk
+            binom = binom.times_one_minus(n - k + 1).divexact_one_minus(k)
         base = qexp_to_u(k * k + k * x_qexp + shift, ctx)
-        coeff = (-x_coeff) ** k
-        for j, a in enumerate(q_binomial(n, k).coeffs()):
-            if a == 0:
-                continue
+        coeff = num ** k * den ** (n - k)
+        for j, a in enumerate(binom.coeffs()):
             e = base + j * D
-            if e <= ctx.u_order:
-                acc.c[e] += coeff * a
-    return fs_pochhammer(acc, 1, 1, 1, ctx, n, inverse=True)
+            if e > top:
+                break
+            if a:
+                acc[e] += coeff * a
+    for i in range(1, n + 1):
+        _one_minus(acc, 1, 1, i * D, inverse=True)
+    return acc, den ** n
+
+
+def sw_formal(n: int, x_coeff, x_qexp, shift, ctx: QContext) -> FormalSeries:
+    """q^{shift} * S_n(c q^e; q) in the exact ring: the numerators of
+    :func:`_sw_numerators` over their denominator, reduced once."""
+    m, d = _sw_numerators(n, x_coeff, x_qexp, shift, ctx)
+    return FormalSeries(ctx.base_exponent, ctx.u_order, _fractions(m, d))
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +226,26 @@ def _cd_poly(n: int, construction: str, which: str) -> BivariatePoly:
 
 
 def _cd_from_generating(n: int, which: str) -> BivariatePoly:
-    """Coefficient of t^n in the closed t-series for the chosen family."""
-    deg = n
-    acc = [BivariatePoly.zero() for _ in range(deg + 1)]
-    # running coefficients of 1/(a t; q)_m as a t-series
-    inv = [BivariatePoly.zero() for _ in range(deg + 1)]
-    inv[0] = BivariatePoly.one()
-    m = 0
-    while True:
-        base = 2 * m if which == "c" else 2 * m + 1
-        if which == "d":
-            # needs 1/(at;q)_{m+1}: one more factor than the c-series
-            _divide_inplace(inv, m, deg)
-        if base > deg:
-            break
-        w = m * (m - 1) if which == "c" else m * m
-        for i in range(deg + 1 - base):
-            acc[i + base] = acc[i + base] + inv[i].shift(0, w)
-        if which == "c":
-            _divide_inplace(inv, m, deg)
-        m += 1
-    return acc[n]
+    """Coefficient of t^n in the closed t-series for the chosen family:
+    sum_m q^w t^(2m + off) / (a t; q)_(m + off), with (off, w) = (0, m(m - 1))
+    for c and (1, m^2) for d.
 
-
-def _divide_inplace(coeffs, i: int, deg: int):
-    """In-place t-series division by (1 - a q^i t)."""
-    for k in range(1, deg + 1):
-        coeffs[k] = coeffs[k] + coeffs[k - 1].shift(1, i)
+    Term m reads the t-series of 1/(a t; q)_(m + off) at degree
+    top = n - 2m - off only.  Coefficient k of a quotient by 1 - a q^i t
+    depends only on the coefficients up to k, so the running series is kept
+    to degree top, two degrees shorter for each m, and each division walks
+    no further."""
+    off = 0 if which == "c" else 1
+    acc = BivariatePoly.zero()
+    inv = [BivariatePoly.one()] + [BivariatePoly.zero()] * n
+    for m in range((n - off) // 2 + 1):
+        top = n - 2 * m - off
+        del inv[top + 1:]
+        if m + off:  # divide by 1 - a q^(m + off - 1) t in place
+            for k in range(1, top + 1):
+                inv[k] = inv[k] + inv[k - 1].shift(1, m + off - 1)
+        acc = acc + inv[top].shift(0, m * (m - 1 + off))
+    return acc
 
 
 @cache
@@ -486,18 +498,31 @@ def st_5_1_sides(x, t, ctx: QContext):
 
 
 def st_5_1_diff_formal(x: Fraction, t: Fraction, ctx: QContext) -> FormalSeries:
-    """Exact-ring difference of the same identity at rational (x, t)."""
+    """Exact-ring difference of the same identity at rational (x, t).
+
+    The right side is summed on integers: with t = t_num / t_den, term n is
+    t_num^n times the numerators of q^binom(n,2) S_n(x q^{-n})
+    (:func:`_sw_numerators`) over t_den^n x_den^n, added into one running
+    numerator list over the lcm of the denominators so far, and reduced to
+    Fractions once, as :func:`~qrr.formal.fs_ratio_sum` does."""
     lhs = fs_pochhammer(fs_pochhammer_infinite(x * t, 0, 1, ctx), -t, 0, 1, ctx)
-    rhs = FormalSeries.zero(ctx)
+    acc, d_acc = [0] * (ctx.u_order + 1), 1
     n = 0
     while True:
         # summand valuation grows ~ n^2/4; stop once past the ring order
         val = Fraction(n * (n - 1), 2) - Fraction(n * n, 4)
         if val * ctx.base_exponent > ctx.u_order:
             break
-        rhs = rhs + sw_formal(n, x, -n, Fraction(n * (n - 1), 2), ctx).scale(t ** n)
+        m, d = _sw_numerators(n, x, -n, Fraction(n * (n - 1), 2), ctx)
+        d *= t.denominator ** n
+        d_new = lcm(d_acc, d)
+        if d_new != d_acc:
+            acc = [a * (d_new // d_acc) for a in acc]
+            d_acc = d_new
+        f = t.numerator ** n * (d_acc // d)
+        acc = [a + f * b if b else a for a, b in zip(acc, m)]
         n += 1
-    return lhs - rhs
+    return lhs - FormalSeries(ctx.base_exponent, ctx.u_order, _fractions(acc, d_acc))
 
 
 def st_5_2_sides(n: int, x, q):

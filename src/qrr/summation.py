@@ -509,9 +509,11 @@ class _RatioBound:
         self.limit = self._limit(q, step, growth)
         self.close = self._closing(q)
         # the bound at read entry j is base + slope j + sup(k), k the stream
-        # index of that entry's ratio; it is never below low + slope j
+        # index of that entry's ratio; it is never below low + slope j, as
+        # sup(k) >= floor but for roundings, which the float sums of either
+        # side leave far below the slack that low is taken beneath them
         self.base = self._step(0 if self.up else -2) + RATIO_SLACK
-        self.low = self.base + self.floor
+        self.low = self.base + self.floor - RATIO_SLACK
         self.made = True
 
     def _limit(self, q, step, growth):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from qrr import QContext, QPoly, QPow, SingularDeltaError
 from qrr.context import powq
+from qrr.exactpoly import BivariatePoly
+from qrr.formal import FormalSeries, fs_pochhammer, fs_pochhammer_infinite, qexp_to_u
 from qrr.pochhammer import pochhammer_finite, pochhammer_ratio, q_binomial
 from qrr.qfunctions import ramanujan_A
 from qrr.qpolynomials import (bilateral_m_version_sides, c_poly, d_poly, _cd_pair,
@@ -104,6 +106,38 @@ def test_three_constructions_agree_through_20():
         assert c_r == c_poly(n, "explicit") == c_poly(n, "generating")
         d_r = d_poly(n, "recurrence")
         assert d_r == d_poly(n, "explicit") == d_poly(n, "generating")
+
+
+def _cd_full_series(n, which):
+    """Oracle: the generating construction with every t-series of
+    1/(a t; q)_m kept whole to degree n, all of sum_m q^w t^base / (a t; q)_m
+    summed, and its t^n coefficient read at the end."""
+    def divide(coeffs, i):
+        for k in range(1, n + 1):
+            coeffs[k] = coeffs[k] + coeffs[k - 1].shift(1, i)
+
+    acc = [BivariatePoly.zero() for _ in range(n + 1)]
+    inv = [BivariatePoly.one()] + [BivariatePoly.zero() for _ in range(n)]
+    m = 0
+    while True:
+        base = 2 * m if which == "c" else 2 * m + 1
+        if which == "d":
+            divide(inv, m)
+        if base > n:
+            return acc[n]
+        w = m * (m - 1) if which == "c" else m * m
+        for i in range(n + 1 - base):
+            acc[i + base] = acc[i + base] + inv[i].shift(0, w)
+        if which == "c":
+            divide(inv, m)
+        m += 1
+
+
+@pytest.mark.parametrize("which", ["c", "d"])
+def test_one_degree_generating_build_matches_the_full_series(which):
+    build = c_poly if which == "c" else d_poly
+    for n in range(31):
+        assert build(n, "generating") == _cd_full_series(n, which) == build(n), n
 
 
 def test_m_version_polynomials_are_built_once_per_m():
@@ -307,6 +341,43 @@ def test_product_expansion_5_1():
         assert abs(lhs - rhs) < TOL
     ctx = QContext.formal(order=60, base_exponent=1)
     assert st_5_1_diff_formal(F(2, 5), F(3, 7), ctx).is_zero()
+
+
+def _dense_sw_formal(n, x_coeff, x_qexp, shift, ctx):
+    """Oracle: q^shift S_n(c q^e) with Fraction coefficients, summed densely
+    and divided by (q;q)_n in one factor walk."""
+    acc = FormalSeries.zero(ctx)
+    for k in range(n + 1):
+        base = qexp_to_u(k * k + k * F(x_qexp) + F(shift), ctx)
+        for j, a in enumerate(q_binomial(n, k).coeffs()):
+            e = base + j * ctx.base_exponent
+            if a and e <= ctx.u_order:
+                acc.c[e] += (-x_coeff) ** k * a
+    return fs_pochhammer(acc, 1, 1, 1, ctx, n, inverse=True)
+
+
+def _dense_st_5_1_diff(x, t, ctx):
+    """Oracle: the st-5.1 difference with its right side summed as dense
+    Fraction series, each term scaled by t^n and added."""
+    lhs = fs_pochhammer(fs_pochhammer_infinite(x * t, 0, 1, ctx), -t, 0, 1, ctx)
+    rhs, n = FormalSeries.zero(ctx), 0
+    while F(n * (n - 1), 2) - F(n * n, 4) <= F(ctx.u_order, ctx.base_exponent):
+        rhs = rhs + _dense_sw_formal(n, x, -n, F(n * (n - 1), 2), ctx).scale(t ** n)
+        n += 1
+    return lhs - rhs
+
+
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=50)
+
+
+@given(RATIONALS, RATIONALS.filter(bool), st.integers(30, 60), st.sampled_from([1, 12]))
+@settings(max_examples=25, deadline=None)
+def test_integer_st_5_1_side_matches_the_dense_fraction_one(x, t, order, D):
+    ctx = QContext.formal(order, D)
+    assert st_5_1_diff_formal(x, t, ctx) == _dense_st_5_1_diff(x, t, ctx)
+    for n in range(8):
+        assert (sw_formal(n, x, -n, F(n * (n - 1), 2), ctx)
+                == _dense_sw_formal(n, x, -n, F(n * (n - 1), 2), ctx)), n
 
 
 def test_monomial_reconstruction_5_2():
