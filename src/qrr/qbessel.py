@@ -13,18 +13,22 @@ Every numeric series is defined by its term ratio, as in
 multiplication, with the q-powers, x-powers and Pochhammer ratios carried as
 running streams that live for one sum.  The Stieltjes-Wigert values
 S_n(x q^{-n}) are one row walk, :func:`~qrr.qpolynomials._sw_shifted`.
+The orders I^(2)_m(z) that the order-generating function sums are one
+ladder, a backward recurrence from two direct values (:func:`_order_ladder`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, kept, powq, to_mp
+from .context import QContext, _Shared, kept, powq, to_mp
 from .errors import DomainError
+from .ladders import _backward_ladder, _ladder_top, _log2_one_minus, _log2_series
 from .pochhammer import (_Q1, QPow, _gaussian, _pole_factors, _value, infinite_product,
                          pochhammer_finite)
 from .qfunctions import _series
@@ -169,21 +173,78 @@ def sv_series_form_values(nu, n: int, ctx: QContext):
         return series, powq(q, n * nu) * s4 * tail, s5 * tail
 
 
+def _order_ladder(zv, tv, ctx: QContext):
+    """(values, error bounds) of I^(2)_m(z), m = 0, ..., M + 1, by backward
+    recurrence (:func:`~qrr.ladders._backward_ladder`), for the
+    order-generating function at t; ([], []) at z = 0 or without an M.
+
+    The recurrence is the n = 1 case of :func:`lommel_relation_sides` at
+    nu = m: p_(1,m)(1/z) = (2/z)(1 - q^m) and p_(0,m+1) = 1, so
+    I_(m-1) = (2/z)(1 - q^m) I_m + q^m I_(m+1), V_k = I_k with delta = z/2,
+    beta = gamma = 1.  Its minimal solution is I_m: I_m falls as
+    (z/2)^m / (q;q)_m, the other solution grows.  The values keep their
+    digits relative to the majorant W_k, about |I_k| for z, q > 0.
+
+    M is fixed from the decay bound of the outer terms of both tails,
+    q^binom(k,2) t^k I_k and q^binom(k,2) (q/t)^k I_k: as
+    |(q;q)_n| >= (|q|;|q|)_n and |(q^(k+1);q)_n| >= (|q|^(k+1);|q|)_n,
+    |I_k| <= (|z|/2)^k / (|q|;|q|)_k C_k, C_k = sum_n (|z|/2)^(2n)
+    |q|^(n^2 + n k) / ((|q|;|q|)_n (|q|^(k+1);|q|)_n), which falls with k,
+    so the term bound steps by max(|t|, |q/t|) |q|^k (|z|/2) /
+    (1 - |q|^(k+1)) and C_k is its rest (:func:`~qrr.ladders._ladder_top`).
+    The same bound at M and M + 1 sizes the start values."""
+    if zv == 0:
+        return [], []
+    mq = abs(complex(ctx.q))
+    ell, h = math.log2(mq), math.log2(abs(zv) / 2)
+    tau = max(math.log2(abs(tv)), ell - math.log2(abs(tv)))
+
+    def rest(k):
+        return _log2_series(lambda n: 2 * h + (2 * n + 1 + k) * ell
+                            - _log2_one_minus(mq ** (n + 1)) - _log2_one_minus(mq ** (k + n + 1)))
+
+    def size(k):  # log2 of the bound on |I_k|
+        return k * h - sum(_log2_one_minus(mq ** j) for j in range(1, k + 1)) + rest(k)
+
+    top = _ladder_top(lambda k: tau + k * ell + h - _log2_one_minus(mq ** (k + 1)), rest, ctx)
+    if top is None:
+        return [], []
+
+    def start(c):
+        return bessel_i(2, top, zv, c), bessel_i(2, top + 1, zv, c)
+
+    return _backward_ladder(zv / 2, 1, 1, top, start, (size(top), size(top + 1)), None, ctx)
+
+
+@kept
+def _order_values(zv, tv, ctx: QContext):
+    """I^(2)_m(z) for m = 0, 1, ..., a :class:`~qrr.context._Shared` stream
+    that both tails of the order-generating function read (I_(-m) = I_m):
+    the ladder of :func:`_order_ladder` up to M + 1, direct values past it,
+    and direct (exact) values at z = 0."""
+    with ctx.workdps():
+        values = _order_ladder(zv, tv, ctx)[0]
+        direct = (ctx.fixed(bessel_i(2, m, zv, ctx)) for m in count(len(values)))
+        return _Shared(chain(values, direct))
+
+
 def gen_func_sides(z, t, ctx: QContext):
     """Order-generating function: bilateral sum of q^binom(m,2) I_m^{(2)} t^m
-    against the closed two-factor product.  Returns (lhs, rhs)."""
+    against the closed two-factor product.  Returns (lhs, rhs).  The values
+    I_m are one ladder (:func:`_order_values`) that both tails read."""
     with ctx.workdps():
         q = ctx.q
         zv, tv = to_mp(z), to_mp(t)
         if tv == 0:
             raise DomainError("t must be nonzero")
+        orders = _order_values(zv, tv, ctx)
+
         # at m = -k the weight q^binom(m,2) t^m is q^binom(k,2) (q/t)^k
         def streams(q):
             t = q.like(tv)
-            return (map(mul, _binomial_powers(t, q),
-                        (bessel_i(2, m, zv, ctx) for m in count())),
+            return (map(mul, _binomial_powers(t, q), map(orders.__getitem__, count())),
                     map(mul, islice(_binomial_powers(q / t, q), 1, None),
-                        (bessel_i(2, m, zv, ctx) for m in count(-1, -1))))
+                        map(orders.__getitem__, count(1))))
 
         lhs = _series(streams, ctx)
         rhs = infinite_product([-tv * zv / 2, -q * zv / (2 * tv)], [], q, ctx)

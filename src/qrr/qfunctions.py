@@ -47,8 +47,9 @@ r_s (square) or their cube pairs (cube).  So each double or triple sum is
 summed by m = j + n or m = j + k + n instead, as one Gaussian-weighted sum
 of the pair or cube slices of r (:func:`~qrr.slices._gaussian_slices`).
 The left sides stay single series, so the two sides share no summation.
-The values A_q(x q^k) of ``st-5.3`` are each one :func:`ramanujan_A` sum,
-kept in one stream that every n of the check reads
+The values A_q(x q^k) of ``st-5.3`` are one ladder, a backward recurrence
+from two :func:`ramanujan_A` sums (:mod:`qrr.ladders`), kept in one stream
+that every n of the check reads
 (:func:`~qrr.qpolynomials._shifted_entire_values`).
 """
 

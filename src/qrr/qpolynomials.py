@@ -16,14 +16,17 @@ multiplication, with the q-powers, x-powers, Gaussian binomials and
 Pochhammer ratios carried as running streams that live for one sum.  A numeric
 Pochhammer ratio and its q-power weight are one fused
 :func:`~qrr.summation._ratio_terms` stream.  The values S_n(x q^{-n}), whose
-degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.
+degree moves with n, are one q-Pascal row walk, :func:`_sw_shifted`.  The
+values A_q(x q^k) of ``st-5.3`` are one ladder, a backward recurrence from two
+direct values (:func:`_entire_ladder`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import lcm
 from operator import mul, truediv
 
@@ -35,6 +38,7 @@ from .exactpoly import BivariatePoly, QPoly
 from .fixedpoint import bits_for_digits, rounding_bits
 from .formal import (FormalSeries, _fractions, _one_minus, fs_pochhammer,
                      fs_pochhammer_infinite, fs_ratio_sum, qexp_to_u)
+from .ladders import _backward_ladder, _ladder_top, _log2_one_minus, _log2_series
 from .pochhammer import (_Q1, QPow, _factors, _gaussian, _geometric, _one_like, _ratios_up,
                          _value, infinite_product, pochhammer_finite, q_binomial)
 from .qfunctions import (_series, ramanujan_A, rr_product_formal, rr_sum_formal,
@@ -212,17 +216,28 @@ def _cd_poly(n: int, construction: str, which: str) -> BivariatePoly:
         # (1, 0) for d; the empty sum gives c_1 = d_0 = 0
         if which == "c" and n == 0:
             return BivariatePoly.one()
+        # each j has its own power of a, so the coefficients go straight
+        # into one map
         off, w = (2, 1) if which == "c" else (1, 0)
-        acc = BivariatePoly.zero()
+        terms = {}
         for j in range((n - off) // 2 + 1):
-            for dq, coeff in enumerate(q_binomial(n - j - off, j).coeffs()):
-                if coeff:
-                    acc = acc + BivariatePoly.monomial(coeff, n - 2 * j - off,
-                                                       dq + j * j + w * j)
-        return acc
+            for dq, coeff in enumerate(_gaussian_row(n - j - off)[j]):
+                terms[n - 2 * j - off, dq + j * j + w * j] = coeff
+        return BivariatePoly(terms)
     if construction == "generating":
         return _cd_from_generating(n, which)
     raise DomainError(f"unknown construction {construction!r}")
+
+
+@kept
+def _gaussian_row(n: int):
+    """The coefficient lists of the Gaussian binomials [n,k]_q, k = 0, ..., n,
+    by one row walk, [n,k] = [n,k-1] (1 - q^(n-k+1)) / (1 - q^k); kept, as
+    ``cd-three-way``'s explicit sums read row n for every c_m and d_m."""
+    row = [QPoly.one()]
+    for k in range(1, n + 1):
+        row.append(row[-1].times_one_minus(n - k + 1).divexact_one_minus(k))
+    return [p.coeffs() for p in row]
 
 
 def _cd_from_generating(n: int, which: str) -> BivariatePoly:
@@ -535,14 +550,57 @@ def st_5_2_sides(n: int, x, q):
     return lhs, rhs
 
 
+def _entire_ladder(xv, ctx: QContext):
+    """(values, error bounds) of V_k = A_q(x q^k), k = 0, ..., M + 1, by
+    backward recurrence (:func:`~qrr.ladders._backward_ladder`);
+    ([], []) at x = 0 or without an M.
+
+    A_q(z) - A_q(qz) = sum_n (-z)^n q^(n^2) (1 - q^n) / (q;q)_n
+    = -qz A_q(q^2 z), so V_k = V_(k+1) - x q^(k+1) V_(k+2): delta = 1,
+    beta = -x, gamma = 0.  V_k tends to 1, the minimal solution.  Near a
+    zero of A_q (q = 0.99) a value keeps few digits relative to itself, so
+    the values are sized in absolute terms, at the scale 1 of their limit,
+    as the outer sum reads them.
+
+    M is fixed from the decay bound of the outer terms q^binom(k+1,2)
+    (x q^n)^k A_q(x q^k) / (q;q)_k of every n >= 0: the term bound steps by
+    |x| |q|^(k+1) / (1 - |q|^(k+1)), and |A_q(x q^k)| <= B_k =
+    sum_n |x q^k|^n |q|^(n^2) / (|q|;|q|)_n, which falls with k, is its rest
+    (:func:`~qrr.ladders._ladder_top`); B at M and M + 1 sizes the start
+    values."""
+    if xv == 0:
+        return [], []
+    mq = abs(complex(ctx.q))
+    ell, lx = math.log2(mq), math.log2(abs(xv))
+
+    def rest(k):
+        return _log2_series(lambda n: lx + (k + 2 * n + 1) * ell
+                            - _log2_one_minus(mq ** (n + 1)))
+
+    top = _ladder_top(lambda k: lx + (k + 1) * ell - _log2_one_minus(mq ** (k + 1)), rest,
+                      ctx)
+    if top is None:
+        return [], []
+
+    def start(c):
+        y = xv * c.q ** top
+        return ramanujan_A(y, c), ramanujan_A(y * c.q, c)
+
+    return _backward_ladder(1, -xv, 0, top, start, (rest(top), rest(top + 1)), 0.0, ctx)
+
+
 @kept
 def _shifted_entire_values(xv, ctx: QContext):
     """A_q(x q^k) for k = 0, 1, ..., a :class:`~qrr.context._Shared` stream
-    that every n of a check reads, each value one :func:`ramanujan_A` sum,
-    made once, its argument x q^k formed in the reader's ``ctx.workdps()``.
-    A PrecisionLossError in one is kept and raised to every reader, for a
-    wider rerun (:func:`~qrr.context.widening`)."""
-    return _Shared(ctx.fixed(ramanujan_A(y, ctx)) for y in _geometric(xv, ctx.q))
+    that every n of a check reads: the ladder of :func:`_entire_ladder` up
+    to M + 1, then direct :func:`ramanujan_A` sums, their argument x q^k
+    formed in the reader's ``ctx.workdps()``.  A PrecisionLossError is
+    raised to the caller, for a wider rerun (:func:`~qrr.context.widening`)."""
+    with ctx.workdps():
+        values = _entire_ladder(xv, ctx)[0]
+        direct = (ctx.fixed(ramanujan_A(y, ctx))
+                  for y in islice(_geometric(xv, ctx.q), len(values), None))
+        return _Shared(chain(values, direct))
 
 
 def st_5_3_sides(n: int, x, ctx: QContext):

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import mpmath as mp
@@ -471,7 +472,9 @@ class _RatioBound:
     are read once, at the first :meth:`reading`, and every read of the
     bound, ``bound(j)`` for the read entries from j on (a sum from its
     start, or a table's cutoff from its last entry), shares them and the
-    kept suprema.
+    kept suprema.  The limit ratio and the closing index are made on the
+    first read of ``close`` or :meth:`rest`: a table read only at its
+    cutoff never closes.
     """
 
     def __init__(self, nums, dens, q: Fixed, step: Fixed, growth: Fixed, up: bool = True):
@@ -506,8 +509,6 @@ class _RatioBound:
             edges = [math.floor((1 - t0) / ell) for t0, _, _ in self.factors]
             self.edge = min(edges, default=math.inf)
         self.kept = []  # P at the indices before the edge, back from it
-        self.limit = self._limit(q, step, growth)
-        self.close = self._closing(q)
         # the bound at read entry j is base + slope j + sup(k), k the stream
         # index of that entry's ratio; it is never below low + slope j, as
         # sup(k) >= floor but for roundings, which the float sums of either
@@ -515,6 +516,19 @@ class _RatioBound:
         self.base = self._step(0 if self.up else -2) + RATIO_SLACK
         self.low = self.base + self.floor - RATIO_SLACK
         self.made = True
+
+    @cached_property
+    def limit(self):
+        """The limit s of the stream's ratio (:meth:`_limit`), made on first
+        use: only a sum that may close reads it."""
+        _, _, q, step, growth = self.params
+        return self._limit(q, step, growth)
+
+    @cached_property
+    def close(self):
+        """The closing read index (:meth:`_closing`), made on first use: a
+        sum reads it, a table's cutoff (``reading()(M)``) does not."""
+        return self._closing(self.params[2])
 
     def _limit(self, q, step, growth):
         """The limit s of the stream's ratio along its reading, when it is a

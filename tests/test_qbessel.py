@@ -115,28 +115,36 @@ def test_generating_function_degenerate_argument():
 
 @pytest.mark.parametrize("scope", [contextlib.nullcontext, keeping_values])
 def test_rerun_widens_the_inner_bessel_values(scope, monkeypatch):
-    # at q = 0.99, z = 0.8, t = -2 the outer sum cancels: the rerun must
-    # evaluate its inner I_m^{(2)} values at the wider width too, not only
-    # the outer stream, and inside a scope must not read the narrow values
-    log, evaluated, walked = [], [], []
+    # at q = 0.99, z = 0.8, t = -2 the outer sum cancels: each rerun must
+    # build its order ladder again, its two start values and every step at
+    # a width above the rerun's own, and inside a scope must not read the
+    # narrow values of an earlier pass
+    log, evaluated, ladders, read = [], [], [], []
     real_i, real_walk = qbessel.bessel_i, qbessel._bessel_series
+    real_ladder, real_values = qbessel._backward_ladder, qbessel._order_values
 
     def inner(kind, nu, z, ctx):
-        log.append((ctx.fixed_bits, abs(nu)))
+        log.append(("sum", ctx.fixed_bits))
         return real_i(kind, nu, z, ctx)
 
     def walk(nu, alpha, x, ctx):
-        walked.append((ctx.fixed_bits, nu))
+        log.append(("walk", ctx.fixed_bits))
         return real_walk(nu, alpha, x, ctx)
 
-    def watched(engine):
-        def run(*args):
-            try:
-                return engine(*args)
-            except PrecisionLossError:
-                log.append("loss")
-                raise
-        return run
+    def ladder(*args):
+        values, bounds = real_ladder(*args)
+        ladders.append((args[-1].fixed_bits, {v.wp for v in values}))
+        log.append(("ladder", values[0].wp))
+        return values, bounds
+
+    def order_values(zv, tv, ctx):
+        shared = real_values(zv, tv, ctx)
+
+        class Reader:
+            def __getitem__(self, m):
+                read.append((ctx.fixed_bits, shared[m].wp))
+                return shared[m]
+        return Reader()
 
     # one z for every width: parsed anew inside evaluate, it would differ
     # with each width's digits, and no narrower kept value could be read
@@ -148,18 +156,26 @@ def test_rerun_widens_the_inner_bessel_values(scope, monkeypatch):
 
     monkeypatch.setattr(qbessel, "bessel_i", inner)
     monkeypatch.setattr(qbessel, "_bessel_series", walk)
-    for name in ("sum_series", "sum_bilateral"):
-        monkeypatch.setattr(qfunctions, name, watched(getattr(qfunctions, name)))
+    monkeypatch.setattr(qbessel, "_backward_ladder", ladder)
+    monkeypatch.setattr(qbessel, "_order_values", order_values)
     ctx = QContext.numeric("0.99", precision=20)
     with scope():
         widening(evaluate, ctx)
-    first = log.index("loss")
-    rerun = [call for call in log[first:] if call != "loss"]
-    widths = {w for w, _ in rerun}
-    assert widths and min(widths) > ctx.fixed_bits
-    assert widths <= set(evaluated[1:])
-    # each inner value a rerun reads is walked at that rerun's width
-    assert set(rerun) <= set(walked)
+    assert len(evaluated) > 1 and evaluated == sorted(set(evaluated))
+    # one ladder per pass, every value at one width above the pass's own
+    assert [w for w, _ in ladders] == evaluated
+    widths = [wps.pop() for _, wps in ladders]
+    assert all(len(wps) == 0 for _, wps in ladders)
+    assert all(wide > w for wide, w in zip(widths, evaluated))
+    # each pass sums, and walks, its start values at its ladder's width,
+    # after the ladder of the pass before: a rerun makes them anew
+    cuts = [i for i, (what, _) in enumerate(log) if what == "ladder"]
+    for begin, end, wide in zip([0] + cuts, cuts, widths):
+        made = [width for what, width in log[begin:end] if what != "ladder"]
+        assert made and set(made) == {wide}
+    # every value a pass reads is at least as wide as its ladder
+    width_of = dict(zip(evaluated, widths))
+    assert read and all(wp >= width_of[w] for w, wp in read)
 
 
 def test_mittag_leffler_matches_continuation():

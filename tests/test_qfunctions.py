@@ -1084,13 +1084,19 @@ def _assert_entire(got, z0, q, ks, precision):
     with mp.workdps(2 * mp.mp.dps):
         for k in ks:
             want = direct_entire(z0 * q ** k, q)
-            assert abs(got[k].to_mp() - want) <= mp.mpf(10) ** -precision * abs(want), k
+            assert abs(to_mp(got[k]) - want) <= mp.mpf(10) ** -precision * abs(want), k
 
 
 def _entire_values(ctx, n):
-    """A_q(x q^k) for k < n, x = 0.7, read off one stream."""
+    """A_q(x q^k) for k < n, x = 0.7, read off st-5.3's one stream."""
     values = qpolynomials._shifted_entire_values(X7, ctx)
     return [values[k] for k in range(n)]
+
+
+def _direct_entire_values(ctx, ks):
+    """A_q(x q^k), x = 0.7, each one :func:`ramanujan_A` sum, at the ks."""
+    with ctx.workdps():
+        return {k: ramanujan_A(X7 * ctx.q ** k, ctx) for k in ks}
 
 
 # the default point, negative, near-one and complex q
@@ -1100,9 +1106,12 @@ ORACLE_LATTICE_QS = ["0.3", "-0.6", "0.9", "0.2+0.1j"]
 @pytest.mark.parametrize("precision", [20, 50])
 @pytest.mark.parametrize("q", ORACLE_LATTICE_QS)
 def test_shifted_entire_values_match_the_direct_sums(q, precision):
+    # each direct value keeps its digits relative to itself; the ladder that
+    # st-5.3 reads keeps them in absolute terms (the majorant test below)
     ctx = QContext.numeric(q, precision=precision)
+    got = _direct_entire_values(ctx, range(24))
     with ctx.workdps():
-        _assert_entire(_entire_values(ctx, 24), X7, ctx.q, range(24), precision)
+        _assert_entire(got, X7, ctx.q, range(24), precision)
 
 
 def test_shifted_entire_values_that_cancel_ask_for_more_bits():
@@ -1114,33 +1123,76 @@ def test_shifted_entire_values_that_cancel_ask_for_more_bits():
     ks = range(64, 68)
     with ctx.workdps():
         with pytest.raises(PrecisionLossError) as lost:
-            qpolynomials._shifted_entire_values(X7, ctx)[0]
+            ramanujan_A(X7, ctx)
         assert lost.value.bits > 80
-        got = widening(lambda c: _entire_values(c, ks[-1] + 1), ctx)
+        got = widening(lambda c: _direct_entire_values(c, [0, *ks]), ctx)
     with mp.workdps(55):  # the oracle at 110 digits
         _assert_entire(got, X7, ctx.q, ks, 20)
 
 
 def test_shifted_entire_values_rerun_reads_wider_values(monkeypatch):
-    """A PrecisionLossError at k = 3 ends the kept stream of the first pass;
-    the rerun reads a stream of its own, every value made again at the wider
-    width, not the kept narrow values 0..2."""
-    made, real = [], qpolynomials.ramanujan_A
+    """A PrecisionLossError in the first start value of st-5.3's ladder ends
+    the first pass; the rerun builds a ladder of its own, both start values
+    and every step at its wider width, and reads no kept narrow value."""
+    made, ladders, real, real_ladder = [], [], qpolynomials.ramanujan_A, \
+        qpolynomials._backward_ladder
 
     def short_once(z, ctx):
         made.append(ctx.fixed_bits)
-        if len(made) == 4:
+        if len(made) == 1:
             raise PrecisionLossError("forced", 20)
         return real(z, ctx)
 
+    def ladder(*args):
+        ladders.append(args[-1].fixed_bits)
+        return real_ladder(*args)
+
     monkeypatch.setattr(qpolynomials, "ramanujan_A", short_once)
-    wide = CTX.fixed_bits + 20 + RERUN_MARGIN_BITS
+    monkeypatch.setattr(qpolynomials, "_backward_ladder", ladder)
+    rerun = CTX.wider(20 + RERUN_MARGIN_BITS)
     with keeping_values():
         got = widening(lambda c: _entire_values(c, 4), CTX)
-    assert made == [CTX.fixed_bits] * 4 + [wide] * 4
+    assert ladders == [CTX.fixed_bits, rerun.fixed_bits]
+    wide = made[1]
+    assert made[0] > CTX.fixed_bits and made[1:] == [wide, wide]
+    assert wide > rerun.fixed_bits
     assert {v.wp for v in got} == {wide}
-    with CTX.workdps():
-        _assert_entire(got, X7, CTX.q, range(4), 50)
+    with mp.workdps(100):
+        for k in range(4):
+            want = direct_entire(X7 * CTX.q ** k, CTX.q)
+            assert abs(got[k].to_mp() - want) < mp.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("q", ["0.3", "-0.6", "0.99", "0.7+0.55j"])
+def test_ladder_values_lie_within_their_majorant_bounds(q):
+    """Every value of both ladders, the orders I^(2)_m(z) of bessel-gf and
+    the lattice A_q(x q^k) of st-5.3, lies within its bound of the direct
+    bessel_i or ramanujan_A value at 128 more bits.  The bounds meet their
+    targets: one unit of the fixed-point width for the lattice, in absolute
+    terms, and for the orders at positive q, where the majorant W_k is |I_k|
+    to first order, one unit relative to the value."""
+    ctx = QContext.numeric(q, precision=20)
+    wide = ctx.wider(128)
+    positive = ctx.q.imag == 0 and ctx.q > 0
+
+    def check(values, bounds, direct, target):
+        assert len(values) == len(bounds) > 2
+        for k, (v, bound) in enumerate(zip(values, bounds)):
+            want = widening(lambda c: direct(k, c), wide)
+            with wide.workdps():
+                err = abs(v.to_mp() - want) - abs(want) * mp.ldexp(1, 8 - wide.fixed_bits)
+            assert err <= 2 ** bound, k
+            if target(want) is not None:
+                assert bound <= target(want), k
+
+    with ctx.workdps():
+        zv, tv = mp.mpf("1.5"), mp.mpf("0.4")
+        check(*qbessel._order_ladder(zv, tv, ctx),
+              lambda m, c: qbessel.bessel_i(2, m, zv, c),
+              lambda want: mp.log(abs(want), 2) - ctx.fixed_bits + 1 if positive else None)
+        x = +X7  # at the working digits, as st-5.3 passes it
+        check(*qpolynomials._entire_ladder(x, ctx),
+              lambda k, c: ramanujan_A(x * c.q ** k, c), lambda want: -ctx.fixed_bits)
 
 
 def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
