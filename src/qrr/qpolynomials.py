@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from math import lcm
 from operator import mul, truediv
 
@@ -559,8 +559,8 @@ def _entire_ladder(xv, ctx: QContext):
     = -qz A_q(q^2 z), so V_k = V_(k+1) - x q^(k+1) V_(k+2): delta = 1,
     beta = -x, gamma = 0.  V_k tends to 1, the minimal solution.  Near a
     zero of A_q (q = 0.99) a value keeps few digits relative to itself, so
-    the values are sized in absolute terms, at the scale 1 of their limit,
-    as the outer sum reads them.
+    the values are sized in absolute terms, at the scale 1 of their limit;
+    :func:`_shifted_entire_values` asks each for relative digits.
 
     M is fixed from the decay bound of the outer terms q^binom(k+1,2)
     (x q^n)^k A_q(x q^k) / (q;q)_k of every n >= 0: the term bound steps by
@@ -594,13 +594,29 @@ def _shifted_entire_values(xv, ctx: QContext):
     """A_q(x q^k) for k = 0, 1, ..., a :class:`~qrr.context._Shared` stream
     that every n of a check reads: the ladder of :func:`_entire_ladder` up
     to M + 1, then direct :func:`ramanujan_A` sums, their argument x q^k
-    formed in the reader's ``ctx.workdps()``.  A PrecisionLossError is
-    raised to the caller, for a wider rerun (:func:`~qrr.context.widening`)."""
+    formed in the reader's ``ctx.workdps()``.  The ladder's error bounds
+    are absolute, but the outer weights of ``st-5.3`` reach far above 1
+    near |q| = 1 (about 2^200 at q = 0.995, where the values lie near
+    2^-229), so each value must keep ``ctx.precision`` digits relative to
+    itself, as a direct sum must.  A PrecisionLossError, from the ladder or
+    from a direct sum, names the bits lacking and is raised to every reader
+    of the stream, for a wider rerun (:func:`~qrr.context.widening`), so a
+    ladder short of digits is built once per width, not once per n."""
     with ctx.workdps():
-        values = _entire_ladder(xv, ctx)[0]
-        direct = (ctx.fixed(ramanujan_A(y, ctx))
-                  for y in islice(_geometric(xv, ctx.q), len(values), None))
-        return _Shared(chain(values, direct))
+        values, bounds = _entire_ladder(xv, ctx)
+        need = bits_for_digits(ctx.precision)
+        missing = max((need + math.ceil(bound) - (v.top() if v else -math.inf) + 1
+                       for v, bound in zip(values, bounds)), default=0)
+
+        def stream():
+            if missing > 0:
+                raise PrecisionLossError(f"an A_q ladder value keeps too few digits; "
+                                         f"{missing} more working bits needed", missing)
+            yield from values
+            for y in islice(_geometric(xv, ctx.q), len(values), None):
+                yield ctx.fixed(ramanujan_A(y, ctx))
+
+        return _Shared(stream())
 
 
 def st_5_3_sides(n: int, x, ctx: QContext):

@@ -1163,6 +1163,21 @@ def test_shifted_entire_values_rerun_reads_wider_values(monkeypatch):
             assert abs(got[k].to_mp() - want) < mp.mpf(10) ** -50
 
 
+def test_shifted_entire_values_keep_their_digits_relative_to_themselves():
+    """At q = 0.995 the values A_q(0.7 q^k) lie near 2^-229, while st-5.3's
+    outer weights reach about 2^200: at the first width the ladder's
+    absolute bounds leave them no relative digit, so the stream raises
+    PrecisionLossError naming the bits, and the check PASSes through the
+    wider rerun, as it did on direct sums."""
+    ctx = QContext.numeric("0.995", precision=20)
+    values = qpolynomials._shifted_entire_values(X7, ctx)
+    with pytest.raises(PrecisionLossError) as lost:
+        values[0]
+    assert lost.value.bits > 0
+    report = run_check("st-5.3", "numeric", RunSettings(precision=20, q_values=("0.995",)))
+    assert report.status == "PASS", report.note
+
+
 @pytest.mark.parametrize("q", ["0.3", "-0.6", "0.99", "0.7+0.55j"])
 def test_ladder_values_lie_within_their_majorant_bounds(q):
     """Every value of both ladders, the orders I^(2)_m(z) of bessel-gf and
