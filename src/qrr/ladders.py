@@ -7,8 +7,9 @@ Two checks sum such a ladder: ``bessel-gf`` the orders I^(2)_m(z)
 minimal solution of their recurrence as the index grows, so the backward
 direction is stable.  :func:`_ladder_top` fixes the start index a priori
 from the decay of the outer terms, :func:`_backward_ladder` sizes its width
-from a float majorant and runs the recurrence in fixed point; the float
-log2 bounds both read come from :func:`_log2_series`.
+from a float majorant and runs the recurrence in fixed point, and
+:func:`_ladder_stream` asks each value for digits relative to itself; the
+float log2 bounds come from :func:`_log2_series`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from operator import mul
 
 import mpmath as mp
 
-from .context import MAX_TERMS, QContext
+from .context import MAX_TERMS, QContext, _Shared
+from .errors import PrecisionLossError
+from .fixedpoint import bits_for_digits
 from .slices import _log2_sum
 from .summation import FACTOR_SLACK, STOP_RUN
 
@@ -64,7 +67,7 @@ def _ladder_top(step, rest, ctx: QContext):
     return None
 
 
-def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, unit, ctx: QContext):
+def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, ctx: QContext):
     """V_0, ..., V_(top+1) of the solution of the three-term recurrence
 
         V_k = (1 - gamma q^(k+1)) V_(k+1) / delta + beta q^(k+1) V_(k+2)
@@ -81,9 +84,10 @@ def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, unit, ctx:
     its values, as in Miller's algorithm: the start values are direct.
 
     Every value is sized against a target of one unit of ``ctx.fixed_bits``
-    at a scale S_k: S_k = W_k below (relative to the majorant) for
-    ``unit`` None, else the absolute 2^unit.  Each value lies within
-    2^(log2 S_k - fixed_bits) of the exact one.
+    relative to the majorant W_k below: each lies within
+    2^(log2 W_k - fixed_bits) of the exact one.  Where the values cancel,
+    W_k lies far above |V_k| (A_q(x q^k) near |q| = 1, I_m near q = -1),
+    and :func:`_ladder_stream` asks for the rest.
 
     The majorant.  With |a_k|, |b_k| the float bounds on the two
     coefficients, W_k = |a_k| W_(k+1) + |b_k| W_(k+2) from the ``sizes`` at
@@ -102,7 +106,8 @@ def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, unit, ctx:
     most 2 top + 8 roundings of its prefactor, eps = c (2 top + 8)
     2^tail_log2.  The values are run at ``ctx.wider(g)``, with g the least
     number of bits (plus one for the second-order terms) that puts both
-    parts under half the target at every k: the start values and every
+    parts under half the target at every k, so g does not depend on the
+    size of W_k, only on R_k / W_k: the start values and every
     step are made at that width, so a wider rerun of the evaluation
     rebuilds them all wider.  The majorant runs on float log2 values,
     |1 - gamma q^(k+1)| from floats within ``FACTOR_SLACK``."""
@@ -120,10 +125,9 @@ def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, unit, ctx:
         W[k] = _log2_sum((a + W[k + 1], b + W[k + 2]))
         rho = 2 * c * (k + 1) * (1 + gp / max(gap - FACTOR_SLACK, 1 - gp)) + 4 * c + 4
         R[k] = _log2_sum((a + R[k + 1], b + R[k + 2], math.log2(rho) + W[k]))
-    scale = W if unit is None else [unit] * (top + 2)
     fb, tl = ctx.fixed_bits, ctx.tail_log2
     ls = math.log2(c * (2 * top + 8))
-    g = max(max(ls + tl + fb + 1 + w - s, 2 + r - s) for w, r, s in zip(W, R, scale))
+    g = max(ls + tl + fb + 1, max(2 + r - w for w, r in zip(W, R)))
     g = max(0, math.ceil(g)) + 1
     wide = ctx.wider(g)
     with wide.workdps():
@@ -138,3 +142,32 @@ def _backward_ladder(delta, beta, gamma: int, top: int, start, sizes, unit, ctx:
         values[k] = a * values[k + 1] + b0 * p * values[k + 2]
     bounds = [_log2_sum((ls + tl - g + w, 1 - fb - g + r)) for w, r in zip(W, R)]
     return values, bounds
+
+
+def _ladder_stream(ladder, direct, ctx: QContext) -> _Shared:
+    """The values of a ladder, (values, error bounds) from
+    :func:`_backward_ladder`, then the direct values ``direct(k)`` yields
+    from the first index k past them, as one :class:`~qrr.context._Shared`
+    stream for every reader of a kept kernel.
+
+    A direct sum keeps ``ctx.precision`` digits relative to its value, or
+    raises PrecisionLossError for the bits it cancelled; a ladder value must
+    keep as many, since the outer weights may reach far above 1 (about
+    2^200 for ``st-5.3`` at q = 0.995).  Its bound is relative to the
+    majorant, so where the majorant lies above the value, the stream raises
+    PrecisionLossError naming the bits lacking to every reader, for a wider
+    rerun (:func:`~qrr.context.widening`): the ladder is built once per
+    width, not once per reader."""
+    values, bounds = ladder
+    need = bits_for_digits(ctx.precision)
+    missing = max((need + math.ceil(bound) - (v.top() if v else -math.inf) + 1
+                   for v, bound in zip(values, bounds)), default=0)
+
+    def stream():
+        if missing > 0:
+            raise PrecisionLossError(f"a ladder value keeps too few digits; "
+                                     f"{missing} more working bits needed", missing)
+        yield from values
+        yield from direct(len(values))
+
+    return _Shared(stream())

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import prod
 from typing import NamedTuple
@@ -319,9 +320,11 @@ def pochhammer_infinite(a, q, ctx: QContext):
     return infinite_product([a], [], q, ctx)
 
 
+@cache
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient as an exact integer-coefficient QPoly;
-    zero outside 0 <= k <= n."""
+    zero outside 0 <= k <= n.  Cached: the explicit sums of ``cd-three-way``
+    and the Schur-type polynomials read each one for many indices."""
     if k < 0 or n < 0 or k > n:
         return QPoly.zero()
     poly = QPoly.one()

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import count, islice
 from operator import mul
 
 import mpmath as mp
 
-from .context import QContext, _Shared, kept, powq, to_mp
+from .context import QContext, kept, powq, to_mp
 from .errors import DomainError
-from .ladders import _backward_ladder, _ladder_top, _log2_one_minus, _log2_series
+from .ladders import (_backward_ladder, _ladder_stream, _ladder_top, _log2_one_minus,
+                      _log2_series)
 from .pochhammer import (_Q1, QPow, _gaussian, _pole_factors, _value, infinite_product,
                          pochhammer_finite)
 from .qfunctions import _series
@@ -183,7 +184,9 @@ def _order_ladder(zv, tv, ctx: QContext):
     I_(m-1) = (2/z)(1 - q^m) I_m + q^m I_(m+1), V_k = I_k with delta = z/2,
     beta = gamma = 1.  Its minimal solution is I_m: I_m falls as
     (z/2)^m / (q;q)_m, the other solution grows.  The values keep their
-    digits relative to the majorant W_k, about |I_k| for z, q > 0.
+    digits relative to the majorant W_k, about |I_k| for z, q > 0; near
+    q = -1, where |1 - q^m| is about 2 for every odd m, W_k lies far above
+    |I_k|, and :func:`_order_values` asks for the rest.
 
     M is fixed from the decay bound of the outer terms of both tails,
     q^binom(k,2) t^k I_k and q^binom(k,2) (q/t)^k I_k: as
@@ -213,19 +216,20 @@ def _order_ladder(zv, tv, ctx: QContext):
     def start(c):
         return bessel_i(2, top, zv, c), bessel_i(2, top + 1, zv, c)
 
-    return _backward_ladder(zv / 2, 1, 1, top, start, (size(top), size(top + 1)), None, ctx)
+    return _backward_ladder(zv / 2, 1, 1, top, start, (size(top), size(top + 1)), ctx)
 
 
 @kept
 def _order_values(zv, tv, ctx: QContext):
-    """I^(2)_m(z) for m = 0, 1, ..., a :class:`~qrr.context._Shared` stream
-    that both tails of the order-generating function read (I_(-m) = I_m):
-    the ladder of :func:`_order_ladder` up to M + 1, direct values past it,
-    and direct (exact) values at z = 0."""
+    """I^(2)_m(z) for m = 0, 1, ..., the stream that both tails of the
+    order-generating function read (I_(-m) = I_m): the ladder of
+    :func:`_order_ladder` up to M + 1, each value with ``ctx.precision``
+    digits relative to itself (:func:`~qrr.ladders._ladder_stream`), direct
+    values past it, and direct (exact) values at z = 0."""
     with ctx.workdps():
-        values = _order_ladder(zv, tv, ctx)[0]
-        direct = (ctx.fixed(bessel_i(2, m, zv, ctx)) for m in count(len(values)))
-        return _Shared(chain(values, direct))
+        return _ladder_stream(_order_ladder(zv, tv, ctx),
+                              lambda m: (ctx.fixed(bessel_i(2, k, zv, ctx)) for k in count(m)),
+                              ctx)
 
 
 def gen_func_sides(z, t, ctx: QContext):

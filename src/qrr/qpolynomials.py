@@ -32,13 +32,14 @@ from operator import mul, truediv
 
 import mpmath as mp
 
-from .context import QContext, _Shared, kept, powq, to_mp
+from .context import QContext, kept, powq, to_mp
 from .errors import DomainError, PrecisionLossError, SingularDeltaError
 from .exactpoly import BivariatePoly, QPoly
 from .fixedpoint import bits_for_digits, rounding_bits
 from .formal import (FormalSeries, _fractions, _one_minus, fs_pochhammer,
                      fs_pochhammer_infinite, fs_ratio_sum, qexp_to_u)
-from .ladders import _backward_ladder, _ladder_top, _log2_one_minus, _log2_series
+from .ladders import (_backward_ladder, _ladder_stream, _ladder_top, _log2_one_minus,
+                      _log2_series)
 from .pochhammer import (_Q1, QPow, _factors, _gaussian, _geometric, _one_like, _ratios_up,
                          _value, infinite_product, pochhammer_finite, q_binomial)
 from .qfunctions import (_series, ramanujan_A, rr_product_formal, rr_sum_formal,
@@ -221,23 +222,12 @@ def _cd_poly(n: int, construction: str, which: str) -> BivariatePoly:
         off, w = (2, 1) if which == "c" else (1, 0)
         terms = {}
         for j in range((n - off) // 2 + 1):
-            for dq, coeff in enumerate(_gaussian_row(n - j - off)[j]):
+            for dq, coeff in enumerate(q_binomial(n - j - off, j).coeffs()):
                 terms[n - 2 * j - off, dq + j * j + w * j] = coeff
         return BivariatePoly(terms)
     if construction == "generating":
         return _cd_from_generating(n, which)
     raise DomainError(f"unknown construction {construction!r}")
-
-
-@kept
-def _gaussian_row(n: int):
-    """The coefficient lists of the Gaussian binomials [n,k]_q, k = 0, ..., n,
-    by one row walk, [n,k] = [n,k-1] (1 - q^(n-k+1)) / (1 - q^k); kept, as
-    ``cd-three-way``'s explicit sums read row n for every c_m and d_m."""
-    row = [QPoly.one()]
-    for k in range(1, n + 1):
-        row.append(row[-1].times_one_minus(n - k + 1).divexact_one_minus(k))
-    return [p.coeffs() for p in row]
 
 
 def _cd_from_generating(n: int, which: str) -> BivariatePoly:
@@ -557,9 +547,9 @@ def _entire_ladder(xv, ctx: QContext):
 
     A_q(z) - A_q(qz) = sum_n (-z)^n q^(n^2) (1 - q^n) / (q;q)_n
     = -qz A_q(q^2 z), so V_k = V_(k+1) - x q^(k+1) V_(k+2): delta = 1,
-    beta = -x, gamma = 0.  V_k tends to 1, the minimal solution.  Near a
-    zero of A_q (q = 0.99) a value keeps few digits relative to itself, so
-    the values are sized in absolute terms, at the scale 1 of their limit;
+    beta = -x, gamma = 0.  V_k tends to 1, the minimal solution.  Near
+    |q| = 1 the terms of A_q cancel (about 150 bits for A_q(0.7) at
+    q = 0.99), and the majorant lies far above the values:
     :func:`_shifted_entire_values` asks each for relative digits.
 
     M is fixed from the decay bound of the outer terms q^binom(k+1,2)
@@ -586,37 +576,23 @@ def _entire_ladder(xv, ctx: QContext):
         y = xv * c.q ** top
         return ramanujan_A(y, c), ramanujan_A(y * c.q, c)
 
-    return _backward_ladder(1, -xv, 0, top, start, (rest(top), rest(top + 1)), 0.0, ctx)
+    return _backward_ladder(1, -xv, 0, top, start, (rest(top), rest(top + 1)), ctx)
 
 
 @kept
 def _shifted_entire_values(xv, ctx: QContext):
-    """A_q(x q^k) for k = 0, 1, ..., a :class:`~qrr.context._Shared` stream
-    that every n of a check reads: the ladder of :func:`_entire_ladder` up
-    to M + 1, then direct :func:`ramanujan_A` sums, their argument x q^k
-    formed in the reader's ``ctx.workdps()``.  The ladder's error bounds
-    are absolute, but the outer weights of ``st-5.3`` reach far above 1
-    near |q| = 1 (about 2^200 at q = 0.995, where the values lie near
-    2^-229), so each value must keep ``ctx.precision`` digits relative to
-    itself, as a direct sum must.  A PrecisionLossError, from the ladder or
-    from a direct sum, names the bits lacking and is raised to every reader
-    of the stream, for a wider rerun (:func:`~qrr.context.widening`), so a
-    ladder short of digits is built once per width, not once per n."""
+    """A_q(x q^k) for k = 0, 1, ..., the stream that every n of a check
+    reads: the ladder of :func:`_entire_ladder` up to M + 1, each value with
+    ``ctx.precision`` digits relative to itself
+    (:func:`~qrr.ladders._ladder_stream`; at q = 0.995 the values lie near
+    2^-229 and st-5.3's outer weights reach about 2^200), then direct
+    :func:`ramanujan_A` sums, their argument x q^k formed in the reader's
+    ``ctx.workdps()``."""
     with ctx.workdps():
-        values, bounds = _entire_ladder(xv, ctx)
-        need = bits_for_digits(ctx.precision)
-        missing = max((need + math.ceil(bound) - (v.top() if v else -math.inf) + 1
-                       for v, bound in zip(values, bounds)), default=0)
-
-        def stream():
-            if missing > 0:
-                raise PrecisionLossError(f"an A_q ladder value keeps too few digits; "
-                                         f"{missing} more working bits needed", missing)
-            yield from values
-            for y in islice(_geometric(xv, ctx.q), len(values), None):
-                yield ctx.fixed(ramanujan_A(y, ctx))
-
-        return _Shared(stream())
+        return _ladder_stream(
+            _entire_ladder(xv, ctx),
+            lambda k: (ctx.fixed(ramanujan_A(y, ctx)) for y in islice(_geometric(xv, ctx.q), k, None)),
+            ctx)
 
 
 def st_5_3_sides(n: int, x, ctx: QContext):

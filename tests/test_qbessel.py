@@ -9,6 +9,7 @@ import pytest
 
 from qrr import DomainError, PoleError, PrecisionLossError, QContext, QPow, qbessel, qfunctions
 from qrr.context import keeping_values, powq, widening
+from qrr.harness import RunSettings, run_check
 from qrr.pochhammer import infinite_product
 from qrr.qbessel import (asymptotic_main_term, bessel_i, bessel_j,
                          gen_func_sides, i1_continued, lommel_relation_j_sides,
@@ -111,6 +112,22 @@ def test_generating_function_degenerate_argument():
         assert lhs == 1 and rhs == 1
     with pytest.raises(DomainError):
         gen_func_sides(mp.mpf(1), mp.mpf(0), CTX)
+
+
+def test_order_values_keep_their_digits_relative_to_themselves():
+    """At q = -0.99 the majorant of the order ladder lies far above |I_m|,
+    as |1 - q^m| is about 2 for every odd m: at the first width the ladder's
+    bounds leave some order fewer than ctx.precision digits relative to
+    itself, so the stream raises PrecisionLossError naming the bits, and
+    bessel-gf PASSes through the wider rerun."""
+    ctx = QContext.numeric("-0.99", precision=20)
+    with ctx.workdps():
+        orders = qbessel._order_values(mp.mpf(1), mp.mpf(1), ctx)
+        with pytest.raises(PrecisionLossError) as lost:
+            orders[0]
+    assert lost.value.bits > 0
+    report = run_check("bessel-gf", "numeric", RunSettings(precision=20, q_values=("-0.99",)))
+    assert report.status == "PASS", report.note
 
 
 @pytest.mark.parametrize("scope", [contextlib.nullcontext, keeping_values])

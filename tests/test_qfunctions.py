@@ -15,9 +15,10 @@ from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
                  PrecisionLossError, QContext, QPow, qbessel, qfunctions, qpolynomials, slices,
                  summation)
 from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
-from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, cut, one_minus, parts,
-                            rounding_bits, shifted)
+from qrr.fixedpoint import (ROUNDINGS, Fixed, _complex, _real, bits_for_digits, cut, one_minus,
+                            parts, rounding_bits, shifted)
 from qrr.harness import RunSettings, run_check
+from qrr.ladders import _ladder_stream
 from qrr.pochhammer import (_Q1, _gaussian, infinite_product, pochhammer_finite,
                             pochhammer_ratio, pole)
 from qrr.qbessel import mittag_leffler_rhs
@@ -1178,36 +1179,50 @@ def test_shifted_entire_values_keep_their_digits_relative_to_themselves():
     assert report.status == "PASS", report.note
 
 
-@pytest.mark.parametrize("q", ["0.3", "-0.6", "0.99", "0.7+0.55j"])
-def test_ladder_values_lie_within_their_majorant_bounds(q):
+# the points where a ladder's majorant lies far above its values, so that its
+# stream asks for a wider rerun: the lattice near q = 1, the orders near q = -1
+@pytest.mark.parametrize("q, reruns", [("0.3", ()), ("-0.6", ()), ("0.99", ("lattice",)),
+                                       ("0.7+0.55j", ()), ("-0.99", ("orders",))])
+def test_ladder_values_lie_within_their_majorant_bounds(q, reruns):
     """Every value of both ladders, the orders I^(2)_m(z) of bessel-gf and
     the lattice A_q(x q^k) of st-5.3, lies within its bound of the direct
-    bessel_i or ramanujan_A value at 128 more bits.  The bounds meet their
-    targets: one unit of the fixed-point width for the lattice, in absolute
-    terms, and for the orders at positive q, where the majorant W_k is |I_k|
-    to first order, one unit relative to the value."""
+    bessel_i or ramanujan_A value at 128 more bits, at the width whose
+    ladder the stream (_ladder_stream) reads.  Every bound meets the
+    stream's target, ctx.precision digits relative to the value, and the
+    first width meets it except at the reruns.  The orders at positive q,
+    where the majorant W_k is |I_k| to first order, also meet the ladder's
+    own target, one unit of the fixed-point width relative to the value."""
     ctx = QContext.numeric(q, precision=20)
-    wide = ctx.wider(128)
+    need = bits_for_digits(ctx.precision)
     positive = ctx.q.imag == 0 and ctx.q > 0
 
-    def check(values, bounds, direct, target):
+    def check(name, make, direct, unit_target):
+        def evaluate(c):
+            ladder = make(c)
+            _ladder_stream(ladder, lambda k: iter(()), c)[0]
+            return c, ladder
+
+        c, (values, bounds) = widening(evaluate, ctx)
+        assert (c.fixed_bits > ctx.fixed_bits) == (name in reruns)
+        wide = c.wider(128)
         assert len(values) == len(bounds) > 2
         for k, (v, bound) in enumerate(zip(values, bounds)):
-            want = widening(lambda c: direct(k, c), wide)
+            want = widening(lambda w: direct(k, w), wide)
             with wide.workdps():
                 err = abs(v.to_mp() - want) - abs(want) * mp.ldexp(1, 8 - wide.fixed_bits)
-            assert err <= 2 ** bound, k
-            if target(want) is not None:
-                assert bound <= target(want), k
+                size = mp.log(abs(want), 2)
+            assert err <= 2 ** bound, (name, k)
+            assert bound <= size - need, (name, k)
+            if unit_target:
+                assert bound <= size - c.fixed_bits + 1, (name, k)
 
     with ctx.workdps():
         zv, tv = mp.mpf("1.5"), mp.mpf("0.4")
-        check(*qbessel._order_ladder(zv, tv, ctx),
-              lambda m, c: qbessel.bessel_i(2, m, zv, c),
-              lambda want: mp.log(abs(want), 2) - ctx.fixed_bits + 1 if positive else None)
+        check("orders", lambda c: qbessel._order_ladder(zv, tv, c),
+              lambda m, c: qbessel.bessel_i(2, m, zv, c), positive)
         x = +X7  # at the working digits, as st-5.3 passes it
-        check(*qpolynomials._entire_ladder(x, ctx),
-              lambda k, c: ramanujan_A(x * c.q ** k, c), lambda want: -ctx.fixed_bits)
+        check("lattice", lambda c: qpolynomials._entire_ladder(x, c),
+              lambda k, c: ramanujan_A(x * c.q ** k, c), False)
 
 
 def test_outer_pair_sums_are_charged_their_entries_roundings(monkeypatch):
