@@ -1108,7 +1108,7 @@ ORACLE_LATTICE_QS = ["0.3", "-0.6", "0.9", "0.2+0.1j"]
 @pytest.mark.parametrize("q", ORACLE_LATTICE_QS)
 def test_shifted_entire_values_match_the_direct_sums(q, precision):
     # each direct value keeps its digits relative to itself; the ladder that
-    # st-5.3 reads keeps them in absolute terms (the majorant test below)
+    # st-5.3 reads is checked against its bounds by the majorant test below
     ctx = QContext.numeric(q, precision=precision)
     got = _direct_entire_values(ctx, range(24))
     with ctx.workdps():
