@@ -492,7 +492,9 @@ def _ratio_slice(n: int, a, b, k: int, slices, product, ctx: QContext):
     P = ``product(q, a, b, n / k)``, a and b as numbers; zero where k does
     not divide n.  There the slice is an exact zero on every table, so it
     needs no check, and it is summed on K = |n| + 2, where every residue
-    class of the slice has terms."""
+    class of the slice has terms.  P is taken first: a product side that
+    raises (a pole, the factor budget) ends the check before any table is
+    summed."""
     with ctx.workdps():
         aq, bq = _as_qpow(a), _as_qpow(b)
         av, bv = _value(aq, ctx.q), _value(bq, ctx.q)
@@ -500,8 +502,8 @@ def _ratio_slice(n: int, a, b, k: int, slices, product, ctx: QContext):
         table = partial(_bilateral_ratio_array, aq, bq, k=k, ctx=ctx)
         if n % k:
             return slices(table(abs(n) + 2), [n])[0].to_mp(), mp.mpf(0)
-        lhs = _cut(table, K, lambda t: slices(t, [n])[0], [n], [0.0], ctx)[1].to_mp()
-        return lhs, product(ctx.q, av, bv, n // k)
+        rhs = product(ctx.q, av, bv, n // k)
+        return _cut(table, K, lambda t: slices(t, [n])[0], [n], [0.0], ctx)[1].to_mp(), rhs
 
 
 def bilateral_pair_slice_sides(n: int, a, b, ctx: QContext):

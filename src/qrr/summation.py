@@ -19,15 +19,19 @@ auditable.
   45(3), 2019).  It reads no stop run and makes no observed certificate.
 * **Closed geometric remainder.**  A declared stream whose ratio tends to
   a constant s (growth exactly 1, and downwards as many numerator as
-  denominator factors) has, from its entry n on, the ratio
-  s prod_num (1 - x q^i) / prod_den (1 - x q^i) over the factor values x
-  at entry n.  Such a sum stops at the first term t(n) whose first-order
-  remainder t(n) s / (1 - s) (1 + D / (1 - s q)), D = sum_den x -
-  sum_num x (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1), errs
-  by no more than the R (n + 2)^2 roundings the charge allows index
-  n + 1, and adds it as that term; its tail bound is 0.  The error is of
-  second order in the x (:meth:`_RatioBound._closing` gives the bound), so
-  a sum closes at about half the index at which every factor is 1 at the
+  denominator factors) has, from its entry n on, the ratio s P(y q^i),
+  y = q^n, P(y) = prod_num (1 - a y) / prod_den (1 - a y) over the factor
+  values a at entry 0, so the rest after t_n is t_n T(y) with
+  T(y) = s P(y) (1 + T(q y)) = sum c_j y^j (Gasper & Rahman, *Basic
+  Hypergeometric Series*, ch. 1).  Such a sum stops at the first term t(n)
+  whose order-p remainder t(n) sum_(j<=p) c_j y^j errs by no more than the
+  R (n + 2)^2 roundings the charge allows index n + 1, and adds it as that
+  term; its tail bound is 0.  The c_j come from their recurrence once per
+  stream, the truncation is bounded by a majorant of them
+  (:meth:`_RatioBound.majorant`, :meth:`_RatioBound._closing`), and the
+  stream picks p in 0..``MAX_ORDER`` before it sums, as the least count of
+  ring steps for the terms it will read and for its c_j.  Order p closes
+  at about 1 / (p + 1) of the index at which every factor is 1 at the
   working width; until then the declared bound may stop the sum as before.
 * **Observed decay.**  Every other stream stops after a run of
   ``STOP_RUN`` consecutive negligible terms plus a ratio certificate on the
@@ -162,8 +166,8 @@ def sum_series(term, ctx: QContext, ratio=None, then=None) -> SumOutcome:
     not evaluated.  A declared read with ``ratio.close`` finite (a stream
     whose ratio tends to a constant) stops instead at the first nonzero
     term t(n) with n >= ``ratio.close``, unless the bound stopped it before:
-    the rest of the series, its first-order remainder
-    ``ratio.rest(t(n), n)``, is added as term n + 1, charged the
+    the rest of the series, its remainder ``ratio.rest(t(n), n)`` at the
+    order the stream took, is added as term n + 1, charged the
     R (n + 2)^2 roundings of that index, and the tail bound is 0.  Without
     a declared bound (a mixed stream, whose terms are a ratio stream's times
     values of another sum), the sum stops once
@@ -434,6 +438,39 @@ def sum_bilateral(pos, neg, ctx: QContext, ratios=(None, None)) -> SumOutcome:
 RATIO_SLACK = 2.0 ** -20
 # |1 - x| for 1/2 < |x| < 2 is evaluated from x in floats to within this.
 FACTOR_SLACK = 2.0 ** -30
+# The highest order of the closed remainder of a constant-limit stream.
+MAX_ORDER = 8
+
+
+def _first(fits, n):
+    """The least index m < MAX_TERMS with fits(m), for a test that holds
+    from some index on, or inf: a gallop from the guess n, then a
+    bisection."""
+    n = min(max(n, 0), MAX_TERMS - 1)
+    step = 1
+    if fits(n):
+        hi = n
+        while hi - step >= 0 and fits(hi - step):
+            hi -= step
+            step *= 2
+        lo = hi - step  # fails, or lies below 0
+    else:
+        lo = n
+        while lo + step < MAX_TERMS and not fits(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
+        if hi >= MAX_TERMS:
+            hi = MAX_TERMS - 1
+            if not fits(hi):
+                return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class _RatioBound:
@@ -488,12 +525,13 @@ class _RatioBound:
         self.phi = phi = _arg(q)
         # per factor: log2 |c q^exponent|, its argument, and +1 for a
         # numerator, -1 for a denominator
-        self.factors = []
+        self.factors, self.values = [], []
         for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]:
             v = q.like(c.coeff)
             if v:
                 eps = float(c.exponent)
                 self.factors.append((_log2(v) + eps * ell, _arg(v) + eps * phi, sign))
+                self.values.append((sign, v, c.exponent))
         d = 0 if self.up else sum(sign for _, _, sign in self.factors)
         self.d = d
         self.sigma = _log2(step) if step else -math.inf
@@ -526,9 +564,39 @@ class _RatioBound:
 
     @cached_property
     def close(self):
-        """The closing read index (:meth:`_closing`), made on first use: a
-        sum reads it, a table's cutoff (``reading()(M)``) does not."""
-        return self._closing(self.params[2])
+        """The closing read index, made on first use: a sum reads it, a
+        table's cutoff (``reading()(M)``) does not.  Of the orders
+        p = 0 .. ``MAX_ORDER`` the stream takes the one of least cost, in
+        ring steps: the terms it reads to :meth:`_closing` (p), F + 2 each
+        for F factors (a step per factor, the step and the division of
+        :func:`_ratio_walk`), plus the p (2 F + p + 7) Fixed operations that
+        make its c_1 .. c_p and evaluate them (:meth:`coefficients`,
+        :meth:`rest`).  Both are counts known before the sum starts.  The
+        cost falls and then rises with p, so a walk from the order of least
+        estimated cost (:meth:`_guess`) to the first rise on either side
+        finds it."""
+        if self.majorant is None:
+            self.order = 0
+            return math.inf
+        F, found = len(self.factors), {}
+
+        def cost(p, n):
+            return (F + 2) * n + p * (2 * F + p + 7)
+
+        def total(p):
+            if p not in found:
+                found[p] = self._closing(p)
+            return cost(p, found[p])
+
+        p = min(range(MAX_ORDER + 1), key=lambda p: cost(p, self._guess(p)))
+        for d in (-1, 1):
+            start = p
+            while 0 <= p + d <= MAX_ORDER and total(p + d) < total(p):
+                p += d
+            if p != start:
+                break  # the other side is dearer
+        self.order = p
+        return found[p]
 
     def _limit(self, q, step, growth):
         """The limit s of the stream's ratio along its reading, when it is a
@@ -541,107 +609,204 @@ class _RatioBound:
             return None
         if self.up:
             return step
-        nums, dens = self.params[:2]
         with mp.workprec(q.wp + 20):
             qv, s = q.to_mp(), step.to_mp()
-            for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]:
-                v = q.like(c.coeff).to_mp()
-                if v:
-                    v *= powq(qv, c.exponent)
-                    s = s * v if sign > 0 else s / v
+            for sign, v, e in self.values:
+                v = v.to_mp() * powq(qv, e)
+                s = s * v if sign > 0 else s / v
         return q.like(s)
 
-    def _closing(self, q):
-        """The read index from which a sum may end a stream whose ratio tends
-        to a constant s (:meth:`_limit`) on its first-order remainder
-        (:meth:`rest`), or inf.
+    @cached_property
+    def majorant(self):
+        """The float data of :meth:`_closing`, made once per stream, or None
+        when the stream does not close.
 
         Along the reading, from entry n on, the ratio from entry n + i to
-        n + i + 1 is s prod_num (1 - x q^i) / prod_den (1 - x q^i) over the
-        F factor values x at entry n: c q^n upwards and q^(n + 2) / c
-        downwards (the ratio r_k there has k = -2 - n).  Let V be the sum
-        of their magnitudes and W = V / (1 - |q|) <= 2^-8.  As
-        |log(1 - x) + x| <= |x|^2 / (2 (1 - |x|)), the ratio is
-        s exp(D q^i + e_i) with D = sum_den x - sum_num x and
-        |e_i| <= V^2 |q|^(2 i) / (2 (1 - V)), so entry n + j is
-        t_n s^j exp(A_j + E_j), A_j = D (1 - q^j) / (1 - q), |A_j| <= W and
-        |E_j| <= 0.51 W^2, and exp(A_j + E_j) = 1 + A_j + rho_j with
-        |rho_j| <= 1.02 W^2.  Summed over j >= 1 (Gasper & Rahman, ch. 1),
-        the rest after t_n is t_n s / (1 - s) (1 + D / (1 - s q)) within
-        1.02 W^2 |t_n s| / (1 - |s|), that is within
-        1.03 W^2 |1 - s| / (1 - |s|) relative to it, as |1 - s q| >= 1 - |q|.
-        Relative to the remainder as summed, with u = 2^(1 - wp), the error
-        is then at most
-            R (n + 1)^2 u                     t_n's own roundings,
-          + 10 u                              the product, 1 - s, the
-                                              division, 1 + D / (1 - s q)
-                                              and the product by it, complex
-                                              counted twice,
-          + 2 m u (1 + |s| / |1 - s|)         the m roundings of s, amplified
-                                              (the step's; downwards also
-                                              that of the product),
-          + 1.25 W^2 |1 - s| / (1 - |s|)      the truncation, with room for
-                                              the float logs it is read in,
-          + 2 u                               the roundings of the correction,
-                                              below (64 + F) W u < u as it
-                                              is at most W in size, and
-                                              second-order terms,
-        and the engine charges it as term n + 1, at R (n + 2)^2 u: it fits
-        from the first n with R (2 n + 3) at least the last four lines over
-        u, which is about half the index at which every factor is 1 at the
-        working width, as W^2 is then about u.  The rounding charge of that
-        index stays in force: a step near 1 waits for a later n.  |1 - s|
-        and 1 - |s| are taken from floats; within ``FACTOR_SLACK`` of 0 they
-        close nothing."""
-        s, ell = self.limit, self.ell
+        n + i + 1 is s P(y q^i), y = q^n, P(y) = prod_num (1 - a y) /
+        prod_den (1 - a y) = sum p_j y^j over the factor values a at entry 0
+        (c q^e upwards and q^(2 - e) / c downwards, for the QPows c q^e of
+        nonzero c; downwards the ratio r_k there has k = -2 - n).  So
+        the rest after t_n is t_n T(y), T(y) = s P(y) (1 + T(q y)), and
+        T(y) = sum c_j y^j with c_0 = s / (1 - s) and
+
+            c_j (1 - s q^j) = s (p_j (1 + c_0) + sum_(0<i<j) p_(j-i) q^i c_i)
+
+        (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1); c_1 y is the
+        first-order correction c_0 D / (1 - s q), D = p_1 y.  Let rho be the
+        largest |a|, z = rho |y| and alpha = |a| / rho <= 1.  As
+        |1 - s q^j| >= 1 - |s| |q|^j and |p_j| rho^-j is at most pi_j, the
+        coefficient of z^j in Pi(z) = prod_num (1 + alpha z) /
+        prod_den (1 - alpha z), |c_j| rho^j is at most g_j: g_0 = |c_0| and
+
+            g_j (1 - |s| |q|^j) = |s| (pi_j / |1 - s| + sum_(0<i<j) pi_(j-i) |q|^i g_i),
+
+        taken here for j <= MAX_ORDER + 2.  With 1 - |s| in place of every
+        1 - |s| |q|^j the g_j only grow, and their series G(z) over j >= 1
+        obeys G(z) = h(z) (1 / |1 - s| + G(|q| z)), h(z) = |s| (Pi(z) - 1) /
+        (1 - |s|), so G(r) = sum_k prod_(i<=k) h(|q|^i r) / |1 - s| is at most
+        M = k / ((1 - k) |1 - s|) at a radius r with k = h(r) <= 1/2 (r is
+        halved from 1/2 until it is), and g_j <= M r^-j: beyond j = p + 2 the
+        majorant has the geometric tail M (z / r)^(p + 3) / (1 - z / r).
+        Each of |1 - s| and 1 - |s| is moved by ``FACTOR_SLACK`` the safe
+        way, and within it of 0 closes nothing.
+
+        Returns (log2 rho, log2 r, the g_j over |c_0|, M over |c_0| and the
+        charge's parts of :meth:`_closing`), with a lower bound on |c_0|."""
+        s = self.limit
         log_s = self.sigma + self.floor  # log2 |s|
         if s is None or not log_s < 0:
-            return math.inf
+            return None
         s = complex(s.to_mp())
-        gap, near = abs(1 - s), -math.expm1(log_s * LN2)
+        a, gap, near = abs(s), abs(1 - s), -math.expm1(log_s * LN2)
         if gap <= FACTOR_SLACK or near <= FACTOR_SLACK:
+            return None
+        g, h, ell = 1 / (gap - FACTOR_SLACK), 1 / (near - FACTOR_SLACK), self.ell
+        logs = [(t0 if self.up else 2 * ell - t0, sign) for t0, _, sign in self.factors]
+        w0 = max((t for t, _ in logs), default=-math.inf)
+        scaled = [(2.0 ** (t - w0), sign) for t, sign in logs]
+        top = MAX_ORDER + 2
+        pi = [1.0] + [0.0] * top
+        for alpha, sign in scaled:
+            if sign > 0:
+                for j in range(top, 0, -1):
+                    pi[j] += alpha * pi[j - 1]
+            else:
+                for j in range(1, top + 1):
+                    pi[j] += alpha * pi[j - 1]
+        Q = 2.0 ** ell
+        gs, qgs, qj = [a * g], [0.0], 1.0  # g_j and |q|^j g_j
+        for j in range(1, top + 1):
+            qj *= Q
+            acc = pi[j] * g
+            for i in range(1, j):
+                acc += pi[j - i] * qgs[i]
+            gs.append(a * acc / (1 - a * qj - FACTOR_SLACK))
+            qgs.append(qj * gs[j])
+        r, k = 1.0, math.inf
+        while k > 0.5:  # h(r), Pi(r) - 1 taken as expm1 of a sum of logs
+            r /= 2
+            k = a * h * math.expm1(sum(math.log1p(alpha * r) if sign > 0
+                                       else -math.log1p(-alpha * r) for alpha, sign in scaled))
+        m = 1 if self.up else 2
+        e = max((abs(float(e if self.up else 2 - e)) for _, _, e in self.values), default=0.0)
+        # the charge of _closing: its fixed part, K / p - 4 p, the level of
+        # the truncation over |t_n c_0| u
+        fixed = 10 + 2 * m * (1 + a * g)
+        kbase = (len(scaled) * (10 + 4 * math.log2(2 + e)) + 20 + 4 * math.log2(MAX_TERMS)
+                 + 2 * m * (1 + a * g + h) + 4 * h)
+        c0 = a / (gap + FACTOR_SLACK)
+        cut = self.params[2].wp - 1
+        return w0, math.log2(r), [x / c0 for x in gs], k / (1 - k) * g / c0, fixed, kbase, cut
+
+    def _closing(self, p):
+        """The read index from which a sum may end the stream on its order-p
+        remainder t_n sum_(j<=p) c_j y^j (:meth:`rest`), or inf.
+
+        Relative to |t_n c_0|, with u = 2^(1 - wp), sigma the majorant of
+        sum_(j>=1) c_j y^j over |c_0|, (g_1 z + M x^2 / (1 - x)) / |c_0|,
+        x = z / r <= 1/2, and m the roundings of s (1 upwards; 2 downwards,
+        where the product rounds too), the remainder as summed errs by at
+        most
+            R (n + 1)^2 u                     t_n's own roundings, relative,
+          + 10 u                              1 - s, the division, the last
+                                              addition of the evaluation and
+                                              the products by 1 / (1 - s)
+                                              and by t_n, complex counted
+                                              twice,
+          + 2 m u (1 + |s| / |1 - s|)         the roundings of s, amplified
+                                              in c_0,
+          + K sigma u                         the roundings of the
+                                              corrections c_j y^j, j >= 1,
+          + 1.01 z^(p+1) (g_(p+1) + g_(p+2) z + M r^-(p+1) x^2 / (1 - x))
+                                              the truncation, with room for
+                                              the floats it is read in.
+        Each correction is made of sums of products whose majorants are the
+        matching parts of g_j, so it errs by at most K u times its majorant,
+        where K counts the roundings along the deepest chain of products,
+        complex counted twice:
+
+            K = p (F (lambda + 4) + 4 p + 20 + 4 log2 MAX_TERMS
+                   + 2 m (1 + |s| / |1 - s| + 1 / (1 - |s|)) + 4 / (1 - |s|)).
+
+        A factor value carries lambda = 6 + 4 log2 (2 + |e|) roundings, e its
+        exponent of q at entry 0 (the coefficient, q^e by squaring and the
+        product).  Each of the F passes that make the p_j adds a product
+        and a sum.  Each order adds the power q^i, the products and sums of
+        the recurrence, the roundings of s, and 1 - s q^i, amplified by at
+        most 1 / (1 - |s|).  The evaluation adds y = q^n by squaring and
+        Horner's rule.  Divided by |T| >= |c_0| (1 - sigma),
+        with sigma <= 2^-8, the sum of the last four lines must fit the
+        R (n + 2)^2 u the engine charges the remainder's index less t_n's
+        own, R (2 n + 3) u: the first index where it does is found by a
+        gallop from an estimate and a bisection, as every line falls with n
+        and the room grows.  At p = 1 the truncation is of order W^2, W the
+        factor magnitudes, and the stream closes at about half the index
+        K_g at which every factor is 1 at the working width; at order p at
+        about K_g / (p + 1).  The rounding charge of that index stays in
+        force: a step near 1 waits for a later n."""
+        data = self.majorant
+        if data is None:
             return math.inf
-        # log2 W at entry 0: the factor magnitudes there over 1 - |q|
-        logs = [t0 if self.up else 2 * ell - t0 for t0, _, _ in self.factors]
-        w0 = max(logs, default=-math.inf)
-        if logs:
-            w0 += math.log2(sum(2.0 ** (t - w0) for t in logs))
-        w0 -= math.log2(-math.expm1(ell * LN2))
-        fixed = 12 + (2 if self.up else 4) * (1 + abs(s) / (gap - FACTOR_SLACK))
-        # log2 of the truncation over u, less 2 log2 W
-        cut = math.log2(1.25 * (gap + FACTOR_SLACK) / (near - FACTOR_SLACK)) + q.wp - 1
+        w0, lr, gs, big, fixed, kbase, cut = data
+        ell, K = self.ell, p * (kbase + 4 * p)
+        g1, high, next_, far = gs[1], gs[p + 1], gs[p + 2], big * 2.0 ** (-(p + 1) * lr)
 
         def fits(n):
-            w, room = w0 + n * ell, ROUNDINGS * (2 * n + 3) - fixed
-            return w <= -8 and room > 0 and cut + 2 * w <= math.log2(room)
+            lz = w0 + n * ell
+            if lz - lr > -1:
+                return False
+            x, z = 2.0 ** (lz - lr), 2.0 ** lz
+            sigma = g1 * z + big * x * x / (1 - x)
+            room = ROUNDINGS * (2 * n + 3) * (1 - sigma) - fixed - K * sigma
+            if sigma > 2.0 ** -8 or room <= 0:
+                return False
+            tail = 1.01 * (high + next_ * z + far * x * x / (1 - x))
+            return not tail or math.log2(tail) + (p + 1) * lz + cut <= math.log2(room)
 
-        # fits holds from the first n on: find that n by bisection
-        if not fits(MAX_TERMS):
-            return math.inf
-        lo, hi = 0, MAX_TERMS
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return _first(fits, self._guess(p))
+
+    def _guess(self, p):
+        """An estimate of :meth:`_closing` (p): the index where the leading
+        truncation term g_(p+1) z^(p+1) reaches 2^10 u |c_0|."""
+        w0, _, gs, _, _, _, cut = self.majorant
+        if not gs[p + 1] or w0 == -math.inf:
+            return 0
+        return max(0, math.ceil(((10 - cut - math.log2(gs[p + 1])) / (p + 1) - w0) / self.ell))
 
     def rest(self, t: Fixed, j: int) -> Fixed:
-        """t s / (1 - s) (1 + D / (1 - s q)): the rest of the read after its
-        entry j, t, from the entry ``close`` on (:meth:`_closing`), with
-        D = sum_den x - sum_num x over the factor values x at the stream
-        index k of the ratio after t, c q^k upwards (k = j) and q^-k / c
-        downwards (k = -2 - j)."""
-        nums, dens, q = self.params[:3]
-        s, d, k = self.limit, 0, j if self.up else -2 - j
-        for sign, group in ((-1, nums), (1, dens)):
-            for c in group:
-                v = q.like(c.coeff)
-                if v:
-                    x = v * powq(q, c.exponent + k) if self.up else powq(q, -k - c.exponent) / v
-                    d = d + x if sign > 0 else d - x
-        return t * s / (1 - s) * (1 + d / (1 - s * q))
+        """t (1 + c_0) sum_(i<=p) b_i y^i, y = q^j, by Horner's rule: the
+        rest of the read after its entry j, t, from the entry ``close`` on,
+        at the order p the stream took there (:meth:`_closing`)."""
+        e0, bs = self.coefficients
+        y, total = powq(self.params[2], j), bs[-1]
+        for b in reversed(bs[:-1]):
+            total = total * y + b
+        return t * (e0 * total)
+
+    @cached_property
+    def coefficients(self):
+        """1 + c_0 = 1 / (1 - s) and b_i = c_i / (1 + c_0), i <= p, for the
+        c_i of :meth:`majorant` at the stream's order p, in Fixed at its
+        width, made once per stream: the p_i by one pass per factor value a
+        over the coefficients of P (times 1 - a y for a numerator, over
+        1 - a y for a denominator), then b_0 = s and
+        b_i (1 - s q^i) = s (p_i + sum_(0<k<i) p_(i-k) q^k b_k)."""
+        q, p, s = self.params[2], self.order, self.limit
+        one = q.like(1)
+        ps = [one] + [q.like(0)] * p
+        for sign, v, e in self.values:
+            x = v * powq(q, e) if self.up else powq(q, 2 - e) / v
+            for i in (range(p, 0, -1) if sign > 0 else range(1, p + 1)):
+                ps[i] = ps[i] - x * ps[i - 1] if sign > 0 else ps[i] + x * ps[i - 1]
+        bs, qbs, qi = [s], [None], one
+        for i in range(1, p + 1):
+            qi = qi * q
+            acc = ps[i]
+            for k in range(1, i):
+                acc = acc + ps[i - k] * qbs[k]
+            bs.append(s * acc / (1 - s * qi))
+            qbs.append(qi * bs[i])
+        return 1 / (1 - s), bs
 
     def reading(self):
         """The bound itself, made on first use, for a read of the stream from
@@ -916,7 +1081,9 @@ def _arg(v: Fixed) -> float:
     """The principal argument of a nonzero Fixed value."""
     if v.im is None:
         return 0.0 if v.re > 0 else math.pi
-    return math.atan2(v.im, v.re)
+    # int over int is a correctly rounded float for mantissas of any width
+    m = max(abs(v.re), abs(v.im))
+    return math.atan2(v.im / m, v.re / m)
 
 
 def _magnitude(t):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrr import (AnnulusError, DomainError, EisensteinRational, PoleError,
+from qrr import (AnnulusError, DomainError, EisensteinRational, NonConvergenceError, PoleError,
                  PrecisionLossError, QContext, QPow, qbessel, qfunctions, qpolynomials, slices,
                  summation)
 from qrr.context import RERUN_MARGIN_BITS, _Shared, keeping_values, powq, to_mp, widening
@@ -357,6 +357,20 @@ def test_slice_sums_outside_the_annulus_are_a_domain_error():
                 sides(0, mp.mpf("0.1"), mp.mpf("0.2"), CTX)
 
 
+def test_slice_product_side_raises_before_any_table_is_summed(monkeypatch):
+    """At q = 0.99 the cube slice's product side needs more factors than
+    the budget allows: the check ends on that NonConvergenceError before
+    its table is summed and cut."""
+    def no_cut(*args, **kwargs):
+        raise AssertionError("the table was summed before the product side")
+
+    monkeypatch.setattr(slices, "_cut", no_cut)
+    ctx = QContext.numeric("0.99", precision=50)
+    with ctx.workdps():
+        with pytest.raises(NonConvergenceError):
+            bilateral_cube_slice_sides(3, mp.mpf("0.5"), mp.mpf("0.1"), ctx)
+
+
 @pytest.mark.parametrize("q", ["0.3", "0.2+0.1j"])
 def test_exact_zero_slices_read_a_small_table(q, monkeypatch):
     """A slice that its order does not divide (ms-4, the odd slices of ms-3)
@@ -389,8 +403,10 @@ def test_pole_messages_name_the_vanishing_factor():
     ctx = QContext.numeric("0.5", precision=20)
     with ctx.workdps():
         # downwards the stream divides by 1 - a q^k: a = q vanishes at k = -1
+        # (the odd slice n = 1 sums its table and has no product side, which
+        # an even slice takes first and which has its own pole at a = q)
         with pytest.raises(PoleError) as err:
-            bilateral_pair_slice_sides(0, mp.mpf("0.5"), mp.mpf("0.1"), ctx)
+            bilateral_pair_slice_sides(1, mp.mpf("0.5"), mp.mpf("0.1"), ctx)
         assert str(err.value) == ("denominator factor 1 - 0.5 q^(-1) of the "
                                   "bilateral term ratio vanished")
         # upwards it divides by 1 - b q^k: b = q^-2 vanishes at k = 2
@@ -1812,7 +1828,10 @@ def test_declared_bound_holds_for_every_ratio_and_the_true_tail(case, q):
             rest = [abs(t.to_mp()) for t in far[used:]]
             entry = rests.setdefault(id(out), [out, 0, 0, 0, 0, prec])
             entry[1] += sum(rest)
-            entry[2] += sum(t.to_mp() for t in seen[:used]) + sum(t.to_mp() for t in far[used:])
+            # the terms of the sum's own stream as far as they were read,
+            # and of the deeper one only beyond: the two streams round their
+            # inputs at different widths
+            entry[2] += sum(t.to_mp() for t in seen) + sum(t.to_mp() for t in far[len(seen):])
             entry[3] += used
             entry[4] = max(entry[4], rest[-1])
     for out, rest, total, read, last, prec in rests.values():

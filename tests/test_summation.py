@@ -16,8 +16,8 @@ from qrr import (NonConvergenceError, PoleError, PrecisionLossError, QContext, Q
 from qrr.context import GUARD_DIGITS, MAX_TERMS, widening
 from qrr.fixedpoint import LOG2_10, ROUNDINGS, Fixed, bits_for_digits, rounding_bits
 from qrr import qfunctions, summation
-from qrr.qfunctions import phi_1_1
-from qrr.summation import (RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
+from qrr.qfunctions import phi_1_1, psi_1_1
+from qrr.summation import (MAX_ORDER, RATIO_CAP, RATIO_WINDOW, STOP_RUN, _decay_rate,
                            _parity_decay_rate)
 
 
@@ -299,16 +299,18 @@ def test_short_rising_series_certifies_at_low_precision():
 # bit 2^E, as in the engine; the second only matters for a peak above about
 # 2^wp times the tolerance (``test_sum_stops_where_its_terms_floor_away``).
 # Under the declared bound of a stream whose ratio tends to a constant the
-# reference finds on its own, in mp, the first index at which its
-# first-order remainder fits the charge (``_reference_closing``), and adds
-# the stream's own remainder there.
+# reference finds on its own, in mp, the first index at which the remainder
+# of the order the stream took fits the charge (``_reference_closing``),
+# and adds the stream's own remainder there.
 
 
 def reference_sum_series(term, ctx, ratio=None):
     """``sum_series`` with a float log2 and mpf magnitudes for every term;
     under a declared bound ``ratio``, with the bound's stop test made at
     every term, and its read closed on the remainder ``ratio.rest`` where
-    ``_reference_closing`` says."""
+    ``_reference_closing`` says for the order the stream took."""
+    if isinstance(ratio, summation._RatioBound):
+        ratio.close  # the stream takes its order
     closing = _reference_closing(ratio)
     rest = None
     with ctx.workdps():
@@ -404,41 +406,83 @@ def reference_sum_series(term, ctx, ratio=None):
         raise NonConvergenceError(f"no convergence within {MAX_TERMS} terms")
 
 
-def _reference_closing(ratio):
+def _reference_closing(ratio, p=None):
     """The first read index n at which a declared read, from its start, of a
-    stream of growth exactly 1 may end on its first-order remainder; None
-    for any other read, and for a downward stream with unequal numbers of
-    numerator and denominator factors.  The ratio tends to s, the step
-    upwards and the step times prod a / prod b downwards; the factor values
-    x at read index n are c q^n upwards and q^(n + 2) / c downwards, W is
-    the sum of their magnitudes over 1 - |q|, and the remainder's index,
-    charged R (n + 2)^2 roundings, must cover t_n's R (n + 1)^2 and
-    12 + 2 m (1 + |s| / |1 - s|) + 1.25 W^2 |1 - s| / (1 - |s|) / u more,
-    m = 1 upwards and 2 downwards, u = 2^(1 - wp), with W <= 2^-8.  In mp,
-    index by index."""
+    stream of growth exactly 1 may end on its order-p remainder (p the order
+    the stream took, by default); None for any other read, and for a
+    downward stream with unequal numbers of numerator and denominator
+    factors.  In mp, index by index, from the definitions: the ratio tends
+    to s, the step upwards and the step times prod (c q^e)^(+-1) downwards;
+    the factor values a at read index 0 are c q^e upwards and q^(2 - e) / c
+    downwards, rho the largest |a| and z = rho |q|^n; g_j is the majorant of
+    |c_j| rho^j, from pi_j, the coefficients of prod (1 + |a| z / rho) /
+    prod (1 - |a| z / rho); M is k / ((1 - k) |1 - s|) at the radius r,
+    halved from 1/2 until k = |s| (Pi(r) - 1) / (1 - |s|) <= 1/2.  The
+    remainder's index, charged R (n + 2)^2 roundings, must cover t_n's
+    R (n + 1)^2 and, over 1 - sigma, 10 + 2 m (1 + |s| / |1 - s|) + K sigma
+    and the truncation 1.01 (g_(p+1) z^(p+1) + g_(p+2) z^(p+2) + M (z / r)^(p+3)
+    / (1 - z / r)) over |c_0| u, with sigma = (g_1 z + M (z / r)^2 /
+    (1 - z / r)) / |c_0| <= 2^-8, z / r <= 1/2, m = 1 upwards and 2
+    downwards, u = 2^(1 - wp) and K as :meth:`_RatioBound._closing` counts
+    it.  |1 - s| and 1 - |s| are moved by 2^-30 the safe way."""
     if not isinstance(ratio, summation._RatioBound):
         return None
+    p = ratio.order if p is None else p
     nums, dens, q, step, growth = ratio.params
     with mp.workdps(40):
-        qv, s = q.to_mp(), step.to_mp()
-        cs = [(q.like(c.coeff).to_mp() * qv ** (mp.mpf(Fraction(c.exponent).numerator)
-                                                / Fraction(c.exponent).denominator), sign)
-              for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]
-              if q.like(c.coeff)]
-        if growth.to_mp() != 1 or (not ratio.up and sum(sign for _, sign in cs)):
+        qv, s, Q = q.to_mp(), step.to_mp(), abs(q.to_mp())
+
+        def power(e):
+            e = Fraction(e)
+            return qv ** (mp.mpf(e.numerator) / e.denominator)
+
+        factors = []  # (a, +1 or -1, the exponent of a)
+        for c, sign in [(c, 1) for c in nums] + [(c, -1) for c in dens]:
+            v = q.like(c.coeff).to_mp()
+            if v:
+                if not ratio.up:
+                    s *= (v * power(c.exponent)) ** sign
+                e = Fraction(c.exponent) if ratio.up else 2 - Fraction(c.exponent)
+                factors.append((v * power(e) if ratio.up else power(e) / v, sign, e))
+        if growth.to_mp() != 1 or (not ratio.up and sum(sign for _, sign, _ in factors)):
             return None
-        if not ratio.up:
-            s *= mp.fprod(c ** sign for c, sign in cs)
-        if not 0 < abs(s) < 1:
+        slack = mp.mpf(2) ** -30
+        a, gap, near = abs(s), abs(1 - s), 1 - abs(s)
+        if not (gap > slack and near > slack):
             return None
+        g, h, c0 = 1 / (gap - slack), 1 / (near - slack), a / (gap + slack)
+        rho = max((abs(x) for x, _, _ in factors), default=mp.mpf(0))
+        alphas = [(abs(x) / rho, sign) for x, sign, _ in factors]
+        pi = [mp.mpf(1)] + [mp.mpf(0)] * (p + 2)
+        for alpha, sign in alphas:
+            for j in (range(p + 2, 0, -1) if sign > 0 else range(1, p + 3)):
+                pi[j] += alpha * pi[j - 1]
+        gs = [a * g]
+        for j in range(1, p + 3):
+            gs.append(a * (pi[j] * g + mp.fsum(pi[j - i] * Q ** i * gs[i] for i in range(1, j)))
+                      / (1 - a * Q ** j - slack))
+        r, k = mp.mpf(1), mp.inf
+        while k > 0.5:
+            r /= 2
+            k = a * h * (mp.fprod(1 + alpha * r if sign > 0 else 1 / (1 - alpha * r)
+                                  for alpha, sign in alphas) - 1)
+        big = k / (1 - k) * g
         m = 1 if ratio.up else 2
-        fixed = 12 + 2 * m * (1 + abs(s) / abs(1 - s))
-        spread = 1.25 * abs(1 - s) / (1 - abs(s)) / mp.mpf(2) ** (1 - q.wp)
-        Q = abs(qv)
+        e = max((abs(e) for _, _, e in factors), default=0)
+        fixed = 10 + 2 * m * (1 + a * g)
+        K = p * (len(factors) * (10 + 4 * mp.log(2 + e, 2)) + 20 + 4 * mp.log(MAX_TERMS, 2)
+                 + 2 * m * (1 + a * g + h) + 4 * h + 4 * p)
+        u = mp.mpf(2) ** (1 - q.wp)
         for n in range(MAX_TERMS):
-            w = mp.fsum(abs(c) * Q ** n if ratio.up else Q ** (n + 2) / abs(c)
-                        for c, _ in cs) / (1 - Q)
-            if w <= mp.mpf(2) ** -8 and ROUNDINGS * (2 * n + 3) >= fixed + spread * w ** 2:
+            z = rho * Q ** n
+            x = z / r
+            if x > 0.5:
+                continue
+            sigma = (gs[1] * z + big * x ** 2 / (1 - x)) / c0
+            room = ROUNDINGS * (2 * n + 3) * (1 - sigma) - fixed - K * sigma
+            truncation = 1.01 * (gs[p + 1] * z ** (p + 1) + gs[p + 2] * z ** (p + 2)
+                                 + big * x ** (p + 3) / (1 - x))
+            if sigma <= mp.mpf(2) ** -8 and room > 0 and truncation / (c0 * u) <= room:
                 return n
     return None
 
@@ -1077,22 +1121,105 @@ def test_unit_growth_sum_matches_the_reference_and_its_value(name):
     assert out.converged
 
 
-def test_unit_growth_closes_where_its_first_order_remainder_fits():
-    # at q = 0.3 the remainder's truncation, of order W^2, decides: it
-    # closes at about half the index K_g at which every factor is 1 at the
-    # working width.  With 1 - s = 2^-14 the charge decides, far past K_g
+def test_unit_growth_closes_at_about_k_g_over_p_plus_one():
+    # at q = 0.3 the remainder's truncation, of order W^(p+1), decides: at
+    # order p it closes at about the index K_g at which every factor is 1 at
+    # the working width over p + 1.  With 1 - s = 2^-14 the charge decides,
+    # far past K_g, at every order alike, so the stream takes order 0
     ctx, _, ratio = _unit_stream("real")
     k = _k_g("real", ctx)
     assert ratio.close == _reference_closing(ratio) == summation._RatioBound(
         *ratio.params).reading().close
-    assert k / 2 - 3 <= ratio.close <= k / 2
+    for p in range(1, MAX_ORDER + 1):
+        assert k / (p + 1) - 4 <= ratio._closing(p) <= k / (p + 1) + 1, p
     ctx, _, ratio = _unit_stream("near-one")
     assert ratio.close > 10 * _k_g("near-one", ctx)
     assert ratio.close == _reference_closing(ratio)
+    assert ratio.order == 0 and {ratio._closing(p) for p in range(MAX_ORDER + 1)} == {ratio.close}
     with mp.workdps(40):
         s = ratio.params[3].to_mp()
-        charge = 12 + 2 * (1 + abs(s) / abs(1 - s))
-    assert ROUNDINGS * (2 * ratio.close + 1) < charge <= ROUNDINGS * (2 * ratio.close + 3)
+        charge = 10 + 2 * (1 + abs(s) / abs(1 - s))
+    assert ROUNDINGS * (2 * ratio.close + 1) <= charge <= ROUNDINGS * (2 * ratio.close + 3)
+
+
+def _order_stream(qs, up):
+    """(ctx, stream, declared bound) of the case of
+    ``test_order_p_closing_matches_the_oracle_and_the_true_tail``: upwards
+    two numerator and two denominator factors and a complex step,
+    downwards s = -2 * 0.45 * 0.06 / (0.6 * 0.5 q)."""
+    ctx = QContext.numeric(qs, precision=20)
+    nums, dens, step = (([A6, B06], [C45, Q1], "0.6+0.5j") if up else
+                        ([C45, B06], [A6, QPow(mp.mpf("0.5"), 1)], "-2"))
+    with ctx.workdps():
+        q = ctx.fixed_q
+        stream = summation._ratio_terms(nums, dens, q, q.like(mp.mpmathify(step)), q.like(1),
+                                        up=up)
+        return ctx, stream, stream.bound.reading()
+
+
+def _true_rests(ratio, ns):
+    """{n: T(n)} for the rest t_(n+1) + t_(n+2) + ... = t_n T(n) of a read
+    after each entry n in ``ns``, in mp at twice the stream's width, from
+    the ratio r_m from entry m to m + 1 at the stream's own q, step and
+    coefficients: T(m) = r_m (1 + T(m + 1)), back from an index N where the
+    product of the ratios from max(ns) on lies far below 2^-(wp + 40)."""
+    nums, dens, qf, step, _ = ratio.params
+    wp = qf.wp
+    with mp.workprec(2 * wp + 20):
+        q, s = qf.to_mp(), step.to_mp()
+        bound = abs(ratio.limit.to_mp())
+        N = max(ns) + math.ceil(1.2 * (wp + 40) / -math.log2(bound)) + 10
+        k = N if ratio.up else -2 - N  # the stream index of r_N
+        back = 1 / q if ratio.up else q  # one entry back
+
+        def powers(group):
+            out = []
+            for c in group:
+                e = Fraction(c.exponent) + k
+                out.append(qf.like(c.coeff).to_mp() * q ** (mp.mpf(e.numerator) / e.denominator))
+            return out
+
+        xs, ys, T, found = powers(nums), powers(dens), mp.mpf(0), {}
+        for m in range(N, min(ns) - 1, -1):
+            T = s * mp.fprod(1 - x for x in xs) / mp.fprod(1 - y for y in ys) * (1 + T)
+            if m in ns:
+                found[m] = T
+            xs, ys = [x * back for x in xs], [y * back for y in ys]
+        return found
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+@pytest.mark.parametrize("qs", ["0.3", "-0.6", "0.9", "0.2+0.1j"])
+def test_order_p_closing_matches_the_oracle_and_the_true_tail(qs, up):
+    # at every order p = 1..8 the closing index is the one the mp oracle
+    # finds, a higher order closes no later, and the closed remainder lies
+    # within the charge of its index, less t_n's own, of the true rest
+    ctx, stream, ratio = _order_stream(qs, up)
+    found = [ratio._closing(p) for p in range(1, MAX_ORDER + 1)]
+    assert found == [_reference_closing(ratio, p) for p in range(1, MAX_ORDER + 1)]
+    assert found == sorted(found, reverse=True)
+    with ctx.workdps():
+        terms = list(islice(stream, found[0] + 1))
+        u = mp.mpf(2) ** (1 - ratio.params[2].wp)
+        true = _true_rests(ratio, set(found))
+        for p, n in enumerate(found, 1):
+            ratio.order = p
+            ratio.__dict__.pop("coefficients", None)
+            rest = ratio.rest(terms[n], n)
+            with mp.workprec(2 * ratio.params[2].wp + 20):
+                rest = rest.to_mp()
+                assert abs(rest - terms[n].to_mp() * true[n]) <= (
+                    ROUNDINGS * (2 * n + 3) * u * abs(rest)), (p, n)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_STREAMS))
+def test_each_stream_takes_the_order_of_least_cost(name):
+    # the cost in ring steps: (F + 2) per term read to the closing index,
+    # p (2 F + p + 7) for the coefficients of order p
+    _, _, ratio = _unit_stream(name)
+    F = len(ratio.factors)
+    costs = [(F + 2) * ratio._closing(p) + p * (2 * F + p + 7) for p in range(MAX_ORDER + 1)]
+    assert ratio.close == ratio._closing(ratio.order) and costs[ratio.order] == min(costs)
 
 
 def test_unit_growth_closes_only_at_a_constant_limit_ratio():
@@ -1111,6 +1238,17 @@ def test_unit_growth_closes_only_at_a_constant_limit_ratio():
         for case in (bound([], [A6], up=False), bound([A6], [C45, B06], up=False),
                      bound([A6], [Q1], q), bound([C45], [A6], q, up=False)):
             assert case.reading().close == math.inf
+
+
+def test_the_argument_of_a_wide_complex_q_is_read_without_overflow():
+    # from precision 300 on, a complex q carries mantissas wider than a
+    # float holds, and every complex stream's bound reads its argument
+    ctx = QContext.numeric("0.2+0.1j", precision=300)
+    with ctx.workdps():
+        q = ctx.fixed_q
+        assert q.re.bit_length() > 1024
+        assert summation._arg(q) == pytest.approx(math.atan2(0.1, 0.2), rel=1e-14)
+        assert psi_1_1(mp.mpf("0.6"), mp.mpf("0.5"), mp.mpf("0.9"), ctx)
 
 
 @pytest.mark.parametrize("qs", ["0.3", "-0.6", "0.9", "0.2+0.1j"])
