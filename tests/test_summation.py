@@ -1019,9 +1019,10 @@ def test_bilateral_block_matches_the_per_tail_oracle(name, rule, extra):
 # and downwards, with as many numerator as denominator factors,
 # s prod (1 - q^-k / a) / prod (1 - q^-k / b) with s the step times
 # prod a / prod b.  Its sum ends, from the first index at which the
-# first-order remainder t_n s / (1 - s) (1 + D / (1 - s q)) fits the charge
-# of one more term, on that remainder, with no tail bound.  Each case: q,
-# precision, numerator and denominator QPows, the step, and the direction.
+# remainder t_n sum_(j<=p) c_j q^(nj) of the order p the stream took fits
+# the charge of one more term, on that remainder, with no tail bound.  Each
+# case: q, precision, numerator and denominator QPows, the step, and the
+# direction.
 
 A6, B06, C45 = (QPow(mp.mpf(v), 0) for v in ("0.6", "0.06", "0.45"))
 Q1 = QPow(1, 1)
@@ -1255,7 +1256,7 @@ def test_the_argument_of_a_wide_complex_q_is_read_without_overflow():
 def test_bilateral_block_closes_both_tails(qs):
     # sum over n of (a; q)_n / (b; q)_n z^n (Ramanujan's 1psi1) at z = 0.9:
     # the upward tail's ratio tends to z and the downward one's to b / (a z),
-    # and both close on their first-order remainders
+    # and both close on their order-p remainders
     ctx = QContext.numeric(qs, precision=50)
     a, b, z = mp.mpf("0.6"), mp.mpf("0.5"), mp.mpf("0.9")
     with ctx.workdps():
