@@ -3,9 +3,11 @@
 An entry gives, per mode, a :class:`Check`: the callable that evaluates the
 two sides, the points to evaluate it at (a fixed grid, a sampler's draws, or
 the draws crossed with a grid), and optionally a second reading of the
-identity as printed.  A point holds every value the sides receive, so the
-points are the one declaration of what a check evaluates.  :func:`run_entry`
-does the rest in the same way for every entry:
+identity as printed.  A point holds every value the sides receive, by
+keyword, so the points are the one declaration of what a check evaluates;
+numeric and formal sides also receive the context as ``ctx=``, so a kernel
+whose parameters are the point's keys is the sides callable itself.
+:func:`run_entry` does the rest in the same way for every entry:
 
 * ``numeric`` — for each q of ``entry.q_list(rc)`` it builds the context
   once and evaluates every point, literals too, by :func:`~qrr.context.widening`
@@ -111,9 +113,9 @@ class Reading:
 class Check:
     """How one mode of an entry is checked.
 
-    ``sides(ctx, **point)`` (numeric, formal) or ``sides(**point)`` (exact)
-    returns ``(lhs, rhs)``, or: numeric, a residual or a :class:`Verdict`;
-    exact, a bool; formal, the difference series.
+    ``sides(**point, ctx=ctx)`` (numeric, formal) or ``sides(**point)``
+    (exact) returns ``(lhs, rhs)``, or: numeric, a residual or a
+    :class:`Verdict`; exact, a bool; formal, the difference series.
     """
 
     sides: Callable
@@ -265,9 +267,9 @@ def _numeric(entry, chk, rc, rng, qs, ran):
 
 
 def _residual(sides, point, ctx, tol) -> Verdict:
-    """The verdict on ``sides(ctx, **point)``, rerun whole by ``widening``."""
+    """The verdict on ``sides(**point, ctx=ctx)``, rerun whole by ``widening``."""
     def evaluate(ctx):
-        value = sides(ctx, **_as_mp(point))
+        value = sides(**_as_mp(point), ctx=ctx)
         if isinstance(value, Verdict):
             return value
         if isinstance(value, tuple):
@@ -294,7 +296,7 @@ def _first_unequal(sides, points, ran):
 def _first_nonzero(sides, ctx, points, ran):
     for point in points:
         ran.append(point)
-        diff = sides(ctx, **point)
+        diff = sides(**point, ctx=ctx)
         if not diff.is_zero():
             return point, diff.first_difference(type(diff)(diff.D, diff.N))
     return None, None

@@ -5,6 +5,11 @@ through independent code paths (they share only the primitive layer).  Per
 mode (formal, exact, numeric) an entry declares a :class:`.driver.Check`:
 its sides callable, the grid or sampler of points and, for the
 DISCREPANCY_DOCUMENTED entries, the literal reading with its own points.
+The driver passes a point by keyword and the context as ``ctx=``, so a check
+names its kernel, with ``functools.partial`` binding a fixed leading argument
+or the printed reading; the kernels default to the corrected reading.  A
+lambda or helper is left only where the sides compute something, or wrap a
+``@kept`` kernel, whose lookup takes no keywords.
 Every value a sides callable passes on to a kernel comes from its point, so
 the points are the one declaration of what a check evaluates, and the
 report's ``params`` are derived from the points that ran.  Two checks choose
@@ -22,6 +27,7 @@ become numbers inside the working precision and never at import.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 import mpmath as mp
@@ -195,19 +201,9 @@ def _ms10(ctx, alpha, a, b, x):
     return mp.mpf(0)  # b_alpha returned, so its sum is certified
 
 
-def _ms12(corrected: bool):
-    return lambda ctx, alpha, a, b, x: qf.cube_bilateral_master_sides(
-        alpha, a, b, x, ctx, corrected=corrected)
-
-
-def _theta_triple(arrangement):
-    return lambda ctx, a, x: qf.theta_triple_sides(
-        a, x, ctx, arrangement=arrangement)
-
-
 def _sw_inversion_exact(k, y, n, q, sq):
     """The inverted S_k(y) and the determinant, compared as one pair."""
-    lhs, rec = qp.sw_inversion_sides(k, y, n, q, sq, "corrected")
+    lhs, rec = qp.sw_inversion_sides(k, y, n, q, sq)
     return ((lhs, qp.inversion_delta(k, y, n, q, sq)),
             (rec, qp.inversion_delta_from_system(k, y, n, q, sq)))
 
@@ -218,18 +214,9 @@ def _sw_inversion_numeric(reading):
         k, -ctx.q ** nu, n, ctx.q, mp.sqrt(ctx.q), reading)
 
 
-def _st_5_half(which: int) -> dict:
-    return dict(
-        formal=Check(lambda ctx, n: (qp.st_5_7_diff_formal if which == 7
-                                     else qp.st_5_8_diff_formal)(n, ctx),
-                     grid(n=range(9)), order=40, D=4),
-        exact=Check(lambda n, q, sq: (qp.st_5_7_sides if which == 7
-                                      else qp.st_5_8_sides)(n, q, sq),
-                    grid(n=range(9), **_QUARTER)))
-
-
-def _hermite_gf(reading):
-    return lambda ctx, t, z: qp.hermite_gf_sides(t, z, ctx, reading)
+def _st_5_half(formal, exact) -> dict:
+    return dict(formal=Check(formal, grid(n=range(9)), order=40, D=4),
+                exact=Check(exact, grid(n=range(9), **_QUARTER)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +250,23 @@ ENTRIES: tuple = (
     IdentityEntry(
         "mform", "m-shifted gap identity",
         "sum q^{n^2+mn}/(q;q)_n = (-1)^m q^-binom(m,2) [a_m P1 - b_m P2]",
-        formal=Check(lambda ctx, m: qp.mform_diff_formal(m, ctx),
-                     grid(m=range(11)), order=80),
+        formal=Check(qp.mform_diff_formal, grid(m=range(11)), order=80),
         numeric=Check(_mform, grid(m=range(9)))),
     IdentityEntry(
         "rr1-partitions", "gap-2 partition interpretation",
         "[q^n] gap series = #{parts differing by >= 2} = #{parts = 1,4 mod 5}",
-        exact=Check(lambda n_max: parts.series_vs_partitions("RR1", n_max),
+        exact=Check(partial(parts.series_vs_partitions, "RR1"),
                     grid(n_max=(40,)))),
     IdentityEntry(
         "rr2-partitions", "gap-2 partition interpretation, second kind",
         "[q^n] shifted gap series = #{gap 2, least part >= 2} "
         "= #{parts = 2,3 mod 5}",
-        exact=Check(lambda n_max: parts.series_vs_partitions("RR2", n_max),
+        exact=Check(partial(parts.series_vs_partitions, "RR2"),
                     grid(n_max=(40,)))),
     IdentityEntry(
         "ferrers-box", "box-bounded partition generating polynomial",
         "sum over partitions in a k x m box of q^|p| = gauss(k+m, k)",
-        exact=Check(lambda k, m: parts.box_matches_q_binomial(k, m),
+        exact=Check(parts.box_matches_q_binomial,
                     tuple({"k": k, "m": m}
                           for k in range(15) for m in range(15 - k)))),
     IdentityEntry(
@@ -304,23 +290,20 @@ ENTRIES: tuple = (
         "um-mform", "bilateral resolution along the recurrence pair",
         "u_m(a) = (-1)^m q^-binom(m,2) [c_m(a,q) u_0(a) - d_m(a,q) u_1(a)]",
         numeric=Check(
-            lambda ctx, a, m: qp.bilateral_m_version_sides(a, m, ctx, sign=-1),
+            qp.bilateral_m_version_sides,
             grid(a=("0.5", QPow(1, 0), "1.5"), m=range(9)),
             note=f"as-printed +d reading fails (literal residual {LITERAL}); "
                  "the -d reading, forced by the seeds and by the a=1 case, "
                  "passes",
-            literal=Reading(lambda ctx, a, m: qp.bilateral_m_version_sides(
-                a, m, ctx, sign=+1), grid(a=("0.5",), m=(4,))))),
+            literal=Reading(partial(qp.bilateral_m_version_sides, sign=+1),
+                            grid(a=("0.5",), m=(4,))))),
     IdentityEntry(
         "heine", "second-iterate transformation of 2phi1",
         "2phi1(a,b;c;q,z) = (c/b, bz;q)_inf/(c, z;q)_inf "
         "2phi1(abz/c, b; bz; q, c/b)",
         (("z", "|z| < 1", "the left 2phi1 converges only there"),
          ("c/b", "|c/b| < 1", "the right 2phi1 converges only there")),
-        numeric=Check(
-            lambda ctx, a, b, c, z: qf.heine_sides(
-                to_mp(a), to_mp(b), to_mp(c), to_mp(z), ctx),
-            sampler=_each(10, _heine_draw))),
+        numeric=Check(qf.heine_sides, sampler=_each(10, _heine_draw))),
     IdentityEntry(
         "bessel-defs", "three defining series at integer order",
         "kind-k series against direct truncated oracles; value at z=2",
@@ -342,14 +325,12 @@ ENTRIES: tuple = (
         "bessel-sv-4", "special values on the geometric lattice, first form",
         "I2_nu(2 q^{-n/2}) = q^{nu n/2} S_n(-q^{-nu-n}) / (q^{n+1};q)_inf",
         _POSITIVE_Q, fixed_q=("0.2", "0.5"),
-        numeric=Check(lambda ctx, nu, n: qb.special_value_sides(4, nu, n, ctx),
-                      **_BESSEL_SV)),
+        numeric=Check(partial(qb.special_value_sides, 4), **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-5", "special values, symmetric form",
         "I2_nu(2 q^{-n/2}) = q^{-nu n/2} S_n(-q^{nu-n}) / (q^{n+1};q)_inf",
         _POSITIVE_Q, fixed_q=("0.2", "0.5"),
-        numeric=Check(lambda ctx, nu, n: qb.special_value_sides(5, nu, n, ctx),
-                      **_BESSEL_SV)),
+        numeric=Check(partial(qb.special_value_sides, 5), **_BESSEL_SV)),
     IdentityEntry(
         "bessel-sv-series", "special values written as series",
         "sum_k q^{k(k+nu-n)}/((q;q)_k (q^{nu+1};q)_k) equals both finite forms",
@@ -363,7 +344,7 @@ ENTRIES: tuple = (
         "bessel-gf", "order generating function",
         "sum_m q^binom(m,2) I2_m(z) t^m = (-tz/2, -qz/2t; q)_inf",
         (("t", "nonzero", "the product (-qz/2t; q)_inf divides by t"),),
-        numeric=Check(lambda ctx, z, t: qb.gen_func_sides(z, t, ctx),
+        numeric=Check(qb.gen_func_sides,
                       ({"z": "1", "t": "1"}, {"z": "0.8", "t": "-2"},
                        {"z": "1.5", "t": "0.4"}, {"z": "0", "t": "0.7"}))),
     IdentityEntry(
@@ -392,23 +373,20 @@ ENTRIES: tuple = (
         "lommel-i", "ladder relation for the kind-2 function",
         "(-1)^n q^{n nu + n(n-1)/2} I2_{nu+n}(x) = p_{n,nu}(1/x) I2_nu(x) "
         "- p_{n-1,nu+1}(1/x) I2_{nu-1}(x)",
-        numeric=Check(
-            lambda ctx, n, nu, x: qb.lommel_relation_sides(n, nu, x, ctx),
-            grid(n=range(7), nu=(F(2, 5),), x=("1.5",)))),
+        numeric=Check(qb.lommel_relation_sides,
+                      grid(n=range(7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "lommel-j", "ladder relation, alternating form",
         "q^{n nu + n(n-1)/2} J2_{nu+n}(x) = h_{n,nu}(1/x) J2_nu(x) "
         "- h_{n-1,nu+1}(1/x) J2_{nu-1}(x)",
-        numeric=Check(
-            lambda ctx, n, nu, x: qb.lommel_relation_j_sides(n, nu, x, ctx),
-            grid(n=range(1, 7), nu=(F(2, 5),), x=("1.5",)))),
+        numeric=Check(qb.lommel_relation_j_sides,
+                      grid(n=range(1, 7), nu=(F(2, 5),), x=("1.5",)))),
     IdentityEntry(
         "sw-lommel-special", "ladder relation pinched to the S_n lattice",
         "(-1)^n q^{n(n+2nu+k-1)/2} S_k(-q^{nu+n}) = p_{n,nu+k}(q^{k/2}/2) "
         "S_k(-q^nu) - q^{k/2} p_{n-1,nu+k+1}(q^{k/2}/2) S_k(-q^{nu-1})",
-        numeric=Check(
-            lambda ctx, n, nu, k: qp.sw_lommel_special_sides(n, nu, k, ctx),
-            grid(n=range(1, 5), nu=(F(2, 5),), k=(1, 2, 3)))),
+        numeric=Check(qp.sw_lommel_special_sides,
+                      grid(n=range(1, 5), nu=(F(2, 5),), k=(1, 2, 3)))),
     IdentityEntry(
         "psi11", "bilateral binomial sum and its product form",
         "sum (a;q)_n/(b;q)_n z^n = (q, b/a, az, q/az;q)_inf "
@@ -424,14 +402,14 @@ ENTRIES: tuple = (
     IdentityEntry(
         "ms-1", "alternating pair convolution, finite",
         "sum_k r_k r_{n-k} (-1)^k = 0 (odd) or (a^2;q^2)_m/(q^2;q^2)_m",
-        exact=Check(lambda a, n, q: qf.pair_convolution_sides(n, a, q),
+        exact=Check(qf.pair_convolution_sides,
                     grid(n=range(31), q=(F(1, 2),)),
                     sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)))),
     IdentityEntry(
         "ms-2", "cube-root pair convolution, finite",
         "triple convolution with w^{k+2l} = 0 (3 not | n) or "
         "(a^3;q^3)_m/(q^3;q^3)_m",
-        exact=Check(lambda a, n, q: qf.cube_convolution_sides(n, a, q),
+        exact=Check(qf.cube_convolution_sides,
                     grid(n=range(31), q=(F(1, 3),)),
                     sampler=_distinct("a", F(1, 10), F(3, 2), avoid=(F(1),)),
                     note="exact arithmetic in Q(w), w a primitive cube root "
@@ -440,9 +418,8 @@ ENTRIES: tuple = (
         "ms-3", "alternating pair convolution, bilateral",
         "slice sum over j+k=n of (a)_j(a)_k(-1)^k/((b)_j(b)_k): zero for odd "
         "n, a product multiple of (a^2;q^2)_m/(b^2;q^2)_m for n=2m",
-        numeric=Check(
-            lambda ctx, n, a, b: sl.bilateral_pair_slice_sides(n, a, b, ctx),
-            grid(n=range(6), **_MS_SLICE_AB))),
+        numeric=Check(sl.bilateral_pair_slice_sides,
+                      grid(n=range(6), **_MS_SLICE_AB))),
     IdentityEntry(
         "ms-4", "cube-root triple slices vanish off multiples of 3",
         "bilateral slice sum with w^{k+2l} = 0 for 3 not dividing n",
@@ -472,15 +449,13 @@ ENTRIES: tuple = (
         "ms-7", "square-argument expansion, unilateral",
         "A_{q^2}^{(2a)}(a^2;t^2) = sum_j r_j q^{a j^2} (-t)^j "
         "A^{(a)}(a; t q^{2aj})",
-        numeric=Check(lambda ctx, alpha, a, t: qf.square_master_sides(
-                          alpha, a, t, ctx),
+        numeric=Check(qf.square_master_sides,
                       grid(alpha=(F(1), F(1, 2)), a=("0.5",), t=("0.6",)))),
     IdentityEntry(
         "ms-8", "cube-argument expansion, unilateral",
         "A_{q^3}^{(3a)}(a^3;t^3) = double sum with w^k weights and w^2-twisted "
         "inner argument",
-        numeric=Check(lambda ctx, alpha, a, t: qf.cube_master_sides(
-                          alpha, a, t, ctx),
+        numeric=Check(qf.cube_master_sides,
                       grid(alpha=(1,), a=("0.5",), t=("0.6",)))),
     IdentityEntry(
         "ms-10", "bilateral alpha-family: definition and collapse",
@@ -494,51 +469,49 @@ ENTRIES: tuple = (
         "prefactored B_{q^2}^{(2a)}(a^2,b^2;x^2) = bilateral j-sum of "
         "twisted B evaluations",
         numeric=Check(
-            lambda ctx, alpha, a, b, x: qf.square_bilateral_master_sides(
-                alpha, a, b, x, ctx),
-            _MS_BILATERAL,
+            qf.square_bilateral_master_sides, _MS_BILATERAL,
             note="sampled with |b/a| < 1 so the outer bilateral sum "
                  "converges absolutely")),
     IdentityEntry(
         "ms-12", "cube-argument expansion, bilateral",
         "B_{q^3}^{(3a)}(a^3,b^3;x^3) = prefactor * double bilateral sum",
         numeric=Check(
-            _ms12(corrected=True), _MS_BILATERAL,
+            qf.cube_bilateral_master_sides, _MS_BILATERAL,
             note="as printed, the inner argument misses the w^2 twist "
                  "carried by its unilateral counterpart; literal residual "
                  + LITERAL,
-            literal=Reading(_ms12(corrected=False), _MS_BILATERAL,
-                            first_q_only=True))),
+            literal=Reading(partial(qf.cube_bilateral_master_sides, corrected=False),
+                            _MS_BILATERAL, first_q_only=True))),
     IdentityEntry(
         "ms-13", "theta quotient over simple poles, squared",
         "pref * sum q^{4n^2} x^{2n}/(1-a^2 q^{2n}) = double pole-sum",
         _MS_ANNULUS,
-        numeric=Check(lambda ctx, a, x: qf.theta_pair_sides(a, x, ctx),
+        numeric=Check(qf.theta_pair_sides,
                       grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-14", "imaginary specialization of the squared theta quotient",
         "(q,q;q)_inf/(-q,-q;q)_inf sum q^{4n^2}x^{2n}/(1+q^{2n+1}) = "
         "double pole-sum over 1 + i q^{j+1/2}",
         _MS_ANNULUS,
-        numeric=Check(lambda ctx, x: qf.theta_pair_imag_sides(x, ctx),
+        numeric=Check(qf.theta_pair_imag_sides,
                       grid(x=("0.6",)),
                       note="denominators 1 + i q^{j+1/2}; numeric mode only")),
     IdentityEntry(
         "ms-15", "theta quotient over simple poles, cubed",
         "sum q^{9n^2}x^{3n}/(1-a^3q^{3n}) = pref * triple pole-sum",
         _MS_ANNULUS,
-        numeric=Check(_theta_triple("base"), grid(a=("0.5",), x=("0.6",)))),
+        numeric=Check(qf.theta_triple_sides, grid(a=("0.5",), x=("0.6",)))),
     IdentityEntry(
         "ms-16", "cubed theta quotient at the positive third-power point",
         "rearranged cube identity at a = q^{1/3}",
         _MS_ANNULUS,
-        numeric=Check(_theta_triple("split-left"),
+        numeric=Check(partial(qf.theta_triple_sides, arrangement="split-left"),
                       grid(a=(QPow(1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(
         "ms-17", "cubed theta quotient at the negative third-power point",
         "cube identity at a = -q^{1/3} (denominators 1 + q^{j+1/3})",
         _MS_ANNULUS,
-        numeric=Check(_theta_triple("base"),
+        numeric=Check(qf.theta_triple_sides,
                       grid(a=(QPow(-1, F(1, 3)),), x=("0.6",)))),
     IdentityEntry(
         "sw-two-forms", "equivalence of the two defining sums for S_n",
@@ -551,7 +524,7 @@ ENTRIES: tuple = (
         "sw-symmetry", "degree-reflection symmetry of S_n",
         "q^{n^2} (-t)^n S_n(q^{-2n}/t) = S_n(t)",
         (("t", "nonzero", "the left side evaluates S_n at q^{-2n}/t"),),
-        exact=Check(lambda n, t, q: qp.sw_symmetry_sides(n, t, q),
+        exact=Check(qp.sw_symmetry_sides,
                     grid(n=range(9), t=(F(3, 7),), q=(F(1, 3),))),
         numeric=Check(lambda ctx, n, t: qp.sw_symmetry_sides(n, t, ctx.q),
                       grid(n=(12,), t=("1.4",)))),
@@ -573,9 +546,8 @@ ENTRIES: tuple = (
         "sw-functional", "argument-shift functional equation",
         "y^n q^{n(n+k-1)/2} S_k(y q^n) = u_n(q^{k/2},-yq^k) S_k(y) "
         "- q^{k/2} u_{n-1}(q^{k/2},-yq^{k+1}) S_k(y/q)",
-        exact=Check(
-            lambda k, n, y, q, sq: qp.sw_functional_sides(k, y, n, q, sq),
-            grid(k=range(5), n=range(6), y=(F(2, 5),), **_QUARTER)),
+        exact=Check(qp.sw_functional_sides,
+                    grid(k=range(5), n=range(6), y=(F(2, 5),), **_QUARTER)),
         numeric=Check(
             lambda ctx, k, n, y: qp.sw_functional_sides(
                 k, y, n, ctx.q, mp.sqrt(ctx.q)),
@@ -590,8 +562,8 @@ ENTRIES: tuple = (
             note="second numerator must read u_{n-1} with argument y q^{n+1} "
                  "(from solving the 2x2 system); the determinant display "
                  "itself is correct and matches the system determinant",
-            literal=Reading(lambda k, y, n, q, sq: qp.sw_inversion_sides(
-                k, y, n, q, sq, "literal"), _SW_INVERSION_POINTS[:1])),
+            literal=Reading(partial(qp.sw_inversion_sides, reading="literal"),
+                            _SW_INVERSION_POINTS[:1])),
         numeric=Check(
             _sw_inversion_numeric("corrected"),
             grid(k=(2,), nu=("0.7",), n=(1, 2)),
@@ -602,7 +574,7 @@ ENTRIES: tuple = (
     IdentityEntry(
         "finite-qbinom", "finite binomial expansion of (x;q)_n",
         "(x;q)_n = sum_j gauss(n,j) (-x)^j q^binom(j,2)",
-        exact=Check(lambda x, n, q: qp.finite_qbinom_sides(n, x, q),
+        exact=Check(qp.finite_qbinom_sides,
                     grid(n=range(13), q=(F(1, 3),)),
                     sampler=_distinct("x", F(-2), F(2)),
                     note="exponent read as binom(j,2) over the summation "
@@ -610,12 +582,12 @@ ENTRIES: tuple = (
     IdentityEntry(
         "st-5.1", "two-factor product generates S_n at shifted arguments",
         "(xt, -t; q)_inf = sum_n q^binom(n,2) t^n S_n(x q^{-n})",
-        formal=Check(lambda ctx, x, t: qp.st_5_1_diff_formal(x, t, ctx),
+        formal=Check(qp.st_5_1_diff_formal,
                      sampler=_each(3, lambda rng: {
                          "x": rational_in(rng, F(-1), F(1)),
                          "t": rational_nonzero(rng, F(-1), F(1))}),
                      order=60),
-        numeric=Check(lambda ctx, x, t: qp.st_5_1_sides(x, t, ctx),
+        numeric=Check(qp.st_5_1_sides,
                       grid(x=("0.4",), t=("0.6",)))),
     IdentityEntry(
         "st-5.2", "monomial reconstruction from shifted S_k",
@@ -627,7 +599,7 @@ ENTRIES: tuple = (
         "st-5.3", "S_n expanded over the entire function",
         "S_n(x) = sum_k q^binom(k+1,2) (x q^n)^k A_q(x q^k) "
         "/ ((q;q)_n (q;q)_k)",
-        numeric=Check(lambda ctx, n, x: qp.st_5_3_sides(n, x, ctx),
+        numeric=Check(qp.st_5_3_sides,
                       grid(n=(0, 2, 4), x=("0.7",)),
                       note="faithful transcription passes as printed")),
     IdentityEntry(
@@ -642,32 +614,30 @@ ENTRIES: tuple = (
         "st-5.5", "tail-product expansion",
         "S_n(a) = (-aq;q)_inf/((q;q)_n (-aq;q)_n) sum_k q^{k^2} (-a)^k "
         "/ ((q;q)_k (-aq^{n+1};q)_k)",
-        numeric=Check(lambda ctx, n, a: qp.st_5_5_sides(n, a, ctx),
+        numeric=Check(qp.st_5_5_sides,
                       grid(n=(0, 1, 4), a=("0.6",)))),
     IdentityEntry(
         "st-5.6-even", "even special value on the lattice",
         "S_{2n}(q^{-2n}) = (-1)^n q^{-n^2} / (q^2;q^2)_n",
-        formal=Check(lambda ctx, n: qp.st_5_6_even_diff_formal(n, ctx),
-                     grid(n=range(6)), order=50)),
+        formal=Check(qp.st_5_6_even_diff_formal, grid(n=range(6)), order=50)),
     IdentityEntry(
         "st-5.6-odd", "odd lattice values vanish",
         "S_{2n+1}(q^{-2n-1}) = 0",
-        formal=Check(lambda ctx, n: qp.st_5_6_odd_formal(n, ctx),
-                     grid(n=range(6)), order=50)),
+        formal=Check(qp.st_5_6_odd_formal, grid(n=range(6)), order=50)),
     IdentityEntry(
         "st-5.7", "half-power special value, upper sign",
         "S_n(-q^{-n+1/2}) = q^{-(n^2-n)/4} / (q^{1/2};q^{1/2})_n",
-        **_st_5_half(7)),
+        **_st_5_half(qp.st_5_7_diff_formal, qp.st_5_7_sides)),
     IdentityEntry(
         "st-5.8", "half-power special value, lower sign",
         "S_n(-q^{-n-1/2}) = q^{-(n^2+n)/4} / (q^{1/2};q^{1/2})_n",
-        **_st_5_half(8)),
+        **_st_5_half(qp.st_5_8_diff_formal, qp.st_5_8_sides)),
     IdentityEntry(
         "st-5.9", "double-argument expansion of the entire function",
         "A_q(wz) = (wq;q)_inf sum_n q^{n^2} w^n S_n(z q^{-n})/(wq;q)_n",
         (("w", "|w| < 1", "1/(wq;q)_n has its poles at w = q^{-k}, k >= 1, "
           "all outside the unit disk"),),
-        numeric=Check(lambda ctx, w, z: qp.st_5_9_sides(w, z, ctx),
+        numeric=Check(qp.st_5_9_sides,
                       grid(w=("0.5",), z=("0.8",)))),
     IdentityEntry(
         "st-10", "degree-shift expansion of the entire function",
@@ -677,19 +647,18 @@ ENTRIES: tuple = (
                     grid(m=range(9), n=range(9), q=(F(1, 3),)),
                     note="the terminating inner series collapses to "
                          "q^{-mn}"),
-        numeric=Check(lambda ctx, m, z: qp.st_10_sides(m, z, ctx),
+        numeric=Check(qp.st_10_sides,
                       grid(m=(0, 1, 3), z=("0.5",)))),
     IdentityEntry(
         "sw-hermite", "bridge to the inverse-base Hermite family",
         "(q;q)_n S_n(e^{-2xi} q^{-n}) = e^{-n xi} h_n(sinh xi | q)",
         exact=Check(
-            lambda E, n, q: qp.sw_as_hermite_sides(n, E, q),
-            grid(n=range(11), q=(F(1, 3),)),
+            qp.sw_as_hermite_sides, grid(n=range(11), q=(F(1, 3),)),
             sampler=_distinct("E", F(1, 2), F(3), avoid=(F(1),)),
             note="as printed the bridge omits the e^{-n xi} factor; with it "
                  "the two finite sums agree term by term",
-            literal=Reading(lambda E, n, q: qp.sw_as_hermite_sides(n, E, q, reading="literal"),
-                grid(n=(2,), q=(F(1, 3),)))),
+            literal=Reading(partial(qp.sw_as_hermite_sides, reading="literal"),
+                            grid(n=(2,), q=(F(1, 3),)))),
         numeric=Check(
             lambda ctx, xi, n: qp.sw_as_hermite_sides(n, mp.e ** xi, ctx.q),
             grid(xi=("0.35",), n=range(11)),
@@ -704,28 +673,28 @@ ENTRIES: tuple = (
         (("t", "small", "the right side has a pole where t^2 z = -1, which "
           "bounds the radius of the series in t"),),
         numeric=Check(
-            _hermite_gf("corrected"), _HERMITE_GF_POINTS,
+            qp.hermite_gf_sides, _HERMITE_GF_POINTS,
             note="unique passing sign pattern flips the z-carrying numerator "
                  f"argument; literal residual {LITERAL}",
-            literal=Reading(_hermite_gf("literal"), _HERMITE_GF_POINTS))),
+            literal=Reading(partial(qp.hermite_gf_sides, reading="literal"),
+                            _HERMITE_GF_POINTS))),
     IdentityEntry(
         "poisson-kernel", "bilinear kernel for shifted S_n pairs",
         "sum_n (q;q)_n q^binom(n,2) t^n S_n(z q^{-n}) S_n(zeta q^{-n}) = "
         "(-t, -t z zeta, tz, t zeta; q)_inf / (t^2 z zeta/q; q)_inf",
         (("t", "small", "the right side has a pole where t^2 z zeta = q, "
           "which bounds the radius of the series in t"),),
-        numeric=Check(lambda ctx, t, z, zeta: qp.poisson_kernel_sides(
-                          t, z, zeta, ctx),
+        numeric=Check(qp.poisson_kernel_sides,
                       grid(t=("0.1",), z=("0.4",), zeta=("0.55",)))),
     IdentityEntry(
         "GFhn0", "half-power series for the base-squared entire function",
         "A_{q^2}(-b^2) = (b sqrt(q); q)_inf sum_n q^{n^2/2} b^n "
         "/ ((q, b sqrt(q); q)_n)",
-        formal=Check(lambda ctx, b: qp.gfhn0_diff_formal(b, ctx),
+        formal=Check(qp.gfhn0_diff_formal,
                      sampler=_each(3, lambda rng: {
                          "b": rational_nonzero(rng, F(-1), F(1))}),
                      order=60, D=2),
-        numeric=Check(lambda ctx, b: qp.gfhn0_sides(b, ctx),
+        numeric=Check(qp.gfhn0_sides,
                       grid(b=("0.7", "-0.4")))),
 )
 

@@ -139,7 +139,7 @@ def box_gf(k: int, m: int) -> QPoly:
     return QPoly(_tally(Box(k, m), k * m))
 
 
-def series_vs_partitions(series_id: str, upto: int) -> bool:
+def series_vs_partitions(series_id: str, n_max: int) -> bool:
     """Coefficient-by-coefficient check of the two classical gap theorems.
 
     For RR1 the q^n coefficient of the gap-2 series must equal the number of
@@ -150,14 +150,14 @@ def series_vs_partitions(series_id: str, upto: int) -> bool:
     if series_id not in ("RR1", "RR2"):
         raise ValueError(f"unknown series id {series_id!r}")
     which = 1 if series_id == "RR1" else 2
-    if upto > SIZE_CAP:
+    if n_max > SIZE_CAP:
         raise SizeError(f"capped at n <= {SIZE_CAP}")
-    ctx = QContext.formal(order=max(upto, 1), base_exponent=1)
+    ctx = QContext.formal(order=max(n_max, 1), base_exponent=1)
     series = rr_sum_formal(which - 1, ctx)
     product = rr_product_formal(which, ctx)
-    gap_counts = _tally(MinGap(2, min_part=which), upto)
-    cong_counts = _tally(Congruence(frozenset({which, 5 - which}), 5), upto)
-    for n in range(upto + 1):
+    gap_counts = _tally(MinGap(2, min_part=which), n_max)
+    cong_counts = _tally(Congruence(frozenset({which, 5 - which}), 5), n_max)
+    for n in range(n_max + 1):
         c_series = series.coeff_q(n)
         if c_series != gap_counts[n]:
             return False

@@ -470,16 +470,16 @@ def qinv_hermite(n: int, e_xi, q):
     return sum(terms, 0 * _one_like(q))
 
 
-def sw_as_hermite_sides(n: int, e_xi, q, reading: str = "corrected"):
+def sw_as_hermite_sides(n: int, E, q, reading: str = "corrected"):
     """The two sides of the S_n / h_n bridge, E = e^{xi}, as (lhs, rhs).
 
     ``corrected``: (q;q)_n S_n(E^{-2} q^{-n}; q) = E^{-n} h_n(sinh xi | q),
     which is an exact term-by-term match of the two finite sums.  The
     as-printed form omits the E^{-n} factor; ``literal`` evaluates that.
     """
-    lhs = pochhammer_finite(q, q, n) * stieltjes_wigert(n, e_xi ** -2 * q ** -n, q)
-    scale = e_xi ** -n if reading == "corrected" else _one_like(q)
-    return lhs, scale * qinv_hermite(n, e_xi, q)
+    lhs = pochhammer_finite(q, q, n) * stieltjes_wigert(n, E ** -2 * q ** -n, q)
+    scale = E ** -n if reading == "corrected" else _one_like(q)
+    return lhs, scale * qinv_hermite(n, E, q)
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +736,15 @@ def hermite_gf_series(tv, zv, ctx: QContext):
         return _series(terms, ctx)
 
 
-def hermite_gf_sides(t, z, ctx: QContext, reading: str = "literal"):
+def hermite_gf_sides(t, z, ctx: QContext, reading: str = "corrected"):
     """Quarter-power generating function for S_n(z q^{-n}).
 
     LHS: sum_n (q;q)_n q^{n^2/4} t^n S_n(z q^{-n}) / (q^{1/2};q^{1/2})_n.
-    ``literal`` RHS: (-t q^{1/4}, -t q^{1/4} z; q^{1/2})_inf / (-t^2 z; q)_inf;
-    ``corrected`` flips the sign of the z-carrying numerator argument only:
+    ``corrected`` (the default) RHS:
     (-t q^{1/4}, +t q^{1/4} z; q^{1/2})_inf / (-t^2 z; q)_inf, the unique
     sign pattern compatible with the inverse-base Hermite generating
-    function through the exact S_n / h_n bridge.
+    function through the exact S_n / h_n bridge.  ``literal``, as printed,
+    reads the z-carrying numerator argument as -t q^{1/4} z.
     """
     with ctx.workdps():
         q = ctx.q

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -18,7 +19,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext, scaled_deviation, widening
-from qrr import qpolynomials, slices, summation
+from qrr import qfunctions, qpolynomials, slices, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -217,7 +218,7 @@ def _first_point(entry, mode, seed):
     the working precision it was passed at."""
     chk = getattr(entry, mode)
 
-    def spy(*args, **point):
+    def spy(ctx=None, **point):
         raise _FirstPoint(point, mp.mp.prec)
 
     spied = replace(entry, **{mode: replace(chk, sides=spy)})
@@ -255,7 +256,7 @@ def test_gfhn0_formal_runs_three_nonzero_samples():
 
         def sides(ctx, b, real=entry.formal.sides):
             seen.append(b)
-            return real(ctx, b=b)
+            return real(b=b, ctx=ctx)
 
         spied = replace(entry, formal=replace(entry.formal, sides=sides))
         outcome = run_entry(spied, "formal", RunSettings(seed=seed))
@@ -590,6 +591,20 @@ def test_driver_literal_readings():
     assert status(True) == "PASS" and status(False, True) == "PASS"
 
 
+@pytest.mark.parametrize("kernel, option, corrected", [
+    (qpolynomials.sw_inversion_sides, "reading", "corrected"),
+    (qpolynomials.sw_as_hermite_sides, "reading", "corrected"),
+    (qpolynomials.hermite_gf_sides, "reading", "corrected"),
+    (qfunctions.cube_bilateral_master_sides, "corrected", True),
+    (qpolynomials.bilateral_m_version_sides, "sign", -1),
+    (qpolynomials.u_poly, "weighted", True)],
+    ids=lambda value: getattr(value, "__name__", None))
+def test_kernels_default_to_their_corrected_reading(kernel, option, corrected):
+    # a check names such a kernel bare for the corrected reading and binds
+    # the printed one with functools.partial
+    assert inspect.signature(kernel).parameters[option].default == corrected
+
+
 def test_literal_note_reports_worst_q():
     # ms-5 quotes the worst literal deviation over q, whatever the q order
     out = run_check("ms-5", "numeric", RunSettings(q_values=("0.3", "0.2")))
@@ -655,11 +670,11 @@ def test_summarise_points():
 
 def _points_spy(calls, mode):
     """A sides stand-in that records each point and passes."""
-    def spy(*ctx, **point):
+    def spy(ctx=None, **point):
         calls.append(point)
         if mode == "numeric":
             return Verdict(mp.mpf(0), True)
-        return True if mode == "exact" else FormalSeries.zero(ctx[0])
+        return True if mode == "exact" else FormalSeries.zero(ctx)
     return spy
 
 
