@@ -32,7 +32,9 @@ DISCREPANCY_DOCUMENTED.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -115,7 +117,9 @@ class Check:
 
     ``sides(**point, ctx=ctx)`` (numeric, formal) or ``sides(**point)``
     (exact) returns ``(lhs, rhs)``, or: numeric, a residual or a
-    :class:`Verdict`; exact, a bool; formal, the difference series.
+    :class:`Verdict`; exact, a bool; formal, the difference series.  A
+    kernel named here, bare or in a ``partial``, is called as its module
+    binds it when the check runs.
     """
 
     sides: Callable
@@ -165,7 +169,7 @@ def status(ok: bool, literal_ok: bool | None = None) -> str:
 def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
     """Evaluate ``entry`` in ``mode`` and derive its outcome; the values of the
     kept kernels live for this one check (:func:`~qrr.context.keeping_values`)."""
-    chk = getattr(entry, mode)
+    chk = _current_sides(getattr(entry, mode))
     exponent = rc.precision - 10
     if mode == "numeric" and exponent < MIN_TOL_EXPONENT:
         return CheckOutcome(
@@ -205,6 +209,24 @@ def run_entry(entry: IdentityEntry, mode: str, rc: RunSettings) -> CheckOutcome:
         if chk.literal is None or not chk.literal.decides:
             literal_ok = None
         return CheckOutcome(status(ok, literal_ok), dev, first_diff, params, note)
+
+
+def _current_sides(chk):
+    """``chk`` with its sides and its reading's as their modules bind them now.
+
+    A check that names its kernel holds the function bound when the registry
+    was imported.  Looking it up again by name per run calls what the module
+    binds under that name since (a profiler's span wrapper, a test's patch),
+    as a lambda calling ``module.kernel(...)`` did.
+    """
+    literal = chk.literal and replace(chk.literal, sides=_current(chk.literal.sides))
+    return replace(chk, sides=_current(chk.sides), literal=literal)
+
+
+def _current(fn):
+    if isinstance(fn, partial):
+        return partial(_current(fn.func), *fn.args, **fn.keywords)
+    return getattr(sys.modules[fn.__module__], fn.__qualname__, fn)
 
 
 def summarise(points) -> dict:

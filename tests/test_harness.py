@@ -19,7 +19,7 @@ from qrr.harness import (CENSUS, ENTRIES, IdentityReport, RunSettings,
                          planned_checks, run_check, run_info, run_suite)
 from qrr.formal import FormalSeries
 from qrr.context import QContext, scaled_deviation, widening
-from qrr import qfunctions, qpolynomials, slices, summation
+from qrr import partitions, qfunctions, qpolynomials, slices, summation
 from qrr.harness import driver, registry
 from qrr.harness.driver import (LITERAL, Check, IdentityEntry, Reading,
                                 Verdict, _as_mp, grid, run_entry, status,
@@ -603,6 +603,31 @@ def test_kernels_default_to_their_corrected_reading(kernel, option, corrected):
     # a check names such a kernel bare for the corrected reading and binds
     # the printed one with functools.partial
     assert inspect.signature(kernel).parameters[option].default == corrected
+
+
+# A check holds the kernel it names, bare or in a partial, yet calls what the
+# kernel's module binds under its name at run time (a profiler's wrapper, a
+# patch), as a lambda calling module.kernel(...) does.
+@pytest.mark.parametrize("entry_id, mode, module, name, bound", [
+    ("heine", "numeric", qfunctions, "heine_sides", {}),
+    ("mform", "formal", qpolynomials, "mform_diff_formal", {}),
+    ("rr1-partitions", "exact", partitions, "series_vs_partitions", {}),
+    ("sw-inversion", "exact", qpolynomials, "sw_inversion_sides",
+     {"reading": "literal"})])
+def test_checks_call_the_current_binding_of_their_kernel(
+        entry_id, mode, module, name, bound, monkeypatch):
+    plain = run_check(entry_id, mode, RunSettings())
+    real, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    spied = run_check(entry_id, mode, RunSettings())
+    assert any(kw.items() >= bound.items() for kw in calls)
+    assert (spied.status, spied.max_abs_deviation, spied.params) == (
+        plain.status, plain.max_abs_deviation, plain.params)
 
 
 def test_literal_note_reports_worst_q():
